@@ -113,7 +113,8 @@ func BenchmarkE1QueryByFeature(b *testing.B) {
 }
 
 // BenchmarkE1RawTextScan is the ablation baseline of DESIGN.md choice 1:
-// answering the same information need by substring scan over raw query text.
+// answering the same information need by substring search over raw query
+// text (index-backed since PR 12; the name predates that).
 func BenchmarkE1RawTextScan(b *testing.B) {
 	f := benchFixture(b)
 	exec := metaquery.New(f.store)
@@ -1206,8 +1207,8 @@ func httpFixture(b *testing.B) (*httptest.Server, *client.Client) {
 }
 
 // BenchmarkHTTPSearchKeyword measures one keyword-search round trip over the
-// v1 API: request decode, header principal, ctx-aware scan, pagination and
-// response encode.
+// v1 API, drained by the client page by page: request decode, header
+// principal, index-backed pages and response encode.
 func BenchmarkHTTPSearchKeyword(b *testing.B) {
 	ts, c := httpFixture(b)
 	_ = ts

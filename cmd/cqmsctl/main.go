@@ -553,7 +553,29 @@ func cmdStats(ctx context.Context, c *client.Client) error {
 		}
 		fmt.Println()
 	}
+	// The search index reports through /v1/metrics alone; read it there, by
+	// the names a dashboard would use.
+	if text, err := c.Metrics(ctx); err == nil {
+		texts, _ := metricValue(text, "cqms_search_index_texts")
+		trigrams, _ := metricValue(text, "cqms_search_index_trigrams")
+		fmt.Printf("search index: %.0f distinct texts, %.0f trigrams\n", texts, trigrams)
+		if n, _ := metricValue(text, "cqms_search_examined_records_count"); n > 0 {
+			sum, _ := metricValue(text, "cqms_search_examined_records_sum")
+			fmt.Printf("  %.0f searches, %.1f records examined per search\n", n, sum/n)
+		}
+	}
 	return nil
+}
+
+// metricValue finds an unlabelled sample in a Prometheus text exposition.
+func metricValue(exposition, name string) (float64, bool) {
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }
 
 func cmdMetrics(ctx context.Context, c *client.Client) error {

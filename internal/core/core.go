@@ -101,10 +101,11 @@ type CQMS struct {
 
 	// metrics is never nil; the assist children and miner instruments are
 	// cached at construction so hot paths skip the vec lookup.
-	metrics       *telemetry.Registry
-	assistLatency map[string]*telemetry.Histogram
-	minerPass     *telemetry.Histogram
-	minerPasses   *telemetry.Counter
+	metrics        *telemetry.Registry
+	assistLatency  map[string]*telemetry.Histogram
+	minerPass      *telemetry.Histogram
+	minerPasses    *telemetry.Counter
+	searchExamined *telemetry.Histogram
 }
 
 // New creates a CQMS over a fresh embedded engine.
@@ -162,6 +163,9 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		"Full background mining pass duration (RunMiner).", telemetry.DefBuckets)
 	c.minerPasses = reg.Counter("cqms_miner_passes_total",
 		"Completed full background mining passes.")
+	c.searchExamined = reg.Histogram("cqms_search_examined_records",
+		"Records loaded per keyword or substring search request.",
+		telemetry.CountBuckets(1, 10, 25, 50, 100, 250, 500, 1000, 10_000, 100_000, 1_000_000))
 	// Until the first full mining pass runs, context-aware completions are
 	// served from the feed's live rule counts instead of going
 	// popularity-only.
@@ -365,15 +369,37 @@ func (c *CQMS) Annotate(id storage.QueryID, p storage.Principal, ann storage.Ann
 // Search & Browse Interaction Mode (§2.2)
 // ---------------------------------------------------------------------------
 
-// Search performs keyword search over the visible query log. A cancelled
-// context aborts the underlying scan.
+// Search performs keyword search over the visible query log and returns the
+// whole ranked listing. A cancelled context aborts it.
 func (c *CQMS) Search(ctx context.Context, p storage.Principal, keywords ...string) ([]metaquery.Match, error) {
-	return c.executor.Keyword(ctx, p, keywords...)
+	page, err := c.SearchPage(ctx, p, keywords, metaquery.Cursor{}, 0)
+	return page.Matches, err
 }
 
-// SearchSubstring performs substring search over the visible query log.
+// SearchSubstring performs substring search over the visible query log and
+// returns the whole listing.
 func (c *CQMS) SearchSubstring(ctx context.Context, p storage.Principal, substr string) ([]metaquery.Match, error) {
-	return c.executor.Substring(ctx, p, substr)
+	page, err := c.SearchSubstringPage(ctx, p, substr, metaquery.Cursor{}, 0)
+	return page.Matches, err
+}
+
+// SearchPage returns the matches of a keyword search that follow the cursor
+// in (score desc, ID asc) order, at most limit of them (limit <= 0: all).
+// The zero cursor starts a listing pinned at the current high-water mark;
+// Page.High carries the pin for the cursors of later pages. The search index
+// serves a page in time proportional to the distinct matching texts plus the
+// records returned, not to the log.
+func (c *CQMS) SearchPage(ctx context.Context, p storage.Principal, keywords []string, cur metaquery.Cursor, limit int) (metaquery.Page, error) {
+	page, err := c.executor.KeywordPage(ctx, p, keywords, cur, limit)
+	c.searchExamined.ObserveCount(page.Examined)
+	return page, err
+}
+
+// SearchSubstringPage is SearchPage for substring search.
+func (c *CQMS) SearchSubstringPage(ctx context.Context, p storage.Principal, substr string, cur metaquery.Cursor, limit int) (metaquery.Page, error) {
+	page, err := c.executor.SubstringPage(ctx, p, substr, cur, limit)
+	c.searchExamined.ObserveCount(page.Examined)
+	return page, err
 }
 
 // MetaQuery executes a SQL meta-query over the feature relations (Figure 1).

@@ -171,7 +171,8 @@ func E1QueryByFeature(env *Env) (Result, error) {
 	precision := ratio(correct, len(matches))
 	recall := ratio(correct, len(truth))
 
-	// Baseline: substring scan over raw text.
+	// Baseline: substring search over raw text (served from the search index
+	// now; the comparison is about precision, not about how it is evaluated).
 	exec := metaquery.New(store)
 	start = time.Now()
 	sub, err := exec.Substring(context.Background(), admin, "WaterSalinity")

@@ -1,0 +1,121 @@
+package metaquery
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// benchTexts is the statement pool of BenchmarkSearchAtSize: five templates
+// times 200 constants, 1,000 distinct texts whatever the log's size. A query
+// log grows by repetition (the benchmark harness's 10,000-record browse log
+// holds 800 distinct texts), and the search index's cost follows the distinct
+// texts a needle matches, so the pool is what has to stay fixed for the sizes
+// to be comparable.
+func benchTexts(tb testing.TB) []*storage.QueryRecord {
+	templates := []string{
+		"SELECT lake, temp FROM WaterTemp WHERE temp < %d",
+		"SELECT salinity, depth FROM WaterSalinity WHERE depth > %d",
+		"SELECT name, magnitude FROM Stars WHERE magnitude < %d",
+		"SELECT kind, battery FROM Sensors WHERE battery < %d",
+		"SELECT flux, band FROM Observations WHERE obs_id = %d",
+	}
+	var pool []*storage.QueryRecord
+	for c := 0; c < 200; c++ {
+		for _, tmpl := range templates {
+			rec, err := storage.NewRecordFromSQL(fmt.Sprintf(tmpl, c))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			pool = append(pool, rec)
+		}
+	}
+	return pool
+}
+
+// buildSearchLog logs n records drawn uniformly from the pool, by 50 users in
+// 5 groups, visible to their group.
+func buildSearchLog(tb testing.TB, n int) *storage.Store {
+	pool := benchTexts(tb)
+	rng := rand.New(rand.NewSource(1))
+	s := storage.NewStore()
+	batch := make([]*storage.QueryRecord, 0, 1000)
+	for i := 0; i < n; i++ {
+		rec := *pool[rng.Intn(len(pool))] // the parsed features are shared: stored records are immutable
+		user := rng.Intn(50)
+		rec.User = fmt.Sprintf("user%02d", user)
+		rec.Group = fmt.Sprintf("group%d", user%5)
+		rec.Visibility = storage.VisibilityGroup
+		batch = append(batch, &rec)
+		if len(batch) == cap(batch) || i == n-1 {
+			s.PutBatch(batch)
+			batch = make([]*storage.QueryRecord, 0, 1000)
+		}
+	}
+	return s
+}
+
+// BenchmarkSearchAtSize measures one page of 25 (the handler asks for 26) of
+// keyword and substring search, the first page and the fifth, and a needle
+// that matches nothing, against logs of 10^4, 10^5 and 10^6 records. The
+// principal sees a fifth of the log, so a page also pays for the records it
+// skips. The claim of the search index is that each sub-benchmark stays
+// within 2x of itself across the three sizes; the CI perf gate holds each
+// against its own baseline.
+func BenchmarkSearchAtSize(b *testing.B) {
+	const limit = 26
+	member := storage.Principal{User: "user00", Groups: []string{"group0"}}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		store := buildSearchLog(b, n)
+		x := New(store)
+		page := func(b *testing.B, kind string, cur Cursor) Page {
+			var (
+				p   Page
+				err error
+			)
+			if kind == "keyword" {
+				p, err = x.KeywordPage(testCtx, member, []string{"watertemp"}, cur, limit)
+			} else {
+				p, err = x.SubstringPage(testCtx, member, "magnit", cur, limit)
+			}
+			if err != nil || len(p.Matches) != limit {
+				b.Fatalf("%s page after %+v: %d matches, err %v", kind, cur, len(p.Matches), err)
+			}
+			return p
+		}
+		run := func(name string, fn func(b *testing.B)) {
+			b.Run(fmt.Sprintf("size=%d/%s", n, name), func(b *testing.B) {
+				// As in BenchmarkStatsReadAt1MUsers: keep GC assists for the
+				// resident log, a process-wide cost, out of the page's time.
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(1000))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fn(b)
+				}
+			})
+		}
+		for _, kind := range []string{"keyword", "substring"} {
+			kind := kind
+			// The cursor the handler would mint after four pages of 25.
+			var fifth Cursor
+			for i := 0; i < 4; i++ {
+				p := page(b, kind, fifth)
+				last := p.Matches[limit-2]
+				fifth = Cursor{High: p.High, After: last.Record.ID, Score: last.Score, Pos: true}
+			}
+			run(kind+"/page1", func(b *testing.B) { page(b, kind, Cursor{}) })
+			run(kind+"/page5", func(b *testing.B) { page(b, kind, fifth) })
+		}
+		run("zero-match", func(b *testing.B) {
+			if p, err := x.KeywordPage(testCtx, member, []string{"nosuchterm"}, Cursor{}, limit); err != nil || len(p.Matches) != 0 {
+				b.Fatalf("zero-match page: %d matches, err %v", len(p.Matches), err)
+			}
+		})
+	}
+}

@@ -1,0 +1,467 @@
+package metaquery_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+	"unicode/utf8"
+
+	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/metaquery"
+	"repro/internal/server"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// ---------------------------------------------------------------------------
+// The oracle: keyword and substring search as full-log scans, the way they
+// were served before the search index, and the page cut the v1 handler made
+// out of the sorted scan. The index must reproduce both exactly.
+// ---------------------------------------------------------------------------
+
+func scanKeyword(store *storage.Store, p storage.Principal, keywords []string) []metaquery.Match {
+	lowered := make([]string, len(keywords))
+	for i, k := range keywords {
+		lowered[i] = strings.ToLower(k)
+	}
+	var out []metaquery.Match
+	store.Snapshot().Scan(p, func(rec *storage.QueryRecord) bool {
+		text := strings.ToLower(rec.Text)
+		var ann string
+		if len(rec.Annotations) > 0 {
+			var annText strings.Builder
+			for _, a := range rec.Annotations {
+				annText.WriteString(strings.ToLower(a.Text))
+				annText.WriteString(" ")
+			}
+			ann = annText.String()
+		}
+		matched, annotationHits := 0, 0
+		for _, k := range lowered {
+			inText := strings.Contains(text, k)
+			inAnn := strings.Contains(ann, k)
+			if inText || inAnn {
+				matched++
+			}
+			if inAnn {
+				annotationHits++
+			}
+		}
+		if matched == len(lowered) {
+			score := 0.8 + 0.2*float64(annotationHits)/float64(len(lowered))
+			out = append(out, metaquery.Match{Record: rec, Score: score, Why: "keywords: " + strings.Join(keywords, ", ")})
+		}
+		return true
+	})
+	metaquery.SortMatches(out)
+	return out
+}
+
+func scanSubstring(store *storage.Store, p storage.Principal, substr string) []metaquery.Match {
+	needle := strings.ToLower(substr)
+	var out []metaquery.Match
+	store.Snapshot().Scan(p, func(rec *storage.QueryRecord) bool {
+		if strings.Contains(strings.ToLower(rec.Canonical), needle) || strings.Contains(strings.ToLower(rec.Text), needle) {
+			out = append(out, metaquery.Match{Record: rec, Score: 1, Why: "substring: " + substr})
+		}
+		return true
+	})
+	metaquery.SortMatches(out)
+	return out
+}
+
+// wireCursor is the decoded form of the opaque v1 cursor.
+type wireCursor struct {
+	Kind  string  `json:"k"`
+	High  int64   `json:"h"`
+	After int64   `json:"a"`
+	Score float64 `json:"s"`
+	Pos   bool    `json:"p"`
+}
+
+func decodeCursor(t *testing.T, raw string) wireCursor {
+	t.Helper()
+	b, err := base64.RawURLEncoding.DecodeString(raw)
+	if err != nil {
+		t.Fatalf("cursor %q: %v", raw, err)
+	}
+	var c wireCursor
+	if err := json.Unmarshal(b, &c); err != nil {
+		t.Fatalf("cursor %q: %v", raw, err)
+	}
+	return c
+}
+
+// oraclePage cuts the page after cur out of the full sorted listing.
+func oraclePage(all []metaquery.Match, cur wireCursor, limit int) (page []metaquery.Match, more bool) {
+	var kept []metaquery.Match
+	for _, m := range all {
+		if int64(m.Record.ID) > cur.High {
+			continue
+		}
+		if cur.Pos && (m.Score > cur.Score || (m.Score == cur.Score && int64(m.Record.ID) <= cur.After)) {
+			continue
+		}
+		kept = append(kept, m)
+	}
+	if len(kept) > limit {
+		return kept[:limit], true
+	}
+	return kept, false
+}
+
+// ---------------------------------------------------------------------------
+// Random histories and random searches
+// ---------------------------------------------------------------------------
+
+// texts is the statement pool: ASCII and multi-byte, in mixed case, few enough
+// that records share dictionary entries and deletions empty some of them.
+var texts = []string{
+	"SELECT lake, temp FROM WaterTemp WHERE temp < 18",
+	"select LAKE, Temp from watertemp where TEMP < 18",
+	"SELECT salinity FROM WaterSalinity WHERE depth > 5",
+	"SELECT name FROM Städte WHERE name = 'Zürich' AND einwohner > 400000",
+	"SELECT ΔT FROM Messung WHERE ort = 'Ångström' AND ΔT > 0.5",
+	"SELECT город FROM Города WHERE страна = 'Россия'",
+	"SELECT a FROM t",
+	"SELECT ab FROM tt WHERE ab = 'İstanbul'",
+	"SELECT name, magnitude FROM Stars WHERE magnitude < 4",
+	"SELECT 湖, 温度 FROM 水温 WHERE 温度 < 18",
+}
+
+var annotations = []string{
+	"find temp and salinity of Seattle lakes",
+	"Überblick über große Städte",
+	"cold lakes only",
+	"ΔT outliers",
+	"TODO",
+}
+
+var users = []struct {
+	name, group string
+}{{"alice", "limnology"}, {"bob", "limnology"}, {"carol", "astro"}, {"dave", ""}}
+
+var principals = []storage.Principal{
+	{Admin: true},
+	{User: "alice", Groups: []string{"limnology"}},
+	{User: "bob", Groups: []string{"limnology", "astro"}},
+	{User: "carol", Groups: []string{"astro"}},
+	{User: "dave"},
+	{User: "stranger"},
+}
+
+// history applies random mutations to a store and remembers the live IDs.
+type history struct {
+	rng   *rand.Rand
+	store *storage.Store
+	ids   []storage.QueryID
+}
+
+func (h *history) record() *storage.QueryRecord {
+	text := texts[h.rng.Intn(len(texts))]
+	u := users[h.rng.Intn(len(users))]
+	return &storage.QueryRecord{
+		Text: text,
+		// A canonical form that differs from the text, so some needles hit
+		// only one of the two.
+		Canonical:  strings.Join(strings.Fields(strings.ToUpper(text)), " ") + fmt.Sprintf(" /*canon%d*/", h.rng.Intn(3)),
+		User:       u.name,
+		Group:      u.group,
+		Visibility: storage.Visibility(h.rng.Intn(3)),
+	}
+}
+
+func (h *history) step(t *testing.T) {
+	t.Helper()
+	admin := storage.Principal{Admin: true}
+	pick := func() storage.QueryID { return h.ids[h.rng.Intn(len(h.ids))] }
+	var err error
+	op := h.rng.Intn(12)
+	if len(h.ids) > 400 {
+		op = 5 // keep the log, and with it the number of pages per listing, bounded
+	}
+	switch {
+	case op < 3 || len(h.ids) == 0:
+		h.ids = append(h.ids, h.store.Put(h.record()))
+	case op < 5:
+		h.ids = append(h.ids, h.store.PutBatch([]*storage.QueryRecord{h.record(), h.record(), h.record()})...)
+	case op < 7:
+		i := h.rng.Intn(len(h.ids))
+		err = h.store.Delete(h.ids[i], admin)
+		h.ids = append(h.ids[:i], h.ids[i+1:]...)
+	case op < 9:
+		err = h.store.SetVisibility(pick(), admin, storage.Visibility(h.rng.Intn(3)))
+	case op < 10:
+		err = h.store.ReplaceText(pick(), h.record())
+	default:
+		err = h.store.Annotate(pick(), admin, storage.Annotation{Text: annotations[h.rng.Intn(len(annotations))]})
+	}
+	if err != nil {
+		t.Fatalf("mutation: %v", err)
+	}
+}
+
+// needle draws a search term: a fragment of a pooled text or annotation (one
+// or two bytes long a third of the time, cut on rune boundaries), in random
+// case, or a term nothing contains.
+func needle(rng *rand.Rand) string {
+	if rng.Intn(8) == 0 {
+		return "no-such-term"
+	}
+	src := texts[rng.Intn(len(texts))]
+	if rng.Intn(3) == 0 {
+		src = annotations[rng.Intn(len(annotations))]
+	}
+	runes := []rune(src)
+	n := 3 + rng.Intn(10)
+	if rng.Intn(3) == 0 {
+		n = 1 + rng.Intn(2)
+	}
+	n = min(n, len(runes))
+	start := rng.Intn(len(runes) - n + 1)
+	out := string(runes[start : start+n])
+	if strings.TrimSpace(out) == "" {
+		return "temp"
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return strings.ToUpper(out)
+	case 1:
+		return strings.ToLower(out)
+	}
+	return out
+}
+
+// searcher pages one server's search API and compares every page with the
+// oracle over that server's store.
+type searcher struct {
+	rng   *rand.Rand
+	url   string
+	store *storage.Store
+	// between runs between two pages of one listing (nil: nothing does).
+	between func()
+}
+
+func (s *searcher) post(t *testing.T, p storage.Principal, kind string, params server.SearchParams) server.SearchResponse {
+	t.Helper()
+	body, _ := json.Marshal(params)
+	req, err := http.NewRequest(http.MethodPost, s.url+"/v1/search/"+kind, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(server.HeaderUser, p.User)
+	req.Header.Set(server.HeaderGroups, strings.Join(p.Groups, ","))
+	if p.Admin {
+		req.Header.Set(server.HeaderAdmin, "true")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/search/%s %+v: status %d", kind, params, resp.StatusCode)
+	}
+	var out server.SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// drain reads one random listing page by page at random page sizes and
+// checks each page against the oracle as of that page. It returns how many
+// matches the listing had.
+func (s *searcher) drain(t *testing.T) int {
+	t.Helper()
+	p := principals[s.rng.Intn(len(principals))]
+	kind, params := "substring", server.SearchParams{Substring: needle(s.rng)}
+	if s.rng.Intn(2) == 0 {
+		kind, params = "keyword", server.SearchParams{Keywords: []string{needle(s.rng)}}
+		for s.rng.Intn(3) == 0 {
+			params.Keywords = append(params.Keywords, needle(s.rng))
+		}
+	}
+	total := 0
+	for pageNo := 0; ; pageNo++ {
+		params.Limit = 1 + s.rng.Intn(30)
+		cur := wireCursor{High: int64(s.store.HighWater())}
+		if params.Cursor != "" {
+			cur = decodeCursor(t, params.Cursor)
+		}
+		got := s.post(t, p, kind, params)
+
+		var all []metaquery.Match
+		if kind == "keyword" {
+			all = scanKeyword(s.store, p, params.Keywords)
+		} else {
+			all = scanSubstring(s.store, p, params.Substring)
+		}
+		want, more := oraclePage(all, cur, params.Limit)
+		describe := fmt.Sprintf("%s %q as %+v, page %d (limit %d, cursor %+v)", kind, append(params.Keywords, params.Substring), p, pageNo, params.Limit, cur)
+		if len(got.Matches) != len(want) {
+			t.Fatalf("%s: %d matches, oracle has %d", describe, len(got.Matches), len(want))
+		}
+		for i, m := range got.Matches {
+			if m.Query.ID != int64(want[i].Record.ID) || m.Score != want[i].Score || m.Why != want[i].Why || m.Query.Text != want[i].Record.Text {
+				t.Fatalf("%s: match %d is (q%d, %v, %q), oracle has (q%d, %v, %q)", describe, i,
+					m.Query.ID, m.Score, m.Why, want[i].Record.ID, want[i].Score, want[i].Why)
+			}
+		}
+		total += len(want)
+		if (got.NextCursor != "") != more {
+			t.Fatalf("%s: next cursor %q, oracle has more = %v", describe, got.NextCursor, more)
+		}
+		if !more {
+			return total
+		}
+		next, last := decodeCursor(t, got.NextCursor), want[len(want)-1]
+		if next.High != cur.High || !next.Pos || next.After != int64(last.Record.ID) || next.Score != last.Score {
+			t.Fatalf("%s: next cursor %+v does not point at the page's last match (q%d, %v)", describe, next, last.Record.ID, last.Score)
+		}
+		params.Cursor = got.NextCursor
+		if s.between != nil {
+			s.between()
+		}
+	}
+}
+
+func (s *searcher) drains(t *testing.T, n int) {
+	t.Helper()
+	matched := 0
+	for i := 0; i < n; i++ {
+		matched += s.drain(t)
+	}
+	if matched == 0 {
+		t.Fatalf("%d random searches matched nothing: the test compares empty lists", n)
+	}
+}
+
+func serve(t *testing.T, c *core.CQMS) string {
+	t.Helper()
+	ts := httptest.NewServer(server.New(c).Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestIndexedSearchEqualsScanOracle is the equivalence test of the search
+// index: after an arbitrary history of every mutation that touches it, and
+// again after WAL recovery, after a snapshot restore, after RestoreState and
+// on a bootstrapped follower, keyword and substring listings read through the
+// v1 handler — page by page, at random page sizes, with writes landing
+// between the pages — are, page for page, what a scan of the log gives.
+func TestIndexedSearchEqualsScanOracle(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.DefaultConfig()
+	cfg.Durability = wal.DefaultConfig(dir)
+	cfg.Durability.SyncPolicy = "off"
+	open := func() *core.CQMS {
+		c, err := core.Open(cfg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(20260926))
+	stage := func(c *core.CQMS, ids []storage.QueryID, warmup int) *history {
+		h := &history{rng: rng, store: c.Store(), ids: ids}
+		for i := 0; i < warmup; i++ {
+			h.step(t)
+		}
+		s := &searcher{rng: rng, url: serve(t, c), store: c.Store()}
+		s.between = func() {
+			for n := rng.Intn(3); n > 0; n-- {
+				h.step(t)
+			}
+		}
+		s.drains(t, 120)
+		return h
+	}
+
+	// A live history.
+	c := open()
+	h := stage(c, nil, 300)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// WAL recovery: the log replays through Apply.
+	c = open()
+	h = stage(c, h.ids, 50)
+
+	// Snapshot plus tail: the restore pass rebuilds the index, the tail
+	// replays on top.
+	if _, _, _, err := c.Durability().Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		h.step(t)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c = open()
+	defer c.Close()
+	if rec := c.Recovery(); rec == nil || rec.SnapshotSeq == 0 {
+		t.Fatalf("expected a recovery from a snapshot, got %+v", rec)
+	}
+	h = stage(c, h.ids, 0)
+
+	// RestoreState in place.
+	c.Store().RestoreState(c.Store().State())
+	h = stage(c, h.ids, 0)
+
+	// A follower bootstrapped from the primary's snapshot and WAL tail.
+	follower, err := core.OpenFollower(engine.New(), core.DefaultConfig(), client.New(serve(t, c), client.WithAdmin()))
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := follower.StartFollower(ctx); err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if st := follower.ReplicationStatus(); st.AppliedSeq >= c.Durability().LastSeq() && st.LastError == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %+v", follower.ReplicationStatus())
+		}
+	}
+	fs := &searcher{rng: rng, url: serve(t, follower), store: follower.Store()}
+	fs.drains(t, 120)
+	pt, ptg := c.Store().SearchIndexSize()
+	ft, ftg := follower.Store().SearchIndexSize()
+	if ft == 0 || ft != pt || ftg != ptg {
+		t.Fatalf("follower index holds %d texts / %d trigrams, the primary %d / %d", ft, ftg, pt, ptg)
+	}
+}
+
+// TestNeedlesCoverTheCases keeps the generator honest: it must produce short
+// needles, multi-byte needles and mixed case, or the equivalence test above
+// stops testing what it says.
+func TestNeedlesCoverTheCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var short, multibyte, upper, none bool
+	for i := 0; i < 500; i++ {
+		n := needle(rng)
+		short = short || len(n) < 3
+		multibyte = multibyte || utf8.RuneCountInString(n) < len(n)
+		upper = upper || n != strings.ToLower(n)
+		none = none || n == "no-such-term"
+	}
+	if !short || !multibyte || !upper || !none {
+		t.Fatalf("needle generator misses a case: short=%v multibyte=%v upper=%v zero-match=%v", short, multibyte, upper, none)
+	}
+}

@@ -64,78 +64,6 @@ func withCtx(ctx context.Context, fn func(*storage.QueryRecord) bool) func(*stor
 }
 
 // ---------------------------------------------------------------------------
-// Keyword and substring search
-// ---------------------------------------------------------------------------
-
-// Keyword returns the visible queries whose text or annotations contain every
-// given keyword (case-insensitive). The score is the fraction of matched
-// keywords weighted towards annotation hits. A cancelled context aborts the
-// scan and returns ctx.Err().
-func (x *Executor) Keyword(ctx context.Context, p storage.Principal, keywords ...string) ([]Match, error) {
-	if len(keywords) == 0 {
-		return nil, nil
-	}
-	lowered := make([]string, len(keywords))
-	for i, k := range keywords {
-		lowered[i] = strings.ToLower(k)
-	}
-	var out []Match
-	x.store.Snapshot().Scan(p, withCtx(ctx, func(rec *storage.QueryRecord) bool {
-		text := rec.LowerText()
-		var ann string
-		if len(rec.Annotations) > 0 {
-			var annText strings.Builder
-			for _, a := range rec.Annotations {
-				annText.WriteString(strings.ToLower(a.Text))
-				annText.WriteString(" ")
-			}
-			ann = annText.String()
-		}
-		matched := 0
-		annotationHits := 0
-		for _, k := range lowered {
-			inText := strings.Contains(text, k)
-			inAnn := strings.Contains(ann, k)
-			if inText || inAnn {
-				matched++
-			}
-			if inAnn {
-				annotationHits++
-			}
-		}
-		if matched != len(lowered) {
-			return true
-		}
-		score := 0.8 + 0.2*float64(annotationHits)/float64(len(lowered))
-		out = append(out, Match{Record: rec, Score: score, Why: "keywords: " + strings.Join(keywords, ", ")})
-		return true
-	}))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	SortMatches(out)
-	return out, nil
-}
-
-// Substring returns the visible queries whose canonical text contains the
-// given substring (case-insensitive), in insertion order.
-func (x *Executor) Substring(ctx context.Context, p storage.Principal, substr string) ([]Match, error) {
-	needle := strings.ToLower(substr)
-	var out []Match
-	x.store.Snapshot().Scan(p, withCtx(ctx, func(rec *storage.QueryRecord) bool {
-		if strings.Contains(rec.LowerCanonical(), needle) ||
-			strings.Contains(rec.LowerText(), needle) {
-			out = append(out, Match{Record: rec, Score: 1, Why: "substring: " + substr})
-		}
-		return true
-	}))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
 // Query-by-feature: SQL meta-queries over the feature relations
 // ---------------------------------------------------------------------------
 

@@ -117,13 +117,18 @@ func paginateMatches(matches []metaquery.Match, cur pageCursor, limit, totalCap 
 	if !more || len(page) == 0 {
 		return page, ""
 	}
+	return page, cur.after(page).encode()
+}
+
+// after returns the cursor that resumes the listing behind page, a non-empty
+// page read at cur.
+func (cur pageCursor) after(page []metaquery.Match) pageCursor {
 	last := page[len(page)-1]
-	next := pageCursor{
+	return pageCursor{
 		Kind: cur.Kind, High: cur.High,
 		After: int64(last.Record.ID), Score: last.Score, Pos: true,
 		Seen: cur.Seen + len(page),
 	}
-	return page, next.encode()
 }
 
 // newMatchCursor mints the first-page cursor for a ranked listing, pinning

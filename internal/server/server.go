@@ -328,14 +328,11 @@ func submitResponse(out *profiler.Outcome) SubmitResponse {
 	return resp
 }
 
-// runSearch dispatches one search kind. The returned matches are unpaged;
-// the v1 handler pages them, the legacy shims return them whole.
+// runSearch dispatches one of the search kinds that compute their whole
+// result per request; the v1 handler cuts the page out of it. (Keyword and
+// substring search are paged by the search index: pageTextSearch.)
 func (s *Server) runSearch(ctx context.Context, p storage.Principal, kind string, req SearchParams) ([]metaquery.Match, error) {
 	switch kind {
-	case "keyword":
-		return s.cqms.Search(ctx, p, req.Keywords...)
-	case "substring":
-		return s.cqms.SearchSubstring(ctx, p, req.Substring)
 	case "metaquery":
 		_, matches, err := s.cqms.MetaQuery(ctx, p, req.MetaSQL)
 		if err != nil && !errors.Is(err, metaquery.ErrNoQIDColumn) {

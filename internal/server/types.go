@@ -211,10 +211,10 @@ type ItemCountDTO struct {
 }
 
 // StatsResponse reports server-wide counters. The queries/users/tables/
-// sessions fields describe the whole log (legacy shape); the remaining
-// fields are read from the incrementally maintained stats subsystem and are
-// principal-aware — a non-admin caller sees public queries merged with their
-// own.
+// sessions fields describe the whole log regardless of visibility; the
+// remaining fields are read from the incrementally maintained stats subsystem
+// and are principal-aware — a non-admin caller sees public queries merged with
+// their own.
 type StatsResponse struct {
 	Queries  int      `json:"queries"`
 	Users    []string `json:"users"`

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metaquery"
 	"repro/internal/profiler"
 	"repro/internal/storage"
 )
@@ -158,10 +162,13 @@ func (s *Server) handleV1Visibility(w http.ResponseWriter, r *http.Request) {
 
 // handleV1Search serves one search kind with cursor pagination over the
 // ranked result. The first page pins the store's high-water mark in the
-// cursor; later pages recompute the search on a view filtered to that mark,
-// resuming strictly after the last (score, id) position returned.
+// cursor; later pages resume strictly after the last (score, id) position
+// returned, inside that membership. Keyword and substring pages come straight
+// from the search index at a cost independent of the log's size; the other
+// kinds recompute their result per page and cut the page out of it.
 func (s *Server) handleV1Search(kind string) http.HandlerFunc {
 	cursorKind := "search:" + kind
+	indexed := kind == "keyword" || kind == "substring"
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req SearchParams
 		if err := decode(w, r, &req); err != nil {
@@ -176,25 +183,66 @@ func (s *Server) handleV1Search(kind string) http.HandlerFunc {
 		if cur.High == 0 {
 			cur = newMatchCursor(cursorKind, s.cqms.Store().HighWater())
 		}
-		// The similar search's k is a listing-wide cap, enforced across
-		// pages by the cursor (Seen); the underlying k-NN must run
-		// untruncated so the membership pin can never drop a pinned record
-		// in favour of one inserted after the first page.
-		totalCap := 0
-		if kind == "similar" {
-			if totalCap = req.K; totalCap < 0 {
-				totalCap = 0
+		p, limit := PrincipalFrom(r.Context()), effectiveLimit(req.Limit)
+		var (
+			page []metaquery.Match
+			next string
+		)
+		if indexed {
+			page, next, err = s.pageTextSearch(r.Context(), p, kind, req, cur, limit)
+		} else {
+			// The similar search's k is a listing-wide cap, enforced across
+			// pages by the cursor (Seen); the underlying k-NN must run
+			// untruncated so the membership pin can never drop a pinned record
+			// in favour of one inserted after the first page.
+			totalCap := 0
+			if kind == "similar" {
+				if totalCap = req.K; totalCap < 0 {
+					totalCap = 0
+				}
+				req.K = 0
 			}
-			req.K = 0
+			var matches []metaquery.Match
+			if matches, err = s.runSearch(r.Context(), p, kind, req); err == nil {
+				page, next = paginateMatches(matches, cur, limit, totalCap)
+			}
 		}
-		matches, err := s.runSearch(r.Context(), PrincipalFrom(r.Context()), kind, req)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		page, next := paginateMatches(matches, cur, effectiveLimit(req.Limit), totalCap)
 		writeJSON(w, http.StatusOK, SearchResponse{Matches: matchesToDTO(page), NextCursor: next})
 	}
+}
+
+// pageTextSearch serves one page of a keyword or substring search and mints
+// the cursor for the next. It asks the index for one match more than the page
+// holds to learn whether another page exists.
+func (s *Server) pageTextSearch(ctx context.Context, p storage.Principal, kind string, req SearchParams, cur pageCursor, limit int) ([]metaquery.Match, string, error) {
+	pos := metaquery.Cursor{
+		High: storage.QueryID(cur.High), After: storage.QueryID(cur.After), Score: cur.Score, Pos: cur.Pos,
+	}
+	var (
+		page metaquery.Page
+		err  error
+	)
+	if kind == "keyword" {
+		// An empty keyword is contained in every text: it would list the log.
+		if len(req.Keywords) == 0 || slices.Contains(req.Keywords, "") {
+			return nil, "", Errorf(CodeInvalidArgument, "keywords must hold at least one keyword and no empty string")
+		}
+		page, err = s.cqms.SearchPage(ctx, p, req.Keywords, pos, limit+1)
+	} else {
+		if strings.TrimSpace(req.Substring) == "" {
+			return nil, "", Errorf(CodeInvalidArgument, "substring is required")
+		}
+		page, err = s.cqms.SearchSubstringPage(ctx, p, req.Substring, pos, limit+1)
+	}
+	if err != nil || len(page.Matches) <= limit {
+		return page.Matches, "", err
+	}
+	matches := page.Matches[:limit]
+	return matches, cur.after(matches).encode(), nil
 }
 
 func (s *Server) handleV1History(w http.ResponseWriter, r *http.Request) {

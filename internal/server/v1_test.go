@@ -249,6 +249,44 @@ func TestV1SearchPaginationStable(t *testing.T) {
 	}
 }
 
+// TestV1SearchRejectsEmptyNeedles is the contract test for empty search
+// terms: an empty string is contained in every text, so these requests used
+// to list the whole log (or, for no keywords at all, silently nothing). Both
+// text searches refuse them with the invalid_argument envelope.
+func TestV1SearchRejectsEmptyNeedles(t *testing.T) {
+	ts, alice, _, _ := newTestServer(t)
+	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp", client.Group("limnology")); err != nil {
+		t.Fatal(err)
+	}
+	headers := map[string]string{server.HeaderUser: "alice", server.HeaderGroups: "limnology"}
+	for _, tc := range []struct{ kind, body string }{
+		{"substring", `{}`},
+		{"substring", `{"substring":""}`},
+		{"substring", `{"substring":" \t\n"}`},
+		{"keyword", `{}`},
+		{"keyword", `{"keywords":[]}`},
+		{"keyword", `{"keywords":[""]}`},
+		{"keyword", `{"keywords":["lake",""]}`},
+	} {
+		resp := doRaw(t, http.MethodPost, ts.URL+"/v1/search/"+tc.kind, headers, tc.body, nil)
+		if env := decodeEnvelope(t, resp); resp.StatusCode != 400 || env.Error.Code != server.CodeInvalidArgument {
+			t.Errorf("%s %s: status %d code %q, want 400 %s", tc.kind, tc.body, resp.StatusCode, env.Error.Code, server.CodeInvalidArgument)
+		}
+	}
+	// Terms that merely look empty are searched for: a space is in every
+	// statement, a one-byte needle is a needle.
+	for _, tc := range []struct{ kind, body string }{
+		{"keyword", `{"keywords":[" "]}`},
+		{"substring", `{"substring":"k"}`},
+	} {
+		var page server.SearchResponse
+		resp := doRaw(t, http.MethodPost, ts.URL+"/v1/search/"+tc.kind, headers, tc.body, &page)
+		if resp.StatusCode != 200 || len(page.Matches) != 1 {
+			t.Errorf("%s %s: status %d, %d matches, want the one logged query", tc.kind, tc.body, resp.StatusCode, len(page.Matches))
+		}
+	}
+}
+
 // TestLegacyAPIRetired is the contract test for the retired unversioned
 // surface: every /api/* request — any method, any depth, with or without a
 // body — gets a structured not_found envelope whose details carry an upgrade

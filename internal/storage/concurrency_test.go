@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -305,36 +306,42 @@ func TestEdgesFromIndex(t *testing.T) {
 	}
 }
 
-// TestLowerCaseCache pins the insert-time lower-casing: stored records carry
-// the cache, and ReplaceText recomputes it.
-func TestLowerCaseCache(t *testing.T) {
+// TestLowerCaseShared pins the insert-time lower-casing: stored records share
+// their dictionary entry's strings, and ReplaceText moves them to the entry of
+// the new text.
+func TestLowerCaseShared(t *testing.T) {
 	s := NewStore()
-	rec, err := NewRecordFromSQL("SELECT City FROM CityLocations WHERE State = 'WA'")
-	if err != nil {
-		t.Fatal(err)
+	var ids [2]QueryID
+	for i := range ids {
+		rec, err := NewRecordFromSQL("SELECT City FROM CityLocations WHERE State = 'WA'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = s.Put(rec)
 	}
-	id := s.Put(rec)
-	got, _ := s.Snapshot().Get(id, Principal{Admin: true})
-	if got.lowerText != "select city from citylocations where state = 'wa'" {
-		t.Errorf("lowerText cache = %q", got.lowerText)
+	admin := Principal{Admin: true}
+	a, _ := s.Snapshot().Get(ids[0], admin)
+	b, _ := s.Snapshot().Get(ids[1], admin)
+	if a.LowerText() != "select city from citylocations where state = 'wa'" {
+		t.Errorf("LowerText = %q", a.LowerText())
 	}
-	if got.LowerCanonical() == "" || got.LowerCanonical() != got.lowerCanonical {
-		t.Errorf("LowerCanonical not cached: %q vs %q", got.LowerCanonical(), got.lowerCanonical)
+	if a.text == nil || a.text != b.text || a.LowerCanonical() != strings.ToLower(a.Canonical) {
+		t.Errorf("records of one text do not share an entry: %p vs %p", a.text, b.text)
 	}
 	updated, err := NewRecordFromSQL("SELECT Lake FROM WaterTemp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplaceText(id, updated); err != nil {
+	if err := s.ReplaceText(ids[0], updated); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = s.Snapshot().Get(id, Principal{Admin: true})
-	if got.lowerText != "select lake from watertemp" {
-		t.Errorf("lowerText after ReplaceText = %q", got.lowerText)
+	a, _ = s.Snapshot().Get(ids[0], admin)
+	if a.LowerText() != "select lake from watertemp" || a.text == b.text {
+		t.Errorf("LowerText after ReplaceText = %q", a.LowerText())
 	}
-	// Probe records never inserted into a store still answer correctly.
+	// Records that never entered a store, and owned copies, lower on the fly.
 	probe := &QueryRecord{Text: "SELECT X"}
-	if probe.LowerText() != "select x" {
+	if probe.LowerText() != "select x" || a.Clone().text != nil {
 		t.Errorf("fallback LowerText = %q", probe.LowerText())
 	}
 }

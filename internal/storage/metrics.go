@@ -78,6 +78,12 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 			s.idx.RUnlock()
 			return float64(n)
 		})
+	reg.GaugeFunc("cqms_search_index_texts",
+		"Distinct (text, canonical) pairs in the search dictionary.",
+		func() float64 { texts, _ := s.SearchIndexSize(); return float64(texts) })
+	reg.GaugeFunc("cqms_search_index_trigrams",
+		"Distinct trigrams mapped to search-dictionary entries.",
+		func() float64 { _, trigrams := s.SearchIndexSize(); return float64(trigrams) })
 	shardVec := reg.GaugeFuncVec("cqms_store_shard_records",
 		"Records per lock-striped shard (admin-only; exposes the ID hash distribution).", "shard")
 	for i := range s.shards {

@@ -326,9 +326,13 @@ func (s *Store) apply(m *Mutation) error {
 		if m.Annotation == nil {
 			return fmt.Errorf("storage: apply %s: missing annotation", m.Op)
 		}
-		return applyUpdate(m.ID, func(next, old *QueryRecord) {
+		err := applyUpdate(m.ID, func(next, old *QueryRecord) {
 			next.Annotations = append(append([]Annotation(nil), old.Annotations...), *m.Annotation)
 		})
+		if err == nil && len(m.prev.Annotations) == 0 {
+			s.text.annotate(m.ID)
+		}
+		return err
 	case OpSetVisibility:
 		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
 			next.Visibility = m.Visibility
@@ -446,19 +450,20 @@ func (s *Store) update(id QueryID, mutate func(next, old *QueryRecord)) (old, ne
 // order, which happens after the shard holds the record. Callers must hold
 // the commit lock.
 func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
-	rec.prepare()
 	return s.insertPrepared(rec, computeIndexKeys(rec))
 }
 
-// insertPrepared is insert for the live write paths: the record is already
-// prepared and its index keys precomputed outside the commit lock, so the
-// critical section pays only the map inserts. Callers must hold the commit
-// lock.
+// insertPrepared is insert for the live write paths: the record's index keys
+// are precomputed outside the commit lock, so the critical section pays only
+// the map inserts. Callers must hold the commit lock.
 func (s *Store) insertPrepared(rec *QueryRecord, keys indexKeys) (replaced *QueryRecord) {
 	if old, ok := s.loadRecord(rec.ID); ok {
 		s.remove(old)
 		replaced = old
 	}
+	s.text.mu.Lock()
+	s.text.addLocked(rec, keys.text)
+	s.text.mu.Unlock()
 	s.storeRecord(rec)
 	s.count.Add(1)
 	s.idx.Lock()
@@ -487,6 +492,9 @@ func (s *Store) remove(rec *QueryRecord) {
 	s.removeFromIndexesLocked(rec)
 	s.removeEdgesLocked(rec)
 	s.idx.Unlock()
+	s.text.mu.Lock()
+	s.text.removeLocked(rec)
+	s.text.mu.Unlock()
 	s.deleteRecord(rec.ID)
 	s.count.Add(-1)
 }
@@ -528,11 +536,14 @@ func (s *Store) replaceText(rec, updated *QueryRecord) *QueryRecord {
 	next.Aggregates = updated.Aggregates
 	next.GroupBy = updated.GroupBy
 	next.Features = updated.Features
-	next.prepare()
+	keys := computeIndexKeys(next)
+	s.text.mu.Lock()
+	s.text.retextLocked(rec, next, keys.text)
+	s.text.mu.Unlock()
 	s.storeRecord(next)
 	s.idx.Lock()
 	s.removeFromIndexesLocked(rec)
-	s.indexLocked(next)
+	s.indexPreparedLocked(next, keys)
 	s.idx.Unlock()
 	return next
 }

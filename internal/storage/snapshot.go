@@ -140,6 +140,9 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.count.Store(0)
 	s.nextID.Store(0)
 	s.edgeSet = make(map[SessionEdge]struct{}, len(st.Edges))
+	s.text.mu.Lock()
+	s.text.reset()
+	s.text.mu.Unlock()
 	s.idx.Lock()
 	s.idx.order = nil
 	s.idx.byTable = make(map[string][]QueryID)

@@ -93,6 +93,11 @@ type Store struct {
 
 	shards [shardCount]shard
 
+	// text is the search index behind keyword and substring search: the
+	// dictionary of distinct texts and its trigram map. It has its own lock
+	// so a record's entry is resolved before the record is published.
+	text textIndex
+
 	// idx guards the derived read structures: insertion order, the inverted
 	// indexes and the session edge relation. Every slice reachable from idx
 	// is copy-on-write: writers append in place (readers only look at
@@ -129,6 +134,7 @@ func NewStore() *Store {
 	for i := range s.shards {
 		s.shards[i].recs = make(map[QueryID]*QueryRecord)
 	}
+	s.text.reset()
 	s.idx.byTable = make(map[string][]QueryID)
 	s.idx.byAttribute = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
@@ -205,10 +211,9 @@ func (s *Store) writable() error {
 // of the record: the caller must not mutate it afterwards, because readers
 // receive it without cloning.
 func (s *Store) Put(rec *QueryRecord) QueryID {
-	// Canonicalisation and index-key computation are pure per-record work;
-	// doing them before taking the commit lock shrinks the critical section
-	// to ID assignment, map inserts and the bus fan-out.
-	rec.prepare()
+	// Index-key computation (lower-casing included) is pure per-record work;
+	// doing it before taking the commit lock shrinks the critical section to
+	// ID assignment, map inserts and the bus fan-out.
 	keys := computeIndexKeys(rec)
 	s.lockCommit()
 	rec.ID = QueryID(s.nextID.Load() + 1)
@@ -246,7 +251,6 @@ func (s *Store) PutBatch(recs []*QueryRecord) []QueryID {
 	}
 	keys := make([]indexKeys, len(recs))
 	for i, rec := range recs {
-		rec.prepare()
 		keys[i] = computeIndexKeys(rec)
 	}
 	ids := make([]QueryID, len(recs))
@@ -264,6 +268,11 @@ func (s *Store) PutBatch(recs []*QueryRecord) []QueryID {
 		rec.Valid = rec.InvalidReason == ""
 		ids[i] = rec.ID
 	}
+	s.text.mu.Lock()
+	for i, rec := range recs {
+		s.text.addLocked(rec, keys[i].text)
+	}
+	s.text.mu.Unlock()
 	s.storeRecordsBatch(recs)
 	s.idx.Lock()
 	for i, rec := range recs {
@@ -328,28 +337,32 @@ func (s *Store) storeRecordsBatch(recs []*QueryRecord) {
 	wg.Wait()
 }
 
-// insertIntoBucket adds an ID to a copy-on-write index bucket, preserving
-// the ascending-ID invariant that the cursor scans (ScanAfter,
-// ScanByUserAfter) binary-search on. Fresh inserts always carry the highest
-// ID so the in-place append fast path applies; re-indexing an existing
-// record (the ReplaceText repair path) rebuilds the bucket sorted, building
-// a fresh slice like removal does so concurrent readers holding the old
-// header stay consistent.
+// insertIntoBucket adds an ID to a copy-on-write index bucket; see
+// insertSorted for the invariant it keeps.
 func insertIntoBucket[K comparable](m map[K][]QueryID, key K, id QueryID) {
-	old := m[key]
+	m[key] = insertSorted(m[key], id)
+}
+
+// insertSorted adds an ID to a copy-on-write bucket, preserving the
+// ascending-ID invariant that the cursor scans (ScanAfter, ScanByUserAfter)
+// and the search merge binary-search on. Fresh inserts always carry the
+// highest ID so the in-place append fast path applies; re-indexing an
+// existing record (the ReplaceText repair path) rebuilds the bucket sorted,
+// building a fresh slice like removal does so concurrent readers holding the
+// old header stay consistent.
+func insertSorted(old []QueryID, id QueryID) []QueryID {
 	if n := len(old); n == 0 || old[n-1] < id {
-		m[key] = append(old, id)
-		return
+		return append(old, id)
 	}
 	i := sort.Search(len(old), func(i int) bool { return old[i] >= id })
 	if i < len(old) && old[i] == id {
-		return // already indexed
+		return old // already indexed
 	}
 	out := make([]QueryID, 0, len(old)+1)
 	out = append(out, old[:i]...)
 	out = append(out, id)
 	out = append(out, old[i:]...)
-	m[key] = out
+	return out
 }
 
 // indexKeys holds the lower-cased inverted-index keys of one record,
@@ -358,12 +371,13 @@ func insertIntoBucket[K comparable](m map[K][]QueryID, key K, id QueryID) {
 type indexKeys struct {
 	tables []string // parallel to rec.Tables
 	attrs  []string // deduplicated "rel.attr" keys
+	text   textKey  // the record's search-dictionary entry
 }
 
 // computeIndexKeys derives a record's index keys. It is pure per-record
 // work: live write paths call it before taking the commit lock.
 func computeIndexKeys(rec *QueryRecord) indexKeys {
-	var k indexKeys
+	k := indexKeys{text: textKey{strings.ToLower(rec.Text), strings.ToLower(rec.Canonical)}}
 	if len(rec.Tables) > 0 {
 		k.tables = make([]string, len(rec.Tables))
 		for i, t := range rec.Tables {
@@ -387,12 +401,6 @@ func computeIndexKeys(rec *QueryRecord) indexKeys {
 		}
 	}
 	return k
-}
-
-// indexLocked adds a record to every inverted index. Callers must hold the
-// idx write lock.
-func (s *Store) indexLocked(rec *QueryRecord) {
-	s.indexPreparedLocked(rec, computeIndexKeys(rec))
 }
 
 // indexPreparedLocked adds a record to every inverted index using keys
@@ -676,7 +684,17 @@ func (s *Store) Delete(id QueryID, p Principal) error {
 // slices and stale map keys. A bucket not containing the element is left
 // untouched.
 func removeFromBucket[K, E comparable](m map[K][]E, key K, elem E) {
-	old := m[key]
+	if out := removeElem(m[key], elem); len(out) == 0 {
+		delete(m, key)
+	} else {
+		m[key] = out
+	}
+}
+
+// removeElem returns a copy-on-write bucket without elem: the bucket itself
+// when it does not hold elem, a fresh slice otherwise, so concurrent readers
+// holding the old header stay consistent.
+func removeElem[E comparable](old []E, elem E) []E {
 	found := false
 	for _, x := range old {
 		if x == elem {
@@ -685,11 +703,7 @@ func removeFromBucket[K, E comparable](m map[K][]E, key K, elem E) {
 		}
 	}
 	if !found {
-		return
-	}
-	if len(old) == 1 {
-		delete(m, key)
-		return
+		return old
 	}
 	out := make([]E, 0, len(old)-1)
 	for _, x := range old {
@@ -697,7 +711,7 @@ func removeFromBucket[K, E comparable](m map[K][]E, key K, elem E) {
 			out = append(out, x)
 		}
 	}
-	m[key] = out
+	return out
 }
 
 // removeFromIndexesLocked strips a record from every inverted index. Callers

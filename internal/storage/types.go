@@ -193,39 +193,30 @@ type QueryRecord struct {
 	StatsStale    bool
 	QualityScore  float64
 
-	// lowerText and lowerCanonical cache strings.ToLower of Text and
-	// Canonical so keyword and substring search do not re-lower every
-	// record's full text on every scan. They are unexported so they stay out
-	// of the WAL/snapshot JSON; the store recomputes them whenever a record
-	// enters it (Put, replay, restore, text replacement).
-	lowerText      string
-	lowerCanonical string
+	// text is the record's search-dictionary entry, which holds the
+	// lower-cased Text and Canonical once for every record sharing them. It
+	// is unexported so it stays out of the WAL/snapshot JSON; the store sets
+	// it before a record becomes visible to readers (Put, replay, restore,
+	// text replacement), and records are immutable after that point.
+	text *textEntry
 }
 
-// prepare computes the derived lower-cased search cache. The store calls it
-// before a record becomes visible to readers; records are immutable after
-// that point.
-func (q *QueryRecord) prepare() {
-	q.lowerText = strings.ToLower(q.Text)
-	q.lowerCanonical = strings.ToLower(q.Canonical)
-}
-
-// LowerText returns the lower-cased query text, cached at insert time.
-// Records that never passed through a store fall back to lowering on the fly.
+// LowerText returns the lower-cased query text, shared with every stored
+// record of the same text. Records that never passed through a store lower
+// on the fly.
 func (q *QueryRecord) LowerText() string {
-	if q.lowerText == "" && q.Text != "" {
+	if q.text == nil {
 		return strings.ToLower(q.Text)
 	}
-	return q.lowerText
+	return q.text.text
 }
 
-// LowerCanonical returns the lower-cased canonical text, cached at insert
-// time.
+// LowerCanonical returns the lower-cased canonical text; see LowerText.
 func (q *QueryRecord) LowerCanonical() string {
-	if q.lowerCanonical == "" && q.Canonical != "" {
+	if q.text == nil {
 		return strings.ToLower(q.Canonical)
 	}
-	return q.lowerCanonical
+	return q.text.canonical
 }
 
 // shallowCopy returns a copy sharing every slice and pointer field with the
@@ -241,6 +232,7 @@ func (q *QueryRecord) shallowCopy() *QueryRecord {
 // without affecting the store.
 func (q *QueryRecord) Clone() *QueryRecord {
 	out := *q
+	out.text = nil // the caller may rewrite Text; only stored records share an entry
 	out.Tables = append([]string(nil), q.Tables...)
 	out.Attributes = append([]AttributeRow(nil), q.Attributes...)
 	out.Predicates = append([]PredicateRow(nil), q.Predicates...)

@@ -137,6 +137,22 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.total.Add(1)
 }
 
+// CountBuckets returns a bucket layout for a histogram of counts (records
+// examined, batch sizes) instead of latencies. Such a histogram is fed by
+// ObserveCount and scrapes as plain numbers: le="25", a _sum of counts.
+func CountBuckets(bounds ...int) []time.Duration {
+	out := make([]time.Duration, len(bounds))
+	for i, b := range bounds {
+		out[i] = time.Duration(b) * time.Second
+	}
+	return out
+}
+
+// ObserveCount records one count on a histogram built over CountBuckets. The
+// exposition renders durations in seconds, so a count of n is stored as n
+// seconds. Safe on a nil receiver.
+func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) * time.Second) }
+
 // Count returns the number of observations; 0 on a nil receiver.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

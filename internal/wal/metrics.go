@@ -13,23 +13,14 @@ type logMetrics struct {
 	// fsyncs is pre-labeled with this log's sync policy, so the counter can
 	// be bumped without a label lookup on the sync path.
 	fsyncs *telemetry.Counter
-	// batchRecords is the group-commit batch-size distribution. The
-	// histogram is duration-based, so batch sizes are encoded one record per
-	// second: a bucket bound of 8 means "batches of up to 8 records" and the
-	// _sum is the total number of batched records.
+	// batchRecords is the group-commit batch-size distribution, a count
+	// histogram (telemetry.CountBuckets): a bucket bound of 8 means "batches
+	// of up to 8 records" and the _sum is the total number of batched records.
 	batchRecords *telemetry.Histogram
 	// fsyncsSaved counts records that shared another record's fsync under
 	// the always policy — the fsyncs the group committer avoided compared to
 	// one-fsync-per-record.
 	fsyncsSaved *telemetry.Counter
-}
-
-// batchSizeBuckets are record counts encoded as seconds (see
-// logMetrics.batchRecords).
-var batchSizeBuckets = []time.Duration{
-	1 * time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
-	16 * time.Second, 32 * time.Second, 64 * time.Second, 128 * time.Second,
-	256 * time.Second, 512 * time.Second,
 }
 
 func newLogMetrics(reg *telemetry.Registry, policy SyncPolicy) *logMetrics {
@@ -43,8 +34,8 @@ func newLogMetrics(reg *telemetry.Registry, policy SyncPolicy) *logMetrics {
 			"WAL fsync calls by the sync policy the log runs under.", "policy").
 			With(policy.String()),
 		batchRecords: reg.Histogram("cqms_wal_group_commit_records",
-			"Records per group-commit batch; sizes are encoded one record per second (le=\"8\" = batches of up to 8 records).",
-			batchSizeBuckets),
+			"Records per group-commit batch (le=\"8\" = batches of up to 8 records).",
+			telemetry.CountBuckets(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)),
 		fsyncsSaved: reg.Counter("cqms_wal_fsyncs_saved_total",
 			"Fsyncs avoided by group commit under the always policy: records acknowledged by another record's batch fsync."),
 	}

@@ -481,7 +481,7 @@ func (l *Log) commitLoop() {
 			if n > 0 {
 				l.writtenSeq = last
 				if l.met != nil {
-					l.met.batchRecords.Observe(time.Duration(n) * time.Second)
+					l.met.batchRecords.ObserveCount(n)
 					if synced && n > 1 && l.opts.Sync == SyncAlways {
 						l.met.fsyncsSaved.Add(uint64(n - 1))
 					}
