@@ -1076,7 +1076,7 @@ func BenchmarkRecoveryWithCheckpoint(b *testing.B) {
 }
 
 // BenchmarkRecoveryRebuild is the fallback baseline: the same log compacted
-// without sidecars (a legacy snapshot), so every derived-state subscriber
+// without checkpoint sections (a bare store wrote it), so every derived-state subscriber
 // rebuilds from a full scan — including the session detector's re-sort,
 // similarity and structural-diff work.
 func BenchmarkRecoveryRebuild(b *testing.B) {

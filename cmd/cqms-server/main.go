@@ -107,8 +107,8 @@ func main() {
 		log.Fatalf("opening CQMS: %v", err)
 	}
 	if rec := cqms.Recovery(); rec != nil {
-		log.Printf("recovered durable query log from %s: %d queries (snapshot seq %d, %d WAL records replayed, torn tail: %v)",
-			*dataDir, rec.Queries, rec.SnapshotSeq, rec.Replayed, rec.TornTail)
+		log.Printf("recovered durable query log from %s: %d queries (payload format %d; snapshot seq %d: %d records in %d frames; %d WAL records replayed, torn tail: %v)",
+			*dataDir, rec.Queries, rec.PayloadFormat, rec.SnapshotSeq, rec.SnapshotRecords, rec.SnapshotFrames, rec.Replayed, rec.TornTail)
 	}
 
 	if cqms.Store().Count() > 0 {

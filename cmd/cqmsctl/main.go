@@ -471,6 +471,7 @@ func cmdLog(ctx context.Context, c *client.Client, args []string) error {
 		}
 		fmt.Printf("data dir:       %s\n", info.Dir)
 		fmt.Printf("sync policy:    %s\n", info.SyncPolicy)
+		fmt.Printf("payload format: %d (binary)\n", info.PayloadFormat)
 		if info.AppendError != "" {
 			fmt.Printf("WARNING:        durability broken, mutations are NOT being persisted: %s\n", info.AppendError)
 		}
@@ -482,6 +483,14 @@ func cmdLog(ctx context.Context, c *client.Client, args []string) error {
 			total += seg.Bytes
 		}
 		fmt.Printf("%d segments, %d bytes\n", len(info.Segments), total)
+		for _, snap := range info.Snapshots {
+			if snap.Error != "" {
+				fmt.Printf("  snapshot %s  UNREADABLE: %s\n", snap.Name, snap.Error)
+				continue
+			}
+			fmt.Printf("  snapshot %s  seq %-10d %8d records in %d frames, %d bytes\n",
+				snap.Name, snap.Seq, snap.Records, snap.Frames, snap.Bytes)
+		}
 		if len(info.SnapshotSidecars) > 0 {
 			fmt.Println("snapshot sidecar sections:")
 			for _, sc := range info.SnapshotSidecars {

@@ -19,18 +19,20 @@ import (
 // Replication client: implements core.ReplicationSource over the primary's
 // /v1/replication API, so `cqms-server -follow <primary>` can hand a plain
 // admin Client to core.OpenFollower. The snapshot and WAL bodies are raw CRC
-// frames (see internal/wal), decoded strictly — a torn network body is
-// refetched, never partially applied.
+// frames (see internal/wal), read straight off the response body frame by
+// frame and decoded strictly — a torn network body is refetched, never
+// partially applied.
 
 // Primary names the upstream this client points at (its base URL). Part of
 // the core.ReplicationSource contract.
 func (c *Client) Primary() string { return c.base }
 
-// FetchSnapshot pulls the primary's newest snapshot document
-// (GET /v1/replication/snapshot): the covered log sequence, the serialised
-// store state and the derived-state checkpoints. ok is false when the primary
-// has no snapshot yet.
-func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state []byte, checkpoints []storage.SubscriberCheckpoint, ok bool, err error) {
+// FetchSnapshot pulls the primary's newest snapshot
+// (GET /v1/replication/snapshot) and stages it chunk by chunk as the body
+// arrives: the covered log sequence, the decoded store state and the
+// derived-state checkpoints. ok is false when the primary has no snapshot
+// yet.
+func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, checkpoints []storage.SubscriberCheckpoint, ok bool, err error) {
 	resp, err := c.getRaw(ctx, "/v1/replication/snapshot", nil)
 	if err != nil {
 		return 0, nil, nil, false, err
@@ -44,19 +46,14 @@ func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state []byte, c
 		// Empty body: no snapshot on the primary; replay the log from 0.
 		return 0, nil, nil, false, nil
 	}
-	seq, state, sidecars, err := wal.DecodeSnapshot(resp.Body)
+	snap, err := wal.ReadSnapshot(resp.Body)
 	if err != nil {
 		return 0, nil, nil, false, err
 	}
-	if seq != hdrSeq {
-		return 0, nil, nil, false, fmt.Errorf("client: replication snapshot: body sequence %d != header %d", seq, hdrSeq)
+	if snap.Seq != hdrSeq {
+		return 0, nil, nil, false, fmt.Errorf("client: replication snapshot: body sequence %d != header %d", snap.Seq, hdrSeq)
 	}
-	for _, sc := range sidecars {
-		checkpoints = append(checkpoints, storage.SubscriberCheckpoint{
-			Name: sc.Name, Version: sc.Version, Data: sc.Data,
-		})
-	}
-	return seq, state, checkpoints, true, nil
+	return snap.Seq, snap.State, snap.Checkpoints, true, nil
 }
 
 // FetchWAL streams records with sequence > after from the primary

@@ -123,13 +123,13 @@ func TestRecoveryAfterMiningRebuildsActiveFeed(t *testing.T) {
 	}
 }
 
-// TestRecoveryFallsBackWithoutSidecars proves a legacy snapshot — one
-// written without derived-state sections — still recovers, with every
+// TestRecoveryFallsBackWithoutSidecars proves a snapshot written without
+// derived-state sections (by a store with no subscribers) recovers, with every
 // subscriber rebuilt from a full scan and the provenance saying so.
 func TestRecoveryFallsBackWithoutSidecars(t *testing.T) {
 	dir := t.TempDir()
 	// Build the data directory with a bare store: no subscribers, so the
-	// snapshot has no sidecars — exactly what a pre-sidecar version wrote.
+	// snapshot has no checkpoint sections.
 	store := storage.NewStore()
 	wcfg := wal.DefaultConfig(dir)
 	wcfg.SyncPolicy = "off"

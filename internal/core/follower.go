@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -32,11 +31,14 @@ const (
 // through. internal/client implements it over the /v1/replication API; tests
 // implement it in-process.
 type ReplicationSource interface {
-	// FetchSnapshot returns the primary's newest snapshot: the log sequence
-	// it covers, the serialised store state (storage.StoreState JSON) and the
-	// derived-state checkpoints it carries. ok is false when the primary has
-	// no snapshot yet — the follower then replays the whole log from 0.
-	FetchSnapshot(ctx context.Context) (seq uint64, state []byte, checkpoints []storage.SubscriberCheckpoint, ok bool, err error)
+	// FetchSnapshot returns the primary's newest snapshot, read and verified
+	// to its last frame: the log sequence it covers, the staged store state
+	// (handed over: the follower's store takes ownership of it) and the
+	// derived-state checkpoints it carries. Anything short of a whole
+	// snapshot is an error, so the follower installs all of it or none. ok
+	// is false when the primary has no snapshot yet — the follower then
+	// replays the whole log from 0.
+	FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, checkpoints []storage.SubscriberCheckpoint, ok bool, err error)
 	// FetchWAL streams every record with sequence > after, in order, to fn,
 	// long-polling up to wait when the tail is empty. It returns the
 	// primary's current last sequence and the bytes transferred. A cursor
@@ -162,11 +164,7 @@ func (f *followerState) bootstrap(ctx context.Context, c *CQMS) error {
 		f.snapshotSeq.Store(0)
 		return nil
 	}
-	var st storage.StoreState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return fmt.Errorf("core: decoding bootstrap snapshot: %w", err)
-	}
-	restored, rebuilt := c.store.RestoreStateWithCheckpoints(&st, cps)
+	restored, rebuilt := c.store.RestoreStateWithCheckpoints(state, cps)
 	f.appliedSeq.Store(seq)
 	f.snapshotSeq.Store(seq)
 	f.mu.Lock()

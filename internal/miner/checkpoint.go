@@ -1,29 +1,26 @@
 package miner
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"sort"
+
+	"repro/internal/wire"
 )
 
 // FeedCheckpointVersion is the serialization version of the feed's WAL
 // snapshot sidecar. Restore rejects versions it does not understand and the
-// mutation bus falls back to a full rebuild scan.
-const FeedCheckpointVersion = 1
-
-// feedState is the serializable state of a Feed: the incremental miner's
-// counters, whether still buffering the warm-up batch or already frozen.
-type feedState struct {
-	NumTx int `json:"numTx"`
-
-	Frozen     bool           `json:"frozen,omitempty"`
-	Counts     map[string]int `json:"counts,omitempty"`
-	Vocabulary []string       `json:"vocabulary,omitempty"`
-	WarmupTx   [][]string     `json:"warmupTx,omitempty"`
-}
+// mutation bus falls back to a full rebuild scan. Version 1 was JSON;
+// version 2 is the binary layout below (internal/wire primitives):
+//
+//	numTx varint | frozen bool | n x (itemset key, count) | n x vocabulary item |
+//	n x (m x warm-up transaction item)
+//
+// It is the incremental miner's counters, whether still buffering the
+// warm-up batch or already frozen.
+const FeedCheckpointVersion = 2
 
 // Checkpoint serialises the feed's state. It runs in the store's
-// StateWithCheckpoints critical section, so the counts describe exactly the
+// CaptureWithCheckpoints critical section, so the counts describe exactly the
 // snapshotted records.
 //
 // A retired feed refuses to checkpoint: retirement means a full mining
@@ -38,24 +35,30 @@ func (f *Feed) Checkpoint() (int, []byte, error) {
 		f.mu.Unlock()
 		return 0, nil, fmt.Errorf("miner: feed is retired; recovery must rebuild an active feed")
 	}
-	st := feedState{NumTx: f.inc.numTx}
-	st.Frozen = f.inc.frozen
-	st.Counts = f.inc.counts
-	st.WarmupTx = f.inc.warmupTx
-	st.Vocabulary = make([]string, 0, len(f.inc.vocabulary))
-	for item := range f.inc.vocabulary {
-		st.Vocabulary = append(st.Vocabulary, item)
+	// Encode under f.mu: the maps stay shared with the live miner, and only
+	// bus callbacks (serialised with this checkpoint by the store's commit
+	// lock) ever write them — but Rules() snapshots and cache invalidation
+	// also take f.mu, so holding it keeps the state coherent.
+	inc := f.inc
+	data := binary.AppendVarint(nil, int64(inc.numTx))
+	data = wire.AppendBool(data, inc.frozen)
+	data = binary.AppendUvarint(data, uint64(len(inc.counts)))
+	for key, n := range inc.counts {
+		data = wire.AppendString(data, key)
+		data = binary.AppendVarint(data, int64(n))
 	}
-	sort.Strings(st.Vocabulary)
-	// Marshal under f.mu: the referenced maps stay shared with the live
-	// miner, and only bus callbacks (serialised with this checkpoint by the
-	// store's commit lock) ever write them — but Rules() snapshots and cache
-	// invalidation also take f.mu, so holding it keeps the state coherent.
-	data, err := json.Marshal(st)
+	data = binary.AppendUvarint(data, uint64(len(inc.vocabulary)))
+	for item := range inc.vocabulary {
+		data = wire.AppendString(data, item)
+	}
+	data = binary.AppendUvarint(data, uint64(len(inc.warmupTx)))
+	for _, tx := range inc.warmupTx {
+		data = binary.AppendUvarint(data, uint64(len(tx)))
+		for _, item := range tx {
+			data = wire.AppendString(data, item)
+		}
+	}
 	f.mu.Unlock()
-	if err != nil {
-		return 0, nil, fmt.Errorf("miner: encoding feed checkpoint: %w", err)
-	}
 	return FeedCheckpointVersion, data, nil
 }
 
@@ -66,20 +69,30 @@ func (f *Feed) Restore(version int, data []byte) error {
 	if version != FeedCheckpointVersion {
 		return fmt.Errorf("miner: unknown feed checkpoint version %d", version)
 	}
-	var st feedState
-	if err := json.Unmarshal(data, &st); err != nil {
+	r := wire.NewReader(data)
+	inc := NewIncrementalMiner(f.cfg, f.warmup)
+	inc.numTx = r.Int()
+	inc.frozen = r.Bool()
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- { // key, count
+		key := r.String()
+		inc.counts[key] = r.Int()
+	}
+	for n := r.Count(1); n > 0 && r.Err() == nil; n-- {
+		inc.vocabulary[r.String()] = true
+	}
+	if n := r.Count(1); n > 0 {
+		inc.warmupTx = make([][]string, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			tx := make([]string, r.Count(1))
+			for i := range tx {
+				tx[i] = r.String()
+			}
+			inc.warmupTx = append(inc.warmupTx, tx)
+		}
+	}
+	if err := r.Finish(); err != nil {
 		return fmt.Errorf("miner: decoding feed checkpoint: %w", err)
 	}
-	inc := NewIncrementalMiner(f.cfg, f.warmup)
-	inc.numTx = st.NumTx
-	inc.frozen = st.Frozen
-	if st.Counts != nil {
-		inc.counts = st.Counts
-	}
-	for _, item := range st.Vocabulary {
-		inc.vocabulary[item] = true
-	}
-	inc.warmupTx = st.WarmupTx
 	f.mu.Lock()
 	f.inc = inc
 	f.retired = false

@@ -193,18 +193,25 @@ func (p *Profiler) Engine() *engine.Engine { return p.eng }
 // Store returns the underlying query store.
 func (p *Profiler) Store() *storage.Store { return p.store }
 
+// errNotLogged is what a submission gets when the store refused its record
+// (Put returned 0): the log could not hold it.
+var errNotLogged = fmt.Errorf("profiler: query not logged: %w", storage.ErrTooLarge)
+
 // Submit executes the query and logs it. Parse errors are returned without
 // logging (the text never became a query) unless CaptureParseErrors is on,
 // in which case the text is logged as a raw record with the parse error in
 // the Outcome; execution errors are always logged with the error recorded
-// and returned in the Outcome.
+// and returned in the Outcome. A record the store refuses as too large is an
+// error wrapping storage.ErrTooLarge.
 func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 	rec, err := storage.NewRecordFromSQL(sub.SQL)
 	if err != nil {
 		if p.cfg.CaptureParseErrors {
 			p.countParseError(true)
 			raw, out := p.rawRecord(sub, err)
-			out.QueryID = p.store.Put(raw)
+			if out.QueryID = p.store.Put(raw); out.QueryID == 0 {
+				return nil, errNotLogged
+			}
 			return out, nil
 		}
 		p.countParseError(false)
@@ -236,6 +243,9 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 	rec.Stats = stats
 
 	id := p.store.Put(rec)
+	if id == 0 {
+		return nil, errNotLogged
+	}
 	out := &Outcome{
 		Result:            res,
 		QueryID:           id,
@@ -249,7 +259,8 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 // one under a single storage commit-lock acquisition (storage.PutBatch),
 // amortising the per-write lock round trip that Submit pays once per query.
 // outs[i] and errs[i] mirror Submit's return values for subs[i]: a parse
-// error leaves outs[i] nil with errs[i] set; execution errors are reported
+// error leaves outs[i] nil with errs[i] set, and so does a record the store
+// refuses as too large (storage.ErrTooLarge); execution errors are reported
 // in-band in the Outcome and still logged. Queries execute in slice order, so
 // DDL earlier in the batch is visible to later entries.
 func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error) {
@@ -304,6 +315,10 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 	}
 	ids := p.store.PutBatch(recs)
 	for j, id := range ids {
+		if id == 0 {
+			outs[logged[j]], errs[logged[j]] = nil, errNotLogged
+			continue
+		}
 		outs[logged[j]].QueryID = id
 	}
 	return outs, errs

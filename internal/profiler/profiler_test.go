@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +231,28 @@ func TestExecuteUnprofiledDoesNotLog(t *testing.T) {
 	}
 	if store.Count() != 0 {
 		t.Errorf("unprofiled execution should not log")
+	}
+}
+
+// TestSubmitReportsARecordTheStoreRefused: a query whose record outgrows
+// storage.MaxRecordBytes is not logged, and the submitter is told so instead
+// of being handed query ID 0; the rest of a batch is unaffected.
+func TestSubmitReportsARecordTheStoreRefused(t *testing.T) {
+	p, store := newProfiler(t)
+	ident := strings.Repeat("a", storage.MaxRecordBytes/28)
+	giant := "SELECT " + ident + " FROM " + ident + " WHERE " + ident + " = 1 GROUP BY " + ident
+	if out, err := p.Submit(Submission{User: "alice", SQL: giant}); !errors.Is(err, storage.ErrTooLarge) || out != nil {
+		t.Fatalf("Submit = %+v, %v; want ErrTooLarge", out, err)
+	}
+	outs, errs := p.SubmitBatch([]Submission{
+		{User: "alice", SQL: "SELECT lake FROM WaterTemp"},
+		{User: "alice", SQL: giant},
+		{User: "alice", SQL: "SELECT temp FROM WaterTemp"},
+	})
+	if !errors.Is(errs[1], storage.ErrTooLarge) || outs[1] != nil {
+		t.Fatalf("batch entry 1 = %+v, %v; want ErrTooLarge", outs[1], errs[1])
+	}
+	if errs[0] != nil || errs[2] != nil || outs[0].QueryID != 1 || outs[2].QueryID != 2 || store.Count() != 2 {
+		t.Fatalf("the rest of the batch: errs %v, %v; %d stored", errs[0], errs[2], store.Count())
 	}
 }

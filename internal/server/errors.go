@@ -103,6 +103,8 @@ func coerceAPIError(err error) *APIError {
 		return &APIError{Code: CodeNotFound, Message: err.Error()}
 	case errors.Is(err, storage.ErrAccessDenied):
 		return &APIError{Code: CodePermissionDenied, Message: err.Error()}
+	case errors.Is(err, storage.ErrTooLarge):
+		return &APIError{Code: CodeInvalidArgument, Message: err.Error()}
 	case errors.Is(err, context.Canceled):
 		return &APIError{Code: CodeCanceled, Message: "request canceled by client"}
 	case errors.Is(err, context.DeadlineExceeded):

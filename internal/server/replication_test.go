@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -104,12 +103,18 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 	if seq != compacted.Seq {
 		t.Fatalf("snapshot seq = %d, want %d", seq, compacted.Seq)
 	}
-	var st storage.StoreState
-	if err := json.Unmarshal(state, &st); err != nil {
-		t.Fatalf("snapshot state does not decode: %v", err)
+	// The stream reader staged the whole store: every record the primary
+	// held at the compaction, and one checkpoint per derived-state subscriber.
+	info, err := admin.LogInfo(ctx)
+	if err != nil || len(info.Snapshots) != 1 {
+		t.Fatalf("LogInfo = %+v, %v", info, err)
 	}
-	if len(st.Records) == 0 || len(checkpoints) == 0 {
-		t.Fatalf("snapshot carries %d records, %d checkpoints", len(st.Records), len(checkpoints))
+	if len(state.Records) == 0 || len(state.Records) != info.Snapshots[0].Records || len(checkpoints) != 3 {
+		t.Fatalf("snapshot carries %d records (the file holds %d), %d checkpoints",
+			len(state.Records), info.Snapshots[0].Records, len(checkpoints))
+	}
+	if info.PayloadFormat != storage.PayloadFormat || info.Snapshots[0].Frames < 2+len(checkpoints) {
+		t.Fatalf("LogInfo reports payload format %d, snapshot %+v", info.PayloadFormat, info.Snapshots[0])
 	}
 	if _, _, err := admin.FetchWAL(ctx, 0, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, wal.ErrCompacted) {
 		t.Fatalf("FetchWAL(0) after compaction err = %v, want ErrCompacted", err)
@@ -206,7 +211,7 @@ func errCode(err error) server.ErrorCode {
 // to build a follower and exercise its HTTP write gating.
 type staticSource struct{}
 
-func (staticSource) FetchSnapshot(context.Context) (uint64, []byte, []storage.SubscriberCheckpoint, bool, error) {
+func (staticSource) FetchSnapshot(context.Context) (uint64, *storage.StoreState, []storage.SubscriberCheckpoint, bool, error) {
 	return 0, nil, nil, false, nil
 }
 

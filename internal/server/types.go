@@ -327,6 +327,19 @@ type SidecarDTO struct {
 	Bytes   int    `json:"bytes"`
 }
 
+// SnapshotDTO describes one snapshot file: the log sequence it covers, its
+// size, and how many records and frames (header, chunks, checkpoint
+// sections) it holds. Error replaces the counts for a file that does not
+// read back.
+type SnapshotDTO struct {
+	Name    string `json:"name"`
+	Seq     uint64 `json:"seq"`
+	Bytes   int64  `json:"bytes,omitempty"`
+	Records int    `json:"records"`
+	Frames  int    `json:"frames"`
+	Error   string `json:"error,omitempty"`
+}
+
 // LogInfoResponse reports the durable query-log state.
 type LogInfoResponse struct {
 	Enabled              bool            `json:"enabled"`
@@ -336,6 +349,12 @@ type LogInfoResponse struct {
 	SnapshotSeq          uint64          `json:"snapshotSeq,omitempty"`
 	AppendsSinceSnapshot int64           `json:"appendsSinceSnapshot,omitempty"`
 	Segments             []LogSegmentDTO `json:"segments,omitempty"`
+	// PayloadFormat is the version of the binary payload format every WAL
+	// frame and snapshot frame in the directory is written in.
+	PayloadFormat int `json:"payloadFormat,omitempty"`
+	// Snapshots lists the snapshot files on disk, oldest first; recovery
+	// loads the last one.
+	Snapshots []SnapshotDTO `json:"snapshots,omitempty"`
 	// SnapshotSidecars lists the derived-state checkpoint sections carried
 	// by the newest snapshot (name, format version, payload size).
 	SnapshotSidecars []SidecarDTO `json:"snapshotSidecars,omitempty"`

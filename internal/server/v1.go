@@ -502,16 +502,25 @@ func (s *Server) handleV1LogInfo(w http.ResponseWriter, r *http.Request) {
 		SnapshotSeq:          info.SnapshotSeq,
 		AppendsSinceSnapshot: info.AppendsSinceSnapshot,
 		AppendError:          info.AppendError,
+		PayloadFormat:        info.PayloadFormat,
 	}
 	for _, seg := range info.Segments {
 		resp.Segments = append(resp.Segments, LogSegmentDTO{
 			Name: seg.Name, FirstSeq: seg.FirstSeq, Bytes: seg.Bytes,
 		})
 	}
-	for _, sc := range info.SnapshotSidecars {
-		resp.SnapshotSidecars = append(resp.SnapshotSidecars, SidecarDTO{
-			Name: sc.Name, Version: sc.Version, Bytes: sc.Bytes,
+	for i, snap := range info.Snapshots {
+		resp.Snapshots = append(resp.Snapshots, SnapshotDTO{
+			Name: snap.Name, Seq: snap.Seq, Bytes: snap.Bytes,
+			Records: snap.Records, Frames: snap.Frames, Error: snap.Error,
 		})
+		if i == len(info.Snapshots)-1 {
+			for _, sc := range snap.Sidecars {
+				resp.SnapshotSidecars = append(resp.SnapshotSidecars, SidecarDTO{
+					Name: sc.Name, Version: sc.Version, Bytes: sc.Bytes,
+				})
+			}
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

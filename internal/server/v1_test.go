@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/storage"
 )
 
 // doRaw sends a raw request and decodes the JSON body into out (when out is
@@ -504,5 +505,36 @@ func TestV1StatsCounters(t *testing.T) {
 	}
 	if carolStats.VisibleQueries != 2 || len(carolStats.TableCounts) != 2 {
 		t.Errorf("carol visible=%d tableCounts=%+v, want public+own", carolStats.VisibleQueries, carolStats.TableCounts)
+	}
+}
+
+// TestV1OversizedRecordIsInvalidArgument: a query the batch endpoint's body
+// limit lets in but whose record outgrows storage.MaxRecordBytes is refused
+// per item with invalid_argument — never acknowledged with an ID — and the
+// rest of the batch is logged.
+func TestV1OversizedRecordIsInvalidArgument(t *testing.T) {
+	ts, alice, _, _ := newTestServer(t)
+	ident := strings.Repeat("a", storage.MaxRecordBytes/28)
+	giant := "SELECT " + ident + " FROM " + ident + " WHERE " + ident + " = 1 GROUP BY " + ident
+	body, err := json.Marshal(server.BatchSubmitRequest{Queries: []server.SubmitParams{
+		{SQL: "SELECT lake FROM WaterTemp"}, {SQL: giant},
+	}})
+	if err != nil || len(body) >= 8<<20 {
+		t.Fatalf("a %d-byte body (%v) is not under the endpoint's limit", len(body), err)
+	}
+	var out server.BatchSubmitResponse
+	resp := doRaw(t, http.MethodPost, ts.URL+"/v1/queries:batch",
+		map[string]string{server.HeaderUser: "alice", server.HeaderGroups: "limnology"}, string(body), &out)
+	if resp.StatusCode != 200 || len(out.Results) != 2 {
+		t.Fatalf("status %d, %d results", resp.StatusCode, len(out.Results))
+	}
+	if out.Results[0].Error != nil || out.Results[0].Result.QueryID == 0 {
+		t.Fatalf("the ordinary query: %+v", out.Results[0])
+	}
+	if e := out.Results[1].Error; e == nil || e.Code != server.CodeInvalidArgument || !strings.Contains(e.Message, "too large") {
+		t.Fatalf("the giant query: %+v", out.Results[1])
+	}
+	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 1 {
+		t.Fatalf("history after the batch: %d queries, %v", len(hist), err)
 	}
 }

@@ -1,13 +1,14 @@
 package session
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/storage"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Live is the bus-driven incremental session detector: it maintains session
@@ -353,46 +354,41 @@ func sortInt64s(ids []int64) {
 // ---------------------------------------------------------------------------
 
 // LiveCheckpointVersion is the serialization version of the live detector's
-// WAL snapshot sidecar.
-const LiveCheckpointVersion = 1
-
-// liveSessionState references a session's records by ID — the records
-// themselves live in the snapshot's primary store state — and carries the
-// edges verbatim so restore does not recompute structural diffs.
-type liveSessionState struct {
-	ID      int64                 `json:"id"`
-	User    string                `json:"user"`
-	Queries []storage.QueryID     `json:"queries"`
-	Edges   []storage.SessionEdge `json:"edges,omitempty"`
-}
-
-type liveCheckpoint struct {
-	NextID   int64              `json:"nextId"`
-	Sessions []liveSessionState `json:"sessions,omitempty"`
-}
+// WAL snapshot sidecar. Version 1 was JSON; version 2 is binary
+// (internal/wire primitives):
+//
+//	nextID varint | n x session
+//	session: ID varint | user string | n x query ID varint |
+//	         n x edge (storage.AppendEdge)
+//
+// A session references its records by ID — the records themselves live in
+// the snapshot's record chunks — and carries its edges verbatim so restore
+// does not recompute structural diffs.
+const LiveCheckpointVersion = 2
 
 func (l *Live) checkpoint() (int, []byte, error) {
+	// Encode under the lock: appendLocked extends the sessions in place.
 	l.mu.RLock()
-	cp := liveCheckpoint{NextID: l.nextID}
+	defer l.mu.RUnlock()
 	ids := make([]int64, 0, len(l.byID))
 	for id := range l.byID {
 		ids = append(ids, id)
 	}
 	sortInt64s(ids)
+	data := binary.AppendVarint(nil, l.nextID)
+	data = binary.AppendUvarint(data, uint64(len(ids)))
 	for _, id := range ids {
 		sess := l.byID[id]
-		st := liveSessionState{ID: sess.ID, User: sess.User, Edges: sess.Edges}
+		data = binary.AppendVarint(data, sess.ID)
+		data = wire.AppendString(data, sess.User)
+		data = binary.AppendUvarint(data, uint64(len(sess.Queries)))
 		for _, q := range sess.Queries {
-			st.Queries = append(st.Queries, q.ID)
+			data = binary.AppendVarint(data, int64(q.ID))
 		}
-		cp.Sessions = append(cp.Sessions, st)
-	}
-	// Marshal before releasing the lock: the session states alias the live
-	// Edges slices, which appendLocked extends in place.
-	data, err := json.Marshal(cp)
-	l.mu.RUnlock()
-	if err != nil {
-		return 0, nil, fmt.Errorf("session: encoding checkpoint: %w", err)
+		data = binary.AppendUvarint(data, uint64(len(sess.Edges)))
+		for _, e := range sess.Edges {
+			data = storage.AppendEdge(data, e)
+		}
 	}
 	return LiveCheckpointVersion, data, nil
 }
@@ -401,29 +397,40 @@ func (l *Live) restore(version int, data []byte) error {
 	if version != LiveCheckpointVersion {
 		return fmt.Errorf("session: unknown checkpoint version %d", version)
 	}
-	var cp liveCheckpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("session: decoding checkpoint: %w", err)
-	}
+	r := wire.NewReader(data)
+	nextID := r.Varint()
 	// Resolve the referenced records against the just-restored store; any
 	// dangling reference means the checkpoint does not match the snapshot it
 	// rode in, and the caller falls back to re-segmentation.
 	view := l.store.Snapshot()
 	admin := storage.Principal{Admin: true}
 	users := make(map[string][]*Session)
-	byID := make(map[int64]*Session, len(cp.Sessions))
+	byID := make(map[int64]*Session)
 	loc := make(map[storage.QueryID]*Session)
-	for _, st := range cp.Sessions {
-		sess := &Session{ID: st.ID, User: st.User, Edges: st.Edges}
-		for _, qid := range st.Queries {
-			rec, err := view.Get(qid, admin)
-			if err != nil {
-				return fmt.Errorf("session: checkpoint references query %d: %w", qid, err)
+	for n := r.Count(4); n > 0 && r.Err() == nil; n-- { // ID, user, two counts
+		sess := &Session{ID: r.Varint(), User: r.String()}
+		if queries := r.Count(1); queries > 0 {
+			sess.Queries = make([]*storage.QueryRecord, 0, queries)
+			for ; queries > 0 && r.Err() == nil; queries-- {
+				qid := storage.QueryID(r.Varint())
+				rec, err := view.Get(qid, admin)
+				if err != nil {
+					return fmt.Errorf("session: checkpoint references query %d: %w", qid, err)
+				}
+				sess.Queries = append(sess.Queries, rec)
 			}
-			sess.Queries = append(sess.Queries, rec)
+		}
+		if edges := r.Count(4); edges > 0 { // from, to, type, diff
+			sess.Edges = make([]storage.SessionEdge, 0, edges)
+			for ; edges > 0 && r.Err() == nil; edges-- {
+				sess.Edges = append(sess.Edges, storage.ReadEdge(&r))
+			}
+		}
+		if r.Err() != nil {
+			break
 		}
 		if len(sess.Queries) == 0 {
-			return fmt.Errorf("session: checkpoint session %d is empty", st.ID)
+			return fmt.Errorf("session: checkpoint session %d is empty", sess.ID)
 		}
 		sess.Start = sess.Queries[0].IssuedAt
 		sess.End = sess.Queries[len(sess.Queries)-1].IssuedAt
@@ -433,8 +440,11 @@ func (l *Live) restore(version int, data []byte) error {
 			loc[q.ID] = sess
 		}
 	}
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("session: decoding checkpoint: %w", err)
+	}
 	l.mu.Lock()
-	l.users, l.byID, l.loc, l.nextID = users, byID, loc, cp.NextID
+	l.users, l.byID, l.loc, l.nextID = users, byID, loc, nextID
 	l.mu.Unlock()
 	return nil
 }

@@ -1,181 +1,165 @@
 package stats
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"strconv"
+
+	"repro/internal/wire"
 )
 
 // CheckpointVersion is the serialization version of the tracker's checkpoint
-// format. Bump it when the counter layout changes; Restore rejects versions
-// it does not understand and the bus falls back to a full rebuild.
-const CheckpointVersion = 1
+// format. Bump it when the layout changes; Restore rejects versions it does
+// not understand and the bus falls back to a full rebuild. Version 1 was
+// JSON; version 2 is the binary layout below.
+const CheckpointVersion = 2
 
-// The *State types mirror the in-memory counter structures with JSON tags.
-// Fingerprints are uint64 map keys, which encoding/json cannot round-trip as
-// object keys, so they travel hex-encoded.
+// The checkpoint is the exact counter maps of every bucket, written with the
+// internal/wire primitives (varint counts, length-prefixed strings,
+// fingerprints as fixed 8 bytes):
+//
+//	checkpoint: bucket "all" | bucket "public" | n x (owner string, bucket)
+//	bucket:     queries | n x (user, count) | n x (fingerprint u64, count) |
+//	            n x (table key, tableAgg) | n x (predicate text, count)
+//	tableAgg:   count | n x (display name, count) | n x (attr key, count, rel) |
+//	            n x (pred key, count, rel) | n x (join key, count, left, right)
+//
+// Map entries are written in iteration order: the bytes differ from run to
+// run, their number and their meaning do not. The top-K summaries are not
+// serialised — they are derived state over the maps — so restore reseeds
+// them from the restored counts, which gives the recovered summaries exact
+// top-capacity membership and the tightest miss bound; the WAL tail replay
+// then maintains them incrementally.
 
-type itemCountState struct {
-	Count int    `json:"c"`
-	Rel   string `json:"r,omitempty"`
-}
-
-type joinCountState struct {
-	Count int    `json:"c"`
-	Left  string `json:"l,omitempty"`
-	Right string `json:"r,omitempty"`
-}
-
-type tableAggState struct {
-	Count int                       `json:"count"`
-	Names map[string]int            `json:"names,omitempty"`
-	Attrs map[string]itemCountState `json:"attrs,omitempty"`
-	Preds map[string]itemCountState `json:"preds,omitempty"`
-	Joins map[string]joinCountState `json:"joins,omitempty"`
-}
-
-type bucketState struct {
-	Queries      int                      `json:"queries"`
-	Users        map[string]int           `json:"users,omitempty"`
-	Fingerprints map[string]int           `json:"fingerprints,omitempty"`
-	Tables       map[string]tableAggState `json:"tables,omitempty"`
-	Preds        map[string]int           `json:"preds,omitempty"`
-}
-
-type checkpointState struct {
-	All    bucketState            `json:"all"`
-	Public bucketState            `json:"public"`
-	Owners map[string]bucketState `json:"owners,omitempty"`
-}
-
-func (b *bucket) state() bucketState {
-	st := bucketState{
-		Queries:      b.queries,
-		Users:        b.users,
-		Preds:        b.preds,
-		Fingerprints: make(map[string]int, len(b.fingerprints)),
-		Tables:       make(map[string]tableAggState, len(b.tables)),
+func appendCounts(dst []byte, m map[string]int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for k, n := range m {
+		dst = wire.AppendString(dst, k)
+		dst = binary.AppendVarint(dst, int64(n))
 	}
+	return dst
+}
+
+func appendItems(dst []byte, m map[string]*itemCount) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for k, ic := range m {
+		dst = wire.AppendString(dst, k)
+		dst = binary.AppendVarint(dst, int64(ic.count))
+		dst = wire.AppendString(dst, ic.rel)
+	}
+	return dst
+}
+
+func (b *bucket) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(b.queries))
+	dst = appendCounts(dst, b.users)
+	dst = binary.AppendUvarint(dst, uint64(len(b.fingerprints)))
 	for fp, n := range b.fingerprints {
-		st.Fingerprints[strconv.FormatUint(fp, 16)] = n
+		dst = binary.LittleEndian.AppendUint64(dst, fp)
+		dst = binary.AppendVarint(dst, int64(n))
 	}
+	dst = binary.AppendUvarint(dst, uint64(len(b.tables)))
 	for key, ta := range b.tables {
-		tas := tableAggState{
-			Count: ta.count,
-			Names: ta.names,
-			Attrs: make(map[string]itemCountState, len(ta.attrs)),
-			Preds: make(map[string]itemCountState, len(ta.preds)),
-			Joins: make(map[string]joinCountState, len(ta.joins)),
-		}
-		for k, ic := range ta.attrs {
-			tas.Attrs[k] = itemCountState{Count: ic.count, Rel: ic.rel}
-		}
-		for k, ic := range ta.preds {
-			tas.Preds[k] = itemCountState{Count: ic.count, Rel: ic.rel}
-		}
+		dst = wire.AppendString(dst, key)
+		dst = binary.AppendVarint(dst, int64(ta.count))
+		dst = appendCounts(dst, ta.names)
+		dst = appendItems(dst, ta.attrs)
+		dst = appendItems(dst, ta.preds)
+		dst = binary.AppendUvarint(dst, uint64(len(ta.joins)))
 		for k, jc := range ta.joins {
-			tas.Joins[k] = joinCountState{Count: jc.count, Left: jc.left, Right: jc.right}
+			dst = wire.AppendString(dst, k)
+			dst = binary.AppendVarint(dst, int64(jc.count))
+			dst = wire.AppendString(dst, jc.left)
+			dst = wire.AppendString(dst, jc.right)
 		}
-		st.Tables[key] = tas
 	}
-	return st
+	return appendCounts(dst, b.preds)
 }
 
-// bucketFromState rebuilds one bucket from its checkpointed exact counters.
-// The top-K summaries are not serialised — they are derived state over the
-// maps — so they are reseeded from the restored counts, which gives the
-// recovered summaries exact top-capacity membership and the tightest miss
-// bound; the WAL tail replay then maintains them incrementally. Restore
-// therefore stays O(checkpoint size + tail), and version-1 sidecars written
-// before the summaries existed restore unchanged.
-func bucketFromState(st bucketState, capacity int) (*bucket, error) {
-	b := newBucket(capacity)
-	b.queries = st.Queries
-	for user, n := range st.Users {
-		b.users[user] = n
+func readCounts(r *wire.Reader) map[string]int {
+	n := r.Count(2) // key, count
+	m := make(map[string]int)
+	for ; n > 0 && r.Err() == nil; n-- {
+		key := r.String()
+		m[key] = r.Int()
 	}
-	for hexFP, n := range st.Fingerprints {
-		fp, err := strconv.ParseUint(hexFP, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("stats: checkpoint fingerprint %q: %w", hexFP, err)
-		}
-		b.fingerprints[fp] = n
+	return m
+}
+
+func readItems(r *wire.Reader) map[string]*itemCount {
+	n := r.Count(3) // key, count, rel
+	m := make(map[string]*itemCount)
+	for ; n > 0 && r.Err() == nil; n-- {
+		key := r.String()
+		m[key] = &itemCount{count: r.Int(), rel: r.String()}
 	}
-	for text, n := range st.Preds {
-		b.preds[text] = n
+	return m
+}
+
+// readBucket rebuilds one bucket from its checkpointed exact counters and
+// seeds its summaries from them.
+func readBucket(r *wire.Reader, capacity int) *bucket {
+	b := &bucket{queries: r.Int(), users: readCounts(r)}
+	n := r.Count(9) // fingerprint, count
+	b.fingerprints = make(map[uint64]int)
+	for ; n > 0 && r.Err() == nil; n-- {
+		fp := r.Uint64()
+		b.fingerprints[fp] = r.Int()
 	}
-	for key, tas := range st.Tables {
-		ta := newTableAgg()
-		ta.count = tas.Count
-		for name, n := range tas.Names {
-			ta.names[name] = n
-		}
-		for k, ic := range tas.Attrs {
-			ta.attrs[k] = &itemCount{count: ic.Count, rel: ic.Rel}
-		}
-		for k, ic := range tas.Preds {
-			ta.preds[k] = &itemCount{count: ic.Count, rel: ic.Rel}
-		}
-		for k, jc := range tas.Joins {
-			ta.joins[k] = &joinCount{count: jc.Count, left: jc.Left, right: jc.Right}
+	n = r.Count(6) // key, count, four maps
+	b.tables = make(map[string]*tableAgg)
+	for ; n > 0 && r.Err() == nil; n-- {
+		key := r.String()
+		ta := &tableAgg{count: r.Int(), names: readCounts(r), attrs: readItems(r), preds: readItems(r)}
+		j := r.Count(4) // key, count, left, right
+		ta.joins = make(map[string]*joinCount)
+		for ; j > 0 && r.Err() == nil; j-- {
+			k := r.String()
+			ta.joins[k] = &joinCount{count: r.Int(), left: r.String(), right: r.String()}
 		}
 		b.tables[key] = ta
 	}
+	b.preds = readCounts(r)
 	b.reseed(capacity)
-	return b, nil
+	return b
 }
 
 // Checkpoint serialises the tracker's counters. It is the tracker's
 // contribution to WAL snapshot sidecars and runs in the store's
-// StateWithCheckpoints critical section, so the counters describe exactly
+// CaptureWithCheckpoints critical section, so the counters describe exactly
 // the snapshotted records.
 func (t *Tracker) Checkpoint() (int, []byte, error) {
+	// Encode under the lock: the maps are live, and a mutation landing
+	// mid-encode would tear the checkpoint.
 	t.mu.RLock()
-	st := checkpointState{
-		All:    t.all.state(),
-		Public: t.public.state(),
-		Owners: make(map[string]bucketState, len(t.owners)),
-	}
+	defer t.mu.RUnlock()
+	data := t.all.appendTo(nil)
+	data = t.public.appendTo(data)
+	data = binary.AppendUvarint(data, uint64(len(t.owners)))
 	for user, b := range t.owners {
-		st.Owners[user] = b.state()
-	}
-	// Marshal before releasing the lock: state() aliases the live counter
-	// maps rather than copying them, so a mutation landing mid-Marshal would
-	// otherwise tear the checkpoint (or panic the encoder).
-	data, err := json.Marshal(st)
-	t.mu.RUnlock()
-	if err != nil {
-		return 0, nil, fmt.Errorf("stats: encoding checkpoint: %w", err)
+		data = wire.AppendString(data, user)
+		data = b.appendTo(data)
 	}
 	return CheckpointVersion, data, nil
 }
 
 // Restore replaces the tracker's counters with a previously checkpointed
 // state. An unknown version or a decode failure is returned as an error so
-// the caller (the mutation bus) falls back to a full rebuild.
+// the caller (the mutation bus) falls back to a full rebuild; the tracker is
+// untouched then.
 func (t *Tracker) Restore(version int, data []byte) error {
 	if version != CheckpointVersion {
 		return fmt.Errorf("stats: unknown checkpoint version %d", version)
 	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
+	r := wire.NewReader(data)
+	all := readBucket(&r, t.capacity)
+	public := readBucket(&r, t.capacity)
+	owners := make(map[string]*bucket)
+	for n := r.Count(6); n > 0 && r.Err() == nil; n-- { // owner, an empty bucket
+		user := r.String()
+		owners[user] = readBucket(&r, t.capacity)
+	}
+	if err := r.Finish(); err != nil {
 		return fmt.Errorf("stats: decoding checkpoint: %w", err)
-	}
-	all, err := bucketFromState(st.All, t.capacity)
-	if err != nil {
-		return err
-	}
-	public, err := bucketFromState(st.Public, t.capacity)
-	if err != nil {
-		return err
-	}
-	owners := make(map[string]*bucket, len(st.Owners))
-	for user, bs := range st.Owners {
-		b, err := bucketFromState(bs, t.capacity)
-		if err != nil {
-			return err
-		}
-		owners[user] = b
 	}
 	t.mu.Lock()
 	t.all, t.public, t.owners = all, public, owners

@@ -52,9 +52,9 @@ func (c *checkpointSub) attach(t *testing.T, s *Store, name string) {
 	})
 }
 
-// TestStateWithCheckpoints proves checkpoints are captured in the same
+// TestCaptureWithCheckpoints proves checkpoints are captured in the same
 // critical section as the state and carried by name.
-func TestStateWithCheckpoints(t *testing.T) {
+func TestCaptureWithCheckpoints(t *testing.T) {
 	s := NewStore()
 	var a, b checkpointSub
 	a.attach(t, s, "alpha")
@@ -62,7 +62,7 @@ func TestStateWithCheckpoints(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	}
-	st, cps := s.StateWithCheckpoints(nil)
+	st, cps := s.CaptureWithCheckpoints(nil)
 	if len(st.Records) != 3 {
 		t.Fatalf("state has %d records, want 3", len(st.Records))
 	}

@@ -1,0 +1,413 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The JSON codec the binary one replaced, kept as the reference: a mutation
+// must survive the binary round trip exactly as it survived this one.
+func jsonRoundTrip(t testing.TB, m *Mutation) *Mutation {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("reference encode: %v", err)
+	}
+	var out Mutation
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatalf("reference decode: %v", err)
+	}
+	return &out
+}
+
+func binaryRoundTrip(t testing.TB, m *Mutation) *Mutation {
+	t.Helper()
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if len(b) == 0 || b[0] == '{' {
+		t.Fatalf("payload starts with %q", b[:min(len(b), 1)])
+	}
+	out, err := DecodeMutation(b)
+	if err != nil {
+		t.Fatalf("DecodeMutation: %v", err)
+	}
+	return out
+}
+
+// asJSON renders a mutation the way the API renders records: nil and empty
+// slices, omitted fields and zone offsets all show.
+func asJSON(t testing.TB, m *Mutation) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("rendering: %v", err)
+	}
+	return string(b)
+}
+
+func mustRecord(t testing.TB, text string) *QueryRecord {
+	t.Helper()
+	rec, err := NewRecordFromSQL(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+const (
+	joinHeavySQL = "SELECT WaterSalinity.salinity, WaterTemp.temp, CityLocations.city FROM WaterSalinity, WaterTemp, CityLocations " +
+		"WHERE WaterSalinity.loc_x = WaterTemp.loc_x AND WaterTemp.loc_x = CityLocations.loc_x AND CityLocations.state = 'MI' AND WaterTemp.temp < 18"
+	pointLookupSQL = "SELECT WaterTemp.temp FROM WaterTemp WHERE WaterTemp.lake = 'Lake Union'"
+)
+
+// codecRecord is a stored-looking record: parsed features plus the runtime
+// fields the profiler fills in.
+func codecRecord(t testing.TB, text string, id QueryID) *QueryRecord {
+	rec := mustRecord(t, text)
+	rec.ID = id
+	rec.User, rec.Group = "user07", "limnology"
+	rec.Visibility = VisibilityGroup
+	rec.IssuedAt = time.Date(2009, 1, 5, 8, 0, 36, 287113937, time.UTC)
+	rec.Stats = RuntimeStats{
+		ExecTime: 3092612, ResultRows: 10, ResultColumns: 3, SchemaVersion: 6, ExecutedAt: rec.IssuedAt,
+	}
+	rec.Sample = &OutputSample{
+		Columns: []string{"salinity", "temp", "city"},
+		Rows: [][]string{
+			{"4.044260943723426", "22.82736161943859", "Ann Arbor"},
+			{"2.70375480819875", "24.67769171038307", "Detroit"},
+			{"3.6156664511974275", "24.67769171038307", "Detroit"},
+		},
+		TotalRows: 10, Truncated: true,
+	}
+	return rec
+}
+
+func codecCases(t testing.TB) map[string]*Mutation {
+	plus5 := time.FixedZone("", 5*3600+1800)
+	edge := SessionEdge{From: 3, To: 9, Type: EdgeModification, Diff: "+pred temp < 18"}
+	odd := codecRecord(t, pointLookupSQL, 12)
+	odd.IssuedAt = time.Date(2024, 2, 29, 23, 59, 59, 999999999, plus5)
+	odd.Stats = RuntimeStats{Error: "relation \"ghost\" does not exist", ExecutedAt: time.Time{}}
+	odd.Tables = []string{}  // empty, not nil
+	odd.Aggregates = nil     // nil, not empty
+	odd.GroupBy = []string{} //
+	odd.Sample = &OutputSample{Columns: nil, Rows: [][]string{nil, {}, {"ünï", ""}}, TotalRows: -1}
+	odd.Annotations = []Annotation{{Author: "bob", Text: "naïve join — 日本語", At: time.Date(1969, 7, 20, 20, 17, 0, 0, time.FixedZone("", -4*3600))}, {}}
+	odd.SessionID = -7
+	odd.Valid, odd.StatsStale = false, true
+	odd.InvalidReason = "table dropped"
+	odd.QualityScore = math.Copysign(0, -1)
+	big := codecRecord(t, pointLookupSQL, 13)
+	big.Text = "SELECT '" + strings.Repeat("x", 1<<20) + "'"
+	bare := &QueryRecord{}
+	return map[string]*Mutation{
+		"put join-heavy":   {Op: OpPut, Record: codecRecord(t, joinHeavySQL, 1)},
+		"put point-lookup": {Op: OpPut, Record: codecRecord(t, pointLookupSQL, 2)},
+		"put odd":          {Op: OpPut, Record: odd},
+		"put 1MiB text":    {Op: OpPut, Record: big},
+		"put zero record":  {Op: OpPut, Record: bare},
+		"annotate":         {Op: OpAnnotate, ID: 4, Annotation: &Annotation{Author: "alice", Text: "watch the join", Fragment: "loc_x", At: time.Unix(1700000000, 5).In(plus5)}},
+		"visibility":       {Op: OpSetVisibility, ID: 4, Visibility: VisibilityPublic},
+		"visibility zero":  {Op: OpSetVisibility, ID: 4},
+		"delete":           {Op: OpDelete, ID: math.MaxInt64},
+		"assign-session":   {Op: OpAssignSession, ID: 5, SessionID: 77},
+		"add-edge":         {Op: OpAddEdge, Edge: &edge},
+		"mark-invalid":     {Op: OpMarkInvalid, ID: 6, Reason: "column renamed"},
+		"mark-valid":       {Op: OpMarkValid, ID: 6},
+		"mark-stale":       {Op: OpMarkStale, ID: 6, Stale: true},
+		"mark-stale false": {Op: OpMarkStale, ID: 6},
+		"update-stats":     {Op: OpUpdateStats, ID: 7, Stats: &RuntimeStats{ExecTime: time.Second, ResultRows: 3, ExecutedAt: time.Unix(1, 2).UTC()}},
+		"set-sample":       {Op: OpSetSample, ID: 8, Sample: &OutputSample{Columns: []string{"a"}, Rows: [][]string{{"1"}, {"1"}}, TotalRows: 2}},
+		"set-sample nil":   {Op: OpSetSample, ID: 8},
+		"set-quality":      {Op: OpSetQuality, ID: 9, Score: 0.375},
+		"replace-text":     {Op: OpReplaceText, ID: 10, Record: mustRecord(t, pointLookupSQL)},
+	}
+}
+
+// TestMutationCodecMatchesReference: for every op and every awkward value,
+// the binary round trip yields exactly what the JSON round trip yielded.
+func TestMutationCodecMatchesReference(t *testing.T) {
+	for name, m := range codecCases(t) {
+		t.Run(name, func(t *testing.T) {
+			got, want := asJSON(t, binaryRoundTrip(t, m)), asJSON(t, jsonRoundTrip(t, m))
+			if got != want {
+				t.Fatalf("binary round trip differs from the reference\n got %.400s\nwant %.400s", got, want)
+			}
+			if orig := asJSON(t, m); got != orig {
+				t.Fatalf("round trip changed the mutation\n got %.400s\nwant %.400s", got, orig)
+			}
+		})
+	}
+}
+
+// TestMutationCodecFloats covers what the JSON codec could not: NaN failed
+// to encode and a SetQuality of -0 came back as +0.
+func TestMutationCodecFloats(t *testing.T) {
+	for _, bits := range []uint64{math.Float64bits(math.NaN()), 0x7ff8000000000123, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(-1))} {
+		rec := codecRecord(t, pointLookupSQL, 1)
+		rec.QualityScore = math.Float64frombits(bits)
+		out := binaryRoundTrip(t, &Mutation{Op: OpPut, Record: rec})
+		if got := math.Float64bits(out.Record.QualityScore); got != bits {
+			t.Errorf("record score bits %#x came back %#x", bits, got)
+		}
+		out = binaryRoundTrip(t, &Mutation{Op: OpSetQuality, ID: 1, Score: math.Float64frombits(bits)})
+		if got := math.Float64bits(out.Score); got != bits {
+			t.Errorf("mutation score bits %#x came back %#x", bits, got)
+		}
+	}
+}
+
+// TestMutationCodecDedupes: a record's repeated names and its three equal
+// texts are written once.
+func TestMutationCodecDedupes(t *testing.T) {
+	rec := codecRecord(t, joinHeavySQL, 1)
+	rec.Canonical, rec.Template = rec.Text, rec.Text
+	b, err := (&Mutation{Op: OpPut, Record: rec}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(b, []byte(rec.Text)); n != 1 {
+		t.Errorf("the text shared by Text, Canonical and Template is written %d times", n)
+	}
+	// "SELECT" appears once in the text and once as the clause of three
+	// attributes.
+	if n := bytes.Count(b, []byte("SELECT")); n != 2 {
+		t.Errorf("\"SELECT\" is written %d times, want 2", n)
+	}
+	ref, _ := json.Marshal(&Mutation{Op: OpPut, Record: rec})
+	if len(b)*2 > len(ref) {
+		t.Errorf("binary payload %d B is not under half the reference's %d B", len(b), len(ref))
+	}
+}
+
+// TestEncoderDoesNotAllocate is the WAL append path's budget: encoding into
+// a buffer that is already large enough allocates nothing.
+func TestEncoderDoesNotAllocate(t *testing.T) {
+	var enc Encoder
+	buf := make([]byte, 0, 1<<16)
+	for name, m := range codecCases(t) {
+		if strings.Contains(name, "1MiB") {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = enc.AppendMutation(buf[:0], m); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per encode", name, n)
+		}
+	}
+}
+
+func TestDecodeMutationRejects(t *testing.T) {
+	good, err := (&Mutation{Op: OpPut, Record: codecRecord(t, joinHeavySQL, 1)}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMutation([]byte(`{"op":"put","record":{"ID":1}}`)); !errors.Is(err, ErrPreBinaryPayload) {
+		t.Errorf("JSON payload: err = %v, want ErrPreBinaryPayload", err)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		if m, err := DecodeMutation(good[:cut]); err == nil || m != nil {
+			t.Fatalf("payload cut to %d of %d bytes decoded (m=%v, err=%v)", cut, len(good), m, err)
+		}
+	}
+	if m, err := DecodeMutation(append(append([]byte(nil), good...), 0)); err == nil || m != nil {
+		t.Error("a trailing byte was accepted")
+	}
+	for name, p := range map[string][]byte{
+		"format 2":        {2, 1, 0},
+		"op 0":            {PayloadFormat, 0, 0},
+		"op 14":           {PayloadFormat, 14, 0},
+		"snapshot header": AppendSnapshotHeader(nil, SnapshotHeader{}),
+		"unknown field":   {PayloadFormat, 4, 0x80, 0x10},
+		"bad string ref":  {PayloadFormat, 7, hasReason, 3},
+	} {
+		if m, err := DecodeMutation(p); err == nil || m != nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := (&Mutation{Op: "rename"}).Encode(); err == nil {
+		t.Error("an op without a code encoded")
+	}
+}
+
+// TestDecodedMutationOwnsItsMemory: the frame readers reuse their buffer, so
+// nothing decoded may alias the payload.
+func TestDecodedMutationOwnsItsMemory(t *testing.T) {
+	m := &Mutation{Op: OpPut, Record: codecRecord(t, joinHeavySQL, 1)}
+	b, _ := m.Encode()
+	out, err := DecodeMutation(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := asJSON(t, out)
+	for i := range b {
+		b[i] = 0xff
+	}
+	if got := asJSON(t, out); got != want {
+		t.Fatal("overwriting the payload changed the decoded mutation")
+	}
+}
+
+func TestSnapshotPayloads(t *testing.T) {
+	h := SnapshotHeader{NextID: 91, Records: 3, Edges: 2, Checkpoints: 1}
+	got, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, h))
+	if err != nil || got != h {
+		t.Fatalf("header round trip = %+v, %v", got, err)
+	}
+	if _, err := DecodeSnapshotHeader([]byte(`{"nextId":1}`)); !errors.Is(err, ErrPreBinaryPayload) {
+		t.Errorf("JSON snapshot: err = %v, want ErrPreBinaryPayload", err)
+	}
+
+	recs := []*QueryRecord{codecRecord(t, joinHeavySQL, 1), codecRecord(t, pointLookupSQL, 2), codecRecord(t, joinHeavySQL, 3)}
+	var enc Encoder
+	var decoded []*QueryRecord
+	chunks := 0
+	for rest := recs; len(rest) > 0; chunks++ {
+		p, n := enc.AppendRecordChunk(nil, rest, 1) // a limit below one record: one record per chunk
+		if n != 1 {
+			t.Fatalf("chunk took %d records at limit 1", n)
+		}
+		if isRec, count, err := ChunkCount(p); err != nil || !isRec || count != n {
+			t.Fatalf("ChunkCount = %v, %d, %v", isRec, count, err)
+		}
+		for cut := 0; cut < len(p); cut++ {
+			if out, err := DecodeRecordChunk(p[:cut], decoded); err == nil || len(out) != len(decoded) {
+				t.Fatalf("chunk cut to %d of %d bytes decoded", cut, len(p))
+			}
+		}
+		if decoded, err = DecodeRecordChunk(p, decoded); err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	if chunks != 3 || len(decoded) != 3 {
+		t.Fatalf("%d chunks, %d records", chunks, len(decoded))
+	}
+	p, n := enc.AppendRecordChunk(nil, recs, 1<<20)
+	if n != 3 {
+		t.Fatalf("a roomy chunk took %d of 3 records", n)
+	}
+	all, err := DecodeRecordChunk(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range all {
+		got, _ := json.Marshal(rec)
+		want, _ := json.Marshal(recs[i])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d changed in the chunk", i)
+		}
+	}
+
+	edges := []SessionEdge{{From: 1, To: 2, Type: EdgeTemporal}, {From: 2, To: 3, Type: EdgeInvestigation, Diff: "+table CityLocations"}}
+	ep, n := AppendEdgeChunk(nil, edges, 1<<20)
+	if n != 2 {
+		t.Fatalf("edge chunk took %d", n)
+	}
+	gotEdges, err := DecodeEdgeChunk(ep, nil)
+	if err != nil || len(gotEdges) != 2 || gotEdges[1] != edges[1] {
+		t.Fatalf("edge chunk round trip = %+v, %v", gotEdges, err)
+	}
+	if _, err := DecodeEdgeChunk(p, nil); err == nil {
+		t.Error("a record chunk decoded as edges")
+	}
+	if _, err := DecodeRecordChunk(ep, nil); err == nil {
+		t.Error("an edge chunk decoded as records")
+	}
+
+	cp := SubscriberCheckpoint{Name: "stats", Version: 2, Data: []byte{0, 1, 2}}
+	gotCP, left, err := DecodeCheckpointPart(AppendCheckpointPart(nil, cp.Name, cp.Version, 4, cp.Data))
+	if err != nil || left != 4 || gotCP.Name != cp.Name || gotCP.Version != cp.Version || !bytes.Equal(gotCP.Data, cp.Data) {
+		t.Fatalf("checkpoint part round trip = %+v, %d left, %v", gotCP, left, err)
+	}
+}
+
+// FuzzDecodeMutation: the decoder faces bytes from disk and from the
+// replication stream. It never panics, never returns a half-filled mutation,
+// and re-encoding what it accepted reaches a fixpoint: Encode(Decode(b))
+// decodes to the same mutation and encodes to itself.
+func FuzzDecodeMutation(f *testing.F) {
+	for _, m := range codecCases(f) {
+		if m.Record != nil && len(m.Record.Text) > 1<<16 {
+			continue
+		}
+		b, err := m.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"op":"delete","id":3}`))
+	f.Add([]byte{PayloadFormat, 1, hasRecord})
+	f.Add(hostileCount(2, 512)) // a predicate count that its bytes could not hold
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeMutation(b)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("error %v with a non-nil mutation", err)
+			}
+			return
+		}
+		once, err := m.Encode()
+		if err != nil {
+			t.Fatalf("re-encoding an accepted mutation: %v", err)
+		}
+		m2, err := DecodeMutation(once)
+		if err != nil {
+			t.Fatalf("decoding the re-encoding: %v", err)
+		}
+		twice, err := m2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("Encode(Decode(b)) is not a fixpoint:\n once %x\ntwice %x", once, twice)
+		}
+	})
+}
+
+// BenchmarkMutationCodec prices the codec on the two record shapes the
+// workloads produce: a three-way join and a point lookup.
+func BenchmarkMutationCodec(b *testing.B) {
+	for _, c := range []struct{ name, sql string }{{"join-heavy", joinHeavySQL}, {"point-lookup", pointLookupSQL}} {
+		m := &Mutation{Op: OpPut, Record: codecRecord(b, c.sql, 1)}
+		payload, err := m.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			var enc Encoder
+			buf := make([]byte, 0, 4096)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = enc.AppendMutation(buf[:0], m)
+			}
+			b.ReportMetric(float64(len(payload)), "payload-B")
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchSink, err = DecodeMutation(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink *Mutation

@@ -19,8 +19,9 @@ type storeMetrics struct {
 	// the store's write-stall budget, including every bus callback that ran
 	// under the lock.
 	commitHold *telemetry.Histogram
-	// capture is the time StateWith spends copying the store under the
-	// commit lock (the snapshot write-stall).
+	// capture is the time a snapshot capture holds the commit lock: the
+	// subscriber checkpoints plus one pointer copy per record (the snapshot
+	// write-stall).
 	capture *telemetry.Histogram
 	// busVec times each bus callback by subscriber name; the WAL slot
 	// reports as subscriber="wal".
@@ -53,7 +54,7 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 		commitHold: reg.Histogram("cqms_store_commit_lock_hold_seconds",
 			"Time the commit lock was held per mutating store operation, including bus callbacks.", nil),
 		capture: reg.Histogram("cqms_store_state_capture_seconds",
-			"Time spent copying the store state under the commit lock for a snapshot.", nil),
+			"Time the commit lock is held to capture a snapshot: subscriber checkpoints plus one pointer copy per record.", nil),
 		busVec: reg.HistogramVec("cqms_bus_callback_seconds",
 			"Mutation-bus callback duration by subscriber; runs under the commit lock, so this is each subscriber's share of the write stall.",
 			nil, "subscriber"),

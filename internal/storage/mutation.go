@@ -1,15 +1,15 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// MutationOp names a mutating store operation. The op codes are part of the
-// on-disk WAL format: changing an existing code breaks replay of old logs.
+// MutationOp names a mutating store operation. On disk an op is the one-byte
+// code opCode assigns it (codec.go); the names are what logs, metrics and
+// errors print.
 type MutationOp string
 
 // Mutation operations. Every mutating Store method has a corresponding op so
@@ -34,7 +34,8 @@ const (
 // Mutation is one typed write-ahead-log entry: the complete description of a
 // single mutating Store operation, sufficient to replay it. Access control
 // has already been enforced by the time a mutation is emitted, so replaying
-// does not re-check principals.
+// does not re-check principals. Encode and DecodeMutation (codec.go) are its
+// wire form; the JSON tags serve only the tests' reference codec.
 type Mutation struct {
 	Op MutationOp `json:"op"`
 	ID QueryID    `json:"id,omitempty"`
@@ -55,15 +56,15 @@ type Mutation struct {
 	// prev and next are the record versions before and after the mutation
 	// was applied, stashed by the apply path for event-bus subscribers that
 	// maintain derived state (incremental counters need the old version to
-	// decrement). They are unexported so they stay out of the WAL JSON;
-	// replay re-derives them while re-applying.
+	// decrement). They are not encoded; replay re-derives them while
+	// re-applying.
 	prev *QueryRecord
 	next *QueryRecord
 
 	// walSeq is the WAL sequence the durability slot assigned this mutation
-	// (0 when the store runs without a WAL). Unexported so it stays out of
-	// the WAL JSON; write paths use it to wait for group-commit durability
-	// after releasing the commit lock.
+	// (0 when the store runs without a WAL). It is not encoded (the frame
+	// carries the sequence); write paths use it to wait for group-commit
+	// durability after releasing the commit lock.
 	walSeq uint64
 }
 
@@ -84,23 +85,6 @@ func (m *Mutation) Prev() *QueryRecord { return m.prev }
 // and ops that do not touch a record). Populated only on mutations delivered
 // through the event bus; the record is immutable and shared.
 func (m *Mutation) Next() *QueryRecord { return m.next }
-
-// Encode serialises the mutation for the WAL payload.
-func (m *Mutation) Encode() ([]byte, error) {
-	return json.Marshal(m)
-}
-
-// DecodeMutation parses a WAL payload back into a mutation.
-func DecodeMutation(b []byte) (*Mutation, error) {
-	var m Mutation
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("storage: decoding mutation: %w", err)
-	}
-	if m.Op == "" {
-		return nil, fmt.Errorf("storage: decoding mutation: missing op")
-	}
-	return &m, nil
-}
 
 // MutationHook observes mutations, invoked under the store's commit lock so
 // subscribers see mutations in exactly their apply order.
@@ -149,8 +133,8 @@ type SubscribeOptions struct {
 	// state from the store.
 	Reset func()
 	// Checkpoint, when set, serialises the subscriber's derived state. It
-	// runs under the commit lock in the same critical section that copies
-	// the store state (StateWithCheckpoints), so the checkpoint is exactly
+	// runs under the commit lock in the same critical section that captures
+	// the store state (CaptureWithCheckpoints), so the checkpoint is exactly
 	// consistent with the snapshot it rides in. Returning an error omits the
 	// subscriber's section from the snapshot — recovery then falls back to
 	// Reset.
@@ -409,7 +393,11 @@ func (s *Store) apply(m *Mutation) error {
 		if err != nil {
 			return err
 		}
-		m.prev, m.next = rec, s.replaceText(rec, m.Record)
+		next, err := s.replaceText(rec, m.Record)
+		if err != nil {
+			return err
+		}
+		m.prev, m.next = rec, next
 		return nil
 	default:
 		return fmt.Errorf("storage: apply: unknown op %q", m.Op)
@@ -428,8 +416,9 @@ func (s *Store) lookup(id QueryID) (*QueryRecord, error) {
 
 // update performs one copy-on-write field mutation: it shallow-copies the
 // current record version, lets mutate replace the fields it changes, and
-// publishes the copy. It returns the versions before and after the update.
-// Callers must hold the commit lock.
+// publishes the copy unless it grew past MaxRecordBytes (ErrTooLarge; the
+// current version stays). It returns the versions before and after the
+// update. Callers must hold the commit lock.
 func (s *Store) update(id QueryID, mutate func(next, old *QueryRecord)) (old, next *QueryRecord, err error) {
 	rec, err := s.lookup(id)
 	if err != nil {
@@ -437,6 +426,9 @@ func (s *Store) update(id QueryID, mutate func(next, old *QueryRecord)) (old, ne
 	}
 	next = rec.shallowCopy()
 	mutate(next, rec)
+	if err := admitRecord(next); err != nil {
+		return nil, nil, err
+	}
 	s.storeRecord(next)
 	return rec, next, nil
 }
@@ -521,9 +513,10 @@ func (s *Store) reassignSession(rec *QueryRecord, sessionID int64) *QueryRecord 
 // of the update, re-indexing it, and returns the new version. The record's
 // session edges survive: a text repair does not unlink the query from its
 // session history. De-indexing and re-indexing happen in one idx critical
-// section so an indexed scan never misses the record mid-replacement.
-// Callers must hold the commit lock.
-func (s *Store) replaceText(rec, updated *QueryRecord) *QueryRecord {
+// section so an indexed scan never misses the record mid-replacement. A
+// version that would exceed MaxRecordBytes is refused (ErrTooLarge) and
+// nothing changes. Callers must hold the commit lock.
+func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
 	next := rec.shallowCopy()
 	next.Text = updated.Text
 	next.Canonical = updated.Canonical
@@ -536,6 +529,9 @@ func (s *Store) replaceText(rec, updated *QueryRecord) *QueryRecord {
 	next.Aggregates = updated.Aggregates
 	next.GroupBy = updated.GroupBy
 	next.Features = updated.Features
+	if err := admitRecord(next); err != nil {
+		return nil, err
+	}
 	keys := computeIndexKeys(next)
 	s.text.mu.Lock()
 	s.text.retextLocked(rec, next, keys.text)
@@ -545,5 +541,5 @@ func (s *Store) replaceText(rec, updated *QueryRecord) *QueryRecord {
 	s.removeFromIndexesLocked(rec)
 	s.indexPreparedLocked(next, keys)
 	s.idx.Unlock()
-	return next
+	return next, nil
 }

@@ -1,21 +1,35 @@
 package storage
 
-import "time"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"repro/internal/wire"
+)
 
 // StoreState is the full serialisable state of a Store: every record in
 // insertion order, the session edge relation and the ID counter. It is what
-// the WAL subsystem writes as a snapshot and what recovery loads before
-// replaying the log tail; the shard placement and inverted indexes are
-// derived state and are rebuilt on restore.
+// the WAL subsystem streams out as a snapshot and what recovery stages
+// before replaying the log tail; the shard placement and inverted indexes
+// are derived state and are rebuilt on restore.
 type StoreState struct {
 	NextID  QueryID        `json:"nextId"`
 	Records []*QueryRecord `json:"records"`
 	Edges   []SessionEdge  `json:"edges,omitempty"`
 }
 
-// State returns a deep copy of the store's state.
+// State returns a deep copy of the store's state: the in-memory test API,
+// safe to hand to another store's RestoreState.
 func (s *Store) State() *StoreState {
-	return s.StateWith(nil)
+	st, _ := s.capture(nil, false)
+	for i, rec := range st.Records {
+		st.Records[i] = rec.Clone()
+	}
+	st.Edges = append([]SessionEdge(nil), st.Edges...)
+	return st
 }
 
 // SubscriberCheckpoint is one bus subscriber's serialized derived state,
@@ -27,26 +41,22 @@ type SubscriberCheckpoint struct {
 	Data    []byte
 }
 
-// StateWith returns a deep copy of the store's state and, while still holding
-// the commit lock, invokes capture. The WAL manager uses capture to record
-// the last appended log sequence atomically with the snapshot contents:
-// because the mutation hook runs under the commit lock, no mutation can slip
-// between the captured sequence and the copied state.
-func (s *Store) StateWith(capture func()) *StoreState {
-	st, _ := s.stateWith(capture, false)
-	return st
+// CaptureWithCheckpoints is the snapshot writer's view of the store. Under
+// the commit lock it invokes capture (the WAL manager records the last
+// appended log sequence there: the mutation hook runs under the same lock,
+// so no mutation can slip between that sequence and the captured contents),
+// takes one checkpoint per bus subscriber that offers one (a subscriber
+// whose Checkpoint fails is omitted; recovery rebuilds it), and collects the
+// current version of every record — pointers, not copies: stored records are
+// immutable, so the writer can encode them after the lock is released while
+// mutations replace them in the store. The returned state is therefore
+// read-only and must never reach RestoreState, which takes ownership of the
+// records it is given; use State for that.
+func (s *Store) CaptureWithCheckpoints(capture func()) (*StoreState, []SubscriberCheckpoint) {
+	return s.capture(capture, true)
 }
 
-// StateWithCheckpoints is StateWith plus, in the same commit-lock critical
-// section, one checkpoint per bus subscriber that offers one — so the
-// derived-state checkpoints describe exactly the records in the returned
-// state. A subscriber whose Checkpoint fails is omitted (recovery rebuilds
-// it instead).
-func (s *Store) StateWithCheckpoints(capture func()) (*StoreState, []SubscriberCheckpoint) {
-	return s.stateWith(capture, true)
-}
-
-func (s *Store) stateWith(capture func(), checkpoints bool) (*StoreState, []SubscriberCheckpoint) {
+func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []SubscriberCheckpoint) {
 	s.lockCommit()
 	defer s.unlockCommit()
 	if met := s.metrics; met != nil {
@@ -69,18 +79,20 @@ func (s *Store) stateWith(capture func(), checkpoints bool) (*StoreState, []Subs
 			cps = append(cps, SubscriberCheckpoint{Name: sub.name, Version: version, Data: data})
 		}
 	}
+	// Both slices are copy-on-write (see idx): the captured headers stay
+	// valid after the lock is released.
 	s.idx.RLock()
 	order := s.idx.order
-	edges := append([]SessionEdge(nil), s.idx.edges...)
+	edges := s.idx.edges
 	s.idx.RUnlock()
 	st := &StoreState{
 		NextID:  QueryID(s.nextID.Load()),
 		Records: make([]*QueryRecord, 0, len(order)),
-		Edges:   edges,
+		Edges:   edges[:len(edges):len(edges)],
 	}
 	for _, id := range order {
 		if rec, ok := s.loadRecord(id); ok {
-			st.Records = append(st.Records, rec.Clone())
+			st.Records = append(st.Records, rec)
 		}
 	}
 	return st, cps
@@ -164,4 +176,221 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	if int64(st.NextID) > s.nextID.Load() {
 		s.nextID.Store(int64(st.NextID))
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot payloads
+// ---------------------------------------------------------------------------
+//
+// A snapshot is a stream of payloads (the WAL package frames them): one
+// header, then record chunks until the header's record count is reached,
+// then edge chunks until its edge count is reached, then its checkpoint
+// sections, each in one or more parts.
+//
+//	header:      0x01 0x40 | NextID varint | records uvarint | edges uvarint |
+//	             checkpoints uvarint
+//	record chunk: 0x01 0x41 | count uint32 LE | count x (uvarint length | record body)
+//	edge chunk:   0x01 0x42 | count uint32 LE | count x edge
+//	checkpoint:   0x01 0x43 | name string | version uvarint | parts left uvarint |
+//	              data (the rest); a section is one or more such payloads, the
+//	              last with parts left = 0
+//
+// Every record body carries its own string table (see codec.go), so a chunk
+// is only a container: records decode one by one, each into its own block.
+
+// SnapshotHeader opens a snapshot stream and says how much follows it.
+type SnapshotHeader struct {
+	NextID      QueryID
+	Records     int
+	Edges       int
+	Checkpoints int
+}
+
+// chunkHeaderBytes is a chunk's format byte, kind byte and uint32 count.
+const chunkHeaderBytes = 6
+
+// AppendSnapshotHeader appends the header payload.
+func AppendSnapshotHeader(dst []byte, h SnapshotHeader) []byte {
+	dst = append(dst, PayloadFormat, kindSnapshotHeader)
+	dst = binary.AppendVarint(dst, int64(h.NextID))
+	dst = binary.AppendUvarint(dst, uint64(h.Records))
+	dst = binary.AppendUvarint(dst, uint64(h.Edges))
+	return binary.AppendUvarint(dst, uint64(h.Checkpoints))
+}
+
+// DecodeSnapshotHeader parses a header payload. A JSON-era snapshot's first
+// payload fails with ErrPreBinaryPayload.
+func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
+	if err := expectKind(p, kindSnapshotHeader); err != nil {
+		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
+	}
+	r := wire.NewReader(p[2:])
+	count := func() int {
+		v := r.Uvarint()
+		if v > math.MaxInt32 {
+			r.Fail(fmt.Errorf("count %d out of range", v))
+		}
+		return int(v)
+	}
+	h := SnapshotHeader{NextID: QueryID(r.Varint()), Records: count(), Edges: count(), Checkpoints: count()}
+	if err := r.Finish(); err != nil {
+		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
+	}
+	return h, nil
+}
+
+func expectKind(p []byte, want byte) error {
+	kind, err := checkFormat(p)
+	if err != nil {
+		return err
+	}
+	if kind != want {
+		return fmt.Errorf("payload kind %#x, want %#x", kind, want)
+	}
+	return nil
+}
+
+func beginChunk(dst []byte, kind byte) []byte {
+	return append(dst, PayloadFormat, kind, 0, 0, 0, 0)
+}
+
+// AppendRecordChunk appends one record-chunk payload to dst holding a prefix
+// of recs: records are added until the payload reaches limit bytes, and at
+// least one always is. It returns the payload and how many records it took.
+func (e *Encoder) AppendRecordChunk(dst []byte, recs []*QueryRecord, limit int) ([]byte, int) {
+	start := len(dst)
+	dst = beginChunk(dst, kindRecordChunk)
+	n := 0
+	for n < len(recs) && (n == 0 || len(dst)-start < limit) {
+		e.resetTable()
+		e.record = e.recordBody(e.record[:0], recs[n])
+		dst = binary.AppendUvarint(dst, uint64(len(e.record)))
+		dst = append(dst, e.record...)
+		n++
+	}
+	binary.LittleEndian.PutUint32(dst[start+2:], uint32(n))
+	return dst, n
+}
+
+// AppendEdgeChunk is AppendRecordChunk for the session edge relation.
+func AppendEdgeChunk(dst []byte, edges []SessionEdge, limit int) ([]byte, int) {
+	start := len(dst)
+	dst = beginChunk(dst, kindEdgeChunk)
+	n := 0
+	for n < len(edges) && (n == 0 || len(dst)-start < limit) {
+		dst = AppendEdge(dst, edges[n])
+		n++
+	}
+	binary.LittleEndian.PutUint32(dst[start+2:], uint32(n))
+	return dst, n
+}
+
+// ChunkCount reports what a chunk payload holds without decoding it: whether
+// it is a record chunk (else an edge chunk) and its element count.
+func ChunkCount(p []byte) (records bool, n int, err error) {
+	kind, err := checkFormat(p)
+	if err != nil {
+		return false, 0, fmt.Errorf("storage: snapshot chunk: %w", err)
+	}
+	if kind != kindRecordChunk && kind != kindEdgeChunk {
+		return false, 0, fmt.Errorf("storage: snapshot chunk: payload kind %#x is not a chunk", kind)
+	}
+	if len(p) < chunkHeaderBytes {
+		return false, 0, fmt.Errorf("storage: snapshot chunk: %w", wire.ErrTruncated)
+	}
+	count := binary.LittleEndian.Uint32(p[2:])
+	if uint64(count) > uint64(len(p)) {
+		return false, 0, fmt.Errorf("storage: snapshot chunk: count %d exceeds its %d bytes", count, len(p))
+	}
+	return kind == kindRecordChunk, int(count), nil
+}
+
+// DecodeRecordChunk decodes a record chunk, appending its records to into.
+// The records share no memory with p. On error into is returned unchanged.
+func DecodeRecordChunk(p []byte, into []*QueryRecord) ([]*QueryRecord, error) {
+	records, n, err := ChunkCount(p)
+	if err != nil {
+		return into, err
+	}
+	if !records {
+		return into, errors.New("storage: snapshot chunk: edge chunk where a record chunk was expected")
+	}
+	out := into
+	rest := p[chunkHeaderBytes:]
+	for i := 0; i < n; i++ {
+		size, w := binary.Uvarint(rest)
+		if w <= 0 || size > uint64(len(rest)-w) {
+			return into, fmt.Errorf("storage: snapshot chunk: record %d of %d: %w", i, n, wire.ErrTruncated)
+		}
+		d := decoder{r: wire.NewReader(rest[w : w+int(size)])}
+		rec := d.record()
+		if err := d.r.Finish(); err != nil {
+			return into, fmt.Errorf("storage: snapshot chunk: record %d of %d: %w", i, n, err)
+		}
+		out = append(out, rec)
+		rest = rest[w+int(size):]
+	}
+	if len(rest) != 0 {
+		return into, fmt.Errorf("storage: snapshot chunk: %d trailing bytes", len(rest))
+	}
+	return out, nil
+}
+
+// DecodeEdgeChunk decodes an edge chunk, appending its edges to into. On
+// error into is returned unchanged.
+func DecodeEdgeChunk(p []byte, into []SessionEdge) ([]SessionEdge, error) {
+	records, n, err := ChunkCount(p)
+	if err != nil {
+		return into, err
+	}
+	if records {
+		return into, errors.New("storage: snapshot chunk: record chunk where an edge chunk was expected")
+	}
+	r := wire.NewReader(p[chunkHeaderBytes:])
+	out := into
+	for i := 0; i < n; i++ {
+		out = append(out, ReadEdge(&r))
+	}
+	if err := r.Finish(); err != nil {
+		return into, fmt.Errorf("storage: snapshot edge chunk: %w", err)
+	}
+	return out, nil
+}
+
+// AppendCheckpointPart appends one frame's worth of a checkpoint section:
+// data is this part of the section's bytes and left says how many more parts
+// of the same section follow (0 on the last, or only, part). A section is
+// cut into parts so that no subscriber's state, however large, needs a frame
+// over the writer's bound.
+func AppendCheckpointPart(dst []byte, name string, version, left int, data []byte) []byte {
+	dst = append(dst, PayloadFormat, kindCheckpoint)
+	dst = wire.AppendString(dst, name)
+	dst = binary.AppendUvarint(dst, uint64(version))
+	dst = binary.AppendUvarint(dst, uint64(left))
+	return append(dst, data...)
+}
+
+// DecodeCheckpointPart parses what AppendCheckpointPart wrote. Data aliases
+// p: a caller that keeps the part past p's lifetime copies it.
+func DecodeCheckpointPart(p []byte) (part SubscriberCheckpoint, left int, err error) {
+	if err := expectKind(p, kindCheckpoint); err != nil {
+		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section: %w", err)
+	}
+	rest := p[2:]
+	nameLen, w := binary.Uvarint(rest)
+	if w <= 0 || nameLen > uint64(len(rest)-w) {
+		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section: bad name length")
+	}
+	name := string(rest[w : w+int(nameLen)])
+	rest = rest[w+int(nameLen):]
+	version, w := binary.Uvarint(rest)
+	if w <= 0 || version > math.MaxInt32 {
+		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section %q: bad version", name)
+	}
+	rest = rest[w:]
+	more, w := binary.Uvarint(rest)
+	if w <= 0 || more > math.MaxInt32 {
+		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section %q: bad part count", name)
+	}
+	return SubscriberCheckpoint{Name: name, Version: int(version), Data: rest[w:]}, int(more), nil
 }

@@ -51,7 +51,7 @@ type shard struct {
 type Store struct {
 	// commitMu serialises every mutation (live operations and WAL replay).
 	// It establishes the total mutation order the event bus fans out, and
-	// lets StateWith capture a snapshot no mutation can slip into. Readers
+	// lets a snapshot capture see a state no mutation can slip into. Readers
 	// never take it.
 	commitMu sync.Mutex
 	// hook is the bus's WAL slot (SetMutationHook): notified first, live
@@ -209,8 +209,12 @@ func (s *Store) writable() error {
 // Put inserts a record and assigns it an ID. The record's IssuedAt is set to
 // the current time if zero. Put returns the assigned ID. Put takes ownership
 // of the record: the caller must not mutate it afterwards, because readers
-// receive it without cloning.
+// receive it without cloning. A record over MaxRecordBytes is not stored and
+// Put returns 0, which is never a valid ID (see ErrTooLarge).
 func (s *Store) Put(rec *QueryRecord) QueryID {
+	if recordBound(rec) > MaxRecordBytes {
+		return 0
+	}
 	// Index-key computation (lower-casing included) is pure per-record work;
 	// doing it before taking the commit lock shrinks the critical section to
 	// ID assignment, map inserts and the bus fan-out.
@@ -244,10 +248,17 @@ func (s *Store) Put(rec *QueryRecord) QueryID {
 // assigning consecutive IDs in slice order. It is the amortised write path
 // behind the batch-submit API: one lock round trip, one contiguous run of
 // WAL hook emissions and one durability wait instead of one per query. Like
-// Put, it takes ownership of every record.
+// Put, it takes ownership of every record, and like Put it leaves a record
+// over MaxRecordBytes out: that record's ID is 0, the rest of the batch is
+// stored.
 func (s *Store) PutBatch(recs []*QueryRecord) []QueryID {
 	if len(recs) == 0 {
 		return nil
+	}
+	for i, rec := range recs {
+		if recordBound(rec) > MaxRecordBytes {
+			return s.putBatchWithout(recs, i)
+		}
 	}
 	keys := make([]indexKeys, len(recs))
 	for i, rec := range recs {
@@ -293,6 +304,27 @@ func (s *Store) PutBatch(recs []*QueryRecord) []QueryID {
 		}
 	}
 	s.commitAndWait(seq)
+	return ids
+}
+
+// putBatchWithout is PutBatch for a batch whose record at index first is over
+// MaxRecordBytes: it stores the records that fit and reports 0 for the rest.
+func (s *Store) putBatchWithout(recs []*QueryRecord, first int) []QueryID {
+	ids := make([]QueryID, len(recs))
+	fit := append(make([]*QueryRecord, 0, len(recs)-1), recs[:first]...)
+	at := make([]int, first, len(recs)-1) // fit[j] is recs[at[j]]
+	for i := range at {
+		at[i] = i
+	}
+	for i := first + 1; i < len(recs); i++ {
+		if recordBound(recs[i]) <= MaxRecordBytes {
+			fit = append(fit, recs[i])
+			at = append(at, i)
+		}
+	}
+	for j, id := range s.PutBatch(fit) {
+		ids[at[j]] = id
+	}
 	return ids
 }
 
@@ -601,6 +633,13 @@ func (s *Store) Annotate(id QueryID, p Principal, ann Annotation) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
+	if ann.Author == "" {
+		ann.Author = p.User
+	}
+	m := &Mutation{Op: OpAnnotate, ID: id, Annotation: &ann}
+	if err := admitMutation(m); err != nil {
+		return err
+	}
 	s.lockCommit()
 	rec, err := s.lookup(id)
 	if err != nil {
@@ -614,10 +653,6 @@ func (s *Store) Annotate(id QueryID, p Principal, ann Annotation) error {
 	if ann.At.IsZero() {
 		ann.At = s.now()
 	}
-	if ann.Author == "" {
-		ann.Author = p.User
-	}
-	m := &Mutation{Op: OpAnnotate, ID: id, Annotation: &ann}
 	if err := s.apply(m); err != nil {
 		s.unlockCommit()
 		return err
@@ -801,12 +836,15 @@ func (s *Store) AddEdge(edge SessionEdge) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
+	m := &Mutation{Op: OpAddEdge, Edge: &edge}
+	if err := admitMutation(m); err != nil {
+		return err
+	}
 	s.lockCommit()
 	if _, dup := s.edgeSet[edge]; dup {
 		s.unlockCommit()
 		return nil
 	}
-	m := &Mutation{Op: OpAddEdge, Edge: &edge}
 	if err := s.apply(m); err != nil {
 		s.unlockCommit()
 		return err
@@ -881,6 +919,9 @@ func (s *Store) ReplaceText(id QueryID, updated *QueryRecord) error {
 // waits for its durability outside the lock.
 func (s *Store) mutate(m *Mutation) error {
 	if err := s.writable(); err != nil {
+		return err
+	}
+	if err := admitMutation(m); err != nil {
 		return err
 	}
 	s.lockCommit()

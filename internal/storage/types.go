@@ -195,9 +195,9 @@ type QueryRecord struct {
 
 	// text is the record's search-dictionary entry, which holds the
 	// lower-cased Text and Canonical once for every record sharing them. It
-	// is unexported so it stays out of the WAL/snapshot JSON; the store sets
-	// it before a record becomes visible to readers (Put, replay, restore,
-	// text replacement), and records are immutable after that point.
+	// is derived state and is never encoded; the store sets it before a
+	// record becomes visible to readers (Put, replay, restore, text
+	// replacement), and records are immutable after that point.
 	text *textEntry
 }
 

@@ -1,9 +1,10 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +73,13 @@ type RecoveryInfo struct {
 	// rebuild: their sidecar was missing, torn, of an unknown version, or
 	// failed to decode.
 	CheckpointRebuilt []string
+	// PayloadFormat is the payload format version this build reads and
+	// writes (storage.PayloadFormat).
+	PayloadFormat int
+	// SnapshotRecords and SnapshotFrames are the record and frame counts of
+	// the loaded snapshot (0 when no snapshot existed).
+	SnapshotRecords int
+	SnapshotFrames  int
 }
 
 // Info describes the current durable state for the admin API and cqmsctl
@@ -83,9 +91,11 @@ type Info struct {
 	SnapshotSeq          uint64
 	AppendsSinceSnapshot int64
 	Segments             []SegmentInfo
-	// SnapshotSidecars lists the derived-state checkpoint sections of the
-	// newest snapshot (the one recovery would load), without their payloads.
-	SnapshotSidecars []SidecarInfo
+	// PayloadFormat is the payload format version of everything in Dir.
+	PayloadFormat int
+	// Snapshots describes every snapshot file on disk, oldest first; the
+	// last one is what recovery would load.
+	Snapshots []SnapshotInfo
 	// AppendError reports a broken durability pipeline (failed append or
 	// background flush): mutations after it are acknowledged but not durable.
 	AppendError string
@@ -111,11 +121,17 @@ type Manager struct {
 	snapMu      sync.Mutex
 	snapshotSeq atomic.Uint64
 
-	// sidecarMu guards sidecars, the sections of the newest snapshot (set at
-	// Open from what recovery read, and after every snapshot from what was
-	// written), so Info never re-reads multi-megabyte snapshot files.
-	sidecarMu sync.Mutex
-	sidecars  []SidecarInfo
+	// snapInfoMu guards snapInfos, what is known about the snapshot files on
+	// disk by sequence (set from what recovery read and from every snapshot
+	// written), so Info walks a multi-megabyte file at most once.
+	snapInfoMu sync.Mutex
+	snapInfos  map[uint64]SnapshotInfo
+
+	// enc encodes mutations for the log. appendMutation runs under the
+	// store's commit lock, so one encoder and one buffer serve every append
+	// without allocating.
+	enc    storage.Encoder
+	encBuf []byte
 
 	// appendErr records the first log-append failure; surfaced by Err and
 	// Close rather than failing the in-memory mutation that already happened.
@@ -152,25 +168,22 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &RecoveryInfo{TornTail: log.Truncated()}
+	info := &RecoveryInfo{TornTail: log.Truncated(), PayloadFormat: storage.PayloadFormat}
 
-	snapSeq, payload, sidecars, ok, err := LatestSnapshotWithSidecars(cfg.Dir)
+	snap, err := LatestSnapshot(cfg.Dir)
 	if err != nil {
 		log.Close()
 		return nil, nil, err
 	}
-	if ok {
-		var st storage.StoreState
-		if err := json.Unmarshal(payload, &st); err != nil {
-			log.Close()
-			return nil, nil, fmt.Errorf("wal: decoding snapshot: %w", err)
-		}
-		cps := make([]storage.SubscriberCheckpoint, 0, len(sidecars))
-		for _, sc := range sidecars {
-			cps = append(cps, storage.SubscriberCheckpoint{Name: sc.Name, Version: sc.Version, Data: sc.Data})
-		}
-		info.CheckpointRestored, info.CheckpointRebuilt = store.RestoreStateWithCheckpoints(&st, cps)
-		info.SnapshotSeq = snapSeq
+	var snapSeq uint64
+	snapInfos := make(map[uint64]SnapshotInfo)
+	if snap != nil {
+		// Only now, with the stream read and checked to its last chunk, does
+		// anything reach the store.
+		info.CheckpointRestored, info.CheckpointRebuilt = store.RestoreStateWithCheckpoints(snap.State, snap.Checkpoints)
+		snapSeq = snap.Seq
+		info.SnapshotSeq, info.SnapshotRecords, info.SnapshotFrames = snap.Seq, snap.Info.Records, snap.Info.Frames
+		snapInfos[snap.Seq] = snap.Info
 	}
 	// Compaction deletes segments a snapshot covers, so the surviving log must
 	// begin no later than snapSeq+1. A gap means the snapshot that justified
@@ -188,10 +201,10 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	err = log.Replay(snapSeq, func(seq uint64, payload []byte) error {
 		m, err := storage.DecodeMutation(payload)
 		if err != nil {
-			return fmt.Errorf("wal: record %d: %w", seq, err)
+			return fmt.Errorf("record %d: %w", seq, err)
 		}
 		if err := store.Apply(m); err != nil {
-			return fmt.Errorf("wal: replaying record %d (%s): %w", seq, m.Op, err)
+			return fmt.Errorf("replaying record %d (%s): %w", seq, m.Op, err)
 		}
 		info.Replayed++
 		return nil
@@ -205,32 +218,15 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	// A crash can leave the WAL tail truncated below a durable snapshot; new
 	// appends must not reuse the snapshot-covered sequences.
 	log.EnsureSeqAtLeast(snapSeq)
-	m := &Manager{store: store, log: log, cfg: cfg}
+	m := &Manager{store: store, log: log, cfg: cfg, snapInfos: snapInfos}
 	m.lastSeq.Store(log.LastSeq())
 	m.snapshotSeq.Store(snapSeq)
-	for _, sc := range sidecars {
-		m.sidecars = append(m.sidecars, sc.Info())
-	}
 	info.Duration = time.Since(recoveryStart)
 	m.enableMetrics(cfg.Metrics, info, info.Duration)
 	store.SetMutationHook(m.appendMutation)
 	store.SetDurabilityWaiter(m.waitDurable)
 	return m, info, nil
 }
-
-// encodeBuffer is one pooled JSON encode target: the encoder permanently
-// wraps its buffer, so a steady-state append reuses both instead of
-// allocating a fresh marshal result per mutation.
-type encodeBuffer struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encodePool = sync.Pool{New: func() any {
-	b := &encodeBuffer{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
 
 // appendMutation is the bus's WAL-slot callback. It runs under the store's
 // commit lock, which keeps log order identical to apply order. It only
@@ -243,17 +239,13 @@ func (m *Manager) appendMutation(mut *storage.Mutation) {
 	if m.met != nil {
 		start = time.Now()
 	}
-	eb := encodePool.Get().(*encodeBuffer)
-	eb.buf.Reset()
-	if err := eb.enc.Encode(mut); err != nil {
-		encodePool.Put(eb)
-		m.recordErr(fmt.Errorf("wal: encoding %s mutation: %w", mut.Op, err))
+	payload, err := m.enc.AppendMutation(m.encBuf[:0], mut)
+	if err != nil {
+		m.recordErr(fmt.Errorf("wal: %w", err))
 		return
 	}
-	payload := eb.buf.Bytes()
-	payload = payload[:len(payload)-1] // drop Encode's trailing newline
-	seq, err := m.log.AppendAsync(payload)
-	encodePool.Put(eb) // AppendAsync copied the payload into its batch buffer
+	m.encBuf = payload
+	seq, err := m.log.AppendAsync(payload) // copies the payload into its batch buffer
 	if m.met != nil {
 		m.met.append.Observe(time.Since(start))
 	}
@@ -313,28 +305,19 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	// Snapshots are rare; an unconditional clock read is fine here.
 	start := time.Now()
 	var seq uint64
-	st, cps := m.store.StateWithCheckpoints(func() { seq = m.lastSeq.Load() })
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return "", 0, fmt.Errorf("wal: encoding snapshot: %w", err)
-	}
-	sidecars := make([]SidecarSection, 0, len(cps))
-	for _, cp := range cps {
-		sidecars = append(sidecars, SidecarSection{Name: cp.Name, Version: cp.Version, Data: cp.Data})
-	}
-	path, err := WriteSnapshotWithSidecars(m.cfg.Dir, seq, payload, sidecars)
+	// The commit lock is held only to collect the record pointers and the
+	// subscriber checkpoints; encoding and writing happen after it is
+	// released, chunk by chunk.
+	st, cps := m.store.CaptureWithCheckpoints(func() { seq = m.lastSeq.Load() })
+	path, info, err := WriteSnapshot(m.cfg.Dir, seq, st, cps)
 	if err != nil {
 		return "", 0, err
 	}
 	m.snapshotSeq.Store(seq)
 	m.appendsSinceSnapshot.Store(0)
-	infos := make([]SidecarInfo, 0, len(sidecars))
-	for _, sc := range sidecars {
-		infos = append(infos, sc.Info())
-	}
-	m.sidecarMu.Lock()
-	m.sidecars = infos
-	m.sidecarMu.Unlock()
+	m.snapInfoMu.Lock()
+	m.snapInfos[seq] = info
+	m.snapInfoMu.Unlock()
 	if m.met != nil {
 		m.met.snapshot.Observe(time.Since(start))
 	}
@@ -343,7 +326,10 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 
 // Compact snapshots the store, deletes the log segments the snapshot covers
 // and prunes older snapshots. It returns the snapshot path and the number of
-// removed segments.
+// removed segments. Nothing is deleted on the strength of a snapshot that
+// does not read back: the file just written is walked to its last frame
+// first (VerifySnapshot), and a failure leaves every segment and every older
+// snapshot in place.
 func (m *Manager) Compact() (string, uint64, int, error) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
@@ -351,6 +337,9 @@ func (m *Manager) Compact() (string, uint64, int, error) {
 	path, seq, err := m.snapshotLocked()
 	if err != nil {
 		return "", 0, 0, err
+	}
+	if _, err := VerifySnapshot(path); err != nil {
+		return path, seq, 0, fmt.Errorf("wal: compaction kept every segment: the new snapshot does not verify: %w", err)
 	}
 	removed, err := m.log.RemoveSegmentsCoveredBy(seq)
 	if err != nil {
@@ -384,9 +373,10 @@ func (m *Manager) Info() (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	m.sidecarMu.Lock()
-	sidecars := append([]SidecarInfo(nil), m.sidecars...)
-	m.sidecarMu.Unlock()
+	snaps, err := m.snapshotInfos()
+	if err != nil {
+		return Info{}, err
+	}
 	info := Info{
 		Dir:                  m.cfg.Dir,
 		SyncPolicy:           m.cfg.SyncPolicy,
@@ -394,12 +384,40 @@ func (m *Manager) Info() (Info, error) {
 		SnapshotSeq:          m.snapshotSeq.Load(),
 		AppendsSinceSnapshot: m.appendsSinceSnapshot.Load(),
 		Segments:             segs,
-		SnapshotSidecars:     sidecars,
+		PayloadFormat:        storage.PayloadFormat,
+		Snapshots:            snaps,
 	}
 	if err := m.Err(); err != nil {
 		info.AppendError = err.Error()
 	}
 	return info, nil
+}
+
+// snapshotInfos describes the snapshot files on disk, oldest first. A file
+// this manager neither wrote nor loaded is walked once (VerifySnapshot) and
+// remembered; entries of files that are gone are dropped.
+func (m *Manager) snapshotInfos() ([]SnapshotInfo, error) {
+	names, err := listSnapshots(m.cfg.Dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	m.snapInfoMu.Lock()
+	defer m.snapInfoMu.Unlock()
+	known := make(map[uint64]SnapshotInfo, len(names))
+	out := make([]SnapshotInfo, 0, len(names))
+	for _, name := range names {
+		seq, _ := parseSnapshotName(name)
+		info, ok := m.snapInfos[seq]
+		if !ok {
+			if info, err = VerifySnapshot(filepath.Join(m.cfg.Dir, name)); err != nil {
+				info = SnapshotInfo{Name: name, Seq: seq, Error: err.Error()}
+			}
+		}
+		known[seq] = info
+		out = append(out, info)
+	}
+	m.snapInfos = known
+	return out, nil
 }
 
 // Config returns the durability configuration the manager was opened with.

@@ -21,7 +21,7 @@ var admin = storage.Principal{Admin: true}
 // mutation class the issue names: puts, annotations, visibility changes,
 // session assignment and edges, invalidation/repair, stats, samples, quality
 // scores and a deletion.
-func buildStore(t *testing.T, store *storage.Store, n int) {
+func buildStore(t testing.TB, store *storage.Store, n int) {
 	t.Helper()
 	tables := []string{"WaterTemp", "WaterSalinity", "Observations", "Stations"}
 	for i := 0; i < n; i++ {

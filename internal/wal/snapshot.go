@@ -1,20 +1,71 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/storage"
 )
 
-// A snapshot file holds one CRC-framed record (the same framing as log
-// records) whose sequence is the last log sequence the snapshot covers and
-// whose payload is the serialised store state, optionally followed by
-// CRC-framed sidecar sections carrying derived-state checkpoints (see
-// sidecar.go). Snapshots are written to a temporary file and renamed into
-// place so a crash mid-snapshot leaves the previous snapshot intact.
+// A snapshot file is a stream of CRC frames (the log's framing), every one
+// carrying the last log sequence the snapshot covers:
+//
+//	frame 0       header: next ID and how many records, edges and checkpoint
+//	              sections follow
+//	frames 1..    record chunks, about snapshotChunkBytes each, in insertion
+//	              order, until the header's record count is reached
+//	then          edge chunks, until the header's edge count is reached
+//	then          one checkpoint section per derived-state subscriber, cut
+//	              into parts of at most snapshotChunkBytes
+//
+// The payloads are storage's (storage/snapshot.go); this file frames them.
+// Writing and reading both go chunk by chunk, so neither ever holds an
+// encoded copy of the store. Snapshots are written to a temporary file and
+// renamed into place, so a crash mid-snapshot leaves the previous one intact.
+// Because every frame is CRC-checked on its own, damage in the checkpoint
+// tail of a file costs only the sections at and after it — recovery rebuilds
+// those subscribers — while damage anywhere before it makes the snapshot
+// unreadable and recovery falls back to the next older one.
+
+// snapshotChunkBytes is the payload size at which the writer closes a chunk,
+// and the most checkpoint data it puts in one frame. A chunk overshoots it by
+// at most one record.
+const snapshotChunkBytes = 256 << 10
+
+// SidecarInfo describes one checkpoint section without its payload.
+type SidecarInfo struct {
+	Name    string
+	Version int
+	Bytes   int
+}
+
+// SnapshotInfo describes one snapshot file for the admin API.
+type SnapshotInfo struct {
+	Name    string
+	Seq     uint64
+	Bytes   int64
+	Records int
+	Edges   int
+	// Frames counts every frame in the file: header, chunks and sections.
+	Frames   int
+	Sidecars []SidecarInfo
+	// Error is set instead of the counts when the file does not read back.
+	Error string
+}
+
+// Snapshot is a snapshot read back: the staged store state and the
+// checkpoint sections that came with it. Nothing in it is installed
+// anywhere yet.
+type Snapshot struct {
+	Seq         uint64
+	State       *storage.StoreState
+	Checkpoints []storage.SubscriberCheckpoint
+	Info        SnapshotInfo
+}
 
 func snapshotName(seq uint64) string {
 	return seqFileName(snapshotPrefix, seq, snapshotSuffix)
@@ -24,47 +75,89 @@ func parseSnapshotName(name string) (uint64, bool) {
 	return parseSeqFileName(name, snapshotPrefix, snapshotSuffix)
 }
 
-// WriteSnapshot durably writes a snapshot covering all log records with
-// sequence <= seq and returns its path.
-func WriteSnapshot(dir string, seq uint64, payload []byte) (string, error) {
-	return WriteSnapshotWithSidecars(dir, seq, payload, nil)
-}
-
-// WriteSnapshotWithSidecars durably writes a snapshot covering all log
-// records with sequence <= seq, followed by one CRC-framed sidecar section
-// per entry of sidecars, and returns its path. This package's readers load
-// the primary state from the first frame regardless of what follows it (see
-// sidecar.go for the cross-version story).
-func WriteSnapshotWithSidecars(dir string, seq uint64, payload []byte, sidecars []SidecarSection) (string, error) {
+// WriteSnapshot durably writes a snapshot of st covering all log records
+// with sequence <= seq, followed by the checkpoint sections, and returns its
+// path. st is only read. No frame larger than maxPayloadBytes is ever
+// written: records and edges go out in bounded chunks, checkpoint sections
+// in bounded parts, and a single record over the bound — which the store's
+// admission check (storage.MaxRecordBytes) does not let in — fails the
+// snapshot rather than produce a frame its reader would reject.
+func WriteSnapshot(dir string, seq uint64, st *storage.StoreState, cps []storage.SubscriberCheckpoint) (string, SnapshotInfo, error) {
 	path := filepath.Join(dir, snapshotName(seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return "", fmt.Errorf("wal: writing snapshot: %w", err)
+		return "", SnapshotInfo{}, fmt.Errorf("wal: writing snapshot: %w", err)
 	}
-	_, werr := f.Write(encodeFrame(seq, payload))
-	for _, sc := range sidecars {
-		if werr != nil {
-			break
-		}
-		_, werr = f.Write(encodeFrame(seq, encodeSidecar(sc)))
-	}
+	info, werr := writeSnapshotStream(f, seq, st, cps)
 	if werr == nil {
 		werr = f.Sync()
 	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
+	}
 	if werr != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("wal: writing snapshot: %w", werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("wal: writing snapshot: %w", err)
+		return "", SnapshotInfo{}, fmt.Errorf("wal: writing snapshot: %w", werr)
 	}
 	syncDir(dir)
-	return path, nil
+	info.Name = filepath.Base(path)
+	return path, info, nil
+}
+
+func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []storage.SubscriberCheckpoint) (SnapshotInfo, error) {
+	info := SnapshotInfo{Seq: seq, Records: len(st.Records), Edges: len(st.Edges)}
+	var payload, frame []byte
+	emit := func() error {
+		if len(payload) > maxPayloadBytes {
+			return fmt.Errorf("a %d-byte frame exceeds the %d-byte limit", len(payload), maxPayloadBytes)
+		}
+		frame = appendFrame(frame[:0], seq, payload)
+		n, err := w.Write(frame)
+		info.Frames++
+		info.Bytes += int64(n)
+		return err
+	}
+
+	payload = storage.AppendSnapshotHeader(payload[:0], storage.SnapshotHeader{
+		NextID: st.NextID, Records: len(st.Records), Edges: len(st.Edges), Checkpoints: len(cps),
+	})
+	if err := emit(); err != nil {
+		return info, err
+	}
+	var enc storage.Encoder
+	for recs := st.Records; len(recs) > 0; {
+		var n int
+		payload, n = enc.AppendRecordChunk(payload[:0], recs, snapshotChunkBytes)
+		if err := emit(); err != nil {
+			return info, err
+		}
+		recs = recs[n:]
+	}
+	for edges := st.Edges; len(edges) > 0; {
+		var n int
+		payload, n = storage.AppendEdgeChunk(payload[:0], edges, snapshotChunkBytes)
+		if err := emit(); err != nil {
+			return info, err
+		}
+		edges = edges[n:]
+	}
+	for _, cp := range cps {
+		parts := max(1, (len(cp.Data)+snapshotChunkBytes-1)/snapshotChunkBytes)
+		for data := cp.Data; parts > 0; parts-- {
+			n := min(len(data), snapshotChunkBytes)
+			payload = storage.AppendCheckpointPart(payload[:0], cp.Name, cp.Version, parts-1, data[:n])
+			if err := emit(); err != nil {
+				return info, err
+			}
+			data = data[n:]
+		}
+		info.Sidecars = append(info.Sidecars, SidecarInfo{Name: cp.Name, Version: cp.Version, Bytes: len(cp.Data)})
+	}
+	return info, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
@@ -75,68 +168,189 @@ func syncDir(dir string) {
 	}
 }
 
-// LatestSnapshot loads the newest readable snapshot in dir, discarding any
-// sidecar sections. It returns ok=false when no usable snapshot exists; a
-// snapshot whose primary frame fails its CRC check is skipped in favour of
-// the next older one.
-func LatestSnapshot(dir string) (seq uint64, payload []byte, ok bool, err error) {
-	seq, payload, _, ok, err = LatestSnapshotWithSidecars(dir)
-	return seq, payload, ok, err
+// readSnapshotStream walks one snapshot stream to its last frame. With
+// decode it stages the records and edges; without, it only checks frame
+// lengths, CRCs, sequences and the chunk counts against the header. strict
+// is for a stream that must be whole (a network transfer, or a file about to
+// justify deleting log segments): every announced checkpoint section must be
+// there and nothing may follow. Without strict a damaged checkpoint tail is
+// dropped instead — see the file comment.
+func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
+	fr := newFrameReader(r)
+	seq, p, frameLen, err := fr.next()
+	if err != nil {
+		return nil, fmt.Errorf("header frame: %w", err)
+	}
+	h, err := storage.DecodeSnapshotHeader(p)
+	if err != nil {
+		if errors.Is(err, storage.ErrPreBinaryPayload) {
+			err = fmt.Errorf("sequence %d: %w", seq, err)
+		}
+		return nil, err
+	}
+	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Edges: h.Edges, Frames: 1, Bytes: frameLen}}
+	st := &storage.StoreState{NextID: h.NextID}
+	if decode {
+		// A header can claim any count; let a false one cost nothing up front.
+		st.Records = make([]*storage.QueryRecord, 0, min(h.Records, 1<<16))
+		snap.State = st
+	}
+	next := func() ([]byte, error) {
+		fseq, p, frameLen, err := fr.next()
+		if err != nil {
+			return nil, err
+		}
+		if fseq != seq {
+			return nil, fmt.Errorf("frame %d carries sequence %d, the snapshot's is %d", snap.Info.Frames, fseq, seq)
+		}
+		snap.Info.Frames++
+		snap.Info.Bytes += frameLen
+		return p, nil
+	}
+	for records, edges := 0, 0; records < h.Records || edges < h.Edges; {
+		p, err := next()
+		if err != nil {
+			return nil, fmt.Errorf("after %d of %d records and %d of %d edges: %w", records, h.Records, edges, h.Edges, err)
+		}
+		isRecords, n, err := storage.ChunkCount(p)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case n == 0:
+			return nil, errors.New("empty chunk")
+		case isRecords && (edges > 0 || records+n > h.Records):
+			return nil, fmt.Errorf("a chunk of %d records after %d of %d records and %d edges", n, records, h.Records, edges)
+		case !isRecords && (records < h.Records || edges+n > h.Edges):
+			return nil, fmt.Errorf("a chunk of %d edges after %d of %d records and %d of %d edges", n, records, h.Records, edges, h.Edges)
+		case isRecords:
+			records += n
+			if decode {
+				st.Records, err = storage.DecodeRecordChunk(p, st.Records)
+			}
+		default:
+			edges += n
+			if decode {
+				st.Edges, err = storage.DecodeEdgeChunk(p, st.Edges)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < h.Checkpoints; i++ {
+		cp, size, err := readSection(next, decode)
+		if err != nil {
+			if strict {
+				return nil, fmt.Errorf("checkpoint section %d of %d: %w", i, h.Checkpoints, err)
+			}
+			return snap, nil
+		}
+		if decode {
+			snap.Checkpoints = append(snap.Checkpoints, cp)
+		}
+		snap.Info.Sidecars = append(snap.Info.Sidecars, SidecarInfo{Name: cp.Name, Version: cp.Version, Bytes: size})
+	}
+	if strict {
+		if _, _, _, err := fr.next(); err != io.EOF {
+			return nil, errors.New("frames after the last announced section")
+		}
+	}
+	return snap, nil
 }
 
-// LatestSnapshotWithSidecars loads the newest readable snapshot in dir along
-// with every sidecar section that reads back clean. A torn or corrupt
-// sidecar tail does not invalidate the snapshot: the primary state and the
-// sections before the damage are returned, and derived state whose section
-// was lost falls back to a full rebuild.
-func LatestSnapshotWithSidecars(dir string) (seq uint64, payload []byte, sidecars []SidecarSection, ok bool, err error) {
+// readSection reads the parts of one checkpoint section and returns it with
+// its data size. With keep the parts are joined into Data (copied: the frame
+// buffer is reused); without, only counted. Every part must name the same
+// subscriber and version and count down to zero, so a part of another section
+// — or a missing one — fails the section instead of being spliced into it.
+func readSection(next func() ([]byte, error), keep bool) (cp storage.SubscriberCheckpoint, size int, err error) {
+	for first, want := true, 0; ; first, want = false, want-1 {
+		p, err := next()
+		if err != nil {
+			return cp, 0, err
+		}
+		part, left, err := storage.DecodeCheckpointPart(p)
+		if err != nil {
+			return cp, 0, err
+		}
+		switch {
+		case first:
+			cp, want = storage.SubscriberCheckpoint{Name: part.Name, Version: part.Version, Data: []byte{}}, left
+		case part.Name != cp.Name || part.Version != cp.Version || left != want:
+			return cp, 0, fmt.Errorf("part of %q v%d with %d left inside %q v%d with %d left",
+				part.Name, part.Version, left, cp.Name, cp.Version, want)
+		}
+		size += len(part.Data)
+		if keep {
+			cp.Data = append(cp.Data, part.Data...)
+		}
+		if left == 0 {
+			return cp, size, nil
+		}
+	}
+}
+
+// readSnapshotFile reads one snapshot file the way recovery does: decoded,
+// tolerant of a damaged checkpoint tail.
+func readSnapshotFile(path string) (*Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	snap, err := readSnapshotStream(f, true, false)
+	if err != nil {
+		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+	}
+	snap.Info.Name = filepath.Base(path)
+	return snap, nil
+}
+
+// VerifySnapshot walks a snapshot file without decoding it — frame lengths,
+// CRCs, sequences, chunk counts against the header, every announced section
+// present, nothing after — and reports what it holds.
+func VerifySnapshot(path string) (SnapshotInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return SnapshotInfo{}, err
+	}
+	defer f.Close()
+	return verifySnapshot(f, filepath.Base(path))
+}
+
+func verifySnapshot(r io.Reader, name string) (SnapshotInfo, error) {
+	snap, err := readSnapshotStream(r, false, true)
+	if err != nil {
+		return SnapshotInfo{}, fmt.Errorf("wal: snapshot %s: %w", name, err)
+	}
+	snap.Info.Name = name
+	return snap.Info, nil
+}
+
+// LatestSnapshot loads the newest readable snapshot in dir; it returns nil
+// when there is none. A snapshot that does not read back is skipped in
+// favour of the next older one, except a JSON-era snapshot, which is an
+// error naming the file: no older snapshot or log tail next to it could be
+// read either.
+func LatestSnapshot(dir string) (*Snapshot, error) {
 	names, err := listSnapshots(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil, nil, false, nil
+			return nil, nil
 		}
-		return 0, nil, nil, false, err
+		return nil, err
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		seq, payload, sidecars, err := readSnapshot(filepath.Join(dir, names[i]))
+		snap, err := readSnapshotFile(filepath.Join(dir, names[i]))
 		if err == nil {
-			return seq, payload, sidecars, true, nil
+			return snap, nil
+		}
+		if errors.Is(err, storage.ErrPreBinaryPayload) {
+			return nil, err
 		}
 	}
-	return 0, nil, nil, false, nil
-}
-
-func readSnapshot(path string) (uint64, []byte, []SidecarSection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	seq, payload, _, err := readFrame(r)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("wal: reading snapshot %s: %w", filepath.Base(path), err)
-	}
-	// Every further frame is one sidecar section, CRC-checked independently
-	// and carrying the same sequence. The first unreadable or foreign frame
-	// ends the file: a torn tail costs only the sections at and after the
-	// tear, never the primary state.
-	var sidecars []SidecarSection
-	for {
-		scSeq, scPayload, _, err := readFrame(r)
-		if err != nil {
-			break
-		}
-		if scSeq != seq {
-			break
-		}
-		sc, err := decodeSidecar(scPayload)
-		if err != nil {
-			break
-		}
-		sidecars = append(sidecars, sc)
-	}
-	return seq, payload, sidecars, nil
+	return nil, nil
 }
 
 // RemoveSnapshotsBefore deletes snapshots older than seq, returning how many

@@ -1,0 +1,621 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+func testCheckpoints() []storage.SubscriberCheckpoint {
+	return []storage.SubscriberCheckpoint{
+		{Name: "stats", Version: 2, Data: []byte("stats-checkpoint")},
+		{Name: "miner-feed", Version: 3, Data: []byte{}},
+		{Name: "sessions", Version: 2, Data: bytes.Repeat([]byte{0xAB}, 512)},
+	}
+}
+
+// testState is a small store state with records, a deletion hole and edges.
+func testState(t testing.TB, n int) *storage.StoreState {
+	t.Helper()
+	store := storage.NewStore()
+	buildStore(t, store, n)
+	return store.State()
+}
+
+func stateJSON(t testing.TB, st *storage.StoreState) string {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func sameCheckpoints(got, want []storage.SubscriberCheckpoint) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Name != want[i].Name || got[i].Version != want[i].Version || !bytes.Equal(got[i].Data, want[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// frameEnds returns the byte offset at which each frame of a file ends.
+func frameEnds(t testing.TB, raw []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(raw); {
+		if len(raw)-off < headerBytes {
+			t.Fatalf("file ends inside a frame header at %d", off)
+		}
+		off += headerBytes + int(binary.LittleEndian.Uint32(raw[off:]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	if snap, err := LatestSnapshot(dir); err != nil || snap != nil {
+		t.Fatalf("LatestSnapshot on an empty dir = %v, %v", snap, err)
+	}
+	st := testState(t, 24)
+	path, info, err := WriteSnapshot(dir, 99, st, testCheckpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// header + one record chunk + one edge chunk + three sections.
+	if info.Records != len(st.Records) || info.Edges != len(st.Edges) || info.Frames != 6 || len(info.Sidecars) != 3 {
+		t.Fatalf("written info = %+v", info)
+	}
+	snap, err := LatestSnapshot(dir)
+	if err != nil || snap == nil {
+		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
+	}
+	if snap.Seq != 99 || stateJSON(t, snap.State) != stateJSON(t, st) {
+		t.Fatalf("state changed in the snapshot (seq %d)", snap.Seq)
+	}
+	if !sameCheckpoints(snap.Checkpoints, testCheckpoints()) {
+		t.Fatalf("checkpoints = %+v", snap.Checkpoints)
+	}
+	verified, err := VerifySnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, _ := os.Stat(path)
+	if verified.Frames != info.Frames || verified.Records != info.Records || verified.Bytes != fi.Size() || info.Bytes != fi.Size() {
+		t.Fatalf("verified %+v, written %+v, file %d bytes", verified, info, fi.Size())
+	}
+
+	// The strict stream reader agrees, and an empty store round-trips too.
+	f, seq, ok, err := OpenLatestSnapshot(dir)
+	if err != nil || !ok || seq != 99 {
+		t.Fatalf("OpenLatestSnapshot = seq %d, ok %v, err %v", seq, ok, err)
+	}
+	streamed, err := ReadSnapshot(f)
+	f.Close()
+	if err != nil || stateJSON(t, streamed.State) != stateJSON(t, st) || !sameCheckpoints(streamed.Checkpoints, testCheckpoints()) {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if _, _, err := WriteSnapshot(dir, 100, &storage.StoreState{NextID: 7}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := LatestSnapshot(dir); err != nil || snap.Seq != 100 || snap.State.NextID != 7 || len(snap.State.Records) != 0 || snap.Info.Frames != 1 {
+		t.Fatalf("empty snapshot = %+v, %v", snap, err)
+	}
+	if removed, err := RemoveSnapshotsBefore(dir, 100); err != nil || removed != 1 {
+		t.Fatalf("RemoveSnapshotsBefore = %d, %v", removed, err)
+	}
+}
+
+// TestSnapshotTornAtEveryByte is the crash and torn-transfer fixture: one
+// snapshot truncated at every possible length. On disk, a cut inside the
+// header, record or edge frames must not load at all, and a cut in the
+// checkpoint tail costs only the sections at and after it. The strict readers
+// — the follower's and Compact's verifier — reject every cut.
+func TestSnapshotTornAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	st := testState(t, 12)
+	path, info, err := WriteSnapshot(dir, 5, st, testCheckpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stateJSON(t, st)
+	ends := frameEnds(t, full)
+	if len(ends) != info.Frames {
+		t.Fatalf("%d frames on disk, info says %d", len(ends), info.Frames)
+	}
+	primaryLen := ends[len(ends)-1-len(testCheckpoints())] // end of the last edge chunk
+	for cut := len(full) - 1; cut >= 0; cut-- {
+		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("cut=%d: the strict reader accepted a torn stream", cut)
+		}
+		if _, err := verifySnapshot(bytes.NewReader(full[:cut]), "torn"); err == nil {
+			t.Fatalf("cut=%d: the verifier accepted a torn file", cut)
+		}
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := LatestSnapshot(dir)
+		if err != nil {
+			t.Fatalf("cut=%d: unexpected error %v", cut, err)
+		}
+		if cut < primaryLen {
+			if snap != nil {
+				t.Fatalf("cut=%d (before the last chunk ends at %d): snapshot loaded", cut, primaryLen)
+			}
+			continue
+		}
+		if snap == nil || snap.Seq != 5 || stateJSON(t, snap.State) != want {
+			t.Fatalf("cut=%d: primary state lost", cut)
+		}
+		whole := 0
+		for _, end := range ends[len(ends)-len(testCheckpoints()):] {
+			if end <= cut {
+				whole++
+			}
+		}
+		if !sameCheckpoints(snap.Checkpoints, testCheckpoints()[:whole]) {
+			t.Fatalf("cut=%d: %d checkpoints, want the first %d intact", cut, len(snap.Checkpoints), whole)
+		}
+	}
+}
+
+// TestSnapshotCorruption flips bytes: inside a checkpoint section the CRC
+// rejects it and reading stops there, keeping the sections before the
+// damage; inside a record chunk the whole snapshot is skipped in favour of
+// the next older one. The verifier rejects both.
+func TestSnapshotCorruption(t *testing.T) {
+	dir := t.TempDir()
+	older := testState(t, 8)
+	if _, _, err := WriteSnapshot(dir, 10, older, testCheckpoints()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	path, _, err := WriteSnapshot(dir, 20, testState(t, 12), testCheckpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, full)
+	flip := func(at int) {
+		t.Helper()
+		corrupt := append([]byte(nil), full...)
+		corrupt[at] ^= 0xFF
+		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := VerifySnapshot(path); err == nil {
+			t.Fatalf("the verifier accepted a byte flipped at %d", at)
+		}
+	}
+
+	flip(ends[len(ends)-2] - 1) // last byte of the second section
+	snap, err := LatestSnapshot(dir)
+	if err != nil || snap == nil || snap.Seq != 20 || !sameCheckpoints(snap.Checkpoints, testCheckpoints()[:1]) {
+		t.Fatalf("after section damage: %+v, %v; want seq 20 with just the first section", snap, err)
+	}
+
+	flip(ends[0] + headerBytes + 40) // inside the first record chunk
+	snap, err = LatestSnapshot(dir)
+	if err != nil || snap == nil || snap.Seq != 10 || stateJSON(t, snap.State) != stateJSON(t, older) || len(snap.Checkpoints) != 1 {
+		t.Fatalf("after chunk damage: %+v, %v; want the older snapshot", snap, err)
+	}
+	// The streaming side makes the same choice.
+	f, seq, ok, err := OpenLatestSnapshot(dir)
+	if err != nil || !ok || seq != 10 {
+		t.Fatalf("OpenLatestSnapshot = seq %d, ok %v, err %v; want the older snapshot", seq, ok, err)
+	}
+	f.Close()
+}
+
+// TestSnapshotStreamRejectsForeignFrames: frames that do not belong — a
+// different sequence, a chunk that overshoots the header's count, a log
+// record, anything after the last section — fail the strict reader.
+func TestSnapshotStreamRejectsForeignFrames(t *testing.T) {
+	st := testState(t, 6)
+	var good bytes.Buffer
+	if _, err := writeSnapshotStream(&good, 7, st, testCheckpoints()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("the untouched stream: %v", err)
+	}
+	ends := frameEnds(t, good.Bytes())
+	frame := func(i int) []byte {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return good.Bytes()[start:ends[i]]
+	}
+	mut, _ := (&storage.Mutation{Op: storage.OpDelete, ID: 1}).Encode()
+	var enc storage.Encoder
+	extraChunk, _ := enc.AppendRecordChunk(nil, st.Records[:1], 1)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	part := func(name string, version, left int, data string) []byte {
+		return encodeFrame(7, storage.AppendCheckpointPart(nil, name, version, left, []byte(data)))
+	}
+	parts := join(frame(0), frame(1), frame(2), part("stats", 2, 2, "a"), part("stats", 2, 1, "b"), part("stats", 2, 0, "c"))
+	if snap, err := ReadSnapshot(bytes.NewReader(parts)); err != nil || len(snap.Checkpoints) != 1 || string(snap.Checkpoints[0].Data) != "abc" {
+		t.Fatalf("a section in three parts: %+v, %v", snap, err)
+	}
+	for name, stream := range map[string][]byte{
+		"empty":                    nil,
+		"no header":                join(frame(1), frame(2), frame(3)),
+		"header twice":             join(frame(0), frame(0), frame(1), frame(2), frame(3)),
+		"chunk from another seq":   join(frame(0), encodeFrame(8, good.Bytes()[ends[0]+headerBytes:ends[1]]), frame(2), frame(3)),
+		"one record chunk more":    join(frame(0), frame(1), encodeFrame(7, extraChunk), frame(2), frame(3)),
+		"edges before records":     join(frame(0), frame(2), frame(1), frame(3)),
+		"log record as a chunk":    join(frame(0), encodeFrame(7, mut), frame(2), frame(3)),
+		"section missing":          join(frame(0), frame(1), frame(2)),
+		"frame after the section":  join(good.Bytes(), frame(3)),
+		"chunk in section's place": join(frame(0), frame(1), frame(2), frame(1)),
+		"section part missing":     join(frame(0), frame(1), frame(2), part("stats", 2, 2, "a"), part("stats", 2, 0, "c")),
+		"part of another section":  join(frame(0), frame(1), frame(2), part("stats", 2, 1, "a"), part("sessions", 2, 0, "b")),
+		"part of another version":  join(frame(0), frame(1), frame(2), part("stats", 2, 1, "a"), part("stats", 3, 0, "b")),
+		"parts never end":          join(frame(0), frame(1), frame(2), part("stats", 2, 1, "a")),
+	} {
+		if snap, err := ReadSnapshot(bytes.NewReader(stream)); err == nil || snap != nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestSnapshotChunksStayUnderTheFrameBound is the regression test for the
+// single-frame snapshot that outgrew maxPayloadBytes, was rejected as torn by
+// its own reader and — its covered segments already deleted — left a
+// directory that would not open. Records with ~1 MiB texts force several
+// chunk frames; none may exceed the bound, and compact → reopen must hold
+// every record.
+func TestSnapshotChunksStayUnderTheFrameBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig(dir)
+	cfg.SyncPolicy = "off"
+	cfg.SegmentBytes = 4 << 20
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		rec, err := storage.NewRecordFromSQL("SELECT WaterTemp.temp FROM WaterTemp WHERE WaterTemp.lake = '" +
+			strings.Repeat(string(rune('a'+i)), 1<<20) + "'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.User = "alice"
+		store.Put(rec)
+	}
+	segsBefore, _ := mgr.log.Segments()
+	path, seq, removed, err := mgr.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed == 0 || removed != len(segsBefore)-1 {
+		t.Fatalf("compaction removed %d of %d segments", removed, len(segsBefore))
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, raw)
+	prev, largest := 0, 0
+	for _, end := range ends {
+		largest = max(largest, end-prev-headerBytes)
+		prev = end
+	}
+	if len(ends) < n/2 {
+		t.Fatalf("%d MiB of records went into %d frames", n, len(ends))
+	}
+	// A chunk closes at snapshotChunkBytes and overshoots by at most one
+	// record, however large the store: that, not the store's size, is what
+	// keeps every frame under the reader's bound.
+	if bound := snapshotChunkBytes + 4<<20; largest > bound || largest > maxPayloadBytes {
+		t.Fatalf("largest frame payload is %d bytes (chunk bound %d, reader bound %d)", largest, bound, maxPayloadBytes)
+	}
+	info, err := mgr.Info()
+	if err != nil || len(info.Snapshots) != 1 || info.Snapshots[0].Records != n || info.Snapshots[0].Frames != len(ends) {
+		t.Fatalf("Info().Snapshots = %+v, %v", info.Snapshots, err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := storage.NewStore()
+	mgr2, rec, err := Open(store2, cfg)
+	if err != nil {
+		t.Fatalf("reopening after compaction: %v", err)
+	}
+	defer mgr2.Close()
+	if store2.Count() != n || rec.SnapshotSeq != seq || rec.SnapshotRecords != n || rec.SnapshotFrames != len(ends) || rec.Replayed != 0 {
+		t.Fatalf("reopened with %d records, recovery %+v", store2.Count(), rec)
+	}
+	assertStoresEqual(t, store, store2)
+}
+
+// TestOversizedRecordNeverReachesTheLog is the regression test for an
+// acknowledged write the log then refused: a query under the batch endpoint's
+// 8 MiB body limit that repeats one 2 MB identifier as table and column in
+// SELECT, WHERE and GROUP BY grows into a record past the frame limit (text,
+// canonical, template and every feature string repeat it). It used to be applied in
+// memory, dropped by AppendAsync, and the Annotate logged after it made the
+// directory unopenable ("replaying record 2 (annotate): query not found").
+// Now the store refuses it before applying anything, so whatever was
+// acknowledged is in the log, snapshots keep working and the directory opens.
+func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig(dir)
+	cfg.SyncPolicy = "off"
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := storage.Principal{User: "alice"}
+	query := func(identBytes int) *storage.QueryRecord {
+		ident := strings.Repeat("a", identBytes)
+		rec, err := storage.NewRecordFromSQL("SELECT " + ident + " FROM " + ident + " WHERE " + ident + " = 1 GROUP BY " + ident)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.User = "alice"
+		return rec
+	}
+
+	giant := query(2_000_000)
+	payload, err := (&storage.Mutation{Op: storage.OpPut, Record: giant}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(giant.Text) >= 8<<20 || len(payload) <= maxPayloadBytes {
+		t.Fatalf("a %d-byte query encoding to %d bytes is not the case under test: under 8 MiB of text, over the %d-byte frame limit",
+			len(giant.Text), len(payload), maxPayloadBytes)
+	}
+	if id := store.Put(giant); id != 0 {
+		t.Fatalf("a record of %d encoded bytes was stored as %d", len(payload), id)
+	}
+	if err := store.Annotate(1, alice, storage.Annotation{Text: "on the refused record"}); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("annotating the refused record: %v", err)
+	}
+
+	// Ordinary records and a merely large one go through every path.
+	buildStore(t, store, 4)
+	id := store.Put(query(400_000))
+	if id == 0 {
+		t.Fatal("a 1.6 MB query was refused")
+	}
+	if err := store.Annotate(id, alice, storage.Annotation{Text: "on the large record"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Err(); err != nil {
+		t.Fatalf("the log refused an acknowledged mutation: %v", err)
+	}
+	if _, _, _, err := mgr.Compact(); err != nil {
+		t.Fatalf("compacting: %v", err)
+	}
+	if err := store.Annotate(id, alice, storage.Annotation{Text: "after the snapshot"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := storage.NewStore()
+	mgr2, rec, err := Open(store2, cfg)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer mgr2.Close()
+	if n := store.Count(); n < 2 || rec.SnapshotRecords != n || rec.Replayed != 1 || store2.Count() != n {
+		t.Fatalf("recovery %+v with %d records", rec, store2.Count())
+	}
+	assertStoresEqual(t, store, store2)
+}
+
+// TestCheckpointSectionsSpanFrames: a subscriber's checkpoint larger than one
+// frame — the stats tracker keeps a bucket per owner, so it grows with the
+// user count — is cut into parts rather than left out of the snapshot, and
+// comes back whole. A torn part costs that section and the ones after it,
+// nothing before.
+func TestCheckpointSectionsSpanFrames(t *testing.T) {
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+		return b
+	}
+	cps := []storage.SubscriberCheckpoint{
+		{Name: "small", Version: 1, Data: []byte("one frame")},
+		{Name: "stats", Version: 2, Data: pattern(3*snapshotChunkBytes + 17)},
+		{Name: "over-a-frame", Version: 2, Data: pattern(maxPayloadBytes + 1)},
+		{Name: "exact", Version: 9, Data: pattern(2 * snapshotChunkBytes)},
+	}
+	dir := t.TempDir()
+	st := testState(t, 4)
+	path, info, err := WriteSnapshot(dir, 11, st, cps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFrames := 3 // header, one record chunk, one edge chunk
+	for _, cp := range cps {
+		wantFrames += (len(cp.Data) + snapshotChunkBytes - 1) / snapshotChunkBytes
+	}
+	if info.Frames != wantFrames || len(info.Sidecars) != len(cps) || info.Sidecars[2].Bytes != maxPayloadBytes+1 {
+		t.Fatalf("written %d frames (want %d), sections %+v", info.Frames, wantFrames, info.Sidecars)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for _, end := range frameEnds(t, raw) {
+		if size := end - prev - headerBytes; size > snapshotChunkBytes+1024 {
+			t.Fatalf("a %d-byte frame in a snapshot of small records", size)
+		}
+		prev = end
+	}
+	verified, err := VerifySnapshot(path)
+	if err != nil || verified.Frames != wantFrames || len(verified.Sidecars) != len(cps) || verified.Sidecars[1].Bytes != len(cps[1].Data) {
+		t.Fatalf("VerifySnapshot = %+v, %v", verified, err)
+	}
+	snap, err := LatestSnapshot(dir)
+	if err != nil || snap == nil || !sameCheckpoints(snap.Checkpoints, cps) {
+		t.Fatalf("LatestSnapshot lost a section: %v", err)
+	}
+	streamed, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil || !sameCheckpoints(streamed.Checkpoints, cps) {
+		t.Fatalf("ReadSnapshot lost a section: %v", err)
+	}
+
+	// Cut inside the second part of "stats".
+	ends := frameEnds(t, raw)
+	cut := ends[3+1+1] - 5 // header, chunks, "small", first part of "stats"
+	if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); err == nil {
+		t.Fatal("the strict reader accepted a torn section")
+	}
+	if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = LatestSnapshot(dir)
+	if err != nil || snap == nil || !sameCheckpoints(snap.Checkpoints, cps[:1]) || stateJSON(t, snap.State) != stateJSON(t, st) {
+		t.Fatalf("after a torn part: %d sections, %v; want the state and just the first section", len(snap.Checkpoints), err)
+	}
+}
+
+// TestFrameLengthFieldCannotSizeAnAllocation: a length field that claims far
+// more than the stream holds is read as torn, and costs no more memory than
+// the bytes that are really there.
+func TestFrameLengthFieldCannotSizeAnAllocation(t *testing.T) {
+	frame := encodeFrame(1, []byte("payload"))
+	binary.LittleEndian.PutUint32(frame[0:4], maxPayloadBytes) // a flipped high byte
+	fr := newFrameReader(bytes.NewReader(frame))
+	if _, _, _, err := fr.next(); !errors.Is(err, errTorn) {
+		t.Fatalf("err = %v, want torn", err)
+	}
+	if cap(fr.buf) > readStepBytes {
+		t.Fatalf("a %d-byte stream grew the read buffer to %d bytes", len(frame), cap(fr.buf))
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], maxPayloadBytes+1)
+	if _, _, _, err := newFrameReader(bytes.NewReader(frame)).next(); !errors.Is(err, errTorn) {
+		t.Fatalf("over the bound: err = %v, want torn", err)
+	}
+	if _, err := (&Log{}).AppendAsync(make([]byte, maxPayloadBytes+1)); err == nil {
+		t.Fatal("an over-limit record was accepted for append")
+	}
+}
+
+// TestPreBinaryDirectoryIsRefusedByName: a data directory written by a JSON
+// build gets one specific error naming the file and the sequence, from a
+// snapshot and from a log segment alike.
+func TestPreBinaryDirectoryIsRefusedByName(t *testing.T) {
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		name := snapshotName(5400)
+		if err := os.WriteFile(filepath.Join(dir, name), encodeFrame(5400, []byte(`{"nextId":5401,"records":[]}`)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"})
+		if !errors.Is(err, storage.ErrPreBinaryPayload) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "sequence 5400") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("segment", func(t *testing.T) {
+		dir := t.TempDir()
+		name := segmentName(1)
+		if err := os.WriteFile(filepath.Join(dir, name), encodeFrame(1, []byte(`{"op":"delete","id":3}`)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"})
+		if !errors.Is(err, storage.ErrPreBinaryPayload) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "record 1") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+}
+
+// FuzzReadFrames: the frame reader faces bytes from disk and from the
+// network. It never panics, hands out only frames whose CRC matches, and
+// what it accepted re-frames to a prefix of the input.
+func FuzzReadFrames(f *testing.F) {
+	mut, _ := (&storage.Mutation{Op: storage.OpMarkInvalid, ID: 3, Reason: "drift"}).Encode()
+	two := append(encodeFrame(1, mut), encodeFrame(2, nil)...)
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	f.Add(encodeFrame(9, bytes.Repeat([]byte("x"), 300)))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'x'})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var reframed []byte
+		err := ReadFrames(bytes.NewReader(b), func(seq uint64, payload []byte) error {
+			reframed = appendFrame(reframed, seq, payload)
+			return nil
+		})
+		if !bytes.HasPrefix(b, reframed) {
+			t.Fatalf("accepted frames are not a prefix of the input")
+		}
+		if err == nil && len(reframed) != len(b) {
+			t.Fatalf("clean end after %d of %d bytes", len(reframed), len(b))
+		}
+	})
+}
+
+// FuzzDecodeSnapshot: the snapshot stream reader as the follower uses it.
+// Arbitrary bytes never panic it; an error yields no snapshot at all, so
+// nothing can be half-applied; what it accepts survives a rewrite.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for i, n := range []int{0, 3, 9} {
+		var buf bytes.Buffer
+		if _, err := writeSnapshotStream(&buf, uint64(40+n), testState(f, n), testCheckpoints()[:i+1]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add(encodeFrame(1, []byte(`{"nextId":1}`)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(b))
+		if err != nil {
+			if snap != nil {
+				t.Fatalf("error %v with a snapshot", err)
+			}
+			return
+		}
+		if snap.Info.Records != len(snap.State.Records) || snap.Info.Edges != len(snap.State.Edges) {
+			t.Fatalf("info %+v disagrees with the staged state (%d records, %d edges)",
+				snap.Info, len(snap.State.Records), len(snap.State.Edges))
+		}
+		var again bytes.Buffer
+		if _, err := writeSnapshotStream(&again, snap.Seq, snap.State, snap.Checkpoints); err != nil {
+			t.Fatalf("rewriting an accepted snapshot: %v", err)
+		}
+		snap2, err := ReadSnapshot(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("rereading the rewrite: %v", err)
+		}
+		var third bytes.Buffer
+		if _, err := writeSnapshotStream(&third, snap2.Seq, snap2.State, snap2.Checkpoints); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), third.Bytes()) {
+			t.Fatal("write(read(b)) is not a fixpoint")
+		}
+	})
+}

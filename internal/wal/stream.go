@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -85,13 +84,14 @@ func (l *Log) ReadTail(after uint64, maxBytes int64, w io.Writer) (last uint64, 
 }
 
 // ReadFrames decodes a stream of CRC frames (a ReadTail response body) and
-// hands each record to fn in order. A clean EOF ends the stream; a partial
-// or corrupt frame is an error — over the network there is no torn-tail
-// tolerance, a damaged stream must be refetched.
+// hands each record to fn in order; the payload is valid only during the
+// call. A clean EOF ends the stream; a partial or corrupt frame is an error —
+// over the network there is no torn-tail tolerance, a damaged stream must be
+// refetched.
 func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
-	br := bufio.NewReaderSize(r, 64<<10)
+	fr := newFrameReader(r)
 	for {
-		seq, payload, _, err := readFrame(br)
+		seq, payload, _, err := fr.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -104,34 +104,19 @@ func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
 	}
 }
 
-// DecodeSnapshot parses a streamed snapshot document (the raw bytes of a
-// snapshot file: one store-state frame plus zero or more sidecar frames, all
-// carrying the covered sequence). Unlike the on-disk reader it is strict: a
-// torn or foreign frame anywhere is an error, because a network transfer
-// that tears mid-body must be retried, not partially applied.
-func DecodeSnapshot(r io.Reader) (seq uint64, payload []byte, sidecars []SidecarSection, err error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	seq, payload, _, err = readFrame(br)
+// ReadSnapshot reads a streamed snapshot (the bytes of a snapshot file) chunk
+// by chunk and returns it staged. Unlike the on-disk reader it is strict: a
+// torn or foreign frame anywhere, a count that disagrees with the header or a
+// missing checkpoint section is an error, because a network transfer that
+// tears mid-body must be retried, not partially applied — and since nothing
+// is installed until the caller acts on the result, a failed transfer leaves
+// the follower's store untouched.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	snap, err := readSnapshotStream(r, true, true)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("wal: replication snapshot: %w", err)
+		return nil, fmt.Errorf("wal: replication snapshot: %w", err)
 	}
-	for {
-		scSeq, scPayload, _, err := readFrame(br)
-		if err == io.EOF {
-			return seq, payload, sidecars, nil
-		}
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("wal: replication snapshot sidecar: %w", err)
-		}
-		if scSeq != seq {
-			return 0, nil, nil, fmt.Errorf("wal: replication snapshot sidecar: sequence %d != %d", scSeq, seq)
-		}
-		sc, err := decodeSidecar(scPayload)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		sidecars = append(sidecars, sc)
-	}
+	return snap, nil
 }
 
 // LastSeq returns the highest WAL sequence assigned to an appended mutation.
@@ -153,13 +138,13 @@ func (m *Manager) OpenLatestSnapshot() (io.ReadCloser, uint64, bool, error) {
 	return OpenLatestSnapshot(m.cfg.Dir)
 }
 
-// OpenLatestSnapshot opens the newest readable snapshot's raw bytes and
-// returns the log sequence it covers, so a caller can announce the sequence
-// before streaming the body. ok is false when no snapshot exists yet (the
-// follower then replays the whole log from sequence 0). A snapshot that fails
-// validation is skipped in favour of the next older one, matching
-// LatestSnapshotWithSidecars; the returned handle stays readable even if
-// compaction unlinks the file mid-transfer.
+// OpenLatestSnapshot opens the newest snapshot that verifies end to end (see
+// VerifySnapshot) for streaming and returns the log sequence it covers, so a
+// caller can announce the sequence before sending the body. ok is false when
+// no snapshot exists yet (the follower then replays the whole log from
+// sequence 0). A snapshot that fails verification is skipped in favour of
+// the next older one; the returned handle stays readable even if compaction
+// unlinks the file mid-transfer.
 func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err error) {
 	names, err := listSnapshots(dir)
 	if err != nil {
@@ -169,16 +154,19 @@ func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err e
 		return nil, 0, false, err
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, names[i])
-		seq, _, _, err := readSnapshot(path)
-		if err != nil {
-			continue // corrupt snapshot: fall back to an older one
-		}
-		f, err := os.Open(path)
+		f, err := os.Open(filepath.Join(dir, names[i]))
 		if err != nil {
 			continue // compacted away between listing and open
 		}
-		return f, seq, true, nil
+		info, err := verifySnapshot(f, names[i])
+		if err == nil {
+			_, err = f.Seek(0, io.SeekStart)
+		}
+		if err != nil {
+			f.Close()
+			continue // corrupt snapshot: fall back to an older one
+		}
+		return f, info.Seq, true, nil
 	}
 	return nil, 0, false, nil
 }

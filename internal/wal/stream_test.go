@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -130,79 +129,5 @@ func TestReadFramesStrict(t *testing.T) {
 	err := ReadFrames(bytes.NewReader(torn), func(uint64, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("ReadFrames on a torn body should fail")
-	}
-}
-
-// TestSnapshotStreamRoundTrip: OpenLatestSnapshot + DecodeSnapshot recover
-// the state payload and sidecars WriteSnapshotWithSidecars stored.
-func TestSnapshotStreamRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-
-	if _, _, _, err := OpenLatestSnapshot(dir); err != nil {
-		t.Fatalf("OpenLatestSnapshot(empty): %v", err)
-	}
-	if r, _, ok, _ := OpenLatestSnapshot(dir); ok || r != nil {
-		t.Fatal("empty dir should report no snapshot")
-	}
-
-	state := []byte(`{"fake":"store-state"}`)
-	sidecars := []SidecarSection{
-		{Name: "stats", Version: 2, Data: []byte("stats-checkpoint")},
-		{Name: "sessions", Version: 1, Data: []byte("sessions-checkpoint")},
-	}
-	if _, err := WriteSnapshotWithSidecars(dir, 41, []byte("old"), nil); err != nil {
-		t.Fatalf("WriteSnapshotWithSidecars: %v", err)
-	}
-	if _, err := WriteSnapshotWithSidecars(dir, 42, state, sidecars); err != nil {
-		t.Fatalf("WriteSnapshotWithSidecars: %v", err)
-	}
-
-	r, seq, ok, err := OpenLatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("OpenLatestSnapshot = ok %v, err %v", ok, err)
-	}
-	defer r.Close()
-	if seq != 42 {
-		t.Fatalf("snapshot seq = %d, want 42", seq)
-	}
-	dseq, payload, dsc, err := DecodeSnapshot(r)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
-	}
-	if dseq != 42 || !bytes.Equal(payload, state) {
-		t.Fatalf("decoded (seq %d, %q), want (42, %q)", dseq, payload, state)
-	}
-	if len(dsc) != len(sidecars) {
-		t.Fatalf("decoded %d sidecars, want %d", len(dsc), len(sidecars))
-	}
-	for i, sc := range dsc {
-		if sc.Name != sidecars[i].Name || sc.Version != sidecars[i].Version || !bytes.Equal(sc.Data, sidecars[i].Data) {
-			t.Fatalf("sidecar %d = %+v, want %+v", i, sc, sidecars[i])
-		}
-	}
-}
-
-// TestDecodeSnapshotStrict: a torn snapshot transfer is an error even where
-// the on-disk reader would tolerate it (lenient sidecar tail).
-func TestDecodeSnapshotStrict(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := WriteSnapshotWithSidecars(dir, 7, []byte("state"),
-		[]SidecarSection{{Name: "stats", Version: 1, Data: []byte("ck")}}); err != nil {
-		t.Fatalf("WriteSnapshotWithSidecars: %v", err)
-	}
-	r, _, _, err := OpenLatestSnapshot(dir)
-	if err != nil {
-		t.Fatalf("OpenLatestSnapshot: %v", err)
-	}
-	raw, err := io.ReadAll(r)
-	r.Close()
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if _, _, _, err := DecodeSnapshot(bytes.NewReader(raw[:len(raw)-2])); err == nil {
-		t.Fatal("DecodeSnapshot on a torn body should fail")
-	}
-	if _, _, _, err := DecodeSnapshot(strings.NewReader("")); err == nil {
-		t.Fatal("DecodeSnapshot on an empty body should fail")
 	}
 }

@@ -43,11 +43,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
 
@@ -195,9 +197,19 @@ const (
 	snapshotPrefix = "snapshot-"
 	snapshotSuffix = ".snap"
 	headerBytes    = 16 // uint32 len + uint32 crc + uint64 seq
-	// maxPayloadBytes bounds a single record so a corrupt length field cannot
-	// trigger a giant allocation during recovery.
-	maxPayloadBytes = 256 << 20
+	// maxPayloadBytes bounds a single frame's payload. It follows from what
+	// the store admits: no mutation and no record exceeds
+	// storage.MaxRecordBytes (the store refuses the write before applying
+	// it), a snapshot chunk closes at snapshotChunkBytes and overshoots by
+	// at most one record or edge, and a checkpoint section is cut into
+	// snapshotChunkBytes parts. The slack covers a put's few header bytes
+	// and a chunk's per-record length prefix. Writers never produce a larger
+	// frame and readers treat a larger length field as corruption.
+	maxPayloadBytes = storage.MaxRecordBytes + snapshotChunkBytes + 64
+	// readStepBytes is how much of a large payload a reader asks for at a
+	// time: its buffer grows as bytes actually arrive, so a corrupt length
+	// field costs no more memory than the file or stream really holds.
+	readStepBytes = 1 << 20
 )
 
 // errTorn marks a partial or corrupt record at the end of a segment.
@@ -346,6 +358,12 @@ func (l *Log) Err() error {
 // the policy's durability guarantee. The payload is copied; the caller may
 // reuse it immediately.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
+	if len(payload) > maxPayloadBytes {
+		// Readers would take the frame for corruption and cut the log there.
+		// The store's admission check (storage.MaxRecordBytes) keeps every
+		// mutation under the limit; this guards callers that bypass it.
+		return 0, fmt.Errorf("wal: append: %d-byte record exceeds the %d-byte frame limit", len(payload), maxPayloadBytes)
+	}
 	l.seqMu.Lock()
 	if l.closed {
 		l.seqMu.Unlock()
@@ -720,11 +738,12 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 	return listSegments(l.dir)
 }
 
-// Replay streams every record with sequence > after, in order, to fn. A torn
-// tail in the newest segment ends the replay cleanly; corruption anywhere
-// else is an error, as is an error returned by fn. Replay drains pending
-// appends first, then holds the I/O lock, so it observes every acknowledged
-// record and no concurrent write.
+// Replay streams every record with sequence > after, in order, to fn; the
+// payload is valid only during the call. A torn tail in the newest segment
+// ends the replay cleanly; corruption anywhere else is an error, as is an
+// error returned by fn (reported with the segment's file name). Replay
+// drains pending appends first, then holds the I/O lock, so it observes
+// every acknowledged record and no concurrent write.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	if err := l.waitWritten(); err != nil {
 		return err
@@ -753,7 +772,7 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 			return fmt.Errorf("wal: segment %s: %w", seg.Name, err)
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("wal: segment %s: %w", seg.Name, err)
 		}
 	}
 	return nil
@@ -814,46 +833,63 @@ func encodeFrame(seq uint64, payload []byte) []byte {
 	return appendFrame(make([]byte, 0, headerBytes+len(payload)), seq, payload)
 }
 
-// readFrame reads one record. It returns errTorn for a partial or corrupt
-// record and io.EOF at a clean end of segment.
-func readFrame(r *bufio.Reader) (seq uint64, payload []byte, frameLen int64, err error) {
-	header := make([]byte, headerBytes)
-	if _, err := io.ReadFull(r, header); err != nil {
+// frameReader reads CRC frames from a stream into one reused payload buffer.
+type frameReader struct {
+	r      *bufio.Reader
+	header [headerBytes]byte
+	buf    []byte
+}
+
+// newFrameReader buffers r lightly: frame headers and small payloads come
+// out of the 64 KiB buffer, and bufio reads anything larger straight into
+// the payload buffer.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// next reads one frame. The payload is valid until the following call. It
+// returns errTorn for a partial or corrupt frame and io.EOF at a clean end.
+func (fr *frameReader) next() (seq uint64, payload []byte, frameLen int64, err error) {
+	if _, err := io.ReadFull(fr.r, fr.header[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, 0, io.EOF
 		}
 		return 0, nil, 0, errTorn // partial header
 	}
-	n := binary.LittleEndian.Uint32(header[0:4])
+	n := int(binary.LittleEndian.Uint32(fr.header[0:4]))
 	if n > maxPayloadBytes {
 		return 0, nil, 0, errTorn
 	}
-	wantCRC := binary.LittleEndian.Uint32(header[4:8])
-	seq = binary.LittleEndian.Uint64(header[8:16])
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, errTorn // partial payload
+	wantCRC := binary.LittleEndian.Uint32(fr.header[4:8])
+	seq = binary.LittleEndian.Uint64(fr.header[8:16])
+	fr.buf = fr.buf[:0]
+	for len(fr.buf) < n {
+		step := min(n-len(fr.buf), readStepBytes)
+		fr.buf = slices.Grow(fr.buf, step)
+		got, err := io.ReadFull(fr.r, fr.buf[len(fr.buf):len(fr.buf)+step])
+		fr.buf = fr.buf[:len(fr.buf)+got]
+		if err != nil {
+			return 0, nil, 0, errTorn // partial payload
+		}
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(header[8:16])
-	crc.Write(payload)
-	if crc.Sum32() != wantCRC {
+	if crc32.Update(crc32.ChecksumIEEE(fr.header[8:16]), crc32.IEEETable, fr.buf) != wantCRC {
 		return 0, nil, 0, errTorn
 	}
-	return seq, payload, headerBytes + int64(n), nil
+	return seq, fr.buf, headerBytes + int64(n), nil
 }
 
 // readSegment streams every valid record of one segment file to fn and
-// returns errTorn if the segment ends in a partial or corrupt record.
+// returns errTorn if the segment ends in a partial or corrupt record. The
+// payload handed to fn is valid only during the call.
 func readSegment(path string, fn func(seq uint64, payload []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: reading segment: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	fr := newFrameReader(f)
 	for {
-		seq, payload, _, err := readFrame(r)
+		seq, payload, _, err := fr.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -875,9 +911,9 @@ func scanSegment(path string) (validBytes int64, lastSeq uint64, torn bool, err 
 		return 0, 0, false, fmt.Errorf("wal: scanning segment: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	fr := newFrameReader(f)
 	for {
-		seq, _, frameLen, err := readFrame(r)
+		seq, _, frameLen, err := fr.next()
 		if err == io.EOF {
 			return validBytes, lastSeq, false, nil
 		}

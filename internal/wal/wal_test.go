@@ -252,52 +252,6 @@ func TestReplayErrorsOnCorruptOlderSegment(t *testing.T) {
 	l.Close()
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := WriteSnapshot(dir, 42, []byte("state-42")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteSnapshot(dir, 99, []byte("state-99")); err != nil {
-		t.Fatal(err)
-	}
-	seq, payload, ok, err := LatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
-	}
-	if seq != 99 || string(payload) != "state-99" {
-		t.Fatalf("LatestSnapshot = (%d, %q)", seq, payload)
-	}
-
-	// Corrupting the newest snapshot falls back to the older one.
-	data, _ := os.ReadFile(filepath.Join(dir, snapshotName(99)))
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(99)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seq, payload, ok, err = LatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot after corruption: ok=%v err=%v", ok, err)
-	}
-	if seq != 42 || string(payload) != "state-42" {
-		t.Fatalf("fallback snapshot = (%d, %q)", seq, payload)
-	}
-
-	removed, err := RemoveSnapshotsBefore(dir, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("removed %d snapshots, want 1", removed)
-	}
-}
-
-func TestLatestSnapshotEmptyDir(t *testing.T) {
-	_, _, ok, err := LatestSnapshot(t.TempDir())
-	if err != nil || ok {
-		t.Fatalf("LatestSnapshot on empty dir: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestRemoveSegmentsCoveredBy(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions(dir)
