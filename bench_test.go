@@ -1,13 +1,13 @@
 package cqms
 
-// This file is the benchmark harness promised in DESIGN.md: one benchmark (or
-// small group of benchmarks) per experiment E1–E9. The paper is a vision
+// This file is the cost side of the experiments E1–E9: one benchmark (or
+// small group of benchmarks) per experiment. The paper is a vision
 // paper without measured tables, so each benchmark regenerates the evidence
 // behind one of its qualitative claims (interactive meta-querying, negligible
 // profiling overhead, context-aware completion, cheap incremental mining,
 // bounded maintenance scans, ...). cmd/cqms-bench prints the corresponding
-// quality metrics (precision/recall, accuracy) for EXPERIMENTS.md; the
-// benchmarks here measure cost.
+// quality metrics (precision/recall, accuracy); the benchmarks here measure
+// cost.
 //
 // Run with:
 //
@@ -112,7 +112,7 @@ func BenchmarkE1QueryByFeature(b *testing.B) {
 	}
 }
 
-// BenchmarkE1RawTextScan is the ablation baseline of DESIGN.md choice 1:
+// BenchmarkE1RawTextScan is the ablation baseline of the feature relations:
 // answering the same information need by substring search over raw query
 // text (index-backed since PR 12; the name predates that).
 func BenchmarkE1RawTextScan(b *testing.B) {
@@ -200,12 +200,12 @@ func BenchmarkE3Completion(b *testing.B) {
 }
 
 // BenchmarkE3CompletionPopularityOnly is the context-aware vs popularity-only
-// ablation (DESIGN.md choice 2).
+// ablation.
 func BenchmarkE3CompletionPopularityOnly(b *testing.B) {
 	f := benchFixture(b)
 	cfg := recommend.DefaultConfig()
 	cfg.ContextAware = false
-	rec := recommend.New(f.store, metaquery.New(f.store), cfg)
+	rec := recommend.New(f.store, metaquery.New(f.store), f.sys.StatsTracker(), f.eng.Catalog(), cfg)
 	rec.UpdateMining(f.mining)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -257,8 +257,7 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 	for _, n := range []int{1_000, 50_000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
-			rec := recommend.New(store, metaquery.New(store), recommend.DefaultConfig())
-			rec.UseStats(tracker)
+			rec := recommend.New(store, metaquery.New(store), tracker, engine.NewCatalog(), recommend.DefaultConfig())
 			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
 			ctx := context.Background()
 			b.ReportAllocs()
@@ -272,61 +271,6 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkE3CompletionScanBaseline is the same workload on the scan paths
-// (no tracker): per-suggestion cost grows with the log, which is what the
-// incremental counters eliminate.
-func BenchmarkE3CompletionScanBaseline(b *testing.B) {
-	for _, n := range []int{1_000, 50_000} {
-		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
-			store, _ := completionBenchStore(b, n)
-			rec := recommend.New(store, metaquery.New(store), recommend.DefaultConfig())
-			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cols := rec.SuggestColumns(ctx, Admin, partial, 5)
-				preds := rec.SuggestPredicates(ctx, Admin, partial, 5)
-				joins := rec.SuggestJoins(ctx, Admin, partial, 5)
-				if len(cols) == 0 || len(preds) == 0 || len(joins) == 0 {
-					b.Fatal("missing suggestions")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE3SimilarQueries(b *testing.B) {
-	f := benchFixture(b)
-	probe := "SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := f.sys.SimilarQueries(context.Background(), Admin, probe, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(got) == 0 {
-			b.Fatal("no similar queries")
-		}
-	}
-}
-
-func BenchmarkE3Corrections(b *testing.B) {
-	f := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := f.sys.Corrections(context.Background(), Admin, "SELECT tmep FROM WaterTemps WHERE tmep < 18")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(got) == 0 {
-			b.Fatal("no corrections")
-		}
 	}
 }
 
@@ -581,7 +525,7 @@ func BenchmarkE8MaintenanceScan(b *testing.B) {
 func BenchmarkE8StatsRefresh(b *testing.B) {
 	f := benchFixture(b)
 	m := maintenance.New(f.eng, f.store, maintenance.DefaultConfig())
-	ids := f.store.All(Admin)
+	ids := f.store.Snapshot().Records(Admin)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1168,7 +1112,7 @@ func BenchmarkReplicaCatchUp(b *testing.B) {
 	}
 }
 
-// Guard: the fixture must look like the workload DESIGN.md describes.
+// Guard: the fixture must look like the workload the experiments assume.
 func TestBenchFixtureShape(t *testing.T) {
 	f := benchFixture(&testing.B{})
 	if f.store.Count() < 500 {

@@ -1,7 +1,6 @@
-// Command cqms-bench runs the experiment harness of DESIGN.md (E1–E9) and
-// prints, for every experiment, the paper's qualitative claim next to the
-// values measured on the synthetic workload. Its output is what
-// EXPERIMENTS.md records.
+// Command cqms-bench runs the experiment harness (internal/experiments,
+// E1–E9) and prints, for every experiment, the paper's qualitative claim next
+// to the values measured on the synthetic workload.
 //
 // Usage:
 //

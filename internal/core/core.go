@@ -127,6 +127,10 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	// with some subscribers timed and others not.
 	store.EnableMetrics(reg)
 	exec := metaquery.New(store)
+	// Derived-state subscribers attach before any durability layer opens
+	// (OpenWithEngine), so WAL recovery replay flows through them and their
+	// counters come back consistent with the recovered store.
+	tracker := stats.Attach(store)
 	c := &CQMS{
 		cfg:         cfg,
 		eng:         eng,
@@ -134,16 +138,12 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		profiler:    profiler.New(eng, store, cfg.Profiler),
 		executor:    exec,
 		miner:       miner.New(cfg.Miner),
-		recommender: recommend.New(store, exec, cfg.Recommender),
+		recommender: recommend.New(store, exec, tracker, eng.Catalog(), cfg.Recommender),
 		maintainer:  maintenance.New(eng, store, cfg.Maintenance),
+		stats:       tracker,
 		metrics:     reg,
 		started:     time.Now(),
 	}
-	// Derived-state subscribers attach before any durability layer opens
-	// (OpenWithEngine), so WAL recovery replay flows through them and their
-	// counters come back consistent with the recovered store.
-	c.stats = stats.Attach(store)
-	c.recommender.UseStats(c.stats)
 	c.minerFeed = miner.NewFeed(cfg.Miner.Assoc, minerFeedWarmup)
 	c.minerFeed.Attach(store)
 	c.sessions = session.AttachLive(store, cfg.Session)
@@ -170,7 +170,6 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	// served from the feed's live rule counts instead of going
 	// popularity-only.
 	c.recommender.UseRuleFeed(c.minerFeed.Rules)
-	c.syncSchemas()
 	return c
 }
 
@@ -311,16 +310,6 @@ func (c *CQMS) StatsTracker() *stats.Tracker { return c.stats }
 // (never nil).
 func (c *CQMS) MinerFeed() *miner.Feed { return c.minerFeed }
 
-// syncSchemas pushes the engine's current schema catalog into the
-// recommender so that name completion and correction know about every table.
-func (c *CQMS) syncSchemas() {
-	schemas := make(map[string][]string)
-	for name, s := range c.eng.Catalog().Schemas() {
-		schemas[name] = s.ColumnNames()
-	}
-	c.recommender.SetSchemas(schemas)
-}
-
 // ---------------------------------------------------------------------------
 // Traditional Interaction Mode (§2.1)
 // ---------------------------------------------------------------------------
@@ -328,14 +317,7 @@ func (c *CQMS) syncSchemas() {
 // Submit executes a user query through the profiler: the query runs on the
 // DBMS and is logged with its features, statistics and output sample.
 func (c *CQMS) Submit(sub profiler.Submission) (*profiler.Outcome, error) {
-	out, err := c.profiler.Submit(sub)
-	if err != nil {
-		return nil, err
-	}
-	// DDL submitted through the CQMS changes the schema; keep the
-	// recommender's catalog in sync.
-	c.syncSchemas()
-	return out, nil
+	return c.profiler.Submit(sub)
 }
 
 // SubmitBatch executes many submissions in one call and commits every
@@ -350,7 +332,6 @@ func (c *CQMS) SubmitBatch(ctx context.Context, subs []profiler.Submission) ([]*
 		return nil, nil, err
 	}
 	outs, errs := c.profiler.SubmitBatch(subs)
-	c.syncSchemas()
 	return outs, errs, nil
 }
 
@@ -636,7 +617,6 @@ func (c *CQMS) RunMiner() *miner.Result {
 	if c.minerFeed != nil {
 		c.minerFeed.Retire()
 	}
-	c.syncSchemas()
 	c.mu.Lock()
 	c.lastMining = res
 	c.mu.Unlock()
@@ -663,12 +643,7 @@ func (c *CQMS) persistSessions() {
 
 // RunMaintenance performs one maintenance scan.
 func (c *CQMS) RunMaintenance() (*maintenance.Report, error) {
-	report, err := c.maintainer.Scan()
-	if err != nil {
-		return nil, err
-	}
-	c.syncSchemas()
-	return report, nil
+	return c.maintainer.Scan()
 }
 
 // MiningResult returns the most recent mining result (nil before the first

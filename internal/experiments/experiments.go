@@ -1,8 +1,7 @@
-// Package experiments implements the per-experiment harness of DESIGN.md:
-// for each experiment E1–E9 it builds the synthetic workload, runs the
-// relevant CQMS components and computes the quality metrics (hit rates,
-// precision/recall, overhead ratios) that EXPERIMENTS.md reports next to the
-// paper's qualitative claims. cmd/cqms-bench prints these results; the
+// Package experiments implements the per-experiment harness: for each
+// experiment E1–E9 it builds the synthetic workload, runs the relevant CQMS
+// components and computes the quality metrics (hit rates, precision/recall,
+// overhead ratios) reported next to the paper's qualitative claims. cmd/cqms-bench prints these results; the
 // timing-oriented counterparts live in the root bench_test.go.
 package experiments
 
@@ -36,8 +35,7 @@ type Options struct {
 	Seed            int64
 }
 
-// DefaultOptions is the configuration used for the numbers recorded in
-// EXPERIMENTS.md.
+// DefaultOptions is the workload size cqms-bench's flags default to.
 func DefaultOptions() Options {
 	return Options{RowsPerTable: 1000, Users: 20, SessionsPerUser: 10, Seed: 42}
 }
@@ -58,7 +56,7 @@ type Result struct {
 	Notes   string   `json:"notes,omitempty"`
 }
 
-// Format renders the result as the block recorded in EXPERIMENTS.md.
+// Format renders the result as the text block cqms-bench prints.
 func (r Result) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s — %s\n", r.ID, r.Title)
@@ -263,11 +261,11 @@ func E3AssistedInteraction(env *Env) (Result, error) {
 
 	exec := metaquery.New(store)
 	contextCfg := recommend.DefaultConfig()
-	contextRec := recommend.New(store, exec, contextCfg)
+	contextRec := recommend.New(store, exec, env.Sys.StatsTracker(), env.Sys.Engine().Catalog(), contextCfg)
 	contextRec.UpdateMining(env.Mining)
 	popCfg := recommend.DefaultConfig()
 	popCfg.ContextAware = false
-	popRec := recommend.New(store, exec, popCfg)
+	popRec := recommend.New(store, exec, env.Sys.StatsTracker(), env.Sys.Engine().Catalog(), popCfg)
 	popRec.UpdateMining(env.Mining)
 
 	// k = 1: the metric is whether the single top suggestion is the held-out

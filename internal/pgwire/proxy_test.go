@@ -117,7 +117,7 @@ func TestProxyEndToEndCapture(t *testing.T) {
 	}
 
 	admin := storage.Principal{Admin: true}
-	recs := cqms.Store().All(admin)
+	recs := cqms.Store().Snapshot().Records(admin)
 	byText := map[string]*storage.QueryRecord{}
 	for _, r := range recs {
 		byText[r.Text] = r

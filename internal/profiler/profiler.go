@@ -162,28 +162,6 @@ func (p *Profiler) countParseError(captured bool) {
 	}
 }
 
-// rawRecord builds the raw-capture fallback record for an unparsable
-// submission: the statement is logged with the parse error as its runtime
-// error and the parse_error feature class, and never executed (the engine
-// would only re-fail the same parse).
-func (p *Profiler) rawRecord(sub Submission, parseErr error) (*storage.QueryRecord, *Outcome) {
-	rec := storage.NewRawRecord(sub.SQL, parseErr)
-	rec.User = sub.User
-	rec.Group = sub.Group
-	rec.Visibility = sub.Visibility
-	if !sub.IssuedAt.IsZero() {
-		rec.IssuedAt = sub.IssuedAt
-	} else {
-		rec.IssuedAt = p.clock()
-	}
-	rec.Stats = storage.RuntimeStats{
-		SchemaVersion: p.eng.Catalog().Version(),
-		ExecutedAt:    rec.IssuedAt,
-		Error:         rec.InvalidReason,
-	}
-	return rec, &Outcome{ExecError: parseErr}
-}
-
 // SetClock overrides the profiler's time source.
 func (p *Profiler) SetClock(now func() time.Time) { p.clock = now }
 
@@ -197,6 +175,60 @@ func (p *Profiler) Store() *storage.Store { return p.store }
 // (Put returned 0): the log could not hold it.
 var errNotLogged = fmt.Errorf("profiler: query not logged: %w", storage.ErrTooLarge)
 
+// prepare is the one submission body: parse the text once, build the record
+// from the parsed statement, execute that same statement, and fill in the
+// runtime statistics, the output sample and the annotation prompt. The caller
+// commits the record — Submit with Put, SubmitBatch with PutBatch — and sets
+// the Outcome's QueryID. An unparsable statement is an error unless
+// CaptureParseErrors is on, in which case it becomes a raw record that is
+// never executed, with the parse error in the Outcome.
+func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, error) {
+	var (
+		rec *storage.QueryRecord
+		out = &Outcome{}
+	)
+	stmt, err := sql.Parse(sub.SQL)
+	switch {
+	case err == nil:
+		rec = storage.NewRecord(stmt, sub.SQL)
+	case p.cfg.CaptureParseErrors:
+		p.countParseError(true)
+		rec = storage.NewRawRecord(sub.SQL, err)
+		out.ExecError = err
+	default:
+		p.countParseError(false)
+		return nil, nil, fmt.Errorf("profiler: parsing query: %w", err)
+	}
+	rec.User = sub.User
+	rec.Group = sub.Group
+	rec.Visibility = sub.Visibility
+	rec.IssuedAt = sub.IssuedAt
+	if rec.IssuedAt.IsZero() {
+		rec.IssuedAt = p.clock()
+	}
+	if rec.Valid {
+		out.Result, out.ExecError = p.eng.ExecuteStmt(stmt)
+		out.SuggestAnnotation = p.shouldSuggestAnnotation(stmt, rec)
+	}
+	rec.Stats = storage.RuntimeStats{
+		SchemaVersion: p.eng.Catalog().Version(),
+		ExecutedAt:    rec.IssuedAt,
+	}
+	switch {
+	case !rec.Valid:
+		rec.Stats.Error = rec.InvalidReason
+	case out.ExecError != nil:
+		rec.Stats.Error = out.ExecError.Error()
+	default:
+		res := out.Result
+		rec.Stats.ExecTime = res.Elapsed
+		rec.Stats.ResultRows = res.Cardinality()
+		rec.Stats.ResultColumns = len(res.Columns)
+		rec.Sample = p.sampleOutput(res)
+	}
+	return rec, out, nil
+}
+
 // Submit executes the query and logs it. Parse errors are returned without
 // logging (the text never became a query) unless CaptureParseErrors is on,
 // in which case the text is logged as a raw record with the parse error in
@@ -204,53 +236,12 @@ var errNotLogged = fmt.Errorf("profiler: query not logged: %w", storage.ErrTooLa
 // and returned in the Outcome. A record the store refuses as too large is an
 // error wrapping storage.ErrTooLarge.
 func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
-	rec, err := storage.NewRecordFromSQL(sub.SQL)
+	rec, out, err := p.prepare(sub)
 	if err != nil {
-		if p.cfg.CaptureParseErrors {
-			p.countParseError(true)
-			raw, out := p.rawRecord(sub, err)
-			if out.QueryID = p.store.Put(raw); out.QueryID == 0 {
-				return nil, errNotLogged
-			}
-			return out, nil
-		}
-		p.countParseError(false)
-		return nil, fmt.Errorf("profiler: %w", err)
+		return nil, err
 	}
-	rec.User = sub.User
-	rec.Group = sub.Group
-	rec.Visibility = sub.Visibility
-	if !sub.IssuedAt.IsZero() {
-		rec.IssuedAt = sub.IssuedAt
-	} else {
-		rec.IssuedAt = p.clock()
-	}
-
-	res, execErr := p.eng.Execute(sub.SQL)
-
-	stats := storage.RuntimeStats{
-		SchemaVersion: p.eng.Catalog().Version(),
-		ExecutedAt:    rec.IssuedAt,
-	}
-	if execErr != nil {
-		stats.Error = execErr.Error()
-	} else {
-		stats.ExecTime = res.Elapsed
-		stats.ResultRows = res.Cardinality()
-		stats.ResultColumns = len(res.Columns)
-		rec.Sample = p.sampleOutput(res)
-	}
-	rec.Stats = stats
-
-	id := p.store.Put(rec)
-	if id == 0 {
+	if out.QueryID = p.store.Put(rec); out.QueryID == 0 {
 		return nil, errNotLogged
-	}
-	out := &Outcome{
-		Result:            res,
-		QueryID:           id,
-		SuggestAnnotation: p.shouldSuggestAnnotation(sub.SQL, rec),
-		ExecError:         execErr,
 	}
 	return out, nil
 }
@@ -269,52 +260,13 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 	recs := make([]*storage.QueryRecord, 0, len(subs))
 	logged := make([]int, 0, len(subs)) // recs[j] belongs to subs[logged[j]]
 	for i, sub := range subs {
-		rec, err := storage.NewRecordFromSQL(sub.SQL)
-		if err != nil {
-			if p.cfg.CaptureParseErrors {
-				p.countParseError(true)
-				raw, out := p.rawRecord(sub, err)
-				outs[i] = out
-				recs = append(recs, raw)
-				logged = append(logged, i)
-			} else {
-				p.countParseError(false)
-				errs[i] = fmt.Errorf("profiler: %w", err)
-			}
-			continue
+		rec, out, err := p.prepare(sub)
+		if outs[i], errs[i] = out, err; err == nil {
+			recs = append(recs, rec)
+			logged = append(logged, i)
 		}
-		rec.User = sub.User
-		rec.Group = sub.Group
-		rec.Visibility = sub.Visibility
-		if !sub.IssuedAt.IsZero() {
-			rec.IssuedAt = sub.IssuedAt
-		} else {
-			rec.IssuedAt = p.clock()
-		}
-		res, execErr := p.eng.Execute(sub.SQL)
-		stats := storage.RuntimeStats{
-			SchemaVersion: p.eng.Catalog().Version(),
-			ExecutedAt:    rec.IssuedAt,
-		}
-		if execErr != nil {
-			stats.Error = execErr.Error()
-		} else {
-			stats.ExecTime = res.Elapsed
-			stats.ResultRows = res.Cardinality()
-			stats.ResultColumns = len(res.Columns)
-			rec.Sample = p.sampleOutput(res)
-		}
-		rec.Stats = stats
-		outs[i] = &Outcome{
-			Result:            res,
-			SuggestAnnotation: p.shouldSuggestAnnotation(sub.SQL, rec),
-			ExecError:         execErr,
-		}
-		recs = append(recs, rec)
-		logged = append(logged, i)
 	}
-	ids := p.store.PutBatch(recs)
-	for j, id := range ids {
+	for j, id := range p.store.PutBatch(recs) {
 		if id == 0 {
 			outs[logged[j]], errs[logged[j]] = nil, errNotLogged
 			continue
@@ -356,16 +308,10 @@ func (p *Profiler) sampleOutput(res *engine.Result) *storage.OutputSample {
 
 // shouldSuggestAnnotation applies §2.1's rule: prompt for documentation when
 // the query is complex (many tables or nesting).
-func (p *Profiler) shouldSuggestAnnotation(text string, rec *storage.QueryRecord) bool {
+func (p *Profiler) shouldSuggestAnnotation(stmt sql.Statement, rec *storage.QueryRecord) bool {
 	if p.cfg.AnnotationPromptTableThreshold > 0 && len(rec.Tables) >= p.cfg.AnnotationPromptTableThreshold {
 		return true
 	}
-	if p.cfg.AnnotationPromptOnNesting {
-		if stmt, err := sql.Parse(text); err == nil {
-			if sel, ok := stmt.(*sql.SelectStmt); ok && len(sql.Subqueries(sel)) > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	sel, ok := stmt.(*sql.SelectStmt)
+	return ok && p.cfg.AnnotationPromptOnNesting && len(sql.Subqueries(sel)) > 0
 }

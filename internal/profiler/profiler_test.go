@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,81 @@ func TestSubmitReportsARecordTheStoreRefused(t *testing.T) {
 	}
 	if errs[0] != nil || errs[2] != nil || outs[0].QueryID != 1 || outs[2].QueryID != 2 || store.Count() != 2 {
 		t.Fatalf("the rest of the batch: errs %v, %v; %d stored", errs[0], errs[2], store.Count())
+	}
+}
+
+// TestSubmitAndBatchAgree: Submit and SubmitBatch are one submission body
+// committed two ways, so a statement submitted alone and the same statement
+// submitted as a batch must leave identical records and return identical
+// outcomes — whatever becomes of it. Only the measured execution time may
+// differ; it is zeroed before comparing.
+func TestSubmitAndBatchAgree(t *testing.T) {
+	ident := strings.Repeat("a", storage.MaxRecordBytes/28)
+	cases := []struct {
+		name    string
+		capture bool
+		sqls    []string
+	}{
+		{"parsed select", false, []string{"SELECT lake, temp FROM WaterTemp WHERE temp < 18"}},
+		{"nested select", false, []string{"SELECT lake FROM WaterTemp WHERE id IN (SELECT id FROM WaterSalinity)"}},
+		{"execution error", false, []string{"SELECT nope FROM Missing"}},
+		{"parse error rejected", false, []string{"VACUUM ANALYZE WaterTemp"}},
+		{"parse error captured", true, []string{"VACUUM ANALYZE WaterTemp"}},
+		{"nesting limit captured", true, []string{"SELECT " + strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000)}},
+		{"too large for the store", false, []string{"SELECT " + ident + " FROM " + ident + " WHERE " + ident + " = 1 GROUP BY " + ident}},
+		{"ddl visible to later items", false, []string{
+			"CREATE TABLE Depths (id INT, depth FLOAT)",
+			"INSERT INTO Depths VALUES (1, 3.5), (2, 9.25)",
+			"SELECT depth FROM Depths WHERE depth > 4",
+			"SELECT * FROM WaterTemp WHERE",
+			"DROP TABLE Depths",
+			"SELECT depth FROM Depths",
+		}},
+	}
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.CaptureParseErrors = tc.capture
+			single := New(newTestEngine(t), storage.NewStore(), cfg)
+			batch := New(newTestEngine(t), storage.NewStore(), cfg)
+			single.SetClock(func() time.Time { return at })
+			batch.SetClock(func() time.Time { return at })
+
+			subs := make([]Submission, len(tc.sqls))
+			for i, s := range tc.sqls {
+				subs[i] = Submission{User: "alice", Group: "limnology", Visibility: storage.VisibilityGroup, SQL: s}
+			}
+			outs, errs := batch.SubmitBatch(subs)
+			for i, sub := range subs {
+				out, err := single.Submit(sub)
+				if (err == nil) != (errs[i] == nil) || (err != nil && err.Error() != errs[i].Error()) {
+					t.Fatalf("item %d: Submit error %v, SubmitBatch error %v", i, err, errs[i])
+				}
+				if errors.Is(err, storage.ErrTooLarge) != errors.Is(errs[i], storage.ErrTooLarge) {
+					t.Fatalf("item %d: errors wrap differently: %v vs %v", i, err, errs[i])
+				}
+				for _, o := range []*Outcome{out, outs[i]} {
+					if o != nil && o.Result != nil {
+						o.Result.Elapsed = 0
+					}
+				}
+				if !reflect.DeepEqual(out, outs[i]) {
+					t.Errorf("item %d outcomes differ\n  Submit: %+v\n   batch: %+v", i, out, outs[i])
+				}
+			}
+			admin := storage.Principal{Admin: true}
+			a, b := single.Store().Snapshot().Records(admin), batch.Store().Snapshot().Records(admin)
+			if len(a) != len(b) {
+				t.Fatalf("Submit logged %d records, SubmitBatch %d", len(a), len(b))
+			}
+			for i := range a {
+				ra, rb := a[i].Clone(), b[i].Clone()
+				ra.Stats.ExecTime, rb.Stats.ExecTime = 0, 0
+				if !reflect.DeepEqual(ra, rb) {
+					t.Errorf("record %d differs\n  Submit: %+v\n   batch: %+v", i, ra, rb)
+				}
+			}
+		})
 	}
 }

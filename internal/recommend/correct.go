@@ -16,8 +16,8 @@ import (
 // names are matched against the schema catalog and the names seen in the
 // query log, and the closest candidates are proposed.
 func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, querySQL string) []Correction {
-	qc := r.contextOf(querySQL)
-	schemas := r.schemaSnapshot()
+	qc := contextOf(querySQL)
+	schemas := r.catalog.Schemas()
 	mined := r.miningSnapshot()
 
 	knownTables := make(map[string]string) // lower -> canonical
@@ -30,9 +30,9 @@ func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, quer
 		}
 	}
 	knownColumns := make(map[string]string)
-	for t, cols := range schemas {
-		for _, c := range cols {
-			knownColumns[strings.ToLower(c)] = t + "." + c
+	for t, schema := range schemas {
+		for _, c := range schema.Columns {
+			knownColumns[strings.ToLower(c.Name)] = t + "." + c.Name
 		}
 	}
 	for _, pop := range mined.ColumnPopularity {
@@ -143,9 +143,9 @@ func (r *Recommender) EmptyResultSuggestions(ctx context.Context, p storage.Prin
 			return true
 		}
 		if pred.Table != "" {
-			view.ScanByTable(pred.Table, p, scanCtx(ctx, collect))
+			view.ScanByTable(pred.Table, p, storage.ScanWithContext(ctx, collect))
 		} else {
-			view.Scan(p, scanCtx(ctx, collect))
+			view.Scan(p, storage.ScanWithContext(ctx, collect))
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -17,20 +17,13 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/metaquery"
 	"repro/internal/miner"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
-
-// scanCtx makes a store-scan callback abort soon after the requesting client
-// goes away; see storage.ScanWithContext. Callers inspect ctx.Err()
-// afterwards; a partial result from an aborted scan is discarded by the core
-// layer.
-func scanCtx(ctx context.Context, fn func(*storage.QueryRecord) bool) func(*storage.QueryRecord) bool {
-	return storage.ScanWithContext(ctx, fn)
-}
 
 // CompletionKind classifies a completion suggestion.
 type CompletionKind int
@@ -120,35 +113,26 @@ func DefaultConfig() Config {
 type Recommender struct {
 	store *storage.Store
 	exec  *metaquery.Executor
-	cfg   Config
+	// stats holds the incremental, visibility-aware aggregates the mutation
+	// bus keeps current: completion and popularity read O(candidates)
+	// counters from it instead of scanning the log, so per-suggestion cost
+	// stays flat as the log grows. It counts what a principal sees as public
+	// queries plus their own.
+	stats *stats.Tracker
+	// catalog is the DBMS schema catalog, read when a suggestion needs table
+	// or column names the log does not yet hold.
+	catalog *engine.Catalog
+	cfg     Config
 
 	mu       sync.RWMutex
 	mined    *miner.Result
-	schemas  map[string][]string // table -> column names, from the DBMS catalog
-	stats    *stats.Tracker      // nil falls back to per-suggestion log scans
 	ruleFeed func() []miner.Rule // live rules before the first mining pass
 }
 
-// New returns a recommender over the store and meta-query executor.
-func New(store *storage.Store, exec *metaquery.Executor, cfg Config) *Recommender {
-	return &Recommender{store: store, exec: exec, cfg: cfg, schemas: map[string][]string{}}
-}
-
-// UseStats installs the incremental aggregates tracker. With it, the
-// completion and popularity paths read O(candidates) counters kept current
-// by the storage mutation bus instead of re-scanning the log per call, so
-// per-suggestion cost stays flat as the log grows. Without it the
-// recommender falls back to the scan-based paths.
-func (r *Recommender) UseStats(t *stats.Tracker) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stats = t
-}
-
-func (r *Recommender) statsTracker() *stats.Tracker {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.stats
+// New returns a recommender over the store, its meta-query executor, the
+// stats tracker attached to the store and the engine's schema catalog.
+func New(store *storage.Store, exec *metaquery.Executor, tracker *stats.Tracker, catalog *engine.Catalog, cfg Config) *Recommender {
+	return &Recommender{store: store, exec: exec, stats: tracker, catalog: catalog, cfg: cfg}
 }
 
 // UseRuleFeed installs a live association-rule source (the miner's
@@ -169,14 +153,6 @@ func (r *Recommender) UpdateMining(res *miner.Result) {
 	r.mined = res
 }
 
-// SetSchemas installs the DBMS schema catalog used for name completion and
-// correction.
-func (r *Recommender) SetSchemas(schemas map[string][]string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.schemas = schemas
-}
-
 func (r *Recommender) miningSnapshot() *miner.Result {
 	r.mu.RLock()
 	mined, feed := r.mined, r.ruleFeed
@@ -190,53 +166,61 @@ func (r *Recommender) miningSnapshot() *miner.Result {
 	return &miner.Result{}
 }
 
-func (r *Recommender) schemaSnapshot() map[string][]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string][]string, len(r.schemas))
-	for k, v := range r.schemas {
-		out[k] = v
+// schemaColumns returns the named table's columns from the catalog, or nil
+// when the DBMS has no such table.
+func (r *Recommender) schemaColumns(table string) []string {
+	schema, err := r.catalog.SchemaOf(table)
+	if err != nil {
+		return nil
 	}
-	return out
+	return schema.ColumnNames()
 }
 
 // ---------------------------------------------------------------------------
 // Context extraction from the partially written query
 // ---------------------------------------------------------------------------
 
-// context describes what the user has typed so far.
+// queryContext describes what the user has typed so far. It is extracted
+// once per request and handed to every suggester.
 type queryContext struct {
 	tables   []string
 	columns  []string
 	features []string
+	// predicates holds the predicates the query already applies, in the
+	// spelling SuggestPredicates proposes them.
+	predicates map[string]bool
 }
 
-func (r *Recommender) contextOf(partialSQL string) queryContext {
+// contextOf prefers a full parse and falls back to token-level extraction
+// for partial queries (and for statements that are not SELECTs).
+func contextOf(partialSQL string) queryContext {
 	qc := queryContext{}
-	// Prefer a full parse; fall back to token-level extraction for partial
-	// queries.
-	if stmt, err := sql.Parse(partialSQL); err == nil {
-		if sel, ok := stmt.(*sql.SelectStmt); ok {
-			a := sql.Analyze(sel)
-			qc.tables = a.Tables
-			for _, c := range a.Columns {
-				name := c.Column
-				if c.Table != "" {
-					name = c.Table + "." + c.Column
-				}
-				qc.columns = append(qc.columns, name)
+	if sel, err := sql.ParseSelect(partialSQL); err == nil {
+		a := sql.Analyze(sel)
+		qc.tables = a.Tables
+		for _, c := range a.Columns {
+			name := c.Column
+			if c.Table != "" {
+				name = c.Table + "." + c.Column
 			}
-			qc.features = a.FeatureSet()
-			return qc
+			qc.columns = append(qc.columns, name)
 		}
+		qc.features = a.FeatureSet()
+		qc.predicates = make(map[string]bool, len(a.Predicates))
+		for _, pr := range a.Predicates {
+			col := pr.Column
+			if pr.Table != "" {
+				col = pr.Table + "." + pr.Column
+			}
+			qc.predicates[col+" "+pr.Op+" "+pr.Value] = true
+		}
+		return qc
 	}
-	tables, attrs := partialFeatures(partialSQL)
-	qc.tables = tables
-	qc.columns = attrs
-	for _, t := range tables {
+	qc.tables, qc.columns = partialFeatures(partialSQL)
+	for _, t := range qc.tables {
 		qc.features = append(qc.features, "table:"+t)
 	}
-	for _, a := range attrs {
+	for _, a := range qc.columns {
 		qc.features = append(qc.features, "col:"+a)
 	}
 	return qc
@@ -299,10 +283,10 @@ func partialFeatures(partial string) (tables, attrs []string) {
 // global popularity (the §2.3 example: given WaterSalinity, suggest WaterTemp
 // over the globally more popular CityLocations).
 func (r *Recommender) SuggestTables(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
-	if k <= 0 {
-		k = r.cfg.MaxSuggestions
-	}
-	qc := r.contextOf(partialSQL)
+	return r.suggestTables(contextOf(partialSQL), k)
+}
+
+func (r *Recommender) suggestTables(qc queryContext, k int) []Completion {
 	mined := r.miningSnapshot()
 	have := make(map[string]bool)
 	for _, t := range qc.tables {
@@ -343,24 +327,20 @@ func (r *Recommender) SuggestTables(ctx context.Context, p storage.Principal, pa
 			fmt.Sprintf("popular table (%d queries)", pop.Count))
 	}
 	// Schema fallback for cold starts.
-	for table := range r.schemaSnapshot() {
+	for _, table := range r.catalog.TableNames() {
 		add(table, 0.1, "table in schema")
 	}
-	sortCompletions(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return r.top(out, k)
 }
 
 // SuggestColumns suggests columns for the tables already referenced by the
 // partial query, ranked by how often they are used in logged queries over
 // those tables.
 func (r *Recommender) SuggestColumns(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
-	if k <= 0 {
-		k = r.cfg.MaxSuggestions
-	}
-	qc := r.contextOf(partialSQL)
+	return r.suggestColumns(p, contextOf(partialSQL), k)
+}
+
+func (r *Recommender) suggestColumns(p storage.Principal, qc queryContext, k int) []Completion {
 	have := make(map[string]bool)
 	for _, c := range qc.columns {
 		have[strings.ToLower(c)] = true
@@ -368,14 +348,9 @@ func (r *Recommender) SuggestColumns(ctx context.Context, p storage.Principal, p
 			have[strings.ToLower(c[idx+1:])] = true
 		}
 	}
-	counts := r.columnCounts(ctx, p, qc.tables)
+	counts := r.stats.ColumnCounts(p, qc.tables)
+	maxCount := maxOf(counts)
 	var out []Completion
-	maxCount := 1
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
 	for name, c := range counts {
 		bare := name
 		if idx := strings.LastIndex(name, "."); idx >= 0 {
@@ -391,9 +366,8 @@ func (r *Recommender) SuggestColumns(ctx context.Context, p storage.Principal, p
 		})
 	}
 	// Schema columns as a cold-start fallback.
-	schemas := r.schemaSnapshot()
 	for _, t := range qc.tables {
-		for _, col := range schemas[t] {
+		for _, col := range r.schemaColumns(t) {
 			full := t + "." + col
 			if have[strings.ToLower(full)] || have[strings.ToLower(col)] {
 				continue
@@ -410,59 +384,23 @@ func (r *Recommender) SuggestColumns(ctx context.Context, p storage.Principal, p
 			}
 		}
 	}
-	sortCompletions(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// columnCounts counts attribute usage across the visible queries referencing
-// the context tables: O(candidates) from the stats counters when a tracker
-// is installed, a per-table index scan otherwise.
-func (r *Recommender) columnCounts(ctx context.Context, p storage.Principal, tables []string) map[string]int {
-	if t := r.statsTracker(); t != nil {
-		return t.ColumnCounts(p, tables)
-	}
-	set := stats.LowerSet(tables)
-	counts := make(map[string]int)
-	view := r.store.Snapshot()
-	for _, t := range tables {
-		view.ScanByTable(t, p, scanCtx(ctx, func(rec *storage.QueryRecord) bool {
-			for _, attr := range rec.Attributes {
-				if attr.Rel != "" && !set[strings.ToLower(attr.Rel)] {
-					continue
-				}
-				name := attr.Attr
-				if attr.Rel != "" {
-					name = attr.Rel + "." + attr.Attr
-				}
-				counts[name]++
-			}
-			return true
-		}))
-	}
-	return counts
+	return r.top(out, k)
 }
 
 // SuggestPredicates suggests WHERE predicates for the partial query from the
-// predicate templates most frequently applied to the referenced tables.
+// predicate templates most frequently applied to the referenced tables:
+// concrete (non-join) predicates, with their constants, so a suggestion is
+// immediately usable as in Figure 3's drop-down.
 func (r *Recommender) SuggestPredicates(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
-	if k <= 0 {
-		k = r.cfg.MaxSuggestions
-	}
-	qc := r.contextOf(partialSQL)
-	counts := r.predicateCounts(ctx, p, qc.tables)
-	existing := r.existingPredicates(partialSQL)
+	return r.suggestPredicates(p, contextOf(partialSQL), k)
+}
+
+func (r *Recommender) suggestPredicates(p storage.Principal, qc queryContext, k int) []Completion {
+	counts := r.stats.PredicateCounts(p, qc.tables)
+	maxCount := maxOf(counts)
 	var out []Completion
-	maxCount := 1
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
 	for text, c := range counts {
-		if existing[text] {
+		if qc.predicates[text] {
 			continue
 		}
 		out = append(out, Completion{
@@ -471,78 +409,24 @@ func (r *Recommender) SuggestPredicates(ctx context.Context, p storage.Principal
 			Reason: fmt.Sprintf("used in %d logged queries", c),
 		})
 	}
-	sortCompletions(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// predicateCounts counts concrete (non-join) predicates — with their
-// constants, so a suggestion is immediately usable as in Figure 3's
-// drop-down — across the visible queries referencing the context tables.
-func (r *Recommender) predicateCounts(ctx context.Context, p storage.Principal, tables []string) map[string]int {
-	if t := r.statsTracker(); t != nil {
-		return t.PredicateCounts(p, tables)
-	}
-	set := stats.LowerSet(tables)
-	counts := make(map[string]int)
-	view := r.store.Snapshot()
-	for _, t := range tables {
-		view.ScanByTable(t, p, scanCtx(ctx, func(rec *storage.QueryRecord) bool {
-			for _, pr := range rec.Predicates {
-				if pr.IsJoin {
-					continue
-				}
-				if pr.Rel != "" && !set[strings.ToLower(pr.Rel)] {
-					continue
-				}
-				counts[stats.PredicateText(pr)]++
-			}
-			return true
-		}))
-	}
-	return counts
-}
-
-func (r *Recommender) existingPredicates(partialSQL string) map[string]bool {
-	out := make(map[string]bool)
-	stmt, err := sql.Parse(partialSQL)
-	if err != nil {
-		return out
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return out
-	}
-	for _, pr := range sql.Analyze(sel).Predicates {
-		col := pr.Column
-		if pr.Table != "" {
-			col = pr.Table + "." + pr.Column
-		}
-		out[col+" "+pr.Op+" "+pr.Value] = true
-	}
-	return out
+	return r.top(out, k)
 }
 
 // SuggestJoins suggests join conditions connecting the tables referenced by
-// the partial query, taken from the join predicates of logged queries.
+// the partial query, taken from the join predicates of logged queries
+// (stats.CanonicalJoin orders the sides of an equi-join so A.x = B.x and
+// B.x = A.x aggregate).
 func (r *Recommender) SuggestJoins(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
-	if k <= 0 {
-		k = r.cfg.MaxSuggestions
-	}
-	qc := r.contextOf(partialSQL)
+	return r.suggestJoins(p, contextOf(partialSQL), k)
+}
+
+func (r *Recommender) suggestJoins(p storage.Principal, qc queryContext, k int) []Completion {
 	if len(qc.tables) < 2 {
 		return nil
 	}
-	counts := r.joinCounts(ctx, p, qc.tables)
+	counts := r.stats.JoinCounts(p, qc.tables)
+	maxCount := maxOf(counts)
 	var out []Completion
-	maxCount := 1
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
 	for text, c := range counts {
 		out = append(out, Completion{
 			Kind: CompleteJoin, Text: text,
@@ -550,57 +434,47 @@ func (r *Recommender) SuggestJoins(ctx context.Context, p storage.Principal, par
 			Reason: fmt.Sprintf("join used in %d logged queries", c),
 		})
 	}
-	sortCompletions(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// joinCounts counts canonical join predicates (stats.CanonicalJoin orders
-// the sides of an equi-join so A.x = B.x and B.x = A.x aggregate) whose two
-// sides are both context tables, across the visible queries referencing
-// them.
-func (r *Recommender) joinCounts(ctx context.Context, p storage.Principal, tables []string) map[string]int {
-	if t := r.statsTracker(); t != nil {
-		return t.JoinCounts(p, tables)
-	}
-	set := stats.LowerSet(tables)
-	counts := make(map[string]int)
-	view := r.store.Snapshot()
-	for _, t := range tables {
-		view.ScanByTable(t, p, scanCtx(ctx, func(rec *storage.QueryRecord) bool {
-			for _, pr := range rec.Predicates {
-				if !pr.IsJoin {
-					continue
-				}
-				if !set[strings.ToLower(pr.Rel)] || !set[strings.ToLower(pr.RightRel)] {
-					continue
-				}
-				counts[stats.CanonicalJoin(pr)]++
-			}
-			return true
-		}))
-	}
-	return counts
+	return r.top(out, k)
 }
 
 // Complete merges table, column, predicate and join suggestions for the
-// partial query, capped at k entries per kind.
+// partial query, capped at k entries per kind. The partial's context is
+// extracted once and shared by the four suggesters.
 func (r *Recommender) Complete(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
-	var out []Completion
-	out = append(out, r.SuggestTables(ctx, p, partialSQL, k)...)
-	out = append(out, r.SuggestColumns(ctx, p, partialSQL, k)...)
-	out = append(out, r.SuggestPredicates(ctx, p, partialSQL, k)...)
-	out = append(out, r.SuggestJoins(ctx, p, partialSQL, k)...)
+	qc := contextOf(partialSQL)
+	out := r.suggestTables(qc, k)
+	out = append(out, r.suggestColumns(p, qc, k)...)
+	out = append(out, r.suggestPredicates(p, qc, k)...)
+	out = append(out, r.suggestJoins(p, qc, k)...)
 	return out
 }
 
-func sortCompletions(cs []Completion) {
+// maxOf returns the largest count, at least 1, for scoring the others
+// against it into (0, 1].
+func maxOf(counts map[string]int) int {
+	maxCount := 1
+	for _, c := range counts {
+		if c > maxCount {
+			maxCount = c
+		}
+	}
+	return maxCount
+}
+
+// top ranks the suggestions of one kind and keeps the best k (the configured
+// default when k is not positive).
+func (r *Recommender) top(cs []Completion, k int) []Completion {
+	if k <= 0 {
+		k = r.cfg.MaxSuggestions
+	}
 	sort.SliceStable(cs, func(i, j int) bool {
 		if cs[i].Score != cs[j].Score {
 			return cs[i].Score > cs[j].Score
 		}
 		return cs[i].Text < cs[j].Text
 	})
+	if len(cs) > k {
+		cs = cs[:k]
+	}
+	return cs
 }

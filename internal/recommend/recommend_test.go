@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metaquery"
 	"repro/internal/miner"
 	"repro/internal/stats"
@@ -61,19 +62,27 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 		}
 	}
 
-	exec := metaquery.New(store)
-	rec := New(store, exec, DefaultConfig())
+	catalog := engine.NewCatalog()
+	for table, cols := range map[string][]string{
+		"WaterTemp":     {"id", "lake", "loc_x", "loc_y", "temp"},
+		"WaterSalinity": {"id", "lake", "loc_x", "loc_y", "salinity", "depth"},
+		"CityLocations": {"city", "state", "loc_x", "loc_y", "pop"},
+	} {
+		schema := &engine.Schema{Table: table}
+		for _, col := range cols {
+			schema.Columns = append(schema.Columns, engine.Column{Name: col, Type: engine.TypeText})
+		}
+		if err := catalog.CreateTable(schema, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := New(store, metaquery.New(store), stats.Attach(store), catalog, DefaultConfig())
 	rec.UpdateMining(miner.New(miner.Config{
 		Assoc:               miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3},
 		Cluster:             miner.DefaultClusterConfig(5),
 		MinEditPatternCount: 1,
 		MaxClusteredQueries: 1000,
 	}).Run(store))
-	rec.SetSchemas(map[string][]string{
-		"WaterTemp":     {"id", "lake", "loc_x", "loc_y", "temp"},
-		"WaterSalinity": {"id", "lake", "loc_x", "loc_y", "salinity", "depth"},
-		"CityLocations": {"city", "state", "loc_x", "loc_y", "pop"},
-	})
 	return rec, store
 }
 
@@ -120,7 +129,7 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 	r, store := fixture(t)
 	cfg := DefaultConfig()
 	cfg.ContextAware = false
-	r2 := New(store, metaquery.New(store), cfg)
+	r2 := New(store, metaquery.New(store), r.stats, r.catalog, cfg)
 	r2.UpdateMining(r.miningSnapshot())
 	got := r2.SuggestTables(context.Background(), admin, "SELECT * FROM WaterSalinity", 3)
 	if len(got) == 0 {
@@ -429,11 +438,85 @@ func contains(list []string, want string) bool {
 	return false
 }
 
-// TestCounterPathMatchesScanPath proves the stats-counter completion paths
-// produce exactly the suggestions the scan paths did, for an admin and for
+// The three functions below are the log scans the completion paths ran
+// before the stats tracker became a constructor argument. They are kept here
+// as the oracle the tracker's counters are held to.
+
+// scanColumnCounts counts attribute usage across the visible queries
+// referencing the context tables.
+func scanColumnCounts(store *storage.Store, p storage.Principal, tables []string) map[string]int {
+	set := stats.LowerSet(tables)
+	counts := make(map[string]int)
+	view := store.Snapshot()
+	for _, t := range tables {
+		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+			for _, attr := range rec.Attributes {
+				if attr.Rel != "" && !set[strings.ToLower(attr.Rel)] {
+					continue
+				}
+				name := attr.Attr
+				if attr.Rel != "" {
+					name = attr.Rel + "." + attr.Attr
+				}
+				counts[name]++
+			}
+			return true
+		})
+	}
+	return counts
+}
+
+// scanPredicateCounts counts concrete (non-join) predicates across the
+// visible queries referencing the context tables.
+func scanPredicateCounts(store *storage.Store, p storage.Principal, tables []string) map[string]int {
+	set := stats.LowerSet(tables)
+	counts := make(map[string]int)
+	view := store.Snapshot()
+	for _, t := range tables {
+		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+			for _, pr := range rec.Predicates {
+				if pr.IsJoin {
+					continue
+				}
+				if pr.Rel != "" && !set[strings.ToLower(pr.Rel)] {
+					continue
+				}
+				counts[stats.PredicateText(pr)]++
+			}
+			return true
+		})
+	}
+	return counts
+}
+
+// scanJoinCounts counts canonical join predicates whose two sides are both
+// context tables, across the visible queries referencing them.
+func scanJoinCounts(store *storage.Store, p storage.Principal, tables []string) map[string]int {
+	set := stats.LowerSet(tables)
+	counts := make(map[string]int)
+	view := store.Snapshot()
+	for _, t := range tables {
+		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+			for _, pr := range rec.Predicates {
+				if !pr.IsJoin {
+					continue
+				}
+				if !set[strings.ToLower(pr.Rel)] || !set[strings.ToLower(pr.RightRel)] {
+					continue
+				}
+				counts[stats.CanonicalJoin(pr)]++
+			}
+			return true
+		})
+	}
+	return counts
+}
+
+// TestCounterPathMatchesScanPath proves the stats counters the completion
+// paths read hold exactly what a scan of the log counts, for an admin and for
 // principals whose visible set the public+own bucket merge covers exactly.
 func TestCounterPathMatchesScanPath(t *testing.T) {
-	scanRec, store := fixture(t)
+	r, store := fixture(t)
 	// Mix in private queries of a second user so the bucket merge is
 	// exercised (alice's fixture queries are public).
 	put := func(text, user string, vis storage.Visibility) {
@@ -450,19 +533,10 @@ func TestCounterPathMatchesScanPath(t *testing.T) {
 	put("SELECT WaterSalinity.depth, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x",
 		"bob", storage.VisibilityPrivate)
 
-	tracker := stats.Attach(store)
-	counterRec := New(store, metaquery.New(store), DefaultConfig())
-	counterRec.UseStats(tracker)
-	counterRec.UpdateMining(scanRec.miningSnapshot())
-	counterRec.SetSchemas(scanRec.schemaSnapshot())
-
-	ctx := context.Background()
-	partials := []string{
-		"SELECT FROM WaterTemp",
-		"SELECT temp FROM WaterTemp WHERE ",
-		"SELECT * FROM WaterSalinity, WaterTemp",
-		"SELECT * FROM WaterSalinity, WaterTemp WHERE ",
-		"SELECT * FROM CityLocations, WaterSalinity WHERE ",
+	contexts := [][]string{
+		{"WaterTemp"},
+		{"WaterSalinity", "WaterTemp"},
+		{"CityLocations", "WaterSalinity"},
 	}
 	principals := []storage.Principal{
 		admin,
@@ -471,15 +545,49 @@ func TestCounterPathMatchesScanPath(t *testing.T) {
 		{User: "eve"}, // sees only public queries
 	}
 	for _, p := range principals {
-		for _, partial := range partials {
-			if got, want := counterRec.SuggestColumns(ctx, p, partial, 50), scanRec.SuggestColumns(ctx, p, partial, 50); !reflect.DeepEqual(got, want) {
-				t.Errorf("SuggestColumns(%+v, %q)\n got: %+v\nwant: %+v", p, partial, got, want)
+		for _, tables := range contexts {
+			if got, want := r.stats.ColumnCounts(p, tables), scanColumnCounts(store, p, tables); !reflect.DeepEqual(got, want) {
+				t.Errorf("ColumnCounts(%+v, %v)\n got: %+v\nwant: %+v", p, tables, got, want)
 			}
-			if got, want := counterRec.SuggestPredicates(ctx, p, partial, 50), scanRec.SuggestPredicates(ctx, p, partial, 50); !reflect.DeepEqual(got, want) {
-				t.Errorf("SuggestPredicates(%+v, %q)\n got: %+v\nwant: %+v", p, partial, got, want)
+			if got, want := r.stats.PredicateCounts(p, tables), scanPredicateCounts(store, p, tables); !reflect.DeepEqual(got, want) {
+				t.Errorf("PredicateCounts(%+v, %v)\n got: %+v\nwant: %+v", p, tables, got, want)
 			}
-			if got, want := counterRec.SuggestJoins(ctx, p, partial, 50), scanRec.SuggestJoins(ctx, p, partial, 50); !reflect.DeepEqual(got, want) {
-				t.Errorf("SuggestJoins(%+v, %q)\n got: %+v\nwant: %+v", p, partial, got, want)
+			if got, want := r.stats.JoinCounts(p, tables), scanJoinCounts(store, p, tables); !reflect.DeepEqual(got, want) {
+				t.Errorf("JoinCounts(%+v, %v)\n got: %+v\nwant: %+v", p, tables, got, want)
+			}
+		}
+	}
+}
+
+// TestCompleteIsTheFourSuggestersConcatenated: Complete extracts the
+// partial's context once and hands it to the four suggesters; the exported
+// Suggest* entry points each extract it again. Both must say the same, on a
+// partial that parses, one that only tokenizes, and a statement that parses
+// but is no SELECT.
+func TestCompleteIsTheFourSuggestersConcatenated(t *testing.T) {
+	r, _ := fixture(t)
+	ctx := context.Background()
+	for _, partial := range []string{
+		"SELECT * FROM WaterSalinity, WaterTemp WHERE WaterTemp.temp < 18",
+		"SELECT temp FROM WaterTemp",
+		"SELECT * FROM WaterSalinity, WaterTemp WHERE ",
+		"SELECT lake, temp FROM WaterTemp WHERE temp ",
+		"SELECT ",
+		"DELETE FROM WaterTemp WHERE temp < 18",
+		"UPDATE WaterSalinity SET depth = 1",
+		"'unterminated",
+	} {
+		for _, p := range []storage.Principal{admin, {User: "alice"}, {User: "eve"}} {
+			for _, k := range []int{0, 2, 50} {
+				var want []Completion
+				want = append(want, r.SuggestTables(ctx, p, partial, k)...)
+				want = append(want, r.SuggestColumns(ctx, p, partial, k)...)
+				want = append(want, r.SuggestPredicates(ctx, p, partial, k)...)
+				want = append(want, r.SuggestJoins(ctx, p, partial, k)...)
+				got := r.Complete(ctx, p, partial, k)
+				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Errorf("Complete(%+v, %q, %d)\n got: %+v\nwant: %+v", p, partial, k, got, want)
+				}
 			}
 		}
 	}

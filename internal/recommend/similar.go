@@ -34,36 +34,18 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 	probeAnalysis := probe.Analysis()
 
 	// Popularity prior: per-fingerprint occurrence counts visible to the
-	// principal. With the incremental stats counters available, only the
-	// neighbours' own fingerprints are probed — O(neighbours), independent
-	// of how many distinct templates the log holds — and the normaliser
-	// comes from the tracker's bounded top-fingerprint summary. Without a
-	// tracker, fall back to a full log scan.
-	var popByFingerprint map[uint64]int
-	maxPop := 1
-	if t := r.statsTracker(); t != nil {
-		fps := make([]uint64, 0, len(neighbours))
-		for _, n := range neighbours {
-			fps = append(fps, n.Record.Fingerprint)
-		}
-		popByFingerprint = t.FingerprintCountsFor(p, fps)
-		if m := t.MaxFingerprintCount(p); m > maxPop {
-			maxPop = m
-		}
-	} else {
-		popByFingerprint = make(map[uint64]int)
-		r.store.Snapshot().Scan(p, scanCtx(ctx, func(rec *storage.QueryRecord) bool {
-			popByFingerprint[rec.Fingerprint]++
-			return true
-		}))
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// principal. Only the neighbours' own fingerprints are probed —
+	// O(neighbours), independent of how many distinct templates the log
+	// holds — and the normaliser comes from the tracker's bounded
+	// top-fingerprint summary.
+	fps := make([]uint64, 0, len(neighbours))
+	for _, n := range neighbours {
+		fps = append(fps, n.Record.Fingerprint)
 	}
+	popByFingerprint := r.stats.FingerprintCountsFor(p, fps)
+	maxPop := max(1, r.stats.MaxFingerprintCount(p))
 	for _, c := range popByFingerprint {
-		if c > maxPop {
-			maxPop = c
-		}
+		maxPop = max(maxPop, c)
 	}
 
 	w := r.cfg.Ranking
@@ -149,7 +131,6 @@ func (r *Recommender) Tutorial(ctx context.Context, p storage.Principal, queries
 		queriesPerTable = 3
 	}
 	mined := r.miningSnapshot()
-	schemas := r.schemaSnapshot()
 	view := r.store.Snapshot()
 	var steps []TutorialStep
 	for _, pop := range mined.TablePopularity {
@@ -158,7 +139,7 @@ func (r *Recommender) Tutorial(ctx context.Context, p storage.Principal, queries
 		}
 		table := pop.Item
 		var records []*storage.QueryRecord
-		view.ScanByTable(table, p, scanCtx(ctx, func(rec *storage.QueryRecord) bool {
+		view.ScanByTable(table, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
 			records = append(records, rec)
 			return true
 		}))
@@ -186,8 +167,8 @@ func (r *Recommender) Tutorial(ctx context.Context, p storage.Principal, queries
 			return rankedQueries[i].rec.ID < rankedQueries[j].rec.ID
 		})
 		step := TutorialStep{Table: table}
-		if cols, ok := schemas[table]; ok {
-			step.Columns = append(step.Columns, cols...)
+		if cols := r.schemaColumns(table); cols != nil {
+			step.Columns = cols
 		} else {
 			seen := map[string]bool{}
 			for _, rec := range records {

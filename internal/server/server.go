@@ -280,30 +280,6 @@ func matchesToDTO(matches []metaquery.Match) []MatchDTO {
 // Shared handler logic used by the v1 handlers.
 // ---------------------------------------------------------------------------
 
-func (s *Server) doSubmit(ctx context.Context, p storage.Principal, req SubmitParams) (*SubmitResponse, error) {
-	if strings.TrimSpace(req.SQL) == "" {
-		return nil, Errorf(CodeInvalidArgument, "sql is required")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	group := req.Group
-	if group == "" && len(p.Groups) > 0 {
-		group = p.Groups[0]
-	}
-	out, err := s.cqms.Submit(profiler.Submission{
-		User:       p.User,
-		Group:      group,
-		Visibility: parseVisibility(req.Visibility),
-		SQL:        req.SQL,
-	})
-	if err != nil {
-		return nil, asInvalidArgument(err)
-	}
-	resp := submitResponse(out)
-	return &resp, nil
-}
-
 // submitResponse converts a profiler outcome into the wire response,
 // truncating inline rows at maxInlineRows.
 func submitResponse(out *profiler.Outcome) SubmitResponse {
@@ -360,15 +336,6 @@ func (s *Server) runSearch(ctx context.Context, p storage.Principal, kind string
 	default:
 		return nil, Errorf(CodeInternal, "unknown search kind %q", kind)
 	}
-}
-
-func (s *Server) doAnnotate(ctx context.Context, p storage.Principal, id int64, req AnnotateParams) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.cqms.Annotate(storage.QueryID(id), p, storage.Annotation{
-		Author: p.User, Text: req.Text, Fragment: req.Fragment,
-	})
 }
 
 func (s *Server) sessionDTOs(sums []session.Summary) []SessionDTO {

@@ -38,12 +38,36 @@ func (s *Server) handleV1Submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp, err := s.doSubmit(r.Context(), PrincipalFrom(r.Context()), req)
-	if err != nil {
+	if strings.TrimSpace(req.SQL) == "" {
+		writeError(w, Errorf(CodeInvalidArgument, "sql is required"))
+		return
+	}
+	if err := r.Context().Err(); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out, err := s.cqms.Submit(submission(PrincipalFrom(r.Context()), req))
+	if err != nil {
+		writeError(w, asInvalidArgument(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, submitResponse(out))
+}
+
+// submission is the one place a submit request becomes what the profiler
+// takes: the group defaults to the principal's first, the visibility spelling
+// is parsed.
+func submission(p storage.Principal, q SubmitParams) profiler.Submission {
+	group := q.Group
+	if group == "" && len(p.Groups) > 0 {
+		group = p.Groups[0]
+	}
+	return profiler.Submission{
+		User:       p.User,
+		Group:      group,
+		Visibility: parseVisibility(q.Visibility),
+		SQL:        q.SQL,
+	}
 }
 
 func (s *Server) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -64,16 +88,7 @@ func (s *Server) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request) {
 	p := PrincipalFrom(r.Context())
 	subs := make([]profiler.Submission, len(req.Queries))
 	for i, q := range req.Queries {
-		group := q.Group
-		if group == "" && len(p.Groups) > 0 {
-			group = p.Groups[0]
-		}
-		subs[i] = profiler.Submission{
-			User:       p.User,
-			Group:      group,
-			Visibility: parseVisibility(q.Visibility),
-			SQL:        q.SQL,
-		}
+		subs[i] = submission(p, q)
 	}
 	outs, errs, err := s.cqms.SubmitBatch(r.Context(), subs)
 	if err != nil {
@@ -130,7 +145,15 @@ func (s *Server) handleV1Annotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := s.doAnnotate(r.Context(), PrincipalFrom(r.Context()), id, req); err != nil {
+	if err := r.Context().Err(); err != nil {
+		writeError(w, err)
+		return
+	}
+	p := PrincipalFrom(r.Context())
+	err = s.cqms.Annotate(storage.QueryID(id), p, storage.Annotation{
+		Author: p.User, Text: req.Text, Fragment: req.Fragment,
+	})
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -342,11 +365,7 @@ func (s *Server) handleV1Complete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveComplete(w, r, PrincipalFrom(r.Context()), req)
-}
-
-func (s *Server) serveComplete(w http.ResponseWriter, r *http.Request, p storage.Principal, req CompleteParams) {
-	completions, err := s.cqms.Complete(r.Context(), p, req.Partial, boundedK(req.K))
+	completions, err := s.cqms.Complete(r.Context(), PrincipalFrom(r.Context()), req.Partial, boundedK(req.K))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -366,11 +385,7 @@ func (s *Server) handleV1Corrections(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveCorrections(w, r, PrincipalFrom(r.Context()), req)
-}
-
-func (s *Server) serveCorrections(w http.ResponseWriter, r *http.Request, p storage.Principal, req CompleteParams) {
-	corrections, err := s.cqms.Corrections(r.Context(), p, req.Partial)
+	corrections, err := s.cqms.Corrections(r.Context(), PrincipalFrom(r.Context()), req.Partial)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -391,11 +406,7 @@ func (s *Server) handleV1SimilarQueries(w http.ResponseWriter, r *http.Request) 
 		writeError(w, err)
 		return
 	}
-	s.serveSimilarQueries(w, r, PrincipalFrom(r.Context()), req)
-}
-
-func (s *Server) serveSimilarQueries(w http.ResponseWriter, r *http.Request, p storage.Principal, req CompleteParams) {
-	similar, err := s.cqms.SimilarQueries(r.Context(), p, req.Partial, boundedK(req.K))
+	similar, err := s.cqms.SimilarQueries(r.Context(), PrincipalFrom(r.Context()), req.Partial, boundedK(req.K))
 	if err != nil {
 		writeError(w, asInvalidArgument(err))
 		return
@@ -419,11 +430,7 @@ func (s *Server) handleV1Tutorial(w http.ResponseWriter, r *http.Request) {
 		}
 		perTable = boundedK(n)
 	}
-	s.serveTutorial(w, r, PrincipalFrom(r.Context()), perTable)
-}
-
-func (s *Server) serveTutorial(w http.ResponseWriter, r *http.Request, p storage.Principal, perTable int) {
-	steps, err := s.cqms.Tutorial(r.Context(), p, perTable)
+	steps, err := s.cqms.Tutorial(r.Context(), PrincipalFrom(r.Context()), perTable)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -454,16 +461,11 @@ func boundedK(k int) int {
 
 func (s *Server) handleV1Mine(w http.ResponseWriter, r *http.Request) {
 	res := s.cqms.RunMiner()
-	sessions, err := s.cqms.Sessions(r.Context(), storage.Principal{Admin: true})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, MineResponse{
 		Transactions: res.TransactionCount,
 		Rules:        len(res.Rules),
 		Clusters:     len(res.Clusters),
-		Sessions:     len(sessions),
+		Sessions:     s.cqms.SessionCount(),
 	})
 }
 

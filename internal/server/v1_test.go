@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -536,5 +537,58 @@ func TestV1OversizedRecordIsInvalidArgument(t *testing.T) {
 	}
 	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 1 {
 		t.Fatalf("history after the batch: %d queries, %v", len(hist), err)
+	}
+}
+
+// TestV1HostileStatementIsRefusedNotFatal: the largest statement the submit
+// endpoint's body limit admits, made of nothing but parentheses. At the parent
+// commit the parser recursed once per parenthesis and the process died of a
+// stack overflow, which no recover catches; now the statement is an ordinary
+// parse error — invalid_argument on /v1/queries, a per-item error on :batch —
+// answered quickly, nothing is logged, and the server answers the next
+// request.
+func TestV1HostileStatementIsRefusedNotFatal(t *testing.T) {
+	ts, alice, _, _ := newTestServer(t)
+	headers := map[string]string{server.HeaderUser: "alice", server.HeaderGroups: "limnology"}
+	hostile := "SELECT " + strings.Repeat("(", 500_000) + "1" + strings.Repeat(")", 500_000) + " FROM t"
+	body, err := json.Marshal(server.SubmitParams{SQL: hostile})
+	if err != nil || len(body) >= 1<<20 {
+		t.Fatalf("a %d-byte body (%v) is not under the endpoint's limit", len(body), err)
+	}
+	start := time.Now()
+	resp := doRaw(t, http.MethodPost, ts.URL+"/v1/queries", headers, string(body), nil)
+	if env := decodeEnvelope(t, resp); resp.StatusCode != 400 || env.Error.Code != server.CodeInvalidArgument ||
+		!strings.Contains(env.Error.Message, "nested") {
+		t.Fatalf("hostile submit: status %d, %+v", resp.StatusCode, env.Error)
+	}
+
+	batch, err := json.Marshal(server.BatchSubmitRequest{Queries: []server.SubmitParams{
+		{SQL: "SELECT lake FROM WaterTemp"}, {SQL: hostile}, {SQL: "SELECT 1" + strings.Repeat("+1", 500_000)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out server.BatchSubmitResponse
+	resp = doRaw(t, http.MethodPost, ts.URL+"/v1/queries:batch", headers, string(batch), &out)
+	if resp.StatusCode != 200 || len(out.Results) != 3 || out.Results[0].Error != nil {
+		t.Fatalf("batch: status %d, %+v", resp.StatusCode, out.Results)
+	}
+	for _, r := range out.Results[1:] {
+		if r.Error == nil || r.Error.Code != server.CodeInvalidArgument || !strings.Contains(r.Error.Message, "nested") {
+			t.Fatalf("hostile batch item: %+v", r)
+		}
+	}
+	// Generous: the three refusals take about a second together, a few under
+	// the race detector; at the parent one of them alone took minutes.
+	if d := time.Since(start); d > time.Minute {
+		t.Errorf("refusing the hostile statements took %v", d)
+	}
+
+	// Still up, and only the ordinary statement was logged.
+	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp WHERE temp < 18"); err != nil {
+		t.Fatalf("the next request: %v", err)
+	}
+	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 2 {
+		t.Fatalf("history: %d queries, %v", len(hist), err)
 	}
 }

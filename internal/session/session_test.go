@@ -183,8 +183,10 @@ func TestApplyWritesBackToStore(t *testing.T) {
 	if len(ids) != 2 {
 		t.Errorf("store session IDs = %v, want 2", ids)
 	}
-	if got := store.BySession(sessions[0].ID, admin); len(got) != sessions[0].Len() {
-		t.Errorf("store session %d has %d queries, want %d", sessions[0].ID, len(got), sessions[0].Len())
+	got := 0
+	store.Snapshot().ScanBySession(sessions[0].ID, admin, func(*storage.QueryRecord) bool { got++; return true })
+	if got != sessions[0].Len() {
+		t.Errorf("store session %d has %d queries, want %d", sessions[0].ID, got, sessions[0].Len())
 	}
 	if len(store.Edges()) != 5 {
 		t.Errorf("store edges = %d, want 5", len(store.Edges()))

@@ -109,11 +109,12 @@ func Analyze(s *SelectStmt) *Analysis {
 			a.outputAliases[strings.ToLower(item.Alias)] = true
 		}
 	}
-	a.collectTables(s)
+	subs := Subqueries(s)
+	a.SubqueryCount = len(subs)
+	a.collectTables(s, subs)
 	a.collectOuterShape(s)
 	a.collectColumns(s)
 	a.collectPredicates(s)
-	a.SubqueryCount = len(Subqueries(s))
 	sort.Strings(a.Tables)
 	sort.Strings(a.Aggregates)
 	return a
@@ -127,56 +128,27 @@ func (a *Analysis) isOutputAlias(c *ColumnRef) bool {
 	return c.Table == "" && a.outputAliases[strings.ToLower(c.Name)]
 }
 
-// AnalyzeQuery parses the query text and analyzes it; non-SELECT statements
-// produce an empty analysis without error so that the profiler can log DML
-// uniformly.
-func AnalyzeQuery(text string) (*Analysis, error) {
-	stmt, err := Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*SelectStmt); ok {
-		return Analyze(sel), nil
-	}
-	return &Analysis{Aliases: map[string]string{}}, nil
-}
-
-func (a *Analysis) collectTables(s *SelectStmt) {
+// collectTables records the base relations and aliases of s and of every
+// SELECT nested in it. WalkTableRefs reaches derived tables itself; subs
+// brings the sub-queries in expression position, which it does not descend
+// into.
+func (a *Analysis) collectTables(s *SelectStmt, subs []*SelectStmt) {
 	seen := make(map[string]bool)
-	var visit func(sel *SelectStmt)
-	visit = func(sel *SelectStmt) {
-		WalkTableRefs(sel, func(t TableRef) bool {
-			if tn, ok := t.(*TableName); ok {
-				if !seen[tn.Name] {
-					seen[tn.Name] = true
-					a.Tables = append(a.Tables, tn.Name)
-				}
-				if tn.Alias != "" {
-					a.Aliases[tn.Alias] = tn.Name
-				}
+	visit := func(t TableRef) bool {
+		if tn, ok := t.(*TableName); ok {
+			if !seen[tn.Name] {
+				seen[tn.Name] = true
+				a.Tables = append(a.Tables, tn.Name)
 			}
-			return true
-		})
-		for _, sub := range Subqueries(sel) {
-			_ = sub // sub-query tables are already reached by WalkTableRefs only for FROM subqueries
+			if tn.Alias != "" {
+				a.Aliases[tn.Alias] = tn.Name
+			}
 		}
+		return true
 	}
-	visit(s)
-	// WalkTableRefs does not descend into sub-queries in expression position;
-	// handle those here.
-	for _, sub := range Subqueries(s) {
-		WalkTableRefs(sub, func(t TableRef) bool {
-			if tn, ok := t.(*TableName); ok {
-				if !seen[tn.Name] {
-					seen[tn.Name] = true
-					a.Tables = append(a.Tables, tn.Name)
-				}
-				if tn.Alias != "" {
-					a.Aliases[tn.Alias] = tn.Name
-				}
-			}
-			return true
-		})
+	WalkTableRefs(s, visit)
+	for _, sub := range subs {
+		WalkTableRefs(sub, visit)
 	}
 }
 

@@ -208,19 +208,6 @@ func ComputeDiff(a, b *Analysis) *Diff {
 	return d
 }
 
-// DiffQueries parses both query strings and computes their diff.
-func DiffQueries(a, b string) (*Diff, error) {
-	aa, err := AnalyzeQuery(a)
-	if err != nil {
-		return nil, fmt.Errorf("analyzing first query: %w", err)
-	}
-	bb, err := AnalyzeQuery(b)
-	if err != nil {
-		return nil, fmt.Errorf("analyzing second query: %w", err)
-	}
-	return ComputeDiff(aa, bb), nil
-}
-
 func setOf(items []string) map[string]bool {
 	m := make(map[string]bool, len(items))
 	for _, s := range items {

@@ -37,7 +37,9 @@ func NewLexer(input string) *Lexer {
 // terminating EOF token.
 func Tokenize(input string) ([]Token, error) {
 	lx := NewLexer(input)
-	var toks []Token
+	// One token per four bytes is what ordinary statements come to, so the
+	// slice seldom regrows.
+	toks := make([]Token, 0, len(input)/4+2)
 	for {
 		tok, err := lx.Next()
 		if err != nil {

@@ -26,6 +26,63 @@ func (e *ParseError) Error() string {
 type Parser struct {
 	toks []Token
 	pos  int
+	// depth counts the recursive productions open above the one being parsed;
+	// reach is the deepest level anything under the innermost open left-deep
+	// chain has got to (see beginChain). Together they hold every statement
+	// the parser accepts to maxDepth levels of nesting.
+	depth int
+	reach int
+}
+
+// maxDepth bounds how deeply a statement's parse tree may nest. Every
+// recursive production (a parenthesised or nested expression, a NOT or sign
+// chain, a subquery in any position, a compound SELECT) and every link of a
+// left-deep chain (a AND b AND …, a + b + …, a JOIN b JOIN …) counts one
+// level, so the parser itself and every recursive consumer of the tree it
+// returns — printer, analyzer, the engine's evaluator — recurse a bounded
+// number of frames whatever bytes arrive. 1,000 is SQLite's default
+// SQLITE_MAX_EXPR_DEPTH: far above hand-written or generated SQL, far below
+// what the stack holds. Width (select items, IN values, VALUES rows) is not
+// limited.
+const maxDepth = 1000
+
+func (p *Parser) checkDepth(level int) error {
+	if level > maxDepth {
+		return p.errorf("statement is nested more than %d levels deep", maxDepth)
+	}
+	return nil
+}
+
+// enter opens one recursive production; the caller defers leave.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > p.reach {
+		p.reach = p.depth
+	}
+	return p.checkDepth(p.depth)
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// beginChain starts the height count of one left-deep chain and returns the
+// enclosing chain's count for endChain. The loops below build such a chain
+// without recursing, so depth alone would not see it: each link puts one more
+// node on top of everything the chain holds so far.
+func (p *Parser) beginChain() int {
+	outer := p.reach
+	p.reach = p.depth
+	return outer
+}
+
+func (p *Parser) link() error {
+	p.reach++
+	return p.checkDepth(p.reach)
+}
+
+func (p *Parser) endChain(outer int) {
+	if p.reach < outer {
+		p.reach = outer
+	}
 }
 
 // Parse parses a single SQL statement. Trailing semicolons are permitted.
@@ -145,9 +202,7 @@ func (p *Parser) parseIdent() (string, error) {
 		p.next()
 		return t.Text, nil
 	case TokenKeyword:
-		// Allow type-name keywords as identifiers; they are common column names.
-		switch t.Text {
-		case "DATE", "TIMESTAMP", "TEXT", "KEY", "COLUMN":
+		if identKeywords[t.Text] {
 			p.next()
 			return strings.ToLower(t.Text), nil
 		}
@@ -185,6 +240,10 @@ func (p *Parser) parseStatement() (Statement, error) {
 // ---------------------------------------------------------------------------
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -352,6 +411,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 // ---------------------------------------------------------------------------
 
 func (p *Parser) parseTableRef() (TableRef, error) {
+	outer := p.beginChain()
 	left, err := p.parsePrimaryTableRef()
 	if err != nil {
 		return nil, err
@@ -359,6 +419,7 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 	for {
 		jt, isJoin := p.peekJoin()
 		if !isJoin {
+			p.endChain(outer)
 			return left, nil
 		}
 		right, err := p.parsePrimaryTableRef()
@@ -395,6 +456,9 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 			}
 		}
 		left = join
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -471,41 +535,89 @@ func (p *Parser) parsePrimaryTableRef() (TableRef, error) {
 // ---------------------------------------------------------------------------
 
 // parseExpr parses a full boolean expression (lowest precedence: OR).
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *Parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "OR", Left: left, Right: right}
-	}
-	return left, nil
+	defer p.leave()
+	return p.parseBinary(levelOr)
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
+// The left-associative binary operator levels, loosest first. NOT and the
+// comparison predicates sit between levelAnd and levelAdd.
+const (
+	levelOr = iota
+	levelAnd
+	levelAdd
+	levelMul
+)
+
+// binaryOp reports whether the current token is a binary operator of the
+// level, and its normalised spelling.
+func (p *Parser) binaryOp(level int) (string, bool) {
+	t := p.peek()
+	switch level {
+	case levelOr:
+		return "OR", t.Kind == TokenKeyword && t.Text == "OR"
+	case levelAnd:
+		return "AND", t.Kind == TokenKeyword && t.Text == "AND"
+	case levelAdd:
+		return t.Text, t.Kind == TokenOperator && (t.Text == "+" || t.Text == "-" || t.Text == "||")
+	default:
+		return t.Text, t.Kind == TokenStar || t.Kind == TokenOperator && (t.Text == "/" || t.Text == "%")
+	}
+}
+
+// parseOperand parses what the level's operators combine: the next tighter
+// level.
+func (p *Parser) parseOperand(level int) (Expr, error) {
+	switch level {
+	case levelOr:
+		return p.parseBinary(levelAnd)
+	case levelAnd:
+		return p.parseNot()
+	case levelAdd:
+		return p.parseBinary(levelMul)
+	default:
+		return p.parseUnary()
+	}
+}
+
+// parseBinary parses one level as operand (op operand)*, building a left-deep
+// chain.
+func (p *Parser) parseBinary(level int) (Expr, error) {
+	outer := p.beginChain()
+	left, err := p.parseOperand(level)
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("AND") {
+	for {
+		op, ok := p.binaryOp(level)
+		if !ok {
+			p.endChain(outer)
+			return left, nil
+		}
 		p.next()
-		right, err := p.parseNot()
+		right, err := p.parseOperand(level)
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Op: "AND", Left: left, Right: right}
+		left = &BinaryExpr{Op: op, Left: left, Right: right}
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 	}
-	return left, nil
 }
+
+// parseAdditive parses an operand of a comparison predicate.
+func (p *Parser) parseAdditive() (Expr, error) { return p.parseBinary(levelAdd) }
 
 func (p *Parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -616,62 +728,22 @@ func (p *Parser) parseInSuffix(left Expr, negated bool) (Expr, error) {
 	return in, nil
 }
 
-func (p *Parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.Kind == TokenOperator && (t.Text == "+" || t.Text == "-" || t.Text == "||") {
-			p.next()
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: t.Text, Left: left, Right: right}
-			continue
-		}
-		return left, nil
-	}
-}
-
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		isMul := t.Kind == TokenStar ||
-			(t.Kind == TokenOperator && (t.Text == "/" || t.Text == "%"))
-		if !isMul {
-			return left, nil
-		}
-		op := t.Text
-		if t.Kind == TokenStar {
-			op = "*"
-		}
-		p.next()
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-}
-
 func (p *Parser) parseUnary() (Expr, error) {
 	t := p.peek()
 	if t.Kind == TokenOperator && (t.Text == "-" || t.Text == "+") {
 		p.next()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		// Fold a unary minus into a numeric literal so that constants keep a
-		// single canonical representation.
-		if lit, ok := inner.(*Literal); ok && lit.Kind == LiteralNumber && t.Text == "-" {
+		// single canonical representation. An already negative literal is left
+		// under the minus: folded, it would print as "--1", a comment.
+		if lit, ok := inner.(*Literal); ok && lit.Kind == LiteralNumber && t.Text == "-" && !strings.HasPrefix(lit.Text, "-") {
 			return &Literal{Kind: LiteralNumber, Text: "-" + lit.Text}, nil
 		}
 		if t.Text == "+" {
@@ -737,8 +809,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return &ExistsExpr{Select: sel}, nil
 		case "CASE":
 			return p.parseCase()
-		case "DATE", "TIMESTAMP", "TEXT", "KEY", "COLUMN":
-			// Non-reserved keywords used as column names.
+		}
+		if identKeywords[t.Text] {
 			return p.parseNameExpr()
 		}
 		return nil, p.errorf("unexpected keyword %s in expression", t.Text)

@@ -106,6 +106,13 @@ var keywords = map[string]bool{
 	"IF": true,
 }
 
+// identKeywords are the reserved words the parser nevertheless reads as
+// identifiers where one is expected (parseIdent, which lower-cases them): type
+// names that are common column names.
+var identKeywords = map[string]bool{
+	"DATE": true, "TIMESTAMP": true, "TEXT": true, "KEY": true, "COLUMN": true,
+}
+
 // IsKeyword reports whether the upper-cased word is a reserved SQL keyword
 // in this dialect.
 func IsKeyword(word string) bool {

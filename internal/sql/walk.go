@@ -128,8 +128,8 @@ func walkTableRef(t TableRef, v TableRefVisitor) {
 }
 
 // Subqueries returns every SELECT nested anywhere inside s (derived tables,
-// IN/EXISTS/scalar sub-queries and set-operation branches), not including s
-// itself.
+// IN/EXISTS/scalar sub-queries and set-operation branches), each once, not
+// including s itself.
 func Subqueries(s *SelectStmt) []*SelectStmt {
 	var out []*SelectStmt
 	collectSubqueries(s, &out, false)
@@ -147,9 +147,15 @@ func collectSubqueries(s *SelectStmt, out *[]*SelectStmt, includeSelf bool) {
 		collectTableRefSubqueries(t, out)
 	}
 	collectExprSubqueries(s.Where, out)
+	for _, g := range s.GroupBy {
+		collectExprSubqueries(g, out)
+	}
 	collectExprSubqueries(s.Having, out)
 	for _, item := range s.Columns {
 		collectExprSubqueries(item.Expr, out)
+	}
+	for _, o := range s.OrderBy {
+		collectExprSubqueries(o.Expr, out)
 	}
 	if s.Compound != nil {
 		collectSubqueries(s.Compound.Right, out, true)
@@ -167,17 +173,25 @@ func collectTableRefSubqueries(t TableRef, out *[]*SelectStmt) {
 	}
 }
 
+// collectExprSubqueries walks e down to its sub-queries and hands each to
+// collectSubqueries, which owns everything below it: the walk itself must not
+// descend into a SELECT, or every level of nesting would be collected once
+// per level above it.
 func collectExprSubqueries(e Expr, out *[]*SelectStmt) {
 	WalkExpr(e, func(e Expr) bool {
 		switch n := e.(type) {
 		case *InExpr:
 			if n.Select != nil {
+				collectExprSubqueries(n.Expr, out)
 				collectSubqueries(n.Select, out, true)
+				return false
 			}
 		case *ExistsExpr:
 			collectSubqueries(n.Select, out, true)
+			return false
 		case *SubqueryExpr:
 			collectSubqueries(n.Select, out, true)
+			return false
 		}
 		return true
 	})

@@ -477,77 +477,6 @@ func (s *Store) Count() int {
 	return int(s.count.Load())
 }
 
-// All returns copies of every record visible to the principal, in insertion
-// (temporal) order.
-//
-// Deprecated-for-hot-paths: All deep-copies every visible record. Scanning
-// consumers should use Snapshot and the View iterator API instead; All
-// remains as a compatibility wrapper for callers that want owned copies.
-func (s *Store) All(p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().Scan(p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
-// ByUser returns copies of the queries submitted by the given user that are
-// visible to the principal, in temporal order. Compatibility wrapper over
-// View.ScanByUser.
-func (s *Store) ByUser(user string, p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().ScanByUser(user, p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
-// ByTable returns copies of the visible queries whose FROM clause references
-// the table. Compatibility wrapper over View.ScanByTable.
-func (s *Store) ByTable(table string, p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().ScanByTable(table, p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
-// ByAttribute returns copies of the visible queries that reference
-// relName.attrName. Compatibility wrapper over View.ScanByAttribute.
-func (s *Store) ByAttribute(rel, attr string, p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().ScanByAttribute(rel, attr, p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
-// ByFingerprint returns copies of the visible queries with the given template
-// fingerprint. Compatibility wrapper over View.ScanByFingerprint.
-func (s *Store) ByFingerprint(fp uint64, p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().ScanByFingerprint(fp, p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
-// BySession returns copies of the visible queries of one session in temporal
-// order. Compatibility wrapper over View.ScanBySession.
-func (s *Store) BySession(sessionID int64, p Principal) []*QueryRecord {
-	var out []*QueryRecord
-	s.Snapshot().ScanBySession(sessionID, p, func(rec *QueryRecord) bool {
-		out = append(out, rec.Clone())
-		return true
-	})
-	return out
-}
-
 // SessionIDs returns all session identifiers persisted on stored records
 // (the mining pass writes them via AssignSession), sorted. This is the
 // storage-layer view used to verify replay/restore equality in tests; the

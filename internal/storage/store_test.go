@@ -130,39 +130,55 @@ func TestAccessControl(t *testing.T) {
 
 func TestAllRespectsVisibility(t *testing.T) {
 	s, _ := newTestStore(t)
-	if n := len(s.All(admin)); n != 4 {
+	if n := len(s.Snapshot().Records(admin)); n != 4 {
 		t.Errorf("admin sees %d, want 4", n)
 	}
-	if n := len(s.All(alice)); n != 3 {
+	if n := len(s.Snapshot().Records(alice)); n != 3 {
 		t.Errorf("alice sees %d, want 3 (her 2 + public)", n)
 	}
-	if n := len(s.All(carol)); n != 1 {
+	if n := len(s.Snapshot().Records(carol)); n != 1 {
 		t.Errorf("carol sees %d, want 1", n)
 	}
 }
 
+// visited runs one View scan and returns how many records it was handed.
+func visited(scan func(fn func(*QueryRecord) bool)) int {
+	n := 0
+	scan(func(*QueryRecord) bool { n++; return true })
+	return n
+}
+
+func byTable(s *Store, table string, p Principal) int {
+	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanByTable(table, p, fn) })
+}
+
+func bySession(s *Store, sessionID int64, p Principal) int {
+	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanBySession(sessionID, p, fn) })
+}
+
 func TestIndexes(t *testing.T) {
 	s, _ := newTestStore(t)
-	if got := s.ByTable("WaterTemp", admin); len(got) != 2 {
-		t.Errorf("ByTable(WaterTemp) = %d, want 2", len(got))
+	view := s.Snapshot()
+	if got := byTable(s, "WaterTemp", admin); got != 2 {
+		t.Errorf("ScanByTable(WaterTemp) = %d, want 2", got)
 	}
-	if got := s.ByTable("watertemp", admin); len(got) != 2 {
-		t.Errorf("ByTable should be case-insensitive")
+	if got := byTable(s, "watertemp", admin); got != 2 {
+		t.Errorf("ScanByTable should be case-insensitive")
 	}
 	// Only the first query references temp with an unambiguously resolvable
 	// table (the second uses an unqualified name over two FROM tables).
-	if got := s.ByAttribute("WaterTemp", "temp", admin); len(got) != 1 {
-		t.Errorf("ByAttribute(WaterTemp.temp) = %d, want 1", len(got))
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByAttribute("WaterTemp", "temp", admin, fn) }); got != 1 {
+		t.Errorf("ScanByAttribute(WaterTemp.temp) = %d, want 1", got)
 	}
-	if got := s.ByUser("alice", admin); len(got) != 2 {
-		t.Errorf("ByUser(alice) = %d, want 2", len(got))
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUser("alice", admin, fn) }); got != 2 {
+		t.Errorf("ScanByUser(alice) = %d, want 2", got)
 	}
-	if got := s.ByUser("alice", carol); len(got) != 0 {
-		t.Errorf("carol should not see alice's queries via ByUser")
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUser("alice", carol, fn) }); got != 0 {
+		t.Errorf("carol should not see alice's queries via ScanByUser")
 	}
 	rec, _ := s.Get(QueryID(1), admin)
-	if got := s.ByFingerprint(rec.Fingerprint, admin); len(got) != 1 {
-		t.Errorf("ByFingerprint = %d, want 1", len(got))
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByFingerprint(rec.Fingerprint, admin, fn) }); got != 1 {
+		t.Errorf("ScanByFingerprint = %d, want 1", got)
 	}
 }
 
@@ -239,8 +255,8 @@ func TestDelete(t *testing.T) {
 	if _, err := s.Get(ids[0], admin); !errors.Is(err, ErrNotFound) {
 		t.Errorf("deleted query still retrievable")
 	}
-	if got := s.ByTable("WaterTemp", admin); len(got) != 1 {
-		t.Errorf("index not updated after delete: %d", len(got))
+	if got := byTable(s, "WaterTemp", admin); got != 1 {
+		t.Errorf("index not updated after delete: %d", got)
 	}
 	if s.Count() != 3 {
 		t.Errorf("count = %d, want 3", s.Count())
@@ -258,9 +274,8 @@ func TestSessionsAndEdges(t *testing.T) {
 	if err := s.AssignSession(ids[1], 7); err != nil {
 		t.Fatalf("AssignSession: %v", err)
 	}
-	got := s.BySession(7, admin)
-	if len(got) != 2 {
-		t.Errorf("BySession = %d, want 2", len(got))
+	if got := bySession(s, 7, admin); got != 2 {
+		t.Errorf("ScanBySession = %d, want 2", got)
 	}
 	sessions := s.SessionIDs()
 	if len(sessions) != 1 || sessions[0] != 7 {
@@ -270,8 +285,8 @@ func TestSessionsAndEdges(t *testing.T) {
 	if err := s.AssignSession(ids[1], 8); err != nil {
 		t.Fatalf("AssignSession: %v", err)
 	}
-	if got := s.BySession(7, admin); len(got) != 1 {
-		t.Errorf("after reassignment session 7 has %d queries, want 1", len(got))
+	if got := bySession(s, 7, admin); got != 1 {
+		t.Errorf("after reassignment session 7 has %d queries, want 1", got)
 	}
 
 	if err := s.AddEdge(SessionEdge{From: ids[0], To: ids[1], Type: EdgeModification, Diff: "+table WaterSalinity"}); err != nil {
@@ -345,11 +360,11 @@ func TestReplaceText(t *testing.T) {
 		t.Errorf("tables = %v", rec.Tables)
 	}
 	// Index follows the rewrite.
-	if got := s.ByTable("LakeTemperatures", admin); len(got) != 1 {
-		t.Errorf("ByTable(LakeTemperatures) = %d, want 1", len(got))
+	if got := byTable(s, "LakeTemperatures", admin); got != 1 {
+		t.Errorf("ScanByTable(LakeTemperatures) = %d, want 1", got)
 	}
-	if got := s.ByTable("WaterTemp", admin); len(got) != 1 {
-		t.Errorf("ByTable(WaterTemp) = %d, want 1 (one other query remains)", len(got))
+	if got := byTable(s, "WaterTemp", admin); got != 1 {
+		t.Errorf("ScanByTable(WaterTemp) = %d, want 1 (one other query remains)", got)
 	}
 	if err := s.ReplaceText(QueryID(999), updated); !errors.Is(err, ErrNotFound) {
 		t.Errorf("ReplaceText missing err = %v", err)
@@ -402,8 +417,8 @@ func TestConcurrentPutAndRead(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		s.All(admin)
-		s.ByTable("WaterTemp", admin)
+		s.Snapshot().Records(admin)
+		byTable(s, "WaterTemp", admin)
 		s.TableCounts()
 	}
 	<-done

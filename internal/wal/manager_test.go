@@ -120,16 +120,19 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	group := storage.Principal{User: "user1", Groups: []string{"limnology"}}
 	for _, p := range []storage.Principal{admin, group} {
 		for _, table := range []string{"WaterTemp", "WaterSalinity", "Observations"} {
-			if w, g := ids(want.ByTable(table, p)), ids(got.ByTable(table, p)); !reflect.DeepEqual(w, g) {
-				t.Fatalf("ByTable(%s) as %q: want %v, got %v", table, p.User, w, g)
+			byTable := func(v *storage.View, fn scanFn) { v.ScanByTable(table, p, fn) }
+			if w, g := ids(want, byTable), ids(got, byTable); !reflect.DeepEqual(w, g) {
+				t.Fatalf("ScanByTable(%s) as %q: want %v, got %v", table, p.User, w, g)
 			}
-			if w, g := ids(want.ByAttribute(table, "temp", p)), ids(got.ByAttribute(table, "temp", p)); !reflect.DeepEqual(w, g) {
-				t.Fatalf("ByAttribute(%s.temp) as %q: want %v, got %v", table, p.User, w, g)
+			byAttr := func(v *storage.View, fn scanFn) { v.ScanByAttribute(table, "temp", p, fn) }
+			if w, g := ids(want, byAttr), ids(got, byAttr); !reflect.DeepEqual(w, g) {
+				t.Fatalf("ScanByAttribute(%s.temp) as %q: want %v, got %v", table, p.User, w, g)
 			}
 		}
 		for _, user := range []string{"user0", "user1", "user2"} {
-			if w, g := ids(want.ByUser(user, p)), ids(got.ByUser(user, p)); !reflect.DeepEqual(w, g) {
-				t.Fatalf("ByUser(%s) as %q: want %v, got %v", user, p.User, w, g)
+			byUser := func(v *storage.View, fn scanFn) { v.ScanByUser(user, p, fn) }
+			if w, g := ids(want, byUser), ids(got, byUser); !reflect.DeepEqual(w, g) {
+				t.Fatalf("ScanByUser(%s) as %q: want %v, got %v", user, p.User, w, g)
 			}
 		}
 	}
@@ -137,8 +140,9 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		t.Fatalf("SessionIDs: want %v, got %v", want.SessionIDs(), got.SessionIDs())
 	}
 	for _, sid := range want.SessionIDs() {
-		if w, g := ids(want.BySession(sid, admin)), ids(got.BySession(sid, admin)); !reflect.DeepEqual(w, g) {
-			t.Fatalf("BySession(%d): want %v, got %v", sid, w, g)
+		bySession := func(v *storage.View, fn scanFn) { v.ScanBySession(sid, admin, fn) }
+		if w, g := ids(want, bySession), ids(got, bySession); !reflect.DeepEqual(w, g) {
+			t.Fatalf("ScanBySession(%d): want %v, got %v", sid, w, g)
 		}
 	}
 	if !reflect.DeepEqual(want.Edges(), got.Edges()) {
@@ -166,11 +170,16 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	}
 }
 
-func ids(recs []*storage.QueryRecord) []storage.QueryID {
-	out := make([]storage.QueryID, 0, len(recs))
-	for _, r := range recs {
+type scanFn = func(*storage.QueryRecord) bool
+
+// ids returns the IDs one index scan over the store's current snapshot
+// visits, in order.
+func ids(store *storage.Store, scan func(*storage.View, scanFn)) []storage.QueryID {
+	out := []storage.QueryID{}
+	scan(store.Snapshot(), func(r *storage.QueryRecord) bool {
 		out = append(out, r.ID)
-	}
+		return true
+	})
 	return out
 }
 
