@@ -210,7 +210,7 @@ func BenchmarkE3CompletionPopularityOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := rec.SuggestTables(context.Background(), Admin, "SELECT * FROM WaterSalinity", 5)
+		got := rec.SuggestTables(Admin, "SELECT * FROM WaterSalinity", 5)
 		if len(got) == 0 {
 			b.Fatal("no suggestions")
 		}
@@ -259,18 +259,48 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
 			rec := recommend.New(store, metaquery.New(store), tracker, engine.NewCatalog(), recommend.DefaultConfig())
 			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
-			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cols := rec.SuggestColumns(ctx, Admin, partial, 5)
-				preds := rec.SuggestPredicates(ctx, Admin, partial, 5)
-				joins := rec.SuggestJoins(ctx, Admin, partial, 5)
+				cols := rec.SuggestColumns(Admin, partial, 5)
+				preds := rec.SuggestPredicates(Admin, partial, 5)
+				joins := rec.SuggestJoins(Admin, partial, 5)
 				if len(cols) == 0 || len(preds) == 0 || len(joins) == 0 {
 					b.Fatal("missing suggestions")
 				}
 			}
 		})
+	}
+}
+
+func BenchmarkE3SimilarQueries(b *testing.B) {
+	f := benchFixture(b)
+	probe := "SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := f.sys.SimilarQueries(context.Background(), Admin, probe, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) == 0 {
+			b.Fatal("no similar queries")
+		}
+	}
+}
+
+func BenchmarkE3Corrections(b *testing.B) {
+	f := benchFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := f.sys.Corrections(context.Background(), Admin, "SELECT tmep FROM WaterTemps WHERE tmep < 18")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) == 0 {
+			b.Fatal("no corrections")
+		}
 	}
 }
 

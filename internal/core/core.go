@@ -515,7 +515,7 @@ func (c *CQMS) SessionCount() int { return c.sessions.Count() }
 func (c *CQMS) Complete(ctx context.Context, p storage.Principal, partialSQL string, k int) ([]recommend.Completion, error) {
 	start := time.Now()
 	defer func() { c.assistLatency["complete"].Observe(time.Since(start)) }()
-	out := c.recommender.Complete(ctx, p, partialSQL, k)
+	out := c.recommender.Complete(p, partialSQL, k)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -524,7 +524,7 @@ func (c *CQMS) Complete(ctx context.Context, p storage.Principal, partialSQL str
 
 // SuggestTables returns table suggestions only.
 func (c *CQMS) SuggestTables(ctx context.Context, p storage.Principal, partialSQL string, k int) ([]recommend.Completion, error) {
-	out := c.recommender.SuggestTables(ctx, p, partialSQL, k)
+	out := c.recommender.SuggestTables(p, partialSQL, k)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -309,8 +309,8 @@ func E3AssistedInteraction(env *Env) (Result, error) {
 			}
 			partial := "SELECT * FROM " + strings.Join(kept, ", ")
 			trials++
-			ctxHit := hitInTopK(contextRec.SuggestTables(context.Background(), admin, partial, k), heldOut)
-			popHit := hitInTopK(popRec.SuggestTables(context.Background(), admin, partial, k), heldOut)
+			ctxHit := hitInTopK(contextRec.SuggestTables(admin, partial, k), heldOut)
+			popHit := hitInTopK(popRec.SuggestTables(admin, partial, k), heldOut)
 			if ctxHit {
 				contextHits++
 			}

@@ -11,7 +11,6 @@
 package recommend
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -282,7 +281,7 @@ func partialFeatures(partial string) (tables, attrs []string) {
 // written query. Context-aware suggestions from association rules rank above
 // global popularity (the §2.3 example: given WaterSalinity, suggest WaterTemp
 // over the globally more popular CityLocations).
-func (r *Recommender) SuggestTables(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
+func (r *Recommender) SuggestTables(p storage.Principal, partialSQL string, k int) []Completion {
 	return r.suggestTables(contextOf(partialSQL), k)
 }
 
@@ -336,7 +335,7 @@ func (r *Recommender) suggestTables(qc queryContext, k int) []Completion {
 // SuggestColumns suggests columns for the tables already referenced by the
 // partial query, ranked by how often they are used in logged queries over
 // those tables.
-func (r *Recommender) SuggestColumns(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
+func (r *Recommender) SuggestColumns(p storage.Principal, partialSQL string, k int) []Completion {
 	return r.suggestColumns(p, contextOf(partialSQL), k)
 }
 
@@ -391,7 +390,7 @@ func (r *Recommender) suggestColumns(p storage.Principal, qc queryContext, k int
 // predicate templates most frequently applied to the referenced tables:
 // concrete (non-join) predicates, with their constants, so a suggestion is
 // immediately usable as in Figure 3's drop-down.
-func (r *Recommender) SuggestPredicates(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
+func (r *Recommender) SuggestPredicates(p storage.Principal, partialSQL string, k int) []Completion {
 	return r.suggestPredicates(p, contextOf(partialSQL), k)
 }
 
@@ -416,7 +415,7 @@ func (r *Recommender) suggestPredicates(p storage.Principal, qc queryContext, k 
 // the partial query, taken from the join predicates of logged queries
 // (stats.CanonicalJoin orders the sides of an equi-join so A.x = B.x and
 // B.x = A.x aggregate).
-func (r *Recommender) SuggestJoins(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
+func (r *Recommender) SuggestJoins(p storage.Principal, partialSQL string, k int) []Completion {
 	return r.suggestJoins(p, contextOf(partialSQL), k)
 }
 
@@ -439,8 +438,10 @@ func (r *Recommender) suggestJoins(p storage.Principal, qc queryContext, k int) 
 
 // Complete merges table, column, predicate and join suggestions for the
 // partial query, capped at k entries per kind. The partial's context is
-// extracted once and shared by the four suggesters.
-func (r *Recommender) Complete(ctx context.Context, p storage.Principal, partialSQL string, k int) []Completion {
+// extracted once and shared by the four suggesters. They read the tracker's
+// counters, the mining snapshot and the catalog — nothing scans the log — so
+// completion takes no context: there is nothing to cancel.
+func (r *Recommender) Complete(p storage.Principal, partialSQL string, k int) []Completion {
 	qc := contextOf(partialSQL)
 	out := r.suggestTables(qc, k)
 	out = append(out, r.suggestColumns(p, qc, k)...)

@@ -91,7 +91,7 @@ func TestSuggestTablesContextAware(t *testing.T) {
 	// The paper's example: the user has already included WaterSalinity, so
 	// WaterTemp must be suggested above CityLocations even though the latter
 	// is globally more popular.
-	got := r.SuggestTables(context.Background(), admin, "SELECT * FROM WaterSalinity", 3)
+	got := r.SuggestTables(admin, "SELECT * FROM WaterSalinity", 3)
 	if len(got) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -116,7 +116,7 @@ func TestSuggestTablesGlobalPopularityWithoutContext(t *testing.T) {
 	r, _ := fixture(t)
 	// An empty query has no context: the globally most popular table
 	// (CityLocations) is suggested first.
-	got := r.SuggestTables(context.Background(), admin, "SELECT ", 3)
+	got := r.SuggestTables(admin, "SELECT ", 3)
 	if len(got) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -131,7 +131,7 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 	cfg.ContextAware = false
 	r2 := New(store, metaquery.New(store), r.stats, r.catalog, cfg)
 	r2.UpdateMining(r.miningSnapshot())
-	got := r2.SuggestTables(context.Background(), admin, "SELECT * FROM WaterSalinity", 3)
+	got := r2.SuggestTables(admin, "SELECT * FROM WaterSalinity", 3)
 	if len(got) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -144,7 +144,7 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 
 func TestSuggestColumns(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestColumns(context.Background(), admin, "SELECT FROM WaterTemp", 5)
+	got := r.SuggestColumns(admin, "SELECT FROM WaterTemp", 5)
 	if len(got) == 0 {
 		t.Fatal("no column suggestions")
 	}
@@ -158,7 +158,7 @@ func TestSuggestColumns(t *testing.T) {
 		t.Errorf("temp should be suggested for WaterTemp: %+v", got)
 	}
 	// Already-referenced columns are not suggested.
-	got = r.SuggestColumns(context.Background(), admin, "SELECT temp FROM WaterTemp", 5)
+	got = r.SuggestColumns(admin, "SELECT temp FROM WaterTemp", 5)
 	for _, c := range got {
 		if c.Text == "WaterTemp.temp" || c.Text == "temp" {
 			t.Errorf("already-present column suggested: %+v", c)
@@ -168,7 +168,7 @@ func TestSuggestColumns(t *testing.T) {
 
 func TestSuggestPredicates(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestPredicates(context.Background(), admin, "SELECT temp FROM WaterTemp WHERE ", 5)
+	got := r.SuggestPredicates(admin, "SELECT temp FROM WaterTemp WHERE ", 5)
 	if len(got) == 0 {
 		t.Fatal("no predicate suggestions")
 	}
@@ -178,7 +178,7 @@ func TestSuggestPredicates(t *testing.T) {
 		t.Errorf("top predicate = %q, want temp < 18", got[0].Text)
 	}
 	// An existing predicate is not re-suggested.
-	got = r.SuggestPredicates(context.Background(), admin, "SELECT temp FROM WaterTemp WHERE WaterTemp.temp < 18", 5)
+	got = r.SuggestPredicates(admin, "SELECT temp FROM WaterTemp WHERE WaterTemp.temp < 18", 5)
 	for _, c := range got {
 		if strings.Contains(c.Text, "temp < 18") {
 			t.Errorf("existing predicate suggested again: %+v", c)
@@ -188,7 +188,7 @@ func TestSuggestPredicates(t *testing.T) {
 
 func TestSuggestJoins(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestJoins(context.Background(), admin, "SELECT * FROM WaterSalinity, WaterTemp", 5)
+	got := r.SuggestJoins(admin, "SELECT * FROM WaterSalinity, WaterTemp", 5)
 	if len(got) == 0 {
 		t.Fatal("no join suggestions")
 	}
@@ -196,14 +196,14 @@ func TestSuggestJoins(t *testing.T) {
 		t.Errorf("top join = %q, want the loc_x equi-join", got[0].Text)
 	}
 	// A single-table query yields no join suggestions.
-	if got := r.SuggestJoins(context.Background(), admin, "SELECT * FROM WaterTemp", 5); got != nil {
+	if got := r.SuggestJoins(admin, "SELECT * FROM WaterTemp", 5); got != nil {
 		t.Errorf("join suggestions for single table = %+v, want none", got)
 	}
 }
 
 func TestCompleteMergesKinds(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.Complete(context.Background(), admin, "SELECT * FROM WaterSalinity, WaterTemp WHERE ", 3)
+	got := r.Complete(admin, "SELECT * FROM WaterSalinity, WaterTemp WHERE ", 3)
 	kinds := map[CompletionKind]bool{}
 	for _, c := range got {
 		kinds[c.Kind] = true
@@ -392,7 +392,7 @@ func TestTutorial(t *testing.T) {
 func TestRenderAssistPane(t *testing.T) {
 	r, _ := fixture(t)
 	partial := "SELECT * FROM WaterSalinity, WaterTemp WHERE "
-	completions := r.Complete(context.Background(), admin, partial, 2)
+	completions := r.Complete(admin, partial, 2)
 	similar, err := r.SimilarQueries(context.Background(), admin, partial, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,6 @@ func TestCounterPathMatchesScanPath(t *testing.T) {
 // but is no SELECT.
 func TestCompleteIsTheFourSuggestersConcatenated(t *testing.T) {
 	r, _ := fixture(t)
-	ctx := context.Background()
 	for _, partial := range []string{
 		"SELECT * FROM WaterSalinity, WaterTemp WHERE WaterTemp.temp < 18",
 		"SELECT temp FROM WaterTemp",
@@ -580,11 +579,11 @@ func TestCompleteIsTheFourSuggestersConcatenated(t *testing.T) {
 		for _, p := range []storage.Principal{admin, {User: "alice"}, {User: "eve"}} {
 			for _, k := range []int{0, 2, 50} {
 				var want []Completion
-				want = append(want, r.SuggestTables(ctx, p, partial, k)...)
-				want = append(want, r.SuggestColumns(ctx, p, partial, k)...)
-				want = append(want, r.SuggestPredicates(ctx, p, partial, k)...)
-				want = append(want, r.SuggestJoins(ctx, p, partial, k)...)
-				got := r.Complete(ctx, p, partial, k)
+				want = append(want, r.SuggestTables(p, partial, k)...)
+				want = append(want, r.SuggestColumns(p, partial, k)...)
+				want = append(want, r.SuggestPredicates(p, partial, k)...)
+				want = append(want, r.SuggestJoins(p, partial, k)...)
+				got := r.Complete(p, partial, k)
 				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 					t.Errorf("Complete(%+v, %q, %d)\n got: %+v\nwant: %+v", p, partial, k, got, want)
 				}

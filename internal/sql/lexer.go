@@ -37,9 +37,10 @@ func NewLexer(input string) *Lexer {
 // terminating EOF token.
 func Tokenize(input string) ([]Token, error) {
 	lx := NewLexer(input)
-	// One token per four bytes is what ordinary statements come to, so the
-	// slice seldom regrows.
-	toks := make([]Token, 0, len(input)/4+2)
+	// One token per four bytes is what ordinary statements come to. The guess
+	// is capped: the input comes from outside and may be one huge literal, and
+	// must not size an allocation beyond the tokens it actually holds.
+	toks := make([]Token, 0, min(len(input)/4+2, 256))
 	for {
 		tok, err := lx.Next()
 		if err != nil {

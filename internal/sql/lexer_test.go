@@ -195,3 +195,16 @@ func TestTokenizeLongInputTerminates(t *testing.T) {
 		t.Errorf("last token should be EOF")
 	}
 }
+
+// TestTokenizeAllocatesForTokensNotBytes: the token slice is sized by the
+// tokens the input holds, not by its length — a megabyte of one string
+// literal is three tokens, and the text comes from outside.
+func TestTokenizeAllocatesForTokensNotBytes(t *testing.T) {
+	toks, err := Tokenize("SELECT '" + strings.Repeat("x", 1<<20) + "'")
+	if err != nil {
+		t.Fatalf("Tokenize: %v", err)
+	}
+	if len(toks) != 3 || cap(toks) > 256 {
+		t.Errorf("len = %d, cap = %d; want 3 tokens in a slice of at most 256", len(toks), cap(toks))
+	}
+}

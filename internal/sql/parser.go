@@ -609,9 +609,6 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 	}
 }
 
-// parseAdditive parses an operand of a comparison predicate.
-func (p *Parser) parseAdditive() (Expr, error) { return p.parseBinary(levelAdd) }
-
 func (p *Parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
 		if err := p.enter(); err != nil {
@@ -628,9 +625,9 @@ func (p *Parser) parseNot() (Expr, error) {
 }
 
 // parsePredicate parses comparison-level predicates including IN, BETWEEN,
-// LIKE and IS NULL suffixes.
+// LIKE and IS NULL suffixes. Their operands are levelAdd expressions.
 func (p *Parser) parsePredicate() (Expr, error) {
-	left, err := p.parseAdditive()
+	left, err := p.parseBinary(levelAdd)
 	if err != nil {
 		return nil, err
 	}
@@ -648,21 +645,21 @@ func (p *Parser) parsePredicate() (Expr, error) {
 		return p.parseInSuffix(left, negated)
 	case p.isKeyword("BETWEEN"):
 		p.next()
-		low, err := p.parseAdditive()
+		low, err := p.parseBinary(levelAdd)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("AND"); err != nil {
 			return nil, err
 		}
-		high, err := p.parseAdditive()
+		high, err := p.parseBinary(levelAdd)
 		if err != nil {
 			return nil, err
 		}
 		return &BetweenExpr{Not: negated, Expr: left, Low: low, High: high}, nil
 	case p.isKeyword("LIKE"):
 		p.next()
-		pattern, err := p.parseAdditive()
+		pattern, err := p.parseBinary(levelAdd)
 		if err != nil {
 			return nil, err
 		}
@@ -687,7 +684,7 @@ func (p *Parser) parsePredicate() (Expr, error) {
 			if op == "!=" {
 				op = "<>"
 			}
-			right, err := p.parseAdditive()
+			right, err := p.parseBinary(levelAdd)
 			if err != nil {
 				return nil, err
 			}
