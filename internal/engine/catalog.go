@@ -68,7 +68,13 @@ func (s *Schema) Clone() *Schema {
 	return out
 }
 
-// Table is an in-memory relation: a schema plus row storage.
+// Table is an in-memory relation: a schema plus row storage. A Table the
+// catalog has published is never written again — not the struct, its Schema,
+// the Rows slice, nor any Row: a statement that changes a table builds what it
+// changes anew and swaps a new Table in under the catalog's lock, so a reader
+// works on whichever Table it fetched, for as long as it likes, with no copy.
+// INSERT alone extends the published Rows array in place, past the length any
+// earlier reader holds.
 type Table struct {
 	Schema *Schema
 	Rows   []Row
@@ -121,7 +127,7 @@ type SchemaChange struct {
 }
 
 // Catalog holds all tables and the schema-change log. It is safe for
-// concurrent use.
+// concurrent use: its tables are copy-on-write (see Table).
 type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table // keyed by lower-cased name
@@ -177,7 +183,7 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
-// Table returns the named table.
+// Table returns the named table as of now; it is read-only.
 func (c *Catalog) Table(name string) (*Table, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -194,8 +200,6 @@ func (c *Catalog) SchemaOf(name string) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return t.Schema.Clone(), nil
 }
 
@@ -255,16 +259,22 @@ func (c *Catalog) DropTable(name string, ifExists bool) error {
 func (c *Catalog) AddColumn(table string, col Column) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[strings.ToLower(table)]
+	key := strings.ToLower(table)
+	t, ok := c.tables[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrTableNotFound, table)
 	}
 	if t.Schema.ColumnIndex(col.Name) >= 0 {
 		return fmt.Errorf("engine: column %s already exists in %s", col.Name, table)
 	}
-	t.Schema.Columns = append(t.Schema.Columns, col)
-	for i := range t.Rows {
-		t.Rows[i] = append(t.Rows[i], Null)
+	width := len(t.Schema.Columns)
+	rows := make([]Row, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = append(row[:width:width], Null)
+	}
+	c.tables[key] = &Table{
+		Schema: &Schema{Table: t.Schema.Table, Columns: append(t.Schema.Columns[:width:width], col)},
+		Rows:   rows,
 	}
 	c.recordChange(SchemaChange{Kind: ChangeAddColumn, Table: t.Schema.Table, Column: col.Name})
 	return nil
@@ -274,7 +284,8 @@ func (c *Catalog) AddColumn(table string, col Column) error {
 func (c *Catalog) DropColumn(table, column string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[strings.ToLower(table)]
+	key := strings.ToLower(table)
+	t, ok := c.tables[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrTableNotFound, table)
 	}
@@ -282,9 +293,13 @@ func (c *Catalog) DropColumn(table, column string) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: %s.%s", ErrColumnNotFound, table, column)
 	}
-	t.Schema.Columns = append(t.Schema.Columns[:idx], t.Schema.Columns[idx+1:]...)
+	rows := make([]Row, len(t.Rows))
 	for i, row := range t.Rows {
-		t.Rows[i] = append(row[:idx], row[idx+1:]...)
+		rows[i] = append(row[:idx:idx], row[idx+1:]...)
+	}
+	c.tables[key] = &Table{
+		Schema: &Schema{Table: t.Schema.Table, Columns: append(t.Schema.Columns[:idx:idx], t.Schema.Columns[idx+1:]...)},
+		Rows:   rows,
 	}
 	c.recordChange(SchemaChange{Kind: ChangeDropColumn, Table: t.Schema.Table, Column: column})
 	return nil
@@ -294,7 +309,8 @@ func (c *Catalog) DropColumn(table, column string) error {
 func (c *Catalog) RenameColumn(table, oldName, newName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[strings.ToLower(table)]
+	key := strings.ToLower(table)
+	t, ok := c.tables[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrTableNotFound, table)
 	}
@@ -302,7 +318,9 @@ func (c *Catalog) RenameColumn(table, oldName, newName string) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: %s.%s", ErrColumnNotFound, table, oldName)
 	}
-	t.Schema.Columns[idx].Name = newName
+	renamed := t.Schema.Clone()
+	renamed.Columns[idx].Name = newName
+	c.tables[key] = &Table{Schema: renamed, Rows: t.Rows}
 	c.recordChange(SchemaChange{Kind: ChangeRenameColumn, Table: t.Schema.Table, Column: oldName, NewName: newName})
 	return nil
 }
@@ -320,17 +338,18 @@ func (c *Catalog) RenameTable(oldName, newName string) error {
 		return fmt.Errorf("%w: %s", ErrTableExists, newName)
 	}
 	delete(c.tables, key)
-	t.Schema.Table = newName
-	c.tables[strings.ToLower(newName)] = t
+	c.tables[strings.ToLower(newName)] = &Table{Schema: &Schema{Table: newName, Columns: t.Schema.Columns}, Rows: t.Rows}
 	c.recordChange(SchemaChange{Kind: ChangeRenameTable, Table: oldName, NewName: newName})
 	return nil
 }
 
-// Insert appends rows to a table, coercing each value to the column type.
+// Insert appends rows to a table, coercing each value to the column type. The
+// rows before one that fails stay inserted.
 func (c *Catalog) Insert(table string, columns []string, rows []Row) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[strings.ToLower(table)]
+	key := strings.ToLower(table)
+	t, ok := c.tables[key]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrTableNotFound, table)
 	}
@@ -349,26 +368,34 @@ func (c *Catalog) Insert(table string, columns []string, rows []Row) (int, error
 			indexes = append(indexes, idx)
 		}
 	}
-	inserted := 0
+	stored, err := t.Rows, error(nil)
 	for _, row := range rows {
-		if len(row) != len(indexes) {
-			return inserted, fmt.Errorf("engine: INSERT into %s expects %d values, got %d", table, len(indexes), len(row))
+		var full Row
+		if full, err = t.Schema.conform(table, indexes, row); err != nil {
+			break
 		}
-		full := make(Row, len(t.Schema.Columns))
-		for i := range full {
-			full[i] = Null
-		}
-		for i, idx := range indexes {
-			v, err := row[i].Coerce(t.Schema.Columns[idx].Type)
-			if err != nil {
-				return inserted, err
-			}
-			full[idx] = v
-		}
-		t.Rows = append(t.Rows, full)
-		inserted++
+		stored = append(stored, full)
 	}
-	return inserted, nil
+	c.tables[key] = &Table{Schema: t.Schema, Rows: stored}
+	return len(stored) - len(t.Rows), err
+}
+
+// conform lays the values of a row INSERTed into table out in schema order —
+// values[i] goes to column indexes[i], the rest are NULL — coerced to the
+// column types.
+func (s *Schema) conform(table string, indexes []int, values Row) (Row, error) {
+	if len(values) != len(indexes) {
+		return nil, fmt.Errorf("engine: INSERT into %s expects %d values, got %d", table, len(indexes), len(values))
+	}
+	full := make(Row, len(s.Columns))
+	for i, idx := range indexes {
+		v, err := values[i].Coerce(s.Columns[idx].Type)
+		if err != nil {
+			return nil, err
+		}
+		full[idx] = v
+	}
+	return full, nil
 }
 
 // RowCount returns the number of rows stored in the table.
@@ -377,20 +404,5 @@ func (c *Catalog) RowCount(table string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return len(t.Rows), nil
-}
-
-// snapshotRows returns a copy of the table's rows for scan isolation.
-func (c *Catalog) snapshotRows(name string) (*Schema, []Row, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrTableNotFound, name)
-	}
-	rows := make([]Row, len(t.Rows))
-	copy(rows, t.Rows)
-	return t.Schema.Clone(), rows, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sql"
@@ -21,8 +22,9 @@ type Result struct {
 func (r *Result) Cardinality() int { return len(r.Rows) }
 
 // Engine is the embedded DBMS: a catalog plus a query executor. It is safe
-// for concurrent use; DDL/DML serialise on the catalog's lock while SELECTs
-// run over row snapshots.
+// for concurrent use; DDL/DML serialise on the catalog's lock and publish
+// copy-on-write tables, so a SELECT reads the tables it fetched, by
+// reference, whatever is written meanwhile.
 type Engine struct {
 	catalog *Catalog
 }
@@ -78,7 +80,7 @@ func (e *Engine) dispatch(stmt sql.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: rel.columnNames(), Rows: rel.rows}, nil
+		return &Result{Columns: rel.columnNames(), Rows: rel.refs}, nil
 	case *sql.InsertStmt:
 		return e.execInsert(s)
 	case *sql.UpdateStmt:
@@ -145,20 +147,20 @@ func (e *Engine) execAlterTable(s *sql.AlterTableStmt) (*Result, error) {
 }
 
 func (e *Engine) execInsert(s *sql.InsertStmt) (*Result, error) {
-	ev := &evaluator{eng: e}
 	var rows []Row
 	if s.Select != nil {
 		rel, err := e.execSelect(s.Select, nil)
 		if err != nil {
 			return nil, err
 		}
-		rows = rel.rows
+		rows = rel.refs
 	} else {
-		emptyEnv := &env{rel: &relation{}, row: Row{}}
+		c := &compiler{eng: e, rel: &relation{}}
+		en := &env{rel: c.rel}
 		for _, exprRow := range s.Rows {
 			row := make(Row, len(exprRow))
 			for i, ex := range exprRow {
-				v, err := ev.eval(ex, emptyEnv)
+				v, err := c.compile(ex)(en)
 				if err != nil {
 					return nil, err
 				}
@@ -174,20 +176,35 @@ func (e *Engine) execInsert(s *sql.InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(n)}, nil
 }
 
+// execUpdate builds the table's new rows under the catalog's write lock — a
+// fresh copy of every row it changes, the published row itself where it does
+// not — and swaps them in only if the whole statement succeeded.
 func (e *Engine) execUpdate(s *sql.UpdateStmt) (*Result, error) {
-	ev := &evaluator{eng: e}
 	e.catalog.mu.Lock()
 	defer e.catalog.mu.Unlock()
 	t, ok := e.catalog.tables[lowerKey(s.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, s.Table)
 	}
-	rel := tableRelation(t)
+	rel := tableRelation(t, t.Schema.Table)
+	c := &compiler{eng: e, rel: rel}
+	var where predicate
+	if s.Where != nil {
+		where = c.predicate(s.Where)
+	}
+	targets := make([]int, len(s.Set))
+	values := make([]expr, len(s.Set))
+	for i, a := range s.Set {
+		targets[i] = t.Schema.ColumnIndex(a.Column)
+		values[i] = c.compile(a.Value)
+	}
+	updated := slices.Clone(t.Rows)
+	en := &env{rel: rel}
 	var affected int64
-	for i, row := range t.Rows {
-		en := &env{rel: rel, row: row}
-		if s.Where != nil {
-			ok, err := ev.evalBool(s.Where, en)
+	for i := range updated {
+		en.tuple = updated[i : i+1]
+		if where != nil {
+			ok, err := where(en)
 			if err != nil {
 				return nil, err
 			}
@@ -195,12 +212,13 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt) (*Result, error) {
 				continue
 			}
 		}
-		for _, a := range s.Set {
-			idx := t.Schema.ColumnIndex(a.Column)
+		// Each assignment sees the ones before it, as it would in place.
+		updated[i] = updated[i].Clone()
+		for j, idx := range targets {
 			if idx < 0 {
-				return nil, fmt.Errorf("%w: %s.%s", ErrColumnNotFound, s.Table, a.Column)
+				return nil, fmt.Errorf("%w: %s.%s", ErrColumnNotFound, s.Table, s.Set[j].Column)
 			}
-			v, err := ev.eval(a.Value, en)
+			v, err := values[j](en)
 			if err != nil {
 				return nil, err
 			}
@@ -208,50 +226,49 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Rows[i][idx] = cv
+			updated[i][idx] = cv
 		}
 		affected++
 	}
+	e.catalog.tables[lowerKey(s.Table)] = &Table{Schema: t.Schema, Rows: updated}
 	return &Result{RowsAffected: affected}, nil
 }
 
 func (e *Engine) execDelete(s *sql.DeleteStmt) (*Result, error) {
-	ev := &evaluator{eng: e}
 	e.catalog.mu.Lock()
 	defer e.catalog.mu.Unlock()
 	t, ok := e.catalog.tables[lowerKey(s.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, s.Table)
 	}
-	rel := tableRelation(t)
-	kept := t.Rows[:0:0]
-	var affected int64
-	for _, row := range t.Rows {
-		remove := true
-		if s.Where != nil {
-			en := &env{rel: rel, row: row}
-			ok, err := ev.evalBool(s.Where, en)
+	rel := tableRelation(t, t.Schema.Table)
+	var kept []Row
+	if s.Where != nil {
+		where := (&compiler{eng: e, rel: rel}).predicate(s.Where)
+		en := &env{rel: rel}
+		for i, row := range t.Rows {
+			en.tuple = t.Rows[i : i+1]
+			remove, err := where(en)
 			if err != nil {
 				return nil, err
 			}
-			remove = ok
-		}
-		if remove {
-			affected++
-		} else {
-			kept = append(kept, row)
+			if !remove {
+				kept = append(kept, row)
+			}
 		}
 	}
-	t.Rows = kept
-	return &Result{RowsAffected: affected}, nil
+	e.catalog.tables[lowerKey(s.Table)] = &Table{Schema: t.Schema, Rows: kept}
+	return &Result{RowsAffected: int64(len(t.Rows) - len(kept))}, nil
 }
 
-func tableRelation(t *Table) *relation {
+// tableRelation is the table's rows as a relation, by reference, its columns
+// visible under qualifier.
+func tableRelation(t *Table, qualifier string) *relation {
 	cols := make([]binding, len(t.Schema.Columns))
 	for i, c := range t.Schema.Columns {
-		cols[i] = binding{qualifier: t.Schema.Table, table: t.Schema.Table, column: c.Name}
+		cols[i] = binding{qualifier: qualifier, table: t.Schema.Table, column: c.Name}
 	}
-	return &relation{cols: cols}
+	return leafRelation(cols, t.Rows)
 }
 
 func lowerKey(name string) string {

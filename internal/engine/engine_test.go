@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -257,6 +258,21 @@ func TestSubqueryExistsCorrelated(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Errorf("rows = %d, want 2: %v", len(res.Rows), res.Rows)
 	}
+
+	// What stops the climb to the outer scope is a name that is ambiguous in
+	// an inner one, not a name that merely contains the word.
+	query(t, e, "CREATE TABLE o (id INT, ambiguous_flag INT)")
+	query(t, e, "CREATE TABLE i (oid INT)")
+	query(t, e, "INSERT INTO o VALUES (1, 10), (2, 20)")
+	query(t, e, "INSERT INTO i VALUES (10)")
+	res = query(t, e, "SELECT id FROM o WHERE EXISTS (SELECT 1 FROM i WHERE i.oid = ambiguous_flag)")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int != 1 {
+		t.Errorf("correlated reference to o.ambiguous_flag: rows = %v, want just id 1", res.Rows)
+	}
+	_, err := e.Execute("SELECT city FROM CityLocations WHERE EXISTS (SELECT 1 FROM WaterTemp, WaterSalinity WHERE loc_x = pop)")
+	if !errors.Is(err, ErrAmbiguousColumn) {
+		t.Errorf("loc_x is ambiguous in the sub-query although the outer scope has one: err = %v", err)
+	}
 }
 
 func TestScalarSubquery(t *testing.T) {
@@ -364,6 +380,42 @@ func TestUpdateAndDelete(t *testing.T) {
 	check = query(t, e, "SELECT COUNT(*) FROM WaterTemp")
 	if check.Rows[0][0].Int != 2 {
 		t.Errorf("remaining rows = %v, want 2", check.Rows[0][0])
+	}
+}
+
+// TestFailedUpdateLeavesTableUntouched: an UPDATE that fails on a later row
+// changes no row.
+func TestFailedUpdateLeavesTableUntouched(t *testing.T) {
+	e := newLakesEngine(t)
+	before := query(t, e, "SELECT * FROM WaterTemp")
+	if _, err := e.Execute("UPDATE WaterTemp SET temp = temp / (loc_x - 12)"); err == nil {
+		t.Fatal("expected division by zero on the third row")
+	}
+	if after := query(t, e, "SELECT * FROM WaterTemp"); !reflect.DeepEqual(after.Rows, before.Rows) {
+		t.Errorf("rows after a failed UPDATE:\n%v\nbefore:\n%v", after.Rows, before.Rows)
+	}
+}
+
+// TestResultRowsDoNotAliasTableStorage: what a SELECT returns is the caller's
+// to change; the table's published rows are not reachable from it.
+func TestResultRowsDoNotAliasTableStorage(t *testing.T) {
+	e := newLakesEngine(t)
+	for _, q := range []string{
+		"SELECT * FROM WaterTemp",
+		"SELECT * FROM WaterTemp WHERE temp < 100",
+		"SELECT T.* FROM WaterTemp T, WaterSalinity S WHERE T.loc_x = S.loc_x",
+		"SELECT * FROM WaterTemp GROUP BY id",
+	} {
+		res := query(t, e, q)
+		for _, row := range res.Rows {
+			for i := range row {
+				row[i] = NewText("scribbled")
+			}
+		}
+	}
+	res := query(t, e, "SELECT COUNT(*), SUM(temp) FROM WaterTemp WHERE lake LIKE 'Lake%'")
+	if res.Rows[0][0].Int != 4 || res.Rows[0][1].Float != 14.5+19.0+17.2+21.0 {
+		t.Errorf("table changed through a result: %v", res.Rows[0])
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,158 +9,212 @@ import (
 	"repro/internal/sql"
 )
 
-// binding describes one column of an intermediate relation: the qualifier it
-// is visible under (alias or table name), the base table it came from and its
-// column name.
-type binding struct {
-	qualifier string
-	table     string
-	column    string
+// expr is an expression bound to a scope. compile resolves every column
+// reference to a tuple position — or to the not-found / ambiguous error that
+// resolving it produces, returned when the reference is evaluated, so an
+// expression that is never reached still never fails — and converts every
+// literal, once per statement; evaluating the result per row touches no name
+// and parses no number.
+type expr func(en *env) (Value, error)
+
+// predicate is an expr collapsed to SQL's WHERE truth: NULL counts as false.
+type predicate func(en *env) (bool, error)
+
+// compiler binds the expressions of one statement to the shape of the
+// relation its loops walk and to the environments of the enclosing
+// statements, which stand still while the statement runs.
+type compiler struct {
+	eng   *Engine
+	rel   *relation
+	outer *env
 }
 
-// relation is an intermediate result: a list of column bindings plus rows.
-type relation struct {
-	cols []binding
-	rows []Row
+// column binds a column reference: to the innermost scope that has the name,
+// climbing outwards for correlated references. An ambiguous name stops the
+// climb.
+func (c *compiler) column(n *sql.ColumnRef) expr {
+	idx, err := c.rel.lookup(n.Table, n.Name)
+	if err == nil {
+		leaf, pos := c.rel.cols[idx].leaf, c.rel.cols[idx].pos
+		return func(en *env) (Value, error) {
+			if r := en.tuple[leaf]; pos < len(r) {
+				return r[pos], nil
+			}
+			return Null, nil
+		}
+	}
+	for scope := c.outer; scope != nil && !errors.Is(err, ErrAmbiguousColumn); scope = scope.outer {
+		if idx, err = scope.rel.lookup(n.Table, n.Name); err == nil {
+			scope, leaf, pos := scope, scope.rel.cols[idx].leaf, scope.rel.cols[idx].pos
+			return func(*env) (Value, error) {
+				if r := scope.tuple[leaf]; pos < len(r) {
+					return r[pos], nil
+				}
+				return Null, nil
+			}
+		}
+	}
+	if !errors.Is(err, ErrAmbiguousColumn) {
+		err = columnNotFound(n.Table, n.Name)
+	}
+	return constant(Null, err)
 }
 
-func (r *relation) columnNames() []string {
-	out := make([]string, len(r.cols))
-	for i, b := range r.cols {
-		out[i] = b.column
+// constant is an expression that evaluates to the same outcome for every row.
+func constant(v Value, err error) expr {
+	return func(*env) (Value, error) { return v, err }
+}
+
+// predicate compiles e as a filter condition; NULL and errors from NULL
+// comparisons count as false (SQL three-valued logic collapsed to boolean).
+func (c *compiler) predicate(e sql.Expr) predicate {
+	f := c.compile(e)
+	return func(en *env) (bool, error) {
+		v, err := f(en)
+		if err != nil {
+			if err == errNullComparison {
+				return false, nil
+			}
+			return false, err
+		}
+		if v.Type == TypeBool {
+			return v.Bool, nil
+		}
+		if v.IsNull() {
+			return false, nil
+		}
+		b, err := v.Coerce(TypeBool)
+		if err != nil {
+			return false, fmt.Errorf("engine: predicate is not boolean: %s", e.SQL())
+		}
+		return b.Bool, nil
+	}
+}
+
+func (c *compiler) compileAll(es []sql.Expr) []expr {
+	out := make([]expr, len(es))
+	for i, e := range es {
+		out[i] = c.compile(e)
 	}
 	return out
 }
 
-// lookup finds the index of a column reference in the relation. An empty
-// qualifier matches any column with that name but must be unambiguous.
-func (r *relation) lookup(qualifier, column string) (int, error) {
-	found := -1
-	for i, b := range r.cols {
-		if !strings.EqualFold(b.column, column) {
-			continue
-		}
-		if qualifier != "" && !strings.EqualFold(b.qualifier, qualifier) && !strings.EqualFold(b.table, qualifier) {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("%w: %s", ErrAmbiguousColumn, column)
-		}
-		found = i
-	}
-	if found < 0 {
-		name := column
-		if qualifier != "" {
-			name = qualifier + "." + column
-		}
-		return 0, fmt.Errorf("%w: %s", ErrColumnNotFound, name)
-	}
-	return found, nil
-}
-
-// env is the evaluation environment for one row, chaining to an outer
-// environment for correlated sub-queries.
-type env struct {
-	rel   *relation
-	row   Row
-	outer *env
-}
-
-func (e *env) lookup(qualifier, column string) (Value, error) {
-	for cur := e; cur != nil; cur = cur.outer {
-		idx, err := cur.rel.lookup(qualifier, column)
-		if err == nil {
-			return cur.row[idx], nil
-		}
-		if strings.Contains(err.Error(), "ambiguous") {
-			return Null, err
-		}
-	}
-	name := column
-	if qualifier != "" {
-		name = qualifier + "." + column
-	}
-	return Null, fmt.Errorf("%w: %s", ErrColumnNotFound, name)
-}
-
-// evaluator evaluates expressions against an environment. It holds a
-// reference to the engine so nested sub-queries can be executed.
-type evaluator struct {
-	eng *Engine
-}
-
-// evalBool evaluates e as a predicate; NULL and errors from NULL comparisons
-// count as false (SQL three-valued logic collapsed to boolean).
-func (ev *evaluator) evalBool(e sql.Expr, en *env) (bool, error) {
-	v, err := ev.eval(e, en)
-	if err != nil {
-		if err == errNullComparison {
-			return false, nil
-		}
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	b, err := v.Coerce(TypeBool)
-	if err != nil {
-		return false, fmt.Errorf("engine: predicate is not boolean: %s", e.SQL())
-	}
-	return b.Bool, nil
-}
-
-func (ev *evaluator) eval(e sql.Expr, en *env) (Value, error) {
+func (c *compiler) compile(e sql.Expr) expr {
 	switch n := e.(type) {
 	case *sql.Literal:
-		return literalValue(n)
+		return constant(literalValue(n))
 	case *sql.ColumnRef:
-		return en.lookup(n.Table, n.Name)
+		return c.column(n)
 	case *sql.ParamExpr:
-		return Null, fmt.Errorf("engine: unbound parameter %s", n.Text)
+		return constant(Null, fmt.Errorf("engine: unbound parameter %s", n.Text))
 	case *sql.UnaryExpr:
-		return ev.evalUnary(n, en)
+		inner, op := c.compile(n.Expr), n.Op
+		return func(en *env) (Value, error) {
+			v, err := inner(en)
+			if err != nil {
+				return Null, err
+			}
+			return unaryValue(op, v)
+		}
 	case *sql.BinaryExpr:
-		return ev.evalBinary(n, en)
+		return c.compileBinary(n)
 	case *sql.FuncCall:
-		return ev.evalFunc(n, en)
+		if n.IsAggregate() {
+			return constant(Null, fmt.Errorf("engine: aggregate %s used outside aggregation context", n.Name))
+		}
+		// args is scratch shared by every call of this node: nothing evaluated
+		// under the node can re-enter it, and callScalarFunc does not keep it.
+		name, items, args := strings.ToUpper(n.Name), c.compileAll(n.Args), make([]Value, len(n.Args))
+		return func(en *env) (Value, error) {
+			for i, item := range items {
+				v, err := item(en)
+				if err != nil {
+					return Null, err
+				}
+				args[i] = v
+			}
+			return callScalarFunc(name, args)
+		}
 	case *sql.InExpr:
-		return ev.evalIn(n, en)
+		return c.compileIn(n)
 	case *sql.BetweenExpr:
-		return ev.evalBetween(n, en)
+		val, low, high, not := c.compile(n.Expr), c.compile(n.Low), c.compile(n.High), n.Not
+		return func(en *env) (Value, error) {
+			v, err := val(en)
+			if err != nil {
+				return Null, err
+			}
+			lo, err := low(en)
+			if err != nil {
+				return Null, err
+			}
+			hi, err := high(en)
+			if err != nil {
+				return Null, err
+			}
+			if v.IsNull() || lo.IsNull() || hi.IsNull() {
+				return Null, nil
+			}
+			cl, err := v.Compare(lo)
+			if err != nil {
+				return Null, err
+			}
+			ch, err := v.Compare(hi)
+			if err != nil {
+				return Null, err
+			}
+			return NewBool((cl >= 0 && ch <= 0) != not), nil
+		}
 	case *sql.LikeExpr:
-		return ev.evalLike(n, en)
+		val, pattern, not := c.compile(n.Expr), c.compile(n.Pattern), n.Not
+		return func(en *env) (Value, error) {
+			v, err := val(en)
+			if err != nil {
+				return Null, err
+			}
+			p, err := pattern(en)
+			if err != nil {
+				return Null, err
+			}
+			if v.IsNull() || p.IsNull() {
+				return Null, nil
+			}
+			return NewBool(likeMatch(v.String(), p.String()) != not), nil
+		}
 	case *sql.IsNullExpr:
-		v, err := ev.eval(n.Expr, en)
-		if err != nil {
-			return Null, err
+		inner, not := c.compile(n.Expr), n.Not
+		return func(en *env) (Value, error) {
+			v, err := inner(en)
+			if err != nil {
+				return Null, err
+			}
+			return NewBool(v.IsNull() != not), nil
 		}
-		if n.Not {
-			return NewBool(!v.IsNull()), nil
-		}
-		return NewBool(v.IsNull()), nil
 	case *sql.ExistsExpr:
-		rel, err := ev.eng.execSelect(n.Select, en)
-		if err != nil {
-			return Null, err
+		eng, sel, not := c.eng, n.Select, n.Not
+		return func(en *env) (Value, error) {
+			rel, err := eng.execSelect(sel, en)
+			if err != nil {
+				return Null, err
+			}
+			return NewBool((rel.n > 0) != not), nil
 		}
-		exists := len(rel.rows) > 0
-		if n.Not {
-			exists = !exists
-		}
-		return NewBool(exists), nil
 	case *sql.SubqueryExpr:
-		rel, err := ev.eng.execSelect(n.Select, en)
-		if err != nil {
-			return Null, err
+		eng, sel := c.eng, n.Select
+		return func(en *env) (Value, error) {
+			rel, err := eng.execSelect(sel, en)
+			if err != nil {
+				return Null, err
+			}
+			if rel.n == 0 || len(rel.refs[0]) == 0 {
+				return Null, nil
+			}
+			return rel.refs[0][0], nil
 		}
-		if len(rel.rows) == 0 || len(rel.rows[0]) == 0 {
-			return Null, nil
-		}
-		return rel.rows[0][0], nil
 	case *sql.CaseExpr:
-		return ev.evalCase(n, en)
+		return c.compileCase(n)
 	default:
-		return Null, fmt.Errorf("engine: unsupported expression %T", e)
+		return constant(Null, fmt.Errorf("engine: unsupported expression %T", e))
 	}
 }
 
@@ -188,12 +243,8 @@ func literalValue(l *sql.Literal) (Value, error) {
 	}
 }
 
-func (ev *evaluator) evalUnary(n *sql.UnaryExpr, en *env) (Value, error) {
-	v, err := ev.eval(n.Expr, en)
-	if err != nil {
-		return Null, err
-	}
-	switch n.Op {
+func unaryValue(op string, v Value) (Value, error) {
+	switch op {
 	case "NOT":
 		if v.IsNull() {
 			return Null, nil
@@ -216,48 +267,63 @@ func (ev *evaluator) evalUnary(n *sql.UnaryExpr, en *env) (Value, error) {
 	case "+":
 		return v, nil
 	default:
-		return Null, fmt.Errorf("engine: unknown unary operator %q", n.Op)
+		return Null, fmt.Errorf("engine: unknown unary operator %q", op)
 	}
 }
 
-func (ev *evaluator) evalBinary(n *sql.BinaryExpr, en *env) (Value, error) {
-	switch n.Op {
-	case "AND":
-		lb, err := ev.evalBool(n.Left, en)
-		if err != nil {
-			return Null, err
+// compileBinary short-circuits AND and OR over the WHERE truth of their
+// operands; every other operator evaluates both sides.
+func (c *compiler) compileBinary(n *sql.BinaryExpr) expr {
+	if n.Op == "AND" || n.Op == "OR" {
+		left, right, stop := c.predicate(n.Left), c.predicate(n.Right), n.Op == "OR"
+		return func(en *env) (Value, error) {
+			b, err := left(en)
+			if err != nil {
+				return Null, err
+			}
+			if b != stop {
+				if b, err = right(en); err != nil {
+					return Null, err
+				}
+			}
+			return NewBool(b), nil
 		}
-		if !lb {
-			return NewBool(false), nil
-		}
-		rb, err := ev.evalBool(n.Right, en)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(rb), nil
-	case "OR":
-		lb, err := ev.evalBool(n.Left, en)
-		if err != nil {
-			return Null, err
-		}
-		if lb {
-			return NewBool(true), nil
-		}
-		rb, err := ev.evalBool(n.Right, en)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(rb), nil
 	}
-	left, err := ev.eval(n.Left, en)
-	if err != nil {
-		return Null, err
+	left, right, op := c.compile(n.Left), c.compile(n.Right), n.Op
+	return func(en *env) (Value, error) {
+		l, err := left(en)
+		if err != nil {
+			return Null, err
+		}
+		r, err := right(en)
+		if err != nil {
+			return Null, err
+		}
+		return binaryValues(op, l, r)
 	}
-	right, err := ev.eval(n.Right, en)
-	if err != nil {
-		return Null, err
-	}
-	switch n.Op {
+}
+
+// binaryValues applies a binary operator to two evaluated values. AND and OR
+// arrive here only from expressions over aggregates, which evaluate both
+// sides.
+func binaryValues(op string, left, right Value) (Value, error) {
+	switch op {
+	case "AND", "OR":
+		if left.IsNull() || right.IsNull() {
+			return Null, nil
+		}
+		lb, err := left.Coerce(TypeBool)
+		if err != nil {
+			return Null, err
+		}
+		rb, err := right.Coerce(TypeBool)
+		if err != nil {
+			return Null, err
+		}
+		if op == "AND" {
+			return NewBool(lb.Bool && rb.Bool), nil
+		}
+		return NewBool(lb.Bool || rb.Bool), nil
 	case "=", "<>", "<", "<=", ">", ">=":
 		if left.IsNull() || right.IsNull() {
 			return Null, nil
@@ -267,7 +333,7 @@ func (ev *evaluator) evalBinary(n *sql.BinaryExpr, en *env) (Value, error) {
 			return Null, err
 		}
 		var out bool
-		switch n.Op {
+		switch op {
 		case "=":
 			out = c == 0
 		case "<>":
@@ -282,15 +348,109 @@ func (ev *evaluator) evalBinary(n *sql.BinaryExpr, en *env) (Value, error) {
 			out = c >= 0
 		}
 		return NewBool(out), nil
-	case "+", "-", "*", "/", "%":
-		return arith(n.Op, left, right)
 	case "||":
 		if left.IsNull() || right.IsNull() {
 			return Null, nil
 		}
 		return NewText(left.String() + right.String()), nil
 	default:
-		return Null, fmt.Errorf("engine: unknown binary operator %q", n.Op)
+		return arith(op, left, right)
+	}
+}
+
+func (c *compiler) compileIn(n *sql.InExpr) expr {
+	target, not := c.compile(n.Expr), n.Not
+	if n.Select != nil {
+		eng, sel := c.eng, n.Select
+		return func(en *env) (Value, error) {
+			t, err := target(en)
+			if err != nil || t.IsNull() {
+				return Null, err
+			}
+			rel, err := eng.execSelect(sel, en)
+			if err != nil {
+				return Null, err
+			}
+			match := false
+			for _, row := range rel.refs {
+				if len(row) > 0 && t.Equal(row[0]) {
+					match = true
+					break
+				}
+			}
+			return NewBool(match != not), nil
+		}
+	}
+	list := c.compileAll(n.List)
+	return func(en *env) (Value, error) {
+		t, err := target(en)
+		if err != nil || t.IsNull() {
+			return Null, err
+		}
+		match := false
+		for _, item := range list {
+			v, err := item(en)
+			if err != nil {
+				return Null, err
+			}
+			if t.Equal(v) {
+				match = true
+				break
+			}
+		}
+		return NewBool(match != not), nil
+	}
+}
+
+func (c *compiler) compileCase(n *sql.CaseExpr) expr {
+	type arm struct {
+		when predicate // searched CASE
+		is   expr      // simple CASE: compared with the operand
+		then expr
+	}
+	arms := make([]arm, len(n.Whens))
+	for i, w := range n.Whens {
+		arms[i].then = c.compile(w.Then)
+		if n.Operand != nil {
+			arms[i].is = c.compile(w.When)
+		} else {
+			arms[i].when = c.predicate(w.When)
+		}
+	}
+	otherwise := constant(Null, nil)
+	if n.Else != nil {
+		otherwise = c.compile(n.Else)
+	}
+	if n.Operand == nil {
+		return func(en *env) (Value, error) {
+			for _, a := range arms {
+				ok, err := a.when(en)
+				if err != nil {
+					return Null, err
+				}
+				if ok {
+					return a.then(en)
+				}
+			}
+			return otherwise(en)
+		}
+	}
+	operand := c.compile(n.Operand)
+	return func(en *env) (Value, error) {
+		op, err := operand(en)
+		if err != nil {
+			return Null, err
+		}
+		for _, a := range arms {
+			v, err := a.is(en)
+			if err != nil {
+				return Null, err
+			}
+			if op.Equal(v) {
+				return a.then(en)
+			}
+		}
+		return otherwise(en)
 	}
 }
 
@@ -348,23 +508,9 @@ func arith(op string, left, right Value) (Value, error) {
 	}
 }
 
-func (ev *evaluator) evalFunc(n *sql.FuncCall, en *env) (Value, error) {
-	if n.IsAggregate() {
-		return Null, fmt.Errorf("engine: aggregate %s used outside aggregation context", n.Name)
-	}
-	args := make([]Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := ev.eval(a, en)
-		if err != nil {
-			return Null, err
-		}
-		args[i] = v
-	}
-	return callScalarFunc(n.Name, args)
-}
-
+// callScalarFunc applies the scalar function of that (upper-case) name.
 func callScalarFunc(name string, args []Value) (Value, error) {
-	switch strings.ToUpper(name) {
+	switch name {
 	case "LOWER":
 		if len(args) != 1 {
 			return Null, fmt.Errorf("engine: LOWER expects 1 argument")
@@ -476,94 +622,6 @@ func callScalarFunc(name string, args []Value) (Value, error) {
 	}
 }
 
-func (ev *evaluator) evalIn(n *sql.InExpr, en *env) (Value, error) {
-	target, err := ev.eval(n.Expr, en)
-	if err != nil {
-		return Null, err
-	}
-	if target.IsNull() {
-		return Null, nil
-	}
-	match := false
-	if n.Select != nil {
-		rel, err := ev.eng.execSelect(n.Select, en)
-		if err != nil {
-			return Null, err
-		}
-		for _, row := range rel.rows {
-			if len(row) > 0 && target.Equal(row[0]) {
-				match = true
-				break
-			}
-		}
-	} else {
-		for _, item := range n.List {
-			v, err := ev.eval(item, en)
-			if err != nil {
-				return Null, err
-			}
-			if target.Equal(v) {
-				match = true
-				break
-			}
-		}
-	}
-	if n.Not {
-		match = !match
-	}
-	return NewBool(match), nil
-}
-
-func (ev *evaluator) evalBetween(n *sql.BetweenExpr, en *env) (Value, error) {
-	v, err := ev.eval(n.Expr, en)
-	if err != nil {
-		return Null, err
-	}
-	low, err := ev.eval(n.Low, en)
-	if err != nil {
-		return Null, err
-	}
-	high, err := ev.eval(n.High, en)
-	if err != nil {
-		return Null, err
-	}
-	if v.IsNull() || low.IsNull() || high.IsNull() {
-		return Null, nil
-	}
-	cl, err := v.Compare(low)
-	if err != nil {
-		return Null, err
-	}
-	ch, err := v.Compare(high)
-	if err != nil {
-		return Null, err
-	}
-	in := cl >= 0 && ch <= 0
-	if n.Not {
-		in = !in
-	}
-	return NewBool(in), nil
-}
-
-func (ev *evaluator) evalLike(n *sql.LikeExpr, en *env) (Value, error) {
-	v, err := ev.eval(n.Expr, en)
-	if err != nil {
-		return Null, err
-	}
-	p, err := ev.eval(n.Pattern, en)
-	if err != nil {
-		return Null, err
-	}
-	if v.IsNull() || p.IsNull() {
-		return Null, nil
-	}
-	match := likeMatch(v.String(), p.String())
-	if n.Not {
-		match = !match
-	}
-	return NewBool(match), nil
-}
-
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitive.
 func likeMatch(s, pattern string) bool {
 	s = strings.ToLower(s)
@@ -603,36 +661,4 @@ func likeMatchRec(s, p string) bool {
 		}
 	}
 	return len(s) == 0
-}
-
-func (ev *evaluator) evalCase(n *sql.CaseExpr, en *env) (Value, error) {
-	if n.Operand != nil {
-		op, err := ev.eval(n.Operand, en)
-		if err != nil {
-			return Null, err
-		}
-		for _, w := range n.Whens {
-			v, err := ev.eval(w.When, en)
-			if err != nil {
-				return Null, err
-			}
-			if op.Equal(v) {
-				return ev.eval(w.Then, en)
-			}
-		}
-	} else {
-		for _, w := range n.Whens {
-			ok, err := ev.evalBool(w.When, en)
-			if err != nil {
-				return Null, err
-			}
-			if ok {
-				return ev.eval(w.Then, en)
-			}
-		}
-	}
-	if n.Else != nil {
-		return ev.eval(n.Else, en)
-	}
-	return Null, nil
 }

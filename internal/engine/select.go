@@ -10,6 +10,7 @@ import (
 
 // execSelect evaluates a SELECT statement against the catalog. The outer
 // environment (possibly nil) supplies bindings for correlated sub-queries.
+// The result is a single-leaf relation of freshly projected rows.
 func (e *Engine) execSelect(stmt *sql.SelectStmt, outer *env) (*relation, error) {
 	rel, err := e.execSelectCore(stmt, outer)
 	if err != nil {
@@ -29,8 +30,6 @@ func (e *Engine) execSelect(stmt *sql.SelectStmt, outer *env) (*relation, error)
 }
 
 func (e *Engine) execSelectCore(stmt *sql.SelectStmt, outer *env) (*relation, error) {
-	ev := &evaluator{eng: e}
-
 	// 1. Evaluate FROM into a single joined relation, pushing down WHERE
 	//    conjuncts where possible.
 	conjuncts := splitConjuncts(stmt.Where)
@@ -46,29 +45,13 @@ func (e *Engine) execSelectCore(stmt *sql.SelectStmt, outer *env) (*relation, er
 			remaining = append(remaining, c)
 		}
 	}
-	if len(remaining) > 0 {
-		filtered := source.rows[:0:0]
-		for _, row := range source.rows {
-			en := &env{rel: source, row: row, outer: outer}
-			keep := true
-			for _, c := range remaining {
-				ok, err := ev.evalBool(c, en)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				filtered = append(filtered, row)
-			}
-		}
-		source = &relation{cols: source.cols, rows: filtered}
+	if source, err = e.filter(source, remaining, outer); err != nil {
+		return nil, err
 	}
 
-	// 3. Aggregation or plain projection.
+	// 3. Aggregation or plain projection, either of which also applies ORDER
+	//    BY, because it may reference columns that are not projected. This is
+	//    the one place values are copied.
 	var out *relation
 	if needsAggregation(stmt) {
 		out, err = e.execAggregate(stmt, source, outer)
@@ -79,24 +62,18 @@ func (e *Engine) execSelectCore(stmt *sql.SelectStmt, outer *env) (*relation, er
 		return nil, err
 	}
 
-	// 4. DISTINCT.
+	// 4. DISTINCT, then LIMIT/OFFSET.
 	if stmt.Distinct {
-		out.rows = distinctRows(out.rows)
+		out.setRows(distinctRows(out.refs))
 	}
-
-	// 5. ORDER BY. Column references in ORDER BY may name output aliases or
-	//    source columns; aggregation output handles its own ordering inside
-	//    execAggregate, so this path only covers the non-aggregated case
-	//    (execProject keeps a parallel source relation for ordering).
-	// ORDER BY is applied inside execProject/execAggregate because it may
-	// reference columns that are not projected.
-
-	// 6. LIMIT/OFFSET.
 	if stmt.Limit != nil {
-		out.rows = applyLimit(out.rows, stmt.Limit)
+		out.setRows(applyLimit(out.refs, stmt.Limit))
 	}
 	return out, nil
 }
+
+// setRows replaces the rows of a single-leaf relation.
+func (r *relation) setRows(rows []Row) { r.refs, r.n = rows, len(rows) }
 
 // splitConjuncts splits a WHERE tree on top-level ANDs.
 func splitConjuncts(e sql.Expr) []sql.Expr {
@@ -114,8 +91,9 @@ func splitConjuncts(e sql.Expr) []sql.Expr {
 func (e *Engine) buildFrom(from []sql.TableRef, conjuncts []sql.Expr, outer *env) (*relation, []bool, error) {
 	used := make([]bool, len(conjuncts))
 	if len(from) == 0 {
-		// SELECT without FROM: a single empty row so expressions evaluate once.
-		return &relation{cols: nil, rows: []Row{{}}}, used, nil
+		// SELECT without FROM: a single tuple of no references so expressions
+		// evaluate once.
+		return &relation{n: 1}, used, nil
 	}
 	var acc *relation
 	for _, ref := range from {
@@ -132,10 +110,7 @@ func (e *Engine) buildFrom(from []sql.TableRef, conjuncts []sql.Expr, outer *env
 			acc = rel
 			continue
 		}
-		acc, err = e.joinRelations(acc, rel, conjuncts, used, outer)
-		if err != nil {
-			return nil, nil, err
-		}
+		acc = joinRelations(acc, rel, conjuncts, used)
 	}
 	// A final push-down pass over the accumulated relation catches conjuncts
 	// that reference columns from several relations already joined.
@@ -149,41 +124,54 @@ func (e *Engine) buildFrom(from []sql.TableRef, conjuncts []sql.Expr, outer *env
 // pushDownFilters applies every not-yet-used conjunct that references only
 // columns available in rel (and contains no sub-query) as a filter on rel.
 func (e *Engine) pushDownFilters(rel *relation, conjuncts []sql.Expr, used []bool, outer *env) (*relation, error) {
-	ev := &evaluator{eng: e}
-	applicable := make([]int, 0, len(conjuncts))
+	var applicable []sql.Expr
 	for i, c := range conjuncts {
-		if used[i] || exprHasSubquery(c) {
-			continue
-		}
-		if exprResolvable(c, rel) {
-			applicable = append(applicable, i)
+		if !used[i] && !exprHasSubquery(c) && exprResolvable(c, rel) {
+			applicable = append(applicable, c)
+			used[i] = true
 		}
 	}
-	if len(applicable) == 0 {
+	return e.filter(rel, applicable, outer)
+}
+
+// filter keeps the tuples of rel that satisfy every condition, by reference.
+func (e *Engine) filter(rel *relation, conds []sql.Expr, outer *env) (*relation, error) {
+	if len(conds) == 0 {
 		return rel, nil
 	}
-	filtered := make([]Row, 0, len(rel.rows))
-	for _, row := range rel.rows {
-		en := &env{rel: rel, row: row, outer: outer}
-		keep := true
-		for _, idx := range applicable {
-			ok, err := ev.evalBool(conjuncts[idx], en)
+	c := &compiler{eng: e, rel: rel, outer: outer}
+	preds := make([]predicate, len(conds))
+	for i, cond := range conds {
+		preds[i] = c.predicate(cond)
+	}
+	en := &env{rel: rel, outer: outer}
+	keep := make([]bool, rel.n)
+	kept := 0
+tuples:
+	for i := range keep {
+		en.tuple = rel.tuple(i)
+		for _, p := range preds {
+			ok, err := p(en)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
-				keep = false
-				break
+				continue tuples
 			}
 		}
-		if keep {
-			filtered = append(filtered, row)
+		keep[i] = true
+		kept++
+	}
+	if kept == rel.n {
+		return rel, nil
+	}
+	refs := make([]Row, 0, kept*len(rel.widths))
+	for i, k := range keep {
+		if k {
+			refs = append(refs, rel.tuple(i)...)
 		}
 	}
-	for _, idx := range applicable {
-		used[idx] = true
-	}
-	return &relation{cols: rel.cols, rows: filtered}, nil
+	return &relation{cols: rel.cols, widths: rel.widths, n: kept, refs: refs}, nil
 }
 
 // exprResolvable reports whether every column reference in the expression can
@@ -222,34 +210,25 @@ func exprHasSubquery(e sql.Expr) bool {
 func (e *Engine) evalTableRef(ref sql.TableRef, outer *env) (*relation, error) {
 	switch t := ref.(type) {
 	case *sql.TableName:
-		schema, rows, err := e.catalog.snapshotRows(t.Name)
+		table, err := e.catalog.Table(t.Name)
 		if err != nil {
 			return nil, err
 		}
-		qualifier := t.Name
 		if t.Alias != "" {
-			qualifier = t.Alias
+			return tableRelation(table, t.Alias), nil
 		}
-		cols := make([]binding, len(schema.Columns))
-		for i, c := range schema.Columns {
-			cols[i] = binding{qualifier: qualifier, table: schema.Table, column: c.Name}
-		}
-		return &relation{cols: cols, rows: rows}, nil
+		return tableRelation(table, t.Name), nil
 	case *sql.SubqueryRef:
 		rel, err := e.execSelect(t.Select, outer)
 		if err != nil {
 			return nil, err
 		}
-		qualifier := t.Alias
-		cols := make([]binding, len(rel.cols))
-		for i, c := range rel.cols {
-			q := qualifier
-			if q == "" {
-				q = c.qualifier
+		if t.Alias != "" {
+			for i := range rel.cols {
+				rel.cols[i].qualifier = t.Alias
 			}
-			cols[i] = binding{qualifier: q, table: c.table, column: c.column}
 		}
-		return &relation{cols: cols, rows: rel.rows}, nil
+		return rel, nil
 	case *sql.JoinExpr:
 		left, err := e.evalTableRef(t.Left, outer)
 		if err != nil {
@@ -265,61 +244,53 @@ func (e *Engine) evalTableRef(ref sql.TableRef, outer *env) (*relation, error) {
 	}
 }
 
-// joinRelations joins two relations from a comma-separated FROM list, using
-// any available equi-join conjunct as a hash-join key; otherwise it falls
-// back to a cross product.
-func (e *Engine) joinRelations(left, right *relation, conjuncts []sql.Expr, used []bool, outer *env) (*relation, error) {
-	combinedCols := append(append([]binding{}, left.cols...), right.cols...)
-	combined := &relation{cols: combinedCols}
+// equiJoinColumns reports whether cond is `a = b` with one column in left and
+// the other in right, in either orientation, and which columns they are.
+func equiJoinColumns(cond sql.Expr, left, right *relation) (lcol, rcol int, ok bool) {
+	b, isBinary := cond.(*sql.BinaryExpr)
+	if !isBinary || b.Op != "=" {
+		return 0, 0, false
+	}
+	x, xok := b.Left.(*sql.ColumnRef)
+	y, yok := b.Right.(*sql.ColumnRef)
+	if !xok || !yok {
+		return 0, 0, false
+	}
+	for _, pair := range [2][2]*sql.ColumnRef{{x, y}, {y, x}} {
+		lcol, lerr := left.lookup(pair[0].Table, pair[0].Name)
+		rcol, rerr := right.lookup(pair[1].Table, pair[1].Name)
+		if lerr == nil && rerr == nil {
+			return lcol, rcol, true
+		}
+	}
+	return 0, 0, false
+}
 
-	// Look for an equi-join conjunct with one side in left and one in right.
+// joinRelations joins two relations from a comma-separated FROM list, using
+// the first available equi-join conjunct as a hash-join key; otherwise it
+// falls back to a cross product.
+func joinRelations(left, right *relation, conjuncts []sql.Expr, used []bool) *relation {
 	for i, c := range conjuncts {
 		if used[i] {
 			continue
 		}
-		b, ok := c.(*sql.BinaryExpr)
-		if !ok || b.Op != "=" {
-			continue
+		if lcol, rcol, ok := equiJoinColumns(c, left, right); ok {
+			used[i] = true
+			return hashJoin(left, right, lcol, rcol)
 		}
-		lc, lok := b.Left.(*sql.ColumnRef)
-		rc, rok := b.Right.(*sql.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		li, lerr := left.lookup(lc.Table, lc.Name)
-		ri, rerr := right.lookup(rc.Table, rc.Name)
-		if lerr != nil || rerr != nil {
-			// Try the flipped orientation.
-			li, lerr = left.lookup(rc.Table, rc.Name)
-			ri, rerr = right.lookup(lc.Table, lc.Name)
-			if lerr != nil || rerr != nil {
-				continue
-			}
-		}
-		used[i] = true
-		combined.rows = hashJoinRows(left.rows, right.rows, li, ri, false)
-		return combined, nil
 	}
-	// Cross product.
-	combined.rows = crossJoinRows(left.rows, right.rows)
-	return combined, nil
+	return crossJoin(left, right)
 }
 
 // explicitJoin evaluates JOIN ... ON / USING with inner and outer variants.
 func (e *Engine) explicitJoin(j *sql.JoinExpr, left, right *relation, outer *env) (*relation, error) {
-	ev := &evaluator{eng: e}
-	combinedCols := append(append([]binding{}, left.cols...), right.cols...)
-	combined := &relation{cols: combinedCols}
-
 	// Build the ON condition from USING if necessary.
 	on := j.On
 	if on == nil && len(j.Using) > 0 {
 		for _, col := range j.Using {
-			lq := left.cols[0].qualifier
-			rq := right.cols[0].qualifier
 			cond := &sql.BinaryExpr{Op: "=",
-				Left:  &sql.ColumnRef{Table: lq, Name: col},
-				Right: &sql.ColumnRef{Table: rq, Name: col}}
+				Left:  &sql.ColumnRef{Table: left.cols[0].qualifier, Name: col},
+				Right: &sql.ColumnRef{Table: right.cols[0].qualifier, Name: col}}
 			if on == nil {
 				on = cond
 			} else {
@@ -328,204 +299,218 @@ func (e *Engine) explicitJoin(j *sql.JoinExpr, left, right *relation, outer *env
 		}
 	}
 
-	if j.Type == JoinCrossType() || on == nil {
-		combined.rows = crossJoinRows(left.rows, right.rows)
-		return combined, nil
+	if j.Type == sql.JoinCross || on == nil {
+		return crossJoin(left, right), nil
 	}
 
-	// Try a hash join for single equality conditions between the two sides.
-	if b, ok := on.(*sql.BinaryExpr); ok && b.Op == "=" && j.Type == sql.JoinInner {
-		lc, lok := b.Left.(*sql.ColumnRef)
-		rc, rok := b.Right.(*sql.ColumnRef)
-		if lok && rok {
-			li, lerr := left.lookup(lc.Table, lc.Name)
-			ri, rerr := right.lookup(rc.Table, rc.Name)
-			if lerr != nil || rerr != nil {
-				li, lerr = left.lookup(rc.Table, rc.Name)
-				ri, rerr = right.lookup(lc.Table, lc.Name)
-			}
-			if lerr == nil && rerr == nil {
-				combined.rows = hashJoinRows(left.rows, right.rows, li, ri, false)
-				return combined, nil
-			}
+	// A hash join for a single equality between the two sides.
+	if j.Type == sql.JoinInner {
+		if lcol, rcol, ok := equiJoinColumns(on, left, right); ok {
+			return hashJoin(left, right, lcol, rcol), nil
 		}
 	}
 
-	// General nested-loop join with outer-join null padding.
-	leftMatched := make([]bool, len(left.rows))
-	rightMatched := make([]bool, len(right.rows))
-	for li, lrow := range left.rows {
-		for ri, rrow := range right.rows {
-			joined := append(append(Row{}, lrow...), rrow...)
-			en := &env{rel: combined, row: joined, outer: outer}
-			ok, err := ev.evalBool(on, en)
+	// General nested-loop join with outer-join null padding: the candidate
+	// pair is assembled in scratch and kept, by reference, if ON holds.
+	lw, rw := len(left.widths), len(right.widths)
+	combined := joinedShape(left, right, nil, 0)
+	cond := (&compiler{eng: e, rel: combined, outer: outer}).predicate(on)
+	scratch := make([]Row, lw+rw)
+	en := &env{rel: combined, tuple: scratch, outer: outer}
+	leftMatched := make([]bool, left.n)
+	rightMatched := make([]bool, right.n)
+	for l := range leftMatched {
+		copy(scratch, left.tuple(l))
+		for r := range rightMatched {
+			copy(scratch[lw:], right.tuple(r))
+			ok, err := cond(en)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				combined.rows = append(combined.rows, joined)
-				leftMatched[li] = true
-				rightMatched[ri] = true
+				combined.refs = append(combined.refs, scratch...)
+				leftMatched[l] = true
+				rightMatched[r] = true
 			}
 		}
 	}
-	nullRow := func(n int) Row {
-		r := make(Row, n)
-		for i := range r {
-			r[i] = Null
-		}
-		return r
-	}
 	if j.Type == sql.JoinLeft || j.Type == sql.JoinFull {
-		for li, lrow := range left.rows {
-			if !leftMatched[li] {
-				combined.rows = append(combined.rows, append(append(Row{}, lrow...), nullRow(len(right.cols))...))
+		for l, matched := range leftMatched {
+			if !matched {
+				combined.refs = append(append(combined.refs, left.tuple(l)...), make([]Row, rw)...)
 			}
 		}
 	}
 	if j.Type == sql.JoinRight || j.Type == sql.JoinFull {
-		for ri, rrow := range right.rows {
-			if !rightMatched[ri] {
-				combined.rows = append(combined.rows, append(append(Row{}, nullRow(len(left.cols))...), rrow...))
+		for r, matched := range rightMatched {
+			if !matched {
+				combined.refs = append(append(combined.refs, make([]Row, lw)...), right.tuple(r)...)
 			}
 		}
 	}
+	combined.n = len(combined.refs) / (lw + rw)
 	return combined, nil
-}
-
-// JoinCrossType exposes the cross-join constant to avoid importing sql in
-// callers that only need the comparison above.
-func JoinCrossType() sql.JoinType { return sql.JoinCross }
-
-func crossJoinRows(left, right []Row) []Row {
-	out := make([]Row, 0, len(left)*len(right))
-	for _, l := range left {
-		for _, r := range right {
-			out = append(out, append(append(Row{}, l...), r...))
-		}
-	}
-	return out
-}
-
-func hashJoinRows(left, right []Row, li, ri int, _ bool) []Row {
-	// Build on the smaller side.
-	if len(right) < len(left) {
-		index := make(map[string][]Row, len(right))
-		for _, r := range right {
-			if r[ri].IsNull() {
-				continue
-			}
-			k := r[ri].Key()
-			index[k] = append(index[k], r)
-		}
-		var out []Row
-		for _, l := range left {
-			if l[li].IsNull() {
-				continue
-			}
-			for _, r := range index[l[li].Key()] {
-				out = append(out, append(append(Row{}, l...), r...))
-			}
-		}
-		return out
-	}
-	index := make(map[string][]Row, len(left))
-	for _, l := range left {
-		if l[li].IsNull() {
-			continue
-		}
-		k := l[li].Key()
-		index[k] = append(index[k], l)
-	}
-	var out []Row
-	for _, r := range right {
-		if r[ri].IsNull() {
-			continue
-		}
-		for _, l := range index[r[ri].Key()] {
-			out = append(out, append(append(Row{}, l...), r...))
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // Projection, aggregation, ordering
 // ---------------------------------------------------------------------------
 
-// execProject projects the SELECT list over each source row (no aggregation).
-func (e *Engine) execProject(stmt *sql.SelectStmt, source *relation, outer *env) (*relation, error) {
-	ev := &evaluator{eng: e}
-	outCols, starIdx, err := projectionColumns(stmt, source)
-	if err != nil {
-		return nil, err
-	}
-	out := &relation{cols: outCols}
+// selectItem is one compiled element of the SELECT list: an expression (an
+// expr in a plain SELECT, a groupExpr in an aggregating one), or the columns
+// a star copies from the tuple under the cursor.
+type selectItem[E any] struct {
+	eval E
+	star bool      // `*`: every row of the tuple in full
+	cols []binding // `t.*`: the columns it selects
+}
 
-	// Precompute ORDER BY keys against the source relation so ordering can
-	// reference non-projected columns.
-	type keyedRow struct {
-		keys Row
-		row  Row
-	}
-	var keyed []keyedRow
-	for _, srcRow := range source.rows {
-		en := &env{rel: source, row: srcRow, outer: outer}
-		projected := make(Row, 0, len(outCols))
-		for i, item := range stmt.Columns {
-			switch {
-			case item.Star:
-				projected = append(projected, srcRow...)
-			case item.TableStar != "":
-				for ci, b := range source.cols {
-					if strings.EqualFold(b.qualifier, item.TableStar) || strings.EqualFold(b.table, item.TableStar) {
-						projected = append(projected, srcRow[ci])
-					}
+// orderKey is one compiled ORDER BY key: the select-list position whose alias
+// it names (-1 if none), else an expression over the source.
+type orderKey[E any] struct {
+	slot int
+	eval E
+}
+
+// selectList compiles the SELECT list and the ORDER BY keys of a statement.
+func selectList[E any](stmt *sql.SelectStmt, source *relation, compile func(sql.Expr) E) ([]selectItem[E], []orderKey[E]) {
+	items := make([]selectItem[E], len(stmt.Columns))
+	for i, item := range stmt.Columns {
+		switch {
+		case item.Star:
+			items[i].star = true
+		case item.TableStar != "":
+			items[i].cols = []binding{}
+			for _, b := range source.cols {
+				if b.matchesStar(item.TableStar) {
+					items[i].cols = append(items[i].cols, b)
 				}
+			}
+		default:
+			items[i].eval = compile(item.Expr)
+		}
+	}
+	keys := make([]orderKey[E], len(stmt.OrderBy))
+	for i, o := range stmt.OrderBy {
+		keys[i] = orderKey[E]{slot: -1, eval: compile(o.Expr)}
+		if c, ok := o.Expr.(*sql.ColumnRef); ok && c.Table == "" {
+			for slot, item := range stmt.Columns {
+				if item.Alias != "" && strings.EqualFold(item.Alias, c.Name) {
+					keys[i].slot = slot
+					break
+				}
+			}
+		}
+	}
+	return items, keys
+}
+
+// appendStar appends every column of the tuple, NULLs for a padded side.
+func appendStar(dst []Value, source *relation, tuple []Row) []Value {
+	for leaf, row := range tuple {
+		if row != nil {
+			dst = append(dst, row...)
+			continue
+		}
+		for i := 0; i < source.widths[leaf]; i++ {
+			dst = append(dst, Null)
+		}
+	}
+	return dst
+}
+
+func appendColumns(dst []Value, cols []binding, tuple []Row) []Value {
+	for _, b := range cols {
+		if row := tuple[b.leaf]; b.pos < len(row) {
+			dst = append(dst, row[b.pos])
+		} else {
+			dst = append(dst, Null)
+		}
+	}
+	return dst
+}
+
+// execProject projects the SELECT list over each source tuple (no
+// aggregation): every output row is a window of one slab of values sized from
+// the input, and so are the ORDER BY keys.
+func (e *Engine) execProject(stmt *sql.SelectStmt, source *relation, outer *env) (*relation, error) {
+	outCols := projectionColumns(stmt, source)
+	items, order := selectList(stmt, source, (&compiler{eng: e, rel: source, outer: outer}).compile)
+	en := &env{rel: source, outer: outer}
+
+	slab := make([]Value, 0, source.n*len(outCols))
+	keys := make([]Value, 0, source.n*len(order))
+	rows := make([]Row, source.n)
+	for i := range rows {
+		en.tuple = source.tuple(i)
+		start := len(slab)
+		for _, item := range items {
+			switch {
+			case item.star:
+				slab = appendStar(slab, source, en.tuple)
+			case item.cols != nil:
+				slab = appendColumns(slab, item.cols, en.tuple)
 			default:
-				v, err := ev.eval(item.Expr, en)
+				v, err := item.eval(en)
 				if err != nil {
 					return nil, err
 				}
-				projected = append(projected, v)
+				slab = append(slab, v)
 			}
-			_ = i
 		}
-		var keys Row
-		for _, o := range stmt.OrderBy {
-			v, err := e.evalOrderKey(o.Expr, stmt, source, srcRow, projected, outCols, outer)
+		row := Row(slab[start:len(slab):len(slab)])
+		rows[i] = row
+		// ORDER BY keys are computed against the source so ordering can
+		// reference non-projected columns; an output alias wins.
+		for _, o := range order {
+			if o.slot >= 0 && o.slot < len(row) {
+				keys = append(keys, row[o.slot])
+				continue
+			}
+			v, err := o.eval(en)
 			if err != nil {
 				return nil, err
 			}
 			keys = append(keys, v)
 		}
-		keyed = append(keyed, keyedRow{keys: keys, row: projected})
 	}
-	_ = starIdx
-	if len(stmt.OrderBy) > 0 {
-		sort.SliceStable(keyed, func(i, j int) bool {
-			return compareKeys(keyed[i].keys, keyed[j].keys, stmt.OrderBy)
-		})
-	}
-	for _, kr := range keyed {
-		out.rows = append(out.rows, kr.row)
-	}
-	return out, nil
+	return leafRelation(outCols, sortRows(rows, keys, stmt.OrderBy)), nil
 }
 
-// evalOrderKey evaluates an ORDER BY expression, first trying output aliases
-// then the source relation.
-func (e *Engine) evalOrderKey(expr sql.Expr, stmt *sql.SelectStmt, source *relation, srcRow, projected Row, outCols []binding, outer *env) (Value, error) {
-	if c, ok := expr.(*sql.ColumnRef); ok && c.Table == "" {
-		for i, item := range stmt.Columns {
-			if item.Alias != "" && strings.EqualFold(item.Alias, c.Name) && i < len(projected) {
-				return projected[i], nil
-			}
-		}
+// sortRows returns the rows in ORDER BY order; keys holds len(order) values
+// per row. The sort is stable. No rows come back as nil, which is what a
+// Result has always held for an empty SELECT.
+func sortRows(rows []Row, keys []Value, order []sql.OrderItem) []Row {
+	if len(rows) == 0 {
+		return nil
 	}
-	ev := &evaluator{eng: e}
-	en := &env{rel: source, row: srcRow, outer: outer}
-	return ev.eval(expr, en)
+	if len(order) == 0 || len(rows) == 1 {
+		return rows
+	}
+	s := &rowSorter{perm: make([]int32, len(rows)), keys: keys, order: order}
+	for i := range s.perm {
+		s.perm[i] = int32(i)
+	}
+	sort.Stable(s)
+	sorted := make([]Row, len(rows))
+	for i, p := range s.perm {
+		sorted[i] = rows[p]
+	}
+	return sorted
+}
+
+// rowSorter sorts a permutation of row numbers by the rows' keys.
+type rowSorter struct {
+	perm  []int32
+	keys  []Value
+	order []sql.OrderItem
+}
+
+func (s *rowSorter) Len() int      { return len(s.perm) }
+func (s *rowSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
+func (s *rowSorter) Less(i, j int) bool {
+	k, a, b := len(s.order), int(s.perm[i]), int(s.perm[j])
+	return compareKeys(s.keys[a*k:(a+1)*k], s.keys[b*k:(b+1)*k], s.order)
 }
 
 func compareKeys(a, b Row, order []sql.OrderItem) bool {
@@ -556,17 +541,15 @@ func compareKeys(a, b Row, order []sql.OrderItem) bool {
 }
 
 // projectionColumns computes the output bindings for the SELECT list.
-func projectionColumns(stmt *sql.SelectStmt, source *relation) ([]binding, int, error) {
+func projectionColumns(stmt *sql.SelectStmt, source *relation) []binding {
 	var out []binding
-	starIdx := -1
 	for _, item := range stmt.Columns {
 		switch {
 		case item.Star:
-			starIdx = len(out)
 			out = append(out, source.cols...)
 		case item.TableStar != "":
 			for _, b := range source.cols {
-				if strings.EqualFold(b.qualifier, item.TableStar) || strings.EqualFold(b.table, item.TableStar) {
+				if b.matchesStar(item.TableStar) {
 					out = append(out, b)
 				}
 			}
@@ -582,7 +565,7 @@ func projectionColumns(stmt *sql.SelectStmt, source *relation) ([]binding, int, 
 			out = append(out, binding{column: name})
 		}
 	}
-	return out, starIdx, nil
+	return out
 }
 
 // needsAggregation reports whether the SELECT uses GROUP BY or aggregate
@@ -607,347 +590,304 @@ func needsAggregation(stmt *sql.SelectStmt) bool {
 	return agg
 }
 
-// execAggregate evaluates a grouped (or implicitly single-group) query.
-func (e *Engine) execAggregate(stmt *sql.SelectStmt, source *relation, outer *env) (*relation, error) {
-	ev := &evaluator{eng: e}
+// group is one group of an aggregating SELECT: its first tuple (-1 if it has
+// none) and how many it has. The others follow through grouping.next.
+type group struct{ head, size int32 }
 
-	// Partition rows into groups.
-	type group struct {
-		keyVals Row
-		rows    []Row
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range source.rows {
-		en := &env{rel: source, row: row, outer: outer}
-		var keyVals Row
-		var keyParts []string
-		for _, g := range stmt.GroupBy {
-			v, err := ev.eval(g, en)
-			if err != nil {
-				return nil, err
-			}
-			keyVals = append(keyVals, v)
-			keyParts = append(keyParts, v.Key())
-		}
-		key := strings.Join(keyParts, "\x1f")
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{keyVals: keyVals}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		grp.rows = append(grp.rows, row)
-	}
-	// A query with aggregates but no GROUP BY has exactly one group, even if
-	// the source is empty.
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
-	}
-
-	outCols, _, err := projectionColumns(stmt, source)
-	if err != nil {
-		return nil, err
-	}
-	out := &relation{cols: outCols}
-
-	type keyedRow struct {
-		keys Row
-		row  Row
-	}
-	var keyed []keyedRow
-	for _, key := range order {
-		grp := groups[key]
-		gev := &groupEvaluator{eng: e, source: source, rows: grp.rows, outer: outer}
-		// HAVING filter.
-		if stmt.Having != nil {
-			v, err := gev.eval(stmt.Having)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			b, err := v.Coerce(TypeBool)
-			if err != nil || !b.Bool {
-				continue
-			}
-		}
-		projected := make(Row, 0, len(stmt.Columns))
-		for _, item := range stmt.Columns {
-			switch {
-			case item.Star:
-				// SELECT * with GROUP BY projects the first row of the group.
-				if len(grp.rows) > 0 {
-					projected = append(projected, grp.rows[0]...)
-				} else {
-					projected = append(projected, make(Row, len(source.cols))...)
-				}
-			case item.TableStar != "":
-				if len(grp.rows) > 0 {
-					for ci, b := range source.cols {
-						if strings.EqualFold(b.qualifier, item.TableStar) || strings.EqualFold(b.table, item.TableStar) {
-							projected = append(projected, grp.rows[0][ci])
-						}
-					}
-				}
-			default:
-				v, err := gev.eval(item.Expr)
-				if err != nil {
-					return nil, err
-				}
-				projected = append(projected, v)
-			}
-		}
-		var keys Row
-		for _, o := range stmt.OrderBy {
-			v, err := e.evalGroupOrderKey(o.Expr, stmt, gev, projected)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, v)
-		}
-		keyed = append(keyed, keyedRow{keys: keys, row: projected})
-	}
-	if len(stmt.OrderBy) > 0 {
-		sort.SliceStable(keyed, func(i, j int) bool {
-			return compareKeys(keyed[i].keys, keyed[j].keys, stmt.OrderBy)
-		})
-	}
-	for _, kr := range keyed {
-		out.rows = append(out.rows, kr.row)
-	}
-	return out, nil
-}
-
-func (e *Engine) evalGroupOrderKey(expr sql.Expr, stmt *sql.SelectStmt, gev *groupEvaluator, projected Row) (Value, error) {
-	if c, ok := expr.(*sql.ColumnRef); ok && c.Table == "" {
-		for i, item := range stmt.Columns {
-			if item.Alias != "" && strings.EqualFold(item.Alias, c.Name) && i < len(projected) {
-				return projected[i], nil
-			}
-		}
-	}
-	return gev.eval(expr)
-}
-
-// groupEvaluator evaluates expressions in the context of one group: aggregate
-// calls aggregate over the group's rows, plain column references evaluate
-// against the group's first row.
-type groupEvaluator struct {
-	eng    *Engine
+// grouping partitions the tuples of a relation into groups without moving
+// them: each tuple records the next tuple of its group, so a group is walked
+// in source order and an aggregate folds over it with no list of rows or
+// argument values.
+type grouping struct {
+	c      *compiler
 	source *relation
-	rows   []Row
-	outer  *env
+	en     *env    // cursor for aggregate arguments and representative tuples
+	next   []int32 // the tuple after this one in its group, -1 at the end
 }
 
-func (g *groupEvaluator) eval(e sql.Expr) (Value, error) {
-	if f, ok := e.(*sql.FuncCall); ok && f.IsAggregate() {
-		return g.evalAggregate(f)
+// partition evaluates the GROUP BY keys of every tuple and returns the groups
+// in order of first appearance. A query with aggregates but no GROUP BY has
+// exactly one group, even if the source is empty.
+func (g *grouping) partition(groupBy []sql.Expr) ([]group, error) {
+	n := g.source.n
+	g.next = make([]int32, n)
+	if len(groupBy) == 0 {
+		for i := range g.next {
+			g.next[i] = int32(i + 1)
+		}
+		if n == 0 {
+			return []group{{head: -1}}, nil
+		}
+		g.next[n-1] = -1
+		return []group{{head: 0, size: int32(n)}}, nil
 	}
+	var (
+		keys   = g.c.compileAll(groupBy)
+		key    = make([]Value, len(keys))
+		index  keyIndex
+		groups []group
+		tails  []int32
+	)
+	for i := range g.next {
+		g.en.tuple = g.source.tuple(i)
+		for k, eval := range keys {
+			v, err := eval(g.en)
+			if err != nil {
+				return nil, err
+			}
+			key[k] = v
+		}
+		g.next[i] = -1
+		if id, fresh := index.add(key); fresh {
+			groups = append(groups, group{head: int32(i), size: 1})
+			tails = append(tails, int32(i))
+		} else {
+			g.next[tails[id]] = int32(i)
+			tails[id] = int32(i)
+			groups[id].size++
+		}
+	}
+	return groups, nil
+}
+
+// representative returns the tuple non-aggregate expressions of a group see:
+// its first, or all NULLs for the empty group.
+func (g *grouping) representative(gr group) []Row {
+	if gr.head < 0 {
+		return make([]Row, len(g.source.widths))
+	}
+	return g.source.tuple(int(gr.head))
+}
+
+// groupExpr is an expression bound to a grouping: aggregate calls fold over
+// the group's tuples, plain column references evaluate against the group's
+// representative tuple.
+type groupExpr func(gr group) (Value, error)
+
+func (g *grouping) compile(e sql.Expr) groupExpr {
 	switch n := e.(type) {
+	case *sql.FuncCall:
+		if n.IsAggregate() {
+			return g.compileAggregate(n)
+		}
 	case *sql.BinaryExpr:
 		// Allow expressions over aggregates, e.g. AVG(x) > 10, SUM(a)/COUNT(*).
-		left, err := g.eval(n.Left)
-		if err != nil {
-			return Null, err
-		}
-		right, err := g.eval(n.Right)
-		if err != nil {
-			return Null, err
-		}
-		return evalBinaryValues(n.Op, left, right)
-	case *sql.UnaryExpr:
-		inner, err := g.eval(n.Expr)
-		if err != nil {
-			return Null, err
-		}
-		switch n.Op {
-		case "-":
-			return arith("-", NewInt(0), inner)
-		case "NOT":
-			if inner.IsNull() {
-				return Null, nil
-			}
-			b, err := inner.Coerce(TypeBool)
+		left, right, op := g.compile(n.Left), g.compile(n.Right), n.Op
+		return func(gr group) (Value, error) {
+			l, err := left(gr)
 			if err != nil {
 				return Null, err
 			}
-			return NewBool(!b.Bool), nil
-		default:
-			return inner, nil
+			r, err := right(gr)
+			if err != nil {
+				return Null, err
+			}
+			return binaryValues(op, l, r)
+		}
+	case *sql.UnaryExpr:
+		inner, op := g.compile(n.Expr), n.Op
+		return func(gr group) (Value, error) {
+			v, err := inner(gr)
+			if err != nil {
+				return Null, err
+			}
+			switch op {
+			case "-":
+				return arith("-", NewInt(0), v)
+			case "NOT":
+				return unaryValue(op, v)
+			default:
+				return v, nil
+			}
 		}
 	}
-	// Non-aggregate expression: evaluate against the group's representative row.
-	ev := &evaluator{eng: g.eng}
-	var row Row
-	if len(g.rows) > 0 {
-		row = g.rows[0]
-	} else {
-		row = make(Row, len(g.source.cols))
-		for i := range row {
-			row[i] = Null
-		}
+	// Non-aggregate expression: evaluate against the representative tuple.
+	eval := g.c.compile(e)
+	return func(gr group) (Value, error) {
+		g.en.tuple = g.representative(gr)
+		return eval(g.en)
 	}
-	en := &env{rel: g.source, row: row, outer: g.outer}
-	return ev.eval(e, en)
 }
 
-func (g *groupEvaluator) evalAggregate(f *sql.FuncCall) (Value, error) {
+func (g *grouping) compileAggregate(f *sql.FuncCall) groupExpr {
 	name := strings.ToUpper(f.Name)
-	ev := &evaluator{eng: g.eng}
-	// Collect argument values across the group.
-	var vals []Value
+	fail := func(err error) groupExpr {
+		return func(group) (Value, error) { return Null, err }
+	}
 	if f.Star {
 		if name != "COUNT" {
-			return Null, fmt.Errorf("engine: %s(*) is not supported", name)
+			return fail(fmt.Errorf("engine: %s(*) is not supported", name))
 		}
-		return NewInt(int64(len(g.rows))), nil
+		return func(gr group) (Value, error) { return NewInt(int64(gr.size)), nil }
 	}
 	if len(f.Args) != 1 {
-		return Null, fmt.Errorf("engine: aggregate %s expects exactly one argument", name)
+		return fail(fmt.Errorf("engine: aggregate %s expects exactly one argument", name))
 	}
-	seen := make(map[string]bool)
-	for _, row := range g.rows {
-		en := &env{rel: g.source, row: row, outer: g.outer}
-		v, err := ev.eval(f.Args[0], en)
+	arg, distinct := g.c.compile(f.Args[0]), f.Distinct
+	return func(gr group) (Value, error) { return g.fold(name, distinct, arg, gr) }
+}
+
+// fold computes one aggregate over one group in a single pass. An argument
+// that fails to evaluate fails the aggregate at once; a value the aggregate
+// cannot take (SUM of text, MIN of incomparable values) fails it only after
+// every argument has evaluated, so which error a statement reports does not
+// depend on the order of the two kinds within the group.
+func (g *grouping) fold(name string, distinct bool, arg expr, gr group) (Value, error) {
+	var (
+		seen   map[valueKey]struct{}
+		count  int64
+		sum    float64
+		allInt = true
+		best   Value
+		bad    error
+	)
+	for i := gr.head; i >= 0; i = g.next[i] {
+		g.en.tuple = g.source.tuple(int(i))
+		v, err := arg(g.en)
 		if err != nil {
 			return Null, err
 		}
 		if v.IsNull() {
 			continue
 		}
-		if f.Distinct {
-			k := v.Key()
-			if seen[k] {
+		if distinct {
+			k := keyOf(&v)
+			if _, dup := seen[k]; dup {
 				continue
 			}
-			seen[k] = true
+			if seen == nil {
+				seen = make(map[valueKey]struct{})
+			}
+			seen[k] = struct{}{}
 		}
-		vals = append(vals, v)
-	}
-	switch name {
-	case "COUNT":
-		return NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null, nil
+		count++
+		if bad != nil {
+			continue
 		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
+		switch name {
+		case "SUM", "AVG":
 			f, ok := v.asFloat()
 			if !ok {
-				return Null, fmt.Errorf("engine: %s over non-numeric values", name)
+				bad = fmt.Errorf("engine: %s over non-numeric values", name)
+				continue
 			}
 			if v.Type != TypeInt {
 				allInt = false
 			}
 			sum += f
-		}
-		if name == "AVG" {
-			return NewFloat(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return NewInt(int64(sum)), nil
-		}
-		return NewFloat(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
+		case "MIN", "MAX":
+			if count == 1 {
+				best = v
+				continue
+			}
 			c, err := v.Compare(best)
 			if err != nil {
-				return Null, err
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
+				bad = err
+			} else if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
 				best = v
 			}
 		}
-		return best, nil
+	}
+	switch {
+	case bad != nil:
+		return Null, bad
+	case name == "COUNT":
+		return NewInt(count), nil
+	case count == 0:
+		return Null, nil
+	case name == "AVG":
+		return NewFloat(sum / float64(count)), nil
+	case name == "SUM" && allInt:
+		return NewInt(int64(sum)), nil
+	case name == "SUM":
+		return NewFloat(sum), nil
 	default:
-		return Null, fmt.Errorf("engine: unknown aggregate %s", name)
+		return best, nil
 	}
 }
 
-// evalBinaryValues applies a binary operator to two already-evaluated values.
-func evalBinaryValues(op string, left, right Value) (Value, error) {
-	switch op {
-	case "AND", "OR":
-		if left.IsNull() || right.IsNull() {
-			return Null, nil
-		}
-		lb, err := left.Coerce(TypeBool)
-		if err != nil {
-			return Null, err
-		}
-		rb, err := right.Coerce(TypeBool)
-		if err != nil {
-			return Null, err
-		}
-		if op == "AND" {
-			return NewBool(lb.Bool && rb.Bool), nil
-		}
-		return NewBool(lb.Bool || rb.Bool), nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		if left.IsNull() || right.IsNull() {
-			return Null, nil
-		}
-		c, err := left.Compare(right)
-		if err != nil {
-			return Null, err
-		}
-		var out bool
-		switch op {
-		case "=":
-			out = c == 0
-		case "<>":
-			out = c != 0
-		case "<":
-			out = c < 0
-		case "<=":
-			out = c <= 0
-		case ">":
-			out = c > 0
-		case ">=":
-			out = c >= 0
-		}
-		return NewBool(out), nil
-	case "||":
-		if left.IsNull() || right.IsNull() {
-			return Null, nil
-		}
-		return NewText(left.String() + right.String()), nil
-	default:
-		return arith(op, left, right)
+// execAggregate evaluates a grouped (or implicitly single-group) query: one
+// output row per group that passes HAVING, in one slab sized from the number
+// of groups.
+func (e *Engine) execAggregate(stmt *sql.SelectStmt, source *relation, outer *env) (*relation, error) {
+	g := &grouping{
+		c:      &compiler{eng: e, rel: source, outer: outer},
+		source: source,
+		en:     &env{rel: source, outer: outer},
 	}
+	groups, err := g.partition(stmt.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	outCols := projectionColumns(stmt, source)
+	items, order := selectList(stmt, source, g.compile)
+	var having groupExpr
+	if stmt.Having != nil {
+		having = g.compile(stmt.Having)
+	}
+
+	slab := make([]Value, 0, len(groups)*len(outCols))
+	keys := make([]Value, 0, len(groups)*len(order))
+	rows := make([]Row, 0, len(groups))
+	for _, gr := range groups {
+		if having != nil {
+			v, err := having(gr)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				continue
+			}
+			if b, err := v.Coerce(TypeBool); err != nil || !b.Bool {
+				continue
+			}
+		}
+		start := len(slab)
+		for _, item := range items {
+			switch {
+			case item.star:
+				// SELECT * with GROUP BY projects the first row of the group.
+				slab = appendStar(slab, source, g.representative(gr))
+			case item.cols != nil:
+				if gr.size > 0 {
+					slab = appendColumns(slab, item.cols, g.representative(gr))
+				}
+			default:
+				v, err := item.eval(gr)
+				if err != nil {
+					return nil, err
+				}
+				slab = append(slab, v)
+			}
+		}
+		row := Row(slab[start:len(slab):len(slab)])
+		rows = append(rows, row)
+		for _, o := range order {
+			if o.slot >= 0 && o.slot < len(row) {
+				keys = append(keys, row[o.slot])
+				continue
+			}
+			v, err := o.eval(gr)
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, v)
+		}
+	}
+	return leafRelation(outCols, sortRows(rows, keys, stmt.OrderBy)), nil
 }
 
 // ---------------------------------------------------------------------------
 // DISTINCT, LIMIT, set operations
 // ---------------------------------------------------------------------------
 
-func rowKey(r Row) string {
-	parts := make([]string, len(r))
-	for i, v := range r {
-		parts[i] = v.Key()
-	}
-	return strings.Join(parts, "\x1f")
-}
-
 func distinctRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
+	var seen keyIndex
 	out := rows[:0:0]
 	for _, r := range rows {
-		k := rowKey(r)
-		if seen[k] {
-			continue
+		if _, fresh := seen.add(r); fresh {
+			out = append(out, r)
 		}
-		seen[k] = true
-		out = append(out, r)
 	}
 	return out
 }
@@ -971,41 +911,26 @@ func applyCompound(op string, all bool, left, right *relation) (*relation, error
 	if len(left.cols) != len(right.cols) {
 		return nil, fmt.Errorf("engine: %s operands have different column counts (%d vs %d)", op, len(left.cols), len(right.cols))
 	}
-	out := &relation{cols: left.cols}
+	var rows []Row
 	switch op {
 	case "UNION":
-		out.rows = append(append([]Row{}, left.rows...), right.rows...)
-		if !all {
-			out.rows = distinctRows(out.rows)
+		rows = append(append([]Row{}, left.refs...), right.refs...)
+	case "EXCEPT", "INTERSECT":
+		var inRight keyIndex
+		for _, r := range right.refs {
+			inRight.add(r)
 		}
-	case "EXCEPT":
-		rightKeys := make(map[string]bool, len(right.rows))
-		for _, r := range right.rows {
-			rightKeys[rowKey(r)] = true
-		}
-		for _, r := range left.rows {
-			if !rightKeys[rowKey(r)] {
-				out.rows = append(out.rows, r)
+		for _, r := range left.refs {
+			if inRight.has(r) == (op == "INTERSECT") {
+				rows = append(rows, r)
 			}
-		}
-		if !all {
-			out.rows = distinctRows(out.rows)
-		}
-	case "INTERSECT":
-		rightKeys := make(map[string]bool, len(right.rows))
-		for _, r := range right.rows {
-			rightKeys[rowKey(r)] = true
-		}
-		for _, r := range left.rows {
-			if rightKeys[rowKey(r)] {
-				out.rows = append(out.rows, r)
-			}
-		}
-		if !all {
-			out.rows = distinctRows(out.rows)
 		}
 	default:
 		return nil, fmt.Errorf("engine: unknown set operation %s", op)
 	}
-	return out, nil
+	if !all {
+		rows = distinctRows(rows)
+	}
+	left.setRows(rows)
+	return left, nil
 }

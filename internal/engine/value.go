@@ -8,6 +8,28 @@
 // The engine also exposes exactly the information the Query Profiler needs:
 // result cardinality, execution time and output rows for sampling, plus a
 // schema-change log consumed by the Query Maintenance component.
+//
+// Execution is late-materialising. Catalog tables are copy-on-write: a
+// published Table, its Schema, its Rows slice and every Row are never written
+// again (DML and ALTER build what they change and swap a new Table in, only if
+// the whole statement succeeded), so a scan is the table's rows by reference.
+// An intermediate relation (relation.go) is a column shape plus tuples of Row
+// references, one reference per joined FROM leaf, all tuples of a relation in
+// one slab: a filter keeps references, and the hash, cross and nested-loop
+// joins (join.go) concatenate the references of their two sides into a slab
+// sized by a count pass. Values are copied exactly once, by the final
+// projection or aggregate output (select.go), into one slab sized from the
+// input, so Result rows never alias table storage. Expressions are compiled
+// per statement (eval.go): each column reference is resolved to a tuple
+// position — or to the error resolving it gives, raised only if the reference
+// is evaluated — and each literal converted once, and one environment is
+// reused per loop. Join, GROUP BY and DISTINCT keys are comparable structs
+// with the equality classes of Value.Key (key.go); groups chain tuple numbers
+// and fold each aggregate in one pass. The allocation count of a statement is
+// therefore a function of its shape, not of the rows it reads or returns
+// (TestExecuteAllocationBudget). Plans are the ones the wide-row executor
+// chose — same push-down, build side and probe order — and
+// testdata/parent_results.jsonl pins the results to that executor's.
 package engine
 
 import (
@@ -199,25 +221,8 @@ func (v Value) Equal(other Value) bool {
 // Numeric values of equal magnitude map to the same key regardless of
 // int/float representation.
 func (v Value) Key() string {
-	switch v.Type {
-	case TypeNull:
-		return "\x00null"
-	case TypeInt:
-		return "n:" + strconv.FormatFloat(float64(v.Int), 'g', -1, 64)
-	case TypeFloat:
-		return "n:" + strconv.FormatFloat(v.Float, 'g', -1, 64)
-	case TypeText:
-		return "s:" + v.Str
-	case TypeBool:
-		if v.Bool {
-			return "b:1"
-		}
-		return "b:0"
-	case TypeTimestamp:
-		return "t:" + strconv.FormatInt(v.Time.UnixNano(), 10)
-	default:
-		return "?"
-	}
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
 }
 
 // Coerce converts the value to the target column type where a lossless or

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -120,6 +121,34 @@ func TestParseErrorCounters(t *testing.T) {
 	}
 	if got := counterValue(t, reg, "cqms_profiler_parse_errors_total", "outcome", "rejected"); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
+	}
+}
+
+// TestEngineStageHistograms: every statement that ran is observed once, with
+// the elapsed time and cardinality the record logs; one that failed to parse
+// or to execute is not.
+func TestEngineStageHistograms(t *testing.T) {
+	p, store, reg := newCapturingProfiler(t)
+	out, err := p.Submit(Submission{User: "u", SQL: "SELECT lake FROM WaterTemp"})
+	if err != nil || out.ExecError != nil {
+		t.Fatalf("Submit: %v / %v", err, out.ExecError)
+	}
+	for _, sql := range []string{"VACUUM", "SELECT nosuch FROM WaterTemp"} {
+		if _, err := p.Submit(Submission{User: "u", SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := store.Get(out.QueryID, storage.Principal{User: "u"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seconds := reg.Histogram("cqms_engine_execute_seconds", "", nil)
+	rows := reg.Histogram("cqms_engine_result_rows", "", nil)
+	if seconds.Count() != 1 || seconds.Sum() != rec.Stats.ExecTime {
+		t.Errorf("execute histogram: %d observations summing to %v, want 1 of %v", seconds.Count(), seconds.Sum(), rec.Stats.ExecTime)
+	}
+	if rows.Count() != 1 || int(rows.Sum()/time.Second) != rec.Stats.ResultRows || rec.Stats.ResultRows == 0 {
+		t.Errorf("rows histogram: %d observations summing to %v, want 1 of %d", rows.Count(), rows.Sum(), rec.Stats.ResultRows)
 	}
 }
 

@@ -131,6 +131,11 @@ type Profiler struct {
 	// error). Nil until EnableMetrics runs.
 	parseErrCaptured *telemetry.Counter
 	parseErrRejected *telemetry.Counter
+
+	// The engine.execute stage of a submission: how long the DBMS took and
+	// how many rows it returned. Nil (and inert) until EnableMetrics runs.
+	execSeconds *telemetry.Histogram
+	resultRows  *telemetry.Histogram
 }
 
 // New returns a profiler over the given engine and store.
@@ -141,8 +146,16 @@ func New(eng *engine.Engine, store *storage.Store, cfg Config) *Profiler {
 // EnableMetrics registers the profiler's instruments on reg:
 // cqms_profiler_parse_errors_total{outcome="captured"|"rejected"} counts
 // submissions whose text failed to parse, split by whether the raw-capture
-// fallback logged them anyway.
+// fallback logged them anyway; cqms_engine_execute_seconds and
+// cqms_engine_result_rows are the engine-execution stage of every statement
+// that ran — the stage the repository benchmark traces as engine.execute_us
+// and BenchmarkEngineExecute measures alone.
 func (p *Profiler) EnableMetrics(reg *telemetry.Registry) {
+	p.execSeconds = reg.Histogram("cqms_engine_execute_seconds",
+		"Engine execution time of one submitted statement (parse and logging excluded).", nil)
+	p.resultRows = reg.Histogram("cqms_engine_result_rows",
+		"Rows returned by one executed statement (le=\"100\" = results of up to 100 rows); the cardinality the profiler logs.",
+		telemetry.CountBuckets(0, 1, 10, 50, 100, 500, 1000, 5000, 10_000, 100_000, 1_000_000))
 	vec := reg.CounterVec("cqms_profiler_parse_errors_total",
 		"Submissions whose SQL failed to parse, by outcome (captured: logged as a raw record; rejected: returned as an error).",
 		"outcome")
@@ -221,6 +234,8 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 		rec.Stats.Error = out.ExecError.Error()
 	default:
 		res := out.Result
+		p.execSeconds.Observe(res.Elapsed)
+		p.resultRows.ObserveCount(res.Cardinality())
 		rec.Stats.ExecTime = res.Elapsed
 		rec.Stats.ResultRows = res.Cardinality()
 		rec.Stats.ResultColumns = len(res.Columns)

@@ -123,6 +123,8 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_http_in_flight_requests gauge",
 		"# TYPE cqms_store_mutations_total counter",
 		"# TYPE cqms_store_commit_lock_hold_seconds histogram",
+		"# TYPE cqms_engine_execute_seconds histogram",
+		"# TYPE cqms_engine_result_rows histogram",
 		"# TYPE cqms_bus_callback_seconds histogram",
 		"# TYPE cqms_store_records gauge",
 		"# TYPE cqms_sessions_live gauge",
@@ -144,6 +146,13 @@ func TestV1MetricsContract(t *testing.T) {
 	}
 	if n := mustMetric(t, text, "cqms_store_commit_lock_hold_seconds_count", nil); n < 1 {
 		t.Errorf("commit lock hold count = %v, want >= 1", n)
+	}
+	// The one submission ran in the engine and returned newTestServer's rows.
+	if n := mustMetric(t, text, "cqms_engine_execute_seconds_count", nil); n != 1 {
+		t.Errorf("engine execute count = %v, want 1", n)
+	}
+	if rows := mustMetric(t, text, "cqms_engine_result_rows_sum", nil); rows < 1 {
+		t.Errorf("engine result rows sum = %v, want the submitted query's cardinality", rows)
 	}
 
 	// Admin-only families are withheld from ordinary principals.
@@ -202,6 +211,8 @@ func TestMetricsMoveEndToEnd(t *testing.T) {
 		{"cqms_http_response_bytes_total", nil, 1},
 		{"cqms_store_mutations_total", map[string]string{"op": "put"}, 1},
 		{"cqms_store_commit_lock_hold_seconds_count", nil, 1},
+		{"cqms_engine_execute_seconds_count", nil, 1},
+		{"cqms_engine_result_rows_count", nil, 1},
 		{"cqms_bus_callback_seconds_count", map[string]string{"subscriber": "wal"}, 1},
 		{"cqms_bus_callback_seconds_count", map[string]string{"subscriber": "stats"}, 1},
 		{"cqms_wal_append_seconds_count", nil, 1},
