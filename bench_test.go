@@ -1051,8 +1051,8 @@ func BenchmarkRecoveryWithCheckpoint(b *testing.B) {
 
 // BenchmarkRecoveryRebuild is the fallback baseline: the same log compacted
 // without checkpoint sections (a bare store wrote it), so every derived-state subscriber
-// rebuilds from a full scan — including the session detector's re-sort,
-// similarity and structural-diff work.
+// rebuilds from a full scan — including the session detector's re-sort and
+// boundary pass over every user's stream (it labels no edge).
 func BenchmarkRecoveryRebuild(b *testing.B) {
 	_, plainDir := ckptRecoverySetup(b)
 	benchCheckpointRecovery(b, plainDir, 0)

@@ -228,4 +228,16 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 	if string(pb) != string(fb) {
 		t.Errorf("session listings diverged:\nprimary:  %s\nfollower: %s", pb, fb)
 	}
+	// Same IDs, and behind each ID the same graph: each side labels its own
+	// edges when the graph is read.
+	for _, s := range pSessions {
+		pg, err := New(tsPrimary.URL, WithAdmin()).SessionGraph(ctx, s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fg, err := New(tsFollower.URL, WithAdmin()).SessionGraph(ctx, s.ID)
+		if err != nil || pg != fg {
+			t.Errorf("graph of session %d diverged (follower error %v):\nprimary:  %s\nfollower: %s", s.ID, err, pg, fg)
+		}
+	}
 }

@@ -20,17 +20,27 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	c := openDurable(t, dir)
 	base := time.Date(2026, 7, 1, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 6; i++ {
+		at := base.Add(time.Duration(i) * time.Minute)
+		if i >= 3 {
+			at = at.Add(7 * time.Minute) // a pause that similarity bridges
+		}
 		submit(t, c, "alice", "limnology",
-			"SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15",
-			base.Add(time.Duration(i)*time.Minute))
+			"SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15", at)
 	}
+	// Two late arrivals, so alice's sessions are not in ID order: one three
+	// hours before everything (a session of its own, with the newest ID in
+	// front), and an unrelated query in the pause, which cuts her six-query
+	// session in two.
+	submit(t, c, "alice", "limnology", "SELECT CityLocations.city FROM CityLocations", base.Add(-3*time.Hour))
+	submit(t, c, "alice", "limnology", "SELECT WaterSalinity.lake FROM WaterSalinity", base.Add(450*time.Second))
 	// Snapshot with sidecars, then keep writing so recovery replays a tail
-	// into the restored state.
+	// into the restored state — the tail, too, edits the middle of a stream.
 	if _, _, _, err := c.Durability().Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	submit(t, c, "bob", "limnology",
 		"SELECT WaterSalinity.lake FROM WaterSalinity", base.Add(2*time.Hour))
+	submit(t, c, "alice", "limnology", "SELECT CityLocations.city FROM CityLocations", base.Add(-90*time.Minute))
 	statsBefore := c.StatsTracker().TableCounts(admin)
 	sessionsBefore, err := c.Sessions(context.Background(), admin)
 	if err != nil {
@@ -75,6 +85,9 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(sessionsAfter, sessionsBefore) {
 		t.Errorf("sessions diverged across checkpointed recovery\n got: %+v\nwant: %+v",
 			sessionsAfter, sessionsBefore)
+	}
+	if len(sessionsAfter) != 5 || !sessionsAfter[1].Start.Before(sessionsAfter[0].Start) {
+		t.Errorf("the history should leave five sessions with the second ID chronologically first: %+v", sessionsAfter)
 	}
 }
 

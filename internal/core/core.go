@@ -477,9 +477,10 @@ func (c *CQMS) Sessions(ctx context.Context, p storage.Principal) ([]session.Sum
 
 // SessionsPage returns at most limit visible session summaries (limit <= 0
 // means unbounded) with ID strictly greater than after, in ascending ID
-// order. Session IDs are stable while a user's stream only grows at its
-// chronological tail; an out-of-order insert, deletion or text repair
-// re-segments that user and reissues their session IDs.
+// order. The set is current as of the last commit. A session keeps its ID
+// through every edit of its user's stream; when an out-of-order insert,
+// deletion or text repair splits one, the later part takes a new ID, and when
+// it merges two, the later session's ID is retired.
 func (c *CQMS) SessionsPage(ctx context.Context, p storage.Principal, after int64, limit int) ([]session.Summary, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -594,10 +595,9 @@ func (c *CQMS) DeleteQuery(id storage.QueryID, p storage.Principal) error {
 
 // RunMiner performs one full background mining pass: persisting the live
 // detector's sessions into the store, the miner proper, and installation of
-// the results into the recommender. Session detection itself no longer runs
-// here — the bus-driven detector maintains the windows continuously — so the
-// pass only writes the current assignments back (feature relations and the
-// bySession index serve meta-queries from them).
+// the results into the recommender. Session detection does not run here — the
+// bus-driven detector maintains the windows continuously — so the pass only
+// writes back the assignments and edges that changed since the last one.
 func (c *CQMS) RunMiner() *miner.Result {
 	start := time.Now()
 	defer func() {
@@ -624,21 +624,37 @@ func (c *CQMS) RunMiner() *miner.Result {
 }
 
 // persistSessions writes the live detector's current session assignments and
-// edges into the store. Export copies the sessions first: the mutations
+// edges into the store (feature relations and the bySession index serve
+// meta-queries from them). It walks copies of the windows: the mutations
 // below re-enter the detector through the bus, so they must not run while
-// holding its lock. Individual failures (a query deleted since the export)
-// are skipped — the next pass re-persists.
+// holding its lock. Only what changed is written — a record whose session ID
+// differs, and an edge for each consecutive pair the store has none for,
+// which is the only time a label is computed here — so a pass over an
+// unchanged log emits nothing. A stored edge keeps the label it was given: a
+// later text repair changes what the graph shows (labels are computed on
+// read), not the persisted relation. Individual failures (a query deleted
+// since the copy) are skipped — the next pass re-persists.
 func (c *CQMS) persistSessions() {
-	for _, sess := range c.sessions.Export() {
-		for _, q := range sess.Queries {
+	for _, sess := range c.sessions.Windows() {
+		for i, q := range sess.Queries {
 			if q.SessionID != sess.ID {
 				_ = c.store.AssignSession(q.ID, sess.ID)
 			}
-		}
-		for _, e := range sess.Edges {
-			_ = c.store.AddEdge(e)
+			if i > 0 && !c.hasEdge(sess.Queries[i-1].ID, q.ID) {
+				_ = c.store.AddEdge(c.sessions.Label(sess.Queries[i-1], q))
+			}
 		}
 	}
+}
+
+// hasEdge reports whether the store's edge relation links from to to.
+func (c *CQMS) hasEdge(from, to storage.QueryID) bool {
+	for _, e := range c.store.EdgesFrom(from) {
+		if e.To == to {
+			return true
+		}
+	}
+	return false
 }
 
 // RunMaintenance performs one maintenance scan.

@@ -128,6 +128,8 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_bus_callback_seconds histogram",
 		"# TYPE cqms_store_records gauge",
 		"# TYPE cqms_sessions_live gauge",
+		"# TYPE cqms_sessions_edits_total counter",
+		"# TYPE cqms_sessions_edge_labels_total counter",
 		"# TYPE cqms_assist_seconds histogram",
 		"# TYPE cqms_miner_feed_transactions gauge",
 	} {
@@ -143,6 +145,14 @@ func TestV1MetricsContract(t *testing.T) {
 		if n := mustMetric(t, text, "cqms_bus_callback_seconds_count", map[string]string{"subscriber": sub}); sub != "wal" && n < 1 {
 			t.Errorf("cqms_bus_callback_seconds_count{subscriber=%s} = %v, want >= 1", sub, n)
 		}
+	}
+	// The one submission was an append to its user's stream, and committing it
+	// labelled no edge; reading its session's graph is what labels.
+	if n := mustMetric(t, text, "cqms_sessions_edits_total", map[string]string{"kind": "append"}); n != 1 {
+		t.Errorf("cqms_sessions_edits_total{kind=append} = %v, want 1", n)
+	}
+	if n := mustMetric(t, text, "cqms_sessions_edge_labels_total", nil); n != 0 {
+		t.Errorf("cqms_sessions_edge_labels_total = %v after a write, want 0", n)
 	}
 	if n := mustMetric(t, text, "cqms_store_commit_lock_hold_seconds_count", nil); n < 1 {
 		t.Errorf("commit lock hold count = %v, want >= 1", n)

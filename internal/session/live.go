@@ -3,8 +3,11 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -14,26 +17,198 @@ import (
 // Live is the bus-driven incremental session detector: it maintains session
 // windows from the storage mutation event bus, so session and graph reads
 // are served from always-current state instead of re-segmenting the full
-// query log on every mining pass. It applies exactly the batch segmenter's
-// rules (shared segmentUser/boundary helpers): appends in chronological
-// order extend or open a window in O(1), while out-of-order inserts,
-// deletions and text repairs fall back to re-segmenting just the affected
-// user's stream. It is safe for concurrent use: mutations arrive serialised
-// under the store's commit lock, reads come from request-serving goroutines.
+// query log on every mining pass.
+//
+// The segmentation rule reads adjacent pairs only (Detector.boundary), so
+// every mutation is a local edit: the record's place in its user's stream is
+// found by binary search on (IssuedAt, ID) and only the boundary in front of
+// it and the one behind it are re-evaluated — at most two boundary
+// evaluations per mutation, whatever the stream's length and wherever the
+// record lands. The write side computes no edge label: Figure 2's diffs are
+// computed when a graph is read (Get, Export) or when a mining pass persists
+// a pair the store has no edge for (Label), always outside the detector's
+// lock and the store's commit lock.
+//
+// Session IDs are stable. A window keeps its ID through every edit; when a
+// window splits, the part holding its first query keeps the ID and the later
+// part takes the next one; when two windows merge, the later window's ID is
+// retired. IDs are therefore a pure function of the mutation order, which is
+// what makes a follower, a WAL replay and a snapshot-plus-tail recovery agree
+// with the primary on them.
+//
+// It is safe for concurrent use: mutations arrive serialised under the
+// store's commit lock, reads come from request-serving goroutines.
 type Live struct {
 	det   *Detector
 	store *storage.Store
 
-	mu     sync.RWMutex
-	users  map[string][]*Session        // chronological windows per user
-	byID   map[int64]*Session           // session lookup for graph reads
-	loc    map[storage.QueryID]*Session // record → owning session
+	mu sync.RWMutex
+	// users holds each user's windows in chronological order; byID holds
+	// every window in ascending ID order (IDs are issued ascending, so a new
+	// window always goes last). A record is found from its own (User,
+	// IssuedAt, ID), so there is no per-record index.
+	users  map[string][]*window
+	byID   []*window
 	nextID int64
 
-	// resegments counts per-user re-segmentation fallbacks (out-of-order
-	// inserts, deletions, text repairs) — the detector's slow path. Nil when
-	// uninstrumented; guarded by mu like the state it describes.
-	resegments *telemetry.Counter
+	// cuts counts boundary evaluations made by local edits; edits counts the
+	// edits by kind (nil children when uninstrumented). Guarded by mu like
+	// the state they describe. labels counts edge labels computed; it is
+	// bumped outside mu, hence atomic.
+	cuts   uint64
+	edits  [len(editKinds)]*telemetry.Counter
+	labels atomic.Pointer[telemetry.Counter]
+}
+
+// The kinds of cqms_sessions_edits_total: the four mutations that edit a
+// user's stream, and the two structural outcomes an edit can have.
+const (
+	editAppend = iota // put at the chronological tail of its user's stream
+	editInsert        // put anywhere else
+	editDelete
+	editRetext // text repair, or a replayed put over an existing ID
+	editSplit  // a window was cut in two; the later part took a new ID
+	editMerge  // two windows were joined; the later ID was retired
+)
+
+var editKinds = [...]string{"append", "insert", "delete", "retext", "split", "merge"}
+
+// window is one live session.
+type window struct {
+	id   int64
+	user string
+	// queries is chronological and never empty while the window is tracked.
+	// Two windows never share a writable element: a split hands the later
+	// part the tail of the backing array and caps the earlier part.
+	queries []*storage.QueryRecord
+
+	// Listing state, maintained on every edit so Summaries reads the window
+	// and nothing behind it: the IssuedAt of the first and last query, how
+	// many queries reference each table, how many are group-visible per
+	// group, and how many nobody but the owner may see (private, or
+	// group-visible with no group).
+	start, end time.Time
+	tables     tally
+	groups     tally
+	hidden     int
+}
+
+func newWindow(id int64, user string, queries []*storage.QueryRecord) *window {
+	w := &window{id: id, user: user, queries: queries}
+	for _, q := range queries {
+		w.count(q, 1)
+	}
+	w.retime()
+	return w
+}
+
+// retime refreshes start and end after the queries changed.
+func (w *window) retime() {
+	if len(w.queries) > 0 {
+		w.start, w.end = w.head().IssuedAt, w.tail().IssuedAt
+	}
+}
+
+func (w *window) head() *storage.QueryRecord { return w.queries[0] }
+func (w *window) tail() *storage.QueryRecord { return w.queries[len(w.queries)-1] }
+
+// insert places q as the window's query i (i == len: at the end).
+func (w *window) insert(i int, q *storage.QueryRecord) {
+	w.queries = slices.Insert(w.queries, i, q)
+	w.count(q, 1)
+	w.retime()
+}
+
+// remove drops the window's query i.
+func (w *window) remove(i int) {
+	w.count(w.queries[i], -1)
+	w.queries = slices.Delete(w.queries, i, i+1)
+	w.retime()
+}
+
+// replace swaps another version of the same record in as query i.
+func (w *window) replace(i int, q *storage.QueryRecord) {
+	w.count(w.queries[i], -1)
+	w.queries[i] = q
+	w.count(q, 1)
+}
+
+// count adds (delta 1) or withdraws (delta -1) one query's share of the
+// listing state.
+func (w *window) count(q *storage.QueryRecord, delta int) {
+	for _, t := range q.Tables {
+		w.tables.add(t, delta)
+	}
+	switch {
+	case q.Visibility == storage.VisibilityPublic:
+	case q.Visibility == storage.VisibilityGroup && q.Group != "":
+		w.groups.add(q.Group, delta)
+	default:
+		w.hidden += delta
+	}
+}
+
+// visibleTo reports whether every query of the window is visible to the
+// principal (QueryRecord.VisibleTo over all of them, from the counts).
+func (w *window) visibleTo(p storage.Principal) bool {
+	if p.Admin || p.User == w.user {
+		return true
+	}
+	if w.hidden > 0 {
+		return false
+	}
+	for _, g := range w.groups {
+		if !p.MemberOf(g.name) {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *window) summary() Summary {
+	names := make([]string, len(w.tables))
+	for i, t := range w.tables {
+		names[i] = t.name
+	}
+	return Summary{
+		ID: w.id, User: w.user, QueryCount: len(w.queries),
+		Start: w.start, End: w.end, Tables: names,
+	}
+}
+
+// session returns a caller-owned copy of the window, without edges.
+func (w *window) session() Session {
+	return Session{
+		ID: w.id, User: w.user, Queries: slices.Clone(w.queries),
+		Start: w.start, End: w.end,
+	}
+}
+
+// after returns the index of the window's first query that sorts after rec.
+func (w *window) after(rec *storage.QueryRecord) int {
+	return sort.Search(len(w.queries), func(i int) bool { return chronoLess(rec, w.queries[i]) })
+}
+
+// tally is a multiset of names kept sorted: the handful of tables or groups
+// one window touches.
+type tally []tallyEntry
+
+type tallyEntry struct {
+	name string
+	n    int
+}
+
+func (t *tally) add(name string, delta int) {
+	s := *t
+	i := sort.Search(len(s), func(i int) bool { return s[i].name >= name })
+	switch {
+	case i == len(s) || s[i].name != name:
+		*t = slices.Insert(s, i, tallyEntry{name, delta})
+	case s[i].n+delta == 0:
+		*t = slices.Delete(s, i, i+1)
+	default:
+		s[i].n += delta
+	}
 }
 
 // AttachLive builds a live detector over the store's current contents and
@@ -43,239 +218,305 @@ type Live struct {
 // Checkpoint/Restore pair lets WAL snapshots carry the detected sessions so
 // recovery skips re-segmentation.
 func AttachLive(store *storage.Store, cfg Config) *Live {
-	l := &Live{
-		det:   NewDetector(cfg),
-		store: store,
-		users: make(map[string][]*Session),
-		byID:  make(map[int64]*Session),
-		loc:   make(map[storage.QueryID]*Session),
-	}
-	rebuild := func() { l.rebuild() }
+	l := newLive(store, cfg)
 	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{
-		Init: rebuild, Reset: rebuild,
+		Init: l.rebuild, Reset: l.rebuild,
 		Checkpoint: l.checkpoint, Restore: l.restore,
 	})
 	return l
 }
 
+func newLive(store *storage.Store, cfg Config) *Live {
+	return &Live{det: NewDetector(cfg), store: store, users: make(map[string][]*window)}
+}
+
 // rebuild re-segments the whole store from scratch (initial seeding and the
-// fallback after a RestoreState without a usable checkpoint).
+// fallback after a RestoreState without a usable checkpoint). It is the one
+// place the live detector sorts and segments a whole stream; like every other
+// write-side path it labels nothing.
 func (l *Live) rebuild() {
-	byUser := make(map[string][]*storage.QueryRecord)
-	var maxPersisted int64
-	l.store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
-		byUser[rec.User] = append(byUser[rec.User], rec)
-		if rec.SessionID > maxPersisted {
-			maxPersisted = rec.SessionID
-		}
-		return true
-	})
+	records := l.store.Snapshot().Records(storage.Principal{Admin: true})
+	// Users are numbered in name order, as batch Detect numbers them: two
+	// rebuilds of one store must agree on every ID.
+	users, byUser := streamsOf(records)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.users = make(map[string][]*Session, len(byUser))
-	l.byID = make(map[int64]*Session)
-	l.loc = make(map[storage.QueryID]*Session)
+	l.users = make(map[string][]*window, len(users))
+	l.byID = nil
 	// Seed the ID counter past every session ID persisted on the records
 	// (written into Queries.sessionId by an earlier mining pass): a rebuild
 	// reissues IDs, and reusing a persisted one would make /v1/sessions and
 	// a `WHERE Queries.sessionId = N` meta-query name different partitions
 	// with the same N. Disjoint IDs keep the stale feature relation merely
 	// stale — as it always is between mining passes — never contradictory.
-	l.nextID = maxPersisted
-	for user, recs := range byUser {
-		sortChrono(recs)
-		for _, s := range l.det.segmentUser(user, recs) {
-			sess := s
-			l.registerLocked(&sess)
+	l.nextID = 0
+	for _, rec := range records {
+		l.nextID = max(l.nextID, rec.SessionID)
+	}
+	for _, user := range users {
+		parts := l.det.segment(byUser[user])
+		wins := make([]*window, len(parts))
+		for i, part := range parts {
+			l.nextID++
+			wins[i] = newWindow(l.nextID, user, part)
 		}
+		l.users[user] = wins
+		l.byID = append(l.byID, wins...)
 	}
 }
 
-// registerLocked assigns the next session ID and indexes the session.
-// Callers must hold l.mu.
-func (l *Live) registerLocked(sess *Session) {
-	l.nextID++
-	sess.ID = l.nextID
-	l.users[sess.User] = append(l.users[sess.User], sess)
-	l.byID[sess.ID] = sess
-	for _, q := range sess.Queries {
-		l.loc[q.ID] = sess
-	}
-}
+// ---------------------------------------------------------------------------
+// Write side: local edits. Everything below runs with l.mu held, under the
+// store's commit lock.
+// ---------------------------------------------------------------------------
 
-// dropUserLocked forgets every session of one user and returns the records
-// they held. Callers must hold l.mu.
-func (l *Live) dropUserLocked(user string) []*storage.QueryRecord {
-	var recs []*storage.QueryRecord
-	for _, sess := range l.users[user] {
-		delete(l.byID, sess.ID)
-		for _, q := range sess.Queries {
-			delete(l.loc, q.ID)
-			recs = append(recs, q)
-		}
-	}
-	delete(l.users, user)
-	return recs
-}
-
-// resegmentLocked re-runs segmentation over one user's records (any order;
-// re-sorted here). The user's sessions get fresh IDs: a structural edit may
-// have merged or split windows, so the old identities no longer apply.
-// Callers must hold l.mu.
-func (l *Live) resegmentLocked(user string, recs []*storage.QueryRecord) {
-	l.resegments.Inc()
-	sortChrono(recs)
-	for _, s := range l.det.segmentUser(user, recs) {
-		sess := s
-		l.registerLocked(&sess)
-	}
-}
-
-// onMutation maintains the session windows for one committed mutation. It
-// runs under the store's commit lock.
+// onMutation maintains the session windows for one committed mutation.
 func (l *Live) onMutation(m *storage.Mutation) {
+	prev, next := m.Prev(), m.Next()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	switch m.Op {
 	case storage.OpPut:
-		prev, next := m.Prev(), m.Next()
-		if next == nil {
-			return
+		switch {
+		case next == nil:
+		case prev == nil:
+			l.insertLocked(next)
+		case prev.User == next.User && prev.IssuedAt.Equal(next.IssuedAt):
+			// Replay over an existing ID (a snapshot/segment overlap): the
+			// record keeps its place, only its content may differ.
+			l.replaceLocked(prev, next)
+		default:
+			// A replayed put that moves the record is two edits.
+			l.removeLocked(prev)
+			l.insertLocked(next)
 		}
-		l.mu.Lock()
-		if prev != nil {
-			// Replay over an existing ID replaced the record; re-segment the
-			// affected user stream(s) with the new version in place.
-			if prev.User == next.User {
-				l.resegmentLocked(next.User, append(l.removeLocked(prev), next))
-			} else {
-				l.resegmentLocked(prev.User, l.removeLocked(prev))
-				l.resegmentLocked(next.User, append(l.dropUserLocked(next.User), next))
-			}
-			l.mu.Unlock()
-			return
-		}
-		l.appendLocked(next)
-		l.mu.Unlock()
 	case storage.OpDelete:
-		prev := m.Prev()
-		if prev == nil {
-			return
+		if prev != nil {
+			l.removeLocked(prev)
 		}
-		l.mu.Lock()
-		if _, tracked := l.loc[prev.ID]; tracked {
-			l.resegmentLocked(prev.User, l.removeLocked(prev))
-		}
-		l.mu.Unlock()
 	case storage.OpReplaceText:
-		prev, next := m.Prev(), m.Next()
-		if prev == nil || next == nil {
-			return
+		// The repaired text changes the feature set, so the similarity-based
+		// boundaries on both sides of the record may flip.
+		if prev != nil && next != nil {
+			l.replaceLocked(prev, next)
 		}
-		// The repaired text changes the feature set, so similarity-based
-		// boundaries and edge diffs may move anywhere in the user's stream.
-		l.mu.Lock()
-		if _, tracked := l.loc[prev.ID]; tracked {
-			recs := append(l.removeLocked(prev), next)
-			l.resegmentLocked(next.User, recs)
-		}
-		l.mu.Unlock()
 	default:
 		// Field updates (visibility, annotations, session assignment from a
 		// mining pass, maintenance flags, runtime stats, ...) never move
-		// session boundaries; swap in the new record version so visibility
-		// filtering on reads stays current.
-		next := m.Next()
-		if next == nil {
-			return
-		}
-		l.mu.Lock()
+		// session boundaries; swap in the new record version so reads return
+		// it and the visibility counts stay current.
+		//
 		// A replayed session assignment may carry an ID issued by a previous
-		// process life; keep the counter beyond it so a later re-segmentation
-		// cannot reissue an ID the feature relation already names.
+		// process life; keep the counter beyond it so a later split or new
+		// window cannot reissue an ID the feature relation already names.
 		if m.Op == storage.OpAssignSession && m.SessionID > l.nextID {
 			l.nextID = m.SessionID
 		}
-		if sess := l.loc[next.ID]; sess != nil {
-			for i, q := range sess.Queries {
-				if q.ID == next.ID {
-					sess.Queries[i] = next
-					break
-				}
+		if next == nil {
+			return
+		}
+		if wins, k, i, ok := l.findLocked(next); ok {
+			wins[k].replace(i, next)
+		}
+	}
+}
+
+// cutLocked evaluates the boundary between two neighbours, counted.
+func (l *Live) cutLocked(prev, rec *storage.QueryRecord) bool {
+	l.cuts++
+	return l.det.boundary(prev, rec)
+}
+
+// windowAt returns the index of the last window that starts at or before rec
+// in chronological order, -1 when rec precedes every window.
+func windowAt(wins []*window, rec *storage.QueryRecord) int {
+	return sort.Search(len(wins), func(k int) bool { return chronoLess(rec, wins[k].head()) }) - 1
+}
+
+// findLocked locates a tracked record — any version of it: field updates and
+// text repairs keep User, IssuedAt and ID — as query i of wins[k].
+func (l *Live) findLocked(rec *storage.QueryRecord) (wins []*window, k, i int, ok bool) {
+	wins = l.users[rec.User]
+	if k = windowAt(wins, rec); k < 0 {
+		return nil, 0, 0, false
+	}
+	i = wins[k].after(rec) - 1
+	return wins, k, i, wins[k].queries[i].ID == rec.ID
+}
+
+// openLocked starts a window over queries, with the next ID, as the user's
+// k-th.
+func (l *Live) openLocked(user string, k int, queries []*storage.QueryRecord) {
+	l.nextID++
+	w := newWindow(l.nextID, user, queries)
+	l.users[user] = slices.Insert(l.users[user], k, w)
+	l.byID = append(l.byID, w)
+}
+
+// retireLocked forgets the user's k-th window and its ID.
+func (l *Live) retireLocked(user string, k int) {
+	wins := l.users[user]
+	id := wins[k].id
+	at := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].id >= id })
+	l.byID = slices.Delete(l.byID, at, at+1)
+	if wins = slices.Delete(wins, k, k+1); len(wins) == 0 {
+		delete(l.users, user)
+		return
+	}
+	l.users[user] = wins
+}
+
+// splitLocked cuts the user's k-th window in front of its query i: the part
+// holding the first query keeps the ID, the later part becomes window k+1
+// with the next ID.
+func (l *Live) splitLocked(user string, k, i int) {
+	l.edits[editSplit].Inc()
+	w := l.users[user][k]
+	later := w.queries[i:]
+	w.queries = w.queries[:i:i]
+	w.retime()
+	for _, q := range later {
+		w.count(q, -1)
+	}
+	l.openLocked(user, k+1, later)
+}
+
+// mergeLocked appends the user's window k+1 to window k and retires the
+// later window's ID.
+func (l *Live) mergeLocked(user string, k int) {
+	l.edits[editMerge].Inc()
+	wins := l.users[user]
+	w, later := wins[k], wins[k+1]
+	w.queries = append(w.queries, later.queries...)
+	w.retime()
+	for _, t := range later.tables {
+		w.tables.add(t.name, t.n)
+	}
+	for _, g := range later.groups {
+		w.groups.add(g.name, g.n)
+	}
+	w.hidden += later.hidden
+	l.retireLocked(user, k+1)
+}
+
+// insertLocked places a fresh record. At the chronological tail of its
+// user's stream — live submissions from one connection, in-order WAL replay —
+// that is one boundary evaluation; anywhere else (a second connection of the
+// same user, a batch stamped before its commit) a binary search and two.
+func (l *Live) insertLocked(rec *storage.QueryRecord) {
+	user := rec.User
+	wins := l.users[user]
+	// rec lands between pred and succ: behind query i-1 of window k (k = -1:
+	// before every window) and, when inside is set, in front of query i of
+	// the same window; otherwise succ heads window k+1.
+	k, i := len(wins)-1, 0
+	var pred, succ *storage.QueryRecord
+	if k < 0 || !chronoLess(rec, wins[k].tail()) {
+		l.edits[editAppend].Inc()
+		if k >= 0 {
+			pred = wins[k].tail()
+		}
+	} else {
+		l.edits[editInsert].Inc()
+		if k = windowAt(wins, rec); k >= 0 {
+			i = wins[k].after(rec)
+			pred = wins[k].queries[i-1]
+			if i < len(wins[k].queries) {
+				succ = wins[k].queries[i]
 			}
 		}
-		l.mu.Unlock()
+	}
+	inside := succ != nil
+	if !inside && k+1 < len(wins) {
+		succ = wins[k+1].head()
+	}
+	joinsPred := pred != nil && !l.cutLocked(pred, rec)
+	joinsSucc := succ != nil && !l.cutLocked(rec, succ)
+	if inside && joinsPred && joinsSucc {
+		wins[k].insert(i, rec)
+		return
+	}
+	if inside {
+		// A boundary appeared inside the window: cut it where rec goes, and
+		// rec is then between two windows like any other.
+		l.splitLocked(user, k, i)
+		wins = l.users[user]
+	}
+	switch {
+	case joinsPred:
+		wins[k].insert(len(wins[k].queries), rec)
+		if joinsSucc {
+			l.mergeLocked(user, k)
+		}
+	case joinsSucc:
+		wins[k+1].insert(0, rec)
+	default:
+		l.openLocked(user, k+1, []*storage.QueryRecord{rec})
 	}
 }
 
-// removeLocked drops one record's user stream from the indexes and returns
-// that stream without the record. Callers must hold l.mu.
-func (l *Live) removeLocked(rec *storage.QueryRecord) []*storage.QueryRecord {
-	recs := l.dropUserLocked(rec.User)
-	kept := recs[:0]
-	for _, q := range recs {
-		if q.ID != rec.ID {
-			kept = append(kept, q)
+// removeLocked drops a record and re-evaluates the one pair its removal made
+// adjacent.
+func (l *Live) removeLocked(rec *storage.QueryRecord) {
+	wins, k, i, ok := l.findLocked(rec)
+	if !ok {
+		return
+	}
+	l.edits[editDelete].Inc()
+	wins[k].remove(i)
+	if len(wins[k].queries) == 0 {
+		l.retireLocked(rec.User, k) // its successor, if any, is window k now
+	}
+	l.reviewLocked(rec.User, k, i)
+}
+
+// replaceLocked swaps in a new version of a record whose features may have
+// changed and re-evaluates the boundary on each side of it.
+func (l *Live) replaceLocked(prev, next *storage.QueryRecord) {
+	wins, k, i, ok := l.findLocked(prev)
+	if !ok {
+		return
+	}
+	l.edits[editRetext].Inc()
+	wins[k].replace(i, next)
+	k, i = l.reviewLocked(next.User, k, i)
+	l.reviewLocked(next.User, k, i+1)
+}
+
+// reviewLocked re-evaluates the boundary in front of query i of the user's
+// k-th window — the one decision a local edit can change there. If the query
+// now starts a session its window is split in front of it; if it heads its
+// window but now continues the previous one, the two are merged. i may be
+// one past the window's end, meaning the head of the next window. It returns
+// where the query sits afterwards.
+func (l *Live) reviewLocked(user string, k, i int) (int, int) {
+	wins := l.users[user]
+	if k < len(wins) && i == len(wins[k].queries) {
+		k, i = k+1, 0
+	}
+	if k >= len(wins) {
+		return k, i
+	}
+	w := wins[k]
+	switch {
+	case i > 0:
+		if l.cutLocked(w.queries[i-1], w.queries[i]) {
+			l.splitLocked(user, k, i)
+			return k + 1, 0
+		}
+	case k > 0:
+		if before := wins[k-1]; !l.cutLocked(before.tail(), w.head()) {
+			n := len(before.queries)
+			l.mergeLocked(user, k-1)
+			return k - 1, n
 		}
 	}
-	return kept
-}
-
-// appendLocked ingests a fresh record. When it lands at the chronological
-// tail of its user's stream — the overwhelmingly common case for live
-// submissions and in-order WAL replay — the last window is extended or a new
-// one opened in O(1); anything out of order re-segments the user. Callers
-// must hold l.mu.
-func (l *Live) appendLocked(rec *storage.QueryRecord) {
-	sessions := l.users[rec.User]
-	if len(sessions) == 0 {
-		l.registerLocked(&Session{
-			User: rec.User, Start: rec.IssuedAt, End: rec.IssuedAt,
-			Queries: []*storage.QueryRecord{rec},
-		})
-		return
-	}
-	last := sessions[len(sessions)-1]
-	tail := last.Queries[len(last.Queries)-1]
-	if chronoLess(rec, tail) {
-		recs := append(l.dropUserLocked(rec.User), rec)
-		l.resegmentLocked(rec.User, recs)
-		return
-	}
-	if l.det.boundary(tail, rec) {
-		l.registerLocked(&Session{
-			User: rec.User, Start: rec.IssuedAt, End: rec.IssuedAt,
-			Queries: []*storage.QueryRecord{rec},
-		})
-		return
-	}
-	last.Edges = append(last.Edges, edgeBetween(tail, rec))
-	last.Queries = append(last.Queries, rec)
-	last.End = rec.IssuedAt
-	l.loc[rec.ID] = last
+	return k, i
 }
 
 // ---------------------------------------------------------------------------
 // Read API
 // ---------------------------------------------------------------------------
-
-// copySessionLocked returns a caller-owned shallow copy of a session (fresh
-// slices over the shared immutable records). Callers must hold l.mu.
-func copySessionLocked(sess *Session) Session {
-	out := *sess
-	out.Queries = append([]*storage.QueryRecord(nil), sess.Queries...)
-	out.Edges = append([]storage.SessionEdge(nil), sess.Edges...)
-	return out
-}
-
-// visibleLocked reports whether every query of the session is visible to the
-// principal. Callers must hold l.mu.
-func visibleLocked(sess *Session, p storage.Principal) bool {
-	for _, q := range sess.Queries {
-		if !q.VisibleTo(p) {
-			return false
-		}
-	}
-	return true
-}
 
 // Count returns how many sessions the detector currently tracks.
 func (l *Live) Count() int {
@@ -284,26 +525,37 @@ func (l *Live) Count() int {
 	return len(l.byID)
 }
 
+// BoundaryEvaluations returns how many adjacent-pair boundary decisions the
+// local edits have made since the detector was attached: the write side's
+// unit of work, at most two per mutation (three for a replayed put that
+// moves a record) whatever the length of the stream.
+func (l *Live) BoundaryEvaluations() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.cuts
+}
+
 // Summaries returns at most limit summaries (limit <= 0 means unbounded) of
 // the sessions fully visible to the principal with ID strictly greater than
-// after, in ascending ID order.
+// after, in ascending ID order. It costs a binary search for the cursor plus
+// the windows it passes over, none of which it walks.
 func (l *Live) Summaries(p storage.Principal, after int64, limit int) []Summary {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ids := make([]int64, 0, len(l.byID))
-	for id := range l.byID {
-		if id > after {
-			ids = append(ids, id)
-		}
-	}
-	sortInt64s(ids)
+	from := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].id > after })
 	var out []Summary
-	for _, id := range ids {
-		sess := l.byID[id]
-		if !visibleLocked(sess, p) {
+	for _, w := range l.byID[from:] {
+		if !w.visibleTo(p) {
 			continue
 		}
-		out = append(out, Summarize(sess))
+		if out == nil {
+			room := len(l.byID) - from
+			if limit > 0 {
+				room = min(room, limit)
+			}
+			out = make([]Summary, 0, room)
+		}
+		out = append(out, w.summary())
 		if limit > 0 && len(out) >= limit {
 			break
 		}
@@ -311,42 +563,59 @@ func (l *Live) Summaries(p storage.Principal, after int64, limit int) []Summary 
 	return out
 }
 
-// Get returns a caller-owned copy of one session, whether it exists, and
-// whether it is fully visible to the principal.
+// Get returns a caller-owned copy of one session with its edges labelled,
+// whether it exists, and whether it is fully visible to the principal. The
+// labels are computed here, after the detector's lock is released.
 func (l *Live) Get(p storage.Principal, id int64) (sess Session, ok, visible bool) {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	s := l.byID[id]
-	if s == nil {
-		return Session{}, false, false
+	at := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].id >= id })
+	if at < len(l.byID) && l.byID[at].id == id {
+		ok = true
+		if w := l.byID[at]; w.visibleTo(p) {
+			sess, visible = w.session(), true
+		}
 	}
-	if !visibleLocked(s, p) {
-		return Session{}, true, false
+	l.mu.RUnlock()
+	if visible {
+		sess.Edges = l.labelAll(sess.Queries)
 	}
-	return copySessionLocked(s), true, true
+	return sess, ok, visible
 }
 
-// Export returns caller-owned copies of every tracked session, in ascending
-// ID order. Callers use it to persist session assignments back into the
-// store — which must happen outside this call, since store mutations re-enter
-// the detector through the bus.
-func (l *Live) Export() []Session {
+// Windows returns caller-owned copies of every tracked session in ascending
+// ID order, without edges: what a mining pass walks to persist session
+// assignments — outside this call, since store mutations re-enter the
+// detector through the bus — labelling (Label) only the pairs it needs.
+func (l *Live) Windows() []Session {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ids := make([]int64, 0, len(l.byID))
-	for id := range l.byID {
-		ids = append(ids, id)
-	}
-	sortInt64s(ids)
-	out := make([]Session, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, copySessionLocked(l.byID[id]))
+	out := make([]Session, len(l.byID))
+	for i, w := range l.byID {
+		out[i] = w.session()
 	}
 	return out
 }
 
-func sortInt64s(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// Export is Windows with every edge labelled.
+func (l *Live) Export() []Session {
+	out := l.Windows()
+	for i := range out {
+		out[i].Edges = l.labelAll(out[i].Queries)
+	}
+	return out
+}
+
+// Label builds the Figure 2 edge between two consecutive queries of a
+// session: its type and the structural diff it is labelled with. Callers
+// hold neither the detector's lock nor the store's commit lock.
+func (l *Live) Label(prev, next *storage.QueryRecord) storage.SessionEdge {
+	l.labels.Load().Inc()
+	return edgeBetween(prev, next)
+}
+
+func (l *Live) labelAll(queries []*storage.QueryRecord) []storage.SessionEdge {
+	l.labels.Load().Add(uint64(max(len(queries)-1, 0)))
+	return labelEdges(queries)
 }
 
 // ---------------------------------------------------------------------------
@@ -354,103 +623,120 @@ func sortInt64s(ids []int64) {
 // ---------------------------------------------------------------------------
 
 // LiveCheckpointVersion is the serialization version of the live detector's
-// WAL snapshot sidecar. Version 1 was JSON; version 2 is binary
+// WAL snapshot sidecar. Version 1 was JSON; version 2 listed sessions in ID
+// order with their labelled edges. Version 3 is the windows alone
 // (internal/wire primitives):
 //
-//	nextID varint | n x session
-//	session: ID varint | user string | n x query ID varint |
-//	         n x edge (storage.AppendEdge)
+//	nextID varint | n x user, in name order
+//	user:   name string | n x window, in chronological order
+//	window: ID varint | n x query ID varint
 //
-// A session references its records by ID — the records themselves live in
-// the snapshot's record chunks — and carries its edges verbatim so restore
-// does not recompute structural diffs.
-const LiveCheckpointVersion = 2
+// A window references its records by ID — the records themselves live in the
+// snapshot's record chunks. The order within a user is written down because
+// it is not recoverable from the IDs: a split gives the later part of an old
+// window a newer ID than the windows that follow it.
+const LiveCheckpointVersion = 3
 
 func (l *Live) checkpoint() (int, []byte, error) {
-	// Encode under the lock: appendLocked extends the sessions in place.
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ids := make([]int64, 0, len(l.byID))
-	for id := range l.byID {
-		ids = append(ids, id)
+	users := make([]string, 0, len(l.users))
+	for user := range l.users {
+		users = append(users, user)
 	}
-	sortInt64s(ids)
+	sort.Strings(users)
 	data := binary.AppendVarint(nil, l.nextID)
-	data = binary.AppendUvarint(data, uint64(len(ids)))
-	for _, id := range ids {
-		sess := l.byID[id]
-		data = binary.AppendVarint(data, sess.ID)
-		data = wire.AppendString(data, sess.User)
-		data = binary.AppendUvarint(data, uint64(len(sess.Queries)))
-		for _, q := range sess.Queries {
-			data = binary.AppendVarint(data, int64(q.ID))
-		}
-		data = binary.AppendUvarint(data, uint64(len(sess.Edges)))
-		for _, e := range sess.Edges {
-			data = storage.AppendEdge(data, e)
+	data = binary.AppendUvarint(data, uint64(len(users)))
+	for _, user := range users {
+		wins := l.users[user]
+		data = wire.AppendString(data, user)
+		data = binary.AppendUvarint(data, uint64(len(wins)))
+		for _, w := range wins {
+			data = binary.AppendVarint(data, w.id)
+			data = binary.AppendUvarint(data, uint64(len(w.queries)))
+			for _, q := range w.queries {
+				data = binary.AppendVarint(data, int64(q.ID))
+			}
 		}
 	}
 	return LiveCheckpointVersion, data, nil
 }
 
+// restore loads a checkpoint against the just-restored store. The section
+// arrives from disk or over the replication stream, and the local edits
+// trust what it establishes, so everything their binary searches rely on is
+// verified: every record of the store in exactly one window, owned by that
+// window's user, strictly chronological within a window and across a user's
+// windows, window IDs distinct and not beyond nextID. Any violation — like
+// any other version — is an error, and the bus falls back to rebuild.
 func (l *Live) restore(version int, data []byte) error {
 	if version != LiveCheckpointVersion {
 		return fmt.Errorf("session: unknown checkpoint version %d", version)
 	}
 	r := wire.NewReader(data)
 	nextID := r.Varint()
-	// Resolve the referenced records against the just-restored store; any
-	// dangling reference means the checkpoint does not match the snapshot it
-	// rode in, and the caller falls back to re-segmentation.
 	view := l.store.Snapshot()
 	admin := storage.Principal{Admin: true}
-	users := make(map[string][]*Session)
-	byID := make(map[int64]*Session)
-	loc := make(map[storage.QueryID]*Session)
-	for n := r.Count(4); n > 0 && r.Err() == nil; n-- { // ID, user, two counts
-		sess := &Session{ID: r.Varint(), User: r.String()}
-		if queries := r.Count(1); queries > 0 {
-			sess.Queries = make([]*storage.QueryRecord, 0, queries)
-			for ; queries > 0 && r.Err() == nil; queries-- {
+	users := make(map[string][]*window)
+	var byID []*window
+	records := 0
+	for n := r.Count(3); n > 0 && r.Err() == nil; n-- { // name length, window count, one window
+		user := r.String()
+		if _, dup := users[user]; dup {
+			return fmt.Errorf("session: checkpoint lists user %q twice", user)
+		}
+		var last *storage.QueryRecord
+		for wn := r.Count(3); wn > 0 && r.Err() == nil; wn-- { // ID, query count, one query
+			id, qn := r.Varint(), r.Count(1)
+			queries := make([]*storage.QueryRecord, 0, qn)
+			for ; qn > 0 && r.Err() == nil; qn-- {
 				qid := storage.QueryID(r.Varint())
 				rec, err := view.Get(qid, admin)
 				if err != nil {
 					return fmt.Errorf("session: checkpoint references query %d: %w", qid, err)
 				}
-				sess.Queries = append(sess.Queries, rec)
+				if rec.User != user {
+					return fmt.Errorf("session: checkpoint files query %d of %q under %q", qid, rec.User, user)
+				}
+				if last != nil && !chronoLess(last, rec) {
+					return fmt.Errorf("session: checkpoint lists query %d out of order", qid)
+				}
+				queries = append(queries, rec)
+				last = rec
 			}
-		}
-		if edges := r.Count(4); edges > 0 { // from, to, type, diff
-			sess.Edges = make([]storage.SessionEdge, 0, edges)
-			for ; edges > 0 && r.Err() == nil; edges-- {
-				sess.Edges = append(sess.Edges, storage.ReadEdge(&r))
+			if r.Err() != nil {
+				break
 			}
-		}
-		if r.Err() != nil {
-			break
-		}
-		if len(sess.Queries) == 0 {
-			return fmt.Errorf("session: checkpoint session %d is empty", sess.ID)
-		}
-		sess.Start = sess.Queries[0].IssuedAt
-		sess.End = sess.Queries[len(sess.Queries)-1].IssuedAt
-		users[sess.User] = append(users[sess.User], sess)
-		byID[sess.ID] = sess
-		for _, q := range sess.Queries {
-			loc[q.ID] = sess
+			if len(queries) == 0 || id <= 0 || id > nextID {
+				return fmt.Errorf("session: checkpoint session %d is empty or beyond the ID counter %d", id, nextID)
+			}
+			w := newWindow(id, user, queries)
+			users[user] = append(users[user], w)
+			byID = append(byID, w)
+			records += len(queries)
 		}
 	}
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("session: decoding checkpoint: %w", err)
 	}
+	if records != l.store.Count() {
+		return fmt.Errorf("session: checkpoint holds %d queries, the store %d", records, l.store.Count())
+	}
+	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
+	for i := 1; i < len(byID); i++ {
+		if byID[i].id == byID[i-1].id {
+			return fmt.Errorf("session: checkpoint issues session ID %d twice", byID[i].id)
+		}
+	}
 	l.mu.Lock()
-	l.users, l.byID, l.loc, l.nextID = users, byID, loc, nextID
+	l.users, l.byID, l.nextID = users, byID, nextID
 	l.mu.Unlock()
 	return nil
 }
 
-// EnableMetrics registers the live detector's instruments: a session count
-// gauge and the re-segmentation fallback counter. A nil registry is a no-op.
+// EnableMetrics registers the live detector's instruments: the session count
+// gauge, the local edits by kind, and the edge labels computed. A nil
+// registry is a no-op.
 func (l *Live) EnableMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -458,9 +744,14 @@ func (l *Live) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_sessions_live",
 		"Sessions the live detector currently tracks.",
 		func() float64 { return float64(l.Count()) })
-	c := reg.Counter("cqms_sessions_resegments_total",
-		"Per-user re-segmentation fallbacks (out-of-order insert, delete or text repair).")
+	edits := reg.CounterVec("cqms_sessions_edits_total",
+		"Local edits of the session windows by kind: append (put at its user's chronological tail), insert (put anywhere else), delete, retext (text repair), and the structural outcomes split and merge.",
+		"kind")
+	l.labels.Store(reg.Counter("cqms_sessions_edge_labels_total",
+		"Session edge labels (structural diffs) computed: on graph reads and for pairs a mining pass persists, never while a mutation commits."))
 	l.mu.Lock()
-	l.resegments = c
+	for kind, name := range editKinds {
+		l.edits[kind] = edits.With(name)
+	}
 	l.mu.Unlock()
 }

@@ -1,22 +1,28 @@
 package session
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
-// canonSession is a session reduced to its segmentation-relevant identity:
-// the ordered query IDs, the labelled edges and the window bounds. Session
-// IDs are deliberately excluded — the live detector reissues IDs when a user
-// stream is edited, while batch detection renumbers from scratch every run.
+// canonSession is a session reduced to what two detectors must agree on: the
+// ordered query IDs, the labelled edges and the window bounds — and the
+// session ID, left zero where the two sides number differently (batch
+// detection renumbers from scratch every run).
 type canonSession struct {
+	ID      int64
 	User    string
 	Queries []storage.QueryID
 	Edges   []storage.SessionEdge
@@ -24,10 +30,14 @@ type canonSession struct {
 	End     time.Time
 }
 
-func canonicalize(sessions []Session) []canonSession {
+func canonicalize(sessions []Session, withIDs bool) []canonSession {
 	out := make([]canonSession, 0, len(sessions))
 	for _, s := range sessions {
-		cs := canonSession{User: s.User, Edges: s.Edges, Start: s.Start, End: s.End}
+		// UTC: a recovered record's time carries another *Location.
+		cs := canonSession{User: s.User, Edges: s.Edges, Start: s.Start.UTC(), End: s.End.UTC()}
+		if withIDs {
+			cs.ID = s.ID
+		}
 		if len(cs.Edges) == 0 {
 			cs.Edges = nil
 		}
@@ -48,16 +58,129 @@ func canonicalize(sessions []Session) []canonSession {
 	return out
 }
 
-// assertMatchesBatch asserts the live detector's segmentation is identical
-// to re-running the batch segmenter over the store's current contents.
+// listingPrincipals see a log differently: everything, one user's own and
+// public sessions, and what membership of one or both groups opens up.
+var listingPrincipals = []storage.Principal{
+	admin,
+	{User: "alice"},
+	{User: "eve"},
+	{User: "eve", Groups: []string{"limnology"}},
+	{User: "bob", Groups: []string{"hydrology", "limnology"}},
+}
+
+// assertMatchesBatch asserts the live detector agrees with the batch
+// segmenter re-run over the store's current contents: the partition, the
+// window bounds and the labels as Export and Get return them, and the
+// listing — tables, counts and visibility, which the live side keeps
+// incrementally — for several principals. It also checks the structural
+// invariants the local edits rely on.
 func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Config) {
 	t.Helper()
 	batch := NewDetector(cfg).Detect(store.Snapshot().Records(admin), 0)
-	got := canonicalize(live.Export())
-	want := canonicalize(batch)
-	if !reflect.DeepEqual(got, want) {
+	exported := live.Export()
+	want := canonicalize(batch, false)
+	if got := canonicalize(exported, false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live segmentation diverges from batch\n got: %+v\nwant: %+v", got, want)
 	}
+	var got []Session
+	for _, s := range exported {
+		sess, ok, visible := live.Get(admin, s.ID)
+		if !ok || !visible {
+			t.Fatalf("Get(%d) = ok %v, visible %v", s.ID, ok, visible)
+		}
+		got = append(got, sess)
+	}
+	if !reflect.DeepEqual(canonicalize(got, true), canonicalize(exported, true)) {
+		t.Fatalf("Get disagrees with Export\n got: %+v\nwant: %+v", got, exported)
+	}
+	for _, p := range listingPrincipals {
+		var want []Summary
+		for i := range batch {
+			visible := true
+			for _, q := range batch[i].Queries {
+				visible = visible && q.VisibleTo(p)
+			}
+			if visible {
+				sum := Summarize(&batch[i])
+				sum.ID = 0
+				want = append(want, sum)
+			}
+		}
+		got := live.Summaries(p, 0, 0)
+		for i := range got {
+			if i > 0 && got[i].ID <= got[i-1].ID {
+				t.Fatalf("listing for %+v is not in ascending ID order: %+v", p, got)
+			}
+			got[i].ID = 0
+		}
+		order := func(s []Summary) {
+			sort.Slice(s, func(i, j int) bool {
+				if s[i].User != s[j].User {
+					return s[i].User < s[j].User
+				}
+				return s[i].Start.Before(s[j].Start) || (s[i].Start.Equal(s[j].Start) && s[i].QueryCount < s[j].QueryCount)
+			})
+		}
+		order(got)
+		order(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("listing for %+v diverges from batch\n got: %+v\nwant: %+v", p, got, want)
+		}
+	}
+	if err := checkInvariants(live); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkInvariants verifies what the binary searches and the listing rely on:
+// every record of the store in exactly one window, owned by the window's
+// user, strictly chronological within and across a user's windows; byID
+// strictly ascending and within the ID counter; the listing counts equal to a
+// recount.
+func checkInvariants(l *Live) error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	records, windows := 0, 0
+	for user, wins := range l.users {
+		if len(wins) == 0 {
+			return fmt.Errorf("user %q is tracked with no windows", user)
+		}
+		var last *storage.QueryRecord
+		for _, w := range wins {
+			windows++
+			if w.user != user || len(w.queries) == 0 {
+				return fmt.Errorf("window %d of %q: user %q, %d queries", w.id, user, w.user, len(w.queries))
+			}
+			for _, q := range w.queries {
+				if q.User != user {
+					return fmt.Errorf("window %d of %q holds query %d of %q", w.id, user, q.ID, q.User)
+				}
+				if last != nil && !chronoLess(last, q) {
+					return fmt.Errorf("window %d of %q: query %d out of order", w.id, user, q.ID)
+				}
+				if cur, err := l.store.Snapshot().Get(q.ID, admin); err != nil || cur != q {
+					return fmt.Errorf("window %d holds a version of query %d the store does not (%v)", w.id, q.ID, err)
+				}
+				last = q
+			}
+			fresh := newWindow(w.id, user, w.queries)
+			if !slices.Equal(fresh.tables, w.tables) || !slices.Equal(fresh.groups, w.groups) || fresh.hidden != w.hidden ||
+				!fresh.start.Equal(w.start) || !fresh.end.Equal(w.end) {
+				return fmt.Errorf("window %d: listing state %v %v %d %v-%v, recomputed %v %v %d %v-%v", w.id,
+					w.tables, w.groups, w.hidden, w.start, w.end, fresh.tables, fresh.groups, fresh.hidden, fresh.start, fresh.end)
+			}
+			records += len(w.queries)
+		}
+	}
+	if records != l.store.Count() || windows != len(l.byID) {
+		return fmt.Errorf("%d queries in %d windows; the store holds %d, byID %d", records, windows, l.store.Count(), len(l.byID))
+	}
+	for i, w := range l.byID {
+		if w.id <= 0 || w.id > l.nextID || (i > 0 && w.id <= l.byID[i-1].id) {
+			return fmt.Errorf("byID[%d] = %d (counter %d) breaks ascending order", i, w.id, l.nextID)
+		}
+	}
+	return nil
 }
 
 // sessionSQL is a vocabulary whose pairwise feature similarity straddles the
@@ -77,10 +200,12 @@ func sessionSQL(rng *rand.Rand) string {
 
 // mutateSessionStream drives n random mutations whose timestamps mix
 // in-order appends (the fast path), soft/hard gaps, and out-of-order
-// inserts, plus deletions, text repairs and visibility flips.
-func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n int) {
+// inserts, plus deletions, text repairs and visibility flips. each, when
+// set, runs after every mutation.
+func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n int, each func()) {
 	t.Helper()
 	users := []string{"alice", "bob", "carol"}
+	groups := []string{"", "limnology", "hydrology"}
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
 	clock := base
 	var ids []storage.QueryID
@@ -90,6 +215,7 @@ func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n i
 			t.Fatal(err)
 		}
 		rec.User = users[rng.Intn(len(users))]
+		rec.Group = groups[rng.Intn(len(groups))]
 		rec.Visibility = storage.Visibility(rng.Intn(3))
 		rec.IssuedAt = at
 		ids = append(ids, store.Put(rec))
@@ -109,11 +235,7 @@ func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n i
 		case 5: // duplicate timestamp (ID tie-break)
 			put(clock)
 		case 6:
-			id := ids[rng.Intn(len(ids))]
-			if err := store.Delete(id, admin); err != nil && store.Count() > 0 {
-				// Already deleted earlier; fine.
-				_ = err
-			}
+			_ = store.Delete(ids[rng.Intn(len(ids))], admin) // may be gone already
 		case 7:
 			id := ids[rng.Intn(len(ids))]
 			upd, err := storage.NewRecordFromSQL(sessionSQL(rng))
@@ -128,13 +250,18 @@ func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n i
 			id := ids[rng.Intn(len(ids))]
 			_ = store.Annotate(id, admin, storage.Annotation{Author: "admin", Text: "note"})
 		}
+		if each != nil {
+			each()
+		}
 	}
 }
 
 // TestLiveRandomizedEquivalence is the core correctness property of the
-// incremental detector: after an arbitrary mutation history — in-order and
-// out-of-order inserts, deletions, text repairs, visibility changes — the
-// live windows equal a from-scratch batch re-segmentation.
+// incremental detector: after every step of an arbitrary mutation history —
+// in-order and out-of-order inserts, deletions, text repairs, visibility
+// changes — the live windows, labels and listings equal a from-scratch batch
+// re-segmentation, at a cost of at most two boundary evaluations a step and
+// no label on the write path.
 func TestLiveRandomizedEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	for seed := int64(1); seed <= 5; seed++ {
@@ -142,17 +269,215 @@ func TestLiveRandomizedEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			store := storage.NewStore()
 			live := AttachLive(store, cfg)
-			for round := 0; round < 4; round++ {
-				mutateSessionStream(t, rng, store, 60)
+			reg := telemetry.NewRegistry()
+			live.EnableMetrics(reg)
+			labels := reg.Counter("cqms_sessions_edge_labels_total", "")
+			var cuts, labelled uint64
+			mutateSessionStream(t, rng, store, 240, func() {
+				if got := live.BoundaryEvaluations(); got > cuts+2 {
+					t.Fatalf("one mutation cost %d boundary evaluations", got-cuts)
+				}
+				if got := labels.Value(); got != labelled {
+					t.Fatalf("the mutation computed %d edge labels", got-labelled)
+				}
 				assertMatchesBatch(t, live, store, cfg)
-			}
+				cuts, labelled = live.BoundaryEvaluations(), labels.Value()
+			})
 		})
 	}
 }
 
-// TestLiveFastPathMatchesFigure2 pins the O(1) append path against the
-// canonical Figure 2 trace: one session, investigation/modification edges
-// identical to the batch detector's.
+// layout prints one user's windows in chronological order, "ID[query IDs]",
+// which pins the partition and the ID rule at once.
+func layout(l *Live, user string) string {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var parts []string
+	for _, w := range l.users[user] {
+		ids := make([]string, len(w.queries))
+		for i, q := range w.queries {
+			ids[i] = fmt.Sprint(q.ID)
+		}
+		parts = append(parts, fmt.Sprintf("%d[%s]", w.id, strings.Join(ids, " ")))
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestLocalEditTable names every structural outcome of a local edit. A and B
+// are two texts with no feature in common: across a soft gap (over 5 minutes)
+// an A continues an A and a B starts a new session; up to 5 minutes anything
+// continues anything; over 30 nothing does. Each case builds a stream in
+// order (query IDs 1, 2, ... in the order listed), applies one edit and
+// expects a layout — and, like every test here, batch Detect over the same
+// records is the oracle.
+func TestLocalEditTable(t *testing.T) {
+	type q struct {
+		kind   byte
+		minute int
+	}
+	texts := map[byte]string{'A': "SELECT temp FROM WaterTemp WHERE temp < 3", 'B': "SELECT city FROM CityLocations"}
+	cases := []struct {
+		name   string
+		stream []q
+		before string
+		put    *q  // insert this record, or
+		del    int // delete this query ID, or
+		retext int // repair this query ID's text to
+		to     byte
+		after  string
+		edits  string // the edit kinds counted, in editKinds order
+	}{
+		{name: "put before the first window, joining it", stream: []q{{'A', 60}, {'A', 61}}, before: "1[1 2]",
+			put: &q{'A', 58}, after: "1[3 1 2]", edits: "insert"},
+		{name: "put before the first window, standing alone", stream: []q{{'A', 60}, {'A', 61}}, before: "1[1 2]",
+			put: &q{'A', 0}, after: "2[3] 1[1 2]", edits: "insert"},
+		{name: "put inside a window, joining both sides", stream: []q{{'A', 0}, {'A', 2}}, before: "1[1 2]",
+			put: &q{'A', 1}, after: "1[1 3 2]", edits: "insert"},
+		{name: "put inside a window, splitting after itself", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			put: &q{'B', 4}, after: "1[1 3] 2[2]", edits: "insert split"},
+		{name: "put inside a window, splitting before itself", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			put: &q{'B', 6}, after: "1[1] 2[3 2]", edits: "insert split"},
+		{name: "put inside a window, splitting it in three", stream: []q{{'A', 0}, {'A', 20}}, before: "1[1 2]",
+			put: &q{'B', 10}, after: "1[1] 3[3] 2[2]", edits: "insert split"},
+		{name: "put between two windows, joining the left", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
+			put: &q{'A', 3}, after: "1[1 3] 2[2]", edits: "insert"},
+		{name: "put between two windows, joining the right", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
+			put: &q{'A', 58}, after: "1[1] 2[3 2]", edits: "insert"},
+		{name: "put between two windows, bridging and merging them", stream: []q{{'A', 0}, {'A', 40}}, before: "1[1] 2[2]",
+			put: &q{'A', 20}, after: "1[1 3 2]", edits: "insert merge"},
+		{name: "put between two windows, standing alone", stream: []q{{'A', 0}, {'A', 100}}, before: "1[1] 2[2]",
+			put: &q{'A', 50}, after: "1[1] 3[3] 2[2]", edits: "insert"},
+		{name: "put at an existing IssuedAt sorts behind it by ID", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			put: &q{'B', 0}, after: "1[1 3] 2[2]", edits: "insert split"},
+		{name: "put at the tail's IssuedAt is an append", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			put: &q{'B', 10}, after: "1[1 2 3]", edits: "append"},
+
+		{name: "delete a first query, merging the rest into the window before", stream: []q{{'A', 0}, {'B', 10}, {'A', 12}}, before: "1[1] 2[2 3]",
+			del: 2, after: "1[1 3]", edits: "delete merge"},
+		{name: "delete a first query, the rest standing", stream: []q{{'A', 0}, {'A', 60}, {'A', 61}}, before: "1[1] 2[2 3]",
+			del: 2, after: "1[1] 2[3]", edits: "delete"},
+		{name: "delete a middle query, splitting the window", stream: []q{{'A', 0}, {'A', 4}, {'B', 8}}, before: "1[1 2 3]",
+			del: 2, after: "1[1] 2[3]", edits: "delete split"},
+		{name: "delete a middle query, the window holding", stream: []q{{'A', 0}, {'A', 1}, {'A', 2}}, before: "1[1 2 3]",
+			del: 2, after: "1[1 3]", edits: "delete"},
+		{name: "delete a last query, merging the next window in", stream: []q{{'A', 0}, {'B', 4}, {'A', 12}}, before: "1[1 2] 2[3]",
+			del: 2, after: "1[1 3]", edits: "delete merge"},
+		{name: "delete a last query, the next window standing", stream: []q{{'A', 0}, {'A', 1}, {'A', 60}}, before: "1[1 2] 2[3]",
+			del: 2, after: "1[1] 2[3]", edits: "delete"},
+		{name: "delete an only query, merging its neighbours", stream: []q{{'A', 0}, {'B', 8}, {'A', 16}}, before: "1[1] 2[2] 3[3]",
+			del: 2, after: "1[1 3]", edits: "delete merge"},
+		{name: "delete an only query, its neighbours standing", stream: []q{{'A', 0}, {'A', 60}, {'A', 120}}, before: "1[1] 2[2] 3[3]",
+			del: 2, after: "1[1] 3[3]", edits: "delete"},
+		{name: "delete a user's only query", stream: []q{{'A', 0}}, before: "1[1]",
+			del: 1, after: "", edits: "delete"},
+
+		{name: "text repair raising the boundary in front of it", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			retext: 2, to: 'B', after: "1[1] 2[2]", edits: "retext split"},
+		{name: "text repair lowering the boundary in front of it", stream: []q{{'A', 0}, {'B', 10}}, before: "1[1] 2[2]",
+			retext: 2, to: 'A', after: "1[1 2]", edits: "retext merge"},
+		{name: "text repair raising the boundary behind it", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
+			retext: 1, to: 'B', after: "1[1] 2[2]", edits: "retext split"},
+		{name: "text repair lowering the boundary behind it", stream: []q{{'B', 0}, {'A', 10}}, before: "1[1] 2[2]",
+			retext: 1, to: 'A', after: "1[1 2]", edits: "retext merge"},
+		{name: "text repair flipping both boundaries", stream: []q{{'A', 0}, {'B', 10}, {'B', 20}}, before: "1[1] 2[2 3]",
+			retext: 2, to: 'A', after: "1[1 2] 3[3]", edits: "retext split merge"},
+	}
+	cfg := DefaultConfig()
+	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewStore()
+			live := AttachLive(store, cfg)
+			reg := telemetry.NewRegistry()
+			live.EnableMetrics(reg)
+			for _, s := range tc.stream {
+				makeRecord(t, store, "alice", texts[s.kind], base.Add(time.Duration(s.minute)*time.Minute))
+			}
+			if got := layout(live, "alice"); got != tc.before {
+				t.Fatalf("the stream segments as %q, the case assumes %q", got, tc.before)
+			}
+			counted := func() map[string]uint64 {
+				m := make(map[string]uint64)
+				for _, kind := range editKinds {
+					m[kind] = reg.CounterVec("cqms_sessions_edits_total", "", "kind").With(kind).Value()
+				}
+				return m
+			}
+			editsBefore, cuts := counted(), live.BoundaryEvaluations()
+			switch {
+			case tc.put != nil:
+				makeRecord(t, store, "alice", texts[tc.put.kind], base.Add(time.Duration(tc.put.minute)*time.Minute))
+			case tc.del != 0:
+				if err := store.Delete(storage.QueryID(tc.del), admin); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				upd, err := storage.NewRecordFromSQL(texts[tc.to])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.ReplaceText(storage.QueryID(tc.retext), upd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := layout(live, "alice"); got != tc.after {
+				t.Errorf("layout after the edit = %q, want %q", got, tc.after)
+			}
+			if got := live.BoundaryEvaluations() - cuts; got > 2 {
+				t.Errorf("the edit cost %d boundary evaluations, want at most 2", got)
+			}
+			var kinds []string
+			for _, kind := range editKinds {
+				if counted()[kind] != editsBefore[kind] {
+					kinds = append(kinds, kind)
+				}
+			}
+			if got := strings.Join(kinds, " "); got != tc.edits {
+				t.Errorf("edits counted = %q, want %q", got, tc.edits)
+			}
+			if got := reg.Counter("cqms_sessions_edge_labels_total", "").Value(); got != 0 {
+				t.Errorf("%d edge labels computed by writes", got)
+			}
+			assertMatchesBatch(t, live, store, cfg)
+		})
+	}
+}
+
+// TestSessionIDsSurviveEdits pins the ID rule over random histories: a query
+// that heads a window before and after a mutation heads the same session —
+// so a window's ID never changes while its first query stays its first —
+// and an ID that appears is beyond every ID seen before, never a reissue.
+func TestSessionIDsSurviveEdits(t *testing.T) {
+	for seed := int64(31); seed <= 34; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := storage.NewStore()
+		live := AttachLive(store, DefaultConfig())
+		heads := map[storage.QueryID]int64{} // first query -> session ID, before the step
+		tracked := map[int64]bool{}          // session IDs, before the step
+		var highest int64
+		mutateSessionStream(t, rng, store, 400, func() {
+			nowHeads, nowTracked, seen := map[storage.QueryID]int64{}, map[int64]bool{}, highest
+			for _, s := range live.Windows() {
+				head := s.Queries[0].ID
+				if was, ok := heads[head]; ok && was != s.ID {
+					t.Fatalf("seed %d: the session headed by query %d changed ID %d -> %d", seed, head, was, s.ID)
+				}
+				if !tracked[s.ID] && s.ID <= highest {
+					t.Fatalf("seed %d: session ID %d appeared after %d had been issued", seed, s.ID, highest)
+				}
+				nowHeads[head], nowTracked[s.ID], seen = s.ID, true, max(seen, s.ID)
+			}
+			heads, tracked, highest = nowHeads, nowTracked, seen
+		})
+		if len(heads) < 10 || highest == int64(len(heads)) {
+			t.Fatalf("seed %d ended with %d sessions and highest ID %d: no split or merge happened", seed, len(heads), highest)
+		}
+	}
+}
+
+// TestLiveFastPathMatchesFigure2 pins the append path against the canonical
+// Figure 2 trace: one session, investigation/modification edges identical to
+// the batch detector's.
 func TestLiveFastPathMatchesFigure2(t *testing.T) {
 	store := storage.NewStore()
 	cfg := DefaultConfig()
@@ -190,46 +515,92 @@ func TestLiveVisibilityTracksUpdates(t *testing.T) {
 	if got := live.Summaries(stranger, 0, 0); len(got) != 0 {
 		t.Fatalf("stranger sees %d private sessions, want 0", len(got))
 	}
+	if _, ok, visible := live.Get(stranger, 1); !ok || visible {
+		t.Fatalf("stranger's Get of a private session = ok %v, visible %v", ok, visible)
+	}
 	if got := live.Summaries(storage.Principal{User: "alice"}, 0, 0); len(got) != 1 {
 		t.Fatalf("owner sees %d sessions, want 1", len(got))
 	}
 }
 
-// TestLiveCheckpointRoundTrip proves the checkpoint is lossless, including
-// session IDs and edge labels, when restored against the same store.
+// TestLiveSummariesCursor pages through a listing whose IDs are not in
+// chronological order (splits renumber later parts) and whose middle has
+// been retired by merges.
+func TestLiveSummariesCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	store := storage.NewStore()
+	live := AttachLive(store, DefaultConfig())
+	mutateSessionStream(t, rng, store, 300, nil)
+	all := live.Summaries(admin, 0, 0)
+	if len(all) < 10 || live.Count() != len(all) {
+		t.Fatalf("%d sessions listed, %d tracked", len(all), live.Count())
+	}
+	var paged []Summary
+	for after := int64(0); ; {
+		page := live.Summaries(admin, after, 3)
+		if len(page) == 0 {
+			break
+		}
+		paged = append(paged, page...)
+		after = page[len(page)-1].ID
+	}
+	if !reflect.DeepEqual(paged, all) {
+		t.Fatalf("paging in threes lists %d sessions, the unbounded listing %d", len(paged), len(all))
+	}
+	if _, ok, _ := live.Get(admin, all[len(all)-1].ID+1); ok {
+		t.Fatal("Get found a session beyond the last ID")
+	}
+}
+
+// TestLiveCheckpointRoundTrip proves the checkpoint is lossless — windows,
+// their order, session IDs, the ID counter, the listing counts — when
+// restored against the same store, and that the restored detector keeps
+// editing like the original.
 func TestLiveCheckpointRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(17))
 	store := storage.NewStore()
 	live := AttachLive(store, cfg)
-	mutateSessionStream(t, rng, store, 120)
+	mutateSessionStream(t, rng, store, 120, nil)
 
 	version, data, err := live.checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	restored := &Live{
-		det:   NewDetector(cfg),
-		store: store,
-		users: make(map[string][]*Session),
-		byID:  make(map[int64]*Session),
-		loc:   make(map[storage.QueryID]*Session),
-	}
+	restored := newLive(store, cfg)
 	if err := restored.restore(version, data); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	got, want := restored.Export(), live.Export()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored sessions diverge\n got: %+v\nwant: %+v", got, want)
+	if err := checkInvariants(restored); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSessions(t, "restored", restored, live)
+	if restored.nextID != live.nextID {
+		t.Fatalf("restored ID counter %d, want %d", restored.nextID, live.nextID)
 	}
 	if err := restored.restore(version+1, data); err == nil {
 		t.Fatal("restore accepted an unknown version")
 	}
+	// The same history continues on both: same windows, same new IDs.
+	store.Subscribe("restored", restored.onMutation, storage.SubscribeOptions{})
+	mutateSessionStream(t, rng, store, 120, nil)
+	assertSameSessions(t, "restored, after more edits", restored, live)
+	assertMatchesBatch(t, restored, store, cfg)
 }
 
-// TestLiveEquivalenceAfterWALRecovery proves the detector survives a crash,
-// with and without a checkpoint sidecar: either way the recovered windows
-// equal a batch re-segmentation of the recovered store.
+// assertSameSessions compares two detectors session by session, IDs included.
+func assertSameSessions(t *testing.T, name string, got, want *Live) {
+	t.Helper()
+	g, w := canonicalize(got.Export(), true), canonicalize(want.Export(), true)
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: sessions (with IDs) diverge\n got: %+v\nwant: %+v", name, g, w)
+	}
+}
+
+// TestLiveEquivalenceAfterWALRecovery proves the detector survives a crash:
+// a full replay of the log and a recovery from snapshot plus tail both end
+// with the windows and the session IDs of the live primary, and equal a batch
+// re-segmentation of the recovered store.
 func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, snapshot := range []bool{true, false} {
@@ -237,19 +608,19 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 			dir := t.TempDir()
 			rng := rand.New(rand.NewSource(23))
 			store1 := storage.NewStore()
-			AttachLive(store1, cfg)
+			live1 := AttachLive(store1, cfg)
 			wcfg := wal.DefaultConfig(dir)
 			wcfg.SyncPolicy = "off"
 			mgr1, _, err := wal.Open(store1, wcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mutateSessionStream(t, rng, store1, 150)
+			mutateSessionStream(t, rng, store1, 150, nil)
 			if snapshot {
 				if _, _, err := mgr1.Snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				mutateSessionStream(t, rng, store1, 60)
+				mutateSessionStream(t, rng, store1, 60, nil)
 			}
 			if err := mgr1.Close(); err != nil {
 				t.Fatal(err)
@@ -272,8 +643,171 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 				}
 			}
 			assertMatchesBatch(t, live2, store2, cfg)
+			assertSameSessions(t, "recovered", live2, live1)
 		})
 	}
+}
+
+// v2Checkpoint encodes the detector's windows the way checkpoint version 2
+// did: in ID order, each with its user and its labelled edges.
+func v2Checkpoint(l *Live) []byte {
+	sessions := l.Export()
+	data := binary.AppendVarint(nil, l.nextID)
+	data = binary.AppendUvarint(data, uint64(len(sessions)))
+	for _, s := range sessions {
+		data = binary.AppendVarint(data, s.ID)
+		data = wire.AppendString(data, s.User)
+		data = binary.AppendUvarint(data, uint64(len(s.Queries)))
+		for _, q := range s.Queries {
+			data = binary.AppendVarint(data, int64(q.ID))
+		}
+		data = binary.AppendUvarint(data, uint64(len(s.Edges)))
+		for _, e := range s.Edges {
+			data = storage.AppendEdge(data, e)
+		}
+	}
+	return data
+}
+
+// TestCheckpointV2TakesTheRebuildPath proves a snapshot written before this
+// format — a version-2 sessions section — is answered by re-segmenting the
+// restored store, not by misreading the section.
+func TestCheckpointV2TakesTheRebuildPath(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(43))
+	store1 := storage.NewStore()
+	live1 := AttachLive(store1, cfg)
+	mutateSessionStream(t, rng, store1, 100, nil)
+	section := storage.SubscriberCheckpoint{Name: "sessions", Version: 2, Data: v2Checkpoint(live1)}
+
+	store2 := storage.NewStore()
+	live2 := AttachLive(store2, cfg)
+	restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
+	if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"sessions"}) {
+		t.Fatalf("restored %v, rebuilt %v; want the sessions rebuilt", restored, rebuilt)
+	}
+	assertMatchesBatch(t, live2, store2, cfg)
+	// The same bytes under the current version number are refused too.
+	if err := live2.restore(LiveCheckpointVersion, section.Data); err == nil {
+		t.Fatal("restore read a version-2 section as version 3")
+	}
+	// And the current section of the same windows is restored, IDs and all.
+	version, data, _ := live1.checkpoint()
+	restored, _ = store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{{Name: "sessions", Version: version, Data: data}})
+	if !reflect.DeepEqual(restored, []string{"sessions"}) {
+		t.Fatalf("restored %v, want the sessions", restored)
+	}
+	assertSameSessions(t, "restored from version 3", live2, live1)
+}
+
+// restoreFixture is a small fixed store — three users, two or three windows
+// each, bob's newest ID on his earliest window — and its detector.
+func restoreFixture(t testing.TB) (*storage.Store, *Live) {
+	store := storage.NewStore()
+	live := AttachLive(store, DefaultConfig())
+	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
+	for i, minute := range []int{0, 1, 2, 60, 61, 200, 25, -100} {
+		user := []string{"alice", "bob", "carol"}[i%3]
+		makeRecord(t, store, user, "SELECT temp FROM WaterTemp", base.Add(time.Duration(minute)*time.Minute))
+	}
+	return store, live
+}
+
+// fixtureSection hand-encodes a version-3 section for restoreFixture's store.
+type fixtureWindow struct {
+	id      int64
+	queries []int64
+}
+
+func fixtureSection(nextID int64, users []string, wins [][]fixtureWindow) []byte {
+	data := binary.AppendVarint(nil, nextID)
+	data = binary.AppendUvarint(data, uint64(len(users)))
+	for i, user := range users {
+		data = wire.AppendString(data, user)
+		data = binary.AppendUvarint(data, uint64(len(wins[i])))
+		for _, w := range wins[i] {
+			data = binary.AppendVarint(data, w.id)
+			data = binary.AppendUvarint(data, uint64(len(w.queries)))
+			for _, q := range w.queries {
+				data = binary.AppendVarint(data, q)
+			}
+		}
+	}
+	return data
+}
+
+// brokenSections is restoreFixture's good section and copies of it that each
+// break one thing the local edits rely on. They are also the committed seed
+// corpus of FuzzLiveRestore (testdata/fuzz/FuzzLiveRestore, one file a name).
+func brokenSections() (good []byte, broken map[string][]byte) {
+	users := []string{"alice", "bob", "carol"}
+	// alice: queries 1 (0m), 7 (25m), 4 (60m); bob: 8 (-100m), 2 (1m), 5 (61m); carol: 3 (2m), 6 (200m).
+	wins := func(alter func(w [][]fixtureWindow)) [][]fixtureWindow {
+		w := [][]fixtureWindow{
+			{{1, []int64{1, 7}}, {4, []int64{4}}},
+			{{7, []int64{8}}, {2, []int64{2}}, {5, []int64{5}}},
+			{{3, []int64{3}}, {6, []int64{6}}},
+		}
+		if alter != nil {
+			alter(w)
+		}
+		return w
+	}
+	good = fixtureSection(7, users, wins(nil))
+	return good, map[string][]byte{
+		"query-out-of-order-in-a-window":  fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][0].queries = []int64{7, 1} })),
+		"windows-out-of-order":            fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][0], w[0][1] = w[0][1], w[0][0] })),
+		"query-listed-twice":              fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][1].queries = []int64{4, 4} })),
+		"query-filed-under-another-user":  fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[1][0].queries = []int64{3} })),
+		"query-missing":                   fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2] = w[2][:1] })),
+		"query-unknown-to-the-store":      fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].queries = []int64{99} })),
+		"empty-window":                    fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].queries = nil })),
+		"session-id-issued-twice":         fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].id = 1 })),
+		"session-id-beyond-the-counter":   fixtureSection(6, users, wins(nil)),
+		"session-id-zero":                 fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].id = 0 })),
+		"user-listed-twice":               fixtureSection(7, []string{"alice", "alice", "carol"}, wins(nil)),
+		"trailing-byte":                   append(fixtureSection(7, users, wins(nil)), 0),
+		"truncated":                       good[:12],
+		"window-count-beyond-the-payload": append(binary.AppendVarint(nil, 7), 0xff, 0xff, 0x03),
+	}
+}
+
+// TestRestoreRefusesWhatTheEditsRelyOn corrupts a good section one invariant
+// at a time; each must be refused, so the bus rebuilds.
+func TestRestoreRefusesWhatTheEditsRelyOn(t *testing.T) {
+	_, live := restoreFixture(t)
+	good, broken := brokenSections()
+	if _, want, _ := live.checkpoint(); !reflect.DeepEqual(good, want) {
+		t.Fatalf("the hand encoding differs from checkpoint()\n got: %x\nwant: %x", good, want)
+	}
+	if err := live.restore(LiveCheckpointVersion, good); err != nil {
+		t.Fatalf("the good section is refused: %v", err)
+	}
+	for name, data := range broken {
+		if err := live.restore(LiveCheckpointVersion, data); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+}
+
+// FuzzLiveRestore feeds the restore path arbitrary bytes — the section
+// arrives over the replication stream — against a fixed store: it must not
+// panic, and whatever it accepts must satisfy the invariants the local edits
+// rely on.
+func FuzzLiveRestore(f *testing.F) {
+	store, live := restoreFixture(f)
+	good, _ := brokenSections()
+	f.Add(good)
+	f.Add(v2Checkpoint(live))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := newLive(store, DefaultConfig())
+		if err := l.restore(LiveCheckpointVersion, data); err != nil {
+			return
+		}
+		if err := checkInvariants(l); err != nil {
+			t.Fatalf("restore accepted %x: %v", data, err)
+		}
+	})
 }
 
 // TestRebuildNeverReusesPersistedIDs proves a rebuild reissues session IDs
@@ -302,10 +836,29 @@ func TestRebuildNeverReusesPersistedIDs(t *testing.T) {
 	if err := store.AssignSession(r1.ID, 99); err != nil {
 		t.Fatal(err)
 	}
-	r3 := makeRecord(t, store, "carol", "SELECT lake FROM WaterSalinity", base.Add(2*time.Minute))
-	sess := live.byID[live.loc[r3.ID].ID]
-	if sess.ID <= 99 {
-		t.Errorf("new session ID %d not beyond replayed assignment 99", sess.ID)
+	makeRecord(t, store, "carol", "SELECT lake FROM WaterSalinity", base.Add(2*time.Minute))
+	if got := layout(live, "carol"); got != "100[3]" {
+		t.Errorf("carol's new session is %q, want ID 100: beyond the replayed assignment 99", got)
+	}
+}
+
+// TestRebuildIsDeterministic proves two rebuilds of one store agree on every
+// session ID — users are numbered in name order, as batch Detect numbers
+// them, not in map order.
+func TestRebuildIsDeterministic(t *testing.T) {
+	store := storage.NewStore()
+	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
+	for i := 0; i < 120; i++ {
+		user := fmt.Sprintf("user%02d", (i*7)%40)
+		makeRecord(t, store, user, "SELECT temp FROM WaterTemp", base.Add(time.Duration(i)*17*time.Minute))
+	}
+	first := AttachLive(store, DefaultConfig())
+	batch := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	if got, want := canonicalize(first.Export(), true), canonicalize(batch, true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a rebuild numbers sessions differently from batch Detect\n got: %+v\nwant: %+v", got, want)
+	}
+	for i := 0; i < 5; i++ {
+		assertSameSessions(t, "second rebuild", AttachLive(store, DefaultConfig()), first)
 	}
 }
 
@@ -316,12 +869,17 @@ func TestLiveEquivalenceAfterRestoreState(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	store1 := storage.NewStore()
 	AttachLive(store1, cfg)
-	mutateSessionStream(t, rng, store1, 100)
+	mutateSessionStream(t, rng, store1, 100, nil)
 	st := store1.State()
 
 	store2 := storage.NewStore()
 	live2 := AttachLive(store2, cfg)
-	mutateSessionStream(t, rng, store2, 30)
+	mutateSessionStream(t, rng, store2, 30, nil)
 	store2.RestoreState(st)
 	assertMatchesBatch(t, live2, store2, cfg)
+	// A rebuild numbers from scratch: in name order, then chronologically.
+	batch := NewDetector(cfg).Detect(store2.Snapshot().Records(admin), 0)
+	if got, want := canonicalize(live2.Export(), true), canonicalize(batch, true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt session IDs differ from batch numbering\n got: %+v\nwant: %+v", got, want)
+	}
 }

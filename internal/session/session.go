@@ -70,8 +70,27 @@ func NewDetector(cfg Config) *Detector {
 // sessions. Queries of different users never share a session. Session IDs
 // are assigned sequentially starting at startID+1.
 func (d *Detector) Detect(records []*storage.QueryRecord, startID int64) []Session {
-	byUser := make(map[string][]*storage.QueryRecord)
-	var users []string
+	users, byUser := streamsOf(records)
+	var sessions []Session
+	nextID := startID
+	for _, user := range users {
+		for _, part := range d.segment(byUser[user]) {
+			nextID++
+			sessions = append(sessions, Session{
+				ID: nextID, User: user, Queries: part, Edges: labelEdges(part),
+				Start: part[0].IssuedAt, End: part[len(part)-1].IssuedAt,
+			})
+		}
+	}
+	return sessions
+}
+
+// streamsOf splits records (any order, any mix of users) into one
+// chronologically sorted stream per user, and lists the users in name order —
+// the order sessions are numbered in, so numbering never depends on map
+// iteration.
+func streamsOf(records []*storage.QueryRecord) (users []string, byUser map[string][]*storage.QueryRecord) {
+	byUser = make(map[string][]*storage.QueryRecord)
 	for _, r := range records {
 		if _, ok := byUser[r.User]; !ok {
 			users = append(users, r.User)
@@ -79,19 +98,10 @@ func (d *Detector) Detect(records []*storage.QueryRecord, startID int64) []Sessi
 		byUser[r.User] = append(byUser[r.User], r)
 	}
 	sort.Strings(users)
-
-	var sessions []Session
-	nextID := startID
-	for _, user := range users {
-		recs := byUser[user]
+	for _, recs := range byUser {
 		sortChrono(recs)
-		for _, s := range d.segmentUser(user, recs) {
-			nextID++
-			s.ID = nextID
-			sessions = append(sessions, s)
-		}
 	}
-	return sessions
+	return users, byUser
 }
 
 // sortChrono orders records chronologically, breaking IssuedAt ties by ID so
@@ -121,56 +131,36 @@ func (d *Detector) boundary(prev, rec *storage.QueryRecord) bool {
 	return gap > d.cfg.SoftGap && FeatureSimilarity(prev, rec) < d.cfg.MinSimilarity
 }
 
-// segmentUser segments one user's chronologically sorted records into
-// sessions with unassigned (zero) IDs. It is the single implementation of
-// the segmentation rules, shared by batch Detect and the live bus-driven
-// detector so the two can never diverge.
-func (d *Detector) segmentUser(user string, recs []*storage.QueryRecord) []Session {
-	var sessions []Session
-	var cur *Session
-	var prev *storage.QueryRecord
-	flush := func() {
-		if cur != nil && len(cur.Queries) > 0 {
-			sessions = append(sessions, *cur)
+// segment cuts one user's chronologically sorted records into windows: a cut
+// wherever boundary holds between two neighbours, so the result is a function
+// of adjacent pairs alone. It is the single implementation of the
+// segmentation rules — batch Detect and the live detector's rebuild run it,
+// and the live detector's local edits re-evaluate the same boundary for the
+// pairs they touch — and it computes no edge label. The windows are
+// capacity-limited sub-slices of recs.
+func (d *Detector) segment(recs []*storage.QueryRecord) [][]*storage.QueryRecord {
+	var windows [][]*storage.QueryRecord
+	start := 0
+	for i := 1; i <= len(recs); i++ {
+		if i == len(recs) || d.boundary(recs[i-1], recs[i]) {
+			windows = append(windows, recs[start:i:i])
+			start = i
 		}
-		cur = nil
 	}
-	for _, rec := range recs {
-		newSession := cur == nil || d.boundary(prev, rec)
-		if newSession {
-			flush()
-			cur = &Session{User: user, Start: rec.IssuedAt}
-		}
-		if prev != nil && !newSession {
-			cur.Edges = append(cur.Edges, edgeBetween(prev, rec))
-		}
-		cur.Queries = append(cur.Queries, rec)
-		cur.End = rec.IssuedAt
-		prev = rec
-	}
-	flush()
-	return sessions
+	return windows
 }
 
-// Apply runs detection over every query in the store (admin view), writes the
-// assigned session IDs and edges back into the store and returns the detected
-// sessions. It is invoked by the Query Miner's background pass.
-func (d *Detector) Apply(store *storage.Store) ([]Session, error) {
-	records := store.Snapshot().Records(storage.Principal{Admin: true})
-	sessions := d.Detect(records, 0)
-	for _, sess := range sessions {
-		for _, q := range sess.Queries {
-			if err := store.AssignSession(q.ID, sess.ID); err != nil {
-				return nil, fmt.Errorf("session: assigning query %d: %w", q.ID, err)
-			}
-		}
-		for _, e := range sess.Edges {
-			if err := store.AddEdge(e); err != nil {
-				return nil, fmt.Errorf("session: adding edge %d->%d: %w", e.From, e.To, err)
-			}
-		}
+// labelEdges labels every consecutive pair of one window (nil for a window
+// of one query).
+func labelEdges(queries []*storage.QueryRecord) []storage.SessionEdge {
+	if len(queries) < 2 {
+		return nil
 	}
-	return sessions, nil
+	edges := make([]storage.SessionEdge, 0, len(queries)-1)
+	for i := 1; i < len(queries); i++ {
+		edges = append(edges, edgeBetween(queries[i-1], queries[i]))
+	}
+	return edges
 }
 
 // edgeBetween builds the session edge between two consecutive queries,

@@ -166,33 +166,6 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	}
 }
 
-func TestApplyWritesBackToStore(t *testing.T) {
-	store := storage.NewStore()
-	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
-	figure2Trace(t, store, "nodira", base)
-	makeRecord(t, store, "magda", "SELECT city FROM CityLocations", base.Add(3*time.Hour))
-
-	sessions, err := NewDetector(DefaultConfig()).Apply(store)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if len(sessions) != 2 {
-		t.Fatalf("sessions = %d, want 2", len(sessions))
-	}
-	ids := store.SessionIDs()
-	if len(ids) != 2 {
-		t.Errorf("store session IDs = %v, want 2", ids)
-	}
-	got := 0
-	store.Snapshot().ScanBySession(sessions[0].ID, admin, func(*storage.QueryRecord) bool { got++; return true })
-	if got != sessions[0].Len() {
-		t.Errorf("store session %d has %d queries, want %d", sessions[0].ID, got, sessions[0].Len())
-	}
-	if len(store.Edges()) != 5 {
-		t.Errorf("store edges = %d, want 5", len(store.Edges()))
-	}
-}
-
 func TestRenderFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
