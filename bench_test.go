@@ -243,7 +243,7 @@ func completionBenchStore(b *testing.B, n int) (*storage.Store, *stats.Tracker) 
 	store := storage.NewStore()
 	tracker := stats.Attach(store)
 	for i := 0; i < n; i++ {
-		store.Put(vocab[i%len(vocab)].Clone())
+		mustPut(b, store, vocab[i%len(vocab)].Clone())
 	}
 	return store, tracker
 }
@@ -351,7 +351,7 @@ func BenchmarkE4ProfilerLoggingOnly(b *testing.B) {
 			b.Fatal(err)
 		}
 		rec.User = "bench"
-		store.Put(rec)
+		mustPut(b, store, rec)
 	}
 }
 
@@ -690,7 +690,7 @@ func BenchmarkPutUnderReadLoad(b *testing.B) {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
 			store := storage.NewStore()
 			for _, rec := range f.records {
-				store.Put(rec.Clone())
+				mustPut(b, store, rec.Clone())
 			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -712,7 +712,7 @@ func BenchmarkPutUnderReadLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				store.Put(recs[i%len(recs)].Clone())
+				mustPut(b, store, recs[i%len(recs)].Clone())
 			}
 			b.StopTimer()
 			close(stop)
@@ -724,6 +724,16 @@ func BenchmarkPutUnderReadLoad(b *testing.B) {
 // ---------------------------------------------------------------------------
 // WAL — durable query-log append throughput and recovery time
 // ---------------------------------------------------------------------------
+
+// mustPut stores rec and fails the benchmark if the store refuses it. It does
+// not call tb.Helper: timed loops call it, and Helper walks the stack.
+func mustPut(tb testing.TB, store *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	id, err := store.Put(rec)
+	if err != nil {
+		tb.Errorf("Put: %v", err)
+	}
+	return id
+}
 
 // walBenchRecords returns a handful of parsed records to cycle through, so
 // appended mutations look like the real profiler output.
@@ -765,7 +775,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				store.Put(recs[i%len(recs)].Clone())
+				mustPut(b, store, recs[i%len(recs)].Clone())
 			}
 			b.StopTimer()
 			if err := mgr.Err(); err != nil {
@@ -797,7 +807,7 @@ func BenchmarkOpenLoopIngest(b *testing.B) {
 			b.ResetTimer()
 			runConcurrent(b, submitters, func() {
 				i := int(next.Add(1))
-				store.Put(recs[i%len(recs)].Clone())
+				mustPut(b, store, recs[i%len(recs)].Clone())
 			})
 			b.StopTimer()
 			if err := mgr.Close(); err != nil {
@@ -845,7 +855,7 @@ func walRecoverySetup(b *testing.B) (walDir, snapDir string) {
 				return err
 			}
 			for i := 0; i < walRecoveryRecords; i++ {
-				id := store.Put(recs[i%len(recs)].Clone())
+				id := mustPut(b, store, recs[i%len(recs)].Clone())
 				if i%100 == 0 {
 					if err := store.Annotate(id, Admin, storage.Annotation{Author: "bench", Text: "note"}); err != nil {
 						return err
@@ -991,7 +1001,7 @@ func ckptRecoverySetup(b *testing.B) (sidecarDir, plainDir string) {
 				rec := variants[i%len(variants)].Clone()
 				rec.User = fmt.Sprintf("user%02d", i%40)
 				rec.IssuedAt = clock
-				store.Put(rec)
+				mustPut(b, store, rec)
 			}
 			if _, _, _, err := mgr.Compact(); err != nil {
 				return err
@@ -1099,7 +1109,7 @@ func replicaTailSetup(b *testing.B) []byte {
 			r := rec.Clone()
 			r.User = fmt.Sprintf("user%02d", i%40)
 			r.IssuedAt = clock
-			store.Put(r)
+			mustPut(b, store, r)
 		}
 		var buf bytes.Buffer
 		if _, _, err := mgr.ReadTail(0, 1<<40, &buf); err != nil {

@@ -55,7 +55,6 @@ func main() {
 		dataDir           = flag.String("data-dir", "", "directory for the durable query log (empty: in-memory only)")
 		follow            = flag.String("follow", "", "run as a read replica of the primary at this base URL (incompatible with -data-dir)")
 		syncPolicy        = flag.String("sync", "interval", "WAL fsync policy: always, interval or off")
-		groupWindow       = flag.Duration("wal-group-window", 0, "group-commit accumulation window: extra latency the WAL committer waits to batch concurrent appends into one fsync (0: batch only what arrives while the previous fsync runs)")
 		segmentBytes      = flag.Int64("segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold")
 		snapshotEvery     = flag.Duration("snapshot-every", 5*time.Minute, "background snapshot/compaction interval")
 		readHeaderTimeout = flag.Duration("read-header-timeout", 10*time.Second, "HTTP read-header timeout")
@@ -81,7 +80,6 @@ func main() {
 	if *dataDir != "" {
 		cfg.Durability = wal.DefaultConfig(*dataDir)
 		cfg.Durability.SyncPolicy = *syncPolicy
-		cfg.Durability.GroupWindow = *groupWindow
 		cfg.Durability.SegmentBytes = *segmentBytes
 		cfg.Durability.SnapshotEvery = *snapshotEvery
 	}

@@ -524,8 +524,8 @@ func cmdStats(ctx context.Context, c *client.Client) error {
 		return err
 	}
 	fmt.Printf("queries:  %d\n", stats.Queries)
-	fmt.Printf("users:    %s\n", strings.Join(stats.Users, ", "))
-	fmt.Printf("tables:   %s\n", strings.Join(stats.Tables, ", "))
+	fmt.Printf("users:    %d\n", stats.UserCount)
+	fmt.Printf("tables:   %d\n", stats.TableCount)
 	fmt.Printf("sessions: %d\n", stats.Sessions)
 	// Principal-aware incremental counters (public + the caller's own
 	// queries; everything for admins).

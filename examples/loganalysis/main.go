@@ -38,7 +38,8 @@ func main() {
 
 	// 1. A mining pass: what is the lab actually querying?
 	mining := sys.RunMiner()
-	fmt.Printf("query log: %d queries, %d distinct users\n", sys.Store().Count(), len(sys.Store().Users()))
+	users, _ := sys.Store().DistinctCounts()
+	fmt.Printf("query log: %d queries, %d distinct users\n", sys.Store().Count(), users)
 	fmt.Println("most queried relations:")
 	for i, pop := range mining.TablePopularity {
 		if i == 5 {

@@ -88,6 +88,27 @@ func equivRecord(t *testing.T, rng *rand.Rand, step int) *storage.QueryRecord {
 	return rec
 }
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) []storage.QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 // runEquivHistory applies the seeded history to a store. midpoint runs once,
 // halfway through.
 func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, midpoint func()) {
@@ -117,13 +138,13 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 		}
 		switch op {
 		case 0, 1, 2, 3:
-			ids = append(ids, store.Put(equivRecord(t, rng, step)))
+			ids = append(ids, mustPut(t, store, equivRecord(t, rng, step)))
 		case 4:
 			batch := make([]*storage.QueryRecord, 2+rng.Intn(3))
 			for i := range batch {
 				batch[i] = equivRecord(t, rng, step*10+i)
 			}
-			ids = append(ids, store.PutBatch(batch)...)
+			ids = append(ids, mustPutBatch(t, store, batch)...)
 		case 5:
 			ann := storage.Annotation{Text: fmt.Sprintf("note %d — ünï", step), Fragment: []string{"", "temp"}[rng.Intn(2)]}
 			if rng.Intn(2) == 0 {

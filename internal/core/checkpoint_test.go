@@ -158,7 +158,9 @@ func TestRecoveryFallsBackWithoutSidecars(t *testing.T) {
 		}
 		rec.User = "alice"
 		rec.IssuedAt = base.Add(time.Duration(i) * time.Minute)
-		store.Put(rec)
+		if _, err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, _, err := mgr.Compact(); err != nil {
 		t.Fatal(err)

@@ -614,9 +614,7 @@ func (c *CQMS) RunMiner() *miner.Result {
 	// The installed Result permanently supersedes the feed's approximate
 	// rules in the recommender, so stop the feed's per-commit itemset
 	// counting; it keeps counting transactions for the stats surface.
-	if c.minerFeed != nil {
-		c.minerFeed.Retire()
-	}
+	c.minerFeed.Retire()
 	c.mu.Lock()
 	c.lastMining = res
 	c.mu.Unlock()

@@ -52,7 +52,7 @@ func buildSearchLog(tb testing.TB, n int) *storage.Store {
 		rec.Visibility = storage.VisibilityGroup
 		batch = append(batch, &rec)
 		if len(batch) == cap(batch) || i == n-1 {
-			s.PutBatch(batch)
+			mustPutBatch(tb, s, batch)
 			batch = make([]*storage.QueryRecord, 0, 1000)
 		}
 	}

@@ -181,6 +181,27 @@ func (h *history) record() *storage.QueryRecord {
 	}
 }
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) []storage.QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 func (h *history) step(t *testing.T) {
 	t.Helper()
 	admin := storage.Principal{Admin: true}
@@ -192,9 +213,9 @@ func (h *history) step(t *testing.T) {
 	}
 	switch {
 	case op < 3 || len(h.ids) == 0:
-		h.ids = append(h.ids, h.store.Put(h.record()))
+		h.ids = append(h.ids, mustPut(t, h.store, h.record()))
 	case op < 5:
-		h.ids = append(h.ids, h.store.PutBatch([]*storage.QueryRecord{h.record(), h.record(), h.record()})...)
+		h.ids = append(h.ids, mustPutBatch(t, h.store, []*storage.QueryRecord{h.record(), h.record(), h.record()})...)
 	case op < 7:
 		i := h.rng.Intn(len(h.ids))
 		err = h.store.Delete(h.ids[i], admin)
@@ -418,7 +439,7 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	h = stage(c, h.ids, 0)
 
 	// RestoreState in place.
-	c.Store().RestoreState(c.Store().State())
+	c.Store().RestoreStateWithCheckpoints(c.Store().State(), nil)
 	h = stage(c, h.ids, 0)
 
 	// A follower bootstrapped from the primary's snapshot and WAL tail.

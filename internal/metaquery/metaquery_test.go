@@ -31,6 +31,27 @@ var (
 	carol = storage.Principal{User: "carol", Groups: []string{"astro"}}
 )
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) []storage.QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 func put(t testing.TB, s *storage.Store, text, user string, vis storage.Visibility) storage.QueryID {
 	t.Helper()
 	rec, err := storage.NewRecordFromSQL(text)
@@ -41,7 +62,7 @@ func put(t testing.TB, s *storage.Store, text, user string, vis storage.Visibili
 	rec.Group = "limnology"
 	rec.Visibility = vis
 	rec.IssuedAt = time.Date(2009, 1, 5, 12, 0, 0, 0, time.UTC)
-	return s.Put(rec)
+	return mustPut(t, s, rec)
 }
 
 func newFixture(t testing.TB) (*Executor, *storage.Store, map[string]storage.QueryID) {
@@ -379,7 +400,7 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 		}
 		rec.User = "alice"
 		rec.Visibility = storage.VisibilityPublic
-		store.Put(rec)
+		mustPut(t, store, rec)
 	}
 
 	// White box: the periodic check stops the scan at the first check

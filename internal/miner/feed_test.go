@@ -21,7 +21,7 @@ func feedRecord(t *testing.T, text string) *storage.QueryRecord {
 // bus, stops after unsubscribe, and rebuilds on RestoreState.
 func TestFeedFollowsBus(t *testing.T) {
 	store := storage.NewStore()
-	store.Put(feedRecord(t, "SELECT temp FROM WaterTemp"))
+	mustPut(t, store, feedRecord(t, "SELECT temp FROM WaterTemp"))
 
 	feed := NewFeed(DefaultAssocConfig(), 10)
 	cancel := feed.Attach(store)
@@ -30,7 +30,7 @@ func TestFeedFollowsBus(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		store.Put(feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
+		mustPut(t, store, feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
 	}
 	if got := feed.NumTransactions(); got != 6 {
 		t.Fatalf("transactions after puts = %d, want 6", got)
@@ -44,13 +44,13 @@ func TestFeedFollowsBus(t *testing.T) {
 	store2 := storage.NewStore()
 	feed2 := NewFeed(DefaultAssocConfig(), 10)
 	feed2.Attach(store2)
-	store2.RestoreState(st)
+	store2.RestoreStateWithCheckpoints(st, nil)
 	if got := feed2.NumTransactions(); got != 6 {
 		t.Fatalf("transactions after restore = %d, want 6", got)
 	}
 
 	cancel()
-	store.Put(feedRecord(t, "SELECT city FROM CityLocations"))
+	mustPut(t, store, feedRecord(t, "SELECT city FROM CityLocations"))
 	if got := feed.NumTransactions(); got != 6 {
 		t.Errorf("unsubscribed feed kept counting: %d", got)
 	}
@@ -66,7 +66,7 @@ func TestFeedRetire(t *testing.T) {
 	feed.Attach(store)
 
 	for i := 0; i < 4; i++ {
-		store.Put(feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
+		mustPut(t, store, feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
 	}
 	feed.Retire()
 
@@ -74,7 +74,7 @@ func TestFeedRetire(t *testing.T) {
 	countsBefore := len(feed.inc.counts)
 	feed.mu.Unlock()
 
-	store.Put(feedRecord(t, "SELECT Stars.name, Observations.star FROM Stars, Observations WHERE Stars.id = Observations.star"))
+	mustPut(t, store, feedRecord(t, "SELECT Stars.name, Observations.star FROM Stars, Observations WHERE Stars.id = Observations.star"))
 	if got := feed.NumTransactions(); got != 5 {
 		t.Fatalf("retired feed transactions = %d, want 5", got)
 	}
@@ -90,7 +90,7 @@ func TestFeedRetire(t *testing.T) {
 	feed2 := NewFeed(DefaultAssocConfig(), 10)
 	feed2.Attach(store2)
 	feed2.Retire()
-	store2.RestoreState(store.State())
+	store2.RestoreStateWithCheckpoints(store.State(), nil)
 	if got := feed2.NumTransactions(); got != 5 {
 		t.Fatalf("retired feed transactions after restore = %d, want 5", got)
 	}
@@ -109,7 +109,7 @@ func TestFeedRulesCached(t *testing.T) {
 	feed := NewFeed(DefaultAssocConfig(), 10)
 	feed.Attach(store)
 	for i := 0; i < 5; i++ {
-		store.Put(feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
+		mustPut(t, store, feedRecord(t, "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x"))
 	}
 
 	first := feed.Rules()
@@ -123,7 +123,7 @@ func TestFeedRulesCached(t *testing.T) {
 		t.Fatalf("rule cache not installed: valid=%v at=%d", valid, at)
 	}
 
-	store.Put(feedRecord(t, "SELECT city FROM CityLocations"))
+	mustPut(t, store, feedRecord(t, "SELECT city FROM CityLocations"))
 	feed.mu.Lock()
 	stale := feed.rulesAt != feed.inc.NumTransactions()
 	feed.mu.Unlock()

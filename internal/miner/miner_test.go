@@ -10,6 +10,17 @@ import (
 
 var admin = storage.Principal{Admin: true}
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
 func populateStore(t testing.TB) *storage.Store {
 	t.Helper()
 	store := storage.NewStore()
@@ -35,7 +46,7 @@ func populateStore(t testing.TB) *storage.Store {
 		rec.User = q.user
 		rec.Visibility = storage.VisibilityPublic
 		rec.IssuedAt = base.Add(time.Duration(i) * time.Minute)
-		store.Put(rec)
+		mustPut(t, store, rec)
 	}
 	return store
 }
@@ -145,7 +156,7 @@ func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
 	}
 	rec.User = "alice"
 	rec.Visibility = storage.VisibilityPublic
-	store.Put(rec)
+	mustPut(t, store, rec)
 	res := New(DefaultConfig()).Run(store)
 	for _, p := range res.TablePopularity {
 		if p.Item == "WaterTemp" && p.Count != 1 {

@@ -178,15 +178,9 @@ func (p *Profiler) countParseError(captured bool) {
 // SetClock overrides the profiler's time source.
 func (p *Profiler) SetClock(now func() time.Time) { p.clock = now }
 
-// Engine returns the underlying engine.
-func (p *Profiler) Engine() *engine.Engine { return p.eng }
-
-// Store returns the underlying query store.
-func (p *Profiler) Store() *storage.Store { return p.store }
-
-// errNotLogged is what a submission gets when the store refused its record
-// (Put returned 0): the log could not hold it.
-var errNotLogged = fmt.Errorf("profiler: query not logged: %w", storage.ErrTooLarge)
+// notLogged wraps the store's reason for not logging (or not durably
+// logging) a submission's record.
+func notLogged(err error) error { return fmt.Errorf("profiler: query not logged: %w", err) }
 
 // prepare is the one submission body: parse the text once, build the record
 // from the parsed statement, execute that same statement, and fill in the
@@ -248,15 +242,19 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 // logging (the text never became a query) unless CaptureParseErrors is on,
 // in which case the text is logged as a raw record with the parse error in
 // the Outcome; execution errors are always logged with the error recorded
-// and returned in the Outcome. A record the store refuses as too large is an
-// error wrapping storage.ErrTooLarge.
+// and returned in the Outcome. On a read-only store nothing runs: the error
+// wraps storage.ErrReadOnly. A record the store does not take is an error
+// wrapping the store's (storage.ErrTooLarge, storage.ErrNotDurable).
 func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
+	if p.store.ReadOnly() {
+		return nil, notLogged(storage.ErrReadOnly)
+	}
 	rec, out, err := p.prepare(sub)
 	if err != nil {
 		return nil, err
 	}
-	if out.QueryID = p.store.Put(rec); out.QueryID == 0 {
-		return nil, errNotLogged
+	if out.QueryID, err = p.store.Put(rec); err != nil {
+		return nil, notLogged(err)
 	}
 	return out, nil
 }
@@ -266,12 +264,18 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 // amortising the per-write lock round trip that Submit pays once per query.
 // outs[i] and errs[i] mirror Submit's return values for subs[i]: a parse
 // error leaves outs[i] nil with errs[i] set, and so does a record the store
-// refuses as too large (storage.ErrTooLarge); execution errors are reported
-// in-band in the Outcome and still logged. Queries execute in slice order, so
-// DDL earlier in the batch is visible to later entries.
+// does not take; execution errors are reported in-band in the Outcome and
+// still logged. Queries execute in slice order, so DDL earlier in the batch
+// is visible to later entries.
 func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error) {
 	outs = make([]*Outcome, len(subs))
 	errs = make([]error, len(subs))
+	if p.store.ReadOnly() {
+		for i := range errs {
+			errs[i] = notLogged(storage.ErrReadOnly)
+		}
+		return outs, errs
+	}
 	recs := make([]*storage.QueryRecord, 0, len(subs))
 	logged := make([]int, 0, len(subs)) // recs[j] belongs to subs[logged[j]]
 	for i, sub := range subs {
@@ -281,12 +285,13 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 			logged = append(logged, i)
 		}
 	}
-	for j, id := range p.store.PutBatch(recs) {
-		if id == 0 {
-			outs[logged[j]], errs[logged[j]] = nil, errNotLogged
+	ids, putErrs := p.store.PutBatch(recs)
+	for j, i := range logged {
+		if putErrs != nil && putErrs[j] != nil {
+			outs[i], errs[i] = nil, notLogged(putErrs[j])
 			continue
 		}
-		outs[logged[j]].QueryID = id
+		outs[i].QueryID = ids[j]
 	}
 	return outs, errs
 }

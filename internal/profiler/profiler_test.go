@@ -120,7 +120,7 @@ func TestAnnotationSuggestions(t *testing.T) {
 		t.Errorf("nested query should prompt for annotation")
 	}
 	// A three-table query prompts for annotation.
-	p.Engine().MustExecute("CREATE TABLE CityLocations (city TEXT, loc_x INT)")
+	p.eng.MustExecute("CREATE TABLE CityLocations (city TEXT, loc_x INT)")
 	out, err = p.Submit(Submission{User: "alice",
 		SQL: "SELECT * FROM WaterTemp, WaterSalinity, CityLocations"})
 	if err != nil {
@@ -202,7 +202,7 @@ func TestFullOutputKeptWhenWithinBudget(t *testing.T) {
 func TestSchemaVersionRecorded(t *testing.T) {
 	p, store := newProfiler(t)
 	before, _ := p.Submit(Submission{User: "alice", SQL: "SELECT temp FROM WaterTemp"})
-	p.Engine().MustExecute("ALTER TABLE WaterTemp ADD COLUMN sensor TEXT")
+	p.eng.MustExecute("ALTER TABLE WaterTemp ADD COLUMN sensor TEXT")
 	after, _ := p.Submit(Submission{User: "alice", SQL: "SELECT temp FROM WaterTemp"})
 	recBefore, _ := store.Get(before.QueryID, storage.Principal{User: "alice"})
 	recAfter, _ := store.Get(after.QueryID, storage.Principal{User: "alice"})
@@ -236,8 +236,8 @@ func TestExecuteUnprofiledDoesNotLog(t *testing.T) {
 }
 
 // TestSubmitReportsARecordTheStoreRefused: a query whose record outgrows
-// storage.MaxRecordBytes is not logged, and the submitter is told so instead
-// of being handed query ID 0; the rest of a batch is unaffected.
+// storage.MaxRecordBytes is not logged, and the submitter is told so; the
+// rest of a batch is unaffected.
 func TestSubmitReportsARecordTheStoreRefused(t *testing.T) {
 	p, store := newProfiler(t)
 	ident := strings.Repeat("a", storage.MaxRecordBytes/28)
@@ -319,7 +319,7 @@ func TestSubmitAndBatchAgree(t *testing.T) {
 				}
 			}
 			admin := storage.Principal{Admin: true}
-			a, b := single.Store().Snapshot().Records(admin), batch.Store().Snapshot().Records(admin)
+			a, b := single.store.Snapshot().Records(admin), batch.store.Snapshot().Records(admin)
 			if len(a) != len(b) {
 				t.Fatalf("Submit logged %d records, SubmitBatch %d", len(a), len(b))
 			}

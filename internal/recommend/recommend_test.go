@@ -16,6 +16,17 @@ import (
 
 var admin = storage.Principal{Admin: true}
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
 // fixture builds a store shaped like the paper's §2.3 example: CityLocations
 // is globally the most popular table, but queries over WaterSalinity almost
 // always also reference WaterTemp.
@@ -30,7 +41,7 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 		rec.User = "alice"
 		rec.Visibility = storage.VisibilityPublic
 		rec.Stats = storage.RuntimeStats{ResultRows: rows, ExecTime: 3 * time.Millisecond}
-		return store.Put(rec)
+		return mustPut(t, store, rec)
 	}
 	// 12 CityLocations-only queries (globally most popular table).
 	for i := 0; i < 6; i++ {
@@ -526,7 +537,7 @@ func TestCounterPathMatchesScanPath(t *testing.T) {
 		}
 		rec.User = user
 		rec.Visibility = vis
-		store.Put(rec)
+		mustPut(t, store, rec)
 	}
 	put("SELECT temp FROM WaterTemp WHERE temp < 7", "bob", storage.VisibilityPrivate)
 	put("SELECT WaterTemp.lake FROM WaterTemp WHERE WaterTemp.temp > 12", "bob", storage.VisibilityPrivate)

@@ -25,7 +25,11 @@ func cursorFuzzServer(tb testing.TB) (*Server, storage.QueryID) {
 			tb.Fatal(err)
 		}
 		rec.User, rec.Visibility = "alice", storage.VisibilityPublic
-		ids = append(ids, c.Store().Put(rec))
+		id, err := c.Store().Put(rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
 	if err := c.Annotate(ids[3], storage.Principal{User: "alice"}, storage.Annotation{Text: "watertemp of cold lakes"}); err != nil {
 		tb.Fatal(err)

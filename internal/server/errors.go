@@ -105,6 +105,10 @@ func coerceAPIError(err error) *APIError {
 		return &APIError{Code: CodePermissionDenied, Message: err.Error()}
 	case errors.Is(err, storage.ErrTooLarge):
 		return &APIError{Code: CodeInvalidArgument, Message: err.Error()}
+	case errors.Is(err, storage.ErrReadOnly):
+		return &APIError{Code: CodeReadOnly, Message: err.Error()}
+	case errors.Is(err, storage.ErrNotDurable):
+		return &APIError{Code: CodeUnavailable, Message: err.Error()}
 	case errors.Is(err, context.Canceled):
 		return &APIError{Code: CodeCanceled, Message: "request canceled by client"}
 	case errors.Is(err, context.DeadlineExceeded):

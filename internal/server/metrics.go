@@ -25,9 +25,6 @@ type httpMetrics struct {
 }
 
 func newHTTPMetrics(reg *telemetry.Registry) *httpMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &httpMetrics{
 		reg: reg,
 		inFlight: reg.Gauge("cqms_http_in_flight_requests",
@@ -86,12 +83,9 @@ func (rt *routeMetrics) done(status int, d time.Duration) {
 // Instrument maintains the request-scoped HTTP instruments: the in-flight
 // gauge and the request/response byte counters. It installs the shared
 // statusWriter that the per-route wrappers, AccessLog, SlowRequestLog and
-// Recover all reuse. A nil httpMetrics disables it.
+// Recover all reuse.
 func Instrument(m *httpMetrics) Middleware {
 	return func(next http.Handler) http.Handler {
-		if m == nil {
-			return next
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			m.inFlight.Inc()
 			defer m.inFlight.Dec()
@@ -110,13 +104,8 @@ func Instrument(m *httpMetrics) Middleware {
 // scrape; families marked admin-only (per-shard gauges and the like) appear
 // only for admin principals.
 func (s *Server) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.cqms.Metrics()
-	if reg == nil {
-		writeError(w, Errorf(CodeInternal, "telemetry registry unavailable"))
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = reg.WritePrometheus(w, PrincipalFrom(r.Context()).Admin)
+	_ = s.cqms.Metrics().WritePrometheus(w, PrincipalFrom(r.Context()).Admin)
 }
 
 // handleV1Pprof gates net/http/pprof behind the admin flag and dispatches on

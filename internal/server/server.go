@@ -153,10 +153,6 @@ func (s *Server) writable(fn http.HandlerFunc) http.HandlerFunc {
 // only on normal return: a panicking handler is counted by nothing here and
 // surfaces through Recover's log line instead.
 func (s *Server) handleFunc(pattern string, fn http.HandlerFunc) {
-	if s.metrics == nil {
-		s.mux.HandleFunc(pattern, fn)
-		return
-	}
 	rt := s.metrics.route(pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := ensureStatusWriter(w)
@@ -184,9 +180,7 @@ func (s *Server) jsonFallback(mux *http.ServeMux) http.Handler {
 			mux.ServeHTTP(w, r)
 			return
 		}
-		if s.metrics != nil {
-			s.metrics.unmatched.Inc()
-		}
+		s.metrics.unmatched.Inc()
 		var allowed []string
 		for _, m := range probeMethods {
 			probe := &http.Request{Method: m, URL: r.URL, Host: r.Host}
@@ -247,13 +241,12 @@ func decodeCapped(w http.ResponseWriter, r *http.Request, v interface{}, cap int
 	return nil
 }
 
-// asInvalidArgument maps a user-input error onto the invalid_argument code,
-// letting cancellation and typed envelope errors keep their own codes.
+// asInvalidArgument maps a user-input error onto the invalid_argument code.
+// An error coerceAPIError has a code for — cancellation, a typed envelope
+// error, the store's own refusals — keeps it.
 func asInvalidArgument(err error) error {
 	var apiErr *APIError
-	if errors.As(err, &apiErr) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, storage.ErrNotFound) || errors.Is(err, storage.ErrAccessDenied) {
+	if errors.As(err, &apiErr) || coerceAPIError(err).Code != CodeInternal {
 		return err
 	}
 	return Errorf(CodeInvalidArgument, "%v", err)

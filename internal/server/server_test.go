@@ -249,7 +249,7 @@ func TestMaintainAndStatsOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if stats.Queries != 2 || len(stats.Users) != 1 {
+	if stats.Queries != 2 || stats.UserCount != 1 || stats.TableCount != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }

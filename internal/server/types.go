@@ -210,16 +210,17 @@ type ItemCountDTO struct {
 	Count int    `json:"count"`
 }
 
-// StatsResponse reports server-wide counters. The queries/users/tables/
-// sessions fields describe the whole log regardless of visibility; the
+// StatsResponse reports server-wide counters. The queries, userCount,
+// tableCount and sessions fields count the whole log regardless of visibility
+// (counts only: a name would tell every caller about private queries); the
 // remaining fields are read from the incrementally maintained stats subsystem
 // and are principal-aware — a non-admin caller sees public queries merged with
 // their own.
 type StatsResponse struct {
-	Queries  int      `json:"queries"`
-	Users    []string `json:"users"`
-	Tables   []string `json:"tables"`
-	Sessions int      `json:"sessions"`
+	Queries    int `json:"queries"`
+	UserCount  int `json:"userCount"`
+	TableCount int `json:"tableCount"`
+	Sessions   int `json:"sessions"`
 
 	// VisibleQueries is how many logged queries the caller's counters cover.
 	VisibleQueries int `json:"visibleQueries"`
@@ -236,7 +237,7 @@ type StatsResponse struct {
 	// They are served from bounded per-bucket top-K summaries: every count
 	// reported is exact, but a listing may omit items whose true count is at
 	// or below the corresponding bound. A zero bound means that listing is
-	// complete for the caller. Absent when no stats tracker is attached.
+	// complete for the caller.
 	Approx *StatsApproxDTO `json:"approx,omitempty"`
 	// MinedTransactions is how many queries the incremental association-rule
 	// feed has ingested.

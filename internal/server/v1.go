@@ -582,49 +582,42 @@ func (s *Server) statusDoc() StatusDocDTO {
 
 func (s *Server) handleV1Stats(w http.ResponseWriter, r *http.Request) {
 	p := PrincipalFrom(r.Context())
-	store := s.cqms.Store()
-	var tables []string
-	for _, tc := range store.TableCounts() {
-		tables = append(tables, tc.Table)
-	}
+	store, t := s.cqms.Store(), s.cqms.StatsTracker()
+	users, tables := store.DistinctCounts()
 	resp := StatsResponse{
-		Queries:  store.Count(),
-		Users:    store.Users(),
-		Tables:   tables,
-		Sessions: s.cqms.SessionCount(),
+		Queries:           store.Count(),
+		UserCount:         users,
+		TableCount:        tables,
+		Sessions:          s.cqms.SessionCount(),
+		VisibleQueries:    t.QueryCount(p),
+		MinedTransactions: s.cqms.MinerFeed().NumTransactions(),
+		Status:            s.statusDoc(),
 	}
-	resp.Status = s.statusDoc()
-	if t := s.cqms.StatsTracker(); t != nil {
-		// Every listing below is served from the tracker's bounded top-K
-		// summaries: O(summary capacity), flat in log and user-population
-		// size. resp.Approx carries the listings' error bounds.
-		resp.VisibleQueries = t.QueryCount(p)
-		for i, tc := range t.TableCounts(p) {
-			if i >= maxStatsItems {
-				break
-			}
-			resp.TableCounts = append(resp.TableCounts, ItemCountDTO{Item: tc.Table, Count: tc.Count})
+	// Every listing below is served from the tracker's bounded top-K
+	// summaries: O(summary capacity), flat in log and user-population size.
+	// resp.Approx carries the listings' error bounds.
+	for i, tc := range t.TableCounts(p) {
+		if i >= maxStatsItems {
+			break
 		}
-		for i, ua := range t.UserActivity(p) {
-			if i >= maxStatsItems {
-				break
-			}
-			resp.UserActivity = append(resp.UserActivity, ItemCountDTO{Item: ua.User, Count: ua.Queries})
-		}
-		for _, tp := range t.TopPredicates(p, maxStatsItems) {
-			resp.TopPredicates = append(resp.TopPredicates, ItemCountDTO{Item: tp.Item, Count: tp.Count})
-		}
-		bounds := t.Bounds(p)
-		resp.Approx = &StatsApproxDTO{
-			Capacity:         bounds.Capacity,
-			TableBound:       bounds.Tables,
-			UserBound:        bounds.Users,
-			PredicateBound:   bounds.Predicates,
-			FingerprintBound: bounds.Fingerprints,
-		}
+		resp.TableCounts = append(resp.TableCounts, ItemCountDTO{Item: tc.Table, Count: tc.Count})
 	}
-	if f := s.cqms.MinerFeed(); f != nil {
-		resp.MinedTransactions = f.NumTransactions()
+	for i, ua := range t.UserActivity(p) {
+		if i >= maxStatsItems {
+			break
+		}
+		resp.UserActivity = append(resp.UserActivity, ItemCountDTO{Item: ua.User, Count: ua.Queries})
+	}
+	for _, tp := range t.TopPredicates(p, maxStatsItems) {
+		resp.TopPredicates = append(resp.TopPredicates, ItemCountDTO{Item: tp.Item, Count: tp.Count})
+	}
+	bounds := t.Bounds(p)
+	resp.Approx = &StatsApproxDTO{
+		Capacity:         bounds.Capacity,
+		TableBound:       bounds.Tables,
+		UserBound:        bounds.Users,
+		PredicateBound:   bounds.Predicates,
+		FingerprintBound: bounds.Fingerprints,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,13 +2,17 @@ package server_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/profiler"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -538,6 +542,42 @@ func TestV1OversizedRecordIsInvalidArgument(t *testing.T) {
 	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 1 {
 		t.Fatalf("history after the batch: %d queries, %v", len(hist), err)
 	}
+}
+
+// TestV1StoreRefusalsKeepTheirCodes: what the store itself refuses or could
+// not make durable reaches the client under its own code — read_only (403)
+// from a read-only store whatever the process's role, unavailable (503) for a
+// write that is applied but not durable — on the single routes and per item
+// on the batch route, never as invalid_argument or internal.
+func TestV1StoreRefusalsKeepTheirCodes(t *testing.T) {
+	c := core.New(core.DefaultConfig())
+	ts := httptest.NewServer(server.New(c).Handler())
+	t.Cleanup(ts.Close)
+	alice := map[string]string{server.HeaderUser: "alice"}
+	check := func(what string, code server.ErrorCode, status int) {
+		t.Helper()
+		resp := doRaw(t, http.MethodPost, ts.URL+"/v1/queries", alice, `{"sql":"SELECT 1"}`, nil)
+		if env := decodeEnvelope(t, resp); resp.StatusCode != status || env.Error.Code != code {
+			t.Errorf("%s: submit answered %d %q, want %d %q", what, resp.StatusCode, env.Error.Code, status, code)
+		}
+		var batch server.BatchSubmitResponse
+		doRaw(t, http.MethodPost, ts.URL+"/v1/queries:batch", alice, `{"queries":[{"sql":"SELECT 1"}]}`, &batch)
+		if len(batch.Results) != 1 || batch.Results[0].Error == nil || batch.Results[0].Error.Code != code {
+			t.Errorf("%s: batch item = %+v, want code %q", what, batch.Results, code)
+		}
+		resp = doRaw(t, http.MethodPost, ts.URL+"/v1/queries/1/annotations", alice, `{"text":"note"}`, nil)
+		if env := decodeEnvelope(t, resp); resp.StatusCode != status || env.Error.Code != code {
+			t.Errorf("%s: annotate answered %d %q, want %d %q", what, resp.StatusCode, env.Error.Code, status, code)
+		}
+	}
+
+	if _, err := c.Submit(profiler.Submission{User: "alice", SQL: "SELECT 1"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Store().SetMutationHook(func(*storage.Mutation) error { return errors.New("disk gone") })
+	check("failing log", server.CodeUnavailable, http.StatusServiceUnavailable)
+	c.Store().SetReadOnly(true)
+	check("read-only store", server.CodeReadOnly, http.StatusForbidden)
 }
 
 // TestV1HostileStatementIsRefusedNotFatal: the largest statement the submit

@@ -148,7 +148,9 @@ func BenchmarkLiveSummaries(b *testing.B) {
 					rec.Visibility = storage.VisibilityPrivate
 				}
 				rec.IssuedAt = base.Add(time.Duration(i/10)*time.Hour + time.Duration(i%10)*time.Second)
-				store.Put(rec)
+				if _, err := store.Put(rec); err != nil {
+					b.Fatal(err)
+				}
 			}
 			sessions := live.Count()
 			if sessions != n/10 {

@@ -218,7 +218,7 @@ func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n i
 		rec.Group = groups[rng.Intn(len(groups))]
 		rec.Visibility = storage.Visibility(rng.Intn(3))
 		rec.IssuedAt = at
-		ids = append(ids, store.Put(rec))
+		ids = append(ids, mustPut(t, store, rec))
 	}
 	for i := 0; i < n; i++ {
 		op := rng.Intn(10)
@@ -875,7 +875,7 @@ func TestLiveEquivalenceAfterRestoreState(t *testing.T) {
 	store2 := storage.NewStore()
 	live2 := AttachLive(store2, cfg)
 	mutateSessionStream(t, rng, store2, 30, nil)
-	store2.RestoreState(st)
+	store2.RestoreStateWithCheckpoints(st, nil)
 	assertMatchesBatch(t, live2, store2, cfg)
 	// A rebuild numbers from scratch: in name order, then chronologically.
 	batch := NewDetector(cfg).Detect(store2.Snapshot().Records(admin), 0)

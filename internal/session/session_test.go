@@ -10,6 +10,17 @@ import (
 
 var admin = storage.Principal{Admin: true}
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
 // makeRecord builds a stored record at a given offset from a base time.
 func makeRecord(t testing.TB, store *storage.Store, user, text string, at time.Time) *storage.QueryRecord {
 	t.Helper()
@@ -20,7 +31,7 @@ func makeRecord(t testing.TB, store *storage.Store, user, text string, at time.T
 	rec.User = user
 	rec.Visibility = storage.VisibilityPublic
 	rec.IssuedAt = at
-	store.Put(rec)
+	mustPut(t, store, rec)
 	return rec
 }
 

@@ -255,7 +255,7 @@ func TestConcurrentBoundedReads(t *testing.T) {
 			defer writers.Done()
 			wrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 150; i++ {
-				store.Put(genRecord(t, wrng))
+				mustPut(t, store, genRecord(t, wrng))
 			}
 		}(int64(w + 1))
 	}

@@ -57,6 +57,27 @@ func liveIDs(s *storage.Store) []storage.QueryID {
 	return ids
 }
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) []storage.QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 // mutateRandomly drives n random mutations — every op the tracker must stay
 // correct under, plus the ops it must ignore — against the store.
 func mutateRandomly(t testing.TB, rng *rand.Rand, s *storage.Store, n int) {
@@ -70,13 +91,13 @@ func mutateRandomly(t testing.TB, rng *rand.Rand, s *storage.Store, n int) {
 		}
 		switch op {
 		case 0, 1, 2: // keep the store growing
-			s.Put(genRecord(t, rng))
+			mustPut(t, s, genRecord(t, rng))
 		case 3:
 			batch := make([]*storage.QueryRecord, rng.Intn(3)+1)
 			for j := range batch {
 				batch[j] = genRecord(t, rng)
 			}
-			s.PutBatch(batch)
+			mustPutBatch(t, s, batch)
 		case 4:
 			if err := s.Delete(pick(), admin); err != nil {
 				t.Fatalf("Delete: %v", err)
@@ -244,7 +265,7 @@ func TestEquivalenceAfterRestoreState(t *testing.T) {
 	tracker2 := stats.Attach(store2)
 	// Pre-existing contents must be fully replaced, in the tracker too.
 	mutateRandomly(t, rng, store2, 30)
-	store2.RestoreState(st)
+	store2.RestoreStateWithCheckpoints(st, nil)
 	assertMatchesRebuild(t, tracker2, store2)
 	if got, want := tracker2.QueryCount(admin), store2.Count(); got != want {
 		t.Errorf("QueryCount = %d, want %d", got, want)
@@ -291,7 +312,7 @@ func TestConcurrentReadsDuringMutations(t *testing.T) {
 			defer writers.Done()
 			wrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 100; i++ {
-				store.Put(genRecord(t, wrng))
+				mustPut(t, store, genRecord(t, wrng))
 			}
 		}(int64(w + 1))
 	}

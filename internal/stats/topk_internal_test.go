@@ -155,7 +155,9 @@ func TestPruneOwnerAfterVisibilityFlip(t *testing.T) {
 	}
 	rec.User = "dave"
 	rec.Visibility = storage.VisibilityPrivate
-	store.Put(rec)
+	if _, err := store.Put(rec); err != nil {
+		t.Fatal(err)
+	}
 
 	ownerBuckets := func() int {
 		tr.mu.RLock()

@@ -20,11 +20,11 @@ func busRecord(t *testing.T, text, user string) *QueryRecord {
 func TestBusFanOutOrder(t *testing.T) {
 	s := NewStore()
 	var order []string
-	s.SetMutationHook(func(m *Mutation) { order = append(order, "wal:"+string(m.Op)) })
+	s.SetMutationHook(func(m *Mutation) error { order = append(order, "wal:"+string(m.Op)); return nil })
 	s.Subscribe("a", func(m *Mutation) { order = append(order, "a:"+string(m.Op)) }, SubscribeOptions{})
 	s.Subscribe("b", func(m *Mutation) { order = append(order, "b:"+string(m.Op)) }, SubscribeOptions{})
 
-	id := s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+	id := mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	if err := s.MarkInvalid(id, "schema change"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBusPrevNext(t *testing.T) {
 	}, SubscribeOptions{})
 
 	rec := busRecord(t, "SELECT temp FROM WaterTemp", "alice")
-	id := s.Put(rec)
+	id := mustPut(t, s, rec)
 	alice := Principal{User: "alice"}
 	if err := s.SetVisibility(id, alice, VisibilityPublic); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestBusPrevNext(t *testing.T) {
 func TestBusReplayReachesSubscribersNotWAL(t *testing.T) {
 	s := NewStore()
 	walCalls, subCalls := 0, 0
-	s.SetMutationHook(func(*Mutation) { walCalls++ })
+	s.SetMutationHook(func(*Mutation) error { walCalls++; return nil })
 	s.Subscribe("derived", func(*Mutation) { subCalls++ }, SubscribeOptions{})
 
 	rec := busRecord(t, "SELECT temp FROM WaterTemp", "alice")
@@ -106,7 +106,7 @@ func TestBusReplayReachesSubscribersNotWAL(t *testing.T) {
 // per-record mutations.
 func TestBusResetOnRestore(t *testing.T) {
 	s := NewStore()
-	s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+	mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	st := s.State()
 
 	s2 := NewStore()
@@ -114,7 +114,7 @@ func TestBusResetOnRestore(t *testing.T) {
 	s2.Subscribe("derived", func(*Mutation) { mutations++ }, SubscribeOptions{
 		Reset: func() { resets++ },
 	})
-	s2.RestoreState(st)
+	s2.RestoreStateWithCheckpoints(st, nil)
 	if mutations != 0 {
 		t.Errorf("restore emitted %d mutations, want 0", mutations)
 	}
@@ -133,9 +133,9 @@ func TestBusUnsubscribe(t *testing.T) {
 	aCalls, bCalls := 0, 0
 	cancelA := s.Subscribe("a", func(*Mutation) { aCalls++ }, SubscribeOptions{})
 	s.Subscribe("b", func(*Mutation) { bCalls++ }, SubscribeOptions{})
-	s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+	mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	cancelA()
-	s.Put(busRecord(t, "SELECT lake FROM WaterTemp", "alice"))
+	mustPut(t, s, busRecord(t, "SELECT lake FROM WaterTemp", "alice"))
 	if aCalls != 1 {
 		t.Errorf("cancelled subscriber saw %d mutations, want 1", aCalls)
 	}
@@ -148,7 +148,7 @@ func TestBusUnsubscribe(t *testing.T) {
 // can seed itself without losing a racing mutation.
 func TestBusSubscribeInit(t *testing.T) {
 	s := NewStore()
-	s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+	mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	seeded := 0
 	s.Subscribe("derived", func(*Mutation) {}, SubscribeOptions{
 		Init: func() { seeded = s.Count() },
@@ -158,38 +158,24 @@ func TestBusSubscribeInit(t *testing.T) {
 	}
 }
 
-// TestTableCountsCounterServed verifies TableCounts stays exact — including
-// display casing — through inserts, case variants and deletes now that it is
-// served from incremental counters instead of a log scan.
-func TestTableCountsCounterServed(t *testing.T) {
+// TestDistinctCountsFollowInsertsAndDeletes verifies the user and table
+// counts the stats endpoint reports: tables count once whatever their casing,
+// and an entry goes when its last query does.
+func TestDistinctCountsFollowInsertsAndDeletes(t *testing.T) {
 	s := NewStore()
 	alice := Principal{User: "alice"}
-	id1 := s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
-	s.Put(busRecord(t, "SELECT lake FROM watertemp", "alice"))
-	s.Put(busRecord(t, "SELECT lake FROM WaterTemp", "alice"))
-	s.Put(busRecord(t, "SELECT city FROM CityLocations", "alice"))
-
-	counts := s.TableCounts()
-	if len(counts) != 2 || counts[0].Table != "WaterTemp" || counts[0].Count != 3 {
-		t.Fatalf("counts = %+v, want WaterTemp:3 first", counts)
+	id1 := mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+	mustPut(t, s, busRecord(t, "SELECT lake FROM watertemp", "bob"))
+	id3 := mustPut(t, s, busRecord(t, "SELECT city FROM CityLocations", "alice"))
+	if users, tables := s.DistinctCounts(); users != 2 || tables != 2 {
+		t.Fatalf("DistinctCounts = %d users, %d tables; want 2 and 2", users, tables)
 	}
-	if counts[1].Table != "CityLocations" || counts[1].Count != 1 {
-		t.Errorf("counts[1] = %+v", counts[1])
+	for _, id := range []QueryID{id1, id3} {
+		if err := s.Delete(id, alice); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// Deleting the only CityLocations query removes the entry entirely, and
-	// the dominant casing survives deletes of a minority casing.
-	if err := s.Delete(QueryID(4), alice); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(id1, alice); err != nil {
-		t.Fatal(err)
-	}
-	counts = s.TableCounts()
-	if len(counts) != 1 || counts[0].Count != 2 {
-		t.Fatalf("counts after delete = %+v", counts)
-	}
-	if counts[0].Table != "WaterTemp" && counts[0].Table != "watertemp" {
-		t.Errorf("table name = %q", counts[0].Table)
+	if users, tables := s.DistinctCounts(); users != 1 || tables != 1 {
+		t.Fatalf("DistinctCounts after deleting alice's queries = %d users, %d tables; want 1 and 1", users, tables)
 	}
 }

@@ -60,7 +60,7 @@ func TestCaptureWithCheckpoints(t *testing.T) {
 	a.attach(t, s, "alpha")
 	b.attach(t, s, "beta")
 	for i := 0; i < 3; i++ {
-		s.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+		mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	}
 	st, cps := s.CaptureWithCheckpoints(nil)
 	if len(st.Records) != 3 {
@@ -81,7 +81,7 @@ func TestCaptureWithCheckpoints(t *testing.T) {
 func TestRestoreStateWithCheckpoints(t *testing.T) {
 	src := NewStore()
 	for i := 0; i < 5; i++ {
-		src.Put(busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
+		mustPut(t, src, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	}
 	st := src.State()
 
@@ -116,7 +116,7 @@ func TestRestoreStateWithCheckpoints(t *testing.T) {
 		}
 	}
 	// Mutations after the restore keep flowing to every subscriber.
-	dst.Put(busRecord(t, "SELECT city FROM CityLocations", "bob"))
+	mustPut(t, dst, busRecord(t, "SELECT city FROM CityLocations", "bob"))
 	for _, sub := range []*checkpointSub{&good, &bad, &missing} {
 		if sub.count != 6 {
 			t.Errorf("post-restore count = %d, want 6", sub.count)

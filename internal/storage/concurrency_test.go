@@ -46,7 +46,7 @@ func TestConcurrentMutationsWithScans(t *testing.T) {
 	const seed = 64
 	ids := make([]QueryID, seed)
 	for i := 0; i < seed; i++ {
-		ids[i] = s.Put(stressRecord(t, i))
+		ids[i] = mustPut(t, s, stressRecord(t, i))
 	}
 	admin := Principal{Admin: true}
 	member := Principal{User: "user1", Groups: []string{"limnology"}}
@@ -75,7 +75,7 @@ func TestConcurrentMutationsWithScans(t *testing.T) {
 				id := ids[rng.Intn(len(ids))]
 				switch rng.Intn(7) {
 				case 0:
-					s.Put(stressRecord(t, rng.Int()))
+					mustPut(t, s, stressRecord(t, rng.Int()))
 				case 1:
 					// Only the owner or a group member may annotate; admin
 					// always can.
@@ -173,12 +173,12 @@ func TestSnapshotMembershipIsStable(t *testing.T) {
 	admin := Principal{Admin: true}
 	var ids []QueryID
 	for i := 0; i < 4; i++ {
-		ids = append(ids, s.Put(stressRecord(t, i*4))) // all reference WaterTemp
+		ids = append(ids, mustPut(t, s, stressRecord(t, i*4))) // all reference WaterTemp
 	}
 	view := s.Snapshot()
 
 	// Insert after the snapshot: invisible to Scan and ScanByTable.
-	s.Put(stressRecord(t, 0))
+	mustPut(t, s, stressRecord(t, 0))
 	// Delete one captured query: skipped.
 	if err := s.Delete(ids[1], admin); err != nil {
 		t.Fatalf("Delete: %v", err)
@@ -225,7 +225,7 @@ func TestIndexBucketsDropWhenEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.User = "carol"
-	id := s.Put(rec)
+	id := mustPut(t, s, rec)
 	if err := s.AssignSession(id, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEdgesFromIndex(t *testing.T) {
 	admin := Principal{Admin: true}
 	var ids []QueryID
 	for i := 0; i < 3; i++ {
-		ids = append(ids, s.Put(stressRecord(t, i)))
+		ids = append(ids, mustPut(t, s, stressRecord(t, i)))
 	}
 	edges := []SessionEdge{
 		{From: ids[0], To: ids[1], Type: EdgeModification, Diff: "+pred a < 1"},
@@ -317,7 +317,7 @@ func TestLowerCaseShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = s.Put(rec)
+		ids[i] = mustPut(t, s, rec)
 	}
 	admin := Principal{Admin: true}
 	a, _ := s.Snapshot().Get(ids[0], admin)

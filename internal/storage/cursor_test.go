@@ -136,7 +136,7 @@ func TestPutBatchAssignsConsecutiveIDs(t *testing.T) {
 		rec.User = "alice"
 		recs = append(recs, rec)
 	}
-	ids := s.PutBatch(recs)
+	ids := mustPutBatch(t, s, recs)
 	if len(ids) != 4 {
 		t.Fatalf("PutBatch returned %d IDs", len(ids))
 	}
@@ -151,10 +151,11 @@ func TestPutBatchAssignsConsecutiveIDs(t *testing.T) {
 	// Batch mutations reach the hook in order, like individual Puts.
 	s2 := NewStore()
 	var hookIDs []QueryID
-	s2.SetMutationHook(func(m *Mutation) {
+	s2.SetMutationHook(func(m *Mutation) error {
 		if m.Op == OpPut {
 			hookIDs = append(hookIDs, m.Record.ID)
 		}
+		return nil
 	})
 	var recs2 []*QueryRecord
 	for range [3]int{} {
@@ -164,7 +165,7 @@ func TestPutBatchAssignsConsecutiveIDs(t *testing.T) {
 		}
 		recs2 = append(recs2, rec)
 	}
-	ids2 := s2.PutBatch(recs2)
+	ids2 := mustPutBatch(t, s2, recs2)
 	if len(hookIDs) != 3 {
 		t.Fatalf("hook saw %d mutations, want 3", len(hookIDs))
 	}
@@ -173,7 +174,7 @@ func TestPutBatchAssignsConsecutiveIDs(t *testing.T) {
 			t.Fatalf("hook order %v != assigned order %v", hookIDs, ids2)
 		}
 	}
-	if s2.PutBatch(nil) != nil {
+	if ids, errs := s2.PutBatch(nil); ids != nil || errs != nil {
 		t.Fatal("empty batch should return nil")
 	}
 }

@@ -1,16 +1,18 @@
 package storage
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// storeMetrics holds the store's instruments. The maps and histogram pointers
-// are read-only after EnableMetrics builds them; the store guards the
-// *storeMetrics pointer itself with commitMu, so mutation paths read it while
-// already holding the lock and pay no extra synchronisation.
+// storeMetrics holds the store's instruments. Its zero value is the
+// uninstrumented store: every instrument is nil and telemetry's instruments
+// ignore calls on a nil receiver, so the write path has one shape. The store
+// guards the struct with commitMu; mutation paths read it while already
+// holding the lock and pay no extra synchronisation.
 type storeMetrics struct {
 	// mutations counts committed mutations by op. Built eagerly for every
 	// known op; an unknown op indexes to a nil counter, which Inc ignores.
@@ -43,13 +45,10 @@ var allMutationOps = []MutationOp{
 
 // EnableMetrics registers the store's instruments on reg and starts
 // recording. Call it once, before attaching bus subscribers if their callback
-// durations should be observed from the first mutation (subscribers attached
-// earlier are picked up too). A nil registry leaves the store uninstrumented.
+// durations should be recorded from the first mutation (subscribers attached
+// earlier are picked up too).
 func (s *Store) EnableMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	m := &storeMetrics{
+	m := storeMetrics{
 		mutations: make(map[MutationOp]*telemetry.Counter, len(allMutationOps)),
 		commitHold: reg.Histogram("cqms_store_commit_lock_hold_seconds",
 			"Time the commit lock was held per mutating store operation, including bus callbacks.", nil),
@@ -106,40 +105,36 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	s.commitMu.Unlock()
 }
 
-// lockCommit takes the commit lock and stamps the acquisition time when the
-// store is instrumented; unlockCommit observes the hold duration. Mutating
-// methods use the pair instead of raw Lock/Unlock.
+// lockCommit takes the commit lock and stamps the acquisition time;
+// unlockCommit observes the hold duration. Mutating methods use the pair
+// instead of raw Lock/Unlock.
 func (s *Store) lockCommit() {
 	s.commitMu.Lock()
-	if s.metrics != nil {
-		s.commitLockedAt = time.Now()
-	}
+	s.commitLockedAt = time.Now()
 }
 
 func (s *Store) unlockCommit() {
-	if m := s.metrics; m != nil {
-		m.commitHold.Observe(time.Since(s.commitLockedAt))
-	}
+	s.metrics.commitHold.Observe(time.Since(s.commitLockedAt))
 	s.commitMu.Unlock()
 }
 
-// commitAndWait releases the commit lock and then, when a durability waiter
-// is installed and the mutation reached the WAL, blocks until the WAL batch
-// covering seq is durable. Waiting after the unlock is what turns concurrent
-// writers into one group commit: the next writer sequences (and joins the
-// in-flight fsync batch) while this one waits.
-func (s *Store) commitAndWait(seq uint64) {
-	wait := s.durable
-	met := s.metrics
+// commitAndWait ends a live mutating operation: it releases the commit lock
+// and then, when a durability waiter is installed and the mutation reached
+// the WAL, blocks until the WAL batch covering seq is durable. Waiting after
+// the unlock is what turns concurrent writers into one group commit: the
+// next writer sequences (and joins the in-flight fsync batch) while this one
+// waits. logErr is what the WAL slot returned under the lock; it or a failed
+// wait comes back as ErrNotDurable.
+func (s *Store) commitAndWait(seq uint64, logErr error) error {
+	wait, waited := s.durable, s.metrics.durabilityWait
 	s.unlockCommit()
-	if wait == nil || seq == 0 {
-		return
+	if logErr == nil && wait != nil && seq != 0 {
+		start := time.Now()
+		logErr = wait(seq)
+		waited.Observe(time.Since(start))
 	}
-	if met == nil {
-		wait(seq)
-		return
+	if logErr != nil {
+		return fmt.Errorf("%w: %v", ErrNotDurable, logErr)
 	}
-	start := time.Now()
-	wait(seq)
-	met.durabilityWait.Observe(time.Since(start))
+	return nil
 }

@@ -86,8 +86,8 @@ func (m *Mutation) Prev() *QueryRecord { return m.prev }
 // through the event bus; the record is immutable and shared.
 func (m *Mutation) Next() *QueryRecord { return m.next }
 
-// MutationHook observes mutations, invoked under the store's commit lock so
-// subscribers see mutations in exactly their apply order.
+// MutationHook is a bus subscriber's callback, invoked under the store's
+// commit lock so subscribers see mutations in exactly their apply order.
 type MutationHook func(*Mutation)
 
 // The mutation event bus. Every committed mutation fans out, in commit
@@ -101,9 +101,10 @@ type MutationHook func(*Mutation)
 //   - Subscribers (Subscribe) receive live AND replayed mutations, enriched
 //     with the Prev/Next record versions, so incrementally maintained state
 //     (stats counters, the miner feed) stays correct through crash recovery
-//     without a rebuild scan. After RestoreState wholesale-replaces the
-//     store, each subscriber's Reset hook fires instead, because a snapshot
-//     load has no per-record mutation stream.
+//     without a rebuild scan. After RestoreStateWithCheckpoints replaces the
+//     store wholesale, each subscriber restores its checkpoint or its Reset
+//     hook fires instead, because a snapshot load has no per-record mutation
+//     stream.
 //
 // All callbacks run under the commit lock: they must be fast and must not
 // call back into mutating store methods.
@@ -116,8 +117,8 @@ type busSubscriber struct {
 	reset      func()
 	checkpoint func() (version int, data []byte, err error)
 	restore    func(version int, data []byte) error
-	// hist times this subscriber's callbacks (nil when the store is not
-	// instrumented); since callbacks run under the commit lock, it is the
+	// hist times this subscriber's callbacks (nil, and inert, until the store
+	// is instrumented); since callbacks run under the commit lock, it is the
 	// subscriber's share of the write stall.
 	hist *telemetry.Histogram
 }
@@ -128,9 +129,9 @@ type SubscribeOptions struct {
 	// registration, so the subscriber can seed itself from the store's
 	// current contents without a mutation slipping in between.
 	Init func()
-	// Reset, when set, runs under the commit lock after RestoreState has
-	// replaced the store's contents; the subscriber must rebuild its derived
-	// state from the store.
+	// Reset, when set, runs under the commit lock after a restore has replaced
+	// the store's contents and found no usable checkpoint for the subscriber;
+	// the subscriber must rebuild its derived state from the store.
 	Reset func()
 	// Checkpoint, when set, serialises the subscriber's derived state. It
 	// runs under the commit lock in the same critical section that captures
@@ -155,14 +156,10 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 	defer s.commitMu.Unlock()
 	s.nextSubID++
 	id := s.nextSubID
-	sub := busSubscriber{
-		id: id, name: name, fn: fn,
+	s.subs = append(s.subs, busSubscriber{
+		id: id, name: name, fn: fn, hist: s.metrics.busVec.With(name),
 		reset: opts.Reset, checkpoint: opts.Checkpoint, restore: opts.Restore,
-	}
-	if s.metrics != nil {
-		sub.hist = s.metrics.busVec.With(name)
-	}
-	s.subs = append(s.subs, sub)
+	})
 	if opts.Init != nil {
 		opts.Init()
 	}
@@ -181,7 +178,9 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 // SetMutationHook installs the durability observer in the bus's WAL slot
 // (nil disables it). The WAL manager uses it to append the encoded mutation
 // to the log; it is always notified first and never sees replayed mutations.
-func (s *Store) SetMutationHook(h MutationHook) {
+// An error it returns — the mutation is applied but did not reach the log —
+// comes back from the mutating method wrapped in ErrNotDurable.
+func (s *Store) SetMutationHook(h func(*Mutation) error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.hook = h
@@ -190,41 +189,26 @@ func (s *Store) SetMutationHook(h MutationHook) {
 // SetDurabilityWaiter installs the bus's durability-wait slot (nil disables
 // it). Mutating methods call it with the highest WAL sequence their emitted
 // mutations were assigned — after releasing the commit lock, so the fsync
-// wait of one batch never blocks the next batch from sequencing. The WAL
-// manager points it at the log's group-commit WaitDurable.
-func (s *Store) SetDurabilityWaiter(wait func(seq uint64)) {
+// wait of one batch never blocks the next batch from sequencing — and return
+// its error wrapped in ErrNotDurable. The WAL manager points it at the log's
+// group-commit WaitDurable.
+func (s *Store) SetDurabilityWaiter(wait func(seq uint64) error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.durable = wait
 }
 
-// observed reports whether anything listens on the bus, letting write paths
-// skip building a Mutation nobody will see. Callers must hold the commit
-// lock.
-func (s *Store) observed() bool {
-	return s.hook != nil || len(s.subs) > 0
-}
-
-// emit fans a live mutation out to the WAL slot first, then to every
-// subscriber in subscription order. When the store is instrumented, each
-// callback is timed individually (clock reads happen only on the metered
-// path). Callers must hold the commit lock.
-func (s *Store) emit(m *Mutation) {
-	met := s.metrics
-	if met == nil {
-		if s.hook != nil {
-			s.hook(m)
-		}
-		for _, sub := range s.subs {
-			sub.fn(m)
-		}
-		return
-	}
-	met.mutations[m.Op].Inc()
-	if s.hook != nil {
+// emit is the bus's one fan-out: the WAL slot first (skipped for a replayed
+// mutation, or recovery would re-append the log to itself), then every
+// subscriber in subscription order, each callback timed. It returns the WAL
+// slot's error; subscribers see the mutation either way, because the store
+// already holds it. Callers must hold the commit lock.
+func (s *Store) emit(m *Mutation, replay bool) (logErr error) {
+	s.metrics.mutations[m.Op].Inc()
+	if s.hook != nil && !replay {
 		start := time.Now()
-		s.hook(m)
-		met.walCallback.Observe(time.Since(start))
+		logErr = s.hook(m)
+		s.metrics.walCallback.Observe(time.Since(start))
 	}
 	for i := range s.subs {
 		sub := &s.subs[i]
@@ -232,36 +216,7 @@ func (s *Store) emit(m *Mutation) {
 		sub.fn(m)
 		sub.hist.Observe(time.Since(start))
 	}
-}
-
-// emitReplay fans a replayed mutation out to the subscribers only: the WAL
-// slot must not see it, or recovery would re-append the log to itself.
-// Callers must hold the commit lock.
-func (s *Store) emitReplay(m *Mutation) {
-	met := s.metrics
-	if met == nil {
-		for _, sub := range s.subs {
-			sub.fn(m)
-		}
-		return
-	}
-	met.mutations[m.Op].Inc()
-	for i := range s.subs {
-		sub := &s.subs[i]
-		start := time.Now()
-		sub.fn(m)
-		sub.hist.Observe(time.Since(start))
-	}
-}
-
-// notifyReset invokes every subscriber's Reset hook (after RestoreState).
-// Callers must hold the commit lock.
-func (s *Store) notifyReset() {
-	for _, sub := range s.subs {
-		if sub.reset != nil {
-			sub.reset()
-		}
-	}
+	return logErr
 }
 
 // Apply replays one mutation against the store without emitting it to the
@@ -275,132 +230,135 @@ func (s *Store) notifyReset() {
 func (s *Store) Apply(m *Mutation) error {
 	s.lockCommit()
 	defer s.unlockCommit()
-	if err := s.apply(m); err != nil {
-		return err
+	changed, err := s.apply(m)
+	if changed {
+		s.emit(m, true)
 	}
-	s.emitReplay(m)
-	return nil
+	return err
 }
 
-// apply dispatches a mutation to the shared state-transition helpers. Every
-// transition is copy-on-write: the current record version stays untouched
-// for concurrent readers and an updated copy replaces it in its shard. On
-// success the mutation's prev/next record versions are stashed for bus
-// subscribers. Callers must hold the commit lock.
-func (s *Store) apply(m *Mutation) error {
-	// applyUpdate runs one copy-on-write field update and records the
-	// before/after versions on the mutation.
-	applyUpdate := func(id QueryID, mutate func(next, old *QueryRecord)) error {
-		old, next, err := s.update(id, mutate)
+// apply dispatches a mutation to the shared state-transition helpers, for
+// live calls and replay alike. Every transition is copy-on-write: the current
+// record version stays untouched for concurrent readers and an updated copy
+// replaces it in its shard. It reports whether the store changed — assigning
+// the session a record already has and adding an edge that exists do not —
+// and, when it did, leaves the prev/next record versions on the mutation for
+// bus subscribers. Callers must hold the commit lock.
+func (s *Store) apply(m *Mutation) (changed bool, err error) {
+	// update runs one copy-on-write field update of record m.ID.
+	update := func(mutate func(next, old *QueryRecord)) (bool, error) {
+		old, next, err := s.update(m.ID, mutate)
 		if err != nil {
-			return err
+			return false, err
 		}
 		m.prev, m.next = old, next
-		return nil
+		return true, nil
+	}
+	missing := func(what string) (bool, error) {
+		return false, fmt.Errorf("storage: apply %s: missing %s", m.Op, what)
 	}
 	switch m.Op {
 	case OpPut:
 		if m.Record == nil {
-			return fmt.Errorf("storage: apply %s: missing record", m.Op)
+			return missing("record")
 		}
-		m.prev = s.insert(m.Record)
-		m.next = m.Record
-		return nil
+		m.prev, m.next = s.insert(m.Record), m.Record
+		return true, nil
 	case OpAnnotate:
 		if m.Annotation == nil {
-			return fmt.Errorf("storage: apply %s: missing annotation", m.Op)
+			return missing("annotation")
 		}
-		err := applyUpdate(m.ID, func(next, old *QueryRecord) {
+		changed, err = update(func(next, old *QueryRecord) {
 			next.Annotations = append(append([]Annotation(nil), old.Annotations...), *m.Annotation)
 		})
-		if err == nil && len(m.prev.Annotations) == 0 {
+		if changed && len(m.prev.Annotations) == 0 {
 			s.text.annotate(m.ID)
 		}
-		return err
+		return changed, err
 	case OpSetVisibility:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.Visibility = m.Visibility
 		})
 	case OpDelete:
 		rec, err := s.lookup(m.ID)
 		if err != nil {
-			return err
+			return false, err
 		}
 		s.remove(rec)
 		m.prev = rec
-		return nil
+		return true, nil
 	case OpAssignSession:
 		rec, err := s.lookup(m.ID)
-		if err != nil {
-			return err
+		if err != nil || rec.SessionID == m.SessionID {
+			return false, err
 		}
 		m.prev, m.next = rec, s.reassignSession(rec, m.SessionID)
-		return nil
+		return true, nil
 	case OpAddEdge:
 		if m.Edge == nil {
-			return fmt.Errorf("storage: apply %s: missing edge", m.Op)
+			return missing("edge")
 		}
 		if _, err := s.lookup(m.Edge.From); err != nil {
-			return err
+			return false, err
 		}
 		if _, err := s.lookup(m.Edge.To); err != nil {
-			return err
+			return false, err
 		}
 		if _, dup := s.edgeSet[*m.Edge]; dup {
-			return nil // replayed logs may hold duplicates
+			return false, nil
 		}
 		s.edgeSet[*m.Edge] = struct{}{}
 		s.idx.Lock()
 		s.idx.edges = append(s.idx.edges, *m.Edge)
 		s.idx.edgesFrom[m.Edge.From] = append(s.idx.edgesFrom[m.Edge.From], *m.Edge)
 		s.idx.Unlock()
-		return nil
+		return true, nil
 	case OpMarkInvalid:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.Valid = false
 			next.InvalidReason = m.Reason
 		})
 	case OpMarkValid:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.Valid = true
 			next.InvalidReason = ""
 		})
 	case OpMarkStale:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.StatsStale = m.Stale
 		})
 	case OpUpdateStats:
 		if m.Stats == nil {
-			return fmt.Errorf("storage: apply %s: missing stats", m.Op)
+			return missing("stats")
 		}
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.Stats = *m.Stats
 			next.StatsStale = false
 		})
 	case OpSetSample:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.Sample = m.Sample
 		})
 	case OpSetQuality:
-		return applyUpdate(m.ID, func(next, _ *QueryRecord) {
+		return update(func(next, _ *QueryRecord) {
 			next.QualityScore = m.Score
 		})
 	case OpReplaceText:
 		if m.Record == nil {
-			return fmt.Errorf("storage: apply %s: missing record", m.Op)
+			return missing("record")
 		}
 		rec, err := s.lookup(m.ID)
 		if err != nil {
-			return err
+			return false, err
 		}
 		next, err := s.replaceText(rec, m.Record)
 		if err != nil {
-			return err
+			return false, err
 		}
 		m.prev, m.next = rec, next
-		return nil
+		return true, nil
 	default:
-		return fmt.Errorf("storage: apply: unknown op %q", m.Op)
+		return false, fmt.Errorf("storage: apply: unknown op %q", m.Op)
 	}
 }
 

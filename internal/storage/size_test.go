@@ -36,19 +36,22 @@ func TestSizeBoundsCoverTheEncoding(t *testing.T) {
 func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 	store := NewStore()
 	emitted := 0
-	store.SetMutationHook(func(*Mutation) { emitted++ })
+	store.SetMutationHook(func(*Mutation) error { emitted++; return nil })
 	huge := strings.Repeat("x", MaxRecordBytes)
 	alice := Principal{User: "alice"}
 	newRec := func(text string) *QueryRecord {
 		return &QueryRecord{Text: text, Canonical: "c", User: "alice"}
 	}
 
-	if id := store.Put(newRec(huge)); id != 0 {
-		t.Fatalf("Put of a %d-byte text = %d, want 0", len(huge), id)
+	if id, err := store.Put(newRec(huge)); id != 0 || !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Put of a %d-byte text = %d, %v; want no ID and ErrTooLarge", len(huge), id, err)
 	}
-	ids := store.PutBatch([]*QueryRecord{newRec("a"), newRec(huge), newRec("b"), newRec(huge)})
+	ids, errs := store.PutBatch([]*QueryRecord{newRec("a"), newRec(huge), newRec("b"), newRec(huge)})
 	if len(ids) != 4 || ids[0] != 1 || ids[1] != 0 || ids[2] != 2 || ids[3] != 0 {
 		t.Fatalf("PutBatch ids = %v, want [1 0 2 0]", ids)
+	}
+	if len(errs) != 4 || errs[0] != nil || !errors.Is(errs[1], ErrTooLarge) || errs[2] != nil || !errors.Is(errs[3], ErrTooLarge) {
+		t.Fatalf("PutBatch errs = %v, want ErrTooLarge for records 1 and 3 only", errs)
 	}
 	if store.Count() != 2 || emitted != 2 {
 		t.Fatalf("%d records stored, %d mutations emitted; want 2 and 2", store.Count(), emitted)

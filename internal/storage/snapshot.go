@@ -22,7 +22,7 @@ type StoreState struct {
 }
 
 // State returns a deep copy of the store's state: the in-memory test API,
-// safe to hand to another store's RestoreState.
+// safe to hand to another store's RestoreStateWithCheckpoints.
 func (s *Store) State() *StoreState {
 	st, _ := s.capture(nil, false)
 	for i, rec := range st.Records {
@@ -50,8 +50,8 @@ type SubscriberCheckpoint struct {
 // current version of every record — pointers, not copies: stored records are
 // immutable, so the writer can encode them after the lock is released while
 // mutations replace them in the store. The returned state is therefore
-// read-only and must never reach RestoreState, which takes ownership of the
-// records it is given; use State for that.
+// read-only and must never reach RestoreStateWithCheckpoints, which takes
+// ownership of the records it is given; use State for that.
 func (s *Store) CaptureWithCheckpoints(capture func()) (*StoreState, []SubscriberCheckpoint) {
 	return s.capture(capture, true)
 }
@@ -59,10 +59,7 @@ func (s *Store) CaptureWithCheckpoints(capture func()) (*StoreState, []Subscribe
 func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []SubscriberCheckpoint) {
 	s.lockCommit()
 	defer s.unlockCommit()
-	if met := s.metrics; met != nil {
-		start := time.Now()
-		defer func() { met.capture.Observe(time.Since(start)) }()
-	}
+	defer func() { s.metrics.capture.Observe(time.Since(s.commitLockedAt)) }()
 	if capture != nil {
 		capture()
 	}
@@ -98,27 +95,17 @@ func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []Subscr
 	return st, cps
 }
 
-// RestoreState replaces the store's entire contents with the snapshot,
-// rebuilding the shard placement and every inverted index through the same
-// insert path used by live operations and replay. The WAL slot of the
-// mutation bus is not invoked; derived-state subscribers get their Reset
-// hook once the restore completes, since a snapshot load has no per-record
-// mutation stream to fan out. RestoreState takes ownership of st and its
-// records — recovery hands over a freshly decoded state, and cloning ~100k
-// records a second time would double restart cost.
-func (s *Store) RestoreState(st *StoreState) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.restoreStateLocked(st)
-	s.notifyReset()
-}
-
-// RestoreStateWithCheckpoints replaces the store's contents with the
-// snapshot, then brings every bus subscriber back: a subscriber whose named
-// checkpoint is present, understood and restores cleanly skips the rebuild;
-// every other subscriber gets its Reset hook (a full rebuild from the
-// restored store). It returns the subscriber names that restored from a
-// checkpoint and those that were rebuilt, for recovery provenance.
+// RestoreStateWithCheckpoints replaces the store's entire contents with the
+// snapshot, rebuilding the shard placement and every inverted index through
+// the same insert path used by live operations and replay, then brings every
+// bus subscriber back: a subscriber whose named checkpoint is present,
+// understood and restores cleanly skips the rebuild; every other subscriber
+// gets its Reset hook (a full rebuild from the restored store) — a snapshot
+// load has no per-record mutation stream to fan out, and the WAL slot is not
+// invoked. It returns the subscriber names that restored from a checkpoint
+// and those that were rebuilt, for recovery provenance. It takes ownership of
+// st and its records: recovery hands over a freshly decoded state, and
+// cloning ~100k records a second time would double restart cost.
 func (s *Store) RestoreStateWithCheckpoints(st *StoreState, cps []SubscriberCheckpoint) (restored, rebuilt []string) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -162,7 +149,6 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.idx.byUser = make(map[string][]QueryID)
 	s.idx.byFingerprint = make(map[uint64][]QueryID)
 	s.idx.bySession = make(map[int64][]QueryID)
-	s.idx.tableNames = make(map[string]map[string]int)
 	s.idx.edges = append([]SessionEdge(nil), st.Edges...)
 	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
 	for _, e := range st.Edges {

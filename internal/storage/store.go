@@ -21,6 +21,11 @@ var (
 	// in read-only (replica) mode. Apply — the replication/recovery replay
 	// entry point — is exempt: it is how a read-only store advances.
 	ErrReadOnly = errors.New("storage: store is read-only")
+	// ErrNotDurable is returned by a live mutating operation whose mutation
+	// was applied in memory — readers and subscribers see it — but whose log
+	// append or covering fsync failed: a crash may lose it. It wraps nothing;
+	// the cause is in the message and in the WAL manager's Err.
+	ErrNotDurable = errors.New("storage: mutation applied but not durable")
 )
 
 const (
@@ -58,7 +63,7 @@ type Store struct {
 	// mutations only. subs are the derived-state subscribers (Subscribe):
 	// notified after it, for live and replayed mutations alike. All guarded
 	// by commitMu.
-	hook      MutationHook
+	hook      func(*Mutation) error
 	subs      []busSubscriber
 	nextSubID int
 	now       func() time.Time // guarded by commitMu
@@ -67,12 +72,13 @@ type Store struct {
 	// mutating methods call it with their highest WAL sequence after
 	// releasing commitMu, so one batch's fsync wait never blocks the next
 	// batch from sequencing. Guarded by commitMu.
-	durable func(seq uint64)
+	durable func(seq uint64) error
 
-	// metrics, when non-nil, holds the store's instruments (EnableMetrics).
-	// commitLockedAt is the commit-lock acquisition stamp lockCommit records
-	// so unlockCommit can observe the hold time. Both guarded by commitMu.
-	metrics        *storeMetrics
+	// metrics holds the store's instruments: all nil, and so inert, until
+	// EnableMetrics registers them. commitLockedAt is the commit-lock
+	// acquisition stamp lockCommit records so unlockCommit can observe the
+	// hold time. Both guarded by commitMu.
+	metrics        storeMetrics
 	commitLockedAt time.Time
 
 	// nextID is the ID high-water mark. Written only under commitMu; read
@@ -113,11 +119,6 @@ type Store struct {
 		byFingerprint map[uint64][]QueryID
 		bySession     map[int64][]QueryID
 
-		// tableNames counts the live display casings per lower-cased table
-		// key, so TableCounts can report a real name without scanning the
-		// log for one.
-		tableNames map[string]map[string]int
-
 		edges []SessionEdge
 		// edgesFrom indexes the edge relation by source query so EdgesFrom
 		// is O(degree) instead of O(E).
@@ -140,7 +141,6 @@ func NewStore() *Store {
 	s.idx.byUser = make(map[string][]QueryID)
 	s.idx.byFingerprint = make(map[uint64][]QueryID)
 	s.idx.bySession = make(map[int64][]QueryID)
-	s.idx.tableNames = make(map[string]map[string]int)
 	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
 	return s
 }
@@ -196,177 +196,108 @@ func (s *Store) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 // ReadOnly reports whether the store refuses live mutations.
 func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
-// writable is the live-mutation gate: every mutating method that can report
-// an error calls it before taking the commit lock. (Put and PutBatch have no
-// error return; their callers gate on ReadOnly at the API layer.)
-func (s *Store) writable() error {
-	if s.readOnly.Load() {
-		return ErrReadOnly
+// Put inserts a record and returns the ID it was assigned. The record's
+// IssuedAt is set to the current time if zero. Put takes ownership of the
+// record: the caller must not mutate it afterwards, because readers receive
+// it without cloning. A refused record (ErrReadOnly, ErrTooLarge) is not
+// stored and gets no ID; ErrNotDurable comes with the ID of a record that is
+// stored in memory but may not survive a crash.
+func (s *Store) Put(rec *QueryRecord) (QueryID, error) {
+	recs, ids := [1]*QueryRecord{rec}, [1]QueryID{}
+	if errs := s.put(recs[:], ids[:]); errs != nil {
+		return ids[0], errs[0]
 	}
-	return nil
+	return ids[0], nil
 }
 
-// Put inserts a record and assigns it an ID. The record's IssuedAt is set to
-// the current time if zero. Put returns the assigned ID. Put takes ownership
-// of the record: the caller must not mutate it afterwards, because readers
-// receive it without cloning. A record over MaxRecordBytes is not stored and
-// Put returns 0, which is never a valid ID (see ErrTooLarge).
-func (s *Store) Put(rec *QueryRecord) QueryID {
-	if recordBound(rec) > MaxRecordBytes {
-		return 0
-	}
-	// Index-key computation (lower-casing included) is pure per-record work;
-	// doing it before taking the commit lock shrinks the critical section to
-	// ID assignment, map inserts and the bus fan-out.
-	keys := computeIndexKeys(rec)
-	s.lockCommit()
-	rec.ID = QueryID(s.nextID.Load() + 1)
-	if rec.IssuedAt.IsZero() {
-		rec.IssuedAt = s.now()
-	}
-	// New records start valid unless the producer already marked them invalid
-	// (raw-captured parse failures carry their reason in).
-	rec.Valid = rec.InvalidReason == ""
-	replaced := s.insertPrepared(rec, keys)
-	var seq uint64
-	if s.observed() {
-		// Stored records are immutable, so the bus can reference the record
-		// directly without a defensive clone. A replaced record (impossible
-		// today — Put always assigns a fresh ID — but load-bearing should an
-		// ID-preserving put path ever appear) rides along as prev so
-		// subscribers retract its contributions.
-		m := &Mutation{Op: OpPut, Record: rec, prev: replaced, next: rec}
-		s.emit(m)
-		seq = m.walSeq
-	}
-	id := rec.ID
-	s.commitAndWait(seq)
-	return id
-}
-
-// PutBatch inserts many records under a single commit-lock acquisition,
-// assigning consecutive IDs in slice order. It is the amortised write path
-// behind the batch-submit API: one lock round trip, one contiguous run of
-// WAL hook emissions and one durability wait instead of one per query. Like
-// Put, it takes ownership of every record, and like Put it leaves a record
-// over MaxRecordBytes out: that record's ID is 0, the rest of the batch is
-// stored.
-func (s *Store) PutBatch(recs []*QueryRecord) []QueryID {
+// PutBatch is Put for many records under a single commit-lock acquisition:
+// consecutive IDs in slice order, one contiguous run of WAL appends and one
+// durability wait. errs is nil when every record was stored; otherwise
+// errs[i] is what Put would have returned for recs[i], and a refused record
+// does not keep the rest of the batch out.
+func (s *Store) PutBatch(recs []*QueryRecord) (ids []QueryID, errs []error) {
 	if len(recs) == 0 {
-		return nil
+		return nil, nil
 	}
+	ids = make([]QueryID, len(recs))
+	return ids, s.put(recs, ids)
+}
+
+// put is the one insert body: gate, admit each record as the OpPut mutation
+// it will be logged as, compute index keys outside the lock, then under one
+// lock hold assign IDs and insert every admitted record, emit every one of
+// them (subscribers see a batch once the whole batch is in the store), and
+// wait once for the durability of the last. It fills ids and returns nil, or
+// one error slot per record.
+func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(recs))
+		}
+		errs[i] = err
+	}
+	stored := func(i int) bool { return errs == nil || errs[i] == nil }
+	var one [1]indexKeys // keeps a single Put's keys off the heap
+	keys := one[:]
+	if len(recs) > 1 {
+		keys = make([]indexKeys, len(recs))
+	}
+	admitted := 0
 	for i, rec := range recs {
-		if recordBound(rec) > MaxRecordBytes {
-			return s.putBatchWithout(recs, i)
+		if s.readOnly.Load() {
+			fail(i, ErrReadOnly)
+		} else if err := admitMutation(&Mutation{Op: OpPut, Record: rec}); err != nil {
+			fail(i, err)
+		} else {
+			keys[i] = computeIndexKeys(rec)
+			admitted++
 		}
 	}
-	keys := make([]indexKeys, len(recs))
-	for i, rec := range recs {
-		keys[i] = computeIndexKeys(rec)
+	if admitted == 0 {
+		return errs // nothing to commit: a refusal never takes the lock
 	}
-	ids := make([]QueryID, len(recs))
 	s.lockCommit()
-	// Consecutive fresh IDs above the high-water mark: no record in the
-	// batch can replace an existing one, so the whole batch is published
-	// with bulk shard stores and one idx critical section instead of a
-	// lookup/insert round trip per record.
-	base := s.nextID.Load()
 	for i, rec := range recs {
-		rec.ID = QueryID(base + int64(i) + 1)
+		if !stored(i) {
+			continue
+		}
+		rec.ID = QueryID(s.nextID.Load() + 1)
 		if rec.IssuedAt.IsZero() {
 			rec.IssuedAt = s.now()
 		}
+		// New records start valid unless the producer already marked them
+		// invalid (raw-captured parse failures carry their reason in).
 		rec.Valid = rec.InvalidReason == ""
+		s.insertPrepared(rec, keys[i])
 		ids[i] = rec.ID
 	}
-	s.text.mu.Lock()
+	var (
+		seq    uint64
+		logErr error
+	)
 	for i, rec := range recs {
-		s.text.addLocked(rec, keys[i].text)
-	}
-	s.text.mu.Unlock()
-	s.storeRecordsBatch(recs)
-	s.idx.Lock()
-	for i, rec := range recs {
-		s.idx.order = append(s.idx.order, rec.ID)
-		s.indexPreparedLocked(rec, keys[i])
-	}
-	s.idx.Unlock()
-	s.nextID.Store(base + int64(len(recs)))
-	s.count.Add(int64(len(recs)))
-	var seq uint64
-	if s.observed() {
-		for _, rec := range recs {
-			m := &Mutation{Op: OpPut, Record: rec, next: rec}
-			s.emit(m)
-			if m.walSeq != 0 {
-				seq = m.walSeq
-			}
-		}
-	}
-	s.commitAndWait(seq)
-	return ids
-}
-
-// putBatchWithout is PutBatch for a batch whose record at index first is over
-// MaxRecordBytes: it stores the records that fit and reports 0 for the rest.
-func (s *Store) putBatchWithout(recs []*QueryRecord, first int) []QueryID {
-	ids := make([]QueryID, len(recs))
-	fit := append(make([]*QueryRecord, 0, len(recs)-1), recs[:first]...)
-	at := make([]int, first, len(recs)-1) // fit[j] is recs[at[j]]
-	for i := range at {
-		at[i] = i
-	}
-	for i := first + 1; i < len(recs); i++ {
-		if recordBound(recs[i]) <= MaxRecordBytes {
-			fit = append(fit, recs[i])
-			at = append(at, i)
-		}
-	}
-	for j, id := range s.PutBatch(fit) {
-		ids[at[j]] = id
-	}
-	return ids
-}
-
-// parallelStoreThreshold is the batch size at which PutBatch fans shard-map
-// inserts out to worker goroutines; below it the goroutine handoff costs
-// more than the handful of map writes it would parallelise.
-const parallelStoreThreshold = 64
-
-// storeRecordsBatch publishes a batch of fresh records to their shards:
-// serially for small batches, one goroutine per touched shard for large
-// ones. Scans cannot observe a partial batch either way — records become
-// visible only when the insertion order is published, after this returns.
-// Callers must hold the commit lock.
-func (s *Store) storeRecordsBatch(recs []*QueryRecord) {
-	if len(recs) < parallelStoreThreshold {
-		for _, rec := range recs {
-			s.storeRecord(rec)
-		}
-		return
-	}
-	var groups [shardCount][]*QueryRecord
-	for _, rec := range recs {
-		i := shardIndex(rec.ID)
-		groups[i] = append(groups[i], rec)
-	}
-	var wg sync.WaitGroup
-	for i := range groups {
-		g := groups[i]
-		if len(g) == 0 {
+		if !stored(i) {
 			continue
 		}
-		wg.Add(1)
-		go func(sh *shard, g []*QueryRecord) {
-			defer wg.Done()
-			sh.mu.Lock()
-			for _, rec := range g {
-				sh.recs[rec.ID] = rec
-			}
-			sh.mu.Unlock()
-		}(&s.shards[i], g)
+		// Stored records are immutable, so the bus references the record
+		// itself.
+		m := &Mutation{Op: OpPut, Record: rec, next: rec}
+		if err := s.emit(m, false); err != nil && logErr == nil {
+			logErr = err
+		}
+		if m.walSeq != 0 {
+			seq = m.walSeq
+		}
 	}
-	wg.Wait()
+	if err := s.commitAndWait(seq, logErr); err != nil {
+		// One wait covers the batch, so its failure is every stored record's.
+		for i := range recs {
+			if stored(i) {
+				fail(i, err)
+			}
+		}
+	}
+	return errs
 }
 
 // insertIntoBucket adds an ID to a copy-on-write index bucket; see
@@ -438,15 +369,8 @@ func computeIndexKeys(rec *QueryRecord) indexKeys {
 // indexPreparedLocked adds a record to every inverted index using keys
 // computed by computeIndexKeys. Callers must hold the idx write lock.
 func (s *Store) indexPreparedLocked(rec *QueryRecord, keys indexKeys) {
-	for i, t := range rec.Tables {
-		key := keys.tables[i]
+	for _, key := range keys.tables {
 		insertIntoBucket(s.idx.byTable, key, rec.ID)
-		names := s.idx.tableNames[key]
-		if names == nil {
-			names = make(map[string]int, 1)
-			s.idx.tableNames[key] = names
-		}
-		names[t]++
 	}
 	for _, key := range keys.attrs {
 		insertIntoBucket(s.idx.byAttribute, key, rec.ID)
@@ -493,16 +417,13 @@ func (s *Store) SessionIDs() []int64 {
 	return out
 }
 
-// Users returns the distinct users that have logged queries, sorted.
-func (s *Store) Users() []string {
+// DistinctCounts returns how many distinct users have logged queries and how
+// many distinct tables (case-insensitively) the log references, regardless of
+// visibility.
+func (s *Store) DistinctCounts() (users, tables int) {
 	s.idx.RLock()
-	out := make([]string, 0, len(s.idx.byUser))
-	for u := range s.idx.byUser {
-		out = append(out, u)
-	}
-	s.idx.RUnlock()
-	sort.Strings(out)
-	return out
+	defer s.idx.RUnlock()
+	return len(s.idx.byUser), len(s.idx.byTable)
 }
 
 // TableCount pairs a table name with how many queries reference it. The
@@ -512,36 +433,9 @@ type TableCount struct {
 	Count int
 }
 
-// TableCounts returns per-table reference counts, sorted by descending count
-// then name. It is served entirely from incrementally maintained counters —
-// the index bucket sizes and the live display-casing counts — so its cost is
-// O(distinct tables) regardless of log size.
-func (s *Store) TableCounts() []TableCount {
-	s.idx.RLock()
-	out := make([]TableCount, 0, len(s.idx.byTable))
-	for key, ids := range s.idx.byTable {
-		out = append(out, TableCount{Table: s.displayNameLocked(key), Count: len(ids)})
-	}
-	s.idx.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Table < out[j].Table
-	})
-	return out
-}
-
-// displayNameLocked picks the display casing for a table key. Callers must
-// hold the idx lock (read or write).
-func (s *Store) displayNameLocked(key string) string {
-	return PickDisplayName(s.idx.tableNames[key], key)
-}
-
 // PickDisplayName picks a deterministic display casing from live
 // casing-reference counts: the casing with the most references, ties broken
-// lexicographically, falling back when no casing is live. Shared by
-// TableCounts and the stats subsystem so both report the same name.
+// lexicographically, falling back when no casing is live.
 func PickDisplayName(names map[string]int, fallback string) string {
 	best, bestN := fallback, 0
 	for name, n := range names {
@@ -556,91 +450,78 @@ func PickDisplayName(names map[string]int, fallback string) string {
 // Mutations: annotations, sessions, maintenance state, deletion
 // ---------------------------------------------------------------------------
 
-// Annotate appends an annotation to the query. Only the owner, a member of
-// the owning group, or an admin may annotate.
-func (s *Store) Annotate(id QueryID, p Principal, ann Annotation) error {
-	if err := s.writable(); err != nil {
-		return err
+// commit is the one body of every live mutation but a put: read-only gate,
+// admission, commit lock, authorize (when given: it is handed the current
+// version of record m.ID and may refuse, or fill in a default that needs the
+// lock), apply, emit, unlock, durability wait. A mutation that changes nothing
+// — apply says so — is neither emitted nor logged.
+func (s *Store) commit(m *Mutation, authorize func(rec *QueryRecord) error) error {
+	if s.readOnly.Load() {
+		return ErrReadOnly
 	}
-	if ann.Author == "" {
-		ann.Author = p.User
-	}
-	m := &Mutation{Op: OpAnnotate, ID: id, Annotation: &ann}
 	if err := admitMutation(m); err != nil {
 		return err
 	}
 	s.lockCommit()
-	rec, err := s.lookup(id)
-	if err != nil {
+	var (
+		changed bool
+		err     error
+	)
+	if authorize != nil {
+		rec, lerr := s.lookup(m.ID)
+		if err = lerr; err == nil {
+			err = authorize(rec)
+		}
+	}
+	if err == nil {
+		changed, err = s.apply(m)
+	}
+	if !changed {
 		s.unlockCommit()
 		return err
 	}
-	if !rec.VisibleTo(p) {
-		s.unlockCommit()
-		return fmt.Errorf("%w: query %d", ErrAccessDenied, id)
+	logErr := s.emit(m, false) // assigns m.walSeq
+	return s.commitAndWait(m.walSeq, logErr)
+}
+
+// ownerOnly is the authorization of the administrative operations (User
+// Administrative Interaction Mode): the record's owner or an admin.
+func ownerOnly(p Principal, what string) func(*QueryRecord) error {
+	return func(rec *QueryRecord) error {
+		if rec.User != p.User && !p.Admin {
+			return fmt.Errorf("%w: only the owner may %s query %d", ErrAccessDenied, what, rec.ID)
+		}
+		return nil
 	}
-	if ann.At.IsZero() {
-		ann.At = s.now()
+}
+
+// Annotate appends an annotation to the query. Only the owner, a member of
+// the owning group, or an admin may annotate.
+func (s *Store) Annotate(id QueryID, p Principal, ann Annotation) error {
+	if ann.Author == "" {
+		ann.Author = p.User
 	}
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpAnnotate, ID: id, Annotation: &ann}, func(rec *QueryRecord) error {
+		if !rec.VisibleTo(p) {
+			return fmt.Errorf("%w: query %d", ErrAccessDenied, id)
+		}
+		if ann.At.IsZero() {
+			ann.At = s.now()
+		}
+		return nil
+	})
 }
 
 // SetVisibility changes who can see the query. Only the owner or an admin
-// may change visibility (User Administrative Interaction Mode).
+// may change visibility.
 func (s *Store) SetVisibility(id QueryID, p Principal, v Visibility) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	s.lockCommit()
-	rec, err := s.lookup(id)
-	if err != nil {
-		s.unlockCommit()
-		return err
-	}
-	if rec.User != p.User && !p.Admin {
-		s.unlockCommit()
-		return fmt.Errorf("%w: only the owner may change visibility of query %d", ErrAccessDenied, id)
-	}
-	m := &Mutation{Op: OpSetVisibility, ID: id, Visibility: v}
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpSetVisibility, ID: id, Visibility: v}, ownerOnly(p, "change visibility of"))
 }
 
 // Delete removes a query from the store. Only the owner or an admin may
 // delete (§2.4 "Users will need the ability to delete old queries").
 func (s *Store) Delete(id QueryID, p Principal) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	s.lockCommit()
-	rec, err := s.lookup(id)
-	if err != nil {
-		s.unlockCommit()
-		return err
-	}
-	if rec.User != p.User && !p.Admin {
-		s.unlockCommit()
-		return fmt.Errorf("%w: only the owner may delete query %d", ErrAccessDenied, id)
-	}
-	m := &Mutation{Op: OpDelete, ID: id}
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpDelete, ID: id}, ownerOnly(p, "delete"))
 }
 
 // removeFromBucket removes one element from a copy-on-write index bucket and
@@ -682,18 +563,7 @@ func removeElem[E comparable](old []E, elem E) []E {
 // must hold commitMu and the idx write lock.
 func (s *Store) removeFromIndexesLocked(rec *QueryRecord) {
 	for _, t := range rec.Tables {
-		key := strings.ToLower(t)
-		removeFromBucket(s.idx.byTable, key, rec.ID)
-		if names := s.idx.tableNames[key]; names != nil {
-			if names[t] <= 1 {
-				delete(names, t)
-				if len(names) == 0 {
-					delete(s.idx.tableNames, key)
-				}
-			} else {
-				names[t]--
-			}
-		}
+		removeFromBucket(s.idx.byTable, strings.ToLower(t), rec.ID)
 	}
 	for _, a := range rec.Attributes {
 		removeFromBucket(s.idx.byAttribute, strings.ToLower(a.Rel+"."+a.Attr), rec.ID)
@@ -735,52 +605,14 @@ func (s *Store) removeEdgesLocked(rec *QueryRecord) {
 // session detector). Re-assigning the same session is a no-op so the periodic
 // mining pass does not flood the mutation log.
 func (s *Store) AssignSession(id QueryID, sessionID int64) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	s.lockCommit()
-	rec, err := s.lookup(id)
-	if err != nil {
-		s.unlockCommit()
-		return err
-	}
-	if rec.SessionID == sessionID {
-		s.unlockCommit()
-		return nil
-	}
-	m := &Mutation{Op: OpAssignSession, ID: id, SessionID: sessionID}
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpAssignSession, ID: id, SessionID: sessionID}, nil)
 }
 
 // AddEdge records a session edge between two logged queries. An edge that
 // already exists is a no-op: the session detector re-derives the full edge
 // set on every mining pass.
 func (s *Store) AddEdge(edge SessionEdge) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	m := &Mutation{Op: OpAddEdge, Edge: &edge}
-	if err := admitMutation(m); err != nil {
-		return err
-	}
-	s.lockCommit()
-	if _, dup := s.edgeSet[edge]; dup {
-		s.unlockCommit()
-		return nil
-	}
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpAddEdge, Edge: &edge}, nil)
 }
 
 // Edges returns a copy of the session edge relation.
@@ -806,34 +638,34 @@ func (s *Store) EdgesFrom(id QueryID) []SessionEdge {
 // MarkInvalid flags a query as invalidated (e.g. by a schema change) with a
 // reason. Used by the Query Maintenance component.
 func (s *Store) MarkInvalid(id QueryID, reason string) error {
-	return s.mutate(&Mutation{Op: OpMarkInvalid, ID: id, Reason: reason})
+	return s.commit(&Mutation{Op: OpMarkInvalid, ID: id, Reason: reason}, nil)
 }
 
 // MarkValid clears the invalid flag (after a successful automatic repair).
 func (s *Store) MarkValid(id QueryID) error {
-	return s.mutate(&Mutation{Op: OpMarkValid, ID: id})
+	return s.commit(&Mutation{Op: OpMarkValid, ID: id}, nil)
 }
 
 // MarkStatsStale flags the runtime statistics of a query as outdated.
 func (s *Store) MarkStatsStale(id QueryID, stale bool) error {
-	return s.mutate(&Mutation{Op: OpMarkStale, ID: id, Stale: stale})
+	return s.commit(&Mutation{Op: OpMarkStale, ID: id, Stale: stale}, nil)
 }
 
 // UpdateStats replaces a query's runtime statistics (e.g. after the
 // maintenance component re-executes it) and clears the stale flag.
 func (s *Store) UpdateStats(id QueryID, stats RuntimeStats) error {
-	return s.mutate(&Mutation{Op: OpUpdateStats, ID: id, Stats: &stats})
+	return s.commit(&Mutation{Op: OpUpdateStats, ID: id, Stats: &stats}, nil)
 }
 
 // SetSample replaces a query's stored output sample, used when the
 // maintenance component re-executes a query to refresh its statistics.
 func (s *Store) SetSample(id QueryID, sample *OutputSample) error {
-	return s.mutate(&Mutation{Op: OpSetSample, ID: id, Sample: sample})
+	return s.commit(&Mutation{Op: OpSetSample, ID: id, Sample: sample}, nil)
 }
 
 // SetQuality records a quality score for the query (§4.4).
 func (s *Store) SetQuality(id QueryID, score float64) error {
-	return s.mutate(&Mutation{Op: OpSetQuality, ID: id, Score: score})
+	return s.commit(&Mutation{Op: OpSetQuality, ID: id, Score: score}, nil)
 }
 
 // ReplaceText rewrites the query text and canonical forms, used by the
@@ -841,26 +673,7 @@ func (s *Store) SetQuality(id QueryID, score float64) error {
 // the caller and passed in. ReplaceText takes ownership of the updated
 // record.
 func (s *Store) ReplaceText(id QueryID, updated *QueryRecord) error {
-	return s.mutate(&Mutation{Op: OpReplaceText, ID: id, Record: updated})
-}
-
-// mutate applies a mutation under the commit lock, emits it on success and
-// waits for its durability outside the lock.
-func (s *Store) mutate(m *Mutation) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := admitMutation(m); err != nil {
-		return err
-	}
-	s.lockCommit()
-	if err := s.apply(m); err != nil {
-		s.unlockCommit()
-		return err
-	}
-	s.emit(m)
-	s.commitAndWait(m.walSeq)
-	return nil
+	return s.commit(&Mutation{Op: OpReplaceText, ID: id, Record: updated}, nil)
 }
 
 // InvalidQueries returns the IDs of all queries currently flagged invalid.

@@ -13,6 +13,27 @@ var (
 	admin = Principal{User: "root", Admin: true}
 )
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *Store, rec *QueryRecord) QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *Store, recs []*QueryRecord) []QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 func putQuery(t testing.TB, s *Store, text, user, group string, vis Visibility) QueryID {
 	t.Helper()
 	rec, err := NewRecordFromSQL(text)
@@ -22,7 +43,7 @@ func putQuery(t testing.TB, s *Store, text, user, group string, vis Visibility) 
 	rec.User = user
 	rec.Group = group
 	rec.Visibility = vis
-	return s.Put(rec)
+	return mustPut(t, s, rec)
 }
 
 func newTestStore(t testing.TB) (*Store, []QueryID) {
@@ -179,23 +200,6 @@ func TestIndexes(t *testing.T) {
 	rec, _ := s.Get(QueryID(1), admin)
 	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByFingerprint(rec.Fingerprint, admin, fn) }); got != 1 {
 		t.Errorf("ScanByFingerprint = %d, want 1", got)
-	}
-}
-
-func TestTableCounts(t *testing.T) {
-	s, _ := newTestStore(t)
-	counts := s.TableCounts()
-	if len(counts) == 0 {
-		t.Fatal("no table counts")
-	}
-	if counts[0].Table != "WaterTemp" || counts[0].Count != 2 {
-		t.Errorf("most popular = %+v, want WaterTemp:2", counts[0])
-	}
-	// Counts must be sorted descending.
-	for i := 1; i < len(counts); i++ {
-		if counts[i].Count > counts[i-1].Count {
-			t.Errorf("counts not sorted: %+v", counts)
-		}
 	}
 }
 
@@ -382,14 +386,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestUsersList(t *testing.T) {
-	s, _ := newTestStore(t)
-	users := s.Users()
-	if len(users) != 3 {
-		t.Errorf("users = %v, want 3 distinct users", users)
-	}
-}
-
 func TestVisibilityString(t *testing.T) {
 	if VisibilityPrivate.String() != "private" || VisibilityGroup.String() != "group" ||
 		VisibilityPublic.String() != "public" || Visibility(99).String() != "unknown" {
@@ -413,13 +409,13 @@ func TestConcurrentPutAndRead(t *testing.T) {
 				return
 			}
 			rec.User = "alice"
-			s.Put(rec)
+			mustPut(t, s, rec)
 		}
 	}()
 	for i := 0; i < 200; i++ {
 		s.Snapshot().Records(admin)
 		byTable(s, "WaterTemp", admin)
-		s.TableCounts()
+		s.DistinctCounts()
 	}
 	<-done
 	if s.Count() != 200 {

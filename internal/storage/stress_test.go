@@ -11,14 +11,15 @@ import (
 // sequence, subscribers fanning out under the commit lock — from concurrent
 // Put/PutBatch/Delete callers. The subscriber checks strict +1 sequence
 // order without any locking of its own: under -race this test fails if the
-// split commit path (prepare outside the lock, parallel shard stores, the
-// durability wait after unlock) ever lets two emissions overlap.
+// split commit path (prepare outside the lock, the durability wait after
+// unlock) ever lets two emissions overlap.
 func TestConcurrentMutationStress(t *testing.T) {
 	s := NewStore()
 	var seq uint64
-	s.SetMutationHook(func(m *Mutation) {
+	s.SetMutationHook(func(m *Mutation) error {
 		seq++
 		m.SetWALSeq(seq)
+		return nil
 	})
 	var last uint64
 	s.Subscribe("order", func(m *Mutation) {
@@ -43,7 +44,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 		putsEach  = 50
 		batchers  = 2
 		batches   = 5
-		batchSize = 80 // over parallelStoreThreshold: exercises shard fan-out
+		batchSize = 80
 		deleters  = 2
 		delsEach  = 25
 	)
@@ -53,7 +54,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < putsEach; i++ {
-				s.Put(newRec(g, i))
+				mustPut(t, s, newRec(g, i))
 			}
 		}(g)
 	}
@@ -66,7 +67,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 				for i := range recs {
 					recs[i] = newRec(100+g, b*batchSize+i)
 				}
-				s.PutBatch(recs)
+				mustPutBatch(t, s, recs)
 			}
 		}(g)
 	}
@@ -76,7 +77,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 			defer wg.Done()
 			p := Principal{User: fmt.Sprintf("user-%d", 200+g)}
 			for i := 0; i < delsEach; i++ {
-				id := s.Put(newRec(200+g, i))
+				id := mustPut(t, s, newRec(200+g, i))
 				if err := s.Delete(id, p); err != nil {
 					t.Errorf("delete %d: %v", id, err)
 				}

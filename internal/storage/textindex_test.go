@@ -72,9 +72,9 @@ func textRecord(text, canonical string) *QueryRecord {
 func TestTextIndexDropsEmptiedEntries(t *testing.T) {
 	s := NewStore()
 	admin := Principal{Admin: true}
-	a1 := s.Put(textRecord("SELECT a FROM T", "select a from t"))
-	a2 := s.Put(textRecord("select A from t", "select a from t")) // same pair once lower-cased
-	b := s.Put(textRecord("SELECT b FROM Zürich", "select b from zürich"))
+	a1 := mustPut(t, s, textRecord("SELECT a FROM T", "select a from t"))
+	a2 := mustPut(t, s, textRecord("select A from t", "select a from t")) // same pair once lower-cased
+	b := mustPut(t, s, textRecord("SELECT b FROM Zürich", "select b from zürich"))
 	if err := s.Annotate(b, admin, Annotation{Text: "note"}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestTextIndexDropsEmptiedEntries(t *testing.T) {
 
 // TestTextIndexFollowsRandomHistory drives every path that touches the index
 // — Put, PutBatch, Delete, ReplaceText, Annotate, replayed mutations and a
-// wholesale RestoreState — and rebuilds the expected index from the records
+// wholesale restore — and rebuilds the expected index from the records
 // after each step.
 func TestTextIndexFollowsRandomHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	admin := Principal{Admin: true}
 	s := NewStore()
 	replica := NewStore() // advances only through Apply, like recovery and a follower
-	s.SetMutationHook(func(m *Mutation) {
+	s.SetMutationHook(func(m *Mutation) error {
 		payload, err := m.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -137,6 +137,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 		if err := replica.Apply(replayed); err != nil {
 			t.Fatalf("replaying %s: %v", m.Op, err)
 		}
+		return nil
 	})
 	newRecord := func() *QueryRecord {
 		n := rng.Intn(12)
@@ -147,9 +148,9 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); {
 		case op < 3 || len(ids) == 0:
-			ids = append(ids, s.Put(newRecord()))
+			ids = append(ids, mustPut(t, s, newRecord()))
 		case op < 5:
-			ids = append(ids, s.PutBatch([]*QueryRecord{newRecord(), newRecord(), newRecord()})...)
+			ids = append(ids, mustPutBatch(t, s, []*QueryRecord{newRecord(), newRecord(), newRecord()})...)
 		case op < 7:
 			i := rng.Intn(len(ids))
 			if err := s.Delete(ids[i], admin); err != nil {
@@ -165,7 +166,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			s.RestoreState(s.State())
+			s.RestoreStateWithCheckpoints(s.State(), nil)
 		}
 		checkTextIndex(t, s)
 		checkTextIndex(t, replica)
@@ -195,7 +196,7 @@ func TestTextSelectionUnderConcurrentWrites(t *testing.T) {
 				text := texts[rng.Intn(len(texts))]
 				switch op := rng.Intn(6); {
 				case op < 3 || len(mine) == 0:
-					mine = append(mine, s.Put(textRecord(text, text)))
+					mine = append(mine, mustPut(t, s, textRecord(text, text)))
 				case op == 3:
 					j := rng.Intn(len(mine))
 					if err := s.Delete(mine[j], admin); err != nil {

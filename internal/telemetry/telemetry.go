@@ -384,8 +384,12 @@ func (r *Registry) HistogramVec(name, help string, buckets []time.Duration, labe
 }
 
 // With returns the histogram for the given label values, creating it on
-// first use. Callers on hot paths should cache the returned *Histogram.
+// first use. Callers on hot paths should cache the returned *Histogram. On a
+// nil receiver it returns the nil (inert) histogram.
 func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
 	return v.f.child(values).hist
 }
 

@@ -69,7 +69,7 @@ func snapshotBenchStore(b *testing.B, n int) *storage.Store {
 		rec.IssuedAt = base.Add(time.Duration(i) * 30 * time.Second)
 		rec.Stats = storage.RuntimeStats{ExecTime: time.Duration(200+i%3000) * time.Microsecond, ResultRows: 40, ResultColumns: 3, ExecutedAt: rec.IssuedAt}
 		if batch = append(batch, rec); len(batch) == cap(batch) || i == n-1 {
-			store.PutBatch(batch)
+			mustPutBatch(b, store, batch)
 			batch = make([]*storage.QueryRecord, 0, 256)
 		}
 	}

@@ -23,12 +23,6 @@ type Config struct {
 	SyncInterval time.Duration
 	// SegmentBytes is the segment rotation threshold.
 	SegmentBytes int64
-	// GroupWindow is the optional group-commit accumulation window: how long
-	// the committer waits after noticing pending appends before it writes
-	// and fsyncs, trading per-append latency for larger shared batches. Zero
-	// (the default) adds no latency; batching still happens while a previous
-	// fsync is in flight.
-	GroupWindow time.Duration
 	// SnapshotEvery is how often the background scheduler snapshots the
 	// store and compacts the log (0 disables scheduled snapshots).
 	SnapshotEvery time.Duration
@@ -96,8 +90,9 @@ type Info struct {
 	// Snapshots describes every snapshot file on disk, oldest first; the
 	// last one is what recovery would load.
 	Snapshots []SnapshotInfo
-	// AppendError reports a broken durability pipeline (failed append or
-	// background flush): mutations after it are acknowledged but not durable.
+	// AppendError reports a broken durability pipeline (failed append, fsync
+	// or background flush): the writes it hit were answered with
+	// storage.ErrNotDurable, and every write since is.
 	AppendError string
 }
 
@@ -133,8 +128,9 @@ type Manager struct {
 	enc    storage.Encoder
 	encBuf []byte
 
-	// appendErr records the first log-append failure; surfaced by Err and
-	// Close rather than failing the in-memory mutation that already happened.
+	// appendErr records the first log-append or durability-wait failure. The
+	// write that hit it got the error back (storage.ErrNotDurable); this copy
+	// is for Err, Info and Close.
 	errMu     sync.Mutex
 	appendErr error
 
@@ -162,7 +158,6 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		Sync:         policy,
 		SyncInterval: cfg.SyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
-		GroupWindow:  cfg.GroupWindow,
 		Metrics:      cfg.Metrics,
 	})
 	if err != nil {
@@ -233,16 +228,16 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 // sequences the mutation — encode plus a buffer append — and stamps the
 // assigned WAL sequence on the mutation; the durability wait happens in
 // waitDurable, after the store releases the commit lock, so the next writer
-// can sequence (and share an fsync with) this one.
-func (m *Manager) appendMutation(mut *storage.Mutation) {
+// can sequence (and share an fsync with) this one. A mutation that did not
+// reach the log is an error the store hands to the caller.
+func (m *Manager) appendMutation(mut *storage.Mutation) error {
 	var start time.Time
 	if m.met != nil {
 		start = time.Now()
 	}
 	payload, err := m.enc.AppendMutation(m.encBuf[:0], mut)
 	if err != nil {
-		m.recordErr(fmt.Errorf("wal: %w", err))
-		return
+		return m.recordErr(fmt.Errorf("wal: %w", err))
 	}
 	m.encBuf = payload
 	seq, err := m.log.AppendAsync(payload) // copies the payload into its batch buffer
@@ -256,33 +251,34 @@ func (m *Manager) appendMutation(mut *storage.Mutation) {
 		m.lastSeq.Store(seq)
 		m.appendsSinceSnapshot.Add(1)
 	}
-	if err != nil {
-		m.recordErr(err)
-	}
+	return m.recordErr(err)
 }
 
 // waitDurable is the store's durability-wait slot: mutating operations call
 // it with their highest WAL sequence after releasing the commit lock. Under
 // the always policy it blocks until the group-commit fsync covering seq
 // completes; under interval/off it returns immediately (those policies
-// acknowledge before durability by design).
-func (m *Manager) waitDurable(seq uint64) {
-	if err := m.log.WaitDurable(seq); err != nil {
-		m.recordErr(err)
-	}
+// acknowledge before durability by design) with the committer's failure, if
+// it has recorded one.
+func (m *Manager) waitDurable(seq uint64) error {
+	return m.recordErr(m.log.WaitDurable(seq))
 }
 
-func (m *Manager) recordErr(err error) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	if m.appendErr == nil {
-		m.appendErr = err
+// recordErr keeps the first non-nil error for Err and returns err as given.
+func (m *Manager) recordErr(err error) error {
+	if err != nil {
+		m.errMu.Lock()
+		if m.appendErr == nil {
+			m.appendErr = err
+		}
+		m.errMu.Unlock()
 	}
+	return err
 }
 
-// Err returns the first append or background-flush failure, if any.
-// Durability is best-effort after such a failure; the in-memory store
-// remains correct.
+// Err returns the first append, fsync or background-flush failure, if any.
+// The in-memory store remains correct after one; writes are answered with
+// storage.ErrNotDurable.
 func (m *Manager) Err() error {
 	m.errMu.Lock()
 	defer m.errMu.Unlock()

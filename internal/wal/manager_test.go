@@ -17,6 +17,27 @@ import (
 
 var admin = storage.Principal{Admin: true}
 
+// mustPut stores rec and fails the test (without stopping it: writers run on
+// other goroutines too) if the store refuses it.
+func mustPut(t testing.TB, s *storage.Store, rec *storage.QueryRecord) storage.QueryID {
+	t.Helper()
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Errorf("Put: %v", err)
+	}
+	return id
+}
+
+// mustPutBatch is mustPut for PutBatch.
+func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) []storage.QueryID {
+	t.Helper()
+	ids, errs := s.PutBatch(recs)
+	if errs != nil {
+		t.Errorf("PutBatch: %v", errs)
+	}
+	return ids
+}
+
 // buildStore logs n queries through a durable store, exercising every
 // mutation class the issue names: puts, annotations, visibility changes,
 // session assignment and edges, invalidation/repair, stats, samples, quality
@@ -40,7 +61,7 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 			ResultRows: i * 7,
 			ExecutedAt: rec.IssuedAt,
 		}
-		id := store.Put(rec)
+		id := mustPut(t, store, rec)
 
 		owner := storage.Principal{User: rec.User, Groups: []string{"limnology"}}
 		if i%2 == 0 {
@@ -224,7 +245,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.User = "user0"
-	id := recovered.Put(rec)
+	id := mustPut(t, recovered, rec)
 	if id <= 40 {
 		t.Fatalf("post-recovery Put assigned id %d, want > 40", id)
 	}
@@ -289,7 +310,7 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.User = "user0"
-	store.Put(rec)
+	mustPut(t, store, rec)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,13 +339,13 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 		t.Fatal("recovery did not report the torn tail")
 	}
 	wantStore := storage.NewStore()
-	wantStore.RestoreState(want)
+	wantStore.RestoreStateWithCheckpoints(want, nil)
 	assertStoresEqual(t, wantStore, recovered)
 
 	// The torn record's sequence is reused by the next mutation.
 	rec2, _ := storage.NewRecordFromSQL("SELECT Stations.name FROM Stations")
 	rec2.User = "user1"
-	recovered.Put(rec2)
+	mustPut(t, recovered, rec2)
 	if err := mgr2.Err(); err != nil {
 		t.Fatalf("append after torn-tail recovery failed: %v", err)
 	}
@@ -370,7 +391,7 @@ func TestSnapshotBeyondTornTailDoesNotReuseSequences(t *testing.T) {
 	// recovery would silently skip them.
 	rec, _ := storage.NewRecordFromSQL("SELECT Stations.name FROM Stations")
 	rec.User = "user0"
-	recovered.Put(rec)
+	mustPut(t, recovered, rec)
 	recoveredCount := recovered.Count()
 	if err := mgr2.Close(); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,118 @@
+package wal
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// breakLog closes the active segment's file under the committer: its next
+// write fails the way a yanked disk would.
+func breakLog(t *testing.T, m *Manager) {
+	t.Helper()
+	m.log.ioMu.Lock()
+	defer m.log.ioMu.Unlock()
+	if err := m.log.file.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func notDurableRecord(t *testing.T, i int) *storage.QueryRecord {
+	t.Helper()
+	rec, err := storage.NewRecordFromSQL(fmt.Sprintf("SELECT temp FROM WaterTemp WHERE temp < %d", i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.User = "alice"
+	return rec
+}
+
+// TestNotDurableUnderSyncAlways: acked means durable, so the call whose log
+// write or covering fsync fails is itself answered with ErrNotDurable, every
+// write after it is too, and a reopen holds everything that was acknowledged.
+func TestNotDurableUnderSyncAlways(t *testing.T) {
+	cfg := DefaultConfig(t.TempDir())
+	cfg.SyncPolicy = "always"
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked = 5
+	for i := 0; i < acked; i++ {
+		mustPut(t, store, notDurableRecord(t, i))
+	}
+	breakLog(t, mgr)
+
+	id, err := store.Put(notDurableRecord(t, acked))
+	if !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("Put over a broken log: id %d, err %v; want storage.ErrNotDurable", id, err)
+	}
+	if id != acked+1 || store.Count() != acked+1 {
+		t.Fatalf("the mutation stays applied in memory: id %d, %d records; want id %d", id, store.Count(), acked+1)
+	}
+	// The log is poisoned: nothing after it is acknowledged either.
+	if err := store.Annotate(1, admin, storage.Annotation{Text: "late"}); !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("Annotate after the failure: %v, want storage.ErrNotDurable", err)
+	}
+	_, errs := store.PutBatch([]*storage.QueryRecord{notDurableRecord(t, 90), notDurableRecord(t, 91)})
+	if len(errs) != 2 || !errors.Is(errs[0], storage.ErrNotDurable) || !errors.Is(errs[1], storage.ErrNotDurable) {
+		t.Fatalf("PutBatch after the failure: %v, want storage.ErrNotDurable for both", errs)
+	}
+	if mgr.Err() == nil {
+		t.Error("Err() is nil after a failed write")
+	}
+	if err := mgr.Close(); err == nil {
+		t.Error("Close reported no error for a log that failed")
+	}
+
+	reopened := storage.NewStore()
+	mgr2, rec, err := Open(reopened, cfg)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer mgr2.Close()
+	if reopened.Count() != acked {
+		t.Fatalf("reopen holds %d records (%+v); exactly the %d acknowledged ones were promised", reopened.Count(), rec, acked)
+	}
+	if got, _ := reopened.Get(1, admin); got == nil || len(got.Annotations) != 0 {
+		t.Fatalf("reopen holds the unacknowledged annotation: %+v", got)
+	}
+}
+
+// TestNotDurableUnderSyncInterval: interval acknowledges before the write
+// reaches disk, so the write that hits the failure may be acknowledged — but
+// once the committer has recorded it, every write is answered with
+// ErrNotDurable instead of being silently dropped from the log.
+func TestNotDurableUnderSyncInterval(t *testing.T) {
+	cfg := DefaultConfig(t.TempDir())
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mustPut(t, store, notDurableRecord(t, 0))
+	breakLog(t, mgr)
+	if _, err := store.Put(notDurableRecord(t, 1)); err != nil && !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("the write that meets the failure: %v", err)
+	}
+	if err := mgr.log.waitWritten(); err == nil {
+		t.Fatal("the committer wrote to a closed file")
+	}
+
+	if id, err := store.Put(notDurableRecord(t, 2)); !errors.Is(err, storage.ErrNotDurable) || id != 3 {
+		t.Fatalf("Put after the recorded failure: id %d, err %v; want id 3 and storage.ErrNotDurable", id, err)
+	}
+	if err := store.SetVisibility(1, admin, storage.VisibilityPublic); !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("SetVisibility after the recorded failure: %v, want storage.ErrNotDurable", err)
+	}
+	if rec, _ := store.Get(1, admin); rec == nil || rec.Visibility != storage.VisibilityPublic {
+		t.Fatalf("the mutation stays applied in memory: %+v", rec)
+	}
+	if mgr.Err() == nil {
+		t.Error("Err() is nil after a failed write")
+	}
+}

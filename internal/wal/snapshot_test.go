@@ -302,7 +302,7 @@ func TestSnapshotChunksStayUnderTheFrameBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec.User = "alice"
-		store.Put(rec)
+		mustPut(t, store, rec)
 	}
 	segsBefore, _ := mgr.log.Segments()
 	path, seq, removed, err := mgr.Compact()
@@ -389,8 +389,8 @@ func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
 		t.Fatalf("a %d-byte query encoding to %d bytes is not the case under test: under 8 MiB of text, over the %d-byte frame limit",
 			len(giant.Text), len(payload), maxPayloadBytes)
 	}
-	if id := store.Put(giant); id != 0 {
-		t.Fatalf("a record of %d encoded bytes was stored as %d", len(payload), id)
+	if id, err := store.Put(giant); id != 0 || !errors.Is(err, storage.ErrTooLarge) {
+		t.Fatalf("a record of %d encoded bytes: Put = %d, %v; want no ID and ErrTooLarge", len(payload), id, err)
 	}
 	if err := store.Annotate(1, alice, storage.Annotation{Text: "on the refused record"}); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("annotating the refused record: %v", err)
@@ -398,10 +398,7 @@ func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
 
 	// Ordinary records and a merely large one go through every path.
 	buildStore(t, store, 4)
-	id := store.Put(query(400_000))
-	if id == 0 {
-		t.Fatal("a 1.6 MB query was refused")
-	}
+	id := mustPut(t, store, query(400_000)) // a 1.6 MB query is not refused
 	if err := store.Annotate(id, alice, storage.Annotation{Text: "on the large record"}); err != nil {
 		t.Fatal(err)
 	}

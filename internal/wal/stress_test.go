@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentCommitOrder hammers the full durable commit path — group
-// commit, pipelined appends, parallel batch indexing — with concurrent
+// commit, pipelined appends, batch inserts — with concurrent
 // Put/PutBatch/Delete callers and asserts the one invariant everything
 // downstream depends on: every bus subscriber sees mutations in strict WAL
 // sequence order, one total order with no gaps and no reordering. The
@@ -60,7 +60,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < putsEach; i++ {
-				store.Put(newRec(g, i))
+				mustPut(t, store, newRec(g, i))
 			}
 		}(g)
 	}
@@ -73,7 +73,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 				for i := range recs {
 					recs[i] = newRec(100+g, b*batchSize+i)
 				}
-				store.PutBatch(recs)
+				mustPutBatch(t, store, recs)
 			}
 		}(g)
 	}
@@ -84,7 +84,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 			p := storage.Principal{User: fmt.Sprintf("user-%d", 200+g)}
 			for i := 0; i < delsEach; i++ {
 				rec := newRec(200+g, i)
-				id := store.Put(rec)
+				id := mustPut(t, store, rec)
 				if err := store.Delete(id, p); err != nil {
 					t.Errorf("delete %d: %v", id, err)
 				}

@@ -111,12 +111,6 @@ type Options struct {
 	// SegmentBytes is the size threshold at which the active segment is
 	// rotated.
 	SegmentBytes int64
-	// GroupWindow, when positive, makes the committer wait this long after
-	// noticing pending appends before it writes and fsyncs, letting more
-	// concurrent appenders pile onto the same batch. Zero (the default) adds
-	// no latency: batching still happens naturally while a previous fsync is
-	// in flight.
-	GroupWindow time.Duration
 	// Metrics, when set, receives the log's fsync instruments.
 	Metrics *telemetry.Registry
 }
@@ -441,13 +435,6 @@ func (l *Log) commitLoop() {
 		}
 		if l.pendingN == 0 && l.syncTarget <= l.durableSeq && l.closed {
 			break
-		}
-		if l.opts.GroupWindow > 0 && l.pendingN > 0 && !l.closed && l.syncTarget <= l.durableSeq {
-			// Give concurrent appenders a window to join this batch. Never
-			// delays an explicit Sync barrier or Close.
-			l.seqMu.Unlock()
-			time.Sleep(l.opts.GroupWindow)
-			l.seqMu.Lock()
 		}
 		if l.opts.Sync == SyncAlways && l.pendingN > 0 && !l.closed {
 			// An fsync is about to be paid for this batch. Appenders released
