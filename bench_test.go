@@ -56,6 +56,19 @@ var (
 )
 
 // benchFixture builds (once) a CQMS with ~1,200 logged queries from 20 users.
+// search returns a reader of one search as the admin, to the end from the
+// start; it takes a constructor's result, so the query is built per call as a
+// request builds it.
+func search(exec *metaquery.Executor) func(metaquery.Query, error) ([]metaquery.Match, error) {
+	return func(q metaquery.Query, err error) ([]metaquery.Match, error) {
+		if err != nil {
+			return nil, err
+		}
+		page, err := exec.Page(context.Background(), Admin, q, metaquery.Cursor{}, 0)
+		return page.Matches, err
+	}
+}
+
 func benchFixture(b *testing.B) *fixture {
 	b.Helper()
 	fixtureOnce.Do(func() {
@@ -117,15 +130,15 @@ func BenchmarkE1QueryByFeature(b *testing.B) {
 // text (index-backed since PR 12; the name predates that).
 func BenchmarkE1RawTextScan(b *testing.B) {
 	f := benchFixture(b)
-	exec := metaquery.New(f.store)
+	read := search(metaquery.New(f.store))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := exec.Substring(context.Background(), Admin, "WaterSalinity")
+		a, err := read(metaquery.Substring("WaterSalinity"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		bm, err := exec.Substring(context.Background(), Admin, "WaterTemp")
+		bm, err := read(metaquery.Substring("WaterTemp"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,10 +150,11 @@ func BenchmarkE1RawTextScan(b *testing.B) {
 
 func BenchmarkE1AutoMetaQuery(b *testing.B) {
 	f := benchFixture(b)
+	read := search(metaquery.New(f.store))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matches, err := f.sys.SearchByPartialQuery(context.Background(), Admin, "SELECT FROM WaterSalinity, WaterTemp")
+		matches, err := read(metaquery.Partial("SELECT FROM WaterSalinity, WaterTemp"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,11 +371,11 @@ func BenchmarkE4ProfilerLoggingOnly(b *testing.B) {
 
 func BenchmarkE4MetaQueryLatency(b *testing.B) {
 	f := benchFixture(b)
-	exec := metaquery.New(f.store)
+	read := search(metaquery.New(f.store))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matches, err := exec.Keyword(context.Background(), Admin, "salinity")
+		matches, err := read(metaquery.Keywords("salinity"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,11 +387,15 @@ func BenchmarkE4MetaQueryLatency(b *testing.B) {
 
 func BenchmarkE4KNNLatency(b *testing.B) {
 	f := benchFixture(b)
-	exec := metaquery.New(f.store)
+	read := search(metaquery.New(f.store))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matches, err := exec.KNN(context.Background(), Admin, e4Query, 10)
+		probe, err := storage.NewRecordFromSQL(e4Query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		matches, err := read(metaquery.Similar(probe, 10), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -577,13 +595,13 @@ func BenchmarkE8StatsRefresh(b *testing.B) {
 
 func BenchmarkE9QueryByData(b *testing.B) {
 	f := benchFixture(b)
-	exec := metaquery.New(f.store)
+	read := search(metaquery.New(f.store))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The paper's example: output includes Lake Washington but not Lake
 		// Union.
-		_, _ = exec.ByData(context.Background(), Admin, []string{"Lake Washington"}, []string{"Lake Union"})
+		_, _ = read(metaquery.ByData([]string{"Lake Washington"}, []string{"Lake Union"}))
 	}
 }
 
@@ -643,13 +661,13 @@ func runConcurrent(b *testing.B, g int, fn func()) {
 // serialised on the same lock while copying every record).
 func BenchmarkConcurrentMetaQuery(b *testing.B) {
 	f := benchFixture(b)
-	exec := metaquery.New(f.store)
+	read := search(metaquery.New(f.store))
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			runConcurrent(b, g, func() {
-				if matches, err := exec.Keyword(context.Background(), Admin, "salinity"); err != nil || len(matches) == 0 {
+				if matches, err := read(metaquery.Keywords("salinity")); err != nil || len(matches) == 0 {
 					b.Error("no matches")
 				}
 			})

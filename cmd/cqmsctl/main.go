@@ -288,7 +288,7 @@ func cmdByData(ctx context.Context, c *client.Client, args []string) error {
 	if len(args) > 1 {
 		exclude = []string{args[1]}
 	}
-	return printMatches(c.SearchByData(ctx, include, exclude), false)
+	return printMatches(c.ByData(ctx, include, exclude), false)
 }
 
 func cmdSimilar(ctx context.Context, c *client.Client, args []string, k int) error {
@@ -565,26 +565,30 @@ func cmdStats(ctx context.Context, c *client.Client) error {
 	// The search index reports through /v1/metrics alone; read it there, by
 	// the names a dashboard would use.
 	if text, err := c.Metrics(ctx); err == nil {
-		texts, _ := metricValue(text, "cqms_search_index_texts")
-		trigrams, _ := metricValue(text, "cqms_search_index_trigrams")
+		texts, trigrams := metricValue(text, "cqms_search_index_texts"), metricValue(text, "cqms_search_index_trigrams")
 		fmt.Printf("search index: %.0f distinct texts, %.0f trigrams\n", texts, trigrams)
-		if n, _ := metricValue(text, "cqms_search_examined_records_count"); n > 0 {
-			sum, _ := metricValue(text, "cqms_search_examined_records_sum")
+		if n := metricValue(text, "cqms_search_examined_records_count"); n > 0 {
+			sum := metricValue(text, "cqms_search_examined_records_sum")
 			fmt.Printf("  %.0f searches, %.1f records examined per search\n", n, sum/n)
 		}
 	}
 	return nil
 }
 
-// metricValue finds an unlabelled sample in a Prometheus text exposition.
-func metricValue(exposition, name string) (float64, bool) {
+// metricValue sums the samples of one series name in a Prometheus text
+// exposition over all its label sets (the search kinds, say); 0 when absent.
+func metricValue(exposition, name string) float64 {
+	sum := 0.0
 	for _, line := range strings.Split(exposition, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			return v, err == nil
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || (!strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{")) {
+			continue
+		}
+		if v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64); err == nil {
+			sum += v
 		}
 	}
-	return 0, false
+	return sum
 }
 
 func cmdMetrics(ctx context.Context, c *client.Client) error {

@@ -367,8 +367,8 @@ func (c *Client) SearchPartial(ctx context.Context, partial string) *Iter[server
 	return c.searchIter(ctx, "partial", server.SearchParams{Partial: partial})
 }
 
-// SearchByData runs a query-by-data search.
-func (c *Client) SearchByData(ctx context.Context, include, exclude []string) *Iter[server.MatchDTO] {
+// ByData runs a query-by-data search.
+func (c *Client) ByData(ctx context.Context, include, exclude []string) *Iter[server.MatchDTO] {
 	return c.searchIter(ctx, "bydata", server.SearchParams{Include: include, Exclude: exclude})
 }
 

@@ -99,13 +99,13 @@ type CQMS struct {
 	// primary, consumed on a follower); nil — and safe to Add on — otherwise.
 	replStreamBytes *telemetry.Counter
 
-	// metrics is never nil; the assist children and miner instruments are
-	// cached at construction so hot paths skip the vec lookup.
+	// metrics is never nil; the assist and search children and miner
+	// instruments are cached at construction so hot paths skip the vec lookup.
 	metrics        *telemetry.Registry
 	assistLatency  map[string]*telemetry.Histogram
 	minerPass      *telemetry.Histogram
 	minerPasses    *telemetry.Counter
-	searchExamined *telemetry.Histogram
+	searchExamined map[string]*telemetry.Histogram // by metaquery.Query.Kind
 }
 
 // New creates a CQMS over a fresh embedded engine.
@@ -163,9 +163,13 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		"Full background mining pass duration (RunMiner).", telemetry.DefBuckets)
 	c.minerPasses = reg.Counter("cqms_miner_passes_total",
 		"Completed full background mining passes.")
-	c.searchExamined = reg.Histogram("cqms_search_examined_records",
-		"Records loaded per keyword or substring search request.",
-		telemetry.CountBuckets(1, 10, 25, 50, 100, 250, 500, 1000, 10_000, 100_000, 1_000_000))
+	examined := reg.HistogramVec("cqms_search_examined_records",
+		"Records loaded per search request, by search kind.",
+		telemetry.CountBuckets(1, 10, 25, 50, 100, 250, 500, 1000, 10_000, 100_000, 1_000_000), "kind")
+	c.searchExamined = make(map[string]*telemetry.Histogram, len(metaquery.Kinds))
+	for _, kind := range metaquery.Kinds {
+		c.searchExamined[kind] = examined.With(kind)
+	}
 	// Until the first full mining pass runs, context-aware completions are
 	// served from the feed's live rule counts instead of going
 	// popularity-only.
@@ -351,64 +355,44 @@ func (c *CQMS) Annotate(id storage.QueryID, p storage.Principal, ann storage.Ann
 // ---------------------------------------------------------------------------
 
 // Search performs keyword search over the visible query log and returns the
-// whole ranked listing. A cancelled context aborts it.
+// whole ranked listing; metaquery.Keywords says which keywords it refuses. A
+// cancelled context aborts it.
 func (c *CQMS) Search(ctx context.Context, p storage.Principal, keywords ...string) ([]metaquery.Match, error) {
-	page, err := c.SearchPage(ctx, p, keywords, metaquery.Cursor{}, 0)
+	q, err := metaquery.Keywords(keywords...)
+	if err != nil {
+		return nil, err
+	}
+	page, err := c.SearchPage(ctx, p, q, metaquery.Cursor{}, 0)
 	return page.Matches, err
 }
 
 // SearchSubstring performs substring search over the visible query log and
-// returns the whole listing.
+// returns the whole listing; metaquery.Substring says which it refuses.
 func (c *CQMS) SearchSubstring(ctx context.Context, p storage.Principal, substr string) ([]metaquery.Match, error) {
-	page, err := c.SearchSubstringPage(ctx, p, substr, metaquery.Cursor{}, 0)
+	q, err := metaquery.Substring(substr)
+	if err != nil {
+		return nil, err
+	}
+	page, err := c.SearchPage(ctx, p, q, metaquery.Cursor{}, 0)
 	return page.Matches, err
 }
 
-// SearchPage returns the matches of a keyword search that follow the cursor
-// in (score desc, ID asc) order, at most limit of them (limit <= 0: all).
-// The zero cursor starts a listing pinned at the current high-water mark;
-// Page.High carries the pin for the cursors of later pages. The search index
-// serves a page in time proportional to the distinct matching texts plus the
-// records returned, not to the log.
-func (c *CQMS) SearchPage(ctx context.Context, p storage.Principal, keywords []string, cur metaquery.Cursor, limit int) (metaquery.Page, error) {
-	page, err := c.executor.KeywordPage(ctx, p, keywords, cur, limit)
-	c.searchExamined.ObserveCount(page.Examined)
+// SearchPage returns the matches of a search (any metaquery.Query) that
+// follow the cursor in (score desc, ID asc) order, at most limit of them
+// (limit <= 0: all). The zero cursor starts a listing pinned at the current
+// high-water mark; Page.High carries the pin for the cursors of later pages.
+// See metaquery.Executor.Page for what a page of each kind costs.
+func (c *CQMS) SearchPage(ctx context.Context, p storage.Principal, q metaquery.Query, cur metaquery.Cursor, limit int) (metaquery.Page, error) {
+	page, err := c.executor.Page(ctx, p, q, cur, limit)
+	c.searchExamined[q.Kind()].ObserveCount(page.Examined)
 	return page, err
 }
 
-// SearchSubstringPage is SearchPage for substring search.
-func (c *CQMS) SearchSubstringPage(ctx context.Context, p storage.Principal, substr string, cur metaquery.Cursor, limit int) (metaquery.Page, error) {
-	page, err := c.executor.SubstringPage(ctx, p, substr, cur, limit)
-	c.searchExamined.ObserveCount(page.Examined)
-	return page, err
-}
-
-// MetaQuery executes a SQL meta-query over the feature relations (Figure 1).
+// MetaQuery executes a SQL meta-query over the feature relations (Figure 1)
+// and returns its raw result with the matches; metaquery.Feature is the same
+// search as a paged Query.
 func (c *CQMS) MetaQuery(ctx context.Context, p storage.Principal, metaSQL string) (*engine.Result, []metaquery.Match, error) {
 	return c.executor.SQLMetaQuery(ctx, p, metaSQL)
-}
-
-// SearchByPartialQuery auto-generates and runs a feature meta-query from a
-// partially written query.
-func (c *CQMS) SearchByPartialQuery(ctx context.Context, p storage.Principal, partialSQL string) ([]metaquery.Match, error) {
-	return c.executor.ByPartialQuery(ctx, p, partialSQL)
-}
-
-// SearchByStructure runs a query-by-parse-tree search.
-func (c *CQMS) SearchByStructure(ctx context.Context, p storage.Principal, cond metaquery.StructuralCondition) ([]metaquery.Match, error) {
-	return c.executor.ByStructure(ctx, p, cond)
-}
-
-// SearchByData runs a query-by-data search with positive and negative example
-// values.
-func (c *CQMS) SearchByData(ctx context.Context, p storage.Principal, include, exclude []string) ([]metaquery.Match, error) {
-	return c.executor.ByData(ctx, p, include, exclude)
-}
-
-// SimilarTo returns the k logged queries most similar to the given query
-// text.
-func (c *CQMS) SimilarTo(ctx context.Context, p storage.Principal, queryText string, k int) ([]metaquery.Match, error) {
-	return c.executor.KNN(ctx, p, queryText, k)
 }
 
 // GetQuery returns the current version of one visible logged query without
@@ -622,10 +606,10 @@ func (c *CQMS) RunMiner() *miner.Result {
 }
 
 // persistSessions writes the live detector's current session assignments and
-// edges into the store (feature relations and the bySession index serve
-// meta-queries from them). It walks copies of the windows: the mutations
-// below re-enter the detector through the bus, so they must not run while
-// holding its lock. Only what changed is written — a record whose session ID
+// edges into the store (they are logged and replicated, and meta-queries read
+// the assignments as the Queries feature relation's sessionId). It walks
+// copies of the windows: the mutations below re-enter the detector through
+// the bus, so they must not run while holding its lock. Only what changed is written — a record whose session ID
 // differs, and an edge for each consecutive pair the store has none for,
 // which is the only time a label is computed here — so a pass over an
 // unchanged log emits nothing. A stored edge keeps the label it was given: a

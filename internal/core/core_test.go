@@ -94,25 +94,33 @@ func TestSearchAndBrowseMode(t *testing.T) {
 		t.Errorf("meta-query found nothing")
 	}
 	// Structure search.
-	if got, err := c.SearchByStructure(ctx, admin, metaquery.StructuralCondition{MinTables: 3}); err != nil || len(got) != 1 {
-		t.Errorf("structural matches = %d, want 1", len(got))
+	if got, err := c.SearchPage(ctx, admin, metaquery.Structure(metaquery.StructuralCondition{MinTables: 3}), metaquery.Cursor{}, 0); err != nil || len(got.Matches) != 1 {
+		t.Errorf("structural matches = %d, want 1", len(got.Matches))
 	}
 	// Partial-query search.
-	got, err := c.SearchByPartialQuery(ctx, admin, "SELECT FROM WaterTemp, WaterSalinity")
+	partial, err := metaquery.Partial("SELECT FROM WaterTemp, WaterSalinity")
 	if err != nil {
-		t.Fatalf("SearchByPartialQuery: %v", err)
+		t.Fatalf("Partial: %v", err)
 	}
-	if len(got) != 4 {
-		t.Errorf("partial matches = %d, want 4", len(got))
+	got, err := c.SearchPage(ctx, admin, partial, metaquery.Cursor{}, 0)
+	if err != nil {
+		t.Fatalf("partial SearchPage: %v", err)
+	}
+	if len(got.Matches) != 4 {
+		t.Errorf("partial matches = %d, want 4", len(got.Matches))
 	}
 	// History.
 	if h, err := c.History(ctx, admin, "alice"); err != nil || len(h) != 5 {
 		t.Errorf("history = %d, want 5", len(h))
 	}
 	// kNN.
-	knn, err := c.SimilarTo(ctx, admin, "SELECT * FROM WaterTemp WHERE temp < 20", 3)
-	if err != nil || len(knn) == 0 {
-		t.Errorf("SimilarTo: %v, %d results", err, len(knn))
+	probe, err := storage.NewRecordFromSQL("SELECT * FROM WaterTemp WHERE temp < 20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := c.SearchPage(ctx, admin, metaquery.Similar(probe, 3), metaquery.Cursor{}, 0)
+	if err != nil || len(knn.Matches) == 0 || len(knn.Matches) > 3 {
+		t.Errorf("similar SearchPage: %v, %d results", err, len(knn.Matches))
 	}
 }
 
@@ -350,8 +358,8 @@ func TestCancelledContextPropagates(t *testing.T) {
 	if _, err := c.Complete(cancelled, admin, "SELECT * FROM WaterTemp", 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("Complete: err = %v", err)
 	}
-	if _, err := c.SimilarTo(cancelled, admin, "SELECT * FROM WaterTemp", 3); !errors.Is(err, context.Canceled) {
-		t.Errorf("SimilarTo: err = %v", err)
+	if _, err := c.SearchPage(cancelled, admin, metaquery.Structure(metaquery.StructuralCondition{MinTables: 1}), metaquery.Cursor{}, 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("SearchPage: err = %v", err)
 	}
 	if _, err := c.Tutorial(cancelled, admin, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("Tutorial: err = %v", err)

@@ -153,6 +153,31 @@ func TestJoinUsing(t *testing.T) {
 	}
 }
 
+// TestJoinUsingChained: a USING column of a chained join is resolved by name
+// in the whole left side, not on its first table, so the chain equals the
+// same join spelled with ON; a name two left tables share is ambiguous.
+func TestJoinUsingChained(t *testing.T) {
+	e := New()
+	for _, s := range []string{
+		"CREATE TABLE a (x INT, y INT)",
+		"CREATE TABLE b (y INT, z INT)",
+		"CREATE TABLE c (z INT, w INT)",
+		"INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)",
+		"INSERT INTO b VALUES (10, 100), (20, 200), (20, 201)",
+		"INSERT INTO c VALUES (100, 7), (201, 8), (999, 9)",
+	} {
+		query(t, e, s)
+	}
+	got := query(t, e, "SELECT * FROM a JOIN b USING (y) JOIN c USING (z)")
+	want := query(t, e, "SELECT * FROM a JOIN b ON a.y = b.y JOIN c ON b.z = c.z")
+	if len(got.Rows) != 2 || !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("USING chain = %v %v, ON chain = %v %v", got.Columns, got.Rows, want.Columns, want.Rows)
+	}
+	if _, err := e.Execute("SELECT * FROM a JOIN b USING (y) JOIN a AS a2 USING (y)"); !errors.Is(err, ErrAmbiguousColumn) {
+		t.Fatalf("USING a column two left tables have: err = %v, want ErrAmbiguousColumn", err)
+	}
+}
+
 func TestAggregates(t *testing.T) {
 	e := newLakesEngine(t)
 	res := query(t, e, "SELECT COUNT(*), AVG(temp), MIN(temp), MAX(temp), SUM(temp) FROM WaterTemp")

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -282,14 +283,30 @@ func joinRelations(left, right *relation, conjuncts []sql.Expr, used []bool) *re
 	return crossJoin(left, right)
 }
 
+// usingQualifier resolves a USING column by name in the left side of a join,
+// which may itself be a join: the qualifier of the one column of that name. A
+// name no column has falls back to the first qualifier, so the ON condition
+// reports it as a missing qualified column.
+func usingQualifier(left *relation, col string) (string, error) {
+	i, err := left.lookup("", col)
+	if errors.Is(err, ErrColumnNotFound) {
+		err = nil // i is 0
+	}
+	return left.cols[i].qualifier, err
+}
+
 // explicitJoin evaluates JOIN ... ON / USING with inner and outer variants.
 func (e *Engine) explicitJoin(j *sql.JoinExpr, left, right *relation, outer *env) (*relation, error) {
 	// Build the ON condition from USING if necessary.
 	on := j.On
 	if on == nil && len(j.Using) > 0 {
 		for _, col := range j.Using {
+			lq, err := usingQualifier(left, col)
+			if err != nil {
+				return nil, err
+			}
 			cond := &sql.BinaryExpr{Op: "=",
-				Left:  &sql.ColumnRef{Table: left.cols[0].qualifier, Name: col},
+				Left:  &sql.ColumnRef{Table: lq, Name: col},
 				Right: &sql.ColumnRef{Table: right.cols[0].qualifier, Name: col}}
 			if on == nil {
 				on = cond

@@ -171,9 +171,8 @@ func E1QueryByFeature(env *Env) (Result, error) {
 
 	// Baseline: substring search over raw text (served from the search index
 	// now; the comparison is about precision, not about how it is evaluated).
-	exec := metaquery.New(store)
 	start = time.Now()
-	sub, err := exec.Substring(context.Background(), admin, "WaterSalinity")
+	sub, err := env.Sys.SearchSubstring(context.Background(), admin, "WaterSalinity")
 	if err != nil {
 		return Result{}, err
 	}
@@ -447,12 +446,15 @@ func E4ProfilerOverhead(env *Env) (Result, error) {
 	}
 
 	// Interactive meta-query latency over the full log.
-	exec := metaquery.New(env.Sys.Store())
 	start = time.Now()
-	_, _ = exec.Keyword(context.Background(), admin, "salinity")
+	_, _ = env.Sys.Search(context.Background(), admin, "salinity")
 	keywordLatency := time.Since(start)
 	start = time.Now()
-	if _, err := exec.KNN(context.Background(), admin, queries[0], 10); err != nil {
+	probe, err := storage.NewRecordFromSQL(queries[0])
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := env.Sys.SearchPage(context.Background(), admin, metaquery.Similar(probe, 10), metaquery.Cursor{}, 0); err != nil {
 		return Result{}, err
 	}
 	knnLatency := time.Since(start)
@@ -695,12 +697,16 @@ func E8Maintenance(env *Env) (Result, error) {
 // includes Lake Washington but not Lake Union, and verify that the matched
 // queries' predicates are indeed the discriminating ones.
 func E9QueryByData(env *Env) (Result, error) {
-	exec := metaquery.New(env.Sys.Store())
-	start := time.Now()
-	matches, err := exec.ByData(context.Background(), admin, []string{"Lake Washington"}, []string{"Lake Union"})
+	q, err := metaquery.ByData([]string{"Lake Washington"}, []string{"Lake Union"})
 	if err != nil {
 		return Result{}, err
 	}
+	start := time.Now()
+	page, err := env.Sys.SearchPage(context.Background(), admin, q, metaquery.Cursor{}, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	matches := page.Matches
 	elapsed := time.Since(start)
 
 	// Check the matches against their own samples (consistency).

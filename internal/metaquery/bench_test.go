@@ -60,28 +60,32 @@ func buildSearchLog(tb testing.TB, n int) *storage.Store {
 }
 
 // BenchmarkSearchAtSize measures one page of 25 (the handler asks for 26) of
-// keyword and substring search, the first page and the fifth, and a needle
-// that matches nothing, against logs of 10^4, 10^5 and 10^6 records. The
-// principal sees a fifth of the log, so a page also pays for the records it
-// skips. The claim of the search index is that each sub-benchmark stays
-// within 2x of itself across the three sizes; the CI perf gate holds each
-// against its own baseline.
+// keyword and substring search and of the structure filter (queries over
+// WaterTemp, a twenty-fifth of what the principal sees), the first page and
+// the fifth, and a needle that matches nothing, against logs of 10^4, 10^5
+// and 10^6 records. The principal sees a fifth of the log, so a page also
+// pays for the records it skips. The claim of the search index and of the
+// filter body is that each sub-benchmark stays within 2x of itself across the
+// three sizes, and a fifth page within 2x of a first; the CI perf gate holds
+// each against its own baseline.
 func BenchmarkSearchAtSize(b *testing.B) {
 	const limit = 26
 	member := storage.Principal{User: "user00", Groups: []string{"group0"}}
+	// A page builds its query, as a request does.
+	queries := map[string]func() (Query, error){
+		"keyword":   func() (Query, error) { return Keywords("watertemp") },
+		"substring": func() (Query, error) { return Substring("magnit") },
+		"structure": func() (Query, error) {
+			return Structure(StructuralCondition{RequireTables: []string{"WaterTemp"}}), nil
+		},
+		"zero-match": func() (Query, error) { return Keywords("nosuchterm") },
+	}
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		store := buildSearchLog(b, n)
 		x := New(store)
 		page := func(b *testing.B, kind string, cur Cursor) Page {
-			var (
-				p   Page
-				err error
-			)
-			if kind == "keyword" {
-				p, err = x.KeywordPage(testCtx, member, []string{"watertemp"}, cur, limit)
-			} else {
-				p, err = x.SubstringPage(testCtx, member, "magnit", cur, limit)
-			}
+			q, _ := queries[kind]()
+			p, err := x.Page(testCtx, member, q, cur, limit)
 			if err != nil || len(p.Matches) != limit {
 				b.Fatalf("%s page after %+v: %d matches, err %v", kind, cur, len(p.Matches), err)
 			}
@@ -100,7 +104,7 @@ func BenchmarkSearchAtSize(b *testing.B) {
 				}
 			})
 		}
-		for _, kind := range []string{"keyword", "substring"} {
+		for _, kind := range []string{"keyword", "substring", "structure"} {
 			kind := kind
 			// The cursor the handler would mint after four pages of 25.
 			var fifth Cursor
@@ -113,7 +117,8 @@ func BenchmarkSearchAtSize(b *testing.B) {
 			run(kind+"/page5", func(b *testing.B) { page(b, kind, fifth) })
 		}
 		run("zero-match", func(b *testing.B) {
-			if p, err := x.KeywordPage(testCtx, member, []string{"nosuchterm"}, Cursor{}, limit); err != nil || len(p.Matches) != 0 {
+			q, _ := queries["zero-match"]()
+			if p, err := x.Page(testCtx, member, q, Cursor{}, limit); err != nil || len(p.Matches) != 0 {
 				b.Fatalf("zero-match page: %d matches, err %v", len(p.Matches), err)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,16 +19,29 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metaquery"
+	"repro/internal/miner"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
 // ---------------------------------------------------------------------------
-// The oracle: keyword and substring search as full-log scans, the way they
-// were served before the search index, and the page cut the v1 handler made
-// out of the sorted scan. The index must reproduce both exactly.
+// The oracle: every search kind as a full-log scan or a whole meta-query, the
+// way it was served before the search index and the Page bodies, and the page
+// cut the v1 handler made out of the sorted result. Page must reproduce both
+// exactly.
 // ---------------------------------------------------------------------------
+
+// sortListing puts matches in listing order: descending score, ties broken by
+// ascending query ID.
+func sortListing(matches []metaquery.Match) {
+	sort.SliceStable(matches, func(i, j int) bool {
+		if matches[i].Score != matches[j].Score {
+			return matches[i].Score > matches[j].Score
+		}
+		return matches[i].Record.ID < matches[j].Record.ID
+	})
+}
 
 func scanKeyword(store *storage.Store, p storage.Principal, keywords []string) []metaquery.Match {
 	lowered := make([]string, len(keywords))
@@ -63,7 +77,7 @@ func scanKeyword(store *storage.Store, p storage.Principal, keywords []string) [
 		}
 		return true
 	})
-	metaquery.SortMatches(out)
+	sortListing(out)
 	return out
 }
 
@@ -76,7 +90,83 @@ func scanSubstring(store *storage.Store, p storage.Principal, substr string) []m
 		}
 		return true
 	})
-	metaquery.SortMatches(out)
+	sortListing(out)
+	return out
+}
+
+func scanByData(store *storage.Store, p storage.Principal, include, exclude []string) []metaquery.Match {
+	has := func(s *storage.OutputSample, value string) bool {
+		for _, row := range s.Rows {
+			for _, cell := range row {
+				if strings.EqualFold(cell, value) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var out []metaquery.Match
+	store.Snapshot().Scan(p, func(rec *storage.QueryRecord) bool {
+		if rec.Sample == nil {
+			return true
+		}
+		for _, v := range include {
+			if !has(rec.Sample, v) {
+				return true
+			}
+		}
+		for _, v := range exclude {
+			if has(rec.Sample, v) {
+				return true
+			}
+		}
+		out = append(out, metaquery.Match{Record: rec, Score: 1, Why: fmt.Sprintf("output includes %v, excludes %v", include, exclude)})
+		return true
+	})
+	sortListing(out)
+	return out
+}
+
+// scanMetaQuery runs a meta-query over the visible feature relations and
+// resolves its qid column.
+func scanMetaQuery(t *testing.T, store *storage.Store, p storage.Principal, metaSQL, why string) []metaquery.Match {
+	eng, err := store.MaterializeFeatureRelations(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Execute(metaSQL)
+	if err != nil {
+		t.Fatalf("%s: %v", metaSQL, err)
+	}
+	seen := map[int64]bool{}
+	var out []metaquery.Match
+	for _, row := range res.Rows {
+		id := row[0].Int
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if rec, err := store.Snapshot().Get(storage.QueryID(id), p); err == nil {
+			out = append(out, metaquery.Match{Record: rec, Score: 1, Why: why})
+		}
+	}
+	sortListing(out)
+	return out
+}
+
+func scanSimilar(t *testing.T, store *storage.Store, p storage.Principal, probeSQL string) []metaquery.Match {
+	probe, err := storage.NewRecordFromSQL(probeSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []metaquery.Match
+	store.Snapshot().Scan(p, func(rec *storage.QueryRecord) bool {
+		if score := miner.CompositeSimilarity(miner.DefaultWeights(), probe, rec); score > 0 {
+			out = append(out, metaquery.Match{Record: rec, Score: score, Why: "similar query"})
+		}
+		return true
+	})
+	sortListing(out)
 	return out
 }
 
@@ -87,6 +177,7 @@ type wireCursor struct {
 	After int64   `json:"a"`
 	Score float64 `json:"s"`
 	Pos   bool    `json:"p"`
+	Seen  int     `json:"n"`
 }
 
 func decodeCursor(t *testing.T, raw string) wireCursor {
@@ -102,8 +193,9 @@ func decodeCursor(t *testing.T, raw string) wireCursor {
 	return c
 }
 
-// oraclePage cuts the page after cur out of the full sorted listing.
-func oraclePage(all []metaquery.Match, cur wireCursor, limit int) (page []metaquery.Match, more bool) {
+// oraclePage cuts the page after cur out of the full sorted listing, of which
+// at most left more matches may be returned (left < 0: no cap).
+func oraclePage(all []metaquery.Match, cur wireCursor, limit, left int) (page []metaquery.Match, more bool) {
 	var kept []metaquery.Match
 	for _, m := range all {
 		if int64(m.Record.ID) > cur.High {
@@ -113,6 +205,9 @@ func oraclePage(all []metaquery.Match, cur wireCursor, limit int) (page []metaqu
 			continue
 		}
 		kept = append(kept, m)
+	}
+	if left >= 0 && len(kept) > left {
+		kept = kept[:left]
 	}
 	if len(kept) > limit {
 		return kept[:limit], true
@@ -138,6 +233,44 @@ var texts = []string{
 	"SELECT name, magnitude FROM Stars WHERE magnitude < 4",
 	"SELECT 湖, 温度 FROM 水温 WHERE 温度 < 18",
 }
+
+// samples are the output samples of the texts of the same index; nil: the
+// query has none.
+var samples = []*storage.OutputSample{
+	{Columns: []string{"lake"}, Rows: [][]string{{"Lake Washington"}, {"Lake Union"}}},
+	{Columns: []string{"lake"}, Rows: [][]string{{"lake washington"}}},
+	nil,
+	{Columns: []string{"name"}, Rows: [][]string{{"Zürich"}, {"Genf"}}},
+	nil,
+	{Columns: []string{"город"}, Rows: [][]string{{"Москва"}}},
+	{Columns: []string{"a"}, Rows: [][]string{{"1"}, {"Lake Union"}}},
+	nil,
+	{Columns: []string{"name"}, Rows: [][]string{{"Sirius"}, {"Vega"}}},
+	{Columns: []string{"湖"}, Rows: [][]string{{"琵琶湖"}}},
+}
+
+// Search terms of the other kinds: sample values, partial queries,
+// meta-queries (qid first) and similarity probes.
+var (
+	sampleValues = []string{"Lake Washington", "LAKE UNION", "zürich", "Sirius", "1", "no-such-value"}
+	partials     = []string{
+		"SELECT FROM WaterTemp", "SELECT temp FROM watertemp WHERE", "SELECT FROM WaterSalinity, WaterTemp",
+		"SELECT magnitude FROM", "SELECT a FROM t", "SELECT name FROM Stars WHERE",
+	}
+	metaQueries = []string{
+		"SELECT qid FROM Queries",
+		"SELECT Q.qid FROM Queries Q, DataSources D WHERE Q.qid = D.qid AND D.relName = 'WaterTemp'",
+		"SELECT qid, quser FROM Queries WHERE quser = 'alice'",
+		"SELECT A.qid FROM Attributes A WHERE A.attrName = 'temp'",
+		"SELECT Q.qid FROM Queries Q JOIN DataSources D ON Q.qid = D.qid JOIN Attributes A USING (relName)",
+		"SELECT qid FROM QueryAnnotations WHERE note LIKE '%lakes%'",
+	}
+	probes = []string{
+		"SELECT lake, temp FROM WaterTemp WHERE temp < 20",
+		"SELECT name FROM Stars WHERE magnitude < 2",
+		"SELECT a FROM t WHERE a = 1",
+	}
+)
 
 var annotations = []string{
 	"find temp and salinity of Seattle lakes",
@@ -168,17 +301,22 @@ type history struct {
 }
 
 func (h *history) record() *storage.QueryRecord {
-	text := texts[h.rng.Intn(len(texts))]
+	i := h.rng.Intn(len(texts))
 	u := users[h.rng.Intn(len(users))]
-	return &storage.QueryRecord{
-		Text: text,
-		// A canonical form that differs from the text, so some needles hit
-		// only one of the two.
-		Canonical:  strings.Join(strings.Fields(strings.ToUpper(text)), " ") + fmt.Sprintf(" /*canon%d*/", h.rng.Intn(3)),
-		User:       u.name,
-		Group:      u.group,
-		Visibility: storage.Visibility(h.rng.Intn(3)),
+	// The feature relations come from the parse; a text the parser refuses
+	// is logged without them, as a raw-captured failure is.
+	rec, err := storage.NewRecordFromSQL(texts[i])
+	if err != nil {
+		rec = &storage.QueryRecord{}
 	}
+	rec.Text = texts[i]
+	// A canonical form that differs from the text, so some needles hit only
+	// one of the two.
+	rec.Canonical = strings.Join(strings.Fields(strings.ToUpper(texts[i])), " ") + fmt.Sprintf(" /*canon%d*/", h.rng.Intn(3))
+	rec.User, rec.Group = u.name, u.group
+	rec.Visibility = storage.Visibility(h.rng.Intn(3))
+	rec.Sample = samples[i]
+	return rec
 }
 
 // mustPut stores rec and fails the test (without stopping it: writers run on
@@ -300,19 +438,63 @@ func (s *searcher) post(t *testing.T, p storage.Principal, kind string, params s
 	return out
 }
 
-// drain reads one random listing page by page at random page sizes and
-// checks each page against the oracle as of that page. It returns how many
-// matches the listing had.
-func (s *searcher) drain(t *testing.T) int {
-	t.Helper()
-	p := principals[s.rng.Intn(len(principals))]
-	kind, params := "substring", server.SearchParams{Substring: needle(s.rng)}
-	if s.rng.Intn(2) == 0 {
-		kind, params = "keyword", server.SearchParams{Keywords: []string{needle(s.rng)}}
+// listing draws a random search: its kind, its request, and the oracle that
+// computes its whole sorted match set as of now.
+func (s *searcher) listing(t *testing.T) (string, server.SearchParams, func(p storage.Principal) []metaquery.Match) {
+	pick := func(pool []string) string { return pool[s.rng.Intn(len(pool))] }
+	switch s.rng.Intn(6) {
+	case 0:
+		params := server.SearchParams{Keywords: []string{needle(s.rng)}}
 		for s.rng.Intn(3) == 0 {
 			params.Keywords = append(params.Keywords, needle(s.rng))
 		}
+		return "keyword", params, func(p storage.Principal) []metaquery.Match { return scanKeyword(s.store, p, params.Keywords) }
+	case 1:
+		params := server.SearchParams{Substring: needle(s.rng)}
+		return "substring", params, func(p storage.Principal) []metaquery.Match { return scanSubstring(s.store, p, params.Substring) }
+	case 2:
+		var params server.SearchParams
+		for len(params.Include)+len(params.Exclude) == 0 {
+			for s.rng.Intn(2) == 0 {
+				params.Include = append(params.Include, pick(sampleValues))
+			}
+			for s.rng.Intn(3) == 0 {
+				params.Exclude = append(params.Exclude, pick(sampleValues))
+			}
+		}
+		return "bydata", params, func(p storage.Principal) []metaquery.Match {
+			return scanByData(s.store, p, params.Include, params.Exclude)
+		}
+	case 3:
+		params := server.SearchParams{Partial: pick(partials)}
+		return "partial", params, func(p storage.Principal) []metaquery.Match {
+			metaSQL, err := metaquery.GenerateMetaQuery(params.Partial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return scanMetaQuery(t, s.store, p, metaSQL, "auto-generated feature meta-query")
+		}
+	case 4:
+		params := server.SearchParams{MetaSQL: pick(metaQueries)}
+		return "metaquery", params, func(p storage.Principal) []metaquery.Match {
+			return scanMetaQuery(t, s.store, p, params.MetaSQL, "feature meta-query")
+		}
+	default:
+		params := server.SearchParams{SQL: pick(probes)}
+		if s.rng.Intn(3) > 0 {
+			params.K = 1 + s.rng.Intn(40)
+		}
+		return "similar", params, func(p storage.Principal) []metaquery.Match { return scanSimilar(t, s.store, p, params.SQL) }
 	}
+}
+
+// drain reads one random listing page by page at random page sizes and
+// checks each page against the oracle as of that page. It returns the
+// listing's kind and how many matches it had.
+func (s *searcher) drain(t *testing.T) (string, int) {
+	t.Helper()
+	p := principals[s.rng.Intn(len(principals))]
+	kind, params, oracle := s.listing(t)
 	total := 0
 	for pageNo := 0; ; pageNo++ {
 		params.Limit = 1 + s.rng.Intn(30)
@@ -322,14 +504,12 @@ func (s *searcher) drain(t *testing.T) int {
 		}
 		got := s.post(t, p, kind, params)
 
-		var all []metaquery.Match
-		if kind == "keyword" {
-			all = scanKeyword(s.store, p, params.Keywords)
-		} else {
-			all = scanSubstring(s.store, p, params.Substring)
+		left := -1 // the similar search's k caps the listing across pages
+		if params.K > 0 {
+			left = params.K - total
 		}
-		want, more := oraclePage(all, cur, params.Limit)
-		describe := fmt.Sprintf("%s %q as %+v, page %d (limit %d, cursor %+v)", kind, append(params.Keywords, params.Substring), p, pageNo, params.Limit, cur)
+		want, more := oraclePage(oracle(p), cur, params.Limit, left)
+		describe := fmt.Sprintf("%s %+v as %+v, page %d (limit %d, cursor %+v)", kind, params, p, pageNo, params.Limit, cur)
 		if len(got.Matches) != len(want) {
 			t.Fatalf("%s: %d matches, oracle has %d", describe, len(got.Matches), len(want))
 		}
@@ -344,11 +524,11 @@ func (s *searcher) drain(t *testing.T) int {
 			t.Fatalf("%s: next cursor %q, oracle has more = %v", describe, got.NextCursor, more)
 		}
 		if !more {
-			return total
+			return kind, total
 		}
 		next, last := decodeCursor(t, got.NextCursor), want[len(want)-1]
-		if next.High != cur.High || !next.Pos || next.After != int64(last.Record.ID) || next.Score != last.Score {
-			t.Fatalf("%s: next cursor %+v does not point at the page's last match (q%d, %v)", describe, next, last.Record.ID, last.Score)
+		if next.High != cur.High || !next.Pos || next.After != int64(last.Record.ID) || next.Score != last.Score || next.Seen != total {
+			t.Fatalf("%s: next cursor %+v does not point at the page's last match (q%d, %v) after %d matches", describe, next, last.Record.ID, last.Score, total)
 		}
 		params.Cursor = got.NextCursor
 		if s.between != nil {
@@ -357,14 +537,19 @@ func (s *searcher) drain(t *testing.T) int {
 	}
 }
 
+// drains reads n random listings and fails if a kind never matched anything:
+// the test would compare empty lists.
 func (s *searcher) drains(t *testing.T, n int) {
 	t.Helper()
-	matched := 0
+	matched := map[string]int{}
 	for i := 0; i < n; i++ {
-		matched += s.drain(t)
+		kind, n := s.drain(t)
+		matched[kind] += n
 	}
-	if matched == 0 {
-		t.Fatalf("%d random searches matched nothing: the test compares empty lists", n)
+	for _, kind := range []string{"keyword", "substring", "bydata", "partial", "metaquery", "similar"} {
+		if matched[kind] == 0 {
+			t.Fatalf("%d random searches: %s matched nothing, the test compares empty lists", n, kind)
+		}
 	}
 }
 
@@ -376,11 +561,12 @@ func serve(t *testing.T, c *core.CQMS) string {
 }
 
 // TestIndexedSearchEqualsScanOracle is the equivalence test of the search
-// index: after an arbitrary history of every mutation that touches it, and
-// again after WAL recovery, after a snapshot restore, after RestoreState and
-// on a bootstrapped follower, keyword and substring listings read through the
-// v1 handler — page by page, at random page sizes, with writes landing
-// between the pages — are, page for page, what a scan of the log gives.
+// read path: after an arbitrary history of every mutation that touches it,
+// and again after WAL recovery, after a snapshot restore, after RestoreState
+// and on a bootstrapped follower, listings of every search kind read through
+// the v1 handler — page by page, at random page sizes, with writes landing
+// between the pages — are, page for page, what a scan of the log (or the
+// whole meta-query) gives.
 func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.DefaultConfig()

@@ -11,18 +11,18 @@
 //     tuples), and
 //   - kNN similarity queries used by the Assisted Interaction Mode.
 //
-// All operations enforce the storage layer's access-control rules.
+// Each is a Query, built by the constructor of its kind and read a page at a
+// time through Executor.Page (query.go). All operations enforce the storage
+// layer's access-control rules.
 package metaquery
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/miner"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -43,24 +43,12 @@ type Match struct {
 
 // Executor answers meta-queries over a query store.
 type Executor struct {
-	store   *storage.Store
-	weights miner.CompositeWeights
+	store *storage.Store
 }
 
-// New returns an executor over the store using the default composite
-// similarity weights for kNN queries.
+// New returns an executor over the store.
 func New(store *storage.Store) *Executor {
-	return &Executor{store: store, weights: miner.DefaultWeights()}
-}
-
-// SetWeights overrides the composite similarity weights used by KNN.
-func (x *Executor) SetWeights(w miner.CompositeWeights) { x.weights = w }
-
-// withCtx makes a scan callback abort soon after the requesting client goes
-// away; see storage.ScanWithContext. Callers inspect ctx.Err() afterwards to
-// distinguish an aborted scan from an exhausted one.
-func withCtx(ctx context.Context, fn func(*storage.QueryRecord) bool) func(*storage.QueryRecord) bool {
-	return storage.ScanWithContext(ctx, fn)
+	return &Executor{store: store}
 }
 
 // ---------------------------------------------------------------------------
@@ -70,18 +58,28 @@ func withCtx(ctx context.Context, fn func(*storage.QueryRecord) bool) func(*stor
 // SQLMetaQuery materialises the feature relations visible to the principal
 // and executes the given SQL meta-query (e.g. the query of Figure 1) against
 // them. If the result contains a qid column, the corresponding stored
-// queries are returned as matches alongside the raw result.
+// queries are returned as matches alongside the raw result; otherwise the raw
+// result comes with ErrNoQIDColumn. Feature is the same search as a Query.
 func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQL string) (*engine.Result, []Match, error) {
+	res, matches, _, err := x.metaQuery(ctx, p, x.store.Snapshot(), metaSQL, "feature meta-query")
+	return res, matches, err
+}
+
+// metaQuery runs a meta-query over the feature relations of the records
+// visible to p and resolves its qid column in view. It also reports how many
+// records it materialised.
+func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL, why string) (*engine.Result, []Match, int, error) {
 	eng, err := x.store.MaterializeFeatureRelations(p)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
+	examined, _ := eng.Catalog().RowCount(storage.RelQueries) // created above: cannot fail
 	res, err := eng.Execute(metaSQL)
 	if err != nil {
-		return nil, nil, fmt.Errorf("metaquery: executing meta-query: %w", err)
+		return nil, nil, examined, fmt.Errorf("metaquery: executing meta-query: %w", err)
 	}
 	qidCol := -1
 	for i, c := range res.Columns {
@@ -91,11 +89,10 @@ func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQ
 		}
 	}
 	if qidCol < 0 {
-		return res, nil, ErrNoQIDColumn
+		return res, nil, examined, ErrNoQIDColumn
 	}
 	seen := make(map[storage.QueryID]bool)
 	var matches []Match
-	view := x.store.Snapshot()
 	for _, row := range res.Rows {
 		v := row[qidCol]
 		if v.Type != engine.TypeInt {
@@ -110,9 +107,9 @@ func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQ
 		if err != nil {
 			continue
 		}
-		matches = append(matches, Match{Record: rec, Score: 1, Why: "feature meta-query"})
+		matches = append(matches, Match{Record: rec, Score: 1, Why: why})
 	}
-	return res, matches, nil
+	return res, matches, examined, nil
 }
 
 // GenerateMetaQuery builds a Figure 1-style SQL meta-query from a partially
@@ -208,23 +205,6 @@ func extractPartialFeatures(partial string) (tables, attrs []string) {
 	return tables, attrs
 }
 
-// ByPartialQuery auto-generates a feature meta-query from the partial query
-// text and executes it, returning the matching stored queries.
-func (x *Executor) ByPartialQuery(ctx context.Context, p storage.Principal, partialSQL string) ([]Match, error) {
-	meta, err := GenerateMetaQuery(partialSQL)
-	if err != nil {
-		return nil, err
-	}
-	_, matches, err := x.SQLMetaQuery(ctx, p, meta)
-	if err != nil && !errors.Is(err, ErrNoQIDColumn) {
-		return nil, err
-	}
-	for i := range matches {
-		matches[i].Why = "auto-generated feature meta-query"
-	}
-	return matches, nil
-}
-
 // ---------------------------------------------------------------------------
 // Query-by-parse-tree: structural conditions
 // ---------------------------------------------------------------------------
@@ -253,22 +233,6 @@ type StructuralCondition struct {
 	// MaxExecTimeMillis, when > 0, requires the logged execution time to be
 	// at most this many milliseconds ("fast execution time", §1).
 	MaxExecTimeMillis int
-}
-
-// ByStructure returns the visible queries satisfying every condition.
-func (x *Executor) ByStructure(ctx context.Context, p storage.Principal, cond StructuralCondition) ([]Match, error) {
-	var out []Match
-	x.store.Snapshot().Scan(p, withCtx(ctx, func(rec *storage.QueryRecord) bool {
-		why, ok := matchStructure(rec, cond)
-		if ok {
-			out = append(out, Match{Record: rec, Score: 1, Why: why})
-		}
-		return true
-	}))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func matchStructure(rec *storage.QueryRecord, cond StructuralCondition) (string, bool) {
@@ -383,36 +347,6 @@ func matchStructure(rec *storage.QueryRecord, cond StructuralCondition) (string,
 // Query-by-data
 // ---------------------------------------------------------------------------
 
-// ByData implements the query-by-data paradigm (§2.2): the user names values
-// that should appear (include) and not appear (exclude) in a query's output;
-// the executor returns logged queries whose output samples separate those
-// examples. Queries without output samples never match.
-func (x *Executor) ByData(ctx context.Context, p storage.Principal, include, exclude []string) ([]Match, error) {
-	var out []Match
-	x.store.Snapshot().Scan(p, withCtx(ctx, func(rec *storage.QueryRecord) bool {
-		if rec.Sample == nil {
-			return true
-		}
-		for _, want := range include {
-			if !sampleContains(rec.Sample, want) {
-				return true
-			}
-		}
-		for _, not := range exclude {
-			if sampleContains(rec.Sample, not) {
-				return true
-			}
-		}
-		why := fmt.Sprintf("output includes %v, excludes %v", include, exclude)
-		out = append(out, Match{Record: rec, Score: 1, Why: why})
-		return true
-	}))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func sampleContains(s *storage.OutputSample, value string) bool {
 	needle := strings.ToLower(value)
 	for _, row := range s.Rows {
@@ -423,60 +357,4 @@ func sampleContains(s *storage.OutputSample, value string) bool {
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------------------------------
-// kNN similarity queries
-// ---------------------------------------------------------------------------
-
-// KNN returns the k logged queries most similar to the given query text under
-// the executor's composite similarity, visible to the principal. The query
-// text must parse.
-func (x *Executor) KNN(ctx context.Context, p storage.Principal, queryText string, k int) ([]Match, error) {
-	probe, err := storage.NewRecordFromSQL(queryText)
-	if err != nil {
-		return nil, err
-	}
-	return x.knnRecord(ctx, p, probe, k, 0)
-}
-
-// KNNExcluding is KNN but skips the query with the given ID (used when
-// recommending similar queries to one already logged).
-func (x *Executor) KNNExcluding(ctx context.Context, p storage.Principal, probe *storage.QueryRecord, k int, exclude storage.QueryID) ([]Match, error) {
-	return x.knnRecord(ctx, p, probe, k, exclude)
-}
-
-func (x *Executor) knnRecord(ctx context.Context, p storage.Principal, probe *storage.QueryRecord, k int, exclude storage.QueryID) ([]Match, error) {
-	var out []Match
-	x.store.Snapshot().Scan(p, withCtx(ctx, func(rec *storage.QueryRecord) bool {
-		if rec.ID == exclude {
-			return true
-		}
-		score := miner.CompositeSimilarity(x.weights, probe, rec)
-		if score <= 0 {
-			return true
-		}
-		out = append(out, Match{Record: rec, Score: score, Why: "similar query"})
-		return true
-	}))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	SortMatches(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
-// SortMatches sorts by descending score, breaking ties by ascending query ID.
-// The order is deterministic, which the HTTP layer relies on for stable
-// cursor pagination over ranked results.
-func SortMatches(matches []Match) {
-	sort.SliceStable(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
-		}
-		return matches[i].Record.ID < matches[j].Record.ID
-	})
 }

@@ -3,6 +3,7 @@ package metaquery
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,16 +14,26 @@ import (
 // testCtx is the context every call in these tests runs under.
 var testCtx = context.Background()
 
-// must returns an unwrapper for two-valued search results that fails the
+// query returns an unwrapper for a (Query, error) constructor that fails the
 // test on error, so call sites stay one-liners.
-func must(t *testing.T) func([]Match, error) []Match {
-	return func(matches []Match, err error) []Match {
+func query(t *testing.T) func(Query, error) Query {
+	return func(q Query, err error) Query {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("search: %v", err)
+			t.Fatalf("query: %v", err)
 		}
-		return matches
+		return q
 	}
+}
+
+// drain reads q as p to the end from the start.
+func drain(t *testing.T, x *Executor, p storage.Principal, q Query) []Match {
+	t.Helper()
+	page, err := x.Page(testCtx, p, q, Cursor{}, 0)
+	if err != nil {
+		t.Fatalf("Page(%s): %v", q.Kind(), err)
+	}
+	return page.Matches
 }
 
 var (
@@ -99,7 +110,7 @@ func matchIDs(matches []Match) map[storage.QueryID]bool {
 
 func TestKeywordSearch(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches := must(t)(x.Keyword(testCtx, admin, "salinity"))
+	matches := drain(t, x, admin, query(t)(Keywords("salinity")))
 	got := matchIDs(matches)
 	if !got[ids["correlate"]] || !got[ids["correlate2"]] {
 		t.Errorf("keyword search missing correlation queries: %v", got)
@@ -108,24 +119,26 @@ func TestKeywordSearch(t *testing.T) {
 		t.Errorf("keyword search should not match the cities query")
 	}
 	// Multiple keywords must all match; annotations count.
-	matches = must(t)(x.Keyword(testCtx, admin, "Seattle", "salinity"))
+	matches = drain(t, x, admin, query(t)(Keywords("Seattle", "salinity")))
 	got = matchIDs(matches)
 	if len(got) != 1 || !got[ids["correlate"]] {
 		t.Errorf("annotation keyword search = %v, want only the annotated query", got)
 	}
 	// Annotation hits rank higher than text-only hits.
-	matches = must(t)(x.Keyword(testCtx, admin, "salinity"))
+	matches = drain(t, x, admin, query(t)(Keywords("salinity")))
 	if matches[0].Record.ID != ids["correlate"] {
 		t.Errorf("annotated query should rank first, got %d", matches[0].Record.ID)
 	}
-	if len(must(t)(x.Keyword(testCtx, admin))) != 0 {
-		t.Errorf("no keywords should return no matches")
+	for _, keywords := range [][]string{nil, {""}, {"lake", ""}} {
+		if _, err := Keywords(keywords...); !errors.Is(err, ErrEmptyQuery) {
+			t.Errorf("Keywords(%q): err = %v, want ErrEmptyQuery", keywords, err)
+		}
 	}
 }
 
 func TestSubstringSearch(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches := must(t)(x.Substring(testCtx, admin, "state = 'wa'"))
+	matches := drain(t, x, admin, query(t)(Substring("state = 'wa'")))
 	got := matchIDs(matches)
 	if len(got) != 1 || !got[ids["cities"]] {
 		t.Errorf("substring search = %v", got)
@@ -134,11 +147,11 @@ func TestSubstringSearch(t *testing.T) {
 
 func TestSearchRespectsAccessControl(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches := must(t)(x.Keyword(testCtx, carol, "secret"))
+	matches := drain(t, x, carol, query(t)(Keywords("secret")))
 	if len(matches) != 0 {
 		t.Errorf("carol should not find alice's private query")
 	}
-	matches = must(t)(x.Keyword(testCtx, alice, "secret"))
+	matches = drain(t, x, alice, query(t)(Keywords("secret")))
 	if got := matchIDs(matches); !got[ids["private"]] {
 		t.Errorf("alice should find her own private query")
 	}
@@ -176,6 +189,22 @@ func TestSQLMetaQueryWithoutQID(t *testing.T) {
 	if res.Rows[0][0].Int != 7 {
 		t.Errorf("count = %v, want 7", res.Rows[0][0])
 	}
+	// As a search there is no raw result to fall back on: the page is refused.
+	if _, err := x.Page(testCtx, admin, Feature("SELECT COUNT(*) FROM Queries"), Cursor{}, 0); !errors.Is(err, ErrNoQIDColumn) {
+		t.Errorf("Feature without qid: err = %v, want ErrNoQIDColumn", err)
+	}
+}
+
+// TestFeatureChainedUsing: a meta-query whose second join names its USING
+// column in the first join's right table runs, and equals the same join
+// spelled with ON.
+func TestFeatureChainedUsing(t *testing.T) {
+	x, _, _ := newFixture(t)
+	using := drain(t, x, admin, Feature("SELECT Q.qid FROM Queries Q JOIN DataSources D ON Q.qid = D.qid JOIN Attributes A USING (relName)"))
+	on := drain(t, x, admin, Feature("SELECT Q.qid FROM Queries Q JOIN DataSources D ON Q.qid = D.qid JOIN Attributes A ON D.relName = A.relName"))
+	if len(using) == 0 || !reflect.DeepEqual(matchIDs(using), matchIDs(on)) {
+		t.Fatalf("USING chain matched %v, ON chain %v", matchIDs(using), matchIDs(on))
+	}
 }
 
 func TestSQLMetaQueryInvalidSQL(t *testing.T) {
@@ -206,11 +235,7 @@ func TestGenerateMetaQueryEmpty(t *testing.T) {
 
 func TestByPartialQueryEndToEnd(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches, err := x.ByPartialQuery(testCtx, admin, "SELECT FROM WaterSalinity, WaterTemp")
-	if err != nil {
-		t.Fatalf("ByPartialQuery: %v", err)
-	}
-	got := matchIDs(matches)
+	got := matchIDs(drain(t, x, admin, query(t)(Partial("SELECT FROM WaterSalinity, WaterTemp"))))
 	if !got[ids["correlate"]] || !got[ids["correlate2"]] {
 		t.Errorf("partial-query search = %v, want correlation queries", got)
 	}
@@ -223,42 +248,42 @@ func TestByStructure(t *testing.T) {
 	x, _, ids := newFixture(t)
 
 	// Queries joining WaterSalinity and WaterTemp.
-	matches := must(t)(x.ByStructure(testCtx, admin, StructuralCondition{RequireJoinBetween: [2]string{"WaterSalinity", "WaterTemp"}}))
+	matches := drain(t, x, admin, Structure(StructuralCondition{RequireJoinBetween: [2]string{"WaterSalinity", "WaterTemp"}}))
 	got := matchIDs(matches)
 	if len(got) != 2 || !got[ids["correlate"]] || !got[ids["correlate2"]] {
 		t.Errorf("join condition = %v", got)
 	}
 
 	// Queries with a selection predicate on temp.
-	matches = must(t)(x.ByStructure(testCtx, admin, StructuralCondition{RequirePredicateOn: [2]string{"WaterTemp", "temp"}}))
+	matches = drain(t, x, admin, Structure(StructuralCondition{RequirePredicateOn: [2]string{"WaterTemp", "temp"}}))
 	got = matchIDs(matches)
 	if !got[ids["correlate"]] || !got[ids["tempOnly"]] {
 		t.Errorf("predicate condition = %v", got)
 	}
 
 	// Aggregate + group-by condition.
-	matches = must(t)(x.ByStructure(testCtx, admin, StructuralCondition{RequireAggregate: "AVG", RequireGroupBy: "lake"}))
+	matches = drain(t, x, admin, Structure(StructuralCondition{RequireAggregate: "AVG", RequireGroupBy: "lake"}))
 	got = matchIDs(matches)
 	if len(got) != 1 || !got[ids["agg"]] {
 		t.Errorf("aggregate condition = %v", got)
 	}
 
 	// Nested queries.
-	matches = must(t)(x.ByStructure(testCtx, admin, StructuralCondition{RequireNested: true}))
+	matches = drain(t, x, admin, Structure(StructuralCondition{RequireNested: true}))
 	got = matchIDs(matches)
 	if len(got) != 1 || !got[ids["nested"]] {
 		t.Errorf("nested condition = %v", got)
 	}
 
 	// Minimum table count.
-	matches = must(t)(x.ByStructure(testCtx, admin, StructuralCondition{MinTables: 2}))
+	matches = drain(t, x, admin, Structure(StructuralCondition{MinTables: 2}))
 	got = matchIDs(matches)
 	if !got[ids["correlate"]] || got[ids["tempOnly"]] {
 		t.Errorf("min-tables condition = %v", got)
 	}
 
 	// Required tables.
-	matches = must(t)(x.ByStructure(testCtx, admin, StructuralCondition{RequireTables: []string{"CityLocations"}}))
+	matches = drain(t, x, admin, Structure(StructuralCondition{RequireTables: []string{"CityLocations"}}))
 	got = matchIDs(matches)
 	if len(got) != 1 || !got[ids["cities"]] {
 		t.Errorf("require-tables condition = %v", got)
@@ -273,7 +298,7 @@ func TestByStructureRuntimeConditions(t *testing.T) {
 	if err := s.UpdateStats(ids["cities"], storage.RuntimeStats{ExecTime: 900 * time.Millisecond, ResultRows: 100000}); err != nil {
 		t.Fatal(err)
 	}
-	matches := must(t)(x.ByStructure(testCtx, admin, StructuralCondition{MaxResultRows: 10, MaxExecTimeMillis: 10}))
+	matches := drain(t, x, admin, Structure(StructuralCondition{MaxResultRows: 10, MaxExecTimeMillis: 10}))
 	got := matchIDs(matches)
 	if !got[ids["tempOnly"]] {
 		t.Errorf("fast small query should match: %v", got)
@@ -292,8 +317,7 @@ func TestByData(t *testing.T) {
 	attachSample(t, s, coldID, [][]string{{"Lake Washington"}, {"Lake Sammamish"}})
 	attachSample(t, s, warmID, [][]string{{"Lake Washington"}, {"Lake Union"}, {"Lake Sammamish"}})
 
-	matches := must(t)(x.ByData(testCtx, admin, []string{"Lake Washington"}, []string{"Lake Union"}))
-	got := matchIDs(matches)
+	got := matchIDs(drain(t, x, admin, query(t)(ByData([]string{"Lake Washington"}, []string{"Lake Union"}))))
 	if !got[coldID] {
 		t.Errorf("query separating the examples should match")
 	}
@@ -303,6 +327,10 @@ func TestByData(t *testing.T) {
 	// Queries without samples never match.
 	if got[ids["tempOnly"]] {
 		t.Errorf("sample-less query should not match")
+	}
+	// Naming no example would list every sampled query.
+	if _, err := ByData(nil, []string{}); !errors.Is(err, ErrEmptyQuery) {
+		t.Errorf("ByData with no example: err = %v, want ErrEmptyQuery", err)
 	}
 }
 
@@ -316,12 +344,19 @@ func attachSample(t testing.TB, s *storage.Store, id storage.QueryID, rows [][]s
 	}
 }
 
+// probe parses the query text a similarity search is about.
+func probe(t *testing.T, text string) *storage.QueryRecord {
+	t.Helper()
+	rec, err := storage.NewRecordFromSQL(text)
+	if err != nil {
+		t.Fatalf("NewRecordFromSQL(%q): %v", text, err)
+	}
+	return rec
+}
+
 func TestKNN(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches, err := x.KNN(testCtx, admin, "SELECT temp FROM WaterTemp WHERE temp > 15", 3)
-	if err != nil {
-		t.Fatalf("KNN: %v", err)
-	}
+	matches := drain(t, x, admin, Similar(probe(t, "SELECT temp FROM WaterTemp WHERE temp > 15"), 3))
 	if len(matches) == 0 {
 		t.Fatal("no neighbours")
 	}
@@ -340,34 +375,17 @@ func TestKNN(t *testing.T) {
 	}
 }
 
+// TestKNNInvalidQuery: an unparsable kNN probe is refused where it is built,
+// before any Similar query over the log exists.
 func TestKNNInvalidQuery(t *testing.T) {
-	x, _, _ := newFixture(t)
-	if _, err := x.KNN(testCtx, admin, "SELEKT broken", 3); err == nil {
-		t.Error("expected parse error")
-	}
-}
-
-func TestKNNExcluding(t *testing.T) {
-	x, s, ids := newFixture(t)
-	probe, err := s.Get(ids["tempOnly"], admin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches := must(t)(x.KNNExcluding(testCtx, admin, probe, 5, ids["tempOnly"]))
-	for _, m := range matches {
-		if m.Record.ID == ids["tempOnly"] {
-			t.Errorf("excluded query returned")
-		}
+	if rec, err := storage.NewRecordFromSQL("SELEKT broken"); err == nil {
+		t.Errorf("expected parse error, got probe %+v", rec)
 	}
 }
 
 func TestKNNAccessControl(t *testing.T) {
 	x, _, ids := newFixture(t)
-	matches, err := x.KNN(testCtx, carol, "SELECT secret FROM PrivateNotes", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range matches {
+	for _, m := range drain(t, x, carol, Similar(probe(t, "SELECT secret FROM PrivateNotes"), 5)) {
 		if m.Record.ID == ids["private"] {
 			t.Errorf("private query leaked to carol via KNN")
 		}
@@ -407,7 +425,7 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 	// boundary, long before the log is exhausted.
 	ctx := &cancelAfterCtx{Context: context.Background()}
 	visited := 0
-	store.Snapshot().Scan(admin, withCtx(ctx, func(*storage.QueryRecord) bool {
+	store.Snapshot().Scan(admin, storage.ScanWithContext(ctx, func(*storage.QueryRecord) bool {
 		visited++
 		return true
 	}))
@@ -423,17 +441,18 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 	x := New(store)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := x.Keyword(cancelled, admin, "lake"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Keyword on cancelled ctx: err = %v", err)
-	}
-	if _, err := x.Substring(cancelled, admin, "watertemp"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Substring on cancelled ctx: err = %v", err)
-	}
-	if _, err := x.KNN(cancelled, admin, "SELECT lake FROM WaterTemp", 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNN on cancelled ctx: err = %v", err)
-	}
-	if _, err := x.ByData(cancelled, admin, []string{"x"}, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ByData on cancelled ctx: err = %v", err)
+	for _, q := range []Query{
+		query(t)(Keywords("lake")),
+		query(t)(Substring("watertemp")),
+		Feature("SELECT qid FROM Queries"),
+		query(t)(Partial("SELECT FROM WaterTemp")),
+		query(t)(ByData([]string{"x"}, nil)),
+		Structure(StructuralCondition{MinTables: 1}),
+		Similar(probe(t, "SELECT lake FROM WaterTemp"), 3),
+	} {
+		if _, err := x.Page(cancelled, admin, q, Cursor{}, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on cancelled ctx: err = %v", q.Kind(), err)
+		}
 	}
 	if _, _, err := x.SQLMetaQuery(cancelled, admin, "SELECT qid FROM Queries"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SQLMetaQuery on cancelled ctx: err = %v", err)

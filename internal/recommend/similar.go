@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/metaquery"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -27,10 +28,11 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 		return r.similarFromPartial(ctx, p, querySQL, k)
 	}
 	// Over-fetch neighbours, then re-rank with the composite function.
-	neighbours, err := r.exec.KNNExcluding(ctx, p, probe, k*4, 0)
+	page, err := r.exec.Page(ctx, p, metaquery.Similar(probe, 0), metaquery.Cursor{}, k*4)
 	if err != nil {
 		return nil, err
 	}
+	neighbours := page.Matches
 	probeAnalysis := probe.Analysis()
 
 	// Popularity prior: per-fingerprint occurrence counts visible to the
@@ -71,28 +73,23 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 }
 
 // similarFromPartial handles unparsable partial queries by matching on the
-// tables and attributes typed so far.
+// tables and attributes typed so far: the first k matches of the listing.
 func (r *Recommender) similarFromPartial(ctx context.Context, p storage.Principal, partialSQL string, k int) ([]SimilarQuery, error) {
-	matches, err := r.exec.ByPartialQuery(ctx, p, partialSQL)
+	q, err := metaquery.Partial(partialSQL)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SimilarQuery, 0, len(matches))
-	for _, m := range matches {
+	page, err := r.exec.Page(ctx, p, q, metaquery.Cursor{}, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SimilarQuery, 0, len(page.Matches))
+	for _, m := range page.Matches {
 		var anns []string
 		for _, a := range m.Record.Annotations {
 			anns = append(anns, a.Text)
 		}
 		out = append(out, SimilarQuery{Record: m.Record, Score: m.Score, Diff: "partial match", Annotations: anns})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Record.ID < out[j].Record.ID
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
 	return out, nil
 }

@@ -71,68 +71,20 @@ func decodePageCursor(raw, kind string) (pageCursor, error) {
 	return c, nil
 }
 
-// paginateMatches pages a ranked match list. Matches are filtered to the
-// cursor's pinned membership (ID <= High), put into the deterministic
-// (score desc, ID asc) order, and the page resumes strictly after the
-// cursor's position — so a deletion between pages drops only the deleted
-// item and concurrent inserts never appear mid-listing. The input must be
-// the full (untruncated) match set over a superset of the pinned membership,
-// otherwise pinned records can silently drop out; a listing-wide cap (the
-// similar search's k) is applied here, via totalCap (0 = uncapped), so the
-// cap never interacts with the membership filter. Returns the page and the
-// encoded next cursor ("" when the listing is exhausted).
-func paginateMatches(matches []metaquery.Match, cur pageCursor, limit, totalCap int) ([]metaquery.Match, string) {
-	kept := matches[:0]
-	for _, m := range matches {
-		if int64(m.Record.ID) <= cur.High {
-			kept = append(kept, m)
-		}
+// position is the listing position a search cursor holds.
+func (c pageCursor) position() metaquery.Cursor {
+	return metaquery.Cursor{
+		High: storage.QueryID(c.High), After: storage.QueryID(c.After), Score: c.Score, Pos: c.Pos, Seen: c.Seen,
 	}
-	metaquery.SortMatches(kept)
-	start := 0
-	if cur.Pos {
-		for start < len(kept) {
-			m := kept[start]
-			if m.Score < cur.Score ||
-				(m.Score == cur.Score && int64(m.Record.ID) > cur.After) {
-				break
-			}
-			start++
-		}
-	}
-	page := kept[start:]
-	if totalCap > 0 {
-		left := totalCap - cur.Seen
-		if left <= 0 {
-			return nil, ""
-		}
-		if len(page) > left {
-			page = page[:left]
-		}
-	}
-	more := len(page) > limit
-	if more {
-		page = page[:limit]
-	}
-	if !more || len(page) == 0 {
-		return page, ""
-	}
-	return page, cur.after(page).encode()
 }
 
-// after returns the cursor that resumes the listing behind page, a non-empty
-// page read at cur.
-func (cur pageCursor) after(page []metaquery.Match) pageCursor {
-	last := page[len(page)-1]
+// next mints the cursor that resumes the listing behind page, a non-empty
+// page read at c.
+func (c pageCursor) next(page metaquery.Page) string {
+	last := page.Matches[len(page.Matches)-1]
 	return pageCursor{
-		Kind: cur.Kind, High: cur.High,
+		Kind: c.Kind, High: int64(page.High),
 		After: int64(last.Record.ID), Score: last.Score, Pos: true,
-		Seen: cur.Seen + len(page),
-	}
-}
-
-// newMatchCursor mints the first-page cursor for a ranked listing, pinning
-// membership at the store's current high-water mark.
-func newMatchCursor(kind string, high storage.QueryID) pageCursor {
-	return pageCursor{Kind: kind, High: int64(high)}
+		Seen: c.Seen + len(page.Matches),
+	}.encode()
 }

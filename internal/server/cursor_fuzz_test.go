@@ -14,7 +14,8 @@ import (
 
 // cursorFuzzServer is a server over a small log with annotated and plain
 // matches for "watertemp", so cursors land before, inside and past a listing
-// with two score levels.
+// with two score levels. Every query has an output sample holding
+// "Lake Union", so the fuzzSearches match all of it.
 func cursorFuzzServer(tb testing.TB) (*Server, storage.QueryID) {
 	tb.Helper()
 	c := core.New(core.DefaultConfig())
@@ -25,6 +26,7 @@ func cursorFuzzServer(tb testing.TB) (*Server, storage.QueryID) {
 			tb.Fatal(err)
 		}
 		rec.User, rec.Visibility = "alice", storage.VisibilityPublic
+		rec.Sample = &storage.OutputSample{Columns: []string{"lake"}, Rows: [][]string{{"Lake Union"}}, TotalRows: 1}
 		id, err := c.Store().Put(rec)
 		if err != nil {
 			tb.Fatal(err)
@@ -37,11 +39,29 @@ func cursorFuzzServer(tb testing.TB) (*Server, storage.QueryID) {
 	return New(c), c.Store().HighWater()
 }
 
+// fuzzSearches are the requests the fuzz target posts cursors to: the
+// search-index body, the filter body and the ranked body with a total cap.
+var fuzzSearches = map[string]SearchParams{
+	"keyword": {Keywords: []string{"watertemp"}},
+	"bydata":  {Include: []string{"lake union"}},
+	"similar": {SQL: "SELECT lake FROM WaterTemp", K: fuzzK},
+}
+
+const fuzzK = 3
+
 // searchWithCursor posts a keyword search carrying the raw cursor.
 func searchWithCursor(tb testing.TB, srv *Server, raw string) (int, SearchResponse, ErrorResponse) {
+	return searchKindWithCursor(tb, srv, "keyword", raw)
+}
+
+// searchKindWithCursor posts the fuzz search of the given kind carrying the
+// raw cursor.
+func searchKindWithCursor(tb testing.TB, srv *Server, kind, raw string) (int, SearchResponse, ErrorResponse) {
 	tb.Helper()
-	body, _ := json.Marshal(SearchParams{Keywords: []string{"watertemp"}, Limit: 5, Cursor: raw})
-	req := httptest.NewRequest(http.MethodPost, "/v1/search/keyword", strings.NewReader(string(body)))
+	params := fuzzSearches[kind]
+	params.Limit, params.Cursor = 5, raw
+	body, _ := json.Marshal(params)
+	req := httptest.NewRequest(http.MethodPost, "/v1/search/"+kind, strings.NewReader(string(body)))
 	req.Header.Set(HeaderUser, "alice")
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, req)
@@ -62,7 +82,10 @@ func searchWithCursor(tb testing.TB, srv *Server, raw string) (int, SearchRespon
 // anything malformed or minted by another endpoint family as invalid_argument
 // and round-trips what it accepts; the handler answers every cursor with a
 // page or an invalid_argument envelope, and a page never steps outside the
-// cursor's pin or back over its position.
+// cursor's pin or back over its position. Every accepted cursor is also
+// posted, re-minted for their routes, to a query-by-data search (the filter
+// body) and a similar search (the ranked body), whose page also never takes
+// the listing past its k.
 func FuzzDecodePageCursor(f *testing.F) {
 	const kind = "search:keyword"
 	f.Add("")
@@ -98,18 +121,27 @@ func FuzzDecodePageCursor(f *testing.F) {
 		if again, err := decodePageCursor(cur.encode(), kind); err != nil || again != cur {
 			t.Fatalf("encode/decode of %+v gave %+v, %v", cur, again, err)
 		}
-		if status != http.StatusOK {
-			t.Fatalf("handler answered a well-formed cursor %+v with %d %q", cur, status, envelope.Error.Code)
-		}
-		if len(page.Matches) > 5 {
-			t.Fatalf("page holds %d matches, limit was 5", len(page.Matches))
-		}
-		for _, m := range page.Matches {
-			if cur.High != 0 && m.Query.ID > cur.High {
-				t.Fatalf("cursor %+v: q%d lies outside the pin", cur, m.Query.ID)
+		for _, kind := range []string{"keyword", "bydata", "similar"} {
+			if kind != "keyword" {
+				cur.Kind = "search:" + kind
+				status, page, envelope = searchKindWithCursor(t, srv, kind, cur.encode())
 			}
-			if cur.Pos && (m.Score > cur.Score || (m.Score == cur.Score && m.Query.ID <= cur.After)) {
-				t.Fatalf("cursor %+v: (q%d, %v) is not after the cursor", cur, m.Query.ID, m.Score)
+			if status != http.StatusOK {
+				t.Fatalf("%s handler answered a well-formed cursor %+v with %d %q", kind, cur, status, envelope.Error.Code)
+			}
+			if len(page.Matches) > 5 {
+				t.Fatalf("%s page holds %d matches, limit was 5", kind, len(page.Matches))
+			}
+			if left := max(fuzzK-max(cur.Seen, 0), 0); kind == "similar" && len(page.Matches) > left {
+				t.Fatalf("cursor %+v: similar page holds %d matches, %d of k=%d are left", cur, len(page.Matches), left, fuzzK)
+			}
+			for _, m := range page.Matches {
+				if cur.High != 0 && m.Query.ID > cur.High {
+					t.Fatalf("%s cursor %+v: q%d lies outside the pin", kind, cur, m.Query.ID)
+				}
+				if cur.Pos && (m.Score > cur.Score || (m.Score == cur.Score && m.Query.ID <= cur.After)) {
+					t.Fatalf("%s cursor %+v: (q%d, %v) is not after the cursor", kind, cur, m.Query.ID, m.Score)
+				}
 			}
 		}
 	})

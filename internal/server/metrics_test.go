@@ -82,6 +82,9 @@ func TestV1MetricsContract(t *testing.T) {
 	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp", client.Group("limnology")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	if _, err := alice.Similar(ctx, "SELECT lake FROM WaterTemp", 3).All(); err != nil {
+		t.Fatalf("Similar: %v", err)
+	}
 	text, err := alice.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)
@@ -132,6 +135,7 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_sessions_edge_labels_total counter",
 		"# TYPE cqms_assist_seconds histogram",
 		"# TYPE cqms_miner_feed_transactions gauge",
+		"# TYPE cqms_search_examined_records histogram",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("exposition is missing %q", family)
@@ -156,6 +160,14 @@ func TestV1MetricsContract(t *testing.T) {
 	}
 	if n := mustMetric(t, text, "cqms_store_commit_lock_hold_seconds_count", nil); n < 1 {
 		t.Errorf("commit lock hold count = %v, want >= 1", n)
+	}
+	// Every search kind reports what its page loaded: the similar search scored
+	// the one visible query, and no keyword search ran.
+	if n := mustMetric(t, text, "cqms_search_examined_records_sum", map[string]string{"kind": "similar"}); n != 1 {
+		t.Errorf("cqms_search_examined_records_sum{kind=similar} = %v, want 1", n)
+	}
+	if n := mustMetric(t, text, "cqms_search_examined_records_count", map[string]string{"kind": "keyword"}); n != 0 {
+		t.Errorf("cqms_search_examined_records_count{kind=keyword} = %v, want 0", n)
 	}
 	// The one submission ran in the engine and returned newTestServer's rows.
 	if n := mustMetric(t, text, "cqms_engine_execute_seconds_count", nil); n != 1 {

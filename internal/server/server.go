@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/metaquery"
 	"repro/internal/profiler"
 	"repro/internal/session"
-	"repro/internal/storage"
 )
 
 // maxInlineRows bounds how many result rows a Traditional-mode response
@@ -295,40 +293,6 @@ func submitResponse(out *profiler.Outcome) SubmitResponse {
 		}
 	}
 	return resp
-}
-
-// runSearch dispatches one of the search kinds that compute their whole
-// result per request; the v1 handler cuts the page out of it. (Keyword and
-// substring search are paged by the search index: pageTextSearch.)
-func (s *Server) runSearch(ctx context.Context, p storage.Principal, kind string, req SearchParams) ([]metaquery.Match, error) {
-	switch kind {
-	case "metaquery":
-		_, matches, err := s.cqms.MetaQuery(ctx, p, req.MetaSQL)
-		if err != nil && !errors.Is(err, metaquery.ErrNoQIDColumn) {
-			return nil, asInvalidArgument(err)
-		}
-		return matches, nil
-	case "partial":
-		matches, err := s.cqms.SearchByPartialQuery(ctx, p, req.Partial)
-		if err != nil {
-			return nil, asInvalidArgument(err)
-		}
-		return matches, nil
-	case "bydata":
-		return s.cqms.SearchByData(ctx, p, req.Include, req.Exclude)
-	case "similar":
-		k := req.K
-		if k < 0 {
-			k = 0
-		}
-		matches, err := s.cqms.SimilarTo(ctx, p, req.SQL, k)
-		if err != nil {
-			return nil, asInvalidArgument(err)
-		}
-		return matches, nil
-	default:
-		return nil, Errorf(CodeInternal, "unknown search kind %q", kind)
-	}
 }
 
 func (s *Server) sessionDTOs(sums []session.Summary) []SessionDTO {

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,15 +181,12 @@ func (s *Server) handleV1Visibility(w http.ResponseWriter, r *http.Request) {
 // Search & browse: paginated searches, history, sessions
 // ---------------------------------------------------------------------------
 
-// handleV1Search serves one search kind with cursor pagination over the
-// ranked result. The first page pins the store's high-water mark in the
-// cursor; later pages resume strictly after the last (score, id) position
-// returned, inside that membership. Keyword and substring pages come straight
-// from the search index at a cost independent of the log's size; the other
-// kinds recompute their result per page and cut the page out of it.
+// handleV1Search serves one search kind with cursor pagination. The first
+// page pins the store's high-water mark in the cursor; later pages resume
+// strictly after the last (score, id) position returned, inside that
+// membership (metaquery.Executor.Page).
 func (s *Server) handleV1Search(kind string) http.HandlerFunc {
 	cursorKind := "search:" + kind
-	indexed := kind == "keyword" || kind == "substring"
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req SearchParams
 		if err := decode(w, r, &req); err != nil {
@@ -203,69 +198,49 @@ func (s *Server) handleV1Search(kind string) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
-		if cur.High == 0 {
-			cur = newMatchCursor(cursorKind, s.cqms.Store().HighWater())
-		}
-		p, limit := PrincipalFrom(r.Context()), effectiveLimit(req.Limit)
-		var (
-			page []metaquery.Match
-			next string
-		)
-		if indexed {
-			page, next, err = s.pageTextSearch(r.Context(), p, kind, req, cur, limit)
-		} else {
-			// The similar search's k is a listing-wide cap, enforced across
-			// pages by the cursor (Seen); the underlying k-NN must run
-			// untruncated so the membership pin can never drop a pinned record
-			// in favour of one inserted after the first page.
-			totalCap := 0
-			if kind == "similar" {
-				if totalCap = req.K; totalCap < 0 {
-					totalCap = 0
-				}
-				req.K = 0
-			}
-			var matches []metaquery.Match
-			if matches, err = s.runSearch(r.Context(), p, kind, req); err == nil {
-				page, next = paginateMatches(matches, cur, limit, totalCap)
-			}
-		}
+		q, err := searchQuery(kind, req)
 		if err != nil {
-			writeError(w, err)
+			writeError(w, asInvalidArgument(err))
 			return
 		}
-		writeJSON(w, http.StatusOK, SearchResponse{Matches: matchesToDTO(page), NextCursor: next})
+		// One match more than the page holds says whether another page exists.
+		limit := effectiveLimit(req.Limit)
+		page, err := s.cqms.SearchPage(r.Context(), PrincipalFrom(r.Context()), q, cur.position(), limit+1)
+		if err != nil {
+			writeError(w, asInvalidArgument(err))
+			return
+		}
+		next := ""
+		if len(page.Matches) > limit {
+			page.Matches = page.Matches[:limit]
+			next = cur.next(page)
+		}
+		writeJSON(w, http.StatusOK, SearchResponse{Matches: matchesToDTO(page.Matches), NextCursor: next})
 	}
 }
 
-// pageTextSearch serves one page of a keyword or substring search and mints
-// the cursor for the next. It asks the index for one match more than the page
-// holds to learn whether another page exists.
-func (s *Server) pageTextSearch(ctx context.Context, p storage.Principal, kind string, req SearchParams, cur pageCursor, limit int) ([]metaquery.Match, string, error) {
-	pos := metaquery.Cursor{
-		High: storage.QueryID(cur.High), After: storage.QueryID(cur.After), Score: cur.Score, Pos: cur.Pos,
-	}
-	var (
-		page metaquery.Page
-		err  error
-	)
-	if kind == "keyword" {
-		// An empty keyword is contained in every text: it would list the log.
-		if len(req.Keywords) == 0 || slices.Contains(req.Keywords, "") {
-			return nil, "", Errorf(CodeInvalidArgument, "keywords must hold at least one keyword and no empty string")
+// searchQuery is the one place a search request becomes a metaquery.Query:
+// the route names the kind, the kind's constructor holds its input rule.
+func searchQuery(kind string, req SearchParams) (metaquery.Query, error) {
+	switch kind {
+	case "keyword":
+		return metaquery.Keywords(req.Keywords...)
+	case "substring":
+		return metaquery.Substring(req.Substring)
+	case "metaquery":
+		return metaquery.Feature(req.MetaSQL), nil
+	case "partial":
+		return metaquery.Partial(req.Partial)
+	case "bydata":
+		return metaquery.ByData(req.Include, req.Exclude)
+	case "similar":
+		probe, err := storage.NewRecordFromSQL(req.SQL)
+		if err != nil {
+			return metaquery.Query{}, err
 		}
-		page, err = s.cqms.SearchPage(ctx, p, req.Keywords, pos, limit+1)
-	} else {
-		if strings.TrimSpace(req.Substring) == "" {
-			return nil, "", Errorf(CodeInvalidArgument, "substring is required")
-		}
-		page, err = s.cqms.SearchSubstringPage(ctx, p, req.Substring, pos, limit+1)
+		return metaquery.Similar(probe, req.K), nil
 	}
-	if err != nil || len(page.Matches) <= limit {
-		return page.Matches, "", err
-	}
-	matches := page.Matches[:limit]
-	return matches, cur.after(matches).encode(), nil
+	return metaquery.Query{}, Errorf(CodeInternal, "unknown search kind %q", kind)
 }
 
 func (s *Server) handleV1History(w http.ResponseWriter, r *http.Request) {

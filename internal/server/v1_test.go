@@ -258,7 +258,11 @@ func TestV1SearchPaginationStable(t *testing.T) {
 // TestV1SearchRejectsEmptyNeedles is the contract test for empty search
 // terms: an empty string is contained in every text, so these requests used
 // to list the whole log (or, for no keywords at all, silently nothing). Both
-// text searches refuse them with the invalid_argument envelope.
+// text searches refuse them with the invalid_argument envelope, and so does a
+// query-by-data search naming no example (it used to list every sampled
+// query) and a meta-query whose result has no qid column (it used to answer
+// an empty page); as do a partial query naming nothing and a similar search
+// whose SQL does not parse.
 func TestV1SearchRejectsEmptyNeedles(t *testing.T) {
 	ts, alice, _, _ := newTestServer(t)
 	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp", client.Group("limnology")); err != nil {
@@ -273,10 +277,17 @@ func TestV1SearchRejectsEmptyNeedles(t *testing.T) {
 		{"keyword", `{"keywords":[]}`},
 		{"keyword", `{"keywords":[""]}`},
 		{"keyword", `{"keywords":["lake",""]}`},
+		{"bydata", `{}`},
+		{"bydata", `{"include":[],"exclude":[]}`},
+		{"metaquery", `{"metaSql":"SELECT COUNT(*) FROM Queries"}`},
+		{"partial", `{"partial":"SELECT"}`},
+		{"similar", `{"sql":"SELEKT broken"}`},
 	} {
 		resp := doRaw(t, http.MethodPost, ts.URL+"/v1/search/"+tc.kind, headers, tc.body, nil)
 		if env := decodeEnvelope(t, resp); resp.StatusCode != 400 || env.Error.Code != server.CodeInvalidArgument {
 			t.Errorf("%s %s: status %d code %q, want 400 %s", tc.kind, tc.body, resp.StatusCode, env.Error.Code, server.CodeInvalidArgument)
+		} else if tc.kind == "metaquery" && !strings.Contains(env.Error.Message, "qid") {
+			t.Errorf("%s %s: message %q does not name the missing qid column", tc.kind, tc.body, env.Error.Message)
 		}
 	}
 	// Terms that merely look empty are searched for: a space is in every

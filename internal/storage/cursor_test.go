@@ -197,7 +197,7 @@ func TestReplaceTextKeepsBucketOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []QueryID
-	s.Snapshot().ScanByUser("alice", admin, func(rec *QueryRecord) bool {
+	s.Snapshot().ScanByUserAfter("alice", 0, admin, func(rec *QueryRecord) bool {
 		order = append(order, rec.ID)
 		return true
 	})

@@ -292,7 +292,10 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		if err != nil || rec.SessionID == m.SessionID {
 			return false, err
 		}
-		m.prev, m.next = rec, s.reassignSession(rec, m.SessionID)
+		next := rec.shallowCopy()
+		next.SessionID = m.SessionID
+		s.storeRecord(next)
+		m.prev, m.next = rec, next
 		return true, nil
 	case OpAddEdge:
 		if m.Edge == nil {
@@ -447,24 +450,6 @@ func (s *Store) remove(rec *QueryRecord) {
 	s.text.mu.Unlock()
 	s.deleteRecord(rec.ID)
 	s.count.Add(-1)
-}
-
-// reassignSession moves a record between session index buckets and publishes
-// an updated record version, which it returns. Callers must hold the commit
-// lock.
-func (s *Store) reassignSession(rec *QueryRecord, sessionID int64) *QueryRecord {
-	next := rec.shallowCopy()
-	next.SessionID = sessionID
-	s.storeRecord(next)
-	s.idx.Lock()
-	if rec.SessionID != 0 {
-		removeFromBucket(s.idx.bySession, rec.SessionID, rec.ID)
-	}
-	if sessionID != 0 {
-		insertIntoBucket(s.idx.bySession, sessionID, rec.ID)
-	}
-	s.idx.Unlock()
-	return next
 }
 
 // replaceText publishes a record version with the text and feature relations

@@ -145,10 +145,7 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.idx.Lock()
 	s.idx.order = nil
 	s.idx.byTable = make(map[string][]QueryID)
-	s.idx.byAttribute = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
-	s.idx.byFingerprint = make(map[uint64][]QueryID)
-	s.idx.bySession = make(map[int64][]QueryID)
 	s.idx.edges = append([]SessionEdge(nil), st.Edges...)
 	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
 	for _, e := range st.Edges {

@@ -105,19 +105,17 @@ type Store struct {
 	text textIndex
 
 	// idx guards the derived read structures: insertion order, the inverted
-	// indexes and the session edge relation. Every slice reachable from idx
+	// indexes (each backs a reader: by table the recommender, by user
+	// history) and the session edge relation. Every slice reachable from idx
 	// is copy-on-write: writers append in place (readers only look at
 	// indexes below their captured length) and build a fresh slice on
 	// removal, so a reader may capture a slice header under RLock and keep
 	// iterating it after releasing the lock.
 	idx struct {
 		sync.RWMutex
-		order         []QueryID
-		byTable       map[string][]QueryID // lower-cased table name
-		byAttribute   map[string][]QueryID // lower-cased "rel.attr"
-		byUser        map[string][]QueryID
-		byFingerprint map[uint64][]QueryID
-		bySession     map[int64][]QueryID
+		order   []QueryID
+		byTable map[string][]QueryID // lower-cased table name
+		byUser  map[string][]QueryID
 
 		edges []SessionEdge
 		// edgesFrom indexes the edge relation by source query so EdgesFrom
@@ -137,10 +135,7 @@ func NewStore() *Store {
 	}
 	s.text.reset()
 	s.idx.byTable = make(map[string][]QueryID)
-	s.idx.byAttribute = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
-	s.idx.byFingerprint = make(map[uint64][]QueryID)
-	s.idx.bySession = make(map[int64][]QueryID)
 	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
 	return s
 }
@@ -333,7 +328,6 @@ func insertSorted(old []QueryID, id QueryID) []QueryID {
 // work.
 type indexKeys struct {
 	tables []string // parallel to rec.Tables
-	attrs  []string // deduplicated "rel.attr" keys
 	text   textKey  // the record's search-dictionary entry
 }
 
@@ -347,22 +341,6 @@ func computeIndexKeys(rec *QueryRecord) indexKeys {
 			k.tables[i] = strings.ToLower(t)
 		}
 	}
-	if len(rec.Attributes) > 0 {
-		k.attrs = make([]string, 0, len(rec.Attributes))
-		for _, a := range rec.Attributes {
-			key := strings.ToLower(a.Rel + "." + a.Attr)
-			dup := false
-			for _, seen := range k.attrs {
-				if seen == key {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				k.attrs = append(k.attrs, key)
-			}
-		}
-	}
 	return k
 }
 
@@ -372,14 +350,7 @@ func (s *Store) indexPreparedLocked(rec *QueryRecord, keys indexKeys) {
 	for _, key := range keys.tables {
 		insertIntoBucket(s.idx.byTable, key, rec.ID)
 	}
-	for _, key := range keys.attrs {
-		insertIntoBucket(s.idx.byAttribute, key, rec.ID)
-	}
 	insertIntoBucket(s.idx.byUser, rec.User, rec.ID)
-	insertIntoBucket(s.idx.byFingerprint, rec.Fingerprint, rec.ID)
-	if rec.SessionID != 0 {
-		insertIntoBucket(s.idx.bySession, rec.SessionID, rec.ID)
-	}
 }
 
 // Get returns a copy of the record with the given ID, enforcing visibility
@@ -399,22 +370,6 @@ func (s *Store) Get(id QueryID, p Principal) (*QueryRecord, error) {
 // visibility).
 func (s *Store) Count() int {
 	return int(s.count.Load())
-}
-
-// SessionIDs returns all session identifiers persisted on stored records
-// (the mining pass writes them via AssignSession), sorted. This is the
-// storage-layer view used to verify replay/restore equality in tests; the
-// live session count — current without a mining pass — comes from the
-// session detector, not from here.
-func (s *Store) SessionIDs() []int64 {
-	s.idx.RLock()
-	out := make([]int64, 0, len(s.idx.bySession))
-	for id := range s.idx.bySession {
-		out = append(out, id)
-	}
-	s.idx.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DistinctCounts returns how many distinct users have logged queries and how
@@ -565,14 +520,7 @@ func (s *Store) removeFromIndexesLocked(rec *QueryRecord) {
 	for _, t := range rec.Tables {
 		removeFromBucket(s.idx.byTable, strings.ToLower(t), rec.ID)
 	}
-	for _, a := range rec.Attributes {
-		removeFromBucket(s.idx.byAttribute, strings.ToLower(a.Rel+"."+a.Attr), rec.ID)
-	}
 	removeFromBucket(s.idx.byUser, rec.User, rec.ID)
-	removeFromBucket(s.idx.byFingerprint, rec.Fingerprint, rec.ID)
-	if rec.SessionID != 0 {
-		removeFromBucket(s.idx.bySession, rec.SessionID, rec.ID)
-	}
 }
 
 // removeEdgesLocked drops every session edge touching the record, from the

@@ -173,8 +173,14 @@ func byTable(s *Store, table string, p Principal) int {
 	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanByTable(table, p, fn) })
 }
 
-func bySession(s *Store, sessionID int64, p Principal) int {
-	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanBySession(sessionID, p, fn) })
+// sessionOf reads the session a record is assigned to.
+func sessionOf(t *testing.T, s *Store, id QueryID) int64 {
+	t.Helper()
+	rec, err := s.Get(id, admin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.SessionID
 }
 
 func TestIndexes(t *testing.T) {
@@ -186,20 +192,11 @@ func TestIndexes(t *testing.T) {
 	if got := byTable(s, "watertemp", admin); got != 2 {
 		t.Errorf("ScanByTable should be case-insensitive")
 	}
-	// Only the first query references temp with an unambiguously resolvable
-	// table (the second uses an unqualified name over two FROM tables).
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByAttribute("WaterTemp", "temp", admin, fn) }); got != 1 {
-		t.Errorf("ScanByAttribute(WaterTemp.temp) = %d, want 1", got)
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter("alice", 0, admin, fn) }); got != 2 {
+		t.Errorf("ScanByUserAfter(alice) = %d, want 2", got)
 	}
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUser("alice", admin, fn) }); got != 2 {
-		t.Errorf("ScanByUser(alice) = %d, want 2", got)
-	}
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUser("alice", carol, fn) }); got != 0 {
-		t.Errorf("carol should not see alice's queries via ScanByUser")
-	}
-	rec, _ := s.Get(QueryID(1), admin)
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByFingerprint(rec.Fingerprint, admin, fn) }); got != 1 {
-		t.Errorf("ScanByFingerprint = %d, want 1", got)
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter("alice", 0, carol, fn) }); got != 0 {
+		t.Errorf("carol should not see alice's queries via ScanByUserAfter")
 	}
 }
 
@@ -278,19 +275,15 @@ func TestSessionsAndEdges(t *testing.T) {
 	if err := s.AssignSession(ids[1], 7); err != nil {
 		t.Fatalf("AssignSession: %v", err)
 	}
-	if got := bySession(s, 7, admin); got != 2 {
-		t.Errorf("ScanBySession = %d, want 2", got)
-	}
-	sessions := s.SessionIDs()
-	if len(sessions) != 1 || sessions[0] != 7 {
-		t.Errorf("SessionIDs = %v", sessions)
+	if a, b := sessionOf(t, s, ids[0]), sessionOf(t, s, ids[1]); a != 7 || b != 7 {
+		t.Errorf("sessions = %d, %d, want 7, 7", a, b)
 	}
 	// Re-assignment moves the query to the new session.
 	if err := s.AssignSession(ids[1], 8); err != nil {
 		t.Fatalf("AssignSession: %v", err)
 	}
-	if got := bySession(s, 7, admin); got != 1 {
-		t.Errorf("after reassignment session 7 has %d queries, want 1", got)
+	if a, b := sessionOf(t, s, ids[0]), sessionOf(t, s, ids[1]); a != 7 || b != 8 {
+		t.Errorf("after reassignment sessions = %d, %d, want 7, 8", a, b)
 	}
 
 	if err := s.AddEdge(SessionEdge{From: ids[0], To: ids[1], Type: EdgeModification, Diff: "+table WaterSalinity"}); err != nil {

@@ -149,7 +149,8 @@ func (v *View) ScanAfter(cursor QueryID, p Principal, fn func(*QueryRecord) bool
 	v.scanIDs(after(v.ids, cursor), p, fn)
 }
 
-// ScanByUserAfter is ScanByUser resuming strictly after the given query ID.
+// ScanByUserAfter visits the visible queries submitted by the given user, in
+// temporal order, resuming strictly after the given query ID.
 func (v *View) ScanByUserAfter(user string, cursor QueryID, p Principal, fn func(*QueryRecord) bool) {
 	v.scanIDs(after(v.store.indexUser(user), cursor), p, fn)
 }
@@ -177,30 +178,6 @@ func (v *View) ScanByTable(table string, p Principal, fn func(*QueryRecord) bool
 	v.scanIDs(v.store.indexTable(strings.ToLower(table)), p, fn)
 }
 
-// ScanByAttribute visits the visible queries that reference relName.attrName
-// (case-insensitive).
-func (v *View) ScanByAttribute(rel, attr string, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.store.indexAttribute(strings.ToLower(rel+"."+attr)), p, fn)
-}
-
-// ScanByUser visits the visible queries submitted by the given user, in
-// temporal order.
-func (v *View) ScanByUser(user string, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.store.indexUser(user), p, fn)
-}
-
-// ScanByFingerprint visits the visible queries with the given template
-// fingerprint.
-func (v *View) ScanByFingerprint(fp uint64, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.store.indexFingerprint(fp), p, fn)
-}
-
-// ScanBySession visits the visible queries of one session in temporal order
-// (index buckets maintain ascending ID order; see insertIntoBucket).
-func (v *View) ScanBySession(sessionID int64, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.store.indexSession(sessionID), p, fn)
-}
-
 // The index accessors capture a copy-on-write bucket header under a short
 // read lock; the caller may iterate it lock-free (see the idx field docs).
 
@@ -210,26 +187,8 @@ func (s *Store) indexTable(key string) []QueryID {
 	return s.idx.byTable[key]
 }
 
-func (s *Store) indexAttribute(key string) []QueryID {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return s.idx.byAttribute[key]
-}
-
 func (s *Store) indexUser(user string) []QueryID {
 	s.idx.RLock()
 	defer s.idx.RUnlock()
 	return s.idx.byUser[user]
-}
-
-func (s *Store) indexFingerprint(fp uint64) []QueryID {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return s.idx.byFingerprint[fp]
-}
-
-func (s *Store) indexSession(sessionID int64) []QueryID {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return s.idx.bySession[sessionID]
 }

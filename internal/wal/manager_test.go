@@ -137,7 +137,7 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		t.Fatalf("recovered state differs from original\noriginal:  %.400s...\nrecovered: %.400s...", wantJSON, gotJSON)
 	}
 
-	// Index-backed lookups: tables, attributes, users, sessions, edges.
+	// Index-backed lookups: tables, users, edges.
 	group := storage.Principal{User: "user1", Groups: []string{"limnology"}}
 	for _, p := range []storage.Principal{admin, group} {
 		for _, table := range []string{"WaterTemp", "WaterSalinity", "Observations"} {
@@ -145,25 +145,12 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 			if w, g := ids(want, byTable), ids(got, byTable); !reflect.DeepEqual(w, g) {
 				t.Fatalf("ScanByTable(%s) as %q: want %v, got %v", table, p.User, w, g)
 			}
-			byAttr := func(v *storage.View, fn scanFn) { v.ScanByAttribute(table, "temp", p, fn) }
-			if w, g := ids(want, byAttr), ids(got, byAttr); !reflect.DeepEqual(w, g) {
-				t.Fatalf("ScanByAttribute(%s.temp) as %q: want %v, got %v", table, p.User, w, g)
-			}
 		}
 		for _, user := range []string{"user0", "user1", "user2"} {
-			byUser := func(v *storage.View, fn scanFn) { v.ScanByUser(user, p, fn) }
+			byUser := func(v *storage.View, fn scanFn) { v.ScanByUserAfter(user, 0, p, fn) }
 			if w, g := ids(want, byUser), ids(got, byUser); !reflect.DeepEqual(w, g) {
-				t.Fatalf("ScanByUser(%s) as %q: want %v, got %v", user, p.User, w, g)
+				t.Fatalf("ScanByUserAfter(%s) as %q: want %v, got %v", user, p.User, w, g)
 			}
-		}
-	}
-	if !reflect.DeepEqual(want.SessionIDs(), got.SessionIDs()) {
-		t.Fatalf("SessionIDs: want %v, got %v", want.SessionIDs(), got.SessionIDs())
-	}
-	for _, sid := range want.SessionIDs() {
-		bySession := func(v *storage.View, fn scanFn) { v.ScanBySession(sid, admin, fn) }
-		if w, g := ids(want, bySession), ids(got, bySession); !reflect.DeepEqual(w, g) {
-			t.Fatalf("ScanBySession(%d): want %v, got %v", sid, w, g)
 		}
 	}
 	if !reflect.DeepEqual(want.Edges(), got.Edges()) {
@@ -172,14 +159,19 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 
 	// Keyword search runs on the recovered indexes through the meta-query
 	// executor, the paper's interactive search path.
-	wantMatches, err := metaquery.New(want).Keyword(context.Background(), admin, "watertemp")
+	q, err := metaquery.Keywords("watertemp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPage, err := metaquery.New(want).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(want): %v", err)
 	}
-	gotMatches, err := metaquery.New(got).Keyword(context.Background(), admin, "watertemp")
+	gotPage, err := metaquery.New(got).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(got): %v", err)
 	}
+	wantMatches, gotMatches := wantPage.Matches, gotPage.Matches
 	if len(wantMatches) == 0 || len(wantMatches) != len(gotMatches) {
 		t.Fatalf("keyword search: want %d matches, got %d", len(wantMatches), len(gotMatches))
 	}
