@@ -606,16 +606,19 @@ func BenchmarkE9QueryByData(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: a full mining pass over the whole log (the background job).
+// End-to-end: a mining pass over the whole log (the background job): the
+// feed's rule derivation plus the miner proper.
 // ---------------------------------------------------------------------------
 
 func BenchmarkFullMiningPass(b *testing.B) {
 	f := benchFixture(b)
 	m := miner.New(miner.DefaultConfig())
+	feed := miner.NewFeed(miner.DefaultConfig().Assoc)
+	defer feed.Attach(f.store)()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := m.Run(f.store)
+		res := m.Run(f.store, feed.Refresh())
 		if res.TransactionCount == 0 {
 			b.Fatal("mined nothing")
 		}
@@ -962,7 +965,7 @@ var (
 // attaches: stats tracker, miner feed and live session detector.
 func ckptAttachSubscribers(store *storage.Store) {
 	stats.Attach(store)
-	feed := miner.NewFeed(miner.DefaultConfig().Assoc, 200)
+	feed := miner.NewFeed(miner.DefaultConfig().Assoc)
 	feed.Attach(store)
 	session.AttachLive(store, session.DefaultConfig())
 }

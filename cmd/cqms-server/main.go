@@ -117,8 +117,8 @@ func main() {
 			*replayUsers = 0
 		}
 		res := cqms.RunMiner()
-		log.Printf("initial mining pass over recovered log: %d queries, %d rules, %d clusters",
-			res.TransactionCount, len(res.Rules), len(res.Clusters))
+		log.Printf("initial mining pass over recovered log: %d queries, %d rules",
+			res.TransactionCount, len(res.Rules))
 	}
 	if *replayUsers > 0 {
 		wcfg := workload.DefaultConfig()
@@ -134,8 +134,8 @@ func main() {
 			log.Printf("warning: %d replayed queries failed to execute", failures)
 		}
 		res := cqms.RunMiner()
-		log.Printf("initial mining pass: %d queries, %d rules, %d clusters",
-			res.TransactionCount, len(res.Rules), len(res.Clusters))
+		log.Printf("initial mining pass: %d queries, %d rules",
+			res.TransactionCount, len(res.Rules))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -434,8 +434,8 @@ func cmdMine(ctx context.Context, c *client.Client) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mined %d queries: %d rules, %d clusters, %d sessions\n",
-		resp.Transactions, resp.Rules, resp.Clusters, resp.Sessions)
+	fmt.Printf("mined %d queries: %d rules, %d sessions\n",
+		resp.Transactions, resp.Rules, resp.Sessions)
 	return nil
 }
 

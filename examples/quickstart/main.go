@@ -50,8 +50,8 @@ func main() {
 	// 4. Run a mining pass (normally periodic in the background) so the
 	//    assisted mode has association rules and sessions to work with.
 	mining := sys.RunMiner()
-	fmt.Printf("\nmined %d queries into %d rules and %d clusters\n",
-		mining.TransactionCount, len(mining.Rules), len(mining.Clusters))
+	fmt.Printf("\nmined %d queries into %d rules\n",
+		mining.TransactionCount, len(mining.Rules))
 
 	// 5. Search & Browse Interaction Mode: keyword search and the Figure 1
 	//    meta-query.

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -471,6 +472,10 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	wantAPI := apiDocument(t, tsPrimary.URL, maxID, true)
 	wantMembership := apiDocument(t, tsPrimary.URL, maxID, false)
 	wantStats := statsForDiff(t, tsPrimary.URL)
+	wantRules := primary.MinerFeed().Refresh()
+	if len(wantRules) == 0 {
+		t.Fatal("the history left the primary's feed without rules; the seed no longer covers them")
+	}
 	if !strings.Contains(wantState, "NaN scores: ") || strings.HasSuffix(wantState, "NaN scores: ") {
 		t.Fatal("the history left no NaN score in the store; the seed no longer covers it")
 	}
@@ -503,10 +508,13 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		if got := statsForDiff(t, other.url); !bytes.Equal(got, wantStats) {
 			t.Errorf("%s: /v1/stats differs\n live: %s\nother: %s", other.name, wantStats, got)
 		}
-		// A rebuilt feed counts the surviving records only; every other path
-		// carries the live feed's count, deleted queries included.
-		if got, want := other.c.MinerFeed().NumTransactions(), primary.MinerFeed().NumTransactions(); other.sessionIDs && got != want {
+		// The feed is exact on every path, a rebuilt one included: the same
+		// transactions and the same rules as the live primary's.
+		if got, want := other.c.MinerFeed().NumTransactions(), primary.MinerFeed().NumTransactions(); got != want {
 			t.Errorf("%s: the miner feed counted %d transactions, the primary's %d", other.name, got, want)
+		}
+		if got := other.c.MinerFeed().Refresh(); !reflect.DeepEqual(got, wantRules) {
+			t.Errorf("%s: the miner feed derived %d rules that differ from the primary's %d", other.name, len(got), len(wantRules))
 		}
 	}
 }

@@ -67,12 +67,6 @@ func statsForDiff(t *testing.T, url string) []byte {
 		t.Fatalf("Stats(%s): %v", url, err)
 	}
 	stats.Status = server.StatusDocDTO{}
-	// MinedTransactions is legitimately path-dependent: once a full mining
-	// pass retires the primary's incremental feed, the feed refuses to
-	// checkpoint (see miner.Feed.Checkpoint), so any restore — a follower
-	// bootstrap exactly like the primary's own WAL recovery — rebuilds it
-	// from surviving records and no longer counts deleted queries.
-	stats.MinedTransactions = 0
 	b, err := json.Marshal(stats)
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,8 @@ func TestSubmitAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the miner feed pass its warm-up and the maps reach steady size.
-	for i := 0; i < 2*minerFeedWarmup; i++ {
+	// Let the derived-state maps reach steady size.
+	for i := 0; i < 400; i++ {
 		submit()
 	}
 	if got := testing.AllocsPerRun(500, submit); got > budget {

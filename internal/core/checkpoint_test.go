@@ -91,12 +91,11 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterMiningRebuildsActiveFeed pins the retirement contract at
-// the system level: once a mining pass has retired the feed, a snapshot
-// carries no miner-feed sidecar (the superseding mining Result is not
-// durable), so recovery rebuilds a fresh active feed that can serve rules
-// immediately — while stats and sessions still restore from checkpoints.
-func TestRecoveryAfterMiningRebuildsActiveFeed(t *testing.T) {
+// TestRecoveryAfterMiningRestoresFeedFromCheckpoint proves a mining pass
+// leaves the feed checkpointable: a restart after RunMiner and a compaction
+// restores the feed from its snapshot section instead of rebuilding it, and
+// serves the rules the pass mined — before and after its own first pass.
+func TestRecoveryAfterMiningRestoresFeedFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
 	base := time.Date(2026, 7, 1, 9, 0, 0, 0, time.UTC)
@@ -104,9 +103,12 @@ func TestRecoveryAfterMiningRebuildsActiveFeed(t *testing.T) {
 		submit(t, c, "alice", "limnology",
 			"SELECT WaterTemp.lake, WaterSalinity.salinity FROM WaterTemp, WaterSalinity WHERE WaterTemp.lake = WaterSalinity.lake",
 			base.Add(time.Duration(i)*time.Minute))
+		submit(t, c, "bob", "limnology", "SELECT city FROM CityLocations WHERE pop > 100000",
+			base.Add(time.Duration(i)*time.Minute))
 	}
-	if res := c.RunMiner(); res == nil {
-		t.Fatal("mining pass returned nil")
+	res := c.RunMiner()
+	if len(res.Rules) == 0 {
+		t.Fatal("the mining pass derived no rules")
 	}
 	if _, _, _, err := c.Durability().Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -118,21 +120,19 @@ func TestRecoveryAfterMiningRebuildsActiveFeed(t *testing.T) {
 	c2 := openDurable(t, dir)
 	defer c2.Close()
 	prov := c2.DerivedStateProvenance()
-	if prov["miner-feed"] != ProvenanceRebuilt {
-		t.Errorf("provenance[miner-feed] = %q, want %q", prov["miner-feed"], ProvenanceRebuilt)
-	}
-	for _, name := range []string{"stats", "sessions"} {
+	for _, name := range []string{"stats", "miner-feed", "sessions"} {
 		if prov[name] != ProvenanceCheckpoint {
 			t.Errorf("provenance[%s] = %q, want %q", name, prov[name], ProvenanceCheckpoint)
 		}
 	}
-	// The rebuilt feed is active: it ingested the recovered log and derives
-	// rules without waiting for the next mining pass.
 	if got := c2.MinerFeed().NumTransactions(); got != c2.Store().Count() {
-		t.Errorf("rebuilt feed saw %d transactions, want %d", got, c2.Store().Count())
+		t.Errorf("restored feed counts %d transactions, want %d", got, c2.Store().Count())
 	}
-	if len(c2.MinerFeed().Rules()) == 0 {
-		t.Error("rebuilt feed derives no rules from the recovered log")
+	if got := c2.MinerFeed().Rules(); !reflect.DeepEqual(got, res.Rules) {
+		t.Errorf("restored feed serves other rules than the pass\n got: %+v\nwant: %+v", got, res.Rules)
+	}
+	if got := c2.RunMiner().Rules; !reflect.DeepEqual(got, res.Rules) {
+		t.Errorf("the restarted pass mined other rules\n got: %+v\nwant: %+v", got, res.Rules)
 	}
 }
 

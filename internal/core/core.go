@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -77,10 +78,11 @@ type CQMS struct {
 
 	// stats, minerFeed and sessions are derived-state subscribers on the
 	// store's mutation event bus: incrementally maintained aggregates
-	// serving the completion hot path and the stats API, a continuously
-	// warm association-rule feed, and the live session detector serving
-	// session/graph reads without full-log re-segmentation. All three
-	// checkpoint into WAL snapshot sidecars and restore on recovery.
+	// serving the completion hot path and the stats API, the exact
+	// multiset of feature sets association rules are derived from, and the
+	// live session detector serving session/graph reads without full-log
+	// re-segmentation. All three checkpoint into WAL snapshot sidecars and
+	// restore on recovery.
 	stats     *stats.Tracker
 	minerFeed *miner.Feed
 	sessions  *session.Live
@@ -144,7 +146,7 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		metrics:     reg,
 		started:     time.Now(),
 	}
-	c.minerFeed = miner.NewFeed(cfg.Miner.Assoc, minerFeedWarmup)
+	c.minerFeed = miner.NewFeed(cfg.Miner.Assoc)
 	c.minerFeed.Attach(store)
 	c.sessions = session.AttachLive(store, cfg.Session)
 	c.stats.EnableMetrics(reg)
@@ -170,9 +172,8 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	for _, kind := range metaquery.Kinds {
 		c.searchExamined[kind] = examined.With(kind)
 	}
-	// Until the first full mining pass runs, context-aware completions are
-	// served from the feed's live rule counts instead of going
-	// popularity-only.
+	// Until the first mining pass runs, context-aware completions are served
+	// from the feed's rules instead of going popularity-only.
 	c.recommender.UseRuleFeed(c.minerFeed.Rules)
 	return c
 }
@@ -182,10 +183,6 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 // telemetry.Registry.WritePrometheus; the HTTP server serves it at
 // GET /v1/metrics.
 func (c *CQMS) Metrics() *telemetry.Registry { return c.metrics }
-
-// minerFeedWarmup is how many logged queries the incremental rule feed mines
-// exactly before freezing its vocabulary (see miner.NewIncrementalMiner).
-const minerFeedWarmup = 200
 
 // Open creates a CQMS over a fresh embedded engine and, when
 // cfg.Durability.Dir is set, recovers the query log from disk (newest
@@ -310,8 +307,7 @@ func (c *CQMS) Store() *storage.Store { return c.store }
 // query-log aggregates (never nil).
 func (c *CQMS) StatsTracker() *stats.Tracker { return c.stats }
 
-// MinerFeed exposes the bus-driven incremental association-rule feed
-// (never nil).
+// MinerFeed exposes the bus-driven association-rule feed (never nil).
 func (c *CQMS) MinerFeed() *miner.Feed { return c.minerFeed }
 
 // ---------------------------------------------------------------------------
@@ -577,11 +573,13 @@ func (c *CQMS) DeleteQuery(id storage.QueryID, p storage.Principal) error {
 	return c.store.Delete(id, p)
 }
 
-// RunMiner performs one full background mining pass: persisting the live
-// detector's sessions into the store, the miner proper, and installation of
-// the results into the recommender. Session detection does not run here — the
-// bus-driven detector maintains the windows continuously — so the pass only
-// writes back the assignments and edges that changed since the last one.
+// RunMiner performs one background mining pass: persisting the live
+// detector's sessions into the store, re-deriving the feed's association
+// rules, the miner proper, and installation of the results into the
+// recommender. Neither session detection nor itemset counting runs here — the
+// bus-driven detector and feed maintain both continuously — so the pass only
+// writes back the assignments and edges that changed since the last one, and
+// derives rules from the feed's distinct feature sets.
 func (c *CQMS) RunMiner() *miner.Result {
 	start := time.Now()
 	defer func() {
@@ -593,12 +591,8 @@ func (c *CQMS) RunMiner() *miner.Result {
 	if !c.store.ReadOnly() {
 		c.persistSessions()
 	}
-	res := c.miner.Run(c.store)
+	res := c.miner.Run(c.store, c.minerFeed.Refresh())
 	c.recommender.UpdateMining(res)
-	// The installed Result permanently supersedes the feed's approximate
-	// rules in the recommender, so stop the feed's per-commit itemset
-	// counting; it keeps counting transactions for the stats surface.
-	c.minerFeed.Retire()
 	c.mu.Lock()
 	c.lastMining = res
 	c.mu.Unlock()
@@ -673,7 +667,11 @@ func (c *CQMS) StartBackground(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				c.RunMiner()
+				// One label set for the pass, so a served CPU profile
+				// isolates it with a single -tagfocus.
+				pprof.Do(ctx, pprof.Labels("route", "background", "stage", "mine"), func(context.Context) {
+					c.RunMiner()
+				})
 			}
 		}
 	}()

@@ -440,17 +440,16 @@ func TestColdStartContextAwareCompletion(t *testing.T) {
 		t.Fatalf("SuggestTables: %v", err)
 	}
 	if len(got) == 0 || got[0].Text != "WaterTemp" {
-		t.Errorf("cold-start suggestions = %+v, want WaterTemp first (from the incremental feed)", got)
+		t.Errorf("cold-start suggestions = %+v, want WaterTemp first (from the feed)", got)
 	}
 
-	// A full mining pass retires the feed (its rules are superseded by the
-	// installed Result), but the transaction counter behind the stats
-	// surface keeps following submissions.
+	// A mining pass installs the feed's rules in a Result; the feed keeps
+	// following submissions.
 	c.RunMiner()
 	before := c.MinerFeed().NumTransactions()
 	submit(t, c, "alice", "limnology", "SELECT temp FROM WaterTemp", base.Add(time.Hour))
 	if got := c.MinerFeed().NumTransactions(); got != before+1 {
-		t.Errorf("retired feed transactions = %d, want %d", got, before+1)
+		t.Errorf("feed transactions after the pass = %d, want %d", got, before+1)
 	}
 	got, err = c.SuggestTables(context.Background(), alice, "SELECT * FROM WaterSalinity", 3)
 	if err != nil {

@@ -186,12 +186,16 @@ func generateCandidates(prev [][]string) [][]string {
 }
 
 // rulesFromCounts derives single-consequent rules from itemset support
-// counts.
+// counts, most confident first, then most supported, then by Key. A count's
+// key lists its items sorted, so every antecedent split from it is sorted
+// too: its key is the count to look up, and, with the consequent, the rule's
+// Key — built once per rule rather than in every comparison of the sort.
 func rulesFromCounts(counts map[string]int, numTransactions int, cfg AssocConfig) []Rule {
 	if numTransactions == 0 {
 		return nil
 	}
 	var rules []Rule
+	var keys []string // keys[i] is rules[i].Key()
 	for key, count := range counts {
 		items := strings.Split(key, ",")
 		if len(items) < 2 {
@@ -202,7 +206,8 @@ func rulesFromCounts(counts map[string]int, numTransactions int, cfg AssocConfig
 			antecedent := make([]string, 0, len(items)-1)
 			antecedent = append(antecedent, items[:i]...)
 			antecedent = append(antecedent, items[i+1:]...)
-			antCount, ok := counts[itemsetKey(antecedent)]
+			antKey := strings.Join(antecedent, ",")
+			antCount, ok := counts[antKey]
 			if !ok || antCount == 0 {
 				continue
 			}
@@ -222,18 +227,32 @@ func rulesFromCounts(counts map[string]int, numTransactions int, cfg AssocConfig
 				Confidence: conf,
 				Lift:       lift,
 			})
+			keys = append(keys, antKey+" => "+consequent)
 		}
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Confidence != rules[j].Confidence {
-			return rules[i].Confidence > rules[j].Confidence
+	if len(rules) == 0 {
+		return nil
+	}
+	// Sort positions, not the rules: a swap then moves one int.
+	order := make([]int, len(rules))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := &rules[order[a]], &rules[order[b]]
+		if x.Confidence != y.Confidence {
+			return x.Confidence > y.Confidence
 		}
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
+		if x.Support != y.Support {
+			return x.Support > y.Support
 		}
-		return rules[i].Key() < rules[j].Key()
+		return keys[order[a]] < keys[order[b]]
 	})
-	return rules
+	out := make([]Rule, len(rules))
+	for i, j := range order {
+		out[i] = rules[j]
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +264,8 @@ func rulesFromCounts(counts map[string]int, numTransactions int, cfg AssocConfig
 // produce rules at any time without rescanning past transactions. To bound
 // state it counts only itemsets up to MaxItemsetSize built from items that
 // were frequent among the first warm-up batch (a standard candidate-freezing
-// approximation; RulesExact is available for comparison in the E6 ablation).
+// approximation). It is the E6 ablation's incremental variant; the system's
+// rule source is the exact Feed.
 type IncrementalMiner struct {
 	cfg        AssocConfig
 	counts     map[string]int
@@ -342,21 +362,10 @@ func (im *IncrementalMiner) count(transaction []string) {
 // warm-up completes it falls back to exact mining over the buffered
 // transactions.
 func (im *IncrementalMiner) Rules() []Rule {
-	return im.snapshotRules()()
-}
-
-// snapshotRules copies the state rule derivation needs and returns a closure
-// that performs the (comparatively expensive) derivation without touching the
-// miner, so a caller that guards the miner with a lock can snapshot under it
-// and derive outside it.
-func (im *IncrementalMiner) snapshotRules() func() []Rule {
-	cfg := im.cfg
 	if !im.frozen {
-		tx := make([][]string, len(im.warmupTx))
-		copy(tx, im.warmupTx)
-		return func() []Rule { return MineAssociationRules(tx, cfg) }
+		return MineAssociationRules(im.warmupTx, im.cfg)
 	}
-	minCount := int(cfg.MinSupport * float64(im.numTx))
+	minCount := int(im.cfg.MinSupport * float64(im.numTx))
 	if minCount < 1 {
 		minCount = 1
 	}
@@ -366,6 +375,5 @@ func (im *IncrementalMiner) snapshotRules() func() []Rule {
 			filtered[key] = c
 		}
 	}
-	numTx := im.numTx
-	return func() []Rule { return rulesFromCounts(filtered, numTx, cfg) }
+	return rulesFromCounts(filtered, im.numTx, im.cfg)
 }

@@ -28,12 +28,9 @@ type Popularity struct {
 // Result is the output of one background mining pass, consumed by the
 // recommender and the Meta-query Executor.
 type Result struct {
-	// Rules are the mined association rules over query features.
+	// Rules are the association rules over query features, as the Feed
+	// derived them for the pass.
 	Rules []Rule
-	// Clusters are the query clusters (by feature similarity).
-	Clusters []Cluster
-	// ClusteredIDs are the query IDs in the order the clusters index into.
-	ClusteredIDs []storage.QueryID
 	// EditPatterns are frequent session edit patterns.
 	EditPatterns []EditPattern
 	// TablePopularity, ColumnPopularity and PredicatePopularity are global
@@ -47,14 +44,10 @@ type Result struct {
 
 // Config controls a mining pass.
 type Config struct {
-	Assoc   AssocConfig
-	Cluster ClusterConfig
+	Assoc AssocConfig
 	// MinEditPatternCount is the minimum occurrence count for an edit pattern
 	// to be reported.
 	MinEditPatternCount int
-	// MaxClusteredQueries bounds the number of (most recent) queries used for
-	// clustering, because the pairwise similarity matrix is quadratic.
-	MaxClusteredQueries int
 }
 
 // DefaultConfig returns mining parameters suitable for a few thousand logged
@@ -62,9 +55,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Assoc:               DefaultAssocConfig(),
-		Cluster:             DefaultClusterConfig(25),
 		MinEditPatternCount: 2,
-		MaxClusteredQueries: 2000,
 	}
 }
 
@@ -78,36 +69,14 @@ func New(cfg Config) *Miner {
 	return &Miner{cfg: cfg}
 }
 
-// Run performs a full mining pass over every query in the store (admin view):
-// association rules, clustering, edit patterns and popularity counts.
-func (m *Miner) Run(store *storage.Store) *Result {
+// Run performs a mining pass over every query in the store (admin view):
+// edit patterns and popularity counts. The association rules are not mined
+// here — the Feed keeps them current as the log changes — so the caller
+// passes the feed's rules in (Feed.Refresh) and Run installs them.
+func (m *Miner) Run(store *storage.Store, rules []Rule) *Result {
 	records := store.Snapshot().Records(storage.Principal{Admin: true})
-	res := &Result{TransactionCount: len(records)}
-
-	// Association rules over feature transactions.
-	transactions := make([][]string, 0, len(records))
-	for _, r := range records {
-		if len(r.Features) > 0 {
-			transactions = append(transactions, r.Features)
-		}
-	}
-	res.Rules = MineAssociationRules(transactions, m.cfg.Assoc)
-
-	// Clustering over the most recent MaxClusteredQueries queries.
-	clusterRecords := records
-	if m.cfg.MaxClusteredQueries > 0 && len(clusterRecords) > m.cfg.MaxClusteredQueries {
-		clusterRecords = clusterRecords[len(clusterRecords)-m.cfg.MaxClusteredQueries:]
-	}
-	res.Clusters = KMedoids(clusterRecords, m.cfg.Cluster)
-	res.ClusteredIDs = make([]storage.QueryID, len(clusterRecords))
-	for i, r := range clusterRecords {
-		res.ClusteredIDs[i] = r.ID
-	}
-
-	// Edit patterns from session edges.
+	res := &Result{Rules: rules, TransactionCount: len(records)}
 	res.EditPatterns = MineEditPatterns(store.Edges(), m.cfg.MinEditPatternCount)
-
-	// Popularity counts.
 	res.TablePopularity, res.ColumnPopularity, res.PredicatePopularity = popularityCounts(records)
 	return res
 }

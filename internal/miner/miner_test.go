@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -55,9 +56,10 @@ func TestMinerRun(t *testing.T) {
 	store := populateStore(t)
 	cfg := DefaultConfig()
 	cfg.Assoc = AssocConfig{MinSupport: 0.1, MinConfidence: 0.3, MaxItemsetSize: 3}
-	cfg.Cluster = DefaultClusterConfig(3)
 	cfg.MinEditPatternCount = 1
-	res := New(cfg).Run(store)
+	feed := NewFeed(cfg.Assoc)
+	feed.Attach(store)
+	res := New(cfg).Run(store, feed.Refresh())
 
 	if res.TransactionCount != 8 {
 		t.Errorf("transactions = %d, want 8", res.TransactionCount)
@@ -65,11 +67,9 @@ func TestMinerRun(t *testing.T) {
 	if len(res.Rules) == 0 {
 		t.Errorf("no rules mined")
 	}
-	if len(res.Clusters) == 0 {
-		t.Errorf("no clusters")
-	}
-	if len(res.ClusteredIDs) != 8 {
-		t.Errorf("clustered IDs = %d", len(res.ClusteredIDs))
+	// The pass serves the feed's rules, which are a full Apriori pass's.
+	if want := MineAssociationRules(adminTransactions(store), cfg.Assoc); !reflect.DeepEqual(res.Rules, want) {
+		t.Errorf("pass rules differ from a full pass\n got: %+v\nwant: %+v", res.Rules, want)
 	}
 	// Popularity: CityLocations and WaterTemp referenced most.
 	if len(res.TablePopularity) == 0 {
@@ -81,17 +81,6 @@ func TestMinerRun(t *testing.T) {
 	}
 	if len(res.ColumnPopularity) == 0 || len(res.PredicatePopularity) == 0 {
 		t.Errorf("column/predicate popularity missing")
-	}
-}
-
-func TestMinerClusterCapRespected(t *testing.T) {
-	store := populateStore(t)
-	cfg := DefaultConfig()
-	cfg.MaxClusteredQueries = 3
-	cfg.Cluster = DefaultClusterConfig(2)
-	res := New(cfg).Run(store)
-	if len(res.ClusteredIDs) != 3 {
-		t.Errorf("clustered IDs = %d, want 3 (cap)", len(res.ClusteredIDs))
 	}
 }
 
@@ -157,7 +146,7 @@ func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
 	rec.User = "alice"
 	rec.Visibility = storage.VisibilityPublic
 	mustPut(t, store, rec)
-	res := New(DefaultConfig()).Run(store)
+	res := New(DefaultConfig()).Run(store, nil)
 	for _, p := range res.TablePopularity {
 		if p.Item == "WaterTemp" && p.Count != 1 {
 			t.Errorf("WaterTemp count = %d, want 1", p.Count)
@@ -167,8 +156,8 @@ func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
 
 func TestMinerEmptyStore(t *testing.T) {
 	store := storage.NewStore()
-	res := New(DefaultConfig()).Run(store)
-	if res.TransactionCount != 0 || len(res.Rules) != 0 || len(res.Clusters) != 0 {
+	res := New(DefaultConfig()).Run(store, nil)
+	if res.TransactionCount != 0 || len(res.Rules) != 0 {
 		t.Errorf("empty store mining result = %+v", res)
 	}
 }

@@ -2,8 +2,11 @@
 // component that analyses the Query Storage. It provides the query
 // similarity measures discussed in §4.3 (string, feature-set, parse-tree
 // template and output-overlap similarity), query clustering (k-medoids and
-// agglomerative), association-rule mining over query features (Apriori, with
-// an incremental variant), and edit-pattern mining over session edges.
+// agglomerative, for the E7 ablation), association-rule mining over query
+// features — the Feed, an exact multiset of the log's distinct feature sets
+// kept by the mutation bus, is the system's rule source; batch Apriori is its
+// oracle and an approximate incremental variant serves the E6 ablation — and
+// edit-pattern mining over session edges.
 package miner
 
 import (

@@ -135,9 +135,9 @@ func New(store *storage.Store, exec *metaquery.Executor, tracker *stats.Tracker,
 }
 
 // UseRuleFeed installs a live association-rule source (the miner's
-// bus-driven incremental feed). Until the first full mining pass installs a
-// Result, context-aware suggestions are served from it, so completions are
-// not popularity-only during cold start.
+// bus-driven Feed). Until the first mining pass installs a Result,
+// context-aware suggestions are served from it, so completions are not
+// popularity-only during cold start.
 func (r *Recommender) UseRuleFeed(feed func() []miner.Rule) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -88,12 +88,13 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 		}
 	}
 	rec := New(store, metaquery.New(store), stats.Attach(store), catalog, DefaultConfig())
-	rec.UpdateMining(miner.New(miner.Config{
+	cfg := miner.Config{
 		Assoc:               miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3},
-		Cluster:             miner.DefaultClusterConfig(5),
 		MinEditPatternCount: 1,
-		MaxClusteredQueries: 1000,
-	}).Run(store))
+	}
+	feed := miner.NewFeed(cfg.Assoc)
+	feed.Attach(store)
+	rec.UpdateMining(miner.New(cfg).Run(store, feed.Refresh()))
 	return rec, store
 }
 

@@ -135,6 +135,7 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_sessions_edge_labels_total counter",
 		"# TYPE cqms_assist_seconds histogram",
 		"# TYPE cqms_miner_feed_transactions gauge",
+		"# TYPE cqms_miner_feed_sets gauge",
 		"# TYPE cqms_search_examined_records histogram",
 	} {
 		if !strings.Contains(text, family) {
@@ -154,6 +155,12 @@ func TestV1MetricsContract(t *testing.T) {
 	// labelled no edge; reading its session's graph is what labels.
 	if n := mustMetric(t, text, "cqms_sessions_edits_total", map[string]string{"kind": "append"}); n != 1 {
 		t.Errorf("cqms_sessions_edits_total{kind=append} = %v, want 1", n)
+	}
+	if n := mustMetric(t, text, "cqms_miner_feed_sets", nil); n != 1 {
+		t.Errorf("cqms_miner_feed_sets = %v, want 1 (one distinct feature set)", n)
+	}
+	if strings.Contains(text, "cqms_miner_feed_retired") {
+		t.Error("exposition still carries cqms_miner_feed_retired")
 	}
 	if n := mustMetric(t, text, "cqms_sessions_edge_labels_total", nil); n != 0 {
 		t.Errorf("cqms_sessions_edge_labels_total = %v after a write, want 0", n)

@@ -200,7 +200,6 @@ type MaintainResponse struct {
 type MineResponse struct {
 	Transactions int `json:"transactions"`
 	Rules        int `json:"rules"`
-	Clusters     int `json:"clusters"`
 	Sessions     int `json:"sessions"`
 }
 
@@ -239,8 +238,8 @@ type StatsResponse struct {
 	// or below the corresponding bound. A zero bound means that listing is
 	// complete for the caller.
 	Approx *StatsApproxDTO `json:"approx,omitempty"`
-	// MinedTransactions is how many queries the incremental association-rule
-	// feed has ingested.
+	// MinedTransactions is how many logged queries with a non-empty feature
+	// set the association-rule feed counts.
 	MinedTransactions int `json:"minedTransactions"`
 	// Status is the shared status document (role, applied sequence, uptime,
 	// derived-state provenance) every status surface embeds.

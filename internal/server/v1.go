@@ -439,7 +439,6 @@ func (s *Server) handleV1Mine(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MineResponse{
 		Transactions: res.TransactionCount,
 		Rules:        len(res.Rules),
-		Clusters:     len(res.Clusters),
 		Sessions:     s.cqms.SessionCount(),
 	})
 }
