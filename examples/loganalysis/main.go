@@ -55,7 +55,7 @@ func main() {
 		fmt.Printf("  %-45s %d times\n", p.Pattern, p.Count)
 	}
 
-	// 2. The schema evolves: a column is renamed and a sensor table retired.
+	// 2. The schema evolves: a column is renamed and a sensor table dropped.
 	fmt.Println("\napplying schema changes: RENAME WaterTemp.temp -> temperature, DROP TABLE Sensors")
 	sys.Engine().MustExecute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature")
 	sys.Engine().MustExecute("DROP TABLE Sensors")

@@ -460,7 +460,7 @@ func (c *CQMS) Sessions(ctx context.Context, p storage.Principal) ([]session.Sum
 // order. The set is current as of the last commit. A session keeps its ID
 // through every edit of its user's stream; when an out-of-order insert,
 // deletion or text repair splits one, the later part takes a new ID, and when
-// it merges two, the later session's ID is retired.
+// it merges two, the later session's ID is dropped.
 func (c *CQMS) SessionsPage(ctx context.Context, p storage.Principal, after int64, limit int) ([]session.Summary, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -192,10 +192,10 @@ func (s *Server) jsonFallback(mux *http.ServeMux) http.Handler {
 				"method %s not allowed for %s", r.Method, r.URL.Path))
 			return
 		}
-		// The retired legacy surface gets an upgrade hint: every /api/*
+		// The removed legacy surface gets an upgrade hint: every /api/*
 		// operation has a v1 equivalent with the principal in headers.
 		if strings.HasPrefix(r.URL.Path, "/api/") {
-			err := Errorf(CodeNotFound, "the unversioned /api surface has been retired")
+			err := Errorf(CodeNotFound, "the unversioned /api surface has been removed")
 			err.Details = map[string]string{
 				"upgrade": "use the versioned /v1 API (principal in X-CQMS-* headers); see API.md",
 			}

@@ -8,7 +8,7 @@
 // method-pattern routing, the caller's principal in X-CQMS-* headers, a
 // structured error envelope with machine-readable codes, cursor pagination
 // on every list endpoint, and a batch submit endpoint that amortises the
-// store's commit lock. The unversioned /api/ surface has been retired; any
+// store's commit lock. The unversioned /api/ surface has been removed; any
 // request under it gets a not_found envelope with an upgrade hint.
 //
 // Authentication is out of scope for the paper and for this reproduction:

@@ -32,7 +32,7 @@ import (
 // Session IDs are stable. A window keeps its ID through every edit; when a
 // window splits, the part holding its first query keeps the ID and the later
 // part takes the next one; when two windows merge, the later window's ID is
-// retired. IDs are therefore a pure function of the mutation order, which is
+// dropped. IDs are therefore a pure function of the mutation order, which is
 // what makes a follower, a WAL replay and a snapshot-plus-tail recovery agree
 // with the primary on them.
 //
@@ -68,7 +68,7 @@ const (
 	editDelete
 	editRetext // text repair, or a replayed put over an existing ID
 	editSplit  // a window was cut in two; the later part took a new ID
-	editMerge  // two windows were joined; the later ID was retired
+	editMerge  // two windows were joined; the later ID was dropped
 )
 
 var editKinds = [...]string{"append", "insert", "delete", "retext", "split", "merge"}

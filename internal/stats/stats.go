@@ -113,7 +113,7 @@ func (b *bucket) reseed(capacity int) {
 }
 
 // empty reports whether the bucket holds no counted state at all — no
-// queries and no retired summary entries — so owner buckets of churning
+// queries and no stale summary entries — so owner buckets of churning
 // users can be pruned without leaking heap or watermark state.
 func (b *bucket) empty() bool {
 	return b.queries == 0 &&
@@ -445,7 +445,7 @@ func (t *Tracker) specificFor(rec *storage.QueryRecord) *bucket {
 
 // pruneOwner drops a user's bucket once it holds nothing — no queries and no
 // summary entries — so churning users (deletes, visibility flips to public)
-// do not leak empty buckets or retired top-K heap/watermark state.
+// do not leak empty buckets or stale top-K heap/watermark state.
 func (t *Tracker) pruneOwner(user string) {
 	if b := t.owners[user]; b != nil && b.empty() {
 		delete(t.owners, user)
