@@ -130,7 +130,7 @@ func BenchmarkE1QueryByFeature(b *testing.B) {
 // text (index-backed since PR 12; the name predates that).
 func BenchmarkE1RawTextScan(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +150,7 @@ func BenchmarkE1RawTextScan(b *testing.B) {
 
 func BenchmarkE1AutoMetaQuery(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,7 +219,7 @@ func BenchmarkE3CompletionPopularityOnly(b *testing.B) {
 	f := benchFixture(b)
 	cfg := recommend.DefaultConfig()
 	cfg.ContextAware = false
-	rec := recommend.New(f.store, metaquery.New(f.store), f.sys.StatsTracker(), f.eng.Catalog(), cfg)
+	rec := recommend.New(f.store, metaquery.New(f.store, f.sys.SessionOf), f.sys.StatsTracker(), f.eng.Catalog(), cfg)
 	rec.UpdateMining(f.mining)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -271,7 +271,7 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 	for _, n := range []int{1_000, 50_000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
-			rec := recommend.New(store, metaquery.New(store), tracker, engine.NewCatalog(), recommend.DefaultConfig())
+			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf), tracker, engine.NewCatalog(), recommend.DefaultConfig())
 			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -371,7 +371,7 @@ func BenchmarkE4ProfilerLoggingOnly(b *testing.B) {
 
 func BenchmarkE4MetaQueryLatency(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -387,7 +387,7 @@ func BenchmarkE4MetaQueryLatency(b *testing.B) {
 
 func BenchmarkE4KNNLatency(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -595,7 +595,7 @@ func BenchmarkE8StatsRefresh(b *testing.B) {
 
 func BenchmarkE9QueryByData(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -612,13 +612,12 @@ func BenchmarkE9QueryByData(b *testing.B) {
 
 func BenchmarkFullMiningPass(b *testing.B) {
 	f := benchFixture(b)
-	m := miner.New(miner.DefaultConfig())
 	feed := miner.NewFeed(miner.DefaultConfig().Assoc)
 	defer feed.Attach(f.store)()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := m.Run(f.store, feed.Refresh())
+		res := miner.Run(f.store, feed.Refresh())
 		if res.TransactionCount == 0 {
 			b.Fatal("mined nothing")
 		}
@@ -664,7 +663,7 @@ func runConcurrent(b *testing.B, g int, fn func()) {
 // serialised on the same lock while copying every record).
 func BenchmarkConcurrentMetaQuery(b *testing.B) {
 	f := benchFixture(b)
-	read := search(metaquery.New(f.store))
+	read := search(metaquery.New(f.store, f.sys.SessionOf))
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
 			b.ReportAllocs()

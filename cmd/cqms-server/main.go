@@ -110,8 +110,8 @@ func main() {
 	}
 
 	if cqms.Store().Count() > 0 {
-		// Recovered data: mine it immediately so sessions and recommendations
-		// are warm, and don't layer a fresh synthetic trace on top.
+		// Recovered data: mine it immediately so recommendations are warm,
+		// and don't layer a fresh synthetic trace on top.
 		if *replayUsers > 0 {
 			log.Printf("skipping trace replay: data directory already holds %d queries", cqms.Store().Count())
 			*replayUsers = 0

@@ -15,7 +15,10 @@ import (
 	"sort"
 
 	cqms "repro"
+	"repro/internal/miner"
 	"repro/internal/profiler"
+	"repro/internal/session"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -47,8 +50,13 @@ func main() {
 		}
 		fmt.Printf("  %-15s %d queries\n", pop.Item, pop.Count)
 	}
+	// Edit patterns are mined from the labelled edges of the log's sessions.
+	var edges []storage.SessionEdge
+	for _, s := range session.NewDetector(session.DefaultConfig()).Detect(sys.Store().Snapshot().Records(admin), 0) {
+		edges = append(edges, s.Edges...)
+	}
 	fmt.Println("most common query edits (mined from session edges):")
-	for i, p := range mining.EditPatterns {
+	for i, p := range miner.MineEditPatterns(edges, 2) {
 		if i == 5 {
 			break
 		}

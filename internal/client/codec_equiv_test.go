@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -27,8 +28,8 @@ import (
 
 // The binary codec's equivalence test. One seeded random history of every
 // mutation class the store has — Put, PutBatch, Annotate, SetVisibility,
-// Delete, AssignSession, AddEdge, MarkInvalid/Valid/StatsStale, UpdateStats,
-// SetSample, SetQuality, ReplaceText — full of values a codec gets wrong (nil
+// Delete, MarkInvalid/Valid/StatsStale, UpdateStats, SetSample, SetQuality,
+// ReplaceText — full of values a codec gets wrong (nil
 // against empty slices, omitted fields, non-UTC offsets, zero times, NaN and
 // -0 scores, multi-byte and 1 MiB texts, nil samples) is applied to a durable
 // primary. Four more stores are then derived from it, one per path bytes
@@ -133,7 +134,7 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 		if step == steps/2 && midpoint != nil {
 			midpoint()
 		}
-		op := rng.Intn(16)
+		op := rng.Intn(14)
 		if len(ids) < 3 {
 			op = 0
 		}
@@ -159,19 +160,12 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 			must(step, store.Delete(ids[i], admin))
 			ids = append(ids[:i], ids[i+1:]...)
 		case 8:
-			must(step, store.AssignSession(pick(), int64(rng.Intn(5))))
-		case 9:
-			from, to := pick(), pick()
-			if from != to {
-				must(step, store.AddEdge(storage.SessionEdge{From: from, To: to, Type: storage.EdgeType(rng.Intn(3)), Diff: []string{"", "+pred temp < 15"}[rng.Intn(2)]}))
-			}
-		case 10:
 			must(step, store.MarkInvalid(pick(), []string{"schema drift", ""}[rng.Intn(2)]))
-		case 11:
+		case 9:
 			must(step, store.MarkValid(pick()))
-		case 12:
+		case 10:
 			must(step, store.MarkStatsStale(pick(), rng.Intn(2) == 0))
-		case 13:
+		case 11:
 			st := storage.RuntimeStats{ExecTime: time.Duration(rng.Intn(1e9)), ResultRows: rng.Intn(100)}
 			if rng.Intn(2) == 0 {
 				st.ExecutedAt = time.Unix(1700000000+int64(step), 0).In(time.FixedZone("", -3*3600))
@@ -182,9 +176,9 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 			} else {
 				must(step, store.SetSample(pick(), &storage.OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint(step)}}, TotalRows: 1}))
 			}
-		case 14:
+		case 12:
 			must(step, store.SetQuality(pick(), scores[rng.Intn(len(scores))]))
-		case 15:
+		case 13:
 			updated, err := storage.NewRecordFromSQL(equivSQL[rng.Intn(len(equivSQL))])
 			must(step, err)
 			must(step, store.ReplaceText(pick(), updated))
@@ -306,8 +300,10 @@ func cutCheckpointSections(t *testing.T, dir string) {
 // their error envelope), every user's history, a keyword search, the session
 // listing and every session graph. A rebuilt session detector reissues
 // session IDs, so with sessionIDs false the listing is rendered without them
-// (user, size, span and tables of every session, sorted) and the graphs,
-// which print the IDs, are left out.
+// (user, size, span and tables of every session, sorted), the graphs, which
+// print the IDs, are left out, and the queries' sessionId fields are renamed
+// in order of first appearance: the document then shows which queries share
+// a session, not what the session is called.
 func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs bool) string {
 	t.Helper()
 	var doc strings.Builder
@@ -381,11 +377,20 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs boo
 		lines[i] = string(b)
 	}
 	sort.Strings(lines)
-	return doc.String() + "sessions: " + strings.Join(lines, "\n")
+	names := map[string]string{}
+	byMembership := sessionIDField.ReplaceAllStringFunc(doc.String(), func(field string) string {
+		if _, ok := names[field]; !ok {
+			names[field] = fmt.Sprintf(`"sessionId":"s%d"`, len(names)+1)
+		}
+		return names[field]
+	})
+	return byMembership + "sessions: " + strings.Join(lines, "\n")
 }
 
+var sessionIDField = regexp.MustCompile(`"sessionId":\d+`)
+
 // stateDocument renders the whole store state — every field of every
-// record, the edge relation, the ID counter — with NaN scores, which JSON
+// record and the ID counter — with NaN scores, which JSON
 // cannot print, moved aside as their bit patterns.
 func stateDocument(t *testing.T, store *storage.Store) string {
 	t.Helper()
@@ -414,7 +419,7 @@ func firstDifference(a, b string) string {
 }
 
 func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
-	const seed, steps = 20260927, 260
+	const seed, steps = 20260928, 260
 
 	// The primary compacts halfway, so its directory ends as snapshot + tail.
 	primaryDir := t.TempDir()

@@ -72,7 +72,6 @@ type CQMS struct {
 	store       *storage.Store
 	profiler    *profiler.Profiler
 	executor    *metaquery.Executor
-	miner       *miner.Miner
 	recommender *recommend.Recommender
 	maintainer  *maintenance.Maintainer
 
@@ -128,27 +127,28 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	// would still cover them, but this order means no mutation is ever counted
 	// with some subscribers timed and others not.
 	store.EnableMetrics(reg)
-	exec := metaquery.New(store)
 	// Derived-state subscribers attach before any durability layer opens
 	// (OpenWithEngine), so WAL recovery replay flows through them and their
 	// counters come back consistent with the recovered store.
 	tracker := stats.Attach(store)
+	feed := miner.NewFeed(cfg.Miner.Assoc)
+	feed.Attach(store)
+	sessions := session.AttachLive(store, cfg.Session)
+	exec := metaquery.New(store, sessions.SessionOf)
 	c := &CQMS{
 		cfg:         cfg,
 		eng:         eng,
 		store:       store,
 		profiler:    profiler.New(eng, store, cfg.Profiler),
 		executor:    exec,
-		miner:       miner.New(cfg.Miner),
 		recommender: recommend.New(store, exec, tracker, eng.Catalog(), cfg.Recommender),
 		maintainer:  maintenance.New(eng, store, cfg.Maintenance),
 		stats:       tracker,
+		minerFeed:   feed,
+		sessions:    sessions,
 		metrics:     reg,
 		started:     time.Now(),
 	}
-	c.minerFeed = miner.NewFeed(cfg.Miner.Assoc)
-	c.minerFeed.Attach(store)
-	c.sessions = session.AttachLive(store, cfg.Session)
 	c.stats.EnableMetrics(reg)
 	c.minerFeed.EnableMetrics(reg)
 	c.sessions.EnableMetrics(reg)
@@ -487,6 +487,11 @@ func (c *CQMS) SessionGraph(ctx context.Context, p storage.Principal, sessionID 
 // across all users (regardless of visibility).
 func (c *CQMS) SessionCount() int { return c.sessions.Count() }
 
+// SessionOf returns the ID of the live session holding a logged query, or 0
+// when the query is no longer in the log. It is current as of the last
+// commit, like SessionsPage.
+func (c *CQMS) SessionOf(rec *storage.QueryRecord) int64 { return c.sessions.SessionOf(rec) }
+
 // ---------------------------------------------------------------------------
 // Assisted Interaction Mode (§2.3)
 // ---------------------------------------------------------------------------
@@ -573,64 +578,24 @@ func (c *CQMS) DeleteQuery(id storage.QueryID, p storage.Principal) error {
 	return c.store.Delete(id, p)
 }
 
-// RunMiner performs one background mining pass: persisting the live
-// detector's sessions into the store, re-deriving the feed's association
-// rules, the miner proper, and installation of the results into the
-// recommender. Neither session detection nor itemset counting runs here — the
-// bus-driven detector and feed maintain both continuously — so the pass only
-// writes back the assignments and edges that changed since the last one, and
-// derives rules from the feed's distinct feature sets.
+// RunMiner performs one background mining pass: re-deriving the feed's
+// association rules, the miner proper, and installation of the results into
+// the recommender. Neither session detection nor itemset counting runs here —
+// the bus-driven detector and feed maintain both continuously — and the pass
+// writes nothing to the log, so a primary and a read-only replica run the
+// same pass.
 func (c *CQMS) RunMiner() *miner.Result {
 	start := time.Now()
 	defer func() {
 		c.minerPass.Observe(time.Since(start))
 		c.minerPasses.Inc()
 	}()
-	// On a read-only replica the session assignments arrive through the
-	// replicated log; the local pass only refreshes the recommender.
-	if !c.store.ReadOnly() {
-		c.persistSessions()
-	}
-	res := c.miner.Run(c.store, c.minerFeed.Refresh())
+	res := miner.Run(c.store, c.minerFeed.Refresh())
 	c.recommender.UpdateMining(res)
 	c.mu.Lock()
 	c.lastMining = res
 	c.mu.Unlock()
 	return res
-}
-
-// persistSessions writes the live detector's current session assignments and
-// edges into the store (they are logged and replicated, and meta-queries read
-// the assignments as the Queries feature relation's sessionId). It walks
-// copies of the windows: the mutations below re-enter the detector through
-// the bus, so they must not run while holding its lock. Only what changed is written — a record whose session ID
-// differs, and an edge for each consecutive pair the store has none for,
-// which is the only time a label is computed here — so a pass over an
-// unchanged log emits nothing. A stored edge keeps the label it was given: a
-// later text repair changes what the graph shows (labels are computed on
-// read), not the persisted relation. Individual failures (a query deleted
-// since the copy) are skipped — the next pass re-persists.
-func (c *CQMS) persistSessions() {
-	for _, sess := range c.sessions.Windows() {
-		for i, q := range sess.Queries {
-			if q.SessionID != sess.ID {
-				_ = c.store.AssignSession(q.ID, sess.ID)
-			}
-			if i > 0 && !c.hasEdge(sess.Queries[i-1].ID, q.ID) {
-				_ = c.store.AddEdge(c.sessions.Label(sess.Queries[i-1], q))
-			}
-		}
-	}
-}
-
-// hasEdge reports whether the store's edge relation links from to to.
-func (c *CQMS) hasEdge(from, to storage.QueryID) bool {
-	for _, e := range c.store.EdgesFrom(from) {
-		if e.To == to {
-			return true
-		}
-	}
-	return false
 }
 
 // RunMaintenance performs one maintenance scan.

@@ -71,8 +71,6 @@ func TestFollowerRefusesEmbeddedWrites(t *testing.T) {
 		"Annotate":       c.Annotate(1, alice, storage.Annotation{Text: "note"}),
 		"SetVisibility":  c.SetVisibility(1, alice, storage.VisibilityPublic),
 		"DeleteQuery":    c.DeleteQuery(1, alice),
-		"AssignSession":  s.AssignSession(1, 7),
-		"AddEdge":        s.AddEdge(storage.SessionEdge{From: 1, To: 2}),
 		"MarkInvalid":    s.MarkInvalid(1, "schema change"),
 		"MarkValid":      s.MarkValid(1),
 		"MarkStatsStale": s.MarkStatsStale(1, true),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,119 +21,55 @@ func countOps(c *CQMS) map[storage.MutationOp]int {
 	return ops
 }
 
-// storedSessions reads the session assignments persisted on the store's
-// records: the distinct session IDs, ascending, and each one's query count.
-func storedSessions(c *CQMS) ([]int64, map[int64]int) {
-	sizes := map[int64]int{}
-	c.Store().Snapshot().Scan(admin, func(rec *storage.QueryRecord) bool {
-		if rec.SessionID != 0 {
-			sizes[rec.SessionID]++
-		}
-		return true
-	})
-	ids := make([]int64, 0, len(sizes))
-	for id := range sizes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids, sizes
-}
-
 func edgeLabels(c *CQMS) uint64 {
 	return c.Metrics().Counter("cqms_sessions_edge_labels_total", "").Value()
 }
 
-// TestPersistSessionsWritesBackToStore checks what a mining pass persists:
-// every query's session assignment and one edge per consecutive pair land in
-// the store, and a second pass over the same log writes nothing.
-func TestPersistSessionsWritesBackToStore(t *testing.T) {
-	c := newSystem(t)
-	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
-	loadFigure2Session(t, c, "nodira", base)
-	submit(t, c, "magda", "limnology", "SELECT city FROM CityLocations", base.Add(3*time.Hour))
-
-	c.persistSessions()
-	sessions, err := c.Sessions(context.Background(), admin)
-	if err != nil || len(sessions) != 2 {
-		t.Fatalf("Sessions = %+v (err %v), want 2", sessions, err)
-	}
-	ids, sizes := storedSessions(c)
-	if !reflect.DeepEqual(ids, []int64{sessions[0].ID, sessions[1].ID}) {
-		t.Errorf("store session IDs = %v, want those of %+v", ids, sessions)
-	}
-	for _, s := range sessions {
-		if sizes[s.ID] != s.QueryCount {
-			t.Errorf("store session %d has %d queries, want %d", s.ID, sizes[s.ID], s.QueryCount)
-		}
-	}
-	edges := c.Store().Edges()
-	if len(edges) != 4 {
-		t.Fatalf("store edges = %d, want 4 (five queries in a row)", len(edges))
-	}
-	for i, e := range edges {
-		if e.From != storage.QueryID(i+1) || e.To != storage.QueryID(i+2) || e.Diff == "" {
-			t.Errorf("edge %d = %+v, want a labelled %d -> %d", i, e, i+1, i+2)
-		}
-	}
-
-	ops, labels := countOps(c), edgeLabels(c)
-	c.persistSessions()
-	if len(ops) != 0 || edgeLabels(c) != labels {
-		t.Errorf("a second pass emitted %v and computed %d labels, want nothing", ops, edgeLabels(c)-labels)
-	}
-}
-
-// TestMiningPassAfterOutOfOrderPutReassignsOnlyWhatMoved pins the WAL cost of
-// a late arrival. One record landing inside a 200-query session used to
-// reissue every session ID of its user, so the next mining pass wrote one
-// assignment per record of the stream; with stable IDs it writes the new
-// record's, those of the part that split off, and the new pairs' edges.
-func TestMiningPassAfterOutOfOrderPutReassignsOnlyWhatMoved(t *testing.T) {
-	c := newSystem(t)
+// TestMiningPassWritesNothing: sessions live in the detector alone, so a
+// mining pass emits no mutation, computes no edge label and leaves the WAL's
+// last sequence where it was — the first pass over a fresh log of 1,000
+// records from 50 users, and a pass after a late put that split a session,
+// alike.
+func TestMiningPassWritesNothing(t *testing.T) {
+	c := openDurable(t, t.TempDir())
+	defer c.Close()
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
-	// 200 similar queries a minute apart, with a ten-minute pause after the
-	// 150th that similarity bridges: one session.
-	at := func(i int) time.Time {
-		if i >= 150 {
-			return base.Add(time.Duration(i+9) * time.Minute)
+	recs := make([]*storage.QueryRecord, 1000)
+	for i := range recs {
+		rec, err := storage.NewRecordFromSQL(fmt.Sprintf("SELECT lake FROM WaterTemp WHERE temp < %d", i%30))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return base.Add(time.Duration(i) * time.Minute)
+		rec.User, rec.Group, rec.Visibility = fmt.Sprintf("user%02d", i%50), "limnology", storage.VisibilityGroup
+		rec.IssuedAt = base.Add(time.Duration(i) * 10 * time.Second)
+		recs[i] = rec
 	}
-	for i := 0; i < 200; i++ {
-		submit(t, c, "alice", "limnology", fmt.Sprintf("SELECT lake FROM WaterTemp WHERE temp < %d", i%30), at(i))
-	}
-	c.RunMiner()
-	if got, _ := storedSessions(c); len(got) != 1 {
-		t.Fatalf("the stream persisted as sessions %v, want one", got)
+	if _, errs := c.Store().PutBatch(recs); errs != nil {
+		t.Fatalf("PutBatch: %v", errs)
 	}
 	ops, labels := countOps(c), edgeLabels(c)
-
-	// Late, similar, a minute into the stream: joins both neighbours.
-	submit(t, c, "alice", "limnology", "SELECT lake FROM WaterTemp WHERE temp < 7", base.Add(90*time.Second))
-	c.RunMiner()
-	want := map[storage.MutationOp]int{storage.OpPut: 1, storage.OpAssignSession: 1, storage.OpAddEdge: 2}
-	if !reflect.DeepEqual(ops, want) || edgeLabels(c)-labels != 2 {
-		t.Fatalf("a late put that moves no boundary: ops %v, %d labels; want %v and 2 labels", ops, edgeLabels(c)-labels, want)
+	pass := func(what string) {
+		t.Helper()
+		seq := c.Durability().LastSeq()
+		c.RunMiner()
+		if len(ops) != 0 || edgeLabels(c) != labels || c.Durability().LastSeq() != seq {
+			t.Fatalf("%s: emitted %v, computed %d labels, moved the WAL from %d to %d; want nothing",
+				what, ops, edgeLabels(c)-labels, seq, c.Durability().LastSeq())
+		}
+	}
+	pass("the first pass over a fresh log")
+	if n := c.SessionCount(); n != 50 {
+		t.Fatalf("%d sessions for 50 users' steady streams", n)
 	}
 
-	// Late and unrelated, in the pause: it cannot continue query 150 across
-	// more than the soft gap, query 151 continues it — the last 50 queries
-	// split off behind it into a new session.
-	submit(t, c, "alice", "limnology", "SELECT city FROM CityLocations", at(149).Add(330*time.Second))
-	c.RunMiner()
-	want = map[storage.MutationOp]int{storage.OpPut: 2, storage.OpAssignSession: 1 + 51, storage.OpAddEdge: 2 + 1}
-	if !reflect.DeepEqual(ops, want) || edgeLabels(c)-labels != 3 {
-		t.Fatalf("a late put that splits off 50 queries: ops %v, %d labels; want %v and 3 labels", ops, edgeLabels(c)-labels, want)
+	// Late and unrelated, six minutes into user00's second pause: the later
+	// part of that user's session splits off behind it.
+	submit(t, c, "user00", "limnology", "SELECT city FROM CityLocations", base.Add(860*time.Second))
+	if n := c.SessionCount(); n != 51 {
+		t.Fatalf("%d sessions after the late put, want 51", n)
 	}
-	if got, _ := storedSessions(c); !reflect.DeepEqual(got, []int64{1, 2}) {
-		t.Fatalf("persisted sessions %v, want 1 and 2", got)
-	}
-
-	// Nothing new: nothing written, nothing labelled.
-	c.RunMiner()
-	if !reflect.DeepEqual(ops, want) || edgeLabels(c)-labels != 3 {
-		t.Fatalf("a pass with nothing new: ops %v, %d labels; want %v and 3 labels", ops, edgeLabels(c)-labels, want)
-	}
+	clear(ops)
+	pass("a pass after a late put")
 }
 
 // TestConcurrentSubmittersOneUser is the capture proxy's normal case: one

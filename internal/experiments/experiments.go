@@ -258,7 +258,7 @@ func E3AssistedInteraction(env *Env) (Result, error) {
 	store := env.Sys.Store()
 	records := store.Snapshot().Records(admin)
 
-	exec := metaquery.New(store)
+	exec := metaquery.New(store, env.Sys.SessionOf)
 	contextCfg := recommend.DefaultConfig()
 	contextRec := recommend.New(store, exec, env.Sys.StatsTracker(), env.Sys.Engine().Catalog(), contextCfg)
 	contextRec.UpdateMining(env.Mining)

@@ -129,8 +129,8 @@ func scanByData(store *storage.Store, p storage.Principal, include, exclude []st
 
 // scanMetaQuery runs a meta-query over the visible feature relations and
 // resolves its qid column.
-func scanMetaQuery(t *testing.T, store *storage.Store, p storage.Principal, metaSQL, why string) []metaquery.Match {
-	eng, err := store.MaterializeFeatureRelations(p)
+func scanMetaQuery(t *testing.T, store *storage.Store, sessionOf func(*storage.QueryRecord) int64, p storage.Principal, metaSQL, why string) []metaquery.Match {
+	eng, err := store.MaterializeFeatureRelations(p, sessionOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +404,10 @@ func needle(rng *rand.Rand) string {
 // searcher pages one server's search API and compares every page with the
 // oracle over that server's store.
 type searcher struct {
-	rng   *rand.Rand
-	url   string
-	store *storage.Store
+	rng       *rand.Rand
+	url       string
+	store     *storage.Store
+	sessionOf func(*storage.QueryRecord) int64 // the server's session detector
 	// between runs between two pages of one listing (nil: nothing does).
 	between func()
 }
@@ -472,12 +473,12 @@ func (s *searcher) listing(t *testing.T) (string, server.SearchParams, func(p st
 			if err != nil {
 				t.Fatal(err)
 			}
-			return scanMetaQuery(t, s.store, p, metaSQL, "auto-generated feature meta-query")
+			return scanMetaQuery(t, s.store, s.sessionOf, p, metaSQL, "auto-generated feature meta-query")
 		}
 	case 4:
 		params := server.SearchParams{MetaSQL: pick(metaQueries)}
 		return "metaquery", params, func(p storage.Principal) []metaquery.Match {
-			return scanMetaQuery(t, s.store, p, params.MetaSQL, "feature meta-query")
+			return scanMetaQuery(t, s.store, s.sessionOf, p, params.MetaSQL, "feature meta-query")
 		}
 	default:
 		params := server.SearchParams{SQL: pick(probes)}
@@ -585,7 +586,7 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 		for i := 0; i < warmup; i++ {
 			h.step(t)
 		}
-		s := &searcher{rng: rng, url: serve(t, c), store: c.Store()}
+		s := &searcher{rng: rng, url: serve(t, c), store: c.Store(), sessionOf: c.SessionOf}
 		s.between = func() {
 			for n := rng.Intn(3); n > 0; n-- {
 				h.step(t)
@@ -646,7 +647,7 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 			t.Fatalf("follower never caught up: %+v", follower.ReplicationStatus())
 		}
 	}
-	fs := &searcher{rng: rng, url: serve(t, follower), store: follower.Store()}
+	fs := &searcher{rng: rng, url: serve(t, follower), store: follower.Store(), sessionOf: follower.SessionOf}
 	fs.drains(t, 120)
 	pt, ptg := c.Store().SearchIndexSize()
 	ft, ftg := follower.Store().SearchIndexSize()

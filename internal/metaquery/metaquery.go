@@ -43,12 +43,16 @@ type Match struct {
 
 // Executor answers meta-queries over a query store.
 type Executor struct {
-	store *storage.Store
+	store     *storage.Store
+	sessionOf func(*storage.QueryRecord) int64
 }
 
-// New returns an executor over the store.
-func New(store *storage.Store) *Executor {
-	return &Executor{store: store}
+// New returns an executor over the store. sessionOf answers the session of a
+// record for the Queries feature relation's sessionId column; it is the
+// session detector's lookup (session.Live.SessionOf), the one home of session
+// membership.
+func New(store *storage.Store, sessionOf func(*storage.QueryRecord) int64) *Executor {
+	return &Executor{store: store, sessionOf: sessionOf}
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQ
 // visible to p and resolves its qid column in view. It also reports how many
 // records it materialised.
 func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL, why string) (*engine.Result, []Match, int, error) {
-	eng, err := x.store.MaterializeFeatureRelations(p)
+	eng, err := x.store.MaterializeFeatureRelations(p, x.sessionOf)
 	if err != nil {
 		return nil, nil, 0, err
 	}

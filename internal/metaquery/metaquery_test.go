@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/session"
 	"repro/internal/storage"
 )
 
@@ -97,7 +98,7 @@ func newFixture(t testing.TB) (*Executor, *storage.Store, map[string]storage.Que
 	}); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	return New(s), s, ids
+	return New(s, session.AttachLive(s, session.DefaultConfig()).SessionOf), s, ids
 }
 
 func matchIDs(matches []Match) map[storage.QueryID]bool {
@@ -438,7 +439,7 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 
 	// Black box: every search method reports the cancellation instead of a
 	// partial result.
-	x := New(store)
+	x := New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, q := range []Query{

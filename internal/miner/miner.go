@@ -7,9 +7,9 @@ import (
 	"repro/internal/storage"
 )
 
-// EditPattern is a frequently occurring query modification mined from the
-// session edge relation (§4.3: "by mining common edit patterns, the CQMS
-// could provide better completion or correction suggestions").
+// EditPattern is a frequently occurring query modification mined from
+// session edges (§4.3: "by mining common edit patterns, the CQMS could
+// provide better completion or correction suggestions").
 type EditPattern struct {
 	// Pattern is one diff entry with constants removed, e.g.
 	// "+pred WaterTemp.temp < ?" or "+table WaterSalinity".
@@ -31,8 +31,6 @@ type Result struct {
 	// Rules are the association rules over query features, as the Feed
 	// derived them for the pass.
 	Rules []Rule
-	// EditPatterns are frequent session edit patterns.
-	EditPatterns []EditPattern
 	// TablePopularity, ColumnPopularity and PredicatePopularity are global
 	// occurrence counts.
 	TablePopularity     []Popularity
@@ -45,44 +43,29 @@ type Result struct {
 // Config controls a mining pass.
 type Config struct {
 	Assoc AssocConfig
-	// MinEditPatternCount is the minimum occurrence count for an edit pattern
-	// to be reported.
-	MinEditPatternCount int
 }
 
 // DefaultConfig returns mining parameters suitable for a few thousand logged
 // queries.
 func DefaultConfig() Config {
-	return Config{
-		Assoc:               DefaultAssocConfig(),
-		MinEditPatternCount: 2,
-	}
+	return Config{Assoc: DefaultAssocConfig()}
 }
 
-// Miner runs background analysis passes over the Query Storage.
-type Miner struct {
-	cfg Config
-}
-
-// New returns a miner with the given configuration.
-func New(cfg Config) *Miner {
-	return &Miner{cfg: cfg}
-}
-
-// Run performs a mining pass over every query in the store (admin view):
-// edit patterns and popularity counts. The association rules are not mined
-// here — the Feed keeps them current as the log changes — so the caller
-// passes the feed's rules in (Feed.Refresh) and Run installs them.
-func (m *Miner) Run(store *storage.Store, rules []Rule) *Result {
+// Run performs a background mining pass over every query in the store (admin
+// view): popularity counts. The association rules are not mined here — the
+// Feed keeps them current as the log changes — so the caller passes the
+// feed's rules in (Feed.Refresh) and Run installs them.
+func Run(store *storage.Store, rules []Rule) *Result {
 	records := store.Snapshot().Records(storage.Principal{Admin: true})
 	res := &Result{Rules: rules, TransactionCount: len(records)}
-	res.EditPatterns = MineEditPatterns(store.Edges(), m.cfg.MinEditPatternCount)
 	res.TablePopularity, res.ColumnPopularity, res.PredicatePopularity = popularityCounts(records)
 	return res
 }
 
 // MineEditPatterns counts constant-masked diff entries across session edges
 // and returns those occurring at least minCount times, most frequent first.
+// It is a pure function of the edges it is given: the mining pass does not
+// run it, a caller feeds it the labelled edges of detected sessions.
 func MineEditPatterns(edges []storage.SessionEdge, minCount int) []EditPattern {
 	counts := make(map[string]int)
 	for _, e := range edges {

@@ -56,10 +56,9 @@ func TestMinerRun(t *testing.T) {
 	store := populateStore(t)
 	cfg := DefaultConfig()
 	cfg.Assoc = AssocConfig{MinSupport: 0.1, MinConfidence: 0.3, MaxItemsetSize: 3}
-	cfg.MinEditPatternCount = 1
 	feed := NewFeed(cfg.Assoc)
 	feed.Attach(store)
-	res := New(cfg).Run(store, feed.Refresh())
+	res := Run(store, feed.Refresh())
 
 	if res.TransactionCount != 8 {
 		t.Errorf("transactions = %d, want 8", res.TransactionCount)
@@ -146,7 +145,7 @@ func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
 	rec.User = "alice"
 	rec.Visibility = storage.VisibilityPublic
 	mustPut(t, store, rec)
-	res := New(DefaultConfig()).Run(store, nil)
+	res := Run(store, nil)
 	for _, p := range res.TablePopularity {
 		if p.Item == "WaterTemp" && p.Count != 1 {
 			t.Errorf("WaterTemp count = %d, want 1", p.Count)
@@ -156,7 +155,7 @@ func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
 
 func TestMinerEmptyStore(t *testing.T) {
 	store := storage.NewStore()
-	res := New(DefaultConfig()).Run(store, nil)
+	res := Run(store, nil)
 	if res.TransactionCount != 0 || len(res.Rules) != 0 {
 		t.Errorf("empty store mining result = %+v", res)
 	}

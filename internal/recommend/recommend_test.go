@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metaquery"
 	"repro/internal/miner"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -87,14 +88,11 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 			t.Fatal(err)
 		}
 	}
-	rec := New(store, metaquery.New(store), stats.Attach(store), catalog, DefaultConfig())
-	cfg := miner.Config{
-		Assoc:               miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3},
-		MinEditPatternCount: 1,
-	}
-	feed := miner.NewFeed(cfg.Assoc)
+	sessions := session.AttachLive(store, session.DefaultConfig())
+	rec := New(store, metaquery.New(store, sessions.SessionOf), stats.Attach(store), catalog, DefaultConfig())
+	feed := miner.NewFeed(miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3})
 	feed.Attach(store)
-	rec.UpdateMining(miner.New(cfg).Run(store, feed.Refresh()))
+	rec.UpdateMining(miner.Run(store, feed.Refresh()))
 	return rec, store
 }
 
@@ -141,7 +139,7 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 	r, store := fixture(t)
 	cfg := DefaultConfig()
 	cfg.ContextAware = false
-	r2 := New(store, metaquery.New(store), r.stats, r.catalog, cfg)
+	r2 := New(store, r.exec, r.stats, r.catalog, cfg)
 	r2.UpdateMining(r.miningSnapshot())
 	got := r2.SuggestTables(admin, "SELECT * FROM WaterSalinity", 3)
 	if len(got) == 0 {

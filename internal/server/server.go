@@ -259,10 +259,10 @@ func pathID(r *http.Request) (int64, error) {
 	return id, nil
 }
 
-func matchesToDTO(matches []metaquery.Match) []MatchDTO {
+func (s *Server) matchesToDTO(matches []metaquery.Match) []MatchDTO {
 	out := make([]MatchDTO, 0, len(matches))
 	for _, m := range matches {
-		out = append(out, MatchDTO{Query: queryDTO(m.Record), Score: m.Score, Why: m.Why})
+		out = append(out, MatchDTO{Query: s.queryDTO(m.Record), Score: m.Score, Why: m.Why})
 	}
 	return out
 }

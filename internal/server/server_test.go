@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -226,6 +228,73 @@ func TestSessionsAndGraphOverHTTP(t *testing.T) {
 	if _, err := alice.SessionGraph(ctx, 99999); err == nil {
 		t.Error("expected not-found error")
 	}
+}
+
+// TestSessionIDsAreCurrentWithoutMining: the session detector is the one
+// home of session membership, so right after a write — no mining pass — a
+// query's sessionId, the Queries feature relation's sessionId and the session
+// listing agree: every query names a listed session, each listed session
+// holds as many queries as name it, and a meta-query selecting a session's
+// ID returns exactly those queries.
+func TestSessionIDsAreCurrentWithoutMining(t *testing.T) {
+	_, alice, carol, admin := newTestServer(t)
+	var ids []int64
+	for _, q := range []string{
+		"SELECT * FROM WaterTemp WHERE temp < 22",
+		"SELECT * FROM WaterTemp, WaterSalinity WHERE WaterTemp.loc_x = WaterSalinity.loc_x AND WaterTemp.temp < 22",
+		"SELECT * FROM WaterTemp, WaterSalinity WHERE WaterTemp.loc_x = WaterSalinity.loc_x AND WaterTemp.temp < 18",
+	} {
+		resp, err := alice.Submit(ctx, q, client.Group("limnology"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.QueryID)
+	}
+	resp, err := carol.Submit(ctx, "SELECT ra FROM Stars WHERE magnitude < 6", client.Group("astro"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, resp.QueryID)
+
+	agree := func(what string, ids []int64) {
+		t.Helper()
+		sessions, err := admin.Sessions(ctx).All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := map[int64][]int64{}
+		for _, id := range ids {
+			q, err := admin.GetQuery(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[q.SessionID] = append(members[q.SessionID], id)
+		}
+		if len(sessions) != len(members) {
+			t.Fatalf("%s: %d sessions listed, the queries name %d: %v", what, len(sessions), len(members), members)
+		}
+		for _, s := range sessions {
+			if len(members[s.ID]) != s.QueryCount {
+				t.Fatalf("%s: session %d lists %d queries, %v name it", what, s.ID, s.QueryCount, members[s.ID])
+			}
+			matches, err := admin.MetaQuery(ctx, fmt.Sprintf("SELECT qid FROM Queries WHERE sessionId = %d", s.ID)).All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			for _, m := range matches {
+				got = append(got, m.Query.ID)
+			}
+			if !slices.Equal(got, members[s.ID]) {
+				t.Fatalf("%s: the feature relation puts %v in session %d, the queries say %v", what, got, s.ID, members[s.ID])
+			}
+		}
+	}
+	agree("after the submits", ids)
+	if err := alice.DeleteQuery(ctx, ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	agree("after a deletion", slices.Delete(ids, 1, 2))
 }
 
 func TestMaintainAndStatsOverHTTP(t *testing.T) {

@@ -383,7 +383,9 @@ func parseVisibility(s string) storage.Visibility {
 	}
 }
 
-func queryDTO(rec *storage.QueryRecord) QueryDTO {
+// queryDTO renders a logged query. Its session comes from the live detector,
+// so it is current as of the last commit.
+func (s *Server) queryDTO(rec *storage.QueryRecord) QueryDTO {
 	var anns []string
 	for _, a := range rec.Annotations {
 		anns = append(anns, a.Text)
@@ -397,7 +399,7 @@ func queryDTO(rec *storage.QueryRecord) QueryDTO {
 		Tables:      rec.Tables,
 		ResultRows:  rec.Stats.ResultRows,
 		ExecMillis:  float64(rec.Stats.ExecTime.Microseconds()) / 1000.0,
-		SessionID:   rec.SessionID,
+		SessionID:   s.cqms.SessionOf(rec),
 		Valid:       rec.Valid,
 		Annotations: anns,
 		Quality:     rec.QualityScore,

@@ -116,7 +116,7 @@ func (s *Server) handleV1GetQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryDTO(rec))
+	writeJSON(w, http.StatusOK, s.queryDTO(rec))
 }
 
 func (s *Server) handleV1DeleteQuery(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +215,7 @@ func (s *Server) handleV1Search(kind string) http.HandlerFunc {
 			page.Matches = page.Matches[:limit]
 			next = cur.next(page)
 		}
-		writeJSON(w, http.StatusOK, SearchResponse{Matches: matchesToDTO(page.Matches), NextCursor: next})
+		writeJSON(w, http.StatusOK, SearchResponse{Matches: s.matchesToDTO(page.Matches), NextCursor: next})
 	}
 }
 
@@ -274,7 +274,7 @@ func (s *Server) handleV1History(w http.ResponseWriter, r *http.Request) {
 	}
 	matches := make([]MatchDTO, 0, len(records))
 	for _, rec := range records {
-		matches = append(matches, MatchDTO{Query: queryDTO(rec), Score: 1})
+		matches = append(matches, MatchDTO{Query: s.queryDTO(rec), Score: 1})
 	}
 	writeJSON(w, http.StatusOK, SearchResponse{Matches: matches, NextCursor: next})
 }
@@ -389,7 +389,7 @@ func (s *Server) handleV1SimilarQueries(w http.ResponseWriter, r *http.Request) 
 	resp := AssistResponse{}
 	for _, sim := range similar {
 		resp.Similar = append(resp.Similar, SimilarQueryDTO{
-			Query: queryDTO(sim.Record), Score: sim.Score, Diff: sim.Diff, Annotations: sim.Annotations,
+			Query: s.queryDTO(sim.Record), Score: sim.Score, Diff: sim.Diff, Annotations: sim.Annotations,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -25,16 +25,17 @@ import (
 // it and the one behind it are re-evaluated — at most two boundary
 // evaluations per mutation, whatever the stream's length and wherever the
 // record lands. The write side computes no edge label: Figure 2's diffs are
-// computed when a graph is read (Get, Export) or when a mining pass persists
-// a pair the store has no edge for (Label), always outside the detector's
-// lock and the store's commit lock.
+// computed when a graph is read (Get, Export), outside the detector's lock
+// and the store's commit lock.
 //
 // Session IDs are stable. A window keeps its ID through every edit; when a
 // window splits, the part holding its first query keeps the ID and the later
 // part takes the next one; when two windows merge, the later window's ID is
 // dropped. IDs are therefore a pure function of the mutation order, which is
 // what makes a follower, a WAL replay and a snapshot-plus-tail recovery agree
-// with the primary on them.
+// with the primary on them. The detector is the one home of session
+// membership: the store keeps no copy, and every reader of a record's session
+// asks SessionOf.
 //
 // It is safe for concurrent use: mutations arrive serialised under the
 // store's commit lock, reads come from request-serving goroutines.
@@ -243,16 +244,7 @@ func (l *Live) rebuild() {
 	defer l.mu.Unlock()
 	l.users = make(map[string][]*window, len(users))
 	l.byID = nil
-	// Seed the ID counter past every session ID persisted on the records
-	// (written into Queries.sessionId by an earlier mining pass): a rebuild
-	// reissues IDs, and reusing a persisted one would make /v1/sessions and
-	// a `WHERE Queries.sessionId = N` meta-query name different partitions
-	// with the same N. Disjoint IDs keep the stale feature relation merely
-	// stale — as it always is between mining passes — never contradictory.
 	l.nextID = 0
-	for _, rec := range records {
-		l.nextID = max(l.nextID, rec.SessionID)
-	}
 	for _, user := range users {
 		parts := l.det.segment(byUser[user])
 		wins := make([]*window, len(parts))
@@ -301,17 +293,9 @@ func (l *Live) onMutation(m *storage.Mutation) {
 			l.replaceLocked(prev, next)
 		}
 	default:
-		// Field updates (visibility, annotations, session assignment from a
-		// mining pass, maintenance flags, runtime stats, ...) never move
-		// session boundaries; swap in the new record version so reads return
-		// it and the visibility counts stay current.
-		//
-		// A replayed session assignment may carry an ID issued by a previous
-		// process life; keep the counter beyond it so a later split or new
-		// window cannot reissue an ID the feature relation already names.
-		if m.Op == storage.OpAssignSession && m.SessionID > l.nextID {
-			l.nextID = m.SessionID
-		}
+		// Field updates (visibility, annotations, maintenance flags, runtime
+		// stats, ...) never move session boundaries; swap in the new record
+		// version so reads return it and the visibility counts stay current.
 		if next == nil {
 			return
 		}
@@ -582,35 +566,32 @@ func (l *Live) Get(p storage.Principal, id int64) (sess Session, ok, visible boo
 	return sess, ok, visible
 }
 
-// Windows returns caller-owned copies of every tracked session in ascending
-// ID order, without edges: what a mining pass walks to persist session
-// assignments — outside this call, since store mutations re-enter the
-// detector through the bus — labelling (Label) only the pairs it needs.
-func (l *Live) Windows() []Session {
+// SessionOf returns the ID of the session holding the record — any version
+// of it: field updates and text repairs keep User, IssuedAt and ID — or 0
+// when the detector does not track it (it was deleted). It costs a binary
+// search of the record's user's windows and one of the window.
+func (l *Live) SessionOf(rec *storage.QueryRecord) int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	if wins, k, _, ok := l.findLocked(rec); ok {
+		return wins[k].id
+	}
+	return 0
+}
+
+// Export returns caller-owned copies of every tracked session in ascending
+// ID order, every edge labelled after the detector's lock is released.
+func (l *Live) Export() []Session {
+	l.mu.RLock()
 	out := make([]Session, len(l.byID))
 	for i, w := range l.byID {
 		out[i] = w.session()
 	}
-	return out
-}
-
-// Export is Windows with every edge labelled.
-func (l *Live) Export() []Session {
-	out := l.Windows()
+	l.mu.RUnlock()
 	for i := range out {
 		out[i].Edges = l.labelAll(out[i].Queries)
 	}
 	return out
-}
-
-// Label builds the Figure 2 edge between two consecutive queries of a
-// session: its type and the structural diff it is labelled with. Callers
-// hold neither the detector's lock nor the store's commit lock.
-func (l *Live) Label(prev, next *storage.QueryRecord) storage.SessionEdge {
-	l.labels.Load().Inc()
-	return edgeBetween(prev, next)
 }
 
 func (l *Live) labelAll(queries []*storage.QueryRecord) []storage.SessionEdge {
@@ -748,7 +729,7 @@ func (l *Live) EnableMetrics(reg *telemetry.Registry) {
 		"Local edits of the session windows by kind: append (put at its user's chronological tail), insert (put anywhere else), delete, retext (text repair), and the structural outcomes split and merge.",
 		"kind")
 	l.labels.Store(reg.Counter("cqms_sessions_edge_labels_total",
-		"Session edge labels (structural diffs) computed: on graph reads and for pairs a mining pass persists, never while a mutation commits."))
+		"Session edge labels (structural diffs) computed: on graph reads only, never while a mutation commits."))
 	l.mu.Lock()
 	for kind, name := range editKinds {
 		l.edits[kind] = edits.With(name)

@@ -457,21 +457,61 @@ func TestSessionIDsSurviveEdits(t *testing.T) {
 		var highest int64
 		mutateSessionStream(t, rng, store, 400, func() {
 			nowHeads, nowTracked, seen := map[storage.QueryID]int64{}, map[int64]bool{}, highest
-			for _, s := range live.Windows() {
-				head := s.Queries[0].ID
-				if was, ok := heads[head]; ok && was != s.ID {
-					t.Fatalf("seed %d: the session headed by query %d changed ID %d -> %d", seed, head, was, s.ID)
+			live.mu.RLock()
+			for _, w := range live.byID {
+				head := w.head().ID
+				if was, ok := heads[head]; ok && was != w.id {
+					t.Fatalf("seed %d: the session headed by query %d changed ID %d -> %d", seed, head, was, w.id)
 				}
-				if !tracked[s.ID] && s.ID <= highest {
-					t.Fatalf("seed %d: session ID %d appeared after %d had been issued", seed, s.ID, highest)
+				if !tracked[w.id] && w.id <= highest {
+					t.Fatalf("seed %d: session ID %d appeared after %d had been issued", seed, w.id, highest)
 				}
-				nowHeads[head], nowTracked[s.ID], seen = s.ID, true, max(seen, s.ID)
+				nowHeads[head], nowTracked[w.id], seen = w.id, true, max(seen, w.id)
 			}
+			live.mu.RUnlock()
 			heads, tracked, highest = nowHeads, nowTracked, seen
 		})
 		if len(heads) < 10 || highest == int64(len(heads)) {
 			t.Fatalf("seed %d ended with %d sessions and highest ID %d: no split or merge happened", seed, len(heads), highest)
 		}
+	}
+}
+
+// TestSessionOfFindsEveryRecord: after every step of random histories,
+// SessionOf answers, for every version of every record the store holds, the
+// window that holds it, and 0 for a record deleted since it was read.
+func TestSessionOfFindsEveryRecord(t *testing.T) {
+	for seed := int64(41); seed <= 43; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := storage.NewStore()
+		live := AttachLive(store, DefaultConfig())
+		var before []*storage.QueryRecord
+		mutateSessionStream(t, rng, store, 300, func() {
+			holder := map[storage.QueryID]int64{}
+			live.mu.RLock()
+			for _, w := range live.byID {
+				for _, q := range w.queries {
+					holder[q.ID] = w.id
+				}
+			}
+			live.mu.RUnlock()
+			now := store.Snapshot().Records(admin)
+			for _, rec := range now {
+				if got := live.SessionOf(rec); got != holder[rec.ID] || got == 0 {
+					t.Fatalf("seed %d: SessionOf(query %d) = %d, the window holding it is %d", seed, rec.ID, got, holder[rec.ID])
+				}
+			}
+			for _, rec := range before {
+				if _, err := store.Snapshot().Get(rec.ID, admin); err != nil {
+					if got := live.SessionOf(rec); got != 0 {
+						t.Fatalf("seed %d: SessionOf(deleted query %d) = %d, want 0", seed, rec.ID, got)
+					}
+				} else if got := live.SessionOf(rec); got != holder[rec.ID] {
+					t.Fatalf("seed %d: SessionOf(an older version of query %d) = %d, want %d", seed, rec.ID, got, holder[rec.ID])
+				}
+			}
+			before = now
+		})
 	}
 }
 
@@ -663,7 +703,10 @@ func v2Checkpoint(l *Live) []byte {
 		}
 		data = binary.AppendUvarint(data, uint64(len(s.Edges)))
 		for _, e := range s.Edges {
-			data = storage.AppendEdge(data, e)
+			data = binary.AppendVarint(data, int64(e.From))
+			data = binary.AppendVarint(data, int64(e.To))
+			data = binary.AppendVarint(data, int64(e.Type))
+			data = wire.AppendString(data, e.Diff)
 		}
 	}
 	return data
@@ -808,38 +851,6 @@ func FuzzLiveRestore(f *testing.F) {
 			t.Fatalf("restore accepted %x: %v", data, err)
 		}
 	})
-}
-
-// TestRebuildNeverReusesPersistedIDs proves a rebuild reissues session IDs
-// strictly beyond every ID already persisted on the records (by a mining
-// pass), so the live listing and the Queries.sessionId feature relation can
-// never name different partitions with the same ID.
-func TestRebuildNeverReusesPersistedIDs(t *testing.T) {
-	store := storage.NewStore()
-	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
-	r1 := makeRecord(t, store, "alice", "SELECT temp FROM WaterTemp", base)
-	r2 := makeRecord(t, store, "bob", "SELECT city FROM CityLocations", base.Add(time.Minute))
-	// Persisted assignments from an earlier process life.
-	if err := store.AssignSession(r1.ID, 41); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.AssignSession(r2.ID, 42); err != nil {
-		t.Fatal(err)
-	}
-	live := AttachLive(store, DefaultConfig()) // Init rebuild sees the persisted IDs
-	for _, s := range live.Summaries(admin, 0, 0) {
-		if s.ID <= 42 {
-			t.Errorf("rebuilt session reused ID %d (persisted max 42)", s.ID)
-		}
-	}
-	// A replayed assignment with a higher ID raises the ceiling too.
-	if err := store.AssignSession(r1.ID, 99); err != nil {
-		t.Fatal(err)
-	}
-	makeRecord(t, store, "carol", "SELECT lake FROM WaterSalinity", base.Add(2*time.Minute))
-	if got := layout(live, "carol"); got != "100[3]" {
-		t.Errorf("carol's new session is %q, want ID 100: beyond the replayed assignment 99", got)
-	}
 }
 
 // TestRebuildIsDeterministic proves two rebuilds of one store agree on every

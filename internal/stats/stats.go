@@ -370,8 +370,8 @@ func (t *Tracker) Rebuild(store *storage.Store) {
 
 // OnMutation adjusts the counters for one committed mutation. It is the
 // tracker's bus subscription and runs under the store's commit lock; ops
-// that do not change counted state (annotations, session assignment,
-// maintenance flags, runtime stats) are no-ops.
+// that do not change counted state (annotations, maintenance flags, runtime
+// stats) are no-ops.
 func (t *Tracker) OnMutation(m *storage.Mutation) {
 	switch m.Op {
 	case storage.OpPut:

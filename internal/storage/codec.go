@@ -44,7 +44,7 @@ import (
 // Mutation body: uvarint presence mask (one bit per field that is set, in
 // the order below), then the present fields in that order:
 //
-//	ID varint | Record | Annotation | Visibility varint | SessionID varint |
+//	ID varint | Record | Annotation | Visibility varint | Session varint |
 //	Edge | Reason str | Stale (mask bit only) | Stats | Sample | Score f64
 //
 // Record body, every field always present, in this order:
@@ -55,7 +55,7 @@ import (
 //	Predicates [](Attr, Rel, Op, Const str, IsJoin bool, RightRel, RightAttr str) |
 //	Aggregates []str | GroupBy []str | Features []str | Stats |
 //	Sample presence byte + Sample | Annotations []Annotation |
-//	SessionID varint | flags byte (1 Valid, 2 StatsStale) | InvalidReason str |
+//	Session varint | flags byte (1 Valid, 2 StatsStale) | InvalidReason str |
 //	QualityScore f64
 //
 //	Stats:      ExecTime varint ns | ResultRows varint | ResultColumns varint |
@@ -63,6 +63,13 @@ import (
 //	Sample:     Columns []str | Rows [][]str | TotalRows varint | Truncated bool
 //	Annotation: Author str | Text str | Fragment str | At time
 //	Edge:       From varint | To varint | Type varint | Diff plain string (no table)
+//
+// Session and Edge are what older builds wrote when a mining pass copied the
+// session detector's windows into the log (op codes 5 and 6, and a session
+// ID on every record). Sessions now live in the detector alone: this build
+// writes a record's session slot as 0 and never sets the two mask bits, and
+// on read it checks and drops both fields, so those logs and snapshots still
+// open under payload format 1.
 
 // PayloadFormat is the format version every payload starts with.
 const PayloadFormat = 1
@@ -88,8 +95,8 @@ const maxInterned = 127
 // opByCode is the on-disk op code table: an op's code is its index. The
 // codes are the format — never renumber one.
 var opByCode = [...]MutationOp{
-	1: OpPut, 2: OpAnnotate, 3: OpSetVisibility, 4: OpDelete, 5: OpAssignSession,
-	6: OpAddEdge, 7: OpMarkInvalid, 8: OpMarkValid, 9: OpMarkStale,
+	1: OpPut, 2: OpAnnotate, 3: OpSetVisibility, 4: OpDelete, 5: OpSessionAssignment,
+	6: OpSessionEdge, 7: OpMarkInvalid, 8: OpMarkValid, 9: OpMarkStale,
 	10: OpUpdateStats, 11: OpSetSample, 12: OpSetQuality, 13: OpReplaceText,
 }
 
@@ -111,7 +118,7 @@ const (
 	hasAnnotation
 	hasVisibility
 	hasSessionID
-	hasEdge
+	hasSessionEdge
 	hasReason
 	hasStale
 	hasStats
@@ -227,21 +234,6 @@ func (e *Encoder) annotation(dst []byte, a *Annotation) []byte {
 	return appendTime(dst, a.At)
 }
 
-// AppendEdge appends one session edge: from, to and type as varints, the
-// diff as a plain length-prefixed string. Mutations, snapshot edge chunks and
-// the session detector's checkpoint all write edges this way.
-func AppendEdge(dst []byte, ed SessionEdge) []byte {
-	dst = binary.AppendVarint(dst, int64(ed.From))
-	dst = binary.AppendVarint(dst, int64(ed.To))
-	dst = binary.AppendVarint(dst, int64(ed.Type))
-	return wire.AppendString(dst, ed.Diff)
-}
-
-// ReadEdge reads what AppendEdge wrote.
-func ReadEdge(r *wire.Reader) SessionEdge {
-	return SessionEdge{From: QueryID(r.Varint()), To: QueryID(r.Varint()), Type: EdgeType(r.Int()), Diff: r.String()}
-}
-
 // recordBody appends a record body. It does not reset the string table:
 // inside a mutation the record shares it with the mutation's other fields.
 func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
@@ -300,7 +292,7 @@ func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
 			dst = e.annotation(dst, &rec.Annotations[i])
 		}
 	}
-	dst = binary.AppendVarint(dst, rec.SessionID)
+	dst = append(dst, 0) // the session slot
 	var flags byte
 	if rec.Valid {
 		flags |= flagValid
@@ -334,12 +326,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Visibility != 0 {
 		mask |= hasVisibility
 	}
-	if m.SessionID != 0 {
-		mask |= hasSessionID
-	}
-	if m.Edge != nil {
-		mask |= hasEdge
-	}
 	if m.Reason != "" {
 		mask |= hasReason
 	}
@@ -369,12 +355,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	}
 	if mask&hasVisibility != 0 {
 		dst = binary.AppendVarint(dst, int64(m.Visibility))
-	}
-	if mask&hasSessionID != 0 {
-		dst = binary.AppendVarint(dst, m.SessionID)
-	}
-	if mask&hasEdge != 0 {
-		dst = AppendEdge(dst, *m.Edge)
 	}
 	if mask&hasReason != 0 {
 		dst = e.str(dst, m.Reason)
@@ -589,7 +569,7 @@ func (d *decoder) record() *QueryRecord {
 			d.annotation(&rec.Annotations[i])
 		}
 	}
-	rec.SessionID = d.r.Varint()
+	d.r.Varint() // the session slot: an older build's session ID, dropped
 	flags := d.r.Byte()
 	if flags&^(flagValid|flagStatsStale) != 0 {
 		d.r.Fail(errors.New("unknown record flag"))
@@ -599,6 +579,15 @@ func (d *decoder) record() *QueryRecord {
 	rec.InvalidReason = d.str()
 	rec.QualityScore = math.Float64frombits(d.r.Uint64())
 	return rec
+}
+
+// skipEdge reads and drops one session edge as older builds wrote it, into
+// add-edge mutations and snapshot edge chunks.
+func skipEdge(r *wire.Reader) {
+	r.Varint() // from
+	r.Varint() // to
+	r.Int()    // type
+	r.Take(r.Uvarint())
 }
 
 // checkFormat validates a payload's two leading bytes and returns its kind.
@@ -646,11 +635,10 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 		m.Visibility = Visibility(d.r.Int())
 	}
 	if mask&hasSessionID != 0 {
-		m.SessionID = d.r.Varint()
+		d.r.Varint() // dropped, like the op that carries it
 	}
-	if mask&hasEdge != 0 {
-		edge := ReadEdge(&d.r)
-		m.Edge = &edge
+	if mask&hasSessionEdge != 0 {
+		skipEdge(&d.r)
 	}
 	if mask&hasReason != 0 {
 		m.Reason = d.str()

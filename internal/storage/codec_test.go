@@ -92,7 +92,6 @@ func codecRecord(t testing.TB, text string, id QueryID) *QueryRecord {
 
 func codecCases(t testing.TB) map[string]*Mutation {
 	plus5 := time.FixedZone("", 5*3600+1800)
-	edge := SessionEdge{From: 3, To: 9, Type: EdgeModification, Diff: "+pred temp < 18"}
 	odd := codecRecord(t, pointLookupSQL, 12)
 	odd.IssuedAt = time.Date(2024, 2, 29, 23, 59, 59, 999999999, plus5)
 	odd.Stats = RuntimeStats{Error: "relation \"ghost\" does not exist", ExecutedAt: time.Time{}}
@@ -101,7 +100,6 @@ func codecCases(t testing.TB) map[string]*Mutation {
 	odd.GroupBy = []string{} //
 	odd.Sample = &OutputSample{Columns: nil, Rows: [][]string{nil, {}, {"ünï", ""}}, TotalRows: -1}
 	odd.Annotations = []Annotation{{Author: "bob", Text: "naïve join — 日本語", At: time.Date(1969, 7, 20, 20, 17, 0, 0, time.FixedZone("", -4*3600))}, {}}
-	odd.SessionID = -7
 	odd.Valid, odd.StatsStale = false, true
 	odd.InvalidReason = "table dropped"
 	odd.QualityScore = math.Copysign(0, -1)
@@ -118,8 +116,8 @@ func codecCases(t testing.TB) map[string]*Mutation {
 		"visibility":       {Op: OpSetVisibility, ID: 4, Visibility: VisibilityPublic},
 		"visibility zero":  {Op: OpSetVisibility, ID: 4},
 		"delete":           {Op: OpDelete, ID: math.MaxInt64},
-		"assign-session":   {Op: OpAssignSession, ID: 5, SessionID: 77},
-		"add-edge":         {Op: OpAddEdge, Edge: &edge},
+		"assign-session":   {Op: OpSessionAssignment, ID: 5}, // an older build's ops: they decode to
+		"add-edge":         {Op: OpSessionEdge},              // their op, whatever they carried
 		"mark-invalid":     {Op: OpMarkInvalid, ID: 6, Reason: "column renamed"},
 		"mark-valid":       {Op: OpMarkValid, ID: 6},
 		"mark-stale":       {Op: OpMarkStale, ID: 6, Stale: true},
@@ -310,17 +308,24 @@ func TestSnapshotPayloads(t *testing.T) {
 		}
 	}
 
-	edges := []SessionEdge{{From: 1, To: 2, Type: EdgeTemporal}, {From: 2, To: 3, Type: EdgeInvestigation, Diff: "+table CityLocations"}}
-	ep, n := AppendEdgeChunk(nil, edges, 1<<20)
-	if n != 2 {
-		t.Fatalf("edge chunk took %d", n)
+	// An edge chunk is only ever an older build's; it is checked and dropped.
+	ep := []byte(parentEdgeChunk)
+	if isRec, count, err := ChunkCount(ep); err != nil || isRec || count != 1 {
+		t.Fatalf("ChunkCount(edge chunk) = %v, %d, %v", isRec, count, err)
 	}
-	gotEdges, err := DecodeEdgeChunk(ep, nil)
-	if err != nil || len(gotEdges) != 2 || gotEdges[1] != edges[1] {
-		t.Fatalf("edge chunk round trip = %+v, %v", gotEdges, err)
+	if err := SkipEdgeChunk(ep); err != nil {
+		t.Fatalf("SkipEdgeChunk: %v", err)
 	}
-	if _, err := DecodeEdgeChunk(p, nil); err == nil {
-		t.Error("a record chunk decoded as edges")
+	for cut := chunkHeaderBytes; cut < len(ep); cut++ {
+		if err := SkipEdgeChunk(ep[:cut]); err == nil {
+			t.Fatalf("edge chunk cut to %d of %d bytes accepted", cut, len(ep))
+		}
+	}
+	if err := SkipEdgeChunk(append(ep[:len(ep):len(ep)], 0)); err == nil {
+		t.Error("an edge chunk with a trailing byte was accepted")
+	}
+	if err := SkipEdgeChunk(p); err == nil {
+		t.Error("a record chunk read as edges")
 	}
 	if _, err := DecodeRecordChunk(ep, nil); err == nil {
 		t.Error("an edge chunk decoded as records")
@@ -330,6 +335,40 @@ func TestSnapshotPayloads(t *testing.T) {
 	gotCP, left, err := DecodeCheckpointPart(AppendCheckpointPart(nil, cp.Name, cp.Version, 4, cp.Data))
 	if err != nil || left != 4 || gotCP.Name != cp.Name || gotCP.Version != cp.Version || !bytes.Equal(gotCP.Data, cp.Data) {
 		t.Fatalf("checkpoint part round trip = %+v, %d left, %v", gotCP, left, err)
+	}
+}
+
+// Payloads an older build wrote, which this build can no longer produce: a
+// session assignment, a session edge, and a snapshot edge chunk.
+const (
+	parentAssignSession = "\x01\x05\x11\x18\x08"                             // query 12 to session 4
+	parentAddEdge       = "\x01\x06\x20\x16\x18\x04\x14+table WaterSalinity" // 11 -> 12, investigation
+	parentEdgeChunk     = "\x01\x42\x01\x00\x00\x00\x02\x04\x02\x0f-attr a\x0a+attr b"
+)
+
+// TestParentSessionOpsDecodeToNothing: an older build's session ops decode to
+// their op and nothing else — the session and the edge are read, checked and
+// dropped — and cut short they are refused like any other payload.
+func TestParentSessionOpsDecodeToNothing(t *testing.T) {
+	for _, c := range []struct {
+		payload string
+		want    Mutation
+	}{
+		{parentAssignSession, Mutation{Op: OpSessionAssignment, ID: 12}},
+		{parentAddEdge, Mutation{Op: OpSessionEdge}},
+	} {
+		m, err := DecodeMutation([]byte(c.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", c.want.Op, err)
+		}
+		if got, want := asJSON(t, m), asJSON(t, &c.want); got != want {
+			t.Errorf("decoded %s, want %s", got, want)
+		}
+		for cut := 2; cut < len(c.payload); cut++ {
+			if m, err := DecodeMutation([]byte(c.payload[:cut])); err == nil || m != nil {
+				t.Errorf("%s cut to %d of %d bytes decoded", c.want.Op, cut, len(c.payload))
+			}
+		}
 	}
 }
 
@@ -351,6 +390,10 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(`{"op":"delete","id":3}`))
 	f.Add([]byte{PayloadFormat, 1, hasRecord})
 	f.Add(hostileCount(2, 512)) // a predicate count that its bytes could not hold
+	// What only an older build writes: the encoder above cannot reach the
+	// read-and-drop path of the session and edge fields.
+	f.Add([]byte(parentAssignSession))
+	f.Add([]byte(parentAddEdge))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMutation(b)
 		if err != nil {

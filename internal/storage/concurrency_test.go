@@ -30,7 +30,7 @@ func stressRecord(t testing.TB, i int) *QueryRecord {
 }
 
 // TestConcurrentMutationsWithScans hammers the store with concurrent Put,
-// Annotate, Delete, UpdateStats, MarkInvalid/MarkValid and AssignSession
+// Annotate, Delete, UpdateStats, MarkInvalid/MarkValid and SetQuality
 // writers while snapshot scans and indexed scans run, asserting that no
 // reader ever observes a half-applied mutation. Run under -race (the CI does)
 // to also validate the lock discipline of the copy-on-write indexes.
@@ -91,7 +91,7 @@ func TestConcurrentMutationsWithScans(t *testing.T) {
 				case 4:
 					_ = s.MarkValid(id)
 				case 5:
-					_ = s.AssignSession(id, int64(1+rng.Intn(8)))
+					_ = s.SetQuality(id, float64(rng.Intn(8)))
 				case 6:
 					// Delete and re-log a fresh query so the store keeps its
 					// size; deletes exercise the copy-on-write index removal.
@@ -235,61 +235,6 @@ func TestIndexBucketsDropWhenEmpty(t *testing.T) {
 	}
 	if _, ok := s.idx.byUser["carol"]; ok {
 		t.Error("byUser bucket leaked after delete")
-	}
-}
-
-// TestEdgesFromIndex pins the O(degree) edge index: EdgesFrom answers from
-// the by-source index and stays consistent across edge-dropping deletes.
-func TestEdgesFromIndex(t *testing.T) {
-	s := NewStore()
-	admin := Principal{Admin: true}
-	var ids []QueryID
-	for i := 0; i < 3; i++ {
-		ids = append(ids, mustPut(t, s, stressRecord(t, i)))
-	}
-	edges := []SessionEdge{
-		{From: ids[0], To: ids[1], Type: EdgeModification, Diff: "+pred a < 1"},
-		{From: ids[0], To: ids[2], Type: EdgeTemporal, Diff: "none"},
-		{From: ids[1], To: ids[2], Type: EdgeInvestigation, Diff: "-col b"},
-	}
-	for _, e := range edges {
-		if err := s.AddEdge(e); err != nil {
-			t.Fatalf("AddEdge: %v", err)
-		}
-	}
-	if got := s.EdgesFrom(ids[0]); len(got) != 2 {
-		t.Errorf("EdgesFrom(q%d) = %d edges, want 2", ids[0], len(got))
-	}
-	if got := s.EdgesFrom(ids[2]); got != nil {
-		t.Errorf("EdgesFrom(sink) = %v, want nil", got)
-	}
-	// A text repair re-indexes the query but keeps its session edges: the
-	// repair does not unlink the query from its session history.
-	updated, err := NewRecordFromSQL("SELECT * FROM LakeTemperatures WHERE temp < 18")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReplaceText(ids[0], updated); err != nil {
-		t.Fatalf("ReplaceText: %v", err)
-	}
-	if got := s.EdgesFrom(ids[0]); len(got) != 2 {
-		t.Errorf("EdgesFrom after ReplaceText = %d edges, want 2", len(got))
-	}
-	if got := len(s.Edges()); got != 3 {
-		t.Errorf("Edges after ReplaceText = %d, want 3", got)
-	}
-	// Deleting a query drops every edge touching it, in both indexes.
-	if err := s.Delete(ids[2], admin); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.EdgesFrom(ids[0]); len(got) != 1 || got[0].To != ids[1] {
-		t.Errorf("EdgesFrom after delete = %+v, want single edge to q%d", got, ids[1])
-	}
-	if got := s.EdgesFrom(ids[1]); len(got) != 0 {
-		t.Errorf("EdgesFrom(q%d) after delete = %+v, want none", ids[1], got)
-	}
-	if got := s.Edges(); len(got) != 1 {
-		t.Errorf("Edges after delete = %d, want 1", len(got))
 	}
 }
 

@@ -29,9 +29,11 @@ const (
 //	QueryStats(qid, execMillis, resultRows, qualityScore)
 //	QueryAnnotations(qid, author, note)
 //
-// The Meta-query Executor runs SQL meta-queries (such as the one in Figure 1)
+// sessionId is what sessionOf answers for the record: the session detector
+// is its one home, so the relation is current as of the last commit. The
+// Meta-query Executor runs SQL meta-queries (such as the one in Figure 1)
 // against the returned engine.
-func (s *Store) MaterializeFeatureRelations(p Principal) (*engine.Engine, error) {
+func (s *Store) MaterializeFeatureRelations(p Principal, sessionOf func(*QueryRecord) int64) (*engine.Engine, error) {
 	eng := engine.New()
 	ddl := []string{
 		fmt.Sprintf("CREATE TABLE %s (qid INT PRIMARY KEY, qText TEXT, quser TEXT, qgroup TEXT, sessionId INT, valid BOOL)", RelQueries),
@@ -53,7 +55,7 @@ func (s *Store) MaterializeFeatureRelations(p Principal) (*engine.Engine, error)
 		qid := engine.NewInt(int64(rec.ID))
 		queriesRows = append(queriesRows, engine.Row{
 			qid, engine.NewText(rec.Text), engine.NewText(rec.User), engine.NewText(rec.Group),
-			engine.NewInt(rec.SessionID), engine.NewBool(rec.Valid),
+			engine.NewInt(sessionOf(rec)), engine.NewBool(rec.Valid),
 		})
 		for _, t := range rec.Tables {
 			sourcesRows = append(sourcesRows, engine.Row{qid, engine.NewText(t)})

@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// tenthSession stands in for the session detector, which this package cannot
+// import: query n is in session 10n.
+func tenthSession(rec *QueryRecord) int64 { return 10 * int64(rec.ID) }
+
 // TestMaterializeFigure1MetaQuery reproduces Figure 1 of the paper end to
 // end: the feature relations are materialised into the engine and the exact
 // meta-query from the figure ("find all queries that correlate water
@@ -22,7 +26,7 @@ func TestMaterializeFigure1MetaQuery(t *testing.T) {
 	putQuery(t, s, "SELECT city FROM CityLocations", "bob", "limnology", VisibilityPublic)
 	putQuery(t, s, "SELECT salinity FROM WaterSalinity WHERE depth > 10", "carol", "astro", VisibilityPublic)
 
-	eng, err := s.MaterializeFeatureRelations(admin)
+	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
 	if err != nil {
 		t.Fatalf("MaterializeFeatureRelations: %v", err)
 	}
@@ -57,7 +61,7 @@ func TestMaterializeIncludesStatsAndAnnotations(t *testing.T) {
 	if err := s.Annotate(id, alice, Annotation{Text: "Seattle lakes survey"}); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	eng, err := s.MaterializeFeatureRelations(admin)
+	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
 	if err != nil {
 		t.Fatalf("MaterializeFeatureRelations: %v", err)
 	}
@@ -67,6 +71,13 @@ func TestMaterializeIncludesStatsAndAnnotations(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Int != 10 {
 		t.Errorf("stats rows = %v", res.Rows)
+	}
+	res, err = eng.Execute("SELECT sessionId FROM Queries WHERE qid = 1")
+	if err != nil {
+		t.Fatalf("session query: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int != 10 {
+		t.Errorf("sessionId rows = %v, want the lookup's 10", res.Rows)
 	}
 	res, err = eng.Execute("SELECT note FROM QueryAnnotations WHERE qid = 1")
 	if err != nil {
@@ -82,7 +93,7 @@ func TestMaterializeRespectsAccessControl(t *testing.T) {
 	putQuery(t, s, "SELECT temp FROM WaterTemp", "alice", "limnology", VisibilityPrivate)
 	putQuery(t, s, "SELECT salinity FROM WaterSalinity", "bob", "limnology", VisibilityPublic)
 
-	eng, err := s.MaterializeFeatureRelations(carol)
+	eng, err := s.MaterializeFeatureRelations(carol, tenthSession)
 	if err != nil {
 		t.Fatalf("MaterializeFeatureRelations: %v", err)
 	}
@@ -97,7 +108,7 @@ func TestMaterializeRespectsAccessControl(t *testing.T) {
 
 func TestMaterializeEmptyStore(t *testing.T) {
 	s := NewStore()
-	eng, err := s.MaterializeFeatureRelations(admin)
+	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
 	if err != nil {
 		t.Fatalf("MaterializeFeatureRelations: %v", err)
 	}

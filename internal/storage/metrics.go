@@ -35,10 +35,11 @@ type storeMetrics struct {
 	durabilityWait *telemetry.Histogram
 }
 
-// allMutationOps lists every op for eager counter registration, so a scrape
-// shows zero-valued families before the first mutation of each kind.
+// allMutationOps lists every op that can commit, for eager counter
+// registration, so a scrape shows zero-valued families before the first
+// mutation of each kind. An older build's session ops never commit.
 var allMutationOps = []MutationOp{
-	OpPut, OpAnnotate, OpSetVisibility, OpDelete, OpAssignSession, OpAddEdge,
+	OpPut, OpAnnotate, OpSetVisibility, OpDelete,
 	OpMarkInvalid, OpMarkValid, OpMarkStale, OpUpdateStats, OpSetSample,
 	OpSetQuality, OpReplaceText,
 }
@@ -70,14 +71,6 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_store_records",
 		"Number of query records currently stored.",
 		func() float64 { return float64(s.Count()) })
-	reg.GaugeFunc("cqms_store_session_edges",
-		"Number of session edges currently stored.",
-		func() float64 {
-			s.idx.RLock()
-			n := len(s.idx.edges)
-			s.idx.RUnlock()
-			return float64(n)
-		})
 	reg.GaugeFunc("cqms_search_index_texts",
 		"Distinct (text, canonical) pairs in the search dictionary.",
 		func() float64 { texts, _ := s.SearchIndexSize(); return float64(texts) })

@@ -13,22 +13,27 @@ import (
 type MutationOp string
 
 // Mutation operations. Every mutating Store method has a corresponding op so
-// that replaying a mutation stream rebuilds the store — records, edges and
-// all inverted indexes — exactly as the live operations built it.
+// that replaying a mutation stream rebuilds the store — records and all
+// inverted indexes — exactly as the live operations built it.
+//
+// OpSessionAssignment and OpSessionEdge are what older builds logged when a
+// mining pass copied the session detector's windows back into the store. No
+// store method emits them any more; they stay decodable so those logs replay,
+// and applying one changes nothing.
 const (
-	OpPut           MutationOp = "put"
-	OpAnnotate      MutationOp = "annotate"
-	OpSetVisibility MutationOp = "visibility"
-	OpDelete        MutationOp = "delete"
-	OpAssignSession MutationOp = "assign-session"
-	OpAddEdge       MutationOp = "add-edge"
-	OpMarkInvalid   MutationOp = "mark-invalid"
-	OpMarkValid     MutationOp = "mark-valid"
-	OpMarkStale     MutationOp = "mark-stale"
-	OpUpdateStats   MutationOp = "update-stats"
-	OpSetSample     MutationOp = "set-sample"
-	OpSetQuality    MutationOp = "set-quality"
-	OpReplaceText   MutationOp = "replace-text"
+	OpPut               MutationOp = "put"
+	OpAnnotate          MutationOp = "annotate"
+	OpSetVisibility     MutationOp = "visibility"
+	OpDelete            MutationOp = "delete"
+	OpSessionAssignment MutationOp = "assign-session"
+	OpSessionEdge       MutationOp = "add-edge"
+	OpMarkInvalid       MutationOp = "mark-invalid"
+	OpMarkValid         MutationOp = "mark-valid"
+	OpMarkStale         MutationOp = "mark-stale"
+	OpUpdateStats       MutationOp = "update-stats"
+	OpSetSample         MutationOp = "set-sample"
+	OpSetQuality        MutationOp = "set-quality"
+	OpReplaceText       MutationOp = "replace-text"
 )
 
 // Mutation is one typed write-ahead-log entry: the complete description of a
@@ -45,8 +50,6 @@ type Mutation struct {
 	Record     *QueryRecord  `json:"record,omitempty"`
 	Annotation *Annotation   `json:"annotation,omitempty"`
 	Visibility Visibility    `json:"vis,omitempty"`
-	SessionID  int64         `json:"session,omitempty"`
-	Edge       *SessionEdge  `json:"edge,omitempty"`
 	Reason     string        `json:"reason,omitempty"`
 	Stale      bool          `json:"stale,omitempty"`
 	Stats      *RuntimeStats `json:"stats,omitempty"`
@@ -240,10 +243,10 @@ func (s *Store) Apply(m *Mutation) error {
 // apply dispatches a mutation to the shared state-transition helpers, for
 // live calls and replay alike. Every transition is copy-on-write: the current
 // record version stays untouched for concurrent readers and an updated copy
-// replaces it in its shard. It reports whether the store changed — assigning
-// the session a record already has and adding an edge that exists do not —
-// and, when it did, leaves the prev/next record versions on the mutation for
-// bus subscribers. Callers must hold the commit lock.
+// replaces it in its shard. It reports whether the store changed — an older
+// build's session assignment or edge never does — and, when it did, leaves
+// the prev/next record versions on the mutation for bus subscribers. Callers
+// must hold the commit lock.
 func (s *Store) apply(m *Mutation) (changed bool, err error) {
 	// update runs one copy-on-write field update of record m.ID.
 	update := func(mutate func(next, old *QueryRecord)) (bool, error) {
@@ -287,35 +290,8 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		s.remove(rec)
 		m.prev = rec
 		return true, nil
-	case OpAssignSession:
-		rec, err := s.lookup(m.ID)
-		if err != nil || rec.SessionID == m.SessionID {
-			return false, err
-		}
-		next := rec.shallowCopy()
-		next.SessionID = m.SessionID
-		s.storeRecord(next)
-		m.prev, m.next = rec, next
-		return true, nil
-	case OpAddEdge:
-		if m.Edge == nil {
-			return missing("edge")
-		}
-		if _, err := s.lookup(m.Edge.From); err != nil {
-			return false, err
-		}
-		if _, err := s.lookup(m.Edge.To); err != nil {
-			return false, err
-		}
-		if _, dup := s.edgeSet[*m.Edge]; dup {
-			return false, nil
-		}
-		s.edgeSet[*m.Edge] = struct{}{}
-		s.idx.Lock()
-		s.idx.edges = append(s.idx.edges, *m.Edge)
-		s.idx.edgesFrom[m.Edge.From] = append(s.idx.edgesFrom[m.Edge.From], *m.Edge)
-		s.idx.Unlock()
-		return true, nil
+	case OpSessionAssignment, OpSessionEdge:
+		return false, nil
 	case OpMarkInvalid:
 		return update(func(next, _ *QueryRecord) {
 			next.Valid = false
@@ -429,7 +405,7 @@ func (s *Store) insertPrepared(rec *QueryRecord, keys indexKeys) (replaced *Quer
 	return replaced
 }
 
-// remove deletes a record from the indexes, the edge relation and its shard.
+// remove deletes a record from the indexes and its shard.
 // The ID disappears from the insertion order first, so a scan that still
 // resolves the record observes its last committed version. Callers must hold
 // the commit lock.
@@ -443,7 +419,6 @@ func (s *Store) remove(rec *QueryRecord) {
 	}
 	s.idx.order = order
 	s.removeFromIndexesLocked(rec)
-	s.removeEdgesLocked(rec)
 	s.idx.Unlock()
 	s.text.mu.Lock()
 	s.text.removeLocked(rec)
@@ -453,12 +428,11 @@ func (s *Store) remove(rec *QueryRecord) {
 }
 
 // replaceText publishes a record version with the text and feature relations
-// of the update, re-indexing it, and returns the new version. The record's
-// session edges survive: a text repair does not unlink the query from its
-// session history. De-indexing and re-indexing happen in one idx critical
-// section so an indexed scan never misses the record mid-replacement. A
-// version that would exceed MaxRecordBytes is refused (ErrTooLarge) and
-// nothing changes. Callers must hold the commit lock.
+// of the update, re-indexing it, and returns the new version. De-indexing and
+// re-indexing happen in one idx critical section so an indexed scan never
+// misses the record mid-replacement. A version that would exceed
+// MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers must
+// hold the commit lock.
 func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
 	next := rec.shallowCopy()
 	next.Text = updated.Text

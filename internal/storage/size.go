@@ -6,11 +6,11 @@ import (
 	"fmt"
 )
 
-// MaxRecordBytes is the largest record, session edge or mutation the store
-// admits, measured by the size bounds below. The WAL derives its frame limit
-// from it, so admission — not the log — is where an oversized write is
-// refused: whatever a live operation applied in memory is something the log
-// and every later snapshot can hold. 32 MiB is far beyond any query a person
+// MaxRecordBytes is the largest record or mutation the store admits,
+// measured by the size bounds below. The WAL derives its frame limit from
+// it, so admission — not the log — is where an oversized write is refused:
+// whatever a live operation applied in memory is something the log and every
+// later snapshot can hold. 32 MiB is far beyond any query a person
 // writes; the HTTP API's request bodies stop at 8 MiB.
 const MaxRecordBytes = 32 << 20
 
@@ -56,8 +56,6 @@ func annotationBound(a *Annotation) int64 {
 	return stringBound(a.Author) + stringBound(a.Text) + stringBound(a.Fragment) + timeBound
 }
 
-func edgeBound(ed *SessionEdge) int64 { return 3*varintBound + stringBound(ed.Diff) }
-
 func recordBound(rec *QueryRecord) int64 {
 	// ID, the two hashes, visibility, session, flags, the quality score, the
 	// sample's presence byte and the three inline slice counts.
@@ -87,16 +85,13 @@ func recordBound(rec *QueryRecord) int64 {
 
 // mutationBound bounds the mutation's whole payload.
 func mutationBound(m *Mutation) int64 {
-	// Format, kind, mask, ID, visibility, session and score.
-	n := int64(2 + 5*varintBound)
+	// Format, kind, mask, ID, visibility and score.
+	n := int64(2 + 4*varintBound)
 	if m.Record != nil {
 		n += recordBound(m.Record)
 	}
 	if m.Annotation != nil {
 		n += annotationBound(m.Annotation)
-	}
-	if m.Edge != nil {
-		n += edgeBound(m.Edge)
 	}
 	n += stringBound(m.Reason)
 	if m.Stats != nil {

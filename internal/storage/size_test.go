@@ -72,16 +72,15 @@ func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 		"a stats error":                            store.UpdateStats(2, RuntimeStats{Error: huge}),
 		"a sample":                                 store.SetSample(2, &OutputSample{Rows: [][]string{{huge}}}),
 		"a replacement text":                       store.ReplaceText(2, newRec(huge)),
-		"an edge diff":                             store.AddEdge(SessionEdge{From: 1, To: 2, Type: EdgeModification, Diff: huge}),
 	} {
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: err = %v, want ErrTooLarge", name, err)
 		}
 	}
 	after, _ := store.Snapshot().Get(1, alice)
-	if after != before || len(after.Annotations) != 2 || emitted != 4 || len(store.Edges()) != 0 {
-		t.Fatalf("a refused write left a trace: %d annotations, %d mutations emitted, %d edges",
-			len(after.Annotations), emitted, len(store.Edges()))
+	if after != before || len(after.Annotations) != 2 || emitted != 4 {
+		t.Fatalf("a refused write left a trace: %d annotations, %d mutations emitted",
+			len(after.Annotations), emitted)
 	}
 	if rec, _ := store.Snapshot().Get(2, alice); rec.Text != "b" || !rec.Valid || rec.Sample != nil || rec.Stats.Error != "" {
 		t.Fatalf("record 2 changed: %+v", rec)

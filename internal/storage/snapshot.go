@@ -11,14 +11,13 @@ import (
 )
 
 // StoreState is the full serialisable state of a Store: every record in
-// insertion order, the session edge relation and the ID counter. It is what
-// the WAL subsystem streams out as a snapshot and what recovery stages
-// before replaying the log tail; the shard placement and inverted indexes
-// are derived state and are rebuilt on restore.
+// insertion order and the ID counter. It is what the WAL subsystem streams
+// out as a snapshot and what recovery stages before replaying the log tail;
+// the shard placement and inverted indexes are derived state and are rebuilt
+// on restore.
 type StoreState struct {
 	NextID  QueryID        `json:"nextId"`
 	Records []*QueryRecord `json:"records"`
-	Edges   []SessionEdge  `json:"edges,omitempty"`
 }
 
 // State returns a deep copy of the store's state: the in-memory test API,
@@ -28,7 +27,6 @@ func (s *Store) State() *StoreState {
 	for i, rec := range st.Records {
 		st.Records[i] = rec.Clone()
 	}
-	st.Edges = append([]SessionEdge(nil), st.Edges...)
 	return st
 }
 
@@ -76,16 +74,14 @@ func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []Subscr
 			cps = append(cps, SubscriberCheckpoint{Name: sub.name, Version: version, Data: data})
 		}
 	}
-	// Both slices are copy-on-write (see idx): the captured headers stay
-	// valid after the lock is released.
+	// The order is copy-on-write (see idx): the captured header stays valid
+	// after the lock is released.
 	s.idx.RLock()
 	order := s.idx.order
-	edges := s.idx.edges
 	s.idx.RUnlock()
 	st := &StoreState{
 		NextID:  QueryID(s.nextID.Load()),
 		Records: make([]*QueryRecord, 0, len(order)),
-		Edges:   edges[:len(edges):len(edges)],
 	}
 	for _, id := range order {
 		if rec, ok := s.loadRecord(id); ok {
@@ -138,7 +134,6 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	}
 	s.count.Store(0)
 	s.nextID.Store(0)
-	s.edgeSet = make(map[SessionEdge]struct{}, len(st.Edges))
 	s.text.mu.Lock()
 	s.text.reset()
 	s.text.mu.Unlock()
@@ -146,12 +141,6 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.idx.order = nil
 	s.idx.byTable = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
-	s.idx.edges = append([]SessionEdge(nil), st.Edges...)
-	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
-	for _, e := range st.Edges {
-		s.edgeSet[e] = struct{}{}
-		s.idx.edgesFrom[e.From] = append(s.idx.edgesFrom[e.From], e)
-	}
 	s.idx.Unlock()
 	for _, rec := range st.Records {
 		s.insert(rec)
@@ -178,10 +167,15 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 //	              data (the rest); a section is one or more such payloads, the
 //	              last with parts left = 0
 //
+// Edge chunks held the store's copy of the session edges, which older builds
+// kept. This build writes an edge count of 0 and no edge chunk; an older
+// snapshot's edge chunks are checked and dropped (SkipEdgeChunk).
+//
 // Every record body carries its own string table (see codec.go), so a chunk
 // is only a container: records decode one by one, each into its own block.
 
-// SnapshotHeader opens a snapshot stream and says how much follows it.
+// SnapshotHeader opens a snapshot stream and says how much follows it. Edges
+// is 0 in every snapshot this build writes.
 type SnapshotHeader struct {
 	NextID      QueryID
 	Records     int
@@ -255,19 +249,6 @@ func (e *Encoder) AppendRecordChunk(dst []byte, recs []*QueryRecord, limit int) 
 	return dst, n
 }
 
-// AppendEdgeChunk is AppendRecordChunk for the session edge relation.
-func AppendEdgeChunk(dst []byte, edges []SessionEdge, limit int) ([]byte, int) {
-	start := len(dst)
-	dst = beginChunk(dst, kindEdgeChunk)
-	n := 0
-	for n < len(edges) && (n == 0 || len(dst)-start < limit) {
-		dst = AppendEdge(dst, edges[n])
-		n++
-	}
-	binary.LittleEndian.PutUint32(dst[start+2:], uint32(n))
-	return dst, n
-}
-
 // ChunkCount reports what a chunk payload holds without decoding it: whether
 // it is a record chunk (else an edge chunk) and its element count.
 func ChunkCount(p []byte) (records bool, n int, err error) {
@@ -319,25 +300,24 @@ func DecodeRecordChunk(p []byte, into []*QueryRecord) ([]*QueryRecord, error) {
 	return out, nil
 }
 
-// DecodeEdgeChunk decodes an edge chunk, appending its edges to into. On
-// error into is returned unchanged.
-func DecodeEdgeChunk(p []byte, into []SessionEdge) ([]SessionEdge, error) {
+// SkipEdgeChunk checks an older snapshot's edge chunk — every edge well
+// formed, nothing after the last — and drops its edges.
+func SkipEdgeChunk(p []byte) error {
 	records, n, err := ChunkCount(p)
 	if err != nil {
-		return into, err
+		return err
 	}
 	if records {
-		return into, errors.New("storage: snapshot chunk: record chunk where an edge chunk was expected")
+		return errors.New("storage: snapshot chunk: record chunk where an edge chunk was expected")
 	}
 	r := wire.NewReader(p[chunkHeaderBytes:])
-	out := into
 	for i := 0; i < n; i++ {
-		out = append(out, ReadEdge(&r))
+		skipEdge(&r)
 	}
 	if err := r.Finish(); err != nil {
-		return into, fmt.Errorf("storage: snapshot edge chunk: %w", err)
+		return fmt.Errorf("storage: snapshot edge chunk: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // AppendCheckpointPart appends one frame's worth of a checkpoint section:

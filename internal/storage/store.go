@@ -86,10 +86,6 @@ type Store struct {
 	// after the snapshot from indexed scans.
 	nextID atomic.Int64
 
-	// edgeSet mirrors the edge relation for O(1) duplicate checks; only
-	// mutation paths touch it, so commitMu guards it.
-	edgeSet map[SessionEdge]struct{}
-
 	count atomic.Int64
 
 	// readOnly, when set, makes every live mutating method refuse with
@@ -104,39 +100,29 @@ type Store struct {
 	// so a record's entry is resolved before the record is published.
 	text textIndex
 
-	// idx guards the derived read structures: insertion order, the inverted
-	// indexes (each backs a reader: by table the recommender, by user
-	// history) and the session edge relation. Every slice reachable from idx
-	// is copy-on-write: writers append in place (readers only look at
-	// indexes below their captured length) and build a fresh slice on
-	// removal, so a reader may capture a slice header under RLock and keep
-	// iterating it after releasing the lock.
+	// idx guards the derived read structures: insertion order and the
+	// inverted indexes (each backs a reader: by table the recommender, by
+	// user history). Every slice reachable from idx is copy-on-write: writers
+	// append in place (readers only look at indexes below their captured
+	// length) and build a fresh slice on removal, so a reader may capture a
+	// slice header under RLock and keep iterating it after releasing the lock.
 	idx struct {
 		sync.RWMutex
 		order   []QueryID
 		byTable map[string][]QueryID // lower-cased table name
 		byUser  map[string][]QueryID
-
-		edges []SessionEdge
-		// edgesFrom indexes the edge relation by source query so EdgesFrom
-		// is O(degree) instead of O(E).
-		edgesFrom map[QueryID][]SessionEdge
 	}
 }
 
 // NewStore returns an empty query store.
 func NewStore() *Store {
-	s := &Store{
-		edgeSet: make(map[SessionEdge]struct{}),
-		now:     time.Now,
-	}
+	s := &Store{now: time.Now}
 	for i := range s.shards {
 		s.shards[i].recs = make(map[QueryID]*QueryRecord)
 	}
 	s.text.reset()
 	s.idx.byTable = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
-	s.idx.edgesFrom = make(map[QueryID][]SessionEdge)
 	return s
 }
 
@@ -402,7 +388,7 @@ func PickDisplayName(names map[string]int, fallback string) string {
 }
 
 // ---------------------------------------------------------------------------
-// Mutations: annotations, sessions, maintenance state, deletion
+// Mutations: annotations, visibility, maintenance state, deletion
 // ---------------------------------------------------------------------------
 
 // commit is the one body of every live mutation but a put: read-only gate,
@@ -521,66 +507,6 @@ func (s *Store) removeFromIndexesLocked(rec *QueryRecord) {
 		removeFromBucket(s.idx.byTable, strings.ToLower(t), rec.ID)
 	}
 	removeFromBucket(s.idx.byUser, rec.User, rec.ID)
-}
-
-// removeEdgesLocked drops every session edge touching the record, from the
-// edge relation, the duplicate set and the by-source index. Callers must hold
-// commitMu and the idx write lock.
-func (s *Store) removeEdgesLocked(rec *QueryRecord) {
-	var removed []SessionEdge
-	for _, e := range s.idx.edges {
-		if e.From == rec.ID || e.To == rec.ID {
-			removed = append(removed, e)
-		}
-	}
-	if len(removed) == 0 {
-		return
-	}
-	kept := make([]SessionEdge, 0, len(s.idx.edges)-len(removed))
-	for _, e := range s.idx.edges {
-		if e.From != rec.ID && e.To != rec.ID {
-			kept = append(kept, e)
-		}
-	}
-	s.idx.edges = kept
-	for _, e := range removed {
-		delete(s.edgeSet, e)
-		removeFromBucket(s.idx.edgesFrom, e.From, e)
-	}
-}
-
-// AssignSession records the session a query belongs to (set by the miner's
-// session detector). Re-assigning the same session is a no-op so the periodic
-// mining pass does not flood the mutation log.
-func (s *Store) AssignSession(id QueryID, sessionID int64) error {
-	return s.commit(&Mutation{Op: OpAssignSession, ID: id, SessionID: sessionID}, nil)
-}
-
-// AddEdge records a session edge between two logged queries. An edge that
-// already exists is a no-op: the session detector re-derives the full edge
-// set on every mining pass.
-func (s *Store) AddEdge(edge SessionEdge) error {
-	return s.commit(&Mutation{Op: OpAddEdge, Edge: &edge}, nil)
-}
-
-// Edges returns a copy of the session edge relation.
-func (s *Store) Edges() []SessionEdge {
-	s.idx.RLock()
-	edges := s.idx.edges
-	s.idx.RUnlock()
-	return append([]SessionEdge(nil), edges...)
-}
-
-// EdgesFrom returns the edges leaving the given query, via the by-source
-// index (O(degree) instead of a scan of the whole edge relation).
-func (s *Store) EdgesFrom(id QueryID) []SessionEdge {
-	s.idx.RLock()
-	edges := s.idx.edgesFrom[id]
-	s.idx.RUnlock()
-	if len(edges) == 0 {
-		return nil
-	}
-	return append([]SessionEdge(nil), edges...)
 }
 
 // MarkInvalid flags a query as invalidated (e.g. by a schema change) with a

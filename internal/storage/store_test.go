@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -173,16 +174,6 @@ func byTable(s *Store, table string, p Principal) int {
 	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanByTable(table, p, fn) })
 }
 
-// sessionOf reads the session a record is assigned to.
-func sessionOf(t *testing.T, s *Store, id QueryID) int64 {
-	t.Helper()
-	rec, err := s.Get(id, admin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec.SessionID
-}
-
 func TestIndexes(t *testing.T) {
 	s, _ := newTestStore(t)
 	view := s.Snapshot()
@@ -267,37 +258,34 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestSessionsAndEdges: sessions and their edges live in the session
+// detector, not the store. An older build's session assignment or edge,
+// replayed from its log, changes nothing and reaches no subscriber, whether
+// or not the queries it names exist.
 func TestSessionsAndEdges(t *testing.T) {
 	s, ids := newTestStore(t)
-	if err := s.AssignSession(ids[0], 7); err != nil {
-		t.Fatalf("AssignSession: %v", err)
+	seen := 0
+	s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
+	before := s.State()
+	var replayed []*Mutation
+	for _, payload := range []string{parentAssignSession, parentAddEdge} {
+		m, err := DecodeMutation([]byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed = append(replayed, m)
 	}
-	if err := s.AssignSession(ids[1], 7); err != nil {
-		t.Fatalf("AssignSession: %v", err)
+	replayed = append(replayed, &Mutation{Op: OpSessionAssignment, ID: ids[0]}, &Mutation{Op: OpSessionEdge, ID: ids[1]})
+	for _, m := range replayed {
+		if err := s.Apply(m); err != nil {
+			t.Errorf("replaying %s %d: %v", m.Op, m.ID, err)
+		}
 	}
-	if a, b := sessionOf(t, s, ids[0]), sessionOf(t, s, ids[1]); a != 7 || b != 7 {
-		t.Errorf("sessions = %d, %d, want 7, 7", a, b)
+	if seen != 0 {
+		t.Errorf("%d replayed session mutations reached the bus", seen)
 	}
-	// Re-assignment moves the query to the new session.
-	if err := s.AssignSession(ids[1], 8); err != nil {
-		t.Fatalf("AssignSession: %v", err)
-	}
-	if a, b := sessionOf(t, s, ids[0]), sessionOf(t, s, ids[1]); a != 7 || b != 8 {
-		t.Errorf("after reassignment sessions = %d, %d, want 7, 8", a, b)
-	}
-
-	if err := s.AddEdge(SessionEdge{From: ids[0], To: ids[1], Type: EdgeModification, Diff: "+table WaterSalinity"}); err != nil {
-		t.Fatalf("AddEdge: %v", err)
-	}
-	if err := s.AddEdge(SessionEdge{From: ids[0], To: QueryID(999)}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("AddEdge with missing target err = %v", err)
-	}
-	edges := s.EdgesFrom(ids[0])
-	if len(edges) != 1 || edges[0].Type != EdgeModification {
-		t.Errorf("edges = %+v", edges)
-	}
-	if err := s.AssignSession(QueryID(999), 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("AssignSession missing err = %v", err)
+	if !reflect.DeepEqual(s.State(), before) {
+		t.Error("replayed session mutations changed the store")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package storage implements the CQMS Query Storage (Figure 4 of the paper):
 // the durable log of every query submitted through the Query Profiler, its
 // extracted syntactic features (the Figure 1 feature relations Queries,
-// DataSources, Attributes, Predicates), runtime statistics, output samples,
-// user annotations, session membership and the session edge relation.
+// DataSources, Attributes, Predicates), runtime statistics, output samples
+// and user annotations. Sessions are derived from the log by the session
+// detector (internal/session), which the store does not duplicate.
 //
 // The store is an in-memory structure with inverted indexes on tables,
 // attributes, users and fingerprints so that the Meta-query Executor can
@@ -144,9 +145,10 @@ func (e EdgeType) String() string {
 	}
 }
 
-// SessionEdge is one row of the normalised session edge relation: a pair of
-// query identifiers, an edge type and the diff summary used as the edge
-// label in the Figure 2 visualisation.
+// SessionEdge links two consecutive queries of a session: a pair of query
+// identifiers, an edge type and the diff summary used as the edge label in
+// the Figure 2 visualisation. The session detector computes edges when a
+// graph is read; the store keeps none.
 type SessionEdge struct {
 	From QueryID
 	To   QueryID
@@ -183,9 +185,6 @@ type QueryRecord struct {
 	Sample *OutputSample
 
 	Annotations []Annotation
-
-	// Session membership assigned by the miner.
-	SessionID int64
 
 	// Maintenance state (§4.4).
 	Valid         bool

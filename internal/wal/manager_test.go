@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/metaquery"
+	"repro/internal/session"
 	"repro/internal/storage"
 )
 
@@ -39,9 +40,8 @@ func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) [
 }
 
 // buildStore logs n queries through a durable store, exercising every
-// mutation class the issue names: puts, annotations, visibility changes,
-// session assignment and edges, invalidation/repair, stats, samples, quality
-// scores and a deletion.
+// mutation class: puts, annotations, visibility changes, invalidation/repair,
+// stats, samples, quality scores and a deletion.
 func buildStore(t testing.TB, store *storage.Store, n int) {
 	t.Helper()
 	tables := []string{"WaterTemp", "WaterSalinity", "Observations", "Stations"}
@@ -74,16 +74,6 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 		}
 		if i%3 == 0 {
 			if err := store.SetVisibility(id, owner, storage.VisibilityPublic); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := store.AssignSession(id, int64(i/4+1)); err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && i%4 != 0 {
-			if err := store.AddEdge(storage.SessionEdge{
-				From: id - 1, To: id, Type: storage.EdgeModification, Diff: "tweaked predicate",
-			}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -121,8 +111,8 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 }
 
 // assertStoresEqual checks deep equality of store contents (via the
-// serialised state, which includes every record field, the edges and the ID
-// counter) and of index-backed search results.
+// serialised state, which includes every record field and the ID counter)
+// and of index-backed search results.
 func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	t.Helper()
 	wantJSON, err := json.Marshal(want.State())
@@ -137,7 +127,7 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		t.Fatalf("recovered state differs from original\noriginal:  %.400s...\nrecovered: %.400s...", wantJSON, gotJSON)
 	}
 
-	// Index-backed lookups: tables, users, edges.
+	// Index-backed lookups: tables, users.
 	group := storage.Principal{User: "user1", Groups: []string{"limnology"}}
 	for _, p := range []storage.Principal{admin, group} {
 		for _, table := range []string{"WaterTemp", "WaterSalinity", "Observations"} {
@@ -153,9 +143,6 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(want.Edges(), got.Edges()) {
-		t.Fatalf("Edges: want %v, got %v", want.Edges(), got.Edges())
-	}
 
 	// Keyword search runs on the recovered indexes through the meta-query
 	// executor, the paper's interactive search path.
@@ -163,11 +150,11 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPage, err := metaquery.New(want).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
+	wantPage, err := metaquery.New(want, session.AttachLive(want, session.DefaultConfig()).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(want): %v", err)
 	}
-	gotPage, err := metaquery.New(got).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
+	gotPage, err := metaquery.New(got, session.AttachLive(got, session.DefaultConfig()).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(got): %v", err)
 	}

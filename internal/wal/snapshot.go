@@ -18,7 +18,9 @@ import (
 //	              sections follow
 //	frames 1..    record chunks, about snapshotChunkBytes each, in insertion
 //	              order, until the header's record count is reached
-//	then          edge chunks, until the header's edge count is reached
+//	then          edge chunks, until the header's edge count is reached (only
+//	              in a snapshot an older build wrote; they are checked and
+//	              dropped, and this build writes an edge count of 0)
 //	then          one checkpoint section per derived-state subscriber, cut
 //	              into parts of at most snapshotChunkBytes
 //
@@ -49,7 +51,6 @@ type SnapshotInfo struct {
 	Seq     uint64
 	Bytes   int64
 	Records int
-	Edges   int
 	// Frames counts every frame in the file: header, chunks and sections.
 	Frames   int
 	Sidecars []SidecarInfo
@@ -78,7 +79,7 @@ func parseSnapshotName(name string) (uint64, bool) {
 // WriteSnapshot durably writes a snapshot of st covering all log records
 // with sequence <= seq, followed by the checkpoint sections, and returns its
 // path. st is only read. No frame larger than maxPayloadBytes is ever
-// written: records and edges go out in bounded chunks, checkpoint sections
+// written: records go out in bounded chunks, checkpoint sections
 // in bounded parts, and a single record over the bound — which the store's
 // admission check (storage.MaxRecordBytes) does not let in — fails the
 // snapshot rather than produce a frame its reader would reject.
@@ -109,7 +110,7 @@ func WriteSnapshot(dir string, seq uint64, st *storage.StoreState, cps []storage
 }
 
 func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []storage.SubscriberCheckpoint) (SnapshotInfo, error) {
-	info := SnapshotInfo{Seq: seq, Records: len(st.Records), Edges: len(st.Edges)}
+	info := SnapshotInfo{Seq: seq, Records: len(st.Records)}
 	var payload, frame []byte
 	emit := func() error {
 		if len(payload) > maxPayloadBytes {
@@ -123,7 +124,7 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []
 	}
 
 	payload = storage.AppendSnapshotHeader(payload[:0], storage.SnapshotHeader{
-		NextID: st.NextID, Records: len(st.Records), Edges: len(st.Edges), Checkpoints: len(cps),
+		NextID: st.NextID, Records: len(st.Records), Checkpoints: len(cps),
 	})
 	if err := emit(); err != nil {
 		return info, err
@@ -136,14 +137,6 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []
 			return info, err
 		}
 		recs = recs[n:]
-	}
-	for edges := st.Edges; len(edges) > 0; {
-		var n int
-		payload, n = storage.AppendEdgeChunk(payload[:0], edges, snapshotChunkBytes)
-		if err := emit(); err != nil {
-			return info, err
-		}
-		edges = edges[n:]
 	}
 	for _, cp := range cps {
 		parts := max(1, (len(cp.Data)+snapshotChunkBytes-1)/snapshotChunkBytes)
@@ -169,7 +162,7 @@ func syncDir(dir string) {
 }
 
 // readSnapshotStream walks one snapshot stream to its last frame. With
-// decode it stages the records and edges; without, it only checks frame
+// decode it stages the records; without, it only checks frame
 // lengths, CRCs, sequences and the chunk counts against the header. strict
 // is for a stream that must be whole (a network transfer, or a file about to
 // justify deleting log segments): every announced checkpoint section must be
@@ -188,7 +181,7 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Edges: h.Edges, Frames: 1, Bytes: frameLen}}
+	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Frames: 1, Bytes: frameLen}}
 	st := &storage.StoreState{NextID: h.NextID}
 	if decode {
 		// A header can claim any count; let a false one cost nothing up front.
@@ -231,7 +224,7 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		default:
 			edges += n
 			if decode {
-				st.Edges, err = storage.DecodeEdgeChunk(p, st.Edges)
+				err = storage.SkipEdgeChunk(p)
 			}
 		}
 		if err != nil {

@@ -21,7 +21,7 @@ func testCheckpoints() []storage.SubscriberCheckpoint {
 	}
 }
 
-// testState is a small store state with records, a deletion hole and edges.
+// testState is a small store state with records and a deletion hole.
 func testState(t testing.TB, n int) *storage.StoreState {
 	t.Helper()
 	store := storage.NewStore()
@@ -74,8 +74,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// header + one record chunk + one edge chunk + three sections.
-	if info.Records != len(st.Records) || info.Edges != len(st.Edges) || info.Frames != 6 || len(info.Sidecars) != 3 {
+	// header + one record chunk + three sections.
+	if info.Records != len(st.Records) || info.Frames != 5 || len(info.Sidecars) != 3 {
 		t.Fatalf("written info = %+v", info)
 	}
 	snap, err := LatestSnapshot(dir)
@@ -227,13 +227,11 @@ func TestSnapshotCorruption(t *testing.T) {
 
 // TestSnapshotStreamRejectsForeignFrames: frames that do not belong — a
 // different sequence, a chunk that overshoots the header's count, a log
-// record, anything after the last section — fail the strict reader.
+// record, anything after the last section — fail the strict reader. The
+// stream is an older build's, whose frames are header, records, edges and
+// one section, so the edge chunk's place is checked too.
 func TestSnapshotStreamRejectsForeignFrames(t *testing.T) {
-	st := testState(t, 6)
-	var good bytes.Buffer
-	if _, err := writeSnapshotStream(&good, 7, st, testCheckpoints()[:1]); err != nil {
-		t.Fatal(err)
-	}
+	good := bytes.NewBufferString(parentSnapshot)
 	if _, err := ReadSnapshot(bytes.NewReader(good.Bytes())); err != nil {
 		t.Fatalf("the untouched stream: %v", err)
 	}
@@ -247,7 +245,7 @@ func TestSnapshotStreamRejectsForeignFrames(t *testing.T) {
 	}
 	mut, _ := (&storage.Mutation{Op: storage.OpDelete, ID: 1}).Encode()
 	var enc storage.Encoder
-	extraChunk, _ := enc.AppendRecordChunk(nil, st.Records[:1], 1)
+	extraChunk, _ := enc.AppendRecordChunk(nil, testState(t, 6).Records[:1], 1)
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	part := func(name string, version, left int, data string) []byte {
 		return encodeFrame(7, storage.AppendCheckpointPart(nil, name, version, left, []byte(data)))
@@ -452,7 +450,7 @@ func TestCheckpointSectionsSpanFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFrames := 3 // header, one record chunk, one edge chunk
+	wantFrames := 2 // header, one record chunk
 	for _, cp := range cps {
 		wantFrames += (len(cp.Data) + snapshotChunkBytes - 1) / snapshotChunkBytes
 	}
@@ -485,7 +483,7 @@ func TestCheckpointSectionsSpanFrames(t *testing.T) {
 
 	// Cut inside the second part of "stats".
 	ends := frameEnds(t, raw)
-	cut := ends[3+1+1] - 5 // header, chunks, "small", first part of "stats"
+	cut := ends[2+1+1] - 5 // header, chunk, "small", first part of "stats"
 	if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); err == nil {
 		t.Fatal("the strict reader accepted a torn section")
 	}
@@ -574,6 +572,47 @@ func FuzzReadFrames(f *testing.F) {
 	})
 }
 
+// parentSnapshot is a snapshot stream an older build wrote at sequence 7: two
+// records filed under session 3, one session edge between them in an edge
+// chunk, and an empty sessions section.
+const parentSnapshot = "\x06\x00\x00\x00\x05\x1a#\xc5\x07\x00\x00\x00\x00\x00\x00\x00\x01@\x04\x02\x01\x01" +
+	"\xa4\x00\x00\x00\xfe\xdc\xe0^\x07\x00\x00\x00\x00\x00\x00\x00\x01A\x02\x00\x00\x00" +
+	"N\x02\x1eSELECT a FROM t\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02u\x00\x00" +
+	"\xa0\xb0\x8e\x96\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xdb\x8f\xf9\xce\x03\x00\x00\x00\x00" +
+	"\x06\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"N\x04\x1eSELECT b FROM t\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02u\x00\x00" +
+	"\x98\xb1\x8e\x96\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xdb\x8f\xf9\xce\x03\x00\x00\x00\x00" +
+	"\x06\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x19\x00\x00\x00\x12\x15\xf7\x92\x07\x00\x00\x00\x00\x00\x00\x00\x01B\x01\x00\x00\x00\x02\x04\x02\x0f-attr a\x0a+attr b" +
+	"\x0d\x00\x00\x00R\x03dn\x07\x00\x00\x00\x00\x00\x00\x00\x01C\x08sessions\x03\x00"
+
+// TestParentSnapshotWithEdgesReads: a snapshot an older build wrote, with an
+// edge chunk and records carrying session IDs, reads back — the edges and the
+// session IDs dropped — and rewrites without an edge chunk.
+func TestParentSnapshotWithEdgesReads(t *testing.T) {
+	snap, err := ReadSnapshot(bytes.NewReader([]byte(parentSnapshot)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Seq != 7 || snap.Info.Frames != 4 || len(snap.State.Records) != 2 || len(snap.Checkpoints) != 1 {
+		t.Fatalf("read seq %d, %d frames, %d records, %d sections", snap.Seq, snap.Info.Frames, len(snap.State.Records), len(snap.Checkpoints))
+	}
+	if r := snap.State.Records[1]; r.ID != 2 || r.Text != "SELECT b FROM t" || r.User != "u" || !r.Valid {
+		t.Fatalf("record 2 = %+v", r)
+	}
+	var again bytes.Buffer
+	info, err := writeSnapshotStream(&again, snap.Seq, snap.State, snap.Checkpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Frames != 3 {
+		t.Fatalf("the rewrite has %d frames, want header, records and section", info.Frames)
+	}
+	if strings.Contains(again.String(), "+attr b") {
+		t.Fatal("the rewrite still carries the edge")
+	}
+}
+
 // FuzzDecodeSnapshot: the snapshot stream reader as the follower uses it.
 // Arbitrary bytes never panic it; an error yields no snapshot at all, so
 // nothing can be half-applied; what it accepts survives a rewrite.
@@ -587,6 +626,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
 	f.Add(encodeFrame(1, []byte(`{"nextId":1}`)))
+	// What only an older build writes: the writer above cannot reach the
+	// read-and-drop path of edge chunks and record session IDs.
+	f.Add([]byte(parentSnapshot))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, err := ReadSnapshot(bytes.NewReader(b))
 		if err != nil {
@@ -595,9 +637,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		if snap.Info.Records != len(snap.State.Records) || snap.Info.Edges != len(snap.State.Edges) {
-			t.Fatalf("info %+v disagrees with the staged state (%d records, %d edges)",
-				snap.Info, len(snap.State.Records), len(snap.State.Edges))
+		if snap.Info.Records != len(snap.State.Records) {
+			t.Fatalf("info %+v disagrees with the staged state (%d records)", snap.Info, len(snap.State.Records))
 		}
 		var again bytes.Buffer
 		if _, err := writeSnapshotStream(&again, snap.Seq, snap.State, snap.Checkpoints); err != nil {

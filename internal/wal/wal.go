@@ -195,7 +195,7 @@ const (
 	// the store admits: no mutation and no record exceeds
 	// storage.MaxRecordBytes (the store refuses the write before applying
 	// it), a snapshot chunk closes at snapshotChunkBytes and overshoots by
-	// at most one record or edge, and a checkpoint section is cut into
+	// at most one record, and a checkpoint section is cut into
 	// snapshotChunkBytes parts. The slack covers a put's few header bytes
 	// and a chunk's per-record length prefix. Writers never produce a larger
 	// frame and readers treat a larger length field as corruption.
