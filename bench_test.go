@@ -219,8 +219,7 @@ func BenchmarkE3CompletionPopularityOnly(b *testing.B) {
 	f := benchFixture(b)
 	cfg := recommend.DefaultConfig()
 	cfg.ContextAware = false
-	rec := recommend.New(f.store, metaquery.New(f.store, f.sys.SessionOf), f.sys.StatsTracker(), f.eng.Catalog(), cfg)
-	rec.UpdateMining(f.mining)
+	rec := recommend.New(f.store, metaquery.New(f.store, f.sys.SessionOf), f.sys.StatsTracker(), f.sys.MinerFeed().Rules, f.eng.Catalog(), cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,7 +270,8 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 	for _, n := range []int{1_000, 50_000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
-			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf), tracker, engine.NewCatalog(), recommend.DefaultConfig())
+			noRules := func() []miner.Rule { return nil }
+			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf), tracker, noRules, engine.NewCatalog(), recommend.DefaultConfig())
 			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -439,6 +439,9 @@ func BenchmarkE5OutputSamplingFixed(b *testing.B) {
 // E6 — association-rule mining: batch vs incremental
 // ---------------------------------------------------------------------------
 
+// BenchmarkE6AssociationMiningBatch is the batch side; the incremental side is
+// internal/miner's BenchmarkFeedAdd (one query) and BenchmarkFeedRefresh (one
+// rule derivation).
 func BenchmarkE6AssociationMiningBatch(b *testing.B) {
 	f := benchFixture(b)
 	transactions := make([][]string, 0, len(f.records))
@@ -451,41 +454,6 @@ func BenchmarkE6AssociationMiningBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rules := miner.MineAssociationRules(transactions, cfg)
 		if len(rules) == 0 {
-			b.Fatal("no rules")
-		}
-	}
-}
-
-// BenchmarkE6IncrementalMiningAdd measures the per-query cost of keeping the
-// rule counts up to date as the log grows — the operation that must stay
-// cheap for the CQMS to mine continuously (§4.3).
-func BenchmarkE6IncrementalMiningAdd(b *testing.B) {
-	f := benchFixture(b)
-	transactions := make([][]string, 0, len(f.records))
-	for _, r := range f.records {
-		transactions = append(transactions, r.Features)
-	}
-	inc := miner.NewIncrementalMiner(miner.DefaultAssocConfig(), 200)
-	for _, t := range transactions {
-		inc.Add(t)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc.Add(transactions[i%len(transactions)])
-	}
-}
-
-func BenchmarkE6IncrementalMiningRules(b *testing.B) {
-	f := benchFixture(b)
-	inc := miner.NewIncrementalMiner(miner.DefaultAssocConfig(), 200)
-	for _, r := range f.records {
-		inc.Add(r.Features)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rules := inc.Rules(); len(rules) == 0 {
 			b.Fatal("no rules")
 		}
 	}
@@ -606,18 +574,16 @@ func BenchmarkE9QueryByData(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: a mining pass over the whole log (the background job): the
-// feed's rule derivation plus the miner proper.
+// End-to-end: a mining pass over the whole log (the background job), which
+// is the feed's rule derivation and nothing else.
 // ---------------------------------------------------------------------------
 
 func BenchmarkFullMiningPass(b *testing.B) {
 	f := benchFixture(b)
-	feed := miner.NewFeed(miner.DefaultConfig().Assoc)
-	defer feed.Attach(f.store)()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := miner.Run(f.store, feed.Refresh())
+		res := f.sys.RunMiner()
 		if res.TransactionCount == 0 {
 			b.Fatal("mined nothing")
 		}

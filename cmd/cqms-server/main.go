@@ -109,16 +109,12 @@ func main() {
 			*dataDir, rec.Queries, rec.PayloadFormat, rec.SnapshotSeq, rec.SnapshotRecords, rec.SnapshotFrames, rec.Replayed, rec.TornTail)
 	}
 
-	if cqms.Store().Count() > 0 {
-		// Recovered data: mine it immediately so recommendations are warm,
-		// and don't layer a fresh synthetic trace on top.
-		if *replayUsers > 0 {
-			log.Printf("skipping trace replay: data directory already holds %d queries", cqms.Store().Count())
-			*replayUsers = 0
-		}
-		res := cqms.RunMiner()
-		log.Printf("initial mining pass over recovered log: %d queries, %d rules",
-			res.TransactionCount, len(res.Rules))
+	// Recovered data is served as soon as recovery ends: every derived state
+	// came back with the log, and the miner feed derives its rules on first
+	// read. Don't layer a fresh synthetic trace on top of it.
+	if n := cqms.Store().Count(); n > 0 && *replayUsers > 0 {
+		log.Printf("skipping trace replay: data directory already holds %d queries", n)
+		*replayUsers = 0
 	}
 	if *replayUsers > 0 {
 		wcfg := workload.DefaultConfig()
@@ -133,9 +129,6 @@ func main() {
 		} else if failures > 0 {
 			log.Printf("warning: %d replayed queries failed to execute", failures)
 		}
-		res := cqms.RunMiner()
-		log.Printf("initial mining pass: %d queries, %d rules",
-			res.TransactionCount, len(res.Rules))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -1,8 +1,8 @@
 // Log-analysis / administration scenario: the Administrative Interaction Mode
 // (§2.4) plus Query Maintenance (§4.4). An administrator watches the shared
-// query log, runs the miner, evolves the schema, lets the maintenance
-// component repair or flag affected queries, refreshes stale statistics and
-// inspects query-quality scores.
+// query log and the edits its users make, evolves the schema, lets the
+// maintenance component repair or flag affected queries, refreshes stale
+// statistics and inspects query-quality scores.
 //
 // Run with:
 //
@@ -39,16 +39,16 @@ func main() {
 
 	admin := cqms.Admin
 
-	// 1. A mining pass: what is the lab actually querying?
-	mining := sys.RunMiner()
+	// 1. What is the lab actually querying? The stats tracker counts it as
+	//    queries are logged.
 	users, _ := sys.Store().DistinctCounts()
 	fmt.Printf("query log: %d queries, %d distinct users\n", sys.Store().Count(), users)
 	fmt.Println("most queried relations:")
-	for i, pop := range mining.TablePopularity {
+	for i, tc := range sys.StatsTracker().TableCounts(admin) {
 		if i == 5 {
 			break
 		}
-		fmt.Printf("  %-15s %d queries\n", pop.Item, pop.Count)
+		fmt.Printf("  %-15s %d queries\n", tc.Table, tc.Count)
 	}
 	// Edit patterns are mined from the labelled edges of the log's sessions.
 	var edges []storage.SessionEdge

@@ -477,7 +477,7 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	wantAPI := apiDocument(t, tsPrimary.URL, maxID, true)
 	wantMembership := apiDocument(t, tsPrimary.URL, maxID, false)
 	wantStats := statsForDiff(t, tsPrimary.URL)
-	wantRules := primary.MinerFeed().Refresh()
+	wantRules := primary.MinerFeed().Refresh().Rules
 	if len(wantRules) == 0 {
 		t.Fatal("the history left the primary's feed without rules; the seed no longer covers them")
 	}
@@ -518,7 +518,7 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		if got, want := other.c.MinerFeed().NumTransactions(), primary.MinerFeed().NumTransactions(); got != want {
 			t.Errorf("%s: the miner feed counted %d transactions, the primary's %d", other.name, got, want)
 		}
-		if got := other.c.MinerFeed().Refresh(); !reflect.DeepEqual(got, wantRules) {
+		if got := other.c.MinerFeed().Refresh().Rules; !reflect.DeepEqual(got, wantRules) {
 			t.Errorf("%s: the miner feed derived %d rules that differ from the primary's %d", other.name, len(got), len(wantRules))
 		}
 	}

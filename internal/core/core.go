@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -86,9 +85,6 @@ type CQMS struct {
 	minerFeed *miner.Feed
 	sessions  *session.Live
 
-	mu         sync.RWMutex
-	lastMining *miner.Result
-
 	wal      *wal.Manager      // nil when durability is disabled
 	recovery *wal.RecoveryInfo // what Open reconstructed from disk
 
@@ -141,7 +137,7 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		store:       store,
 		profiler:    profiler.New(eng, store, cfg.Profiler),
 		executor:    exec,
-		recommender: recommend.New(store, exec, tracker, eng.Catalog(), cfg.Recommender),
+		recommender: recommend.New(store, exec, tracker, feed.Rules, eng.Catalog(), cfg.Recommender),
 		maintainer:  maintenance.New(eng, store, cfg.Maintenance),
 		stats:       tracker,
 		minerFeed:   feed,
@@ -162,9 +158,9 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		"similar":     assist.With("similar"),
 	}
 	c.minerPass = reg.Histogram("cqms_miner_pass_seconds",
-		"Full background mining pass duration (RunMiner).", telemetry.DefBuckets)
+		"Mining pass duration (RunMiner: the feed's rule derivation).", telemetry.DefBuckets)
 	c.minerPasses = reg.Counter("cqms_miner_passes_total",
-		"Completed full background mining passes.")
+		"Completed mining passes.")
 	examined := reg.HistogramVec("cqms_search_examined_records",
 		"Records loaded per search request, by search kind.",
 		telemetry.CountBuckets(1, 10, 25, 50, 100, 250, 500, 1000, 10_000, 100_000, 1_000_000), "kind")
@@ -172,9 +168,6 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	for _, kind := range metaquery.Kinds {
 		c.searchExamined[kind] = examined.With(kind)
 	}
-	// Until the first mining pass runs, context-aware completions are served
-	// from the feed's rules instead of going popularity-only.
-	c.recommender.UseRuleFeed(c.minerFeed.Rules)
 	return c
 }
 
@@ -578,37 +571,24 @@ func (c *CQMS) DeleteQuery(id storage.QueryID, p storage.Principal) error {
 	return c.store.Delete(id, p)
 }
 
-// RunMiner performs one background mining pass: re-deriving the feed's
-// association rules, the miner proper, and installation of the results into
-// the recommender. Neither session detection nor itemset counting runs here —
-// the bus-driven detector and feed maintain both continuously — and the pass
-// writes nothing to the log, so a primary and a read-only replica run the
-// same pass.
+// RunMiner performs one mining pass, timed and counted: the feed re-derives
+// its association rules (Feed.Refresh), which the recommender reads from then
+// on. Itemset counting, session detection and popularity are not part of it —
+// the feed, the live detector and the stats tracker keep them current off the
+// mutation bus — and the pass writes nothing to the log, so a primary and a
+// read-only replica run the same pass.
 func (c *CQMS) RunMiner() *miner.Result {
 	start := time.Now()
 	defer func() {
 		c.minerPass.Observe(time.Since(start))
 		c.minerPasses.Inc()
 	}()
-	res := miner.Run(c.store, c.minerFeed.Refresh())
-	c.recommender.UpdateMining(res)
-	c.mu.Lock()
-	c.lastMining = res
-	c.mu.Unlock()
-	return res
+	return c.minerFeed.Refresh()
 }
 
 // RunMaintenance performs one maintenance scan.
 func (c *CQMS) RunMaintenance() (*maintenance.Report, error) {
 	return c.maintainer.Scan()
-}
-
-// MiningResult returns the most recent mining result (nil before the first
-// pass).
-func (c *CQMS) MiningResult() *miner.Result {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.lastMining
 }
 
 // StartBackground launches the periodic miner and maintenance passes (the

@@ -161,9 +161,6 @@ func TestSessionsAfterMining(t *testing.T) {
 	if got, err := c.Sessions(ctx, stranger); err != nil || len(got) != 0 {
 		t.Errorf("stranger sees %d sessions, want 0", len(got))
 	}
-	if c.MiningResult() == nil {
-		t.Errorf("MiningResult should be cached")
-	}
 }
 
 func TestAssistedMode(t *testing.T) {
@@ -290,10 +287,11 @@ func TestBackgroundScheduler(t *testing.T) {
 	c2 := NewWithEngine(c.Engine(), cfg)
 	submit(t, c2, "alice", "limnology", "SELECT temp FROM WaterTemp WHERE temp < 18", time.Time{})
 
+	passes := c2.Metrics().Counter("cqms_miner_passes_total", "")
 	ctx, cancel := context.WithCancel(context.Background())
 	c2.StartBackground(ctx)
 	deadline := time.After(2 * time.Second)
-	for c2.MiningResult() == nil {
+	for passes.Value() == 0 {
 		select {
 		case <-deadline:
 			cancel()
@@ -302,9 +300,6 @@ func TestBackgroundScheduler(t *testing.T) {
 		}
 	}
 	cancel()
-	if c2.MiningResult().TransactionCount != 1 {
-		t.Errorf("mining result = %+v", c2.MiningResult())
-	}
 }
 
 func TestDefaultConfigSane(t *testing.T) {
@@ -443,8 +438,8 @@ func TestColdStartContextAwareCompletion(t *testing.T) {
 		t.Errorf("cold-start suggestions = %+v, want WaterTemp first (from the feed)", got)
 	}
 
-	// A mining pass installs the feed's rules in a Result; the feed keeps
-	// following submissions.
+	// A mining pass re-derives the feed's rules; the feed keeps following
+	// submissions.
 	c.RunMiner()
 	before := c.MinerFeed().NumTransactions()
 	submit(t, c, "alice", "limnology", "SELECT temp FROM WaterTemp", base.Add(time.Hour))
@@ -456,6 +451,6 @@ func TestColdStartContextAwareCompletion(t *testing.T) {
 		t.Fatalf("SuggestTables after mining pass: %v", err)
 	}
 	if len(got) == 0 || got[0].Text != "WaterTemp" {
-		t.Errorf("post-mining suggestions = %+v, want WaterTemp first (from the mined result)", got)
+		t.Errorf("post-mining suggestions = %+v, want WaterTemp first (from the pass's rules)", got)
 	}
 }

@@ -73,11 +73,10 @@ func (r Result) Format() string {
 // Env is the shared experimental environment: a populated engine, a CQMS with
 // a replayed trace, and the trace's ground truth.
 type Env struct {
-	Opts   Options
-	Sys    *core.CQMS
-	Eng    *engine.Engine
-	Trace  *workload.Trace
-	Mining *miner.Result
+	Opts  Options
+	Sys   *core.CQMS
+	Eng   *engine.Engine
+	Trace *workload.Trace
 }
 
 // NewEnv builds the shared environment.
@@ -96,8 +95,7 @@ func NewEnv(opts Options) (*Env, error) {
 	if _, err := workload.Replay(trace, prof); err != nil {
 		return nil, err
 	}
-	mining := sys.RunMiner()
-	return &Env{Opts: opts, Sys: sys, Eng: eng, Trace: trace, Mining: mining}, nil
+	return &Env{Opts: opts, Sys: sys, Eng: eng, Trace: trace}, nil
 }
 
 // RunAll runs every experiment and returns their results in order.
@@ -260,12 +258,11 @@ func E3AssistedInteraction(env *Env) (Result, error) {
 
 	exec := metaquery.New(store, env.Sys.SessionOf)
 	contextCfg := recommend.DefaultConfig()
-	contextRec := recommend.New(store, exec, env.Sys.StatsTracker(), env.Sys.Engine().Catalog(), contextCfg)
-	contextRec.UpdateMining(env.Mining)
+	rules := env.Sys.MinerFeed().Rules
+	contextRec := recommend.New(store, exec, env.Sys.StatsTracker(), rules, env.Sys.Engine().Catalog(), contextCfg)
 	popCfg := recommend.DefaultConfig()
 	popCfg.ContextAware = false
-	popRec := recommend.New(store, exec, env.Sys.StatsTracker(), env.Sys.Engine().Catalog(), popCfg)
-	popRec.UpdateMining(env.Mining)
+	popRec := recommend.New(store, exec, env.Sys.StatsTracker(), rules, env.Sys.Engine().Catalog(), popCfg)
 
 	// k = 1: the metric is whether the single top suggestion is the held-out
 	// table. With the small schema a top-3 window would let the popularity
@@ -273,17 +270,18 @@ func E3AssistedInteraction(env *Env) (Result, error) {
 	const k = 1
 	// globalTopFor returns the globally most popular table not already in the
 	// partial query — what a popularity-only assistant would suggest first.
+	tableCounts := env.Sys.StatsTracker().TableCounts(admin)
 	globalTopFor := func(kept []string) string {
-		for _, pop := range env.Mining.TablePopularity {
+		for _, tc := range tableCounts {
 			inKept := false
 			for _, t := range kept {
-				if strings.EqualFold(t, pop.Item) {
+				if strings.EqualFold(t, tc.Table) {
 					inKept = true
 					break
 				}
 			}
 			if !inKept {
-				return pop.Item
+				return tc.Table
 			}
 		}
 		return ""
@@ -536,13 +534,17 @@ func E5OutputSampling(env *Env) (Result, error) {
 // E6 — association mining: batch vs incremental
 // ---------------------------------------------------------------------------
 
-// E6AssociationMining compares batch Apriori against the incremental miner on
-// runtime and on whether the headline context rule survives.
+// E6AssociationMining compares batch Apriori over every feature transaction
+// with the incremental Feed — a per-query Add, then one Refresh deriving the
+// rules from the distinct feature sets — on runtime and on recall of the
+// batch rules (exact by construction: the two count the same itemsets).
 func E6AssociationMining(env *Env) (Result, error) {
 	records := env.Sys.Store().Snapshot().Records(admin)
 	transactions := make([][]string, 0, len(records))
 	for _, r := range records {
-		transactions = append(transactions, r.Features)
+		if len(r.Features) > 0 {
+			transactions = append(transactions, r.Features)
+		}
 	}
 	cfg := miner.DefaultAssocConfig()
 
@@ -550,14 +552,14 @@ func E6AssociationMining(env *Env) (Result, error) {
 	batch := miner.MineAssociationRules(transactions, cfg)
 	batchTime := time.Since(start)
 
-	inc := miner.NewIncrementalMiner(cfg, 200)
+	feed := miner.NewFeed(cfg)
 	start = time.Now()
 	for _, t := range transactions {
-		inc.Add(t)
+		feed.Add(t)
 	}
 	addTime := time.Since(start)
 	start = time.Now()
-	incRules := inc.Rules()
+	incRules := feed.Refresh().Rules
 	deriveTime := time.Since(start)
 
 	batchKeys := map[string]bool{}

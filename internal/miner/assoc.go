@@ -17,8 +17,7 @@ type Rule struct {
 	Lift       float64 // confidence / support(consequent)
 }
 
-// Key returns a canonical identity for the rule, used for deduplication in
-// tests and incremental re-mining.
+// Key returns a canonical identity for the rule, used to compare rule sets.
 func (r Rule) Key() string {
 	ant := append([]string(nil), r.Antecedent...)
 	sort.Strings(ant)
@@ -253,127 +252,4 @@ func rulesFromCounts(counts map[string]int, numTransactions int, cfg AssocConfig
 		out[i] = rules[j]
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Incremental mining (§4.3: "incremental mining algorithms ... will likely be
-// necessary considering the possibly rapid growth of the query log").
-// ---------------------------------------------------------------------------
-
-// IncrementalMiner maintains itemset counts as transactions arrive and can
-// produce rules at any time without rescanning past transactions. To bound
-// state it counts only itemsets up to MaxItemsetSize built from items that
-// were frequent among the first warm-up batch (a standard candidate-freezing
-// approximation). It is the E6 ablation's incremental variant; the system's
-// rule source is the exact Feed.
-type IncrementalMiner struct {
-	cfg        AssocConfig
-	counts     map[string]int
-	numTx      int
-	vocabulary map[string]bool // items eligible for multi-item counting
-	warmupTx   [][]string
-	warmupSize int
-	frozen     bool
-}
-
-// NewIncrementalMiner returns an incremental miner that freezes its candidate
-// vocabulary after warmupSize transactions.
-func NewIncrementalMiner(cfg AssocConfig, warmupSize int) *IncrementalMiner {
-	if warmupSize <= 0 {
-		warmupSize = 100
-	}
-	return &IncrementalMiner{
-		cfg:        cfg,
-		counts:     make(map[string]int),
-		vocabulary: make(map[string]bool),
-		warmupSize: warmupSize,
-	}
-}
-
-// Add ingests one transaction.
-func (im *IncrementalMiner) Add(transaction []string) {
-	im.numTx++
-	if !im.frozen {
-		im.warmupTx = append(im.warmupTx, transaction)
-		if len(im.warmupTx) >= im.warmupSize {
-			im.freeze()
-		}
-		return
-	}
-	im.count(transaction)
-}
-
-// NumTransactions returns how many transactions have been ingested.
-func (im *IncrementalMiner) NumTransactions() int { return im.numTx }
-
-// freeze mines the warm-up batch with full Apriori, fixes the vocabulary to
-// the items appearing in frequent itemsets, and replays the warm-up
-// transactions through the counting path.
-func (im *IncrementalMiner) freeze() {
-	im.frozen = true
-	counts := countItemsets(im.warmupTx, im.cfg)
-	for key := range counts {
-		for _, item := range strings.Split(key, ",") {
-			im.vocabulary[item] = true
-		}
-	}
-	for _, t := range im.warmupTx {
-		im.count(t)
-	}
-	im.warmupTx = nil
-}
-
-// count updates itemset counts for one transaction using only vocabulary
-// items.
-func (im *IncrementalMiner) count(transaction []string) {
-	seen := make(map[string]bool)
-	var items []string
-	for _, item := range transaction {
-		if seen[item] {
-			continue
-		}
-		seen[item] = true
-		// Singletons are always counted so new items can become visible in
-		// Rules' support denominators after a re-freeze.
-		im.counts[item]++
-		if im.vocabulary[item] {
-			items = append(items, item)
-		}
-	}
-	sort.Strings(items)
-	maxSize := im.cfg.MaxItemsetSize
-	if maxSize < 2 {
-		maxSize = 2
-	}
-	// Pairs.
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			im.counts[itemsetKey([]string{items[i], items[j]})]++
-			if maxSize >= 3 {
-				for k := j + 1; k < len(items); k++ {
-					im.counts[itemsetKey([]string{items[i], items[j], items[k]})]++
-				}
-			}
-		}
-	}
-}
-
-// Rules derives association rules from the maintained counts. Before the
-// warm-up completes it falls back to exact mining over the buffered
-// transactions.
-func (im *IncrementalMiner) Rules() []Rule {
-	if !im.frozen {
-		return MineAssociationRules(im.warmupTx, im.cfg)
-	}
-	minCount := int(im.cfg.MinSupport * float64(im.numTx))
-	if minCount < 1 {
-		minCount = 1
-	}
-	filtered := make(map[string]int, len(im.counts))
-	for key, c := range im.counts {
-		if c >= minCount {
-			filtered[key] = c
-		}
-	}
-	return rulesFromCounts(filtered, im.numTx, im.cfg)
 }

@@ -169,73 +169,6 @@ func TestTopRulesFor(t *testing.T) {
 	}
 }
 
-func TestIncrementalMinerMatchesBatchOnPairs(t *testing.T) {
-	tx := paperTransactions()
-	cfg := AssocConfig{MinSupport: 0.05, MinConfidence: 0.3, MaxItemsetSize: 2}
-	batch := MineAssociationRules(tx, cfg)
-
-	inc := NewIncrementalMiner(cfg, len(tx)) // warm-up covers everything: exact
-	for _, t := range tx {
-		inc.Add(t)
-	}
-	incRules := inc.Rules()
-
-	batchKeys := make(map[string]bool)
-	for _, r := range batch {
-		batchKeys[r.Key()] = true
-	}
-	incKeys := make(map[string]bool)
-	for _, r := range incRules {
-		incKeys[r.Key()] = true
-	}
-	for k := range batchKeys {
-		if !incKeys[k] {
-			t.Errorf("incremental miner missing rule %s", k)
-		}
-	}
-}
-
-func TestIncrementalMinerAfterFreeze(t *testing.T) {
-	cfg := AssocConfig{MinSupport: 0.05, MinConfidence: 0.3, MaxItemsetSize: 2}
-	inc := NewIncrementalMiner(cfg, 50)
-	tx := paperTransactions()
-	for _, t := range tx {
-		inc.Add(t)
-	}
-	// Keep streaming more of the same shape after the freeze point.
-	for i := 0; i < 100; i++ {
-		inc.Add([]string{"table:WaterSalinity", "table:WaterTemp"})
-	}
-	if inc.NumTransactions() != len(tx)+100 {
-		t.Errorf("transactions = %d", inc.NumTransactions())
-	}
-	rules := inc.Rules()
-	found := false
-	for _, r := range rules {
-		if len(r.Antecedent) == 1 && r.Antecedent[0] == "table:WaterSalinity" && r.Consequent == "table:WaterTemp" {
-			found = true
-			if r.Confidence < 0.8 {
-				t.Errorf("confidence = %v, want high", r.Confidence)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("incremental miner lost the WaterSalinity => WaterTemp rule")
-	}
-}
-
-func TestIncrementalMinerBeforeFreezeFallsBackToExact(t *testing.T) {
-	cfg := AssocConfig{MinSupport: 0.1, MinConfidence: 0.5, MaxItemsetSize: 2}
-	inc := NewIncrementalMiner(cfg, 1000)
-	for i := 0; i < 20; i++ {
-		inc.Add([]string{"x", "y"})
-	}
-	rules := inc.Rules()
-	if len(rules) == 0 {
-		t.Errorf("expected rules from warm-up fallback")
-	}
-}
-
 // Property: every rule's support and confidence lie in (0, 1], and confidence
 // never falls below the configured threshold.
 func TestPropertyRuleMetricsBounded(t *testing.T) {

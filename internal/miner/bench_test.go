@@ -58,7 +58,7 @@ func BenchmarkFeedRefresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rules = feed.Refresh()
+		rules = feed.Refresh().Rules
 	}
 	b.StopTimer()
 	if len(rules) == 0 {
@@ -94,7 +94,7 @@ func TestFeedMatchesFullPassOnExploreMix(t *testing.T) {
 	for i, tx := range txs {
 		feed.Add(tx)
 		if n := i + 1; n == len(txs)/4 || n == len(txs) {
-			got, want := feed.Refresh(), MineAssociationRules(txs[:n], DefaultAssocConfig())
+			got, want := feed.Refresh().Rules, MineAssociationRules(txs[:n], DefaultAssocConfig())
 			if len(want) == 0 || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%d transactions: %d feed rules differ from %d full-pass rules", n, len(got), len(want))
 			}

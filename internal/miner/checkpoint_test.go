@@ -71,7 +71,7 @@ func TestFeedCheckpointRoundTrip(t *testing.T) {
 func TestFeedCheckpointsAfterRefresh(t *testing.T) {
 	f := NewFeed(DefaultAssocConfig())
 	feedTransactions(f, 30)
-	rules := f.Refresh()
+	rules := f.Refresh().Rules
 	feedTransactions(f, 5)
 	version, data, err := f.Checkpoint()
 	if err != nil {
@@ -81,7 +81,7 @@ func TestFeedCheckpointsAfterRefresh(t *testing.T) {
 	if err := g.Restore(version, data); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if got := g.Rules(); len(got) == 0 || !reflect.DeepEqual(got, f.Refresh()) {
+	if got := g.Rules(); len(got) == 0 || !reflect.DeepEqual(got, f.Refresh().Rules) {
 		t.Errorf("restored rules %+v, want the original's after the same transactions", got)
 	}
 	if len(rules) == 0 {

@@ -21,7 +21,7 @@ import (
 // the support counts of Apriori over every record (MineAssociationRules, the
 // oracle the tests hold the feed to).
 //
-// Rules are derived by Refresh, which the mining pass calls; Rules returns
+// Rules are derived by Refresh, which is the whole mining pass; Rules returns
 // the last derivation, so served rules are at most one pass stale.
 type Feed struct {
 	cfg AssocConfig
@@ -165,12 +165,13 @@ func normalize(items []string) []string {
 	return slices.Compact(out)
 }
 
-// Refresh re-derives the rules from the current multiset, installs them as
-// what Rules returns, and returns them. The mining pass calls it. The sets
-// are copied under the feed's lock and the derivation runs outside it: bus
-// callbacks take the lock while holding the store's commit lock, so an
-// Apriori pass under it would stall every writer.
-func (f *Feed) Refresh() []Rule {
+// Refresh is the mining pass: it re-derives the rules from the current
+// multiset, installs them as what Rules returns, and returns them with the
+// transaction count they were derived over. The sets are copied under the
+// feed's lock and the derivation runs outside it: bus callbacks take the lock
+// while holding the store's commit lock, so an Apriori pass under it would
+// stall every writer.
+func (f *Feed) Refresh() *Result {
 	f.mu.Lock()
 	seq, numTx := f.seq, f.numTx
 	sets := make([]featureSet, 0, len(f.sets))
@@ -187,7 +188,7 @@ func (f *Feed) Refresh() []Rule {
 		f.rules, f.derived, f.rulesSeq = rules, true, seq
 	}
 	f.mu.Unlock()
-	return rules
+	return &Result{Rules: rules, TransactionCount: numTx}
 }
 
 // Rules returns the rules of the last Refresh. A feed with no rules yet —
@@ -202,7 +203,7 @@ func (f *Feed) Rules() []Rule {
 		return rules
 	}
 	f.mu.Unlock()
-	return f.Refresh()
+	return f.Refresh().Rules
 }
 
 // NumTransactions returns how many records with a non-empty feature set the

@@ -90,7 +90,7 @@ func TestFeedRetractsDeletesAndRepairs(t *testing.T) {
 	if got, sets := feed.NumTransactions(), feed.NumSets(); got != 2 || sets != 2 {
 		t.Fatalf("after repair: %d transactions in %d sets, want 2 in 2", got, sets)
 	}
-	if got, want := feed.Refresh(), MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
+	if got, want := feed.Refresh().Rules, MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
 		t.Errorf("rules after retraction differ from a full pass\n got: %+v\nwant: %+v", got, want)
 	}
 }
@@ -115,7 +115,7 @@ func TestFeedRulesCached(t *testing.T) {
 	if again := feed.Rules(); !reflect.DeepEqual(again, first) {
 		t.Error("a read re-derived the rules; only Refresh may")
 	}
-	fresh := feed.Refresh()
+	fresh := feed.Refresh().Rules
 	if reflect.DeepEqual(fresh, first) {
 		t.Fatal("Refresh did not pick up the new transactions")
 	}
@@ -212,7 +212,7 @@ func TestFeedMatchesFullPassUnderRandomHistory(t *testing.T) {
 			}
 			tx := adminTransactions(store)
 			want := MineAssociationRules(tx, cfg)
-			if got := feed.Refresh(); !reflect.DeepEqual(got, want) {
+			if got := feed.Refresh().Rules; !reflect.DeepEqual(got, want) {
 				t.Fatalf("cfg %+v step %d: feed rules differ from the full pass\n got: %+v\nwant: %+v", cfg, step, got, want)
 			}
 			if got := feed.NumTransactions(); got != len(tx) {
@@ -273,7 +273,7 @@ func TestFeedRefreshRacesCommits(t *testing.T) {
 		feed.Rules()
 	}
 	<-done
-	if got, want := feed.Refresh(), MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
+	if got, want := feed.Refresh().Rules, MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
 		t.Errorf("rules after the race differ from a full pass\n got: %+v\nwant: %+v", got, want)
 	}
 }

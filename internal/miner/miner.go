@@ -17,26 +17,13 @@ type EditPattern struct {
 	Count   int
 }
 
-// Popularity counts how often an item (a table, a column, a predicate
-// template) occurs across the visible log; the recommender uses these as
-// priors.
-type Popularity struct {
-	Item  string
-	Count int
-}
-
-// Result is the output of one background mining pass, consumed by the
-// recommender and the Meta-query Executor.
+// Result is what one mining pass hands its caller: the association rules the
+// Feed derived and the feature transactions it derived them from, read from
+// one snapshot of the feed's multiset.
 type Result struct {
-	// Rules are the association rules over query features, as the Feed
-	// derived them for the pass.
 	Rules []Rule
-	// TablePopularity, ColumnPopularity and PredicatePopularity are global
-	// occurrence counts.
-	TablePopularity     []Popularity
-	ColumnPopularity    []Popularity
-	PredicatePopularity []Popularity
-	// TransactionCount is the number of queries mined.
+	// TransactionCount is how many records with a non-empty feature set the
+	// rules were derived over.
 	TransactionCount int
 }
 
@@ -49,17 +36,6 @@ type Config struct {
 // queries.
 func DefaultConfig() Config {
 	return Config{Assoc: DefaultAssocConfig()}
-}
-
-// Run performs a background mining pass over every query in the store (admin
-// view): popularity counts. The association rules are not mined here — the
-// Feed keeps them current as the log changes — so the caller passes the
-// feed's rules in (Feed.Refresh) and Run installs them.
-func Run(store *storage.Store, rules []Rule) *Result {
-	records := store.Snapshot().Records(storage.Principal{Admin: true})
-	res := &Result{Rules: rules, TransactionCount: len(records)}
-	res.TablePopularity, res.ColumnPopularity, res.PredicatePopularity = popularityCounts(records)
-	return res
 }
 
 // MineEditPatterns counts constant-masked diff entries across session edges
@@ -116,73 +92,6 @@ func maskDiffConstant(entry string) string {
 	default:
 		return entry
 	}
-}
-
-// popularityCounts computes table, column and predicate-template occurrence
-// counts across the log.
-func popularityCounts(records []*storage.QueryRecord) (tables, columns, predicates []Popularity) {
-	tableCounts := make(map[string]int)
-	colCounts := make(map[string]int)
-	predCounts := make(map[string]int)
-	for _, r := range records {
-		seenT := make(map[string]bool)
-		for _, t := range r.Tables {
-			if !seenT[t] {
-				seenT[t] = true
-				tableCounts[t]++
-			}
-		}
-		seenC := make(map[string]bool)
-		for _, a := range r.Attributes {
-			name := a.Attr
-			if a.Rel != "" {
-				name = a.Rel + "." + a.Attr
-			}
-			if !seenC[name] {
-				seenC[name] = true
-				colCounts[name]++
-			}
-		}
-		seenP := make(map[string]bool)
-		for _, p := range r.Predicates {
-			key := predicateTemplate(p)
-			if !seenP[key] {
-				seenP[key] = true
-				predCounts[key]++
-			}
-		}
-	}
-	return toPopularity(tableCounts), toPopularity(colCounts), toPopularity(predCounts)
-}
-
-// predicateTemplate renders a stored predicate with its constant masked.
-func predicateTemplate(p storage.PredicateRow) string {
-	col := p.Attr
-	if p.Rel != "" {
-		col = p.Rel + "." + p.Attr
-	}
-	if p.IsJoin {
-		right := p.RightAttr
-		if p.RightRel != "" {
-			right = p.RightRel + "." + p.RightAttr
-		}
-		return col + " " + p.Op + " " + right
-	}
-	return col + " " + p.Op + " ?"
-}
-
-func toPopularity(counts map[string]int) []Popularity {
-	out := make([]Popularity, 0, len(counts))
-	for item, c := range counts {
-		out = append(out, Popularity{Item: item, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Item < out[j].Item
-	})
-	return out
 }
 
 // TopRulesFor returns the rules whose antecedent is satisfied by (a subset

@@ -52,13 +52,25 @@ func populateStore(t testing.TB) *storage.Store {
 	return store
 }
 
+// TestMinerRun: a mining pass is the feed's Refresh — the rules of a full
+// Apriori pass and the count of the transactions they were derived over,
+// which leaves out a logged statement with no features.
 func TestMinerRun(t *testing.T) {
 	store := populateStore(t)
+	ddl, err := storage.NewRecordFromSQL("ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ddl.Features) != 0 {
+		t.Fatalf("DDL features = %v, want none", ddl.Features)
+	}
+	ddl.User = "dba"
+	mustPut(t, store, ddl)
 	cfg := DefaultConfig()
 	cfg.Assoc = AssocConfig{MinSupport: 0.1, MinConfidence: 0.3, MaxItemsetSize: 3}
 	feed := NewFeed(cfg.Assoc)
 	feed.Attach(store)
-	res := Run(store, feed.Refresh())
+	res := feed.Refresh()
 
 	if res.TransactionCount != 8 {
 		t.Errorf("transactions = %d, want 8", res.TransactionCount)
@@ -66,20 +78,11 @@ func TestMinerRun(t *testing.T) {
 	if len(res.Rules) == 0 {
 		t.Errorf("no rules mined")
 	}
-	// The pass serves the feed's rules, which are a full Apriori pass's.
 	if want := MineAssociationRules(adminTransactions(store), cfg.Assoc); !reflect.DeepEqual(res.Rules, want) {
 		t.Errorf("pass rules differ from a full pass\n got: %+v\nwant: %+v", res.Rules, want)
 	}
-	// Popularity: CityLocations and WaterTemp referenced most.
-	if len(res.TablePopularity) == 0 {
-		t.Fatalf("no table popularity")
-	}
-	top := res.TablePopularity[0]
-	if top.Count < 3 {
-		t.Errorf("top table popularity = %+v", top)
-	}
-	if len(res.ColumnPopularity) == 0 || len(res.PredicatePopularity) == 0 {
-		t.Errorf("column/predicate popularity missing")
+	if got := feed.Rules(); !reflect.DeepEqual(got, res.Rules) {
+		t.Errorf("the feed serves other rules than its pass\n got: %+v\nwant: %+v", got, res.Rules)
 	}
 }
 
@@ -135,27 +138,10 @@ func TestMineEditPatternsJoinPredicatesKeepColumns(t *testing.T) {
 	}
 }
 
-func TestPopularityCountsDeduplicatePerQuery(t *testing.T) {
-	store := storage.NewStore()
-	// A query referencing the same table twice (self-join) counts once.
-	rec, err := storage.NewRecordFromSQL("SELECT a.temp FROM WaterTemp a, WaterTemp b WHERE a.loc_x = b.loc_x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.User = "alice"
-	rec.Visibility = storage.VisibilityPublic
-	mustPut(t, store, rec)
-	res := Run(store, nil)
-	for _, p := range res.TablePopularity {
-		if p.Item == "WaterTemp" && p.Count != 1 {
-			t.Errorf("WaterTemp count = %d, want 1", p.Count)
-		}
-	}
-}
-
 func TestMinerEmptyStore(t *testing.T) {
-	store := storage.NewStore()
-	res := Run(store, nil)
+	feed := NewFeed(DefaultAssocConfig())
+	feed.Attach(storage.NewStore())
+	res := feed.Refresh()
 	if res.TransactionCount != 0 || len(res.Rules) != 0 {
 		t.Errorf("empty store mining result = %+v", res)
 	}

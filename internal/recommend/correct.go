@@ -13,20 +13,22 @@ import (
 
 // Corrections analyses a (possibly complete) query and suggests corrections
 // in the spirit of a spell checker (§2.3): unknown relation or attribute
-// names are matched against the schema catalog and the names seen in the
-// query log, and the closest candidates are proposed.
+// names are matched against the schema catalog and the names in the logged
+// queries the principal may see, and the closest candidates are proposed.
 func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, querySQL string) []Correction {
 	qc := contextOf(querySQL)
 	schemas := r.catalog.Schemas()
-	mined := r.miningSnapshot()
 
 	knownTables := make(map[string]string) // lower -> canonical
 	for t := range schemas {
 		knownTables[strings.ToLower(t)] = t
 	}
-	for _, pop := range mined.TablePopularity {
-		if _, ok := knownTables[strings.ToLower(pop.Item)]; !ok {
-			knownTables[strings.ToLower(pop.Item)] = pop.Item
+	logged := r.stats.TableCounts(p)
+	loggedTables := make([]string, 0, len(logged))
+	for _, tc := range logged {
+		loggedTables = append(loggedTables, tc.Table)
+		if _, ok := knownTables[strings.ToLower(tc.Table)]; !ok {
+			knownTables[strings.ToLower(tc.Table)] = tc.Table
 		}
 	}
 	knownColumns := make(map[string]string)
@@ -35,8 +37,19 @@ func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, quer
 			knownColumns[strings.ToLower(c.Name)] = t + "." + c.Name
 		}
 	}
-	for _, pop := range mined.ColumnPopularity {
-		name := pop.Item
+	// The most used spelling of a bare column name wins, ties by name.
+	columnCounts := r.stats.ColumnCounts(p, loggedTables)
+	columns := make([]string, 0, len(columnCounts))
+	for name := range columnCounts {
+		columns = append(columns, name)
+	}
+	sort.Slice(columns, func(i, j int) bool {
+		if ci, cj := columnCounts[columns[i]], columnCounts[columns[j]]; ci != cj {
+			return ci > cj
+		}
+		return columns[i] < columns[j]
+	})
+	for _, name := range columns {
 		bare := name
 		if idx := strings.LastIndex(name, "."); idx >= 0 {
 			bare = name[idx+1:]

@@ -5,16 +5,18 @@
 // score/diff/annotation columns, and automatic tutorial generation for new
 // users.
 //
-// The recommender consumes the Query Miner's output (association rules,
-// popularity counts) and the Meta-query Executor's kNN search, so its
-// suggestions improve as the query log grows.
+// The recommender reads the Query Miner's association rules, the
+// visibility-aware counters of internal/stats and the Meta-query Executor's
+// kNN search, so its suggestions improve as the query log grows. Every count
+// it shows — popularity included — is read per principal: an admin's covers
+// the whole log, anyone else's their own queries plus public ones, as every
+// other stats read does.
 package recommend
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/metaquery"
@@ -113,56 +115,25 @@ type Recommender struct {
 	store *storage.Store
 	exec  *metaquery.Executor
 	// stats holds the incremental, visibility-aware aggregates the mutation
-	// bus keeps current: completion and popularity read O(candidates)
-	// counters from it instead of scanning the log, so per-suggestion cost
-	// stays flat as the log grows. It counts what a principal sees as public
-	// queries plus their own.
+	// bus keeps current: completion, correction, the tutorial and every
+	// popularity prior read O(candidates) counters from it instead of
+	// scanning the log, so per-suggestion cost stays flat as the log grows.
+	// It counts what a principal sees as public queries plus their own.
 	stats *stats.Tracker
 	// catalog is the DBMS schema catalog, read when a suggestion needs table
 	// or column names the log does not yet hold.
 	catalog *engine.Catalog
-	cfg     Config
-
-	mu       sync.RWMutex
-	mined    *miner.Result
-	ruleFeed func() []miner.Rule // live rules before the first mining pass
+	// rules returns the association rules of the last mining pass (the
+	// miner's Feed.Rules).
+	rules func() []miner.Rule
+	cfg   Config
 }
 
 // New returns a recommender over the store, its meta-query executor, the
-// stats tracker attached to the store and the engine's schema catalog.
-func New(store *storage.Store, exec *metaquery.Executor, tracker *stats.Tracker, catalog *engine.Catalog, cfg Config) *Recommender {
-	return &Recommender{store: store, exec: exec, stats: tracker, catalog: catalog, cfg: cfg}
-}
-
-// UseRuleFeed installs a live association-rule source (the miner's
-// bus-driven Feed). Until the first mining pass installs a Result,
-// context-aware suggestions are served from it, so completions are not
-// popularity-only during cold start.
-func (r *Recommender) UseRuleFeed(feed func() []miner.Rule) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ruleFeed = feed
-}
-
-// UpdateMining installs a fresh mining result (called after each background
-// miner pass).
-func (r *Recommender) UpdateMining(res *miner.Result) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mined = res
-}
-
-func (r *Recommender) miningSnapshot() *miner.Result {
-	r.mu.RLock()
-	mined, feed := r.mined, r.ruleFeed
-	r.mu.RUnlock()
-	if mined != nil {
-		return mined
-	}
-	if feed != nil {
-		return &miner.Result{Rules: feed()}
-	}
-	return &miner.Result{}
+// stats tracker attached to the store, the association-rule source and the
+// engine's schema catalog.
+func New(store *storage.Store, exec *metaquery.Executor, tracker *stats.Tracker, rules func() []miner.Rule, catalog *engine.Catalog, cfg Config) *Recommender {
+	return &Recommender{store: store, exec: exec, stats: tracker, rules: rules, catalog: catalog, cfg: cfg}
 }
 
 // schemaColumns returns the named table's columns from the catalog, or nil
@@ -282,11 +253,10 @@ func partialFeatures(partial string) (tables, attrs []string) {
 // global popularity (the §2.3 example: given WaterSalinity, suggest WaterTemp
 // over the globally more popular CityLocations).
 func (r *Recommender) SuggestTables(p storage.Principal, partialSQL string, k int) []Completion {
-	return r.suggestTables(contextOf(partialSQL), k)
+	return r.suggestTables(p, contextOf(partialSQL), k)
 }
 
-func (r *Recommender) suggestTables(qc queryContext, k int) []Completion {
-	mined := r.miningSnapshot()
+func (r *Recommender) suggestTables(p storage.Principal, qc queryContext, k int) []Completion {
 	have := make(map[string]bool)
 	for _, t := range qc.tables {
 		have[strings.ToLower(t)] = true
@@ -304,7 +274,7 @@ func (r *Recommender) suggestTables(qc queryContext, k int) []Completion {
 	}
 
 	if r.cfg.ContextAware && len(qc.features) > 0 {
-		for _, rule := range miner.TopRulesFor(mined.Rules, qc.features, 0) {
+		for _, rule := range miner.TopRulesFor(r.rules(), qc.features, 0) {
 			if !strings.HasPrefix(rule.Consequent, "table:") {
 				continue
 			}
@@ -314,16 +284,12 @@ func (r *Recommender) suggestTables(qc queryContext, k int) []Completion {
 				fmt.Sprintf("co-occurs with current tables (confidence %.0f%%)", rule.Confidence*100))
 		}
 	}
-	// Global popularity fallback, normalised to (0, 1].
-	maxCount := 1
-	for _, pop := range mined.TablePopularity {
-		if pop.Count > maxCount {
-			maxCount = pop.Count
-		}
-	}
-	for _, pop := range mined.TablePopularity {
-		add(pop.Item, float64(pop.Count)/float64(maxCount),
-			fmt.Sprintf("popular table (%d queries)", pop.Count))
+	// Popularity fallback over the queries the principal may see, normalised
+	// to (0, 1]; the listing is sorted, so its first count is the largest.
+	counts := r.stats.TableCounts(p)
+	for _, tc := range counts {
+		add(tc.Table, float64(tc.Count)/float64(counts[0].Count),
+			fmt.Sprintf("popular table (%d queries)", tc.Count))
 	}
 	// Schema fallback for cold starts.
 	for _, table := range r.catalog.TableNames() {
@@ -439,11 +405,11 @@ func (r *Recommender) suggestJoins(p storage.Principal, qc queryContext, k int) 
 // Complete merges table, column, predicate and join suggestions for the
 // partial query, capped at k entries per kind. The partial's context is
 // extracted once and shared by the four suggesters. They read the tracker's
-// counters, the mining snapshot and the catalog — nothing scans the log — so
+// counters, the mined rules and the catalog — nothing scans the log — so
 // completion takes no context: there is nothing to cancel.
 func (r *Recommender) Complete(p storage.Principal, partialSQL string, k int) []Completion {
 	qc := contextOf(partialSQL)
-	out := r.suggestTables(qc, k)
+	out := r.suggestTables(p, qc, k)
 	out = append(out, r.suggestColumns(p, qc, k)...)
 	out = append(out, r.suggestPredicates(p, qc, k)...)
 	out = append(out, r.suggestJoins(p, qc, k)...)

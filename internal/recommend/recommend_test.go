@@ -89,11 +89,9 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 		}
 	}
 	sessions := session.AttachLive(store, session.DefaultConfig())
-	rec := New(store, metaquery.New(store, sessions.SessionOf), stats.Attach(store), catalog, DefaultConfig())
 	feed := miner.NewFeed(miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3})
 	feed.Attach(store)
-	rec.UpdateMining(miner.Run(store, feed.Refresh()))
-	return rec, store
+	return New(store, metaquery.New(store, sessions.SessionOf), stats.Attach(store), feed.Rules, catalog, DefaultConfig()), store
 }
 
 func TestSuggestTablesContextAware(t *testing.T) {
@@ -139,8 +137,7 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 	r, store := fixture(t)
 	cfg := DefaultConfig()
 	cfg.ContextAware = false
-	r2 := New(store, r.exec, r.stats, r.catalog, cfg)
-	r2.UpdateMining(r.miningSnapshot())
+	r2 := New(store, r.exec, r.stats, r.rules, r.catalog, cfg)
 	got := r2.SuggestTables(admin, "SELECT * FROM WaterSalinity", 3)
 	if len(got) == 0 {
 		t.Fatal("no suggestions")

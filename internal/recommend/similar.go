@@ -122,19 +122,19 @@ type TutorialStep struct {
 // Tutorial generates a data-set tutorial for new users by introducing each
 // relation with the most popular queries that include it (§2.3: "the system
 // could introduce each relation and its schema by showing the user the most
-// popular queries that include the relation").
+// popular queries that include the relation"). The relations are those of the
+// logged queries the principal may see, most referenced first.
 func (r *Recommender) Tutorial(ctx context.Context, p storage.Principal, queriesPerTable int) []TutorialStep {
 	if queriesPerTable <= 0 {
 		queriesPerTable = 3
 	}
-	mined := r.miningSnapshot()
 	view := r.store.Snapshot()
 	var steps []TutorialStep
-	for _, pop := range mined.TablePopularity {
+	for _, tc := range r.stats.TableCounts(p) {
 		if ctx.Err() != nil {
 			return nil
 		}
-		table := pop.Item
+		table := tc.Table
 		var records []*storage.QueryRecord
 		view.ScanByTable(table, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
 			records = append(records, rec)

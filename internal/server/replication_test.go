@@ -222,7 +222,8 @@ func (staticSource) FetchWAL(ctx context.Context, after uint64, wait time.Durati
 func (staticSource) Primary() string { return "http://primary.example:8080" }
 
 // TestFollowerRefusesWrites: every mutating route on a follower returns the
-// structured read_only envelope naming the primary; reads still serve.
+// structured read_only envelope naming the primary; reads and mining passes
+// still serve.
 func TestFollowerRefusesWrites(t *testing.T) {
 	eng := engine.New()
 	if err := workload.Populate(eng, 200, 1); err != nil {
@@ -260,8 +261,6 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	checkReadOnly("Annotate", alice.Annotate(ctx, 1, "note"))
 	checkReadOnly("SetVisibility", alice.SetVisibility(ctx, 1, "public"))
 	checkReadOnly("DeleteQuery", alice.DeleteQuery(ctx, 1))
-	_, err = admin.Mine(ctx)
-	checkReadOnly("Mine", err)
 	_, err = admin.Maintain(ctx)
 	checkReadOnly("Maintain", err)
 	_, err = admin.LogBackup(ctx)
@@ -270,8 +269,12 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	checkReadOnly("LogCompact", err)
 
 	// Reads serve normally and the status surfaces report the follower role.
+	// A mining pass writes nothing, so a follower runs it too.
 	if _, err := alice.SearchKeyword(ctx, "salinity").All(); err != nil {
 		t.Fatalf("follower search: %v", err)
+	}
+	if _, err := admin.Mine(ctx); err != nil {
+		t.Fatalf("follower Mine: %v", err)
 	}
 	st, err := alice.ReplicationStatus(ctx)
 	if err != nil {

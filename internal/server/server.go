@@ -111,7 +111,7 @@ func (s *Server) routes() {
 	s.handleFunc("POST /v1/assist/corrections", s.handleV1Corrections)
 	s.handleFunc("POST /v1/assist/similar", s.handleV1SimilarQueries)
 	s.handleFunc("GET /v1/assist/tutorial", s.handleV1Tutorial)
-	s.handleFunc("POST /v1/admin/mine", s.writable(s.handleV1Mine))
+	s.handleFunc("POST /v1/admin/mine", s.handleV1Mine)
 	s.handleFunc("POST /v1/admin/maintain", s.writable(s.handleV1Maintain))
 	s.handleFunc("GET /v1/admin/log", s.handleV1LogInfo)
 	s.handleFunc("POST /v1/admin/log/snapshot", s.writable(s.handleV1LogSnapshot))

@@ -198,6 +198,9 @@ type MaintainResponse struct {
 
 // MineResponse summarises a mining pass.
 type MineResponse struct {
+	// Transactions is how many logged queries with a non-empty feature set
+	// the pass derived its rules over: the count /v1/stats reports as
+	// minedTransactions.
 	Transactions int `json:"transactions"`
 	Rules        int `json:"rules"`
 	Sessions     int `json:"sessions"`

@@ -524,6 +524,33 @@ func TestV1StatsCounters(t *testing.T) {
 	}
 }
 
+// TestV1MineAndStatsCountOneTransactionSet: a mining pass's transactions and
+// /v1/stats' minedTransactions are both the feed's count — logged queries
+// with a non-empty feature set — so a logged DDL statement is in neither.
+func TestV1MineAndStatsCountOneTransactionSet(t *testing.T) {
+	_, alice, _, admin := newTestServer(t)
+	for _, q := range []string{
+		"SELECT lake FROM WaterTemp",
+		"ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature",
+	} {
+		if _, err := alice.Submit(ctx, q); err != nil {
+			t.Fatalf("Submit(%q): %v", q, err)
+		}
+	}
+	mined, err := admin.Mine(ctx)
+	if err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+	st, err := admin.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if st.Queries != 2 || mined.Transactions != 1 || st.MinedTransactions != 1 {
+		t.Errorf("queries=%d mine.transactions=%d stats.minedTransactions=%d, want 2/1/1",
+			st.Queries, mined.Transactions, st.MinedTransactions)
+	}
+}
+
 // TestV1OversizedRecordIsInvalidArgument: a query the batch endpoint's body
 // limit lets in but whose record outgrows storage.MaxRecordBytes is refused
 // per item with invalid_argument — never acknowledged with an ID — and the

@@ -321,3 +321,23 @@ func TestConcurrentReadsDuringMutations(t *testing.T) {
 	wg.Wait()
 	assertMatchesRebuild(t, tracker, store)
 }
+
+// TestTableCountsCountASelfJoinOnce: a query referencing one table twice (a
+// self-join) is one query over that table, for every principal that sees it.
+func TestTableCountsCountASelfJoinOnce(t *testing.T) {
+	store := storage.NewStore()
+	tracker := stats.Attach(store)
+	rec, err := storage.NewRecordFromSQL("SELECT a.temp FROM WaterTemp a, WaterTemp b WHERE a.loc_x = b.loc_x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.User = "alice"
+	rec.Visibility = storage.VisibilityPublic
+	mustPut(t, store, rec)
+	want := []storage.TableCount{{Table: "WaterTemp", Count: 1}}
+	for _, p := range []storage.Principal{admin, {User: "alice"}, {User: "eve"}} {
+		if got := tracker.TableCounts(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("TableCounts(%+v) = %+v, want %+v", p, got, want)
+		}
+	}
+}
