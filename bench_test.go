@@ -469,27 +469,11 @@ func BenchmarkE7ClusteringKMedoids(b *testing.B) {
 	if len(records) > 400 {
 		records = records[:400]
 	}
-	cfg := miner.DefaultClusterConfig(25)
+	cfg := miner.ClusterConfig{K: 25, Measure: miner.MeasureFeatures, MaxIters: 20, Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clusters := miner.KMedoids(records, cfg)
-		if len(clusters) == 0 {
-			b.Fatal("no clusters")
-		}
-	}
-}
-
-func BenchmarkE7ClusteringAgglomerative(b *testing.B) {
-	f := benchFixture(b)
-	records := f.records
-	if len(records) > 200 {
-		records = records[:200]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clusters := miner.AgglomerativeClusters(records, miner.MeasureFeatures, 0.1, 25)
 		if len(clusters) == 0 {
 			b.Fatal("no clusters")
 		}

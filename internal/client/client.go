@@ -361,8 +361,8 @@ func (c *Client) MetaQuery(ctx context.Context, metaSQL string) *Iter[server.Mat
 	return c.searchIter(ctx, "metaquery", server.SearchParams{MetaSQL: metaSQL})
 }
 
-// SearchPartial runs the auto-generated feature meta-query for a partial
-// query.
+// SearchPartial finds the logged queries that reference every table and
+// attribute a partially written query names.
 func (c *Client) SearchPartial(ctx context.Context, partial string) *Iter[server.MatchDTO] {
 	return c.searchIter(ctx, "partial", server.SearchParams{Partial: partial})
 }

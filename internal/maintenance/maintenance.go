@@ -373,7 +373,9 @@ func QualityScore(rec *storage.QueryRecord) float64 {
 // ---------------------------------------------------------------------------
 
 // RewriteTableName renames every reference to oldName in the query to
-// newName and returns the rewritten SQL text.
+// newName — every FROM entry, including those of joins, derived tables and
+// expression sub-queries, and every column qualified by the bare table name —
+// and returns the rewritten SQL text.
 func RewriteTableName(queryText, oldName, newName string) (string, error) {
 	stmt, err := sql.Parse(queryText)
 	if err != nil {
@@ -383,52 +385,34 @@ func RewriteTableName(queryText, oldName, newName string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("maintenance: only SELECT queries can be repaired")
 	}
-	rewriteSelectTables(sel, oldName, newName)
-	return sel.SQL(), nil
-}
-
-func rewriteSelectTables(sel *sql.SelectStmt, oldName, newName string) {
-	sql.WalkTableRefs(sel, func(t sql.TableRef) bool {
-		if tn, ok := t.(*sql.TableName); ok && strings.EqualFold(tn.Name, oldName) {
-			tn.Name = newName
-		}
-		return true
-	})
-	rewrite := func(e sql.Expr) {
-		sql.WalkExpr(e, func(x sql.Expr) bool {
-			if c, ok := x.(*sql.ColumnRef); ok && strings.EqualFold(c.Table, oldName) {
-				c.Table = newName
+	renameFrom := func(s *sql.SelectStmt) {
+		sql.WalkTableRefs(s, func(t sql.TableRef) bool {
+			if tn, ok := t.(*sql.TableName); ok && strings.EqualFold(tn.Name, oldName) {
+				tn.Name = newName
 			}
 			return true
 		})
 	}
-	for _, item := range sel.Columns {
-		rewrite(item.Expr)
-	}
-	rewrite(sel.Where)
-	rewrite(sel.Having)
-	for _, g := range sel.GroupBy {
-		rewrite(g)
-	}
-	for _, o := range sel.OrderBy {
-		rewrite(o.Expr)
-	}
-	for _, t := range sel.From {
-		rewriteJoinQualifiers(t, rewrite)
-	}
-	for _, sub := range sql.Subqueries(sel) {
-		rewriteSelectTables(sub, oldName, newName)
-	}
-}
-
-// rewriteJoinQualifiers applies the rewrite function to every ON condition in
-// a (possibly nested) join tree.
-func rewriteJoinQualifiers(t sql.TableRef, rewrite func(sql.Expr)) {
-	if j, ok := t.(*sql.JoinExpr); ok {
-		rewriteJoinQualifiers(j.Left, rewrite)
-		rewriteJoinQualifiers(j.Right, rewrite)
-		rewrite(j.On)
-	}
+	renameFrom(sel)
+	// The expression walk reaches every ON condition and every sub-query. The
+	// FROM walk above already covers derived tables, so only an expression's
+	// sub-query still needs its FROM renamed.
+	sql.WalkSelectExprs(sel, func(e sql.Expr) bool {
+		switch n := e.(type) {
+		case *sql.ColumnRef:
+			if strings.EqualFold(n.Table, oldName) {
+				n.Table = newName
+			}
+		case *sql.InExpr:
+			renameFrom(n.Select)
+		case *sql.ExistsExpr:
+			renameFrom(n.Select)
+		case *sql.SubqueryExpr:
+			renameFrom(n.Select)
+		}
+		return true
+	})
+	return sel.SQL(), nil
 }
 
 // RewriteColumnName renames references to table.oldCol (or unqualified oldCol
@@ -451,45 +435,17 @@ func RewriteColumnName(queryText, table, oldCol, newCol string) (string, error) 
 	}
 	singleTable := len(analysis.Tables) == 1 && strings.EqualFold(analysis.Tables[0], table)
 
-	rewriteCols := func(sel *sql.SelectStmt) {
-		rewrite := func(e sql.Expr) {
-			sql.WalkExpr(e, func(x sql.Expr) bool {
-				c, ok := x.(*sql.ColumnRef)
-				if !ok || !strings.EqualFold(c.Name, oldCol) {
-					return true
-				}
-				if c.Table == "" {
-					if singleTable {
-						c.Name = newCol
-					}
-					return true
-				}
-				if aliasesOfTable[strings.ToLower(c.Table)] {
-					c.Name = newCol
-				}
-				return true
-			})
+	// One walk reaches every expression: the select list, every ON of a join
+	// chain, WHERE, GROUP BY, HAVING, ORDER BY and all of a sub-query's.
+	sql.WalkSelectExprs(sel, func(x sql.Expr) bool {
+		c, ok := x.(*sql.ColumnRef)
+		if !ok || !strings.EqualFold(c.Name, oldCol) {
+			return true
 		}
-		for _, item := range sel.Columns {
-			rewrite(item.Expr)
+		if (c.Table == "" && singleTable) || (c.Table != "" && aliasesOfTable[strings.ToLower(c.Table)]) {
+			c.Name = newCol
 		}
-		rewrite(sel.Where)
-		rewrite(sel.Having)
-		for _, g := range sel.GroupBy {
-			rewrite(g)
-		}
-		for _, o := range sel.OrderBy {
-			rewrite(o.Expr)
-		}
-		for _, t := range sel.From {
-			if j, ok := t.(*sql.JoinExpr); ok {
-				rewrite(j.On)
-			}
-		}
-	}
-	rewriteCols(sel)
-	for _, sub := range sql.Subqueries(sel) {
-		rewriteCols(sub)
-	}
+		return true
+	})
 	return sel.SQL(), nil
 }

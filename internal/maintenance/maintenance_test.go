@@ -379,3 +379,56 @@ func TestRewriteColumnName(t *testing.T) {
 		t.Errorf("selective column rewrite = %q", got)
 	}
 }
+
+// TestRewriteReachesEveryReference: a rename is applied wherever the query
+// names the table or column — every link of a join chain, derived tables,
+// IN / EXISTS / scalar sub-queries, through aliases — and nowhere else.
+func TestRewriteReachesEveryReference(t *testing.T) {
+	renameX := func(q string) (string, error) { return RewriteColumnName(q, "a", "x", "xx") }
+	renameA := func(q string) (string, error) { return RewriteTableName(q, "a", "z") }
+	for _, tc := range []struct {
+		name    string
+		rewrite func(string) (string, error)
+		query   string
+		want    string
+	}{
+		{"column: chained joins", renameX,
+			"SELECT a.v FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y WHERE a.x > 1",
+			"SELECT a.v FROM a JOIN b ON a.xx = b.x JOIN c ON b.y = c.y WHERE a.xx > 1"},
+		{"column: derived table", renameX,
+			"SELECT * FROM (SELECT a.x AS x FROM a WHERE a.x > 0) d",
+			"SELECT * FROM (SELECT a.xx AS x FROM a WHERE a.xx > 0) d"},
+		{"column: IN sub-query", renameX,
+			"SELECT b.y FROM b WHERE b.y IN (SELECT a.x FROM a WHERE a.x < 5)",
+			"SELECT b.y FROM b WHERE b.y IN (SELECT a.xx FROM a WHERE a.xx < 5)"},
+		{"column: alias in a join chain", renameX,
+			"SELECT t.x FROM a t JOIN b ON t.x = b.x JOIN c ON c.y = t.x",
+			"SELECT t.xx FROM a t JOIN b ON t.xx = b.x JOIN c ON c.y = t.xx"},
+		{"column: unqualified over one table", renameX,
+			"SELECT x FROM a WHERE x IN (SELECT x FROM a) ORDER BY x",
+			"SELECT xx FROM a WHERE xx IN (SELECT xx FROM a) ORDER BY xx"},
+		{"column: other tables' x untouched", renameX,
+			"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x JOIN c ON c.x = b.x",
+			"SELECT a.xx, b.x FROM a JOIN b ON a.xx = b.x JOIN c ON c.x = b.x"},
+		{"table: chained joins", renameA,
+			"SELECT a.v FROM a JOIN b ON a.x = b.x JOIN c ON a.y = c.y",
+			"SELECT z.v FROM z JOIN b ON z.x = b.x JOIN c ON z.y = c.y"},
+		{"table: expression sub-queries", renameA,
+			"SELECT b.y FROM b WHERE b.y IN (SELECT a.y FROM a) AND EXISTS (SELECT 1 FROM a WHERE a.y = b.y) AND b.v > (SELECT MAX(a.v) FROM a)",
+			"SELECT b.y FROM b WHERE b.y IN (SELECT z.y FROM z) AND EXISTS (SELECT 1 FROM z WHERE z.y = b.y) AND b.v > (SELECT MAX(z.v) FROM z)"},
+		{"table: derived table inside IN", renameA,
+			"SELECT b.y FROM b WHERE b.y IN (SELECT d.y FROM (SELECT a.y FROM a) d)",
+			"SELECT b.y FROM b WHERE b.y IN (SELECT d.y FROM (SELECT z.y FROM z) d)"},
+		{"table: alias kept", renameA,
+			"SELECT t.x FROM a t JOIN b ON t.x = b.x",
+			"SELECT t.x FROM z t JOIN b ON t.x = b.x"},
+		{"table: compound branch", renameA,
+			"SELECT a.x FROM a UNION SELECT b.x FROM b JOIN a ON a.x = b.x",
+			"SELECT z.x FROM z UNION SELECT b.x FROM b JOIN z ON z.x = b.x"},
+	} {
+		got, err := tc.rewrite(tc.query)
+		if err != nil || got != tc.want {
+			t.Errorf("%s: %q\n got %q, %v\nwant %q", tc.name, tc.query, got, err, tc.want)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/metaquery"
 	"repro/internal/miner"
 	"repro/internal/server"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -130,7 +131,7 @@ func scanByData(store *storage.Store, p storage.Principal, include, exclude []st
 // scanMetaQuery runs a meta-query over the visible feature relations and
 // resolves its qid column.
 func scanMetaQuery(t *testing.T, store *storage.Store, sessionOf func(*storage.QueryRecord) int64, p storage.Principal, metaSQL, why string) []metaquery.Match {
-	eng, err := store.MaterializeFeatureRelations(p, sessionOf)
+	eng, err := metaquery.MaterializeFeatureRelations(store.Snapshot(), p, sessionOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +233,7 @@ var texts = []string{
 	"SELECT ab FROM tt WHERE ab = 'İstanbul'",
 	"SELECT name, magnitude FROM Stars WHERE magnitude < 4",
 	"SELECT 湖, 温度 FROM 水温 WHERE 温度 < 18",
+	`SELECT "it's" FROM t WHERE "it's" > 1`,
 }
 
 // samples are the output samples of the texts of the same index; nil: the
@@ -247,6 +249,7 @@ var samples = []*storage.OutputSample{
 	nil,
 	{Columns: []string{"name"}, Rows: [][]string{{"Sirius"}, {"Vega"}}},
 	{Columns: []string{"湖"}, Rows: [][]string{{"琵琶湖"}}},
+	nil,
 }
 
 // Search terms of the other kinds: sample values, partial queries,
@@ -256,6 +259,11 @@ var (
 	partials     = []string{
 		"SELECT FROM WaterTemp", "SELECT temp FROM watertemp WHERE", "SELECT FROM WaterSalinity, WaterTemp",
 		"SELECT magnitude FROM", "SELECT a FROM t", "SELECT name FROM Stars WHERE",
+		"SELECT FROM watertemp",      // names compare byte for byte
+		`SELECT "it's" FROM t WHERE`, // a quoted name holding a quote
+		"SELECT FROM WaterTemp w JOIN tt ON w.lake = tt.ab GROUP BY temp", // names in ON and GROUP BY
+		"SELECT t.* FROM t",               // a qualified star
+		"lake SELECT temp FROM WaterTemp", // an identifier before SELECT names nothing
 	}
 	metaQueries = []string{
 		"SELECT qid FROM Queries",
@@ -473,7 +481,8 @@ func (s *searcher) listing(t *testing.T) (string, server.SearchParams, func(p st
 			if err != nil {
 				t.Fatal(err)
 			}
-			return scanMetaQuery(t, s.store, s.sessionOf, p, metaSQL, "auto-generated feature meta-query")
+			tables, attrs := sql.PartialNames(params.Partial)
+			return scanMetaQuery(t, s.store, s.sessionOf, p, metaSQL, fmt.Sprintf("names tables %v, attributes %v", tables, attrs))
 		}
 	case 4:
 		params := server.SearchParams{MetaSQL: pick(metaQueries)}

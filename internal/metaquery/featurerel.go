@@ -1,12 +1,13 @@
-package storage
+package metaquery
 
 import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
-// Feature relation names materialised by MaterializeFeatureRelations. They
+// Feature relation names materialised by materializeFeatureRelations. They
 // follow Figure 1 of the paper, extended with runtime statistics and
 // annotations so SQL meta-queries can also reference them.
 const (
@@ -18,8 +19,8 @@ const (
 	RelAnnotations = "QueryAnnotations"
 )
 
-// MaterializeFeatureRelations builds an in-memory engine catalog containing
-// the feature relations of Figure 1 for every query visible to the
+// materializeFeatureRelations builds an in-memory engine catalog containing
+// the feature relations of Figure 1 for every query of view visible to the
 // principal:
 //
 //	Queries(qid, qText, quser, qgroup, sessionId, valid)
@@ -30,10 +31,10 @@ const (
 //	QueryAnnotations(qid, author, note)
 //
 // sessionId is what sessionOf answers for the record: the session detector
-// is its one home, so the relation is current as of the last commit. The
-// Meta-query Executor runs SQL meta-queries (such as the one in Figure 1)
-// against the returned engine.
-func (s *Store) MaterializeFeatureRelations(p Principal, sessionOf func(*QueryRecord) int64) (*engine.Engine, error) {
+// is its one home, so the relation is current as of the last commit. A user's
+// SQL meta-query (such as the one in Figure 1) runs against the returned
+// engine; nothing else builds the relations.
+func materializeFeatureRelations(view *storage.View, p storage.Principal, sessionOf func(*storage.QueryRecord) int64) (*engine.Engine, error) {
 	eng := engine.New()
 	ddl := []string{
 		fmt.Sprintf("CREATE TABLE %s (qid INT PRIMARY KEY, qText TEXT, quser TEXT, qgroup TEXT, sessionId INT, valid BOOL)", RelQueries),
@@ -45,13 +46,13 @@ func (s *Store) MaterializeFeatureRelations(p Principal, sessionOf func(*QueryRe
 	}
 	for _, stmt := range ddl {
 		if _, err := eng.Execute(stmt); err != nil {
-			return nil, fmt.Errorf("storage: creating feature relation: %w", err)
+			return nil, fmt.Errorf("metaquery: creating feature relation: %w", err)
 		}
 	}
 
 	cat := eng.Catalog()
 	var queriesRows, sourcesRows, attrsRows, predsRows, statsRows, annRows []engine.Row
-	s.Snapshot().Scan(p, func(rec *QueryRecord) bool {
+	view.Scan(p, func(rec *storage.QueryRecord) bool {
 		qid := engine.NewInt(int64(rec.ID))
 		queriesRows = append(queriesRows, engine.Row{
 			qid, engine.NewText(rec.Text), engine.NewText(rec.User), engine.NewText(rec.Group),
@@ -104,7 +105,7 @@ func (s *Store) MaterializeFeatureRelations(p Principal, sessionOf func(*QueryRe
 			continue
 		}
 		if _, err := cat.Insert(ins.table, nil, ins.rows); err != nil {
-			return nil, fmt.Errorf("storage: populating %s: %w", ins.table, err)
+			return nil, fmt.Errorf("metaquery: populating %s: %w", ins.table, err)
 		}
 	}
 	return eng, nil

@@ -1,34 +1,35 @@
-package storage
+package metaquery
 
 import (
 	"testing"
+
+	"repro/internal/storage"
 )
 
-// tenthSession stands in for the session detector, which this package cannot
-// import: query n is in session 10n.
-func tenthSession(rec *QueryRecord) int64 { return 10 * int64(rec.ID) }
+// tenthSession stands in for the session detector: query n is in session 10n.
+func tenthSession(rec *storage.QueryRecord) int64 { return 10 * int64(rec.ID) }
 
 // TestMaterializeFigure1MetaQuery reproduces Figure 1 of the paper end to
 // end: the feature relations are materialised into the engine and the exact
 // meta-query from the figure ("find all queries that correlate water
 // salinity with water temperature data") is executed over them.
 func TestMaterializeFigure1MetaQuery(t *testing.T) {
-	s := NewStore()
+	s := storage.NewStore()
 	// Two queries that correlate salinity with temperature...
-	target1 := putQuery(t, s,
+	target1 := put(t, s,
 		"SELECT salinity, temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x AND WaterSalinity.salinity > 2 AND WaterTemp.temp < 18",
-		"alice", "limnology", VisibilityPublic)
-	target2 := putQuery(t, s,
+		"alice", storage.VisibilityPublic)
+	target2 := put(t, s,
 		"SELECT s.salinity, t.temp FROM WaterSalinity s JOIN WaterTemp t ON s.loc_x = t.loc_x",
-		"bob", "limnology", VisibilityPublic)
+		"bob", storage.VisibilityPublic)
 	// ...and some that do not.
-	putQuery(t, s, "SELECT temp FROM WaterTemp WHERE temp > 20", "alice", "limnology", VisibilityPublic)
-	putQuery(t, s, "SELECT city FROM CityLocations", "bob", "limnology", VisibilityPublic)
-	putQuery(t, s, "SELECT salinity FROM WaterSalinity WHERE depth > 10", "carol", "astro", VisibilityPublic)
+	put(t, s, "SELECT temp FROM WaterTemp WHERE temp > 20", "alice", storage.VisibilityPublic)
+	put(t, s, "SELECT city FROM CityLocations", "bob", storage.VisibilityPublic)
+	put(t, s, "SELECT salinity FROM WaterSalinity WHERE depth > 10", "carol", storage.VisibilityPublic)
 
-	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
+	eng, err := materializeFeatureRelations(s.Snapshot(), admin, tenthSession)
 	if err != nil {
-		t.Fatalf("MaterializeFeatureRelations: %v", err)
+		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
 
 	// The meta-query of Figure 1, verbatim (modulo whitespace).
@@ -53,17 +54,17 @@ func TestMaterializeFigure1MetaQuery(t *testing.T) {
 }
 
 func TestMaterializeIncludesStatsAndAnnotations(t *testing.T) {
-	s := NewStore()
-	id := putQuery(t, s, "SELECT temp FROM WaterTemp WHERE temp < 18", "alice", "limnology", VisibilityPublic)
-	if err := s.UpdateStats(id, RuntimeStats{ResultRows: 10}); err != nil {
+	s := storage.NewStore()
+	id := put(t, s, "SELECT temp FROM WaterTemp WHERE temp < 18", "alice", storage.VisibilityPublic)
+	if err := s.UpdateStats(id, storage.RuntimeStats{ResultRows: 10}); err != nil {
 		t.Fatalf("UpdateStats: %v", err)
 	}
-	if err := s.Annotate(id, alice, Annotation{Text: "Seattle lakes survey"}); err != nil {
+	if err := s.Annotate(id, alice, storage.Annotation{Text: "Seattle lakes survey"}); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
+	eng, err := materializeFeatureRelations(s.Snapshot(), admin, tenthSession)
 	if err != nil {
-		t.Fatalf("MaterializeFeatureRelations: %v", err)
+		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
 	res, err := eng.Execute("SELECT resultRows FROM QueryStats WHERE qid = 1")
 	if err != nil {
@@ -89,13 +90,13 @@ func TestMaterializeIncludesStatsAndAnnotations(t *testing.T) {
 }
 
 func TestMaterializeRespectsAccessControl(t *testing.T) {
-	s := NewStore()
-	putQuery(t, s, "SELECT temp FROM WaterTemp", "alice", "limnology", VisibilityPrivate)
-	putQuery(t, s, "SELECT salinity FROM WaterSalinity", "bob", "limnology", VisibilityPublic)
+	s := storage.NewStore()
+	put(t, s, "SELECT temp FROM WaterTemp", "alice", storage.VisibilityPrivate)
+	put(t, s, "SELECT salinity FROM WaterSalinity", "bob", storage.VisibilityPublic)
 
-	eng, err := s.MaterializeFeatureRelations(carol, tenthSession)
+	eng, err := materializeFeatureRelations(s.Snapshot(), carol, tenthSession)
 	if err != nil {
-		t.Fatalf("MaterializeFeatureRelations: %v", err)
+		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
 	res, err := eng.Execute("SELECT COUNT(*) FROM Queries")
 	if err != nil {
@@ -107,10 +108,9 @@ func TestMaterializeRespectsAccessControl(t *testing.T) {
 }
 
 func TestMaterializeEmptyStore(t *testing.T) {
-	s := NewStore()
-	eng, err := s.MaterializeFeatureRelations(admin, tenthSession)
+	eng, err := materializeFeatureRelations(storage.NewStore().Snapshot(), admin, tenthSession)
 	if err != nil {
-		t.Fatalf("MaterializeFeatureRelations: %v", err)
+		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
 	res, err := eng.Execute("SELECT COUNT(*) FROM Queries")
 	if err != nil {
@@ -118,25 +118,5 @@ func TestMaterializeEmptyStore(t *testing.T) {
 	}
 	if res.Rows[0][0].Int != 0 {
 		t.Errorf("count = %v, want 0", res.Rows[0][0])
-	}
-}
-
-func TestRecordAnalysisRoundTrip(t *testing.T) {
-	rec, err := NewRecordFromSQL("SELECT AVG(temp) FROM WaterTemp WHERE temp < 18 GROUP BY lake")
-	if err != nil {
-		t.Fatalf("NewRecordFromSQL: %v", err)
-	}
-	a := rec.Analysis()
-	if len(a.Tables) != 1 || a.Tables[0] != "WaterTemp" {
-		t.Errorf("analysis tables = %v", a.Tables)
-	}
-	if len(a.Predicates) != 1 || a.Predicates[0].Column != "temp" {
-		t.Errorf("analysis predicates = %+v", a.Predicates)
-	}
-	if len(a.Aggregates) != 1 || a.Aggregates[0] != "AVG" {
-		t.Errorf("analysis aggregates = %v", a.Aggregates)
-	}
-	if len(a.GroupByColumns) != 1 {
-		t.Errorf("analysis group by = %v", a.GroupByColumns)
 	}
 }

@@ -3,9 +3,10 @@
 // meta-querying paradigms of §2.2 and §4.2:
 //
 //   - keyword and substring search over query text and annotations,
-//   - query-by-feature: SQL meta-queries over the Figure 1 feature relations,
-//     including automatic generation of such meta-queries from a partially
-//     written query,
+//   - query-by-feature: a user's SQL meta-query over the Figure 1 feature
+//     relations, materialised for that query alone (featurerel.go), and
+//     partial-query search, which keeps the logged queries referencing every
+//     table and attribute a partially written query names,
 //   - query-by-parse-tree: conditions on the structure of logged queries,
 //   - query-by-data: conditions on query outputs (positive/negative example
 //     tuples), and
@@ -65,22 +66,22 @@ func New(store *storage.Store, sessionOf func(*storage.QueryRecord) int64) *Exec
 // queries are returned as matches alongside the raw result; otherwise the raw
 // result comes with ErrNoQIDColumn. Feature is the same search as a Query.
 func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQL string) (*engine.Result, []Match, error) {
-	res, matches, _, err := x.metaQuery(ctx, p, x.store.Snapshot(), metaSQL, "feature meta-query")
+	res, matches, _, err := x.metaQuery(ctx, p, x.store.Snapshot(), metaSQL)
 	return res, matches, err
 }
 
 // metaQuery runs a meta-query over the feature relations of the records
 // visible to p and resolves its qid column in view. It also reports how many
 // records it materialised.
-func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL, why string) (*engine.Result, []Match, int, error) {
-	eng, err := x.store.MaterializeFeatureRelations(p, x.sessionOf)
+func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL string) (*engine.Result, []Match, int, error) {
+	eng, err := materializeFeatureRelations(x.store.Snapshot(), p, x.sessionOf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
-	examined, _ := eng.Catalog().RowCount(storage.RelQueries) // created above: cannot fail
+	examined, _ := eng.Catalog().RowCount(RelQueries) // created above: cannot fail
 	res, err := eng.Execute(metaSQL)
 	if err != nil {
 		return nil, nil, examined, fmt.Errorf("metaquery: executing meta-query: %w", err)
@@ -111,102 +112,9 @@ func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *sto
 		if err != nil {
 			continue
 		}
-		matches = append(matches, Match{Record: rec, Score: 1, Why: why})
+		matches = append(matches, Match{Record: rec, Score: 1, Why: "feature meta-query"})
 	}
 	return res, matches, examined, nil
-}
-
-// GenerateMetaQuery builds a Figure 1-style SQL meta-query from a partially
-// written user query (§2.2: "the CQMS could automatically generate these
-// statements from partially written queries"). The partial query need not
-// parse; table names are taken from the FROM clause tokens and attribute
-// names from identifiers appearing elsewhere.
-func GenerateMetaQuery(partialSQL string) (string, error) {
-	tables, attrs := extractPartialFeatures(partialSQL)
-	if len(tables) == 0 && len(attrs) == 0 {
-		return "", fmt.Errorf("metaquery: no tables or attributes found in partial query")
-	}
-	var (
-		from  []string
-		where []string
-	)
-	from = append(from, storage.RelQueries+" Q")
-	for i, t := range tables {
-		alias := fmt.Sprintf("D%d", i+1)
-		from = append(from, storage.RelDataSources+" "+alias)
-		where = append(where, fmt.Sprintf("Q.qid = %s.qid", alias))
-		where = append(where, fmt.Sprintf("%s.relName = '%s'", alias, escapeSQLString(t)))
-	}
-	for i, a := range attrs {
-		alias := fmt.Sprintf("A%d", i+1)
-		from = append(from, storage.RelAttributes+" "+alias)
-		where = append(where, fmt.Sprintf("Q.qid = %s.qid", alias))
-		where = append(where, fmt.Sprintf("%s.attrName = '%s'", alias, escapeSQLString(a)))
-	}
-	query := "SELECT DISTINCT Q.qid, Q.qText FROM " + strings.Join(from, ", ")
-	if len(where) > 0 {
-		query += " WHERE " + strings.Join(where, " AND ")
-	}
-	return query, nil
-}
-
-// escapeSQLString doubles single quotes for inclusion in a SQL literal.
-func escapeSQLString(s string) string { return strings.ReplaceAll(s, "'", "''") }
-
-// extractPartialFeatures tokenises a possibly-incomplete query and heuristically
-// extracts table names (identifiers in the FROM clause) and attribute names
-// (identifiers in SELECT/WHERE/GROUP BY clauses).
-func extractPartialFeatures(partial string) (tables, attrs []string) {
-	toks, err := sql.Tokenize(partial)
-	if err != nil {
-		return nil, nil
-	}
-	clause := ""
-	seenT := make(map[string]bool)
-	seenA := make(map[string]bool)
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
-		if t.Kind == sql.TokenKeyword {
-			switch t.Text {
-			case "SELECT", "FROM", "WHERE", "GROUP", "HAVING", "ORDER":
-				clause = t.Text
-			}
-			continue
-		}
-		if t.Kind != sql.TokenIdent && t.Kind != sql.TokenQuotedIdent {
-			continue
-		}
-		// Qualified references a.b: the qualifier may be an alias, the second
-		// part is an attribute.
-		if i+2 < len(toks) && toks[i+1].Kind == sql.TokenDot &&
-			(toks[i+2].Kind == sql.TokenIdent || toks[i+2].Kind == sql.TokenQuotedIdent) {
-			attr := toks[i+2].Text
-			if !seenA[attr] {
-				seenA[attr] = true
-				attrs = append(attrs, attr)
-			}
-			i += 2
-			continue
-		}
-		switch clause {
-		case "FROM":
-			// Skip alias tokens: an identifier immediately following another
-			// identifier in the FROM clause is an alias.
-			if i > 0 && (toks[i-1].Kind == sql.TokenIdent || toks[i-1].Kind == sql.TokenQuotedIdent) {
-				continue
-			}
-			if !seenT[t.Text] {
-				seenT[t.Text] = true
-				tables = append(tables, t.Text)
-			}
-		case "SELECT", "WHERE", "GROUP", "HAVING", "ORDER":
-			if !seenA[t.Text] {
-				seenA[t.Text] = true
-				attrs = append(attrs, t.Text)
-			}
-		}
-	}
-	return tables, attrs
 }
 
 // ---------------------------------------------------------------------------

@@ -228,20 +228,36 @@ func TestGenerateMetaQueryFromPartial(t *testing.T) {
 	}
 }
 
+// TestGenerateMetaQueryEmpty: text that names nothing has no meta-query, and
+// Partial refuses it as a search with nothing to look for.
 func TestGenerateMetaQueryEmpty(t *testing.T) {
-	if _, err := GenerateMetaQuery("SELECT"); err == nil {
-		t.Error("expected error for contentless partial query")
+	for _, text := range []string{"SELECT", "", "lake SELECT", "SELECT 'x' FROM"} {
+		if _, err := GenerateMetaQuery(text); err == nil {
+			t.Errorf("GenerateMetaQuery(%q): expected error for contentless partial query", text)
+		}
+		if _, err := Partial(text); !errors.Is(err, ErrEmptyQuery) {
+			t.Errorf("Partial(%q): err = %v, want ErrEmptyQuery", text, err)
+		}
 	}
 }
 
 func TestByPartialQueryEndToEnd(t *testing.T) {
 	x, _, ids := newFixture(t)
-	got := matchIDs(drain(t, x, admin, query(t)(Partial("SELECT FROM WaterSalinity, WaterTemp"))))
-	if !got[ids["correlate"]] || !got[ids["correlate2"]] {
-		t.Errorf("partial-query search = %v, want correlation queries", got)
+	matches := drain(t, x, admin, query(t)(Partial("SELECT FROM WaterSalinity, WaterTemp")))
+	got := matchIDs(matches)
+	if len(got) != 2 || !got[ids["correlate"]] || !got[ids["correlate2"]] {
+		t.Errorf("partial-query search = %v, want exactly the correlation queries", got)
 	}
-	if got[ids["cities"]] {
-		t.Errorf("partial-query search should not return the cities query")
+	if want := "names tables [WaterSalinity WaterTemp], attributes []"; matches[0].Why != want || matches[0].Score != 1 {
+		t.Errorf("match = (%v, %q), want (1, %q)", matches[0].Score, matches[0].Why, want)
+	}
+	// Names compare byte for byte, as the generated meta-query's = did.
+	if got := drain(t, x, admin, query(t)(Partial("SELECT FROM watertemp"))); len(got) != 0 {
+		t.Errorf("a case mismatch matched %v", matchIDs(got))
+	}
+	got = matchIDs(drain(t, x, admin, query(t)(Partial("SELECT temp FROM WaterTemp WHERE"))))
+	if !got[ids["tempOnly"]] || !got[ids["correlate"]] || got[ids["cities"]] {
+		t.Errorf("tables and attributes = %v", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"repro/internal/miner"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -49,24 +50,38 @@ func (q Query) Kind() string { return q.kind }
 // its qid column names. A result without a qid column is ErrNoQIDColumn;
 // SQLMetaQuery also returns the raw result.
 func Feature(metaSQL string) Query {
-	return featureQuery("metaquery", metaSQL, "feature meta-query")
-}
-
-// Partial is query-by-feature with the meta-query generated from a partially
-// written query (GenerateMetaQuery, whose refusal it returns).
-func Partial(partialSQL string) (Query, error) {
-	metaSQL, err := GenerateMetaQuery(partialSQL)
-	if err != nil {
-		return Query{}, err
-	}
-	return featureQuery("partial", metaSQL, "auto-generated feature meta-query"), nil
-}
-
-func featureQuery(kind, metaSQL, why string) Query {
-	return Query{kind: kind, rank: func(ctx context.Context, x *Executor, p storage.Principal, view *storage.View) ([]Match, int, error) {
-		_, matches, examined, err := x.metaQuery(ctx, p, view, metaSQL, why)
+	return Query{kind: "metaquery", rank: func(ctx context.Context, x *Executor, p storage.Principal, view *storage.View) ([]Match, int, error) {
+		_, matches, examined, err := x.metaQuery(ctx, p, view, metaSQL)
 		return matches, examined, err
 	}}
+}
+
+// Partial is query-by-feature from a partially written query (§2.2: the CQMS
+// "could automatically generate these statements from partially written
+// queries"): the logged queries that reference every table and every
+// attribute the text names (sql.PartialNames), compared byte for byte. That
+// is what the Figure 1 join generated from the text would select from the
+// DataSources and Attributes relations, read off the stored record instead.
+// Text that names nothing is ErrEmptyQuery.
+func Partial(partialSQL string) (Query, error) {
+	tables, attrs := sql.PartialNames(partialSQL)
+	if len(tables) == 0 && len(attrs) == 0 {
+		return Query{}, fmt.Errorf("%w: partial query names no table or attribute", ErrEmptyQuery)
+	}
+	why := fmt.Sprintf("names tables %v, attributes %v", tables, attrs)
+	return Query{kind: "partial", filter: func(rec *storage.QueryRecord) (string, bool) {
+		for _, t := range tables {
+			if !slices.Contains(rec.Tables, t) {
+				return "", false
+			}
+		}
+		for _, a := range attrs {
+			if !slices.ContainsFunc(rec.Attributes, func(row storage.AttributeRow) bool { return row.Attr == a }) {
+				return "", false
+			}
+		}
+		return why, true
+	}}, nil
 }
 
 // ByData is query-by-data (§2.2): the user names values that should appear

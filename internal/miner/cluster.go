@@ -6,8 +6,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Cluster is one group of similar queries produced by the clustering pass
-// (§4.3): a medoid (the most central query) plus its members.
+// Cluster is one group of similar queries produced by KMedoids (§4.3): a
+// medoid (the most central query) plus its members.
 type Cluster struct {
 	// Medoid is the index (into the clustered record slice) of the cluster's
 	// representative query.
@@ -27,12 +27,6 @@ type ClusterConfig struct {
 	MaxIters int
 	// Seed drives the deterministic pseudo-random medoid initialisation.
 	Seed int64
-}
-
-// DefaultClusterConfig returns a configuration suitable for a few thousand
-// logged queries.
-func DefaultClusterConfig(k int) ClusterConfig {
-	return ClusterConfig{K: k, Measure: MeasureFeatures, MaxIters: 20, Seed: 1}
 }
 
 // KMedoids clusters the records into cfg.K clusters using the PAM-style
@@ -173,136 +167,4 @@ func initialMedoids(sim [][]float64, k int, seed int64) []int {
 		chosen[bestIdx] = true
 	}
 	return medoids
-}
-
-// SilhouetteScore evaluates clustering quality: the mean over all points of
-// (a - b) / max(a, b) where a is the mean similarity to the own cluster and b
-// the best mean similarity to another cluster (note: similarities, not
-// distances, so higher is better; the score lies in [-1, 1]).
-func SilhouetteScore(records []*storage.QueryRecord, clusters []Cluster, m Measure) float64 {
-	if len(records) == 0 || len(clusters) < 2 {
-		return 0
-	}
-	sim := PairwiseMatrix(m, records)
-	clusterOf := make(map[int]int)
-	for ci, c := range clusters {
-		for _, i := range c.Members {
-			clusterOf[i] = ci
-		}
-	}
-	total, count := 0.0, 0
-	for i := range records {
-		own := clusters[clusterOf[i]]
-		a := meanSim(sim, i, own.Members)
-		b := -1.0
-		for ci, c := range clusters {
-			if ci == clusterOf[i] {
-				continue
-			}
-			if v := meanSim(sim, i, c.Members); v > b {
-				b = v
-			}
-		}
-		if b < 0 {
-			continue
-		}
-		den := a
-		if b > den {
-			den = b
-		}
-		if den == 0 {
-			continue
-		}
-		total += (a - b) / den
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-func meanSim(sim [][]float64, i int, members []int) float64 {
-	if len(members) == 0 {
-		return 0
-	}
-	total, n := 0.0, 0
-	for _, j := range members {
-		if j == i {
-			continue
-		}
-		total += sim[i][j]
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return total / float64(n)
-}
-
-// AgglomerativeClusters performs average-linkage hierarchical clustering,
-// stopping when the best inter-cluster similarity drops below threshold or
-// when maxClusters remain. It is the alternative clustering strategy for the
-// E7 ablation.
-func AgglomerativeClusters(records []*storage.QueryRecord, m Measure, threshold float64, maxClusters int) []Cluster {
-	n := len(records)
-	if n == 0 {
-		return nil
-	}
-	sim := PairwiseMatrix(m, records)
-	// Start with singletons.
-	groups := make([][]int, n)
-	for i := range groups {
-		groups[i] = []int{i}
-	}
-	linkage := func(a, b []int) float64 {
-		total := 0.0
-		for _, i := range a {
-			for _, j := range b {
-				total += sim[i][j]
-			}
-		}
-		return total / float64(len(a)*len(b))
-	}
-	for len(groups) > 1 && (maxClusters <= 0 || len(groups) > maxClusters) {
-		bi, bj, best := -1, -1, -1.0
-		for i := 0; i < len(groups); i++ {
-			for j := i + 1; j < len(groups); j++ {
-				if l := linkage(groups[i], groups[j]); l > best {
-					best = l
-					bi, bj = i, j
-				}
-			}
-		}
-		if bi < 0 || best < threshold {
-			break
-		}
-		groups[bi] = append(groups[bi], groups[bj]...)
-		groups = append(groups[:bj], groups[bj+1:]...)
-	}
-	// Convert to Cluster values, picking the member with the highest total
-	// similarity as medoid.
-	var out []Cluster
-	for _, g := range groups {
-		bestIdx, bestTotal := g[0], -1.0
-		for _, cand := range g {
-			total := 0.0
-			for _, other := range g {
-				total += sim[cand][other]
-			}
-			if total > bestTotal {
-				bestTotal = total
-				bestIdx = cand
-			}
-		}
-		c := Cluster{Medoid: bestIdx, MedoidID: records[bestIdx].ID, Members: g}
-		total := 0.0
-		for _, mIdx := range g {
-			total += sim[bestIdx][mIdx]
-		}
-		c.Cohesion = total / float64(len(g))
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return len(out[i].Members) > len(out[j].Members) })
-	return out
 }

@@ -31,6 +31,11 @@ func twoTopicRecords(t testing.TB) []*storage.QueryRecord {
 	return out
 }
 
+// clusterConfig is k-medoids over feature sets as the E7 ablation runs it.
+func clusterConfig(k int) ClusterConfig {
+	return ClusterConfig{K: k, Measure: MeasureFeatures, MaxIters: 20, Seed: 1}
+}
+
 func clusterOfRecord(clusters []Cluster, idx int) int {
 	for ci, c := range clusters {
 		for _, m := range c.Members {
@@ -44,7 +49,7 @@ func clusterOfRecord(clusters []Cluster, idx int) int {
 
 func TestKMedoidsSeparatesTopics(t *testing.T) {
 	records := twoTopicRecords(t)
-	clusters := KMedoids(records, DefaultClusterConfig(2))
+	clusters := KMedoids(records, clusterConfig(2))
 	if len(clusters) != 2 {
 		t.Fatalf("clusters = %d, want 2", len(clusters))
 	}
@@ -69,7 +74,7 @@ func TestKMedoidsSeparatesTopics(t *testing.T) {
 
 func TestKMedoidsEveryRecordAssignedOnce(t *testing.T) {
 	records := twoTopicRecords(t)
-	clusters := KMedoids(records, DefaultClusterConfig(3))
+	clusters := KMedoids(records, clusterConfig(3))
 	seen := make(map[int]int)
 	for _, c := range clusters {
 		if len(c.Members) == 0 {
@@ -103,32 +108,32 @@ func TestKMedoidsEveryRecordAssignedOnce(t *testing.T) {
 }
 
 func TestKMedoidsEdgeCases(t *testing.T) {
-	if c := KMedoids(nil, DefaultClusterConfig(3)); c != nil {
+	if c := KMedoids(nil, clusterConfig(3)); c != nil {
 		t.Errorf("empty input should return nil")
 	}
 	all := twoTopicRecords(t)
 	// Two structurally unrelated queries with K larger than the record count:
 	// one cluster per record.
 	records := []*storage.QueryRecord{all[0], all[6]}
-	clusters := KMedoids(records, DefaultClusterConfig(10))
+	clusters := KMedoids(records, clusterConfig(10))
 	if len(clusters) != 2 {
 		t.Errorf("clusters = %d, want 2", len(clusters))
 	}
 	// Identical queries collapse into a single cluster even with K=10.
 	dupes := []*storage.QueryRecord{all[0], all[1]}
-	clusters = KMedoids(dupes, DefaultClusterConfig(10))
+	clusters = KMedoids(dupes, clusterConfig(10))
 	if len(clusters) != 1 {
 		t.Errorf("clusters over near-identical queries = %d, want 1", len(clusters))
 	}
-	if c := KMedoids(records, DefaultClusterConfig(0)); c != nil {
+	if c := KMedoids(records, clusterConfig(0)); c != nil {
 		t.Errorf("K=0 should return nil")
 	}
 }
 
 func TestKMedoidsDeterministic(t *testing.T) {
 	records := twoTopicRecords(t)
-	a := KMedoids(records, DefaultClusterConfig(2))
-	b := KMedoids(records, DefaultClusterConfig(2))
+	a := KMedoids(records, clusterConfig(2))
+	b := KMedoids(records, clusterConfig(2))
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic cluster count")
 	}
@@ -136,63 +141,5 @@ func TestKMedoidsDeterministic(t *testing.T) {
 		if a[i].Medoid != b[i].Medoid || len(a[i].Members) != len(b[i].Members) {
 			t.Errorf("non-deterministic clustering at %d", i)
 		}
-	}
-}
-
-func TestSilhouetteScore(t *testing.T) {
-	records := twoTopicRecords(t)
-	good := KMedoids(records, DefaultClusterConfig(2))
-	score := SilhouetteScore(records, good, MeasureFeatures)
-	if score <= 0 {
-		t.Errorf("well-separated clustering should have positive silhouette, got %v", score)
-	}
-	// A degenerate clustering that splits the lake topic arbitrarily scores
-	// lower than the topical clustering.
-	bad := []Cluster{
-		{Medoid: 0, Members: []int{0, 6, 7}},
-		{Medoid: 1, Members: []int{1, 2, 3, 4, 5, 8, 9}},
-	}
-	badScore := SilhouetteScore(records, bad, MeasureFeatures)
-	if badScore >= score {
-		t.Errorf("bad clustering silhouette %v should be below good %v", badScore, score)
-	}
-	if s := SilhouetteScore(records, good[:1], MeasureFeatures); s != 0 {
-		t.Errorf("single-cluster silhouette should be 0")
-	}
-	if s := SilhouetteScore(nil, nil, MeasureFeatures); s != 0 {
-		t.Errorf("empty silhouette should be 0")
-	}
-}
-
-func TestAgglomerativeClusters(t *testing.T) {
-	records := twoTopicRecords(t)
-	clusters := AgglomerativeClusters(records, MeasureFeatures, 0.05, 2)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %d, want 2", len(clusters))
-	}
-	// Same separation property as k-medoids.
-	lake := clusterOfRecord(clusters, 0)
-	star := clusterOfRecord(clusters, 6)
-	if lake == star {
-		t.Errorf("agglomerative clustering did not separate topics")
-	}
-	total := 0
-	for _, c := range clusters {
-		total += len(c.Members)
-	}
-	if total != len(records) {
-		t.Errorf("members = %d, want %d", total, len(records))
-	}
-	if c := AgglomerativeClusters(nil, MeasureFeatures, 0.1, 2); c != nil {
-		t.Errorf("empty input should return nil")
-	}
-}
-
-func TestAgglomerativeThresholdStopsMerging(t *testing.T) {
-	records := twoTopicRecords(t)
-	// A very high threshold prevents any merging beyond identical queries.
-	clusters := AgglomerativeClusters(records, MeasureFeatures, 0.999, 0)
-	if len(clusters) < 4 {
-		t.Errorf("high threshold should keep many clusters, got %d", len(clusters))
 	}
 }

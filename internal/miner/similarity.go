@@ -1,12 +1,16 @@
-// Package miner implements the CQMS Query Miner (Figure 4): the background
-// component that analyses the Query Storage. It provides the query
-// similarity measures discussed in §4.3 (string, feature-set, parse-tree
-// template and output-overlap similarity), query clustering (k-medoids and
-// agglomerative, for the E7 ablation), association-rule mining over query
-// features — the Feed, an exact multiset of the log's distinct feature sets
-// kept by the mutation bus, is the system's rule source; batch Apriori is its
-// oracle and an approximate incremental variant serves the E6 ablation — and
-// edit-pattern mining over session edges.
+// Package miner implements the CQMS Query Miner (Figure 4), the component
+// that analyses the Query Storage. It provides:
+//
+//   - the query similarity measures of §4.3 (string, feature-set, parse-tree
+//     template and output overlap), which the kNN search and the session
+//     detector read;
+//   - association rules over query features: the Feed, an exact multiset of
+//     the log's distinct feature sets kept by the mutation bus, is the one
+//     rule source, and a mining pass only re-derives its rules; batch Apriori
+//     is its test oracle and the E6 baseline;
+//   - k-medoids clustering, which the E7 ablation runs and no pass does;
+//   - MineEditPatterns, a count over the labelled session edges a caller
+//     hands it (nothing counts edit patterns as queries are logged).
 package miner
 
 import (
@@ -182,8 +186,8 @@ func outputSimilarity(a, b *storage.OutputSample) float64 {
 }
 
 // PairwiseMatrix computes the full symmetric similarity matrix for the given
-// records under one measure. It is used by the clustering algorithms and by
-// the E7 similarity-measure ablation.
+// records under one measure. KMedoids and the E7 similarity-measure ablation
+// read it.
 func PairwiseMatrix(m Measure, records []*storage.QueryRecord) [][]float64 {
 	n := len(records)
 	out := make([][]float64, n)

@@ -161,8 +161,9 @@ type queryContext struct {
 	predicates map[string]bool
 }
 
-// contextOf prefers a full parse and falls back to token-level extraction
-// for partial queries (and for statements that are not SELECTs).
+// contextOf prefers a full parse and falls back to the names the text
+// mentions (sql.PartialNames, the reader partial-query search uses) for
+// partial queries and for statements that are not SELECTs.
 func contextOf(partialSQL string) queryContext {
 	qc := queryContext{}
 	if sel, err := sql.ParseSelect(partialSQL); err == nil {
@@ -186,7 +187,7 @@ func contextOf(partialSQL string) queryContext {
 		}
 		return qc
 	}
-	qc.tables, qc.columns = partialFeatures(partialSQL)
+	qc.tables, qc.columns = sql.PartialNames(partialSQL)
 	for _, t := range qc.tables {
 		qc.features = append(qc.features, "table:"+t)
 	}
@@ -194,54 +195,6 @@ func contextOf(partialSQL string) queryContext {
 		qc.features = append(qc.features, "col:"+a)
 	}
 	return qc
-}
-
-// partialFeatures tokenises an incomplete query to find table and column
-// identifiers.
-func partialFeatures(partial string) (tables, attrs []string) {
-	toks, err := sql.Tokenize(partial)
-	if err != nil {
-		return nil, nil
-	}
-	clause := ""
-	seenT := map[string]bool{}
-	seenA := map[string]bool{}
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
-		if t.Kind == sql.TokenKeyword {
-			switch t.Text {
-			case "SELECT", "FROM", "WHERE", "GROUP", "HAVING", "ORDER":
-				clause = t.Text
-			}
-			continue
-		}
-		if t.Kind != sql.TokenIdent && t.Kind != sql.TokenQuotedIdent {
-			continue
-		}
-		if i+2 < len(toks) && toks[i+1].Kind == sql.TokenDot {
-			if toks[i+2].Kind == sql.TokenIdent || toks[i+2].Kind == sql.TokenQuotedIdent {
-				if !seenA[toks[i+2].Text] {
-					seenA[toks[i+2].Text] = true
-					attrs = append(attrs, toks[i+2].Text)
-				}
-				i += 2
-				continue
-			}
-		}
-		if clause == "FROM" {
-			if i > 0 && (toks[i-1].Kind == sql.TokenIdent || toks[i-1].Kind == sql.TokenQuotedIdent) {
-				continue // alias
-			}
-			if !seenT[t.Text] {
-				seenT[t.Text] = true
-				tables = append(tables, t.Text)
-			}
-		} else if !seenA[t.Text] {
-			seenA[t.Text] = true
-			attrs = append(attrs, t.Text)
-		}
-	}
-	return tables, attrs
 }
 
 // ---------------------------------------------------------------------------

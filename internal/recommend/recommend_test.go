@@ -2,7 +2,9 @@ package recommend
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -350,6 +352,31 @@ func TestSimilarQueriesFromPartial(t *testing.T) {
 		if !contains(s.Record.Tables, "WaterSalinity") {
 			t.Errorf("partial match without WaterSalinity: %v", s.Record.Tables)
 		}
+	}
+}
+
+// TestPartialContextReadsNamesLikeSearch: text that does not parse is read by
+// the one partial-name reader partial-query search uses. Its one corner: an
+// identifier before any clause keyword names nothing — the search's rule,
+// where completion once counted it as a column.
+func TestPartialContextReadsNamesLikeSearch(t *testing.T) {
+	for _, tc := range []struct {
+		text            string
+		tables, columns []string
+	}{
+		{"lake FROM WaterTemp", []string{"WaterTemp"}, nil},
+		{"lake, temp", nil, nil},
+		{"SELECT lake, w.temp FROM WaterTemp w WHERE", []string{"WaterTemp"}, []string{"lake", "temp"}},
+	} {
+		qc := contextOf(tc.text)
+		if !slices.Equal(qc.tables, tc.tables) || !slices.Equal(qc.columns, tc.columns) {
+			t.Errorf("contextOf(%q) = tables %q, columns %q; want %q, %q", tc.text, qc.tables, qc.columns, tc.tables, tc.columns)
+		}
+	}
+	// With nothing named there is nothing to find similar queries by.
+	r, _ := fixture(t)
+	if _, err := r.SimilarQueries(context.Background(), admin, "lake, temp", 5); !errors.Is(err, metaquery.ErrEmptyQuery) {
+		t.Errorf("SimilarQueries naming nothing: err = %v, want ErrEmptyQuery", err)
 	}
 }
 

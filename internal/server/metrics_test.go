@@ -197,6 +197,39 @@ func TestV1MetricsContract(t *testing.T) {
 	}
 }
 
+// TestPartialPageCostsOnePage: a partial-query page streams the log from its
+// cursor and stops when the page is full. On a log where every record
+// matches, a page of 10 loads the 11 records that fill it and say whether
+// another page exists, however long the log is.
+func TestPartialPageCostsOnePage(t *testing.T) {
+	ts, alice, _, admin := newTestServer(t)
+	const logged = 200
+	batch := make([]server.SubmitParams, logged)
+	for i := range batch {
+		batch[i] = server.SubmitParams{SQL: fmt.Sprintf("SELECT lake, temp FROM WaterTemp WHERE temp < %d", i)}
+	}
+	if _, err := alice.SubmitBatch(ctx, batch); err != nil {
+		t.Fatalf("SubmitBatch: %v", err)
+	}
+	headers := map[string]string{server.HeaderUser: "alice", server.HeaderGroups: "limnology"}
+	var page server.SearchResponse
+	resp := doRaw(t, http.MethodPost, ts.URL+"/v1/search/partial", headers, `{"partial":"SELECT temp FROM WaterTemp WHERE","limit":10}`, &page)
+	if resp.StatusCode != http.StatusOK || len(page.Matches) != 10 || page.NextCursor == "" {
+		t.Fatalf("status %d, %d matches, next cursor %q; want a full page of 10 and a next one", resp.StatusCode, len(page.Matches), page.NextCursor)
+	}
+	text, err := admin.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	partial := map[string]string{"kind": "partial"}
+	if n := mustMetric(t, text, "cqms_search_examined_records_count", partial); n != 1 {
+		t.Fatalf("cqms_search_examined_records_count{kind=partial} = %v, want 1", n)
+	}
+	if n := mustMetric(t, text, "cqms_search_examined_records_sum", partial); n > 11 {
+		t.Errorf("a page of 10 examined %v of %d records, want <= 11", n, logged)
+	}
+}
+
 // TestMetricsMoveEndToEnd drives a durable system over HTTP and checks the
 // instruments across every layer moved: HTTP route counters, store mutation
 // counters, WAL append/fsync series and the assist latency histogram.

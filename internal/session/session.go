@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/miner"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -194,34 +195,10 @@ func isInvestigation(d *sql.Diff) bool {
 	return addedPred && removedCol
 }
 
-// FeatureSimilarity is the Jaccard similarity of two queries' feature sets,
-// the measure used both for session segmentation and as one of the miner's
-// similarity measures.
+// FeatureSimilarity is the Jaccard similarity of two queries' feature sets:
+// the miner's feature-set measure, which segmentation reads.
 func FeatureSimilarity(a, b *storage.QueryRecord) float64 {
-	return jaccard(a.Features, b.Features)
-}
-
-func jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	set := make(map[string]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
-	inter := 0
-	union := len(set)
-	for _, y := range b {
-		if set[y] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	return float64(inter) / float64(union)
+	return miner.Similarity(miner.MeasureFeatures, a, b)
 }
 
 // ---------------------------------------------------------------------------

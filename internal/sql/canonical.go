@@ -34,3 +34,57 @@ func MaskConstants(text string) string {
 	}
 	return strings.Join(parts, " ")
 }
+
+// PartialNames is the parse-free reader of a partially written query: the
+// table names (identifiers of the FROM clause that do not follow another
+// identifier, which would make them aliases) and the attribute names (the
+// second part of every qualified a.b, and the identifiers of the SELECT,
+// WHERE, GROUP BY, HAVING and ORDER BY clauses) it names, each once, in
+// order of appearance. An identifier before the first clause keyword names
+// nothing. Like MaskConstants it tokenizes and never recurses; text that does
+// not tokenize names nothing.
+func PartialNames(text string) (tables, attrs []string) {
+	toks, err := Tokenize(text)
+	if err != nil {
+		return nil, nil
+	}
+	isIdent := func(t Token) bool { return t.Kind == TokenIdent || t.Kind == TokenQuotedIdent }
+	seenT, seenA := map[string]bool{}, map[string]bool{}
+	add := func(names []string, seen map[string]bool, name string) []string {
+		if seen[name] {
+			return names
+		}
+		seen[name] = true
+		return append(names, name)
+	}
+	clause := ""
+	for i := 0; i < len(toks); i++ {
+		t := toks[i]
+		if t.Kind == TokenKeyword {
+			switch t.Text {
+			case "SELECT", "FROM", "WHERE", "GROUP", "HAVING", "ORDER":
+				clause = t.Text
+			}
+			continue
+		}
+		if !isIdent(t) {
+			continue
+		}
+		// In a qualified a.b the qualifier may be an alias; b is an attribute.
+		if i+2 < len(toks) && toks[i+1].Kind == TokenDot && isIdent(toks[i+2]) {
+			attrs = add(attrs, seenA, toks[i+2].Text)
+			i += 2
+			continue
+		}
+		switch clause {
+		case "FROM":
+			if i == 0 || !isIdent(toks[i-1]) {
+				tables = add(tables, seenT, t.Text)
+			}
+		case "":
+		default:
+			attrs = add(attrs, seenA, t.Text)
+		}
+	}
+	return tables, attrs
+}

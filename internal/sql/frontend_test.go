@@ -129,6 +129,61 @@ var otherStatements = []string{
 	"   ;;  ",
 }
 
+// partialStatements are partially written queries as a user types them: the
+// shapes sql.PartialNames has rules for, and its corners.
+var partialStatements = []string{
+	"SELECT FROM WaterSalinity, WaterTemp",
+	"SELECT temp FROM watertemp w WHERE w.",
+	`SELECT "it's", t."x""y" FROM "My Table" t WHERE`,
+	"SELECT t.* FROM t JOIN u ON t.a = u.a AND b = c GROUP BY t.d HAVING",
+	"lake SELECT temp FROM WaterTemp ORDER BY",
+	"SELECT a.b.c.d FROM . x . y",
+	"FROM FROM a b c , d",
+	"SELECT 'unterminated FROM t",
+}
+
+// checkPartialNames: sql.PartialNames returns, and every table and attribute
+// it finds is the text of an identifier token of the input.
+func checkPartialNames(t *testing.T, text string) {
+	t.Helper()
+	tables, attrs := sql.PartialNames(text)
+	idents := map[string]bool{}
+	if toks, err := sql.Tokenize(text); err == nil {
+		for _, tok := range toks {
+			if tok.Kind == sql.TokenIdent || tok.Kind == sql.TokenQuotedIdent {
+				idents[tok.Text] = true
+			}
+		}
+	}
+	for _, name := range append(tables, attrs...) {
+		if !idents[name] {
+			t.Fatalf("PartialNames(%q) returned %q, not an identifier of the text", text, name)
+		}
+	}
+}
+
+// TestPartialNames pins the reader's rules on the seed shapes.
+func TestPartialNames(t *testing.T) {
+	for _, tc := range []struct {
+		text          string
+		tables, attrs []string
+	}{
+		{"SELECT FROM WaterSalinity, WaterTemp", []string{"WaterSalinity", "WaterTemp"}, nil},
+		{"SELECT temp FROM watertemp w WHERE w.", []string{"watertemp"}, []string{"temp", "w"}},
+		{`SELECT "it's", t."x""y" FROM "My Table" t WHERE`, []string{"My Table"}, []string{"it's", `x"y`}},
+		// ON stays in the FROM clause: its unqualified names read as tables.
+		{"SELECT t.* FROM t JOIN u ON t.a = u.a AND b = c GROUP BY t.d HAVING", []string{"t", "u", "b", "c"}, []string{"t", "a", "d"}},
+		{"lake SELECT temp FROM WaterTemp ORDER BY", []string{"WaterTemp"}, []string{"temp"}},
+		{"SELECT 'unterminated FROM t", nil, nil},
+	} {
+		tables, attrs := sql.PartialNames(tc.text)
+		if !reflect.DeepEqual(tables, tc.tables) || !reflect.DeepEqual(attrs, tc.attrs) {
+			t.Errorf("PartialNames(%q) = %q, %q; want %q, %q", tc.text, tables, attrs, tc.tables, tc.attrs)
+		}
+		checkPartialNames(t, tc.text)
+	}
+}
+
 // TestNewRecordMatchesTextOracle: every stored field of the record the
 // serving path builds from one parse equals what the text-in helpers derive
 // by parsing the text once per field.
@@ -158,11 +213,16 @@ func TestNewRecordMatchesTextOracle(t *testing.T) {
 // (a AND b) AND (c AND d) flattens into one longer chain — so a source just
 // inside the bound can print a form just outside it. Nothing re-parses a
 // stored canonical form; what matters is that equal statements print equal.
+//
+// The same untrusted text reaches the partial-query reader (partial-query
+// search and the assistant's fallback for text that does not parse): it must
+// return, and every name it returns is an identifier token of the text.
 func FuzzParse(f *testing.F) {
-	for _, text := range append(generatedStatements(5), otherStatements...) {
+	for _, text := range append(append(generatedStatements(5), otherStatements...), partialStatements...) {
 		f.Add(text)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
+		checkPartialNames(t, text)
 		got, stmt := frontEndRecord(text)
 		want := oracleRecord(text)
 		if got.Canonical != want.Canonical || got.Template != want.Template ||

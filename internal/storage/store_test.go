@@ -403,3 +403,23 @@ func TestConcurrentPutAndRead(t *testing.T) {
 		t.Errorf("count = %d, want 200", s.Count())
 	}
 }
+
+func TestRecordAnalysisRoundTrip(t *testing.T) {
+	rec, err := NewRecordFromSQL("SELECT AVG(temp) FROM WaterTemp WHERE temp < 18 GROUP BY lake")
+	if err != nil {
+		t.Fatalf("NewRecordFromSQL: %v", err)
+	}
+	a := rec.Analysis()
+	if len(a.Tables) != 1 || a.Tables[0] != "WaterTemp" {
+		t.Errorf("analysis tables = %v", a.Tables)
+	}
+	if len(a.Predicates) != 1 || a.Predicates[0].Column != "temp" {
+		t.Errorf("analysis predicates = %+v", a.Predicates)
+	}
+	if len(a.Aggregates) != 1 || a.Aggregates[0] != "AVG" {
+		t.Errorf("analysis aggregates = %v", a.Aggregates)
+	}
+	if len(a.GroupByColumns) != 1 {
+		t.Errorf("analysis group by = %v", a.GroupByColumns)
+	}
+}
