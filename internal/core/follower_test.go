@@ -62,7 +62,7 @@ func TestFollowerRefusesEmbeddedWrites(t *testing.T) {
 	}
 
 	s := c.Store()
-	rec := &storage.QueryRecord{Text: "SELECT 1", Canonical: "select 1", User: "alice"}
+	rec := &storage.QueryRecord{QueryShape: &storage.QueryShape{Text: "SELECT 1", Canonical: "select 1"}, User: "alice"}
 	_, err = s.Put(rec)
 	refused("Put", err)
 	_, putErrs := s.PutBatch([]*storage.QueryRecord{rec})
@@ -85,7 +85,7 @@ func TestFollowerRefusesEmbeddedWrites(t *testing.T) {
 		t.Fatalf("the replica holds %d records after refused writes, want 0", n)
 	}
 
-	replicated := &storage.QueryRecord{ID: 1, Text: "SELECT 1", Canonical: "select 1", User: "alice", Valid: true}
+	replicated := &storage.QueryRecord{ID: 1, QueryShape: &storage.QueryShape{Text: "SELECT 1", Canonical: "select 1"}, User: "alice", Valid: true}
 	if err := s.Apply(&storage.Mutation{Op: storage.OpPut, Record: replicated}); err != nil {
 		t.Fatalf("Apply on a read-only store: %v", err)
 	}

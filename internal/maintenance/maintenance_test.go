@@ -308,15 +308,15 @@ func TestRefreshStatsMarksFailingQueriesInvalid(t *testing.T) {
 
 func TestQualityScore(t *testing.T) {
 	good := &storage.QueryRecord{
+		QueryShape:  &storage.QueryShape{Tables: []string{"WaterTemp"}},
 		Valid:       true,
 		Annotations: []storage.Annotation{{Text: "documented"}},
-		Tables:      []string{"WaterTemp"},
 		Stats:       storage.RuntimeStats{ExecTime: time.Millisecond, ResultRows: 5},
 	}
 	bad := &storage.QueryRecord{
-		Valid:  false,
-		Tables: []string{"A", "B", "C", "D"},
-		Stats:  storage.RuntimeStats{ExecTime: 10 * time.Second, Error: "boom"},
+		QueryShape: &storage.QueryShape{Tables: []string{"A", "B", "C", "D"}},
+		Valid:      false,
+		Stats:      storage.RuntimeStats{ExecTime: 10 * time.Second, Error: "boom"},
 	}
 	gs, bs := QualityScore(good), QualityScore(bad)
 	if gs <= bs {

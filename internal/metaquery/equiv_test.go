@@ -315,7 +315,7 @@ func (h *history) record() *storage.QueryRecord {
 	// is logged without them, as a raw-captured failure is.
 	rec, err := storage.NewRecordFromSQL(texts[i])
 	if err != nil {
-		rec = &storage.QueryRecord{}
+		rec = &storage.QueryRecord{QueryShape: &storage.QueryShape{}}
 	}
 	rec.Text = texts[i]
 	// A canonical form that differs from the text, so some needles hit only

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -227,12 +226,7 @@ func matchStructure(rec *storage.QueryRecord, cond StructuralCondition) (string,
 		reasons = append(reasons, "group by "+cond.RequireGroupBy)
 	}
 	if cond.RequireNested {
-		stmt, err := sql.Parse(rec.Text)
-		if err != nil {
-			return "", false
-		}
-		sel, ok := stmt.(*sql.SelectStmt)
-		if !ok || len(sql.Subqueries(sel)) == 0 {
+		if !rec.Nested() {
 			return "", false
 		}
 		reasons = append(reasons, "nested")

@@ -183,12 +183,14 @@ func (p *Profiler) SetClock(now func() time.Time) { p.clock = now }
 func notLogged(err error) error { return fmt.Errorf("profiler: query not logged: %w", err) }
 
 // prepare is the one submission body: parse the text once, build the record
-// from the parsed statement, execute that same statement, and fill in the
-// runtime statistics, the output sample and the annotation prompt. The caller
-// commits the record — Submit with Put, SubmitBatch with PutBatch — and sets
-// the Outcome's QueryID. An unparsable statement is an error unless
-// CaptureParseErrors is on, in which case it becomes a raw record that is
-// never executed, with the parse error in the Outcome.
+// on the statement's shape — the store's, when it already holds the text, so
+// a repeated statement is not printed or analysed again — execute that same
+// statement, and fill in the runtime statistics, the output sample and the
+// annotation prompt. The caller commits the record — Submit with Put,
+// SubmitBatch with PutBatch — and sets the Outcome's QueryID. An unparsable
+// statement is an error unless CaptureParseErrors is on, in which case it
+// becomes a raw record that is never executed, with the parse error in the
+// Outcome.
 func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, error) {
 	var (
 		rec *storage.QueryRecord
@@ -197,7 +199,7 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 	stmt, err := sql.Parse(sub.SQL)
 	switch {
 	case err == nil:
-		rec = storage.NewRecord(stmt, sub.SQL)
+		rec = &storage.QueryRecord{QueryShape: p.store.ShapeOf(stmt, sub.SQL), Valid: true}
 	case p.cfg.CaptureParseErrors:
 		p.countParseError(true)
 		rec = storage.NewRawRecord(sub.SQL, err)

@@ -232,7 +232,7 @@ func TestFeatureSimilarity(t *testing.T) {
 	if sim := FeatureSimilarity(a, c); sim != 0.0 {
 		t.Errorf("similarity of unrelated queries = %v, want 0.0", sim)
 	}
-	empty := &storage.QueryRecord{}
+	empty := &storage.QueryRecord{QueryShape: &storage.QueryShape{}}
 	if sim := FeatureSimilarity(empty, empty); sim != 1.0 {
 		t.Errorf("similarity of two empty feature sets = %v, want 1.0", sim)
 	}

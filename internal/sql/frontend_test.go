@@ -21,22 +21,26 @@ func oracleRecord(text string) *storage.QueryRecord {
 	canonical, err := sql.Canonical(text)
 	if err != nil {
 		return &storage.QueryRecord{
-			Text:          text,
-			Canonical:     strings.ToUpper(strings.Join(strings.Fields(text), " ")),
-			Template:      sql.TemplateText(text),
-			Fingerprint:   sql.Fingerprint(text),
-			ExactHash:     sql.ExactFingerprint(text),
-			Features:      []string{storage.FeatureParseError},
+			QueryShape: &storage.QueryShape{
+				Text:        text,
+				Canonical:   strings.ToUpper(strings.Join(strings.Fields(text), " ")),
+				Template:    sql.TemplateText(text),
+				Fingerprint: sql.Fingerprint(text),
+				ExactHash:   sql.ExactFingerprint(text),
+				Features:    []string{storage.FeatureParseError},
+			},
 			InvalidReason: "parse error: " + err.Error(),
 		}
 	}
 	rec := &storage.QueryRecord{
-		Text:        text,
-		Canonical:   canonical,
-		Template:    sql.TemplateText(text),
-		Fingerprint: sql.Fingerprint(text),
-		ExactHash:   sql.ExactFingerprint(text),
-		Valid:       true,
+		QueryShape: &storage.QueryShape{
+			Text:        text,
+			Canonical:   canonical,
+			Template:    sql.TemplateText(text),
+			Fingerprint: sql.Fingerprint(text),
+			ExactHash:   sql.ExactFingerprint(text),
+		},
+		Valid: true,
 	}
 	if _, isSelect := sql.ParseSelect(text); isSelect != nil {
 		return rec

@@ -21,14 +21,16 @@ func buildLoadedTracker(n int) *Tracker {
 		"Stars", "Observations", "Lakes", "Surveys"}
 	for i := 0; i < n; i++ {
 		rec := &storage.QueryRecord{
-			ID:          storage.QueryID(i + 1),
-			User:        fmt.Sprintf("user%07d", i),
-			Fingerprint: uint64(i%(n/10+1)) + 1,
-			Visibility:  storage.VisibilityPublic,
-			Tables:      []string{tables[i%len(tables)]},
-			Predicates: []storage.PredicateRow{
-				{Attr: "temp", Op: "<", Const: strconv.Itoa(i % (n/5 + 1))},
+			ID:   storage.QueryID(i + 1),
+			User: fmt.Sprintf("user%07d", i),
+			QueryShape: &storage.QueryShape{
+				Fingerprint: uint64(i%(n/10+1)) + 1,
+				Tables:      []string{tables[i%len(tables)]},
+				Predicates: []storage.PredicateRow{
+					{Attr: "temp", Op: "<", Const: strconv.Itoa(i % (n/5 + 1))},
+				},
 			},
+			Visibility: storage.VisibilityPublic,
 		}
 		t.addLocked(rec)
 	}

@@ -19,7 +19,8 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -542,11 +543,11 @@ func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {
 	for i := range out {
 		out[i].Table = storage.PickDisplayName(tails[i], out[i].Table)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b storage.TableCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Table < out[j].Table
+		return strings.Compare(a.Table, b.Table)
 	})
 	if h != nil {
 		h.Observe(time.Since(start))
@@ -592,11 +593,11 @@ func (t *Tracker) UserActivity(p storage.Principal) []UserCount {
 		}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Queries != out[j].Queries {
-			return out[i].Queries > out[j].Queries
+	slices.SortFunc(out, func(a, b UserCount) int {
+		if a.Queries != b.Queries {
+			return cmp.Compare(b.Queries, a.Queries)
 		}
-		return out[i].User < out[j].User
+		return strings.Compare(a.User, b.User)
 	})
 	if h != nil {
 		h.Observe(time.Since(start))
@@ -644,11 +645,11 @@ func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
 		}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b ItemCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Item < out[j].Item
+		return strings.Compare(a.Item, b.Item)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
@@ -686,11 +687,11 @@ func (t *Tracker) TopFingerprints(p storage.Principal, k int) []FingerprintCount
 		}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b FingerprintCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Fingerprint < out[j].Fingerprint
+		return cmp.Compare(a.Fingerprint, b.Fingerprint)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

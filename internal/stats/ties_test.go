@@ -1,0 +1,144 @@
+package stats_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/stats"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// The bounded listings under ties. A summary smaller than a dimension keeps
+// only some of the keys tied at its cut; which ones is decided by the rank
+// order (count, then key), never by heap layout or map iteration, so two
+// trackers that reach the same counts the same way list the same keys.
+
+// tiedListings is every bounded listing a principal can read, in full.
+type tiedListings struct {
+	Tables       []storage.TableCount
+	Users        []stats.UserCount
+	Predicates   []stats.ItemCount
+	Fingerprints []stats.FingerprintCount
+	Bounds       stats.ApproxBounds
+}
+
+func listingsOf(tr *stats.Tracker, p storage.Principal) tiedListings {
+	return tiedListings{
+		Tables:       tr.TableCounts(p),
+		Users:        tr.UserActivity(p),
+		Predicates:   tr.TopPredicates(p, 0),
+		Fingerprints: tr.TopFingerprints(p, 0),
+		Bounds:       tr.Bounds(p),
+	}
+}
+
+// tiedUsers are more users than a small summary holds, each with one to three
+// queries, so the user dimension ties across its cut.
+var tiedUsers = func() []string {
+	out := make([]string, 40)
+	for i := range out {
+		out[i] = fmt.Sprintf("u%02d", i)
+	}
+	return out
+}()
+
+// putTied stores n records, spread over tiedUsers.
+func putTied(t *testing.T, rng *rand.Rand, s *storage.Store, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		rec := genRecord(t, rng)
+		rec.User = tiedUsers[rng.Intn(len(tiedUsers))]
+		mustPut(t, s, rec)
+	}
+}
+
+func assertSameListings(t *testing.T, what string, got, want *stats.Tracker) {
+	t.Helper()
+	ps := append(principalsOf(), storage.Principal{User: tiedUsers[0], Groups: []string{"limnology"}})
+	for _, p := range ps {
+		if g, w := listingsOf(got, p), listingsOf(want, p); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s, principal %+v:\n got: %+v\nwant: %+v", what, p, g, w)
+		}
+	}
+}
+
+// TestTiedListingsMatchAcrossCheckpointAndRebuild: a tracker restored from a
+// checkpoint and one rebuilt from the store list the same tied keys, however
+// often either is built.
+func TestTiedListingsMatchAcrossCheckpointAndRebuild(t *testing.T) {
+	const capacity = 8
+	rng := rand.New(rand.NewSource(9))
+	store := storage.NewStore()
+	live := stats.AttachWithCapacity(store, capacity)
+	putTied(t, rng, store, 70)
+	mutateRandomly(t, rng, store, 60)
+	if live.Bounds(admin).Users == 0 {
+		t.Fatal("the user summary never overflowed; the history no longer ties at its cut")
+	}
+	version, data, err := live.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := stats.NewWithCapacity(capacity)
+	rebuilt.Rebuild(store)
+	for i := 0; i < 10; i++ {
+		restored := stats.NewWithCapacity(capacity)
+		if err := restored.Restore(version, data); err != nil {
+			t.Fatal(err)
+		}
+		assertSameListings(t, fmt.Sprintf("restore %d vs rebuild", i), restored, rebuilt)
+		again := stats.NewWithCapacity(capacity)
+		again.Rebuild(store)
+		assertSameListings(t, fmt.Sprintf("rebuild %d vs rebuild", i), again, rebuilt)
+	}
+}
+
+// TestTiedListingsMatchPrimaryAfterRecovery: a primary that grew by puts
+// takes a snapshot, then runs every kind of mutation; a replica recovered
+// from that snapshot and the log tail — the follower's bootstrap path —
+// lists exactly what the primary lists, tied keys and bounds included.
+func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
+	const capacity = 8
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := wal.DefaultConfig(t.TempDir())
+			cfg.SyncPolicy = "off"
+			store := storage.NewStore()
+			primary := stats.AttachWithCapacity(store, capacity)
+			mgr, _, err := wal.Open(store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Puts only count up, so the primary's summaries hold the true
+			// top keys, as a snapshot's reseeded ones do.
+			putTied(t, rng, store, 80)
+			if _, _, err := mgr.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			mutateRandomly(t, rng, store, 150)
+			putTied(t, rng, store, 30)
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if primary.Bounds(admin).Users == 0 {
+				t.Fatal("the user summary never overflowed; the history no longer ties at its cut")
+			}
+
+			replicaStore := storage.NewStore()
+			replica := stats.AttachWithCapacity(replicaStore, capacity)
+			mgr2, info, err := wal.Open(replicaStore, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr2.Close()
+			if info.SnapshotSeq == 0 || len(info.CheckpointRestored) == 0 {
+				t.Fatalf("recovery %+v: want the snapshot's stats checkpoint plus a tail", info)
+			}
+			assertSameListings(t, "recovered replica vs primary", replica, primary)
+		})
+	}
+}

@@ -25,9 +25,17 @@
 //
 // Updates are O(log capacity) sift operations on a positional min-heap and
 // run under the store's commit lock, matching the bus-callback budget.
+//
+// Keys are ranked in one total order — higher count first, then the smaller
+// key — so admission, eviction and seeding never break a tie by heap layout
+// or map iteration order: two summaries that saw the same counts through the
+// same updates track the same keys, whatever order they were seeded in.
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // defaultTopKCapacity is how many keys each summary tracks per bucket per
 // dimension. It must comfortably exceed the API's listing caps (the server
@@ -37,16 +45,22 @@ import "sort"
 const defaultTopKCapacity = 256
 
 // topkEntry is one tracked (key, exact count) pair.
-type topkEntry[K comparable] struct {
+type topkEntry[K cmp.Ordered] struct {
 	key   K
 	count int
 }
 
+// below reports whether e ranks below o: a lower count, or an equal count and
+// a greater key. The heap's root is the entry every other entry ranks above.
+func (e topkEntry[K]) below(o topkEntry[K]) bool {
+	return e.count < o.count || e.count == o.count && e.key > o.key
+}
+
 // topkSummary tracks the (approximately) top-capacity keys of one dimension
 // by exact count. The zero value is not usable; use newTopK.
-type topkSummary[K comparable] struct {
+type topkSummary[K cmp.Ordered] struct {
 	capacity int
-	heap     []topkEntry[K] // positional min-heap by count
+	heap     []topkEntry[K] // positional min-heap by rank (below)
 	pos      map[K]int      // key -> heap index
 	// missedBound is the exact high-water mark of counts at which keys were
 	// evicted from or refused admission to the summary: every untracked
@@ -57,7 +71,7 @@ type topkSummary[K comparable] struct {
 	missedBound int
 }
 
-func newTopK[K comparable](capacity int) *topkSummary[K] {
+func newTopK[K cmp.Ordered](capacity int) *topkSummary[K] {
 	if capacity <= 0 {
 		capacity = defaultTopKCapacity
 	}
@@ -69,8 +83,8 @@ func newTopK[K comparable](capacity int) *topkSummary[K] {
 
 // update re-synchronises one key with its new exact count after a mutation.
 // count ≤ 0 removes the key; an untracked key is admitted if there is room or
-// it beats the current minimum (Space-Saving's eviction rule), otherwise the
-// miss watermark absorbs it.
+// it ranks above the current minimum (Space-Saving's eviction rule),
+// otherwise the miss watermark absorbs it.
 func (t *topkSummary[K]) update(key K, count int) {
 	i, tracked := t.pos[key]
 	if count <= 0 {
@@ -82,8 +96,8 @@ func (t *topkSummary[K]) update(key K, count int) {
 	if tracked {
 		old := t.heap[i].count
 		t.heap[i].count = count
-		// Min-heap: a shrunken count may now undercut its parent (sift up),
-		// a grown one may exceed its children (sift down).
+		// Min-heap: a shrunken count may now rank below its parent (sift
+		// up), a grown one above its children (sift down).
 		if count < old {
 			t.siftUp(i)
 		} else {
@@ -97,18 +111,19 @@ func (t *topkSummary[K]) update(key K, count int) {
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if count > t.heap[0].count {
+	entry := topkEntry[K]{key: key, count: count}
+	if t.heap[0].below(entry) {
 		// Evict the minimum: its count becomes part of the miss watermark.
 		if t.heap[0].count > t.missedBound {
 			t.missedBound = t.heap[0].count
 		}
 		delete(t.pos, t.heap[0].key)
-		t.heap[0] = topkEntry[K]{key: key, count: count}
+		t.heap[0] = entry
 		t.pos[key] = 0
 		t.siftDown(0)
 		return
 	}
-	// Refused admission: the key stays untracked with count ≤ the current
+	// Refused admission: the key stays untracked, ranked below the current
 	// minimum; remember the largest count ever refused.
 	if count > t.missedBound {
 		t.missedBound = count
@@ -133,7 +148,7 @@ func (t *topkSummary[K]) removeAt(i int) {
 func (t *topkSummary[K]) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.heap[parent].count <= t.heap[i].count {
+		if !t.heap[i].below(t.heap[parent]) {
 			return
 		}
 		t.swap(parent, i)
@@ -145,10 +160,10 @@ func (t *topkSummary[K]) siftDown(i int) {
 	n := len(t.heap)
 	for {
 		smallest := i
-		if l := 2*i + 1; l < n && t.heap[l].count < t.heap[smallest].count {
+		if l := 2*i + 1; l < n && t.heap[l].below(t.heap[smallest]) {
 			smallest = l
 		}
-		if r := 2*i + 2; r < n && t.heap[r].count < t.heap[smallest].count {
+		if r := 2*i + 2; r < n && t.heap[r].below(t.heap[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
@@ -178,7 +193,7 @@ func (t *topkSummary[K]) len() int { return len(t.heap) }
 // keys are tracked and the watermark becomes the largest count that did not
 // fit — the tightest bound any summary over that map can offer. Used by
 // Rebuild and checkpoint Restore so recovered summaries start exact.
-func seedTopK[K comparable](capacity int, counts map[K]int) *topkSummary[K] {
+func seedTopK[K cmp.Ordered](capacity int, counts map[K]int) *topkSummary[K] {
 	t := newTopK[K](capacity)
 	if len(counts) <= t.capacity {
 		for k, n := range counts {
@@ -186,13 +201,18 @@ func seedTopK[K comparable](capacity int, counts map[K]int) *topkSummary[K] {
 		}
 		return t
 	}
-	// More keys than capacity: take the top-capacity by count so the seeded
-	// membership is exactly the true top set (ties broken arbitrarily).
+	// More keys than capacity: take the top-capacity in rank order, so the
+	// seeded membership is exactly the true top set.
 	entries := make([]topkEntry[K], 0, len(counts))
 	for k, n := range counts {
 		entries = append(entries, topkEntry[K]{key: k, count: n})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].count > entries[j].count })
+	slices.SortFunc(entries, func(a, b topkEntry[K]) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key, b.key)
+	})
 	for _, e := range entries[:t.capacity] {
 		t.update(e.key, e.count)
 	}

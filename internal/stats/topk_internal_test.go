@@ -2,7 +2,9 @@ package stats
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -24,9 +26,9 @@ func checkInvariants(t *testing.T, s *topkSummary[string], exact map[string]int)
 		if s.pos[e.key] != i {
 			t.Fatalf("pos[%q] = %d, want %d", e.key, s.pos[e.key], i)
 		}
-		if parent := (i - 1) / 2; i > 0 && s.heap[parent].count > e.count {
-			t.Fatalf("heap property violated at %d: parent %d > child %d",
-				i, s.heap[parent].count, e.count)
+		if parent := (i - 1) / 2; i > 0 && e.below(s.heap[parent]) {
+			t.Fatalf("heap property violated at %d: child %+v ranks below parent %+v",
+				i, e, s.heap[parent])
 		}
 		if exact[e.key] != e.count {
 			t.Fatalf("tracked %q has count %d, exact is %d", e.key, e.count, exact[e.key])
@@ -102,6 +104,61 @@ func TestTopKSeedOverflow(t *testing.T) {
 	if small.len() != len(counts) || small.missedBound != 0 {
 		t.Errorf("under-capacity seed: len %d bound %d, want %d and 0",
 			small.len(), small.missedBound, len(counts))
+	}
+}
+
+// tracked returns the keys a summary tracks, sorted.
+func tracked(s *topkSummary[string]) []string {
+	keys := make([]string, len(s.heap))
+	for i, e := range s.heap {
+		keys[i] = e.key
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestTopKTiesFollowOneOrder pins the total order: among equal counts the
+// smaller key ranks higher, for admission, eviction and seeding alike. Two
+// summaries seeded from one map (whose iteration order differs run to run)
+// and then fed the same updates track the same keys, with the same bound.
+func TestTopKTiesFollowOneOrder(t *testing.T) {
+	s := newTopK[string](2)
+	s.update("b", 3)
+	s.update("c", 3)
+	s.update("a", 3) // ties with the minimum (c) and ranks above it: admitted
+	if got := tracked(s); !slices.Equal(got, []string{"a", "b"}) || s.missedBound != 3 {
+		t.Fatalf("after a tie: tracked %v bound %d, want [a b] and 3", got, s.missedBound)
+	}
+	s.update("d", 3) // ties with the minimum (b) and ranks below it: refused
+	if got := tracked(s); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("a lower-ranked tie was admitted: %v", got)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	counts := map[string]int{}
+	for i := 0; i < 40; i++ {
+		counts[fmt.Sprintf("k%02d", i)] = 1 + rng.Intn(3) // many ties across the cut
+	}
+	updates := make([][2]int, 400)
+	for i := range updates {
+		updates[i] = [2]int{rng.Intn(40), rng.Intn(5) - 1} // increments and decrements
+	}
+	var want []string
+	for run := 0; run < 20; run++ {
+		s := seedTopK(6, counts)
+		exact := maps.Clone(counts)
+		for _, u := range updates {
+			key := fmt.Sprintf("k%02d", u[0])
+			exact[key] = max(0, exact[key]+u[1])
+			s.update(key, exact[key])
+		}
+		checkInvariants(t, s, exact)
+		got := append(tracked(s), fmt.Sprint(s.missedBound))
+		if run == 0 {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("run %d tracks %v, run 0 tracked %v", run, got, want)
+		}
 	}
 }
 

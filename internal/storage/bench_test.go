@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -73,4 +75,61 @@ func BenchmarkCommit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPutRepeatedText stores a log of 10^5 records, put in batches of
+// 256 the way a preload or a restore hands them over, and reports what the
+// store keeps per record: B/record is the live heap after a collection,
+// ns/record the put time. 54-texts repeats the 54 distinct statements of the
+// capture workload, so the records share their shapes; distinct gives every
+// record a text of its own, the case interning cannot help. Building the
+// records is not timed. One op is one whole log: run it with -benchtime 1x.
+func BenchmarkPutRepeatedText(b *testing.B) {
+	const records, chunk = 100_000, 256
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	record := func(i, texts int) *QueryRecord {
+		rec, err := NewRecordFromSQL(fmt.Sprintf("SELECT lake, temp FROM WaterTemp WHERE id = %d", i%texts))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec.User, rec.Group, rec.Visibility = fmt.Sprintf("user%d", i%50), "limnology", VisibilityGroup
+		rec.IssuedAt = at.Add(time.Duration(i) * time.Second)
+		rec.Stats = RuntimeStats{ExecTime: time.Millisecond, ResultRows: 1, ResultColumns: 2, ExecutedAt: rec.IssuedAt}
+		return rec
+	}
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct {
+		name  string
+		texts int
+	}{{"54-texts", 54}, {"distinct", records}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var kept int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := liveHeap()
+				s := NewStore()
+				for n := 0; n < records; n += chunk {
+					batch := make([]*QueryRecord, min(chunk, records-n))
+					for j := range batch {
+						batch[j] = record(n+j, tc.texts)
+					}
+					b.StartTimer()
+					if _, errs := s.PutBatch(batch); errs != nil {
+						b.Fatal(errs)
+					}
+					b.StopTimer()
+				}
+				kept += liveHeap() - before
+				runtime.KeepAlive(s)
+			}
+			b.ReportMetric(float64(kept)/float64(b.N*records), "B/record")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
 }

@@ -528,37 +528,38 @@ func (d *decoder) annotation(a *Annotation) {
 }
 
 func (d *decoder) record() *QueryRecord {
-	rec := &QueryRecord{}
+	sh := &QueryShape{}
+	rec := &QueryRecord{QueryShape: sh}
 	rec.ID = QueryID(d.r.Varint())
-	rec.Text = d.str()
-	rec.Canonical = d.str()
-	rec.Template = d.str()
-	rec.Fingerprint = d.r.Uint64()
-	rec.ExactHash = d.r.Uint64()
+	sh.Text = d.str()
+	sh.Canonical = d.str()
+	sh.Template = d.str()
+	sh.Fingerprint = d.r.Uint64()
+	sh.ExactHash = d.r.Uint64()
 	rec.User = d.str()
 	rec.Group = d.str()
 	rec.Visibility = Visibility(d.r.Int())
 	rec.IssuedAt = d.time()
-	rec.Tables = d.strSlice()
+	sh.Tables = d.strSlice()
 	if n, ok := d.count(minAttributeBytes); ok {
-		rec.Attributes = make([]AttributeRow, n)
-		for i := range rec.Attributes {
-			a := &rec.Attributes[i]
+		sh.Attributes = make([]AttributeRow, n)
+		for i := range sh.Attributes {
+			a := &sh.Attributes[i]
 			a.Attr, a.Rel, a.Clause = d.str(), d.str(), d.str()
 		}
 	}
 	if n, ok := d.count(minPredicateBytes); ok {
-		rec.Predicates = make([]PredicateRow, n)
-		for i := range rec.Predicates {
-			p := &rec.Predicates[i]
+		sh.Predicates = make([]PredicateRow, n)
+		for i := range sh.Predicates {
+			p := &sh.Predicates[i]
 			p.Attr, p.Rel, p.Op, p.Const = d.str(), d.str(), d.str(), d.str()
 			p.IsJoin = d.r.Bool()
 			p.RightRel, p.RightAttr = d.str(), d.str()
 		}
 	}
-	rec.Aggregates = d.strSlice()
-	rec.GroupBy = d.strSlice()
-	rec.Features = d.strSlice()
+	sh.Aggregates = d.strSlice()
+	sh.GroupBy = d.strSlice()
+	sh.Features = d.strSlice()
 	d.stats(&rec.Stats)
 	if d.r.Bool() {
 		rec.Sample = d.sample()

@@ -105,7 +105,7 @@ func codecCases(t testing.TB) map[string]*Mutation {
 	odd.QualityScore = math.Copysign(0, -1)
 	big := codecRecord(t, pointLookupSQL, 13)
 	big.Text = "SELECT '" + strings.Repeat("x", 1<<20) + "'"
-	bare := &QueryRecord{}
+	bare := &QueryRecord{QueryShape: &QueryShape{}}
 	return map[string]*Mutation{
 		"put join-heavy":   {Op: OpPut, Record: codecRecord(t, joinHeavySQL, 1)},
 		"put point-lookup": {Op: OpPut, Record: codecRecord(t, pointLookupSQL, 2)},

@@ -33,7 +33,9 @@ func (a storeTrace) equal(b storeTrace) bool {
 func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 	huge := strings.Repeat("x", MaxRecordBytes)
 	mallory := Principal{User: "mallory"}
-	rec := func(text string) *QueryRecord { return &QueryRecord{Text: text, Canonical: "c", User: "alice"} }
+	rec := func(text string) *QueryRecord {
+		return &QueryRecord{QueryShape: &QueryShape{Text: text, Canonical: "c"}, User: "alice"}
+	}
 
 	// One row per op (put twice: both entries). text is "note" or huge; sized
 	// says it lands in the logged payload, owned that the op asks who calls.

@@ -238,9 +238,9 @@ func TestIndexBucketsDropWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestLowerCaseShared pins the insert-time lower-casing: stored records share
-// their dictionary entry's strings, and ReplaceText moves them to the entry of
-// the new text.
+// TestLowerCaseShared pins the insert-time lower-casing: stored records of one
+// text share one shape, which holds the lower-cased strings, and ReplaceText
+// moves them to the entry of the new text.
 func TestLowerCaseShared(t *testing.T) {
 	s := NewStore()
 	var ids [2]QueryID
@@ -257,8 +257,8 @@ func TestLowerCaseShared(t *testing.T) {
 	if a.LowerText() != "select city from citylocations where state = 'wa'" {
 		t.Errorf("LowerText = %q", a.LowerText())
 	}
-	if a.text == nil || a.text != b.text || a.LowerCanonical() != strings.ToLower(a.Canonical) {
-		t.Errorf("records of one text do not share an entry: %p vs %p", a.text, b.text)
+	if a.QueryShape != b.QueryShape || a.entry == nil || a.LowerCanonical() != strings.ToLower(a.Canonical) {
+		t.Errorf("records of one text do not share a shape: %p vs %p", a.QueryShape, b.QueryShape)
 	}
 	updated, err := NewRecordFromSQL("SELECT Lake FROM WaterTemp")
 	if err != nil {
@@ -268,12 +268,12 @@ func TestLowerCaseShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ = s.Snapshot().Get(ids[0], admin)
-	if a.LowerText() != "select lake from watertemp" || a.text == b.text {
+	if a.LowerText() != "select lake from watertemp" || a.entry == b.entry {
 		t.Errorf("LowerText after ReplaceText = %q", a.LowerText())
 	}
 	// Records that never entered a store, and owned copies, lower on the fly.
-	probe := &QueryRecord{Text: "SELECT X"}
-	if probe.LowerText() != "select x" || a.Clone().text != nil {
+	probe := &QueryRecord{QueryShape: &QueryShape{Text: "SELECT X"}}
+	if probe.LowerText() != "select x" || a.Clone().entry != nil {
 		t.Errorf("fallback LowerText = %q", probe.LowerText())
 	}
 }

@@ -71,6 +71,9 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_store_records",
 		"Number of query records currently stored.",
 		func() float64 { return float64(s.Count()) })
+	reg.GaugeFunc("cqms_store_shapes",
+		"Distinct query shapes (text, canonical forms and features) the stored records share.",
+		func() float64 { return float64(s.ShapeCount()) })
 	reg.GaugeFunc("cqms_search_index_texts",
 		"Distinct (text, canonical) pairs in the search dictionary.",
 		func() float64 { texts, _ := s.SearchIndexSize(); return float64(texts) })

@@ -371,33 +371,26 @@ func (s *Store) update(id QueryID, mutate func(next, old *QueryRecord)) (old, ne
 }
 
 // insert places a record with an already-assigned ID into its shard and all
-// inverted indexes. It is shared by the live Put path and WAL replay; replay
-// of a Put whose ID already exists (a snapshot/segment overlap) replaces the
-// older copy so recovery stays idempotent — the replaced version, if any, is
-// returned so bus subscribers can retract its contributions. The record
-// becomes visible to scans only once its ID is published to the insertion
-// order, which happens after the shard holds the record. Callers must hold
-// the commit lock.
+// indexes, pointing it at its interned shape. It is shared by the live Put
+// path and WAL replay; replay of a Put whose ID already exists (a
+// snapshot/segment overlap) replaces the older copy so recovery stays
+// idempotent — the replaced version, if any, is returned so bus subscribers
+// can retract its contributions. The record becomes visible to scans only
+// once its ID is published to the insertion order, which happens after the
+// shard holds the record. Callers must hold the commit lock.
 func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
-	return s.insertPrepared(rec, computeIndexKeys(rec))
-}
-
-// insertPrepared is insert for the live write paths: the record's index keys
-// are precomputed outside the commit lock, so the critical section pays only
-// the map inserts. Callers must hold the commit lock.
-func (s *Store) insertPrepared(rec *QueryRecord, keys indexKeys) (replaced *QueryRecord) {
 	if old, ok := s.loadRecord(rec.ID); ok {
 		s.remove(old)
 		replaced = old
 	}
 	s.text.mu.Lock()
-	s.text.addLocked(rec, keys.text)
+	s.text.addLocked(rec)
 	s.text.mu.Unlock()
 	s.storeRecord(rec)
 	s.count.Add(1)
 	s.idx.Lock()
 	s.idx.order = append(s.idx.order, rec.ID)
-	s.indexPreparedLocked(rec, keys)
+	s.indexLocked(rec)
 	s.idx.Unlock()
 	if int64(rec.ID) > s.nextID.Load() {
 		s.nextID.Store(int64(rec.ID))
@@ -427,36 +420,25 @@ func (s *Store) remove(rec *QueryRecord) {
 	s.count.Add(-1)
 }
 
-// replaceText publishes a record version with the text and feature relations
-// of the update, re-indexing it, and returns the new version. De-indexing and
-// re-indexing happen in one idx critical section so an indexed scan never
-// misses the record mid-replacement. A version that would exceed
-// MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers must
-// hold the commit lock.
+// replaceText publishes a record version with the shape of the update — its
+// text and feature relations — re-indexing it, and returns the new version.
+// De-indexing and re-indexing happen in one idx critical section so an
+// indexed scan never misses the record mid-replacement. A version that would
+// exceed MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers
+// must hold the commit lock.
 func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
 	next := rec.shallowCopy()
-	next.Text = updated.Text
-	next.Canonical = updated.Canonical
-	next.Template = updated.Template
-	next.Fingerprint = updated.Fingerprint
-	next.ExactHash = updated.ExactHash
-	next.Tables = updated.Tables
-	next.Attributes = updated.Attributes
-	next.Predicates = updated.Predicates
-	next.Aggregates = updated.Aggregates
-	next.GroupBy = updated.GroupBy
-	next.Features = updated.Features
+	next.QueryShape = updated.QueryShape
 	if err := admitRecord(next); err != nil {
 		return nil, err
 	}
-	keys := computeIndexKeys(next)
 	s.text.mu.Lock()
-	s.text.retextLocked(rec, next, keys.text)
+	s.text.retextLocked(rec, next)
 	s.text.mu.Unlock()
 	s.storeRecord(next)
 	s.idx.Lock()
 	s.removeFromIndexesLocked(rec)
-	s.indexPreparedLocked(next, keys)
+	s.indexLocked(next)
 	s.idx.Unlock()
 	return next, nil
 }

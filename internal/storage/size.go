@@ -113,6 +113,9 @@ func admitRecord(rec *QueryRecord) error {
 
 // admitMutation refuses a live mutation the log could not hold.
 func admitMutation(m *Mutation) error {
+	if m.Record != nil && m.Record.QueryShape == nil {
+		return fmt.Errorf("storage: a %s mutation's record has no shape", m.Op)
+	}
 	if n := mutationBound(m); n > MaxRecordBytes {
 		return fmt.Errorf("%w: a %s mutation of up to %d bytes, the limit is %d", ErrTooLarge, m.Op, n, MaxRecordBytes)
 	}

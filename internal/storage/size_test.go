@@ -40,7 +40,7 @@ func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 	huge := strings.Repeat("x", MaxRecordBytes)
 	alice := Principal{User: "alice"}
 	newRec := func(text string) *QueryRecord {
-		return &QueryRecord{Text: text, Canonical: "c", User: "alice"}
+		return &QueryRecord{QueryShape: &QueryShape{Text: text, Canonical: "c"}, User: "alice"}
 	}
 
 	if id, err := store.Put(newRec(huge)); id != 0 || !errors.Is(err, ErrTooLarge) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,8 +178,9 @@ func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
 // Put inserts a record and returns the ID it was assigned. The record's
 // IssuedAt is set to the current time if zero. Put takes ownership of the
-// record: the caller must not mutate it afterwards, because readers receive
-// it without cloning. A refused record (ErrReadOnly, ErrTooLarge) is not
+// record and of its shape: the caller must not mutate either afterwards,
+// because readers receive them without cloning, and the record may come to
+// point at the store's equal shape instead of its own. A refused record (ErrReadOnly, ErrTooLarge) is not
 // stored and gets no ID; ErrNotDurable comes with the ID of a record that is
 // stored in memory but may not survive a crash.
 func (s *Store) Put(rec *QueryRecord) (QueryID, error) {
@@ -205,11 +205,11 @@ func (s *Store) PutBatch(recs []*QueryRecord) (ids []QueryID, errs []error) {
 }
 
 // put is the one insert body: gate, admit each record as the OpPut mutation
-// it will be logged as, compute index keys outside the lock, then under one
-// lock hold assign IDs and insert every admitted record, emit every one of
-// them (subscribers see a batch once the whole batch is in the store), and
-// wait once for the durability of the last. It fills ids and returns nil, or
-// one error slot per record.
+// it will be logged as, point it at the store's equal shape (or prepare its
+// own) outside the lock, then under one lock hold assign IDs and insert every
+// admitted record, emit every one of them (subscribers see a batch once the
+// whole batch is in the store), and wait once for the durability of the last.
+// It fills ids and returns nil, or one error slot per record.
 func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 	fail := func(i int, err error) {
 		if errs == nil {
@@ -218,11 +218,6 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		errs[i] = err
 	}
 	stored := func(i int) bool { return errs == nil || errs[i] == nil }
-	var one [1]indexKeys // keeps a single Put's keys off the heap
-	keys := one[:]
-	if len(recs) > 1 {
-		keys = make([]indexKeys, len(recs))
-	}
 	admitted := 0
 	for i, rec := range recs {
 		if s.readOnly.Load() {
@@ -230,7 +225,7 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		} else if err := admitMutation(&Mutation{Op: OpPut, Record: rec}); err != nil {
 			fail(i, err)
 		} else {
-			keys[i] = computeIndexKeys(rec)
+			s.share(rec)
 			admitted++
 		}
 	}
@@ -249,7 +244,7 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		// New records start valid unless the producer already marked them
 		// invalid (raw-captured parse failures carry their reason in).
 		rec.Valid = rec.InvalidReason == ""
-		s.insertPrepared(rec, keys[i])
+		s.insert(rec)
 		ids[i] = rec.ID
 	}
 	var (
@@ -309,31 +304,10 @@ func insertSorted(old []QueryID, id QueryID) []QueryID {
 	return out
 }
 
-// indexKeys holds the lower-cased inverted-index keys of one record,
-// precomputed outside the commit lock so indexing under the lock is pure map
-// work.
-type indexKeys struct {
-	tables []string // parallel to rec.Tables
-	text   textKey  // the record's search-dictionary entry
-}
-
-// computeIndexKeys derives a record's index keys. It is pure per-record
-// work: live write paths call it before taking the commit lock.
-func computeIndexKeys(rec *QueryRecord) indexKeys {
-	k := indexKeys{text: textKey{strings.ToLower(rec.Text), strings.ToLower(rec.Canonical)}}
-	if len(rec.Tables) > 0 {
-		k.tables = make([]string, len(rec.Tables))
-		for i, t := range rec.Tables {
-			k.tables[i] = strings.ToLower(t)
-		}
-	}
-	return k
-}
-
-// indexPreparedLocked adds a record to every inverted index using keys
-// computed by computeIndexKeys. Callers must hold the idx write lock.
-func (s *Store) indexPreparedLocked(rec *QueryRecord, keys indexKeys) {
-	for _, key := range keys.tables {
+// indexLocked adds an interned record to every inverted index. Callers must
+// hold the idx write lock.
+func (s *Store) indexLocked(rec *QueryRecord) {
+	for _, key := range rec.tables {
 		insertIntoBucket(s.idx.byTable, key, rec.ID)
 	}
 	insertIntoBucket(s.idx.byUser, rec.User, rec.ID)
@@ -503,8 +477,8 @@ func removeElem[E comparable](old []E, elem E) []E {
 // removeFromIndexesLocked strips a record from every inverted index. Callers
 // must hold commitMu and the idx write lock.
 func (s *Store) removeFromIndexesLocked(rec *QueryRecord) {
-	for _, t := range rec.Tables {
-		removeFromBucket(s.idx.byTable, strings.ToLower(t), rec.ID)
+	for _, key := range rec.tables {
+		removeFromBucket(s.idx.byTable, key, rec.ID)
 	}
 	removeFromBucket(s.idx.byUser, rec.User, rec.ID)
 }

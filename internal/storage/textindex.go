@@ -24,7 +24,8 @@ type textKey struct{ text, canonical string }
 
 // textEntry is one dictionary entry. The key and seq are immutable; ids is a
 // copy-on-write bucket like the store's other index buckets (appended in
-// place, rebuilt on removal) whose header is guarded by textIndex.mu.
+// place, rebuilt on removal) whose header is guarded by textIndex.mu. Every
+// shape whose text and canonical form lower-case to the key points at it.
 type textEntry struct {
 	textKey
 	// seq is the entry's creation rank. Trigram postings are kept in
@@ -39,8 +40,17 @@ type textEntry struct {
 // containing the needle.
 type trigram uint32
 
+// textIndex holds the two dictionaries a record's text is stored in: the
+// shape dictionary (shape.go), which keeps one shape per distinct text and
+// features, and the search dictionary, one entry per distinct lower-cased
+// (text, canonical) pair with its trigram map. Both hold exactly what the
+// live records reference: a shape or entry goes with its last record.
 type textIndex struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// shapes holds, by exact text, the shapes of the stored records: almost
+	// always one per text. nshapes counts them all.
+	shapes   map[string][]*QueryShape
+	nshapes  int
 	entries  map[textKey]*textEntry
 	trigrams map[trigram][]*textEntry // ascending seq, copy-on-write
 	// annotated holds the ascending IDs of the records carrying at least one
@@ -53,6 +63,8 @@ type textIndex struct {
 
 // reset empties the index. Callers must hold mu (or own the store).
 func (t *textIndex) reset() {
+	t.shapes = make(map[string][]*QueryShape)
+	t.nshapes = 0
 	t.entries = make(map[textKey]*textEntry)
 	t.trigrams = make(map[trigram][]*textEntry)
 	t.annotated = nil
@@ -76,31 +88,37 @@ func distinctTrigrams(strs ...string) []trigram {
 	return slices.Compact(out)
 }
 
-// linkLocked adds the record to the entry for key, creating the entry (and
-// its trigram postings) on first use, and points the record at it. The record
-// must not be visible to readers yet. Callers must hold mu.
-func (t *textIndex) linkLocked(rec *QueryRecord, key textKey) {
-	e := t.entries[key]
-	if e == nil {
-		e = &textEntry{textKey: key, seq: t.nextSeq}
-		t.nextSeq++
-		t.entries[key] = e
-		// The entry is the newest, so wherever it is already posted it is
-		// the bucket's last element: a repeated trigram needs no other check.
-		eachTrigram(func(tg trigram) {
-			if b := t.trigrams[tg]; len(b) == 0 || b[len(b)-1] != e {
-				t.trigrams[tg] = append(b, e)
-			}
-		}, key.text, key.canonical)
+// entryLocked returns the dictionary's entry for a prepared shape's key,
+// adding the shape's own (and its trigram postings) when there is none.
+// Callers must hold mu.
+func (t *textIndex) entryLocked(own *textEntry) *textEntry {
+	if e := t.entries[own.textKey]; e != nil {
+		return e
 	}
-	e.ids = insertSorted(e.ids, rec.ID)
-	rec.text = e
+	e := own
+	e.seq = t.nextSeq
+	t.nextSeq++
+	t.entries[e.textKey] = e
+	// The entry is the newest, so wherever it is already posted it is the
+	// bucket's last element: a repeated trigram needs no other check.
+	eachTrigram(func(tg trigram) {
+		if b := t.trigrams[tg]; len(b) == 0 || b[len(b)-1] != e {
+			t.trigrams[tg] = append(b, e)
+		}
+	}, e.text, e.canonical)
+	return e
+}
+
+// linkLocked adds an interned record to its shape's entry. Callers must hold
+// mu.
+func (t *textIndex) linkLocked(rec *QueryRecord) {
+	rec.entry.ids = insertSorted(rec.entry.ids, rec.ID)
 }
 
 // unlinkLocked removes the record from its entry, dropping the entry and its
 // trigram postings when that was its last record. Callers must hold mu.
 func (t *textIndex) unlinkLocked(rec *QueryRecord) {
-	e := rec.text
+	e := rec.entry
 	if e.ids = removeElem(e.ids, rec.ID); len(e.ids) > 0 {
 		return
 	}
@@ -108,9 +126,11 @@ func (t *textIndex) unlinkLocked(rec *QueryRecord) {
 	eachTrigram(func(tg trigram) { removeFromBucket(t.trigrams, tg, e) }, e.text, e.canonical)
 }
 
-// addLocked indexes a record about to be published. Callers must hold mu.
-func (t *textIndex) addLocked(rec *QueryRecord, key textKey) {
-	t.linkLocked(rec, key)
+// addLocked indexes a record about to be published, pointing it at its
+// interned shape. Callers must hold mu.
+func (t *textIndex) addLocked(rec *QueryRecord) {
+	t.internLocked(rec)
+	t.linkLocked(rec)
 	if len(rec.Annotations) > 0 {
 		t.annotated = insertSorted(t.annotated, rec.ID)
 	}
@@ -119,19 +139,22 @@ func (t *textIndex) addLocked(rec *QueryRecord, key textKey) {
 // removeLocked de-indexes a record being deleted. Callers must hold mu.
 func (t *textIndex) removeLocked(rec *QueryRecord) {
 	t.unlinkLocked(rec)
+	t.releaseLocked(rec)
 	if len(rec.Annotations) > 0 {
 		t.annotated = removeElem(t.annotated, rec.ID)
 	}
 }
 
 // retextLocked moves a record whose text was replaced (next is the version
-// about to be published) to the entry for its new text. Callers must hold mu.
-func (t *textIndex) retextLocked(old, next *QueryRecord, key textKey) {
-	if old.text.textKey == key {
-		return // next is a copy of old and already points at the entry
+// about to be published, with the new shape) to the interned shape and the
+// entry of its new text. Callers must hold mu.
+func (t *textIndex) retextLocked(old, next *QueryRecord) {
+	t.internLocked(next)
+	if next.entry != old.entry {
+		t.unlinkLocked(old)
+		t.linkLocked(next)
 	}
-	t.unlinkLocked(old)
-	t.linkLocked(next, key)
+	t.releaseLocked(old)
 }
 
 // annotate records that a query received its first annotation.
@@ -306,7 +329,7 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 		}
 		rec, ok := sel.store.loadRecord(id)
 		sel.loaded++
-		if !ok || rec.text != entry || !rec.VisibleTo(p) {
+		if !ok || rec.entry != entry || !rec.VisibleTo(p) {
 			continue
 		}
 		if !fn(rec) {

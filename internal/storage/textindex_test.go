@@ -12,9 +12,11 @@ import (
 // checkTextIndex compares the search index with one rebuilt from the stored
 // records: the same dictionary keys with the same postings, trigram postings
 // that hold exactly the live entries containing the trigram (in creation
-// order), the same annotated bucket, and every record pointing at its entry.
+// order), the same annotated bucket, and every record pointing at its entry;
+// and the shape dictionary holds exactly the live records' shapes.
 func checkTextIndex(t *testing.T, s *Store) {
 	t.Helper()
+	checkShapes(t, s)
 	wantIDs := map[textKey][]QueryID{}
 	var wantAnnotated []QueryID
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
@@ -23,7 +25,7 @@ func checkTextIndex(t *testing.T, s *Store) {
 		if len(rec.Annotations) > 0 {
 			wantAnnotated = append(wantAnnotated, rec.ID)
 		}
-		if rec.text == nil || rec.text.textKey != key {
+		if rec.entry == nil || rec.entry.textKey != key {
 			t.Errorf("record %d does not point at the entry of its text", rec.ID)
 		}
 		return true
@@ -62,7 +64,7 @@ func checkTextIndex(t *testing.T, s *Store) {
 }
 
 func textRecord(text, canonical string) *QueryRecord {
-	return &QueryRecord{Text: text, Canonical: canonical, User: "alice", Visibility: VisibilityPublic}
+	return &QueryRecord{QueryShape: &QueryShape{Text: text, Canonical: canonical}, User: "alice", Visibility: VisibilityPublic}
 }
 
 // TestTextIndexDropsEmptiedEntries is the white-box leak check: once the last

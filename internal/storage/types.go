@@ -5,17 +5,14 @@
 // and user annotations. Sessions are derived from the log by the session
 // detector (internal/session), which the store does not duplicate.
 //
-// The store is an in-memory structure with inverted indexes on tables,
-// attributes, users and fingerprints so that the Meta-query Executor can
-// answer feature and keyword searches interactively, and it can materialise
-// its feature relations as engine tables so that SQL meta-queries (the
-// query-by-feature paradigm of §2.2) execute against a real DBMS substrate.
+// The store is an in-memory structure that keeps each distinct query's text
+// and features once (QueryShape), shared by every record of it, with inverted
+// indexes on tables and users and a search index over the distinct texts so
+// that the Meta-query Executor can answer feature and keyword searches
+// interactively.
 package storage
 
-import (
-	"strings"
-	"time"
-)
+import "time"
 
 // QueryID identifies a logged query.
 type QueryID int64
@@ -156,29 +153,22 @@ type SessionEdge struct {
 	Diff string
 }
 
-// QueryRecord is the full stored representation of one logged query: raw
-// text, canonical/template forms, the extracted feature relations, runtime
-// statistics, an output sample, annotations and maintenance state.
+// QueryRecord is one logged execution of a query: its shape — text,
+// canonical/template forms and the extracted feature relations, shared with
+// every stored record of the same text — plus what belongs to this execution
+// alone: who ran it and when, runtime statistics, an output sample,
+// annotations and maintenance state.
 type QueryRecord struct {
-	ID          QueryID
-	Text        string
-	Canonical   string
-	Template    string
-	Fingerprint uint64
-	ExactHash   uint64
+	ID QueryID
+	// The store points every record of a text at one shape when it stores
+	// the record (Put, replay, restore, text replacement). It is immutable:
+	// to change a record's text, give it another shape (ReplaceText).
+	*QueryShape
 
 	User       string
 	Group      string
 	Visibility Visibility
 	IssuedAt   time.Time
-
-	// Syntactic features (Figure 1 relations).
-	Tables     []string
-	Attributes []AttributeRow
-	Predicates []PredicateRow
-	Aggregates []string
-	GroupBy    []string
-	Features   []string // flat feature set used by the miner
 
 	// Runtime features and output sample.
 	Stats  RuntimeStats
@@ -188,34 +178,9 @@ type QueryRecord struct {
 
 	// Maintenance state (§4.4).
 	Valid         bool
-	InvalidReason string
 	StatsStale    bool
+	InvalidReason string
 	QualityScore  float64
-
-	// text is the record's search-dictionary entry, which holds the
-	// lower-cased Text and Canonical once for every record sharing them. It
-	// is derived state and is never encoded; the store sets it before a
-	// record becomes visible to readers (Put, replay, restore, text
-	// replacement), and records are immutable after that point.
-	text *textEntry
-}
-
-// LowerText returns the lower-cased query text, shared with every stored
-// record of the same text. Records that never passed through a store lower
-// on the fly.
-func (q *QueryRecord) LowerText() string {
-	if q.text == nil {
-		return strings.ToLower(q.Text)
-	}
-	return q.text.text
-}
-
-// LowerCanonical returns the lower-cased canonical text; see LowerText.
-func (q *QueryRecord) LowerCanonical() string {
-	if q.text == nil {
-		return strings.ToLower(q.Canonical)
-	}
-	return q.text.canonical
 }
 
 // shallowCopy returns a copy sharing every slice and pointer field with the
@@ -231,13 +196,9 @@ func (q *QueryRecord) shallowCopy() *QueryRecord {
 // without affecting the store.
 func (q *QueryRecord) Clone() *QueryRecord {
 	out := *q
-	out.text = nil // the caller may rewrite Text; only stored records share an entry
-	out.Tables = append([]string(nil), q.Tables...)
-	out.Attributes = append([]AttributeRow(nil), q.Attributes...)
-	out.Predicates = append([]PredicateRow(nil), q.Predicates...)
-	out.Aggregates = append([]string(nil), q.Aggregates...)
-	out.GroupBy = append([]string(nil), q.GroupBy...)
-	out.Features = append([]string(nil), q.Features...)
+	if q.QueryShape != nil {
+		out.QueryShape = q.QueryShape.clone()
+	}
 	out.Annotations = append([]Annotation(nil), q.Annotations...)
 	if q.Sample != nil {
 		s := *q.Sample
