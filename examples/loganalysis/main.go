@@ -92,13 +92,13 @@ func main() {
 	// 4. Quality scores let the administrator (and the recommender) prefer
 	//    well-documented, efficient queries.
 	records := sys.Store().Snapshot().Records(admin)
-	sort.Slice(records, func(i, j int) bool { return records[i].QualityScore > records[j].QualityScore })
+	sort.Slice(records, func(i, j int) bool { return records[i].Quality() > records[j].Quality() })
 	fmt.Println("\nhighest-quality logged queries:")
 	for i, rec := range records {
 		if i == 3 {
 			break
 		}
-		fmt.Printf("  [%.2f] %s\n", rec.QualityScore, rec.Canonical)
+		fmt.Printf("  [%.2f] %s\n", rec.Quality(), rec.Canonical)
 	}
 	invalid := sys.Store().InvalidQueries()
 	fmt.Printf("\nqueries currently flagged invalid: %d\n", len(invalid))

@@ -28,11 +28,12 @@ import (
 
 // The binary codec's equivalence test. One seeded random history of every
 // mutation class the store has — Put, PutBatch, Annotate, SetVisibility,
-// Delete, MarkInvalid/Valid/StatsStale, UpdateStats, SetSample, SetQuality,
-// ReplaceText — full of values a codec gets wrong (nil
-// against empty slices, omitted fields, non-UTC offsets, zero times, NaN and
-// -0 scores, multi-byte and 1 MiB texts, nil samples) is applied to a durable
-// primary. Four more stores are then derived from it, one per path bytes
+// Delete, MarkInvalid/Valid/StatsStale, UpdateStats, SetSample, ReplaceText,
+// repeats of updates a record already holds and an older build's decoded
+// set-quality, both of which change nothing and are not logged — full of
+// values a codec gets wrong (nil against empty slices, omitted fields,
+// non-UTC offsets, zero times, multi-byte and 1 MiB texts, nil samples) is
+// applied to a durable primary. Four more stores are then derived from it, one per path bytes
 // take: a replay of the whole WAL, a recovery from snapshot plus tail, the
 // same recovery with the checkpoint sections cut off (every subscriber
 // rebuilt), and a follower bootstrapped over HTTP. All must answer the /v1
@@ -129,7 +130,6 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	scores := []float64{0.5, math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), -2.25}
 	for step := 0; step < steps; step++ {
 		if step == steps/2 && midpoint != nil {
 			midpoint()
@@ -177,23 +177,27 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 				must(step, store.SetSample(pick(), &storage.OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint(step)}}, TotalRows: 1}))
 			}
 		case 12:
-			must(step, store.SetQuality(pick(), scores[rng.Intn(len(scores))]))
+			m, err := storage.DecodeMutation(parentSetQuality(pick(), rng.Float64()))
+			must(step, err)
+			must(step, store.Apply(m))
 		case 13:
 			updated, err := storage.NewRecordFromSQL(equivSQL[rng.Intn(len(equivSQL))])
 			must(step, err)
 			must(step, store.ReplaceText(pick(), updated))
 		}
 	}
-	// Whatever the seed drew, the two scores JSON could not carry end up in
-	// the store.
-	must(steps, store.SetQuality(ids[0], math.NaN()))
-	must(steps, store.SetQuality(ids[1], math.Copysign(0, -1)))
+}
+
+// parentSetQuality is the set-quality payload an older build's maintenance
+// pass logged for one record: format 1, op code 12, a presence mask of the ID
+// and score bits (0 and 10), the zigzag ID and the score's float bits.
+func parentSetQuality(id storage.QueryID, score float64) []byte {
+	p := binary.AppendUvarint([]byte{storage.PayloadFormat, 12}, 1|1<<10)
+	p = binary.AppendVarint(p, int64(id))
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(score))
 }
 
 // checkMutationAgainstOracle sends one emitted mutation through both codecs.
-// The oracle cannot carry two values the binary codec does: NaN (the JSON
-// encoder refuses it, which used to drop the mutation from the log) and a
-// SetQuality of -0 (omitempty dropped the field and replay read +0).
 func checkMutationAgainstOracle(t *testing.T, m *storage.Mutation) {
 	payload, err := m.Encode()
 	if err != nil {
@@ -203,16 +207,6 @@ func checkMutationAgainstOracle(t *testing.T, m *storage.Mutation) {
 	got, err := storage.DecodeMutation(payload)
 	if err != nil {
 		t.Errorf("%s: DecodeMutation: %v", m.Op, err)
-		return
-	}
-	score := m.Score
-	if m.Record != nil {
-		score = m.Record.QualityScore
-	}
-	if math.IsNaN(score) || (m.Op == storage.OpSetQuality && score == 0 && math.Signbit(score)) {
-		if rt := got.Score; m.Record == nil && math.Float64bits(rt) != math.Float64bits(score) {
-			t.Errorf("%s: score bits %#x came back %#x", m.Op, math.Float64bits(score), math.Float64bits(rt))
-		}
 		return
 	}
 	ref, err := json.Marshal(m)
@@ -325,14 +319,17 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs boo
 		}
 		return b
 	}
-	// pages follows nextCursor to the end of a listing.
+	// pages follows nextCursor to the end of a listing: a GET takes the
+	// cursor in its query string, a search in its JSON body.
 	pages := func(method, path, body string, each func(page []byte)) {
 		for cursor := ""; ; {
-			p := path
-			if cursor != "" {
+			p, q := path, body
+			if cursor != "" && method == "GET" {
 				p += "&cursor=" + cursor
+			} else if cursor != "" {
+				q = strings.TrimSuffix(body, "}") + `,"cursor":"` + cursor + `"}`
 			}
-			b := fetch(method, p, body)
+			b := fetch(method, p, q)
 			each(b)
 			var page struct {
 				NextCursor string `json:"nextCursor"`
@@ -389,24 +386,15 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs boo
 
 var sessionIDField = regexp.MustCompile(`"sessionId":\d+`)
 
-// stateDocument renders the whole store state — every field of every
-// record and the ID counter — with NaN scores, which JSON
-// cannot print, moved aside as their bit patterns.
+// stateDocument renders the whole store state: every field of every record
+// and the ID counter.
 func stateDocument(t *testing.T, store *storage.Store) string {
 	t.Helper()
-	st := store.State()
-	var nans []string
-	for _, rec := range st.Records {
-		if math.IsNaN(rec.QualityScore) {
-			nans = append(nans, fmt.Sprintf("%d:%#x", rec.ID, math.Float64bits(rec.QualityScore)))
-			rec.QualityScore = 0
-		}
-	}
-	b, err := json.Marshal(st)
+	b, err := json.Marshal(store.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b) + "\nNaN scores: " + strings.Join(nans, " ")
+	return string(b)
 }
 
 func firstDifference(a, b string) string {
@@ -480,9 +468,6 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	wantRules := primary.MinerFeed().Refresh().Rules
 	if len(wantRules) == 0 {
 		t.Fatal("the history left the primary's feed without rules; the seed no longer covers them")
-	}
-	if !strings.Contains(wantState, "NaN scores: ") || strings.HasSuffix(wantState, "NaN scores: ") {
-		t.Fatal("the history left no NaN score in the store; the seed no longer covers it")
 	}
 	for _, other := range []struct {
 		name       string

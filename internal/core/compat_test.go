@@ -1,18 +1,21 @@
 package core_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -26,15 +29,58 @@ import (
 // recover every record, and serve the bodies that commit served from the same
 // directory — its session listing for three principals, every session graph
 // and every query by ID — which testdata/parent_datadir.golden holds; the
-// golden is not regenerated.
+// golden is not regenerated. No maintenance pass ever ran on the directory, so
+// the golden has no quality: this build's computed one is checked on its own
+// and stripped before the comparison.
 func TestParentDataDirOpens(t *testing.T) {
+	c := openParentDataDir(t, "testdata/parent_datadir")
+	defer c.Close()
+	rec := c.Recovery()
+	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.Replayed != 46 || len(rec.CheckpointRestored) != 3 {
+		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot, 46 replayed records and three restored checkpoints", *rec)
+	}
+	got := parentBodies(t, c)
+	if strings.Count(got, `"sessionId":`) != 57 || !strings.Contains(got, "GET /v1/sessions?limit=4&cursor=") {
+		t.Fatalf("the bodies no longer cover every query and a paged listing:\n%.2000s", got)
+	}
+	matchGolden(t, got, "testdata/parent_datadir.golden")
+}
+
+// TestParentQualityDataDirOpens holds this build to the data directories of
+// the build before it, whose maintenance passes stored a quality score in
+// every record. testdata/parent_quality_datadir was written by commit 1798723:
+// a snapshot of 24 records, most with a non-zero quality slot, then a WAL tail
+// of puts, annotations, a visibility flip, a deletion, a column drop and a
+// rename, and two maintenance passes' mark-invalid, replace-text, mark-valid,
+// mark-stale, update-stats and set-quality records. This build must open it and serve the
+// bodies that commit served from it (testdata/parent_quality_datadir.golden,
+// not regenerated) with one intended difference: every query's quality is
+// the one computed from the record, not the score the last pass stored.
+func TestParentQualityDataDirOpens(t *testing.T) {
+	c := openParentDataDir(t, "testdata/parent_quality_datadir")
+	defer c.Close()
+	rec := c.Recovery()
+	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.Replayed != 90 || len(rec.CheckpointRestored) != 3 {
+		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot, 90 replayed records and three restored checkpoints", *rec)
+	}
+	got := parentBodies(t, c)
+	if strings.Count(got, `"quality":`) != 35 {
+		t.Fatalf("the bodies no longer cover every query:\n%.2000s", got)
+	}
+	matchGolden(t, got, "testdata/parent_quality_datadir.golden")
+}
+
+// openParentDataDir opens a copy of a committed data directory over the
+// engine its writer ran against.
+func openParentDataDir(t *testing.T, src string) *core.CQMS {
+	t.Helper()
 	dir := t.TempDir()
-	entries, err := os.ReadDir("testdata/parent_datadir")
+	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join("testdata/parent_datadir", e.Name()))
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,26 +100,28 @@ func TestParentDataDirOpens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening the older build's directory: %v", err)
 	}
-	defer c.Close()
-	rec := c.Recovery()
-	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.Replayed != 46 || len(rec.CheckpointRestored) != 3 {
-		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot, 46 replayed records and three restored checkpoints", *rec)
-	}
+	return c
+}
 
-	want, err := os.ReadFile("testdata/parent_datadir.golden")
+// qualityKey is a query body's quality, the last key of the object.
+var qualityKey = regexp.MustCompile(`,"quality":[^,}]*`)
+
+// matchGolden compares the bodies with a golden an older build served, the
+// quality of each query left out: that build served the score its last
+// maintenance pass stored, this one the score of the record as it is.
+func matchGolden(t *testing.T, got, golden string) {
+	t.Helper()
+	b, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := parentBodies(t, c)
-	if strings.Count(got, `"sessionId":`) != 57 || !strings.Contains(got, "GET /v1/sessions?limit=4&cursor=") {
-		t.Fatalf("the bodies no longer cover every query and a paged listing:\n%.2000s", got)
-	}
-	if got != string(want) {
+	got, want := qualityKey.ReplaceAllString(got, ""), qualityKey.ReplaceAllString(string(b), "")
+	if got != want {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("bodies differ from the older build's at byte %d\n   now: …%.300s\nparent: …%.300s", i, got[max(0, i-80):], string(want)[max(0, i-80):])
+		t.Fatalf("bodies differ from the older build's at byte %d\n   now: …%.300s\nparent: …%.300s", i, got[max(0, i-80):], want[max(0, i-80):])
 	}
 }
 
@@ -123,8 +171,18 @@ func parentBodies(t *testing.T, c *core.CQMS) string {
 	for id := 1; id <= c.SessionCount()+3; id++ {
 		get(fmt.Sprintf("/v1/sessions/%d/graph", id), "X-CQMS-User", "root", "X-CQMS-Admin", "true")
 	}
+	// Every query body carries the quality computed from the record.
+	admin := storage.Principal{User: "root", Admin: true}
 	for id := 1; id <= c.Store().Count()+2; id++ {
-		get(fmt.Sprintf("/v1/queries/%d", id), "X-CQMS-User", "root", "X-CQMS-Admin", "true")
+		body := get(fmt.Sprintf("/v1/queries/%d", id), "X-CQMS-User", "root", "X-CQMS-Admin", "true")
+		rec, err := c.Store().Get(storage.QueryID(id), admin)
+		if err != nil {
+			continue
+		}
+		var served map[string]any
+		if err := json.Unmarshal([]byte(body), &served); err != nil || served["quality"] != rec.Quality() {
+			t.Errorf("q%d: served quality %v (%v), want the record's %v", id, served["quality"], err, rec.Quality())
+		}
 	}
 	return doc.String()
 }

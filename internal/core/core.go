@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime/pprof"
 	"time"
 
@@ -631,10 +632,12 @@ func (c *CQMS) StartBackground(ctx context.Context) {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					if _, err := c.RunMaintenance(); err != nil {
-						// Maintenance errors are retried on the next tick.
-						continue
-					}
+					pprof.Do(ctx, pprof.Labels("route", "background", "stage", "maintain"), func(context.Context) {
+						// A failed pass is retried on the next tick.
+						if _, err := c.RunMaintenance(); err != nil {
+							slog.Warn("maintenance pass failed", "err", err)
+						}
+					})
 				}
 			}
 		}()

@@ -76,7 +76,6 @@ func TestFollowerRefusesEmbeddedWrites(t *testing.T) {
 		"MarkStatsStale": s.MarkStatsStale(1, true),
 		"UpdateStats":    s.UpdateStats(1, storage.RuntimeStats{}),
 		"SetSample":      s.SetSample(1, nil),
-		"SetQuality":     s.SetQuality(1, 0.5),
 		"ReplaceText":    s.ReplaceText(1, rec),
 	} {
 		refused(what, err)

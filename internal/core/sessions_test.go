@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +71,70 @@ func TestMiningPassWritesNothing(t *testing.T) {
 	}
 	clear(ops)
 	pass("a pass after a late put")
+}
+
+// TestMaintenancePassWritesNothing: quality is computed on read, and an update
+// a record already holds is no change, so a maintenance pass commits only what
+// changed. Over 1,000 records from 50 users, the first pass flags the queries
+// of a column the catalog never had; the next two emit no mutation and leave
+// the WAL's last sequence where it was; after a column rename one pass commits
+// the repairs and nothing else — no mark-valid for a query that was valid —
+// and the pass after it nothing at all.
+func TestMaintenancePassWritesNothing(t *testing.T) {
+	c := openDurable(t, t.TempDir())
+	defer c.Close()
+	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
+	version := c.Engine().Catalog().Version()
+	texts := []string{
+		"SELECT lake FROM WaterTemp WHERE temp < %d",
+		"SELECT lake FROM WaterSalinity WHERE salinity > %d",
+		"SELECT city FROM CityLocations WHERE pop > %d",
+		"SELECT lake FROM WaterTemp WHERE clarity > %d", // no such column
+	}
+	recs := make([]*storage.QueryRecord, 1000)
+	for i := range recs {
+		rec, err := storage.NewRecordFromSQL(fmt.Sprintf(texts[i%len(texts)], i%30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.User, rec.Group, rec.Visibility = fmt.Sprintf("user%02d", i%50), "limnology", storage.VisibilityGroup
+		rec.IssuedAt = base.Add(time.Duration(i) * 10 * time.Second)
+		rec.Stats = storage.RuntimeStats{SchemaVersion: version, ExecutedAt: rec.IssuedAt}
+		recs[i] = rec
+	}
+	if _, errs := c.Store().PutBatch(recs); errs != nil {
+		t.Fatalf("PutBatch: %v", errs)
+	}
+	ops := countOps(c)
+	pass := func(what string, want map[storage.MutationOp]int) {
+		t.Helper()
+		clear(ops)
+		seq := c.Durability().LastSeq()
+		if _, err := c.RunMaintenance(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		logged := 0
+		for _, n := range want {
+			logged += n
+		}
+		if !reflect.DeepEqual(ops, want) || c.Durability().LastSeq() != seq+uint64(logged) {
+			t.Fatalf("%s: emitted %v and moved the WAL from %d to %d; want %v", what, ops, seq, c.Durability().LastSeq(), want)
+		}
+	}
+	pass("the first pass over a fresh log", map[storage.MutationOp]int{storage.OpMarkInvalid: 250})
+	pass("a second pass", map[storage.MutationOp]int{})
+	pass("a third pass", map[storage.MutationOp]int{})
+
+	if _, err := c.ExecuteUnprofiled("ALTER TABLE WaterSalinity RENAME COLUMN salinity TO psu"); err != nil {
+		t.Fatal(err)
+	}
+	pass("the pass after a rename", map[storage.MutationOp]int{storage.OpReplaceText: 250})
+	pass("the pass after the repairs", map[storage.MutationOp]int{})
+	for _, rec := range c.Store().Snapshot().Records(admin) {
+		if strings.Contains(rec.Text, "salinity") {
+			t.Fatalf("q%d was not repaired: %s", rec.ID, rec.Text)
+		}
+	}
 }
 
 // TestConcurrentSubmittersOneUser is the capture proxy's normal case: one

@@ -2,8 +2,10 @@
 // (Figure 4, §4.4): the background process that keeps the Query Storage
 // up-to-date as the underlying database evolves. It identifies queries
 // invalidated by schema changes, attempts automatic repair for renames,
-// flags runtime statistics that have become stale, selectively re-executes
-// queries to refresh statistics, and maintains a per-query quality score.
+// flags runtime statistics that have become stale, and selectively
+// re-executes queries to refresh statistics. A pass writes only what changed:
+// over an unchanged catalog it commits nothing. The per-query quality score is
+// a function of the record (storage.QueryRecord.Quality), computed on read.
 package maintenance
 
 import (
@@ -64,7 +66,6 @@ type Report struct {
 	Repaired       []Repair
 	StatsFlagged   []storage.QueryID
 	StatsRefreshed []storage.QueryID
-	QualityScored  int
 	Elapsed        time.Duration
 }
 
@@ -84,8 +85,8 @@ func New(eng *engine.Engine, store *storage.Store, cfg Config) *Maintainer {
 }
 
 // Scan runs one full maintenance pass: schema-change validation (with
-// optional repair), stale-statistics detection (with optional refresh) and
-// quality scoring. It returns a report of everything it did.
+// optional repair) and stale-statistics detection (with optional refresh). It
+// returns a report of everything it did.
 func (m *Maintainer) Scan() (*Report, error) {
 	start := time.Now()
 	report := &Report{}
@@ -122,9 +123,10 @@ func (m *Maintainer) Scan() (*Report, error) {
 			report.Invalidated = append(report.Invalidated, Invalidation{ID: rec.ID, Reason: reason})
 			continue
 		}
-		if !rec.Valid {
+		if !rec.Valid && !(strings.HasPrefix(rec.InvalidReason, refreshFailed) && rec.Stats.Error != "") {
 			// Previously flagged but now consistent again (e.g. the column
-			// was re-added): clear the flag.
+			// was re-added): clear the flag. A query whose refresh failed
+			// stays invalid until a refresh succeeds.
 			if err := m.store.MarkValid(rec.ID); err != nil {
 				return nil, err
 			}
@@ -138,15 +140,9 @@ func (m *Maintainer) Scan() (*Report, error) {
 			}
 			report.StatsFlagged = append(report.StatsFlagged, rec.ID)
 		}
-
-		// 3. Quality score.
-		if err := m.store.SetQuality(rec.ID, QualityScore(rec)); err != nil {
-			return nil, err
-		}
-		report.QualityScored++
 	}
 
-	// 4. Refresh statistics for (a bounded number of) stale queries.
+	// 3. Refresh statistics for (a bounded number of) stale queries.
 	if m.cfg.RefreshStaleStats {
 		refreshed, err := m.RefreshStats(m.cfg.MaxRefreshPerScan)
 		if err != nil {
@@ -264,18 +260,22 @@ func nonEmptyDot(column string) string {
 	return "." + column
 }
 
-// isStale decides whether the query's recorded runtime statistics should be
-// refreshed: the schema has changed since the query ran, or the row count of
-// a referenced table moved by more than StaleRowDeltaRatio since the last
-// scan.
+// isStale decides whether a query whose statistics are not yet flagged should
+// be: the schema of a referenced table has changed since the query ran, or the
+// row count of a referenced table moved by more than StaleRowDeltaRatio since
+// the last scan. An already-flagged query is not flagged again.
 func (m *Maintainer) isStale(rec *storage.QueryRecord, currentCounts map[string]int) bool {
 	if rec.StatsStale {
-		return true
+		return false
 	}
 	if rec.Stats.SchemaVersion < m.eng.Catalog().Version() {
 		// Only consider it stale if one of its tables actually changed after
-		// the query ran.
+		// the query ran. A rename changes no row, so it leaves a (repaired)
+		// query's statistics as they were.
 		for _, ch := range m.eng.Catalog().Changes(rec.Stats.SchemaVersion) {
+			if ch.Kind == engine.ChangeRenameColumn || ch.Kind == engine.ChangeRenameTable {
+				continue
+			}
 			for _, t := range rec.Tables {
 				if strings.EqualFold(ch.Table, t) {
 					return true
@@ -301,6 +301,10 @@ func (m *Maintainer) isStale(rec *storage.QueryRecord, currentCounts map[string]
 	}
 	return false
 }
+
+// refreshFailed begins the reason of the one invalid flag a matching schema
+// does not clear: a failed statistics refresh.
+const refreshFailed = "re-execution failed: "
 
 // RefreshStats re-executes up to max stale queries (most recently issued
 // first), updating their runtime statistics and output samples. It returns
@@ -328,7 +332,7 @@ func (m *Maintainer) RefreshStats(max int) ([]storage.QueryID, error) {
 			if err := m.store.UpdateStats(id, stats); err != nil {
 				return refreshed, err
 			}
-			if err := m.store.MarkInvalid(id, "re-execution failed: "+execErr.Error()); err != nil {
+			if err := m.store.MarkInvalid(id, refreshFailed+execErr.Error()); err != nil {
 				return refreshed, err
 			}
 			continue
@@ -342,30 +346,6 @@ func (m *Maintainer) RefreshStats(max int) ([]storage.QueryID, error) {
 		refreshed = append(refreshed, id)
 	}
 	return refreshed, nil
-}
-
-// QualityScore computes the §4.4 query-quality measure in [0, 1]: valid,
-// annotated, efficient queries with modest result sizes score highest.
-func QualityScore(rec *storage.QueryRecord) float64 {
-	score := 0.0
-	if rec.Valid {
-		score += 0.4
-	}
-	if len(rec.Annotations) > 0 {
-		score += 0.2
-	}
-	if rec.Stats.Error == "" {
-		score += 0.1
-	}
-	// Efficiency: 0.2 at instant execution decaying with runtime.
-	ms := float64(rec.Stats.ExecTime.Milliseconds())
-	score += 0.2 / (1 + ms/200)
-	// Simplicity: fewer referenced tables is simpler.
-	score += 0.1 / float64(1+len(rec.Tables))
-	if score > 1 {
-		score = 1
-	}
-	return score
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 package maintenance
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/profiler"
@@ -55,13 +55,109 @@ func TestScanAllValid(t *testing.T) {
 	if len(report.Invalidated) != 0 || len(report.Repaired) != 0 {
 		t.Errorf("nothing should be invalid on an unchanged schema: %+v", report)
 	}
-	if report.QualityScored != 4 {
-		t.Errorf("quality scored = %d, want 4", report.QualityScored)
+}
+
+// countOps subscribes to the store's bus and returns the running count of
+// committed mutations by op.
+func countOps(store *storage.Store) map[storage.MutationOp]int {
+	ops := make(map[storage.MutationOp]int)
+	store.Subscribe("op-counter", func(m *storage.Mutation) { ops[m.Op]++ }, storage.SubscribeOptions{})
+	return ops
+}
+
+// TestFailedRefreshStaysInvalid: a refresh whose re-execution fails marks the
+// query invalid, and it stays so — the passes after it, over a schema the
+// query still matches, commit nothing — until a refresh succeeds.
+func TestFailedRefreshStaysInvalid(t *testing.T) {
+	eng, store, p := fixture(t)
+	out, err := p.Submit(profiler.Submission{User: "alice", Visibility: storage.VisibilityPublic, SQL: "SELECT temp / (loc_x - 12) FROM WaterTemp"})
+	if err != nil || out.ExecError != nil {
+		t.Fatalf("Submit: %v, %v", err, out)
 	}
-	// Quality scores persisted.
-	for _, rec := range store.Snapshot().Records(admin) {
-		if rec.QualityScore <= 0 {
-			t.Errorf("query %d has no quality score", rec.ID)
+	m := New(eng, store, DefaultConfig())
+	if _, err := m.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		eng.MustExecute("INSERT INTO WaterTemp VALUES (99, 'Bulk Lake', 12, 12.0)")
+	}
+	ops := countOps(store)
+	report, err := m.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := store.Get(out.QueryID, admin)
+	if rec.Valid || !strings.Contains(rec.InvalidReason, "re-execution failed") || rec.Stats.Error == "" {
+		t.Fatalf("after the failed refresh: valid=%v reason=%q error=%q", rec.Valid, rec.InvalidReason, rec.Stats.Error)
+	}
+	if slices.Contains(report.StatsRefreshed, out.QueryID) || ops[storage.OpMarkInvalid] != 1 {
+		t.Fatalf("the failed refresh: refreshed %v, committed %v", report.StatsRefreshed, ops)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		clear(ops)
+		if _, err := m.Scan(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ops) != 0 {
+			t.Errorf("pass %d after the failed refresh committed %v, want nothing", pass, ops)
+		}
+		if rec, _ := store.Get(out.QueryID, admin); rec.Valid {
+			t.Errorf("pass %d after the failed refresh: the query reads valid with error %q", pass, rec.Stats.Error)
+		}
+	}
+}
+
+// TestSchemaFlagClearsDespiteFailedSubmission: a query whose run failed when
+// it was submitted is logged valid, with its error. A dropped column flags it
+// and the re-added column clears the flag, with no refresh to re-run it: only
+// a failed refresh keeps a query invalid.
+func TestSchemaFlagClearsDespiteFailedSubmission(t *testing.T) {
+	eng, store, p := fixture(t)
+	out, err := p.Submit(profiler.Submission{User: "alice", Visibility: storage.VisibilityPublic, SQL: "SELECT temp / (loc_x - 11) FROM WaterTemp"})
+	if err != nil || out.ExecError == nil {
+		t.Fatalf("Submit: %v, %v; want a logged query whose run failed", err, out)
+	}
+	cfg := DefaultConfig()
+	cfg.RefreshStaleStats = false
+	m := New(eng, store, cfg)
+	eng.MustExecute("ALTER TABLE WaterTemp DROP COLUMN loc_x")
+	if _, err := m.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := store.Get(out.QueryID, admin); rec.Valid {
+		t.Fatal("the dropped column left the query valid")
+	}
+	eng.MustExecute("ALTER TABLE WaterTemp ADD COLUMN loc_x INT")
+	if _, err := m.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := store.Get(out.QueryID, admin); !rec.Valid || rec.InvalidReason != "" || rec.Stats.Error == "" {
+		t.Fatalf("after the column came back: valid=%v reason=%q error=%q; want valid, with the submission's error",
+			rec.Valid, rec.InvalidReason, rec.Stats.Error)
+	}
+}
+
+// TestIsStaleSkipsRenames: a rename changes no row, so it leaves statistics
+// as they are; any other schema change to a referenced table makes them stale.
+func TestIsStaleSkipsRenames(t *testing.T) {
+	for _, c := range []struct {
+		alter string
+		stale bool
+	}{
+		{"ALTER TABLE WaterTemp RENAME COLUMN lake TO lake_name", false},
+		{"ALTER TABLE WaterTemp RENAME TO LakeTemp", false},
+		{"ALTER TABLE WaterTemp ADD COLUMN depth FLOAT", true},
+		{"ALTER TABLE WaterTemp DROP COLUMN lake", true},
+		{"ALTER TABLE WaterSalinity ADD COLUMN depth FLOAT", false}, // not a table the query reads
+	} {
+		eng, store, _ := fixture(t)
+		rec, err := store.Get(1, admin) // SELECT temp FROM WaterTemp WHERE temp < 18
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.MustExecute(c.alter)
+		if got := New(eng, store, DefaultConfig()).isStale(rec, nil); got != c.stale {
+			t.Errorf("%s: isStale = %v, want %v", c.alter, got, c.stale)
 		}
 	}
 }
@@ -303,27 +399,6 @@ func TestRefreshStatsMarksFailingQueriesInvalid(t *testing.T) {
 	rec, _ := store.Get(4, admin)
 	if rec.Valid {
 		t.Errorf("failing query should be invalid after refresh attempt")
-	}
-}
-
-func TestQualityScore(t *testing.T) {
-	good := &storage.QueryRecord{
-		QueryShape:  &storage.QueryShape{Tables: []string{"WaterTemp"}},
-		Valid:       true,
-		Annotations: []storage.Annotation{{Text: "documented"}},
-		Stats:       storage.RuntimeStats{ExecTime: time.Millisecond, ResultRows: 5},
-	}
-	bad := &storage.QueryRecord{
-		QueryShape: &storage.QueryShape{Tables: []string{"A", "B", "C", "D"}},
-		Valid:      false,
-		Stats:      storage.RuntimeStats{ExecTime: 10 * time.Second, Error: "boom"},
-	}
-	gs, bs := QualityScore(good), QualityScore(bad)
-	if gs <= bs {
-		t.Errorf("good quality %v should exceed bad quality %v", gs, bs)
-	}
-	if gs > 1 || bs < 0 {
-		t.Errorf("scores out of range: %v %v", gs, bs)
 	}
 }
 

@@ -82,7 +82,7 @@ func materializeFeatureRelations(view *storage.View, p storage.Principal, sessio
 			qid,
 			engine.NewFloat(float64(rec.Stats.ExecTime.Microseconds()) / 1000.0),
 			engine.NewInt(int64(rec.Stats.ResultRows)),
-			engine.NewFloat(rec.QualityScore),
+			engine.NewFloat(rec.Quality()),
 		})
 		for _, ann := range rec.Annotations {
 			annRows = append(annRows, engine.Row{qid, engine.NewText(ann.Author), engine.NewText(ann.Text)})

@@ -405,6 +405,6 @@ func (s *Server) queryDTO(rec *storage.QueryRecord) QueryDTO {
 		SessionID:   s.cqms.SessionOf(rec),
 		Valid:       rec.Valid,
 		Annotations: anns,
-		Quality:     rec.QualityScore,
+		Quality:     rec.Quality(),
 	}
 }

@@ -120,8 +120,8 @@ func mutateRandomly(t testing.TB, rng *rand.Rand, s *storage.Store, n int) {
 				t.Fatalf("Annotate: %v", err)
 			}
 		case 8:
-			if err := s.SetQuality(pick(), float64(rng.Intn(5)+1)/5); err != nil {
-				t.Fatalf("SetQuality: %v", err)
+			if err := s.MarkInvalid(pick(), "schema drift"); err != nil {
+				t.Fatalf("MarkInvalid: %v", err)
 			}
 		default:
 			if err := s.MarkStatsStale(pick(), rng.Intn(2) == 0); err != nil {
@@ -192,7 +192,7 @@ func assertMatchesRebuild(t *testing.T, live *stats.Tracker, store *storage.Stor
 
 // TestRandomizedMutationEquivalence is the core correctness property of the
 // stats subsystem: after an arbitrary mutation history (Put, PutBatch,
-// Delete, SetVisibility, ReplaceText, Annotate, SetQuality, staleness
+// Delete, SetVisibility, ReplaceText, Annotate, invalidation, staleness
 // flags), the incrementally maintained counters equal a from-scratch
 // full-scan rebuild.
 func TestRandomizedMutationEquivalence(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -56,7 +55,7 @@ import (
 //	Aggregates []str | GroupBy []str | Features []str | Stats |
 //	Sample presence byte + Sample | Annotations []Annotation |
 //	Session varint | flags byte (1 Valid, 2 StatsStale) | InvalidReason str |
-//	QualityScore f64
+//	Quality f64
 //
 //	Stats:      ExecTime varint ns | ResultRows varint | ResultColumns varint |
 //	            Error str | SchemaVersion varint | ExecutedAt time
@@ -69,7 +68,11 @@ import (
 // ID on every record). Sessions now live in the detector alone: this build
 // writes a record's session slot as 0 and never sets the two mask bits, and
 // on read it checks and drops both fields, so those logs and snapshots still
-// open under payload format 1.
+// open under payload format 1. Quality is what older builds wrote when a
+// maintenance pass stored each record's quality score (op code 12, and the
+// record's last word); it is computed on read now (QueryRecord.Quality), so
+// this build writes the record's quality slot as 8 zero bytes and never sets
+// the Score bit, and on read it drops both.
 
 // PayloadFormat is the format version every payload starts with.
 const PayloadFormat = 1
@@ -302,7 +305,7 @@ func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
 	}
 	dst = append(dst, flags)
 	dst = e.str(dst, rec.InvalidReason)
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.QualityScore))
+	return binary.LittleEndian.AppendUint64(dst, 0) // the quality slot
 }
 
 // AppendMutation appends the mutation's payload to dst. It fails only for an
@@ -338,10 +341,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Sample != nil {
 		mask |= hasSample
 	}
-	score := math.Float64bits(m.Score)
-	if score != 0 {
-		mask |= hasScore
-	}
 	dst = append(dst, PayloadFormat, code)
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&hasID != 0 {
@@ -364,9 +363,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	}
 	if mask&hasSample != 0 {
 		dst = e.sample(dst, m.Sample)
-	}
-	if mask&hasScore != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, score)
 	}
 	return dst, nil
 }
@@ -578,7 +574,7 @@ func (d *decoder) record() *QueryRecord {
 	rec.Valid = flags&flagValid != 0
 	rec.StatsStale = flags&flagStatsStale != 0
 	rec.InvalidReason = d.str()
-	rec.QualityScore = math.Float64frombits(d.r.Uint64())
+	d.r.Uint64() // the quality slot: an older build's stored score, dropped
 	return rec
 }
 
@@ -653,7 +649,7 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 		m.Sample = d.sample()
 	}
 	if mask&hasScore != 0 {
-		m.Score = math.Float64frombits(d.r.Uint64())
+		d.r.Uint64() // dropped, like the op that carries it
 	}
 	if err := d.r.Finish(); err != nil {
 		return nil, fmt.Errorf("storage: decoding %s mutation: %w", m.Op, err)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -102,7 +103,6 @@ func codecCases(t testing.TB) map[string]*Mutation {
 	odd.Annotations = []Annotation{{Author: "bob", Text: "naïve join — 日本語", At: time.Date(1969, 7, 20, 20, 17, 0, 0, time.FixedZone("", -4*3600))}, {}}
 	odd.Valid, odd.StatsStale = false, true
 	odd.InvalidReason = "table dropped"
-	odd.QualityScore = math.Copysign(0, -1)
 	big := codecRecord(t, pointLookupSQL, 13)
 	big.Text = "SELECT '" + strings.Repeat("x", 1<<20) + "'"
 	bare := &QueryRecord{QueryShape: &QueryShape{}}
@@ -125,7 +125,7 @@ func codecCases(t testing.TB) map[string]*Mutation {
 		"update-stats":     {Op: OpUpdateStats, ID: 7, Stats: &RuntimeStats{ExecTime: time.Second, ResultRows: 3, ExecutedAt: time.Unix(1, 2).UTC()}},
 		"set-sample":       {Op: OpSetSample, ID: 8, Sample: &OutputSample{Columns: []string{"a"}, Rows: [][]string{{"1"}, {"1"}}, TotalRows: 2}},
 		"set-sample nil":   {Op: OpSetSample, ID: 8},
-		"set-quality":      {Op: OpSetQuality, ID: 9, Score: 0.375},
+		"set-quality":      {Op: OpSetQuality, ID: 9}, // an older build's op, like the session ones
 		"replace-text":     {Op: OpReplaceText, ID: 10, Record: mustRecord(t, pointLookupSQL)},
 	}
 }
@@ -146,19 +146,33 @@ func TestMutationCodecMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMutationCodecFloats covers what the JSON codec could not: NaN failed
-// to encode and a SetQuality of -0 came back as +0.
+// TestMutationCodecFloats: an older build stored a quality score as float
+// bits, in the record's last word and in set-quality's score. Whatever bits it
+// wrote — NaN payloads, -0, -Inf — are read and dropped: the record decodes to
+// what this build writes, whose slot is zero, and the op to its op and ID.
 func TestMutationCodecFloats(t *testing.T) {
-	for _, bits := range []uint64{math.Float64bits(math.NaN()), 0x7ff8000000000123, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(-1))} {
-		rec := codecRecord(t, pointLookupSQL, 1)
-		rec.QualityScore = math.Float64frombits(bits)
-		out := binaryRoundTrip(t, &Mutation{Op: OpPut, Record: rec})
-		if got := math.Float64bits(out.Record.QualityScore); got != bits {
-			t.Errorf("record score bits %#x came back %#x", bits, got)
+	rec := codecRecord(t, pointLookupSQL, 1)
+	payload, err := (&Mutation{Op: OpPut, Record: rec}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := payload[len(payload)-8:] // the record is the put's last field
+	if !bytes.Equal(slot, make([]byte, 8)) {
+		t.Fatalf("the quality slot is written as %x, want zeros", slot)
+	}
+	want := asJSON(t, &Mutation{Op: OpPut, Record: rec})
+	for _, bits := range []uint64{math.Float64bits(0.75), math.Float64bits(math.NaN()), 0x7ff8000000000123, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(-1))} {
+		binary.LittleEndian.PutUint64(slot, bits)
+		out, err := DecodeMutation(payload)
+		if err != nil {
+			t.Fatalf("slot %#x: %v", bits, err)
 		}
-		out = binaryRoundTrip(t, &Mutation{Op: OpSetQuality, ID: 1, Score: math.Float64frombits(bits)})
-		if got := math.Float64bits(out.Score); got != bits {
-			t.Errorf("mutation score bits %#x came back %#x", bits, got)
+		if got := asJSON(t, out); got != want {
+			t.Errorf("slot %#x: decoded %.300s\nwant %.300s", bits, got, want)
+		}
+		op := append([]byte(parentSetQuality[:len(parentSetQuality)-8]), slot...)
+		if out, err = DecodeMutation(op); err != nil || asJSON(t, out) != asJSON(t, &Mutation{Op: OpSetQuality, ID: 9}) {
+			t.Errorf("set-quality of %#x decoded to %+v, %v", bits, out, err)
 		}
 	}
 }
@@ -339,16 +353,19 @@ func TestSnapshotPayloads(t *testing.T) {
 }
 
 // Payloads an older build wrote, which this build can no longer produce: a
-// session assignment, a session edge, and a snapshot edge chunk.
+// session assignment, a session edge, a snapshot edge chunk and a quality
+// score.
 const (
 	parentAssignSession = "\x01\x05\x11\x18\x08"                             // query 12 to session 4
 	parentAddEdge       = "\x01\x06\x20\x16\x18\x04\x14+table WaterSalinity" // 11 -> 12, investigation
 	parentEdgeChunk     = "\x01\x42\x01\x00\x00\x00\x02\x04\x02\x0f-attr a\x0a+attr b"
+	parentSetQuality    = "\x01\x0c\x81\x08\x12\x00\x00\x00\x00\x00\x00\xd8\x3f" // query 9 scored 0.375
 )
 
-// TestParentSessionOpsDecodeToNothing: an older build's session ops decode to
-// their op and nothing else — the session and the edge are read, checked and
-// dropped — and cut short they are refused like any other payload.
+// TestParentSessionOpsDecodeToNothing: an older build's session and quality
+// ops decode to their op and nothing else — the session, the edge and the
+// score are read, checked and dropped — and cut short they are refused like
+// any other payload.
 func TestParentSessionOpsDecodeToNothing(t *testing.T) {
 	for _, c := range []struct {
 		payload string
@@ -356,6 +373,7 @@ func TestParentSessionOpsDecodeToNothing(t *testing.T) {
 	}{
 		{parentAssignSession, Mutation{Op: OpSessionAssignment, ID: 12}},
 		{parentAddEdge, Mutation{Op: OpSessionEdge}},
+		{parentSetQuality, Mutation{Op: OpSetQuality, ID: 9}},
 	} {
 		m, err := DecodeMutation([]byte(c.payload))
 		if err != nil {
@@ -391,9 +409,10 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte{PayloadFormat, 1, hasRecord})
 	f.Add(hostileCount(2, 512)) // a predicate count that its bytes could not hold
 	// What only an older build writes: the encoder above cannot reach the
-	// read-and-drop path of the session and edge fields.
+	// read-and-drop path of the session, edge and quality fields.
 	f.Add([]byte(parentAssignSession))
 	f.Add([]byte(parentAddEdge))
+	f.Add([]byte(parentSetQuality))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMutation(b)
 		if err != nil {

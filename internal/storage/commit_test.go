@@ -28,8 +28,11 @@ func (a storeTrace) equal(b storeTrace) bool {
 // TestCommitRefusalsLeaveNoTrace: every live mutating method, refused for
 // every reason it can be refused, returns the documented error and leaves
 // the store, the log and the bus exactly as they were. An older build's
-// session ops, which only ever arrive by replay, are the no-op rows: applied
-// in every one of those circumstances, they return nil and leave no trace.
+// session and quality ops, which only ever arrive by replay, are no-op rows:
+// applied in every one of those circumstances, they return nil and leave no
+// trace. So is the repeat of an update the record already holds — the same
+// invalid reason, validity, stale flag or visibility: it returns nil with no
+// emit, no WAL sequence and no new record version.
 func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 	huge := strings.Repeat("x", MaxRecordBytes)
 	mallory := Principal{User: "mallory"}
@@ -38,52 +41,55 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 	}
 
 	// One row per op (put twice: both entries). text is "note" or huge; sized
-	// says it lands in the logged payload, owned that the op asks who calls.
+	// says it lands in the logged payload, owned that the op asks who calls,
+	// idempotent that a second identical call changes nothing.
 	ops := []struct {
-		name         string
-		call         func(s *Store, id QueryID, p Principal, text string) error
-		sized, owned bool
+		name                     string
+		call                     func(s *Store, id QueryID, p Principal, text string) error
+		sized, owned, idempotent bool
 	}{
 		{"put", func(s *Store, _ QueryID, _ Principal, text string) error {
 			_, err := s.Put(rec(text))
 			return err
-		}, true, false},
+		}, true, false, false},
 		{"putbatch", func(s *Store, _ QueryID, _ Principal, text string) error {
 			ids, errs := s.PutBatch([]*QueryRecord{rec(text)})
 			if errs == nil || ids[0] != 0 {
 				return fmt.Errorf("PutBatch = %v, %v", ids, errs)
 			}
 			return errs[0]
-		}, true, false},
+		}, true, false, false},
 		{"annotate", func(s *Store, id QueryID, p Principal, text string) error {
 			return s.Annotate(id, p, Annotation{Text: text})
-		}, true, true},
+		}, true, true, false},
 		{"visibility", func(s *Store, id QueryID, p Principal, _ string) error {
 			return s.SetVisibility(id, p, VisibilityPublic)
-		}, false, true},
-		{"delete", func(s *Store, id QueryID, p Principal, _ string) error { return s.Delete(id, p) }, false, true},
+		}, false, true, true},
+		{"delete", func(s *Store, id QueryID, p Principal, _ string) error { return s.Delete(id, p) }, false, true, false},
 		{"assign-session", func(s *Store, id QueryID, _ Principal, _ string) error {
 			return s.Apply(&Mutation{Op: OpSessionAssignment, ID: id})
-		}, false, false},
+		}, false, false, true},
 		{"add-edge", func(s *Store, id QueryID, _ Principal, text string) error {
 			return s.Apply(&Mutation{Op: OpSessionEdge, ID: id, Reason: text}) // whatever a decoded one carries
-		}, true, false},
-		{"mark-invalid", func(s *Store, id QueryID, _ Principal, text string) error { return s.MarkInvalid(id, text) }, true, false},
-		{"mark-valid", func(s *Store, id QueryID, _ Principal, _ string) error { return s.MarkValid(id) }, false, false},
-		{"mark-stale", func(s *Store, id QueryID, _ Principal, _ string) error { return s.MarkStatsStale(id, true) }, false, false},
+		}, true, false, true},
+		{"mark-invalid", func(s *Store, id QueryID, _ Principal, text string) error { return s.MarkInvalid(id, text) }, true, false, true},
+		{"mark-valid", func(s *Store, id QueryID, _ Principal, _ string) error { return s.MarkValid(id) }, false, false, true},
+		{"mark-stale", func(s *Store, id QueryID, _ Principal, _ string) error { return s.MarkStatsStale(id, true) }, false, false, true},
 		{"update-stats", func(s *Store, id QueryID, _ Principal, text string) error {
 			return s.UpdateStats(id, RuntimeStats{Error: text})
-		}, true, false},
+		}, true, false, false},
 		{"set-sample", func(s *Store, id QueryID, _ Principal, text string) error {
 			return s.SetSample(id, &OutputSample{Rows: [][]string{{text}}})
-		}, true, false},
-		{"set-quality", func(s *Store, id QueryID, _ Principal, _ string) error { return s.SetQuality(id, 0.5) }, false, false},
-		{"replace-text", func(s *Store, id QueryID, _ Principal, text string) error { return s.ReplaceText(id, rec(text)) }, true, false},
+		}, true, false, false},
+		{"set-quality", func(s *Store, id QueryID, _ Principal, _ string) error {
+			return s.Apply(&Mutation{Op: OpSetQuality, ID: id})
+		}, false, false, true},
+		{"replace-text", func(s *Store, id QueryID, _ Principal, text string) error { return s.ReplaceText(id, rec(text)) }, true, false, false},
 	}
 
 	for _, op := range ops {
 		put := strings.HasPrefix(op.name, "put")
-		ignored := op.name == "assign-session" || op.name == "add-edge"
+		ignored := op.name == "assign-session" || op.name == "add-edge" || op.name == "set-quality"
 		cases := []struct {
 			name     string
 			applies  bool
@@ -97,7 +103,7 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 			{"too large", op.sized, false, 1, alice, huge, ErrTooLarge},
 			{"unknown id", !put, false, 99, alice, "note", ErrNotFound},
 			{"not entitled", op.owned, false, 1, mallory, "note", ErrAccessDenied},
-			{"no-op repeat", ignored, false, 1, alice, "note", nil},
+			{"no-op repeat", op.idempotent, false, 1, alice, "note", nil},
 		}
 		for _, c := range cases {
 			if !c.applies {
@@ -115,6 +121,11 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 				logged, seen := 0, 0
 				s.SetMutationHook(func(*Mutation) error { logged++; return nil })
 				s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
+				if c.name == "no-op repeat" {
+					if err := op.call(s, c.id, c.p, c.text); err != nil {
+						t.Fatalf("the first call: %v", err)
+					}
+				}
 				s.SetReadOnly(c.readOnly)
 				trace := func() storeTrace {
 					return storeTrace{logged, seen, s.Count(), s.HighWater(), s.Snapshot().Records(admin)}
@@ -130,6 +141,34 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNoOpAnswersForTheLog: a repeat that changes nothing logs nothing, but
+// it waits on the last logged mutation — the write whose effect it reports
+// may still be in flight — and a failure the log reports comes back as
+// ErrNotDurable, as it does for a write that changes something.
+func TestNoOpAnswersForTheLog(t *testing.T) {
+	s := NewStore()
+	mustPut(t, s, &QueryRecord{QueryShape: &QueryShape{Text: "SELECT 1", Canonical: "c"}, User: "alice"})
+	var seq uint64
+	s.SetMutationHook(func(m *Mutation) error { seq++; m.SetWALSeq(seq); return nil })
+	var waited []uint64
+	var logErr error
+	s.SetDurabilityWaiter(func(seq uint64) error { waited = append(waited, seq); return logErr })
+
+	if err := s.SetVisibility(1, alice, VisibilityPublic); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MarkStatsStale(1, false); err != nil { // a no-op: the flag is already clear
+		t.Fatal(err)
+	}
+	logErr = errors.New("disk gone")
+	if err := s.SetVisibility(1, alice, VisibilityPublic); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("a no-op over a failed log: %v, want ErrNotDurable", err)
+	}
+	if seq != 1 || !slices.Equal(waited, []uint64{1, 1, 1}) {
+		t.Fatalf("%d logged, waits on %v; want 1 logged and every call waiting on seq 1", seq, waited)
 	}
 }
 

@@ -30,9 +30,10 @@ func stressRecord(t testing.TB, i int) *QueryRecord {
 }
 
 // TestConcurrentMutationsWithScans hammers the store with concurrent Put,
-// Annotate, Delete, UpdateStats, MarkInvalid/MarkValid and SetQuality
-// writers while snapshot scans and indexed scans run, asserting that no
-// reader ever observes a half-applied mutation. Run under -race (the CI does)
+// Annotate, Delete, UpdateStats, MarkInvalid/MarkValid and SetVisibility
+// writers — many of them repeats, which change nothing — while snapshot scans
+// and indexed scans run, asserting that no reader ever observes a half-applied
+// mutation. Run under -race (the CI does)
 // to also validate the lock discipline of the copy-on-write indexes.
 //
 // The invariants rely on writers always changing field pairs together:
@@ -91,7 +92,7 @@ func TestConcurrentMutationsWithScans(t *testing.T) {
 				case 4:
 					_ = s.MarkValid(id)
 				case 5:
-					_ = s.SetQuality(id, float64(rng.Intn(8)))
+					_ = s.SetVisibility(id, admin, Visibility(rng.Intn(3)))
 				case 6:
 					// Delete and re-log a fresh query so the store keeps its
 					// size; deletes exercise the copy-on-write index removal.

@@ -37,11 +37,12 @@ type storeMetrics struct {
 
 // allMutationOps lists every op that can commit, for eager counter
 // registration, so a scrape shows zero-valued families before the first
-// mutation of each kind. An older build's session ops never commit.
+// mutation of each kind. An older build's session and quality ops never
+// commit.
 var allMutationOps = []MutationOp{
 	OpPut, OpAnnotate, OpSetVisibility, OpDelete,
 	OpMarkInvalid, OpMarkValid, OpMarkStale, OpUpdateStats, OpSetSample,
-	OpSetQuality, OpReplaceText,
+	OpReplaceText,
 }
 
 // EnableMetrics registers the store's instruments on reg and starts
@@ -115,16 +116,15 @@ func (s *Store) unlockCommit() {
 }
 
 // commitAndWait ends a live mutating operation: it releases the commit lock
-// and then, when a durability waiter is installed and the mutation reached
-// the WAL, blocks until the WAL batch covering seq is durable. Waiting after
-// the unlock is what turns concurrent writers into one group commit: the
-// next writer sequences (and joins the in-flight fsync batch) while this one
-// waits. logErr is what the WAL slot returned under the lock; it or a failed
-// wait comes back as ErrNotDurable.
+// and then, when a durability waiter is installed, blocks until the WAL batch
+// covering seq is durable. Waiting after the unlock is what turns concurrent
+// writers into one group commit: the next writer sequences (and joins the
+// in-flight fsync batch) while this one waits. logErr is what the WAL slot
+// returned under the lock; it or a failed wait comes back as ErrNotDurable.
 func (s *Store) commitAndWait(seq uint64, logErr error) error {
 	wait, waited := s.durable, s.metrics.durabilityWait
 	s.unlockCommit()
-	if logErr == nil && wait != nil && seq != 0 {
+	if logErr == nil && wait != nil {
 		start := time.Now()
 		logErr = wait(seq)
 		waited.Observe(time.Since(start))

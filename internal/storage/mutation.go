@@ -17,9 +17,11 @@ type MutationOp string
 // inverted indexes — exactly as the live operations built it.
 //
 // OpSessionAssignment and OpSessionEdge are what older builds logged when a
-// mining pass copied the session detector's windows back into the store. No
-// store method emits them any more; they stay decodable so those logs replay,
-// and applying one changes nothing.
+// mining pass copied the session detector's windows back into the store, and
+// OpSetQuality what they logged when a maintenance pass stored each record's
+// quality score (now computed on read: QueryRecord.Quality). No store method
+// emits them any more; they stay decodable so those logs replay, and applying
+// one changes nothing.
 const (
 	OpPut               MutationOp = "put"
 	OpAnnotate          MutationOp = "annotate"
@@ -54,7 +56,6 @@ type Mutation struct {
 	Stale      bool          `json:"stale,omitempty"`
 	Stats      *RuntimeStats `json:"stats,omitempty"`
 	Sample     *OutputSample `json:"sample,omitempty"`
-	Score      float64       `json:"score,omitempty"`
 
 	// prev and next are the record versions before and after the mutation
 	// was applied, stashed by the apply path for event-bus subscribers that
@@ -186,14 +187,14 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 func (s *Store) SetMutationHook(h func(*Mutation) error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	s.hook = h
+	s.hook, s.walSeq = h, 0 // a new log numbers its own sequences
 }
 
 // SetDurabilityWaiter installs the bus's durability-wait slot (nil disables
-// it). Mutating methods call it with the highest WAL sequence their emitted
-// mutations were assigned — after releasing the commit lock, so the fsync
-// wait of one batch never blocks the next batch from sequencing — and return
-// its error wrapped in ErrNotDurable. The WAL manager points it at the log's
+// it). Mutating methods call it with the last WAL sequence assigned (an
+// earlier write's, for one that changed nothing) after releasing the commit
+// lock, so the fsync wait of one batch never blocks the next batch from
+// sequencing, and return its error wrapped in ErrNotDurable. The WAL manager points it at the log's
 // group-commit WaitDurable.
 func (s *Store) SetDurabilityWaiter(wait func(seq uint64) error) {
 	s.commitMu.Lock()
@@ -212,6 +213,7 @@ func (s *Store) emit(m *Mutation, replay bool) (logErr error) {
 		start := time.Now()
 		logErr = s.hook(m)
 		s.metrics.walCallback.Observe(time.Since(start))
+		s.walSeq = max(s.walSeq, m.walSeq) // 0 when the append failed
 	}
 	for i := range s.subs {
 		sub := &s.subs[i]
@@ -241,17 +243,20 @@ func (s *Store) Apply(m *Mutation) error {
 }
 
 // apply dispatches a mutation to the shared state-transition helpers, for
-// live calls and replay alike. Every transition is copy-on-write: the current
-// record version stays untouched for concurrent readers and an updated copy
-// replaces it in its shard. It reports whether the store changed — an older
-// build's session assignment or edge never does — and, when it did, leaves
-// the prev/next record versions on the mutation for bus subscribers. Callers
-// must hold the commit lock.
+// live calls, WAL replay and follower apply alike. Every transition is
+// copy-on-write: the current record version stays untouched for concurrent
+// readers and an updated copy replaces it in its shard. It reports whether
+// the store changed and, when it did, leaves the prev/next record versions on
+// the mutation for bus subscribers. An older build's session and quality ops
+// never change it, and neither does an update that would leave the record's
+// fields as they are: such a mutation is not published, emitted or logged.
+// Callers must hold the commit lock.
 func (s *Store) apply(m *Mutation) (changed bool, err error) {
-	// update runs one copy-on-write field update of record m.ID.
-	update := func(mutate func(next, old *QueryRecord)) (bool, error) {
-		old, next, err := s.update(m.ID, mutate)
-		if err != nil {
+	// update runs one copy-on-write field update of record m.ID, unless same
+	// (when given) says the current version already holds what it would write.
+	update := func(same func(rec *QueryRecord) bool, mutate func(next, old *QueryRecord)) (bool, error) {
+		old, next, err := s.update(m.ID, same, mutate)
+		if err != nil || next == nil {
 			return false, err
 		}
 		m.prev, m.next = old, next
@@ -271,7 +276,7 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		if m.Annotation == nil {
 			return missing("annotation")
 		}
-		changed, err = update(func(next, old *QueryRecord) {
+		changed, err = update(nil, func(next, old *QueryRecord) {
 			next.Annotations = append(append([]Annotation(nil), old.Annotations...), *m.Annotation)
 		})
 		if changed && len(m.prev.Annotations) == 0 {
@@ -279,7 +284,7 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		}
 		return changed, err
 	case OpSetVisibility:
-		return update(func(next, _ *QueryRecord) {
+		return update(func(rec *QueryRecord) bool { return rec.Visibility == m.Visibility }, func(next, _ *QueryRecord) {
 			next.Visibility = m.Visibility
 		})
 	case OpDelete:
@@ -290,37 +295,33 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		s.remove(rec)
 		m.prev = rec
 		return true, nil
-	case OpSessionAssignment, OpSessionEdge:
+	case OpSessionAssignment, OpSessionEdge, OpSetQuality:
 		return false, nil
 	case OpMarkInvalid:
-		return update(func(next, _ *QueryRecord) {
+		return update(func(rec *QueryRecord) bool { return !rec.Valid && rec.InvalidReason == m.Reason }, func(next, _ *QueryRecord) {
 			next.Valid = false
 			next.InvalidReason = m.Reason
 		})
 	case OpMarkValid:
-		return update(func(next, _ *QueryRecord) {
+		return update(func(rec *QueryRecord) bool { return rec.Valid && rec.InvalidReason == "" }, func(next, _ *QueryRecord) {
 			next.Valid = true
 			next.InvalidReason = ""
 		})
 	case OpMarkStale:
-		return update(func(next, _ *QueryRecord) {
+		return update(func(rec *QueryRecord) bool { return rec.StatsStale == m.Stale }, func(next, _ *QueryRecord) {
 			next.StatsStale = m.Stale
 		})
 	case OpUpdateStats:
 		if m.Stats == nil {
 			return missing("stats")
 		}
-		return update(func(next, _ *QueryRecord) {
+		return update(nil, func(next, _ *QueryRecord) {
 			next.Stats = *m.Stats
 			next.StatsStale = false
 		})
 	case OpSetSample:
-		return update(func(next, _ *QueryRecord) {
+		return update(nil, func(next, _ *QueryRecord) {
 			next.Sample = m.Sample
-		})
-	case OpSetQuality:
-		return update(func(next, _ *QueryRecord) {
-			next.QualityScore = m.Score
 		})
 	case OpReplaceText:
 		if m.Record == nil {
@@ -355,11 +356,13 @@ func (s *Store) lookup(id QueryID) (*QueryRecord, error) {
 // current record version, lets mutate replace the fields it changes, and
 // publishes the copy unless it grew past MaxRecordBytes (ErrTooLarge; the
 // current version stays). It returns the versions before and after the
-// update. Callers must hold the commit lock.
-func (s *Store) update(id QueryID, mutate func(next, old *QueryRecord)) (old, next *QueryRecord, err error) {
+// update; next is nil, and nothing is published, when same (if given) reports
+// that the current version already holds the update. Callers must hold the
+// commit lock.
+func (s *Store) update(id QueryID, same func(*QueryRecord) bool, mutate func(next, old *QueryRecord)) (old, next *QueryRecord, err error) {
 	rec, err := s.lookup(id)
-	if err != nil {
-		return nil, nil, err
+	if err != nil || (same != nil && same(rec)) {
+		return rec, nil, err
 	}
 	next = rec.shallowCopy()
 	mutate(next, rec)

@@ -68,10 +68,12 @@ type Store struct {
 	now       func() time.Time // guarded by commitMu
 
 	// durable is the bus's durability-wait slot (SetDurabilityWaiter):
-	// mutating methods call it with their highest WAL sequence after
-	// releasing commitMu, so one batch's fsync wait never blocks the next
-	// batch from sequencing. Guarded by commitMu.
+	// mutating methods call it with walSeq after releasing commitMu, so one
+	// batch's fsync wait never blocks the next batch from sequencing. walSeq
+	// is the last WAL sequence the WAL slot stamped on a mutation: a write
+	// that changed nothing waits on it too. Both guarded by commitMu.
 	durable func(seq uint64) error
+	walSeq  uint64
 
 	// metrics holds the store's instruments: all nil, and so inert, until
 	// EnableMetrics registers them. commitLockedAt is the commit-lock
@@ -247,25 +249,18 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		s.insert(rec)
 		ids[i] = rec.ID
 	}
-	var (
-		seq    uint64
-		logErr error
-	)
+	var logErr error
 	for i, rec := range recs {
 		if !stored(i) {
 			continue
 		}
 		// Stored records are immutable, so the bus references the record
 		// itself.
-		m := &Mutation{Op: OpPut, Record: rec, next: rec}
-		if err := s.emit(m, false); err != nil && logErr == nil {
+		if err := s.emit(&Mutation{Op: OpPut, Record: rec, next: rec}, false); err != nil && logErr == nil {
 			logErr = err
 		}
-		if m.walSeq != 0 {
-			seq = m.walSeq
-		}
 	}
-	if err := s.commitAndWait(seq, logErr); err != nil {
+	if err := s.commitAndWait(s.walSeq, logErr); err != nil {
 		// One wait covers the batch, so its failure is every stored record's.
 		for i := range recs {
 			if stored(i) {
@@ -369,7 +364,8 @@ func PickDisplayName(names map[string]int, fallback string) string {
 // admission, commit lock, authorize (when given: it is handed the current
 // version of record m.ID and may refuse, or fill in a default that needs the
 // lock), apply, emit, unlock, durability wait. A mutation that changes nothing
-// — apply says so — is neither emitted nor logged.
+// — apply says so — is neither emitted nor logged, but it waits on the last
+// logged write like any other: the change it finds made may not be durable.
 func (s *Store) commit(m *Mutation, authorize func(rec *QueryRecord) error) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
@@ -391,12 +387,15 @@ func (s *Store) commit(m *Mutation, authorize func(rec *QueryRecord) error) erro
 	if err == nil {
 		changed, err = s.apply(m)
 	}
-	if !changed {
+	if err != nil {
 		s.unlockCommit()
 		return err
 	}
-	logErr := s.emit(m, false) // assigns m.walSeq
-	return s.commitAndWait(m.walSeq, logErr)
+	var logErr error
+	if changed {
+		logErr = s.emit(m, false) // advances s.walSeq
+	}
+	return s.commitAndWait(s.walSeq, logErr)
 }
 
 // ownerOnly is the authorization of the administrative operations (User
@@ -509,11 +508,6 @@ func (s *Store) UpdateStats(id QueryID, stats RuntimeStats) error {
 // maintenance component re-executes a query to refresh its statistics.
 func (s *Store) SetSample(id QueryID, sample *OutputSample) error {
 	return s.commit(&Mutation{Op: OpSetSample, ID: id, Sample: sample}, nil)
-}
-
-// SetQuality records a quality score for the query (§4.4).
-func (s *Store) SetQuality(id QueryID, score float64) error {
-	return s.commit(&Mutation{Op: OpSetQuality, ID: id, Score: score}, nil)
 }
 
 // ReplaceText rewrites the query text and canonical forms, used by the

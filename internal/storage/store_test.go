@@ -259,33 +259,35 @@ func TestDelete(t *testing.T) {
 }
 
 // TestSessionsAndEdges: sessions and their edges live in the session
-// detector, not the store. An older build's session assignment or edge,
-// replayed from its log, changes nothing and reaches no subscriber, whether
-// or not the queries it names exist.
+// detector, not the store, and quality is computed from the record on read.
+// An older build's session assignment, edge or stored quality score, replayed
+// from its log, changes nothing and reaches no subscriber, whether or not the
+// queries it names exist.
 func TestSessionsAndEdges(t *testing.T) {
 	s, ids := newTestStore(t)
 	seen := 0
 	s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
 	before := s.State()
 	var replayed []*Mutation
-	for _, payload := range []string{parentAssignSession, parentAddEdge} {
+	for _, payload := range []string{parentAssignSession, parentAddEdge, parentSetQuality} {
 		m, err := DecodeMutation([]byte(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
 		replayed = append(replayed, m)
 	}
-	replayed = append(replayed, &Mutation{Op: OpSessionAssignment, ID: ids[0]}, &Mutation{Op: OpSessionEdge, ID: ids[1]})
+	replayed = append(replayed, &Mutation{Op: OpSessionAssignment, ID: ids[0]}, &Mutation{Op: OpSessionEdge, ID: ids[1]},
+		&Mutation{Op: OpSetQuality, ID: ids[2]})
 	for _, m := range replayed {
 		if err := s.Apply(m); err != nil {
 			t.Errorf("replaying %s %d: %v", m.Op, m.ID, err)
 		}
 	}
 	if seen != 0 {
-		t.Errorf("%d replayed session mutations reached the bus", seen)
+		t.Errorf("%d replayed session and quality mutations reached the bus", seen)
 	}
 	if !reflect.DeepEqual(s.State(), before) {
-		t.Error("replayed session mutations changed the store")
+		t.Error("replayed session and quality mutations changed the store")
 	}
 }
 
@@ -322,12 +324,54 @@ func TestMaintenanceState(t *testing.T) {
 	if rec.StatsStale || rec.Stats.ResultRows != 42 {
 		t.Errorf("stats not updated: %+v", rec.Stats)
 	}
-	if err := s.SetQuality(ids[1], 0.8); err != nil {
-		t.Fatalf("SetQuality: %v", err)
+}
+
+// TestQualityScore: the §4.4 quality measure ranks a valid, annotated, fast
+// query over one table above an invalid, failing, slow four-way join, stays
+// in [0, 1], and follows the record's maintenance state as it changes.
+func TestQualityScore(t *testing.T) {
+	good := &QueryRecord{
+		QueryShape:  &QueryShape{Tables: []string{"WaterTemp"}},
+		Valid:       true,
+		Annotations: []Annotation{{Text: "documented"}},
+		Stats:       RuntimeStats{ExecTime: time.Millisecond, ResultRows: 5},
 	}
-	rec, _ = s.Get(ids[1], alice)
-	if rec.QualityScore != 0.8 {
-		t.Errorf("quality = %v", rec.QualityScore)
+	bad := &QueryRecord{
+		QueryShape: &QueryShape{Tables: []string{"A", "B", "C", "D"}},
+		Valid:      false,
+		Stats:      RuntimeStats{ExecTime: 10 * time.Second, Error: "boom"},
+	}
+	gs, bs := good.Quality(), bad.Quality()
+	if gs <= bs {
+		t.Errorf("good quality %v should exceed bad quality %v", gs, bs)
+	}
+	if gs > 1 || bs < 0 {
+		t.Errorf("scores out of range: %v %v", gs, bs)
+	}
+
+	s, ids := newTestStore(t)
+	quality := func() float64 {
+		rec, err := s.Get(ids[0], admin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Quality()
+	}
+	valid := quality()
+	if err := s.MarkInvalid(ids[0], "column dropped"); err != nil {
+		t.Fatal(err)
+	}
+	if q := quality(); q >= valid {
+		t.Errorf("quality %v after MarkInvalid, want below %v", q, valid)
+	}
+	if err := s.MarkValid(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Annotate(ids[0], alice, Annotation{Text: "documented"}); err != nil {
+		t.Fatal(err)
+	}
+	if q := quality(); q <= valid {
+		t.Errorf("quality %v after an annotation, want above %v", q, valid)
 	}
 }
 

@@ -180,7 +180,29 @@ type QueryRecord struct {
 	Valid         bool
 	StatsStale    bool
 	InvalidReason string
-	QualityScore  float64
+}
+
+// Quality is the §4.4 query-quality measure in [0, 1]: valid, annotated,
+// efficient queries over few tables with a clean last run score highest. It
+// is a function of the record alone, so it is computed when read, never
+// stored.
+func (q *QueryRecord) Quality() float64 {
+	score := 0.0
+	if q.Valid {
+		score += 0.4
+	}
+	if len(q.Annotations) > 0 {
+		score += 0.2
+	}
+	if q.Stats.Error == "" {
+		score += 0.1
+	}
+	// Efficiency: 0.2 at instant execution decaying with runtime.
+	ms := float64(q.Stats.ExecTime.Milliseconds())
+	score += 0.2 / (1 + ms/200)
+	// Simplicity: fewer referenced tables is simpler.
+	score += 0.1 / float64(1+len(q.Tables))
+	return min(score, 1)
 }
 
 // shallowCopy returns a copy sharing every slice and pointer field with the

@@ -41,7 +41,7 @@ func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) [
 
 // buildStore logs n queries through a durable store, exercising every
 // mutation class: puts, annotations, visibility changes, invalidation/repair,
-// stats, samples, quality scores and a deletion.
+// stats, samples, stale flags and a deletion.
 func buildStore(t testing.TB, store *storage.Store, n int) {
 	t.Helper()
 	tables := []string{"WaterTemp", "WaterSalinity", "Observations", "Stations"}
@@ -96,7 +96,7 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := store.SetQuality(id, 0.75); err != nil {
+			if err := store.MarkStatsStale(id, true); err != nil {
 				t.Fatal(err)
 			}
 		}

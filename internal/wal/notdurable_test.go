@@ -57,6 +57,13 @@ func TestNotDurableUnderSyncAlways(t *testing.T) {
 	if err := store.Annotate(1, admin, storage.Annotation{Text: "late"}); !errors.Is(err, storage.ErrNotDurable) {
 		t.Fatalf("Annotate after the failure: %v, want storage.ErrNotDurable", err)
 	}
+	// The retry finds the record already public and logs nothing, but it is
+	// not acknowledged either: the change it reports is not durable.
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := store.SetVisibility(1, admin, storage.VisibilityPublic); !errors.Is(err, storage.ErrNotDurable) {
+			t.Fatalf("SetVisibility attempt %d after the failure: %v, want storage.ErrNotDurable", attempt, err)
+		}
+	}
 	_, errs := store.PutBatch([]*storage.QueryRecord{notDurableRecord(t, 90), notDurableRecord(t, 91)})
 	if len(errs) != 2 || !errors.Is(errs[0], storage.ErrNotDurable) || !errors.Is(errs[1], storage.ErrNotDurable) {
 		t.Fatalf("PutBatch after the failure: %v, want storage.ErrNotDurable for both", errs)
@@ -77,8 +84,8 @@ func TestNotDurableUnderSyncAlways(t *testing.T) {
 	if reopened.Count() != acked {
 		t.Fatalf("reopen holds %d records (%+v); exactly the %d acknowledged ones were promised", reopened.Count(), rec, acked)
 	}
-	if got, _ := reopened.Get(1, admin); got == nil || len(got.Annotations) != 0 {
-		t.Fatalf("reopen holds the unacknowledged annotation: %+v", got)
+	if got, _ := reopened.Get(1, admin); got == nil || len(got.Annotations) != 0 || got.Visibility == storage.VisibilityPublic {
+		t.Fatalf("reopen holds the unacknowledged annotation or visibility: %+v", got)
 	}
 }
 
@@ -111,6 +118,10 @@ func TestNotDurableUnderSyncInterval(t *testing.T) {
 	}
 	if rec, _ := store.Get(1, admin); rec == nil || rec.Visibility != storage.VisibilityPublic {
 		t.Fatalf("the mutation stays applied in memory: %+v", rec)
+	}
+	// The retry changes nothing and logs nothing, and is refused all the same.
+	if err := store.SetVisibility(1, admin, storage.VisibilityPublic); !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("repeated SetVisibility after the recorded failure: %v, want storage.ErrNotDurable", err)
 	}
 	if mgr.Err() == nil {
 		t.Error("Err() is nil after a failed write")

@@ -384,11 +384,9 @@ func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 // durability its policy promises: under SyncAlways that is a completed fsync
 // covering it (shared with every other record in its group-commit batch);
 // under SyncInterval and SyncOff appends are acknowledged before they reach
-// disk, so WaitDurable returns immediately. A zero seq is a no-op.
+// disk, so WaitDurable returns immediately. Any seq, 0 too, reports a failure
+// the log has recorded.
 func (l *Log) WaitDurable(seq uint64) error {
-	if seq == 0 {
-		return nil
-	}
 	l.seqMu.Lock()
 	defer l.seqMu.Unlock()
 	if l.opts.Sync == SyncAlways {
