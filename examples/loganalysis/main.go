@@ -52,7 +52,7 @@ func main() {
 	}
 	// Edit patterns are mined from the labelled edges of the log's sessions.
 	var edges []storage.SessionEdge
-	for _, s := range session.NewDetector(session.DefaultConfig()).Detect(sys.Store().Snapshot().Records(admin), 0) {
+	for _, s := range session.NewDetector(session.DefaultConfig()).Detect(sys.Store().Snapshot().Records(admin)) {
 		edges = append(edges, s.Edges...)
 	}
 	fmt.Println("most common query edits (mined from session edges):")

@@ -13,8 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -262,7 +260,7 @@ func copyDataDir(t *testing.T, src string) string {
 
 // cutCheckpointSections truncates the directory's snapshot after its last
 // chunk frame, which the on-disk reader answers by rebuilding every
-// subscriber.
+// subscriber, stats included.
 func cutCheckpointSections(t *testing.T, dir string) {
 	t.Helper()
 	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
@@ -281,7 +279,7 @@ func cutCheckpointSections(t *testing.T, dir string) {
 	for i := 0; i < info.Frames-len(info.Sidecars); i++ {
 		off += 16 + int(binary.LittleEndian.Uint32(raw[off:]))
 	}
-	if len(info.Sidecars) != 3 || off >= len(raw) {
+	if len(info.Sidecars) != 1 || off >= len(raw) {
 		t.Fatalf("snapshot %+v: nothing to cut", info)
 	}
 	if err := os.WriteFile(snaps[0], raw[:off], 0o644); err != nil {
@@ -292,13 +290,8 @@ func cutCheckpointSections(t *testing.T, dir string) {
 // apiDocument renders everything a server says about its store through the
 // v1 API as an administrator: every record by ID (deleted ones answer with
 // their error envelope), every user's history, a keyword search, the session
-// listing and every session graph. A rebuilt session detector reissues
-// session IDs, so with sessionIDs false the listing is rendered without them
-// (user, size, span and tables of every session, sorted), the graphs, which
-// print the IDs, are left out, and the queries' sessionId fields are renamed
-// in order of first appearance: the document then shows which queries share
-// a session, not what the session is called.
-func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs bool) string {
+// listing and every session graph.
+func apiDocument(t *testing.T, url string, maxID storage.QueryID) string {
 	t.Helper()
 	var doc strings.Builder
 	fetch := func(method, path, body string) []byte {
@@ -354,37 +347,16 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID, sessionIDs boo
 			t.Fatalf("sessions page: %v\n%s", err, b)
 		}
 		sessions = append(sessions, page.Sessions...)
-		if sessionIDs {
-			fmt.Fprintf(&doc, "sessions: %s\n", b)
-		}
+		fmt.Fprintf(&doc, "sessions: %s\n", b)
 	})
 	if len(sessions) < 4 {
 		t.Fatalf("only %d sessions listed at %s", len(sessions), url)
 	}
-	if sessionIDs {
-		for _, s := range sessions {
-			fmt.Fprintf(&doc, "graph %d: %s\n", s.ID, fetch("GET", fmt.Sprintf("/v1/sessions/%d/graph", s.ID), ""))
-		}
-		return doc.String()
+	for _, s := range sessions {
+		fmt.Fprintf(&doc, "graph %d: %s\n", s.ID, fetch("GET", fmt.Sprintf("/v1/sessions/%d/graph", s.ID), ""))
 	}
-	lines := make([]string, len(sessions))
-	for i, s := range sessions {
-		s.ID = 0
-		b, _ := json.Marshal(s)
-		lines[i] = string(b)
-	}
-	sort.Strings(lines)
-	names := map[string]string{}
-	byMembership := sessionIDField.ReplaceAllStringFunc(doc.String(), func(field string) string {
-		if _, ok := names[field]; !ok {
-			names[field] = fmt.Sprintf(`"sessionId":"s%d"`, len(names)+1)
-		}
-		return names[field]
-	})
-	return byMembership + "sessions: " + strings.Join(lines, "\n")
+	return doc.String()
 }
-
-var sessionIDField = regexp.MustCompile(`"sessionId":\d+`)
 
 // stateDocument renders the whole store state: every field of every record
 // and the ID counter.
@@ -442,8 +414,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		t.Fatalf("WAL replay: recovery %+v, want %d records replayed and no snapshot", rec, mutations)
 	}
 	recovered := openEquivCore(t, copyDataDir(t, primaryDir))
-	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 || len(rec.CheckpointRestored) != 3 {
-		t.Fatalf("snapshot + tail: recovery %+v, want a snapshot, a tail and three restored checkpoints", rec)
+	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
+		t.Fatalf("snapshot + tail: recovery %+v, want a snapshot, a tail and the stats checkpoint restored", rec)
 	}
 	rebuiltDir := copyDataDir(t, primaryDir)
 	cutCheckpointSections(t, rebuiltDir)
@@ -462,23 +434,21 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 
 	maxID := primary.Store().State().NextID
 	wantState := stateDocument(t, primary.Store())
-	wantAPI := apiDocument(t, tsPrimary.URL, maxID, true)
-	wantMembership := apiDocument(t, tsPrimary.URL, maxID, false)
+	wantAPI := apiDocument(t, tsPrimary.URL, maxID)
 	wantStats := statsForDiff(t, tsPrimary.URL)
 	wantRules := primary.MinerFeed().Refresh().Rules
 	if len(wantRules) == 0 {
 		t.Fatal("the history left the primary's feed without rules; the seed no longer covers them")
 	}
 	for _, other := range []struct {
-		name       string
-		c          *core.CQMS
-		url        string
-		sessionIDs bool
+		name string
+		c    *core.CQMS
+		url  string
 	}{
-		{"WAL replay", replayed, "", true},
-		{"snapshot + tail recovery", recovered, "", true},
-		{"recovery with every subscriber rebuilt", rebuilt, "", false},
-		{"follower bootstrap", follower, tsFollower.URL, true},
+		{"WAL replay", replayed, ""},
+		{"snapshot + tail recovery", recovered, ""},
+		{"recovery with every subscriber rebuilt", rebuilt, ""},
+		{"follower bootstrap", follower, tsFollower.URL},
 	} {
 		if other.url == "" {
 			ts := httptest.NewServer(server.New(other.c).Handler())
@@ -488,12 +458,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		if got := stateDocument(t, other.c.Store()); got != wantState {
 			t.Errorf("%s: store state differs from the live primary's %s", other.name, firstDifference(wantState, got))
 		}
-		want := wantAPI
-		if !other.sessionIDs {
-			want = wantMembership
-		}
-		if got := apiDocument(t, other.url, maxID, other.sessionIDs); got != want {
-			t.Errorf("%s: /v1 responses differ from the live primary's %s", other.name, firstDifference(want, got))
+		if got := apiDocument(t, other.url, maxID); got != wantAPI {
+			t.Errorf("%s: /v1 responses differ from the live primary's %s", other.name, firstDifference(wantAPI, got))
 		}
 		if got := statsForDiff(t, other.url); !bytes.Equal(got, wantStats) {
 			t.Errorf("%s: /v1/stats differs\n live: %s\nother: %s", other.name, wantStats, got)

@@ -12,9 +12,11 @@ import (
 )
 
 // TestRecoveryRestoresFromCheckpoint proves the full durable-derived-state
-// path: a compaction writes sidecar checkpoints for every subscriber, a
-// restart restores all three from them (stats, miner feed, live sessions),
-// the WAL tail replays on top, and the provenance surface reports it.
+// path: a compaction writes the stats subscriber's sidecar checkpoint, a
+// restart restores the stats from it and rebuilds the miner feed and the live
+// sessions from the restored records, the WAL tail replays on top, and the
+// provenance surface reports it. Sessions are named from their records, so the
+// rebuilt detector lists them under the IDs the primary served.
 func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
@@ -30,11 +32,11 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	// Two late arrivals, so alice's sessions are not in ID order: one three
 	// hours before everything (a session of its own, with the newest ID in
 	// front), and an unrelated query in the pause, which cuts her six-query
-	// session in two.
+	// session in two (the later part named by its own lowest query).
 	submit(t, c, "alice", "limnology", "SELECT CityLocations.city FROM CityLocations", base.Add(-3*time.Hour))
 	submit(t, c, "alice", "limnology", "SELECT WaterSalinity.lake FROM WaterSalinity", base.Add(450*time.Second))
-	// Snapshot with sidecars, then keep writing so recovery replays a tail
-	// into the restored state — the tail, too, edits the middle of a stream.
+	// Snapshot, then keep writing so recovery replays a tail into the
+	// restored state — the tail, too, edits the middle of a stream.
 	if _, _, _, err := c.Durability().Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -57,20 +59,18 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 	if info == nil {
 		t.Fatal("no recovery info")
 	}
-	restored := append([]string(nil), info.CheckpointRestored...)
-	sort.Strings(restored)
-	if want := []string{"miner-feed", "sessions", "stats"}; !reflect.DeepEqual(restored, want) {
-		t.Fatalf("CheckpointRestored = %v (rebuilt = %v), want %v",
-			info.CheckpointRestored, info.CheckpointRebuilt, want)
+	rebuilt := append([]string(nil), info.CheckpointRebuilt...)
+	sort.Strings(rebuilt)
+	if !reflect.DeepEqual(info.CheckpointRestored, []string{"stats"}) || !reflect.DeepEqual(rebuilt, []string{"miner-feed", "sessions"}) {
+		t.Fatalf("CheckpointRestored = %v, rebuilt = %v; want stats restored, the feed and sessions rebuilt",
+			info.CheckpointRestored, info.CheckpointRebuilt)
 	}
 	if info.Replayed == 0 {
 		t.Fatal("expected a WAL tail replay after the snapshot")
 	}
-	prov := c2.DerivedStateProvenance()
-	for _, name := range []string{"stats", "miner-feed", "sessions"} {
-		if prov[name] != ProvenanceCheckpoint {
-			t.Errorf("provenance[%s] = %q, want %q", name, prov[name], ProvenanceCheckpoint)
-		}
+	want := map[string]string{"stats": ProvenanceCheckpoint, "miner-feed": ProvenanceRebuilt, "sessions": ProvenanceRebuilt}
+	if prov := c2.DerivedStateProvenance(); !reflect.DeepEqual(prov, want) {
+		t.Errorf("provenance = %v, want %v", prov, want)
 	}
 	if got := c2.StatsTracker().TableCounts(admin); !reflect.DeepEqual(got, statsBefore) {
 		t.Errorf("stats diverged across checkpointed recovery\n got: %+v\nwant: %+v", got, statsBefore)
@@ -83,18 +83,24 @@ func TestRecoveryRestoresFromCheckpoint(t *testing.T) {
 		t.Fatalf("Sessions after recovery: %v", err)
 	}
 	if !reflect.DeepEqual(sessionsAfter, sessionsBefore) {
-		t.Errorf("sessions diverged across checkpointed recovery\n got: %+v\nwant: %+v",
+		t.Errorf("sessions diverged across recovery\n got: %+v\nwant: %+v",
 			sessionsAfter, sessionsBefore)
 	}
-	if len(sessionsAfter) != 5 || !sessionsAfter[1].Start.Before(sessionsAfter[0].Start) {
-		t.Errorf("the history should leave five sessions with the second ID chronologically first: %+v", sessionsAfter)
+	// Each session is named by its lowest query: 1 (queries 1-3), 4 (4-6 and
+	// the pause's 8), the early late arrival 7, bob's 9 and the tail's 10.
+	var ids []int64
+	for _, s := range sessionsAfter {
+		ids = append(ids, s.ID)
+	}
+	if !reflect.DeepEqual(ids, []int64{1, 4, 7, 9, 10}) || !sessionsAfter[2].Start.Before(sessionsAfter[0].Start) {
+		t.Errorf("the history should leave sessions 1, 4, 7, 9 and 10, with 7 chronologically first: %+v", sessionsAfter)
 	}
 }
 
-// TestRecoveryAfterMiningRestoresFeedFromCheckpoint proves a mining pass
-// leaves the feed checkpointable: a restart after RunMiner and a compaction
-// restores the feed from its snapshot section instead of rebuilding it, and
-// serves the rules the pass mined — before and after its own first pass.
+// TestRecoveryAfterMiningRestoresFeedFromCheckpoint proves a restart after
+// RunMiner and a compaction rebuilds the feed from the snapshot's records — the
+// snapshot carries no feed section — and serves the rules the pass mined,
+// before and after its own first pass.
 func TestRecoveryAfterMiningRestoresFeedFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
@@ -119,17 +125,14 @@ func TestRecoveryAfterMiningRestoresFeedFromCheckpoint(t *testing.T) {
 
 	c2 := openDurable(t, dir)
 	defer c2.Close()
-	prov := c2.DerivedStateProvenance()
-	for _, name := range []string{"stats", "miner-feed", "sessions"} {
-		if prov[name] != ProvenanceCheckpoint {
-			t.Errorf("provenance[%s] = %q, want %q", name, prov[name], ProvenanceCheckpoint)
-		}
+	if prov := c2.DerivedStateProvenance(); prov["miner-feed"] != ProvenanceRebuilt {
+		t.Errorf("provenance[miner-feed] = %q, want %q", prov["miner-feed"], ProvenanceRebuilt)
 	}
 	if got := c2.MinerFeed().NumTransactions(); got != c2.Store().Count() {
-		t.Errorf("restored feed counts %d transactions, want %d", got, c2.Store().Count())
+		t.Errorf("rebuilt feed counts %d transactions, want %d", got, c2.Store().Count())
 	}
 	if got := c2.MinerFeed().Rules(); !reflect.DeepEqual(got, res.Rules) {
-		t.Errorf("restored feed serves other rules than the pass\n got: %+v\nwant: %+v", got, res.Rules)
+		t.Errorf("rebuilt feed serves other rules than the pass\n got: %+v\nwant: %+v", got, res.Rules)
 	}
 	if got := c2.RunMiner().Rules; !reflect.DeepEqual(got, res.Rules) {
 		t.Errorf("the restarted pass mined other rules\n got: %+v\nwant: %+v", got, res.Rules)

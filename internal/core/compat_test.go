@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,7 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,13 +35,16 @@ import (
 // and every query by ID — which testdata/parent_datadir.golden holds; the
 // golden is not regenerated. No maintenance pass ever ran on the directory, so
 // the golden has no quality: this build's computed one is checked on its own
-// and stripped before the comparison.
+// and stripped before the comparison. The snapshot's sessions and miner-feed
+// sections are read and ignored: this build restores only the stats section
+// and rebuilds the other two, so its session IDs are the lowest query ID each
+// session holds (see matchGolden).
 func TestParentDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_datadir")
 	defer c.Close()
 	rec := c.Recovery()
-	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.Replayed != 46 || len(rec.CheckpointRestored) != 3 {
-		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot, 46 replayed records and three restored checkpoints", *rec)
+	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.Replayed != 46 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
+		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot, 46 replayed records and the stats checkpoint restored", *rec)
 	}
 	got := parentBodies(t, c)
 	if strings.Count(got, `"sessionId":`) != 57 || !strings.Contains(got, "GET /v1/sessions?limit=4&cursor=") {
@@ -54,14 +61,15 @@ func TestParentDataDirOpens(t *testing.T) {
 // rename, and two maintenance passes' mark-invalid, replace-text, mark-valid,
 // mark-stale, update-stats and set-quality records. This build must open it and serve the
 // bodies that commit served from it (testdata/parent_quality_datadir.golden,
-// not regenerated) with one intended difference: every query's quality is
-// the one computed from the record, not the score the last pass stored.
+// not regenerated) with two intended differences: every query's quality is
+// the one computed from the record, not the score the last pass stored, and
+// sessions are named by their lowest query ID.
 func TestParentQualityDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_quality_datadir")
 	defer c.Close()
 	rec := c.Recovery()
-	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.Replayed != 90 || len(rec.CheckpointRestored) != 3 {
-		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot, 90 replayed records and three restored checkpoints", *rec)
+	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.Replayed != 90 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
+		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot, 90 replayed records and the stats checkpoint restored", *rec)
 	}
 	got := parentBodies(t, c)
 	if strings.Count(got, `"quality":`) != 35 {
@@ -106,16 +114,23 @@ func openParentDataDir(t *testing.T, src string) *core.CQMS {
 // qualityKey is a query body's quality, the last key of the object.
 var qualityKey = regexp.MustCompile(`,"quality":[^,}]*`)
 
-// matchGolden compares the bodies with a golden an older build served, the
-// quality of each query left out: that build served the score its last
-// maintenance pass stored, this one the score of the record as it is.
+// matchGolden compares the bodies with a golden an older build served, with
+// two intended differences. The quality of each query is left out: that build
+// served the score its last maintenance pass stored, this one the score of
+// the record as it is. And that build numbered sessions in order of creation,
+// this one names each by its lowest query ID: the golden's IDs are mapped to
+// the lowest query its graph shows, and both sides are compared in the form
+// sessionsCanonical gives them, since the IDs order the listing and so move
+// its page cuts and cursors.
 func matchGolden(t *testing.T, got, golden string) {
 	t.Helper()
 	b, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := qualityKey.ReplaceAllString(got, ""), qualityKey.ReplaceAllString(string(b), "")
+	parent := qualityKey.ReplaceAllString(string(b), "")
+	got = sessionsCanonical(t, qualityKey.ReplaceAllString(got, ""), nil)
+	want := sessionsCanonical(t, parent, lowestQueryOfSession(parent))
 	if got != want {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
@@ -125,9 +140,113 @@ func matchGolden(t *testing.T, got, golden string) {
 	}
 }
 
+var (
+	// goldenEntry is one request of a bodies document and what it answered.
+	goldenEntry = regexp.MustCompile(`(?m)^GET (\S+) (\[[^\]]*\]) -> (\d+)\n(.*)$`)
+	graphPath   = regexp.MustCompile(`^/v1/sessions/(\d+)/graph$`)
+	graphNode   = regexp.MustCompile(`\(q(\d+)\)`)
+)
+
+// lowestQueryOfSession maps each session ID a document shows a graph of to the
+// lowest query ID among the graph's nodes.
+func lowestQueryOfSession(doc string) map[int64]int64 {
+	lowest := map[int64]int64{}
+	for _, m := range goldenEntry.FindAllStringSubmatch(doc, -1) {
+		g := graphPath.FindStringSubmatch(m[1])
+		if g == nil || m[3] != "200" {
+			continue
+		}
+		id, _ := strconv.ParseInt(g[1], 10, 64)
+		for _, n := range graphNode.FindAllStringSubmatch(m[4], -1) {
+			q, _ := strconv.ParseInt(n[1], 10, 64)
+			if cur, ok := lowest[id]; !ok || q < cur {
+				lowest[id] = q
+			}
+		}
+	}
+	return lowest
+}
+
+// sessionsCanonical rewrites a bodies document into a form that does not
+// depend on where listing pages are cut: every session ID renamed through
+// rename (nil: kept), each principal's listing as the concatenation of its
+// pages in ascending ID order, one session a line, then every graph that
+// exists (not 404) in ascending ID order. Every other body is kept in place,
+// its sessionId renamed.
+func sessionsCanonical(t *testing.T, doc string, rename map[int64]int64) string {
+	t.Helper()
+	name := func(id int64) int64 {
+		if rename == nil {
+			return id
+		}
+		to, ok := rename[id]
+		if !ok {
+			t.Fatalf("the golden names session %d but shows no graph of it", id)
+		}
+		return to
+	}
+	renameAfter := func(prefix, body string) string {
+		re := regexp.MustCompile(regexp.QuoteMeta(prefix) + `(\d+)`)
+		return re.ReplaceAllStringFunc(body, func(s string) string {
+			id, _ := strconv.ParseInt(s[len(prefix):], 10, 64)
+			return prefix + strconv.FormatInt(name(id), 10)
+		})
+	}
+	type item struct {
+		id  int64
+		raw string
+	}
+	var out strings.Builder
+	var principals []string
+	listings := map[string][]item{}
+	var graphs []item
+	for _, m := range goldenEntry.FindAllStringSubmatch(doc, -1) {
+		path, who, status, body := m[1], m[2], m[3], m[4]
+		switch g := graphPath.FindStringSubmatch(path); {
+		case strings.HasPrefix(path, "/v1/sessions?"):
+			var page struct{ Sessions []json.RawMessage }
+			if err := json.Unmarshal([]byte(body), &page); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if _, ok := listings[who]; !ok {
+				principals = append(principals, who)
+				listings[who] = nil
+			}
+			for _, raw := range page.Sessions {
+				var s struct{ ID int64 }
+				if err := json.Unmarshal(raw, &s); err != nil {
+					t.Fatal(err)
+				}
+				listings[who] = append(listings[who], item{name(s.ID), renameAfter(`{"id":`, string(raw))})
+			}
+		case g != nil:
+			if status == "404" {
+				continue
+			}
+			id, _ := strconv.ParseInt(g[1], 10, 64)
+			graphs = append(graphs, item{name(id), fmt.Sprintf("graph %d %s -> %s\n%s\n", name(id), who, status, renameAfter("Session ", body))})
+		default:
+			fmt.Fprintf(&out, "GET %s %s -> %s\n%s\n", path, who, status, renameAfter(`"sessionId":`, body))
+		}
+	}
+	byID := func(a, b item) int { return cmp.Compare(a.id, b.id) }
+	for _, who := range principals {
+		fmt.Fprintf(&out, "sessions %s\n", who)
+		slices.SortStableFunc(listings[who], byID)
+		for _, s := range listings[who] {
+			fmt.Fprintf(&out, "%s\n", s.raw)
+		}
+	}
+	slices.SortStableFunc(graphs, byID)
+	for _, g := range graphs {
+		out.WriteString(g.raw)
+	}
+	return out.String()
+}
+
 // parentBodies renders what the golden holds, in its order: the session
 // listing page by page for three principals, the graph of every session ID
-// up to three past the session count, and every query ID up to two past the
+// up to one past the highest query ID, and every query ID up to two past the
 // record count, as an administrator.
 func parentBodies(t *testing.T, c *core.CQMS) string {
 	t.Helper()
@@ -168,7 +287,7 @@ func parentBodies(t *testing.T, c *core.CQMS) string {
 			cursor = "&cursor=" + next[:strings.IndexByte(next, '"')]
 		}
 	}
-	for id := 1; id <= c.SessionCount()+3; id++ {
+	for id := 1; id <= int(c.Store().HighWater())+1; id++ {
 		get(fmt.Sprintf("/v1/sessions/%d/graph", id), "X-CQMS-User", "root", "X-CQMS-Admin", "true")
 	}
 	// Every query body carries the quality computed from the record.

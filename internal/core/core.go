@@ -80,8 +80,10 @@ type CQMS struct {
 	// serving the completion hot path and the stats API, the exact
 	// multiset of feature sets association rules are derived from, and the
 	// live session detector serving session/graph reads without full-log
-	// re-segmentation. All three checkpoint into WAL snapshot sidecars and
-	// restore on recovery.
+	// re-segmentation. The stats counters checkpoint into a WAL snapshot
+	// sidecar and restore from it on recovery; the feed and the sessions
+	// rebuild from the restored records, which costs about what a restore
+	// would.
 	stats     *stats.Tracker
 	minerFeed *miner.Feed
 	sessions  *session.Live
@@ -651,9 +653,13 @@ func (c *CQMS) StartBackground(ctx context.Context) {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					// Snapshot errors are retried on the next tick; the WAL
-					// itself keeps every mutation in the meantime.
-					_ = c.wal.MaybeSnapshot()
+					pprof.Do(ctx, pprof.Labels("route", "background", "stage", "snapshot"), func(context.Context) {
+						// A failed snapshot is retried on the next tick; the
+						// WAL itself keeps every mutation in the meantime.
+						if err := c.wal.MaybeSnapshot(); err != nil {
+							slog.Warn("snapshot pass failed", "err", err)
+						}
+					})
 				}
 			}
 		}()

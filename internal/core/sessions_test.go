@@ -211,7 +211,7 @@ func TestConcurrentSubmittersOneUser(t *testing.T) {
 		}
 		return out
 	}
-	batch := session.NewDetector(c.cfg.Session).Detect(c.Store().Snapshot().Records(admin), 0)
+	batch := session.NewDetector(c.cfg.Session).Detect(c.Store().Snapshot().Records(admin))
 	if got, want := reduce(c.sessions.Export()), reduce(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live sessions diverge from batch detection: %d live, %d batch", len(got), len(want))
 	}

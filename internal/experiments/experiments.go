@@ -208,7 +208,7 @@ func E1QueryByFeature(env *Env) (Result, error) {
 func E2SessionDetection(env *Env) (Result, error) {
 	records := env.Sys.Store().Snapshot().Records(admin)
 	start := time.Now()
-	detected := session.NewDetector(session.DefaultConfig()).Detect(records, 0)
+	detected := session.NewDetector(session.DefaultConfig()).Detect(records)
 	latency := time.Since(start)
 
 	// Ground truth lookup by (user, text, time).

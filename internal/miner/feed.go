@@ -14,8 +14,8 @@ import (
 // event bus. A logged query adds its feature set, a deletion retracts it and
 // a text repair swaps the old set for the new one, so the multiset always
 // describes exactly the store's records with a non-empty feature set — on
-// the live path, through WAL replay, and after a checkpoint restore or a
-// rebuild scan. Query logs repeat themselves (queries are debugged once and
+// the live path, through WAL replay, and after the rebuild scan a snapshot
+// restore runs. Query logs repeat themselves (queries are debugged once and
 // re-used), so the distinct sets are few even when the records are many, and
 // Apriori counted over the sets weighted by their multiplicity yields exactly
 // the support counts of Apriori over every record (MineAssociationRules, the
@@ -52,13 +52,12 @@ func NewFeed(cfg AssocConfig) *Feed {
 // Attach seeds the feed from the store's current contents and subscribes it
 // to the mutation bus; it returns the unsubscribe function. Seeding runs
 // under the store's commit lock, so no submission can slip between the seed
-// scan and the subscription.
+// scan and the subscription. A snapshot restore re-seeds the same way: the
+// scan costs a few milliseconds per 10^4 records, so the feed has no
+// checkpoint.
 func (f *Feed) Attach(store *storage.Store) (cancel func()) {
 	rebuild := func() { f.rebuild(store) }
-	return store.Subscribe("miner-feed", f.onMutation, storage.SubscribeOptions{
-		Init: rebuild, Reset: rebuild,
-		Checkpoint: f.Checkpoint, Restore: f.Restore,
-	})
+	return store.Subscribe("miner-feed", f.onMutation, storage.SubscribeOptions{Init: rebuild, Reset: rebuild})
 }
 
 // onMutation is the feed's bus subscription; it runs under the store's
@@ -82,21 +81,17 @@ func (f *Feed) onMutation(m *storage.Mutation) {
 	f.mu.Unlock()
 }
 
-// rebuild replaces the feed's multiset with one counted from the store.
+// rebuild replaces the feed's multiset with one counted from the store and
+// drops the derived rules, including those of a Refresh still deriving from
+// the multiset replaced.
 func (f *Feed) rebuild(store *storage.Store) {
 	g := NewFeed(f.cfg)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
 		g.addLocked(rec.Features, 1)
 		return true
 	})
-	f.install(g.sets, g.numTx)
-}
-
-// install replaces the multiset and drops the derived rules, including
-// those of a Refresh still deriving from the multiset replaced.
-func (f *Feed) install(sets map[string]*featureSet, numTx int) {
 	f.mu.Lock()
-	f.sets, f.numTx = sets, numTx
+	f.sets, f.numTx = g.sets, g.numTx
 	f.seq++
 	f.rules, f.derived, f.rulesSeq = nil, false, f.seq
 	f.mu.Unlock()
@@ -192,7 +187,7 @@ func (f *Feed) Refresh() *Result {
 }
 
 // Rules returns the rules of the last Refresh. A feed with no rules yet —
-// never derived since it was built or restored, or derived from a log that
+// never derived since it was built or rebuilt, or derived from a log that
 // has changed since and yielded none — refreshes first, so a young log gets
 // rules before its first mining pass; otherwise a read never derives.
 func (f *Feed) Rules() []Rule {

@@ -22,7 +22,7 @@ const joinSQL = "SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinit
 
 // TestFeedFollowsBus verifies the feed is seeded from existing contents at
 // attach time, follows live submissions through the mutation bus, stops after
-// unsubscribe, and rebuilds on a restore without a checkpoint.
+// unsubscribe, and rebuilds on a snapshot restore.
 func TestFeedFollowsBus(t *testing.T) {
 	store := storage.NewStore()
 	mustPut(t, store, feedRecord(t, "SELECT temp FROM WaterTemp"))
@@ -43,7 +43,7 @@ func TestFeedFollowsBus(t *testing.T) {
 		t.Error("feed derived no rules from co-occurring tables")
 	}
 
-	// A restore without a checkpoint rebuilds the feed from the contents.
+	// A snapshot restore rebuilds the feed from the contents.
 	st := store.State()
 	store2 := storage.NewStore()
 	feed2 := NewFeed(DefaultAssocConfig())
@@ -158,7 +158,7 @@ func adminTransactions(store *storage.Store) [][]string {
 // and text repairs, the rules Refresh derives after every step are exactly
 // the rules of MineAssociationRules over the store's non-empty feature sets,
 // at the default thresholds and at a low support that yields many rules; and
-// a checkpoint taken at any step restores to the same rules.
+// a feed rebuilt by a snapshot restore at any step derives the same rules.
 func TestFeedMatchesFullPassUnderRandomHistory(t *testing.T) {
 	texts := []string{
 		"SELECT temp FROM WaterTemp",
@@ -219,16 +219,12 @@ func TestFeedMatchesFullPassUnderRandomHistory(t *testing.T) {
 				t.Fatalf("cfg %+v step %d: %d transactions, want %d", cfg, step, got, len(tx))
 			}
 			if step%50 == 49 {
-				version, data, err := feed.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
+				restored := storage.NewStore()
 				g := NewFeed(cfg)
-				if err := g.Restore(version, data); err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
+				g.Attach(restored)
+				restored.RestoreStateWithCheckpoints(store.State(), nil)
 				if got := g.Rules(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("cfg %+v step %d: restored rules differ from the full pass", cfg, step)
+					t.Fatalf("cfg %+v step %d: rebuilt rules differ from the full pass", cfg, step)
 				}
 			}
 		}
@@ -275,5 +271,29 @@ func TestFeedRefreshRacesCommits(t *testing.T) {
 	<-done
 	if got, want := feed.Refresh().Rules, MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
 		t.Errorf("rules after the race differ from a full pass\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestFeedV2SectionTakesTheRebuildPath restores a store from a snapshot an
+// older build wrote, carrying a miner-feed section (version 2, an incremental
+// miner's counters, or version 3, the multiset): the bus restores nothing
+// from it and rebuilds the feed from the restored records.
+func TestFeedV2SectionTakesTheRebuildPath(t *testing.T) {
+	store1 := storage.NewStore()
+	for i := 0; i < 5; i++ {
+		mustPut(t, store1, feedRecord(t, joinSQL))
+	}
+	for _, version := range []int{2, 3} {
+		store2 := storage.NewStore()
+		feed := NewFeed(DefaultAssocConfig())
+		feed.Attach(store2)
+		section := storage.SubscriberCheckpoint{Name: "miner-feed", Version: version, Data: []byte{1, 5, 1, 15}}
+		restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
+		if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"miner-feed"}) {
+			t.Fatalf("version %d: restored %v, rebuilt %v; want the feed rebuilt", version, restored, rebuilt)
+		}
+		if got, want := feed.Rules(), MineAssociationRules(adminTransactions(store2), DefaultAssocConfig()); len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("version %d: rebuilt rules differ from a full pass\n got: %+v\nwant: %+v", version, got, want)
+		}
 	}
 }

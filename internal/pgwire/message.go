@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Protocol version numbers seen in startup packets (the int32 after the
@@ -47,10 +48,15 @@ const (
 // maxStartupBytes bounds a startup packet; the Postgres server uses 10000.
 const maxStartupBytes = 10000
 
-// maxMessageBytes bounds one framed message so a corrupt length prefix cannot
-// make the proxy allocate unbounded memory. 1 GiB matches the backend's own
+// maxMessageBytes bounds one framed message. 1 GiB matches the backend's own
 // message size ceiling.
 const maxMessageBytes = 1 << 30
+
+// readStepBytes is how much of a payload ReadMessage asks for at a time: its
+// buffer grows as bytes actually arrive, so a length prefix costs no more
+// memory than the stream really holds. A message under the step — nearly
+// every one — is still one allocation of its exact size.
+const readStepBytes = 64 << 10
 
 // Frontend message type bytes the proxy decodes. Everything else (password
 // messages, CopyData, Describe, Flush, Sync, ...) is spliced through without
@@ -172,8 +178,7 @@ type Message struct {
 }
 
 // ReadMessage reads one framed message, handling fragmentation across reads.
-// The payload buffer is reused by the caller's discretion; Read allocates a
-// fresh slice per message.
+// It allocates a fresh payload slice per message.
 func ReadMessage(r io.Reader) (Message, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -183,9 +188,16 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if length < 4 || length > maxMessageBytes {
 		return Message{}, fmt.Errorf("pgwire: message %q length %d out of range", head[0], length)
 	}
-	payload := make([]byte, length-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Message{}, fmt.Errorf("pgwire: short %q message: %w", head[0], err)
+	n := int(length - 4)
+	payload := make([]byte, 0, min(n, readStepBytes))
+	for len(payload) < n {
+		step := min(n-len(payload), readStepBytes)
+		payload = slices.Grow(payload, step)
+		got, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return Message{}, fmt.Errorf("pgwire: short %q message: %w", head[0], err)
+		}
 	}
 	return Message{Type: head[0], Payload: payload}, nil
 }

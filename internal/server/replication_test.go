@@ -104,12 +104,13 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 		t.Fatalf("snapshot seq = %d, want %d", seq, compacted.Seq)
 	}
 	// The stream reader staged the whole store: every record the primary
-	// held at the compaction, and one checkpoint per derived-state subscriber.
+	// held at the compaction, and the one checkpoint section, the stats
+	// subscriber's.
 	info, err := admin.LogInfo(ctx)
 	if err != nil || len(info.Snapshots) != 1 {
 		t.Fatalf("LogInfo = %+v, %v", info, err)
 	}
-	if len(state.Records) == 0 || len(state.Records) != info.Snapshots[0].Records || len(checkpoints) != 3 {
+	if len(state.Records) == 0 || len(state.Records) != info.Snapshots[0].Records || len(checkpoints) != 1 || checkpoints[0].Name != "stats" {
 		t.Fatalf("snapshot carries %d records (the file holds %d), %d checkpoints",
 			len(state.Records), info.Snapshots[0].Records, len(checkpoints))
 	}

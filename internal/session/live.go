@@ -1,8 +1,6 @@
 package session
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -11,7 +9,6 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // Live is the bus-driven incremental session detector: it maintains session
@@ -28,14 +25,16 @@ import (
 // computed when a graph is read (Get, Export), outside the detector's lock
 // and the store's commit lock.
 //
-// Session IDs are stable. A window keeps its ID through every edit; when a
-// window splits, the part holding its first query keeps the ID and the later
-// part takes the next one; when two windows merge, the later window's ID is
-// dropped. IDs are therefore a pure function of the mutation order, which is
-// what makes a follower, a WAL replay and a snapshot-plus-tail recovery agree
-// with the primary on them. The detector is the one home of session
-// membership: the store keeps no copy, and every reader of a record's session
-// asks SessionOf.
+// A session's ID is the lowest query ID it holds, as a Git object is named
+// from its content: a function of the records alone, so a follower, a WAL
+// replay, a snapshot restore and a rebuild agree with the primary on every ID
+// with nothing to carry between them. A newly logged query carries the
+// highest ID yet, so logging never renames a session, wherever the query
+// lands: a split names the part without the old lowest query by its own
+// lowest, and a merge keeps the lower of the two IDs. Only removing a
+// session's lowest query renames it, to the next lowest. The detector is the
+// one home of session membership: the store keeps no copy, and every reader
+// of a record's session asks SessionOf.
 //
 // It is safe for concurrent use: mutations arrive serialised under the
 // store's commit lock, reads come from request-serving goroutines.
@@ -45,12 +44,10 @@ type Live struct {
 
 	mu sync.RWMutex
 	// users holds each user's windows in chronological order; byID holds
-	// every window in ascending ID order (IDs are issued ascending, so a new
-	// window always goes last). A record is found from its own (User,
-	// IssuedAt, ID), so there is no per-record index.
-	users  map[string][]*window
-	byID   []*window
-	nextID int64
+	// every window in ascending ID order. A record is found from its own
+	// (User, IssuedAt, ID), so there is no per-record index.
+	users map[string][]*window
+	byID  []*window
 
 	// cuts counts boundary evaluations made by local edits; edits counts the
 	// edits by kind (nil children when uninstrumented). Guarded by mu like
@@ -68,15 +65,15 @@ const (
 	editInsert        // put anywhere else
 	editDelete
 	editRetext // text repair, or a replayed put over an existing ID
-	editSplit  // a window was cut in two; the later part took a new ID
-	editMerge  // two windows were joined; the later ID was dropped
+	editSplit  // a window was cut in two
+	editMerge  // two windows were joined; the higher ID was dropped
 )
 
 var editKinds = [...]string{"append", "insert", "delete", "retext", "split", "merge"}
 
 // window is one live session.
 type window struct {
-	id   int64
+	id   int64 // the lowest query ID in queries
 	user string
 	// queries is chronological and never empty while the window is tracked.
 	// Two windows never share a writable element: a split hands the later
@@ -94,8 +91,8 @@ type window struct {
 	hidden     int
 }
 
-func newWindow(id int64, user string, queries []*storage.QueryRecord) *window {
-	w := &window{id: id, user: user, queries: queries}
+func newWindow(user string, queries []*storage.QueryRecord) *window {
+	w := &window{id: lowestID(queries), user: user, queries: queries}
 	for _, q := range queries {
 		w.count(q, 1)
 	}
@@ -215,46 +212,35 @@ func (t *tally) add(name string, delta int) {
 // AttachLive builds a live detector over the store's current contents and
 // subscribes it to the mutation event bus. Registration and the initial
 // segmentation run under the store's commit lock, so no mutation can slip
-// between them; WAL replay maintains the windows incrementally, and the
-// Checkpoint/Restore pair lets WAL snapshots carry the detected sessions so
-// recovery skips re-segmentation.
+// between them; WAL replay maintains the windows incrementally, and a
+// snapshot restore re-segments the restored records (the IDs need no
+// checkpoint: they are named from the records).
 func AttachLive(store *storage.Store, cfg Config) *Live {
-	l := newLive(store, cfg)
-	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{
-		Init: l.rebuild, Reset: l.rebuild,
-		Checkpoint: l.checkpoint, Restore: l.restore,
-	})
+	l := &Live{det: NewDetector(cfg), store: store, users: make(map[string][]*window)}
+	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{Init: l.rebuild, Reset: l.rebuild})
 	return l
 }
 
-func newLive(store *storage.Store, cfg Config) *Live {
-	return &Live{det: NewDetector(cfg), store: store, users: make(map[string][]*window)}
-}
-
-// rebuild re-segments the whole store from scratch (initial seeding and the
-// fallback after a RestoreState without a usable checkpoint). It is the one
-// place the live detector sorts and segments a whole stream; like every other
-// write-side path it labels nothing.
+// rebuild re-segments the whole store from scratch (initial seeding, and
+// after a snapshot restore). It is the one place the live detector sorts and
+// segments a whole stream; like every other write-side path it labels
+// nothing.
 func (l *Live) rebuild() {
-	records := l.store.Snapshot().Records(storage.Principal{Admin: true})
-	// Users are numbered in name order, as batch Detect numbers them: two
-	// rebuilds of one store must agree on every ID.
-	users, byUser := streamsOf(records)
+	byUser := streamsOf(l.store.Snapshot().Records(storage.Principal{Admin: true}))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.users = make(map[string][]*window, len(users))
+	l.users = make(map[string][]*window, len(byUser))
 	l.byID = nil
-	l.nextID = 0
-	for _, user := range users {
-		parts := l.det.segment(byUser[user])
+	for user, recs := range byUser {
+		parts := l.det.segment(recs)
 		wins := make([]*window, len(parts))
 		for i, part := range parts {
-			l.nextID++
-			wins[i] = newWindow(l.nextID, user, part)
+			wins[i] = newWindow(user, part)
 		}
 		l.users[user] = wins
 		l.byID = append(l.byID, wins...)
 	}
+	sort.Slice(l.byID, func(i, j int) bool { return l.byID[i].id < l.byID[j].id })
 }
 
 // ---------------------------------------------------------------------------
@@ -328,20 +314,23 @@ func (l *Live) findLocked(rec *storage.QueryRecord) (wins []*window, k, i int, o
 	return wins, k, i, wins[k].queries[i].ID == rec.ID
 }
 
-// openLocked starts a window over queries, with the next ID, as the user's
-// k-th.
+// indexLocked returns the position in byID of the first window whose ID is
+// at least id.
+func (l *Live) indexLocked(id int64) int {
+	return sort.Search(len(l.byID), func(i int) bool { return l.byID[i].id >= id })
+}
+
+// openLocked starts a window over queries as the user's k-th.
 func (l *Live) openLocked(user string, k int, queries []*storage.QueryRecord) {
-	l.nextID++
-	w := newWindow(l.nextID, user, queries)
+	w := newWindow(user, queries)
 	l.users[user] = slices.Insert(l.users[user], k, w)
-	l.byID = append(l.byID, w)
+	l.byID = slices.Insert(l.byID, l.indexLocked(w.id), w)
 }
 
 // retireLocked forgets the user's k-th window and its ID.
 func (l *Live) retireLocked(user string, k int) {
 	wins := l.users[user]
-	id := wins[k].id
-	at := sort.Search(len(l.byID), func(i int) bool { return l.byID[i].id >= id })
+	at := l.indexLocked(wins[k].id)
 	l.byID = slices.Delete(l.byID, at, at+1)
 	if wins = slices.Delete(wins, k, k+1); len(wins) == 0 {
 		delete(l.users, user)
@@ -350,23 +339,50 @@ func (l *Live) retireLocked(user string, k int) {
 	l.users[user] = wins
 }
 
-// splitLocked cuts the user's k-th window in front of its query i: the part
-// holding the first query keeps the ID, the later part becomes window k+1
-// with the next ID.
+// renameLocked gives w the ID id, which no other window holds, and moves it
+// to its place in byID, shifting only the windows between the two places.
+func (l *Live) renameLocked(w *window, id int64) {
+	if id == w.id {
+		return
+	}
+	from, to := l.indexLocked(w.id), l.indexLocked(id)
+	if to > from {
+		to-- // w's old place closes up in front of its new one
+		copy(l.byID[from:to], l.byID[from+1:to+1])
+	} else {
+		copy(l.byID[to+1:from+1], l.byID[to:from])
+	}
+	l.byID[to] = w
+	w.id = id
+}
+
+// placeLocked puts rec as query i of w, which takes rec's ID if it is lower.
+func (l *Live) placeLocked(w *window, i int, rec *storage.QueryRecord) {
+	w.insert(i, rec)
+	l.renameLocked(w, min(w.id, int64(rec.ID)))
+}
+
+// splitLocked cuts the user's k-th window in front of its query i: the later
+// part becomes window k+1, and each part is named by its own lowest ID.
 func (l *Live) splitLocked(user string, k, i int) {
 	l.edits[editSplit].Inc()
 	w := l.users[user][k]
 	later := w.queries[i:]
 	w.queries = w.queries[:i:i]
 	w.retime()
+	moved := false // the lowest query went with the later part
 	for _, q := range later {
 		w.count(q, -1)
+		moved = moved || int64(q.ID) == w.id
+	}
+	if moved {
+		l.renameLocked(w, lowestID(w.queries))
 	}
 	l.openLocked(user, k+1, later)
 }
 
-// mergeLocked appends the user's window k+1 to window k and retires the
-// later window's ID.
+// mergeLocked appends the user's window k+1 to window k, which keeps the
+// lower of the two IDs.
 func (l *Live) mergeLocked(user string, k int) {
 	l.edits[editMerge].Inc()
 	wins := l.users[user]
@@ -381,6 +397,7 @@ func (l *Live) mergeLocked(user string, k int) {
 	}
 	w.hidden += later.hidden
 	l.retireLocked(user, k+1)
+	l.renameLocked(w, min(w.id, later.id))
 }
 
 // insertLocked places a fresh record. At the chronological tail of its
@@ -417,7 +434,7 @@ func (l *Live) insertLocked(rec *storage.QueryRecord) {
 	joinsPred := pred != nil && !l.cutLocked(pred, rec)
 	joinsSucc := succ != nil && !l.cutLocked(rec, succ)
 	if inside && joinsPred && joinsSucc {
-		wins[k].insert(i, rec)
+		l.placeLocked(wins[k], i, rec)
 		return
 	}
 	if inside {
@@ -428,12 +445,12 @@ func (l *Live) insertLocked(rec *storage.QueryRecord) {
 	}
 	switch {
 	case joinsPred:
-		wins[k].insert(len(wins[k].queries), rec)
+		l.placeLocked(wins[k], len(wins[k].queries), rec)
 		if joinsSucc {
 			l.mergeLocked(user, k)
 		}
 	case joinsSucc:
-		wins[k+1].insert(0, rec)
+		l.placeLocked(wins[k+1], 0, rec)
 	default:
 		l.openLocked(user, k+1, []*storage.QueryRecord{rec})
 	}
@@ -447,9 +464,13 @@ func (l *Live) removeLocked(rec *storage.QueryRecord) {
 		return
 	}
 	l.edits[editDelete].Inc()
-	wins[k].remove(i)
-	if len(wins[k].queries) == 0 {
+	w := wins[k]
+	w.remove(i)
+	switch {
+	case len(w.queries) == 0:
 		l.retireLocked(rec.User, k) // its successor, if any, is window k now
+	case int64(rec.ID) == w.id:
+		l.renameLocked(w, lowestID(w.queries))
 	}
 	l.reviewLocked(rec.User, k, i)
 }
@@ -597,122 +618,6 @@ func (l *Live) Export() []Session {
 func (l *Live) labelAll(queries []*storage.QueryRecord) []storage.SessionEdge {
 	l.labels.Load().Add(uint64(max(len(queries)-1, 0)))
 	return labelEdges(queries)
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint / Restore
-// ---------------------------------------------------------------------------
-
-// LiveCheckpointVersion is the serialization version of the live detector's
-// WAL snapshot sidecar. Version 1 was JSON; version 2 listed sessions in ID
-// order with their labelled edges. Version 3 is the windows alone
-// (internal/wire primitives):
-//
-//	nextID varint | n x user, in name order
-//	user:   name string | n x window, in chronological order
-//	window: ID varint | n x query ID varint
-//
-// A window references its records by ID — the records themselves live in the
-// snapshot's record chunks. The order within a user is written down because
-// it is not recoverable from the IDs: a split gives the later part of an old
-// window a newer ID than the windows that follow it.
-const LiveCheckpointVersion = 3
-
-func (l *Live) checkpoint() (int, []byte, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	users := make([]string, 0, len(l.users))
-	for user := range l.users {
-		users = append(users, user)
-	}
-	sort.Strings(users)
-	data := binary.AppendVarint(nil, l.nextID)
-	data = binary.AppendUvarint(data, uint64(len(users)))
-	for _, user := range users {
-		wins := l.users[user]
-		data = wire.AppendString(data, user)
-		data = binary.AppendUvarint(data, uint64(len(wins)))
-		for _, w := range wins {
-			data = binary.AppendVarint(data, w.id)
-			data = binary.AppendUvarint(data, uint64(len(w.queries)))
-			for _, q := range w.queries {
-				data = binary.AppendVarint(data, int64(q.ID))
-			}
-		}
-	}
-	return LiveCheckpointVersion, data, nil
-}
-
-// restore loads a checkpoint against the just-restored store. The section
-// arrives from disk or over the replication stream, and the local edits
-// trust what it establishes, so everything their binary searches rely on is
-// verified: every record of the store in exactly one window, owned by that
-// window's user, strictly chronological within a window and across a user's
-// windows, window IDs distinct and not beyond nextID. Any violation — like
-// any other version — is an error, and the bus falls back to rebuild.
-func (l *Live) restore(version int, data []byte) error {
-	if version != LiveCheckpointVersion {
-		return fmt.Errorf("session: unknown checkpoint version %d", version)
-	}
-	r := wire.NewReader(data)
-	nextID := r.Varint()
-	view := l.store.Snapshot()
-	admin := storage.Principal{Admin: true}
-	users := make(map[string][]*window)
-	var byID []*window
-	records := 0
-	for n := r.Count(3); n > 0 && r.Err() == nil; n-- { // name length, window count, one window
-		user := r.String()
-		if _, dup := users[user]; dup {
-			return fmt.Errorf("session: checkpoint lists user %q twice", user)
-		}
-		var last *storage.QueryRecord
-		for wn := r.Count(3); wn > 0 && r.Err() == nil; wn-- { // ID, query count, one query
-			id, qn := r.Varint(), r.Count(1)
-			queries := make([]*storage.QueryRecord, 0, qn)
-			for ; qn > 0 && r.Err() == nil; qn-- {
-				qid := storage.QueryID(r.Varint())
-				rec, err := view.Get(qid, admin)
-				if err != nil {
-					return fmt.Errorf("session: checkpoint references query %d: %w", qid, err)
-				}
-				if rec.User != user {
-					return fmt.Errorf("session: checkpoint files query %d of %q under %q", qid, rec.User, user)
-				}
-				if last != nil && !chronoLess(last, rec) {
-					return fmt.Errorf("session: checkpoint lists query %d out of order", qid)
-				}
-				queries = append(queries, rec)
-				last = rec
-			}
-			if r.Err() != nil {
-				break
-			}
-			if len(queries) == 0 || id <= 0 || id > nextID {
-				return fmt.Errorf("session: checkpoint session %d is empty or beyond the ID counter %d", id, nextID)
-			}
-			w := newWindow(id, user, queries)
-			users[user] = append(users[user], w)
-			byID = append(byID, w)
-			records += len(queries)
-		}
-	}
-	if err := r.Finish(); err != nil {
-		return fmt.Errorf("session: decoding checkpoint: %w", err)
-	}
-	if records != l.store.Count() {
-		return fmt.Errorf("session: checkpoint holds %d queries, the store %d", records, l.store.Count())
-	}
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
-	for i := 1; i < len(byID); i++ {
-		if byID[i].id == byID[i-1].id {
-			return fmt.Errorf("session: checkpoint issues session ID %d twice", byID[i].id)
-		}
-	}
-	l.mu.Lock()
-	l.users, l.byID, l.nextID = users, byID, nextID
-	l.mu.Unlock()
-	return nil
 }
 
 // EnableMetrics registers the live detector's instruments: the session count

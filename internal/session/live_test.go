@@ -1,12 +1,10 @@
 package session
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +12,10 @@ import (
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // canonSession is a session reduced to what two detectors must agree on: the
-// ordered query IDs, the labelled edges and the window bounds — and the
-// session ID, left zero where the two sides number differently (batch
-// detection renumbers from scratch every run).
+// ID, the ordered query IDs, the labelled edges and the window bounds.
 type canonSession struct {
 	ID      int64
 	User    string
@@ -30,14 +25,11 @@ type canonSession struct {
 	End     time.Time
 }
 
-func canonicalize(sessions []Session, withIDs bool) []canonSession {
+func canonicalize(sessions []Session) []canonSession {
 	out := make([]canonSession, 0, len(sessions))
 	for _, s := range sessions {
 		// UTC: a recovered record's time carries another *Location.
-		cs := canonSession{User: s.User, Edges: s.Edges, Start: s.Start.UTC(), End: s.End.UTC()}
-		if withIDs {
-			cs.ID = s.ID
-		}
+		cs := canonSession{ID: s.ID, User: s.User, Edges: s.Edges, Start: s.Start.UTC(), End: s.End.UTC()}
 		if len(cs.Edges) == 0 {
 			cs.Edges = nil
 		}
@@ -46,15 +38,6 @@ func canonicalize(sessions []Session, withIDs bool) []canonSession {
 		}
 		out = append(out, cs)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].Queries[0] < out[j].Queries[0]
-	})
 	return out
 }
 
@@ -70,17 +53,17 @@ var listingPrincipals = []storage.Principal{
 
 // assertMatchesBatch asserts the live detector agrees with the batch
 // segmenter re-run over the store's current contents: the partition, the
-// window bounds and the labels as Export and Get return them, and the
-// listing — tables, counts and visibility, which the live side keeps
-// incrementally — for several principals. It also checks the structural
-// invariants the local edits rely on.
+// session IDs, the window bounds and the labels as Export and Get return
+// them, and the listing — tables, counts and visibility, which the live side
+// keeps incrementally — for several principals. It also checks the
+// structural invariants the local edits rely on.
 func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Config) {
 	t.Helper()
-	batch := NewDetector(cfg).Detect(store.Snapshot().Records(admin), 0)
+	batch := NewDetector(cfg).Detect(store.Snapshot().Records(admin))
 	exported := live.Export()
-	want := canonicalize(batch, false)
-	if got := canonicalize(exported, false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("live segmentation diverges from batch\n got: %+v\nwant: %+v", got, want)
+	want := canonicalize(batch)
+	if got := canonicalize(exported); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live sessions diverge from batch\n got: %+v\nwant: %+v", got, want)
 	}
 	var got []Session
 	for _, s := range exported {
@@ -90,7 +73,7 @@ func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Conf
 		}
 		got = append(got, sess)
 	}
-	if !reflect.DeepEqual(canonicalize(got, true), canonicalize(exported, true)) {
+	if !reflect.DeepEqual(canonicalize(got), want) {
 		t.Fatalf("Get disagrees with Export\n got: %+v\nwant: %+v", got, exported)
 	}
 	for _, p := range listingPrincipals {
@@ -101,29 +84,10 @@ func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Conf
 				visible = visible && q.VisibleTo(p)
 			}
 			if visible {
-				sum := Summarize(&batch[i])
-				sum.ID = 0
-				want = append(want, sum)
+				want = append(want, Summarize(&batch[i]))
 			}
 		}
-		got := live.Summaries(p, 0, 0)
-		for i := range got {
-			if i > 0 && got[i].ID <= got[i-1].ID {
-				t.Fatalf("listing for %+v is not in ascending ID order: %+v", p, got)
-			}
-			got[i].ID = 0
-		}
-		order := func(s []Summary) {
-			sort.Slice(s, func(i, j int) bool {
-				if s[i].User != s[j].User {
-					return s[i].User < s[j].User
-				}
-				return s[i].Start.Before(s[j].Start) || (s[i].Start.Equal(s[j].Start) && s[i].QueryCount < s[j].QueryCount)
-			})
-		}
-		order(got)
-		order(want)
-		if !reflect.DeepEqual(got, want) {
+		if got := live.Summaries(p, 0, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("listing for %+v diverges from batch\n got: %+v\nwant: %+v", p, got, want)
 		}
 	}
@@ -134,9 +98,9 @@ func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Conf
 
 // checkInvariants verifies what the binary searches and the listing rely on:
 // every record of the store in exactly one window, owned by the window's
-// user, strictly chronological within and across a user's windows; byID
-// strictly ascending and within the ID counter; the listing counts equal to a
-// recount.
+// user, strictly chronological within and across a user's windows; each
+// window named by its lowest query ID and byID strictly ascending; the
+// listing counts equal to a recount.
 func checkInvariants(l *Live) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -163,7 +127,10 @@ func checkInvariants(l *Live) error {
 				}
 				last = q
 			}
-			fresh := newWindow(w.id, user, w.queries)
+			fresh := newWindow(user, w.queries)
+			if fresh.id != w.id {
+				return fmt.Errorf("window %d: its lowest query is %d", w.id, fresh.id)
+			}
 			if !slices.Equal(fresh.tables, w.tables) || !slices.Equal(fresh.groups, w.groups) || fresh.hidden != w.hidden ||
 				!fresh.start.Equal(w.start) || !fresh.end.Equal(w.end) {
 				return fmt.Errorf("window %d: listing state %v %v %d %v-%v, recomputed %v %v %d %v-%v", w.id,
@@ -176,8 +143,8 @@ func checkInvariants(l *Live) error {
 		return fmt.Errorf("%d queries in %d windows; the store holds %d, byID %d", records, windows, l.store.Count(), len(l.byID))
 	}
 	for i, w := range l.byID {
-		if w.id <= 0 || w.id > l.nextID || (i > 0 && w.id <= l.byID[i-1].id) {
-			return fmt.Errorf("byID[%d] = %d (counter %d) breaks ascending order", i, w.id, l.nextID)
+		if i > 0 && w.id <= l.byID[i-1].id {
+			return fmt.Errorf("byID[%d] = %d breaks ascending order", i, w.id)
 		}
 	}
 	return nil
@@ -324,13 +291,15 @@ func TestLocalEditTable(t *testing.T) {
 		del    int // delete this query ID, or
 		retext int // repair this query ID's text to
 		to     byte
+		move   int // or replay a put of this query ID issued at minute
+		at     int
 		after  string
 		edits  string // the edit kinds counted, in editKinds order
 	}{
 		{name: "put before the first window, joining it", stream: []q{{'A', 60}, {'A', 61}}, before: "1[1 2]",
 			put: &q{'A', 58}, after: "1[3 1 2]", edits: "insert"},
 		{name: "put before the first window, standing alone", stream: []q{{'A', 60}, {'A', 61}}, before: "1[1 2]",
-			put: &q{'A', 0}, after: "2[3] 1[1 2]", edits: "insert"},
+			put: &q{'A', 0}, after: "3[3] 1[1 2]", edits: "insert"},
 		{name: "put inside a window, joining both sides", stream: []q{{'A', 0}, {'A', 2}}, before: "1[1 2]",
 			put: &q{'A', 1}, after: "1[1 3 2]", edits: "insert"},
 		{name: "put inside a window, splitting after itself", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
@@ -339,12 +308,16 @@ func TestLocalEditTable(t *testing.T) {
 			put: &q{'B', 6}, after: "1[1] 2[3 2]", edits: "insert split"},
 		{name: "put inside a window, splitting it in three", stream: []q{{'A', 0}, {'A', 20}}, before: "1[1 2]",
 			put: &q{'B', 10}, after: "1[1] 3[3] 2[2]", edits: "insert split"},
+		{name: "put inside a window, splitting off its lowest query", stream: []q{{'A', 10}, {'A', 0}}, before: "1[2 1]",
+			put: &q{'B', 4}, after: "2[2 3] 1[1]", edits: "insert split"},
 		{name: "put between two windows, joining the left", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
 			put: &q{'A', 3}, after: "1[1 3] 2[2]", edits: "insert"},
 		{name: "put between two windows, joining the right", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
 			put: &q{'A', 58}, after: "1[1] 2[3 2]", edits: "insert"},
 		{name: "put between two windows, bridging and merging them", stream: []q{{'A', 0}, {'A', 40}}, before: "1[1] 2[2]",
 			put: &q{'A', 20}, after: "1[1 3 2]", edits: "insert merge"},
+		{name: "put between two windows, merging them under the later one's ID", stream: []q{{'A', 40}, {'A', 0}}, before: "2[2] 1[1]",
+			put: &q{'A', 20}, after: "1[2 3 1]", edits: "insert merge"},
 		{name: "put between two windows, standing alone", stream: []q{{'A', 0}, {'A', 100}}, before: "1[1] 2[2]",
 			put: &q{'A', 50}, after: "1[1] 3[3] 2[2]", edits: "insert"},
 		{name: "put at an existing IssuedAt sorts behind it by ID", stream: []q{{'A', 0}, {'A', 10}}, before: "1[1 2]",
@@ -355,15 +328,15 @@ func TestLocalEditTable(t *testing.T) {
 		{name: "delete a first query, merging the rest into the window before", stream: []q{{'A', 0}, {'B', 10}, {'A', 12}}, before: "1[1] 2[2 3]",
 			del: 2, after: "1[1 3]", edits: "delete merge"},
 		{name: "delete a first query, the rest standing", stream: []q{{'A', 0}, {'A', 60}, {'A', 61}}, before: "1[1] 2[2 3]",
-			del: 2, after: "1[1] 2[3]", edits: "delete"},
+			del: 2, after: "1[1] 3[3]", edits: "delete"},
 		{name: "delete a middle query, splitting the window", stream: []q{{'A', 0}, {'A', 4}, {'B', 8}}, before: "1[1 2 3]",
-			del: 2, after: "1[1] 2[3]", edits: "delete split"},
+			del: 2, after: "1[1] 3[3]", edits: "delete split"},
 		{name: "delete a middle query, the window holding", stream: []q{{'A', 0}, {'A', 1}, {'A', 2}}, before: "1[1 2 3]",
 			del: 2, after: "1[1 3]", edits: "delete"},
-		{name: "delete a last query, merging the next window in", stream: []q{{'A', 0}, {'B', 4}, {'A', 12}}, before: "1[1 2] 2[3]",
+		{name: "delete a last query, merging the next window in", stream: []q{{'A', 0}, {'B', 4}, {'A', 12}}, before: "1[1 2] 3[3]",
 			del: 2, after: "1[1 3]", edits: "delete merge"},
-		{name: "delete a last query, the next window standing", stream: []q{{'A', 0}, {'A', 1}, {'A', 60}}, before: "1[1 2] 2[3]",
-			del: 2, after: "1[1] 2[3]", edits: "delete"},
+		{name: "delete a last query, the next window standing", stream: []q{{'A', 0}, {'A', 1}, {'A', 60}}, before: "1[1 2] 3[3]",
+			del: 2, after: "1[1] 3[3]", edits: "delete"},
 		{name: "delete an only query, merging its neighbours", stream: []q{{'A', 0}, {'B', 8}, {'A', 16}}, before: "1[1] 2[2] 3[3]",
 			del: 2, after: "1[1 3]", edits: "delete merge"},
 		{name: "delete an only query, its neighbours standing", stream: []q{{'A', 0}, {'A', 60}, {'A', 120}}, before: "1[1] 2[2] 3[3]",
@@ -381,6 +354,9 @@ func TestLocalEditTable(t *testing.T) {
 			retext: 1, to: 'A', after: "1[1 2]", edits: "retext merge"},
 		{name: "text repair flipping both boundaries", stream: []q{{'A', 0}, {'B', 10}, {'B', 20}}, before: "1[1] 2[2 3]",
 			retext: 2, to: 'A', after: "1[1 2] 3[3]", edits: "retext split merge"},
+
+		{name: "replayed put moving a query into a window, which takes its lower ID", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
+			move: 1, at: 59, after: "1[1 2]", edits: "insert delete"},
 	}
 	cfg := DefaultConfig()
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
@@ -409,6 +385,16 @@ func TestLocalEditTable(t *testing.T) {
 				makeRecord(t, store, "alice", texts[tc.put.kind], base.Add(time.Duration(tc.put.minute)*time.Minute))
 			case tc.del != 0:
 				if err := store.Delete(storage.QueryID(tc.del), admin); err != nil {
+					t.Fatal(err)
+				}
+			case tc.move != 0:
+				rec, err := store.Snapshot().Get(storage.QueryID(tc.move), admin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved := rec.Clone()
+				moved.IssuedAt = base.Add(time.Duration(tc.at) * time.Minute)
+				if err := store.Apply(&storage.Mutation{Op: storage.OpPut, Record: moved}); err != nil {
 					t.Fatal(err)
 				}
 			default:
@@ -443,37 +429,43 @@ func TestLocalEditTable(t *testing.T) {
 	}
 }
 
-// TestSessionIDsSurviveEdits pins the ID rule over random histories: a query
-// that heads a window before and after a mutation heads the same session —
-// so a window's ID never changes while its first query stays its first —
-// and an ID that appears is beyond every ID seen before, never a reissue.
+// TestSessionIDsSurviveEdits pins what the ID rule promises a paging client
+// over random histories: logging a query never renames a session. After every
+// put of a new query, a session ID tracked before it is still tracked, or its
+// session merged into one with a lower ID; no ID moves to another session.
 func TestSessionIDsSurviveEdits(t *testing.T) {
+	merged := 0
 	for seed := int64(31); seed <= 34; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		store := storage.NewStore()
 		live := AttachLive(store, DefaultConfig())
-		heads := map[storage.QueryID]int64{} // first query -> session ID, before the step
-		tracked := map[int64]bool{}          // session IDs, before the step
-		var highest int64
+		tracked := map[int64]bool{} // session IDs before the step
+		count := store.Count()
 		mutateSessionStream(t, rng, store, 400, func() {
-			nowHeads, nowTracked, seen := map[storage.QueryID]int64{}, map[int64]bool{}, highest
-			live.mu.RLock()
-			for _, w := range live.byID {
-				head := w.head().ID
-				if was, ok := heads[head]; ok && was != w.id {
-					t.Fatalf("seed %d: the session headed by query %d changed ID %d -> %d", seed, head, was, w.id)
-				}
-				if !tracked[w.id] && w.id <= highest {
-					t.Fatalf("seed %d: session ID %d appeared after %d had been issued", seed, w.id, highest)
-				}
-				nowHeads[head], nowTracked[w.id], seen = w.id, true, max(seen, w.id)
+			put := store.Count() > count
+			now := map[int64]bool{}
+			for _, s := range live.Export() {
+				now[s.ID] = true
 			}
-			live.mu.RUnlock()
-			heads, tracked, highest = nowHeads, nowTracked, seen
+			for id := range tracked {
+				if !put || now[id] {
+					continue
+				}
+				// The session it named must now sit inside one with a lower ID.
+				merged++
+				rec, err := store.Snapshot().Get(storage.QueryID(id), admin)
+				if err != nil {
+					t.Fatalf("seed %d: a put removed query %d", seed, id)
+				}
+				if holder := live.SessionOf(rec); holder >= id {
+					t.Fatalf("seed %d: a put renamed session %d to %d", seed, id, holder)
+				}
+			}
+			tracked, count = now, store.Count()
 		})
-		if len(heads) < 10 || highest == int64(len(heads)) {
-			t.Fatalf("seed %d ended with %d sessions and highest ID %d: no split or merge happened", seed, len(heads), highest)
-		}
+	}
+	if merged == 0 {
+		t.Fatal("no put merged two sessions")
 	}
 }
 
@@ -564,8 +556,8 @@ func TestLiveVisibilityTracksUpdates(t *testing.T) {
 }
 
 // TestLiveSummariesCursor pages through a listing whose IDs are not in
-// chronological order (splits renumber later parts) and whose middle has
-// been retired by merges.
+// chronological order (late arrivals and deletions name sessions by older or
+// newer queries) and whose middle has been retired by merges.
 func TestLiveSummariesCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	store := storage.NewStore()
@@ -592,55 +584,20 @@ func TestLiveSummariesCursor(t *testing.T) {
 	}
 }
 
-// TestLiveCheckpointRoundTrip proves the checkpoint is lossless — windows,
-// their order, session IDs, the ID counter, the listing counts — when
-// restored against the same store, and that the restored detector keeps
-// editing like the original.
-func TestLiveCheckpointRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	rng := rand.New(rand.NewSource(17))
-	store := storage.NewStore()
-	live := AttachLive(store, cfg)
-	mutateSessionStream(t, rng, store, 120, nil)
-
-	version, data, err := live.checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	restored := newLive(store, cfg)
-	if err := restored.restore(version, data); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if err := checkInvariants(restored); err != nil {
-		t.Fatal(err)
-	}
-	assertSameSessions(t, "restored", restored, live)
-	if restored.nextID != live.nextID {
-		t.Fatalf("restored ID counter %d, want %d", restored.nextID, live.nextID)
-	}
-	if err := restored.restore(version+1, data); err == nil {
-		t.Fatal("restore accepted an unknown version")
-	}
-	// The same history continues on both: same windows, same new IDs.
-	store.Subscribe("restored", restored.onMutation, storage.SubscribeOptions{})
-	mutateSessionStream(t, rng, store, 120, nil)
-	assertSameSessions(t, "restored, after more edits", restored, live)
-	assertMatchesBatch(t, restored, store, cfg)
-}
-
 // assertSameSessions compares two detectors session by session, IDs included.
 func assertSameSessions(t *testing.T, name string, got, want *Live) {
 	t.Helper()
-	g, w := canonicalize(got.Export(), true), canonicalize(want.Export(), true)
+	g, w := canonicalize(got.Export()), canonicalize(want.Export())
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: sessions (with IDs) diverge\n got: %+v\nwant: %+v", name, g, w)
 	}
 }
 
 // TestLiveEquivalenceAfterWALRecovery proves the detector survives a crash:
-// a full replay of the log and a recovery from snapshot plus tail both end
-// with the windows and the session IDs of the live primary, and equal a batch
-// re-segmentation of the recovered store.
+// a full replay of the log and a recovery from snapshot plus tail — which
+// rebuilds the detector from the snapshot's records and then replays the
+// tail — both end with the windows and the session IDs of the live primary,
+// and equal a batch re-segmentation of the recovered store.
 func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, snapshot := range []bool{true, false} {
@@ -673,14 +630,8 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mgr2.Close()
-			if snapshot {
-				restored := false
-				for _, name := range info.CheckpointRestored {
-					restored = restored || name == "sessions"
-				}
-				if !restored {
-					t.Fatalf("sessions not restored from checkpoint: %+v", info)
-				}
+			if snapshot && !reflect.DeepEqual(info.CheckpointRebuilt, []string{"sessions"}) {
+				t.Fatalf("sessions not rebuilt from the snapshot's records: %+v", info)
 			}
 			assertMatchesBatch(t, live2, store2, cfg)
 			assertSameSessions(t, "recovered", live2, live1)
@@ -688,174 +639,32 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 	}
 }
 
-// v2Checkpoint encodes the detector's windows the way checkpoint version 2
-// did: in ID order, each with its user and its labelled edges.
-func v2Checkpoint(l *Live) []byte {
-	sessions := l.Export()
-	data := binary.AppendVarint(nil, l.nextID)
-	data = binary.AppendUvarint(data, uint64(len(sessions)))
-	for _, s := range sessions {
-		data = binary.AppendVarint(data, s.ID)
-		data = wire.AppendString(data, s.User)
-		data = binary.AppendUvarint(data, uint64(len(s.Queries)))
-		for _, q := range s.Queries {
-			data = binary.AppendVarint(data, int64(q.ID))
-		}
-		data = binary.AppendUvarint(data, uint64(len(s.Edges)))
-		for _, e := range s.Edges {
-			data = binary.AppendVarint(data, int64(e.From))
-			data = binary.AppendVarint(data, int64(e.To))
-			data = binary.AppendVarint(data, int64(e.Type))
-			data = wire.AppendString(data, e.Diff)
-		}
-	}
-	return data
-}
-
-// TestCheckpointV2TakesTheRebuildPath proves a snapshot written before this
-// format — a version-2 sessions section — is answered by re-segmenting the
-// restored store, not by misreading the section.
+// TestCheckpointV2TakesTheRebuildPath proves a snapshot written by an older
+// build — one carrying a sessions section, version 2 or 3 — restores nothing
+// from it: the bus rebuilds the detector from the restored records, and the
+// rebuild names every session as the primary did.
 func TestCheckpointV2TakesTheRebuildPath(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(43))
 	store1 := storage.NewStore()
 	live1 := AttachLive(store1, cfg)
 	mutateSessionStream(t, rng, store1, 100, nil)
-	section := storage.SubscriberCheckpoint{Name: "sessions", Version: 2, Data: v2Checkpoint(live1)}
-
-	store2 := storage.NewStore()
-	live2 := AttachLive(store2, cfg)
-	restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
-	if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"sessions"}) {
-		t.Fatalf("restored %v, rebuilt %v; want the sessions rebuilt", restored, rebuilt)
-	}
-	assertMatchesBatch(t, live2, store2, cfg)
-	// The same bytes under the current version number are refused too.
-	if err := live2.restore(LiveCheckpointVersion, section.Data); err == nil {
-		t.Fatal("restore read a version-2 section as version 3")
-	}
-	// And the current section of the same windows is restored, IDs and all.
-	version, data, _ := live1.checkpoint()
-	restored, _ = store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{{Name: "sessions", Version: version, Data: data}})
-	if !reflect.DeepEqual(restored, []string{"sessions"}) {
-		t.Fatalf("restored %v, want the sessions", restored)
-	}
-	assertSameSessions(t, "restored from version 3", live2, live1)
-}
-
-// restoreFixture is a small fixed store — three users, two or three windows
-// each, bob's newest ID on his earliest window — and its detector.
-func restoreFixture(t testing.TB) (*storage.Store, *Live) {
-	store := storage.NewStore()
-	live := AttachLive(store, DefaultConfig())
-	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
-	for i, minute := range []int{0, 1, 2, 60, 61, 200, 25, -100} {
-		user := []string{"alice", "bob", "carol"}[i%3]
-		makeRecord(t, store, user, "SELECT temp FROM WaterTemp", base.Add(time.Duration(minute)*time.Minute))
-	}
-	return store, live
-}
-
-// fixtureSection hand-encodes a version-3 section for restoreFixture's store.
-type fixtureWindow struct {
-	id      int64
-	queries []int64
-}
-
-func fixtureSection(nextID int64, users []string, wins [][]fixtureWindow) []byte {
-	data := binary.AppendVarint(nil, nextID)
-	data = binary.AppendUvarint(data, uint64(len(users)))
-	for i, user := range users {
-		data = wire.AppendString(data, user)
-		data = binary.AppendUvarint(data, uint64(len(wins[i])))
-		for _, w := range wins[i] {
-			data = binary.AppendVarint(data, w.id)
-			data = binary.AppendUvarint(data, uint64(len(w.queries)))
-			for _, q := range w.queries {
-				data = binary.AppendVarint(data, q)
-			}
+	for _, version := range []int{2, 3} {
+		store2 := storage.NewStore()
+		live2 := AttachLive(store2, cfg)
+		section := storage.SubscriberCheckpoint{Name: "sessions", Version: version, Data: []byte{2, 0}}
+		restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
+		if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"sessions"}) {
+			t.Fatalf("version %d: restored %v, rebuilt %v; want the sessions rebuilt", version, restored, rebuilt)
 		}
-	}
-	return data
-}
-
-// brokenSections is restoreFixture's good section and copies of it that each
-// break one thing the local edits rely on. They are also the committed seed
-// corpus of FuzzLiveRestore (testdata/fuzz/FuzzLiveRestore, one file a name).
-func brokenSections() (good []byte, broken map[string][]byte) {
-	users := []string{"alice", "bob", "carol"}
-	// alice: queries 1 (0m), 7 (25m), 4 (60m); bob: 8 (-100m), 2 (1m), 5 (61m); carol: 3 (2m), 6 (200m).
-	wins := func(alter func(w [][]fixtureWindow)) [][]fixtureWindow {
-		w := [][]fixtureWindow{
-			{{1, []int64{1, 7}}, {4, []int64{4}}},
-			{{7, []int64{8}}, {2, []int64{2}}, {5, []int64{5}}},
-			{{3, []int64{3}}, {6, []int64{6}}},
-		}
-		if alter != nil {
-			alter(w)
-		}
-		return w
-	}
-	good = fixtureSection(7, users, wins(nil))
-	return good, map[string][]byte{
-		"query-out-of-order-in-a-window":  fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][0].queries = []int64{7, 1} })),
-		"windows-out-of-order":            fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][0], w[0][1] = w[0][1], w[0][0] })),
-		"query-listed-twice":              fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[0][1].queries = []int64{4, 4} })),
-		"query-filed-under-another-user":  fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[1][0].queries = []int64{3} })),
-		"query-missing":                   fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2] = w[2][:1] })),
-		"query-unknown-to-the-store":      fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].queries = []int64{99} })),
-		"empty-window":                    fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].queries = nil })),
-		"session-id-issued-twice":         fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].id = 1 })),
-		"session-id-beyond-the-counter":   fixtureSection(6, users, wins(nil)),
-		"session-id-zero":                 fixtureSection(7, users, wins(func(w [][]fixtureWindow) { w[2][1].id = 0 })),
-		"user-listed-twice":               fixtureSection(7, []string{"alice", "alice", "carol"}, wins(nil)),
-		"trailing-byte":                   append(fixtureSection(7, users, wins(nil)), 0),
-		"truncated":                       good[:12],
-		"window-count-beyond-the-payload": append(binary.AppendVarint(nil, 7), 0xff, 0xff, 0x03),
+		assertMatchesBatch(t, live2, store2, cfg)
+		assertSameSessions(t, "rebuilt", live2, live1)
 	}
 }
 
-// TestRestoreRefusesWhatTheEditsRelyOn corrupts a good section one invariant
-// at a time; each must be refused, so the bus rebuilds.
-func TestRestoreRefusesWhatTheEditsRelyOn(t *testing.T) {
-	_, live := restoreFixture(t)
-	good, broken := brokenSections()
-	if _, want, _ := live.checkpoint(); !reflect.DeepEqual(good, want) {
-		t.Fatalf("the hand encoding differs from checkpoint()\n got: %x\nwant: %x", good, want)
-	}
-	if err := live.restore(LiveCheckpointVersion, good); err != nil {
-		t.Fatalf("the good section is refused: %v", err)
-	}
-	for name, data := range broken {
-		if err := live.restore(LiveCheckpointVersion, data); err == nil {
-			t.Errorf("%s: restored", name)
-		}
-	}
-}
-
-// FuzzLiveRestore feeds the restore path arbitrary bytes — the section
-// arrives over the replication stream — against a fixed store: it must not
-// panic, and whatever it accepts must satisfy the invariants the local edits
-// rely on.
-func FuzzLiveRestore(f *testing.F) {
-	store, live := restoreFixture(f)
-	good, _ := brokenSections()
-	f.Add(good)
-	f.Add(v2Checkpoint(live))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l := newLive(store, DefaultConfig())
-		if err := l.restore(LiveCheckpointVersion, data); err != nil {
-			return
-		}
-		if err := checkInvariants(l); err != nil {
-			t.Fatalf("restore accepted %x: %v", data, err)
-		}
-	})
-}
-
-// TestRebuildIsDeterministic proves two rebuilds of one store agree on every
-// session ID — users are numbered in name order, as batch Detect numbers
-// them, not in map order.
+// TestRebuildIsDeterministic proves two rebuilds of one store, and batch
+// Detect over it, agree on every session ID, however many users the store
+// holds and whatever order a map yields them in.
 func TestRebuildIsDeterministic(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
@@ -864,33 +673,26 @@ func TestRebuildIsDeterministic(t *testing.T) {
 		makeRecord(t, store, user, "SELECT temp FROM WaterTemp", base.Add(time.Duration(i)*17*time.Minute))
 	}
 	first := AttachLive(store, DefaultConfig())
-	batch := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
-	if got, want := canonicalize(first.Export(), true), canonicalize(batch, true); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a rebuild numbers sessions differently from batch Detect\n got: %+v\nwant: %+v", got, want)
-	}
+	assertMatchesBatch(t, first, store, DefaultConfig())
 	for i := 0; i < 5; i++ {
 		assertSameSessions(t, "second rebuild", AttachLive(store, DefaultConfig()), first)
 	}
 }
 
-// TestLiveEquivalenceAfterRestoreState proves the Reset fallback re-segments
-// wholesale-replaced contents.
+// TestLiveEquivalenceAfterRestoreState proves the Reset path re-segments
+// wholesale-replaced contents, and names the sessions as the store they came
+// from did.
 func TestLiveEquivalenceAfterRestoreState(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(29))
 	store1 := storage.NewStore()
-	AttachLive(store1, cfg)
+	live1 := AttachLive(store1, cfg)
 	mutateSessionStream(t, rng, store1, 100, nil)
-	st := store1.State()
 
 	store2 := storage.NewStore()
 	live2 := AttachLive(store2, cfg)
 	mutateSessionStream(t, rng, store2, 30, nil)
-	store2.RestoreStateWithCheckpoints(st, nil)
+	store2.RestoreStateWithCheckpoints(store1.State(), nil)
 	assertMatchesBatch(t, live2, store2, cfg)
-	// A rebuild numbers from scratch: in name order, then chronologically.
-	batch := NewDetector(cfg).Detect(store2.Snapshot().Records(admin), 0)
-	if got, want := canonicalize(live2.Export(), true), canonicalize(batch, true); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rebuilt session IDs differ from batch numbering\n got: %+v\nwant: %+v", got, want)
-	}
+	assertSameSessions(t, "restored", live2, live1)
 }

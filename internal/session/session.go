@@ -68,41 +68,44 @@ func NewDetector(cfg Config) *Detector {
 }
 
 // Detect segments the given records (any order, any mix of users) into
-// sessions. Queries of different users never share a session. Session IDs
-// are assigned sequentially starting at startID+1.
-func (d *Detector) Detect(records []*storage.QueryRecord, startID int64) []Session {
-	users, byUser := streamsOf(records)
+// sessions, in ascending ID order. Queries of different users never share a
+// session. A session's ID is the lowest query ID it holds, as the live
+// detector names it.
+func (d *Detector) Detect(records []*storage.QueryRecord) []Session {
 	var sessions []Session
-	nextID := startID
-	for _, user := range users {
-		for _, part := range d.segment(byUser[user]) {
-			nextID++
+	for user, recs := range streamsOf(records) {
+		for _, part := range d.segment(recs) {
 			sessions = append(sessions, Session{
-				ID: nextID, User: user, Queries: part, Edges: labelEdges(part),
+				ID: lowestID(part), User: user, Queries: part, Edges: labelEdges(part),
 				Start: part[0].IssuedAt, End: part[len(part)-1].IssuedAt,
 			})
 		}
 	}
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 	return sessions
 }
 
+// lowestID returns the lowest query ID among queries (never empty): the ID of
+// the session they form.
+func lowestID(queries []*storage.QueryRecord) int64 {
+	id := queries[0].ID
+	for _, q := range queries[1:] {
+		id = min(id, q.ID)
+	}
+	return int64(id)
+}
+
 // streamsOf splits records (any order, any mix of users) into one
-// chronologically sorted stream per user, and lists the users in name order —
-// the order sessions are numbered in, so numbering never depends on map
-// iteration.
-func streamsOf(records []*storage.QueryRecord) (users []string, byUser map[string][]*storage.QueryRecord) {
-	byUser = make(map[string][]*storage.QueryRecord)
+// chronologically sorted stream per user.
+func streamsOf(records []*storage.QueryRecord) map[string][]*storage.QueryRecord {
+	byUser := make(map[string][]*storage.QueryRecord)
 	for _, r := range records {
-		if _, ok := byUser[r.User]; !ok {
-			users = append(users, r.User)
-		}
 		byUser[r.User] = append(byUser[r.User], r)
 	}
-	sort.Strings(users)
 	for _, recs := range byUser {
 		sortChrono(recs)
 	}
-	return users, byUser
+	return byUser
 }
 
 // sortChrono orders records chronologically, breaking IssuedAt ties by ID so

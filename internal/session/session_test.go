@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestDetectSingleSession(t *testing.T) {
 	figure2Trace(t, store, "nodira", base)
 
 	d := NewDetector(DefaultConfig())
-	sessions := d.Detect(store.Snapshot().Records(admin), 0)
+	sessions := d.Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -86,7 +87,7 @@ func TestDetectSplitsOnLongGap(t *testing.T) {
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE state = 'WA'", base.Add(2*time.Hour))
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE pop > 10000", base.Add(2*time.Hour+time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -103,7 +104,7 @@ func TestDetectSplitsOnTopicChangeAfterSoftGap(t *testing.T) {
 	// different topic: new session.
 	makeRecord(t, store, "alice", "SELECT ra, dec FROM Stars WHERE magnitude < 6", base.Add(10*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -116,7 +117,7 @@ func TestDetectKeepsSimilarQueryAcrossSoftGap(t *testing.T) {
 	// 10 minutes later but clearly the same exploration: stays in session.
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(10*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -129,7 +130,7 @@ func TestDetectSeparatesUsers(t *testing.T) {
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp WHERE temp < 17", base.Add(time.Minute))
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(2*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2 (one per user)", len(sessions))
 	}
@@ -146,7 +147,7 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -181,7 +182,7 @@ func TestRenderFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	out := Render(&sessions[0])
 	for _, want := range []string{
 		"Session 1", "nodira", "6 queries",
@@ -209,7 +210,7 @@ func TestSummarize(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 0)
+	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
 	sum := Summarize(&sessions[0])
 	if sum.QueryCount != 6 || sum.User != "nodira" {
 		t.Errorf("summary = %+v", sum)
@@ -241,11 +242,26 @@ func TestFeatureSimilarity(t *testing.T) {
 	}
 }
 
-func TestDetectStartIDOffset(t *testing.T) {
+// TestDetectNamesSessionsByLowestQueryID pins the ID rule batch detection
+// shares with the live detector: a session is named by the lowest query ID it
+// holds, not by its chronologically first query (bob's 3, a late arrival),
+// and sessions come in ascending ID order whatever their users' names.
+func TestDetectNamesSessionsByLowestQueryID(t *testing.T) {
 	store := storage.NewStore()
-	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp", time.Now())
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin), 100)
-	if len(sessions) != 1 || sessions[0].ID != 101 {
-		t.Errorf("session ID = %d, want 101", sessions[0].ID)
+	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
+	makeRecord(t, store, "zoe", "SELECT * FROM WaterTemp", base.Add(time.Hour))      // 1
+	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base.Add(time.Hour))      // 2
+	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base.Add(59*time.Minute)) // 3, late: in front of 2
+	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base)                     // 4, an hour before 3
+	var got []string
+	for _, s := range NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin)) {
+		var ids []string
+		for _, q := range s.Queries {
+			ids = append(ids, fmt.Sprint(q.ID))
+		}
+		got = append(got, fmt.Sprintf("%d:%s[%s]", s.ID, s.User, strings.Join(ids, " ")))
+	}
+	if want := "1:zoe[1] 2:bob[3 2] 4:bob[4]"; strings.Join(got, " ") != want {
+		t.Errorf("sessions = %q, want %q", strings.Join(got, " "), want)
 	}
 }

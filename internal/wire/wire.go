@@ -1,6 +1,6 @@
 // Package wire holds the primitives of CQMS's hand-written binary formats:
-// the WAL/snapshot record codec in internal/storage and the derived-state
-// checkpoints of stats, session and miner. Integers are varints (zigzag for
+// the WAL/snapshot record codec in internal/storage and the stats
+// subscriber's derived-state checkpoint. Integers are varints (zigzag for
 // signed), strings are a uvarint length followed by the bytes, floats and
 // hashes are fixed 8 bytes little-endian.
 //
