@@ -170,7 +170,7 @@ func BenchmarkE1AutoMetaQuery(b *testing.B) {
 
 func BenchmarkE2SessionDetection(b *testing.B) {
 	f := benchFixture(b)
-	det := session.NewDetector(session.DefaultConfig())
+	det := session.NewDetector()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -183,7 +183,7 @@ func BenchmarkE2SessionDetection(b *testing.B) {
 
 func BenchmarkE2SessionRender(b *testing.B) {
 	f := benchFixture(b)
-	det := session.NewDetector(session.DefaultConfig())
+	det := session.NewDetector()
 	sessions := det.Detect(f.records)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -271,7 +271,7 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
 			noRules := func() []miner.Rule { return nil }
-			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf), tracker, noRules, engine.NewCatalog(), recommend.DefaultConfig())
+			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store).SessionOf), tracker, noRules, engine.NewCatalog(), recommend.DefaultConfig())
 			const partial = "SELECT * FROM WaterSalinity, WaterTemp WHERE "
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -506,9 +506,7 @@ func BenchmarkE7SimilarityOutput(b *testing.B)   { benchSimilarityMeasure(b, min
 
 func BenchmarkE8MaintenanceScan(b *testing.B) {
 	f := benchFixture(b)
-	cfg := maintenance.DefaultConfig()
-	cfg.RefreshStaleStats = false
-	m := maintenance.New(f.eng, f.store, cfg)
+	m := maintenance.New(f.eng, f.store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -524,7 +522,7 @@ func BenchmarkE8MaintenanceScan(b *testing.B) {
 
 func BenchmarkE8StatsRefresh(b *testing.B) {
 	f := benchFixture(b)
-	m := maintenance.New(f.eng, f.store, maintenance.DefaultConfig())
+	m := maintenance.New(f.eng, f.store)
 	ids := f.store.Snapshot().Records(Admin)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -914,9 +912,9 @@ var (
 // attaches: stats tracker, miner feed and live session detector.
 func ckptAttachSubscribers(store *storage.Store) {
 	stats.Attach(store)
-	feed := miner.NewFeed(miner.DefaultConfig().Assoc)
+	feed := miner.NewFeed(miner.DefaultAssocConfig())
 	feed.Attach(store)
-	session.AttachLive(store, session.DefaultConfig())
+	session.AttachLive(store)
 }
 
 // ckptRecoverySetup builds (once) two equal 50k-record data directories,

@@ -12,7 +12,7 @@
 //
 //	sys := cqms.New(cqms.DefaultConfig())
 //	out, err := sys.Submit(cqms.Submission{User: "alice", SQL: "SELECT ..."})
-//	matches := sys.Search(cqms.Principal{User: "alice"}, "salinity")
+//	matches, err := sys.Search(ctx, cqms.Principal{User: "alice"}, "salinity")
 //
 // See the examples/ directory for complete programs covering the four
 // interaction modes of the paper.
@@ -36,7 +36,7 @@ import (
 // CQMS is the collaborative query management system (see internal/core).
 type CQMS = core.CQMS
 
-// Config aggregates the configuration of every CQMS component.
+// Config holds the settings a caller chooses (see core.Config).
 type Config = core.Config
 
 // Submission is one user query entering the system in Traditional mode.
@@ -126,7 +126,7 @@ func OpenWithEngine(eng *Engine, cfg Config) (*CQMS, error) {
 // NewWithEngine creates a CQMS over an existing (already populated) engine.
 func NewWithEngine(eng *Engine, cfg Config) *CQMS { return core.NewWithEngine(eng, cfg) }
 
-// DefaultConfig returns defaults for every component.
+// DefaultConfig returns the default settings.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewEngine returns a fresh embedded relational engine.

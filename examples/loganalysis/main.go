@@ -15,10 +15,8 @@ import (
 	"sort"
 
 	cqms "repro"
-	"repro/internal/miner"
 	"repro/internal/profiler"
 	"repro/internal/session"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -51,12 +49,12 @@ func main() {
 		fmt.Printf("  %-15s %d queries\n", tc.Table, tc.Count)
 	}
 	// Edit patterns are mined from the labelled edges of the log's sessions.
-	var edges []storage.SessionEdge
-	for _, s := range session.NewDetector(session.DefaultConfig()).Detect(sys.Store().Snapshot().Records(admin)) {
+	var edges []session.Edge
+	for _, s := range session.NewDetector().Detect(sys.Store().Snapshot().Records(admin)) {
 		edges = append(edges, s.Edges...)
 	}
 	fmt.Println("most common query edits (mined from session edges):")
-	for i, p := range miner.MineEditPatterns(edges, 2) {
+	for i, p := range mineEditPatterns(edges, 2) {
 		if i == 5 {
 			break
 		}

@@ -28,13 +28,13 @@ import (
 	"repro/internal/wal"
 )
 
-// Config aggregates the configuration of every CQMS component.
+// Config holds the settings a caller chooses. Every other component
+// setting is a constant in the package that reads it: a field stays here only
+// while two non-test callers set it to different values, or it names the
+// deployment (TestConfigSurface lists them).
 type Config struct {
 	Profiler    profiler.Config
-	Miner       miner.Config
-	Maintenance maintenance.Config
 	Recommender recommend.Config
-	Session     session.Config
 	// Durability persists the query log to disk (segmented WAL + snapshots).
 	// Disabled unless Durability.Dir is set; Open and OpenWithEngine recover
 	// the store from that directory before serving.
@@ -51,14 +51,11 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// DefaultConfig returns defaults for every component.
+// DefaultConfig returns the default settings.
 func DefaultConfig() Config {
 	return Config{
 		Profiler:            profiler.DefaultConfig(),
-		Miner:               miner.DefaultConfig(),
-		Maintenance:         maintenance.DefaultConfig(),
 		Recommender:         recommend.DefaultConfig(),
-		Session:             session.DefaultConfig(),
 		MiningInterval:      time.Minute,
 		MaintenanceInterval: 5 * time.Minute,
 	}
@@ -130,9 +127,9 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 	// (OpenWithEngine), so WAL recovery replay flows through them and their
 	// counters come back consistent with the recovered store.
 	tracker := stats.Attach(store)
-	feed := miner.NewFeed(cfg.Miner.Assoc)
+	feed := miner.NewFeed(miner.DefaultAssocConfig())
 	feed.Attach(store)
-	sessions := session.AttachLive(store, cfg.Session)
+	sessions := session.AttachLive(store)
 	exec := metaquery.New(store, sessions.SessionOf)
 	c := &CQMS{
 		cfg:         cfg,
@@ -141,7 +138,7 @@ func NewWithEngine(eng *engine.Engine, cfg Config) *CQMS {
 		profiler:    profiler.New(eng, store, cfg.Profiler),
 		executor:    exec,
 		recommender: recommend.New(store, exec, tracker, feed.Rules, eng.Catalog(), cfg.Recommender),
-		maintainer:  maintenance.New(eng, store, cfg.Maintenance),
+		maintainer:  maintenance.New(eng, store),
 		stats:       tracker,
 		minerFeed:   feed,
 		sessions:    sessions,

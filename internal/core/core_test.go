@@ -307,8 +307,8 @@ func TestDefaultConfigSane(t *testing.T) {
 	if cfg.MiningInterval <= 0 || cfg.MaintenanceInterval <= 0 {
 		t.Errorf("intervals must be positive")
 	}
-	if cfg.Profiler.Sample.MaxRows == 0 {
-		t.Errorf("profiler sample policy missing")
+	if !cfg.Profiler.Sample.Adaptive || !cfg.Recommender.ContextAware {
+		t.Errorf("default profiler or recommender config missing")
 	}
 	c := New(cfg)
 	if c.Engine() == nil || c.Store() == nil {

@@ -199,7 +199,7 @@ func TestConcurrentSubmittersOneUser(t *testing.T) {
 	type window struct {
 		user    string
 		queries []storage.QueryID
-		edges   []storage.SessionEdge
+		edges   []session.Edge
 	}
 	reduce := func(sessions []session.Session) []window {
 		out := make([]window, len(sessions))
@@ -211,7 +211,7 @@ func TestConcurrentSubmittersOneUser(t *testing.T) {
 		}
 		return out
 	}
-	batch := session.NewDetector(c.cfg.Session).Detect(c.Store().Snapshot().Records(admin))
+	batch := session.NewDetector().Detect(c.Store().Snapshot().Records(admin))
 	if got, want := reduce(c.sessions.Export()), reduce(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live sessions diverge from batch detection: %d live, %d batch", len(got), len(want))
 	}

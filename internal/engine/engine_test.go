@@ -178,6 +178,30 @@ func TestJoinUsingChained(t *testing.T) {
 	}
 }
 
+// TestJoinUsingZeroColumnSide: a USING join against a relation whose every
+// column was dropped reports the USING column as not found, on either side
+// and through a derived table, instead of indexing a column it lacks.
+func TestJoinUsingZeroColumnSide(t *testing.T) {
+	e := New()
+	for _, s := range []string{
+		"CREATE TABLE a (x INT)",
+		"CREATE TABLE z (y INT)",
+		"ALTER TABLE z DROP COLUMN y",
+	} {
+		query(t, e, s)
+	}
+	for _, q := range []string{
+		"SELECT * FROM a JOIN z USING (x)",
+		"SELECT * FROM z JOIN a USING (x)",
+		"SELECT * FROM a JOIN (SELECT * FROM z) d USING (x)",
+		"SELECT * FROM (SELECT * FROM z) d JOIN a USING (x)",
+	} {
+		if _, err := e.Execute(q); !errors.Is(err, ErrColumnNotFound) {
+			t.Errorf("%s: err = %v, want ErrColumnNotFound", q, err)
+		}
+	}
+}
+
 func TestAggregates(t *testing.T) {
 	e := newLakesEngine(t)
 	res := query(t, e, "SELECT COUNT(*), AVG(temp), MIN(temp), MAX(temp), SUM(temp) FROM WaterTemp")

@@ -286,8 +286,12 @@ func joinRelations(left, right *relation, conjuncts []sql.Expr, used []bool) *re
 // usingQualifier resolves a USING column by name in the left side of a join,
 // which may itself be a join: the qualifier of the one column of that name. A
 // name no column has falls back to the first qualifier, so the ON condition
-// reports it as a missing qualified column.
+// reports it as a missing qualified column. A side with no columns at all
+// (every column dropped) has no qualifier to fall back to.
 func usingQualifier(left *relation, col string) (string, error) {
+	if len(left.cols) == 0 {
+		return "", columnNotFound("", col)
+	}
 	i, err := left.lookup("", col)
 	if errors.Is(err, ErrColumnNotFound) {
 		err = nil // i is 0
@@ -304,6 +308,9 @@ func (e *Engine) explicitJoin(j *sql.JoinExpr, left, right *relation, outer *env
 			lq, err := usingQualifier(left, col)
 			if err != nil {
 				return nil, err
+			}
+			if len(right.cols) == 0 {
+				return nil, columnNotFound("", col)
 			}
 			cond := &sql.BinaryExpr{Op: "=",
 				Left:  &sql.ColumnRef{Table: lq, Name: col},

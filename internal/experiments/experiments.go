@@ -208,7 +208,7 @@ func E1QueryByFeature(env *Env) (Result, error) {
 func E2SessionDetection(env *Env) (Result, error) {
 	records := env.Sys.Store().Snapshot().Records(admin)
 	start := time.Now()
-	detected := session.NewDetector(session.DefaultConfig()).Detect(records)
+	detected := session.NewDetector().Detect(records)
 	latency := time.Since(start)
 
 	// Ground truth lookup by (user, text, time).
@@ -669,7 +669,7 @@ func E8Maintenance(env *Env) (Result, error) {
 	eng.MustExecute("ALTER TABLE WaterSalinity DROP COLUMN depth")
 	eng.MustExecute("DROP TABLE Sensors")
 
-	m := maintenance.New(eng, store, maintenance.DefaultConfig())
+	m := maintenance.New(eng, store)
 	start := time.Now()
 	report, err := m.Scan()
 	if err != nil {

@@ -18,32 +18,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Config controls maintenance behaviour.
-type Config struct {
-	// AttemptRepair enables automatic rewriting of queries broken by RENAME
-	// schema changes.
-	AttemptRepair bool
-	// RefreshStaleStats enables re-executing flagged queries to refresh their
-	// runtime statistics.
-	RefreshStaleStats bool
-	// MaxRefreshPerScan bounds how many stale queries are re-executed per
-	// scan (the paper notes that re-running everything is "overly
-	// expensive"); the most popular/recent queries are refreshed first.
-	MaxRefreshPerScan int
-	// StaleRowDeltaRatio is the relative change in a table's row count beyond
-	// which statistics of queries over that table are considered stale.
-	StaleRowDeltaRatio float64
-}
-
-// DefaultConfig returns the default maintenance configuration.
-func DefaultConfig() Config {
-	return Config{
-		AttemptRepair:      true,
-		RefreshStaleStats:  true,
-		MaxRefreshPerScan:  50,
-		StaleRowDeltaRatio: 0.25,
-	}
-}
+// A pass repairs what a rename broke, and re-executes up to maxRefreshPerScan
+// stale queries (the paper notes that re-running everything is "overly
+// expensive"); the most recent are refreshed first. A query's statistics go
+// stale when a referenced table's row count moves by more than
+// staleRowDeltaRatio between two passes.
+const (
+	maxRefreshPerScan  = 50
+	staleRowDeltaRatio = 0.25
+)
 
 // Invalidation describes one query flagged as broken by schema evolution.
 type Invalidation struct {
@@ -73,20 +56,19 @@ type Report struct {
 type Maintainer struct {
 	eng   *engine.Engine
 	store *storage.Store
-	cfg   Config
 	// lastRowCounts remembers per-table row counts from the previous scan to
 	// detect data-distribution changes.
 	lastRowCounts map[string]int
 }
 
 // New returns a maintainer.
-func New(eng *engine.Engine, store *storage.Store, cfg Config) *Maintainer {
-	return &Maintainer{eng: eng, store: store, cfg: cfg, lastRowCounts: map[string]int{}}
+func New(eng *engine.Engine, store *storage.Store) *Maintainer {
+	return &Maintainer{eng: eng, store: store, lastRowCounts: map[string]int{}}
 }
 
-// Scan runs one full maintenance pass: schema-change validation (with
-// optional repair) and stale-statistics detection (with optional refresh). It
-// returns a report of everything it did.
+// Scan runs one full maintenance pass: schema-change validation with repair,
+// then stale-statistics detection and refresh. It returns a report of
+// everything it did.
 func (m *Maintainer) Scan() (*Report, error) {
 	start := time.Now()
 	report := &Report{}
@@ -111,7 +93,7 @@ func (m *Maintainer) Scan() (*Report, error) {
 		// 1. Validity against the current schema.
 		reason, repairable := validate(rec, schemas, changes)
 		if reason != "" {
-			if m.cfg.AttemptRepair && repairable != nil {
+			if repairable != nil {
 				if rep, err := m.tryRepair(rec, repairable, schemas); err == nil {
 					report.Repaired = append(report.Repaired, *rep)
 					continue
@@ -143,13 +125,11 @@ func (m *Maintainer) Scan() (*Report, error) {
 	}
 
 	// 3. Refresh statistics for (a bounded number of) stale queries.
-	if m.cfg.RefreshStaleStats {
-		refreshed, err := m.RefreshStats(m.cfg.MaxRefreshPerScan)
-		if err != nil {
-			return nil, err
-		}
-		report.StatsRefreshed = refreshed
+	refreshed, err := m.RefreshStats(maxRefreshPerScan)
+	if err != nil {
+		return nil, err
 	}
+	report.StatsRefreshed = refreshed
 
 	m.lastRowCounts = currentCounts
 	report.Elapsed = time.Since(start)
@@ -262,7 +242,7 @@ func nonEmptyDot(column string) string {
 
 // isStale decides whether a query whose statistics are not yet flagged should
 // be: the schema of a referenced table has changed since the query ran, or the
-// row count of a referenced table moved by more than StaleRowDeltaRatio since
+// row count of a referenced table moved by more than staleRowDeltaRatio since
 // the last scan. An already-flagged query is not flagged again.
 func (m *Maintainer) isStale(rec *storage.QueryRecord, currentCounts map[string]int) bool {
 	if rec.StatsStale {
@@ -283,20 +263,18 @@ func (m *Maintainer) isStale(rec *storage.QueryRecord, currentCounts map[string]
 			}
 		}
 	}
-	if m.cfg.StaleRowDeltaRatio > 0 {
-		for _, t := range rec.Tables {
-			prev, okPrev := m.lastRowCounts[t]
-			cur, okCur := currentCounts[t]
-			if !okPrev || !okCur || prev == 0 {
-				continue
-			}
-			delta := float64(cur-prev) / float64(prev)
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta > m.cfg.StaleRowDeltaRatio {
-				return true
-			}
+	for _, t := range rec.Tables {
+		prev, okPrev := m.lastRowCounts[t]
+		cur, okCur := currentCounts[t]
+		if !okPrev || !okCur || prev == 0 {
+			continue
+		}
+		delta := float64(cur-prev) / float64(prev)
+		if delta < 0 {
+			delta = -delta
+		}
+		if delta > staleRowDeltaRatio {
+			return true
 		}
 	}
 	return false

@@ -44,7 +44,7 @@ func fixture(t testing.TB) (*engine.Engine, *storage.Store, *profiler.Profiler) 
 
 func TestScanAllValid(t *testing.T) {
 	eng, store, _ := fixture(t)
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	report, err := m.Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -74,7 +74,7 @@ func TestFailedRefreshStaysInvalid(t *testing.T) {
 	if err != nil || out.ExecError != nil {
 		t.Fatalf("Submit: %v, %v", err, out)
 	}
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	if _, err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +109,16 @@ func TestFailedRefreshStaysInvalid(t *testing.T) {
 
 // TestSchemaFlagClearsDespiteFailedSubmission: a query whose run failed when
 // it was submitted is logged valid, with its error. A dropped column flags it
-// and the re-added column clears the flag, with no refresh to re-run it: only
-// a failed refresh keeps a query invalid.
+// and the re-added column clears the flag while the record still carries the
+// submission's error, before the refresh re-runs it: only a failed refresh
+// keeps a query invalid.
 func TestSchemaFlagClearsDespiteFailedSubmission(t *testing.T) {
 	eng, store, p := fixture(t)
 	out, err := p.Submit(profiler.Submission{User: "alice", Visibility: storage.VisibilityPublic, SQL: "SELECT temp / (loc_x - 11) FROM WaterTemp"})
 	if err != nil || out.ExecError == nil {
 		t.Fatalf("Submit: %v, %v; want a logged query whose run failed", err, out)
 	}
-	cfg := DefaultConfig()
-	cfg.RefreshStaleStats = false
-	m := New(eng, store, cfg)
+	m := New(eng, store)
 	eng.MustExecute("ALTER TABLE WaterTemp DROP COLUMN loc_x")
 	if _, err := m.Scan(); err != nil {
 		t.Fatal(err)
@@ -128,11 +127,24 @@ func TestSchemaFlagClearsDespiteFailedSubmission(t *testing.T) {
 		t.Fatal("the dropped column left the query valid")
 	}
 	eng.MustExecute("ALTER TABLE WaterTemp ADD COLUMN loc_x INT")
-	if _, err := m.Scan(); err != nil {
+	var ops []storage.MutationOp
+	store.Subscribe("query-ops", func(mu *storage.Mutation) {
+		if mu.ID == out.QueryID {
+			ops = append(ops, mu.Op)
+		}
+	}, storage.SubscribeOptions{})
+	report, err := m.Scan()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, _ := store.Get(out.QueryID, admin); !rec.Valid || rec.InvalidReason != "" || rec.Stats.Error == "" {
-		t.Fatalf("after the column came back: valid=%v reason=%q error=%q; want valid, with the submission's error",
+	if want := []storage.MutationOp{storage.OpMarkValid, storage.OpMarkStale, storage.OpUpdateStats}; !slices.Equal(ops, want) {
+		t.Fatalf("after the column came back the pass committed %v for the query, want %v", ops, want)
+	}
+	if !slices.Contains(report.StatsFlagged, out.QueryID) || !slices.Contains(report.StatsRefreshed, out.QueryID) {
+		t.Errorf("flagged %v, refreshed %v; want the query in both", report.StatsFlagged, report.StatsRefreshed)
+	}
+	if rec, _ := store.Get(out.QueryID, admin); !rec.Valid || rec.InvalidReason != "" || rec.Stats.Error != "" {
+		t.Fatalf("after the refresh: valid=%v reason=%q error=%q; want valid, with no error",
 			rec.Valid, rec.InvalidReason, rec.Stats.Error)
 	}
 }
@@ -156,7 +168,7 @@ func TestIsStaleSkipsRenames(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.MustExecute(c.alter)
-		if got := New(eng, store, DefaultConfig()).isStale(rec, nil); got != c.stale {
+		if got := New(eng, store).isStale(rec, nil); got != c.stale {
 			t.Errorf("%s: isStale = %v, want %v", c.alter, got, c.stale)
 		}
 	}
@@ -165,7 +177,7 @@ func TestIsStaleSkipsRenames(t *testing.T) {
 func TestScanFlagsDroppedColumn(t *testing.T) {
 	eng, store, _ := fixture(t)
 	eng.MustExecute("ALTER TABLE WaterSalinity DROP COLUMN salinity")
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	report, err := m.Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -185,7 +197,7 @@ func TestScanFlagsDroppedColumn(t *testing.T) {
 func TestScanFlagsDroppedTable(t *testing.T) {
 	eng, store, _ := fixture(t)
 	eng.MustExecute("DROP TABLE CityLocations")
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	report, err := m.Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -201,7 +213,7 @@ func TestScanFlagsDroppedTable(t *testing.T) {
 func TestScanRepairsRenamedColumn(t *testing.T) {
 	eng, store, _ := fixture(t)
 	eng.MustExecute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature")
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	report, err := m.Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -241,7 +253,7 @@ func TestScanRepairsQueryOrderingByAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.MustExecute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature")
-	report, err := New(eng, store, DefaultConfig()).Scan()
+	report, err := New(eng, store).Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +277,7 @@ func TestScanRepairsQueryOrderingByAlias(t *testing.T) {
 func TestScanRepairsRenamedTable(t *testing.T) {
 	eng, store, _ := fixture(t)
 	eng.MustExecute("ALTER TABLE WaterSalinity RENAME TO LakeSalinity")
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	report, err := m.Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -287,27 +299,32 @@ func TestScanRepairsRenamedTable(t *testing.T) {
 	}
 }
 
-func TestScanRepairDisabled(t *testing.T) {
+// TestRepairThatFailsValidationInvalidates: a rename makes the query
+// repairable, but its rewrite still names a dropped column, so the pass flags
+// the query with the rename's reason instead of committing the rewrite.
+func TestRepairThatFailsValidationInvalidates(t *testing.T) {
 	eng, store, _ := fixture(t)
-	eng.MustExecute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature")
-	cfg := DefaultConfig()
-	cfg.AttemptRepair = false
-	m := New(eng, store, cfg)
-	report, err := m.Scan()
+	eng.MustExecute("ALTER TABLE WaterSalinity RENAME TO LakeSalinity")
+	eng.MustExecute("ALTER TABLE LakeSalinity DROP COLUMN salinity")
+	report, err := New(eng, store).Scan()
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if len(report.Repaired) != 0 {
-		t.Errorf("repair disabled but repaired = %+v", report.Repaired)
+		t.Errorf("a rewrite naming a dropped column was committed: %+v", report.Repaired)
 	}
-	if len(report.Invalidated) == 0 {
-		t.Errorf("broken queries should be invalidated when repair is off")
+	if len(report.Invalidated) != 1 || report.Invalidated[0].Reason != "table WaterSalinity renamed to LakeSalinity" {
+		t.Fatalf("invalidated = %+v, want the WaterSalinity query, flagged by the rename", report.Invalidated)
+	}
+	rec, _ := store.Get(report.Invalidated[0].ID, admin)
+	if rec.Valid || !strings.Contains(rec.Text, "WaterSalinity") {
+		t.Errorf("the flagged query: valid=%v text=%q; want invalid, with its text unchanged", rec.Valid, rec.Text)
 	}
 }
 
 func TestStaleStatsFlaggingAndRefresh(t *testing.T) {
 	eng, store, _ := fixture(t)
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	if _, err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,22 +357,22 @@ func TestStaleStatsFlaggingAndRefresh(t *testing.T) {
 
 func TestStaleStatsAfterSchemaChangeOnReferencedTable(t *testing.T) {
 	eng, store, _ := fixture(t)
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	if _, err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
 	// Adding a column to WaterSalinity leaves its queries valid but makes
 	// their stats stale; WaterTemp-only queries are unaffected.
 	eng.MustExecute("ALTER TABLE WaterSalinity ADD COLUMN depth FLOAT")
-	cfg := DefaultConfig()
-	cfg.RefreshStaleStats = false
-	m2 := New(eng, store, cfg)
-	report, err := m2.Scan()
+	report, err := m.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.StatsFlagged) != 1 {
 		t.Errorf("stats flagged = %v, want only the WaterSalinity query", report.StatsFlagged)
+	}
+	if !slices.Equal(report.StatsRefreshed, report.StatsFlagged) {
+		t.Errorf("stats refreshed = %v, want the flagged %v", report.StatsRefreshed, report.StatsFlagged)
 	}
 }
 
@@ -366,7 +383,7 @@ func TestRefreshStatsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	refreshed, err := m.RefreshStats(2)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +405,7 @@ func TestRefreshStatsMarksFailingQueriesInvalid(t *testing.T) {
 	if err := store.MarkStatsStale(4, true); err != nil {
 		t.Fatal(err)
 	}
-	m := New(eng, store, DefaultConfig())
+	m := New(eng, store)
 	refreshed, err := m.RefreshStats(10)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func BenchmarkSearchAtSize(b *testing.B) {
 	}
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		store := buildSearchLog(b, n)
-		x := New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf)
+		x := New(store, session.AttachLive(store).SessionOf)
 		page := func(b *testing.B, kind string, cur Cursor) Page {
 			q, _ := queries[kind]()
 			p, err := x.Page(testCtx, member, q, cur, limit)

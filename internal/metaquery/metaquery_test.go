@@ -98,7 +98,7 @@ func newFixture(t testing.TB) (*Executor, *storage.Store, map[string]storage.Que
 	}); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	return New(s, session.AttachLive(s, session.DefaultConfig()).SessionOf), s, ids
+	return New(s, session.AttachLive(s).SessionOf), s, ids
 }
 
 func matchIDs(matches []Match) map[storage.QueryID]bool {
@@ -455,7 +455,7 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 
 	// Black box: every search method reports the cancellation instead of a
 	// partial result.
-	x := New(store, session.AttachLive(store, session.DefaultConfig()).SessionOf)
+	x := New(store, session.AttachLive(store).SessionOf)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, q := range []Query{

@@ -2,7 +2,6 @@ package miner
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -66,9 +65,8 @@ func TestMinerRun(t *testing.T) {
 	}
 	ddl.User = "dba"
 	mustPut(t, store, ddl)
-	cfg := DefaultConfig()
-	cfg.Assoc = AssocConfig{MinSupport: 0.1, MinConfidence: 0.3, MaxItemsetSize: 3}
-	feed := NewFeed(cfg.Assoc)
+	cfg := AssocConfig{MinSupport: 0.1, MinConfidence: 0.3, MaxItemsetSize: 3}
+	feed := NewFeed(cfg)
 	feed.Attach(store)
 	res := feed.Refresh()
 
@@ -78,63 +76,11 @@ func TestMinerRun(t *testing.T) {
 	if len(res.Rules) == 0 {
 		t.Errorf("no rules mined")
 	}
-	if want := MineAssociationRules(adminTransactions(store), cfg.Assoc); !reflect.DeepEqual(res.Rules, want) {
+	if want := MineAssociationRules(adminTransactions(store), cfg); !reflect.DeepEqual(res.Rules, want) {
 		t.Errorf("pass rules differ from a full pass\n got: %+v\nwant: %+v", res.Rules, want)
 	}
 	if got := feed.Rules(); !reflect.DeepEqual(got, res.Rules) {
 		t.Errorf("the feed serves other rules than its pass\n got: %+v\nwant: %+v", got, res.Rules)
-	}
-}
-
-func TestMineEditPatterns(t *testing.T) {
-	edges := []storage.SessionEdge{
-		{From: 1, To: 2, Diff: "+pred WaterTemp.temp < 18"},
-		{From: 2, To: 3, Diff: "+pred WaterTemp.temp < 22"},
-		{From: 3, To: 4, Diff: "+table WaterSalinity, +pred WaterSalinity.salinity > 2"},
-		{From: 4, To: 5, Diff: "+table WaterSalinity"},
-		{From: 5, To: 6, Diff: "none"},
-		{From: 6, To: 7, Diff: ""},
-	}
-	patterns := MineEditPatterns(edges, 2)
-	if len(patterns) == 0 {
-		t.Fatal("no patterns")
-	}
-	// The two "+pred WaterTemp.temp < N" edges aggregate under a masked
-	// constant.
-	foundPred, foundTable := false, false
-	for _, p := range patterns {
-		if p.Pattern == "+pred WaterTemp.temp < ?" && p.Count == 2 {
-			foundPred = true
-		}
-		if p.Pattern == "+table WaterSalinity" && p.Count == 2 {
-			foundTable = true
-		}
-	}
-	if !foundPred {
-		t.Errorf("masked predicate pattern missing: %+v", patterns)
-	}
-	if !foundTable {
-		t.Errorf("table pattern missing: %+v", patterns)
-	}
-	// Patterns below the threshold are dropped.
-	for _, p := range patterns {
-		if p.Count < 2 {
-			t.Errorf("pattern %+v below min count", p)
-		}
-	}
-}
-
-func TestMineEditPatternsJoinPredicatesKeepColumns(t *testing.T) {
-	edges := []storage.SessionEdge{
-		{From: 1, To: 2, Diff: "+pred WaterSalinity.loc_x = WaterTemp.loc_x"},
-		{From: 2, To: 3, Diff: "+pred WaterSalinity.loc_x = WaterTemp.loc_x"},
-	}
-	patterns := MineEditPatterns(edges, 2)
-	if len(patterns) != 1 {
-		t.Fatalf("patterns = %+v", patterns)
-	}
-	if !strings.Contains(patterns[0].Pattern, "WaterTemp.loc_x") {
-		t.Errorf("join predicate constant should not be masked: %q", patterns[0].Pattern)
 	}
 }
 

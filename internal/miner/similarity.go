@@ -8,9 +8,7 @@
 //     the log's distinct feature sets kept by the mutation bus, is the one
 //     rule source, and a mining pass only re-derives its rules; batch Apriori
 //     is its test oracle and the E6 baseline;
-//   - k-medoids clustering, which the E7 ablation runs and no pass does;
-//   - MineEditPatterns, a count over the labelled session edges a caller
-//     hands it (nothing counts edit patterns as queries are logged).
+//   - k-medoids clustering, which the E7 ablation runs and no pass does.
 package miner
 
 import (

@@ -20,6 +20,20 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The adaptive sample budget: a cheap query keeps minSampleRows rows, and
+// every timePerExtraRow of execution time buys one more, up to maxSampleRows.
+const (
+	minSampleRows   = 5
+	maxSampleRows   = 500
+	timePerExtraRow = 2 * time.Millisecond
+)
+
+// annotationTableThreshold is the number of referenced tables at which the
+// profiler suggests that the user annotate the query (§2.1: the CQMS should
+// request annotations for complex queries). A nested query is always
+// prompted for.
+const annotationTableThreshold = 3
+
 // SamplePolicy controls how many output rows the profiler stores for a query
 // (§4.1 "Profiling query results").
 type SamplePolicy struct {
@@ -28,25 +42,12 @@ type SamplePolicy struct {
 	Adaptive bool
 	// FixedRows is the sample cap used when Adaptive is false.
 	FixedRows int
-	// MinRows is the smallest adaptive budget (cheap queries).
-	MinRows int
-	// MaxRows is the largest adaptive budget (expensive queries).
-	MaxRows int
-	// TimePerExtraRow is how much execution time buys one additional sample
-	// row beyond MinRows.
-	TimePerExtraRow time.Duration
 }
 
 // DefaultSamplePolicy mirrors the paper's example: cheap queries keep a small
 // sample, expensive queries may store their entire (small) output.
 func DefaultSamplePolicy() SamplePolicy {
-	return SamplePolicy{
-		Adaptive:        true,
-		FixedRows:       20,
-		MinRows:         5,
-		MaxRows:         500,
-		TimePerExtraRow: 2 * time.Millisecond,
-	}
+	return SamplePolicy{Adaptive: true, FixedRows: 20}
 }
 
 // Budget returns the number of output rows to store for a query with the
@@ -55,27 +56,14 @@ func (p SamplePolicy) Budget(execTime time.Duration) int {
 	if !p.Adaptive {
 		return p.FixedRows
 	}
-	extra := int(execTime / p.TimePerExtraRow)
-	budget := p.MinRows + extra
-	if budget > p.MaxRows {
-		budget = p.MaxRows
-	}
-	if budget < p.MinRows {
-		budget = p.MinRows
-	}
-	return budget
+	extra := max(0, int(execTime/timePerExtraRow))
+	return min(minSampleRows+extra, maxSampleRows)
 }
 
 // Config configures a Profiler.
 type Config struct {
 	// Sample is the output sampling policy.
 	Sample SamplePolicy
-	// AnnotationPromptTableThreshold is the number of referenced tables above
-	// which the profiler suggests that the user annotate the query (§2.1:
-	// the CQMS should request annotations for complex queries).
-	AnnotationPromptTableThreshold int
-	// AnnotationPromptOnNesting requests an annotation for nested queries.
-	AnnotationPromptOnNesting bool
 	// CaptureParseErrors logs statements whose text fails to parse as raw
 	// records (storage.NewRawRecord: raw text, parse-free template and
 	// fingerprint, the parse_error feature class) instead of rejecting them.
@@ -88,11 +76,7 @@ type Config struct {
 
 // DefaultConfig returns the default profiler configuration.
 func DefaultConfig() Config {
-	return Config{
-		Sample:                         DefaultSamplePolicy(),
-		AnnotationPromptTableThreshold: 3,
-		AnnotationPromptOnNesting:      true,
-	}
+	return Config{Sample: DefaultSamplePolicy()}
 }
 
 // Submission is one user query entering the CQMS in Traditional Interaction
@@ -331,9 +315,9 @@ func (p *Profiler) sampleOutput(res *engine.Result) *storage.OutputSample {
 // shouldSuggestAnnotation applies §2.1's rule: prompt for documentation when
 // the query is complex (many tables or nesting).
 func (p *Profiler) shouldSuggestAnnotation(stmt sql.Statement, rec *storage.QueryRecord) bool {
-	if p.cfg.AnnotationPromptTableThreshold > 0 && len(rec.Tables) >= p.cfg.AnnotationPromptTableThreshold {
+	if len(rec.Tables) >= annotationTableThreshold {
 		return true
 	}
 	sel, ok := stmt.(*sql.SelectStmt)
-	return ok && p.cfg.AnnotationPromptOnNesting && len(sql.Subqueries(sel)) > 0
+	return ok && len(sql.Subqueries(sel)) > 0
 }

@@ -142,17 +142,17 @@ func TestSamplePolicyFixed(t *testing.T) {
 }
 
 func TestSamplePolicyAdaptive(t *testing.T) {
-	pol := SamplePolicy{Adaptive: true, MinRows: 5, MaxRows: 500, TimePerExtraRow: time.Millisecond}
-	if got := pol.Budget(0); got != 5 {
-		t.Errorf("zero-time budget = %d, want MinRows", got)
+	pol := DefaultSamplePolicy()
+	if got := pol.Budget(0); got != minSampleRows {
+		t.Errorf("zero-time budget = %d, want %d", got, minSampleRows)
 	}
-	if got := pol.Budget(20 * time.Millisecond); got != 25 {
-		t.Errorf("20ms budget = %d, want 25", got)
+	if got := pol.Budget(40 * time.Millisecond); got != 25 {
+		t.Errorf("40ms budget = %d, want 25", got)
 	}
 	// The paper's example: a two-hour query may store its whole (small)
-	// output; the budget saturates at MaxRows.
-	if got := pol.Budget(2 * time.Hour); got != 500 {
-		t.Errorf("expensive-query budget = %d, want MaxRows", got)
+	// output; the budget saturates at maxSampleRows.
+	if got := pol.Budget(2 * time.Hour); got != maxSampleRows {
+		t.Errorf("expensive-query budget = %d, want %d", got, maxSampleRows)
 	}
 }
 
@@ -163,18 +163,18 @@ func TestAdaptiveSamplingAppliedToOutput(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		eng.MustExecute("INSERT INTO WaterTemp VALUES (99, 'Bulk Lake', 50, 10.0)")
 	}
-	cfg := DefaultConfig()
-	cfg.Sample = SamplePolicy{Adaptive: true, MinRows: 5, MaxRows: 500, TimePerExtraRow: time.Hour}
-	p := New(eng, store, cfg)
+	p := New(eng, store, DefaultConfig())
 	out, err := p.Submit(Submission{User: "alice", SQL: "SELECT * FROM WaterTemp"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := store.Get(out.QueryID, storage.Principal{User: "alice"})
-	// The query is fast, so only MinRows rows are kept even though the
-	// result has 300+ rows.
-	if len(rec.Sample.Rows) != 5 {
-		t.Errorf("sample rows = %d, want 5 (min budget)", len(rec.Sample.Rows))
+	// The query is fast, so only the few rows its run time buys are kept
+	// even though the result has 300+ rows.
+	want := DefaultSamplePolicy().Budget(out.Result.Elapsed)
+	if len(rec.Sample.Rows) != want || want >= out.Result.Cardinality() {
+		t.Errorf("sample rows = %d, want the %v run's budget %d, below %d rows",
+			len(rec.Sample.Rows), out.Result.Elapsed, want, out.Result.Cardinality())
 	}
 	if !rec.Sample.Truncated {
 		t.Errorf("sample should be marked truncated")

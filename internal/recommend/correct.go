@@ -109,7 +109,7 @@ func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, quer
 // those predicate instances.
 func (r *Recommender) EmptyResultSuggestions(ctx context.Context, p storage.Principal, querySQL string, k int) ([]Correction, error) {
 	if k <= 0 {
-		k = r.cfg.MaxSuggestions
+		k = maxSuggestions
 	}
 	stmt, err := sql.Parse(querySQL)
 	if err != nil {

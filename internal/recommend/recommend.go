@@ -79,26 +79,22 @@ type SimilarQuery struct {
 	Annotations []string
 }
 
-// RankingWeights combines similarity with the "other desired properties"
-// mentioned in §2.3 (popularity, efficient runtime, small result
-// cardinality).
-type RankingWeights struct {
-	Similarity  float64
-	Popularity  float64
-	Runtime     float64
-	Cardinality float64
-}
+// The similar-query ranking combines kNN similarity with the "other desired
+// properties" of §2.3 (popularity, efficient runtime, small result
+// cardinality), emphasising similarity.
+const (
+	similarityWeight  = 0.7
+	popularityWeight  = 0.15
+	runtimeWeight     = 0.1
+	cardinalityWeight = 0.05
+)
 
-// DefaultRankingWeights emphasises similarity.
-func DefaultRankingWeights() RankingWeights {
-	return RankingWeights{Similarity: 0.7, Popularity: 0.15, Runtime: 0.1, Cardinality: 0.05}
-}
+// maxSuggestions is the cap on suggestions per category when a request names
+// none.
+const maxSuggestions = 5
 
 // Config controls the recommender.
 type Config struct {
-	Ranking RankingWeights
-	// MaxSuggestions is the default cap on suggestions per category.
-	MaxSuggestions int
 	// ContextAware enables association-rule-driven suggestions; when false
 	// the recommender falls back to global popularity only (the E3 ablation
 	// baseline).
@@ -107,7 +103,7 @@ type Config struct {
 
 // DefaultConfig returns the default recommender configuration.
 func DefaultConfig() Config {
-	return Config{Ranking: DefaultRankingWeights(), MaxSuggestions: 5, ContextAware: true}
+	return Config{ContextAware: true}
 }
 
 // Recommender produces assisted-interaction suggestions.
@@ -385,7 +381,7 @@ func maxOf(counts map[string]int) int {
 // default when k is not positive).
 func (r *Recommender) top(cs []Completion, k int) []Completion {
 	if k <= 0 {
-		k = r.cfg.MaxSuggestions
+		k = maxSuggestions
 	}
 	sort.SliceStable(cs, func(i, j int) bool {
 		if cs[i].Score != cs[j].Score {

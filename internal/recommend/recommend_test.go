@@ -90,7 +90,7 @@ func fixture(t testing.TB) (*Recommender, *storage.Store) {
 			t.Fatal(err)
 		}
 	}
-	sessions := session.AttachLive(store, session.DefaultConfig())
+	sessions := session.AttachLive(store)
 	feed := miner.NewFeed(miner.AssocConfig{MinSupport: 0.03, MinConfidence: 0.3, MaxItemsetSize: 3})
 	feed.Attach(store)
 	return New(store, metaquery.New(store, sessions.SessionOf), stats.Attach(store), feed.Rules, catalog, DefaultConfig()), store

@@ -19,7 +19,7 @@ import (
 // popularity, runtime efficiency and result-cardinality preferences (§2.3).
 func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, querySQL string, k int) ([]SimilarQuery, error) {
 	if k <= 0 {
-		k = r.cfg.MaxSuggestions
+		k = maxSuggestions
 	}
 	probe, err := storage.NewRecordFromSQL(querySQL)
 	if err != nil {
@@ -50,14 +50,13 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 		maxPop = max(maxPop, c)
 	}
 
-	w := r.cfg.Ranking
 	out := make([]SimilarQuery, 0, len(neighbours))
 	for _, n := range neighbours {
 		rec := n.Record
-		score := w.Similarity * n.Score
-		score += w.Popularity * float64(popByFingerprint[rec.Fingerprint]) / float64(maxPop)
-		score += w.Runtime * runtimeScore(rec.Stats.ExecTime)
-		score += w.Cardinality * cardinalityScore(rec.Stats.ResultRows)
+		score := similarityWeight * n.Score
+		score += popularityWeight * float64(popByFingerprint[rec.Fingerprint]) / float64(maxPop)
+		score += runtimeWeight * runtimeScore(rec.Stats.ExecTime)
+		score += cardinalityWeight * cardinalityScore(rec.Stats.ResultRows)
 		diff := sql.ComputeDiff(probeAnalysis, rec.Analysis())
 		var anns []string
 		for _, a := range rec.Annotations {

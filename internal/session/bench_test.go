@@ -67,7 +67,7 @@ func (s *applyStream) delete(rec *storage.QueryRecord) {
 }
 
 func newApplyStream(b *testing.B, n int) *applyStream {
-	s := &applyStream{live: AttachLive(storage.NewStore(), DefaultConfig()), variants: benchVariants(b)}
+	s := &applyStream{live: AttachLive(storage.NewStore()), variants: benchVariants(b)}
 	base := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
 		s.open = base.Add(time.Duration(i/50) * 2 * time.Hour)
@@ -137,7 +137,7 @@ func BenchmarkLiveSummaries(b *testing.B) {
 		n := size.n
 		b.Run(size.name, func(b *testing.B) {
 			store := storage.NewStore()
-			live := AttachLive(store, DefaultConfig())
+			live := AttachLive(store)
 			variants := benchVariants(b)
 			base := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
 			// Sessions of ten queries, every seventh of them private.

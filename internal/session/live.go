@@ -16,7 +16,7 @@ import (
 // are served from always-current state instead of re-segmenting the full
 // query log on every mining pass.
 //
-// The segmentation rule reads adjacent pairs only (Detector.boundary), so
+// The segmentation rule reads adjacent pairs only (boundary), so
 // every mutation is a local edit: the record's place in its user's stream is
 // found by binary search on (IssuedAt, ID) and only the boundary in front of
 // it and the one behind it are re-evaluated — at most two boundary
@@ -39,7 +39,6 @@ import (
 // It is safe for concurrent use: mutations arrive serialised under the
 // store's commit lock, reads come from request-serving goroutines.
 type Live struct {
-	det   *Detector
 	store *storage.Store
 
 	mu sync.RWMutex
@@ -215,8 +214,8 @@ func (t *tally) add(name string, delta int) {
 // between them; WAL replay maintains the windows incrementally, and a
 // snapshot restore re-segments the restored records (the IDs need no
 // checkpoint: they are named from the records).
-func AttachLive(store *storage.Store, cfg Config) *Live {
-	l := &Live{det: NewDetector(cfg), store: store, users: make(map[string][]*window)}
+func AttachLive(store *storage.Store) *Live {
+	l := &Live{store: store, users: make(map[string][]*window)}
 	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{Init: l.rebuild, Reset: l.rebuild})
 	return l
 }
@@ -232,7 +231,7 @@ func (l *Live) rebuild() {
 	l.users = make(map[string][]*window, len(byUser))
 	l.byID = nil
 	for user, recs := range byUser {
-		parts := l.det.segment(recs)
+		parts := segment(recs)
 		wins := make([]*window, len(parts))
 		for i, part := range parts {
 			wins[i] = newWindow(user, part)
@@ -294,7 +293,7 @@ func (l *Live) onMutation(m *storage.Mutation) {
 // cutLocked evaluates the boundary between two neighbours, counted.
 func (l *Live) cutLocked(prev, rec *storage.QueryRecord) bool {
 	l.cuts++
-	return l.det.boundary(prev, rec)
+	return boundary(prev, rec)
 }
 
 // windowAt returns the index of the last window that starts at or before rec
@@ -615,7 +614,7 @@ func (l *Live) Export() []Session {
 	return out
 }
 
-func (l *Live) labelAll(queries []*storage.QueryRecord) []storage.SessionEdge {
+func (l *Live) labelAll(queries []*storage.QueryRecord) []Edge {
 	l.labels.Load().Add(uint64(max(len(queries)-1, 0)))
 	return labelEdges(queries)
 }

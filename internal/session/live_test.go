@@ -20,7 +20,7 @@ type canonSession struct {
 	ID      int64
 	User    string
 	Queries []storage.QueryID
-	Edges   []storage.SessionEdge
+	Edges   []Edge
 	Start   time.Time
 	End     time.Time
 }
@@ -57,9 +57,9 @@ var listingPrincipals = []storage.Principal{
 // them, and the listing — tables, counts and visibility, which the live side
 // keeps incrementally — for several principals. It also checks the
 // structural invariants the local edits rely on.
-func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store, cfg Config) {
+func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store) {
 	t.Helper()
-	batch := NewDetector(cfg).Detect(store.Snapshot().Records(admin))
+	batch := NewDetector().Detect(store.Snapshot().Records(admin))
 	exported := live.Export()
 	want := canonicalize(batch)
 	if got := canonicalize(exported); !reflect.DeepEqual(got, want) {
@@ -151,7 +151,7 @@ func checkInvariants(l *Live) error {
 }
 
 // sessionSQL is a vocabulary whose pairwise feature similarity straddles the
-// detector's MinSimilarity, so soft-gap decisions go both ways.
+// detector's minSimilarity, so soft-gap decisions go both ways.
 func sessionSQL(rng *rand.Rand) string {
 	switch rng.Intn(4) {
 	case 0:
@@ -230,12 +230,11 @@ func mutateSessionStream(t *testing.T, rng *rand.Rand, store *storage.Store, n i
 // re-segmentation, at a cost of at most two boundary evaluations a step and
 // no label on the write path.
 func TestLiveRandomizedEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			store := storage.NewStore()
-			live := AttachLive(store, cfg)
+			live := AttachLive(store)
 			reg := telemetry.NewRegistry()
 			live.EnableMetrics(reg)
 			labels := reg.Counter("cqms_sessions_edge_labels_total", "")
@@ -247,7 +246,7 @@ func TestLiveRandomizedEquivalence(t *testing.T) {
 				if got := labels.Value(); got != labelled {
 					t.Fatalf("the mutation computed %d edge labels", got-labelled)
 				}
-				assertMatchesBatch(t, live, store, cfg)
+				assertMatchesBatch(t, live, store)
 				cuts, labelled = live.BoundaryEvaluations(), labels.Value()
 			})
 		})
@@ -358,12 +357,11 @@ func TestLocalEditTable(t *testing.T) {
 		{name: "replayed put moving a query into a window, which takes its lower ID", stream: []q{{'A', 0}, {'A', 60}}, before: "1[1] 2[2]",
 			move: 1, at: 59, after: "1[1 2]", edits: "insert delete"},
 	}
-	cfg := DefaultConfig()
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := storage.NewStore()
-			live := AttachLive(store, cfg)
+			live := AttachLive(store)
 			reg := telemetry.NewRegistry()
 			live.EnableMetrics(reg)
 			for _, s := range tc.stream {
@@ -424,7 +422,7 @@ func TestLocalEditTable(t *testing.T) {
 			if got := reg.Counter("cqms_sessions_edge_labels_total", "").Value(); got != 0 {
 				t.Errorf("%d edge labels computed by writes", got)
 			}
-			assertMatchesBatch(t, live, store, cfg)
+			assertMatchesBatch(t, live, store)
 		})
 	}
 }
@@ -438,7 +436,7 @@ func TestSessionIDsSurviveEdits(t *testing.T) {
 	for seed := int64(31); seed <= 34; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		store := storage.NewStore()
-		live := AttachLive(store, DefaultConfig())
+		live := AttachLive(store)
 		tracked := map[int64]bool{} // session IDs before the step
 		count := store.Count()
 		mutateSessionStream(t, rng, store, 400, func() {
@@ -476,7 +474,7 @@ func TestSessionOfFindsEveryRecord(t *testing.T) {
 	for seed := int64(41); seed <= 43; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		store := storage.NewStore()
-		live := AttachLive(store, DefaultConfig())
+		live := AttachLive(store)
 		var before []*storage.QueryRecord
 		mutateSessionStream(t, rng, store, 300, func() {
 			holder := map[storage.QueryID]int64{}
@@ -512,11 +510,10 @@ func TestSessionOfFindsEveryRecord(t *testing.T) {
 // the batch detector's.
 func TestLiveFastPathMatchesFigure2(t *testing.T) {
 	store := storage.NewStore()
-	cfg := DefaultConfig()
-	live := AttachLive(store, cfg)
+	live := AttachLive(store)
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	assertMatchesBatch(t, live, store, cfg)
+	assertMatchesBatch(t, live, store)
 	sums := live.Summaries(admin, 0, 0)
 	if len(sums) != 1 || sums[0].QueryCount != 6 {
 		t.Fatalf("summaries = %+v, want one 6-query session", sums)
@@ -534,7 +531,7 @@ func TestLiveFastPathMatchesFigure2(t *testing.T) {
 // session reads: the swapped-in record version governs who sees the window.
 func TestLiveVisibilityTracksUpdates(t *testing.T) {
 	store := storage.NewStore()
-	live := AttachLive(store, DefaultConfig())
+	live := AttachLive(store)
 	base := time.Date(2009, 1, 5, 9, 0, 0, 0, time.UTC)
 	rec := makeRecord(t, store, "alice", "SELECT temp FROM WaterTemp", base)
 	stranger := storage.Principal{User: "eve"}
@@ -561,7 +558,7 @@ func TestLiveVisibilityTracksUpdates(t *testing.T) {
 func TestLiveSummariesCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	store := storage.NewStore()
-	live := AttachLive(store, DefaultConfig())
+	live := AttachLive(store)
 	mutateSessionStream(t, rng, store, 300, nil)
 	all := live.Summaries(admin, 0, 0)
 	if len(all) < 10 || live.Count() != len(all) {
@@ -599,13 +596,12 @@ func assertSameSessions(t *testing.T, name string, got, want *Live) {
 // tail — both end with the windows and the session IDs of the live primary,
 // and equal a batch re-segmentation of the recovered store.
 func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, snapshot := range []bool{true, false} {
 		t.Run(fmt.Sprintf("sidecar=%v", snapshot), func(t *testing.T) {
 			dir := t.TempDir()
 			rng := rand.New(rand.NewSource(23))
 			store1 := storage.NewStore()
-			live1 := AttachLive(store1, cfg)
+			live1 := AttachLive(store1)
 			wcfg := wal.DefaultConfig(dir)
 			wcfg.SyncPolicy = "off"
 			mgr1, _, err := wal.Open(store1, wcfg)
@@ -624,7 +620,7 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 			}
 
 			store2 := storage.NewStore()
-			live2 := AttachLive(store2, cfg)
+			live2 := AttachLive(store2)
 			mgr2, info, err := wal.Open(store2, wcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -633,7 +629,7 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 			if snapshot && !reflect.DeepEqual(info.CheckpointRebuilt, []string{"sessions"}) {
 				t.Fatalf("sessions not rebuilt from the snapshot's records: %+v", info)
 			}
-			assertMatchesBatch(t, live2, store2, cfg)
+			assertMatchesBatch(t, live2, store2)
 			assertSameSessions(t, "recovered", live2, live1)
 		})
 	}
@@ -644,20 +640,19 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 // from it: the bus rebuilds the detector from the restored records, and the
 // rebuild names every session as the primary did.
 func TestCheckpointV2TakesTheRebuildPath(t *testing.T) {
-	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(43))
 	store1 := storage.NewStore()
-	live1 := AttachLive(store1, cfg)
+	live1 := AttachLive(store1)
 	mutateSessionStream(t, rng, store1, 100, nil)
 	for _, version := range []int{2, 3} {
 		store2 := storage.NewStore()
-		live2 := AttachLive(store2, cfg)
+		live2 := AttachLive(store2)
 		section := storage.SubscriberCheckpoint{Name: "sessions", Version: version, Data: []byte{2, 0}}
 		restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
 		if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"sessions"}) {
 			t.Fatalf("version %d: restored %v, rebuilt %v; want the sessions rebuilt", version, restored, rebuilt)
 		}
-		assertMatchesBatch(t, live2, store2, cfg)
+		assertMatchesBatch(t, live2, store2)
 		assertSameSessions(t, "rebuilt", live2, live1)
 	}
 }
@@ -672,10 +667,10 @@ func TestRebuildIsDeterministic(t *testing.T) {
 		user := fmt.Sprintf("user%02d", (i*7)%40)
 		makeRecord(t, store, user, "SELECT temp FROM WaterTemp", base.Add(time.Duration(i)*17*time.Minute))
 	}
-	first := AttachLive(store, DefaultConfig())
-	assertMatchesBatch(t, first, store, DefaultConfig())
+	first := AttachLive(store)
+	assertMatchesBatch(t, first, store)
 	for i := 0; i < 5; i++ {
-		assertSameSessions(t, "second rebuild", AttachLive(store, DefaultConfig()), first)
+		assertSameSessions(t, "second rebuild", AttachLive(store), first)
 	}
 }
 
@@ -683,16 +678,15 @@ func TestRebuildIsDeterministic(t *testing.T) {
 // wholesale-replaced contents, and names the sessions as the store they came
 // from did.
 func TestLiveEquivalenceAfterRestoreState(t *testing.T) {
-	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(29))
 	store1 := storage.NewStore()
-	live1 := AttachLive(store1, cfg)
+	live1 := AttachLive(store1)
 	mutateSessionStream(t, rng, store1, 100, nil)
 
 	store2 := storage.NewStore()
-	live2 := AttachLive(store2, cfg)
+	live2 := AttachLive(store2)
 	mutateSessionStream(t, rng, store2, 30, nil)
 	store2.RestoreStateWithCheckpoints(store1.State(), nil)
-	assertMatchesBatch(t, live2, store2, cfg)
+	assertMatchesBatch(t, live2, store2)
 	assertSameSessions(t, "restored", live2, live1)
 }

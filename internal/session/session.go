@@ -17,28 +17,54 @@ import (
 	"repro/internal/storage"
 )
 
-// Config controls session segmentation.
-type Config struct {
-	// MaxGap is the idle time after which a new query always starts a new
+// Segmentation thresholds, tuned for interactive exploratory sessions.
+const (
+	// maxGap is the idle time after which a new query always starts a new
 	// session.
-	MaxGap time.Duration
-	// SoftGap is the idle time after which a new query starts a new session
+	maxGap = 30 * time.Minute
+	// softGap is the idle time after which a new query starts a new session
 	// unless it is similar to the previous query (the user paused to look at
 	// results but is still pursuing the same goal).
-	SoftGap time.Duration
-	// MinSimilarity is the feature-set Jaccard similarity at or above which
+	softGap = 5 * time.Minute
+	// minSimilarity is the feature-set Jaccard similarity at or above which
 	// two consecutive queries are considered part of the same exploration.
-	MinSimilarity float64
+	minSimilarity = 0.2
+)
+
+// EdgeType classifies the relationship between two queries in a session
+// (§4.1: temporal, modification or investigation edges).
+type EdgeType int
+
+// Edge types.
+const (
+	EdgeTemporal EdgeType = iota
+	EdgeModification
+	EdgeInvestigation
+)
+
+// String returns a readable label.
+func (e EdgeType) String() string {
+	switch e {
+	case EdgeTemporal:
+		return "temporal"
+	case EdgeModification:
+		return "modification"
+	case EdgeInvestigation:
+		return "investigation"
+	default:
+		return "unknown"
+	}
 }
 
-// DefaultConfig returns segmentation parameters tuned for interactive
-// exploratory sessions.
-func DefaultConfig() Config {
-	return Config{
-		MaxGap:        30 * time.Minute,
-		SoftGap:       5 * time.Minute,
-		MinSimilarity: 0.2,
-	}
+// Edge links two consecutive queries of a session: a pair of query
+// identifiers, an edge type and the diff summary used as the edge label in
+// the Figure 2 visualisation. Edges are computed when a graph is read; the
+// store keeps none.
+type Edge struct {
+	From storage.QueryID
+	To   storage.QueryID
+	Type EdgeType
+	Diff string
 }
 
 // Session is one detected query session.
@@ -46,7 +72,7 @@ type Session struct {
 	ID      int64
 	User    string
 	Queries []*storage.QueryRecord
-	Edges   []storage.SessionEdge
+	Edges   []Edge
 	Start   time.Time
 	End     time.Time
 }
@@ -58,13 +84,11 @@ func (s *Session) Len() int { return len(s.Queries) }
 func (s *Session) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // Detector segments query streams into sessions.
-type Detector struct {
-	cfg Config
-}
+type Detector struct{}
 
-// NewDetector returns a detector with the given configuration.
-func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg}
+// NewDetector returns a detector.
+func NewDetector() *Detector {
+	return &Detector{}
 }
 
 // Detect segments the given records (any order, any mix of users) into
@@ -74,7 +98,7 @@ func NewDetector(cfg Config) *Detector {
 func (d *Detector) Detect(records []*storage.QueryRecord) []Session {
 	var sessions []Session
 	for user, recs := range streamsOf(records) {
-		for _, part := range d.segment(recs) {
+		for _, part := range segment(recs) {
 			sessions = append(sessions, Session{
 				ID: lowestID(part), User: user, Queries: part, Edges: labelEdges(part),
 				Start: part[0].IssuedAt, End: part[len(part)-1].IssuedAt,
@@ -127,12 +151,12 @@ func chronoLess(a, b *storage.QueryRecord) bool {
 // boundary reports whether rec starts a new session after prev: a hard idle
 // gap, or a soft gap without enough feature similarity to read as the same
 // exploration.
-func (d *Detector) boundary(prev, rec *storage.QueryRecord) bool {
+func boundary(prev, rec *storage.QueryRecord) bool {
 	gap := rec.IssuedAt.Sub(prev.IssuedAt)
-	if gap > d.cfg.MaxGap {
+	if gap > maxGap {
 		return true
 	}
-	return gap > d.cfg.SoftGap && FeatureSimilarity(prev, rec) < d.cfg.MinSimilarity
+	return gap > softGap && FeatureSimilarity(prev, rec) < minSimilarity
 }
 
 // segment cuts one user's chronologically sorted records into windows: a cut
@@ -142,11 +166,11 @@ func (d *Detector) boundary(prev, rec *storage.QueryRecord) bool {
 // and the live detector's local edits re-evaluate the same boundary for the
 // pairs they touch — and it computes no edge label. The windows are
 // capacity-limited sub-slices of recs.
-func (d *Detector) segment(recs []*storage.QueryRecord) [][]*storage.QueryRecord {
+func segment(recs []*storage.QueryRecord) [][]*storage.QueryRecord {
 	var windows [][]*storage.QueryRecord
 	start := 0
 	for i := 1; i <= len(recs); i++ {
-		if i == len(recs) || d.boundary(recs[i-1], recs[i]) {
+		if i == len(recs) || boundary(recs[i-1], recs[i]) {
 			windows = append(windows, recs[start:i:i])
 			start = i
 		}
@@ -156,11 +180,11 @@ func (d *Detector) segment(recs []*storage.QueryRecord) [][]*storage.QueryRecord
 
 // labelEdges labels every consecutive pair of one window (nil for a window
 // of one query).
-func labelEdges(queries []*storage.QueryRecord) []storage.SessionEdge {
+func labelEdges(queries []*storage.QueryRecord) []Edge {
 	if len(queries) < 2 {
 		return nil
 	}
-	edges := make([]storage.SessionEdge, 0, len(queries)-1)
+	edges := make([]Edge, 0, len(queries)-1)
 	for i := 1; i < len(queries); i++ {
 		edges = append(edges, edgeBetween(queries[i-1], queries[i]))
 	}
@@ -169,15 +193,15 @@ func labelEdges(queries []*storage.QueryRecord) []storage.SessionEdge {
 
 // edgeBetween builds the session edge between two consecutive queries,
 // classifying it and labelling it with the structural diff.
-func edgeBetween(prev, next *storage.QueryRecord) storage.SessionEdge {
+func edgeBetween(prev, next *storage.QueryRecord) Edge {
 	diff := sql.ComputeDiff(prev.Analysis(), next.Analysis())
-	etype := storage.EdgeModification
+	etype := EdgeModification
 	if diff.Empty() {
-		etype = storage.EdgeTemporal
+		etype = EdgeTemporal
 	} else if isInvestigation(diff) {
-		etype = storage.EdgeInvestigation
+		etype = EdgeInvestigation
 	}
-	return storage.SessionEdge{From: prev.ID, To: next.ID, Type: etype, Diff: diff.String()}
+	return Edge{From: prev.ID, To: next.ID, Type: etype, Diff: diff.String()}
 }
 
 // isInvestigation reports whether the diff looks like the user drilling into

@@ -61,7 +61,7 @@ func TestDetectSingleSession(t *testing.T) {
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
 
-	d := NewDetector(DefaultConfig())
+	d := NewDetector()
 	sessions := d.Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
@@ -87,7 +87,7 @@ func TestDetectSplitsOnLongGap(t *testing.T) {
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE state = 'WA'", base.Add(2*time.Hour))
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE pop > 10000", base.Add(2*time.Hour+time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -104,7 +104,7 @@ func TestDetectSplitsOnTopicChangeAfterSoftGap(t *testing.T) {
 	// different topic: new session.
 	makeRecord(t, store, "alice", "SELECT ra, dec FROM Stars WHERE magnitude < 6", base.Add(10*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -117,7 +117,7 @@ func TestDetectKeepsSimilarQueryAcrossSoftGap(t *testing.T) {
 	// 10 minutes later but clearly the same exploration: stays in session.
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(10*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -130,7 +130,7 @@ func TestDetectSeparatesUsers(t *testing.T) {
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp WHERE temp < 17", base.Add(time.Minute))
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(2*time.Minute))
 
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2 (one per user)", len(sessions))
 	}
@@ -147,7 +147,7 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -172,7 +172,7 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	}
 	// All modification edges.
 	for i, e := range edges {
-		if e.Type != storage.EdgeModification {
+		if e.Type != EdgeModification {
 			t.Errorf("edge %d type = %v, want modification", i, e.Type)
 		}
 	}
@@ -182,7 +182,7 @@ func TestRenderFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	out := Render(&sessions[0])
 	for _, want := range []string{
 		"Session 1", "nodira", "6 queries",
@@ -210,7 +210,7 @@ func TestSummarize(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin))
+	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
 	sum := Summarize(&sessions[0])
 	if sum.QueryCount != 6 || sum.User != "nodira" {
 		t.Errorf("summary = %+v", sum)
@@ -254,7 +254,7 @@ func TestDetectNamesSessionsByLowestQueryID(t *testing.T) {
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base.Add(59*time.Minute)) // 3, late: in front of 2
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base)                     // 4, an hour before 3
 	var got []string
-	for _, s := range NewDetector(DefaultConfig()).Detect(store.Snapshot().Records(admin)) {
+	for _, s := range NewDetector().Detect(store.Snapshot().Records(admin)) {
 		var ids []string
 		for _, q := range s.Queries {
 			ids = append(ids, fmt.Sprint(q.ID))
@@ -263,5 +263,12 @@ func TestDetectNamesSessionsByLowestQueryID(t *testing.T) {
 	}
 	if want := "1:zoe[1] 2:bob[3 2] 4:bob[4]"; strings.Join(got, " ") != want {
 		t.Errorf("sessions = %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+func TestEdgeTypeString(t *testing.T) {
+	if EdgeTemporal.String() != "temporal" || EdgeModification.String() != "modification" ||
+		EdgeInvestigation.String() != "investigation" || EdgeType(99).String() != "unknown" {
+		t.Error("EdgeType.String labels wrong")
 	}
 }

@@ -61,20 +61,17 @@ func assertBoundedContract(t *testing.T, live *stats.Tracker, store *storage.Sto
 		}
 		checkListing(t, p, "users", gotUsers, wantUsers, bounds.Users)
 
-		// Predicates: the exact reference is the full counter map.
+		// Predicates and fingerprints: the exact reference is a scan of the
+		// records.
+		wantFPs, wantPreds := exactCounts(store, p)
 		gotPreds := make(map[string]int)
 		for _, ic := range live.TopPredicates(p, 0) {
 			gotPreds[ic.Item] = ic.Count
 		}
-		checkListing(t, p, "predicates", gotPreds, exact.GlobalPredicateCounts(p), bounds.Predicates)
-
-		// Fingerprints.
-		wantFPs := exact.FingerprintCounts(p)
-		gotFPs := make(map[uint64]int)
-		for _, fc := range live.TopFingerprints(p, 0) {
-			gotFPs[fc.Fingerprint] = fc.Count
+		checkListing(t, p, "predicates", gotPreds, wantPreds, bounds.Predicates)
+		if got := live.FingerprintCountsFor(p, vocabFingerprints); !reflect.DeepEqual(got, wantFPs) {
+			t.Errorf("principal %+v: fingerprint counts %v, exact %v", p, got, wantFPs)
 		}
-		checkListing(t, p, "fingerprints", gotFPs, wantFPs, bounds.Fingerprints)
 
 		// The popularity normaliser may undershoot by at most the bound.
 		trueMax := 0
@@ -118,8 +115,8 @@ func TestBoundedListingContract(t *testing.T) {
 				store := storage.NewStore()
 				live := stats.AttachWithCapacity(store, capacity)
 				mutateRandomly(t, rng, store, 300)
-				if live.Capacity() != capacity {
-					t.Fatalf("Capacity() = %d, want %d", live.Capacity(), capacity)
+				if got := live.Bounds(admin).Capacity; got != capacity {
+					t.Fatalf("Bounds().Capacity = %d, want %d", got, capacity)
 				}
 				assertBoundedContract(t, live, store)
 			})
@@ -153,8 +150,8 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 	if err := mgr1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	preFPs := tracker1.FingerprintCounts(admin)
-	prePreds := tracker1.GlobalPredicateCounts(admin)
+	preFPs := tracker1.FingerprintCountsFor(admin, vocabFingerprints)
+	_, prePreds := exactCounts(store1, admin)
 
 	store2 := storage.NewStore()
 	tracker2 := stats.AttachWithCapacity(store2, 4)
@@ -164,12 +161,12 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 	}
 	defer mgr2.Close()
 	assertBoundedContract(t, tracker2, store2)
-	// The exact counter surfaces are bit-identical across the crash; only
-	// summary membership (which stays within bounds) may differ.
-	if !reflect.DeepEqual(preFPs, tracker2.FingerprintCounts(admin)) {
+	// The exact counters are bit-identical across the crash; only summary
+	// membership (which stays within bounds) may differ.
+	if !reflect.DeepEqual(preFPs, tracker2.FingerprintCountsFor(admin, vocabFingerprints)) {
 		t.Error("fingerprint counts changed across recovery")
 	}
-	if !reflect.DeepEqual(prePreds, tracker2.GlobalPredicateCounts(admin)) {
+	if _, postPreds := exactCounts(store2, admin); !reflect.DeepEqual(prePreds, postPreds) {
 		t.Error("predicate counts changed across recovery")
 	}
 }
@@ -200,7 +197,7 @@ func TestBoundedContractAfterCheckpointRestore(t *testing.T) {
 		if got, want := tracker2.QueryCount(p), tracker1.QueryCount(p); got != want {
 			t.Errorf("principal %+v: restored QueryCount = %d, want %d", p, got, want)
 		}
-		if !reflect.DeepEqual(tracker2.FingerprintCounts(p), tracker1.FingerprintCounts(p)) {
+		if !reflect.DeepEqual(tracker2.FingerprintCountsFor(p, vocabFingerprints), tracker1.FingerprintCountsFor(p, vocabFingerprints)) {
 			t.Errorf("principal %+v: restored fingerprint counts differ", p)
 		}
 		// Reseeding from the exact maps yields the tightest bounds possible,
@@ -241,7 +238,6 @@ func TestConcurrentBoundedReads(t *testing.T) {
 				tracker.TableCounts(p)
 				tracker.UserActivity(p)
 				tracker.TopPredicates(p, 10)
-				tracker.TopFingerprints(p, 10)
 				tracker.MaxFingerprintCount(p)
 				tracker.FingerprintCountsFor(p, []uint64{1, 2, 3})
 				tracker.Bounds(p)

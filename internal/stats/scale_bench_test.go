@@ -62,7 +62,7 @@ func BenchmarkStatsReadAt1MUsers(b *testing.B) {
 				tr.UserActivity(admin)
 				tr.TableCounts(admin)
 				tr.TopPredicates(admin, 20)
-				tr.TopFingerprints(admin, 20)
+				tr.MaxFingerprintCount(admin)
 				tr.Bounds(admin)
 				tr.UserActivity(user)
 			}

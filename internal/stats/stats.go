@@ -280,26 +280,22 @@ type Tracker struct {
 	owners   map[string]*bucket // non-public records per owning user
 
 	// readLatency, when EnableMetrics installed it, holds one histogram per
-	// listing read ("tables", "users", "predicates", "fingerprints") timing
-	// the full merge — lock hold plus out-of-lock sort. Written once under
-	// mu, read under the read lock by the hot paths.
+	// listing read ("tables", "users", "predicates") timing the full merge —
+	// lock hold plus out-of-lock sort. Written once under mu, read under the
+	// read lock by the hot paths.
 	readLatency map[string]*telemetry.Histogram
 }
 
-// New returns an empty tracker with the default summary capacity. Use Attach
-// to keep it synchronised with a store, or Rebuild to fill it from one once.
+// New returns an empty tracker. Use Attach to keep it synchronised with a
+// store, or Rebuild to fill it from one once.
 func New() *Tracker {
-	return NewWithCapacity(defaultTopKCapacity)
+	return newWithCapacity(topKCapacity)
 }
 
-// NewWithCapacity returns an empty tracker whose per-bucket top-K summaries
-// track up to capacity keys per dimension (≤ 0 selects the default). Smaller
-// capacities trade listing completeness (a larger reported miss bound) for
-// memory; reads stay exact for every key a summary tracks either way.
-func NewWithCapacity(capacity int) *Tracker {
-	if capacity <= 0 {
-		capacity = defaultTopKCapacity
-	}
+// newWithCapacity returns an empty tracker whose per-bucket top-K summaries
+// track up to capacity keys per dimension. Tests pass small capacities to
+// force evictions and non-zero miss bounds early.
+func newWithCapacity(capacity int) *Tracker {
 	return &Tracker{
 		capacity: capacity,
 		all:      newBucket(capacity),
@@ -307,9 +303,6 @@ func NewWithCapacity(capacity int) *Tracker {
 		owners:   make(map[string]*bucket),
 	}
 }
-
-// Capacity returns the per-bucket per-dimension top-K summary capacity.
-func (t *Tracker) Capacity() int { return t.capacity }
 
 // Attach builds a tracker over the store's current contents and subscribes
 // it to the mutation event bus. Registration and the initial rebuild happen
@@ -319,14 +312,13 @@ func (t *Tracker) Capacity() int { return t.capacity }
 // Checkpoint/Restore pair, so WAL snapshots carry its counters and recovery
 // skips the rebuild when a checkpoint sidecar is present.
 func Attach(store *storage.Store) *Tracker {
-	return AttachWithCapacity(store, 0)
+	return attachWithCapacity(store, topKCapacity)
 }
 
-// AttachWithCapacity is Attach with a custom per-bucket top-K summary
-// capacity (≤ 0 selects the default). Small capacities force evictions and
-// non-zero miss bounds early; production embedders normally want the default.
-func AttachWithCapacity(store *storage.Store, capacity int) *Tracker {
-	t := NewWithCapacity(capacity)
+// attachWithCapacity is Attach with the given per-bucket top-K summary
+// capacity.
+func attachWithCapacity(store *storage.Store, capacity int) *Tracker {
+	t := newWithCapacity(capacity)
 	rebuild := func() { t.Rebuild(store) }
 	store.Subscribe("stats", t.OnMutation, storage.SubscribeOptions{
 		Init: rebuild, Reset: rebuild,
@@ -611,15 +603,9 @@ type ItemCount struct {
 	Count int
 }
 
-// FingerprintCount is one (template fingerprint, count) pair.
-type FingerprintCount struct {
-	Fingerprint uint64
-	Count       int
-}
-
 // TopPredicates returns the k most used concrete (non-join) predicates
-// visible to the principal, counted once per occurrence (the same totals as
-// GlobalPredicateCounts), sorted by descending count then text. k ≤ 0 means
+// visible to the principal, counted once per occurrence in a record (no
+// per-table multiplicity), sorted by descending count then text. k ≤ 0 means
 // every tracked predicate. Predicates omitted by every visible summary have
 // true count ≤ ApproxBounds(p).Predicates.
 func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
@@ -660,48 +646,6 @@ func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
 	return out
 }
 
-// TopFingerprints returns the k most popular query-template fingerprints
-// visible to the principal, sorted by descending count then fingerprint.
-// k ≤ 0 means every tracked fingerprint. Fingerprints omitted by every
-// visible summary have true count ≤ ApproxBounds(p).Fingerprints.
-func (t *Tracker) TopFingerprints(p storage.Principal, k int) []FingerprintCount {
-	start := time.Now()
-	t.mu.RLock()
-	h := t.histogramLocked("fingerprints")
-	buckets := t.bucketsFor(p)
-	out := make([]FingerprintCount, 0, t.capacity)
-	seen := make(map[uint64]bool, t.capacity)
-	for bi, b := range buckets {
-		for _, e := range b.topFingerprints.heap {
-			if seen[e.key] {
-				continue
-			}
-			seen[e.key] = true
-			n := e.count
-			for bj, b2 := range buckets {
-				if bj != bi {
-					n += b2.fingerprints[e.key]
-				}
-			}
-			out = append(out, FingerprintCount{Fingerprint: e.key, Count: n})
-		}
-	}
-	t.mu.RUnlock()
-	slices.SortFunc(out, func(a, b FingerprintCount) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return cmp.Compare(a.Fingerprint, b.Fingerprint)
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	if h != nil {
-		h.Observe(time.Since(start))
-	}
-	return out
-}
-
 // MaxFingerprintCount returns the highest per-fingerprint popularity count
 // visible to the principal — the popularity normaliser of the similar-query
 // ranking — served from the summaries in O(capacity). It can undershoot the
@@ -730,9 +674,7 @@ func (t *Tracker) MaxFingerprintCount(p storage.Principal) int {
 
 // FingerprintCountsFor returns the principal-visible popularity counts of
 // exactly the requested fingerprints, probed from the exact counter maps in
-// O(len(fps)) — the sub-linear replacement for copying the whole
-// FingerprintCounts map when the caller (the similar-query ranker) already
-// knows which templates it is scoring.
+// O(len(fps)), independent of how many distinct templates the log holds.
 func (t *Tracker) FingerprintCountsFor(p storage.Principal, fps []uint64) map[uint64]int {
 	out := make(map[uint64]int, len(fps))
 	t.mu.RLock()
@@ -872,40 +814,6 @@ func (t *Tracker) JoinCounts(p storage.Principal, tables []string) map[string]in
 	return out
 }
 
-// GlobalPredicateCounts returns log-wide concrete-predicate usage counts
-// visible to the principal, counting each predicate once per occurrence in a
-// record (no per-table multiplicity). The copy is O(distinct predicates):
-// serving paths use TopPredicates instead; this full materialisation remains
-// for equivalence tests and embedders that need the exact tail.
-func (t *Tracker) GlobalPredicateCounts(p storage.Principal) map[string]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]int)
-	for _, b := range t.bucketsFor(p) {
-		for text, n := range b.preds {
-			out[text] += n
-		}
-	}
-	return out
-}
-
-// FingerprintCounts returns per-template-fingerprint popularity counts
-// visible to the principal. The map is a merged copy the caller owns — an
-// O(distinct templates) materialisation. Serving paths use
-// FingerprintCountsFor / TopFingerprints instead; this remains for
-// equivalence tests and embedders that need the exact tail.
-func (t *Tracker) FingerprintCounts(p storage.Principal) map[uint64]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[uint64]int)
-	for _, b := range t.bucketsFor(p) {
-		for fp, n := range b.fingerprints {
-			out[fp] += n
-		}
-	}
-	return out
-}
-
 // EnableMetrics registers scrape-time gauges over the tracker's aggregate
 // sizes. A nil registry is a no-op.
 func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
@@ -967,10 +875,9 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 		telemetry.DefBuckets, "read")
 	t.mu.Lock()
 	t.readLatency = map[string]*telemetry.Histogram{
-		"tables":       readVec.With("tables"),
-		"users":        readVec.With("users"),
-		"predicates":   readVec.With("predicates"),
-		"fingerprints": readVec.With("fingerprints"),
+		"tables":     readVec.With("tables"),
+		"users":      readVec.With("users"),
+		"predicates": readVec.With("predicates"),
 	}
 	t.mu.Unlock()
 }

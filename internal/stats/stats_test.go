@@ -35,6 +35,45 @@ func genSQL(rng *rand.Rand) string {
 	}
 }
 
+// vocabFingerprints are the template fingerprints of every shape genSQL
+// draws: every key a tracker fed by these tests can count.
+var vocabFingerprints = func() []uint64 {
+	seen := make(map[uint64]bool)
+	var fps []uint64
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		rec, err := storage.NewRecordFromSQL(genSQL(rng))
+		if err != nil {
+			panic(err)
+		}
+		if !seen[rec.Fingerprint] {
+			seen[rec.Fingerprint] = true
+			fps = append(fps, rec.Fingerprint)
+		}
+	}
+	return fps
+}()
+
+// exactCounts scans the records the principal's counters cover — the whole
+// log for an admin, else the public records plus the principal's own — and
+// counts them as the tracker does: one per record for its template
+// fingerprint, one per occurrence in a record for a concrete predicate.
+func exactCounts(store *storage.Store, p storage.Principal) (fps map[uint64]int, preds map[string]int) {
+	fps, preds = make(map[uint64]int), make(map[string]int)
+	for _, rec := range store.Snapshot().Records(admin) {
+		if !p.Admin && rec.Visibility != storage.VisibilityPublic && rec.User != p.User {
+			continue
+		}
+		fps[rec.Fingerprint]++
+		for _, pr := range rec.Predicates {
+			if !pr.IsJoin {
+				preds[stats.PredicateText(pr)]++
+			}
+		}
+	}
+	return fps, preds
+}
+
 func genRecord(t testing.TB, rng *rand.Rand) *storage.QueryRecord {
 	t.Helper()
 	rec, err := storage.NewRecordFromSQL(genSQL(rng))
@@ -141,7 +180,7 @@ type observation struct {
 	Fingerprints map[uint64]int
 	Columns      map[string]int
 	Predicates   map[string]int
-	GlobalPreds  map[string]int
+	GlobalPreds  []stats.ItemCount
 	Joins        map[string]int
 }
 
@@ -150,10 +189,10 @@ func observe(t *stats.Tracker, p storage.Principal, tables []string) observation
 		Queries:      t.QueryCount(p),
 		Tables:       t.TableCounts(p),
 		Activity:     t.UserActivity(p),
-		Fingerprints: t.FingerprintCounts(p),
+		Fingerprints: t.FingerprintCountsFor(p, vocabFingerprints),
 		Columns:      t.ColumnCounts(p, tables),
 		Predicates:   t.PredicateCounts(p, tables),
-		GlobalPreds:  t.GlobalPredicateCounts(p),
+		GlobalPreds:  t.TopPredicates(p, 0),
 		Joins:        t.JoinCounts(p, tables),
 	}
 }
@@ -300,7 +339,7 @@ func TestConcurrentReadsDuringMutations(t *testing.T) {
 				tracker.ColumnCounts(p, []string{"WaterTemp", "WaterSalinity"})
 				tracker.PredicateCounts(p, []string{"WaterTemp"})
 				tracker.JoinCounts(p, []string{"WaterTemp", "WaterSalinity"})
-				tracker.FingerprintCounts(p)
+				tracker.FingerprintCountsFor(p, vocabFingerprints)
 				tracker.UserActivity(p)
 			}
 		}(r)

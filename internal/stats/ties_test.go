@@ -16,22 +16,22 @@ import (
 // order (count, then key), never by heap layout or map iteration, so two
 // trackers that reach the same counts the same way list the same keys.
 
-// tiedListings is every bounded listing a principal can read, in full.
+// tiedListings is every bounded read a principal can make, in full.
 type tiedListings struct {
-	Tables       []storage.TableCount
-	Users        []stats.UserCount
-	Predicates   []stats.ItemCount
-	Fingerprints []stats.FingerprintCount
-	Bounds       stats.ApproxBounds
+	Tables         []storage.TableCount
+	Users          []stats.UserCount
+	Predicates     []stats.ItemCount
+	MaxFingerprint int
+	Bounds         stats.ApproxBounds
 }
 
 func listingsOf(tr *stats.Tracker, p storage.Principal) tiedListings {
 	return tiedListings{
-		Tables:       tr.TableCounts(p),
-		Users:        tr.UserActivity(p),
-		Predicates:   tr.TopPredicates(p, 0),
-		Fingerprints: tr.TopFingerprints(p, 0),
-		Bounds:       tr.Bounds(p),
+		Tables:         tr.TableCounts(p),
+		Users:          tr.UserActivity(p),
+		Predicates:     tr.TopPredicates(p, 0),
+		MaxFingerprint: tr.MaxFingerprintCount(p),
+		Bounds:         tr.Bounds(p),
 	}
 }
 

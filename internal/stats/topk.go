@@ -37,12 +37,12 @@ import (
 	"slices"
 )
 
-// defaultTopKCapacity is how many keys each summary tracks per bucket per
+// topKCapacity is how many keys each summary tracks per bucket per
 // dimension. It must comfortably exceed the API's listing caps (the server
 // returns 20) so merged listings stay exact until a dimension's cardinality
 // truly explodes, yet stay small enough that a read's merge-and-sort cost is
 // trivially flat. 256 tracked keys × 4 dimensions ≈ a few KB per bucket.
-const defaultTopKCapacity = 256
+const topKCapacity = 256
 
 // topkEntry is one tracked (key, exact count) pair.
 type topkEntry[K cmp.Ordered] struct {
@@ -72,9 +72,6 @@ type topkSummary[K cmp.Ordered] struct {
 }
 
 func newTopK[K cmp.Ordered](capacity int) *topkSummary[K] {
-	if capacity <= 0 {
-		capacity = defaultTopKCapacity
-	}
 	// The index map grows on demand rather than being pre-sized to capacity:
 	// most summaries live in per-owner buckets tracking a handful of keys,
 	// and a million sparsely used buckets must not each pay for 256 slots.

@@ -416,10 +416,6 @@ func TestVisibilityString(t *testing.T) {
 		VisibilityPublic.String() != "public" || Visibility(99).String() != "unknown" {
 		t.Error("Visibility.String labels wrong")
 	}
-	if EdgeTemporal.String() != "temporal" || EdgeModification.String() != "modification" ||
-		EdgeInvestigation.String() != "investigation" || EdgeType(99).String() != "unknown" {
-		t.Error("EdgeType.String labels wrong")
-	}
 }
 
 func TestConcurrentPutAndRead(t *testing.T) {

@@ -99,7 +99,8 @@ type RuntimeStats struct {
 }
 
 // OutputSample is a bounded sample of the query's result (§4.1 "Profiling
-// query results"): columns plus up to MaxRows stringified rows.
+// query results"): columns plus the stringified rows the profiler's sample
+// budget kept.
 type OutputSample struct {
 	Columns   []string
 	Rows      [][]string
@@ -115,42 +116,6 @@ type Annotation struct {
 	Text     string
 	Fragment string // optional query fragment the annotation refers to
 	At       time.Time
-}
-
-// EdgeType classifies the relationship between two queries in a session
-// (§4.1: temporal, modification and investigation relations).
-type EdgeType int
-
-// Edge types.
-const (
-	EdgeTemporal EdgeType = iota
-	EdgeModification
-	EdgeInvestigation
-)
-
-// String returns a readable label.
-func (e EdgeType) String() string {
-	switch e {
-	case EdgeTemporal:
-		return "temporal"
-	case EdgeModification:
-		return "modification"
-	case EdgeInvestigation:
-		return "investigation"
-	default:
-		return "unknown"
-	}
-}
-
-// SessionEdge links two consecutive queries of a session: a pair of query
-// identifiers, an edge type and the diff summary used as the edge label in
-// the Figure 2 visualisation. The session detector computes edges when a
-// graph is read; the store keeps none.
-type SessionEdge struct {
-	From QueryID
-	To   QueryID
-	Type EdgeType
-	Diff string
 }
 
 // QueryRecord is one logged execution of a query: its shape — text,

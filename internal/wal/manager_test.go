@@ -150,11 +150,11 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPage, err := metaquery.New(want, session.AttachLive(want, session.DefaultConfig()).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
+	wantPage, err := metaquery.New(want, session.AttachLive(want).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(want): %v", err)
 	}
-	gotPage, err := metaquery.New(got, session.AttachLive(got, session.DefaultConfig()).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
+	gotPage, err := metaquery.New(got, session.AttachLive(got).SessionOf).Page(context.Background(), admin, q, metaquery.Cursor{}, 0)
 	if err != nil {
 		t.Fatalf("Keyword(got): %v", err)
 	}

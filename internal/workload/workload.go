@@ -186,7 +186,7 @@ type Config struct {
 	MinThinkTime time.Duration
 	MaxThinkTime time.Duration
 	// SessionGap is the pause between a user's sessions (always above the
-	// detector's MaxGap so ground truth is unambiguous).
+	// session detector's 30-minute idle gap so ground truth is unambiguous).
 	SessionGap time.Duration
 	Start      time.Time
 }

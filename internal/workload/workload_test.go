@@ -182,7 +182,7 @@ func TestSessionDetectionRecoversGroundTruth(t *testing.T) {
 	if _, err := Replay(trace, prof); err != nil {
 		t.Fatal(err)
 	}
-	detected := session.NewDetector(session.DefaultConfig()).Detect(store.Snapshot().Records(storage.Principal{Admin: true}))
+	detected := session.NewDetector().Detect(store.Snapshot().Records(storage.Principal{Admin: true}))
 	// The detector may split a ground-truth session when consecutive template
 	// steps look dissimilar, but it must be close: within 25% of the truth,
 	// and never fewer sessions than the truth (gaps are unambiguous).
