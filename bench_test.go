@@ -802,7 +802,7 @@ var (
 // otherwise pile up in the system temp dir.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	for _, dir := range []string{walRecoveryWALDir, walRecoverySnapDir, ckptSidecarDir, ckptPlainDir} {
+	for _, dir := range []string{walRecoveryWALDir, walRecoverySnapDir, recoveryDir} {
 		if dir != "" {
 			os.RemoveAll(dir)
 		}
@@ -892,39 +892,37 @@ func BenchmarkWALRecoverySnapshot(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Derived-state checkpoint recovery: restoring stats counters, the miner
-// feed and the live session windows from WAL snapshot sidecars versus
-// rebuilding all three from a full scan of the restored store.
+// Derived-state recovery: a restart restores the records from a snapshot and
+// rebuilds the stats counters, the miner feed and the live session windows
+// from them.
 // ---------------------------------------------------------------------------
 
-// ckptRecoveryRecords sizes the checkpoint-recovery log. The ISSUE's
-// acceptance bar is a >=50k-record log.
-const ckptRecoveryRecords = 50_000
+// recoveryRecords sizes the recovery and replica logs: a log of >= 50k
+// records.
+const recoveryRecords = 50_000
 
 var (
-	ckptRecoveryOnce sync.Once
-	ckptSidecarDir   string // snapshot carries derived-state sidecars
-	ckptPlainDir     string // snapshot written by a bare store: no sidecars
-	ckptRecoveryErr  error
+	recoveryOnce sync.Once
+	recoveryDir  string
+	recoveryErr  error
 )
 
-// ckptAttachSubscribers wires the full derived-state subscriber set the core
+// attachSubscribers wires the full derived-state subscriber set the core
 // attaches: stats tracker, miner feed and live session detector.
-func ckptAttachSubscribers(store *storage.Store) {
+func attachSubscribers(store *storage.Store) {
 	stats.Attach(store)
 	feed := miner.NewFeed(miner.DefaultAssocConfig())
 	feed.Attach(store)
 	session.AttachLive(store)
 }
 
-// ckptRecoverySetup builds (once) two equal 50k-record data directories,
-// both fully compacted into one snapshot, differing only in whether the
-// snapshot carries derived-state sidecar checkpoints.
-func ckptRecoverySetup(b *testing.B) (sidecarDir, plainDir string) {
+// recoverySetup builds (once) a 50k-record data directory fully compacted
+// into one snapshot.
+func recoverySetup(b *testing.B) string {
 	b.Helper()
-	ckptRecoveryOnce.Do(func() {
+	recoveryOnce.Do(func() {
 		// A few hundred distinct parsed records give the counters realistic
-		// key diversity without paying 50k SQL parses per directory.
+		// key diversity without paying 50k SQL parses.
 		variants := make([]*storage.QueryRecord, 0, 200)
 		for i := 0; i < 200; i++ {
 			var text string
@@ -940,101 +938,71 @@ func ckptRecoverySetup(b *testing.B) (sidecarDir, plainDir string) {
 			}
 			rec, err := storage.NewRecordFromSQL(text)
 			if err != nil {
-				ckptRecoveryErr = err
+				recoveryErr = err
 				return
 			}
 			variants = append(variants, rec)
 		}
-		build := func(dir string, withSubscribers bool) error {
-			store := storage.NewStore()
-			if withSubscribers {
-				ckptAttachSubscribers(store)
-			}
-			cfg := wal.DefaultConfig(dir)
-			cfg.SyncPolicy = "off"
-			mgr, _, err := wal.Open(store, cfg)
-			if err != nil {
-				return err
-			}
-			// 40 users in round-robin, ~20min between one user's consecutive
-			// queries (soft gap: similarity decides) and an occasional 2h jump
-			// (hard boundary), so the log segments into many real sessions.
-			base := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
-			clock := base
-			for i := 0; i < ckptRecoveryRecords; i++ {
-				clock = clock.Add(30 * time.Second)
-				if i%4096 == 4095 {
-					clock = clock.Add(2 * time.Hour)
-				}
-				rec := variants[i%len(variants)].Clone()
-				rec.User = fmt.Sprintf("user%02d", i%40)
-				rec.IssuedAt = clock
-				mustPut(b, store, rec)
-			}
-			if _, _, _, err := mgr.Compact(); err != nil {
-				return err
-			}
-			return mgr.Close()
-		}
-		if ckptSidecarDir, ckptRecoveryErr = os.MkdirTemp("", "cqms-ckpt-bench-"); ckptRecoveryErr != nil {
+		if recoveryDir, recoveryErr = os.MkdirTemp("", "cqms-recovery-bench-"); recoveryErr != nil {
 			return
 		}
-		if ckptPlainDir, ckptRecoveryErr = os.MkdirTemp("", "cqms-ckpt-bench-"); ckptRecoveryErr != nil {
+		store := storage.NewStore()
+		cfg := wal.DefaultConfig(recoveryDir)
+		cfg.SyncPolicy = "off"
+		mgr, _, err := wal.Open(store, cfg)
+		if err != nil {
+			recoveryErr = err
 			return
 		}
-		if err := build(ckptSidecarDir, true); err != nil {
-			ckptRecoveryErr = err
+		// 40 users in round-robin, ~20min between one user's consecutive
+		// queries (soft gap: similarity decides) and an occasional 2h jump
+		// (hard boundary), so the log segments into many real sessions.
+		clock := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
+		for i := 0; i < recoveryRecords; i++ {
+			clock = clock.Add(30 * time.Second)
+			if i%4096 == 4095 {
+				clock = clock.Add(2 * time.Hour)
+			}
+			rec := variants[i%len(variants)].Clone()
+			rec.User = fmt.Sprintf("user%02d", i%40)
+			rec.IssuedAt = clock
+			mustPut(b, store, rec)
+		}
+		if _, _, _, recoveryErr = mgr.Compact(); recoveryErr != nil {
 			return
 		}
-		ckptRecoveryErr = build(ckptPlainDir, false)
+		recoveryErr = mgr.Close()
 	})
-	if ckptRecoveryErr != nil {
-		b.Fatal(ckptRecoveryErr)
+	if recoveryErr != nil {
+		b.Fatal(recoveryErr)
 	}
-	return ckptSidecarDir, ckptPlainDir
+	return recoveryDir
 }
 
-func benchCheckpointRecovery(b *testing.B, dir string, wantRestored int) {
-	cfg := wal.DefaultConfig(dir)
+// BenchmarkRecovery restarts a durable 50k-query CQMS store from its
+// snapshot: the records are restored, and every derived-state subscriber
+// rebuilds from them — the stats counters shape by shape, the miner feed by
+// feature set, the session detector with its re-sort and boundary pass over
+// every user's stream (it labels no edge).
+func BenchmarkRecovery(b *testing.B) {
+	cfg := wal.DefaultConfig(recoverySetup(b))
 	cfg.SyncPolicy = "off"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := storage.NewStore()
-		ckptAttachSubscribers(store)
+		attachSubscribers(store)
 		mgr, info, err := wal.Open(store, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if info.Queries != ckptRecoveryRecords {
-			b.Fatalf("recovered %d queries, want %d", info.Queries, ckptRecoveryRecords)
-		}
-		if len(info.CheckpointRestored) != wantRestored {
-			b.Fatalf("restored %v / rebuilt %v, want %d checkpoint restores",
-				info.CheckpointRestored, info.CheckpointRebuilt, wantRestored)
+		if info.Queries != recoveryRecords {
+			b.Fatalf("recovered %d queries, want %d", info.Queries, recoveryRecords)
 		}
 		if err := mgr.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRecoveryWithCheckpoint restarts a durable 50k-query CQMS store
-// whose snapshot carries the stats subscriber's checkpoint: the counters
-// restore from it, and the miner feed and the session windows rebuild from
-// the restored records (each about as fast as a restore would be).
-func BenchmarkRecoveryWithCheckpoint(b *testing.B) {
-	sidecarDir, _ := ckptRecoverySetup(b)
-	benchCheckpointRecovery(b, sidecarDir, 1)
-}
-
-// BenchmarkRecoveryRebuild is the fallback baseline: the same log compacted
-// without checkpoint sections (a bare store wrote it), so every derived-state subscriber
-// rebuilds from a full scan — including the session detector's re-sort and
-// boundary pass over every user's stream (it labels no edge).
-func BenchmarkRecoveryRebuild(b *testing.B) {
-	_, plainDir := ckptRecoverySetup(b)
-	benchCheckpointRecovery(b, plainDir, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,7 +1013,7 @@ func BenchmarkRecoveryRebuild(b *testing.B) {
 
 var (
 	replicaTailOnce sync.Once
-	replicaTail     []byte // ckptRecoveryRecords records as streamed CRC frames
+	replicaTail     []byte // recoveryRecords records as streamed CRC frames
 	replicaTailErr  error
 )
 
@@ -1073,7 +1041,7 @@ func replicaTailSetup(b *testing.B) []byte {
 			return
 		}
 		clock := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
-		for i := 0; i < ckptRecoveryRecords; i++ {
+		for i := 0; i < recoveryRecords; i++ {
 			clock = clock.Add(30 * time.Second)
 			r := rec.Clone()
 			r.User = fmt.Sprintf("user%02d", i%40)
@@ -1104,7 +1072,7 @@ func BenchmarkReplicaCatchUp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := storage.NewStore()
-		ckptAttachSubscribers(store)
+		attachSubscribers(store)
 		err := wal.ReadFrames(bytes.NewReader(tail), func(seq uint64, payload []byte) error {
 			m, err := storage.DecodeMutation(payload)
 			if err != nil {
@@ -1115,8 +1083,8 @@ func BenchmarkReplicaCatchUp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := store.Count(); got != ckptRecoveryRecords {
-			b.Fatalf("replayed %d records, want %d", got, ckptRecoveryRecords)
+		if got := store.Count(); got != recoveryRecords {
+			b.Fatalf("replayed %d records, want %d", got, recoveryRecords)
 		}
 	}
 }

@@ -36,8 +36,8 @@
 //	replication status                replication role, sequences and lag of a primary or follower
 //
 // The stats, proxy status and replication status commands all lead with the
-// same status document (role, applied sequence, uptime, derived-state
-// provenance), rendered by one shared printer.
+// same status document (role, applied sequence, uptime), rendered by one
+// shared printer.
 package main
 
 import (
@@ -491,12 +491,6 @@ func cmdLog(ctx context.Context, c *client.Client, args []string) error {
 			fmt.Printf("  snapshot %s  seq %-10d %8d records in %d frames, %d bytes\n",
 				snap.Name, snap.Seq, snap.Records, snap.Frames, snap.Bytes)
 		}
-		if len(info.SnapshotSidecars) > 0 {
-			fmt.Println("snapshot sidecar sections:")
-			for _, sc := range info.SnapshotSidecars {
-				fmt.Printf("  %-12s v%-3d %8d bytes\n", sc.Name, sc.Version, sc.Bytes)
-			}
-		}
 		return nil
 	case "backup":
 		resp, err := c.LogBackup(ctx)
@@ -623,21 +617,12 @@ func cmdProxy(ctx context.Context, c *client.Client, args []string) error {
 }
 
 // printStatusDoc renders the status document every status surface shares
-// (stats, proxy status, replication status): role, applied WAL sequence,
-// uptime and derived-state provenance.
+// (stats, proxy status, replication status): role, applied WAL sequence and
+// uptime.
 func printStatusDoc(doc server.StatusDocDTO) {
 	fmt.Printf("role:        %s\n", doc.Role)
 	fmt.Printf("applied seq: %d\n", doc.AppliedSeq)
 	fmt.Printf("uptime:      %.0fs\n", doc.UptimeSeconds)
-	if len(doc.Provenance) > 0 {
-		// Whether each derived-state subsystem came back from a snapshot
-		// checkpoint on the last (re)start or had to rebuild from a full scan.
-		parts := make([]string, 0, len(doc.Provenance))
-		for _, ds := range doc.Provenance {
-			parts = append(parts, fmt.Sprintf("%s=%s", ds.Name, ds.Source))
-		}
-		fmt.Printf("derived state: %s\n", strings.Join(parts, ", "))
-	}
 }
 
 func cmdReplication(ctx context.Context, c *client.Client, args []string) error {

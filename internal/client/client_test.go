@@ -232,32 +232,21 @@ func TestClientLogEndpoints(t *testing.T) {
 	}
 }
 
-// TestDerivedStateAndSidecarSurface covers the provenance wire surface: the
-// stats endpoint reports where each derived-state subsystem came from, and
-// log info lists the snapshot's sidecar checkpoint sections after a backup.
-func TestDerivedStateAndSidecarSurface(t *testing.T) {
-	// In-memory server: everything is live-built.
+// TestStatusAndSnapshotSurface covers the status document and the snapshot
+// listing on the wire: the stats endpoint leads with the role, and after a
+// backup log info lists one snapshot of the records alone — a header and one
+// record chunk, no derived-state section.
+func TestStatusAndSnapshotSurface(t *testing.T) {
 	ts, _ := newServer(t, core.DefaultConfig())
 	c := New(ts.URL, WithUser("admin"), WithAdmin())
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	sources := map[string]string{}
-	for _, ds := range stats.Status.Provenance {
-		sources[ds.Name] = ds.Source
-	}
-	for _, name := range []string{"stats", "miner-feed", "sessions"} {
-		if sources[name] != "live" {
-			t.Errorf("in-memory provenance[%s] = %q, want live", name, sources[name])
-		}
-	}
 	if stats.Status.Role != "primary" {
 		t.Errorf("stats status role = %q, want primary", stats.Status.Role)
 	}
 
-	// Durable server: a backup writes one sidecar section, the stats
-	// subscriber's; sessions and the miner feed rebuild from the records.
 	cfg := core.DefaultConfig()
 	cfg.Durability.Dir = t.TempDir()
 	cfg.Durability.SyncPolicy = "off"
@@ -273,7 +262,7 @@ func TestDerivedStateAndSidecarSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LogInfo: %v", err)
 	}
-	if sc := info.SnapshotSidecars; len(sc) != 1 || sc[0].Name != "stats" || sc[0].Bytes <= 0 || sc[0].Version <= 0 {
-		t.Errorf("snapshot sidecars %+v, want one stats section with a payload and a version", sc)
+	if snaps := info.Snapshots; len(snaps) != 1 || snaps[0].Records != 1 || snaps[0].Frames != 2 {
+		t.Errorf("snapshots %+v, want one of one record in a header and one chunk", snaps)
 	}
 }

@@ -31,10 +31,10 @@ import (
 // set-quality, both of which change nothing and are not logged — full of
 // values a codec gets wrong (nil against empty slices, omitted fields,
 // non-UTC offsets, zero times, multi-byte and 1 MiB texts, nil samples) is
-// applied to a durable primary. Four more stores are then derived from it, one per path bytes
-// take: a replay of the whole WAL, a recovery from snapshot plus tail, the
-// same recovery with the checkpoint sections cut off (every subscriber
-// rebuilt), and a follower bootstrapped over HTTP. All must answer the /v1
+// applied to a durable primary. Three more stores are then derived from it, one per path bytes
+// take: a replay of the whole WAL, a recovery from snapshot plus tail (every
+// subscriber rebuilt from the snapshot's records), and a follower
+// bootstrapped over HTTP. All must answer the /v1
 // API byte for byte like the live primary. Along the way every mutation the
 // primary emits goes through both codecs: the binary round trip must equal
 // the round trip through the JSON codec it replaced, kept here as the oracle.
@@ -258,35 +258,6 @@ func copyDataDir(t *testing.T, src string) string {
 	return dst
 }
 
-// cutCheckpointSections truncates the directory's snapshot after its last
-// chunk frame, which the on-disk reader answers by rebuilding every
-// subscriber, stats included.
-func cutCheckpointSections(t *testing.T, dir string) {
-	t.Helper()
-	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("snapshots in %s: %v, %v", dir, snaps, err)
-	}
-	info, err := wal.VerifySnapshot(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 0
-	for i := 0; i < info.Frames-len(info.Sidecars); i++ {
-		off += 16 + int(binary.LittleEndian.Uint32(raw[off:]))
-	}
-	if len(info.Sidecars) != 1 || off >= len(raw) {
-		t.Fatalf("snapshot %+v: nothing to cut", info)
-	}
-	if err := os.WriteFile(snaps[0], raw[:off], 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // apiDocument renders everything a server says about its store through the
 // v1 API as an administrator: every record by ID (deleted ones answer with
 // their error envelope), every user's history, a keyword search, the session
@@ -414,14 +385,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		t.Fatalf("WAL replay: recovery %+v, want %d records replayed and no snapshot", rec, mutations)
 	}
 	recovered := openEquivCore(t, copyDataDir(t, primaryDir))
-	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
-		t.Fatalf("snapshot + tail: recovery %+v, want a snapshot, a tail and the stats checkpoint restored", rec)
-	}
-	rebuiltDir := copyDataDir(t, primaryDir)
-	cutCheckpointSections(t, rebuiltDir)
-	rebuilt := openEquivCore(t, rebuiltDir)
-	if rec := rebuilt.Recovery(); rec.SnapshotSeq == 0 || len(rec.CheckpointRebuilt) != 3 {
-		t.Fatalf("snapshot without sections: recovery %+v, want three rebuilt subscribers", rec)
+	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 {
+		t.Fatalf("snapshot + tail: recovery %+v, want a snapshot and a tail", rec)
 	}
 
 	tsPrimary := httptest.NewServer(server.New(primary).Handler())
@@ -447,7 +412,6 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	}{
 		{"WAL replay", replayed, ""},
 		{"snapshot + tail recovery", recovered, ""},
-		{"recovery with every subscriber rebuilt", rebuilt, ""},
 		{"follower bootstrap", follower, tsFollower.URL},
 	} {
 		if other.url == "" {

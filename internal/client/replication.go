@@ -29,31 +29,30 @@ func (c *Client) Primary() string { return c.base }
 
 // FetchSnapshot pulls the primary's newest snapshot
 // (GET /v1/replication/snapshot) and stages it chunk by chunk as the body
-// arrives: the covered log sequence, the decoded store state and the
-// derived-state checkpoints. ok is false when the primary has no snapshot
-// yet.
-func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, checkpoints []storage.SubscriberCheckpoint, ok bool, err error) {
+// arrives: the covered log sequence and the decoded store state. ok is false
+// when the primary has no snapshot yet.
+func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, ok bool, err error) {
 	resp, err := c.getRaw(ctx, "/v1/replication/snapshot", nil)
 	if err != nil {
-		return 0, nil, nil, false, err
+		return 0, nil, false, err
 	}
 	defer resp.Body.Close()
 	hdrSeq, err := strconv.ParseUint(resp.Header.Get("X-CQMS-Repl-Snapshot-Seq"), 10, 64)
 	if err != nil {
-		return 0, nil, nil, false, fmt.Errorf("client: replication snapshot: bad sequence header: %w", err)
+		return 0, nil, false, fmt.Errorf("client: replication snapshot: bad sequence header: %w", err)
 	}
 	if hdrSeq == 0 {
 		// Empty body: no snapshot on the primary; replay the log from 0.
-		return 0, nil, nil, false, nil
+		return 0, nil, false, nil
 	}
 	snap, err := wal.ReadSnapshot(resp.Body)
 	if err != nil {
-		return 0, nil, nil, false, err
+		return 0, nil, false, err
 	}
 	if snap.Seq != hdrSeq {
-		return 0, nil, nil, false, fmt.Errorf("client: replication snapshot: body sequence %d != header %d", snap.Seq, hdrSeq)
+		return 0, nil, false, fmt.Errorf("client: replication snapshot: body sequence %d != header %d", snap.Seq, hdrSeq)
 	}
-	return snap.Seq, snap.State, snap.Checkpoints, true, nil
+	return snap.Seq, snap.State, true, nil
 }
 
 // FetchWAL streams records with sequence > after from the primary

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -35,17 +36,18 @@ import (
 // and every query by ID — which testdata/parent_datadir.golden holds; the
 // golden is not regenerated. No maintenance pass ever ran on the directory, so
 // the golden has no quality: this build's computed one is checked on its own
-// and stripped before the comparison. The snapshot's sessions and miner-feed
-// sections are read and ignored: this build restores only the stats section
-// and rebuilds the other two, so its session IDs are the lowest query ID each
-// session holds (see matchGolden).
+// and stripped before the comparison. The snapshot's stats, sessions and
+// miner-feed sections are read and skipped: this build rebuilds all three from
+// the records, so its session IDs are the lowest query ID each session holds
+// (see matchGolden).
 func TestParentDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_datadir")
 	defer c.Close()
 	rec := c.Recovery()
-	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.Replayed != 46 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
-		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot, 46 replayed records and the stats checkpoint restored", *rec)
+	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.SnapshotFrames != 6 || rec.Replayed != 46 {
+		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot with an edge chunk and three sections, and 46 replayed records", *rec)
 	}
+	assertRebuiltFromTheRecords(t, c)
 	got := parentBodies(t, c)
 	if strings.Count(got, `"sessionId":`) != 57 || !strings.Contains(got, "GET /v1/sessions?limit=4&cursor=") {
 		t.Fatalf("the bodies no longer cover every query and a paged listing:\n%.2000s", got)
@@ -59,8 +61,9 @@ func TestParentDataDirOpens(t *testing.T) {
 // a snapshot of 24 records, most with a non-zero quality slot, then a WAL tail
 // of puts, annotations, a visibility flip, a deletion, a column drop and a
 // rename, and two maintenance passes' mark-invalid, replace-text, mark-valid,
-// mark-stale, update-stats and set-quality records. This build must open it and serve the
-// bodies that commit served from it (testdata/parent_quality_datadir.golden,
+// mark-stale, update-stats and set-quality records. Its snapshot's stats,
+// sessions and miner-feed sections are skipped. This build must open it and
+// serve the bodies that commit served from it (testdata/parent_quality_datadir.golden,
 // not regenerated) with two intended differences: every query's quality is
 // the one computed from the record, not the score the last pass stored, and
 // sessions are named by their lowest query ID.
@@ -68,14 +71,38 @@ func TestParentQualityDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_quality_datadir")
 	defer c.Close()
 	rec := c.Recovery()
-	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.Replayed != 90 || !reflect.DeepEqual(rec.CheckpointRestored, []string{"stats"}) {
-		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot, 90 replayed records and the stats checkpoint restored", *rec)
+	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.SnapshotFrames != 5 || rec.Replayed != 90 {
+		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot with three sections, and 90 replayed records", *rec)
 	}
+	assertRebuiltFromTheRecords(t, c)
 	got := parentBodies(t, c)
 	if strings.Count(got, `"quality":`) != 35 {
 		t.Fatalf("the bodies no longer cover every query:\n%.2000s", got)
 	}
 	matchGolden(t, got, "testdata/parent_quality_datadir.golden")
+}
+
+// assertRebuiltFromTheRecords checks that every derived-state subscriber of a
+// core opened over an older build's directory rebuilt from the snapshot's
+// records, and that the stats counters equal a rebuild from the records the
+// store ended with.
+func assertRebuiltFromTheRecords(t *testing.T, c *core.CQMS) {
+	t.Helper()
+	vec := c.Metrics().HistogramVec("cqms_store_subscriber_rebuild_seconds", "", nil, "subscriber")
+	for _, name := range []string{"stats", "miner-feed", "sessions"} {
+		if n := vec.With(name).Count(); n != 2 {
+			t.Errorf("%s rebuilt %d times, want on attach and from the snapshot", name, n)
+		}
+	}
+	admin := storage.Principal{Admin: true}
+	rebuilt := stats.New()
+	rebuilt.Rebuild(c.Store())
+	if got, want := c.StatsTracker().TableCounts(admin), rebuilt.TableCounts(admin); !reflect.DeepEqual(got, want) {
+		t.Errorf("table counts %+v, a rebuild counts %+v", got, want)
+	}
+	if got, want := c.StatsTracker().TopPredicates(admin, 0), rebuilt.TopPredicates(admin, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("predicates %+v, a rebuild counts %+v", got, want)
+	}
 }
 
 // openParentDataDir opens a copy of a committed data directory over the

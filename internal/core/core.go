@@ -77,10 +77,9 @@ type CQMS struct {
 	// serving the completion hot path and the stats API, the exact
 	// multiset of feature sets association rules are derived from, and the
 	// live session detector serving session/graph reads without full-log
-	// re-segmentation. The stats counters checkpoint into a WAL snapshot
-	// sidecar and restore from it on recovery; the feed and the sessions
-	// rebuild from the restored records, which costs about what a restore
-	// would.
+	// re-segmentation. A snapshot carries none of them: after a snapshot
+	// restore each rebuilds from the restored records, which costs about what
+	// restoring a serialized copy would.
 	stats     *stats.Tracker
 	minerFeed *miner.Feed
 	sessions  *session.Live
@@ -233,61 +232,6 @@ func (c *CQMS) Durability() *wal.Manager { return c.wal }
 // Recovery reports what Open reconstructed from disk, or nil when the system
 // started fresh or in-memory.
 func (c *CQMS) Recovery() *wal.RecoveryInfo { return c.recovery }
-
-// Derived-state provenance values.
-const (
-	// ProvenanceCheckpoint: restored from a WAL snapshot sidecar checkpoint,
-	// then caught up by the tail replay.
-	ProvenanceCheckpoint = "checkpoint"
-	// ProvenanceRebuilt: a snapshot was loaded but the subscriber's sidecar
-	// was missing or unusable, so it rebuilt from a full scan.
-	ProvenanceRebuilt = "rebuilt"
-	// ProvenanceLive: built incrementally from live mutations (and WAL
-	// replay) alone; no snapshot restore was involved.
-	ProvenanceLive = "live"
-)
-
-// DerivedStateProvenance reports, for each derived-state bus subscriber
-// (stats counters, the miner feed, the live session detector), where its
-// current state originally came from.
-func (c *CQMS) DerivedStateProvenance() map[string]string {
-	out := map[string]string{
-		"stats":      ProvenanceLive,
-		"miner-feed": ProvenanceLive,
-		"sessions":   ProvenanceLive,
-	}
-	if c.recovery != nil {
-		for _, name := range c.recovery.CheckpointRestored {
-			if _, ok := out[name]; ok {
-				out[name] = ProvenanceCheckpoint
-			}
-		}
-		for _, name := range c.recovery.CheckpointRebuilt {
-			if _, ok := out[name]; ok {
-				out[name] = ProvenanceRebuilt
-			}
-		}
-	}
-	if f := c.follower; f != nil {
-		// A follower's bootstrap restore plays the same role recovery does:
-		// checkpoints came from the primary's snapshot sidecars.
-		f.mu.Lock()
-		restored := append([]string(nil), f.restored...)
-		rebuilt := append([]string(nil), f.rebuilt...)
-		f.mu.Unlock()
-		for _, name := range restored {
-			if _, ok := out[name]; ok {
-				out[name] = ProvenanceCheckpoint
-			}
-		}
-		for _, name := range rebuilt {
-			if _, ok := out[name]; ok {
-				out[name] = ProvenanceRebuilt
-			}
-		}
-	}
-	return out
-}
 
 // Engine exposes the underlying DBMS (for loading data and DDL in examples
 // and tests).

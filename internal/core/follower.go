@@ -32,13 +32,12 @@ const (
 // implement it in-process.
 type ReplicationSource interface {
 	// FetchSnapshot returns the primary's newest snapshot, read and verified
-	// to its last frame: the log sequence it covers, the staged store state
-	// (handed over: the follower's store takes ownership of it) and the
-	// derived-state checkpoints it carries. Anything short of a whole
-	// snapshot is an error, so the follower installs all of it or none. ok
-	// is false when the primary has no snapshot yet — the follower then
-	// replays the whole log from 0.
-	FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, checkpoints []storage.SubscriberCheckpoint, ok bool, err error)
+	// to its last frame: the log sequence it covers and the staged store
+	// state (handed over: the follower's store takes ownership of it).
+	// Anything short of a whole snapshot is an error, so the follower
+	// installs all of it or none. ok is false when the primary has no
+	// snapshot yet — the follower then replays the whole log from 0.
+	FetchSnapshot(ctx context.Context) (seq uint64, state *storage.StoreState, ok bool, err error)
 	// FetchWAL streams every record with sequence > after, in order, to fn,
 	// long-polling up to wait when the tail is empty. It returns the
 	// primary's current last sequence and the bytes transferred. A cursor
@@ -63,10 +62,8 @@ type followerState struct {
 	// now-caughtUpNano behind the primary.
 	caughtUpNano atomic.Int64
 
-	mu       sync.Mutex
-	lastErr  string
-	restored []string // subscribers restored from snapshot checkpoints
-	rebuilt  []string // subscribers that fell back to a full rebuild
+	mu      sync.Mutex
+	lastErr string
 }
 
 // followerPollWait is the default long-poll window for the WAL tail.
@@ -150,12 +147,12 @@ func (f *followerState) run(ctx context.Context, c *CQMS) {
 	}
 }
 
-// bootstrap restores the store (and derived-state checkpoints) from the
-// primary's newest snapshot and positions the cursor at its covered
-// sequence. With no snapshot on the primary the follower starts empty and
-// replays the whole log.
+// bootstrap restores the store from the primary's newest snapshot, which
+// rebuilds every derived-state subscriber, and positions the cursor at its
+// covered sequence. With no snapshot on the primary the follower starts
+// empty and replays the whole log.
 func (f *followerState) bootstrap(ctx context.Context, c *CQMS) error {
-	seq, state, cps, ok, err := f.src.FetchSnapshot(ctx)
+	seq, state, ok, err := f.src.FetchSnapshot(ctx)
 	if err != nil {
 		return fmt.Errorf("core: fetching bootstrap snapshot: %w", err)
 	}
@@ -164,14 +161,14 @@ func (f *followerState) bootstrap(ctx context.Context, c *CQMS) error {
 		f.snapshotSeq.Store(0)
 		return nil
 	}
-	restored, rebuilt := c.store.RestoreStateWithCheckpoints(state, cps)
+	records, start := len(state.Records), time.Now()
+	c.store.RestoreState(state)
 	f.appliedSeq.Store(seq)
 	f.snapshotSeq.Store(seq)
-	f.mu.Lock()
-	f.restored, f.rebuilt = restored, rebuilt
-	f.mu.Unlock()
+	// The restore's time is the records' insertion plus every subscriber's
+	// rebuild; cqms_store_subscriber_rebuild_seconds splits out the latter.
 	slog.Info("follower bootstrapped from primary snapshot",
-		"seq", seq, "restored", restored, "rebuilt", rebuilt)
+		"seq", seq, "records", records, "restore", time.Since(start))
 	return nil
 }
 

@@ -15,8 +15,8 @@ import (
 // follower whose store only the test advances.
 type idleSource struct{}
 
-func (idleSource) FetchSnapshot(context.Context) (uint64, *storage.StoreState, []storage.SubscriberCheckpoint, bool, error) {
-	return 0, nil, nil, false, nil
+func (idleSource) FetchSnapshot(context.Context) (uint64, *storage.StoreState, bool, error) {
+	return 0, nil, false, nil
 }
 
 func (idleSource) FetchWAL(_ context.Context, after uint64, _ time.Duration, _ func(uint64, []byte) error) (uint64, int64, error) {

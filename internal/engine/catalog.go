@@ -127,8 +127,13 @@ type SchemaChange struct {
 }
 
 // Catalog holds all tables and the schema-change log. It is safe for
-// concurrent use: its tables are copy-on-write (see Table).
+// concurrent use: its tables are copy-on-write (see Table). Writers
+// serialise on writeMu, which a statement holds from its read of a published
+// table to the swap of its next version, and take mu only for the swap, so
+// anything a writer evaluates meanwhile — a subquery over the same table —
+// reads under mu like any SELECT.
 type Catalog struct {
+	writeMu sync.Mutex
 	mu      sync.RWMutex
 	tables  map[string]*Table // keyed by lower-cased name
 	changes []SchemaChange
@@ -214,6 +219,24 @@ func (c *Catalog) Schemas() map[string]*Schema {
 	return out
 }
 
+// lockWrite takes the writers' lock and the table lock for a writer that
+// swaps under both at once; the returned function releases them.
+func (c *Catalog) lockWrite() (unlock func()) {
+	c.writeMu.Lock()
+	c.mu.Lock()
+	return func() {
+		c.mu.Unlock()
+		c.writeMu.Unlock()
+	}
+}
+
+// publish swaps in a table's next version. The caller holds writeMu.
+func (c *Catalog) publish(t *Table) {
+	c.mu.Lock()
+	c.tables[strings.ToLower(t.Schema.Table)] = t
+	c.mu.Unlock()
+}
+
 func (c *Catalog) recordChange(ch SchemaChange) {
 	c.version++
 	ch.Version = c.version
@@ -223,8 +246,7 @@ func (c *Catalog) recordChange(ch SchemaChange) {
 
 // CreateTable adds a new table with the given schema.
 func (c *Catalog) CreateTable(schema *Schema, ifNotExists bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(schema.Table)
 	if _, ok := c.tables[key]; ok {
 		if ifNotExists {
@@ -239,8 +261,7 @@ func (c *Catalog) CreateTable(schema *Schema, ifNotExists bool) error {
 
 // DropTable removes a table.
 func (c *Catalog) DropTable(name string, ifExists bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(name)
 	t, ok := c.tables[key]
 	if !ok {
@@ -257,8 +278,7 @@ func (c *Catalog) DropTable(name string, ifExists bool) error {
 // AddColumn appends a column to an existing table, filling existing rows
 // with NULL.
 func (c *Catalog) AddColumn(table string, col Column) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(table)
 	t, ok := c.tables[key]
 	if !ok {
@@ -282,8 +302,7 @@ func (c *Catalog) AddColumn(table string, col Column) error {
 
 // DropColumn removes a column from an existing table.
 func (c *Catalog) DropColumn(table, column string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(table)
 	t, ok := c.tables[key]
 	if !ok {
@@ -307,8 +326,7 @@ func (c *Catalog) DropColumn(table, column string) error {
 
 // RenameColumn renames a column of an existing table.
 func (c *Catalog) RenameColumn(table, oldName, newName string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(table)
 	t, ok := c.tables[key]
 	if !ok {
@@ -327,8 +345,7 @@ func (c *Catalog) RenameColumn(table, oldName, newName string) error {
 
 // RenameTable renames a table.
 func (c *Catalog) RenameTable(oldName, newName string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(oldName)
 	t, ok := c.tables[key]
 	if !ok {
@@ -346,8 +363,7 @@ func (c *Catalog) RenameTable(oldName, newName string) error {
 // Insert appends rows to a table, coercing each value to the column type. The
 // rows before one that fails stay inserted.
 func (c *Catalog) Insert(table string, columns []string, rows []Row) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.lockWrite()()
 	key := strings.ToLower(table)
 	t, ok := c.tables[key]
 	if !ok {

@@ -5,7 +5,51 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// TestDMLWithASubqueryOverItsTableCompletes: an UPDATE or DELETE whose
+// subquery reads the table it writes evaluates outside the table lock its
+// swap takes, so it finishes, reads the table as it was before the statement,
+// and leaves the engine serving.
+func TestDMLWithASubqueryOverItsTableCompletes(t *testing.T) {
+	e := New()
+	e.MustExecute("CREATE TABLE t (id INT, x INT)")
+	e.MustExecute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+	run := func(q string) *Result {
+		t.Helper()
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := e.Execute(q)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("%s: %v", q, o.err)
+			}
+			return o.res
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still running after 5 s", q)
+			return nil
+		}
+	}
+	if res := run("DELETE FROM t WHERE x IN (SELECT x FROM t WHERE x > 2)"); res.RowsAffected != 1 {
+		t.Fatalf("DELETE removed %d rows, want 1", res.RowsAffected)
+	}
+	if res := run("UPDATE t SET x = (SELECT MAX(x) FROM t) + id"); res.RowsAffected != 2 {
+		t.Fatalf("UPDATE changed %d rows, want 2", res.RowsAffected)
+	}
+	// Every row saw MAX(x) = 2, the table as it was before the UPDATE.
+	res := run("SELECT id, x FROM t ORDER BY id")
+	if len(res.Rows) != 2 || res.Rows[0][1].Int != 3 || res.Rows[1][1].Int != 4 {
+		t.Fatalf("rows after the UPDATE: %v", res.Rows)
+	}
+}
 
 // TestConcurrentDMLAndSelectAreRaceFree runs INSERT, UPDATE, DELETE and ALTER
 // against joins and aggregates over the same table. Every writing statement
@@ -35,6 +79,9 @@ func TestConcurrentDMLAndSelectAreRaceFree(t *testing.T) {
 		{"INSERT INTO acct (id, side, x) VALUES (1000, 1, 7), (1000, 2, -7)", "DELETE FROM acct WHERE id = 1000"},
 		{"ALTER TABLE acct ADD COLUMN extra INT", "ALTER TABLE acct DROP COLUMN extra"},
 		{"ALTER TABLE acct RENAME COLUMN note TO memo", "ALTER TABLE acct RENAME COLUMN memo TO note"},
+		// Writers whose subqueries read the table they write.
+		{"UPDATE acct SET x = x + (SELECT COUNT(*) FROM sides) * CASE WHEN side = 1 THEN 1 ELSE -1 END WHERE id IN (SELECT id FROM acct WHERE id < 5)",
+			"DELETE FROM acct WHERE id IN (SELECT id FROM acct WHERE id = 1000)"},
 	}
 	var writing sync.WaitGroup
 	var done atomic.Bool

@@ -176,15 +176,17 @@ func (e *Engine) execInsert(s *sql.InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(n)}, nil
 }
 
-// execUpdate builds the table's new rows under the catalog's write lock — a
+// execUpdate builds the table's new rows from its published version — a
 // fresh copy of every row it changes, the published row itself where it does
-// not — and swaps them in only if the whole statement succeeded.
+// not — and swaps them in only if the whole statement succeeded. It holds
+// the writers' lock throughout, not the table lock: a subquery in the
+// statement reads the published tables as any SELECT does.
 func (e *Engine) execUpdate(s *sql.UpdateStmt) (*Result, error) {
-	e.catalog.mu.Lock()
-	defer e.catalog.mu.Unlock()
-	t, ok := e.catalog.tables[lowerKey(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, s.Table)
+	e.catalog.writeMu.Lock()
+	defer e.catalog.writeMu.Unlock()
+	t, err := e.catalog.Table(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	rel := tableRelation(t, t.Schema.Table)
 	c := &compiler{eng: e, rel: rel}
@@ -230,16 +232,18 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt) (*Result, error) {
 		}
 		affected++
 	}
-	e.catalog.tables[lowerKey(s.Table)] = &Table{Schema: t.Schema, Rows: updated}
+	e.catalog.publish(&Table{Schema: t.Schema, Rows: updated})
 	return &Result{RowsAffected: affected}, nil
 }
 
+// execDelete builds the table's remaining rows from its published version
+// and swaps them in, under the writers' lock as execUpdate does.
 func (e *Engine) execDelete(s *sql.DeleteStmt) (*Result, error) {
-	e.catalog.mu.Lock()
-	defer e.catalog.mu.Unlock()
-	t, ok := e.catalog.tables[lowerKey(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, s.Table)
+	e.catalog.writeMu.Lock()
+	defer e.catalog.writeMu.Unlock()
+	t, err := e.catalog.Table(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	rel := tableRelation(t, t.Schema.Table)
 	var kept []Row
@@ -257,7 +261,7 @@ func (e *Engine) execDelete(s *sql.DeleteStmt) (*Result, error) {
 			}
 		}
 	}
-	e.catalog.tables[lowerKey(s.Table)] = &Table{Schema: t.Schema, Rows: kept}
+	e.catalog.publish(&Table{Schema: t.Schema, Rows: kept})
 	return &Result{RowsAffected: int64(len(t.Rows) - len(kept))}, nil
 }
 
@@ -269,14 +273,4 @@ func tableRelation(t *Table, qualifier string) *relation {
 		cols[i] = binding{qualifier: qualifier, table: t.Schema.Table, column: c.Name}
 	}
 	return leafRelation(cols, t.Rows)
-}
-
-func lowerKey(name string) string {
-	b := []byte(name)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -635,7 +635,7 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	h = stage(c, h.ids, 0)
 
 	// RestoreState in place.
-	c.Store().RestoreStateWithCheckpoints(c.Store().State(), nil)
+	c.Store().RestoreState(c.Store().State())
 	h = stage(c, h.ids, 0)
 
 	// A follower bootstrapped from the primary's snapshot and WAL tail.

@@ -48,7 +48,7 @@ func TestFeedFollowsBus(t *testing.T) {
 	store2 := storage.NewStore()
 	feed2 := NewFeed(DefaultAssocConfig())
 	feed2.Attach(store2)
-	store2.RestoreStateWithCheckpoints(st, nil)
+	store2.RestoreState(st)
 	if got := feed2.NumTransactions(); got != 6 {
 		t.Fatalf("transactions after restore = %d, want 6", got)
 	}
@@ -222,7 +222,7 @@ func TestFeedMatchesFullPassUnderRandomHistory(t *testing.T) {
 				restored := storage.NewStore()
 				g := NewFeed(cfg)
 				g.Attach(restored)
-				restored.RestoreStateWithCheckpoints(store.State(), nil)
+				restored.RestoreState(store.State())
 				if got := g.Rules(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("cfg %+v step %d: rebuilt rules differ from the full pass", cfg, step)
 				}
@@ -271,29 +271,5 @@ func TestFeedRefreshRacesCommits(t *testing.T) {
 	<-done
 	if got, want := feed.Refresh().Rules, MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
 		t.Errorf("rules after the race differ from a full pass\n got: %+v\nwant: %+v", got, want)
-	}
-}
-
-// TestFeedV2SectionTakesTheRebuildPath restores a store from a snapshot an
-// older build wrote, carrying a miner-feed section (version 2, an incremental
-// miner's counters, or version 3, the multiset): the bus restores nothing
-// from it and rebuilds the feed from the restored records.
-func TestFeedV2SectionTakesTheRebuildPath(t *testing.T) {
-	store1 := storage.NewStore()
-	for i := 0; i < 5; i++ {
-		mustPut(t, store1, feedRecord(t, joinSQL))
-	}
-	for _, version := range []int{2, 3} {
-		store2 := storage.NewStore()
-		feed := NewFeed(DefaultAssocConfig())
-		feed.Attach(store2)
-		section := storage.SubscriberCheckpoint{Name: "miner-feed", Version: version, Data: []byte{1, 5, 1, 15}}
-		restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
-		if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"miner-feed"}) {
-			t.Fatalf("version %d: restored %v, rebuilt %v; want the feed rebuilt", version, restored, rebuilt)
-		}
-		if got, want := feed.Rules(), MineAssociationRules(adminTransactions(store2), DefaultAssocConfig()); len(got) == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("version %d: rebuilt rules differ from a full pass\n got: %+v\nwant: %+v", version, got, want)
-		}
 	}
 }

@@ -336,6 +336,11 @@ func TestProxyStalledSinkNeverDelaysSession(t *testing.T) {
 	}
 
 	m := proxy.ProxyMetrics()
+	// The proxy forwards a statement before it counts its capture, so the
+	// client can read the last response before the counter moves.
+	for deadline := time.Now().Add(5 * time.Second); m.StatementsCaptured.Value()+m.StatementsDropped.Value() < queries && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if dropped := m.StatementsDropped.Value(); dropped == 0 {
 		t.Error("cqms_proxy_statements_dropped_total = 0, want > 0 with a stalled sink")
 	}

@@ -129,6 +129,7 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_engine_execute_seconds histogram",
 		"# TYPE cqms_engine_result_rows histogram",
 		"# TYPE cqms_bus_callback_seconds histogram",
+		"# TYPE cqms_store_subscriber_rebuild_seconds histogram",
 		"# TYPE cqms_store_records gauge",
 		"# TYPE cqms_store_shapes gauge",
 		"# TYPE cqms_sessions_live gauge",
@@ -150,6 +151,13 @@ func TestV1MetricsContract(t *testing.T) {
 	for _, sub := range []string{"wal", "stats", "miner-feed", "sessions"} {
 		if n := mustMetric(t, text, "cqms_bus_callback_seconds_count", map[string]string{"subscriber": sub}); sub != "wal" && n < 1 {
 			t.Errorf("cqms_bus_callback_seconds_count{subscriber=%s} = %v, want >= 1", sub, n)
+		}
+	}
+	// Each derived-state subscriber rebuilt once, when it attached to the
+	// empty store; no snapshot was restored.
+	for _, sub := range []string{"stats", "miner-feed", "sessions"} {
+		if n := mustMetric(t, text, "cqms_store_subscriber_rebuild_seconds_count", map[string]string{"subscriber": sub}); n != 1 {
+			t.Errorf("cqms_store_subscriber_rebuild_seconds_count{subscriber=%s} = %v, want 1", sub, n)
 		}
 	}
 	// The one submission was an append to its user's stream, and committing it

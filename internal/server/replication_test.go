@@ -53,7 +53,7 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 	}
 
 	// Before any snapshot: bootstrap reports "replay from 0".
-	if _, _, _, ok, err := admin.FetchSnapshot(ctx); err != nil || ok {
+	if _, _, ok, err := admin.FetchSnapshot(ctx); err != nil || ok {
 		t.Fatalf("FetchSnapshot before backup = ok %v, err %v; want no snapshot", ok, err)
 	}
 
@@ -96,7 +96,7 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 	if compacted.RemovedSegments == 0 {
 		t.Fatal("compaction removed no segments; segment size too large for this test")
 	}
-	seq, state, checkpoints, ok, err := admin.FetchSnapshot(ctx)
+	seq, state, ok, err := admin.FetchSnapshot(ctx)
 	if err != nil || !ok {
 		t.Fatalf("FetchSnapshot = ok %v, err %v", ok, err)
 	}
@@ -104,17 +104,15 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 		t.Fatalf("snapshot seq = %d, want %d", seq, compacted.Seq)
 	}
 	// The stream reader staged the whole store: every record the primary
-	// held at the compaction, and the one checkpoint section, the stats
-	// subscriber's.
+	// held at the compaction.
 	info, err := admin.LogInfo(ctx)
 	if err != nil || len(info.Snapshots) != 1 {
 		t.Fatalf("LogInfo = %+v, %v", info, err)
 	}
-	if len(state.Records) == 0 || len(state.Records) != info.Snapshots[0].Records || len(checkpoints) != 1 || checkpoints[0].Name != "stats" {
-		t.Fatalf("snapshot carries %d records (the file holds %d), %d checkpoints",
-			len(state.Records), info.Snapshots[0].Records, len(checkpoints))
+	if len(state.Records) == 0 || len(state.Records) != info.Snapshots[0].Records {
+		t.Fatalf("snapshot carries %d records, the file holds %d", len(state.Records), info.Snapshots[0].Records)
 	}
-	if info.PayloadFormat != storage.PayloadFormat || info.Snapshots[0].Frames < 2+len(checkpoints) {
+	if info.PayloadFormat != storage.PayloadFormat || info.Snapshots[0].Frames < 2 {
 		t.Fatalf("LogInfo reports payload format %d, snapshot %+v", info.PayloadFormat, info.Snapshots[0])
 	}
 	if _, _, err := admin.FetchWAL(ctx, 0, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, wal.ErrCompacted) {
@@ -161,7 +159,7 @@ func TestReplicationWALLongPoll(t *testing.T) {
 // and need a durable log; status is open on every server.
 func TestReplicationAccessAndAvailability(t *testing.T) {
 	_, alice, admin := newDurableServer(t)
-	if _, _, _, _, err := alice.FetchSnapshot(ctx); errCode(err) != server.CodePermissionDenied {
+	if _, _, _, err := alice.FetchSnapshot(ctx); errCode(err) != server.CodePermissionDenied {
 		t.Fatalf("non-admin FetchSnapshot code = %v, want permission_denied", errCode(err))
 	}
 	if _, _, err := alice.FetchWAL(ctx, 0, 0, nil); errCode(err) != server.CodePermissionDenied {
@@ -188,7 +186,7 @@ func TestReplicationAccessAndAvailability(t *testing.T) {
 	// In-memory server: the stream is unavailable, status still answers.
 	tsMem, _, _, adminMem := newTestServer(t)
 	_ = tsMem
-	if _, _, _, _, err := adminMem.FetchSnapshot(ctx); errCode(err) != server.CodeUnavailable {
+	if _, _, _, err := adminMem.FetchSnapshot(ctx); errCode(err) != server.CodeUnavailable {
 		t.Fatalf("in-memory FetchSnapshot code = %v, want unavailable", errCode(err))
 	}
 	if _, _, err := adminMem.FetchWAL(ctx, 0, 0, nil); errCode(err) != server.CodeUnavailable {
@@ -212,8 +210,8 @@ func errCode(err error) server.ErrorCode {
 // to build a follower and exercise its HTTP write gating.
 type staticSource struct{}
 
-func (staticSource) FetchSnapshot(context.Context) (uint64, *storage.StoreState, []storage.SubscriberCheckpoint, bool, error) {
-	return 0, nil, nil, false, nil
+func (staticSource) FetchSnapshot(context.Context) (uint64, *storage.StoreState, bool, error) {
+	return 0, nil, false, nil
 }
 
 func (staticSource) FetchWAL(ctx context.Context, after uint64, wait time.Duration, fn func(uint64, []byte) error) (uint64, int64, error) {

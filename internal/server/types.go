@@ -244,8 +244,8 @@ type StatsResponse struct {
 	// MinedTransactions is how many logged queries with a non-empty feature
 	// set the association-rule feed counts.
 	MinedTransactions int `json:"minedTransactions"`
-	// Status is the shared status document (role, applied sequence, uptime,
-	// derived-state provenance) every status surface embeds.
+	// Status is the shared status document (role, applied sequence, uptime)
+	// every status surface embeds.
 	Status StatusDocDTO `json:"status"`
 }
 
@@ -262,13 +262,6 @@ type StatusDocDTO struct {
 	AppliedSeq uint64 `json:"appliedSeq"`
 	// UptimeSeconds is how long this process has been serving.
 	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Provenance reports, per derived-state subsystem (stats counters, miner
-	// feed, session detector), where its state came from after the last
-	// start: "checkpoint" (restored from a WAL snapshot sidecar — local on a
-	// primary, the primary's on a follower), "rebuilt" (snapshot loaded but
-	// the sidecar was unusable, full rebuild) or "live" (built incrementally,
-	// no snapshot restore involved).
-	Provenance []DerivedStateDTO `json:"provenance,omitempty"`
 }
 
 // ReplicationStatusResponse reports a process's replication position
@@ -310,12 +303,6 @@ type StatsApproxDTO struct {
 	FingerprintBound int `json:"fingerprintBound"`
 }
 
-// DerivedStateDTO is one derived-state subsystem's restore provenance.
-type DerivedStateDTO struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
-}
-
 // LogSegmentDTO describes one on-disk WAL segment.
 type LogSegmentDTO struct {
 	Name     string `json:"name"`
@@ -323,16 +310,9 @@ type LogSegmentDTO struct {
 	Bytes    int64  `json:"bytes"`
 }
 
-// SidecarDTO describes one derived-state checkpoint section of a snapshot.
-type SidecarDTO struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	Bytes   int    `json:"bytes"`
-}
-
 // SnapshotDTO describes one snapshot file: the log sequence it covers, its
-// size, and how many records and frames (header, chunks, checkpoint
-// sections) it holds. Error replaces the counts for a file that does not
+// size, and how many records and frames (header, chunks and, in a file an
+// older build wrote, checkpoint section parts) it holds. Error replaces the counts for a file that does not
 // read back.
 type SnapshotDTO struct {
 	Name    string `json:"name"`
@@ -358,9 +338,6 @@ type LogInfoResponse struct {
 	// Snapshots lists the snapshot files on disk, oldest first; recovery
 	// loads the last one.
 	Snapshots []SnapshotDTO `json:"snapshots,omitempty"`
-	// SnapshotSidecars lists the derived-state checkpoint sections carried
-	// by the newest snapshot (name, format version, payload size).
-	SnapshotSidecars []SidecarDTO `json:"snapshotSidecars,omitempty"`
 	// AppendError is set when the durability pipeline has failed: mutations
 	// after it are acknowledged but not durable.
 	AppendError string `json:"appendError,omitempty"`

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -485,18 +484,11 @@ func (s *Server) handleV1LogInfo(w http.ResponseWriter, r *http.Request) {
 			Name: seg.Name, FirstSeq: seg.FirstSeq, Bytes: seg.Bytes,
 		})
 	}
-	for i, snap := range info.Snapshots {
+	for _, snap := range info.Snapshots {
 		resp.Snapshots = append(resp.Snapshots, SnapshotDTO{
 			Name: snap.Name, Seq: snap.Seq, Bytes: snap.Bytes,
 			Records: snap.Records, Frames: snap.Frames, Error: snap.Error,
 		})
-		if i == len(info.Snapshots)-1 {
-			for _, sc := range snap.Sidecars {
-				resp.SnapshotSidecars = append(resp.SnapshotSidecars, SidecarDTO{
-					Name: sc.Name, Version: sc.Version, Bytes: sc.Bytes,
-				})
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -534,24 +526,13 @@ func (s *Server) handleV1LogCompact(w http.ResponseWriter, r *http.Request) {
 const maxStatsItems = 20
 
 // statusDoc builds the status document every status surface shares: role,
-// applied WAL sequence, uptime and derived-state provenance (sorted by name
-// for a stable wire order).
+// applied WAL sequence and uptime.
 func (s *Server) statusDoc() StatusDocDTO {
-	doc := StatusDocDTO{
+	return StatusDocDTO{
 		Role:          s.cqms.Role(),
 		AppliedSeq:    s.cqms.ReplicationStatus().AppliedSeq,
 		UptimeSeconds: s.cqms.Uptime().Seconds(),
 	}
-	prov := s.cqms.DerivedStateProvenance()
-	names := make([]string, 0, len(prov))
-	for name := range prov {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		doc.Provenance = append(doc.Provenance, DerivedStateDTO{Name: name, Source: prov[name]})
-	}
-	return doc
 }
 
 func (s *Server) handleV1Stats(w http.ResponseWriter, r *http.Request) {

@@ -626,34 +626,12 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mgr2.Close()
-			if snapshot && !reflect.DeepEqual(info.CheckpointRebuilt, []string{"sessions"}) {
-				t.Fatalf("sessions not rebuilt from the snapshot's records: %+v", info)
+			if snapshot && info.SnapshotSeq == 0 {
+				t.Fatalf("no snapshot recovered: %+v", info)
 			}
 			assertMatchesBatch(t, live2, store2)
 			assertSameSessions(t, "recovered", live2, live1)
 		})
-	}
-}
-
-// TestCheckpointV2TakesTheRebuildPath proves a snapshot written by an older
-// build — one carrying a sessions section, version 2 or 3 — restores nothing
-// from it: the bus rebuilds the detector from the restored records, and the
-// rebuild names every session as the primary did.
-func TestCheckpointV2TakesTheRebuildPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	store1 := storage.NewStore()
-	live1 := AttachLive(store1)
-	mutateSessionStream(t, rng, store1, 100, nil)
-	for _, version := range []int{2, 3} {
-		store2 := storage.NewStore()
-		live2 := AttachLive(store2)
-		section := storage.SubscriberCheckpoint{Name: "sessions", Version: version, Data: []byte{2, 0}}
-		restored, rebuilt := store2.RestoreStateWithCheckpoints(store1.State(), []storage.SubscriberCheckpoint{section})
-		if len(restored) != 0 || !reflect.DeepEqual(rebuilt, []string{"sessions"}) {
-			t.Fatalf("version %d: restored %v, rebuilt %v; want the sessions rebuilt", version, restored, rebuilt)
-		}
-		assertMatchesBatch(t, live2, store2)
-		assertSameSessions(t, "rebuilt", live2, live1)
 	}
 }
 
@@ -686,7 +664,7 @@ func TestLiveEquivalenceAfterRestoreState(t *testing.T) {
 	store2 := storage.NewStore()
 	live2 := AttachLive(store2)
 	mutateSessionStream(t, rng, store2, 30, nil)
-	store2.RestoreStateWithCheckpoints(store1.State(), nil)
+	store2.RestoreState(store1.State())
 	assertMatchesBatch(t, live2, store2)
 	assertSameSessions(t, "restored", live2, live1)
 }

@@ -125,8 +125,8 @@ func TestBoundedListingContract(t *testing.T) {
 }
 
 // TestBoundedContractAfterWALRecovery proves the contract survives a crash:
-// the recovered tracker (checkpoint sidecar restore, or snapshot Reset, plus
-// tail replay) still reports exact counts within valid bounds, and its exact
+// the recovered tracker (rebuilt from the snapshot's records, plus tail
+// replay) still reports exact counts within valid bounds, and its exact
 // counter surfaces equal the pre-crash ones.
 func TestBoundedContractAfterWALRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -141,8 +141,8 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutateRandomly(t, rng, store1, 200)
-	// Snapshot mid-history so recovery exercises sidecar restore + tail
-	// replay; the tail keeps maintaining the reseeded summaries.
+	// Snapshot mid-history so recovery exercises the rebuild + tail replay;
+	// the tail keeps maintaining the reseeded summaries.
 	if _, _, err := mgr1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,41 +171,32 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 	}
 }
 
-// TestBoundedContractAfterCheckpointRestore round-trips the tracker's own
-// checkpoint sidecar at small capacity: the restored tracker reseeds its
-// summaries from the exact maps (version stays 1) and must satisfy the
-// contract with bounds no looser than the donor's.
-func TestBoundedContractAfterCheckpointRestore(t *testing.T) {
+// TestBoundedContractAfterRebuild rebuilds a tracker from the store at small
+// capacity: the rebuilt summaries are seeded from the exact maps and must
+// satisfy the contract with bounds no looser than the incrementally
+// maintained tracker's.
+func TestBoundedContractAfterRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	store := storage.NewStore()
 	tracker1 := stats.AttachWithCapacity(store, 4)
 	mutateRandomly(t, rng, store, 250)
 
-	version, data, err := tracker1.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != stats.CheckpointVersion {
-		t.Fatalf("checkpoint version %d, want %d", version, stats.CheckpointVersion)
-	}
 	tracker2 := stats.NewWithCapacity(4)
-	if err := tracker2.Restore(version, data); err != nil {
-		t.Fatal(err)
-	}
+	tracker2.Rebuild(store)
 	assertBoundedContract(t, tracker2, store)
 	for _, p := range principalsOf() {
 		if got, want := tracker2.QueryCount(p), tracker1.QueryCount(p); got != want {
-			t.Errorf("principal %+v: restored QueryCount = %d, want %d", p, got, want)
+			t.Errorf("principal %+v: rebuilt QueryCount = %d, want %d", p, got, want)
 		}
 		if !reflect.DeepEqual(tracker2.FingerprintCountsFor(p, vocabFingerprints), tracker1.FingerprintCountsFor(p, vocabFingerprints)) {
-			t.Errorf("principal %+v: restored fingerprint counts differ", p)
+			t.Errorf("principal %+v: rebuilt fingerprint counts differ", p)
 		}
-		// Reseeding from the exact maps yields the tightest bounds possible,
-		// never looser than the incrementally maintained donor's.
+		// Seeding from the exact maps yields the tightest bounds possible,
+		// never looser than the incrementally maintained tracker's.
 		got, want := tracker2.Bounds(p), tracker1.Bounds(p)
 		if got.Tables > want.Tables || got.Users > want.Users ||
 			got.Predicates > want.Predicates || got.Fingerprints > want.Fingerprints {
-			t.Errorf("principal %+v: restored bounds %+v looser than donor %+v", p, got, want)
+			t.Errorf("principal %+v: rebuilt bounds %+v looser than live %+v", p, got, want)
 		}
 	}
 }

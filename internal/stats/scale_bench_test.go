@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -65,6 +66,60 @@ func BenchmarkStatsReadAt1MUsers(b *testing.B) {
 				tr.MaxFingerprintCount(admin)
 				tr.Bounds(admin)
 				tr.UserActivity(user)
+			}
+		})
+	}
+}
+
+// rebuildBenchStore fills a store with n records the way a shared log looks:
+// a few hundred distinct texts, repeated, issued by users drawn from a Zipf
+// distribution over n/10 of them, a third of the records public.
+func rebuildBenchStore(b *testing.B, n int) *storage.Store {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(n/10))
+	texts := make([]*storage.QueryRecord, 300)
+	for i := range texts {
+		var sql string
+		switch i % 3 {
+		case 0:
+			sql = fmt.Sprintf("SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < %d", i)
+		case 1:
+			sql = fmt.Sprintf("SELECT WaterSalinity.salinity, WaterTemp.temp FROM WaterSalinity, WaterTemp WHERE WaterSalinity.loc_x = WaterTemp.loc_x AND WaterSalinity.salinity > %d", i)
+		default:
+			sql = fmt.Sprintf("SELECT city FROM CityLocations WHERE pop > %d", i*1000)
+		}
+		rec, err := storage.NewRecordFromSQL(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = rec
+	}
+	store := storage.NewStore()
+	for i := 0; i < n; i++ {
+		rec := texts[rng.Intn(len(texts))].Clone()
+		rec.User = fmt.Sprintf("user%06d", zipf.Uint64())
+		rec.Visibility = storage.VisibilityGroup
+		if i%3 == 0 {
+			rec.Visibility = storage.VisibilityPublic
+		}
+		if _, err := store.Put(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return store
+}
+
+// BenchmarkStatsRebuild prices Tracker.Rebuild — what a restart or a follower
+// bootstrap pays for the stats counters — at 10^4 and 10^5 records.
+func BenchmarkStatsRebuild(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		store := rebuildBenchStore(b, n)
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			t := New()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t.Rebuild(store)
 			}
 		})
 	}

@@ -86,22 +86,29 @@ type bucket struct {
 }
 
 func newBucket(capacity int) *bucket {
+	b := newCounters()
+	b.topTables = newTopK[string](capacity)
+	b.topUsers = newTopK[string](capacity)
+	b.topPreds = newTopK[string](capacity)
+	b.topFingerprints = newTopK[uint64](capacity)
+	return b
+}
+
+// newCounters returns a bucket with empty counter maps and no summaries yet:
+// Rebuild fills the maps, then reseed derives the summaries from them.
+func newCounters() *bucket {
 	return &bucket{
-		users:           make(map[string]int),
-		fingerprints:    make(map[uint64]int),
-		tables:          make(map[string]*tableAgg),
-		preds:           make(map[string]int),
-		topTables:       newTopK[string](capacity),
-		topUsers:        newTopK[string](capacity),
-		topPreds:        newTopK[string](capacity),
-		topFingerprints: newTopK[uint64](capacity),
+		users:        make(map[string]int),
+		fingerprints: make(map[uint64]int),
+		tables:       make(map[string]*tableAgg),
+		preds:        make(map[string]int),
 	}
 }
 
 // reseed rebuilds every summary from the bucket's exact maps, giving each the
 // tightest membership and miss bound possible for the current counts. Called
-// after bulk construction (Rebuild, checkpoint Restore), where the
-// incremental admission order could otherwise leave an inflated watermark.
+// after bulk construction (Rebuild), where the incremental admission order
+// could otherwise leave an inflated watermark.
 func (b *bucket) reseed(capacity int) {
 	tables := make(map[string]int, len(b.tables))
 	for key, ta := range b.tables {
@@ -164,8 +171,7 @@ func bumpCount[K comparable](m map[K]int, key K, delta int) {
 }
 
 // relItem is a pre-rendered candidate key with its lower-cased qualifying
-// relation, built once per record so the per-table loop in apply does no
-// string work of its own.
+// relation.
 type relItem struct {
 	text string
 	rel  string
@@ -177,71 +183,107 @@ type joinItem struct {
 	left, right string
 }
 
-// apply adds (delta=+1) or retracts (delta=-1) one record's contributions.
-// A record contributes once per distinct table it references — mirroring the
-// recommender's former per-table index scans, where a query referencing two
-// context tables was visited (and counted) once per table. All name/text
-// rendering happens once per record, before the table loop: apply runs under
-// the store's commit lock, so it must not redo string builds per table.
-func (b *bucket) apply(rec *storage.QueryRecord, delta int) {
-	b.queries += delta
-	bumpCount(b.users, rec.User, delta)
-	b.topUsers.update(rec.User, b.users[rec.User])
-	bumpCount(b.fingerprints, rec.Fingerprint, delta)
-	b.topFingerprints.update(rec.Fingerprint, b.fingerprints[rec.Fingerprint])
-	attrs := make([]relItem, 0, len(rec.Attributes))
-	for _, a := range rec.Attributes {
+// shapeKeys is every counter key one query shape contributes to a bucket,
+// rendered once: the template fingerprint, the attribute, concrete-predicate
+// and join keys, and the distinct lower-cased tables with the casing each
+// first appears in. It is the one definition of the key format, for live
+// apply and for Rebuild alike.
+type shapeKeys struct {
+	fingerprint uint64
+	attrs       []relItem
+	preds       []relItem // concrete predicates, once per occurrence
+	joins       []joinItem
+	tables      []tableName
+}
+
+// tableName is a lower-cased table key with the casing it first appears in.
+type tableName struct {
+	key, name string
+}
+
+func keysOf(sh *storage.QueryShape) shapeKeys {
+	k := shapeKeys{fingerprint: sh.Fingerprint, attrs: make([]relItem, 0, len(sh.Attributes))}
+	for _, a := range sh.Attributes {
 		name := a.Attr
 		if a.Rel != "" {
 			name = a.Rel + "." + a.Attr
 		}
-		attrs = append(attrs, relItem{text: name, rel: strings.ToLower(a.Rel)})
+		k.attrs = append(k.attrs, relItem{text: name, rel: strings.ToLower(a.Rel)})
 	}
-	var preds []relItem
-	var joins []joinItem
-	for _, p := range rec.Predicates {
+	for _, p := range sh.Predicates {
 		if p.IsJoin {
-			joins = append(joins, joinItem{
-				key:  CanonicalJoin(p),
-				left: strings.ToLower(p.Rel), right: strings.ToLower(p.RightRel),
-			})
+			key, left, right := canonicalJoin(p)
+			k.joins = append(k.joins, joinItem{key: key, left: strings.ToLower(left), right: strings.ToLower(right)})
 			continue
 		}
-		text := PredicateText(p)
-		bumpCount(b.preds, text, delta)
-		b.topPreds.update(text, b.preds[text])
-		preds = append(preds, relItem{text: text, rel: strings.ToLower(p.Rel)})
+		k.preds = append(k.preds, relItem{text: PredicateText(p), rel: strings.ToLower(p.Rel)})
 	}
-	seen := make(map[string]bool, len(rec.Tables))
-	for _, t := range rec.Tables {
+tables:
+	for _, t := range sh.Tables {
 		key := strings.ToLower(t)
-		if seen[key] {
-			continue
+		for _, seen := range k.tables {
+			if seen.key == key {
+				continue tables
+			}
 		}
-		seen[key] = true
-		ta := b.tables[key]
+		k.tables = append(k.tables, tableName{key: key, name: t})
+	}
+	return k
+}
+
+// apply adds (delta=+1) or retracts (delta=-1) one record's contributions,
+// k being the keys of its shape, keeping the top-K summaries current key by
+// key. It runs under the store's commit lock.
+func (b *bucket) apply(rec *storage.QueryRecord, k *shapeKeys, delta int) {
+	b.queries += delta
+	bumpCount(b.users, rec.User, delta)
+	b.topUsers.update(rec.User, b.users[rec.User])
+	b.add(k, delta, true)
+}
+
+// add counts n copies of a shape's keys (n < 0 retracts them). A shape
+// contributes once per distinct table it references — mirroring the
+// recommender's former per-table index scans, where a query referencing two
+// context tables was visited (and counted) once per table. With track, every
+// touched key is re-offered to its top-K summary as live apply requires;
+// Rebuild adds without and reseeds once at the end.
+func (b *bucket) add(k *shapeKeys, n int, track bool) {
+	bumpCount(b.fingerprints, k.fingerprint, n)
+	if track {
+		b.topFingerprints.update(k.fingerprint, b.fingerprints[k.fingerprint])
+	}
+	for _, p := range k.preds {
+		bumpCount(b.preds, p.text, n)
+		if track {
+			b.topPreds.update(p.text, b.preds[p.text])
+		}
+	}
+	for _, t := range k.tables {
+		ta := b.tables[t.key]
 		if ta == nil {
-			if delta <= 0 {
+			if n <= 0 {
 				continue
 			}
 			ta = newTableAgg()
-			b.tables[key] = ta
+			b.tables[t.key] = ta
 		}
-		ta.count += delta
-		bumpCount(ta.names, t, delta)
-		for _, a := range attrs {
-			bumpItem(ta.attrs, a.text, a.rel, delta)
+		ta.count += n
+		bumpCount(ta.names, t.name, n)
+		for _, a := range k.attrs {
+			bumpItem(ta.attrs, a.text, a.rel, n)
 		}
-		for _, p := range preds {
-			bumpItem(ta.preds, p.text, p.rel, delta)
+		for _, p := range k.preds {
+			bumpItem(ta.preds, p.text, p.rel, n)
 		}
-		for _, j := range joins {
-			bumpJoin(ta.joins, j.key, j.left, j.right, delta)
+		for _, j := range k.joins {
+			bumpJoin(ta.joins, j.key, j.left, j.right, n)
 		}
 		if ta.count <= 0 {
-			delete(b.tables, key)
+			delete(b.tables, t.key)
 		}
-		b.topTables.update(key, ta.count)
+		if track {
+			b.topTables.update(t.key, ta.count)
+		}
 	}
 }
 
@@ -249,12 +291,21 @@ func (b *bucket) apply(rec *storage.QueryRecord, delta int) {
 // ordered deterministically, so "A.x = B.x" and "B.x = A.x" aggregate under
 // one key. It is exactly the suggestion text the recommender emits.
 func CanonicalJoin(pr storage.PredicateRow) string {
+	key, _, _ := canonicalJoin(pr)
+	return key
+}
+
+// canonicalJoin is CanonicalJoin plus the relations of its left and right
+// side as the key orders them.
+func canonicalJoin(pr storage.PredicateRow) (key, leftRel, rightRel string) {
 	left := pr.Rel + "." + pr.Attr
 	right := pr.RightRel + "." + pr.RightAttr
+	leftRel, rightRel = pr.Rel, pr.RightRel
 	if pr.Op == "=" && left > right {
 		left, right = right, left
+		leftRel, rightRel = rightRel, leftRel
 	}
-	return left + " " + pr.Op + " " + right
+	return left + " " + pr.Op + " " + right, leftRel, rightRel
 }
 
 // PredicateText renders a concrete (non-join) predicate exactly as the
@@ -308,9 +359,7 @@ func newWithCapacity(capacity int) *Tracker {
 // it to the mutation event bus. Registration and the initial rebuild happen
 // under the store's commit lock, so no mutation can slip between them; WAL
 // replay keeps the tracker correct incrementally and a RestoreState triggers
-// a full rebuild through the Reset hook. The tracker also offers the
-// Checkpoint/Restore pair, so WAL snapshots carry its counters and recovery
-// skips the rebuild when a checkpoint sidecar is present.
+// a full rebuild through the Reset hook.
 func Attach(store *storage.Store) *Tracker {
 	return attachWithCapacity(store, topKCapacity)
 }
@@ -320,37 +369,66 @@ func Attach(store *storage.Store) *Tracker {
 func attachWithCapacity(store *storage.Store, capacity int) *Tracker {
 	t := newWithCapacity(capacity)
 	rebuild := func() { t.Rebuild(store) }
-	store.Subscribe("stats", t.OnMutation, storage.SubscribeOptions{
-		Init: rebuild, Reset: rebuild,
-		Checkpoint: t.Checkpoint, Restore: t.Restore,
-	})
+	store.Subscribe("stats", t.OnMutation, storage.SubscribeOptions{Init: rebuild, Reset: rebuild})
 	return t
 }
 
 // Rebuild replaces the tracker's counters with a from-scratch aggregation
-// over the store's current contents. The new counters are built off to the
-// side and swapped in, so concurrent readers never observe a half-built
-// state.
+// over the store's current contents. Records share their interned shape, so
+// one scan counts them per user, shape and visibility; every shape's keys are
+// then rendered once and added to each bucket with their multiplicity. The
+// new counters are built off to the side and swapped in, so concurrent
+// readers never observe a half-built state.
 func (t *Tracker) Rebuild(store *storage.Store) {
-	all, public := newBucket(t.capacity), newBucket(t.capacity)
-	owners := make(map[string]*bucket)
+	type cell struct {
+		user   string
+		shape  *storage.QueryShape
+		public bool
+	}
+	cells := make(map[cell]int)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
-		all.apply(rec, 1)
-		if rec.Visibility == storage.VisibilityPublic {
-			public.apply(rec, 1)
-		} else {
-			b := owners[rec.User]
-			if b == nil {
-				b = newBucket(t.capacity)
-				owners[rec.User] = b
-			}
-			b.apply(rec, 1)
-		}
+		cells[cell{rec.User, rec.QueryShape, rec.Visibility == storage.VisibilityPublic}]++
 		return true
 	})
-	// Reseed the summaries from the final maps: the insertion-order build
-	// above can leave an inflated miss watermark, while a from-scratch seed
-	// yields the exact top-capacity membership and tightest bound.
+	type counts struct {
+		keys        shapeKeys
+		all, public int
+	}
+	shapes := make(map[*storage.QueryShape]*counts)
+	all, public := newCounters(), newCounters()
+	owners := make(map[string]*bucket)
+	for c, n := range cells {
+		sh := shapes[c.shape]
+		if sh == nil {
+			sh = &counts{keys: keysOf(c.shape)}
+			shapes[c.shape] = sh
+		}
+		sh.all += n
+		all.users[c.user] += n
+		if c.public {
+			sh.public += n
+			public.users[c.user] += n
+			continue
+		}
+		b := owners[c.user]
+		if b == nil {
+			b = newCounters()
+			owners[c.user] = b
+		}
+		b.queries += n
+		b.users[c.user] += n
+		b.add(&sh.keys, n, false)
+	}
+	for _, sh := range shapes {
+		all.queries += sh.all
+		all.add(&sh.keys, sh.all, false)
+		if sh.public > 0 {
+			public.queries += sh.public
+			public.add(&sh.keys, sh.public, false)
+		}
+	}
+	// Seed the summaries from the final maps: the exact top-capacity
+	// membership and the tightest bound.
 	all.reseed(t.capacity)
 	public.reseed(t.capacity)
 	for _, b := range owners {
@@ -394,10 +472,11 @@ func (t *Tracker) OnMutation(m *storage.Mutation) {
 		if prevPub == nextPub {
 			return // same bucket; counted contents unchanged
 		}
+		k := keysOf(next.QueryShape) // a visibility flip keeps the shape
 		t.mu.Lock()
-		t.specificFor(prev).apply(prev, -1)
+		t.specificFor(prev).apply(prev, &k, -1)
 		t.pruneOwner(prev.User)
-		t.specificFor(next).apply(next, 1)
+		t.specificFor(next).apply(next, &k, 1)
 		t.mu.Unlock()
 	case storage.OpReplaceText:
 		prev, next := m.Prev(), m.Next()
@@ -412,13 +491,15 @@ func (t *Tracker) OnMutation(m *storage.Mutation) {
 }
 
 func (t *Tracker) addLocked(rec *storage.QueryRecord) {
-	t.all.apply(rec, 1)
-	t.specificFor(rec).apply(rec, 1)
+	k := keysOf(rec.QueryShape)
+	t.all.apply(rec, &k, 1)
+	t.specificFor(rec).apply(rec, &k, 1)
 }
 
 func (t *Tracker) removeLocked(rec *storage.QueryRecord) {
-	t.all.apply(rec, -1)
-	t.specificFor(rec).apply(rec, -1)
+	k := keysOf(rec.QueryShape)
+	t.all.apply(rec, &k, -1)
+	t.specificFor(rec).apply(rec, &k, -1)
 	t.pruneOwner(rec.User)
 }
 

@@ -304,7 +304,7 @@ func TestEquivalenceAfterRestoreState(t *testing.T) {
 	tracker2 := stats.Attach(store2)
 	// Pre-existing contents must be fully replaced, in the tracker too.
 	mutateRandomly(t, rng, store2, 30)
-	store2.RestoreStateWithCheckpoints(st, nil)
+	store2.RestoreState(st)
 	assertMatchesRebuild(t, tracker2, store2)
 	if got, want := tracker2.QueryCount(admin), store2.Count(); got != want {
 		t.Errorf("QueryCount = %d, want %d", got, want)

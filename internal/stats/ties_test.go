@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -65,10 +66,10 @@ func assertSameListings(t *testing.T, what string, got, want *stats.Tracker) {
 	}
 }
 
-// TestTiedListingsMatchAcrossCheckpointAndRebuild: a tracker restored from a
-// checkpoint and one rebuilt from the store list the same tied keys, however
-// often either is built.
-func TestTiedListingsMatchAcrossCheckpointAndRebuild(t *testing.T) {
+// TestTiedListingsMatchAcrossRebuilds: trackers rebuilt from one store —
+// shape by shape, or record by record as the oracle does — list the same
+// tied keys, however often either is built.
+func TestTiedListingsMatchAcrossRebuilds(t *testing.T) {
 	const capacity = 8
 	rng := rand.New(rand.NewSource(9))
 	store := storage.NewStore()
@@ -78,18 +79,12 @@ func TestTiedListingsMatchAcrossCheckpointAndRebuild(t *testing.T) {
 	if live.Bounds(admin).Users == 0 {
 		t.Fatal("the user summary never overflowed; the history no longer ties at its cut")
 	}
-	version, data, err := live.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rebuilt := stats.NewWithCapacity(capacity)
 	rebuilt.Rebuild(store)
 	for i := 0; i < 10; i++ {
-		restored := stats.NewWithCapacity(capacity)
-		if err := restored.Restore(version, data); err != nil {
-			t.Fatal(err)
-		}
-		assertSameListings(t, fmt.Sprintf("restore %d vs rebuild", i), restored, rebuilt)
+		oracle := stats.NewWithCapacity(capacity)
+		oracle.RebuildPerRecord(store)
+		assertSameListings(t, fmt.Sprintf("per-record rebuild %d vs rebuild", i), oracle, rebuilt)
 		again := stats.NewWithCapacity(capacity)
 		again.Rebuild(store)
 		assertSameListings(t, fmt.Sprintf("rebuild %d vs rebuild", i), again, rebuilt)
@@ -98,8 +93,11 @@ func TestTiedListingsMatchAcrossCheckpointAndRebuild(t *testing.T) {
 
 // TestTiedListingsMatchPrimaryAfterRecovery: a primary that grew by puts
 // takes a snapshot, then runs every kind of mutation; a replica recovered
-// from that snapshot and the log tail — the follower's bootstrap path —
-// lists exactly what the primary lists, tied keys and bounds included.
+// from that snapshot and the log tail — the follower's bootstrap path, which
+// rebuilds the tracker from the snapshot's records — lists exactly what the
+// primary lists, tied keys and bounds included. Both sides count their
+// rebuilds: the primary's tracker was built once, on attach, and the
+// replica's twice, on attach and from the snapshot's records.
 func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
 	const capacity = 8
 	for seed := int64(1); seed <= 3; seed++ {
@@ -107,7 +105,9 @@ func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := wal.DefaultConfig(t.TempDir())
 			cfg.SyncPolicy = "off"
+			primaryReg := telemetry.NewRegistry()
 			store := storage.NewStore()
+			store.EnableMetrics(primaryReg)
 			primary := stats.AttachWithCapacity(store, capacity)
 			mgr, _, err := wal.Open(store, cfg)
 			if err != nil {
@@ -128,15 +128,21 @@ func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
 				t.Fatal("the user summary never overflowed; the history no longer ties at its cut")
 			}
 
+			reg := telemetry.NewRegistry()
 			replicaStore := storage.NewStore()
+			replicaStore.EnableMetrics(reg)
 			replica := stats.AttachWithCapacity(replicaStore, capacity)
 			mgr2, info, err := wal.Open(replicaStore, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mgr2.Close()
-			if info.SnapshotSeq == 0 || len(info.CheckpointRestored) == 0 {
-				t.Fatalf("recovery %+v: want the snapshot's stats checkpoint plus a tail", info)
+			rebuilds := func(reg *telemetry.Registry) uint64 {
+				return reg.HistogramVec("cqms_store_subscriber_rebuild_seconds", "", nil, "subscriber").With("stats").Count()
+			}
+			if info.SnapshotSeq == 0 || info.Replayed == 0 || rebuilds(primaryReg) != 1 || rebuilds(reg) != 2 {
+				t.Fatalf("recovery %+v, %d primary and %d replica rebuilds: want the replica rebuilt from the snapshot, then a tail",
+					info, rebuilds(primaryReg), rebuilds(reg))
 			}
 			assertSameListings(t, "recovered replica vs primary", replica, primary)
 		})

@@ -66,8 +66,8 @@ type topkSummary[K cmp.Ordered] struct {
 	// evicted from or refused admission to the summary: every untracked
 	// key's true count is ≤ missedBound. It only rises during incremental
 	// maintenance and resets when the summary is reseeded from the full map
-	// (rebuild, checkpoint restore), where it becomes the count of the
-	// largest key that did not fit.
+	// (Rebuild), where it becomes the count of the largest key that did not
+	// fit.
 	missedBound int
 }
 
@@ -189,9 +189,11 @@ func (t *topkSummary[K]) len() int { return len(t.heap) }
 // seed rebuilds the summary from a full exact counter map: the top-capacity
 // keys are tracked and the watermark becomes the largest count that did not
 // fit — the tightest bound any summary over that map can offer. Used by
-// Rebuild and checkpoint Restore so recovered summaries start exact.
+// Rebuild so rebuilt summaries start exact.
 func seedTopK[K cmp.Ordered](capacity int, counts map[K]int) *topkSummary[K] {
-	t := newTopK[K](capacity)
+	// The seeded size is known: size the heap and the index for it.
+	n := min(len(counts), capacity)
+	t := &topkSummary[K]{capacity: capacity, heap: make([]topkEntry[K], 0, n), pos: make(map[K]int, n)}
 	if len(counts) <= t.capacity {
 		for k, n := range counts {
 			t.update(k, n)

@@ -114,7 +114,7 @@ func TestBusResetOnRestore(t *testing.T) {
 	s2.Subscribe("derived", func(*Mutation) { mutations++ }, SubscribeOptions{
 		Reset: func() { resets++ },
 	})
-	s2.RestoreStateWithCheckpoints(st, nil)
+	s2.RestoreState(st)
 	if mutations != 0 {
 		t.Errorf("restore emitted %d mutations, want 0", mutations)
 	}

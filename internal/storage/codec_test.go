@@ -345,21 +345,28 @@ func TestSnapshotPayloads(t *testing.T) {
 		t.Error("an edge chunk decoded as records")
 	}
 
-	cp := SubscriberCheckpoint{Name: "stats", Version: 2, Data: []byte{0, 1, 2}}
-	gotCP, left, err := DecodeCheckpointPart(AppendCheckpointPart(nil, cp.Name, cp.Version, 4, cp.Data))
-	if err != nil || left != 4 || gotCP.Name != cp.Name || gotCP.Version != cp.Version || !bytes.Equal(gotCP.Data, cp.Data) {
-		t.Fatalf("checkpoint part round trip = %+v, %d left, %v", gotCP, left, err)
+	// An older build's checkpoint section part: the stats section, version 2,
+	// four parts to follow, three bytes of its data.
+	part, err := DecodeCheckpointPart([]byte(parentCheckpointPart))
+	if want := (CheckpointPart{Name: "stats", Version: 2, Left: 4}); err != nil || part != want {
+		t.Fatalf("checkpoint part = %+v, %v; want %+v", part, err, want)
+	}
+	for cut := 2; cut < len(parentCheckpointPart)-3; cut++ {
+		if _, err := DecodeCheckpointPart([]byte(parentCheckpointPart)[:cut]); err == nil {
+			t.Errorf("a checkpoint part cut to %d bytes was accepted", cut)
+		}
 	}
 }
 
 // Payloads an older build wrote, which this build can no longer produce: a
-// session assignment, a session edge, a snapshot edge chunk and a quality
-// score.
+// session assignment, a session edge, a snapshot edge chunk, a quality score
+// and a part of a snapshot's checkpoint section.
 const (
-	parentAssignSession = "\x01\x05\x11\x18\x08"                             // query 12 to session 4
-	parentAddEdge       = "\x01\x06\x20\x16\x18\x04\x14+table WaterSalinity" // 11 -> 12, investigation
-	parentEdgeChunk     = "\x01\x42\x01\x00\x00\x00\x02\x04\x02\x0f-attr a\x0a+attr b"
-	parentSetQuality    = "\x01\x0c\x81\x08\x12\x00\x00\x00\x00\x00\x00\xd8\x3f" // query 9 scored 0.375
+	parentAssignSession  = "\x01\x05\x11\x18\x08"                             // query 12 to session 4
+	parentAddEdge        = "\x01\x06\x20\x16\x18\x04\x14+table WaterSalinity" // 11 -> 12, investigation
+	parentEdgeChunk      = "\x01\x42\x01\x00\x00\x00\x02\x04\x02\x0f-attr a\x0a+attr b"
+	parentSetQuality     = "\x01\x0c\x81\x08\x12\x00\x00\x00\x00\x00\x00\xd8\x3f" // query 9 scored 0.375
+	parentCheckpointPart = "\x01\x43\x05stats\x02\x04\x00\x01\x02"
 )
 
 // TestParentSessionOpsDecodeToNothing: an older build's session and quality

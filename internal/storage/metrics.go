@@ -21,14 +21,14 @@ type storeMetrics struct {
 	// the store's write-stall budget, including every bus callback that ran
 	// under the lock.
 	commitHold *telemetry.Histogram
-	// capture is the time a snapshot capture holds the commit lock: the
-	// subscriber checkpoints plus one pointer copy per record (the snapshot
-	// write-stall).
+	// capture is the time a snapshot capture holds the commit lock: one
+	// pointer copy per record (the snapshot write-stall).
 	capture *telemetry.Histogram
 	// busVec times each bus callback by subscriber name; the WAL slot
-	// reports as subscriber="wal".
-	busVec      *telemetry.HistogramVec
-	walCallback *telemetry.Histogram
+	// reports as subscriber="wal". rebuildVec times each subscriber's Init
+	// and Reset rebuilds.
+	busVec, rebuildVec *telemetry.HistogramVec
+	walCallback        *telemetry.Histogram
 	// durabilityWait is the time a mutating operation spent waiting for its
 	// WAL group-commit fsync after releasing the commit lock — latency the
 	// caller still pays, but that no longer stalls other writers.
@@ -55,9 +55,12 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 		commitHold: reg.Histogram("cqms_store_commit_lock_hold_seconds",
 			"Time the commit lock was held per mutating store operation, including bus callbacks.", nil),
 		capture: reg.Histogram("cqms_store_state_capture_seconds",
-			"Time the commit lock is held to capture a snapshot: subscriber checkpoints plus one pointer copy per record.", nil),
+			"Time the commit lock is held to capture a snapshot: one pointer copy per record.", nil),
 		busVec: reg.HistogramVec("cqms_bus_callback_seconds",
 			"Mutation-bus callback duration by subscriber; runs under the commit lock, so this is each subscriber's share of the write stall.",
+			nil, "subscriber"),
+		rebuildVec: reg.HistogramVec("cqms_store_subscriber_rebuild_seconds",
+			"Time a derived-state subscriber took to rebuild from the records: its Init on attach and its Reset after a snapshot restore.",
 			nil, "subscriber"),
 		durabilityWait: reg.Histogram("cqms_store_durability_wait_seconds",
 			"Time a mutating operation waited, outside the commit lock, for its WAL group-commit fsync.", nil),
@@ -98,6 +101,7 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	s.metrics = m
 	for i := range s.subs {
 		s.subs[i].hist = m.busVec.With(s.subs[i].name)
+		s.subs[i].rebuild = m.rebuildVec.With(s.subs[i].name)
 	}
 	s.commitMu.Unlock()
 }

@@ -105,26 +105,24 @@ type MutationHook func(*Mutation)
 //   - Subscribers (Subscribe) receive live AND replayed mutations, enriched
 //     with the Prev/Next record versions, so incrementally maintained state
 //     (stats counters, the miner feed) stays correct through crash recovery
-//     without a rebuild scan. After RestoreStateWithCheckpoints replaces the
-//     store wholesale, each subscriber restores its checkpoint or its Reset
-//     hook fires instead, because a snapshot load has no per-record mutation
-//     stream.
+//     without a rebuild scan. After RestoreState replaces the store
+//     wholesale, each subscriber's Reset hook rebuilds it from the restored
+//     records, because a snapshot load has no per-record mutation stream.
 //
 // All callbacks run under the commit lock: they must be fast and must not
 // call back into mutating store methods.
 
 // busSubscriber is one derived-state registration on the mutation bus.
 type busSubscriber struct {
-	id         int
-	name       string
-	fn         MutationHook
-	reset      func()
-	checkpoint func() (version int, data []byte, err error)
-	restore    func(version int, data []byte) error
+	id    int
+	name  string
+	fn    MutationHook
+	reset func()
 	// hist times this subscriber's callbacks (nil, and inert, until the store
 	// is instrumented); since callbacks run under the commit lock, it is the
-	// subscriber's share of the write stall.
-	hist *telemetry.Histogram
+	// subscriber's share of the write stall. rebuild times its Init and
+	// Reset: what a restart or a follower bootstrap pays for the subscriber.
+	hist, rebuild *telemetry.Histogram
 }
 
 // SubscribeOptions configures a mutation-bus subscription.
@@ -134,22 +132,19 @@ type SubscribeOptions struct {
 	// current contents without a mutation slipping in between.
 	Init func()
 	// Reset, when set, runs under the commit lock after a restore has replaced
-	// the store's contents and found no usable checkpoint for the subscriber;
-	// the subscriber must rebuild its derived state from the store.
+	// the store's contents; the subscriber must rebuild its derived state from
+	// the store.
 	Reset func()
-	// Checkpoint, when set, serialises the subscriber's derived state. It
-	// runs under the commit lock in the same critical section that captures
-	// the store state (CaptureWithCheckpoints), so the checkpoint is exactly
-	// consistent with the snapshot it rides in. Returning an error omits the
-	// subscriber's section from the snapshot — recovery then falls back to
-	// Reset.
-	Checkpoint func() (version int, data []byte, err error)
-	// Restore, when set, loads a checkpoint previously produced by
-	// Checkpoint. It runs under the commit lock after the store's contents
-	// have been restored (RestoreStateWithCheckpoints); a version the
-	// subscriber no longer understands, or any decode failure, must be
-	// returned as an error — the bus then falls back to the Reset rebuild.
-	Restore func(version int, data []byte) error
+}
+
+// timeRebuild runs one of the subscriber's rebuild hooks, if set, timed.
+func (sub *busSubscriber) timeRebuild(hook func()) {
+	if hook == nil {
+		return
+	}
+	start := time.Now()
+	hook()
+	sub.rebuild.Observe(time.Since(start))
 }
 
 // Subscribe registers a derived-state subscriber on the mutation event bus
@@ -160,13 +155,12 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 	defer s.commitMu.Unlock()
 	s.nextSubID++
 	id := s.nextSubID
-	s.subs = append(s.subs, busSubscriber{
-		id: id, name: name, fn: fn, hist: s.metrics.busVec.With(name),
-		reset: opts.Reset, checkpoint: opts.Checkpoint, restore: opts.Restore,
-	})
-	if opts.Init != nil {
-		opts.Init()
+	sub := busSubscriber{
+		id: id, name: name, fn: fn, reset: opts.Reset,
+		hist: s.metrics.busVec.With(name), rebuild: s.metrics.rebuildVec.With(name),
 	}
+	s.subs = append(s.subs, sub)
+	sub.timeRebuild(opts.Init)
 	return func() {
 		s.commitMu.Lock()
 		defer s.commitMu.Unlock()

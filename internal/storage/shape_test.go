@@ -299,7 +299,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 // every record into chunks, decode them and restore a new store from them.
 func snapshotRestore(t *testing.T, s *Store) *Store {
 	t.Helper()
-	st, _ := s.CaptureWithCheckpoints(nil)
+	st := s.CaptureState(nil)
 	var e Encoder
 	var decoded []*QueryRecord
 	for rest := st.Records; len(rest) > 0; {
@@ -311,7 +311,7 @@ func snapshotRestore(t *testing.T, s *Store) *Store {
 		rest = rest[n:]
 	}
 	restored := NewStore()
-	restored.RestoreStateWithCheckpoints(&StoreState{NextID: st.NextID, Records: decoded}, nil)
+	restored.RestoreState(&StoreState{NextID: st.NextID, Records: decoded})
 	return restored
 }
 

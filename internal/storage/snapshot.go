@@ -21,58 +21,30 @@ type StoreState struct {
 }
 
 // State returns a deep copy of the store's state: the in-memory test API,
-// safe to hand to another store's RestoreStateWithCheckpoints.
+// safe to hand to another store's RestoreState.
 func (s *Store) State() *StoreState {
-	st, _ := s.capture(nil, false)
+	st := s.CaptureState(nil)
 	for i, rec := range st.Records {
 		st.Records[i] = rec.Clone()
 	}
 	return st
 }
 
-// SubscriberCheckpoint is one bus subscriber's serialized derived state,
-// captured atomically with a StoreState and carried as a snapshot sidecar
-// section so recovery can restore the subscriber instead of rebuilding it.
-type SubscriberCheckpoint struct {
-	Name    string
-	Version int
-	Data    []byte
-}
-
-// CaptureWithCheckpoints is the snapshot writer's view of the store. Under
-// the commit lock it invokes capture (the WAL manager records the last
-// appended log sequence there: the mutation hook runs under the same lock,
-// so no mutation can slip between that sequence and the captured contents),
-// takes one checkpoint per bus subscriber that offers one (a subscriber
-// whose Checkpoint fails is omitted; recovery rebuilds it), and collects the
+// CaptureState is the snapshot writer's view of the store. Under the commit
+// lock it invokes capture (the WAL manager records the last appended log
+// sequence there: the mutation hook runs under the same lock, so no mutation
+// can slip between that sequence and the captured contents) and collects the
 // current version of every record — pointers, not copies: stored records are
 // immutable, so the writer can encode them after the lock is released while
 // mutations replace them in the store. The returned state is therefore
-// read-only and must never reach RestoreStateWithCheckpoints, which takes
-// ownership of the records it is given; use State for that.
-func (s *Store) CaptureWithCheckpoints(capture func()) (*StoreState, []SubscriberCheckpoint) {
-	return s.capture(capture, true)
-}
-
-func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []SubscriberCheckpoint) {
+// read-only and must never reach RestoreState, which takes ownership of the
+// records it is given; use State for that.
+func (s *Store) CaptureState(capture func()) *StoreState {
 	s.lockCommit()
 	defer s.unlockCommit()
 	defer func() { s.metrics.capture.Observe(time.Since(s.commitLockedAt)) }()
 	if capture != nil {
 		capture()
-	}
-	var cps []SubscriberCheckpoint
-	if checkpoints {
-		for _, sub := range s.subs {
-			if sub.checkpoint == nil {
-				continue
-			}
-			version, data, err := sub.checkpoint()
-			if err != nil {
-				continue
-			}
-			cps = append(cps, SubscriberCheckpoint{Name: sub.name, Version: version, Data: data})
-		}
 	}
 	// The order is copy-on-write (see idx): the captured header stays valid
 	// after the lock is released.
@@ -88,41 +60,24 @@ func (s *Store) capture(capture func(), checkpoints bool) (*StoreState, []Subscr
 			st.Records = append(st.Records, rec)
 		}
 	}
-	return st, cps
+	return st
 }
 
-// RestoreStateWithCheckpoints replaces the store's entire contents with the
-// snapshot, rebuilding the shard placement and every inverted index through
-// the same insert path used by live operations and replay, then brings every
-// bus subscriber back: a subscriber whose named checkpoint is present,
-// understood and restores cleanly skips the rebuild; every other subscriber
-// gets its Reset hook (a full rebuild from the restored store) — a snapshot
+// RestoreState replaces the store's entire contents with the snapshot,
+// rebuilding the shard placement and every inverted index through the same
+// insert path used by live operations and replay, then runs every bus
+// subscriber's Reset hook, a rebuild from the restored records: a snapshot
 // load has no per-record mutation stream to fan out, and the WAL slot is not
-// invoked. It returns the subscriber names that restored from a checkpoint
-// and those that were rebuilt, for recovery provenance. It takes ownership of
-// st and its records: recovery hands over a freshly decoded state, and
-// cloning ~100k records a second time would double restart cost.
-func (s *Store) RestoreStateWithCheckpoints(st *StoreState, cps []SubscriberCheckpoint) (restored, rebuilt []string) {
+// invoked. It takes ownership of st and its records: recovery hands over a
+// freshly decoded state, and cloning ~100k records a second time would double
+// restart cost.
+func (s *Store) RestoreState(st *StoreState) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.restoreStateLocked(st)
-	byName := make(map[string]SubscriberCheckpoint, len(cps))
-	for _, cp := range cps {
-		byName[cp.Name] = cp
+	for i := range s.subs {
+		s.subs[i].timeRebuild(s.subs[i].reset)
 	}
-	for _, sub := range s.subs {
-		if cp, ok := byName[sub.name]; ok && sub.restore != nil {
-			if err := sub.restore(cp.Version, cp.Data); err == nil {
-				restored = append(restored, sub.name)
-				continue
-			}
-		}
-		if sub.reset != nil {
-			sub.reset()
-			rebuilt = append(rebuilt, sub.name)
-		}
-	}
-	return restored, rebuilt
 }
 
 func (s *Store) restoreStateLocked(st *StoreState) {
@@ -167,15 +122,18 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 //	              data (the rest); a section is one or more such payloads, the
 //	              last with parts left = 0
 //
-// Edge chunks held the store's copy of the session edges, which older builds
-// kept. This build writes an edge count of 0 and no edge chunk; an older
-// snapshot's edge chunks are checked and dropped (SkipEdgeChunk).
+// Edge chunks held the store's copy of the session edges, and checkpoint
+// sections the serialized state of derived-state subscribers, both of which
+// older builds wrote. This build writes an edge count and a section count of
+// 0; an older snapshot's edge chunks are checked and dropped (SkipEdgeChunk),
+// and its sections are checked part by part (DecodeCheckpointPart) and
+// skipped: every subscriber rebuilds from the records.
 //
 // Every record body carries its own string table (see codec.go), so a chunk
 // is only a container: records decode one by one, each into its own block.
 
 // SnapshotHeader opens a snapshot stream and says how much follows it. Edges
-// is 0 in every snapshot this build writes.
+// and Checkpoints are 0 in every snapshot this build writes.
 type SnapshotHeader struct {
 	NextID      QueryID
 	Records     int
@@ -320,40 +278,37 @@ func SkipEdgeChunk(p []byte) error {
 	return nil
 }
 
-// AppendCheckpointPart appends one frame's worth of a checkpoint section:
-// data is this part of the section's bytes and left says how many more parts
-// of the same section follow (0 on the last, or only, part). A section is
-// cut into parts so that no subscriber's state, however large, needs a frame
-// over the writer's bound.
-func AppendCheckpointPart(dst []byte, name string, version, left int, data []byte) []byte {
-	dst = append(dst, PayloadFormat, kindCheckpoint)
-	dst = wire.AppendString(dst, name)
-	dst = binary.AppendUvarint(dst, uint64(version))
-	dst = binary.AppendUvarint(dst, uint64(left))
-	return append(dst, data...)
+// CheckpointPart is the header of one frame's worth of an older snapshot's
+// checkpoint section: the subscriber it belonged to, its format version and
+// how many more parts of the section follow (0 on the last, or only, part).
+// The section's data, the rest of the payload, is never read.
+type CheckpointPart struct {
+	Name    string
+	Version int
+	Left    int
 }
 
-// DecodeCheckpointPart parses what AppendCheckpointPart wrote. Data aliases
-// p: a caller that keeps the part past p's lifetime copies it.
-func DecodeCheckpointPart(p []byte) (part SubscriberCheckpoint, left int, err error) {
+// DecodeCheckpointPart parses the header of one part of an older snapshot's
+// checkpoint section.
+func DecodeCheckpointPart(p []byte) (CheckpointPart, error) {
 	if err := expectKind(p, kindCheckpoint); err != nil {
-		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section: %w", err)
+		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section: %w", err)
 	}
 	rest := p[2:]
 	nameLen, w := binary.Uvarint(rest)
 	if w <= 0 || nameLen > uint64(len(rest)-w) {
-		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section: bad name length")
+		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section: bad name length")
 	}
 	name := string(rest[w : w+int(nameLen)])
 	rest = rest[w+int(nameLen):]
 	version, w := binary.Uvarint(rest)
 	if w <= 0 || version > math.MaxInt32 {
-		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section %q: bad version", name)
+		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section %q: bad version", name)
 	}
 	rest = rest[w:]
 	more, w := binary.Uvarint(rest)
 	if w <= 0 || more > math.MaxInt32 {
-		return SubscriberCheckpoint{}, 0, fmt.Errorf("storage: checkpoint section %q: bad part count", name)
+		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section %q: bad part count", name)
 	}
-	return SubscriberCheckpoint{Name: name, Version: int(version), Data: rest[w:]}, int(more), nil
+	return CheckpointPart{Name: name, Version: int(version), Left: int(more)}, nil
 }

@@ -168,7 +168,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			s.RestoreStateWithCheckpoints(s.State(), nil)
+			s.RestoreState(s.State())
 		}
 		checkTextIndex(t, s)
 		checkTextIndex(t, replica)

@@ -127,8 +127,7 @@ func BenchmarkSnapshotWriteRestore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				steady := heapObjects()
 				peak := peakHeapDuring(func() {
-					st, cps := store.CaptureWithCheckpoints(nil)
-					path, _, err := WriteSnapshot(dir, uint64(n), st, cps)
+					path, _, err := WriteSnapshot(dir, uint64(n), store.CaptureState(nil))
 					if err == nil {
 						info, err = VerifySnapshot(path)
 					}
@@ -154,7 +153,7 @@ func BenchmarkSnapshotWriteRestore(b *testing.B) {
 						b.Fatalf("LatestSnapshot = %v, %v", snap, err)
 					}
 					restored = storage.NewStore()
-					restored.RestoreStateWithCheckpoints(snap.State, snap.Checkpoints)
+					restored.RestoreState(snap.State)
 				})
 				if restored.Count() != n {
 					b.Fatalf("restored %d records, want %d", restored.Count(), n)

@@ -59,14 +59,6 @@ type RecoveryInfo struct {
 	Duration time.Duration
 	// Queries is the store's record count after recovery.
 	Queries int
-	// CheckpointRestored names the derived-state bus subscribers whose
-	// counters were restored from a snapshot sidecar checkpoint (then caught
-	// up by the tail replay) instead of being rebuilt from a full-log scan.
-	CheckpointRestored []string
-	// CheckpointRebuilt names the subscribers that fell back to a full
-	// rebuild: their sidecar was missing, torn, of an unknown version, or
-	// failed to decode.
-	CheckpointRebuilt []string
 	// PayloadFormat is the payload format version this build reads and
 	// writes (storage.PayloadFormat).
 	PayloadFormat int
@@ -175,7 +167,7 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	if snap != nil {
 		// Only now, with the stream read and checked to its last chunk, does
 		// anything reach the store.
-		info.CheckpointRestored, info.CheckpointRebuilt = store.RestoreStateWithCheckpoints(snap.State, snap.Checkpoints)
+		store.RestoreState(snap.State)
 		snapSeq = snap.Seq
 		info.SnapshotSeq, info.SnapshotRecords, info.SnapshotFrames = snap.Seq, snap.Info.Records, snap.Info.Frames
 		snapInfos[snap.Seq] = snap.Info
@@ -301,11 +293,10 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	// Snapshots are rare; an unconditional clock read is fine here.
 	start := time.Now()
 	var seq uint64
-	// The commit lock is held only to collect the record pointers and the
-	// subscriber checkpoints; encoding and writing happen after it is
-	// released, chunk by chunk.
-	st, cps := m.store.CaptureWithCheckpoints(func() { seq = m.lastSeq.Load() })
-	path, info, err := WriteSnapshot(m.cfg.Dir, seq, st, cps)
+	// The commit lock is held only to collect the record pointers; encoding
+	// and writing happen after it is released, chunk by chunk.
+	st := m.store.CaptureState(func() { seq = m.lastSeq.Load() })
+	path, info, err := WriteSnapshot(m.cfg.Dir, seq, st)
 	if err != nil {
 		return "", 0, err
 	}

@@ -318,7 +318,7 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 		t.Fatal("recovery did not report the torn tail")
 	}
 	wantStore := storage.NewStore()
-	wantStore.RestoreStateWithCheckpoints(want, nil)
+	wantStore.RestoreState(want)
 	assertStoresEqual(t, wantStore, recovered)
 
 	// The torn record's sequence is reused by the next mutation.

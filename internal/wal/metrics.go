@@ -118,9 +118,4 @@ func (m *Manager) enableMetrics(reg *telemetry.Registry, info *RecoveryInfo, rec
 	reg.GaugeFunc("cqms_wal_recovery_replayed_records",
 		"Log records replayed beyond the snapshot during the last recovery.",
 		func() float64 { return replayed })
-	outcomes := reg.CounterVec("cqms_wal_recovery_checkpoints_total",
-		"Derived-state subscribers restored from a snapshot checkpoint vs rebuilt by a full scan during the last recovery.",
-		"outcome")
-	outcomes.With("restored").Add(uint64(len(info.CheckpointRestored)))
-	outcomes.With("rebuilt").Add(uint64(len(info.CheckpointRebuilt)))
 }

@@ -18,32 +18,26 @@ import (
 //	              sections follow
 //	frames 1..    record chunks, about snapshotChunkBytes each, in insertion
 //	              order, until the header's record count is reached
-//	then          edge chunks, until the header's edge count is reached (only
-//	              in a snapshot an older build wrote; they are checked and
-//	              dropped, and this build writes an edge count of 0)
-//	then          one checkpoint section per derived-state subscriber, cut
-//	              into parts of at most snapshotChunkBytes
+//	then          edge chunks, until the header's edge count is reached
+//	then          checkpoint sections, each cut into one or more parts
+//
+// Edge chunks and checkpoint sections appear only in a snapshot an older
+// build wrote: this build writes counts of 0 for both. An older snapshot's
+// edge chunks are checked and dropped, and its sections are checked part by
+// part and skipped; every derived-state subscriber rebuilds from the records.
 //
 // The payloads are storage's (storage/snapshot.go); this file frames them.
 // Writing and reading both go chunk by chunk, so neither ever holds an
 // encoded copy of the store. Snapshots are written to a temporary file and
 // renamed into place, so a crash mid-snapshot leaves the previous one intact.
-// Because every frame is CRC-checked on its own, damage in the checkpoint
-// tail of a file costs only the sections at and after it — recovery rebuilds
-// those subscribers — while damage anywhere before it makes the snapshot
-// unreadable and recovery falls back to the next older one.
+// Because every frame is CRC-checked on its own, damage in an older file's
+// section tail costs nothing recovery needs, while damage anywhere before it
+// makes the snapshot unreadable and recovery falls back to the next older
+// one.
 
-// snapshotChunkBytes is the payload size at which the writer closes a chunk,
-// and the most checkpoint data it puts in one frame. A chunk overshoots it by
-// at most one record.
+// snapshotChunkBytes is the payload size at which the writer closes a chunk.
+// A chunk overshoots it by at most one record.
 const snapshotChunkBytes = 256 << 10
-
-// SidecarInfo describes one checkpoint section without its payload.
-type SidecarInfo struct {
-	Name    string
-	Version int
-	Bytes   int
-}
 
 // SnapshotInfo describes one snapshot file for the admin API.
 type SnapshotInfo struct {
@@ -51,21 +45,19 @@ type SnapshotInfo struct {
 	Seq     uint64
 	Bytes   int64
 	Records int
-	// Frames counts every frame in the file: header, chunks and sections.
-	Frames   int
-	Sidecars []SidecarInfo
+	// Frames counts every frame in the file: header, chunks and, in an older
+	// snapshot, section parts.
+	Frames int
 	// Error is set instead of the counts when the file does not read back.
 	Error string
 }
 
-// Snapshot is a snapshot read back: the staged store state and the
-// checkpoint sections that came with it. Nothing in it is installed
-// anywhere yet.
+// Snapshot is a snapshot read back: the staged store state. Nothing in it is
+// installed anywhere yet.
 type Snapshot struct {
-	Seq         uint64
-	State       *storage.StoreState
-	Checkpoints []storage.SubscriberCheckpoint
-	Info        SnapshotInfo
+	Seq   uint64
+	State *storage.StoreState
+	Info  SnapshotInfo
 }
 
 func snapshotName(seq uint64) string {
@@ -77,20 +69,19 @@ func parseSnapshotName(name string) (uint64, bool) {
 }
 
 // WriteSnapshot durably writes a snapshot of st covering all log records
-// with sequence <= seq, followed by the checkpoint sections, and returns its
-// path. st is only read. No frame larger than maxPayloadBytes is ever
-// written: records go out in bounded chunks, checkpoint sections
-// in bounded parts, and a single record over the bound — which the store's
-// admission check (storage.MaxRecordBytes) does not let in — fails the
-// snapshot rather than produce a frame its reader would reject.
-func WriteSnapshot(dir string, seq uint64, st *storage.StoreState, cps []storage.SubscriberCheckpoint) (string, SnapshotInfo, error) {
+// with sequence <= seq and returns its path. st is only read. No frame larger
+// than maxPayloadBytes is ever written: records go out in bounded chunks, and
+// a single record over the bound — which the store's admission check
+// (storage.MaxRecordBytes) does not let in — fails the snapshot rather than
+// produce a frame its reader would reject.
+func WriteSnapshot(dir string, seq uint64, st *storage.StoreState) (string, SnapshotInfo, error) {
 	path := filepath.Join(dir, snapshotName(seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", SnapshotInfo{}, fmt.Errorf("wal: writing snapshot: %w", err)
 	}
-	info, werr := writeSnapshotStream(f, seq, st, cps)
+	info, werr := writeSnapshotStream(f, seq, st)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -109,7 +100,7 @@ func WriteSnapshot(dir string, seq uint64, st *storage.StoreState, cps []storage
 	return path, info, nil
 }
 
-func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []storage.SubscriberCheckpoint) (SnapshotInfo, error) {
+func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState) (SnapshotInfo, error) {
 	info := SnapshotInfo{Seq: seq, Records: len(st.Records)}
 	var payload, frame []byte
 	emit := func() error {
@@ -123,9 +114,7 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []
 		return err
 	}
 
-	payload = storage.AppendSnapshotHeader(payload[:0], storage.SnapshotHeader{
-		NextID: st.NextID, Records: len(st.Records), Checkpoints: len(cps),
-	})
+	payload = storage.AppendSnapshotHeader(payload[:0], storage.SnapshotHeader{NextID: st.NextID, Records: len(st.Records)})
 	if err := emit(); err != nil {
 		return info, err
 	}
@@ -137,18 +126,6 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState, cps []
 			return info, err
 		}
 		recs = recs[n:]
-	}
-	for _, cp := range cps {
-		parts := max(1, (len(cp.Data)+snapshotChunkBytes-1)/snapshotChunkBytes)
-		for data := cp.Data; parts > 0; parts-- {
-			n := min(len(data), snapshotChunkBytes)
-			payload = storage.AppendCheckpointPart(payload[:0], cp.Name, cp.Version, parts-1, data[:n])
-			if err := emit(); err != nil {
-				return info, err
-			}
-			data = data[n:]
-		}
-		info.Sidecars = append(info.Sidecars, SidecarInfo{Name: cp.Name, Version: cp.Version, Bytes: len(cp.Data)})
 	}
 	return info, nil
 }
@@ -163,11 +140,12 @@ func syncDir(dir string) {
 
 // readSnapshotStream walks one snapshot stream to its last frame. With
 // decode it stages the records; without, it only checks frame
-// lengths, CRCs, sequences and the chunk counts against the header. strict
+// lengths, CRCs, sequences and the chunk counts against the header. An older
+// snapshot's checkpoint sections are checked and skipped either way. strict
 // is for a stream that must be whole (a network transfer, or a file about to
-// justify deleting log segments): every announced checkpoint section must be
-// there and nothing may follow. Without strict a damaged checkpoint tail is
-// dropped instead — see the file comment.
+// justify deleting log segments): every announced section must be there and
+// nothing may follow. Without strict a damaged section tail is dropped
+// instead — see the file comment.
 func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 	fr := newFrameReader(r)
 	seq, p, frameLen, err := fr.next()
@@ -232,17 +210,12 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		}
 	}
 	for i := 0; i < h.Checkpoints; i++ {
-		cp, size, err := readSection(next, decode)
-		if err != nil {
+		if err := skipSection(next); err != nil {
 			if strict {
 				return nil, fmt.Errorf("checkpoint section %d of %d: %w", i, h.Checkpoints, err)
 			}
 			return snap, nil
 		}
-		if decode {
-			snap.Checkpoints = append(snap.Checkpoints, cp)
-		}
-		snap.Info.Sidecars = append(snap.Info.Sidecars, SidecarInfo{Name: cp.Name, Version: cp.Version, Bytes: size})
 	}
 	if strict {
 		if _, _, _, err := fr.next(); err != io.EOF {
@@ -252,40 +225,31 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 	return snap, nil
 }
 
-// readSection reads the parts of one checkpoint section and returns it with
-// its data size. With keep the parts are joined into Data (copied: the frame
-// buffer is reused); without, only counted. Every part must name the same
-// subscriber and version and count down to zero, so a part of another section
-// — or a missing one — fails the section instead of being spliced into it.
-func readSection(next func() ([]byte, error), keep bool) (cp storage.SubscriberCheckpoint, size int, err error) {
-	for first, want := true, 0; ; first, want = false, want-1 {
+// skipSection reads the parts of one of an older snapshot's checkpoint
+// sections and drops them. Every part must name the same subscriber and
+// version and count down to zero, so a part of another section — or a
+// missing one — fails the section instead of being spliced into it.
+func skipSection(next func() ([]byte, error)) error {
+	part := func() (storage.CheckpointPart, error) {
 		p, err := next()
 		if err != nil {
-			return cp, 0, err
+			return storage.CheckpointPart{}, err
 		}
-		part, left, err := storage.DecodeCheckpointPart(p)
-		if err != nil {
-			return cp, 0, err
-		}
-		switch {
-		case first:
-			cp, want = storage.SubscriberCheckpoint{Name: part.Name, Version: part.Version, Data: []byte{}}, left
-		case part.Name != cp.Name || part.Version != cp.Version || left != want:
-			return cp, 0, fmt.Errorf("part of %q v%d with %d left inside %q v%d with %d left",
-				part.Name, part.Version, left, cp.Name, cp.Version, want)
-		}
-		size += len(part.Data)
-		if keep {
-			cp.Data = append(cp.Data, part.Data...)
-		}
-		if left == 0 {
-			return cp, size, nil
+		return storage.DecodeCheckpointPart(p)
+	}
+	first, err := part()
+	for left := first.Left; err == nil && left > 0; left-- {
+		var p storage.CheckpointPart
+		if p, err = part(); err == nil && (p.Name != first.Name || p.Version != first.Version || p.Left != left-1) {
+			err = fmt.Errorf("part of %q v%d with %d left inside %q v%d with %d left",
+				p.Name, p.Version, p.Left, first.Name, first.Version, left-1)
 		}
 	}
+	return err
 }
 
 // readSnapshotFile reads one snapshot file the way recovery does: decoded,
-// tolerant of a damaged checkpoint tail.
+// tolerant of a damaged section tail.
 func readSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -301,8 +265,8 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 }
 
 // VerifySnapshot walks a snapshot file without decoding it — frame lengths,
-// CRCs, sequences, chunk counts against the header, every announced section
-// present, nothing after — and reports what it holds.
+// CRCs, sequences, chunk counts against the header, every section an older
+// build announced present, nothing after — and reports what it holds.
 func VerifySnapshot(path string) (SnapshotInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -5,20 +5,89 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
-func testCheckpoints() []storage.SubscriberCheckpoint {
-	return []storage.SubscriberCheckpoint{
-		{Name: "stats", Version: 2, Data: []byte("stats-checkpoint")},
-		{Name: "miner-feed", Version: 3, Data: []byte{}},
-		{Name: "sessions", Version: 2, Data: bytes.Repeat([]byte{0xAB}, 512)},
+// section is one derived-state checkpoint section as older builds wrote it
+// after the record chunks of a snapshot.
+type section struct {
+	name    string
+	version int
+	data    []byte
+}
+
+func testSections() []section {
+	return []section{
+		{"stats", 2, []byte("stats-checkpoint")},
+		{"miner-feed", 3, []byte{}},
+		{"sessions", 2, bytes.Repeat([]byte{0xAB}, 512)},
 	}
+}
+
+// appendSectionPart encodes one part of an older build's checkpoint section:
+// left says how many more parts of the section follow.
+func appendSectionPart(dst []byte, name string, version, left int, data []byte) []byte {
+	dst = append(dst, storage.PayloadFormat, 0x43)
+	dst = wire.AppendString(dst, name)
+	dst = binary.AppendUvarint(dst, uint64(version))
+	dst = binary.AppendUvarint(dst, uint64(left))
+	return append(dst, data...)
+}
+
+// writeOlderSnapshotStream writes st as an older build did: a header that
+// announces the sections, the record chunks, then each section cut into
+// parts of at most snapshotChunkBytes.
+func writeOlderSnapshotStream(t testing.TB, w io.Writer, seq uint64, st *storage.StoreState, sections []section) SnapshotInfo {
+	t.Helper()
+	var plain bytes.Buffer
+	info, err := writeSnapshotStream(&plain, seq, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := plain.Bytes()
+	headerEnd := frameEnds(t, raw)[0]
+	h, err := storage.DecodeSnapshotHeader(raw[headerBytes:headerEnd])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Checkpoints = len(sections)
+	out := appendFrame(nil, seq, storage.AppendSnapshotHeader(nil, h))
+	out = append(out, raw[headerEnd:]...)
+	for _, sec := range sections {
+		parts := max(1, (len(sec.data)+snapshotChunkBytes-1)/snapshotChunkBytes)
+		for data := sec.data; parts > 0; parts-- {
+			n := min(len(data), snapshotChunkBytes)
+			out = appendFrame(out, seq, appendSectionPart(nil, sec.name, sec.version, parts-1, data[:n]))
+			info.Frames++
+			data = data[n:]
+		}
+	}
+	if _, err := w.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	info.Bytes = int64(len(out))
+	return info
+}
+
+// writeOlderSnapshot is writeOlderSnapshotStream into a snapshot file of dir.
+func writeOlderSnapshot(t testing.TB, dir string, seq uint64, st *storage.StoreState, sections []section) (string, SnapshotInfo) {
+	t.Helper()
+	var buf bytes.Buffer
+	info := writeOlderSnapshotStream(t, &buf, seq, st, sections)
+	path := filepath.Join(dir, snapshotName(seq))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info.Name = filepath.Base(path)
+	return path, info
 }
 
 // testState is a small store state with records and a deletion hole.
@@ -36,18 +105,6 @@ func stateJSON(t testing.TB, st *storage.StoreState) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-func sameCheckpoints(got, want []storage.SubscriberCheckpoint) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].Name != want[i].Name || got[i].Version != want[i].Version || !bytes.Equal(got[i].Data, want[i].Data) {
-			return false
-		}
-	}
-	return true
 }
 
 // frameEnds returns the byte offset at which each frame of a file ends.
@@ -70,12 +127,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("LatestSnapshot on an empty dir = %v, %v", snap, err)
 	}
 	st := testState(t, 24)
-	path, info, err := WriteSnapshot(dir, 99, st, testCheckpoints())
+	path, info, err := WriteSnapshot(dir, 99, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// header + one record chunk + three sections.
-	if info.Records != len(st.Records) || info.Frames != 5 || len(info.Sidecars) != 3 {
+	// header + one record chunk, and no section.
+	if info.Records != len(st.Records) || info.Frames != 2 {
 		t.Fatalf("written info = %+v", info)
 	}
 	snap, err := LatestSnapshot(dir)
@@ -84,9 +141,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if snap.Seq != 99 || stateJSON(t, snap.State) != stateJSON(t, st) {
 		t.Fatalf("state changed in the snapshot (seq %d)", snap.Seq)
-	}
-	if !sameCheckpoints(snap.Checkpoints, testCheckpoints()) {
-		t.Fatalf("checkpoints = %+v", snap.Checkpoints)
 	}
 	verified, err := VerifySnapshot(path)
 	if err != nil {
@@ -104,10 +158,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	streamed, err := ReadSnapshot(f)
 	f.Close()
-	if err != nil || stateJSON(t, streamed.State) != stateJSON(t, st) || !sameCheckpoints(streamed.Checkpoints, testCheckpoints()) {
+	if err != nil || stateJSON(t, streamed.State) != stateJSON(t, st) {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if _, _, err := WriteSnapshot(dir, 100, &storage.StoreState{NextID: 7}, nil); err != nil {
+	if _, _, err := WriteSnapshot(dir, 100, &storage.StoreState{NextID: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if snap, err := LatestSnapshot(dir); err != nil || snap.Seq != 100 || snap.State.NextID != 7 || len(snap.State.Records) != 0 || snap.Info.Frames != 1 {
@@ -119,17 +173,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotTornAtEveryByte is the crash and torn-transfer fixture: one
-// snapshot truncated at every possible length. On disk, a cut inside the
-// header, record or edge frames must not load at all, and a cut in the
-// checkpoint tail costs only the sections at and after it. The strict readers
-// — the follower's and Compact's verifier — reject every cut.
+// snapshot an older build wrote, with checkpoint sections, truncated at every
+// possible length. On disk, a cut inside the header or record frames must not
+// load at all, and a cut in the section tail costs nothing: the sections are
+// skipped anyway. The strict readers — the follower's and Compact's verifier
+// — reject every cut.
 func TestSnapshotTornAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	st := testState(t, 12)
-	path, info, err := WriteSnapshot(dir, 5, st, testCheckpoints())
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, info := writeOlderSnapshot(t, dir, 5, st, testSections())
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +191,7 @@ func TestSnapshotTornAtEveryByte(t *testing.T) {
 	if len(ends) != info.Frames {
 		t.Fatalf("%d frames on disk, info says %d", len(ends), info.Frames)
 	}
-	primaryLen := ends[len(ends)-1-len(testCheckpoints())] // end of the last edge chunk
+	primaryLen := ends[len(ends)-1-len(testSections())] // end of the last record chunk
 	for cut := len(full) - 1; cut >= 0; cut-- {
 		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("cut=%d: the strict reader accepted a torn stream", cut)
@@ -163,32 +215,19 @@ func TestSnapshotTornAtEveryByte(t *testing.T) {
 		if snap == nil || snap.Seq != 5 || stateJSON(t, snap.State) != want {
 			t.Fatalf("cut=%d: primary state lost", cut)
 		}
-		whole := 0
-		for _, end := range ends[len(ends)-len(testCheckpoints()):] {
-			if end <= cut {
-				whole++
-			}
-		}
-		if !sameCheckpoints(snap.Checkpoints, testCheckpoints()[:whole]) {
-			t.Fatalf("cut=%d: %d checkpoints, want the first %d intact", cut, len(snap.Checkpoints), whole)
-		}
 	}
 }
 
-// TestSnapshotCorruption flips bytes: inside a checkpoint section the CRC
-// rejects it and reading stops there, keeping the sections before the
-// damage; inside a record chunk the whole snapshot is skipped in favour of
-// the next older one. The verifier rejects both.
+// TestSnapshotCorruption flips bytes in snapshots an older build wrote:
+// inside a checkpoint section the CRC rejects it and reading stops there,
+// keeping the state; inside a record chunk the whole snapshot is skipped in
+// favour of the next older one. The verifier rejects both.
 func TestSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
 	older := testState(t, 8)
-	if _, _, err := WriteSnapshot(dir, 10, older, testCheckpoints()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	path, _, err := WriteSnapshot(dir, 20, testState(t, 12), testCheckpoints())
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeOlderSnapshot(t, dir, 10, older, testSections()[:1])
+	newer := testState(t, 12)
+	path, _ := writeOlderSnapshot(t, dir, 20, newer, testSections())
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +247,13 @@ func TestSnapshotCorruption(t *testing.T) {
 
 	flip(ends[len(ends)-2] - 1) // last byte of the second section
 	snap, err := LatestSnapshot(dir)
-	if err != nil || snap == nil || snap.Seq != 20 || !sameCheckpoints(snap.Checkpoints, testCheckpoints()[:1]) {
-		t.Fatalf("after section damage: %+v, %v; want seq 20 with just the first section", snap, err)
+	if err != nil || snap == nil || snap.Seq != 20 || stateJSON(t, snap.State) != stateJSON(t, newer) {
+		t.Fatalf("after section damage: %+v, %v; want seq 20 and its state", snap, err)
 	}
 
 	flip(ends[0] + headerBytes + 40) // inside the first record chunk
 	snap, err = LatestSnapshot(dir)
-	if err != nil || snap == nil || snap.Seq != 10 || stateJSON(t, snap.State) != stateJSON(t, older) || len(snap.Checkpoints) != 1 {
+	if err != nil || snap == nil || snap.Seq != 10 || stateJSON(t, snap.State) != stateJSON(t, older) {
 		t.Fatalf("after chunk damage: %+v, %v; want the older snapshot", snap, err)
 	}
 	// The streaming side makes the same choice.
@@ -248,10 +287,10 @@ func TestSnapshotStreamRejectsForeignFrames(t *testing.T) {
 	extraChunk, _ := enc.AppendRecordChunk(nil, testState(t, 6).Records[:1], 1)
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	part := func(name string, version, left int, data string) []byte {
-		return encodeFrame(7, storage.AppendCheckpointPart(nil, name, version, left, []byte(data)))
+		return encodeFrame(7, appendSectionPart(nil, name, version, left, []byte(data)))
 	}
 	parts := join(frame(0), frame(1), frame(2), part("stats", 2, 2, "a"), part("stats", 2, 1, "b"), part("stats", 2, 0, "c"))
-	if snap, err := ReadSnapshot(bytes.NewReader(parts)); err != nil || len(snap.Checkpoints) != 1 || string(snap.Checkpoints[0].Data) != "abc" {
+	if snap, err := ReadSnapshot(bytes.NewReader(parts)); err != nil || snap.Info.Frames != 6 || len(snap.State.Records) != 2 {
 		t.Fatalf("a section in three parts: %+v, %v", snap, err)
 	}
 	for name, stream := range map[string][]byte{
@@ -425,11 +464,11 @@ func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
 	assertStoresEqual(t, store, store2)
 }
 
-// TestCheckpointSectionsSpanFrames: a subscriber's checkpoint larger than one
-// frame — the stats tracker keeps a bucket per owner, so it grows with the
-// user count — is cut into parts rather than left out of the snapshot, and
-// comes back whole. A torn part costs that section and the ones after it,
-// nothing before.
+// TestCheckpointSectionsSpanFrames: an older build cut a subscriber's
+// checkpoint larger than one frame into parts. Every part is read, checked
+// and skipped, and the records come back whole; a torn part costs that
+// section and the ones after it, which are skipped anyway, and nothing
+// before.
 func TestCheckpointSectionsSpanFrames(t *testing.T) {
 	pattern := func(n int) []byte {
 		b := make([]byte, n)
@@ -438,47 +477,37 @@ func TestCheckpointSectionsSpanFrames(t *testing.T) {
 		}
 		return b
 	}
-	cps := []storage.SubscriberCheckpoint{
-		{Name: "small", Version: 1, Data: []byte("one frame")},
-		{Name: "stats", Version: 2, Data: pattern(3*snapshotChunkBytes + 17)},
-		{Name: "over-a-frame", Version: 2, Data: pattern(maxPayloadBytes + 1)},
-		{Name: "exact", Version: 9, Data: pattern(2 * snapshotChunkBytes)},
+	sections := []section{
+		{"small", 1, []byte("one frame")},
+		{"stats", 2, pattern(3*snapshotChunkBytes + 17)},
+		{"over-a-frame", 2, pattern(maxPayloadBytes + 1)},
+		{"exact", 9, pattern(2 * snapshotChunkBytes)},
 	}
 	dir := t.TempDir()
 	st := testState(t, 4)
-	path, info, err := WriteSnapshot(dir, 11, st, cps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, info := writeOlderSnapshot(t, dir, 11, st, sections)
 	wantFrames := 2 // header, one record chunk
-	for _, cp := range cps {
-		wantFrames += (len(cp.Data) + snapshotChunkBytes - 1) / snapshotChunkBytes
+	for _, sec := range sections {
+		wantFrames += (len(sec.data) + snapshotChunkBytes - 1) / snapshotChunkBytes
 	}
-	if info.Frames != wantFrames || len(info.Sidecars) != len(cps) || info.Sidecars[2].Bytes != maxPayloadBytes+1 {
-		t.Fatalf("written %d frames (want %d), sections %+v", info.Frames, wantFrames, info.Sidecars)
+	if info.Frames != wantFrames {
+		t.Fatalf("written %d frames, want %d", info.Frames, wantFrames)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := 0
-	for _, end := range frameEnds(t, raw) {
-		if size := end - prev - headerBytes; size > snapshotChunkBytes+1024 {
-			t.Fatalf("a %d-byte frame in a snapshot of small records", size)
-		}
-		prev = end
-	}
 	verified, err := VerifySnapshot(path)
-	if err != nil || verified.Frames != wantFrames || len(verified.Sidecars) != len(cps) || verified.Sidecars[1].Bytes != len(cps[1].Data) {
+	if err != nil || verified.Frames != wantFrames || verified.Bytes != int64(len(raw)) {
 		t.Fatalf("VerifySnapshot = %+v, %v", verified, err)
 	}
 	snap, err := LatestSnapshot(dir)
-	if err != nil || snap == nil || !sameCheckpoints(snap.Checkpoints, cps) {
-		t.Fatalf("LatestSnapshot lost a section: %v", err)
+	if err != nil || snap == nil || snap.Info.Frames != wantFrames || stateJSON(t, snap.State) != stateJSON(t, st) {
+		t.Fatalf("LatestSnapshot = %+v, %v", snap, err)
 	}
 	streamed, err := ReadSnapshot(bytes.NewReader(raw))
-	if err != nil || !sameCheckpoints(streamed.Checkpoints, cps) {
-		t.Fatalf("ReadSnapshot lost a section: %v", err)
+	if err != nil || stateJSON(t, streamed.State) != stateJSON(t, st) {
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 
 	// Cut inside the second part of "stats".
@@ -491,9 +520,45 @@ func TestCheckpointSectionsSpanFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, err = LatestSnapshot(dir)
-	if err != nil || snap == nil || !sameCheckpoints(snap.Checkpoints, cps[:1]) || stateJSON(t, snap.State) != stateJSON(t, st) {
-		t.Fatalf("after a torn part: %d sections, %v; want the state and just the first section", len(snap.Checkpoints), err)
+	if err != nil || snap == nil || stateJSON(t, snap.State) != stateJSON(t, st) {
+		t.Fatalf("after a torn part: %+v, %v; want the state", snap, err)
 	}
+}
+
+// TestOlderSnapshotSectionsAreSkipped: recovery from a snapshot an older
+// build wrote, with sections for every subscriber it knew — in the versions
+// it wrote them — and one this build never had, restores nothing from them.
+// Every subscriber rebuilds from the snapshot's records, once, and the tail
+// replays on top.
+func TestOlderSnapshotSectionsAreSkipped(t *testing.T) {
+	dir := t.TempDir()
+	src := storage.NewStore()
+	buildStore(t, src, 10)
+	writeOlderSnapshot(t, dir, 1, src.State(), []section{
+		{"stats", 1, []byte(`{"all":{}}`)}, {"stats", 2, []byte{0, 0, 0}},
+		{"miner-feed", 2, []byte{1, 5, 1, 15}}, {"miner-feed", 3, nil},
+		{"sessions", 2, []byte{2, 0}}, {"sessions", 3, []byte{2, 0}},
+		{"unknown", 7, []byte("ignored")},
+	})
+	store := storage.NewStore()
+	rebuilds := map[string]int{}
+	for _, name := range []string{"stats", "miner-feed", "sessions"} {
+		store.Subscribe(name, func(*storage.Mutation) {}, storage.SubscribeOptions{
+			Reset: func() { rebuilds[name]++ },
+		})
+	}
+	mgr, info, err := Open(store, testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if info.SnapshotSeq != 1 || info.SnapshotFrames != 9 || store.Count() != src.Count() {
+		t.Fatalf("recovery %+v, %d records; want the snapshot's %d records and its 9 frames", info, store.Count(), src.Count())
+	}
+	if want := map[string]int{"stats": 1, "miner-feed": 1, "sessions": 1}; !maps.Equal(rebuilds, want) {
+		t.Fatalf("rebuilds %v, want %v", rebuilds, want)
+	}
+	assertStoresEqual(t, src, store)
 }
 
 // TestFrameLengthFieldCannotSizeAnAllocation: a length field that claims far
@@ -587,29 +652,30 @@ const parentSnapshot = "\x06\x00\x00\x00\x05\x1a#\xc5\x07\x00\x00\x00\x00\x00\x0
 	"\x0d\x00\x00\x00R\x03dn\x07\x00\x00\x00\x00\x00\x00\x00\x01C\x08sessions\x03\x00"
 
 // TestParentSnapshotWithEdgesReads: a snapshot an older build wrote, with an
-// edge chunk and records carrying session IDs, reads back — the edges and the
-// session IDs dropped — and rewrites without an edge chunk.
+// edge chunk, records carrying session IDs and a sessions section, reads back
+// — the edges, the session IDs and the section dropped — and rewrites without
+// an edge chunk or a section.
 func TestParentSnapshotWithEdgesReads(t *testing.T) {
 	snap, err := ReadSnapshot(bytes.NewReader([]byte(parentSnapshot)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 7 || snap.Info.Frames != 4 || len(snap.State.Records) != 2 || len(snap.Checkpoints) != 1 {
-		t.Fatalf("read seq %d, %d frames, %d records, %d sections", snap.Seq, snap.Info.Frames, len(snap.State.Records), len(snap.Checkpoints))
+	if snap.Seq != 7 || snap.Info.Frames != 4 || len(snap.State.Records) != 2 {
+		t.Fatalf("read seq %d, %d frames, %d records", snap.Seq, snap.Info.Frames, len(snap.State.Records))
 	}
 	if r := snap.State.Records[1]; r.ID != 2 || r.Text != "SELECT b FROM t" || r.User != "u" || !r.Valid {
 		t.Fatalf("record 2 = %+v", r)
 	}
 	var again bytes.Buffer
-	info, err := writeSnapshotStream(&again, snap.Seq, snap.State, snap.Checkpoints)
+	info, err := writeSnapshotStream(&again, snap.Seq, snap.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Frames != 3 {
-		t.Fatalf("the rewrite has %d frames, want header, records and section", info.Frames)
+	if info.Frames != 2 {
+		t.Fatalf("the rewrite has %d frames, want header and records", info.Frames)
 	}
-	if strings.Contains(again.String(), "+attr b") {
-		t.Fatal("the rewrite still carries the edge")
+	if strings.Contains(again.String(), "+attr b") || strings.Contains(again.String(), "sessions") {
+		t.Fatal("the rewrite still carries the edge or the section")
 	}
 }
 
@@ -619,9 +685,7 @@ func TestParentSnapshotWithEdgesReads(t *testing.T) {
 func FuzzDecodeSnapshot(f *testing.F) {
 	for i, n := range []int{0, 3, 9} {
 		var buf bytes.Buffer
-		if _, err := writeSnapshotStream(&buf, uint64(40+n), testState(f, n), testCheckpoints()[:i+1]); err != nil {
-			f.Fatal(err)
-		}
+		writeOlderSnapshotStream(f, &buf, uint64(40+n), testState(f, n), testSections()[:i+1])
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
@@ -641,7 +705,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("info %+v disagrees with the staged state (%d records)", snap.Info, len(snap.State.Records))
 		}
 		var again bytes.Buffer
-		if _, err := writeSnapshotStream(&again, snap.Seq, snap.State, snap.Checkpoints); err != nil {
+		if _, err := writeSnapshotStream(&again, snap.Seq, snap.State); err != nil {
 			t.Fatalf("rewriting an accepted snapshot: %v", err)
 		}
 		snap2, err := ReadSnapshot(bytes.NewReader(again.Bytes()))
@@ -649,7 +713,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("rereading the rewrite: %v", err)
 		}
 		var third bytes.Buffer
-		if _, err := writeSnapshotStream(&third, snap2.Seq, snap2.State, snap2.Checkpoints); err != nil {
+		if _, err := writeSnapshotStream(&third, snap2.Seq, snap2.State); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), third.Bytes()) {

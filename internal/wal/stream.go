@@ -107,7 +107,7 @@ func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
 // ReadSnapshot reads a streamed snapshot (the bytes of a snapshot file) chunk
 // by chunk and returns it staged. Unlike the on-disk reader it is strict: a
 // torn or foreign frame anywhere, a count that disagrees with the header or a
-// missing checkpoint section is an error, because a network transfer that
+// missing section is an error, because a network transfer that
 // tears mid-body must be retried, not partially applied — and since nothing
 // is installed until the caller acts on the result, a failed transfer leaves
 // the follower's store untouched.
