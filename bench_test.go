@@ -573,7 +573,7 @@ func BenchmarkFullMiningPass(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Storage concurrency — the sharded store's scaling claims
+// Storage concurrency — the lock-free record table's scaling claims
 // ---------------------------------------------------------------------------
 
 // runConcurrent splits b.N iterations across g goroutines and waits for all
@@ -605,7 +605,7 @@ func runConcurrent(b *testing.B, g int, fn func()) {
 }
 
 // BenchmarkConcurrentMetaQuery measures keyword meta-query throughput over
-// the full log at increasing goroutine counts. With the sharded, zero-clone
+// the full log at increasing goroutine counts. With the lock-free, zero-clone
 // snapshot store the per-query cost should fall as goroutines are added;
 // under the old single-mutex deep-clone store it stayed flat (every reader
 // serialised on the same lock while copying every record).

@@ -101,7 +101,7 @@ func Instrument(m *httpMetrics) Middleware {
 }
 
 // handleV1Metrics serves the Prometheus text exposition. Any principal may
-// scrape; families marked admin-only (per-shard gauges and the like) appear
+// scrape; families marked admin-only (telemetry.Registry.AdminOnly) appear
 // only for admin principals.
 func (s *Server) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

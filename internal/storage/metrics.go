@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/telemetry"
@@ -84,18 +83,6 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_search_index_trigrams",
 		"Distinct trigrams mapped to search-dictionary entries.",
 		func() float64 { _, trigrams := s.SearchIndexSize(); return float64(trigrams) })
-	shardVec := reg.GaugeFuncVec("cqms_store_shard_records",
-		"Records per lock-striped shard (admin-only; exposes the ID hash distribution).", "shard")
-	for i := range s.shards {
-		sh := &s.shards[i]
-		shardVec.With(func() float64 {
-			sh.mu.RLock()
-			n := len(sh.recs)
-			sh.mu.RUnlock()
-			return float64(n)
-		}, strconv.Itoa(i))
-	}
-	reg.AdminOnly("cqms_store_shard_records")
 
 	s.commitMu.Lock()
 	s.metrics = m

@@ -221,10 +221,10 @@ func (s *Store) emit(m *Mutation, replay bool) (logErr error) {
 // Apply replays one mutation against the store without emitting it to the
 // WAL slot. It is the recovery path: live operations and Apply share the
 // same internal state transitions, so a store rebuilt by replaying a
-// mutation stream is identical — contents, shard placement and inverted
-// indexes — to the store that emitted the stream. Derived-state subscribers
-// on the event bus DO observe replayed mutations, so their counters are
-// rebuilt incrementally alongside the store. Apply takes ownership of the
+// mutation stream is identical — contents and inverted indexes — to the
+// store that emitted the stream. Derived-state subscribers on the event bus
+// DO observe replayed mutations, so their counters are rebuilt incrementally
+// alongside the store. Apply takes ownership of the
 // mutation and its record: replay hands over freshly decoded values.
 func (s *Store) Apply(m *Mutation) error {
 	s.lockCommit()
@@ -239,7 +239,7 @@ func (s *Store) Apply(m *Mutation) error {
 // apply dispatches a mutation to the shared state-transition helpers, for
 // live calls, WAL replay and follower apply alike. Every transition is
 // copy-on-write: the current record version stays untouched for concurrent
-// readers and an updated copy replaces it in its shard. It reports whether
+// readers and an updated copy replaces it in its slot. It reports whether
 // the store changed and, when it did, leaves the prev/next record versions on
 // the mutation for bus subscribers. An older build's session and quality ops
 // never change it, and neither does an update that would leave the record's
@@ -263,6 +263,9 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 	case OpPut:
 		if m.Record == nil {
 			return missing("record")
+		}
+		if !validID(m.Record.ID) {
+			return false, fmt.Errorf("storage: apply %s: query ID %d is outside [1, %d]", m.Op, m.Record.ID, MaxQueryID)
 		}
 		m.prev, m.next = s.insert(m.Record), m.Record
 		return true, nil
@@ -367,14 +370,15 @@ func (s *Store) update(id QueryID, same func(*QueryRecord) bool, mutate func(nex
 	return rec, next, nil
 }
 
-// insert places a record with an already-assigned ID into its shard and all
+// insert places a record with an already-assigned ID into its slot and all
 // indexes, pointing it at its interned shape. It is shared by the live Put
 // path and WAL replay; replay of a Put whose ID already exists (a
-// snapshot/segment overlap) replaces the older copy so recovery stays
-// idempotent — the replaced version, if any, is returned so bus subscribers
-// can retract its contributions. The record becomes visible to scans only
-// once its ID is published to the insertion order, which happens after the
-// shard holds the record. Callers must hold the commit lock.
+// snapshot/segment overlap) replaces the older copy in the same slot, so
+// recovery stays idempotent and scans keep ID order — the replaced version,
+// if any, is returned so bus subscribers can retract its contributions. A
+// view sees the record once the high-water mark covers its ID, which happens
+// after its slot holds it. Callers must hold the commit lock and have checked
+// the ID with validID.
 func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
 	if old, ok := s.loadRecord(rec.ID); ok {
 		s.remove(old)
@@ -386,7 +390,6 @@ func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
 	s.storeRecord(rec)
 	s.count.Add(1)
 	s.idx.Lock()
-	s.idx.order = append(s.idx.order, rec.ID)
 	s.indexLocked(rec)
 	s.idx.Unlock()
 	if int64(rec.ID) > s.nextID.Load() {
@@ -395,19 +398,10 @@ func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
 	return replaced
 }
 
-// remove deletes a record from the indexes and its shard.
-// The ID disappears from the insertion order first, so a scan that still
-// resolves the record observes its last committed version. Callers must hold
-// the commit lock.
+// remove deletes a record from the indexes and empties its slot. Callers
+// must hold the commit lock.
 func (s *Store) remove(rec *QueryRecord) {
 	s.idx.Lock()
-	order := make([]QueryID, 0, len(s.idx.order)-1)
-	for _, qid := range s.idx.order {
-		if qid != rec.ID {
-			order = append(order, qid)
-		}
-	}
-	s.idx.order = order
 	s.removeFromIndexesLocked(rec)
 	s.idx.Unlock()
 	s.text.mu.Lock()

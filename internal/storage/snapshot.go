@@ -10,11 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// StoreState is the full serialisable state of a Store: every record in
-// insertion order and the ID counter. It is what the WAL subsystem streams
-// out as a snapshot and what recovery stages before replaying the log tail;
-// the shard placement and inverted indexes are derived state and are rebuilt
-// on restore.
+// StoreState is the full serialisable state of a Store: every record in ID
+// order and the ID counter. It is what the WAL subsystem streams out as a
+// snapshot and what recovery stages before replaying the log tail; the
+// inverted indexes are derived state and are rebuilt on restore.
 type StoreState struct {
 	NextID  QueryID        `json:"nextId"`
 	Records []*QueryRecord `json:"records"`
@@ -46,26 +45,20 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 	if capture != nil {
 		capture()
 	}
-	// The order is copy-on-write (see idx): the captured header stays valid
-	// after the lock is released.
-	s.idx.RLock()
-	order := s.idx.order
-	s.idx.RUnlock()
 	st := &StoreState{
 		NextID:  QueryID(s.nextID.Load()),
-		Records: make([]*QueryRecord, 0, len(order)),
+		Records: make([]*QueryRecord, 0, s.Count()),
 	}
-	for _, id := range order {
-		if rec, ok := s.loadRecord(id); ok {
-			st.Records = append(st.Records, rec)
-		}
-	}
+	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
+		st.Records = append(st.Records, rec)
+		return true
+	})
 	return st
 }
 
-// RestoreState replaces the store's entire contents with the snapshot,
-// rebuilding the shard placement and every inverted index through the same
-// insert path used by live operations and replay, then runs every bus
+// RestoreState replaces the store's entire contents with the snapshot: it
+// swaps in an empty record table, rebuilds every inverted index through the
+// same insert path used by live operations and replay, then runs every bus
 // subscriber's Reset hook, a rebuild from the restored records: a snapshot
 // load has no per-record mutation stream to fan out, and the WAL slot is not
 // invoked. It takes ownership of st and its records: recovery hands over a
@@ -81,19 +74,13 @@ func (s *Store) RestoreState(st *StoreState) {
 }
 
 func (s *Store) restoreStateLocked(st *StoreState) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.recs = make(map[QueryID]*QueryRecord)
-		sh.mu.Unlock()
-	}
+	s.records.Store(new([]*leaf))
 	s.count.Store(0)
 	s.nextID.Store(0)
 	s.text.mu.Lock()
 	s.text.reset()
 	s.text.mu.Unlock()
 	s.idx.Lock()
-	s.idx.order = nil
 	s.idx.byTable = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
 	s.idx.Unlock()
@@ -154,7 +141,8 @@ func AppendSnapshotHeader(dst []byte, h SnapshotHeader) []byte {
 }
 
 // DecodeSnapshotHeader parses a header payload. A JSON-era snapshot's first
-// payload fails with ErrPreBinaryPayload.
+// payload fails with ErrPreBinaryPayload, and a high-water mark outside
+// [0, MaxQueryID] fails too.
 func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
 	if err := expectKind(p, kindSnapshotHeader); err != nil {
 		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
@@ -170,6 +158,9 @@ func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
 	h := SnapshotHeader{NextID: QueryID(r.Varint()), Records: count(), Edges: count(), Checkpoints: count()}
 	if err := r.Finish(); err != nil {
 		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
+	}
+	if h.NextID < 0 || h.NextID > MaxQueryID {
+		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: high-water mark %d is outside [0, %d]", h.NextID, MaxQueryID)
 	}
 	return h, nil
 }
@@ -228,7 +219,8 @@ func ChunkCount(p []byte) (records bool, n int, err error) {
 }
 
 // DecodeRecordChunk decodes a record chunk, appending its records to into.
-// The records share no memory with p. On error into is returned unchanged.
+// A record whose ID is outside [1, MaxQueryID] fails the chunk. The records
+// share no memory with p. On error into is returned unchanged.
 func DecodeRecordChunk(p []byte, into []*QueryRecord) ([]*QueryRecord, error) {
 	records, n, err := ChunkCount(p)
 	if err != nil {
@@ -248,6 +240,9 @@ func DecodeRecordChunk(p []byte, into []*QueryRecord) ([]*QueryRecord, error) {
 		rec := d.record()
 		if err := d.r.Finish(); err != nil {
 			return into, fmt.Errorf("storage: snapshot chunk: record %d of %d: %w", i, n, err)
+		}
+		if !validID(rec.ID) {
+			return into, fmt.Errorf("storage: snapshot chunk: record %d of %d: query ID %d is outside [1, %d]", i, n, rec.ID, MaxQueryID)
 		}
 		out = append(out, rec)
 		rest = rest[w+int(size):]

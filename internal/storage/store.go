@@ -27,29 +27,33 @@ var (
 	ErrNotDurable = errors.New("storage: mutation applied but not durable")
 )
 
+// MaxQueryID is the highest ID a record may carry. The store refuses a put
+// beyond it, live or replayed, and the codec refuses to decode one, so no ID
+// can grow the record table's directory past MaxQueryID>>leafBits+1 leaf
+// pointers (8 MiB).
+const MaxQueryID QueryID = 1<<32 - 1
+
+// validID reports whether a record may carry id: 1 through MaxQueryID.
+func validID(id QueryID) bool { return id >= 1 && id <= MaxQueryID }
+
 const (
-	shardBits = 5
-	// shardCount is the number of lock stripes the record map is spread
-	// over. Concurrent readers and writers on different records only contend
-	// when their QueryIDs hash to the same stripe.
-	shardCount = 1 << shardBits
+	leafBits = 12
+	leafSize = 1 << leafBits
 )
 
-// shard is one lock stripe of the record map. Records inside a shard are
-// immutable: every mutation replaces the record pointer with an updated copy
-// (copy-on-write), so a reader holding a record can never observe a
+// leaf is one fixed-size block of the record table: slot id%leafSize holds
+// the current version of record id, or nil when there is none. Stored records
+// are immutable: every mutation replaces the slot's pointer with an updated
+// copy (copy-on-write), so a reader holding a record can never observe a
 // half-applied mutation and scans never need defensive deep copies.
-type shard struct {
-	mu   sync.RWMutex
-	recs map[QueryID]*QueryRecord
-}
+type leaf [leafSize]atomic.Pointer[QueryRecord]
 
 // Store is the Query Storage component. It is safe for concurrent use.
 //
-// Concurrency design: records live in lock-striped shards (hashed by
-// QueryID) and are immutable once stored. Writers serialise on commitMu,
-// mutate by swapping one record pointer inside one shard and updating the
-// derived indexes; readers take a Snapshot and iterate without cloning, so
+// Concurrency design: records live in one table indexed by QueryID and are
+// immutable once stored. Writers serialise on commitMu, mutate by swapping
+// one record pointer in its table slot and updating the derived indexes;
+// readers take no lock: they take a Snapshot and iterate without cloning, so
 // read throughput scales with cores instead of serialising on one store-wide
 // mutex while deep-copying the log.
 type Store struct {
@@ -94,22 +98,26 @@ type Store struct {
 	// follower's store only advances by replaying the primary's mutations.
 	readOnly atomic.Bool
 
-	shards [shardCount]shard
+	// records is the record table: a directory of leaves, leaf id>>leafBits
+	// holding record id (nil where no record ever had an ID in its range).
+	// The directory is copy-on-write — a writer, under commitMu, publishes
+	// a longer copy or one with a new leaf — and leaves never move, so a
+	// read is two atomic loads: the directory, then the slot.
+	records atomic.Pointer[[]*leaf]
 
 	// text is the search index behind keyword and substring search: the
 	// dictionary of distinct texts and its trigram map. It has its own lock
 	// so a record's entry is resolved before the record is published.
 	text textIndex
 
-	// idx guards the derived read structures: insertion order and the
-	// inverted indexes (each backs a reader: by table the recommender, by
-	// user history). Every slice reachable from idx is copy-on-write: writers
-	// append in place (readers only look at indexes below their captured
-	// length) and build a fresh slice on removal, so a reader may capture a
-	// slice header under RLock and keep iterating it after releasing the lock.
+	// idx guards the inverted indexes (each backs a reader: by table the
+	// recommender, by user history). Every slice reachable from idx is
+	// copy-on-write: writers append in place (readers only look at indexes
+	// below their captured length) and build a fresh slice on removal, so a
+	// reader may capture a slice header under RLock and keep iterating it
+	// after releasing the lock.
 	idx struct {
 		sync.RWMutex
-		order   []QueryID
 		byTable map[string][]QueryID // lower-cased table name
 		byUser  map[string][]QueryID
 	}
@@ -118,48 +126,49 @@ type Store struct {
 // NewStore returns an empty query store.
 func NewStore() *Store {
 	s := &Store{now: time.Now}
-	for i := range s.shards {
-		s.shards[i].recs = make(map[QueryID]*QueryRecord)
-	}
+	s.records.Store(new([]*leaf))
 	s.text.reset()
 	s.idx.byTable = make(map[string][]QueryID)
 	s.idx.byUser = make(map[string][]QueryID)
 	return s
 }
 
-// shardIndex maps a query ID onto the index of its lock stripe.
-func shardIndex(id QueryID) int {
-	return int((uint64(id) * 0x9e3779b97f4a7c15) >> (64 - shardBits))
-}
-
-// shardFor maps a query ID onto its lock stripe.
-func (s *Store) shardFor(id QueryID) *shard {
-	return &s.shards[shardIndex(id)]
+// slot returns the table slot of id in dir, or nil when no leaf covers it.
+func slot(dir []*leaf, id QueryID) *atomic.Pointer[QueryRecord] {
+	if i := uint64(id) >> leafBits; i < uint64(len(dir)) && dir[i] != nil {
+		return &dir[i][id&(leafSize-1)]
+	}
+	return nil
 }
 
 // loadRecord returns the current immutable version of a record.
 func (s *Store) loadRecord(id QueryID) (*QueryRecord, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	rec, ok := sh.recs[id]
-	sh.mu.RUnlock()
-	return rec, ok
+	if sl := slot(*s.records.Load(), id); sl != nil {
+		rec := sl.Load()
+		return rec, rec != nil
+	}
+	return nil, false
 }
 
-// storeRecord publishes a (new or updated) immutable record version.
+// storeRecord publishes a (new or updated) immutable record version, first
+// publishing a directory that holds its leaf when the current one does not.
+// Callers must hold the commit lock and have checked the ID with validID.
 func (s *Store) storeRecord(rec *QueryRecord) {
-	sh := s.shardFor(rec.ID)
-	sh.mu.Lock()
-	sh.recs[rec.ID] = rec
-	sh.mu.Unlock()
+	dir := *s.records.Load()
+	if i := int(rec.ID >> leafBits); i >= len(dir) || dir[i] == nil {
+		grown := make([]*leaf, max(len(dir), i+1))
+		copy(grown, dir)
+		grown[i] = new(leaf)
+		s.records.Store(&grown)
+		dir = grown
+	}
+	slot(dir, rec.ID).Store(rec)
 }
 
-// deleteRecord drops a record from its shard.
+// deleteRecord empties the slot of a stored record. Callers must hold the
+// commit lock.
 func (s *Store) deleteRecord(id QueryID) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	delete(sh.recs, id)
-	sh.mu.Unlock()
+	slot(*s.records.Load(), id).Store(nil)
 }
 
 // SetClock overrides the store's time source (used by tests and the workload
@@ -182,9 +191,10 @@ func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 // IssuedAt is set to the current time if zero. Put takes ownership of the
 // record and of its shape: the caller must not mutate either afterwards,
 // because readers receive them without cloning, and the record may come to
-// point at the store's equal shape instead of its own. A refused record (ErrReadOnly, ErrTooLarge) is not
-// stored and gets no ID; ErrNotDurable comes with the ID of a record that is
-// stored in memory but may not survive a crash.
+// point at the store's equal shape instead of its own. A refused record
+// (ErrReadOnly, ErrTooLarge, or one that would need an ID past MaxQueryID) is
+// not stored and gets no ID; ErrNotDurable comes with the ID of a record that
+// is stored in memory but may not survive a crash.
 func (s *Store) Put(rec *QueryRecord) (QueryID, error) {
 	recs, ids := [1]*QueryRecord{rec}, [1]QueryID{}
 	if errs := s.put(recs[:], ids[:]); errs != nil {
@@ -237,6 +247,10 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 	s.lockCommit()
 	for i, rec := range recs {
 		if !stored(i) {
+			continue
+		}
+		if s.nextID.Load() >= int64(MaxQueryID) {
+			fail(i, fmt.Errorf("storage: query IDs exhausted (the highest is %d)", MaxQueryID))
 			continue
 		}
 		rec.ID = QueryID(s.nextID.Load() + 1)

@@ -14,9 +14,10 @@ import (
 //   - Record-level atomicity: records are immutable; a scan observes each
 //     record either entirely before or entirely after any mutation, never a
 //     half-applied one.
-//   - Membership: Scan visits exactly the queries that were logged when the
-//     snapshot was taken, in insertion order — queries inserted afterwards
-//     are not visited, queries deleted afterwards are skipped.
+//   - Membership: Scan visits the queries whose IDs are at most the
+//     high-water mark the snapshot was taken at, in ID (temporal) order —
+//     queries inserted afterwards carry higher IDs and are not visited,
+//     queries deleted afterwards are skipped.
 //   - Freshness: record contents are resolved at read time, so a long-lived
 //     view observes the latest committed version of each record (not the
 //     version that was current at snapshot time).
@@ -28,22 +29,19 @@ import (
 // access-control rules for the given principal.
 type View struct {
 	store *Store
-	ids   []QueryID
-	// limit is the ID high-water mark at snapshot time: indexed scans skip
-	// IDs above it so queries inserted after the snapshot stay invisible
-	// (IDs are assigned monotonically and never reused).
+	// limit is the ID high-water mark at snapshot time: scans skip IDs above
+	// it so queries inserted after the snapshot stay invisible (IDs are
+	// assigned monotonically and never reused).
 	limit QueryID
+	// count is the number of records stored at snapshot time (View.Len).
+	count int
 }
 
-// Snapshot captures a consistent read view of the store. It is cheap — a
-// slice-header capture under a short read lock, with no copying of records —
-// so callers should take a fresh snapshot per logical read operation.
+// Snapshot captures a consistent read view of the store. It is cheap — two
+// atomic loads, no lock and no copying of records — so callers should take a
+// fresh snapshot per logical read operation.
 func (s *Store) Snapshot() *View {
-	limit := QueryID(s.nextID.Load())
-	s.idx.RLock()
-	ids := s.idx.order
-	s.idx.RUnlock()
-	return &View{store: s, ids: ids, limit: limit}
+	return &View{store: s, limit: QueryID(s.nextID.Load()), count: s.Count()}
 }
 
 // SnapshotAt captures a read view whose membership is pinned at an earlier
@@ -54,13 +52,7 @@ func (s *Store) Snapshot() *View {
 // yields exactly the first page's membership regardless of concurrent
 // inserts.
 func (s *Store) SnapshotAt(limit QueryID) *View {
-	if current := QueryID(s.nextID.Load()); limit > current {
-		limit = current
-	}
-	s.idx.RLock()
-	ids := s.idx.order
-	s.idx.RUnlock()
-	return &View{store: s, ids: ids, limit: limit}
+	return &View{store: s, limit: min(limit, QueryID(s.nextID.Load())), count: s.Count()}
 }
 
 // HighWater returns the current ID high-water mark: every stored query has
@@ -91,9 +83,9 @@ func ScanWithContext(ctx context.Context, fn func(*QueryRecord) bool) func(*Quer
 	}
 }
 
-// Len returns the number of queries the snapshot captured (including any
-// deleted since, which scans skip).
-func (v *View) Len() int { return len(v.ids) }
+// Len returns the number of queries stored when the snapshot was taken
+// (including any deleted since, which scans skip).
+func (v *View) Len() int { return v.count }
 
 // Get returns the current version of a visible record without cloning it.
 // The record must be treated as read-only. Queries deleted since the
@@ -109,8 +101,9 @@ func (v *View) Get(id QueryID, p Principal) (*QueryRecord, error) {
 	return rec, nil
 }
 
-// scanIDs drives a scan over an explicit ID list, skipping deleted records
-// and records invisible to the principal. The callback returns false to stop.
+// scanIDs drives a scan over an ascending index bucket, skipping IDs past the
+// snapshot, deleted records and records invisible to the principal. The
+// callback returns false to stop.
 func (v *View) scanIDs(ids []QueryID, p Principal, fn func(*QueryRecord) bool) {
 	for _, id := range ids {
 		if id > v.limit {
@@ -126,27 +119,41 @@ func (v *View) scanIDs(ids []QueryID, p Principal, fn func(*QueryRecord) bool) {
 	}
 }
 
-// Scan visits every visible record in insertion (temporal) order. Return
-// false from fn to stop early.
+// Scan visits every visible record in ID (temporal) order. Return false from
+// fn to stop early.
 func (v *View) Scan(p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.ids, p, fn)
+	v.ScanAfter(0, p, fn)
 }
 
-// after narrows an ascending ID list to the suffix strictly greater than the
-// cursor ID. IDs are assigned monotonically under the commit lock and both
-// the insertion order and the per-key index buckets append in commit order,
-// so the lists are sorted and a binary search finds the resume point: a page
+// after narrows an ascending index bucket to the suffix strictly greater than
+// the cursor ID. IDs are assigned monotonically under the commit lock and the
+// buckets are kept sorted, so a binary search finds the resume point: a page
 // costs O(log n + page) instead of rescanning the prefix.
 func after(ids []QueryID, cursor QueryID) []QueryID {
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] > cursor })
 	return ids[i:]
 }
 
-// ScanAfter is Scan resuming strictly after the given query ID. With a view
-// pinned by SnapshotAt, repeated ScanAfter calls paginate the snapshot's
-// membership without duplicates or gaps under concurrent inserts.
+// ScanAfter is Scan resuming strictly after the given query ID: a walk of the
+// record table over the IDs in (cursor, limit] that skips empty slots, a leaf
+// no record ever had an ID in costing one check. With a view pinned by
+// SnapshotAt, repeated ScanAfter calls paginate the snapshot's membership
+// without duplicates or gaps under concurrent inserts.
 func (v *View) ScanAfter(cursor QueryID, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(after(v.ids, cursor), p, fn)
+	dir := *v.store.records.Load()
+	last := min(v.limit, QueryID(len(dir))<<leafBits-1)
+	for id := min(max(cursor, 0), last) + 1; id <= last; {
+		l := dir[id>>leafBits]
+		if l == nil {
+			id = (id>>leafBits + 1) << leafBits
+			continue
+		}
+		for end := min(last, id|(leafSize-1)); id <= end; id++ {
+			if rec := l[id&(leafSize-1)].Load(); rec != nil && rec.VisibleTo(p) && !fn(rec) {
+				return
+			}
+		}
+	}
 }
 
 // ScanByUserAfter visits the visible queries submitted by the given user, in
@@ -158,13 +165,13 @@ func (v *View) ScanByUserAfter(user string, cursor QueryID, p Principal, fn func
 // scanAll visits every record in the snapshot regardless of visibility; it
 // backs store-internal maintenance helpers (admin-equivalent scans).
 func (v *View) scanAll(fn func(*QueryRecord) bool) {
-	v.scanIDs(v.ids, Principal{Admin: true}, fn)
+	v.ScanAfter(0, Principal{Admin: true}, fn)
 }
 
-// Records collects the visible records in insertion order, without cloning.
-// The returned records are shared and must be treated as read-only.
+// Records collects the visible records in ID order, without cloning. The
+// returned records are shared and must be treated as read-only.
 func (v *View) Records(p Principal) []*QueryRecord {
-	out := make([]*QueryRecord, 0, len(v.ids))
+	out := make([]*QueryRecord, 0, v.count)
 	v.Scan(p, func(rec *QueryRecord) bool {
 		out = append(out, rec)
 		return true

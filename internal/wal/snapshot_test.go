@@ -622,6 +622,17 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(encodeFrame(9, bytes.Repeat([]byte("x"), 300)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'x'})
 	f.Add([]byte{})
+	// Puts of IDs outside [1, storage.MaxQueryID]: framed like any other
+	// payload, refused only when applied.
+	for _, id := range []storage.QueryID{-7, 1 << 60} {
+		rec := testState(f, 1).Records[0]
+		rec.ID = id
+		put, err := (&storage.Mutation{Op: storage.OpPut, Record: rec}).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeFrame(4, put))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var reframed []byte
 		err := ReadFrames(bytes.NewReader(b), func(seq uint64, payload []byte) error {
@@ -693,6 +704,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// What only an older build writes: the writer above cannot reach the
 	// read-and-drop path of edge chunks and record session IDs.
 	f.Add([]byte(parentSnapshot))
+	// Record IDs and a high-water mark outside what the store accepts.
+	for _, id := range []storage.QueryID{-7, 1 << 60} {
+		badRecord, badMark := testState(f, 3), testState(f, 3)
+		badRecord.Records[1].ID, badMark.NextID = id, id
+		for _, st := range []*storage.StoreState{badRecord, badMark} {
+			var buf bytes.Buffer
+			if _, err := writeSnapshotStream(&buf, 41, st); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, err := ReadSnapshot(bytes.NewReader(b))
 		if err != nil {
