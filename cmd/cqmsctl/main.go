@@ -559,8 +559,8 @@ func cmdStats(ctx context.Context, c *client.Client) error {
 	// The search index reports through /v1/metrics alone; read it there, by
 	// the names a dashboard would use.
 	if text, err := c.Metrics(ctx); err == nil {
-		texts, trigrams := metricValue(text, "cqms_search_index_texts"), metricValue(text, "cqms_search_index_trigrams")
-		fmt.Printf("search index: %.0f distinct texts, %.0f trigrams\n", texts, trigrams)
+		shapes, trigrams := metricValue(text, "cqms_store_shapes"), metricValue(text, "cqms_search_index_trigrams")
+		fmt.Printf("search index: %.0f distinct shapes, %.0f trigrams\n", shapes, trigrams)
 		if n := metricValue(text, "cqms_search_examined_records_count"); n > 0 {
 			sum := metricValue(text, "cqms_search_examined_records_sum")
 			fmt.Printf("  %.0f searches, %.1f records examined per search\n", n, sum/n)

@@ -34,12 +34,6 @@ func New() *Engine {
 	return &Engine{catalog: NewCatalog()}
 }
 
-// NewWithCatalog returns an engine over an existing catalog, used by tests
-// and the workload generator to share pre-populated data.
-func NewWithCatalog(c *Catalog) *Engine {
-	return &Engine{catalog: c}
-}
-
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *Catalog { return e.catalog }
 

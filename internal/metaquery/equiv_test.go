@@ -658,10 +658,10 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	}
 	fs := &searcher{rng: rng, url: serve(t, follower), store: follower.Store(), sessionOf: follower.SessionOf}
 	fs.drains(t, 120)
-	pt, ptg := c.Store().SearchIndexSize()
-	ft, ftg := follower.Store().SearchIndexSize()
+	pt, ptg := c.Store().ShapeCount(), c.Store().SearchIndexSize()
+	ft, ftg := follower.Store().ShapeCount(), follower.Store().SearchIndexSize()
 	if ft == 0 || ft != pt || ftg != ptg {
-		t.Fatalf("follower index holds %d texts / %d trigrams, the primary %d / %d", ft, ftg, pt, ptg)
+		t.Fatalf("follower index holds %d shapes / %d trigrams, the primary %d / %d", ft, ftg, pt, ptg)
 	}
 }
 

@@ -9,18 +9,18 @@ import (
 	"repro/internal/storage"
 )
 
-// Keyword and substring search are served from the store's search index (a
-// dictionary of distinct texts narrowed by trigrams; see storage.SelectTexts):
-// a page costs the matching dictionary entries plus the records it returns,
-// not the log.
+// Keyword and substring search are served from the store's search index (the
+// dictionary of distinct query shapes narrowed by trigrams; see
+// storage.SelectTexts): a page costs the matching shapes plus the records it
+// returns, not the log.
 
 // textQuery is what distinguishes one kind of text search from another.
 type textQuery struct {
-	// needles are the lower-cased strings matchText requires an entry to
+	// needles are the lower-cased strings matchText requires a shape to
 	// contain; the index narrows the dictionary by their trigrams.
 	needles []string
-	// matchText decides a dictionary entry, and with it every record of that
-	// text that carries no annotation; such records score base.
+	// matchText decides a shape, and with it every record of that shape
+	// that carries no annotation; such records score base.
 	matchText func(text, canonical string) bool
 	base      float64
 	// scoreAnnotated decides one annotated record; its score is at least

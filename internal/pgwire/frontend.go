@@ -132,24 +132,6 @@ func (f *FrontendConn) PrepareExec(name, sql string, parse bool) error {
 	return f.waitReady()
 }
 
-// CloseStatement sends Close for a named prepared statement followed by Sync.
-func (f *FrontendConn) CloseStatement(name string) error {
-	payload := make([]byte, 0, len(name)+2)
-	payload = append(payload, 'S')
-	payload = append(payload, name...)
-	payload = append(payload, 0)
-	if _, err := (Message{Type: typeClose, Payload: payload}).WriteTo(f.w); err != nil {
-		return err
-	}
-	if _, err := (Message{Type: typeSync, Payload: nil}).WriteTo(f.w); err != nil {
-		return err
-	}
-	if err := f.w.Flush(); err != nil {
-		return err
-	}
-	return f.waitReady()
-}
-
 // Close sends Terminate and closes the socket.
 func (f *FrontendConn) Close() error {
 	_, _ = (Message{Type: typeTerminate, Payload: nil}).WriteTo(f.w)

@@ -335,14 +335,6 @@ func (*SubqueryExpr) exprNode() {}
 func (*CaseExpr) exprNode()     {}
 func (*ParamExpr) exprNode()    {}
 
-// QualifiedName returns "table.name" or just "name" when unqualified.
-func (c *ColumnRef) QualifiedName() string {
-	if c.Table == "" {
-		return c.Name
-	}
-	return c.Table + "." + c.Name
-}
-
 // IsAggregate reports whether the function name is one of the aggregate
 // functions understood by the execution engine.
 func (f *FuncCall) IsAggregate() bool {

@@ -215,8 +215,8 @@ func TestSnapshotMembershipIsStable(t *testing.T) {
 }
 
 // TestIndexBucketsDropWhenEmpty pins the index-leak fix: deleting the last
-// query referencing a table/user removes the bucket key instead of leaving an
-// empty slice behind.
+// query referencing a table/user removes the bucket key from the index
+// instead of leaving an empty slice behind.
 func TestIndexBucketsDropWhenEmpty(t *testing.T) {
 	s := NewStore()
 	admin := Principal{Admin: true}
@@ -229,19 +229,19 @@ func TestIndexBucketsDropWhenEmpty(t *testing.T) {
 	if err := s.Delete(id, admin); err != nil {
 		t.Fatal(err)
 	}
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	if _, ok := s.idx.byTable["stars"]; ok {
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	if _, ok := s.index.byTable["stars"]; ok {
 		t.Error("byTable bucket leaked after delete")
 	}
-	if _, ok := s.idx.byUser["carol"]; ok {
+	if _, ok := s.index.byUser["carol"]; ok {
 		t.Error("byUser bucket leaked after delete")
 	}
 }
 
 // TestLowerCaseShared pins the insert-time lower-casing: stored records of one
 // text share one shape, which holds the lower-cased strings, and ReplaceText
-// moves them to the entry of the new text.
+// moves them to the shape of the new text.
 func TestLowerCaseShared(t *testing.T) {
 	s := NewStore()
 	var ids [2]QueryID
@@ -258,7 +258,7 @@ func TestLowerCaseShared(t *testing.T) {
 	if a.LowerText() != "select city from citylocations where state = 'wa'" {
 		t.Errorf("LowerText = %q", a.LowerText())
 	}
-	if a.QueryShape != b.QueryShape || a.entry == nil || a.LowerCanonical() != strings.ToLower(a.Canonical) {
+	if a.QueryShape != b.QueryShape || a.text == "" || a.LowerCanonical() != strings.ToLower(a.Canonical) {
 		t.Errorf("records of one text do not share a shape: %p vs %p", a.QueryShape, b.QueryShape)
 	}
 	updated, err := NewRecordFromSQL("SELECT Lake FROM WaterTemp")
@@ -269,12 +269,12 @@ func TestLowerCaseShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ = s.Snapshot().Get(ids[0], admin)
-	if a.LowerText() != "select lake from watertemp" || a.entry == b.entry {
+	if a.LowerText() != "select lake from watertemp" || a.QueryShape == b.QueryShape {
 		t.Errorf("LowerText after ReplaceText = %q", a.LowerText())
 	}
 	// Records that never entered a store, and owned copies, lower on the fly.
 	probe := &QueryRecord{QueryShape: &QueryShape{Text: "SELECT X"}}
-	if probe.LowerText() != "select x" || a.Clone().entry != nil {
+	if probe.LowerText() != "select x" || a.Clone().text != "" {
 		t.Errorf("fallback LowerText = %q", probe.LowerText())
 	}
 }

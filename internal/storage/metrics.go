@@ -77,12 +77,9 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_store_shapes",
 		"Distinct query shapes (text, canonical forms and features) the stored records share.",
 		func() float64 { return float64(s.ShapeCount()) })
-	reg.GaugeFunc("cqms_search_index_texts",
-		"Distinct (text, canonical) pairs in the search dictionary.",
-		func() float64 { texts, _ := s.SearchIndexSize(); return float64(texts) })
 	reg.GaugeFunc("cqms_search_index_trigrams",
-		"Distinct trigrams mapped to search-dictionary entries.",
-		func() float64 { _, trigrams := s.SearchIndexSize(); return float64(trigrams) })
+		"Distinct trigrams mapped to the query shapes holding them.",
+		func() float64 { return float64(s.SearchIndexSize()) })
 
 	s.commitMu.Lock()
 	s.metrics = m

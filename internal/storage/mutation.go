@@ -277,7 +277,7 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 			next.Annotations = append(append([]Annotation(nil), old.Annotations...), *m.Annotation)
 		})
 		if changed && len(m.prev.Annotations) == 0 {
-			s.text.annotate(m.ID)
+			s.index.annotate(m.ID)
 		}
 		return changed, err
 	case OpSetVisibility:
@@ -384,14 +384,11 @@ func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
 		s.remove(old)
 		replaced = old
 	}
-	s.text.mu.Lock()
-	s.text.addLocked(rec)
-	s.text.mu.Unlock()
+	s.index.mu.Lock()
+	s.index.addLocked(rec)
+	s.index.mu.Unlock()
 	s.storeRecord(rec)
 	s.count.Add(1)
-	s.idx.Lock()
-	s.indexLocked(rec)
-	s.idx.Unlock()
 	if int64(rec.ID) > s.nextID.Load() {
 		s.nextID.Store(int64(rec.ID))
 	}
@@ -401,20 +398,17 @@ func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
 // remove deletes a record from the indexes and empties its slot. Callers
 // must hold the commit lock.
 func (s *Store) remove(rec *QueryRecord) {
-	s.idx.Lock()
-	s.removeFromIndexesLocked(rec)
-	s.idx.Unlock()
-	s.text.mu.Lock()
-	s.text.removeLocked(rec)
-	s.text.mu.Unlock()
+	s.index.mu.Lock()
+	s.index.removeLocked(rec)
+	s.index.mu.Unlock()
 	s.deleteRecord(rec.ID)
 	s.count.Add(-1)
 }
 
 // replaceText publishes a record version with the shape of the update — its
-// text and feature relations — re-indexing it, and returns the new version.
-// De-indexing and re-indexing happen in one idx critical section so an
-// indexed scan never misses the record mid-replacement. A version that would
+// text and feature relations — moving it to the shape of its new text, and
+// returns the new version. The move is one index critical section: the record
+// is posted on exactly one shape whenever a reader looks. A version that would
 // exceed MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers
 // must hold the commit lock.
 func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
@@ -423,13 +417,9 @@ func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
 	if err := admitRecord(next); err != nil {
 		return nil, err
 	}
-	s.text.mu.Lock()
-	s.text.retextLocked(rec, next)
-	s.text.mu.Unlock()
+	s.index.mu.Lock()
+	s.index.retextLocked(rec, next)
+	s.index.mu.Unlock()
 	s.storeRecord(next)
-	s.idx.Lock()
-	s.removeFromIndexesLocked(rec)
-	s.indexLocked(next)
-	s.idx.Unlock()
 	return next, nil
 }

@@ -14,7 +14,10 @@ import (
 // and re-run many times, so the store keeps one shape per distinct text and
 // every stored record of that text points at it, the way a content-addressed
 // store keeps one blob however many commits reference it. A record embeds its
-// shape, so rec.Text and rec.Tables read as the record's own fields.
+// shape, so rec.Text and rec.Tables read as the record's own fields. A stored
+// shape is also the unit the store's secondary indexes post (textindex.go):
+// it holds the IDs of its records, and the search and by-table indexes map
+// their keys to shapes, indexing each distinct query once.
 //
 // A shape is immutable once a store holds it: records share it, and writing
 // through one would change every record of the text. Give a record a new
@@ -35,14 +38,21 @@ type QueryShape struct {
 	Features   []string // flat feature set used by the miner
 
 	// What the store derives once per shape: set before the shape is
-	// interned, and never changed after but for refs and derived, which
-	// textIndex.mu guards. prepare gives a new shape an entry of its own,
-	// which interning swaps for the dictionary's when it has one.
-	entry    *textEntry // the search-dictionary entry: lower-cased text and canonical
-	tables   []string   // lower-cased Tables: the byTable buckets
-	refs     int32      // stored records pointing at the shape
-	interned bool       // held by a store's dictionary, now or before
-	derived  bool       // equal to what ShapeOf derives from Text in this process
+	// interned, and never changed after but for ids and derived, which
+	// index.mu guards. prepare lower-cases the keys of a new shape; interning
+	// gives it its seq.
+	text, canonical string   // lower-cased Text and Canonical: the search keys
+	tables          []string // lower-cased Tables: the byTable keys
+	// seq is the shape's creation rank in the dictionary. Trigram and table
+	// postings are kept in ascending seq so that intersecting them is a merge.
+	seq uint64
+	// ids holds the ascending IDs of the stored records pointing at the
+	// shape: a copy-on-write bucket (appended in place, rebuilt on removal)
+	// whose header index.mu guards. Its length is the reference count: the
+	// shape leaves the dictionary with its last record.
+	ids      []QueryID
+	interned bool // held by a store's dictionary, now or before
+	derived  bool // equal to what ShapeOf derives from Text in this process
 
 	nested atomic.Int32 // nestedUnknown until Nested first parses Text
 }
@@ -133,7 +143,7 @@ func sameSlice[E comparable](a, b []E) bool {
 // that interning it under the commit lock is pure map work. The live write
 // paths call it before taking the lock.
 func (sh *QueryShape) prepare() {
-	if sh.entry != nil {
+	if sh.text != "" {
 		return
 	}
 	if len(sh.Tables) > 0 {
@@ -142,24 +152,24 @@ func (sh *QueryShape) prepare() {
 			sh.tables[i] = strings.ToLower(t)
 		}
 	}
-	sh.entry = &textEntry{textKey: textKey{strings.ToLower(sh.Text), strings.ToLower(sh.Canonical)}}
+	sh.text, sh.canonical = strings.ToLower(sh.Text), strings.ToLower(sh.Canonical)
 }
 
 // LowerText returns the lower-cased query text, computed once per shape by
 // the store that holds it. A shape no store has indexed lowers on the fly.
 func (sh *QueryShape) LowerText() string {
-	if sh.entry == nil {
+	if sh.text == "" {
 		return strings.ToLower(sh.Text)
 	}
-	return sh.entry.text
+	return sh.text
 }
 
 // LowerCanonical returns the lower-cased canonical text; see LowerText.
 func (sh *QueryShape) LowerCanonical() string {
-	if sh.entry == nil {
+	if sh.canonical == "" {
 		return strings.ToLower(sh.Canonical)
 	}
-	return sh.entry.canonical
+	return sh.canonical
 }
 
 // Nested reports whether the query is a SELECT with a sub-query. The text is
@@ -209,22 +219,22 @@ func (sh *QueryShape) Analysis() *sql.Analysis {
 // a new one derived from stmt otherwise. The result may be shared with stored
 // records and must not be written to.
 func (s *Store) ShapeOf(stmt sql.Statement, text string) *QueryShape {
-	t := &s.text
-	t.mu.RLock()
-	for _, sh := range t.shapes[text] {
+	ix := &s.index
+	ix.mu.RLock()
+	for _, sh := range ix.shapes[text] {
 		if sh.derived {
-			t.mu.RUnlock()
+			ix.mu.RUnlock()
 			return sh
 		}
 	}
-	t.mu.RUnlock()
+	ix.mu.RUnlock()
 	sh := newShape(stmt, text)
 	sh.derived = true
 	// A stored shape equal to the derivation (replayed, or put by a caller
 	// that derived it another way) is the one later calls find.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if have := t.lookupLocked(sh); have != nil {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if have := ix.lookupLocked(sh); have != nil {
 		have.derived = true
 		return have
 	}
@@ -235,9 +245,9 @@ func (s *Store) ShapeOf(stmt sql.Statement, text string) *QueryShape {
 // distinct text, unless records of one text carry different features (a log
 // written by an older analyzer).
 func (s *Store) ShapeCount() int {
-	s.text.mu.RLock()
-	defer s.text.mu.RUnlock()
-	return s.text.nshapes
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	return s.index.nshapes
 }
 
 // share points a record about to be put at the store's shape equal to its
@@ -249,9 +259,9 @@ func (s *Store) share(rec *QueryRecord) {
 	if rec.interned {
 		return
 	}
-	s.text.mu.RLock()
-	have := s.text.lookupLocked(rec.QueryShape)
-	s.text.mu.RUnlock()
+	s.index.mu.RLock()
+	have := s.index.lookupLocked(rec.QueryShape)
+	s.index.mu.RUnlock()
 	if have == nil {
 		rec.prepare()
 	} else {
@@ -261,8 +271,8 @@ func (s *Store) share(rec *QueryRecord) {
 
 // lookupLocked returns the dictionary's shape equal to sh, or nil. Callers
 // must hold mu.
-func (t *textIndex) lookupLocked(sh *QueryShape) *QueryShape {
-	for _, have := range t.shapes[sh.Text] {
+func (ix *index) lookupLocked(sh *QueryShape) *QueryShape {
+	for _, have := range ix.shapes[sh.Text] {
 		if sameShape(have, sh) {
 			return have
 		}
@@ -271,37 +281,35 @@ func (t *textIndex) lookupLocked(sh *QueryShape) *QueryShape {
 }
 
 // internLocked points a record about to be published at the dictionary's
-// shape equal to its own, adding its shape when the dictionary holds no equal
-// one, and counts the record among the shape's records. A record adopts a
-// shape only when every value is equal, so a replayed record whose features
-// an older analyzer extracted keeps a shape of its own. Callers must hold mu.
-func (t *textIndex) internLocked(rec *QueryRecord) {
+// shape equal to its own, entering its shape when the dictionary holds no
+// equal one, and posts the record's ID on the shape. A record adopts a shape
+// only when every value is equal, so a replayed record whose features an
+// older analyzer extracted keeps a shape of its own. Callers must hold mu.
+func (ix *index) internLocked(rec *QueryRecord) {
 	sh := rec.QueryShape
-	if have := t.lookupLocked(sh); have != nil {
-		have.refs++
+	if have := ix.lookupLocked(sh); have != nil {
 		have.derived = have.derived || sh.derived
-		rec.QueryShape = have
-		return
+		sh = have
+	} else {
+		if sh.interned {
+			// Interned before, by another store or by this one before its
+			// last record went; readers may hold it, so the copy is what
+			// gets keyed.
+			sh = sh.values()
+		}
+		sh.prepare()
+		ix.enterLocked(sh)
 	}
-	if sh.interned {
-		// Interned before, by another store or by this one before its last
-		// record went; readers may hold it, so the copy is what gets keyed.
-		sh = sh.values()
-	}
-	sh.prepare()
-	sh.entry = t.entryLocked(sh.entry)
-	sh.refs, sh.interned = 1, true
-	t.shapes[sh.Text] = append(t.shapes[sh.Text], sh)
-	t.nshapes++
+	sh.ids = insertSorted(sh.ids, rec.ID)
 	rec.QueryShape = sh
 }
 
-// releaseLocked uncounts a record leaving its shape, dropping the shape from
-// the dictionary with its last record. Callers must hold mu.
-func (t *textIndex) releaseLocked(rec *QueryRecord) {
+// releaseLocked removes a record leaving its shape from the shape's IDs,
+// dropping the shape from the dictionary with its last record. Callers must
+// hold mu.
+func (ix *index) releaseLocked(rec *QueryRecord) {
 	sh := rec.QueryShape
-	if sh.refs--; sh.refs == 0 {
-		removeFromBucket(t.shapes, sh.Text, sh)
-		t.nshapes--
+	if sh.ids = removeElem(sh.ids, rec.ID); len(sh.ids) == 0 {
+		ix.leaveLocked(sh)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,28 +14,29 @@ import (
 )
 
 // checkShapes is the shape dictionary's leak check: it holds exactly the
-// distinct shapes of the live records, each counting its records, no two of
-// one text equal, and every record points at a shape the dictionary holds.
+// distinct shapes of the live records, each holding the IDs of its records
+// (so len(ids) counts them) and its lower-cased keys, no two of one text
+// equal, and every record points at a shape the dictionary holds.
 func checkShapes(t *testing.T, s *Store) {
 	t.Helper()
-	refs := map[*QueryShape]int{}
+	ids := map[*QueryShape][]QueryID{}
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
-		refs[rec.QueryShape]++
+		ids[rec.QueryShape] = append(ids[rec.QueryShape], rec.ID)
 		return true
 	})
-	s.text.mu.RLock()
-	defer s.text.mu.RUnlock()
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
 	n := 0
-	for text, list := range s.text.shapes {
+	for text, list := range s.index.shapes {
 		for i, sh := range list {
 			n++
-			if sh.Text != text || !sh.interned || sh.entry != s.text.entries[sh.entry.textKey] {
-				t.Errorf("shape of %q filed under %q does not point at its dictionary entry", sh.Text, text)
+			if sh.Text != text || !sh.interned || sh.text != strings.ToLower(sh.Text) || sh.canonical != strings.ToLower(sh.Canonical) {
+				t.Errorf("shape of %q filed under %q does not hold its lower-cased keys", sh.Text, text)
 			}
-			if refs[sh] != int(sh.refs) || sh.refs == 0 {
-				t.Errorf("shape of %q counts %d records, %d point at it", text, sh.refs, refs[sh])
+			if len(sh.ids) == 0 || !slices.Equal(sh.ids, ids[sh]) {
+				t.Errorf("shape of %q holds IDs %v, %v point at it", text, sh.ids, ids[sh])
 			}
-			delete(refs, sh)
+			delete(ids, sh)
 			for _, other := range list[:i] {
 				if sameShape(sh, other) {
 					t.Errorf("two equal shapes of %q", text)
@@ -42,15 +44,15 @@ func checkShapes(t *testing.T, s *Store) {
 			}
 		}
 	}
-	for sh, n := range refs {
-		t.Errorf("%d records point at a shape of %q the dictionary does not hold", n, sh.Text)
+	for sh, recs := range ids {
+		t.Errorf("records %v point at a shape of %q the dictionary does not hold", recs, sh.Text)
 	}
-	if n != s.text.nshapes {
-		t.Errorf("the dictionary counts %d shapes and holds %d", s.text.nshapes, n)
+	if n != s.index.nshapes {
+		t.Errorf("the dictionary counts %d shapes and holds %d", s.index.nshapes, n)
 	}
 }
 
-// shapeTexts repeat heavily. Two of them lower-case to one search entry but
+// shapeTexts repeat heavily. Two of them lower-case to the same strings but
 // are different texts; the last does not parse.
 var shapeTexts = []string{
 	"SELECT temp FROM WaterTemp WHERE temp < 15",
@@ -284,14 +286,14 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 		checkTextIndex(t, path.store)
 	}
 
-	// Deleting every record empties both dictionaries.
+	// Deleting every record empties the dictionary and its postings.
 	for _, id := range ids {
 		if err := s.Delete(id, admin); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if shapes, texts := s.ShapeCount(), len(s.text.entries); shapes != 0 || texts != 0 || len(s.text.shapes) != 0 {
-		t.Errorf("emptied store holds %d shapes and %d search entries", shapes, texts)
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 0 || trigrams != 0 || len(s.index.shapes) != 0 || len(s.index.byTable) != 0 {
+		t.Errorf("emptied store holds %d shapes, %d trigrams and %d tables", shapes, trigrams, len(s.index.byTable))
 	}
 }
 

@@ -77,13 +77,9 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.records.Store(new([]*leaf))
 	s.count.Store(0)
 	s.nextID.Store(0)
-	s.text.mu.Lock()
-	s.text.reset()
-	s.text.mu.Unlock()
-	s.idx.Lock()
-	s.idx.byTable = make(map[string][]QueryID)
-	s.idx.byUser = make(map[string][]QueryID)
-	s.idx.Unlock()
+	s.index.mu.Lock()
+	s.index.reset()
+	s.index.mu.Unlock()
 	for _, rec := range st.Records {
 		s.insert(rec)
 	}

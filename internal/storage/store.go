@@ -105,31 +105,18 @@ type Store struct {
 	// read is two atomic loads: the directory, then the slot.
 	records atomic.Pointer[[]*leaf]
 
-	// text is the search index behind keyword and substring search: the
-	// dictionary of distinct texts and its trigram map. It has its own lock
-	// so a record's entry is resolved before the record is published.
-	text textIndex
-
-	// idx guards the inverted indexes (each backs a reader: by table the
-	// recommender, by user history). Every slice reachable from idx is
-	// copy-on-write: writers append in place (readers only look at indexes
-	// below their captured length) and build a fresh slice on removal, so a
-	// reader may capture a slice header under RLock and keep iterating it
-	// after releasing the lock.
-	idx struct {
-		sync.RWMutex
-		byTable map[string][]QueryID // lower-cased table name
-		byUser  map[string][]QueryID
-	}
+	// index holds every secondary index — the shape dictionary with its
+	// trigram and by-table postings, and the by-user and annotated record
+	// postings — under its own lock, so a record's shape is resolved before
+	// the record is published and readers never take commitMu.
+	index index
 }
 
 // NewStore returns an empty query store.
 func NewStore() *Store {
 	s := &Store{now: time.Now}
 	s.records.Store(new([]*leaf))
-	s.text.reset()
-	s.idx.byTable = make(map[string][]QueryID)
-	s.idx.byUser = make(map[string][]QueryID)
+	s.index.reset()
 	return s
 }
 
@@ -285,12 +272,6 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 	return errs
 }
 
-// insertIntoBucket adds an ID to a copy-on-write index bucket; see
-// insertSorted for the invariant it keeps.
-func insertIntoBucket[K comparable](m map[K][]QueryID, key K, id QueryID) {
-	m[key] = insertSorted(m[key], id)
-}
-
 // insertSorted adds an ID to a copy-on-write bucket, preserving the
 // ascending-ID invariant that the cursor scans (ScanAfter, ScanByUserAfter)
 // and the search merge binary-search on. Fresh inserts always carry the
@@ -311,15 +292,6 @@ func insertSorted(old []QueryID, id QueryID) []QueryID {
 	out = append(out, id)
 	out = append(out, old[i:]...)
 	return out
-}
-
-// indexLocked adds an interned record to every inverted index. Callers must
-// hold the idx write lock.
-func (s *Store) indexLocked(rec *QueryRecord) {
-	for _, key := range rec.tables {
-		insertIntoBucket(s.idx.byTable, key, rec.ID)
-	}
-	insertIntoBucket(s.idx.byUser, rec.User, rec.ID)
 }
 
 // Get returns a copy of the record with the given ID, enforcing visibility
@@ -345,9 +317,9 @@ func (s *Store) Count() int {
 // many distinct tables (case-insensitively) the log references, regardless of
 // visibility.
 func (s *Store) DistinctCounts() (users, tables int) {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return len(s.idx.byUser), len(s.idx.byTable)
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	return len(s.index.byUser), len(s.index.byTable)
 }
 
 // TableCount pairs a table name with how many queries reference it. The
@@ -485,15 +457,6 @@ func removeElem[E comparable](old []E, elem E) []E {
 		}
 	}
 	return out
-}
-
-// removeFromIndexesLocked strips a record from every inverted index. Callers
-// must hold commitMu and the idx write lock.
-func (s *Store) removeFromIndexesLocked(rec *QueryRecord) {
-	for _, key := range rec.tables {
-		removeFromBucket(s.idx.byTable, key, rec.ID)
-	}
-	removeFromBucket(s.idx.byUser, rec.User, rec.ID)
 }
 
 // MarkInvalid flags a query as invalidated (e.g. by a schema change) with a

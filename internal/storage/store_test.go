@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -372,6 +373,31 @@ func TestQualityScore(t *testing.T) {
 	}
 	if q := quality(); q <= valid {
 		t.Errorf("quality %v after an annotation, want above %v", q, valid)
+	}
+}
+
+// TestScanByTableSkipsRecordsRetextedOffTheTable re-texts a record to
+// another table while a by-table scan is under way: the scan, which captured
+// the table's postings before it reached the record, must not yield it.
+func TestScanByTableSkipsRecordsRetextedOffTheTable(t *testing.T) {
+	s := NewStore()
+	first := mustPut(t, s, mustRecord(t, "SELECT a FROM T1"))
+	second := mustPut(t, s, mustRecord(t, "SELECT b FROM T1 WHERE b > 1"))
+	var got []QueryID
+	s.Snapshot().ScanByTable("t1", admin, func(rec *QueryRecord) bool {
+		got = append(got, rec.ID)
+		if rec.ID == first {
+			if err := s.ReplaceText(second, mustRecord(t, "SELECT b FROM T2 WHERE b > 1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if rec, _ := s.Get(second, admin); !slices.Equal(rec.Tables, []string{"T2"}) {
+		t.Fatalf("q%d references %v after the re-text, want [T2]", second, rec.Tables)
+	}
+	if !slices.Equal(got, []QueryID{first}) {
+		t.Errorf("ScanByTable(t1) yielded %v, want [%d]: q%d no longer references T1", got, first, second)
 	}
 }
 

@@ -7,32 +7,19 @@ import (
 	"sync"
 )
 
-// The search index behind keyword and substring search. A query log repeats
-// itself — the same statement is debugged once and re-run many times — so the
-// index is two-level: a dictionary with one entry per distinct (lower-cased
-// text, lower-cased canonical) pair holding the ascending IDs of the records
-// with that text, and a map from every byte trigram of an entry's strings to
-// the entries containing it. A search narrows the dictionary through the
-// trigrams of its needles, verifies the surviving entries with the caller's
-// predicate, and merges their postings; it never touches the text of a
+// The store's secondary indexes post shapes, not records. A query log repeats
+// itself — the same statement is debugged once and re-run many times — so
+// each distinct shape (shape.go) holds the ascending IDs of its records, and
+// the indexes behind keyword and substring search and the by-table scans map
+// a key to the shapes that have it: every byte trigram of a shape's
+// lower-cased text and canonical form, and every table it references. Those
+// postings change only when a shape enters the dictionary with its first
+// record or leaves it with its last, so a put or delete of a repeated query
+// touches one shape's IDs and the user's bucket. A search narrows the shapes
+// through the trigrams of its needles, verifies the survivors with the
+// caller's predicate, and merges their IDs; it never touches the text of a
 // record. The index is derived state: nothing of it is checkpointed, and a
 // restore rebuilds it through the same insert path live writes use.
-
-// textKey identifies a dictionary entry: the lower-cased text and canonical
-// form of a query.
-type textKey struct{ text, canonical string }
-
-// textEntry is one dictionary entry. The key and seq are immutable; ids is a
-// copy-on-write bucket like the store's other index buckets (appended in
-// place, rebuilt on removal) whose header is guarded by textIndex.mu. Every
-// shape whose text and canonical form lower-case to the key points at it.
-type textEntry struct {
-	textKey
-	// seq is the entry's creation rank. Trigram postings are kept in
-	// ascending seq so that intersecting them is a merge.
-	seq uint64
-	ids []QueryID
-}
 
 // trigram is three consecutive bytes of a lower-cased string. Needles are
 // matched bytewise (strings.Contains), so byte trigrams are exact for
@@ -40,34 +27,41 @@ type textEntry struct {
 // containing the needle.
 type trigram uint32
 
-// textIndex holds the two dictionaries a record's text is stored in: the
-// shape dictionary (shape.go), which keeps one shape per distinct text and
-// features, and the search dictionary, one entry per distinct lower-cased
-// (text, canonical) pair with its trigram map. Both hold exactly what the
-// live records reference: a shape or entry goes with its last record.
-type textIndex struct {
+// index holds every secondary index of the store under one lock: the shape
+// dictionary, the shape postings by trigram and by table, and the record
+// postings by user and of the annotated records. It holds exactly what the
+// live records reference: a shape goes with its last record, a key with its
+// last posting. Every slice reachable from it is copy-on-write: writers
+// append in place (readers only look at elements below their captured
+// length) and build a fresh slice on removal, so a reader may capture a
+// slice header under RLock and keep iterating it after releasing the lock.
+type index struct {
 	mu sync.RWMutex
 	// shapes holds, by exact text, the shapes of the stored records: almost
 	// always one per text. nshapes counts them all.
-	shapes   map[string][]*QueryShape
-	nshapes  int
-	entries  map[textKey]*textEntry
-	trigrams map[trigram][]*textEntry // ascending seq, copy-on-write
+	shapes  map[string][]*QueryShape
+	nshapes int
+	nextSeq uint64
+	// trigrams and byTable (keyed by lower-cased table name) hold shapes in
+	// ascending seq.
+	trigrams map[trigram][]*QueryShape
+	byTable  map[string][]*QueryShape
+	// byUser holds the ascending IDs of each user's records: history.
+	byUser map[string][]QueryID
 	// annotated holds the ascending IDs of the records carrying at least one
-	// annotation. Annotation text is per record, not per distinct text, so
-	// searches verify these records one by one instead of through the
-	// dictionary.
+	// annotation. Annotation text is per record, not per shape, so searches
+	// verify these records one by one instead of through the dictionary.
 	annotated []QueryID
-	nextSeq   uint64
 }
 
 // reset empties the index. Callers must hold mu (or own the store).
-func (t *textIndex) reset() {
-	t.shapes = make(map[string][]*QueryShape)
-	t.nshapes = 0
-	t.entries = make(map[textKey]*textEntry)
-	t.trigrams = make(map[trigram][]*textEntry)
-	t.annotated = nil
+func (ix *index) reset() {
+	ix.shapes = make(map[string][]*QueryShape)
+	ix.nshapes = 0
+	ix.trigrams = make(map[trigram][]*QueryShape)
+	ix.byTable = make(map[string][]*QueryShape)
+	ix.byUser = make(map[string][]QueryID)
+	ix.annotated = nil
 }
 
 // eachTrigram calls fn for every byte trigram of the strings, repeats
@@ -88,150 +82,149 @@ func distinctTrigrams(strs ...string) []trigram {
 	return slices.Compact(out)
 }
 
-// entryLocked returns the dictionary's entry for a prepared shape's key,
-// adding the shape's own (and its trigram postings) when there is none.
-// Callers must hold mu.
-func (t *textIndex) entryLocked(own *textEntry) *textEntry {
-	if e := t.entries[own.textKey]; e != nil {
-		return e
+// postShape appends a shape entering the dictionary to a bucket: it is the
+// newest, so wherever it is already posted it is the bucket's last element
+// and a repeated key needs no other check.
+func postShape[K comparable](m map[K][]*QueryShape, key K, sh *QueryShape) {
+	if b := m[key]; len(b) == 0 || b[len(b)-1] != sh {
+		m[key] = append(b, sh)
 	}
-	e := own
-	e.seq = t.nextSeq
-	t.nextSeq++
-	t.entries[e.textKey] = e
-	// The entry is the newest, so wherever it is already posted it is the
-	// bucket's last element: a repeated trigram needs no other check.
-	eachTrigram(func(tg trigram) {
-		if b := t.trigrams[tg]; len(b) == 0 || b[len(b)-1] != e {
-			t.trigrams[tg] = append(b, e)
-		}
-	}, e.text, e.canonical)
-	return e
 }
 
-// linkLocked adds an interned record to its shape's entry. Callers must hold
-// mu.
-func (t *textIndex) linkLocked(rec *QueryRecord) {
-	rec.entry.ids = insertSorted(rec.entry.ids, rec.ID)
+// enterLocked adds a prepared shape to the dictionary and posts it under its
+// trigrams and tables. Callers must hold mu.
+func (ix *index) enterLocked(sh *QueryShape) {
+	sh.seq, sh.interned = ix.nextSeq, true
+	ix.nextSeq++
+	ix.shapes[sh.Text] = append(ix.shapes[sh.Text], sh)
+	ix.nshapes++
+	eachTrigram(func(tg trigram) { postShape(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
+	for _, t := range sh.tables {
+		postShape(ix.byTable, t, sh)
+	}
 }
 
-// unlinkLocked removes the record from its entry, dropping the entry and its
-// trigram postings when that was its last record. Callers must hold mu.
-func (t *textIndex) unlinkLocked(rec *QueryRecord) {
-	e := rec.entry
-	if e.ids = removeElem(e.ids, rec.ID); len(e.ids) > 0 {
-		return
+// leaveLocked drops a shape that lost its last record from the dictionary
+// and from every posting. Callers must hold mu.
+func (ix *index) leaveLocked(sh *QueryShape) {
+	removeFromBucket(ix.shapes, sh.Text, sh)
+	ix.nshapes--
+	eachTrigram(func(tg trigram) { removeFromBucket(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
+	for _, t := range sh.tables {
+		removeFromBucket(ix.byTable, t, sh)
 	}
-	delete(t.entries, e.textKey)
-	eachTrigram(func(tg trigram) { removeFromBucket(t.trigrams, tg, e) }, e.text, e.canonical)
 }
 
 // addLocked indexes a record about to be published, pointing it at its
 // interned shape. Callers must hold mu.
-func (t *textIndex) addLocked(rec *QueryRecord) {
-	t.internLocked(rec)
-	t.linkLocked(rec)
+func (ix *index) addLocked(rec *QueryRecord) {
+	ix.internLocked(rec)
+	ix.byUser[rec.User] = insertSorted(ix.byUser[rec.User], rec.ID)
 	if len(rec.Annotations) > 0 {
-		t.annotated = insertSorted(t.annotated, rec.ID)
+		ix.annotated = insertSorted(ix.annotated, rec.ID)
 	}
 }
 
 // removeLocked de-indexes a record being deleted. Callers must hold mu.
-func (t *textIndex) removeLocked(rec *QueryRecord) {
-	t.unlinkLocked(rec)
-	t.releaseLocked(rec)
+func (ix *index) removeLocked(rec *QueryRecord) {
+	ix.releaseLocked(rec)
+	removeFromBucket(ix.byUser, rec.User, rec.ID)
 	if len(rec.Annotations) > 0 {
-		t.annotated = removeElem(t.annotated, rec.ID)
+		ix.annotated = removeElem(ix.annotated, rec.ID)
 	}
 }
 
 // retextLocked moves a record whose text was replaced (next is the version
-// about to be published, with the new shape) to the interned shape and the
-// entry of its new text. Callers must hold mu.
-func (t *textIndex) retextLocked(old, next *QueryRecord) {
-	t.internLocked(next)
-	if next.entry != old.entry {
-		t.unlinkLocked(old)
-		t.linkLocked(next)
+// about to be published, with the new shape) to the interned shape of its new
+// text, which may be the one it has. Callers must hold mu.
+func (ix *index) retextLocked(old, next *QueryRecord) {
+	ix.internLocked(next)
+	if next.QueryShape != old.QueryShape {
+		ix.releaseLocked(old)
 	}
-	t.releaseLocked(old)
 }
 
 // annotate records that a query received its first annotation.
-func (t *textIndex) annotate(id QueryID) {
-	t.mu.Lock()
-	t.annotated = insertSorted(t.annotated, id)
-	t.mu.Unlock()
+func (ix *index) annotate(id QueryID) {
+	ix.mu.Lock()
+	ix.annotated = insertSorted(ix.annotated, id)
+	ix.mu.Unlock()
 }
 
-// SearchIndexSize reports the size of the search index: distinct texts in the
-// dictionary and distinct trigrams mapped to them.
-func (s *Store) SearchIndexSize() (texts, trigrams int) {
-	s.text.mu.RLock()
-	defer s.text.mu.RUnlock()
-	return len(s.text.entries), len(s.text.trigrams)
+// SearchIndexSize reports how many distinct trigrams the search index maps to
+// shapes (ShapeCount is how many shapes there are).
+func (s *Store) SearchIndexSize() (trigrams int) {
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	return len(s.index.trigrams)
+}
+
+// streamsOf returns one whole posting stream per shape. Callers must hold
+// index.mu.
+func streamsOf(shapes []*QueryShape) postingHeap {
+	h := make(postingHeap, len(shapes))
+	for i, sh := range shapes {
+		h[i] = postingStream{rest: sh.ids, shape: sh}
+	}
+	return h
 }
 
 // ---------------------------------------------------------------------------
-// Reading: select dictionary entries, then merge their postings
+// Reading: select shapes, then merge their IDs
 // ---------------------------------------------------------------------------
 
-// TextSelection is the search index's answer to one request: the dictionary
-// entries whose strings satisfy the request, and the annotated records, which
-// the caller verifies itself. Both were captured in one critical section.
+// TextSelection is the search index's answer to one request: the shapes
+// whose strings satisfy the request, and the annotated records, which the
+// caller verifies itself. Both were captured in one critical section.
 // A selection is not safe for concurrent use.
 type TextSelection struct {
 	store *Store
-	// streams holds one posting stream per selected entry, whole and in no
+	// streams holds one posting stream per selected shape, whole and in no
 	// order until Scan narrows them and turns them into its merge heap.
 	streams   postingHeap
 	annotated []QueryID
 	loaded    int
 }
 
-// SelectTexts returns the dictionary entries for which match(text, canonical)
-// holds, both strings lower-cased. needles are lower-cased strings that
-// match requires the entry's text or canonical to contain: their trigrams
-// narrow the dictionary before match runs, and with no needle of three bytes
-// or more, match runs over the whole dictionary — never over the log. match
-// runs outside every store lock.
+// SelectTexts returns the shapes for which match(text, canonical) holds,
+// both strings lower-cased. needles are lower-cased strings that match
+// requires the shape's text or canonical to contain: their trigrams narrow
+// the dictionary before match runs, and with no needle of three bytes or
+// more, match runs over the whole dictionary — never over the log. match runs
+// outside every store lock.
 func (s *Store) SelectTexts(needles []string, match func(text, canonical string) bool) *TextSelection {
-	t := &s.text
+	ix := &s.index
 	tgs := distinctTrigrams(needles...)
-	t.mu.RLock()
-	cands := t.candidatesLocked(tgs)
-	streams := make(postingHeap, len(cands))
-	for i, e := range cands {
-		streams[i] = postingStream{entry: e, rest: e.ids}
-	}
-	annotated := t.annotated
-	t.mu.RUnlock()
+	ix.mu.RLock()
+	streams := streamsOf(ix.candidatesLocked(tgs))
+	annotated := ix.annotated
+	ix.mu.RUnlock()
 
 	kept := streams[:0]
 	for _, st := range streams {
-		if match(st.entry.text, st.entry.canonical) {
+		if match(st.shape.text, st.shape.canonical) {
 			kept = append(kept, st)
 		}
 	}
 	return &TextSelection{store: s, streams: kept, annotated: annotated}
 }
 
-// candidatesLocked returns the entries present in the postings of every given
+// candidatesLocked returns the shapes present in the postings of every given
 // trigram, intersecting shortest postings first so the candidate set only
-// shrinks; with no trigram to go by, every entry is a candidate. The result
+// shrinks; with no trigram to go by, every shape is a candidate. The result
 // may alias a postings bucket and must not be written to. Callers must hold
 // mu.
-func (t *textIndex) candidatesLocked(tgs []trigram) []*textEntry {
+func (ix *index) candidatesLocked(tgs []trigram) []*QueryShape {
 	if len(tgs) == 0 {
-		all := make([]*textEntry, 0, len(t.entries))
-		for _, e := range t.entries {
-			all = append(all, e)
+		all := make([]*QueryShape, 0, ix.nshapes)
+		for _, list := range ix.shapes {
+			all = append(all, list...)
 		}
 		return all
 	}
-	lists := make([][]*textEntry, len(tgs))
+	lists := make([][]*QueryShape, len(tgs))
 	for i, tg := range tgs {
-		if lists[i] = t.trigrams[tg]; len(lists[i]) == 0 {
+		if lists[i] = ix.trigrams[tg]; len(lists[i]) == 0 {
 			return nil
 		}
 	}
@@ -240,7 +233,7 @@ func (t *textIndex) candidatesLocked(tgs []trigram) []*textEntry {
 	for i, list := range lists[1:] {
 		dst := cands[:0]
 		if i == 0 {
-			dst = make([]*textEntry, 0, len(cands)) // lists[0] is a shared bucket
+			dst = make([]*QueryShape, 0, len(cands)) // lists[0] is a shared bucket
 		}
 		if cands = intersectInto(dst, cands, list); len(cands) == 0 {
 			return nil
@@ -249,25 +242,25 @@ func (t *textIndex) candidatesLocked(tgs []trigram) []*textEntry {
 	return cands
 }
 
-// intersectInto appends to dst the entries of a that are also in b; both are
+// intersectInto appends to dst the shapes of a that are also in b; both are
 // in ascending seq. It gallops through b, so the cost follows the shorter
 // list: O(len(a) * log(len(b)/len(a))).
-func intersectInto(dst, a, b []*textEntry) []*textEntry {
-	for _, e := range a {
+func intersectInto(dst, a, b []*QueryShape) []*QueryShape {
+	for _, sh := range a {
 		hi := 1
-		for hi < len(b) && b[hi].seq < e.seq {
+		for hi < len(b) && b[hi].seq < sh.seq {
 			hi *= 2
 		}
 		lo := hi / 2
 		if hi > len(b) {
 			hi = len(b)
 		}
-		b = b[lo+sort.Search(hi-lo, func(i int) bool { return b[lo+i].seq >= e.seq }):]
+		b = b[lo+sort.Search(hi-lo, func(i int) bool { return b[lo+i].seq >= sh.seq }):]
 		if len(b) == 0 {
 			break
 		}
-		if b[0] == e {
-			dst = append(dst, e)
+		if b[0] == sh {
+			dst = append(dst, sh)
 		}
 	}
 	return dst
@@ -296,13 +289,13 @@ func (sel *TextSelection) ScanAnnotated(high QueryID, p Principal, fn func(*Quer
 
 // Scan visits, in ascending ID order, the records with after < ID <= high
 // that are visible to the principal and are either a record of a selected
-// entry that was not annotated when the selection was made, or one of extra —
+// shape that was not annotated when the selection was made, or one of extra —
 // records the caller resolved itself (the annotated ones it verified), in
 // ascending ID order. Records are resolved at read time like every other
 // scan: one deleted since the selection is skipped, and so is one whose text
-// was replaced since, so every visited record still has the text its entry
-// was selected for. Return false from fn to stop early; the cost is
-// O(selected entries + records visited), whatever the size of the log. Scan
+// was replaced since, so every visited record still has the shape it was
+// selected for. Return false from fn to stop early; the cost is
+// O(selected shapes + records visited), whatever the size of the log. Scan
 // consumes the selection: it serves one call.
 func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Principal, fn func(*QueryRecord) bool) {
 	// extraBelow visits the extra records below bound; false means stop.
@@ -320,7 +313,7 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 	sel.streams = nil
 	h.init(after, high)
 	for len(h) > 0 {
-		id, entry := h.pop()
+		id, sh := h.pop()
 		if !extraBelow(id) {
 			return
 		}
@@ -329,7 +322,7 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 		}
 		rec, ok := sel.store.loadRecord(id)
 		sel.loaded++
-		if !ok || rec.entry != entry || !rec.VisibleTo(p) {
+		if !ok || rec.QueryShape != sh || !rec.VisibleTo(p) {
 			continue
 		}
 		if !fn(rec) {
@@ -339,16 +332,16 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 	extraBelow(math.MaxInt64)
 }
 
-// postingStream is one entry's postings inside the merge: the next ID inline,
-// so heap comparisons stay inside the heap's own memory, and the rest.
+// postingStream is one shape's IDs inside the merge: the next ID inline, so
+// heap comparisons stay inside the heap's own memory, and the rest.
 type postingStream struct {
 	head  QueryID
 	rest  []QueryID
-	entry *textEntry
+	shape *QueryShape
 }
 
 // postingHeap is a binary min-heap of posting streams keyed by head. An ID
-// appears in at most one stream: a record has one text.
+// appears in at most one stream: a record has one shape.
 type postingHeap []postingStream
 
 // init turns whole, unordered streams (everything in rest) into the heap over
@@ -366,7 +359,7 @@ func (h *postingHeap) init(after, high QueryID) {
 			ids = ids[:sort.Search(n, func(i int) bool { return ids[i] > high })]
 		}
 		if len(ids) > 0 {
-			kept = append(kept, postingStream{head: ids[0], rest: ids[1:], entry: st.entry})
+			kept = append(kept, postingStream{head: ids[0], rest: ids[1:], shape: st.shape})
 		}
 	}
 	*h = kept
@@ -375,10 +368,10 @@ func (h *postingHeap) init(after, high QueryID) {
 	}
 }
 
-// pop removes and returns the smallest ID with the entry it belongs to.
-func (h *postingHeap) pop() (QueryID, *textEntry) {
+// pop removes and returns the smallest ID with the shape it belongs to.
+func (h *postingHeap) pop() (QueryID, *QueryShape) {
 	top := &(*h)[0]
-	id, entry := top.head, top.entry
+	id, sh := top.head, top.shape
 	if len(top.rest) > 0 {
 		top.head, top.rest = top.rest[0], top.rest[1:]
 	} else {
@@ -387,7 +380,7 @@ func (h *postingHeap) pop() (QueryID, *textEntry) {
 		*h = (*h)[:n]
 	}
 	h.down(0)
-	return id, entry
+	return id, sh
 }
 
 func (h postingHeap) down(i int) {

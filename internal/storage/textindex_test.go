@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,57 +10,73 @@ import (
 	"testing"
 )
 
-// checkTextIndex compares the search index with one rebuilt from the stored
-// records: the same dictionary keys with the same postings, trigram postings
-// that hold exactly the live entries containing the trigram (in creation
-// order), the same annotated bucket, and every record pointing at its entry;
-// and the shape dictionary holds exactly the live records' shapes.
+// checkTextIndex compares the secondary indexes with ones rebuilt from the
+// stored records: the shape dictionary holds exactly the live records'
+// shapes with their IDs (checkShapes), the trigram and by-table postings
+// hold exactly the live shapes with the key (in creation order), and the
+// by-user and annotated buckets hold exactly the live records' IDs.
 func checkTextIndex(t *testing.T, s *Store) {
 	t.Helper()
 	checkShapes(t, s)
-	wantIDs := map[textKey][]QueryID{}
+	wantUsers := map[string][]QueryID{}
 	var wantAnnotated []QueryID
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
-		key := textKey{strings.ToLower(rec.Text), strings.ToLower(rec.Canonical)}
-		wantIDs[key] = append(wantIDs[key], rec.ID)
+		wantUsers[rec.User] = append(wantUsers[rec.User], rec.ID)
 		if len(rec.Annotations) > 0 {
 			wantAnnotated = append(wantAnnotated, rec.ID)
 		}
-		if rec.entry == nil || rec.entry.textKey != key {
-			t.Errorf("record %d does not point at the entry of its text", rec.ID)
-		}
 		return true
 	})
-	slices.Sort(wantAnnotated)
 
-	idx := &s.text
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	if len(idx.entries) != len(wantIDs) {
-		t.Errorf("dictionary holds %d entries, the log %d distinct texts", len(idx.entries), len(wantIDs))
-	}
-	wantTrigrams := map[trigram][]*textEntry{}
-	for key, e := range idx.entries {
-		ids := wantIDs[key]
-		slices.Sort(ids)
-		if e.textKey != key || !slices.Equal(e.ids, ids) {
-			t.Errorf("entry %q: postings %v, want %v", key.text, e.ids, ids)
+	ix := &s.index
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	wantTrigrams := map[trigram][]*QueryShape{}
+	wantTables := map[string][]*QueryShape{}
+	for _, list := range ix.shapes {
+		for _, sh := range list {
+			for _, tg := range distinctTrigrams(sh.text, sh.canonical) {
+				wantTrigrams[tg] = append(wantTrigrams[tg], sh)
+			}
+			tables := make([]string, len(sh.Tables))
+			for i, name := range sh.Tables {
+				tables[i] = strings.ToLower(name)
+			}
+			slices.Sort(tables)
+			for _, name := range slices.Compact(tables) {
+				wantTables[name] = append(wantTables[name], sh)
+			}
 		}
-		for _, tg := range distinctTrigrams(key.text, key.canonical) {
-			wantTrigrams[tg] = append(wantTrigrams[tg], e)
-		}
 	}
-	if len(idx.trigrams) != len(wantTrigrams) {
-		t.Errorf("trigram map holds %d keys, want %d", len(idx.trigrams), len(wantTrigrams))
+	bySeq := func(a, b *QueryShape) int { return cmp.Compare(a.seq, b.seq) }
+	if len(ix.trigrams) != len(wantTrigrams) {
+		t.Errorf("trigram map holds %d keys, want %d", len(ix.trigrams), len(wantTrigrams))
 	}
 	for tg, want := range wantTrigrams {
-		slices.SortFunc(want, func(a, b *textEntry) int { return int(a.seq) - int(b.seq) })
-		if !slices.Equal(idx.trigrams[tg], want) {
-			t.Errorf("trigram %06x: %d entries, want %d", tg, len(idx.trigrams[tg]), len(want))
+		slices.SortFunc(want, bySeq)
+		if !slices.Equal(ix.trigrams[tg], want) {
+			t.Errorf("trigram %06x: %d shapes, want %d", tg, len(ix.trigrams[tg]), len(want))
 		}
 	}
-	if !slices.Equal(idx.annotated, wantAnnotated) {
-		t.Errorf("annotated bucket %v, want %v", idx.annotated, wantAnnotated)
+	if len(ix.byTable) != len(wantTables) {
+		t.Errorf("table map holds %d keys, want %d", len(ix.byTable), len(wantTables))
+	}
+	for name, want := range wantTables {
+		slices.SortFunc(want, bySeq)
+		if !slices.Equal(ix.byTable[name], want) {
+			t.Errorf("table %q: %d shapes, want %d", name, len(ix.byTable[name]), len(want))
+		}
+	}
+	if len(ix.byUser) != len(wantUsers) {
+		t.Errorf("user map holds %d keys, want %d", len(ix.byUser), len(wantUsers))
+	}
+	for user, want := range wantUsers {
+		if !slices.Equal(ix.byUser[user], want) {
+			t.Errorf("user %q: postings %v, want %v", user, ix.byUser[user], want)
+		}
+	}
+	if !slices.Equal(ix.annotated, wantAnnotated) {
+		t.Errorf("annotated bucket %v, want %v", ix.annotated, wantAnnotated)
 	}
 }
 
@@ -68,37 +85,37 @@ func textRecord(text, canonical string) *QueryRecord {
 }
 
 // TestTextIndexDropsEmptiedEntries is the white-box leak check: once the last
-// record of a text is deleted or re-texted, neither the dictionary nor any
-// trigram bucket still refers to the entry, and an emptied index holds no key
-// at all.
+// record of a shape is deleted or re-texted, neither the dictionary nor any
+// trigram bucket still refers to the shape, and an emptied index holds no key
+// at all. Texts that differ only in case are two shapes.
 func TestTextIndexDropsEmptiedEntries(t *testing.T) {
 	s := NewStore()
 	admin := Principal{Admin: true}
 	a1 := mustPut(t, s, textRecord("SELECT a FROM T", "select a from t"))
-	a2 := mustPut(t, s, textRecord("select A from t", "select a from t")) // same pair once lower-cased
+	a2 := mustPut(t, s, textRecord("select A from t", "select a from t")) // same strings once lower-cased
 	b := mustPut(t, s, textRecord("SELECT b FROM Zürich", "select b from zürich"))
 	if err := s.Annotate(b, admin, Annotation{Text: "note"}); err != nil {
 		t.Fatal(err)
 	}
 	checkTextIndex(t, s)
-	if texts, trigrams := s.SearchIndexSize(); texts != 2 || trigrams == 0 {
-		t.Fatalf("SearchIndexSize = %d texts, %d trigrams; want 2 texts", texts, trigrams)
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 3 || trigrams == 0 {
+		t.Fatalf("%d shapes, %d trigrams; want 3 shapes", shapes, trigrams)
 	}
 
 	if err := s.Delete(a1, admin); err != nil {
 		t.Fatal(err)
 	}
 	checkTextIndex(t, s)
-	if texts, _ := s.SearchIndexSize(); texts != 2 {
-		t.Fatalf("entry dropped while a record still holds its text: %d texts", texts)
+	if shapes := s.ShapeCount(); shapes != 2 {
+		t.Fatalf("after deleting one of two case variants: %d shapes, want 2", shapes)
 	}
 	if err := s.Delete(a2, admin); err != nil {
 		t.Fatal(err)
 	}
 	checkTextIndex(t, s)
 	onlyB := len(distinctTrigrams("select b from zürich"))
-	if texts, trigrams := s.SearchIndexSize(); texts != 1 || trigrams != onlyB {
-		t.Fatalf("after deleting the last record of a text: %d texts, %d trigrams; want 1, %d", texts, trigrams, onlyB)
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 1 || trigrams != onlyB {
+		t.Fatalf("after deleting the last record of a text: %d shapes, %d trigrams; want 1, %d", shapes, trigrams, onlyB)
 	}
 
 	if err := s.ReplaceText(b, textRecord("SELECT c FROM T", "select c from t")); err != nil {
@@ -106,15 +123,15 @@ func TestTextIndexDropsEmptiedEntries(t *testing.T) {
 	}
 	checkTextIndex(t, s)
 	onlyC := len(distinctTrigrams("select c from t"))
-	if texts, trigrams := s.SearchIndexSize(); texts != 1 || trigrams != onlyC {
-		t.Fatalf("after re-texting the last record of a text: %d texts, %d trigrams; want 1, %d", texts, trigrams, onlyC)
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 1 || trigrams != onlyC {
+		t.Fatalf("after re-texting the last record of a text: %d shapes, %d trigrams; want 1, %d", shapes, trigrams, onlyC)
 	}
 
 	if err := s.Delete(b, admin); err != nil {
 		t.Fatal(err)
 	}
-	if texts, trigrams := s.SearchIndexSize(); texts != 0 || trigrams != 0 || len(s.text.annotated) != 0 {
-		t.Fatalf("emptied index still holds %d texts, %d trigrams, %d annotated", texts, trigrams, len(s.text.annotated))
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 0 || trigrams != 0 || len(s.index.annotated) != 0 {
+		t.Fatalf("emptied index still holds %d shapes, %d trigrams, %d annotated", shapes, trigrams, len(s.index.annotated))
 	}
 }
 
@@ -143,7 +160,9 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 	})
 	newRecord := func() *QueryRecord {
 		n := rng.Intn(12)
-		return textRecord(fmt.Sprintf("SELECT c%d FROM T%d", n, n%3), fmt.Sprintf("select c%d from t%d", n, n%3))
+		rec := textRecord(fmt.Sprintf("SELECT c%d FROM T%d", n, n%3), fmt.Sprintf("select c%d from t%d", n, n%3))
+		rec.Tables = []string{fmt.Sprintf("T%d", n%3)}
+		return rec
 	}
 	var ids []QueryID
 	pick := func() QueryID { return ids[rng.Intn(len(ids))] }
@@ -180,7 +199,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 
 // TestTextSelectionUnderConcurrentWrites reads the index from several
 // goroutines while writers insert, delete, re-text and annotate: every record
-// a scan visits must still hold the text its entry was selected for, in
+// a scan visits must still hold the text its shape was selected for, in
 // ascending ID order, whatever the writers did since the selection.
 func TestTextSelectionUnderConcurrentWrites(t *testing.T) {
 	s := NewStore()

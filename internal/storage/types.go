@@ -6,10 +6,10 @@
 // detector (internal/session), which the store does not duplicate.
 //
 // The store is an in-memory structure that keeps each distinct query's text
-// and features once (QueryShape), shared by every record of it, with inverted
-// indexes on tables and users and a search index over the distinct texts so
-// that the Meta-query Executor can answer feature and keyword searches
-// interactively.
+// and features once (QueryShape), shared by every record of it. The shapes
+// are what its search and by-table indexes post, each holding its records'
+// IDs, and a by-user index serves history, so that the Meta-query Executor
+// can answer feature and keyword searches interactively.
 package storage
 
 import "time"

@@ -21,8 +21,9 @@ import (
 //   - Freshness: record contents are resolved at read time, so a long-lived
 //     view observes the latest committed version of each record (not the
 //     version that was current at snapshot time).
-//   - The indexed variants (ScanByTable, ...) resolve the index bucket when
-//     they are called, restricted to the snapshot's membership.
+//   - The indexed variants (ScanByTable, ...) resolve the index postings
+//     when they are called, restricted to the snapshot's membership; a
+//     by-table scan skips a record re-texted off the table since.
 //
 // Records handed to scan callbacks are shared and MUST NOT be mutated; use
 // QueryRecord.Clone for an owned copy. All scans enforce the storage layer's
@@ -179,23 +180,32 @@ func (v *View) Records(p Principal) []*QueryRecord {
 	return out
 }
 
-// ScanByTable visits the visible queries whose FROM clause references the
-// table (case-insensitive).
+// ScanByTable visits, in ID order, the visible queries whose FROM clause
+// references the table (case-insensitive): a merge of the IDs of the shapes
+// that reference it. A record whose text was replaced since the shapes were
+// captured is skipped, so every visited record still references the table.
 func (v *View) ScanByTable(table string, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(v.store.indexTable(strings.ToLower(table)), p, fn)
+	ix := &v.store.index
+	ix.mu.RLock()
+	h := streamsOf(ix.byTable[strings.ToLower(table)])
+	ix.mu.RUnlock()
+	h.init(0, v.limit)
+	for len(h) > 0 {
+		id, sh := h.pop()
+		rec, ok := v.store.loadRecord(id)
+		if !ok || rec.QueryShape != sh || !rec.VisibleTo(p) {
+			continue
+		}
+		if !fn(rec) {
+			return
+		}
+	}
 }
 
-// The index accessors capture a copy-on-write bucket header under a short
-// read lock; the caller may iterate it lock-free (see the idx field docs).
-
-func (s *Store) indexTable(key string) []QueryID {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return s.idx.byTable[key]
-}
-
+// indexUser returns the ascending IDs of a user's records, a copy-on-write
+// bucket the caller may iterate lock-free.
 func (s *Store) indexUser(user string) []QueryID {
-	s.idx.RLock()
-	defer s.idx.RUnlock()
-	return s.idx.byUser[user]
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	return s.index.byUser[user]
 }
