@@ -285,8 +285,9 @@ func (m *Maintainer) isStale(rec *storage.QueryRecord, currentCounts map[string]
 const refreshFailed = "re-execution failed: "
 
 // RefreshStats re-executes up to max stale queries (most recently issued
-// first), updating their runtime statistics and output samples. It returns
-// the IDs refreshed.
+// first), updating their runtime statistics; their output samples stay as
+// they were. A query that fails to execute is marked invalid. It returns the
+// IDs refreshed.
 func (m *Maintainer) RefreshStats(max int) ([]storage.QueryID, error) {
 	admin := storage.Principal{Admin: true}
 	stale := m.store.StaleQueries()

@@ -1,6 +1,7 @@
 package metaquery
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/engine"
@@ -33,8 +34,9 @@ const (
 // sessionId is what sessionOf answers for the record: the session detector
 // is its one home, so the relation is current as of the last commit. A user's
 // SQL meta-query (such as the one in Figure 1) runs against the returned
-// engine; nothing else builds the relations.
-func materializeFeatureRelations(view *storage.View, p storage.Principal, sessionOf func(*storage.QueryRecord) int64) (*engine.Engine, error) {
+// engine; nothing else builds the relations. The scan stops soon after ctx is
+// done, and the context's error is returned.
+func materializeFeatureRelations(ctx context.Context, view *storage.View, p storage.Principal, sessionOf func(*storage.QueryRecord) int64) (*engine.Engine, error) {
 	eng := engine.New()
 	ddl := []string{
 		fmt.Sprintf("CREATE TABLE %s (qid INT PRIMARY KEY, qText TEXT, quser TEXT, qgroup TEXT, sessionId INT, valid BOOL)", RelQueries),
@@ -52,7 +54,7 @@ func materializeFeatureRelations(view *storage.View, p storage.Principal, sessio
 
 	cat := eng.Catalog()
 	var queriesRows, sourcesRows, attrsRows, predsRows, statsRows, annRows []engine.Row
-	view.Scan(p, func(rec *storage.QueryRecord) bool {
+	view.Scan(p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
 		qid := engine.NewInt(int64(rec.ID))
 		queriesRows = append(queriesRows, engine.Row{
 			qid, engine.NewText(rec.Text), engine.NewText(rec.User), engine.NewText(rec.Group),
@@ -88,7 +90,10 @@ func materializeFeatureRelations(view *storage.View, p storage.Principal, sessio
 			annRows = append(annRows, engine.Row{qid, engine.NewText(ann.Author), engine.NewText(ann.Text)})
 		}
 		return true
-	})
+	}))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	inserts := []struct {
 		table string
 		rows  []engine.Row

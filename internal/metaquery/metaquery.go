@@ -69,15 +69,12 @@ func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQ
 	return res, matches, err
 }
 
-// metaQuery runs a meta-query over the feature relations of the records
-// visible to p and resolves its qid column in view. It also reports how many
-// records it materialised.
+// metaQuery runs a meta-query over the feature relations of the records of
+// view visible to p and resolves its qid column in the same view. It also
+// reports how many records it materialised.
 func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL string) (*engine.Result, []Match, int, error) {
-	eng, err := materializeFeatureRelations(x.store.Snapshot(), p, x.sessionOf)
+	eng, err := materializeFeatureRelations(ctx, view, p, x.sessionOf)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
 	examined, _ := eng.Catalog().RowCount(RelQueries) // created above: cannot fail

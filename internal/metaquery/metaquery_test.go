@@ -475,3 +475,52 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 		t.Fatalf("SQLMetaQuery on cancelled ctx: err = %v", err)
 	}
 }
+
+// TestFeaturePagesReadOnePinnedView: every page of a SQL meta-query
+// materialises the records of the view its cursor pins, so a query logged
+// between two pages is neither examined nor matched by the second.
+func TestFeaturePagesReadOnePinnedView(t *testing.T) {
+	s := storage.NewStore()
+	for _, text := range []string{"SELECT a FROM t1", "SELECT b FROM t2", "SELECT c FROM t3"} {
+		put(t, s, text, "alice", storage.VisibilityPublic)
+	}
+	x := New(s, session.AttachLive(s).SessionOf)
+	q := Feature("SELECT qid FROM Queries")
+	first, err := x.Page(testCtx, admin, q, Cursor{}, 1)
+	if err != nil || len(first.Matches) != 1 {
+		t.Fatalf("page 1: %d matches, err %v", len(first.Matches), err)
+	}
+	late := put(t, s, "SELECT d FROM t4", "alice", storage.VisibilityPublic)
+	last := first.Matches[0]
+	second, err := x.Page(testCtx, admin, q, Cursor{High: first.High, After: last.Record.ID, Score: last.Score, Pos: true}, 0)
+	if err != nil {
+		t.Fatalf("page 2: %v", err)
+	}
+	if second.Examined != first.Examined {
+		t.Errorf("page 2 examined %d records, page 1 %d: want one pinned view", second.Examined, first.Examined)
+	}
+	for _, m := range second.Matches {
+		if m.Record.ID == late {
+			t.Errorf("page 2 matched query %d, logged after the pin %d", late, first.High)
+		}
+	}
+}
+
+// TestFeatureMaterialisationHonoursContext: a cancelled context stops the
+// materialisation of the feature relations within one check interval.
+func TestFeatureMaterialisationHonoursContext(t *testing.T) {
+	s := storage.NewStore()
+	const total = 10 * storage.ScanCheckEvery
+	for i := 0; i < total; i++ {
+		put(t, s, "SELECT lake FROM WaterTemp", "alice", storage.VisibilityPublic)
+	}
+	visited := 0
+	counted := func(*storage.QueryRecord) int64 { visited++; return 0 }
+	ctx := &cancelAfterCtx{Context: context.Background()}
+	if _, err := materializeFeatureRelations(ctx, s.Snapshot(), admin, counted); !errors.Is(err, context.Canceled) {
+		t.Fatalf("materializeFeatureRelations on a cancelled context: err = %v", err)
+	}
+	if visited > storage.ScanCheckEvery {
+		t.Fatalf("materialised %d records after cancellation, want <= %d (one check interval)", visited, storage.ScanCheckEvery)
+	}
+}

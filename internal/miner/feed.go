@@ -56,8 +56,7 @@ func NewFeed(cfg AssocConfig) *Feed {
 // scan costs a few milliseconds per 10^4 records, so the feed has no
 // checkpoint.
 func (f *Feed) Attach(store *storage.Store) (cancel func()) {
-	rebuild := func() { f.rebuild(store) }
-	return store.Subscribe("miner-feed", f.onMutation, storage.SubscribeOptions{Init: rebuild, Reset: rebuild})
+	return store.Subscribe("miner-feed", f.onMutation, storage.SubscribeOptions{Rebuild: func() { f.rebuild(store) }})
 }
 
 // onMutation is the feed's bus subscription; it runs under the store's

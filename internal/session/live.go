@@ -216,7 +216,7 @@ func (t *tally) add(name string, delta int) {
 // checkpoint: they are named from the records).
 func AttachLive(store *storage.Store) *Live {
 	l := &Live{store: store, users: make(map[string][]*window)}
-	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{Init: l.rebuild, Reset: l.rebuild})
+	store.Subscribe("sessions", l.onMutation, storage.SubscribeOptions{Rebuild: l.rebuild})
 	return l
 }
 

@@ -17,7 +17,7 @@ var (
 // its buckets on its own, as the live path applies it, then the summaries
 // reseeded from the final maps.
 func (t *Tracker) RebuildPerRecord(store *storage.Store) {
-	all, public := newBucket(t.capacity), newBucket(t.capacity)
+	all, public := newBucket().reseed(t.capacity), newBucket().reseed(t.capacity)
 	owners := make(map[string]*bucket)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
 		k := keysOf(rec.QueryShape)
@@ -27,7 +27,7 @@ func (t *Tracker) RebuildPerRecord(store *storage.Store) {
 		} else {
 			b := owners[rec.User]
 			if b == nil {
-				b = newBucket(t.capacity)
+				b = newBucket().reseed(t.capacity)
 				owners[rec.User] = b
 			}
 			b.apply(rec, &k, 1)
@@ -82,7 +82,7 @@ func Counts(t *Tracker) ExactCounts {
 		return out
 	}
 	strip := func(b *bucket) Bucket {
-		out := Bucket{Queries: b.queries, Users: b.users, Fingerprints: b.fingerprints, Preds: b.preds,
+		out := Bucket{Queries: b.queries, Users: b.users.counts, Fingerprints: b.fingerprints.counts, Preds: b.preds.counts,
 			Tables: make(map[string]Table, len(b.tables))}
 		for key, ta := range b.tables {
 			joins := make(map[string]string, len(ta.joins))

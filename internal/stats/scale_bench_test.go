@@ -73,11 +73,11 @@ func BenchmarkStatsReadAt1MUsers(b *testing.B) {
 
 // rebuildBenchStore fills a store with n records the way a shared log looks:
 // a few hundred distinct texts, repeated, issued by users drawn from a Zipf
-// distribution over n/10 of them, a third of the records public.
-func rebuildBenchStore(b *testing.B, n int) *storage.Store {
+// distribution over the given number of them, a third of the records public.
+func rebuildBenchStore(b *testing.B, n, users int) *storage.Store {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(n/10))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(users))
 	texts := make([]*storage.QueryRecord, 300)
 	for i := range texts {
 		var sql string
@@ -114,12 +114,45 @@ func rebuildBenchStore(b *testing.B, n int) *storage.Store {
 // bootstrap pays for the stats counters — at 10^4 and 10^5 records.
 func BenchmarkStatsRebuild(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
-		store := rebuildBenchStore(b, n)
+		store := rebuildBenchStore(b, n, n/10)
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			t := New()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				t.Rebuild(store)
+			}
+		})
+	}
+}
+
+// BenchmarkStatsApply prices the live apply path under the trace's
+// bus.stats_us: one op adds and then retracts a group-visible record whose
+// shape the tracker already counts, on a tracker holding 10^4 records from
+// ~5,000 Zipf users. With owner=existing the record's user keeps other
+// records, so their bucket stays; with owner=new the user has none, so every
+// op creates their bucket and prunes it again.
+func BenchmarkStatsApply(b *testing.B) {
+	store := rebuildBenchStore(b, 10_000, 5_000)
+	var rec *storage.QueryRecord
+	store.Snapshot().Scan(storage.Principal{Admin: true}, func(r *storage.QueryRecord) bool {
+		if r.Visibility == storage.VisibilityGroup {
+			rec = r.Clone()
+		}
+		return rec == nil
+	})
+	for _, owner := range []string{"existing", "new"} {
+		b.Run("owner="+owner, func(b *testing.B) {
+			t := New()
+			t.Rebuild(store)
+			rec := rec.Clone()
+			if owner == "new" {
+				rec.User = "newcomer"
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.addLocked(rec)
+				t.removeLocked(rec)
 			}
 		})
 	}

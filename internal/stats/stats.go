@@ -62,62 +62,66 @@ func newTableAgg() *tableAgg {
 	}
 }
 
-// bucket is one visibility bucket of counters. Next to the exact counter
-// maps it maintains one bounded top-K summary per listed dimension (see
-// topk.go), so the listing reads — top tables, top users, top predicates,
-// fingerprint popularity — never have to materialise or sort a full map.
+// counter is one listed dimension of a bucket: the exact count per key and
+// the top-K summary over them (see topk.go).
+type counter[K cmp.Ordered] struct {
+	counts map[K]int
+	top    *topkSummary[K]
+}
+
+// add adjusts key's count by d, deleting the key when it empties. With
+// track, the summary is re-offered the new count, as live apply requires;
+// Rebuild adds without and reseeds once at the end. It is the one place a
+// count and its summary are kept in step.
+func (c *counter[K]) add(key K, d int, track bool) {
+	n := bumpCount(c.counts, key, d)
+	if track {
+		c.top.update(key, n)
+	}
+}
+
+// bucket is one visibility bucket of counters. Every listed dimension keeps
+// a bounded top-K summary next to its exact counts, so the listing reads —
+// top tables, top users, top predicates, fingerprint popularity — never have
+// to materialise or sort a full map.
 type bucket struct {
 	queries      int
-	users        map[string]int
-	fingerprints map[uint64]int
-	tables       map[string]*tableAgg // key: lower-cased table name
+	users        counter[string]
+	fingerprints counter[uint64]
 	// preds counts concrete predicates once per occurrence in a record —
 	// unlike the per-table aggregates, which count once per referenced
 	// table — so log-wide "top predicates" listings are not inflated for
 	// multi-table queries.
-	preds map[string]int
-
-	// Incrementally maintained top-K summaries over the maps above, updated
-	// O(log capacity) per touched key as mutations apply.
-	topTables       *topkSummary[string]
-	topUsers        *topkSummary[string]
-	topPreds        *topkSummary[string]
-	topFingerprints *topkSummary[uint64]
+	preds     counter[string]
+	tables    map[string]*tableAgg // key: lower-cased table name
+	topTables *topkSummary[string] // over tables[key].count
 }
 
-func newBucket(capacity int) *bucket {
-	b := newCounters()
-	b.topTables = newTopK[string](capacity)
-	b.topUsers = newTopK[string](capacity)
-	b.topPreds = newTopK[string](capacity)
-	b.topFingerprints = newTopK[uint64](capacity)
-	return b
-}
-
-// newCounters returns a bucket with empty counter maps and no summaries yet:
-// Rebuild fills the maps, then reseed derives the summaries from them.
-func newCounters() *bucket {
+// newBucket returns a bucket with empty counts and no summaries yet: reseed
+// derives them.
+func newBucket() *bucket {
 	return &bucket{
-		users:        make(map[string]int),
-		fingerprints: make(map[uint64]int),
+		users:        counter[string]{counts: make(map[string]int)},
+		fingerprints: counter[uint64]{counts: make(map[uint64]int)},
+		preds:        counter[string]{counts: make(map[string]int)},
 		tables:       make(map[string]*tableAgg),
-		preds:        make(map[string]int),
 	}
 }
 
-// reseed rebuilds every summary from the bucket's exact maps, giving each the
-// tightest membership and miss bound possible for the current counts. Called
-// after bulk construction (Rebuild), where the incremental admission order
-// could otherwise leave an inflated watermark.
-func (b *bucket) reseed(capacity int) {
+// reseed rebuilds every summary from the bucket's exact counts, giving each
+// the tightest membership and miss bound possible for them, and returns b.
+// Rebuild calls it after bulk construction, where the incremental admission
+// order could otherwise leave an inflated watermark.
+func (b *bucket) reseed(capacity int) *bucket {
 	tables := make(map[string]int, len(b.tables))
 	for key, ta := range b.tables {
 		tables[key] = ta.count
 	}
 	b.topTables = seedTopK(capacity, tables)
-	b.topUsers = seedTopK(capacity, b.users)
-	b.topPreds = seedTopK(capacity, b.preds)
-	b.topFingerprints = seedTopK(capacity, b.fingerprints)
+	b.users.top = seedTopK(capacity, b.users.counts)
+	b.preds.top = seedTopK(capacity, b.preds.counts)
+	b.fingerprints.top = seedTopK(capacity, b.fingerprints.counts)
+	return b
 }
 
 // empty reports whether the bucket holds no counted state at all — no
@@ -125,8 +129,8 @@ func (b *bucket) reseed(capacity int) {
 // users can be pruned without leaking heap or watermark state.
 func (b *bucket) empty() bool {
 	return b.queries == 0 &&
-		b.topTables.len() == 0 && b.topUsers.len() == 0 &&
-		b.topPreds.len() == 0 && b.topFingerprints.len() == 0
+		b.topTables.len() == 0 && b.users.top.len() == 0 &&
+		b.preds.top.len() == 0 && b.fingerprints.top.len() == 0
 }
 
 // bumpItem adjusts one candidate counter, deleting the key when it empties
@@ -161,13 +165,16 @@ func bumpJoin(m map[string]*joinCount, key, left, right string, delta int) {
 	}
 }
 
-// bumpCount adjusts a plain counter map, deleting emptied keys.
-func bumpCount[K comparable](m map[K]int, key K, delta int) {
-	if n := m[key] + delta; n > 0 {
+// bumpCount adjusts a plain counter map, deleting emptied keys, and returns
+// the new count.
+func bumpCount[K comparable](m map[K]int, key K, delta int) int {
+	n := m[key] + delta
+	if n > 0 {
 		m[key] = n
 	} else {
 		delete(m, key)
 	}
+	return n
 }
 
 // relItem is a pre-rendered candidate key with its lower-cased qualifying
@@ -236,27 +243,18 @@ tables:
 // key. It runs under the store's commit lock.
 func (b *bucket) apply(rec *storage.QueryRecord, k *shapeKeys, delta int) {
 	b.queries += delta
-	bumpCount(b.users, rec.User, delta)
-	b.topUsers.update(rec.User, b.users[rec.User])
+	b.users.add(rec.User, delta, true)
 	b.add(k, delta, true)
 }
 
-// add counts n copies of a shape's keys (n < 0 retracts them). A shape
-// contributes once per distinct table it references — mirroring the
-// recommender's former per-table index scans, where a query referencing two
-// context tables was visited (and counted) once per table. With track, every
-// touched key is re-offered to its top-K summary as live apply requires;
-// Rebuild adds without and reseeds once at the end.
+// add counts n copies of a shape's keys (n < 0 retracts them), track as for
+// counter.add. A shape contributes to the table aggregates once per distinct
+// table it references, so a query referencing two context tables counts once
+// per table in the context reads.
 func (b *bucket) add(k *shapeKeys, n int, track bool) {
-	bumpCount(b.fingerprints, k.fingerprint, n)
-	if track {
-		b.topFingerprints.update(k.fingerprint, b.fingerprints[k.fingerprint])
-	}
+	b.fingerprints.add(k.fingerprint, n, track)
 	for _, p := range k.preds {
-		bumpCount(b.preds, p.text, n)
-		if track {
-			b.topPreds.update(p.text, b.preds[p.text])
-		}
+		b.preds.add(p.text, n, track)
 	}
 	for _, t := range k.tables {
 		ta := b.tables[t.key]
@@ -309,9 +307,9 @@ func canonicalJoin(pr storage.PredicateRow) (key, leftRel, rightRel string) {
 }
 
 // PredicateText renders a concrete (non-join) predicate exactly as the
-// recommender suggests and de-duplicates it. Counter keys, the recommender's
-// scan fallback, and correction candidates all share this one format — keep
-// them byte-identical through this helper.
+// recommender suggests and de-duplicates it. Counter keys and correction
+// candidates share this one format — keep them byte-identical through this
+// helper.
 func PredicateText(pr storage.PredicateRow) string {
 	col := pr.Attr
 	if pr.Rel != "" {
@@ -349,8 +347,8 @@ func New() *Tracker {
 func newWithCapacity(capacity int) *Tracker {
 	return &Tracker{
 		capacity: capacity,
-		all:      newBucket(capacity),
-		public:   newBucket(capacity),
+		all:      newBucket().reseed(capacity),
+		public:   newBucket().reseed(capacity),
 		owners:   make(map[string]*bucket),
 	}
 }
@@ -359,7 +357,7 @@ func newWithCapacity(capacity int) *Tracker {
 // it to the mutation event bus. Registration and the initial rebuild happen
 // under the store's commit lock, so no mutation can slip between them; WAL
 // replay keeps the tracker correct incrementally and a RestoreState triggers
-// a full rebuild through the Reset hook.
+// a full rebuild through the Rebuild hook.
 func Attach(store *storage.Store) *Tracker {
 	return attachWithCapacity(store, topKCapacity)
 }
@@ -368,8 +366,7 @@ func Attach(store *storage.Store) *Tracker {
 // capacity.
 func attachWithCapacity(store *storage.Store, capacity int) *Tracker {
 	t := newWithCapacity(capacity)
-	rebuild := func() { t.Rebuild(store) }
-	store.Subscribe("stats", t.OnMutation, storage.SubscribeOptions{Init: rebuild, Reset: rebuild})
+	store.Subscribe("stats", t.OnMutation, storage.SubscribeOptions{Rebuild: func() { t.Rebuild(store) }})
 	return t
 }
 
@@ -395,7 +392,7 @@ func (t *Tracker) Rebuild(store *storage.Store) {
 		all, public int
 	}
 	shapes := make(map[*storage.QueryShape]*counts)
-	all, public := newCounters(), newCounters()
+	all, public := newBucket(), newBucket()
 	owners := make(map[string]*bucket)
 	for c, n := range cells {
 		sh := shapes[c.shape]
@@ -404,19 +401,19 @@ func (t *Tracker) Rebuild(store *storage.Store) {
 			shapes[c.shape] = sh
 		}
 		sh.all += n
-		all.users[c.user] += n
+		all.users.add(c.user, n, false)
 		if c.public {
 			sh.public += n
-			public.users[c.user] += n
+			public.users.add(c.user, n, false)
 			continue
 		}
 		b := owners[c.user]
 		if b == nil {
-			b = newCounters()
+			b = newBucket()
 			owners[c.user] = b
 		}
 		b.queries += n
-		b.users[c.user] += n
+		b.users.add(c.user, n, false)
 		b.add(&sh.keys, n, false)
 	}
 	for _, sh := range shapes {
@@ -511,7 +508,7 @@ func (t *Tracker) specificFor(rec *storage.QueryRecord) *bucket {
 	}
 	b := t.owners[rec.User]
 	if b == nil {
-		b = newBucket(t.capacity)
+		b = newBucket().reseed(t.capacity)
 		t.owners[rec.User] = b
 	}
 	return b
@@ -555,8 +552,9 @@ func (t *Tracker) QueryCount(p storage.Principal) int {
 	return n
 }
 
-// observeRead times one listing read; reads capture their histogram under
-// the read lock they already hold and observe after the out-of-lock merge.
+// histogramLocked returns the latency histogram of one listing read, nil
+// before EnableMetrics; reads capture it under the read lock they already
+// hold and observe after the out-of-lock sort.
 func (t *Tracker) histogramLocked(read string) *telemetry.Histogram {
 	if t.readLatency == nil {
 		return nil
@@ -564,68 +562,97 @@ func (t *Tracker) histogramLocked(read string) *telemetry.Histogram {
 	return t.readLatency[read]
 }
 
-// TableCounts returns per-table reference counts visible to the principal,
-// sorted by descending count then name — the same shape as
-// storage.TableCounts. The listing is served from the maintained top-K
-// summaries: only keys a visible bucket tracks are merged (counts probed
-// exactly from the counter maps), so the read costs O(capacity log capacity)
-// regardless of how many tables the log references, and the lock is released
-// before any sorting happens. Tables omitted by every visible summary have
-// true count ≤ ApproxBounds(p).Tables.
-func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {
-	start := time.Now()
-	type agg struct {
-		key   string
-		count int
-		names map[string]int
-	}
-	t.mu.RLock()
-	h := t.histogramLocked("tables")
-	buckets := t.bucketsFor(p)
-	merged := make(map[string]*agg)
+// eachMerged calls fn once for every key some visible bucket's summary of
+// one dimension tracks, with its count summed exactly over the buckets. A
+// summary entry already holds the key's count in its own bucket, so only the
+// other buckets are probed: a single-bucket (admin) read never touches the
+// full counter maps. A key an earlier bucket tracks was merged there and is
+// skipped. Callers must hold the read lock.
+func eachMerged[K cmp.Ordered](buckets []*bucket, top func(*bucket) *topkSummary[K], count func(*bucket, K) int, fn func(key K, n int)) {
 	for bi, b := range buckets {
-		for _, e := range b.topTables.heap {
-			if merged[e.key] != nil {
-				continue
-			}
-			// The entry's count is already the exact count in its own
-			// bucket; only the other buckets need probing.
-			a := &agg{key: e.key, count: e.count, names: make(map[string]int, 1)}
-			for bj, b2 := range buckets {
-				if ta := b2.tables[e.key]; ta != nil {
-					if bj != bi {
-						a.count += ta.count
-					}
-					for name, n := range ta.names {
-						a.names[name] += n
-					}
+	entries:
+		for _, e := range top(b).heap {
+			n := e.count
+			for bj, other := range buckets {
+				switch {
+				case bj == bi:
+				case bj < bi && top(other).contains(e.key):
+					continue entries
+				default:
+					n += count(other, e.key)
 				}
 			}
-			merged[e.key] = a
+			fn(e.key, n)
 		}
 	}
-	out := make([]storage.TableCount, 0, len(merged))
-	tails := make([]map[string]int, 0, len(merged))
-	for _, a := range merged {
-		out = append(out, storage.TableCount{Table: a.key, Count: a.count})
-		tails = append(tails, a.names)
+}
+
+// listing serves one string-keyed listing read from the maintained top-K
+// summaries: under the read lock it merges the principal's visible summaries
+// of one dimension, naming each key with name, and outside it sorts the
+// result by descending count then item. The read costs O(capacity log
+// capacity) whatever the dimension's cardinality; it is timed end to end.
+func (t *Tracker) listing(p storage.Principal, read string, top func(*bucket) *topkSummary[string], count func(*bucket, string) int, name func(buckets []*bucket, key string) string) []ItemCount {
+	start := time.Now()
+	t.mu.RLock()
+	h := t.histogramLocked(read)
+	buckets := t.bucketsFor(p)
+	size := 0
+	for _, b := range buckets {
+		size += top(b).len()
 	}
+	out := make([]ItemCount, 0, size)
+	eachMerged(buckets, top, count, func(key string, n int) {
+		if name != nil {
+			key = name(buckets, key)
+		}
+		out = append(out, ItemCount{Item: key, Count: n})
+	})
 	t.mu.RUnlock()
-	// Display-name resolution and sorting run outside the lock; the name
-	// maps were copied above, so they cannot be mutated under us.
-	for i := range out {
-		out[i].Table = storage.PickDisplayName(tails[i], out[i].Table)
-	}
-	slices.SortFunc(out, func(a, b storage.TableCount) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return strings.Compare(a.Table, b.Table)
+	slices.SortFunc(out, func(a, b ItemCount) int {
+		return byRank(topkEntry[string]{a.Item, a.Count}, topkEntry[string]{b.Item, b.Count})
 	})
 	if h != nil {
 		h.Observe(time.Since(start))
 	}
 	return out
+}
+
+// TableCounts returns per-table reference counts visible to the principal,
+// each under the casing the table is most often written in, sorted by
+// descending count then name — the same shape as storage.TableCounts.
+// Tables omitted by every visible summary have true count ≤
+// ApproxBounds(p).Tables.
+func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {
+	items := t.listing(p, "tables", func(b *bucket) *topkSummary[string] { return b.topTables },
+		func(b *bucket, key string) int {
+			if ta := b.tables[key]; ta != nil {
+				return ta.count
+			}
+			return 0
+		}, displayName)
+	out := make([]storage.TableCount, len(items))
+	for i, it := range items {
+		out[i] = storage.TableCount{Table: it.Item, Count: it.Count}
+	}
+	return out
+}
+
+// displayName is the casing a lower-cased table key is most often written
+// in across the buckets.
+func displayName(buckets []*bucket, key string) string {
+	if len(buckets) == 1 {
+		return storage.PickDisplayName(buckets[0].tables[key].names, key)
+	}
+	names := make(map[string]int)
+	for _, b := range buckets {
+		if ta := b.tables[key]; ta != nil {
+			for name, n := range ta.names {
+				names[name] += n
+			}
+		}
+	}
+	return storage.PickDisplayName(names, key)
 }
 
 // UserCount pairs a user with how many of their queries the principal's
@@ -636,44 +663,14 @@ type UserCount struct {
 }
 
 // UserActivity returns per-user query counts visible to the principal,
-// sorted by descending count then user. Served from the maintained top-K
-// summaries: the read merges at most capacity tracked users per visible
-// bucket — flat in the user population — and sorts outside the lock. Users
-// omitted by every visible summary have true count ≤ ApproxBounds(p).Users.
+// sorted by descending count then user. Users omitted by every visible
+// summary have true count ≤ ApproxBounds(p).Users.
 func (t *Tracker) UserActivity(p storage.Principal) []UserCount {
-	start := time.Now()
-	t.mu.RLock()
-	h := t.histogramLocked("users")
-	buckets := t.bucketsFor(p)
-	out := make([]UserCount, 0, t.capacity)
-	seen := make(map[string]bool, t.capacity)
-	for bi, b := range buckets {
-		for _, e := range b.topUsers.heap {
-			if seen[e.key] {
-				continue
-			}
-			seen[e.key] = true
-			// The entry mirrors its own bucket's exact count; only the other
-			// buckets need probing, so a single-bucket (admin) read never
-			// touches the full counter maps.
-			n := e.count
-			for bj, b2 := range buckets {
-				if bj != bi {
-					n += b2.users[e.key]
-				}
-			}
-			out = append(out, UserCount{User: e.key, Queries: n})
-		}
-	}
-	t.mu.RUnlock()
-	slices.SortFunc(out, func(a, b UserCount) int {
-		if a.Queries != b.Queries {
-			return cmp.Compare(b.Queries, a.Queries)
-		}
-		return strings.Compare(a.User, b.User)
-	})
-	if h != nil {
-		h.Observe(time.Since(start))
+	items := t.listing(p, "users", func(b *bucket) *topkSummary[string] { return b.users.top },
+		func(b *bucket, key string) int { return b.users.counts[key] }, nil)
+	out := make([]UserCount, len(items))
+	for i, it := range items {
+		out[i] = UserCount{User: it.Item, Queries: it.Count}
 	}
 	return out
 }
@@ -690,39 +687,10 @@ type ItemCount struct {
 // every tracked predicate. Predicates omitted by every visible summary have
 // true count ≤ ApproxBounds(p).Predicates.
 func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
-	start := time.Now()
-	t.mu.RLock()
-	h := t.histogramLocked("predicates")
-	buckets := t.bucketsFor(p)
-	out := make([]ItemCount, 0, t.capacity)
-	seen := make(map[string]bool, t.capacity)
-	for bi, b := range buckets {
-		for _, e := range b.topPreds.heap {
-			if seen[e.key] {
-				continue
-			}
-			seen[e.key] = true
-			n := e.count
-			for bj, b2 := range buckets {
-				if bj != bi {
-					n += b2.preds[e.key]
-				}
-			}
-			out = append(out, ItemCount{Item: e.key, Count: n})
-		}
-	}
-	t.mu.RUnlock()
-	slices.SortFunc(out, func(a, b ItemCount) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return strings.Compare(a.Item, b.Item)
-	})
+	out := t.listing(p, "predicates", func(b *bucket) *topkSummary[string] { return b.preds.top },
+		func(b *bucket, key string) int { return b.preds.counts[key] }, nil)
 	if k > 0 && len(out) > k {
 		out = out[:k]
-	}
-	if h != nil {
-		h.Observe(time.Since(start))
 	}
 	return out
 }
@@ -735,22 +703,11 @@ func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
 func (t *Tracker) MaxFingerprintCount(p storage.Principal) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	buckets := t.bucketsFor(p)
-	max := 0
-	for bi, b := range buckets {
-		for _, e := range b.topFingerprints.heap {
-			n := e.count
-			for bj, b2 := range buckets {
-				if bj != bi {
-					n += b2.fingerprints[e.key]
-				}
-			}
-			if n > max {
-				max = n
-			}
-		}
-	}
-	return max
+	most := 0
+	eachMerged(t.bucketsFor(p), func(b *bucket) *topkSummary[uint64] { return b.fingerprints.top },
+		func(b *bucket, fp uint64) int { return b.fingerprints.counts[fp] },
+		func(_ uint64, n int) { most = max(most, n) })
+	return most
 }
 
 // FingerprintCountsFor returns the principal-visible popularity counts of
@@ -767,7 +724,7 @@ func (t *Tracker) FingerprintCountsFor(p storage.Principal, fps []uint64) map[ui
 		}
 		n := 0
 		for _, b := range buckets {
-			n += b.fingerprints[fp]
+			n += b.fingerprints.counts[fp]
 		}
 		if n > 0 {
 			out[fp] = n
@@ -799,16 +756,16 @@ func (t *Tracker) Bounds(p storage.Principal) ApproxBounds {
 	b := ApproxBounds{Capacity: t.capacity}
 	for _, bk := range t.bucketsFor(p) {
 		b.Tables += bk.topTables.missedBound
-		b.Users += bk.topUsers.missedBound
-		b.Predicates += bk.topPreds.missedBound
-		b.Fingerprints += bk.topFingerprints.missedBound
+		b.Users += bk.users.top.missedBound
+		b.Predicates += bk.preds.top.missedBound
+		b.Fingerprints += bk.fingerprints.top.missedBound
 	}
 	return b
 }
 
-// LowerSet builds the lower-cased context-table filter set shared by the
-// counter reads here and the recommender's scan fallback, so table-key
-// normalization cannot diverge between the two paths.
+// LowerSet builds the lower-cased context-table filter set the context
+// reads apply, exported so a scan over the records can normalise table keys
+// exactly as they do.
 func LowerSet(tables []string) map[string]bool {
 	set := make(map[string]bool, len(tables))
 	for _, t := range tables {
@@ -818,36 +775,25 @@ func LowerSet(tables []string) map[string]bool {
 }
 
 // ColumnCounts returns attribute usage counts over the queries referencing
-// any of the context tables, visible to the principal. It mirrors the
-// recommender's former per-table scans exactly: a query referencing two
-// context tables contributes twice, and attributes qualified with a relation
-// outside the context are skipped.
+// any of the context tables, visible to the principal. A query referencing
+// two context tables contributes twice, and attributes qualified with a
+// relation outside the context are skipped.
 func (t *Tracker) ColumnCounts(p storage.Principal, tables []string) map[string]int {
-	ctx := LowerSet(tables)
-	out := make(map[string]int)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, b := range t.bucketsFor(p) {
-		for _, tbl := range tables {
-			ta := b.tables[strings.ToLower(tbl)]
-			if ta == nil {
-				continue
-			}
-			for name, ic := range ta.attrs {
-				if ic.rel != "" && !ctx[ic.rel] {
-					continue
-				}
-				out[name] += ic.count
-			}
-		}
-	}
-	return out
+	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]*itemCount { return ta.attrs })
 }
 
 // PredicateCounts returns concrete (non-join) predicate usage counts over
 // the queries referencing any of the context tables, visible to the
-// principal, keyed by the ready-to-insert predicate text.
+// principal, keyed by the ready-to-insert predicate text; counted and
+// filtered as ColumnCounts.
 func (t *Tracker) PredicateCounts(p storage.Principal, tables []string) map[string]int {
+	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]*itemCount { return ta.preds })
+}
+
+// itemCounts sums one kind of table-aggregate item over the context tables'
+// aggregates in the principal's visible buckets, once per context table
+// listed, skipping items qualified with a relation outside the context.
+func (t *Tracker) itemCounts(p storage.Principal, tables []string, items func(*tableAgg) map[string]*itemCount) map[string]int {
 	ctx := LowerSet(tables)
 	out := make(map[string]int)
 	t.mu.RLock()
@@ -858,7 +804,7 @@ func (t *Tracker) PredicateCounts(p storage.Principal, tables []string) map[stri
 			if ta == nil {
 				continue
 			}
-			for text, ic := range ta.preds {
+			for text, ic := range items(ta) {
 				if ic.rel != "" && !ctx[ic.rel] {
 					continue
 				}
@@ -913,7 +859,7 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 		func() float64 {
 			t.mu.RLock()
 			defer t.mu.RUnlock()
-			return float64(len(t.all.users))
+			return float64(len(t.all.users.counts))
 		})
 	reg.GaugeFunc("cqms_stats_owner_buckets",
 		"Per-owner visibility buckets the tracker currently holds.",
@@ -932,9 +878,9 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 		"dimension")
 	summaries := map[string]func(b *bucket) (tracked, bound int){
 		"tables":       func(b *bucket) (int, int) { return b.topTables.len(), b.topTables.missedBound },
-		"users":        func(b *bucket) (int, int) { return b.topUsers.len(), b.topUsers.missedBound },
-		"predicates":   func(b *bucket) (int, int) { return b.topPreds.len(), b.topPreds.missedBound },
-		"fingerprints": func(b *bucket) (int, int) { return b.topFingerprints.len(), b.topFingerprints.missedBound },
+		"users":        func(b *bucket) (int, int) { return b.users.top.len(), b.users.top.missedBound },
+		"predicates":   func(b *bucket) (int, int) { return b.preds.top.len(), b.preds.top.missedBound },
+		"fingerprints": func(b *bucket) (int, int) { return b.fingerprints.top.len(), b.fingerprints.top.missedBound },
 	}
 	for dim, read := range summaries {
 		read := read

@@ -56,6 +56,15 @@ func (e topkEntry[K]) below(o topkEntry[K]) bool {
 	return e.count < o.count || e.count == o.count && e.key > o.key
 }
 
+// byRank orders entries highest rank first — the order below defines, and
+// the order every listing is sorted in.
+func byRank[K cmp.Ordered](a, b topkEntry[K]) int {
+	if c := cmp.Compare(b.count, a.count); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
 // topkSummary tracks the (approximately) top-capacity keys of one dimension
 // by exact count. The zero value is not usable; use newTopK.
 type topkSummary[K cmp.Ordered] struct {
@@ -206,12 +215,7 @@ func seedTopK[K cmp.Ordered](capacity int, counts map[K]int) *topkSummary[K] {
 	for k, n := range counts {
 		entries = append(entries, topkEntry[K]{key: k, count: n})
 	}
-	slices.SortFunc(entries, func(a, b topkEntry[K]) int {
-		if c := cmp.Compare(b.count, a.count); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.key, b.key)
-	})
+	slices.SortFunc(entries, byRank[K])
 	for _, e := range entries[:t.capacity] {
 		t.update(e.key, e.count)
 	}

@@ -102,7 +102,7 @@ func TestBusReplayReachesSubscribersNotWAL(t *testing.T) {
 	}
 }
 
-// TestBusResetOnRestore verifies RestoreState fires Reset instead of
+// TestBusResetOnRestore verifies RestoreState fires Rebuild instead of
 // per-record mutations.
 func TestBusResetOnRestore(t *testing.T) {
 	s := NewStore()
@@ -110,16 +110,17 @@ func TestBusResetOnRestore(t *testing.T) {
 	st := s.State()
 
 	s2 := NewStore()
-	mutations, resets := 0, 0
+	mutations, rebuilds := 0, 0
 	s2.Subscribe("derived", func(*Mutation) { mutations++ }, SubscribeOptions{
-		Reset: func() { resets++ },
+		Rebuild: func() { rebuilds++ },
 	})
+	rebuilds = 0 // the one at registration
 	s2.RestoreState(st)
 	if mutations != 0 {
 		t.Errorf("restore emitted %d mutations, want 0", mutations)
 	}
-	if resets != 1 {
-		t.Errorf("restore fired %d resets, want 1", resets)
+	if rebuilds != 1 {
+		t.Errorf("restore fired %d rebuilds, want 1", rebuilds)
 	}
 	if s2.Count() != 1 {
 		t.Errorf("restored count = %d", s2.Count())
@@ -144,17 +145,17 @@ func TestBusUnsubscribe(t *testing.T) {
 	}
 }
 
-// TestBusSubscribeInit verifies Init runs at registration so a subscriber
-// can seed itself without losing a racing mutation.
+// TestBusSubscribeInit verifies Rebuild runs at registration so a
+// subscriber can seed itself without losing a racing mutation.
 func TestBusSubscribeInit(t *testing.T) {
 	s := NewStore()
 	mustPut(t, s, busRecord(t, "SELECT temp FROM WaterTemp", "alice"))
 	seeded := 0
 	s.Subscribe("derived", func(*Mutation) {}, SubscribeOptions{
-		Init: func() { seeded = s.Count() },
+		Rebuild: func() { seeded = s.Count() },
 	})
 	if seeded != 1 {
-		t.Errorf("Init saw %d queries, want 1", seeded)
+		t.Errorf("Rebuild at registration saw %d queries, want 1", seeded)
 	}
 }
 

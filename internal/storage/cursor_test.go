@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -53,6 +54,25 @@ func TestSnapshotAtPinsMembership(t *testing.T) {
 	// A mark above the current high-water is clamped.
 	if got := s.SnapshotAt(mark + 1000).Limit(); got != s.HighWater() {
 		t.Fatalf("SnapshotAt clamped limit = %d, want %d", got, s.HighWater())
+	}
+}
+
+// TestViewGetHonoursPin: a pinned view's Get answers ErrNotFound for a query
+// logged after the pin, as its scans skip it.
+func TestViewGetHonoursPin(t *testing.T) {
+	s := NewStore()
+	admin := Principal{Admin: true}
+	for i := 0; i < 3; i++ {
+		putQuery(t, s, "SELECT lake FROM WaterTemp", "alice", "limnology", VisibilityPublic)
+	}
+	mark := s.HighWater()
+	late := putQuery(t, s, "SELECT salinity FROM WaterSalinity", "alice", "limnology", VisibilityPublic)
+	v := s.SnapshotAt(mark)
+	if rec, err := v.Get(late, admin); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("SnapshotAt(%d).Get(%d) = %v, %v; want ErrNotFound", mark, late, rec, err)
+	}
+	if _, err := v.Get(mark, admin); err != nil {
+		t.Fatalf("SnapshotAt(%d).Get(%d): %v", mark, mark, err)
 	}
 }
 

@@ -59,7 +59,7 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 			"Mutation-bus callback duration by subscriber; runs under the commit lock, so this is each subscriber's share of the write stall.",
 			nil, "subscriber"),
 		rebuildVec: reg.HistogramVec("cqms_store_subscriber_rebuild_seconds",
-			"Time a derived-state subscriber took to rebuild from the records: its Init on attach and its Reset after a snapshot restore.",
+			"Time a derived-state subscriber took to rebuild from the records: on attach and after a snapshot restore.",
 			nil, "subscriber"),
 		durabilityWait: reg.Histogram("cqms_store_durability_wait_seconds",
 			"Time a mutating operation waited, outside the commit lock, for its WAL group-commit fsync.", nil),
@@ -85,7 +85,7 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	s.metrics = m
 	for i := range s.subs {
 		s.subs[i].hist = m.busVec.With(s.subs[i].name)
-		s.subs[i].rebuild = m.rebuildVec.With(s.subs[i].name)
+		s.subs[i].rebuildHist = m.rebuildVec.With(s.subs[i].name)
 	}
 	s.commitMu.Unlock()
 }

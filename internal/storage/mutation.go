@@ -105,46 +105,44 @@ type MutationHook func(*Mutation)
 //   - Subscribers (Subscribe) receive live AND replayed mutations, enriched
 //     with the Prev/Next record versions, so incrementally maintained state
 //     (stats counters, the miner feed) stays correct through crash recovery
-//     without a rebuild scan. After RestoreState replaces the store
-//     wholesale, each subscriber's Reset hook rebuilds it from the restored
-//     records, because a snapshot load has no per-record mutation stream.
+//     without a rebuild scan. A subscriber's Rebuild hook builds its state
+//     from the records at registration, and again after RestoreState
+//     replaces the store wholesale, because a snapshot load has no
+//     per-record mutation stream.
 //
 // All callbacks run under the commit lock: they must be fast and must not
 // call back into mutating store methods.
 
 // busSubscriber is one derived-state registration on the mutation bus.
 type busSubscriber struct {
-	id    int
-	name  string
-	fn    MutationHook
-	reset func()
+	id      int
+	name    string
+	fn      MutationHook
+	rebuild func()
 	// hist times this subscriber's callbacks (nil, and inert, until the store
 	// is instrumented); since callbacks run under the commit lock, it is the
-	// subscriber's share of the write stall. rebuild times its Init and
-	// Reset: what a restart or a follower bootstrap pays for the subscriber.
-	hist, rebuild *telemetry.Histogram
+	// subscriber's share of the write stall. rebuildHist times its Rebuild:
+	// what a restart or a follower bootstrap pays for the subscriber.
+	hist, rebuildHist *telemetry.Histogram
 }
 
 // SubscribeOptions configures a mutation-bus subscription.
 type SubscribeOptions struct {
-	// Init, when set, runs once under the commit lock immediately after
-	// registration, so the subscriber can seed itself from the store's
-	// current contents without a mutation slipping in between.
-	Init func()
-	// Reset, when set, runs under the commit lock after a restore has replaced
-	// the store's contents; the subscriber must rebuild its derived state from
-	// the store.
-	Reset func()
+	// Rebuild, when set, builds the subscriber's derived state from the
+	// store's records. It runs under the commit lock immediately after
+	// registration, so no mutation slips in between, and again after a
+	// restore has replaced the store's contents.
+	Rebuild func()
 }
 
-// timeRebuild runs one of the subscriber's rebuild hooks, if set, timed.
-func (sub *busSubscriber) timeRebuild(hook func()) {
-	if hook == nil {
+// runRebuild runs the subscriber's Rebuild hook, if set, timed.
+func (sub *busSubscriber) runRebuild() {
+	if sub.rebuild == nil {
 		return
 	}
 	start := time.Now()
-	hook()
-	sub.rebuild.Observe(time.Since(start))
+	sub.rebuild()
+	sub.rebuildHist.Observe(time.Since(start))
 }
 
 // Subscribe registers a derived-state subscriber on the mutation event bus
@@ -156,11 +154,11 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 	s.nextSubID++
 	id := s.nextSubID
 	sub := busSubscriber{
-		id: id, name: name, fn: fn, reset: opts.Reset,
-		hist: s.metrics.busVec.With(name), rebuild: s.metrics.rebuildVec.With(name),
+		id: id, name: name, fn: fn, rebuild: opts.Rebuild,
+		hist: s.metrics.busVec.With(name), rebuildHist: s.metrics.rebuildVec.With(name),
 	}
 	s.subs = append(s.subs, sub)
-	sub.timeRebuild(opts.Init)
+	sub.runRebuild()
 	return func() {
 		s.commitMu.Lock()
 		defer s.commitMu.Unlock()

@@ -7,7 +7,7 @@ import (
 )
 
 // countingSub is a bus subscriber that counts records and rebuilds the count
-// from the store on Init and Reset, recording how often it rebuilt.
+// from the store in its Rebuild hook, recording how often it rebuilt.
 type countingSub struct {
 	count, rebuilds int
 }
@@ -26,7 +26,7 @@ func (c *countingSub) attach(s *Store, name string) {
 		case OpDelete:
 			c.count--
 		}
-	}, SubscribeOptions{Init: rebuild, Reset: rebuild})
+	}, SubscribeOptions{Rebuild: rebuild})
 }
 
 // TestCaptureState proves the capture callback runs in the same critical
@@ -49,8 +49,8 @@ func TestCaptureState(t *testing.T) {
 }
 
 // TestRestoreStateResetsEverySubscriber: a restore rebuilds every subscriber
-// from the restored records, once each, and times each rebuild — the Init on
-// attach and the Reset on restore — as
+// from the restored records, once each, and times each rebuild — on attach
+// and on restore — as
 // cqms_store_subscriber_rebuild_seconds{subscriber}.
 func TestRestoreStateResetsEverySubscriber(t *testing.T) {
 	src := NewStore()
@@ -70,7 +70,7 @@ func TestRestoreStateResetsEverySubscriber(t *testing.T) {
 	rebuilt := reg.HistogramVec("cqms_store_subscriber_rebuild_seconds", "", nil, "subscriber")
 	for name, sub := range subs {
 		if sub.rebuilds != 2 || sub.count != 5 {
-			t.Errorf("%s: %d rebuilds, count %d; want Init and Reset, and 5", name, sub.rebuilds, sub.count)
+			t.Errorf("%s: %d rebuilds, count %d; want one on attach and one on restore, and 5", name, sub.rebuilds, sub.count)
 		}
 		if n := rebuilt.With(name).Count(); n != 2 {
 			t.Errorf("%s: %d rebuilds timed, want 2", name, n)

@@ -59,7 +59,7 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 // RestoreState replaces the store's entire contents with the snapshot: it
 // swaps in an empty record table, rebuilds every inverted index through the
 // same insert path used by live operations and replay, then runs every bus
-// subscriber's Reset hook, a rebuild from the restored records: a snapshot
+// subscriber's Rebuild hook over the restored records: a snapshot
 // load has no per-record mutation stream to fan out, and the WAL slot is not
 // invoked. It takes ownership of st and its records: recovery hands over a
 // freshly decoded state, and cloning ~100k records a second time would double
@@ -69,7 +69,7 @@ func (s *Store) RestoreState(st *StoreState) {
 	defer s.commitMu.Unlock()
 	s.restoreStateLocked(st)
 	for i := range s.subs {
-		s.subs[i].timeRebuild(s.subs[i].reset)
+		s.subs[i].runRebuild()
 	}
 }
 

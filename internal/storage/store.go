@@ -481,8 +481,8 @@ func (s *Store) UpdateStats(id QueryID, stats RuntimeStats) error {
 	return s.commit(&Mutation{Op: OpUpdateStats, ID: id, Stats: &stats}, nil)
 }
 
-// SetSample replaces a query's stored output sample, used when the
-// maintenance component re-executes a query to refresh its statistics.
+// SetSample replaces a query's stored output sample. A maintenance pass does
+// not call it: re-executing a query refreshes its statistics only.
 func (s *Store) SetSample(id QueryID, sample *OutputSample) error {
 	return s.commit(&Mutation{Op: OpSetSample, ID: id, Sample: sample}, nil)
 }

@@ -89,11 +89,11 @@ func ScanWithContext(ctx context.Context, fn func(*QueryRecord) bool) func(*Quer
 func (v *View) Len() int { return v.count }
 
 // Get returns the current version of a visible record without cloning it.
-// The record must be treated as read-only. Queries deleted since the
-// snapshot report ErrNotFound.
+// The record must be treated as read-only. Queries past the view's limit or
+// deleted since the snapshot report ErrNotFound.
 func (v *View) Get(id QueryID, p Principal) (*QueryRecord, error) {
 	rec, ok := v.store.loadRecord(id)
-	if !ok {
+	if !ok || id > v.limit {
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
 	if !rec.VisibleTo(p) {

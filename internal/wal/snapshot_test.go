@@ -544,9 +544,10 @@ func TestOlderSnapshotSectionsAreSkipped(t *testing.T) {
 	rebuilds := map[string]int{}
 	for _, name := range []string{"stats", "miner-feed", "sessions"} {
 		store.Subscribe(name, func(*storage.Mutation) {}, storage.SubscribeOptions{
-			Reset: func() { rebuilds[name]++ },
+			Rebuild: func() { rebuilds[name]++ },
 		})
 	}
+	clear(rebuilds) // the rebuilds at registration, over an empty store
 	mgr, info, err := Open(store, testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
