@@ -727,7 +727,10 @@ func walBenchRecords(b *testing.B) []*storage.QueryRecord {
 }
 
 // BenchmarkWALAppend measures the per-mutation cost of durable logging — the
-// overhead a durable deployment adds to Store.Put — under each fsync policy.
+// overhead a durable deployment adds to Store.Put — under each fsync policy,
+// and reports the log's size per record (B/record). The records cycle through
+// four texts, as a log repeats itself: after the first four puts every frame
+// refers to its shape by number.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []string{"off", "interval", "always"} {
 		b.Run("sync="+policy, func(b *testing.B) {
@@ -746,9 +749,21 @@ func BenchmarkWALAppend(b *testing.B) {
 				mustPut(b, store, recs[i%len(recs)].Clone())
 			}
 			b.StopTimer()
+			if err := mgr.Sync(); err != nil {
+				b.Fatal(err)
+			}
 			if err := mgr.Err(); err != nil {
 				b.Fatal(err)
 			}
+			info, err := mgr.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var logBytes int64
+			for _, seg := range info.Segments {
+				logBytes += seg.Bytes
+			}
+			b.ReportMetric(float64(logBytes)/float64(b.N), "B/record")
 		})
 	}
 }

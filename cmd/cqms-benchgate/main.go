@@ -1,7 +1,8 @@
 // Command cqms-benchgate is the CI perf-regression gate: it parses `go test
 // -bench` output into a machine-readable BENCH_<sha>.json and fails when any
 // benchmark regressed beyond a ratio against a committed baseline — on time
-// (ns/op) and, when the run used -benchmem, on allocation count (allocs/op).
+// (ns/op), when the run used -benchmem on allocation count (allocs/op), and,
+// for a benchmark that reports it, on bytes written per record (B/record).
 //
 // Usage:
 //
@@ -13,7 +14,9 @@
 // which filters scheduler noise on shared CI runners; the 2x default ratios
 // leave headroom for machine-class differences between the baseline host and
 // the runner. Allocation counts are far more stable than wall time, but the
-// shared ratio keeps one mental model for both gates. Regenerate the baseline
+// shared ratio keeps one mental model for both gates. Bytes per record are
+// deterministic — only a change to what is written moves them — so their
+// gate is a fixed 1.05x (maxBytesRatio), with no flag. Regenerate the baseline
 // (-in ... -out BENCH_BASELINE.json, no -baseline) whenever a PR
 // intentionally changes the performance envelope.
 //
@@ -49,8 +52,15 @@ import (
 type Result struct {
 	NsPerOp     float64  `json:"nsPerOp"`
 	AllocsPerOp *float64 `json:"allocsPerOp,omitempty"`
-	Runs        int      `json:"runs"`
+	// BytesPerRecord is a benchmark's B/record metric: the encoded size
+	// per record of what it wrote (a log, a snapshot).
+	BytesPerRecord *float64 `json:"bytesPerRecord,omitempty"`
+	Runs           int      `json:"runs"`
 }
+
+// maxBytesRatio is the B/record gate: byte counts repeat exactly, so any
+// growth past rounding is a format change.
+const maxBytesRatio = 1.05
 
 // Report is the BENCH_<sha>.json artifact.
 type Report struct {
@@ -68,7 +78,22 @@ type Report struct {
 // aggregate under one name.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 
-var allocsField = regexp.MustCompile(`([0-9.]+) allocs/op`)
+var (
+	allocsField = regexp.MustCompile(`([0-9.]+) allocs/op`)
+	bytesField  = regexp.MustCompile(`([0-9.]+) B/record`)
+)
+
+// keepMin parses the first submatch of re in fields and keeps it in *v when
+// it is the lowest seen.
+func keepMin(v **float64, re *regexp.Regexp, fields string) {
+	m := re.FindStringSubmatch(fields)
+	if m == nil {
+		return
+	}
+	if x, err := strconv.ParseFloat(m[1], 64); err == nil && (*v == nil || x < **v) {
+		*v = &x
+	}
+}
 
 // parseBench aggregates benchmark lines, keeping the minimum ns/op per name.
 func parseBench(r io.Reader) (map[string]Result, error) {
@@ -92,13 +117,8 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 		}
 		// Each metric keeps its own minimum: the fastest run is not always
 		// the leanest one, and the gate wants the best observed cost per axis.
-		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
-			if a, err := strconv.ParseFloat(am[1], 64); err == nil {
-				if res.AllocsPerOp == nil || a < *res.AllocsPerOp {
-					res.AllocsPerOp = &a
-				}
-			}
-		}
+		keepMin(&res.AllocsPerOp, allocsField, m[3])
+		keepMin(&res.BytesPerRecord, bytesField, m[3])
 		out[name] = res
 	}
 	if err := sc.Err(); err != nil {
@@ -107,7 +127,8 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 	return out, nil
 }
 
-// regression is one gate violation on one metric (ns/op or allocs/op).
+// regression is one gate violation on one metric (ns/op, allocs/op or
+// B/record).
 type regression struct {
 	name              string
 	metric            string
@@ -121,7 +142,8 @@ type regression struct {
 // pass as a perf win; the same applies to dropping -benchmem when the
 // baseline carries an allocation budget. A zero-alloc baseline is a hard
 // budget: any allocation at all fails it, since no ratio can express
-// "regressed from nothing".
+// "regressed from nothing". A B/record baseline fails the run past
+// maxBytesRatio of it, or when the run no longer reports it.
 func gate(current, baseline map[string]Result, maxRatio, maxAllocRatio float64) (regressions []regression, missing []string) {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
@@ -140,6 +162,17 @@ func gate(current, baseline map[string]Result, maxRatio, maxAllocRatio float64) 
 				name: name, metric: "ns/op", baseline: base.NsPerOp, current: cur.NsPerOp,
 				ratio: cur.NsPerOp / base.NsPerOp,
 			})
+		}
+		if base.BytesPerRecord != nil {
+			switch b := *base.BytesPerRecord; {
+			case cur.BytesPerRecord == nil:
+				missing = append(missing, name+" B/record (baseline has a size budget)")
+			case *cur.BytesPerRecord > maxBytesRatio*b:
+				regressions = append(regressions, regression{
+					name: name, metric: "B/record", baseline: b, current: *cur.BytesPerRecord,
+					ratio: *cur.BytesPerRecord / b,
+				})
+			}
 		}
 		if base.AllocsPerOp == nil {
 			continue
@@ -259,6 +292,9 @@ func run() error {
 		if res.AllocsPerOp != nil {
 			allocs = fmt.Sprintf("  %6.0f allocs/op", *res.AllocsPerOp)
 		}
+		if res.BytesPerRecord != nil {
+			allocs += fmt.Sprintf("  %6.0f B/record", *res.BytesPerRecord)
+		}
 		if base, ok := baseReport.Benchmarks[name]; ok && base.NsPerOp > 0 {
 			fmt.Printf("%-50s %14.0f ns/op  baseline %14.0f  ratio %.2fx%s\n",
 				name, res.NsPerOp, base.NsPerOp, res.NsPerOp/base.NsPerOp, allocs)
@@ -273,10 +309,13 @@ func run() error {
 	}
 	for _, r := range regressions {
 		limit := *maxRatio
-		if r.metric == "allocs/op" {
+		switch r.metric {
+		case "allocs/op":
 			limit = *maxAllocRatio
+		case "B/record":
+			limit = maxBytesRatio
 		}
-		fmt.Fprintf(os.Stderr, "GATE: %s regressed %.2fx (%.0f -> %.0f %s, limit %.1fx)\n",
+		fmt.Fprintf(os.Stderr, "GATE: %s regressed %.2fx (%.0f -> %.0f %s, limit %.2fx)\n",
 			r.name, r.ratio, r.baseline, r.current, r.metric, limit)
 		failed = true
 	}

@@ -157,3 +157,32 @@ func TestGateAllocUnits(t *testing.T) {
 		t.Fatalf("regressions = %+v, want none at 2.5x alloc ratio", r)
 	}
 }
+
+// TestGateBytesPerRecord: a benchmark's B/record keeps its minimum across
+// runs and fails the gate past 1.05x of the baseline, whatever the time
+// ratios allow, or when the run stops reporting it.
+func TestGateBytesPerRecord(t *testing.T) {
+	baseline, err := parseBench(strings.NewReader(`
+BenchmarkWALAppend/sync=off-8 	  300000	      3300 ns/op	       263.0 B/record	    1400 B/op	       7 allocs/op
+BenchmarkWALAppend/sync=off-8 	  300000	      3100 ns/op	       250.0 B/record	    1400 B/op	       7 allocs/op
+BenchmarkSnapshotWriteRestore/write/10000-8 	       3	  15000000 ns/op	       540.0 B/record
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := baseline["WALAppend/sync=off"].BytesPerRecord; b == nil || *b != 250 {
+		t.Fatalf("B/record = %v, want the minimum 250", b)
+	}
+	current := map[string]Result{
+		"WALAppend/sync=off":               {NsPerOp: 3000, AllocsPerOp: allocs(7), BytesPerRecord: allocs(262)},
+		"SnapshotWriteRestore/write/10000": {NsPerOp: 15000000, BytesPerRecord: allocs(570)},
+	}
+	r, m := gate(current, baseline, 2.0, 2.0)
+	if len(m) != 0 || len(r) != 1 || r[0].name != "SnapshotWriteRestore/write/10000" || r[0].metric != "B/record" {
+		t.Fatalf("regressions = %+v, missing = %v; want only the snapshot's B/record (570 > 1.05 x 540)", r, m)
+	}
+	current["SnapshotWriteRestore/write/10000"] = Result{NsPerOp: 15000000}
+	if _, m := gate(current, baseline, 2.0, 2.0); len(m) != 1 {
+		t.Fatalf("missing = %v, want the snapshot's dropped B/record", m)
+	}
+}

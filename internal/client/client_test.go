@@ -262,7 +262,7 @@ func TestStatusAndSnapshotSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LogInfo: %v", err)
 	}
-	if snaps := info.Snapshots; len(snaps) != 1 || snaps[0].Records != 1 || snaps[0].Frames != 2 {
-		t.Errorf("snapshots %+v, want one of one record in a header and one chunk", snaps)
+	if snaps := info.Snapshots; len(snaps) != 1 || snaps[0].Records != 1 || snaps[0].Frames != 3 {
+		t.Errorf("snapshots %+v, want one of one record in a header, a shape chunk and a record chunk", snaps)
 	}
 }

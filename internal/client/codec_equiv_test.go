@@ -31,13 +31,19 @@ import (
 // set-quality, both of which change nothing and are not logged — full of
 // values a codec gets wrong (nil against empty slices, omitted fields,
 // non-UTC offsets, zero times, multi-byte and 1 MiB texts, nil samples) is
-// applied to a durable primary. Three more stores are then derived from it, one per path bytes
-// take: a replay of the whole WAL, a recovery from snapshot plus tail (every
-// subscriber rebuilt from the snapshot's records), and a follower
-// bootstrapped over HTTP. All must answer the /v1
-// API byte for byte like the live primary. Along the way every mutation the
-// primary emits goes through both codecs: the binary round trip must equal
-// the round trip through the JSON codec it replaced, kept here as the oracle.
+// applied to a durable primary. The history also moves shapes in and out of
+// the store's dictionary: a batch that enters a shape and refers to it, texts
+// repaired onto shapes the store holds and onto new ones, and a text whose
+// last record goes and which is put again (under a new shape number). More
+// stores are then derived from it, one per path bytes take: a replay of the
+// whole WAL, a recovery from snapshot plus tail after Compact (every
+// subscriber rebuilt from the snapshot's records), a follower bootstrapped
+// over HTTP, and a replay that starts before the snapshot it is applied to.
+// All must hold the live primary's state with its shape numbers, and the
+// first three answer the /v1 API byte for byte like it. Along the way every
+// mutation the primary emits goes through both codecs: the binary round trip
+// must equal the round trip through the JSON codec it replaced, kept here as
+// the oracle, once a shape reference is resolved against the store.
 
 var equivSQL = []string{
 	"SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15",
@@ -132,7 +138,7 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 		if step == steps/2 && midpoint != nil {
 			midpoint()
 		}
-		op := rng.Intn(14)
+		op := rng.Intn(17)
 		if len(ids) < 3 {
 			op = 0
 		}
@@ -178,10 +184,33 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 			m, err := storage.DecodeMutation(parentSetQuality(pick(), rng.Float64()))
 			must(step, err)
 			must(step, store.Apply(m))
-		case 13:
-			updated, err := storage.NewRecordFromSQL(equivSQL[rng.Intn(len(equivSQL))])
+		case 13: // onto a shape the store holds, or one it does not yet
+			text := equivSQL[rng.Intn(len(equivSQL))]
+			if rng.Intn(2) == 0 {
+				text = fmt.Sprintf("SELECT WaterTemp.lake FROM WaterTemp WHERE WaterTemp.temp > %d", step)
+			}
+			updated, err := storage.NewRecordFromSQL(text)
 			must(step, err)
 			must(step, store.ReplaceText(pick(), updated))
+		case 14: // a batch that enters a shape and refers to it
+			batch := []*storage.QueryRecord{equivRecord(t, rng, step), equivRecord(t, rng, step), equivRecord(t, rng, step)}
+			fresh, err := storage.NewRecordFromSQL(fmt.Sprintf("SELECT WaterSalinity.lake FROM WaterSalinity WHERE WaterSalinity.salinity > %d", step))
+			must(step, err)
+			batch[0].QueryShape, batch[2].QueryShape = fresh.QueryShape, fresh.Clone().QueryShape
+			ids = append(ids, mustPutBatch(t, store, batch)...)
+		case 15, 16: // a shape's last record goes, and its text comes back
+			victim, err := store.Get(pick(), admin)
+			must(step, err)
+			for i := 0; i < len(ids); i++ {
+				if rec, err := store.Get(ids[i], admin); err == nil && rec.Text == victim.Text {
+					must(step, store.Delete(ids[i], admin))
+					ids = append(ids[:i], ids[i+1:]...)
+					i--
+				}
+			}
+			again := equivRecord(t, rng, step)
+			again.QueryShape = victim.Clone().QueryShape
+			ids = append(ids, mustPut(t, store, again))
 		}
 	}
 }
@@ -206,6 +235,17 @@ func checkMutationAgainstOracle(t *testing.T, m *storage.Mutation) {
 	if err != nil {
 		t.Errorf("%s: DecodeMutation: %v", m.Op, err)
 		return
+	}
+	// A put or replace-text carries its shape inline under the number the
+	// store gave it, or refers to it; a reference resolves against the store,
+	// which replay does and the recovery paths below check.
+	if got.Record != nil {
+		live := m.Next().QueryShape
+		if got.Record.QueryShape == nil {
+			got.Record.QueryShape = live
+		} else if got.Record.Number() != live.Number() {
+			t.Errorf("%s: the frame defines shape %d, the store numbered it %d", m.Op, got.Record.Number(), live.Number())
+		}
 	}
 	ref, err := json.Marshal(m)
 	if err != nil {
@@ -330,14 +370,25 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID) string {
 }
 
 // stateDocument renders the whole store state: every field of every record
-// and the ID counter.
+// and the ID counter, then the shape numbers: each live shape's number and
+// text, the counter, and each record's shape number.
 func stateDocument(t *testing.T, store *storage.Store) string {
 	t.Helper()
-	b, err := json.Marshal(store.State())
+	st := store.CaptureState(nil)
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	var doc strings.Builder
+	doc.Write(b)
+	fmt.Fprintf(&doc, "\nshape counter %d\n", st.NextShape)
+	for _, sh := range st.Shapes {
+		fmt.Fprintf(&doc, "shape %d: %.80q\n", sh.Number(), sh.Text)
+	}
+	for _, rec := range st.Records {
+		fmt.Fprintf(&doc, "query %d: shape %d\n", rec.ID, rec.Number())
+	}
+	return doc.String()
 }
 
 func firstDifference(a, b string) string {
@@ -353,6 +404,19 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	const seed, steps = 20260928, 260
 
 	// The primary compacts halfway, so its directory ends as snapshot + tail.
+	// Just before, both primary and twin put a few records — a shape entered
+	// and referred to, one entered by its only record, and repeats of live
+	// ones — which the overlapping replay below applies twice.
+	beforeOverlap := func(store *storage.Store) {
+		for i, text := range []string{"SELECT Stars.name FROM Stars WHERE Stars.mag < 4", equivSQL[0], "SELECT Stars.name FROM Stars WHERE Stars.mag < 4", equivSQL[1], "SELECT Stars.name FROM Stars WHERE Stars.mag < 2"} {
+			rec, err := storage.NewRecordFromSQL(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.User, rec.IssuedAt = "overlap", time.Unix(1800000000+int64(i), 0).UTC()
+			mustPut(t, store, rec)
+		}
+	}
 	primaryDir := t.TempDir()
 	primary := openEquivCore(t, primaryDir)
 	mutations := 0
@@ -360,7 +424,10 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		mutations++
 		checkMutationAgainstOracle(t, m)
 	}, storage.SubscribeOptions{})
+	var overlapFrom uint64
 	runEquivHistory(t, primary.Store(), seed, steps, func() {
+		overlapFrom = primary.Durability().LastSeq()
+		beforeOverlap(primary.Store())
 		if _, _, _, err := primary.Durability().Compact(); err != nil {
 			t.Fatalf("Compact: %v", err)
 		}
@@ -375,10 +442,11 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	// Its twin never compacts: reopening its directory replays the whole log.
 	twinDir := t.TempDir()
 	twin := openEquivCore(t, twinDir)
-	runEquivHistory(t, twin.Store(), seed, steps, nil)
+	runEquivHistory(t, twin.Store(), seed, steps, func() { beforeOverlap(twin.Store()) })
 	if err := twin.Close(); err != nil {
 		t.Fatal(err)
 	}
+	overlapped := overlappingReplay(t, copyDataDir(t, primaryDir), copyDataDir(t, twinDir), overlapFrom)
 
 	replayed := openEquivCore(t, twinDir)
 	if rec := replayed.Recovery(); rec.SnapshotSeq != 0 || rec.Replayed != mutations {
@@ -397,8 +465,14 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		t.Fatalf("the follower did not bootstrap from the snapshot: %+v", st)
 	}
 
-	maxID := primary.Store().State().NextID
+	maxID := primary.Store().CaptureState(nil).NextID
 	wantState := stateDocument(t, primary.Store())
+	if strings.Count(wantState, ": shape ") != primary.Store().Count() {
+		t.Fatalf("the state document lists no shape numbers:\n%.2000s", wantState)
+	}
+	if got := stateDocument(t, overlapped); got != wantState {
+		t.Errorf("replay overlapping the snapshot: store state differs from the live primary's %s", firstDifference(wantState, got))
+	}
 	wantAPI := apiDocument(t, tsPrimary.URL, maxID)
 	wantStats := statsForDiff(t, tsPrimary.URL)
 	wantRules := primary.MinerFeed().Refresh().Rules
@@ -437,4 +511,48 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 			t.Errorf("%s: the miner feed derived %d rules that differ from the primary's %d", other.name, len(got), len(wantRules))
 		}
 	}
+}
+
+// overlappingReplay restores the snapshot in snapDir and replays on top of it
+// the whole log of logDir from sequence from+1 on, including the frames the
+// snapshot already covers: puts of records it holds, defining shapes it
+// holds under the same numbers. They must apply as the same changes again.
+func overlappingReplay(t *testing.T, snapDir, logDir string, from uint64) *storage.Store {
+	t.Helper()
+	snap, err := wal.LatestSnapshot(snapDir)
+	if err != nil || snap == nil {
+		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
+	}
+	if snap.Seq <= from {
+		t.Fatalf("the snapshot covers %d, no frame after %d", snap.Seq, from)
+	}
+	store := storage.NewStore()
+	if err := store.RestoreState(snap.State); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.OpenLog(wal.Options{Dir: logDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	overlap := 0
+	if err := log.Replay(from, func(seq uint64, payload []byte) error {
+		if seq <= snap.Seq {
+			overlap++
+		}
+		m, err := storage.DecodeMutation(payload)
+		if err != nil {
+			return err
+		}
+		if err := store.Apply(m); err != nil {
+			return fmt.Errorf("frame %d (%s, the snapshot covers %d): %w", seq, m.Op, snap.Seq, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if overlap == 0 {
+		t.Fatal("no frame the snapshot covers was replayed")
+	}
+	return store
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -78,9 +80,11 @@ func statsForDiff(t *testing.T, url string) []byte {
 // test: a primary applies an arbitrary interleaving of every mutation class
 // the API can produce (submits, batches, deletes, visibility flips,
 // annotations, mining-driven session assignment, maintenance-driven repairs
-// and stats refreshes) while a follower streams the log; at quiesce the
-// follower's store state, stats counters and live sessions must be
-// byte-identical to the primary's. Halfway through, the follower is restarted
+// and stats refreshes, repairs onto shapes the store holds and onto new ones,
+// batches that enter a shape and refer to it, and texts whose last record
+// goes and which come back) while a follower streams the log; at quiesce the
+// follower's store state with its shape numbers, stats counters and live
+// sessions must be byte-identical to the primary's. Halfway through, the follower is restarted
 // after a primary compaction, so the second half also exercises
 // snapshot bootstrap plus cursor resume.
 func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
@@ -110,19 +114,21 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 	mutate := func(step int) {
 		q := trace.Queries[step%len(trace.Queries)]
 		c := clients[q.User]
-		switch rng.Intn(10) {
+		switch rng.Intn(13) {
 		case 0, 1, 2, 3: // single submit
 			resp, err := c.Submit(ctx, q.SQL, Group(q.Group), Visibility(visibilities[rng.Intn(3)]))
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
 			ids = append(ids, resp.QueryID)
-		case 4: // batch submit
-			batch := []server.SubmitParams{}
+		case 4: // batch submit, entering a shape and referring to it
+			fresh := fmt.Sprintf("SELECT WaterTemp.lake FROM WaterTemp WHERE WaterTemp.temp > %d", step)
+			batch := []server.SubmitParams{{SQL: fresh, Group: q.Group, Visibility: "group"}}
 			for j := 0; j < 3; j++ {
 				bq := trace.Queries[(step+j)%len(trace.Queries)]
 				batch = append(batch, server.SubmitParams{SQL: bq.SQL, Group: q.Group, Visibility: "group"})
 			}
+			batch = append(batch, batch[0])
 			resp, err := c.SubmitBatch(ctx, batch)
 			if err != nil {
 				t.Fatalf("SubmitBatch: %v", err)
@@ -153,6 +159,43 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 		case 9: // maintenance: invalidations, repairs, stats refreshes
 			if _, err := admin.Maintain(ctx); err != nil {
 				t.Fatalf("Maintain: %v", err)
+			}
+		case 10: // a shape's last record goes, and its text comes back
+			if len(ids) < 2 {
+				return
+			}
+			victim, err := primary.Store().Get(storage.QueryID(ids[rng.Intn(len(ids))]), storage.Principal{Admin: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(ids); i++ {
+				if rec, err := primary.Store().Get(storage.QueryID(ids[i]), storage.Principal{Admin: true}); err == nil && rec.Text == victim.Text {
+					if err := admin.DeleteQuery(ctx, ids[i]); err != nil {
+						t.Fatalf("DeleteQuery: %v", err)
+					}
+					ids = append(ids[:i], ids[i+1:]...)
+					i--
+				}
+			}
+			resp, err := c.Submit(ctx, victim.Text, Group(q.Group))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			ids = append(ids, resp.QueryID)
+		case 11, 12: // a repair onto a shape the store holds, or a new one
+			if len(ids) == 0 {
+				return
+			}
+			text := trace.Queries[rng.Intn(len(trace.Queries))].SQL
+			if rng.Intn(2) == 0 {
+				text = fmt.Sprintf("SELECT WaterSalinity.lake FROM WaterSalinity WHERE WaterSalinity.salinity > %d", step)
+			}
+			updated, err := storage.NewRecordFromSQL(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := primary.Store().ReplaceText(storage.QueryID(ids[rng.Intn(len(ids))]), updated); err != nil {
+				t.Fatalf("ReplaceText: %v", err)
 			}
 		}
 	}
@@ -186,18 +229,9 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 		t.Fatalf("lag at quiesce = %d records", st.LagRecords)
 	}
 
-	// Store state byte-identical.
-	primaryState, err := json.Marshal(primary.Store().State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	followerState, err := json.Marshal(follower.Store().State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(primaryState) != string(followerState) {
-		t.Errorf("store state diverged: primary %d bytes, follower %d bytes",
-			len(primaryState), len(followerState))
+	// Store state byte-identical, shape numbers included.
+	if p, f := stateDocument(t, primary.Store()), stateDocument(t, follower.Store()); p != f {
+		t.Errorf("store state diverged: %s", firstDifference(p, f))
 	}
 
 	// Stats counters and listings byte-identical (modulo role/uptime).

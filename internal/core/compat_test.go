@@ -15,9 +15,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/profiler"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -82,6 +84,77 @@ func TestParentQualityDataDirOpens(t *testing.T) {
 	matchGolden(t, got, "testdata/parent_quality_datadir.golden")
 }
 
+// TestParentShapeDataDirOpens holds this build to the data directories of the
+// build before shape numbers, whose every put and snapshot record carried its
+// whole shape. testdata/parent_shape_datadir was written by commit 4a6a4b5: a
+// snapshot of 18 records over five texts, then a WAL tail of repeats, a new
+// text, the last record of a text deleted and the text put again, deletes,
+// a text repaired onto a new text and one onto a text the log holds, an
+// annotation and a visibility flip. This build must open it — numbering the
+// snapshot's shapes in ID order and each shape the tail enters in turn —
+// and serve the bodies that commit served from it
+// (testdata/parent_shape_datadir.golden, not regenerated). It then logs new
+// frames that refer to those shapes by number, and must serve the same
+// bodies after a restart, and again after a compaction writes the directory
+// in this build's format.
+func TestParentShapeDataDirOpens(t *testing.T) {
+	c := openParentDataDir(t, "testdata/parent_shape_datadir")
+	rec := c.Recovery()
+	if rec.Queries != 33 || rec.SnapshotRecords != 18 || rec.SnapshotFrames != 2 || rec.Replayed != 25 {
+		t.Fatalf("recovery %+v, want 33 queries from an 18-record snapshot and 25 replayed records", *rec)
+	}
+	assertRebuiltFromTheRecords(t, c)
+	matchGolden(t, parentBodies(t, c), "testdata/parent_shape_datadir.golden")
+
+	admin := storage.Principal{User: "root", Admin: true}
+	var repeated []string
+	c.Store().Snapshot().Scan(admin, func(rec *storage.QueryRecord) bool {
+		repeated = append(repeated, rec.Text)
+		return len(repeated) < 3
+	})
+	for i, text := range append(repeated, "SELECT Stars.name FROM Stars", repeated[0]) {
+		if _, err := c.Submit(profiler.Submission{User: "dave", Group: "limnology", SQL: text, IssuedAt: time.Date(2009, 1, 6, 9, i, 0, 0, time.UTC)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repaired, err := storage.NewRecordFromSQL(repeated[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store().ReplaceText(c.Store().HighWater(), repaired); err != nil {
+		t.Fatal(err)
+	}
+	want := parentBodies(t, c)
+	dir := c.Durability().Config().Dir
+	for _, compact := range []bool{false, true} {
+		if compact {
+			if _, _, _, err := c.Durability().Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c = openDataDir(t, dir)
+		if got := parentBodies(t, c); got != want {
+			t.Fatalf("after a restart (compacted: %v) the bodies differ %s", compact, firstDiff(want, got))
+		}
+	}
+	if rec := c.Recovery(); rec.Replayed != 0 || rec.SnapshotRecords != 38 {
+		t.Fatalf("recovery after the compaction %+v, want 38 records from the snapshot and no tail", *rec)
+	}
+	c.Close()
+}
+
+// firstDiff shows where two documents part.
+func firstDiff(want, got string) string {
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	return fmt.Sprintf("at byte %d\n   now: …%.300s\n  then: …%.300s", i, got[max(0, i-80):], want[max(0, i-80):])
+}
+
 // assertRebuiltFromTheRecords checks that every derived-state subscriber of a
 // core opened over an older build's directory rebuilt from the snapshot's
 // records, and that the stats counters equal a rebuild from the records the
@@ -123,6 +196,13 @@ func openParentDataDir(t *testing.T, src string) *core.CQMS {
 			t.Fatal(err)
 		}
 	}
+	return openDataDir(t, dir)
+}
+
+// openDataDir opens a data directory over the engine the committed ones'
+// writers ran against.
+func openDataDir(t *testing.T, dir string) *core.CQMS {
+	t.Helper()
 	eng := engine.New()
 	if err := workload.Populate(eng, 200, 1); err != nil {
 		t.Fatal(err)

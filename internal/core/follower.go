@@ -162,7 +162,9 @@ func (f *followerState) bootstrap(ctx context.Context, c *CQMS) error {
 		return nil
 	}
 	records, start := len(state.Records), time.Now()
-	c.store.RestoreState(state)
+	if err := c.store.RestoreState(state); err != nil {
+		return fmt.Errorf("core: restoring the bootstrap snapshot: %w", err)
+	}
 	f.appliedSeq.Store(seq)
 	f.snapshotSeq.Store(seq)
 	// The restore's time is the records' insertion plus every subscriber's

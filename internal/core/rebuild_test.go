@@ -47,8 +47,8 @@ func TestRecoveryRebuildsFromTheSnapshot(t *testing.T) {
 	if _, _, _, err := c.Durability().Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if info, err := c.Durability().Info(); err != nil || len(info.Snapshots) != 1 || info.Snapshots[0].Frames != 2 {
-		t.Fatalf("log info %+v, %v: want one snapshot of a header and one record chunk", info, err)
+	if info, err := c.Durability().Info(); err != nil || len(info.Snapshots) != 1 || info.Snapshots[0].Frames != 3 {
+		t.Fatalf("log info %+v, %v: want one snapshot of a header, a shape chunk and a record chunk", info, err)
 	}
 	submit(t, c, "bob", "limnology",
 		"SELECT WaterSalinity.lake FROM WaterSalinity", base.Add(2*time.Hour))

@@ -634,8 +634,20 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	}
 	h = stage(c, h.ids, 0)
 
-	// RestoreState in place.
-	c.Store().RestoreState(c.Store().State())
+	// RestoreState in place, from a snapshot of the store: its shapes keep
+	// their numbers, so the log the store goes on writing still fits the
+	// frames before it, which the follower below replays.
+	snapDir := t.TempDir()
+	if _, _, err := wal.WriteSnapshot(snapDir, 1, c.Store().CaptureState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := wal.LatestSnapshot(snapDir)
+	if err != nil || snap == nil {
+		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
+	}
+	if err := c.Store().RestoreState(snap.State); err != nil {
+		t.Fatal(err)
+	}
 	h = stage(c, h.ids, 0)
 
 	// A follower bootstrapped from the primary's snapshot and WAL tail.

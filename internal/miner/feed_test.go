@@ -44,11 +44,13 @@ func TestFeedFollowsBus(t *testing.T) {
 	}
 
 	// A snapshot restore rebuilds the feed from the contents.
-	st := store.State()
+	st := stateCopy(store)
 	store2 := storage.NewStore()
 	feed2 := NewFeed(DefaultAssocConfig())
 	feed2.Attach(store2)
-	store2.RestoreState(st)
+	if err := store2.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
 	if got := feed2.NumTransactions(); got != 6 {
 		t.Fatalf("transactions after restore = %d, want 6", got)
 	}
@@ -222,7 +224,9 @@ func TestFeedMatchesFullPassUnderRandomHistory(t *testing.T) {
 				restored := storage.NewStore()
 				g := NewFeed(cfg)
 				g.Attach(restored)
-				restored.RestoreState(store.State())
+				if err := restored.RestoreState(stateCopy(store)); err != nil {
+					t.Fatal(err)
+				}
 				if got := g.Rules(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("cfg %+v step %d: rebuilt rules differ from the full pass", cfg, step)
 				}
@@ -272,4 +276,16 @@ func TestFeedRefreshRacesCommits(t *testing.T) {
 	if got, want := feed.Refresh().Rules, MineAssociationRules(adminTransactions(store), DefaultAssocConfig()); !reflect.DeepEqual(got, want) {
 		t.Errorf("rules after the race differ from a full pass\n got: %+v\nwant: %+v", got, want)
 	}
+}
+
+// stateCopy is a deep copy of the store's state, safe to hand to another
+// store's RestoreState: the copies' shapes carry no number, so the restore
+// numbers them in ID order.
+func stateCopy(s *storage.Store) *storage.StoreState {
+	st := s.CaptureState(nil)
+	for i, rec := range st.Records {
+		st.Records[i] = rec.Clone()
+	}
+	st.Shapes, st.NextShape = nil, 0
+	return st
 }

@@ -115,7 +115,9 @@ func TestBusResetOnRestore(t *testing.T) {
 		Rebuild: func() { rebuilds++ },
 	})
 	rebuilds = 0 // the one at registration
-	s2.RestoreState(st)
+	if err := s2.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
 	if mutations != 0 {
 		t.Errorf("restore emitted %d mutations, want 0", mutations)
 	}

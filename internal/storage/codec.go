@@ -11,68 +11,18 @@ import (
 )
 
 // The binary record codec. One encoder and one decoder serve every place a
-// QueryRecord or Mutation leaves memory: WAL frames, snapshot record chunks
-// and the replication stream (which ships those same frames).
+// QueryRecord or Mutation leaves memory: WAL frames, snapshot chunks and the
+// replication stream (which ships those same frames). The byte layout of
+// every payload — primitives, string tables, shape numbers, the mutation and
+// record bodies, and what older builds wrote that is still read — is
+// specified in internal/wal/FORMAT.md; the comments here name the pieces.
 //
-// Every payload starts with two bytes, the format version and a kind:
-//
-//	0x01 | kind | body
-//
-// For a mutation the kind is its op code (1..13, see opByCode); the snapshot
-// payloads use 0x40 and up. The first byte is never '{', so a payload
-// written by a JSON-era build is recognised and refused by name
-// (ErrPreBinaryPayload) instead of being misparsed.
-//
-// Body primitives (internal/wire): unsigned and zigzag varints, fixed 8-byte
-// little-endian words for hashes and float bits, and strings. A slice is
-// uvarint(0) when nil and uvarint(len+1) otherwise, so nil and empty survive
-// a round trip. A time is varint unix seconds, uvarint nanoseconds, varint
-// zone offset in seconds east of UTC — the instant and the offset RFC 3339
-// would print, including the zero time.
-//
-// Strings go through a per-record string table built as the payload is
-// written: the first occurrence of a string is a literal, uvarint(len<<1)
-// followed by the bytes, and takes the next table index; a repeat is the
-// back-reference uvarint(index<<1|1). Table, attribute and user names recur
-// many times inside one record (Tables, Attributes, Predicates, Features),
-// and Text, Canonical and Template are often the same string. The table
-// holds at most maxInterned strings; later literals are written but not
-// indexed. It is reset for every record, so each WAL payload and each record
-// inside a snapshot chunk decodes on its own.
-//
-// Mutation body: uvarint presence mask (one bit per field that is set, in
-// the order below), then the present fields in that order:
-//
-//	ID varint | Record | Annotation | Visibility varint | Session varint |
-//	Edge | Reason str | Stale (mask bit only) | Stats | Sample | Score f64
-//
-// Record body, every field always present, in this order:
-//
-//	ID varint | Text str | Canonical str | Template str | Fingerprint u64 |
-//	ExactHash u64 | User str | Group str | Visibility varint | IssuedAt time |
-//	Tables []str | Attributes [](Attr, Rel, Clause str) |
-//	Predicates [](Attr, Rel, Op, Const str, IsJoin bool, RightRel, RightAttr str) |
-//	Aggregates []str | GroupBy []str | Features []str | Stats |
-//	Sample presence byte + Sample | Annotations []Annotation |
-//	Session varint | flags byte (1 Valid, 2 StatsStale) | InvalidReason str |
-//	Quality f64
-//
-//	Stats:      ExecTime varint ns | ResultRows varint | ResultColumns varint |
-//	            Error str | SchemaVersion varint | ExecutedAt time
-//	Sample:     Columns []str | Rows [][]str | TotalRows varint | Truncated bool
-//	Annotation: Author str | Text str | Fragment str | At time
-//	Edge:       From varint | To varint | Type varint | Diff plain string (no table)
-//
-// Session and Edge are what older builds wrote when a mining pass copied the
-// session detector's windows into the log (op codes 5 and 6, and a session
-// ID on every record). Sessions now live in the detector alone: this build
-// writes a record's session slot as 0 and never sets the two mask bits, and
-// on read it checks and drops both fields, so those logs and snapshots still
-// open under payload format 1. Quality is what older builds wrote when a
-// maintenance pass stored each record's quality score (op code 12, and the
-// record's last word); it is computed on read now (QueryRecord.Quality), so
-// this build writes the record's quality slot as 8 zero bytes and never sets
-// the Score bit, and on read it drops both.
+// A record travels as two bodies: its shape (shapeBody: the text and what the
+// text determines) and its own fields (instanceBody). A shape is written
+// once, under its number (QueryShape.Number), by the put or replace-text
+// that entered it into the store's dictionary, and by every snapshot that
+// holds it; every other frame refers to it by number. An older build wrote
+// one body with both interleaved (parentRecord), which is still read.
 
 // PayloadFormat is the format version every payload starts with.
 const PayloadFormat = 1
@@ -127,8 +77,13 @@ const (
 	hasStats
 	hasSample
 	hasScore
+	hasShapedRecord
 	mutationMaskBits = iota
 )
+
+// maxShapeNumber bounds a shape number read from a payload, so that the
+// number and the counter after it never wrap.
+const maxShapeNumber = 1 << 62
 
 // Record flag bits.
 const (
@@ -145,6 +100,12 @@ const (
 // used under the store's commit lock) encodes without allocating. An Encoder
 // must not be used from two goroutines at once; the zero value is ready.
 type Encoder struct {
+	// InlineShapes, when set, makes every put and replace-text define its
+	// shape inline under its number instead of referring to it. The WAL
+	// manager sets it once an append has failed: a definition the failure
+	// dropped must never be the target of a later reference.
+	InlineShapes bool
+
 	// slots is an open-addressed hash table over strs: 0 is empty, otherwise
 	// the 1-based index of the interned string.
 	slots [256]uint8
@@ -237,37 +198,39 @@ func (e *Encoder) annotation(dst []byte, a *Annotation) []byte {
 	return appendTime(dst, a.At)
 }
 
-// recordBody appends a record body. It does not reset the string table:
-// inside a mutation the record shares it with the mutation's other fields.
-func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
-	dst = binary.AppendVarint(dst, int64(rec.ID))
-	dst = e.str(dst, rec.Text)
-	dst = e.str(dst, rec.Canonical)
-	dst = e.str(dst, rec.Template)
-	dst = binary.LittleEndian.AppendUint64(dst, rec.Fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, rec.ExactHash)
-	dst = e.str(dst, rec.User)
-	dst = e.str(dst, rec.Group)
-	dst = binary.AppendVarint(dst, int64(rec.Visibility))
-	dst = appendTime(dst, rec.IssuedAt)
-	dst = e.strSliceTo(dst, rec.Tables)
-	if rec.Attributes == nil {
+// shapeBody appends a shape's values: the text and canonical forms, both
+// hashes, then the feature relations.
+func (e *Encoder) shapeBody(dst []byte, sh *QueryShape) []byte {
+	return e.shapeFeatures(e.shapeHead(dst, sh), sh)
+}
+
+func (e *Encoder) shapeHead(dst []byte, sh *QueryShape) []byte {
+	dst = e.str(dst, sh.Text)
+	dst = e.str(dst, sh.Canonical)
+	dst = e.str(dst, sh.Template)
+	dst = binary.LittleEndian.AppendUint64(dst, sh.Fingerprint)
+	return binary.LittleEndian.AppendUint64(dst, sh.ExactHash)
+}
+
+func (e *Encoder) shapeFeatures(dst []byte, sh *QueryShape) []byte {
+	dst = e.strSliceTo(dst, sh.Tables)
+	if sh.Attributes == nil {
 		dst = append(dst, 0)
 	} else {
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Attributes))+1)
-		for i := range rec.Attributes {
-			a := &rec.Attributes[i]
+		dst = binary.AppendUvarint(dst, uint64(len(sh.Attributes))+1)
+		for i := range sh.Attributes {
+			a := &sh.Attributes[i]
 			dst = e.str(dst, a.Attr)
 			dst = e.str(dst, a.Rel)
 			dst = e.str(dst, a.Clause)
 		}
 	}
-	if rec.Predicates == nil {
+	if sh.Predicates == nil {
 		dst = append(dst, 0)
 	} else {
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Predicates))+1)
-		for i := range rec.Predicates {
-			p := &rec.Predicates[i]
+		dst = binary.AppendUvarint(dst, uint64(len(sh.Predicates))+1)
+		for i := range sh.Predicates {
+			p := &sh.Predicates[i]
 			dst = e.str(dst, p.Attr)
 			dst = e.str(dst, p.Rel)
 			dst = e.str(dst, p.Op)
@@ -277,9 +240,27 @@ func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
 			dst = e.str(dst, p.RightAttr)
 		}
 	}
-	dst = e.strSliceTo(dst, rec.Aggregates)
-	dst = e.strSliceTo(dst, rec.GroupBy)
-	dst = e.strSliceTo(dst, rec.Features)
+	dst = e.strSliceTo(dst, sh.Aggregates)
+	dst = e.strSliceTo(dst, sh.GroupBy)
+	return e.strSliceTo(dst, sh.Features)
+}
+
+// instanceBody appends a record's own fields, everything but its shape.
+func (e *Encoder) instanceBody(dst []byte, rec *QueryRecord) []byte {
+	dst = binary.AppendVarint(dst, int64(rec.ID))
+	dst = e.instanceHead(dst, rec)
+	dst = e.instanceRuns(dst, rec)
+	return e.instanceFlags(dst, rec)
+}
+
+func (e *Encoder) instanceHead(dst []byte, rec *QueryRecord) []byte {
+	dst = e.str(dst, rec.User)
+	dst = e.str(dst, rec.Group)
+	dst = binary.AppendVarint(dst, int64(rec.Visibility))
+	return appendTime(dst, rec.IssuedAt)
+}
+
+func (e *Encoder) instanceRuns(dst []byte, rec *QueryRecord) []byte {
 	dst = e.stats(dst, &rec.Stats)
 	if rec.Sample == nil {
 		dst = append(dst, 0)
@@ -288,14 +269,16 @@ func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
 		dst = e.sample(dst, rec.Sample)
 	}
 	if rec.Annotations == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Annotations))+1)
-		for i := range rec.Annotations {
-			dst = e.annotation(dst, &rec.Annotations[i])
-		}
+		return append(dst, 0)
 	}
-	dst = append(dst, 0) // the session slot
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Annotations))+1)
+	for i := range rec.Annotations {
+		dst = e.annotation(dst, &rec.Annotations[i])
+	}
+	return dst
+}
+
+func (e *Encoder) instanceFlags(dst []byte, rec *QueryRecord) []byte {
 	var flags byte
 	if rec.Valid {
 		flags |= flagValid
@@ -304,12 +287,44 @@ func (e *Encoder) recordBody(dst []byte, rec *QueryRecord) []byte {
 		flags |= flagStatsStale
 	}
 	dst = append(dst, flags)
-	dst = e.str(dst, rec.InvalidReason)
-	return binary.LittleEndian.AppendUint64(dst, 0) // the quality slot
+	return e.str(dst, rec.InvalidReason)
+}
+
+// shapedRecord appends the record of a put or replace-text: its shape's
+// number, shifted left one bit with the low bit set for a reference, then the
+// shape body unless it is a reference, then the record's own fields. The
+// shape is the one the store interned for the record (a replace-text's is
+// its new version's, not the caller's copy). It is defined inline when the
+// mutation entered it, when the encoder writes every shape inline, and when
+// no store holds it (its number is then the one it was read under, or 0);
+// otherwise the frame refers to it. A reference read from the log and not
+// yet applied is written back as it was. It returns false for a record with
+// neither a shape nor a reference.
+func (e *Encoder) shapedRecord(dst []byte, m *Mutation) ([]byte, bool) {
+	rec := m.Record
+	if m.shapeRef != 0 {
+		dst = binary.AppendUvarint(dst, m.shapeRef<<1|1)
+		return e.instanceBody(dst, rec), true
+	}
+	sh := rec.QueryShape
+	if m.Op == OpReplaceText && m.next != nil {
+		sh = m.next.QueryShape
+	}
+	if sh == nil {
+		return dst, false
+	}
+	if sh.interned && !m.entered && !e.InlineShapes {
+		dst = binary.AppendUvarint(dst, sh.seq<<1|1)
+	} else {
+		dst = binary.AppendUvarint(dst, sh.seq<<1)
+		dst = e.shapeBody(dst, sh)
+	}
+	return e.instanceBody(dst, rec), true
 }
 
 // AppendMutation appends the mutation's payload to dst. It fails only for an
-// op that has no code; dst is returned unchanged then.
+// op that has no code and for a record without a shape; dst is returned
+// unchanged then.
 func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	code, ok := opCodes[m.Op]
 	if !ok {
@@ -321,7 +336,7 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 		mask |= hasID
 	}
 	if m.Record != nil {
-		mask |= hasRecord
+		mask |= hasShapedRecord
 	}
 	if m.Annotation != nil {
 		mask |= hasAnnotation
@@ -341,13 +356,17 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Sample != nil {
 		mask |= hasSample
 	}
+	start := len(dst)
 	dst = append(dst, PayloadFormat, code)
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&hasID != 0 {
 		dst = binary.AppendVarint(dst, int64(m.ID))
 	}
-	if mask&hasRecord != 0 {
-		dst = e.recordBody(dst, m.Record)
+	if mask&hasShapedRecord != 0 {
+		var ok bool
+		if dst, ok = e.shapedRecord(dst, m); !ok {
+			return dst[:start], fmt.Errorf("storage: encoding mutation: the %s record has no shape", m.Op)
+		}
 	}
 	if mask&hasAnnotation != 0 {
 		dst = e.annotation(dst, m.Annotation)
@@ -371,7 +390,9 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 // own.
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
-// Encode serialises the mutation as one self-contained binary payload.
+// Encode serialises the mutation as one binary payload. A put or
+// replace-text whose shape a store already held refers to it by number, so
+// its payload decodes against the state its log prefix built.
 func (m *Mutation) Encode() ([]byte, error) {
 	e := encoderPool.Get().(*Encoder)
 	defer encoderPool.Put(e)
@@ -523,19 +544,21 @@ func (d *decoder) annotation(a *Annotation) {
 	a.At = d.time()
 }
 
-func (d *decoder) record() *QueryRecord {
-	sh := &QueryShape{}
-	rec := &QueryRecord{QueryShape: sh}
-	rec.ID = QueryID(d.r.Varint())
+// shape reads a shape body into sh.
+func (d *decoder) shape(sh *QueryShape) {
+	d.shapeHead(sh)
+	d.shapeFeatures(sh)
+}
+
+func (d *decoder) shapeHead(sh *QueryShape) {
 	sh.Text = d.str()
 	sh.Canonical = d.str()
 	sh.Template = d.str()
 	sh.Fingerprint = d.r.Uint64()
 	sh.ExactHash = d.r.Uint64()
-	rec.User = d.str()
-	rec.Group = d.str()
-	rec.Visibility = Visibility(d.r.Int())
-	rec.IssuedAt = d.time()
+}
+
+func (d *decoder) shapeFeatures(sh *QueryShape) {
 	sh.Tables = d.strSlice()
 	if n, ok := d.count(minAttributeBytes); ok {
 		sh.Attributes = make([]AttributeRow, n)
@@ -556,6 +579,24 @@ func (d *decoder) record() *QueryRecord {
 	sh.Aggregates = d.strSlice()
 	sh.GroupBy = d.strSlice()
 	sh.Features = d.strSlice()
+}
+
+// instance reads an instance body into rec.
+func (d *decoder) instance(rec *QueryRecord) {
+	rec.ID = QueryID(d.r.Varint())
+	d.instanceHead(rec)
+	d.instanceRuns(rec)
+	d.instanceFlags(rec)
+}
+
+func (d *decoder) instanceHead(rec *QueryRecord) {
+	rec.User = d.str()
+	rec.Group = d.str()
+	rec.Visibility = Visibility(d.r.Int())
+	rec.IssuedAt = d.time()
+}
+
+func (d *decoder) instanceRuns(rec *QueryRecord) {
 	d.stats(&rec.Stats)
 	if d.r.Bool() {
 		rec.Sample = d.sample()
@@ -566,7 +607,9 @@ func (d *decoder) record() *QueryRecord {
 			d.annotation(&rec.Annotations[i])
 		}
 	}
-	d.r.Varint() // the session slot: an older build's session ID, dropped
+}
+
+func (d *decoder) instanceFlags(rec *QueryRecord) {
 	flags := d.r.Byte()
 	if flags&^(flagValid|flagStatsStale) != 0 {
 		d.r.Fail(errors.New("unknown record flag"))
@@ -574,6 +617,54 @@ func (d *decoder) record() *QueryRecord {
 	rec.Valid = flags&flagValid != 0
 	rec.StatsStale = flags&flagStatsStale != 0
 	rec.InvalidReason = d.str()
+}
+
+// shapeNumber reads the shape number of a snapshot's shape or record.
+func (d *decoder) shapeNumber() uint64 {
+	return d.checkNumber(d.r.Uvarint())
+}
+
+func (d *decoder) checkNumber(num uint64) uint64 {
+	if num > maxShapeNumber {
+		d.r.Fail(fmt.Errorf("shape number %d out of range", num))
+	}
+	return num
+}
+
+// shapedRecord reads the record of a put or replace-text as this build writes
+// it (Encoder.shapedRecord). A reference is left unresolved on the mutation,
+// with no shape on the record; an inline shape keeps the number it was
+// defined under.
+func (d *decoder) shapedRecord(m *Mutation) {
+	rec := &QueryRecord{}
+	v := d.r.Uvarint()
+	num, ref := d.checkNumber(v>>1), v&1 == 1
+	if ref {
+		if num == 0 {
+			d.r.Fail(errors.New("reference to shape 0"))
+		}
+		m.shapeRef = num
+	} else {
+		rec.QueryShape = &QueryShape{seq: num}
+		d.shape(rec.QueryShape)
+	}
+	d.instance(rec)
+	m.Record = rec
+}
+
+// parentRecord reads a record body as builds before shape numbers wrote it:
+// shape and instance fields interleaved, with a session slot and a quality
+// slot this build drops.
+func (d *decoder) parentRecord() *QueryRecord {
+	sh := &QueryShape{}
+	rec := &QueryRecord{QueryShape: sh}
+	rec.ID = QueryID(d.r.Varint())
+	d.shapeHead(sh)
+	d.instanceHead(rec)
+	d.shapeFeatures(sh)
+	d.instanceRuns(rec)
+	d.r.Varint() // the session slot: an older build's session ID, dropped
+	d.instanceFlags(rec)
 	d.r.Uint64() // the quality slot: an older build's stored score, dropped
 	return rec
 }
@@ -621,8 +712,13 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 	if mask&hasID != 0 {
 		m.ID = QueryID(d.r.Varint())
 	}
-	if mask&hasRecord != 0 {
-		m.Record = d.record()
+	switch mask & (hasRecord | hasShapedRecord) {
+	case hasRecord:
+		m.Record = d.parentRecord()
+	case hasShapedRecord:
+		d.shapedRecord(m)
+	case hasRecord | hasShapedRecord:
+		return nil, fmt.Errorf("storage: decoding %s mutation: two records", m.Op)
 	}
 	if mask&hasAnnotation != 0 {
 		m.Annotation = &Annotation{}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -152,10 +153,7 @@ func TestMutationCodecMatchesReference(t *testing.T) {
 // what this build writes, whose slot is zero, and the op to its op and ID.
 func TestMutationCodecFloats(t *testing.T) {
 	rec := codecRecord(t, pointLookupSQL, 1)
-	payload, err := (&Mutation{Op: OpPut, Record: rec}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := parentPut(rec)
 	slot := payload[len(payload)-8:] // the record is the put's last field
 	if !bytes.Equal(slot, make([]byte, 8)) {
 		t.Fatalf("the quality slot is written as %x, want zeros", slot)
@@ -174,6 +172,42 @@ func TestMutationCodecFloats(t *testing.T) {
 		if out, err = DecodeMutation(op); err != nil || asJSON(t, out) != asJSON(t, &Mutation{Op: OpSetQuality, ID: 9}) {
 			t.Errorf("set-quality of %#x decoded to %+v, %v", bits, out, err)
 		}
+	}
+}
+
+// parentPut is a put as builds before shape numbers logged it: one record
+// body with the shape's and the record's fields interleaved, a session slot
+// and a quality slot.
+func parentPut(rec *QueryRecord) []byte {
+	var e Encoder
+	dst := binary.AppendUvarint([]byte{PayloadFormat, 1}, hasRecord)
+	dst = binary.AppendVarint(dst, int64(rec.ID))
+	dst = e.shapeHead(dst, rec.QueryShape)
+	dst = e.instanceHead(dst, rec)
+	dst = e.shapeFeatures(dst, rec.QueryShape)
+	dst = e.instanceRuns(dst, rec)
+	dst = append(dst, 0) // the session slot
+	dst = e.instanceFlags(dst, rec)
+	return binary.LittleEndian.AppendUint64(dst, 0) // the quality slot
+}
+
+// TestParentPutDecodes: a put an older build logged decodes to the record it
+// carried, with a shape that has no number, and re-encodes in this build's
+// form, defining the shape inline.
+func TestParentPutDecodes(t *testing.T) {
+	rec := codecRecord(t, joinHeavySQL, 3)
+	m, err := DecodeMutation(parentPut(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := asJSON(t, m), asJSON(t, &Mutation{Op: OpPut, Record: rec}); got != want {
+		t.Fatalf("decoded %.300s\nwant %.300s", got, want)
+	}
+	if m.Record.Number() != 0 || m.shapeRef != 0 {
+		t.Fatalf("an older build's put carries shape number %d, reference %d", m.Record.Number(), m.shapeRef)
+	}
+	if got := asJSON(t, binaryRoundTrip(t, m)); got != asJSON(t, m) {
+		t.Fatalf("re-encoded %.300s", got)
 	}
 }
 
@@ -240,7 +274,9 @@ func TestDecodeMutationRejects(t *testing.T) {
 		"format 2":        {2, 1, 0},
 		"op 0":            {PayloadFormat, 0, 0},
 		"op 14":           {PayloadFormat, 14, 0},
-		"snapshot header": AppendSnapshotHeader(nil, SnapshotHeader{}),
+		"snapshot header": AppendSnapshotHeader(nil, &StoreState{}),
+		"two records":     append(binary.AppendUvarint([]byte{PayloadFormat, 1}, hasRecord|hasShapedRecord), parentPut(codecRecord(t, pointLookupSQL, 1))[3:]...),
+		"ref to shape 0":  {PayloadFormat, 1, 0x80, 0x10, 1, 2},
 		"unknown field":   {PayloadFormat, 4, 0x80, 0x10},
 		"bad string ref":  {PayloadFormat, 7, hasReason, 3},
 	} {
@@ -272,60 +308,109 @@ func TestDecodedMutationOwnsItsMemory(t *testing.T) {
 }
 
 func TestSnapshotPayloads(t *testing.T) {
-	h := SnapshotHeader{NextID: 91, Records: 3, Edges: 2, Checkpoints: 1}
-	got, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, h))
-	if err != nil || got != h {
+	src := NewStore()
+	for i, text := range []string{joinHeavySQL, pointLookupSQL, joinHeavySQL} {
+		mustPut(t, src, codecRecord(t, text, QueryID(i+1)))
+	}
+	st := src.CaptureState(nil)
+	if len(st.Shapes) != 2 || st.NextShape != 3 || st.Records[2].QueryShape != st.Records[0].QueryShape {
+		t.Fatalf("captured %d shapes, counter %d", len(st.Shapes), st.NextShape)
+	}
+	want := SnapshotHeader{NextID: 3, Records: 3, Numbered: true, Shapes: 2, NextShape: 3}
+	if got, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, st)); err != nil || got != want {
 		t.Fatalf("header round trip = %+v, %v", got, err)
 	}
 	if _, err := DecodeSnapshotHeader([]byte(`{"nextId":1}`)); !errors.Is(err, ErrPreBinaryPayload) {
 		t.Errorf("JSON snapshot: err = %v, want ErrPreBinaryPayload", err)
 	}
+	if _, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, &StoreState{Shapes: st.Shapes, NextShape: 2})); err == nil {
+		t.Error("a counter of 2 for two shapes was accepted")
+	}
 
-	recs := []*QueryRecord{codecRecord(t, joinHeavySQL, 1), codecRecord(t, pointLookupSQL, 2), codecRecord(t, joinHeavySQL, 3)}
+	// One element per chunk at a limit below one element, each cut short
+	// refused without changing the staged state.
 	var enc Encoder
-	var decoded []*QueryRecord
-	chunks := 0
-	for rest := recs; len(rest) > 0; chunks++ {
-		p, n := enc.AppendRecordChunk(nil, rest, 1) // a limit below one record: one record per chunk
-		if n != 1 {
-			t.Fatalf("chunk took %d records at limit 1", n)
-		}
-		if isRec, count, err := ChunkCount(p); err != nil || !isRec || count != n {
-			t.Fatalf("ChunkCount = %v, %d, %v", isRec, count, err)
+	staged := &StoreState{NextShape: st.NextShape}
+	for rest := st.Shapes; len(rest) > 0; rest = rest[1:] {
+		p, n := enc.AppendShapeChunk(nil, rest, 1)
+		if kind, count, err := ChunkCount(p); err != nil || kind != ChunkShapes || count != n || n != 1 {
+			t.Fatalf("ChunkCount = %v, %d, %v", kind, count, err)
 		}
 		for cut := 0; cut < len(p); cut++ {
-			if out, err := DecodeRecordChunk(p[:cut], decoded); err == nil || len(out) != len(decoded) {
-				t.Fatalf("chunk cut to %d of %d bytes decoded", cut, len(p))
+			if err := DecodeShapeChunk(p[:cut], staged); err == nil || len(staged.Shapes) != 2-len(rest) {
+				t.Fatalf("shape chunk cut to %d of %d bytes decoded", cut, len(p))
 			}
 		}
-		if decoded, err = DecodeRecordChunk(p, decoded); err != nil {
+		if err := DecodeShapeChunk(p, staged); err != nil {
 			t.Fatal(err)
 		}
-		rest = rest[n:]
 	}
-	if chunks != 3 || len(decoded) != 3 {
-		t.Fatalf("%d chunks, %d records", chunks, len(decoded))
+	for rest := st.Records; len(rest) > 0; rest = rest[1:] {
+		p, n := enc.AppendRecordChunk(nil, rest, 1)
+		if kind, count, err := ChunkCount(p); err != nil || kind != ChunkRecords || count != n || n != 1 {
+			t.Fatalf("ChunkCount = %v, %d, %v", kind, count, err)
+		}
+		for cut := 0; cut < len(p); cut++ {
+			if err := DecodeRecordChunk(p[:cut], staged); err == nil || len(staged.Records) != 3-len(rest) {
+				t.Fatalf("record chunk cut to %d of %d bytes decoded", cut, len(p))
+			}
+		}
+		if err := DecodeRecordChunk(p, staged); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p, n := enc.AppendRecordChunk(nil, recs, 1<<20)
-	if n != 3 {
-		t.Fatalf("a roomy chunk took %d of 3 records", n)
+	for i, rec := range staged.Records {
+		got, _ := json.Marshal(rec)
+		want, _ := json.Marshal(st.Records[i])
+		if !bytes.Equal(got, want) || rec.Number() != st.Records[i].Number() {
+			t.Fatalf("record %d changed in the chunk", i)
+		}
 	}
-	all, err := DecodeRecordChunk(p, nil)
-	if err != nil {
+	if staged.Records[0].QueryShape != staged.Records[2].QueryShape {
+		t.Error("two records of one shape decoded to two shapes")
+	}
+
+	// Shapes out of order, a reference to a shape the snapshot does not
+	// hold, and numbers at the counter are refused.
+	shapes, _ := enc.AppendShapeChunk(nil, []*QueryShape{st.Shapes[1], st.Shapes[0]}, 1<<20)
+	if err := DecodeShapeChunk(shapes, &StoreState{NextShape: 3}); err == nil {
+		t.Error("shapes out of ascending order were accepted")
+	}
+	if err := DecodeShapeChunk(shapes[:0:0], &StoreState{NextShape: 3}); err == nil {
+		t.Error("an empty payload decoded as shapes")
+	}
+	if err := DecodeShapeChunk(shapes, &StoreState{NextShape: 2}); err == nil {
+		t.Error("a shape numbered at the counter was accepted")
+	}
+	records, _ := enc.AppendRecordChunk(nil, st.Records, 1<<20)
+	if err := DecodeRecordChunk(records, &StoreState{Shapes: staged.Shapes[:1], NextShape: 3}); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 2") {
+		t.Errorf("a dangling reference: %v", err)
+	}
+	if err := DecodeShapeChunk(records, &StoreState{NextShape: 3}); err == nil {
+		t.Error("a record chunk decoded as shapes")
+	}
+
+	// An older build's record chunk carries each record's shape.
+	parent := parentRecordChunk(st.Records)
+	if kind, count, err := ChunkCount(parent); err != nil || kind != ChunkParentRecords || count != 3 {
+		t.Fatalf("ChunkCount(older record chunk) = %v, %d, %v", kind, count, err)
+	}
+	older := &StoreState{}
+	if err := DecodeRecordChunk(parent, older); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range all {
+	for i, rec := range older.Records {
 		got, _ := json.Marshal(rec)
-		want, _ := json.Marshal(recs[i])
-		if !bytes.Equal(got, want) {
-			t.Fatalf("record %d changed in the chunk", i)
+		want, _ := json.Marshal(st.Records[i])
+		if !bytes.Equal(got, want) || rec.Number() != 0 {
+			t.Fatalf("older record %d decoded to %s", i, got)
 		}
 	}
 
 	// An edge chunk is only ever an older build's; it is checked and dropped.
 	ep := []byte(parentEdgeChunk)
-	if isRec, count, err := ChunkCount(ep); err != nil || isRec || count != 1 {
-		t.Fatalf("ChunkCount(edge chunk) = %v, %d, %v", isRec, count, err)
+	if kind, count, err := ChunkCount(ep); err != nil || kind != ChunkEdges || count != 1 {
+		t.Fatalf("ChunkCount(edge chunk) = %v, %d, %v", kind, count, err)
 	}
 	if err := SkipEdgeChunk(ep); err != nil {
 		t.Fatalf("SkipEdgeChunk: %v", err)
@@ -338,10 +423,10 @@ func TestSnapshotPayloads(t *testing.T) {
 	if err := SkipEdgeChunk(append(ep[:len(ep):len(ep)], 0)); err == nil {
 		t.Error("an edge chunk with a trailing byte was accepted")
 	}
-	if err := SkipEdgeChunk(p); err == nil {
+	if err := SkipEdgeChunk(records); err == nil {
 		t.Error("a record chunk read as edges")
 	}
-	if _, err := DecodeRecordChunk(ep, nil); err == nil {
+	if err := DecodeRecordChunk(ep, &StoreState{}); err == nil {
 		t.Error("an edge chunk decoded as records")
 	}
 
@@ -356,6 +441,18 @@ func TestSnapshotPayloads(t *testing.T) {
 			t.Errorf("a checkpoint part cut to %d bytes was accepted", cut)
 		}
 	}
+}
+
+// parentRecordChunk is a record chunk as builds before shape numbers wrote
+// it: each record one interleaved body (see parentPut).
+func parentRecordChunk(recs []*QueryRecord) []byte {
+	dst := binary.LittleEndian.AppendUint32([]byte{PayloadFormat, kindRecordChunk}, uint32(len(recs)))
+	for _, rec := range recs {
+		body := parentPut(rec)[3:] // without the format, op code and mask
+		dst = binary.AppendUvarint(dst, uint64(len(body)))
+		dst = append(dst, body...)
+	}
+	return dst
 }
 
 // Payloads an older build wrote, which this build can no longer produce: a
@@ -397,11 +494,76 @@ func TestParentSessionOpsDecodeToNothing(t *testing.T) {
 	}
 }
 
+// fuzzShapes are the shapes the store each fuzz input is applied to holds,
+// numbered 1 to 3.
+var fuzzShapes = func() []*QueryShape {
+	var out []*QueryShape
+	for _, text := range []string{joinHeavySQL, pointLookupSQL, "SELECT a FROM t"} {
+		rec, err := NewRecordFromSQL(text)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, rec.QueryShape)
+	}
+	return out
+}()
+
+// fuzzStore is a store holding a record of each of fuzzShapes.
+func fuzzStore(t testing.TB) *Store {
+	s := NewStore()
+	for _, sh := range fuzzShapes {
+		mustPut(t, s, &QueryRecord{QueryShape: sh.values(), User: "u"})
+	}
+	return s
+}
+
+// shapeFrames are puts and a replace-text as a store logs them against
+// fuzzStore's state: a new shape defined inline (number 4), a reference to a
+// live shape, a reference to a shape not yet defined, a dangling reference,
+// and a definition reusing a live number for other values.
+func shapeFrames(t testing.TB) map[string][]byte {
+	s := fuzzStore(t)
+	log := logRecorder(t, s)
+	mustPut(t, s, codecRecord(t, "SELECT b FROM t WHERE c = 1", 0))
+	mustPut(t, s, codecRecord(t, pointLookupSQL, 0))
+	if err := s.ReplaceText(1, freshRecord("SELECT a FROM t")); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{"inline": (*log)[0], "reference": (*log)[1], "replace-text reference": (*log)[2]}
+	forge := func(m *Mutation) []byte {
+		p, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ahead, dangling := &Mutation{Op: OpPut, Record: &QueryRecord{ID: 9}}, &Mutation{Op: OpPut, Record: &QueryRecord{ID: 9}}
+	ahead.shapeRef, dangling.shapeRef = 5, 99
+	out["reference before its definition"] = forge(ahead)
+	out["dangling reference"] = forge(dangling)
+	reused := codecRecord(t, "SELECT d FROM t", 9)
+	reused.seq = 2
+	out["number reused with other values"] = forge(&Mutation{Op: OpPut, Record: reused})
+	return out
+}
+
 // FuzzDecodeMutation: the decoder faces bytes from disk and from the
 // replication stream. It never panics, never returns a half-filled mutation,
 // and re-encoding what it accepted reaches a fixpoint: Encode(Decode(b))
-// decodes to the same mutation and encodes to itself.
+// decodes to the same mutation and encodes to itself. What it accepts is then
+// applied to a store holding three shapes, so shape references are resolved
+// too: the apply may fail, but never panics, and leaves a consistent
+// dictionary behind.
 func FuzzDecodeMutation(f *testing.F) {
+	frames := shapeFrames(f)
+	names := make([]string, 0, len(frames))
+	for name := range frames {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		f.Add(frames[name])
+	}
 	for _, m := range codecCases(f) {
 		if m.Record != nil && len(m.Record.Text) > 1<<16 {
 			continue
@@ -443,6 +605,11 @@ func FuzzDecodeMutation(f *testing.F) {
 		if !bytes.Equal(once, twice) {
 			t.Fatalf("Encode(Decode(b)) is not a fixpoint:\n once %x\ntwice %x", once, twice)
 		}
+		store := fuzzStore(t)
+		if err := store.Apply(m); err != nil {
+			return
+		}
+		checkDictionary(t, store, false)
 	})
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -65,6 +66,18 @@ type Mutation struct {
 	prev *QueryRecord
 	next *QueryRecord
 
+	// shapeRef is the number of the live shape the record of a put or
+	// replace-text read from the log refers to, while unresolved: its record
+	// then has no shape. Apply resolves it (resolveLocked) and Encode writes
+	// it back as the reference it was.
+	shapeRef uint64
+	// entered reports that applying the mutation entered its record's shape
+	// into the store's dictionary: its frame defines the shape inline, where
+	// every later frame refers to it by number. It is decided when the shape
+	// is interned, because a batch interns all its records before any of
+	// them is encoded.
+	entered bool
+
 	// walSeq is the WAL sequence the durability slot assigned this mutation
 	// (0 when the store runs without a WAL). It is not encoded (the frame
 	// carries the sequence); write paths use it to wait for group-commit
@@ -79,6 +92,19 @@ func (m *Mutation) SetWALSeq(seq uint64) { m.walSeq = seq }
 // WALSeq returns the WAL sequence the durability slot assigned (0 when the
 // mutation was not logged).
 func (m *Mutation) WALSeq() uint64 { return m.walSeq }
+
+// ErrUnknownShape reports a put or replace-text read from the log whose
+// shape number names no live shape, or a shape with other values: the log
+// does not belong to the state it is applied to.
+var ErrUnknownShape = errors.New("storage: shape number does not match the store")
+
+// targetID is the query a mutation writes to, for errors.
+func (m *Mutation) targetID() QueryID {
+	if m.Op == OpPut && m.Record != nil {
+		return m.Record.ID
+	}
+	return m.ID
+}
 
 // Prev returns the record version the mutation replaced (nil for a fresh
 // OpPut and for ops that do not touch a record). Populated only on mutations
@@ -265,7 +291,11 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		if !validID(m.Record.ID) {
 			return false, fmt.Errorf("storage: apply %s: query ID %d is outside [1, %d]", m.Op, m.Record.ID, MaxQueryID)
 		}
-		m.prev, m.next = s.insert(m.Record), m.Record
+		if err := s.index.resolveLocked(m); err != nil {
+			return false, err
+		}
+		m.prev, m.entered = s.insert(m.Record)
+		m.next = m.Record
 		return true, nil
 	case OpAnnotate:
 		if m.Annotation == nil {
@@ -326,11 +356,14 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		next, err := s.replaceText(rec, m.Record)
+		if err := s.index.resolveLocked(m); err != nil {
+			return false, err
+		}
+		m.next, m.entered, err = s.replaceText(rec, m.Record)
 		if err != nil {
 			return false, err
 		}
-		m.prev, m.next = rec, next
+		m.prev = rec
 		return true, nil
 	default:
 		return false, fmt.Errorf("storage: apply: unknown op %q", m.Op)
@@ -373,24 +406,28 @@ func (s *Store) update(id QueryID, same func(*QueryRecord) bool, mutate func(nex
 // path and WAL replay; replay of a Put whose ID already exists (a
 // snapshot/segment overlap) replaces the older copy in the same slot, so
 // recovery stays idempotent and scans keep ID order — the replaced version,
-// if any, is returned so bus subscribers can retract its contributions. A
-// view sees the record once the high-water mark covers its ID, which happens
-// after its slot holds it. Callers must hold the commit lock and have checked
-// the ID with validID.
-func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord) {
-	if old, ok := s.loadRecord(rec.ID); ok {
-		s.remove(old)
-		replaced = old
-	}
+// if any, is returned so bus subscribers can retract its contributions, with
+// whether the record entered its shape into the dictionary. A view sees the
+// record once the high-water mark covers its ID, which happens after its slot
+// holds it. Callers must hold the commit lock and have checked the ID with
+// validID.
+func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord, entered bool) {
+	replaced, _ = s.loadRecord(rec.ID)
 	s.index.mu.Lock()
-	s.index.addLocked(rec)
+	if replaced != nil {
+		entered = s.index.replaceLocked(replaced, rec)
+	} else {
+		entered = s.index.addLocked(rec)
+	}
 	s.index.mu.Unlock()
 	s.storeRecord(rec)
-	s.count.Add(1)
+	if replaced == nil {
+		s.count.Add(1)
+	}
 	if int64(rec.ID) > s.nextID.Load() {
 		s.nextID.Store(int64(rec.ID))
 	}
-	return replaced
+	return replaced, entered
 }
 
 // remove deletes a record from the indexes and empties its slot. Callers
@@ -405,19 +442,20 @@ func (s *Store) remove(rec *QueryRecord) {
 
 // replaceText publishes a record version with the shape of the update — its
 // text and feature relations — moving it to the shape of its new text, and
-// returns the new version. The move is one index critical section: the record
-// is posted on exactly one shape whenever a reader looks. A version that would
-// exceed MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers
-// must hold the commit lock.
-func (s *Store) replaceText(rec, updated *QueryRecord) (*QueryRecord, error) {
-	next := rec.shallowCopy()
+// returns the new version and whether it entered its shape into the
+// dictionary. The move is one index critical section: the record is posted on
+// exactly one shape whenever a reader looks. A version that would exceed
+// MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers must
+// hold the commit lock.
+func (s *Store) replaceText(rec, updated *QueryRecord) (next *QueryRecord, entered bool, err error) {
+	next = rec.shallowCopy()
 	next.QueryShape = updated.QueryShape
 	if err := admitRecord(next); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.index.mu.Lock()
-	s.index.retextLocked(rec, next)
+	entered = s.index.retextLocked(rec, next)
 	s.index.mu.Unlock()
 	s.storeRecord(next)
-	return next, nil
+	return next, entered, nil
 }

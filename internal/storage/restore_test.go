@@ -66,7 +66,9 @@ func TestRestoreStateResetsEverySubscriber(t *testing.T) {
 	for name, sub := range subs {
 		sub.attach(dst, name)
 	}
-	dst.RestoreState(st)
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
 	rebuilt := reg.HistogramVec("cqms_store_subscriber_rebuild_seconds", "", nil, "subscriber")
 	for name, sub := range subs {
 		if sub.rebuilds != 2 || sub.count != 5 {

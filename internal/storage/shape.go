@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -43,8 +44,12 @@ type QueryShape struct {
 	// gives it its seq.
 	text, canonical string   // lower-cased Text and Canonical: the search keys
 	tables          []string // lower-cased Tables: the byTable keys
-	// seq is the shape's creation rank in the dictionary. Trigram and table
-	// postings are kept in ascending seq so that intersecting them is a merge.
+	// seq is the shape's number: its creation rank in the dictionary, from
+	// 1, and the key the log and snapshots write in its place once it is
+	// defined (see Number). Trigram and table postings are kept in ascending
+	// seq so that intersecting them is a merge. A shape no store has
+	// interned carries 0, or the number the log it was read from defined it
+	// under.
 	seq uint64
 	// ids holds the ascending IDs of the stored records pointing at the
 	// shape: a copy-on-write bucket (appended in place, rebuilt on removal)
@@ -241,6 +246,12 @@ func (s *Store) ShapeOf(stmt sql.Statement, text string) *QueryShape {
 	return sh
 }
 
+// Number returns the shape's number in the store that holds it: its
+// creation rank, fixed by the log so that every store rebuilt from the log —
+// by replay, from a snapshot, or as a follower — numbers it alike. It is 0 for
+// a shape no store has numbered.
+func (sh *QueryShape) Number() uint64 { return sh.seq }
+
 // ShapeCount returns how many distinct shapes the store holds: one per
 // distinct text, unless records of one text carry different features (a log
 // written by an older analyzer).
@@ -281,27 +292,75 @@ func (ix *index) lookupLocked(sh *QueryShape) *QueryShape {
 }
 
 // internLocked points a record about to be published at the dictionary's
-// shape equal to its own, entering its shape when the dictionary holds no
-// equal one, and posts the record's ID on the shape. A record adopts a shape
-// only when every value is equal, so a replayed record whose features an
-// older analyzer extracted keeps a shape of its own. Callers must hold mu.
-func (ix *index) internLocked(rec *QueryRecord) {
+// shape for it and posts the record's ID on that shape. It reports whether the
+// record entered its shape, which the log then defines inline. A shape the
+// dictionary holds is adopted as it is; a definition read from the log enters
+// under the number the log gave it (resolveLocked checked that the number is
+// free); any other shape adopts the dictionary's equal one, or enters under
+// the next number. A record adopts a shape only when every value is equal, so
+// a replayed record whose features an older analyzer extracted keeps a shape
+// of its own. Callers must hold mu.
+func (ix *index) internLocked(rec *QueryRecord) (entered bool) {
 	sh := rec.QueryShape
-	if have := ix.lookupLocked(sh); have != nil {
-		have.derived = have.derived || sh.derived
-		sh = have
-	} else {
-		if sh.interned {
+	switch {
+	case sh.interned && ix.byNum[sh.seq] == sh:
+	case !sh.interned && sh.seq != 0 && ix.byNum[sh.seq] == nil:
+		sh.prepare()
+		ix.enterLocked(sh, sh.seq)
+		entered = true
+	default:
+		if have := ix.lookupLocked(sh); have != nil {
+			have.derived = have.derived || sh.derived
+			sh = have
+			break
+		}
+		if sh.interned || sh.seq != 0 {
 			// Interned before, by another store or by this one before its
-			// last record went; readers may hold it, so the copy is what
-			// gets keyed.
+			// last record went, and readers may hold it; or numbered by a
+			// log whose number is taken. The copy is what gets keyed.
 			sh = sh.values()
 		}
 		sh.prepare()
-		ix.enterLocked(sh)
+		ix.enterLocked(sh, ix.nextSeq)
+		entered = true
 	}
 	sh.ids = insertSorted(sh.ids, rec.ID)
 	rec.QueryShape = sh
+	return entered
+}
+
+// resolveLocked points the record of a put or replace-text read from the log
+// at the live shape its frame names: the one a reference names, or the one
+// already holding the number of an inline definition when both hold equal
+// values (a replay that overlaps its snapshot). A reference to a number no
+// live shape has, and a definition whose number a shape with other values
+// holds, are errors naming the number; nothing is changed then. Callers must
+// hold the commit lock.
+func (ix *index) resolveLocked(m *Mutation) error {
+	if m.shapeRef != 0 {
+		sh := ix.byNum[m.shapeRef]
+		if sh == nil {
+			return fmt.Errorf("%w: the %s of query %d refers to shape %d, which no live query has", ErrUnknownShape, m.Op, m.targetID(), m.shapeRef)
+		}
+		m.Record.QueryShape, m.shapeRef = sh, 0
+		return nil
+	}
+	sh := m.Record.QueryShape
+	if sh == nil {
+		return fmt.Errorf("storage: apply %s: the record has no shape", m.Op)
+	}
+	if sh.interned || sh.seq == 0 {
+		return nil
+	}
+	have := ix.byNum[sh.seq]
+	switch {
+	case have == nil:
+	case sameShape(have, sh):
+		m.Record.QueryShape = have
+	default:
+		return fmt.Errorf("%w: the %s of query %d defines shape %d, which a live shape with other values holds", ErrUnknownShape, m.Op, m.targetID(), sh.seq)
+	}
+	return nil
 }
 
 // releaseLocked removes a record leaving its shape from the shape's IDs,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -19,6 +20,16 @@ import (
 // equal, and every record points at a shape the dictionary holds.
 func checkShapes(t *testing.T, s *Store) {
 	t.Helper()
+	checkDictionary(t, s, true)
+}
+
+// checkDictionary is checkShapes with the check for two equal shapes left to
+// the caller: a log that overlaps its snapshot may define a shape under its
+// own number while an equal one is live under another. It also checks the
+// shape numbers: byNum holds exactly the dictionary's shapes, each under its
+// own number, all below the counter.
+func checkDictionary(t testing.TB, s *Store, distinct bool) {
+	t.Helper()
 	ids := map[*QueryShape][]QueryID{}
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
 		ids[rec.QueryShape] = append(ids[rec.QueryShape], rec.ID)
@@ -36,9 +47,12 @@ func checkShapes(t *testing.T, s *Store) {
 			if len(sh.ids) == 0 || !slices.Equal(sh.ids, ids[sh]) {
 				t.Errorf("shape of %q holds IDs %v, %v point at it", text, sh.ids, ids[sh])
 			}
+			if s.index.byNum[sh.seq] != sh || sh.seq == 0 || sh.seq >= s.index.nextSeq {
+				t.Errorf("shape of %q is numbered %d, counter %d, and byNum does not hold it there", text, sh.seq, s.index.nextSeq)
+			}
 			delete(ids, sh)
 			for _, other := range list[:i] {
-				if sameShape(sh, other) {
+				if distinct && sameShape(sh, other) {
 					t.Errorf("two equal shapes of %q", text)
 				}
 			}
@@ -47,8 +61,8 @@ func checkShapes(t *testing.T, s *Store) {
 	for sh, recs := range ids {
 		t.Errorf("records %v point at a shape of %q the dictionary does not hold", recs, sh.Text)
 	}
-	if n != s.index.nshapes {
-		t.Errorf("the dictionary counts %d shapes and holds %d", s.index.nshapes, n)
+	if n != s.index.nshapes || n != len(s.index.byNum) {
+		t.Errorf("the dictionary counts %d shapes, holds %d and numbers %d", s.index.nshapes, n, len(s.index.byNum))
 	}
 }
 
@@ -284,6 +298,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 		}
 		checkShapes(t, path.store)
 		checkTextIndex(t, path.store)
+		checkSameNumbers(t, path.name, path.store, s)
 	}
 
 	// Deleting every record empties the dictionary and its postings.
@@ -298,23 +313,49 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 }
 
 // snapshotRestore is what a snapshot and its restore do to a store: encode
-// every record into chunks, decode them and restore a new store from them.
+// its shapes and records into chunks, decode them and restore a new store
+// from them.
 func snapshotRestore(t *testing.T, s *Store) *Store {
 	t.Helper()
-	st := s.CaptureState(nil)
+	st, err := snapshotPayloads(s.CaptureState(nil), 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStore()
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// snapshotPayloads sends a captured state through the snapshot payloads: the
+// header, then shape and record chunks closed at limit bytes, each decoded
+// into a staged state.
+func snapshotPayloads(st *StoreState, limit int) (*StoreState, error) {
+	h, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, st))
+	if err != nil {
+		return nil, err
+	}
+	out := &StoreState{NextID: h.NextID, NextShape: h.NextShape}
 	var e Encoder
-	var decoded []*QueryRecord
-	for rest := st.Records; len(rest) > 0; {
-		chunk, n := e.AppendRecordChunk(nil, rest, 4<<10)
-		var err error
-		if decoded, err = DecodeRecordChunk(chunk, decoded); err != nil {
-			t.Fatal(err)
+	for rest := st.Shapes; len(rest) > 0; {
+		chunk, n := e.AppendShapeChunk(nil, rest, limit)
+		if err := DecodeShapeChunk(chunk, out); err != nil {
+			return nil, err
 		}
 		rest = rest[n:]
 	}
-	restored := NewStore()
-	restored.RestoreState(&StoreState{NextID: st.NextID, Records: decoded})
-	return restored
+	for rest := st.Records; len(rest) > 0; {
+		chunk, n := e.AppendRecordChunk(nil, rest, limit)
+		if err := DecodeRecordChunk(chunk, out); err != nil {
+			return nil, err
+		}
+		rest = rest[n:]
+	}
+	if len(out.Shapes) != h.Shapes || len(out.Records) != h.Records {
+		return nil, fmt.Errorf("decoded %d shapes and %d records, the header announced %d and %d", len(out.Shapes), len(out.Records), h.Shapes, h.Records)
+	}
+	return out, nil
 }
 
 // TestSameTextDifferentFeaturesStayDistinct: a record adopts a shape only
@@ -471,4 +512,191 @@ func TestSharedShapesUnderConcurrentWrites(t *testing.T) {
 	readers.Wait()
 	checkShapes(t, s)
 	checkTextIndex(t, s)
+}
+
+// checkSameNumbers holds a store rebuilt from the log to the numbers the live
+// store gave its shapes: every record's shape number and the counter.
+func checkSameNumbers(t testing.TB, name string, got, want *Store) {
+	t.Helper()
+	want.Snapshot().scanAll(func(rec *QueryRecord) bool {
+		if other, ok := got.loadRecord(rec.ID); !ok || other.Number() != rec.Number() {
+			t.Errorf("%s: query %d's shape is numbered %d, the live store's %d", name, rec.ID, other.Number(), rec.Number())
+		}
+		return true
+	})
+	if g, w := got.index.nextSeq, want.index.nextSeq; g != w {
+		t.Errorf("%s: the shape counter reads %d, the live store's %d", name, g, w)
+	}
+}
+
+// logRecorder logs what a store emits as the WAL does: each mutation encoded
+// right after it applied.
+func logRecorder(t testing.TB, s *Store) *[][]byte {
+	var payloads [][]byte
+	s.SetMutationHook(func(m *Mutation) error {
+		p, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+		return nil
+	})
+	return &payloads
+}
+
+// frameShape reports how a logged put or replace-text carries its shape: the
+// number it defines inline, or the number it refers to.
+func frameShape(t testing.TB, p []byte) (inline, ref uint64) {
+	t.Helper()
+	m, err := DecodeMutation(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.shapeRef != 0 {
+		return 0, m.shapeRef
+	}
+	return m.Record.Number(), 0
+}
+
+// TestShapeNumbersInTheLog: the put or replace-text that enters a shape
+// defines it inline under its number, every later one refers to it, a shape
+// that left with its last record is entered again under a new number, and a
+// replay numbers every shape as the live store did.
+func TestShapeNumbersInTheLog(t *testing.T) {
+	s := NewStore()
+	log := logRecorder(t, s)
+	x, y, z := shapeTexts[0], shapeTexts[2], shapeTexts[3]
+	a := mustPut(t, s, freshRecord(x))
+	b := mustPut(t, s, freshRecord(x))
+	batch := mustPutBatch(t, s, []*QueryRecord{freshRecord(y), freshRecord(y)})
+	for _, id := range []QueryID{a, b} {
+		if err := s.Delete(id, admin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustPut(t, s, freshRecord(x))
+	if err := s.ReplaceText(batch[0], freshRecord(x)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceText(batch[1], freshRecord(z)); err != nil {
+		t.Fatal(err)
+	}
+	type form struct{ inline, ref uint64 }
+	want := []form{{inline: 1}, {ref: 1}, {inline: 2}, {ref: 2}, {}, {}, {inline: 3}, {ref: 3}, {inline: 4}}
+	if len(*log) != len(want) {
+		t.Fatalf("%d frames logged, want %d", len(*log), len(want))
+	}
+	for i, p := range *log {
+		if p[1] == 4 { // a delete
+			continue
+		}
+		if inline, ref := frameShape(t, p); (form{inline, ref}) != want[i] {
+			t.Errorf("frame %d carries inline %d, reference %d; want %+v", i, inline, ref, want[i])
+		}
+	}
+	replica := NewStore()
+	for _, p := range *log {
+		m, err := DecodeMutation(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkShapes(t, replica)
+	checkSameNumbers(t, "replay", replica, s)
+}
+
+// TestUnresolvableShapesAreRefused: a frame whose shape number the store
+// cannot resolve — a reference read before its definition, a reference to a
+// shape that left, a definition whose number a shape with other values holds
+// — is an error naming the number, from Apply and from RestoreState, and
+// changes nothing. A definition whose number holds an equal shape is taken as
+// the same shape, as a replay that overlaps its snapshot needs.
+func TestUnresolvableShapesAreRefused(t *testing.T) {
+	s := NewStore()
+	log := logRecorder(t, s)
+	mustPut(t, s, freshRecord(shapeTexts[0]))
+	mustPut(t, s, freshRecord(shapeTexts[0]))
+	id := mustPut(t, s, freshRecord(shapeTexts[2]))
+	if err := s.ReplaceText(id, freshRecord(shapeTexts[0])); err != nil {
+		t.Fatal(err)
+	}
+	define, refer, retext := (*log)[0], (*log)[1], (*log)[3]
+	apply := func(to *Store, p []byte) error {
+		m, err := DecodeMutation(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return to.Apply(m)
+	}
+
+	fresh := NewStore()
+	if err := apply(fresh, refer); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 1") {
+		t.Errorf("a reference before its definition: %v", err)
+	}
+	if fresh.Count() != 0 || fresh.ShapeCount() != 0 {
+		t.Fatalf("a refused reference left %d records and %d shapes", fresh.Count(), fresh.ShapeCount())
+	}
+
+	// Defined, then gone with its last record: a later reference dangles.
+	if err := apply(fresh, define); err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(fresh, define); err != nil || fresh.ShapeCount() != 1 {
+		t.Fatalf("the same definition again: %v, %d shapes", err, fresh.ShapeCount())
+	}
+	if rec, _ := fresh.loadRecord(1); rec.Number() != 1 || fresh.index.byNum[1] != rec.QueryShape {
+		t.Fatalf("the same definition again over the only record of shape 1 numbered it %d", rec.Number())
+	}
+	if err := fresh.Apply(&Mutation{Op: OpDelete, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(fresh, refer); !errors.Is(err, ErrUnknownShape) {
+		t.Errorf("a reference to a shape that left: %v", err)
+	}
+
+	// Number 1 defined again with other values while it is live.
+	if err := apply(fresh, define); err != nil {
+		t.Fatal(err)
+	}
+	other := &Mutation{Op: OpPut, Record: freshRecord(shapeTexts[3])}
+	other.Record.ID, other.Record.seq = 7, 1
+	p, err := other.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(fresh, p); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 1") {
+		t.Errorf("a definition of a live number with other values: %v", err)
+	}
+	m, err := DecodeMutation(retext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ID, m.shapeRef = 1, 9
+	if err := fresh.Apply(m); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 9") {
+		t.Errorf("a replace-text referring to no live shape: %v", err)
+	}
+	if fresh.Count() != 1 {
+		t.Fatalf("a refused definition left %d records", fresh.Count())
+	}
+	checkShapes(t, fresh)
+
+	// RestoreState holds a state's records to its shapes, and takes no
+	// shape a store holds. (The snapshot reader enforces the rest of the
+	// format: shapes in ascending number, each with a record.)
+	st := s.CaptureState(nil)
+	dangling := &StoreState{Records: []*QueryRecord{{ID: 1, QueryShape: &QueryShape{Text: "t", seq: 5}}}, NextShape: 6}
+	for name, bad := range map[string]*StoreState{"dangling": dangling, "captured": st} {
+		if err := fresh.RestoreState(bad); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+	if err := fresh.RestoreState(dangling); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 5") {
+		t.Errorf("dangling: %v", err)
+	}
+	if fresh.Count() != 1 {
+		t.Fatalf("a refused restore left %d records", fresh.Count())
+	}
 }

@@ -231,6 +231,9 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 	if admitted == 0 {
 		return errs // nothing to commit: a refusal never takes the lock
 	}
+	// One mutation per record, allocated together: interning decides which
+	// of them define their shape, and the bus sees them once all are in.
+	muts := make([]Mutation, len(recs))
 	s.lockCommit()
 	for i, rec := range recs {
 		if !stored(i) {
@@ -247,17 +250,18 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		// New records start valid unless the producer already marked them
 		// invalid (raw-captured parse failures carry their reason in).
 		rec.Valid = rec.InvalidReason == ""
-		s.insert(rec)
+		// Stored records are immutable, so the bus references the record
+		// itself.
+		muts[i] = Mutation{Op: OpPut, Record: rec, next: rec}
+		_, muts[i].entered = s.insert(rec)
 		ids[i] = rec.ID
 	}
 	var logErr error
-	for i, rec := range recs {
+	for i := range recs {
 		if !stored(i) {
 			continue
 		}
-		// Stored records are immutable, so the bus references the record
-		// itself.
-		if err := s.emit(&Mutation{Op: OpPut, Record: rec, next: rec}, false); err != nil && logErr == nil {
+		if err := s.emit(&muts[i], false); err != nil && logErr == nil {
 			logErr = err
 		}
 	}

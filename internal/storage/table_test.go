@@ -75,12 +75,11 @@ func TestOutOfRangeIDsAreRefused(t *testing.T) {
 		if s.HighWater() != 1 || s.Count() != 1 {
 			t.Fatalf("after refusing %d: high water %d, count %d; want 1, 1", id, s.HighWater(), s.Count())
 		}
-		var e Encoder
-		chunk, _ := e.AppendRecordChunk(nil, []*QueryRecord{rec}, 1<<20)
-		if _, err := DecodeRecordChunk(chunk, nil); err == nil {
+		rec.seq = 1
+		if _, err := snapshotPayloads(&StoreState{Records: []*QueryRecord{rec}, Shapes: []*QueryShape{rec.QueryShape}, NextShape: 2}, 1<<20); err == nil {
 			t.Errorf("DecodeRecordChunk accepted record ID %d", id)
 		}
-		header := AppendSnapshotHeader(nil, SnapshotHeader{NextID: id})
+		header := AppendSnapshotHeader(nil, &StoreState{NextID: id})
 		if _, err := DecodeSnapshotHeader(header); (err == nil) != (id == 0) {
 			t.Errorf("DecodeSnapshotHeader(NextID %d): err %v", id, err)
 		}
@@ -284,7 +283,9 @@ func TestRecordTableMatchesMapOracle(t *testing.T) {
 		switch op := rng.Intn(20); {
 		case step == steps/2:
 			what = "restore"
-			s.RestoreState(s.State())
+			if err := s.RestoreState(s.State()); err != nil {
+				t.Fatal(err)
+			}
 		case step == steps/3:
 			// A replayed put two leaves past the high-water mark: the leaf in
 			// between is never allocated.

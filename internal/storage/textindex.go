@@ -41,6 +41,11 @@ type index struct {
 	// always one per text. nshapes counts them all.
 	shapes  map[string][]*QueryShape
 	nshapes int
+	// byNum holds the same shapes by number (QueryShape.seq), the key the
+	// log and snapshots refer to a shape by. nextSeq is the number the next
+	// new shape takes: one more than the highest number ever entered, so a
+	// number is never reused while a log can still refer to it.
+	byNum   map[uint64]*QueryShape
 	nextSeq uint64
 	// trigrams and byTable (keyed by lower-cased table name) hold shapes in
 	// ascending seq.
@@ -58,6 +63,8 @@ type index struct {
 func (ix *index) reset() {
 	ix.shapes = make(map[string][]*QueryShape)
 	ix.nshapes = 0
+	ix.byNum = make(map[uint64]*QueryShape)
+	ix.nextSeq = 1
 	ix.trigrams = make(map[trigram][]*QueryShape)
 	ix.byTable = make(map[string][]*QueryShape)
 	ix.byUser = make(map[string][]QueryID)
@@ -82,20 +89,31 @@ func distinctTrigrams(strs ...string) []trigram {
 	return slices.Compact(out)
 }
 
-// postShape appends a shape entering the dictionary to a bucket: it is the
-// newest, so wherever it is already posted it is the bucket's last element
-// and a repeated key needs no other check.
+// postShape adds a shape entering the dictionary to a bucket, keeping it in
+// ascending seq. A shape almost always enters with the highest number, so
+// wherever it is already posted it is the bucket's last element and the
+// append needs no other check; one replayed out of order (a log that
+// overlaps its snapshot) is inserted into a fresh copy of the bucket.
 func postShape[K comparable](m map[K][]*QueryShape, key K, sh *QueryShape) {
-	if b := m[key]; len(b) == 0 || b[len(b)-1] != sh {
+	b := m[key]
+	switch n := len(b); {
+	case n > 0 && b[n-1] == sh:
+	case n == 0 || b[n-1].seq < sh.seq:
 		m[key] = append(b, sh)
+	default:
+		i := sort.Search(n, func(i int) bool { return b[i].seq >= sh.seq })
+		if b[i] != sh {
+			m[key] = slices.Insert(slices.Clip(b), i, sh)
+		}
 	}
 }
 
-// enterLocked adds a prepared shape to the dictionary and posts it under its
-// trigrams and tables. Callers must hold mu.
-func (ix *index) enterLocked(sh *QueryShape) {
-	sh.seq, sh.interned = ix.nextSeq, true
-	ix.nextSeq++
+// enterLocked adds a prepared shape to the dictionary under number num and
+// posts it under its trigrams and tables. Callers must hold mu.
+func (ix *index) enterLocked(sh *QueryShape, num uint64) {
+	sh.seq, sh.interned = num, true
+	ix.byNum[num] = sh
+	ix.nextSeq = max(ix.nextSeq, num+1)
 	ix.shapes[sh.Text] = append(ix.shapes[sh.Text], sh)
 	ix.nshapes++
 	eachTrigram(func(tg trigram) { postShape(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
@@ -108,6 +126,7 @@ func (ix *index) enterLocked(sh *QueryShape) {
 // and from every posting. Callers must hold mu.
 func (ix *index) leaveLocked(sh *QueryShape) {
 	removeFromBucket(ix.shapes, sh.Text, sh)
+	delete(ix.byNum, sh.seq)
 	ix.nshapes--
 	eachTrigram(func(tg trigram) { removeFromBucket(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
 	for _, t := range sh.tables {
@@ -116,18 +135,43 @@ func (ix *index) leaveLocked(sh *QueryShape) {
 }
 
 // addLocked indexes a record about to be published, pointing it at its
-// interned shape. Callers must hold mu.
-func (ix *index) addLocked(rec *QueryRecord) {
-	ix.internLocked(rec)
+// interned shape, and reports whether the record entered that shape into the
+// dictionary. Callers must hold mu.
+func (ix *index) addLocked(rec *QueryRecord) (entered bool) {
+	entered = ix.internLocked(rec)
+	ix.postLocked(rec)
+	return entered
+}
+
+// removeLocked de-indexes a record being deleted. Callers must hold mu.
+func (ix *index) removeLocked(rec *QueryRecord) {
+	ix.releaseLocked(rec)
+	ix.unpostLocked(rec)
+}
+
+// replaceLocked re-indexes a record put again over its own ID (a replay that
+// overlaps its snapshot) and reports whether the new version entered its
+// shape into the dictionary. The new version is interned before the old one
+// leaves its shape, so a put replayed over the only record of its shape keeps
+// that shape, and its number. Callers must hold mu.
+func (ix *index) replaceLocked(old, rec *QueryRecord) (entered bool) {
+	ix.unpostLocked(old)
+	entered = ix.retextLocked(old, rec)
+	ix.postLocked(rec)
+	return entered
+}
+
+// postLocked posts a record's ID by user and, if it carries annotations,
+// among the annotated. Callers must hold mu.
+func (ix *index) postLocked(rec *QueryRecord) {
 	ix.byUser[rec.User] = insertSorted(ix.byUser[rec.User], rec.ID)
 	if len(rec.Annotations) > 0 {
 		ix.annotated = insertSorted(ix.annotated, rec.ID)
 	}
 }
 
-// removeLocked de-indexes a record being deleted. Callers must hold mu.
-func (ix *index) removeLocked(rec *QueryRecord) {
-	ix.releaseLocked(rec)
+// unpostLocked undoes postLocked. Callers must hold mu.
+func (ix *index) unpostLocked(rec *QueryRecord) {
 	removeFromBucket(ix.byUser, rec.User, rec.ID)
 	if len(rec.Annotations) > 0 {
 		ix.annotated = removeElem(ix.annotated, rec.ID)
@@ -136,12 +180,14 @@ func (ix *index) removeLocked(rec *QueryRecord) {
 
 // retextLocked moves a record whose text was replaced (next is the version
 // about to be published, with the new shape) to the interned shape of its new
-// text, which may be the one it has. Callers must hold mu.
-func (ix *index) retextLocked(old, next *QueryRecord) {
-	ix.internLocked(next)
+// text, which may be the one it has, and reports whether next entered its
+// shape into the dictionary. Callers must hold mu.
+func (ix *index) retextLocked(old, next *QueryRecord) (entered bool) {
+	entered = ix.internLocked(next)
 	if next.QueryShape != old.QueryShape {
 		ix.releaseLocked(old)
 	}
+	return entered
 }
 
 // annotate records that a query received its first annotation.

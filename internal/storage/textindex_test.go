@@ -187,7 +187,15 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			s.RestoreState(s.State())
+			// A numbered state keeps s's shape numbers, so the
+			// replica's later frames still resolve.
+			st, err := snapshotPayloads(s.CaptureState(nil), 4<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
 		}
 		checkTextIndex(t, s)
 		checkTextIndex(t, replica)

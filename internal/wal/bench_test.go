@@ -153,7 +153,9 @@ func BenchmarkSnapshotWriteRestore(b *testing.B) {
 						b.Fatalf("LatestSnapshot = %v, %v", snap, err)
 					}
 					restored = storage.NewStore()
-					restored.RestoreState(snap.State)
+					if err := restored.RestoreState(snap.State); err != nil {
+						b.Fatal(err)
+					}
 				})
 				if restored.Count() != n {
 					b.Fatalf("restored %d records, want %d", restored.Count(), n)

@@ -122,9 +122,12 @@ type Manager struct {
 
 	// appendErr records the first log-append or durability-wait failure. The
 	// write that hit it got the error back (storage.ErrNotDurable); this copy
-	// is for Err, Info and Close.
+	// is for Err, Info and Close. failed is set with it, and from then on
+	// every frame defines its shape inline: a failed write may have dropped a
+	// definition, and no later frame may refer to it.
 	errMu     sync.Mutex
 	appendErr error
+	failed    atomic.Bool
 
 	// met holds the manager's instruments; nil when cfg.Metrics was nil.
 	// Set once in Open before the mutation hook is installed.
@@ -167,7 +170,10 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	if snap != nil {
 		// Only now, with the stream read and checked to its last chunk, does
 		// anything reach the store.
-		store.RestoreState(snap.State)
+		if err := store.RestoreState(snap.State); err != nil {
+			log.Close()
+			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snap.Info.Name, err)
+		}
 		snapSeq = snap.Seq
 		info.SnapshotSeq, info.SnapshotRecords, info.SnapshotFrames = snap.Seq, snap.Info.Records, snap.Info.Frames
 		snapInfos[snap.Seq] = snap.Info
@@ -227,6 +233,7 @@ func (m *Manager) appendMutation(mut *storage.Mutation) error {
 	if m.met != nil {
 		start = time.Now()
 	}
+	m.enc.InlineShapes = m.failed.Load()
 	payload, err := m.enc.AppendMutation(m.encBuf[:0], mut)
 	if err != nil {
 		return m.recordErr(fmt.Errorf("wal: %w", err))
@@ -259,6 +266,7 @@ func (m *Manager) waitDurable(seq uint64) error {
 // recordErr keeps the first non-nil error for Err and returns err as given.
 func (m *Manager) recordErr(err error) error {
 	if err != nil {
+		m.failed.Store(true)
 		m.errMu.Lock()
 		if m.appendErr == nil {
 			m.appendErr = err

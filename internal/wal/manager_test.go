@@ -115,11 +115,11 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 // and of index-backed search results.
 func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	t.Helper()
-	wantJSON, err := json.Marshal(want.State())
+	wantJSON, err := json.Marshal(want.CaptureState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, err := json.Marshal(got.State())
+	gotJSON, err := json.Marshal(got.CaptureState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,11 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 	buildStore(t, store, 20)
 	// Capture the state before the final mutation: that mutation's log record
 	// is about to be torn, so recovery must land exactly here.
-	want := store.State()
+	want := store.CaptureState(nil)
+	for i, rec := range want.Records {
+		want.Records[i] = rec.Clone()
+	}
+	want.Shapes, want.NextShape = nil, 0
 	rec, err := storage.NewRecordFromSQL("SELECT Observations.id FROM Observations")
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +322,9 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 		t.Fatal("recovery did not report the torn tail")
 	}
 	wantStore := storage.NewStore()
-	wantStore.RestoreState(want)
+	if err := wantStore.RestoreState(want); err != nil {
+		t.Fatal(err)
+	}
 	assertStoresEqual(t, wantStore, recovered)
 
 	// The torn record's sequence is reused by the next mutation.

@@ -127,3 +127,66 @@ func TestNotDurableUnderSyncInterval(t *testing.T) {
 		t.Error("Err() is nil after a failed write")
 	}
 }
+
+// TestFramesDefineTheirShapesAfterAFailedWrite: a failed write may have
+// dropped the frame that defined a shape, so once the manager has seen an
+// append or fsync fail, every frame it encodes defines its shape inline,
+// the shapes the store already held included, and none refers to one by
+// number. The directory the failure leaves behind recovers: no frame in it
+// refers to a shape no frame before it defined.
+func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
+	cfg := DefaultConfig(t.TempDir())
+	cfg.SyncPolicy = "always"
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastFrame := func() (inline uint64, ref bool) {
+		t.Helper()
+		m, err := storage.DecodeMutation(mgr.encBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Record.QueryShape == nil {
+			return 0, true // a reference decodes with its shape unresolved
+		}
+		return m.Record.Number(), false
+	}
+	text := func(i int) *storage.QueryRecord { return notDurableRecord(t, i%2) }
+	mustPut(t, store, text(0))
+	mustPut(t, store, text(0))
+	if _, ref := lastFrame(); !ref {
+		t.Fatal("a healthy log defined a live shape again")
+	}
+	breakLog(t, mgr)
+	if _, err := store.Put(text(1)); !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("the write that meets the failure: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := store.Put(text(i)); !errors.Is(err, storage.ErrNotDurable) {
+			t.Fatalf("put %d after the failure: %v", i, err)
+		}
+		if num, ref := lastFrame(); ref || num != uint64(1+i%2) {
+			t.Fatalf("put %d after the failure: frame defines shape %d, refers: %v; want shape %d inline", i, num, ref, 1+i%2)
+		}
+	}
+	repaired := text(1)
+	if err := store.ReplaceText(1, repaired); !errors.Is(err, storage.ErrNotDurable) {
+		t.Fatalf("replace-text after the failure: %v", err)
+	}
+	if num, ref := lastFrame(); ref || num != 2 {
+		t.Fatalf("replace-text after the failure: frame defines shape %d, refers: %v; want shape 2 inline", num, ref)
+	}
+	mgr.Close()
+
+	reopened := storage.NewStore()
+	mgr2, rec, err := Open(reopened, cfg)
+	if err != nil {
+		t.Fatalf("recovering the directory a failed write left: %v", err)
+	}
+	defer mgr2.Close()
+	if reopened.Count() != 2 || rec.Replayed != 2 {
+		t.Fatalf("recovered %d records from %d frames; want the 2 acknowledged ones", reopened.Count(), rec.Replayed)
+	}
+}

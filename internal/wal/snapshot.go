@@ -14,17 +14,19 @@ import (
 // A snapshot file is a stream of CRC frames (the log's framing), every one
 // carrying the last log sequence the snapshot covers:
 //
-//	frame 0       header: next ID and how many records, edges and checkpoint
-//	              sections follow
-//	frames 1..    record chunks, about snapshotChunkBytes each, in insertion
-//	              order, until the header's record count is reached
-//	then          edge chunks, until the header's edge count is reached
-//	then          checkpoint sections, each cut into one or more parts
+//	frame 0       header: next ID, the record count, the shape count and the
+//	              shape counter
+//	frames 1..    shape chunks, about snapshotChunkBytes each, in ascending
+//	              shape number, until the header's shape count is reached
+//	then          record chunks in ID order, each record naming its shape by
+//	              number, until the header's record count is reached
 //
-// Edge chunks and checkpoint sections appear only in a snapshot an older
-// build wrote: this build writes counts of 0 for both. An older snapshot's
-// edge chunks are checked and dropped, and its sections are checked part by
-// part and skipped; every derived-state subscriber rebuilds from the records.
+// An older build's snapshot has another header, record chunks whose records
+// carry their shapes, then session edge chunks and checkpoint sections, each
+// section cut into one or more parts. Its edge chunks are checked and
+// dropped, and its sections are checked part by part and skipped; every
+// derived-state subscriber rebuilds from the records. FORMAT.md specifies
+// the bytes.
 //
 // The payloads are storage's (storage/snapshot.go); this file frames them.
 // Writing and reading both go chunk by chunk, so neither ever holds an
@@ -102,6 +104,12 @@ func WriteSnapshot(dir string, seq uint64, st *storage.StoreState) (string, Snap
 
 func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState) (SnapshotInfo, error) {
 	info := SnapshotInfo{Seq: seq, Records: len(st.Records)}
+	for _, rec := range st.Records {
+		if rec.Number() == 0 {
+			// Its chunk would not read back: st is not a store's capture.
+			return info, fmt.Errorf("query %d has a shape no store numbered", rec.ID)
+		}
+	}
 	var payload, frame []byte
 	emit := func() error {
 		if len(payload) > maxPayloadBytes {
@@ -114,11 +122,19 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState) (Snaps
 		return err
 	}
 
-	payload = storage.AppendSnapshotHeader(payload[:0], storage.SnapshotHeader{NextID: st.NextID, Records: len(st.Records)})
+	payload = storage.AppendSnapshotHeader(payload[:0], st)
 	if err := emit(); err != nil {
 		return info, err
 	}
 	var enc storage.Encoder
+	for shapes := st.Shapes; len(shapes) > 0; {
+		var n int
+		payload, n = enc.AppendShapeChunk(payload[:0], shapes, snapshotChunkBytes)
+		if err := emit(); err != nil {
+			return info, err
+		}
+		shapes = shapes[n:]
+	}
 	for recs := st.Records; len(recs) > 0; {
 		var n int
 		payload, n = enc.AppendRecordChunk(payload[:0], recs, snapshotChunkBytes)
@@ -160,10 +176,11 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		return nil, err
 	}
 	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Frames: 1, Bytes: frameLen}}
-	st := &storage.StoreState{NextID: h.NextID}
+	st := &storage.StoreState{NextID: h.NextID, NextShape: h.NextShape}
 	if decode {
 		// A header can claim any count; let a false one cost nothing up front.
 		st.Records = make([]*storage.QueryRecord, 0, min(h.Records, 1<<16))
+		st.Shapes = make([]*storage.QueryShape, 0, min(h.Shapes, 1<<16))
 		snap.State = st
 	}
 	next := func() ([]byte, error) {
@@ -178,34 +195,50 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		snap.Info.Bytes += frameLen
 		return p, nil
 	}
-	for records, edges := 0, 0; records < h.Records || edges < h.Edges; {
+	// The chunks come in the order of the header's counts: shapes, records,
+	// then (in an older build's snapshot) edges. Each kind must be the one
+	// the header's format has, and may not run past its count or start
+	// before the kind ahead of it is complete.
+	records := storage.ChunkRecords
+	if !h.Numbered {
+		records = storage.ChunkParentRecords
+	}
+	for shapes, recs, edges := 0, 0, 0; shapes < h.Shapes || recs < h.Records || edges < h.Edges; {
 		p, err := next()
 		if err != nil {
-			return nil, fmt.Errorf("after %d of %d records and %d of %d edges: %w", records, h.Records, edges, h.Edges, err)
+			return nil, fmt.Errorf("after %d of %d shapes, %d of %d records and %d of %d edges: %w", shapes, h.Shapes, recs, h.Records, edges, h.Edges, err)
 		}
-		isRecords, n, err := storage.ChunkCount(p)
+		kind, n, err := storage.ChunkCount(p)
 		if err != nil {
 			return nil, err
 		}
 		switch {
 		case n == 0:
 			return nil, errors.New("empty chunk")
-		case isRecords && (edges > 0 || records+n > h.Records):
-			return nil, fmt.Errorf("a chunk of %d records after %d of %d records and %d edges", n, records, h.Records, edges)
-		case !isRecords && (records < h.Records || edges+n > h.Edges):
-			return nil, fmt.Errorf("a chunk of %d edges after %d of %d records and %d of %d edges", n, records, h.Records, edges, h.Edges)
-		case isRecords:
-			records += n
+		case kind == storage.ChunkShapes && h.Numbered && shapes+n <= h.Shapes:
+			shapes += n
 			if decode {
-				st.Records, err = storage.DecodeRecordChunk(p, st.Records)
+				err = storage.DecodeShapeChunk(p, st)
 			}
-		default:
+		case kind == records && shapes == h.Shapes && recs+n <= h.Records:
+			recs += n
+			if decode {
+				err = storage.DecodeRecordChunk(p, st)
+			}
+		case kind == storage.ChunkEdges && recs == h.Records && edges+n <= h.Edges:
 			edges += n
 			if decode {
 				err = storage.SkipEdgeChunk(p)
 			}
+		default:
+			return nil, fmt.Errorf("a chunk of kind %d holding %d after %d of %d shapes, %d of %d records and %d of %d edges", kind, n, shapes, h.Shapes, recs, h.Records, edges, h.Edges)
 		}
 		if err != nil {
+			return nil, err
+		}
+	}
+	if decode {
+		if err := st.CheckShapesUsed(); err != nil {
 			return nil, err
 		}
 	}

@@ -9,8 +9,10 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -43,24 +45,27 @@ func appendSectionPart(dst []byte, name string, version, left int, data []byte) 
 }
 
 // writeOlderSnapshotStream writes st as an older build did: a header that
-// announces the sections, the record chunks, then each section cut into
-// parts of at most snapshotChunkBytes.
+// announces the sections, record chunks whose records carry their shapes
+// (parentRecordBody), then each section cut into parts of at most
+// snapshotChunkBytes.
 func writeOlderSnapshotStream(t testing.TB, w io.Writer, seq uint64, st *storage.StoreState, sections []section) SnapshotInfo {
 	t.Helper()
-	var plain bytes.Buffer
-	info, err := writeSnapshotStream(&plain, seq, st)
-	if err != nil {
-		t.Fatal(err)
+	info := SnapshotInfo{Seq: seq, Records: len(st.Records)}
+	header := binary.AppendVarint([]byte{storage.PayloadFormat, 0x40}, int64(st.NextID))
+	header = binary.AppendUvarint(header, uint64(len(st.Records)))
+	header = binary.AppendUvarint(header, 0)
+	header = binary.AppendUvarint(header, uint64(len(sections)))
+	out := appendFrame(nil, seq, header)
+	info.Frames++
+	for recs := st.Records; len(recs) > 0; {
+		n, size := 0, 0
+		for ; n < len(recs) && (n == 0 || size < snapshotChunkBytes); n++ {
+			size += len(parentRecordBody(recs[n]))
+		}
+		out = appendFrame(out, seq, parentRecordChunk(recs[:n]))
+		info.Frames++
+		recs = recs[n:]
 	}
-	raw := plain.Bytes()
-	headerEnd := frameEnds(t, raw)[0]
-	h, err := storage.DecodeSnapshotHeader(raw[headerBytes:headerEnd])
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Checkpoints = len(sections)
-	out := appendFrame(nil, seq, storage.AppendSnapshotHeader(nil, h))
-	out = append(out, raw[headerEnd:]...)
 	for _, sec := range sections {
 		parts := max(1, (len(sec.data)+snapshotChunkBytes-1)/snapshotChunkBytes)
 		for data := sec.data; parts > 0; parts-- {
@@ -77,6 +82,121 @@ func writeOlderSnapshotStream(t testing.TB, w io.Writer, seq uint64, st *storage
 	return info
 }
 
+// parentRecordChunk is a record chunk as an older build wrote it, holding
+// recs.
+func parentRecordChunk(recs []*storage.QueryRecord) []byte {
+	chunk := binary.LittleEndian.AppendUint32([]byte{storage.PayloadFormat, 0x41}, uint32(len(recs)))
+	for _, rec := range recs {
+		body := parentRecordBody(rec)
+		chunk = append(binary.AppendUvarint(chunk, uint64(len(body))), body...)
+	}
+	return chunk
+}
+
+// parentRecordBody is a record as builds before shape numbers wrote it into
+// a snapshot: the shape's fields and the record's own interleaved, a session
+// slot and a quality slot, every string a literal (the reader's string table
+// also takes repeats written out).
+func parentRecordBody(rec *storage.QueryRecord) []byte {
+	var b []byte
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))<<1), s...) }
+	strs := func(ss []string) {
+		if ss == nil {
+			b = append(b, 0)
+			return
+		}
+		b = binary.AppendUvarint(b, uint64(len(ss))+1)
+		for _, s := range ss {
+			str(s)
+		}
+	}
+	count := func(n int, isNil bool) {
+		if isNil {
+			b = append(b, 0)
+		} else {
+			b = binary.AppendUvarint(b, uint64(n)+1)
+		}
+	}
+	when := func(at time.Time) {
+		_, off := at.Zone()
+		b = binary.AppendVarint(b, at.Unix())
+		b = binary.AppendUvarint(b, uint64(at.Nanosecond()))
+		b = binary.AppendVarint(b, int64(off))
+	}
+	boolean := func(v bool) {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = binary.AppendVarint(b, int64(rec.ID))
+	str(rec.Text)
+	str(rec.Canonical)
+	str(rec.Template)
+	b = binary.LittleEndian.AppendUint64(b, rec.Fingerprint)
+	b = binary.LittleEndian.AppendUint64(b, rec.ExactHash)
+	str(rec.User)
+	str(rec.Group)
+	b = binary.AppendVarint(b, int64(rec.Visibility))
+	when(rec.IssuedAt)
+	strs(rec.Tables)
+	count(len(rec.Attributes), rec.Attributes == nil)
+	for _, a := range rec.Attributes {
+		str(a.Attr)
+		str(a.Rel)
+		str(a.Clause)
+	}
+	count(len(rec.Predicates), rec.Predicates == nil)
+	for _, p := range rec.Predicates {
+		str(p.Attr)
+		str(p.Rel)
+		str(p.Op)
+		str(p.Const)
+		boolean(p.IsJoin)
+		str(p.RightRel)
+		str(p.RightAttr)
+	}
+	strs(rec.Aggregates)
+	strs(rec.GroupBy)
+	strs(rec.Features)
+	st := rec.Stats
+	b = binary.AppendVarint(b, int64(st.ExecTime))
+	b = binary.AppendVarint(b, int64(st.ResultRows))
+	b = binary.AppendVarint(b, int64(st.ResultColumns))
+	str(st.Error)
+	b = binary.AppendVarint(b, st.SchemaVersion)
+	when(st.ExecutedAt)
+	boolean(rec.Sample != nil)
+	if s := rec.Sample; s != nil {
+		strs(s.Columns)
+		count(len(s.Rows), s.Rows == nil)
+		for _, row := range s.Rows {
+			strs(row)
+		}
+		b = binary.AppendVarint(b, int64(s.TotalRows))
+		boolean(s.Truncated)
+	}
+	count(len(rec.Annotations), rec.Annotations == nil)
+	for _, a := range rec.Annotations {
+		str(a.Author)
+		str(a.Text)
+		str(a.Fragment)
+		when(a.At)
+	}
+	b = append(b, 0) // the session slot
+	var flags byte
+	if rec.Valid {
+		flags |= 1
+	}
+	if rec.StatsStale {
+		flags |= 2
+	}
+	b = append(b, flags)
+	str(rec.InvalidReason)
+	return binary.LittleEndian.AppendUint64(b, 0) // the quality slot
+}
+
 // writeOlderSnapshot is writeOlderSnapshotStream into a snapshot file of dir.
 func writeOlderSnapshot(t testing.TB, dir string, seq uint64, st *storage.StoreState, sections []section) (string, SnapshotInfo) {
 	t.Helper()
@@ -90,12 +210,13 @@ func writeOlderSnapshot(t testing.TB, dir string, seq uint64, st *storage.StoreS
 	return path, info
 }
 
-// testState is a small store state with records and a deletion hole.
+// testState is a small store state with records and a deletion hole, as the
+// snapshot writer captures it.
 func testState(t testing.TB, n int) *storage.StoreState {
 	t.Helper()
 	store := storage.NewStore()
 	buildStore(t, store, n)
-	return store.State()
+	return store.CaptureState(nil)
 }
 
 func stateJSON(t testing.TB, st *storage.StoreState) string {
@@ -131,8 +252,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// header + one record chunk, and no section.
-	if info.Records != len(st.Records) || info.Frames != 2 {
+	// header, one shape chunk and one record chunk, and no section.
+	if info.Records != len(st.Records) || info.Frames != 3 {
 		t.Fatalf("written info = %+v", info)
 	}
 	snap, err := LatestSnapshot(dir)
@@ -283,8 +404,7 @@ func TestSnapshotStreamRejectsForeignFrames(t *testing.T) {
 		return good.Bytes()[start:ends[i]]
 	}
 	mut, _ := (&storage.Mutation{Op: storage.OpDelete, ID: 1}).Encode()
-	var enc storage.Encoder
-	extraChunk, _ := enc.AppendRecordChunk(nil, testState(t, 6).Records[:1], 1)
+	extraChunk := parentRecordChunk(testState(t, 6).Records[:1])
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	part := func(name string, version, left int, data string) []byte {
 		return encodeFrame(7, appendSectionPart(nil, name, version, left, []byte(data)))
@@ -534,7 +654,7 @@ func TestOlderSnapshotSectionsAreSkipped(t *testing.T) {
 	dir := t.TempDir()
 	src := storage.NewStore()
 	buildStore(t, src, 10)
-	writeOlderSnapshot(t, dir, 1, src.State(), []section{
+	writeOlderSnapshot(t, dir, 1, src.CaptureState(nil), []section{
 		{"stats", 1, []byte(`{"all":{}}`)}, {"stats", 2, []byte{0, 0, 0}},
 		{"miner-feed", 2, []byte{1, 5, 1, 15}}, {"miner-feed", 3, nil},
 		{"sessions", 2, []byte{2, 0}}, {"sessions", 3, []byte{2, 0}},
@@ -612,9 +732,60 @@ func TestPreBinaryDirectoryIsRefusedByName(t *testing.T) {
 	})
 }
 
+// shapeLog is what a store holding three shapes (fuzzStore) logs next: a
+// put defining shape 4 inline, a put referring to shape 1, and a replace-text
+// referring to shape 4.
+func shapeLog(t testing.TB) (define, refer, retext []byte) {
+	store := fuzzStore(t)
+	var payloads [][]byte
+	store.SetMutationHook(func(m *storage.Mutation) error {
+		p, err := m.Encode()
+		payloads = append(payloads, p)
+		return err
+	})
+	recs := fuzzRecords(t)
+	mustPut(t, store, walRecord(t, "SELECT Observations.id FROM Observations", "user0"))
+	mustPut(t, store, recs[0].Clone())
+	if err := store.ReplaceText(2, walRecord(t, "SELECT Observations.id FROM Observations", "")); err != nil {
+		t.Fatal(err)
+	}
+	return payloads[0], payloads[1], payloads[2]
+}
+
+// fuzzRecords are the records fuzzStore puts, one per shape.
+func fuzzRecords(t testing.TB) []*storage.QueryRecord {
+	return []*storage.QueryRecord{
+		walRecord(t, "SELECT WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 10", "user0"),
+		walRecord(t, "SELECT WaterSalinity.salinity FROM WaterSalinity", "user1"),
+		walRecord(t, "SELECT a FROM t", "user2"),
+	}
+}
+
+// fuzzStore is a store holding three records of three shapes, numbered 1 to
+// 3: what the frame fuzzers apply their input to.
+func fuzzStore(t testing.TB) *storage.Store {
+	store := storage.NewStore()
+	for _, rec := range fuzzRecords(t) {
+		mustPut(t, store, rec)
+	}
+	return store
+}
+
+func walRecord(t testing.TB, text, user string) *storage.QueryRecord {
+	rec, err := storage.NewRecordFromSQL(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.User = user
+	return rec
+}
+
 // FuzzReadFrames: the frame reader faces bytes from disk and from the
 // network. It never panics, hands out only frames whose CRC matches, and
-// what it accepted re-frames to a prefix of the input.
+// what it accepted re-frames to a prefix of the input. Every accepted frame
+// that decodes is applied, in order, to a store holding three shapes, the way
+// a follower applies its tail: shape references resolve against what the
+// frames before them defined, and an apply that fails never panics.
 func FuzzReadFrames(f *testing.F) {
 	mut, _ := (&storage.Mutation{Op: storage.OpMarkInvalid, ID: 3, Reason: "drift"}).Encode()
 	two := append(encodeFrame(1, mut), encodeFrame(2, nil)...)
@@ -626,7 +797,7 @@ func FuzzReadFrames(f *testing.F) {
 	// Puts of IDs outside [1, storage.MaxQueryID]: framed like any other
 	// payload, refused only when applied.
 	for _, id := range []storage.QueryID{-7, 1 << 60} {
-		rec := testState(f, 1).Records[0]
+		rec := testState(f, 1).Records[0].Clone()
 		rec.ID = id
 		put, err := (&storage.Mutation{Op: storage.OpPut, Record: rec}).Encode()
 		if err != nil {
@@ -634,10 +805,40 @@ func FuzzReadFrames(f *testing.F) {
 		}
 		f.Add(encodeFrame(4, put))
 	}
+	// Shape numbers: a definition then references to it; the reference
+	// before the definition; a reference to shape 4 after the definition of
+	// shape 4 was lost (a dangling one); and shape 4 defined twice with
+	// different values.
+	define, refer, retext := shapeLog(f)
+	frames := func(payloads ...[]byte) []byte {
+		var out []byte
+		for i, p := range payloads {
+			out = appendFrame(out, uint64(i+1), p)
+		}
+		return out
+	}
+	other := storage.NewStore()
+	otherLog := [][]byte{}
+	other.SetMutationHook(func(m *storage.Mutation) error {
+		p, err := m.Encode()
+		otherLog = append(otherLog, p)
+		return err
+	})
+	for _, rec := range append(fuzzRecords(f), walRecord(f, "SELECT Stations.name FROM Stations", "user3")) {
+		mustPut(f, other, rec)
+	}
+	f.Add(frames(define, refer, retext))
+	f.Add(frames(retext, define))
+	f.Add(frames(refer, retext))
+	f.Add(frames(define, otherLog[3]))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var reframed []byte
+		store := fuzzStore(t)
 		err := ReadFrames(bytes.NewReader(b), func(seq uint64, payload []byte) error {
 			reframed = appendFrame(reframed, seq, payload)
+			if m, err := storage.DecodeMutation(payload); err == nil {
+				_ = store.Apply(m)
+			}
 			return nil
 		})
 		if !bytes.HasPrefix(b, reframed) {
@@ -645,6 +846,9 @@ func FuzzReadFrames(f *testing.F) {
 		}
 		if err == nil && len(reframed) != len(b) {
 			t.Fatalf("clean end after %d of %d bytes", len(reframed), len(b))
+		}
+		if got := store.ShapeCount(); got > store.Count() {
+			t.Fatalf("%d shapes for %d records", got, store.Count())
 		}
 	})
 }
@@ -678,13 +882,17 @@ func TestParentSnapshotWithEdgesReads(t *testing.T) {
 	if r := snap.State.Records[1]; r.ID != 2 || r.Text != "SELECT b FROM t" || r.User != "u" || !r.Valid {
 		t.Fatalf("record 2 = %+v", r)
 	}
+	store := storage.NewStore()
+	if err := store.RestoreState(snap.State); err != nil {
+		t.Fatal(err)
+	}
 	var again bytes.Buffer
-	info, err := writeSnapshotStream(&again, snap.Seq, snap.State)
+	info, err := writeSnapshotStream(&again, snap.Seq, store.CaptureState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Frames != 2 {
-		t.Fatalf("the rewrite has %d frames, want header and records", info.Frames)
+	if info.Frames != 3 {
+		t.Fatalf("the rewrite has %d frames, want header, shapes and records", info.Frames)
 	}
 	if strings.Contains(again.String(), "+attr b") || strings.Contains(again.String(), "sessions") {
 		t.Fatal("the rewrite still carries the edge or the section")
@@ -693,7 +901,10 @@ func TestParentSnapshotWithEdgesReads(t *testing.T) {
 
 // FuzzDecodeSnapshot: the snapshot stream reader as the follower uses it.
 // Arbitrary bytes never panic it; an error yields no snapshot at all, so
-// nothing can be half-applied; what it accepts survives a rewrite.
+// nothing can be half-applied. What it accepts is restored into a store —
+// which may refuse a state whose shapes and records do not fit together, but
+// never panics — and what the store takes survives a rewrite: write, read
+// and restore again reach a fixpoint.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for i, n := range []int{0, 3, 9} {
 		var buf bytes.Buffer
@@ -717,6 +928,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	streams := shapeSnapshots(f)
+	names := make([]string, 0, len(streams))
+	for name := range streams {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		f.Add(streams[name])
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, err := ReadSnapshot(bytes.NewReader(b))
 		if err != nil {
@@ -728,20 +948,106 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if snap.Info.Records != len(snap.State.Records) {
 			t.Fatalf("info %+v disagrees with the staged state (%d records)", snap.Info, len(snap.State.Records))
 		}
-		var again bytes.Buffer
-		if _, err := writeSnapshotStream(&again, snap.Seq, snap.State); err != nil {
-			t.Fatalf("rewriting an accepted snapshot: %v", err)
+		store := storage.NewStore()
+		if err := store.RestoreState(snap.State); err != nil {
+			t.Fatalf("restoring an accepted snapshot: %v", err)
 		}
-		snap2, err := ReadSnapshot(bytes.NewReader(again.Bytes()))
+		rewrite := func(s *storage.Store) []byte {
+			var buf bytes.Buffer
+			if _, err := writeSnapshotStream(&buf, snap.Seq, s.CaptureState(nil)); err != nil {
+				t.Fatalf("rewriting an accepted snapshot: %v", err)
+			}
+			return buf.Bytes()
+		}
+		again := rewrite(store)
+		snap2, err := ReadSnapshot(bytes.NewReader(again))
 		if err != nil {
 			t.Fatalf("rereading the rewrite: %v", err)
 		}
-		var third bytes.Buffer
-		if _, err := writeSnapshotStream(&third, snap2.Seq, snap2.State); err != nil {
-			t.Fatal(err)
+		store2 := storage.NewStore()
+		if err := store2.RestoreState(snap2.State); err != nil {
+			t.Fatalf("restoring the rewrite: %v", err)
 		}
-		if !bytes.Equal(again.Bytes(), third.Bytes()) {
+		if !bytes.Equal(again, rewrite(store2)) {
 			t.Fatal("write(read(b)) is not a fixpoint")
 		}
 	})
+}
+
+// shapeSnapshots are snapshot streams of this build's format: a whole one,
+// whose records define nothing and refer to the shapes chunk; one whose
+// shapes chunk lacks a shape its records refer to; one with the record chunk
+// before the shapes chunk; one with a shapes chunk after a record chunk; one
+// whose two shape chunks both define shape 1, with different values; and one
+// holding a shape none of its records names.
+func shapeSnapshots(t testing.TB) map[string][]byte {
+	st := testState(t, 9)
+	var enc storage.Encoder
+	stream := func(st *storage.StoreState, payloads ...[]byte) []byte {
+		out := appendFrame(nil, 50, storage.AppendSnapshotHeader(nil, st))
+		for _, p := range payloads {
+			out = appendFrame(out, 50, p)
+		}
+		return out
+	}
+	shapes, _ := enc.AppendShapeChunk(nil, st.Shapes, 1<<20)
+	first, _ := enc.AppendShapeChunk(nil, st.Shapes[:1], 1<<20)
+	rest, _ := enc.AppendShapeChunk(nil, st.Shapes[1:], 1<<20)
+	records, _ := enc.AppendRecordChunk(nil, st.Records, 1<<20)
+	lacking := *st
+	lacking.Shapes = st.Shapes[1:]
+	other := storage.NewStore()
+	mustPut(t, other, walRecord(t, "SELECT Stations.name FROM Stations", "user3"))
+	otherShapes := other.CaptureState(nil).Shapes
+	otherFirst, _ := enc.AppendShapeChunk(nil, otherShapes, 1<<20)
+	twice := *st
+	twice.Shapes = append([]*storage.QueryShape{otherShapes[0]}, st.Shapes...)
+	unused := *st
+	unused.Records = slices.DeleteFunc(slices.Clone(st.Records), func(rec *storage.QueryRecord) bool { return rec.QueryShape == st.Shapes[0] })
+	unusedRecords, _ := enc.AppendRecordChunk(nil, unused.Records, 1<<20)
+	return map[string][]byte{
+		"whole":                 stream(st, shapes, records),
+		"dangling reference":    stream(&lacking, rest, records),
+		"records before shapes": stream(st, records, shapes),
+		"shapes after records":  stream(st, first, records, rest),
+		"number defined twice":  stream(&twice, otherFirst, shapes, records),
+		"shape without records": stream(&unused, shapes, unusedRecords),
+	}
+}
+
+// TestSnapshotShapesAreChecked: a snapshot's records must refer to shapes its
+// shape chunks define, and those chunks come first, in ascending number. The
+// strict reader refuses each stream that breaks one of these; the whole one
+// restores with the shape numbers it was written with.
+func TestSnapshotShapesAreChecked(t *testing.T) {
+	streams := shapeSnapshots(t)
+	for name, stream := range streams {
+		snap, err := ReadSnapshot(bytes.NewReader(stream))
+		if (err == nil) != (name == "whole") {
+			t.Errorf("%s: read with error %v", name, err)
+		}
+		if name == "dangling reference" && !errors.Is(err, storage.ErrUnknownShape) {
+			t.Errorf("%s: %v, want storage.ErrUnknownShape", name, err)
+		}
+		if name == "shape without records" && (err == nil || !strings.Contains(err.Error(), "has no record")) {
+			t.Errorf("%s: %v", name, err)
+		}
+		if err != nil {
+			continue
+		}
+		store := storage.NewStore()
+		if err := store.RestoreState(snap.State); err != nil {
+			t.Fatal(err)
+		}
+		want := testState(t, 9)
+		got := store.CaptureState(nil)
+		if stateJSON(t, got) != stateJSON(t, want) || got.NextShape != want.NextShape || len(got.Shapes) != len(want.Shapes) {
+			t.Fatalf("restored %d shapes, counter %d; want %d, %d", len(got.Shapes), got.NextShape, len(want.Shapes), want.NextShape)
+		}
+		for i, sh := range got.Shapes {
+			if sh.Number() != want.Shapes[i].Number() || sh.Text != want.Shapes[i].Text {
+				t.Errorf("shape %d restored as %d %q, want %d %q", i, sh.Number(), sh.Text, want.Shapes[i].Number(), want.Shapes[i].Text)
+			}
+		}
+	}
 }
