@@ -704,23 +704,33 @@ func mustPut(tb testing.TB, store *storage.Store, rec *storage.QueryRecord) stor
 }
 
 // walBenchRecords returns a handful of parsed records to cycle through, so
-// appended mutations look like the real profiler output.
+// appended mutations look like the real profiler output: each carries the
+// output sample the profiler would log for it.
 func walBenchRecords(b *testing.B) []*storage.QueryRecord {
 	b.Helper()
-	queries := []string{
-		"SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15",
-		"SELECT WaterSalinity.lake, AVG(WaterSalinity.salinity) FROM WaterSalinity GROUP BY WaterSalinity.lake",
-		"SELECT Observations.id FROM Observations, Stations WHERE Observations.station = Stations.id",
-		"SELECT Stations.name FROM Stations ORDER BY Stations.name",
+	queries := []struct {
+		sql     string
+		columns []string
+		rows    [][]string
+	}{
+		{"SELECT WaterTemp.lake, WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 15",
+			[]string{"lake", "temp"}, [][]string{{"Lake Washington", "14.5"}, {"Lake Union", "12.1"}, {"Lake Chelan", "9.8"}}},
+		{"SELECT WaterSalinity.lake, AVG(WaterSalinity.salinity) FROM WaterSalinity GROUP BY WaterSalinity.lake",
+			[]string{"lake", "AVG(WaterSalinity.salinity)"}, [][]string{{"Lake Union", "3.1"}, {"Lake Washington", "2.5"}, {"Lake Sammamish", "1.8"}}},
+		{"SELECT Observations.id FROM Observations, Stations WHERE Observations.station = Stations.id",
+			[]string{"id"}, [][]string{{"1"}, {"2"}, {"3"}}},
+		{"SELECT Stations.name FROM Stations ORDER BY Stations.name",
+			[]string{"name"}, [][]string{{"Alder Point"}, {"Birch Bay"}, {"Cedar Cove"}}},
 	}
 	recs := make([]*storage.QueryRecord, 0, len(queries))
 	for i, q := range queries {
-		rec, err := storage.NewRecordFromSQL(q)
+		rec, err := storage.NewRecordFromSQL(q.sql)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rec.User = fmt.Sprintf("bench%d", i)
 		rec.Stats = storage.RuntimeStats{ExecTime: time.Millisecond, ResultRows: 42}
+		rec.Sample = &storage.OutputSample{Columns: q.columns, Rows: q.rows, TotalRows: 42, Truncated: true}
 		recs = append(recs, rec)
 	}
 	return recs
@@ -729,8 +739,8 @@ func walBenchRecords(b *testing.B) []*storage.QueryRecord {
 // BenchmarkWALAppend measures the per-mutation cost of durable logging — the
 // overhead a durable deployment adds to Store.Put — under each fsync policy,
 // and reports the log's size per record (B/record). The records cycle through
-// four texts, as a log repeats itself: after the first four puts every frame
-// refers to its shape by number.
+// four texts and their answers, as a log repeats itself: after the first four
+// puts every frame refers to its shape and its sample by number.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []string{"off", "interval", "always"} {
 		b.Run("sync="+policy, func(b *testing.B) {

@@ -26,15 +26,18 @@ import (
 
 // The binary codec's equivalence test. One seeded random history of every
 // mutation class the store has — Put, PutBatch, Annotate, SetVisibility,
-// Delete, MarkInvalid/Valid/StatsStale, UpdateStats, SetSample, ReplaceText,
-// repeats of updates a record already holds and an older build's decoded
-// set-quality, both of which change nothing and are not logged — full of
-// values a codec gets wrong (nil against empty slices, omitted fields,
-// non-UTC offsets, zero times, multi-byte and 1 MiB texts, nil samples) is
-// applied to a durable primary. The history also moves shapes in and out of
-// the store's dictionary: a batch that enters a shape and refers to it, texts
-// repaired onto shapes the store holds and onto new ones, and a text whose
-// last record goes and which is put again (under a new shape number). More
+// Delete, MarkInvalid/Valid/StatsStale, UpdateStats, ReplaceText, repeats of
+// updates a record already holds and an older build's decoded set-quality,
+// both of which change nothing and are not logged — full of values a codec
+// gets wrong (nil against empty slices, omitted fields, non-UTC offsets, zero
+// times, multi-byte and 1 MiB texts, nil samples) is applied to a durable
+// primary, over a log an older build started: puts whose samples carry no
+// number and a set-sample (olderFrames). The history also moves shapes and
+// samples in and out of the store's dictionaries: a batch that enters a
+// shape and refers to it, texts repaired onto shapes the store holds and onto
+// new ones, a text whose last record goes and which is put again (under a new
+// shape number), answers repeated across puts and answers whose last record
+// a delete takes. More
 // stores are then derived from it, one per path bytes take: a replay of the
 // whole WAL, a recovery from snapshot plus tail after Compact (every
 // subscriber rebuilt from the snapshot's records), a follower bootstrapped
@@ -78,13 +81,17 @@ func equivRecord(t *testing.T, rng *rand.Rand, step int) *storage.QueryRecord {
 	default:
 		rec.IssuedAt = time.Unix(1700000000+int64(step)*90, 0).UTC()
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(6) {
 	case 0: // nil sample, zero stats, zero ExecutedAt
 	case 1:
 		rec.Sample = &storage.OutputSample{Columns: []string{}, Rows: [][]string{}}
 	case 2:
 		rec.Sample = &storage.OutputSample{Columns: []string{"lake", "temp"}, Rows: [][]string{{"Lake Union", "11.5"}, nil, {}}, TotalRows: 3, Truncated: true}
 		rec.Stats = storage.RuntimeStats{ExecTime: time.Duration(rng.Intn(1e6)), ResultRows: 3, ResultColumns: 2, SchemaVersion: 6, ExecutedAt: rec.IssuedAt}
+	case 3: // one of a few answers, repeated
+		rec.Sample = &storage.OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint(rng.Intn(3))}}, TotalRows: 1}
+	case 4: // an answer of its own, which a delete frees
+		rec.Sample = &storage.OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint("only ", step)}}, TotalRows: 1}
 	default:
 		rec.Stats = storage.RuntimeStats{Error: "relation \"ghost\" does not exist", ExecutedAt: time.Unix(int64(step), 0).UTC()}
 	}
@@ -175,11 +182,6 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 				st.ExecutedAt = time.Unix(1700000000+int64(step), 0).In(time.FixedZone("", -3*3600))
 			}
 			must(step, store.UpdateStats(pick(), st))
-			if rng.Intn(2) == 0 {
-				must(step, store.SetSample(pick(), nil))
-			} else {
-				must(step, store.SetSample(pick(), &storage.OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint(step)}}, TotalRows: 1}))
-			}
 		case 12:
 			m, err := storage.DecodeMutation(parentSetQuality(pick(), rng.Float64()))
 			must(step, err)
@@ -215,6 +217,55 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 	}
 }
 
+// olderFrames is the start of a log an older build wrote: three puts whose
+// samples carry no number — one answer twice and one once — then set-samples
+// that move the second record to the third's answer and the first to a new
+// one, which frees the first answer. Replay numbers the samples as it enters
+// them.
+func olderFrames(t *testing.T) [][]byte {
+	t.Helper()
+	answer := func(v string) *storage.OutputSample {
+		return &storage.OutputSample{Columns: []string{"v"}, Rows: [][]string{{v}}, TotalRows: 1}
+	}
+	var out [][]byte
+	add := func(m *storage.Mutation) {
+		p, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	for i, v := range []string{"a", "a", "b"} {
+		rec, err := storage.NewRecordFromSQL(equivSQL[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.ID, rec.User, rec.Valid, rec.Sample = storage.QueryID(i+1), "older", true, answer(v)
+		rec.IssuedAt = time.Unix(1690000000+int64(i), 0).UTC()
+		add(&storage.Mutation{Op: storage.OpPut, Record: rec})
+	}
+	add(&storage.Mutation{Op: storage.OpSetSample, ID: 2, Sample: answer("b")})
+	add(&storage.Mutation{Op: storage.OpSetSample, ID: 1, Sample: answer("c")})
+	return out
+}
+
+// seedLog writes payloads into a new log in dir.
+func seedLog(t *testing.T, dir string, payloads [][]byte) {
+	t.Helper()
+	log, err := wal.OpenLog(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, err := log.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // parentSetQuality is the set-quality payload an older build's maintenance
 // pass logged for one record: format 1, op code 12, a presence mask of the ID
 // and score bits (0 and 10), the zigzag ID and the score's float bits.
@@ -237,14 +288,22 @@ func checkMutationAgainstOracle(t *testing.T, m *storage.Mutation) {
 		return
 	}
 	// A put or replace-text carries its shape inline under the number the
-	// store gave it, or refers to it; a reference resolves against the store,
-	// which replay does and the recovery paths below check.
+	// store gave it, or refers to it, and a put does the same with its
+	// sample; a reference resolves against the store, which replay does and
+	// the recovery paths below check.
 	if got.Record != nil {
 		live := m.Next().QueryShape
 		if got.Record.QueryShape == nil {
 			got.Record.QueryShape = live
 		} else if got.Record.Number() != live.Number() {
 			t.Errorf("%s: the frame defines shape %d, the store numbered it %d", m.Op, got.Record.Number(), live.Number())
+		}
+	}
+	if rec, live := got.Record, m.Next(); m.Op == storage.OpPut && live.Sample != nil {
+		if rec.Sample == nil {
+			rec.Sample = live.Sample
+		} else if rec.Sample.Number() != live.Sample.Number() {
+			t.Errorf("%s: the frame defines sample %d, the store numbered it %d", m.Op, rec.Sample.Number(), live.Sample.Number())
 		}
 	}
 	ref, err := json.Marshal(m)
@@ -370,8 +429,8 @@ func apiDocument(t *testing.T, url string, maxID storage.QueryID) string {
 }
 
 // stateDocument renders the whole store state: every field of every record
-// and the ID counter, then the shape numbers: each live shape's number and
-// text, the counter, and each record's shape number.
+// and the ID counter, then the shape and sample numbers: each live shape's
+// number and text, both counters, and each record's shape and sample number.
 func stateDocument(t *testing.T, store *storage.Store) string {
 	t.Helper()
 	st := store.CaptureState(nil)
@@ -381,12 +440,16 @@ func stateDocument(t *testing.T, store *storage.Store) string {
 	}
 	var doc strings.Builder
 	doc.Write(b)
-	fmt.Fprintf(&doc, "\nshape counter %d\n", st.NextShape)
+	fmt.Fprintf(&doc, "\nshape counter %d, sample counter %d, %d samples\n", st.NextShape, st.NextSample, store.SampleCount())
 	for _, sh := range st.Shapes {
 		fmt.Fprintf(&doc, "shape %d: %.80q\n", sh.Number(), sh.Text)
 	}
 	for _, rec := range st.Records {
-		fmt.Fprintf(&doc, "query %d: shape %d\n", rec.ID, rec.Number())
+		var sample uint64
+		if rec.Sample != nil {
+			sample = rec.Sample.Number()
+		}
+		fmt.Fprintf(&doc, "query %d: shape %d, sample %d\n", rec.ID, rec.Number(), sample)
 	}
 	return doc.String()
 }
@@ -417,7 +480,10 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 			mustPut(t, store, rec)
 		}
 	}
-	primaryDir := t.TempDir()
+	older := olderFrames(t)
+	primaryDir, twinDir := t.TempDir(), t.TempDir()
+	seedLog(t, primaryDir, older)
+	seedLog(t, twinDir, older)
 	primary := openEquivCore(t, primaryDir)
 	mutations := 0
 	primary.Store().Subscribe("codec-oracle", func(m *storage.Mutation) {
@@ -440,7 +506,6 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	}
 
 	// Its twin never compacts: reopening its directory replays the whole log.
-	twinDir := t.TempDir()
 	twin := openEquivCore(t, twinDir)
 	runEquivHistory(t, twin.Store(), seed, steps, func() { beforeOverlap(twin.Store()) })
 	if err := twin.Close(); err != nil {
@@ -449,8 +514,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	overlapped := overlappingReplay(t, copyDataDir(t, primaryDir), copyDataDir(t, twinDir), overlapFrom)
 
 	replayed := openEquivCore(t, twinDir)
-	if rec := replayed.Recovery(); rec.SnapshotSeq != 0 || rec.Replayed != mutations {
-		t.Fatalf("WAL replay: recovery %+v, want %d records replayed and no snapshot", rec, mutations)
+	if rec := replayed.Recovery(); rec.SnapshotSeq != 0 || rec.Replayed != len(older)+mutations {
+		t.Fatalf("WAL replay: recovery %+v, want %d records replayed and no snapshot", rec, len(older)+mutations)
 	}
 	recovered := openEquivCore(t, copyDataDir(t, primaryDir))
 	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 {
@@ -469,6 +534,9 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	wantState := stateDocument(t, primary.Store())
 	if strings.Count(wantState, ": shape ") != primary.Store().Count() {
 		t.Fatalf("the state document lists no shape numbers:\n%.2000s", wantState)
+	}
+	if n := primary.Store().SampleCount(); n < 8 {
+		t.Fatalf("the history left %d samples; the seed no longer covers them", n)
 	}
 	if got := stateDocument(t, overlapped); got != wantState {
 		t.Errorf("replay overlapping the snapshot: store state differs from the live primary's %s", firstDifference(wantState, got))

@@ -146,6 +146,118 @@ func TestParentShapeDataDirOpens(t *testing.T) {
 	c.Close()
 }
 
+// TestParentSampleDataDirOpens holds this build to the data directories of
+// the build before sample numbers, whose every put and snapshot record
+// carried its whole output sample. testdata/parent_sample_datadir was written
+// by commit 7b8d277 with a four-row sample policy: a snapshot of 15 records
+// over five texts, each answer repeated, then a WAL tail of repeats and a new
+// text, a deletion, an annotation, and three set-samples — one onto an answer
+// the log holds, one onto a new answer, one clearing a sample. This build
+// must open it — numbering the snapshot's samples in ID order and each
+// sample the tail enters in turn — and serve byte for byte the bodies that
+// commit served from it, by-data searches included
+// (testdata/parent_sample_datadir.golden, not regenerated). It then logs new
+// frames that refer to those samples by number, and must serve the same
+// bodies after a restart, and again after a compaction writes the directory
+// in this build's format.
+func TestParentSampleDataDirOpens(t *testing.T) {
+	c := openParentDataDir(t, "testdata/parent_sample_datadir")
+	rec := c.Recovery()
+	if rec.Queries != 28 || rec.SnapshotRecords != 15 || rec.SnapshotFrames != 3 || rec.Replayed != 19 {
+		t.Fatalf("recovery %+v, want 28 queries from a 15-record snapshot and 19 replayed records", *rec)
+	}
+	assertRebuiltFromTheRecords(t, c)
+	golden, err := os.ReadFile("testdata/parent_sample_datadir.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parentBodies(t, c) + sampleBodies(t, c); got != string(golden) {
+		t.Fatalf("bodies differ from the older build's %s", firstDiff(string(golden), got))
+	}
+	admin := storage.Principal{User: "root", Admin: true}
+	sampled := 0
+	c.Store().Snapshot().Scan(admin, func(rec *storage.QueryRecord) bool {
+		if rec.Sample != nil {
+			sampled++
+		}
+		return true
+	})
+	if n := c.Store().SampleCount(); n == 0 || n*3 > sampled {
+		t.Fatalf("%d records with a sample share %d samples", sampled, n)
+	}
+
+	var repeated []string
+	c.Store().Snapshot().Scan(admin, func(rec *storage.QueryRecord) bool {
+		repeated = append(repeated, rec.Text)
+		return len(repeated) < 3
+	})
+	for i, text := range append(repeated, "SELECT Stars.name FROM Stars", repeated[0]) {
+		if _, err := c.Submit(profiler.Submission{User: "dave", Group: "limnology", SQL: text, IssuedAt: time.Date(2009, 1, 9, 9, i, 0, 0, time.UTC)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := parentBodies(t, c) + sampleBodies(t, c)
+	dir := c.Durability().Config().Dir
+	for _, compact := range []bool{false, true} {
+		if compact {
+			if _, _, _, err := c.Durability().Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c = openDataDir(t, dir)
+		if got := parentBodies(t, c) + sampleBodies(t, c); got != want {
+			t.Fatalf("after a restart (compacted: %v) the bodies differ %s", compact, firstDiff(want, got))
+		}
+	}
+	if rec := c.Recovery(); rec.Replayed != 0 || rec.SnapshotRecords != 33 {
+		t.Fatalf("recovery after the compaction %+v, want 33 records from the snapshot and no tail", *rec)
+	}
+	c.Close()
+}
+
+// sampleBodies renders what the queries' output samples answer: by-data
+// searches, as an administrator and as alice, for values the samples hold
+// and one they do not.
+func sampleBodies(t *testing.T, c *core.CQMS) string {
+	t.Helper()
+	ts := httptest.NewServer(server.New(c).Handler())
+	defer ts.Close()
+	var doc strings.Builder
+	for _, who := range [][]string{
+		{"X-CQMS-User", "root", "X-CQMS-Admin", "true"},
+		{"X-CQMS-User", "alice", "X-CQMS-Groups", "limnology"},
+	} {
+		for _, body := range []string{
+			`{"include":["Lake Union"],"limit":50}`,
+			`{"include":["Lake Washington"],"exclude":["Lake Union"],"limit":50}`,
+			`{"include":["Detroit"],"limit":50}`,
+			`{"include":["no such value"],"limit":50}`,
+		} {
+			req, err := http.NewRequest("POST", ts.URL+"/v1/search/bydata", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(who); i += 2 {
+				req.Header.Set(who[i], who[i+1])
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&doc, "POST /v1/search/bydata %s %v -> %d\n%s\n", body, who, resp.StatusCode, b)
+		}
+	}
+	return doc.String()
+}
+
 // firstDiff shows where two documents part.
 func firstDiff(want, got string) string {
 	i := 0

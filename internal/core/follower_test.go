@@ -75,7 +75,6 @@ func TestFollowerRefusesEmbeddedWrites(t *testing.T) {
 		"MarkValid":      s.MarkValid(1),
 		"MarkStatsStale": s.MarkStatsStale(1, true),
 		"UpdateStats":    s.UpdateStats(1, storage.RuntimeStats{}),
-		"SetSample":      s.SetSample(1, nil),
 		"ReplaceText":    s.ReplaceText(1, rec),
 	} {
 		refused(what, err)

@@ -77,6 +77,10 @@ func TestWherePredicates(t *testing.T) {
 		{"SELECT * FROM WaterTemp WHERE temp >= 18", 2},
 		{"SELECT * FROM WaterTemp WHERE temp BETWEEN 15 AND 20", 2},
 		{"SELECT * FROM WaterTemp WHERE lake LIKE 'Lake W%'", 2},
+		{"SELECT * FROM WaterTemp WHERE lake LIKE 'lAKE w%'", 2},
+		// A column-valued pattern, mixed case, differs from row to row.
+		{"SELECT * FROM WaterTemp WHERE 'LAKE WASHINGTON' LIKE lake", 2},
+		{"SELECT * FROM WaterTemp WHERE 'lake union' LIKE lake", 1},
 		{"SELECT * FROM WaterTemp WHERE lake IN ('Lake Union', 'Lake Sammamish')", 2},
 		{"SELECT * FROM WaterTemp WHERE lake NOT IN ('Lake Union')", 3},
 		{"SELECT * FROM WaterTemp WHERE temp < 18 AND lake = 'Lake Washington'", 1},

@@ -167,6 +167,13 @@ func (c *compiler) compile(e sql.Expr) expr {
 		}
 	case *sql.LikeExpr:
 		val, pattern, not := c.compile(n.Expr), c.compile(n.Pattern), n.Not
+		// A literal pattern is lower-cased here, once, instead of on every row.
+		lowered := ""
+		lit, literal := n.Pattern.(*sql.Literal)
+		if literal {
+			p, err := literalValue(lit)
+			lowered, literal = strings.ToLower(p.String()), err == nil && !p.IsNull()
+		}
 		return func(en *env) (Value, error) {
 			v, err := val(en)
 			if err != nil {
@@ -179,7 +186,11 @@ func (c *compiler) compile(e sql.Expr) expr {
 			if v.IsNull() || p.IsNull() {
 				return Null, nil
 			}
-			return NewBool(likeMatch(v.String(), p.String()) != not), nil
+			lp := lowered
+			if !literal {
+				lp = strings.ToLower(p.String())
+			}
+			return NewBool(likeMatch(v.String(), lp) != not), nil
 		}
 	case *sql.IsNullExpr:
 		inner, not := c.compile(n.Expr), n.Not
@@ -622,11 +633,10 @@ func callScalarFunc(name string, args []Value) (Value, error) {
 	}
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards, case-insensitive.
+// likeMatch implements SQL LIKE with % and _ wildcards, case-insensitive:
+// pattern is lower-cased already.
 func likeMatch(s, pattern string) bool {
-	s = strings.ToLower(s)
-	pattern = strings.ToLower(pattern)
-	return likeMatchRec(s, pattern)
+	return likeMatchRec(strings.ToLower(s), pattern)
 }
 
 func likeMatchRec(s, p string) bool {

@@ -351,12 +351,13 @@ func TestByData(t *testing.T) {
 	}
 }
 
-// attachSample sets a record's output sample (samples are normally written
-// by the profiler at submission time).
+// attachSample sets a record's output sample by applying the set-sample an
+// older build logged (samples are normally written by the profiler at
+// submission time).
 func attachSample(t testing.TB, s *storage.Store, id storage.QueryID, rows [][]string) {
 	t.Helper()
 	sample := &storage.OutputSample{Columns: []string{"lake"}, Rows: rows, TotalRows: len(rows)}
-	if err := s.SetSample(id, sample); err != nil {
+	if err := s.Apply(&storage.Mutation{Op: storage.OpSetSample, ID: id, Sample: sample}); err != nil {
 		t.Fatal(err)
 	}
 }

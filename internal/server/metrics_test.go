@@ -131,6 +131,7 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_store_subscriber_rebuild_seconds histogram",
 		"# TYPE cqms_store_records gauge",
 		"# TYPE cqms_store_shapes gauge",
+		"# TYPE cqms_store_samples gauge",
 		"# TYPE cqms_sessions_live gauge",
 		"# TYPE cqms_sessions_edits_total counter",
 		"# TYPE cqms_sessions_edge_labels_total counter",
@@ -280,6 +281,7 @@ func TestMetricsMoveEndToEnd(t *testing.T) {
 		{"cqms_assist_seconds_count", map[string]string{"op": "complete"}, 1},
 		{"cqms_store_records", nil, 1},
 		{"cqms_store_shapes", nil, 1},
+		{"cqms_store_samples", nil, 1},
 	}
 	for _, c := range checks {
 		if v := mustMetric(t, text, c.name, c.labels); v < c.min {

@@ -21,8 +21,11 @@ import (
 // text determines) and its own fields (instanceBody). A shape is written
 // once, under its number (QueryShape.Number), by the put or replace-text
 // that entered it into the store's dictionary, and by every snapshot that
-// holds it; every other frame refers to it by number. An older build wrote
-// one body with both interleaved (parentRecord), which is still read.
+// holds it; every other frame refers to it by number. The instance body's
+// output sample follows the same rule (OutputSample.Number): written inline
+// by the put that entered it and at its first record in a snapshot, by
+// number everywhere else. An older build wrote one body with shape and
+// instance interleaved (parentRecord), which is still read.
 
 // PayloadFormat is the format version every payload starts with.
 const PayloadFormat = 1
@@ -81,9 +84,9 @@ const (
 	mutationMaskBits = iota
 )
 
-// maxShapeNumber bounds a shape number read from a payload, so that the
+// maxNumber bounds a shape or sample number read from a payload, so that the
 // number and the counter after it never wrap.
-const maxShapeNumber = 1 << 62
+const maxNumber = 1 << 62
 
 // Record flag bits.
 const (
@@ -100,11 +103,16 @@ const (
 // used under the store's commit lock) encodes without allocating. An Encoder
 // must not be used from two goroutines at once; the zero value is ready.
 type Encoder struct {
-	// InlineShapes, when set, makes every put and replace-text define its
-	// shape inline under its number instead of referring to it. The WAL
-	// manager sets it once an append has failed: a definition the failure
-	// dropped must never be the target of a later reference.
-	InlineShapes bool
+	// Inline, when set, makes every put and replace-text define its shape
+	// and its sample inline under their numbers instead of referring to
+	// them. The WAL manager sets it once an append has failed: a definition
+	// the failure dropped must never be the target of a later reference.
+	Inline bool
+	// defined holds the numbers of the samples the snapshot being written
+	// has defined so far (AppendSnapshotHeader starts a snapshot): a bitset
+	// of 64-number words, keyed by number/64, so that the dense numbers of
+	// a store's samples cost a bit each.
+	defined map[uint64]uint64
 
 	// slots is an open-addressed hash table over strs: 0 is empty, otherwise
 	// the 1-based index of the interned string.
@@ -245,13 +253,34 @@ func (e *Encoder) shapeFeatures(dst []byte, sh *QueryShape) []byte {
 	return e.strSliceTo(dst, sh.Features)
 }
 
-// instanceBody appends a record's own fields, everything but its shape.
-func (e *Encoder) instanceBody(dst []byte, rec *QueryRecord) []byte {
+// instanceBody appends a record's own fields, everything but its shape. Its
+// sample opens with tag (see sampleTag).
+func (e *Encoder) instanceBody(dst []byte, rec *QueryRecord, tag uint64) []byte {
 	dst = binary.AppendVarint(dst, int64(rec.ID))
 	dst = e.instanceHead(dst, rec)
-	dst = e.instanceRuns(dst, rec)
+	dst = e.instanceRuns(dst, rec, tag)
 	return e.instanceFlags(dst, rec)
 }
+
+// sampleTag is the uvarint that opens a record's sample: 0 for none, 1 for
+// a sample written inline without a number, number<<1 for one written inline
+// under its number, and number<<1|1 for a reference to a number defined
+// before. A sample no store numbered is written inline whatever ref says.
+func sampleTag(sm *OutputSample, ref bool) uint64 {
+	switch {
+	case sm == nil:
+		return 0
+	case sm.seq == 0:
+		return 1
+	case ref:
+		return sm.seq<<1 | 1
+	default:
+		return sm.seq << 1
+	}
+}
+
+// inlineTag reports whether a sample tag is followed by the sample's body.
+func inlineTag(tag uint64) bool { return tag == 1 || tag != 0 && tag&1 == 0 }
 
 func (e *Encoder) instanceHead(dst []byte, rec *QueryRecord) []byte {
 	dst = e.str(dst, rec.User)
@@ -260,12 +289,10 @@ func (e *Encoder) instanceHead(dst []byte, rec *QueryRecord) []byte {
 	return appendTime(dst, rec.IssuedAt)
 }
 
-func (e *Encoder) instanceRuns(dst []byte, rec *QueryRecord) []byte {
+func (e *Encoder) instanceRuns(dst []byte, rec *QueryRecord, tag uint64) []byte {
 	dst = e.stats(dst, &rec.Stats)
-	if rec.Sample == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, tag)
+	if inlineTag(tag) {
 		dst = e.sample(dst, rec.Sample)
 	}
 	if rec.Annotations == nil {
@@ -295,16 +322,21 @@ func (e *Encoder) instanceFlags(dst []byte, rec *QueryRecord) []byte {
 // shape body unless it is a reference, then the record's own fields. The
 // shape is the one the store interned for the record (a replace-text's is
 // its new version's, not the caller's copy). It is defined inline when the
-// mutation entered it, when the encoder writes every shape inline, and when
-// no store holds it (its number is then the one it was read under, or 0);
-// otherwise the frame refers to it. A reference read from the log and not
-// yet applied is written back as it was. It returns false for a record with
-// neither a shape nor a reference.
+// mutation entered it, when the encoder writes every definition inline, and
+// when no store holds it (its number is then the one it was read under, or
+// 0); otherwise the frame refers to it. The record's sample follows the same
+// rule. A reference read from the log and not yet applied is written back as
+// it was. It returns false for a record with neither a shape nor a reference.
 func (e *Encoder) shapedRecord(dst []byte, m *Mutation) ([]byte, bool) {
 	rec := m.Record
+	tag := m.sampleRef<<1 | 1
+	if m.sampleRef == 0 {
+		sm := rec.Sample
+		tag = sampleTag(sm, sm != nil && sm.interned && !m.entered.sample && !e.Inline)
+	}
 	if m.shapeRef != 0 {
 		dst = binary.AppendUvarint(dst, m.shapeRef<<1|1)
-		return e.instanceBody(dst, rec), true
+		return e.instanceBody(dst, rec, tag), true
 	}
 	sh := rec.QueryShape
 	if m.Op == OpReplaceText && m.next != nil {
@@ -313,13 +345,13 @@ func (e *Encoder) shapedRecord(dst []byte, m *Mutation) ([]byte, bool) {
 	if sh == nil {
 		return dst, false
 	}
-	if sh.interned && !m.entered && !e.InlineShapes {
+	if sh.interned && !m.entered.shape && !e.Inline {
 		dst = binary.AppendUvarint(dst, sh.seq<<1|1)
 	} else {
 		dst = binary.AppendUvarint(dst, sh.seq<<1)
 		dst = e.shapeBody(dst, sh)
 	}
-	return e.instanceBody(dst, rec), true
+	return e.instanceBody(dst, rec, tag), true
 }
 
 // AppendMutation appends the mutation's payload to dst. It fails only for an
@@ -411,11 +443,14 @@ func (m *Mutation) Encode() ([]byte, error) {
 // ---------------------------------------------------------------------------
 
 // decoder reads one record's worth of payload: a wire.Reader plus the string
-// table of the literals seen so far.
+// table of the literals seen so far. sampleRef is the sample number the last
+// instance body read referred to, for the caller to resolve: the record then
+// has no sample.
 type decoder struct {
-	r    wire.Reader
-	strs [maxInterned]string
-	n    int
+	r         wire.Reader
+	strs      [maxInterned]string
+	n         int
+	sampleRef uint64
 }
 
 func (d *decoder) str() string {
@@ -596,10 +631,18 @@ func (d *decoder) instanceHead(rec *QueryRecord) {
 	rec.IssuedAt = d.time()
 }
 
+// instanceRuns reads the stats, the sample and the annotations. A sample an
+// older build wrote opens with the byte 0 or 1, which reads as tag 0 (none)
+// or 1 (inline, no number).
 func (d *decoder) instanceRuns(rec *QueryRecord) {
 	d.stats(&rec.Stats)
-	if d.r.Bool() {
+	d.sampleRef = 0
+	switch tag := d.r.Uvarint(); {
+	case inlineTag(tag):
 		rec.Sample = d.sample()
+		rec.Sample.seq = d.checkNumber(tag >> 1)
+	case tag != 0:
+		d.sampleRef = d.checkNumber(tag >> 1)
 	}
 	if n, ok := d.count(minAnnotationBytes); ok {
 		rec.Annotations = make([]Annotation, n)
@@ -625,8 +668,8 @@ func (d *decoder) shapeNumber() uint64 {
 }
 
 func (d *decoder) checkNumber(num uint64) uint64 {
-	if num > maxShapeNumber {
-		d.r.Fail(fmt.Errorf("shape number %d out of range", num))
+	if num > maxNumber {
+		d.r.Fail(fmt.Errorf("number %d out of range", num))
 	}
 	return num
 }
@@ -720,6 +763,7 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 	case hasRecord | hasShapedRecord:
 		return nil, fmt.Errorf("storage: decoding %s mutation: two records", m.Op)
 	}
+	m.sampleRef = d.sampleRef
 	if mask&hasAnnotation != 0 {
 		m.Annotation = &Annotation{}
 		d.annotation(m.Annotation)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -185,10 +187,19 @@ func parentPut(rec *QueryRecord) []byte {
 	dst = e.shapeHead(dst, rec.QueryShape)
 	dst = e.instanceHead(dst, rec)
 	dst = e.shapeFeatures(dst, rec.QueryShape)
-	dst = e.instanceRuns(dst, rec)
+	dst = e.instanceRuns(dst, rec, parentSampleTag(rec))
 	dst = append(dst, 0) // the session slot
 	dst = e.instanceFlags(dst, rec)
 	return binary.LittleEndian.AppendUint64(dst, 0) // the quality slot
+}
+
+// parentSampleTag is what an older build wrote before a record's sample: the
+// byte 1 when it has one, whatever the number this build's store gave it.
+func parentSampleTag(rec *QueryRecord) uint64 {
+	if rec.Sample == nil {
+		return 0
+	}
+	return 1
 }
 
 // TestParentPutDecodes: a put an older build logged decodes to the record it
@@ -274,7 +285,7 @@ func TestDecodeMutationRejects(t *testing.T) {
 		"format 2":        {2, 1, 0},
 		"op 0":            {PayloadFormat, 0, 0},
 		"op 14":           {PayloadFormat, 14, 0},
-		"snapshot header": AppendSnapshotHeader(nil, &StoreState{}),
+		"snapshot header": new(Encoder).AppendSnapshotHeader(nil, &StoreState{}),
 		"two records":     append(binary.AppendUvarint([]byte{PayloadFormat, 1}, hasRecord|hasShapedRecord), parentPut(codecRecord(t, pointLookupSQL, 1))[3:]...),
 		"ref to shape 0":  {PayloadFormat, 1, 0x80, 0x10, 1, 2},
 		"unknown field":   {PayloadFormat, 4, 0x80, 0x10},
@@ -316,21 +327,21 @@ func TestSnapshotPayloads(t *testing.T) {
 	if len(st.Shapes) != 2 || st.NextShape != 3 || st.Records[2].QueryShape != st.Records[0].QueryShape {
 		t.Fatalf("captured %d shapes, counter %d", len(st.Shapes), st.NextShape)
 	}
-	want := SnapshotHeader{NextID: 3, Records: 3, Numbered: true, Shapes: 2, NextShape: 3}
-	if got, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, st)); err != nil || got != want {
+	want := SnapshotHeader{NextID: 3, Records: 3, Numbered: true, Shapes: 2, NextShape: 3, NextSample: 2}
+	if got, err := DecodeSnapshotHeader(new(Encoder).AppendSnapshotHeader(nil, st)); err != nil || got != want {
 		t.Fatalf("header round trip = %+v, %v", got, err)
 	}
 	if _, err := DecodeSnapshotHeader([]byte(`{"nextId":1}`)); !errors.Is(err, ErrPreBinaryPayload) {
 		t.Errorf("JSON snapshot: err = %v, want ErrPreBinaryPayload", err)
 	}
-	if _, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, &StoreState{Shapes: st.Shapes, NextShape: 2})); err == nil {
+	if _, err := DecodeSnapshotHeader(new(Encoder).AppendSnapshotHeader(nil, &StoreState{Shapes: st.Shapes, NextShape: 2})); err == nil {
 		t.Error("a counter of 2 for two shapes was accepted")
 	}
 
 	// One element per chunk at a limit below one element, each cut short
 	// refused without changing the staged state.
 	var enc Encoder
-	staged := &StoreState{NextShape: st.NextShape}
+	staged := &StoreState{NextShape: st.NextShape, NextSample: st.NextSample}
 	for rest := st.Shapes; len(rest) > 0; rest = rest[1:] {
 		p, n := enc.AppendShapeChunk(nil, rest, 1)
 		if kind, count, err := ChunkCount(p); err != nil || kind != ChunkShapes || count != n || n != 1 {
@@ -382,8 +393,8 @@ func TestSnapshotPayloads(t *testing.T) {
 	if err := DecodeShapeChunk(shapes, &StoreState{NextShape: 2}); err == nil {
 		t.Error("a shape numbered at the counter was accepted")
 	}
-	records, _ := enc.AppendRecordChunk(nil, st.Records, 1<<20)
-	if err := DecodeRecordChunk(records, &StoreState{Shapes: staged.Shapes[:1], NextShape: 3}); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 2") {
+	records, _ := new(Encoder).AppendRecordChunk(nil, st.Records, 1<<20)
+	if err := DecodeRecordChunk(records, &StoreState{Shapes: staged.Shapes[:1], NextShape: 3, NextSample: 2}); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 2") {
 		t.Errorf("a dangling reference: %v", err)
 	}
 	if err := DecodeShapeChunk(records, &StoreState{NextShape: 3}); err == nil {
@@ -508,13 +519,49 @@ var fuzzShapes = func() []*QueryShape {
 	return out
 }()
 
-// fuzzStore is a store holding a record of each of fuzzShapes.
+// fuzzStore is a store holding a record of each of fuzzShapes, each with a
+// sample of its own: shapes and samples 1 to 3.
 func fuzzStore(t testing.TB) *Store {
 	s := NewStore()
-	for _, sh := range fuzzShapes {
-		mustPut(t, s, &QueryRecord{QueryShape: sh.values(), User: "u"})
+	for i, sh := range fuzzShapes {
+		mustPut(t, s, &QueryRecord{QueryShape: sh.values(), User: "u", Sample: fuzzSample(fmt.Sprint(i))})
 	}
 	return s
+}
+
+func fuzzSample(v string) *OutputSample {
+	return &OutputSample{Columns: []string{"v"}, Rows: [][]string{{v}}, TotalRows: 1}
+}
+
+// sampleFrames are puts as a store logs them against fuzzStore's state: a
+// new sample defined inline (number 4), a reference to a live sample, a
+// reference to a sample not yet defined, a dangling reference, and a
+// definition reusing a live number for other values.
+func sampleFrames(t testing.TB) map[string][]byte {
+	s := fuzzStore(t)
+	log := logRecorder(t, s)
+	rec := codecRecord(t, "SELECT a FROM t", 0)
+	rec.Sample = fuzzSample("new")
+	mustPut(t, s, rec)
+	rec = codecRecord(t, pointLookupSQL, 0)
+	rec.Sample = fuzzSample("1")
+	mustPut(t, s, rec)
+	out := map[string][]byte{"sample inline": (*log)[0], "sample reference": (*log)[1]}
+	forge := func(ref uint64, sm *OutputSample) []byte {
+		m := &Mutation{Op: OpPut, Record: codecRecord(t, "SELECT a FROM t", 9)}
+		m.Record.Sample, m.sampleRef = sm, ref
+		p, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	out["sample reference before its definition"] = forge(5, nil)
+	out["sample dangling reference"] = forge(99, nil)
+	reused := fuzzSample("other")
+	reused.seq = 2
+	out["sample number reused with other values"] = forge(0, reused)
+	return out
 }
 
 // shapeFrames are puts and a replace-text as a store logs them against
@@ -551,11 +598,12 @@ func shapeFrames(t testing.TB) map[string][]byte {
 // replication stream. It never panics, never returns a half-filled mutation,
 // and re-encoding what it accepted reaches a fixpoint: Encode(Decode(b))
 // decodes to the same mutation and encodes to itself. What it accepts is then
-// applied to a store holding three shapes, so shape references are resolved
-// too: the apply may fail, but never panics, and leaves a consistent
-// dictionary behind.
+// applied to a store holding three shapes and three samples, so shape and
+// sample references are resolved too: the apply may fail, but never panics,
+// and leaves consistent dictionaries behind.
 func FuzzDecodeMutation(f *testing.F) {
 	frames := shapeFrames(f)
+	maps.Copy(frames, sampleFrames(f))
 	names := make([]string, 0, len(frames))
 	for name := range frames {
 		names = append(names, name)

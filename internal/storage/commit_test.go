@@ -78,9 +78,6 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 		{"update-stats", func(s *Store, id QueryID, _ Principal, text string) error {
 			return s.UpdateStats(id, RuntimeStats{Error: text})
 		}, true, false, false},
-		{"set-sample", func(s *Store, id QueryID, _ Principal, text string) error {
-			return s.SetSample(id, &OutputSample{Rows: [][]string{{text}}})
-		}, true, false, false},
 		{"set-quality", func(s *Store, id QueryID, _ Principal, _ string) error {
 			return s.Apply(&Mutation{Op: OpSetQuality, ID: id})
 		}, false, false, true},

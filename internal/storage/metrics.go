@@ -77,6 +77,9 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_store_shapes",
 		"Distinct query shapes (text, canonical forms and features) the stored records share.",
 		func() float64 { return float64(s.ShapeCount()) })
+	reg.GaugeFunc("cqms_store_samples",
+		"Distinct output samples the stored records share.",
+		func() float64 { return float64(s.SampleCount()) })
 	reg.GaugeFunc("cqms_search_index_trigrams",
 		"Distinct trigrams mapped to the query shapes holding them.",
 		func() float64 { return float64(s.SearchIndexSize()) })

@@ -22,7 +22,9 @@ type MutationOp string
 // OpSetQuality what they logged when a maintenance pass stored each record's
 // quality score (now computed on read: QueryRecord.Quality). No store method
 // emits them any more; they stay decodable so those logs replay, and applying
-// one changes nothing.
+// one changes nothing. OpSetSample is what they logged to replace a record's
+// output sample: no store method emits it either, and applying one moves the
+// record to the sample it carries.
 const (
 	OpPut               MutationOp = "put"
 	OpAnnotate          MutationOp = "annotate"
@@ -66,17 +68,15 @@ type Mutation struct {
 	prev *QueryRecord
 	next *QueryRecord
 
-	// shapeRef is the number of the live shape the record of a put or
-	// replace-text read from the log refers to, while unresolved: its record
-	// then has no shape. Apply resolves it (resolveLocked) and Encode writes
-	// it back as the reference it was.
-	shapeRef uint64
-	// entered reports that applying the mutation entered its record's shape
-	// into the store's dictionary: its frame defines the shape inline, where
-	// every later frame refers to it by number. It is decided when the shape
-	// is interned, because a batch interns all its records before any of
-	// them is encoded.
-	entered bool
+	// shapeRef and sampleRef are the numbers of the live shape and sample
+	// the record of a put or replace-text read from the log refers to, while
+	// unresolved: its record then has no shape, or no sample. Apply resolves
+	// them (resolveLocked) and Encode writes them back as the references
+	// they were.
+	shapeRef, sampleRef uint64
+	// entered says which of the record's shape and sample applying the
+	// mutation entered into the store's dictionaries.
+	entered entries
 
 	// walSeq is the WAL sequence the durability slot assigned this mutation
 	// (0 when the store runs without a WAL). It is not encoded (the frame
@@ -95,7 +95,8 @@ func (m *Mutation) WALSeq() uint64 { return m.walSeq }
 
 // ErrUnknownShape reports a put or replace-text read from the log whose
 // shape number names no live shape, or a shape with other values: the log
-// does not belong to the state it is applied to.
+// does not belong to the state it is applied to. ErrUnknownSample
+// (sample.go) is its counterpart for output samples.
 var ErrUnknownShape = errors.New("storage: shape number does not match the store")
 
 // targetID is the query a mutation writes to, for errors.
@@ -344,26 +345,29 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 			next.Stats = *m.Stats
 			next.StatsStale = false
 		})
-	case OpSetSample:
-		return update(nil, func(next, _ *QueryRecord) {
-			next.Sample = m.Sample
-		})
-	case OpReplaceText:
-		if m.Record == nil {
+	case OpSetSample, OpReplaceText:
+		// A set-sample is what an older build logged to replace a record's
+		// sample; this build applies it and logs none.
+		if m.Op == OpReplaceText && m.Record == nil {
 			return missing("record")
 		}
 		rec, err := s.lookup(m.ID)
 		if err != nil {
 			return false, err
 		}
-		if err := s.index.resolveLocked(m); err != nil {
+		next := rec.shallowCopy()
+		if m.Op == OpSetSample {
+			next.Sample = m.Sample
+		} else {
+			if err := s.index.resolveLocked(m); err != nil {
+				return false, err
+			}
+			next.QueryShape = m.Record.QueryShape
+		}
+		if m.entered, err = s.move(rec, next); err != nil {
 			return false, err
 		}
-		m.next, m.entered, err = s.replaceText(rec, m.Record)
-		if err != nil {
-			return false, err
-		}
-		m.prev = rec
+		m.prev, m.next = rec, next
 		return true, nil
 	default:
 		return false, fmt.Errorf("storage: apply: unknown op %q", m.Op)
@@ -402,16 +406,15 @@ func (s *Store) update(id QueryID, same func(*QueryRecord) bool, mutate func(nex
 }
 
 // insert places a record with an already-assigned ID into its slot and all
-// indexes, pointing it at its interned shape. It is shared by the live Put
-// path and WAL replay; replay of a Put whose ID already exists (a
+// indexes, pointing it at its interned shape and sample. It is shared by the
+// live Put path and WAL replay; replay of a Put whose ID already exists (a
 // snapshot/segment overlap) replaces the older copy in the same slot, so
 // recovery stays idempotent and scans keep ID order — the replaced version,
 // if any, is returned so bus subscribers can retract its contributions, with
-// whether the record entered its shape into the dictionary. A view sees the
-// record once the high-water mark covers its ID, which happens after its slot
-// holds it. Callers must hold the commit lock and have checked the ID with
-// validID.
-func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord, entered bool) {
+// what the record entered into the dictionaries. A view sees the record once
+// the high-water mark covers its ID, which happens after its slot holds it.
+// Callers must hold the commit lock and have checked the ID with validID.
+func (s *Store) insert(rec *QueryRecord) (replaced *QueryRecord, entered entries) {
 	replaced, _ = s.loadRecord(rec.ID)
 	s.index.mu.Lock()
 	if replaced != nil {
@@ -440,22 +443,19 @@ func (s *Store) remove(rec *QueryRecord) {
 	s.count.Add(-1)
 }
 
-// replaceText publishes a record version with the shape of the update — its
-// text and feature relations — moving it to the shape of its new text, and
-// returns the new version and whether it entered its shape into the
-// dictionary. The move is one index critical section: the record is posted on
-// exactly one shape whenever a reader looks. A version that would exceed
-// MaxRecordBytes is refused (ErrTooLarge) and nothing changes. Callers must
-// hold the commit lock.
-func (s *Store) replaceText(rec, updated *QueryRecord) (next *QueryRecord, entered bool, err error) {
-	next = rec.shallowCopy()
-	next.QueryShape = updated.QueryShape
+// move publishes next, a version of the stored record rec with another shape
+// (a replaced text) or another sample, moving the record to the interned
+// ones, and returns what next entered into the dictionaries. The move is one
+// index critical section: the record is posted on exactly one shape whenever
+// a reader looks. A version that would exceed MaxRecordBytes is refused
+// (ErrTooLarge) and nothing changes. Callers must hold the commit lock.
+func (s *Store) move(rec, next *QueryRecord) (entries, error) {
 	if err := admitRecord(next); err != nil {
-		return nil, false, err
+		return entries{}, err
 	}
 	s.index.mu.Lock()
-	entered = s.index.retextLocked(rec, next)
+	e := s.index.moveLocked(rec, next)
 	s.index.mu.Unlock()
 	s.storeRecord(next)
-	return next, entered, nil
+	return e, nil
 }

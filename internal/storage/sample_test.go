@@ -1,0 +1,315 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// answer is an output sample as the profiler logs one: a few values that
+// repeat heavily, two pairs that differ only by a nil against an empty slice
+// (equal content hashes, unequal values), or none.
+func answer(rng *rand.Rand) *OutputSample {
+	switch rng.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return &OutputSample{Columns: []string{}, Rows: [][]string{}}
+	case 2:
+		return &OutputSample{Columns: []string{}}
+	case 3:
+		return &OutputSample{Columns: []string{"lake"}, Rows: [][]string{{"Union"}, nil, {}}, TotalRows: 3}
+	case 4:
+		return &OutputSample{Columns: []string{"lake"}, Rows: [][]string{{"Union"}, {}, nil}, TotalRows: 3}
+	default:
+		return &OutputSample{Columns: []string{"n"}, Rows: [][]string{{fmt.Sprint(rng.Intn(20))}}, TotalRows: 1, Truncated: rng.Intn(2) == 0}
+	}
+}
+
+// cloneSample is an owned copy of a sample's value, nil and empty slices
+// kept apart.
+func cloneSample(sm *OutputSample) *OutputSample {
+	if sm == nil {
+		return nil
+	}
+	out := &OutputSample{Columns: slices.Clone(sm.Columns), TotalRows: sm.TotalRows, Truncated: sm.Truncated}
+	if sm.Rows != nil {
+		out.Rows = make([][]string, len(sm.Rows))
+		for i, row := range sm.Rows {
+			out.Rows[i] = slices.Clone(row)
+		}
+	}
+	return out
+}
+
+func sampleNumber(rec *QueryRecord) uint64 {
+	if rec.Sample == nil {
+		return 0
+	}
+	return rec.Sample.Number()
+}
+
+// distinctSamples counts the distinct sample values of a store's records.
+func distinctSamples(s *Store) int {
+	var distinct []*OutputSample
+	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
+		if sm := rec.Sample; sm != nil && !slices.ContainsFunc(distinct, func(d *OutputSample) bool { return sameSample(d, sm) }) {
+			distinct = append(distinct, sm)
+		}
+		return true
+	})
+	return len(distinct)
+}
+
+// checkSampleDictionary is the sample dictionary's leak check: it holds
+// exactly the samples of the live records, each under its number (below the
+// counter), carrying its content hash and counting its records, with a live
+// sample filed under every live sample's hash — itself, unless distinct is
+// false (a log that overlaps its snapshot may define a sample under its own
+// number while an equal one is live).
+func checkSampleDictionary(t testing.TB, s *Store, distinct bool) {
+	t.Helper()
+	refs := map[*OutputSample]int{}
+	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
+		if rec.Sample != nil {
+			refs[rec.Sample]++
+		}
+		return true
+	})
+	s.index.mu.RLock()
+	defer s.index.mu.RUnlock()
+	d := &s.index.samples
+	for num, sm := range d.byNum {
+		fresh := sm.values()
+		fresh.hash = 0
+		if fresh.prepare(); fresh.hash != sm.hash {
+			t.Errorf("sample %d carries hash %#x, its content hashes to %#x", num, sm.hash, fresh.hash)
+		}
+		if !sm.interned || num == 0 || sm.seq != num || num >= d.nextSeq {
+			t.Errorf("sample %d (counter %d) is numbered %d", num, d.nextSeq, sm.seq)
+		}
+		if sm.refs == 0 || int(sm.refs) != refs[sm] {
+			t.Errorf("sample %d counts %d records, %d point at it", num, sm.refs, refs[sm])
+		}
+		delete(refs, sm)
+		if have := d.byHash[sm.hash]; have == nil || d.byNum[have.seq] != have {
+			t.Errorf("no live sample is filed under the hash of sample %d", num)
+		} else if distinct && have != sm {
+			t.Errorf("samples %d and %d are live under one hash", have.seq, num)
+		}
+	}
+	for hash, sm := range d.byHash {
+		if sm.hash != hash || d.byNum[sm.seq] != sm {
+			t.Errorf("the hash index holds sample %d, which is not live under its hash", sm.seq)
+		}
+	}
+	for sm, k := range refs {
+		t.Errorf("%d records point at a sample numbered %d the dictionary does not hold", k, sm.seq)
+	}
+}
+
+// sampledRecord is a record of text answering v.
+func sampledRecord(text, v string) *QueryRecord {
+	rec := freshRecord(text)
+	rec.Sample = &OutputSample{Columns: []string{"v"}, Rows: [][]string{{v}}, TotalRows: 1}
+	return rec
+}
+
+// frameSample reports how a logged put carries its sample: the number it
+// defines inline (0 for none, or for one without a number), or the number it
+// refers to.
+func frameSample(t testing.TB, p []byte) (inline, ref uint64) {
+	t.Helper()
+	m, err := DecodeMutation(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case m.sampleRef != 0:
+		return 0, m.sampleRef
+	case m.Record == nil: // a delete
+		return 0, 0
+	}
+	return sampleNumber(m.Record), 0
+}
+
+// TestSampleNumbersInTheLog: the put that enters a sample defines it inline
+// under its number and every later one refers to it, within a batch too; a
+// sample that left with its last record is entered again under a new number;
+// a replace-text logs no sample and leaves the record's as it was; an older
+// build's set-sample moves a record to the sample it carries, and one that
+// carries the value a record's only sample holds keeps its number. A replay
+// numbers every sample as the live store did, and a snapshot restore takes
+// the counter past a number that left.
+func TestSampleNumbersInTheLog(t *testing.T) {
+	s := NewStore()
+	log := logRecorder(t, s)
+	x, y := shapeTexts[0], shapeTexts[2]
+	a := mustPut(t, s, sampledRecord(x, "a"))
+	b := mustPut(t, s, sampledRecord(y, "a"))
+	mustPutBatch(t, s, []*QueryRecord{sampledRecord(x, "b"), sampledRecord(x, "b")})
+	mustPut(t, s, freshRecord(x))
+	for _, id := range []QueryID{a, b} {
+		if err := s.Delete(id, admin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := mustPut(t, s, sampledRecord(y, "a"))
+	if err := s.ReplaceText(c, freshRecord(x)); err != nil {
+		t.Fatal(err)
+	}
+	type form struct{ inline, ref uint64 }
+	want := []form{{inline: 1}, {ref: 1}, {inline: 2}, {ref: 2}, {}, {}, {}, {inline: 3}, {}}
+	if len(*log) != len(want) {
+		t.Fatalf("%d frames logged, want %d", len(*log), len(want))
+	}
+	for i, p := range *log {
+		if inline, ref := frameSample(t, p); (form{inline, ref}) != want[i] {
+			t.Errorf("frame %d carries sample inline %d, reference %d; want %+v", i, inline, ref, want[i])
+		}
+	}
+	if rec, _ := s.loadRecord(c); sampleNumber(rec) != 3 || s.SampleCount() != 2 {
+		t.Fatalf("after the replace-text query %d has sample %d, and the store %d samples", c, sampleNumber(rec), s.SampleCount())
+	}
+
+	replica := NewStore()
+	for _, p := range *log {
+		if err := replica.Apply(mustDecode(t, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkShapes(t, replica)
+	checkSameNumbers(t, "replay", replica, s)
+
+	// The set-sample an older build logged: query c moves to the sample
+	// equal to the one it carries ("b", number 2) and its own leaves.
+	for _, to := range []*Store{s, replica} {
+		if err := to.Apply(&Mutation{Op: OpSetSample, ID: c, Sample: &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"b"}}, TotalRows: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := to.loadRecord(c); sampleNumber(rec) != 2 || to.SampleCount() != 1 {
+			t.Fatalf("the set-sample left query %d on sample %d, and %d samples", c, sampleNumber(rec), to.SampleCount())
+		}
+		checkShapes(t, to)
+	}
+	d := mustPut(t, s, sampledRecord(x, "d"))
+	if err := s.Apply(&Mutation{Op: OpSetSample, ID: d, Sample: &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"d"}}, TotalRows: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := s.loadRecord(d); sampleNumber(rec) != 4 {
+		t.Fatalf("a set-sample onto the value of its record's only sample renumbered it %d, want 4", sampleNumber(rec))
+	}
+	if err := s.Delete(d, admin); err != nil {
+		t.Fatal(err)
+	}
+	checkSameNumbers(t, "snapshot restore", snapshotRestore(t, s), s)
+}
+
+func mustDecode(t testing.TB, p []byte) *Mutation {
+	t.Helper()
+	m, err := DecodeMutation(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestUnresolvableSamplesAreRefused: a frame whose sample number the store
+// cannot resolve — a reference read before its definition, a reference to a
+// sample that left, a definition whose number a sample with other values
+// holds — is an error naming the number, from Apply and from RestoreState,
+// and changes nothing. A definition whose number holds an equal sample is
+// the same sample, as a replay that overlaps its snapshot needs, even when
+// it re-puts that sample's only record.
+func TestUnresolvableSamplesAreRefused(t *testing.T) {
+	s := NewStore()
+	log := logRecorder(t, s)
+	mustPut(t, s, sampledRecord(shapeTexts[0], "a"))
+	mustPut(t, s, sampledRecord(shapeTexts[0], "a"))
+	define, refer := (*log)[0], (*log)[1]
+
+	fresh := NewStore()
+	if err := fresh.Apply(mustDecode(t, refer)); !errors.Is(err, ErrUnknownSample) || !strings.Contains(err.Error(), "sample 1") {
+		t.Errorf("a reference before its definition: %v", err)
+	}
+	if fresh.Count() != 0 || fresh.SampleCount() != 0 || fresh.ShapeCount() != 0 {
+		t.Fatalf("a refused reference left %d records, %d samples and %d shapes", fresh.Count(), fresh.SampleCount(), fresh.ShapeCount())
+	}
+
+	// Defined, then gone with its last record: a later reference dangles.
+	for i := 0; i < 2; i++ {
+		if err := fresh.Apply(mustDecode(t, define)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec, _ := fresh.loadRecord(1); fresh.SampleCount() != 1 || sampleNumber(rec) != 1 || fresh.index.samples.byNum[1] != rec.Sample {
+		t.Fatalf("the same definition again over the only record of sample 1: %d samples, numbered %d", fresh.SampleCount(), sampleNumber(rec))
+	}
+	if err := fresh.Apply(&Mutation{Op: OpDelete, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Apply(mustDecode(t, refer)); !errors.Is(err, ErrUnknownSample) {
+		t.Errorf("a reference to a sample that left: %v", err)
+	}
+
+	// Number 1 defined again with other values while it is live.
+	if err := fresh.Apply(mustDecode(t, define)); err != nil {
+		t.Fatal(err)
+	}
+	other := sampledRecord(shapeTexts[0], "other")
+	other.ID, other.Sample.seq = 7, 1
+	p, err := (&Mutation{Op: OpPut, Record: other}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Apply(mustDecode(t, p)); !errors.Is(err, ErrUnknownSample) || !strings.Contains(err.Error(), "sample 1") {
+		t.Errorf("a definition of a live number with other values: %v", err)
+	}
+	if fresh.Count() != 1 || fresh.SampleCount() != 1 {
+		t.Fatalf("a refused definition left %d records and %d samples", fresh.Count(), fresh.SampleCount())
+	}
+	checkShapes(t, fresh)
+
+	// RestoreState takes no state holding two samples under one number.
+	clash := &StoreState{Records: []*QueryRecord{sampledRecord(shapeTexts[0], "a"), sampledRecord(shapeTexts[0], "b")}}
+	for i, rec := range clash.Records {
+		rec.ID, rec.Sample.seq = QueryID(i+1), 4
+	}
+	if err := fresh.RestoreState(clash); !errors.Is(err, ErrUnknownSample) || !strings.Contains(err.Error(), "numbered 4") {
+		t.Errorf("two samples under one number: %v", err)
+	}
+	if fresh.Count() != 1 {
+		t.Fatalf("a refused restore left %d records", fresh.Count())
+	}
+}
+
+// TestRepeatedAnswersShareOneSample: records answering alike point at one
+// stored sample, which Clone shares; a sample held by another store is
+// copied, never shared between dictionaries.
+func TestRepeatedAnswersShareOneSample(t *testing.T) {
+	s := NewStore()
+	a := mustPut(t, s, sampledRecord(shapeTexts[0], "a"))
+	b := mustPut(t, s, sampledRecord(shapeTexts[2], "a"))
+	ra, _ := s.loadRecord(a)
+	rb, _ := s.loadRecord(b)
+	if ra.Sample != rb.Sample || s.SampleCount() != 1 {
+		t.Fatalf("two equal answers are stored as %d samples", s.SampleCount())
+	}
+	c, err := s.Get(a, admin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Sample != ra.Sample {
+		t.Error("Clone copied the immutable sample")
+	}
+	other := NewStore()
+	mustPut(t, other, c)
+	if rc, _ := other.loadRecord(1); rc.Sample == ra.Sample || !sameSample(rc.Sample, ra.Sample) {
+		t.Error("another store shares the sample this one holds")
+	}
+	checkShapes(t, s)
+	checkShapes(t, other)
+}

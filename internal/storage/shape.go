@@ -262,11 +262,15 @@ func (s *Store) ShapeCount() int {
 }
 
 // share points a record about to be put at the store's shape equal to its
-// own when the store holds one, and prepares the record's shape otherwise.
-// It runs outside the commit lock, so that interning under the lock is a
-// pointer comparison or pure map work. A shape found here may lose its last
-// record before the record commits; interning then stores a copy.
+// own when the store holds one, and prepares the record's shape otherwise; it
+// hashes a sample no store holds. It runs outside the commit lock, so that
+// interning under the lock is a pointer comparison or pure map work. A shape
+// found here may lose its last record before the record commits; interning
+// then stores a copy.
 func (s *Store) share(rec *QueryRecord) {
+	if sm := rec.Sample; sm != nil && !sm.interned {
+		sm.prepare()
+	}
 	if rec.interned {
 		return
 	}
@@ -330,13 +334,16 @@ func (ix *index) internLocked(rec *QueryRecord) (entered bool) {
 }
 
 // resolveLocked points the record of a put or replace-text read from the log
-// at the live shape its frame names: the one a reference names, or the one
-// already holding the number of an inline definition when both hold equal
-// values (a replay that overlaps its snapshot). A reference to a number no
-// live shape has, and a definition whose number a shape with other values
-// holds, are errors naming the number; nothing is changed then. Callers must
-// hold the commit lock.
+// at the live shape and sample its frame names: the one a reference names, or
+// the one already holding the number of an inline definition when both hold
+// equal values (a replay that overlaps its snapshot). A reference to a number
+// no live shape or sample has, and a definition whose number one with other
+// values holds, are errors naming the number; the store is not changed then.
+// Callers must hold the commit lock.
 func (ix *index) resolveLocked(m *Mutation) error {
+	if err := ix.samples.resolve(m); err != nil {
+		return err
+	}
 	if m.shapeRef != 0 {
 		sh := ix.byNum[m.shapeRef]
 		if sh == nil {

@@ -64,6 +64,7 @@ func checkDictionary(t testing.TB, s *Store, distinct bool) {
 	if n != s.index.nshapes || n != len(s.index.byNum) {
 		t.Errorf("the dictionary counts %d shapes, holds %d and numbers %d", s.index.nshapes, n, len(s.index.byNum))
 	}
+	checkSampleDictionary(t, s, distinct)
 }
 
 // shapeTexts repeat heavily. Two of them lower-case to the same strings but
@@ -95,14 +96,17 @@ func deepValue(rec *QueryRecord) *QueryRecord {
 	sh.Aggregates, sh.GroupBy, sh.Features = slices.Clone(sh.Aggregates), slices.Clone(sh.GroupBy), slices.Clone(sh.Features)
 	out.QueryShape = sh
 	out.Annotations = slices.Clone(rec.Annotations)
+	out.Sample = cloneSample(rec.Sample)
 	return &out
 }
 
-// sameRecord compares two records field by field, shape values included.
+// sameRecord compares two records field by field, shape and sample values
+// included.
 func sameRecord(a, b *QueryRecord) bool {
 	ra, rb := *a, *b
-	ra.QueryShape, rb.QueryShape = nil, nil
-	return reflect.DeepEqual(ra, rb) && reflect.DeepEqual(a.values(), b.values())
+	ra.QueryShape, rb.QueryShape, ra.Sample, rb.Sample = nil, nil, nil, nil
+	return reflect.DeepEqual(ra, rb) && reflect.DeepEqual(a.values(), b.values()) &&
+		(a.Sample == nil) == (b.Sample == nil) && (a.Sample == nil || sameSample(a.Sample, b.Sample))
 }
 
 // TestInterningEqualsUninternedOracle drives a history of heavily repeated
@@ -170,6 +174,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 		rec.Visibility = Visibility(rng.Intn(3))
 		tick = tick.Add(time.Minute)
 		rec.IssuedAt = tick
+		rec.Sample = answer(rng)
 		return rec, old
 	}
 	stored := func(rec *QueryRecord, old bool, id QueryID) {
@@ -183,7 +188,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 		if step == 150 {
 			follower = snapshotRestore(t, s)
 		}
-		op := rng.Intn(10)
+		op := rng.Intn(11)
 		if len(ids) < 3 {
 			op = 0
 		}
@@ -251,6 +256,14 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 			}
 			delete(oracle, ids[i])
 			ids = append(ids[:i], ids[i+1:]...)
+		case 9: // an older build's set-sample, replayed into every store
+			id, sm := pick(), answer(rng)
+			for _, to := range []*Store{s, replica, follower} {
+				if to != nil {
+					apply(to, &Mutation{Op: OpSetSample, ID: id, Sample: sm})
+				}
+			}
+			oracle[id].Sample = cloneSample(sm)
 		default: // a caller's clone is its own to write
 			c, err := s.Get(pick(), admin)
 			if err != nil {
@@ -296,6 +309,9 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 		if got := path.store.ShapeCount(); got != len(distinct) {
 			t.Errorf("%s: %d shapes held for %d distinct shapes", path.name, got, len(distinct))
 		}
+		if got, want := path.store.SampleCount(), distinctSamples(path.store); got != want {
+			t.Errorf("%s: %d samples held for %d distinct samples", path.name, got, want)
+		}
 		checkShapes(t, path.store)
 		checkTextIndex(t, path.store)
 		checkSameNumbers(t, path.name, path.store, s)
@@ -332,11 +348,11 @@ func snapshotRestore(t *testing.T, s *Store) *Store {
 // header, then shape and record chunks closed at limit bytes, each decoded
 // into a staged state.
 func snapshotPayloads(st *StoreState, limit int) (*StoreState, error) {
-	h, err := DecodeSnapshotHeader(AppendSnapshotHeader(nil, st))
+	h, err := DecodeSnapshotHeader(new(Encoder).AppendSnapshotHeader(nil, st))
 	if err != nil {
 		return nil, err
 	}
-	out := &StoreState{NextID: h.NextID, NextShape: h.NextShape}
+	out := &StoreState{NextID: h.NextID, NextShape: h.NextShape, NextSample: h.NextSample}
 	var e Encoder
 	for rest := st.Shapes; len(rest) > 0; {
 		chunk, n := e.AppendShapeChunk(nil, rest, limit)
@@ -515,17 +531,24 @@ func TestSharedShapesUnderConcurrentWrites(t *testing.T) {
 }
 
 // checkSameNumbers holds a store rebuilt from the log to the numbers the live
-// store gave its shapes: every record's shape number and the counter.
+// store gave its shapes and samples: every record's shape and sample number
+// and both counters.
 func checkSameNumbers(t testing.TB, name string, got, want *Store) {
 	t.Helper()
 	want.Snapshot().scanAll(func(rec *QueryRecord) bool {
-		if other, ok := got.loadRecord(rec.ID); !ok || other.Number() != rec.Number() {
+		other, ok := got.loadRecord(rec.ID)
+		if !ok || other.Number() != rec.Number() {
 			t.Errorf("%s: query %d's shape is numbered %d, the live store's %d", name, rec.ID, other.Number(), rec.Number())
+		} else if g, w := sampleNumber(other), sampleNumber(rec); g != w {
+			t.Errorf("%s: query %d's sample is numbered %d, the live store's %d", name, rec.ID, g, w)
 		}
 		return true
 	})
 	if g, w := got.index.nextSeq, want.index.nextSeq; g != w {
 		t.Errorf("%s: the shape counter reads %d, the live store's %d", name, g, w)
+	}
+	if g, w := got.index.samples.nextSeq, want.index.samples.nextSeq; g != w {
+		t.Errorf("%s: the sample counter reads %d, the live store's %d", name, g, w)
 	}
 }
 

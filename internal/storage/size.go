@@ -58,7 +58,7 @@ func annotationBound(a *Annotation) int64 {
 
 func recordBound(rec *QueryRecord) int64 {
 	// ID, the two hashes, visibility, session, flags, the quality slot, the
-	// sample's presence byte and the three inline slice counts.
+	// sample's tag and the three inline slice counts.
 	n := int64(10 * varintBound)
 	n += stringBound(rec.Text) + stringBound(rec.Canonical) + stringBound(rec.Template)
 	n += stringBound(rec.User) + stringBound(rec.Group) + stringBound(rec.InvalidReason)

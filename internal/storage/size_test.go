@@ -24,9 +24,13 @@ func TestSizeBoundsCoverTheEncoding(t *testing.T) {
 			// A snapshot writes the shape and the record's own fields as two
 			// elements, each after a number.
 			enc.resetTable()
-			body := enc.shapeBody(binary.AppendUvarint(nil, maxShapeNumber), m.Record.QueryShape)
+			body := enc.shapeBody(binary.AppendUvarint(nil, maxNumber), m.Record.QueryShape)
 			enc.resetTable()
-			body = enc.instanceBody(binary.AppendUvarint(body, maxShapeNumber), m.Record)
+			var tag uint64
+			if m.Record.Sample != nil {
+				tag = maxNumber << 1
+			}
+			body = enc.instanceBody(binary.AppendUvarint(body, maxNumber), m.Record, tag)
 			if bound := recordBound(m.Record); int64(len(body)) > bound {
 				t.Errorf("%s: shape and record bodies %d bytes, bound %d", name, len(body), bound)
 			}
@@ -74,7 +78,7 @@ func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 		"an annotation over the limit by itself":   store.Annotate(2, alice, Annotation{Text: huge}),
 		"an invalid reason":                        store.MarkInvalid(2, huge),
 		"a stats error":                            store.UpdateStats(2, RuntimeStats{Error: huge}),
-		"a sample":                                 store.SetSample(2, &OutputSample{Rows: [][]string{{huge}}}),
+		"an older build's set-sample":              store.Apply(&Mutation{Op: OpSetSample, ID: 2, Sample: &OutputSample{Rows: [][]string{{huge}}}}),
 		"a replacement text":                       store.ReplaceText(2, newRec(huge)),
 	} {
 		if !errors.Is(err, ErrTooLarge) {

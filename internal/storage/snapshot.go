@@ -13,10 +13,10 @@ import (
 )
 
 // StoreState is the full serialisable state of a Store: every record in ID
-// order, the ID counter, and the live shapes in ascending number with the
-// shape counter. It is what the WAL subsystem streams out as a snapshot and
-// what recovery stages before replaying the log tail; the inverted indexes
-// are derived state and are rebuilt on restore.
+// order, the ID counter, the live shapes in ascending number with the shape
+// counter, and the sample counter. It is what the WAL subsystem streams out as
+// a snapshot and what recovery stages before replaying the log tail; the
+// inverted indexes are derived state and are rebuilt on restore.
 type StoreState struct {
 	NextID  QueryID        `json:"nextId"`
 	Records []*QueryRecord `json:"records"`
@@ -26,6 +26,15 @@ type StoreState struct {
 	// own, and a restore numbers them in ID order.
 	Shapes    []*QueryShape `json:"-"`
 	NextShape uint64        `json:"-"`
+	// NextSample is the number the next new sample takes. The samples are
+	// the records': records of one sample share it, and it carries its
+	// number. A state read from an older build's snapshot has no sample
+	// numbers, and a restore numbers its samples in ID order.
+	NextSample uint64 `json:"-"`
+
+	// samples holds, by number, the samples the record chunks decoded so
+	// far defined: what a later record's reference resolves against.
+	samples map[uint64]*OutputSample
 }
 
 // CaptureState is the snapshot writer's view of the store. Under the commit
@@ -43,10 +52,11 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 		capture()
 	}
 	st := &StoreState{
-		NextID:    QueryID(s.nextID.Load()),
-		Records:   make([]*QueryRecord, 0, s.Count()),
-		Shapes:    make([]*QueryShape, 0, len(s.index.byNum)),
-		NextShape: s.index.nextSeq,
+		NextID:     QueryID(s.nextID.Load()),
+		Records:    make([]*QueryRecord, 0, s.Count()),
+		Shapes:     make([]*QueryShape, 0, len(s.index.byNum)),
+		NextShape:  s.index.nextSeq,
+		NextSample: s.index.samples.nextSeq,
 	}
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
 		st.Records = append(st.Records, rec)
@@ -64,7 +74,8 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 // RestoreState replaces the store's entire contents with the snapshot: it
 // swaps in an empty record table, enters the snapshot's shapes under their
 // numbers in ascending order, inserts every record through the same insert
-// path used by live operations and replay, sets the shape counter, then runs
+// path used by live operations and replay (which enters each numbered sample
+// under its number), sets the shape and sample counters, then runs
 // every bus subscriber's Rebuild hook over the restored records: a snapshot
 // load has no per-record mutation stream to fan out, and the WAL slot is not
 // invoked. Records of a state without shapes (an older build's snapshot)
@@ -83,6 +94,7 @@ func (s *Store) RestoreState(st *StoreState) error {
 	for _, sh := range st.Shapes {
 		sh.prepare()
 	}
+	st.samples = nil // checked; the records hold the samples
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.restoreStateLocked(st)
@@ -93,18 +105,32 @@ func (s *Store) RestoreState(st *StoreState) error {
 }
 
 // check refuses a state the store cannot take on: a shape that is missing
-// or held by a store (a captured state), and a record whose numbered shape
-// is not one of the state's shapes, which must ascend. The snapshot reader
-// enforces the format's rules, so a state it decoded always passes.
+// or held by a store (a captured state), a record whose numbered shape is not
+// one of the state's shapes, which must ascend, and two samples under one
+// number. The snapshot reader enforces the format's rules, so a state it
+// decoded always passes.
 func (st *StoreState) check() error {
 	for _, sh := range st.Shapes {
 		if sh == nil || sh.interned {
 			return errors.New("storage: restore: a shape that is missing or held by a store")
 		}
 	}
+	// The snapshot reader checked the sample numbers as it decoded them
+	// (st.samples); any other state is checked here.
+	var samples map[uint64]*OutputSample
+	if st.samples == nil {
+		samples = make(map[uint64]*OutputSample)
+	}
 	for _, rec := range st.Records {
 		if rec == nil || rec.QueryShape == nil {
 			return errors.New("storage: restore: a record without a shape")
+		}
+		if sm := rec.Sample; samples != nil && sm != nil && !sm.interned && sm.seq != 0 {
+			if have, ok := samples[sm.seq]; !ok {
+				samples[sm.seq] = sm
+			} else if have != sm {
+				return fmt.Errorf("%w: query %d holds a sample numbered %d, as another sample is", ErrUnknownSample, rec.ID, sm.seq)
+			}
 		}
 		if rec.interned || rec.seq == 0 {
 			continue
@@ -114,6 +140,12 @@ func (st *StoreState) check() error {
 		}
 	}
 	return nil
+}
+
+// sampleCap bounds how many samples st's records hold, to size the maps that
+// take them.
+func (st *StoreState) sampleCap() int {
+	return min(len(st.Records), int(min(st.NextSample, math.MaxInt32)))
 }
 
 // shapeIndex finds the shape numbered num among st's ascending shapes.
@@ -127,6 +159,7 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.nextID.Store(0)
 	s.index.mu.Lock()
 	s.index.reset()
+	s.index.samples.reset(st.sampleCap())
 	for _, sh := range st.Shapes {
 		s.index.enterLocked(sh, sh.seq)
 	}
@@ -141,6 +174,7 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	}
 	s.index.mu.Lock()
 	s.index.nextSeq = max(s.index.nextSeq, st.NextShape)
+	s.index.samples.nextSeq = max(s.index.samples.nextSeq, st.NextSample)
 	s.index.mu.Unlock()
 	if int64(st.NextID) > s.nextID.Load() {
 		s.nextID.Store(int64(st.NextID))
@@ -156,7 +190,12 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 // the header's shape count is reached, then record chunks until its record
 // count is reached. A shape chunk holds shapes with their numbers, in
 // ascending number; a record chunk holds records, each written as its
-// shape's number and its own fields.
+// shape's number and its own fields. A record's sample is defined inline,
+// under its number, at the sample's first record in ID order, and named by
+// number at every later one.
+//
+// The header before the sample counter (kindShapeSnapshotHeader) is still
+// read: its records carry their samples inline without numbers.
 //
 // Older builds wrote another header (kindSnapshotHeader) and record chunks
 // whose records carried their shapes inline (kindRecordChunk), then session
@@ -170,9 +209,10 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 
 // Payload kinds of this build's snapshots.
 const (
-	kindShapeSnapshotHeader = 0x44
-	kindShapeChunk          = 0x45
-	kindShapedRecordChunk   = 0x46
+	kindShapeSnapshotHeader  = 0x44
+	kindShapeChunk           = 0x45
+	kindShapedRecordChunk    = 0x46
+	kindSampleSnapshotHeader = 0x47
 )
 
 // SnapshotHeader opens a snapshot stream and says how much follows it.
@@ -184,6 +224,10 @@ type SnapshotHeader struct {
 	Numbered  bool
 	Shapes    int
 	NextShape uint64
+	// NextSample is the sample counter: every sample number the records
+	// define is below it. It is 0 in an older snapshot, whose samples have
+	// no numbers.
+	NextSample uint64
 	// Edges and Checkpoints are what an older build's snapshot announced
 	// after its records: session edges and checkpoint sections, read and
 	// skipped. They are 0 in a Numbered snapshot.
@@ -211,13 +255,17 @@ var chunkKinds = map[byte]ChunkKind{
 // chunkHeaderBytes is a chunk's format byte, kind byte and uint32 count.
 const chunkHeaderBytes = 6
 
-// AppendSnapshotHeader appends the header of a snapshot of st.
-func AppendSnapshotHeader(dst []byte, st *StoreState) []byte {
-	dst = append(dst, PayloadFormat, kindShapeSnapshotHeader)
+// AppendSnapshotHeader appends the header of a snapshot of st, and starts the
+// snapshot: the record chunks the encoder appends next define each sample at
+// its first record.
+func (e *Encoder) AppendSnapshotHeader(dst []byte, st *StoreState) []byte {
+	e.defined = make(map[uint64]uint64, st.sampleCap()/64+1)
+	dst = append(dst, PayloadFormat, kindSampleSnapshotHeader)
 	dst = binary.AppendVarint(dst, int64(st.NextID))
 	dst = binary.AppendUvarint(dst, uint64(len(st.Records)))
 	dst = binary.AppendUvarint(dst, uint64(len(st.Shapes)))
-	return binary.AppendUvarint(dst, st.NextShape)
+	dst = binary.AppendUvarint(dst, st.NextShape)
+	return binary.AppendUvarint(dst, st.NextSample)
 }
 
 // DecodeSnapshotHeader parses a header payload, this build's or an older
@@ -226,7 +274,7 @@ func AppendSnapshotHeader(dst []byte, st *StoreState) []byte {
 // counter that could not number the shapes announced.
 func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
 	kind, err := checkFormat(p)
-	if err == nil && kind != kindSnapshotHeader && kind != kindShapeSnapshotHeader {
+	if err == nil && kind != kindSnapshotHeader && kind != kindShapeSnapshotHeader && kind != kindSampleSnapshotHeader {
 		err = fmt.Errorf("payload kind %#x is not a snapshot header", kind)
 	}
 	if err != nil {
@@ -241,9 +289,12 @@ func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
 		return int(v)
 	}
 	h := SnapshotHeader{NextID: QueryID(r.Varint()), Records: count()}
-	if kind == kindShapeSnapshotHeader {
+	switch kind {
+	case kindSampleSnapshotHeader:
+		h.Numbered, h.Shapes, h.NextShape, h.NextSample = true, count(), r.Uvarint(), r.Uvarint()
+	case kindShapeSnapshotHeader:
 		h.Numbered, h.Shapes, h.NextShape = true, count(), r.Uvarint()
-	} else {
+	default:
 		h.Edges, h.Checkpoints = count(), count()
 	}
 	if err := r.Finish(); err != nil {
@@ -252,8 +303,11 @@ func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
 	if h.NextID < 0 || h.NextID > MaxQueryID {
 		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: high-water mark %d is outside [0, %d]", h.NextID, MaxQueryID)
 	}
-	if h.NextShape > maxShapeNumber || h.Shapes > 0 && uint64(h.Shapes) >= h.NextShape {
+	if h.NextShape > maxNumber || h.Shapes > 0 && uint64(h.Shapes) >= h.NextShape {
 		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: shape counter %d cannot number %d shapes", h.NextShape, h.Shapes)
+	}
+	if h.NextSample > maxNumber {
+		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: sample counter %d out of range", h.NextSample)
 	}
 	return h, nil
 }
@@ -302,10 +356,23 @@ func (e *Encoder) AppendShapeChunk(dst []byte, shapes []*QueryShape, limit int) 
 }
 
 // AppendRecordChunk appends one record-chunk payload holding a prefix of
-// recs, each its shape's number and its instance body; see appendChunk.
+// recs, each its shape's number and its instance body; see appendChunk. A
+// numbered sample is defined inline at its first record since the snapshot
+// started and named by number at every later one.
 func (e *Encoder) AppendRecordChunk(dst []byte, recs []*QueryRecord, limit int) ([]byte, int) {
 	return appendChunk(e, dst, kindShapedRecordChunk, recs, limit, func(dst []byte, rec *QueryRecord) []byte {
-		return e.instanceBody(binary.AppendUvarint(dst, rec.seq), rec)
+		var tag uint64
+		if sm := rec.Sample; sm != nil {
+			word, bit := sm.seq/64, uint64(1)<<(sm.seq%64)
+			seen := e.defined[word]&bit != 0
+			if tag = sampleTag(sm, seen); !seen && sm.seq != 0 {
+				if e.defined == nil {
+					e.defined = make(map[uint64]uint64)
+				}
+				e.defined[word] |= bit
+			}
+		}
+		return e.instanceBody(binary.AppendUvarint(dst, rec.seq), rec, tag)
 	})
 }
 
@@ -394,8 +461,10 @@ func DecodeShapeChunk(p []byte, st *StoreState) error {
 // whose records refer to st's shapes by number, or an older build's, whose
 // records carry their shapes. A reference to a shape st does not hold fails
 // the chunk, naming the number, as does a record whose ID is outside
-// [1, MaxQueryID]. The records share no memory with p. On error st is left
-// unchanged.
+// [1, MaxQueryID]. So does a sample reference to a number no earlier record
+// defined, and a sample definition whose number one already has or that is
+// not below st.NextSample. The records share no memory with p. On error st
+// is left unchanged.
 func DecodeRecordChunk(p []byte, st *StoreState) error {
 	kind, _, err := ChunkCount(p)
 	if err != nil {
@@ -404,6 +473,11 @@ func DecodeRecordChunk(p []byte, st *StoreState) error {
 	if kind != ChunkParentRecords {
 		kind = ChunkRecords
 	}
+	if st.samples == nil {
+		// A header can claim any counter; let a false one cost nothing.
+		st.samples = make(map[uint64]*OutputSample, min(st.NextSample, 1<<16))
+	}
+	var defined []uint64 // by this chunk, dropped again if it fails
 	out := st.Records
 	err = eachElement(p, kind, func(_ int, d *decoder) error {
 		var rec *QueryRecord
@@ -421,13 +495,30 @@ func DecodeRecordChunk(p []byte, st *StoreState) error {
 			rec = &QueryRecord{QueryShape: st.Shapes[i]}
 			d.instance(rec)
 		}
-		if d.r.Err() == nil && !validID(rec.ID) {
+		if d.r.Err() != nil {
+			return nil
+		}
+		if !validID(rec.ID) {
 			return fmt.Errorf("query ID %d is outside [1, %d]", rec.ID, MaxQueryID)
+		}
+		if num := d.sampleRef; num != 0 {
+			if rec.Sample = st.samples[num]; rec.Sample == nil {
+				return fmt.Errorf("%w: query %d refers to sample %d, which no record before it defines", ErrUnknownSample, rec.ID, num)
+			}
+		} else if sm := rec.Sample; sm != nil && sm.seq != 0 {
+			if sm.seq >= st.NextSample || st.samples[sm.seq] != nil {
+				return fmt.Errorf("%w: query %d defines sample %d, defined before or not below the counter %d", ErrUnknownSample, rec.ID, sm.seq, st.NextSample)
+			}
+			st.samples[sm.seq] = sm
+			defined = append(defined, sm.seq)
 		}
 		out = append(out, rec)
 		return nil
 	})
 	if err != nil {
+		for _, num := range defined {
+			delete(st.samples, num)
+		}
 		return err
 	}
 	st.Records = out

@@ -176,9 +176,9 @@ func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
 // Put inserts a record and returns the ID it was assigned. The record's
 // IssuedAt is set to the current time if zero. Put takes ownership of the
-// record and of its shape: the caller must not mutate either afterwards,
-// because readers receive them without cloning, and the record may come to
-// point at the store's equal shape instead of its own. A refused record
+// record, its shape and its sample: the caller must not mutate any of them
+// afterwards, because readers receive them without cloning, and the record
+// may come to point at the store's equal shape or sample instead of its own. A refused record
 // (ErrReadOnly, ErrTooLarge, or one that would need an ID past MaxQueryID) is
 // not stored and gets no ID; ErrNotDurable comes with the ID of a record that
 // is stored in memory but may not survive a crash.
@@ -485,18 +485,17 @@ func (s *Store) UpdateStats(id QueryID, stats RuntimeStats) error {
 	return s.commit(&Mutation{Op: OpUpdateStats, ID: id, Stats: &stats}, nil)
 }
 
-// SetSample replaces a query's stored output sample. A maintenance pass does
-// not call it: re-executing a query refreshes its statistics only.
-func (s *Store) SetSample(id QueryID, sample *OutputSample) error {
-	return s.commit(&Mutation{Op: OpSetSample, ID: id, Sample: sample}, nil)
-}
-
 // ReplaceText rewrites the query text and canonical forms, used by the
 // maintenance component's automatic repair. Features must be re-extracted by
-// the caller and passed in. ReplaceText takes ownership of the updated
-// record.
+// the caller and passed in. Only the shape of updated is taken — the record
+// keeps every field of its own — and only the shape is logged. ReplaceText
+// takes ownership of that shape.
 func (s *Store) ReplaceText(id QueryID, updated *QueryRecord) error {
-	return s.commit(&Mutation{Op: OpReplaceText, ID: id, Record: updated}, nil)
+	m := &Mutation{Op: OpReplaceText, ID: id}
+	if updated != nil {
+		m.Record = &QueryRecord{ID: id, QueryShape: updated.QueryShape}
+	}
+	return s.commit(m, nil)
 }
 
 // InvalidQueries returns the IDs of all queries currently flagged invalid.

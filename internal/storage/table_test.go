@@ -79,7 +79,7 @@ func TestOutOfRangeIDsAreRefused(t *testing.T) {
 		if _, err := snapshotPayloads(&StoreState{Records: []*QueryRecord{rec}, Shapes: []*QueryShape{rec.QueryShape}, NextShape: 2}, 1<<20); err == nil {
 			t.Errorf("DecodeRecordChunk accepted record ID %d", id)
 		}
-		header := AppendSnapshotHeader(nil, &StoreState{NextID: id})
+		header := new(Encoder).AppendSnapshotHeader(nil, &StoreState{NextID: id})
 		if _, err := DecodeSnapshotHeader(header); (err == nil) != (id == 0) {
 			t.Errorf("DecodeSnapshotHeader(NextID %d): err %v", id, err)
 		}

@@ -57,6 +57,8 @@ type index struct {
 	// annotation. Annotation text is per record, not per shape, so searches
 	// verify these records one by one instead of through the dictionary.
 	annotated []QueryID
+	// samples is the output-sample dictionary (sample.go).
+	samples samples
 }
 
 // reset empties the index. Callers must hold mu (or own the store).
@@ -69,6 +71,7 @@ func (ix *index) reset() {
 	ix.byTable = make(map[string][]*QueryShape)
 	ix.byUser = make(map[string][]QueryID)
 	ix.annotated = nil
+	ix.samples.reset(0)
 }
 
 // eachTrigram calls fn for every byte trigram of the strings, repeats
@@ -134,31 +137,37 @@ func (ix *index) leaveLocked(sh *QueryShape) {
 	}
 }
 
+// entries says which of its record's definitions — shape, sample — a
+// mutation entered into the store's dictionaries: its frame defines those
+// inline, where every later frame refers to them by number. It is decided
+// when the record is interned, because a batch interns all its records before
+// any of them is encoded.
+type entries struct{ shape, sample bool }
+
 // addLocked indexes a record about to be published, pointing it at its
-// interned shape, and reports whether the record entered that shape into the
-// dictionary. Callers must hold mu.
-func (ix *index) addLocked(rec *QueryRecord) (entered bool) {
-	entered = ix.internLocked(rec)
+// interned shape and sample, and reports which of them the record entered
+// into their dictionaries. Callers must hold mu.
+func (ix *index) addLocked(rec *QueryRecord) entries {
+	e := entries{shape: ix.internLocked(rec), sample: ix.samples.intern(rec)}
 	ix.postLocked(rec)
-	return entered
+	return e
 }
 
 // removeLocked de-indexes a record being deleted. Callers must hold mu.
 func (ix *index) removeLocked(rec *QueryRecord) {
 	ix.releaseLocked(rec)
+	ix.samples.release(rec.Sample)
 	ix.unpostLocked(rec)
 }
 
 // replaceLocked re-indexes a record put again over its own ID (a replay that
-// overlaps its snapshot) and reports whether the new version entered its
-// shape into the dictionary. The new version is interned before the old one
-// leaves its shape, so a put replayed over the only record of its shape keeps
-// that shape, and its number. Callers must hold mu.
-func (ix *index) replaceLocked(old, rec *QueryRecord) (entered bool) {
+// overlaps its snapshot) and reports what the new version entered. Callers
+// must hold mu.
+func (ix *index) replaceLocked(old, rec *QueryRecord) entries {
 	ix.unpostLocked(old)
-	entered = ix.retextLocked(old, rec)
+	e := ix.moveLocked(old, rec)
 	ix.postLocked(rec)
-	return entered
+	return e
 }
 
 // postLocked posts a record's ID by user and, if it carries annotations,
@@ -178,16 +187,21 @@ func (ix *index) unpostLocked(rec *QueryRecord) {
 	}
 }
 
-// retextLocked moves a record whose text was replaced (next is the version
-// about to be published, with the new shape) to the interned shape of its new
-// text, which may be the one it has, and reports whether next entered its
-// shape into the dictionary. Callers must hold mu.
-func (ix *index) retextLocked(old, next *QueryRecord) (entered bool) {
-	entered = ix.internLocked(next)
+// moveLocked moves a record to the shape and sample of next, the version
+// about to be published — either may be the one it has — and reports what
+// next entered. Each is interned before the old one is released, so a
+// version that keeps the only record of a shape or sample keeps it, and its
+// number. Callers must hold mu.
+func (ix *index) moveLocked(old, next *QueryRecord) (e entries) {
+	e.shape = ix.internLocked(next)
 	if next.QueryShape != old.QueryShape {
 		ix.releaseLocked(old)
 	}
-	return entered
+	if next.Sample != old.Sample {
+		e.sample = ix.samples.intern(next)
+		ix.samples.release(old.Sample)
+	}
+	return e
 }
 
 // annotate records that a query received its first annotation.

@@ -100,13 +100,31 @@ type RuntimeStats struct {
 
 // OutputSample is a bounded sample of the query's result (§4.1 "Profiling
 // query results"): columns plus the stringified rows the profiler's sample
-// budget kept.
+// budget kept. A query re-run against unchanged data returns the same sample,
+// so the store keeps one sample per distinct value and every stored record of
+// it points at that one (sample.go), as records of one text share a shape.
+//
+// A sample is immutable once a store holds it: records share it. Give a
+// record a new sample instead of writing through the one it has.
 type OutputSample struct {
 	Columns   []string
 	Rows      [][]string
 	TotalRows int
 	// Truncated is true when the sample holds fewer rows than the result.
 	Truncated bool
+
+	// What the store derives, set before the sample is interned and never
+	// changed after but for refs, which index.mu guards. hash is the content
+	// hash the dictionary keys it by (0 until computed); seq its number: its
+	// creation rank in the dictionary, the key the log writes in its place
+	// once it is defined (see Number), or the number the log it was read
+	// from defined it under. refs counts the stored records pointing at it:
+	// the sample leaves the dictionary with its last record. (The order
+	// keeps a sample in an 80-byte allocation.)
+	interned bool // held by a store's dictionary, now or before
+	refs     uint32
+	hash     uint64
+	seq      uint64
 }
 
 // Annotation is a user-supplied note on a query or on a fragment of it
@@ -179,23 +197,15 @@ func (q *QueryRecord) shallowCopy() *QueryRecord {
 	return &out
 }
 
-// Clone returns a deep copy of the record so callers can mutate the result
-// without affecting the store.
+// Clone returns a copy of the record so callers can mutate the result
+// without affecting the store. The sample is shared, not copied: it is
+// immutable, and a caller changes a record's sample by pointing it at another.
 func (q *QueryRecord) Clone() *QueryRecord {
 	out := *q
 	if q.QueryShape != nil {
 		out.QueryShape = q.QueryShape.clone()
 	}
 	out.Annotations = append([]Annotation(nil), q.Annotations...)
-	if q.Sample != nil {
-		s := *q.Sample
-		s.Columns = append([]string(nil), q.Sample.Columns...)
-		s.Rows = make([][]string, len(q.Sample.Rows))
-		for i, r := range q.Sample.Rows {
-			s.Rows[i] = append([]string(nil), r...)
-		}
-		out.Sample = &s
-	}
 	return &out
 }
 

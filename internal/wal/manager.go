@@ -123,7 +123,7 @@ type Manager struct {
 	// appendErr records the first log-append or durability-wait failure. The
 	// write that hit it got the error back (storage.ErrNotDurable); this copy
 	// is for Err, Info and Close. failed is set with it, and from then on
-	// every frame defines its shape inline: a failed write may have dropped a
+	// every frame defines its shape and sample inline: a failed write may have dropped a
 	// definition, and no later frame may refer to it.
 	errMu     sync.Mutex
 	appendErr error
@@ -233,7 +233,7 @@ func (m *Manager) appendMutation(mut *storage.Mutation) error {
 	if m.met != nil {
 		start = time.Now()
 	}
-	m.enc.InlineShapes = m.failed.Load()
+	m.enc.Inline = m.failed.Load()
 	payload, err := m.enc.AppendMutation(m.encBuf[:0], mut)
 	if err != nil {
 		return m.recordErr(fmt.Errorf("wal: %w", err))

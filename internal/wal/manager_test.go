@@ -61,6 +61,11 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 			ResultRows: i * 7,
 			ExecutedAt: rec.IssuedAt,
 		}
+		if i%3 == 0 { // two answers, repeated: the first put of each defines it, the rest refer to it
+			rec.Sample = &storage.OutputSample{
+				Columns: []string{"temp", "lake"}, Rows: [][]string{{"11.5", []string{"Washington", "Union"}[i%2]}}, TotalRows: 9, Truncated: true,
+			}
+		}
 		id := mustPut(t, store, rec)
 
 		owner := storage.Principal{User: rec.User, Groups: []string{"limnology"}}
@@ -88,11 +93,6 @@ func buildStore(t testing.TB, store *storage.Store, n int) {
 			}
 			if err := store.UpdateStats(id, storage.RuntimeStats{
 				ExecTime: 42 * time.Millisecond, ResultRows: 9, ExecutedAt: rec.IssuedAt.Add(time.Minute),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.SetSample(id, &storage.OutputSample{
-				Columns: []string{"temp", "lake"}, Rows: [][]string{{"11.5", "Washington"}}, TotalRows: 9, Truncated: true,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -129,11 +129,11 @@ func TestNotDurableUnderSyncInterval(t *testing.T) {
 }
 
 // TestFramesDefineTheirShapesAfterAFailedWrite: a failed write may have
-// dropped the frame that defined a shape, so once the manager has seen an
-// append or fsync fail, every frame it encodes defines its shape inline,
-// the shapes the store already held included, and none refers to one by
-// number. The directory the failure leaves behind recovers: no frame in it
-// refers to a shape no frame before it defined.
+// dropped the frame that defined a shape or a sample, so once the manager has
+// seen an append or fsync fail, every frame it encodes defines its shape and
+// its sample inline, the ones the store already held included, and none
+// refers to one by number. The directory the failure leaves behind recovers:
+// no frame in it refers to a shape or sample no frame before it defined.
 func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 	cfg := DefaultConfig(t.TempDir())
 	cfg.SyncPolicy = "always"
@@ -153,11 +153,30 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 		}
 		return m.Record.Number(), false
 	}
-	text := func(i int) *storage.QueryRecord { return notDurableRecord(t, i%2) }
+	// lastSample is lastFrame for the sample every put below carries.
+	lastSample := func() (inline uint64, ref bool) {
+		t.Helper()
+		m, err := storage.DecodeMutation(mgr.encBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Record.Sample == nil {
+			return 0, true
+		}
+		return m.Record.Sample.Number(), false
+	}
+	text := func(i int) *storage.QueryRecord {
+		rec := notDurableRecord(t, i%2)
+		rec.Sample = &storage.OutputSample{Columns: []string{"temp"}, Rows: [][]string{{fmt.Sprint(i % 2)}}, TotalRows: 1}
+		return rec
+	}
 	mustPut(t, store, text(0))
 	mustPut(t, store, text(0))
 	if _, ref := lastFrame(); !ref {
 		t.Fatal("a healthy log defined a live shape again")
+	}
+	if _, ref := lastSample(); !ref {
+		t.Fatal("a healthy log defined a live sample again")
 	}
 	breakLog(t, mgr)
 	if _, err := store.Put(text(1)); !errors.Is(err, storage.ErrNotDurable) {
@@ -169,6 +188,9 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 		}
 		if num, ref := lastFrame(); ref || num != uint64(1+i%2) {
 			t.Fatalf("put %d after the failure: frame defines shape %d, refers: %v; want shape %d inline", i, num, ref, 1+i%2)
+		}
+		if num, ref := lastSample(); ref || num != uint64(1+i%2) {
+			t.Fatalf("put %d after the failure: frame defines sample %d, refers: %v; want sample %d inline", i, num, ref, 1+i%2)
 		}
 	}
 	repaired := text(1)

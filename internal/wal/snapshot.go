@@ -14,12 +14,13 @@ import (
 // A snapshot file is a stream of CRC frames (the log's framing), every one
 // carrying the last log sequence the snapshot covers:
 //
-//	frame 0       header: next ID, the record count, the shape count and the
-//	              shape counter
+//	frame 0       header: next ID, the record count, the shape count, the
+//	              shape counter and the sample counter
 //	frames 1..    shape chunks, about snapshotChunkBytes each, in ascending
 //	              shape number, until the header's shape count is reached
 //	then          record chunks in ID order, each record naming its shape by
-//	              number, until the header's record count is reached
+//	              number and defining its sample at the sample's first
+//	              record, until the header's record count is reached
 //
 // An older build's snapshot has another header, record chunks whose records
 // carry their shapes, then session edge chunks and checkpoint sections, each
@@ -122,11 +123,11 @@ func writeSnapshotStream(w io.Writer, seq uint64, st *storage.StoreState) (Snaps
 		return err
 	}
 
-	payload = storage.AppendSnapshotHeader(payload[:0], st)
+	var enc storage.Encoder
+	payload = enc.AppendSnapshotHeader(payload[:0], st)
 	if err := emit(); err != nil {
 		return info, err
 	}
-	var enc storage.Encoder
 	for shapes := st.Shapes; len(shapes) > 0; {
 		var n int
 		payload, n = enc.AppendShapeChunk(payload[:0], shapes, snapshotChunkBytes)
@@ -176,7 +177,7 @@ func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
 		return nil, err
 	}
 	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Frames: 1, Bytes: frameLen}}
-	st := &storage.StoreState{NextID: h.NextID, NextShape: h.NextShape}
+	st := &storage.StoreState{NextID: h.NextID, NextShape: h.NextShape, NextSample: h.NextSample}
 	if decode {
 		// A header can claim any count; let a false one cost nothing up front.
 		st.Records = make([]*storage.QueryRecord, 0, min(h.Records, 1<<16))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"maps"
 	"os"
@@ -752,17 +753,45 @@ func shapeLog(t testing.TB) (define, refer, retext []byte) {
 	return payloads[0], payloads[1], payloads[2]
 }
 
-// fuzzRecords are the records fuzzStore puts, one per shape.
+// fuzzRecords are the records fuzzStore puts, one per shape and sample.
 func fuzzRecords(t testing.TB) []*storage.QueryRecord {
-	return []*storage.QueryRecord{
+	recs := []*storage.QueryRecord{
 		walRecord(t, "SELECT WaterTemp.temp FROM WaterTemp WHERE WaterTemp.temp < 10", "user0"),
 		walRecord(t, "SELECT WaterSalinity.salinity FROM WaterSalinity", "user1"),
 		walRecord(t, "SELECT a FROM t", "user2"),
 	}
+	for i, rec := range recs {
+		rec.Sample = walSample(fmt.Sprint(i))
+	}
+	return recs
 }
 
-// fuzzStore is a store holding three records of three shapes, numbered 1 to
-// 3: what the frame fuzzers apply their input to.
+func walSample(v string) *storage.OutputSample {
+	return &storage.OutputSample{Columns: []string{"v"}, Rows: [][]string{{v}}, TotalRows: 1}
+}
+
+// sampleLog is what a store holding three samples (fuzzStore) logs next: a
+// put defining sample 4 inline, a put referring to sample 1, and a put
+// referring to sample 4.
+func sampleLog(t testing.TB) (define, refer, referNew []byte) {
+	store := fuzzStore(t)
+	var payloads [][]byte
+	store.SetMutationHook(func(m *storage.Mutation) error {
+		p, err := m.Encode()
+		payloads = append(payloads, p)
+		return err
+	})
+	for _, v := range []string{"new", "0", "new"} {
+		rec := walRecord(t, "SELECT a FROM t", "user0")
+		rec.Sample = walSample(v)
+		mustPut(t, store, rec)
+	}
+	return payloads[0], payloads[1], payloads[2]
+}
+
+// fuzzStore is a store holding three records of three shapes and three
+// samples, each numbered 1 to 3: what the frame fuzzers apply their input
+// to.
 func fuzzStore(t testing.TB) *storage.Store {
 	store := storage.NewStore()
 	for _, rec := range fuzzRecords(t) {
@@ -831,6 +860,18 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(frames(retext, define))
 	f.Add(frames(refer, retext))
 	f.Add(frames(define, otherLog[3]))
+	// Sample numbers, alike: sample 4 defined then referred to; the
+	// reference before the definition; a reference to sample 4 with no
+	// definition (a dangling one); and sample 4 defined twice with different
+	// values.
+	sdefine, srefer, sreferNew := sampleLog(f)
+	otherSample := walRecord(f, "SELECT a FROM t", "user0")
+	otherSample.Sample = walSample("other")
+	mustPut(f, other, otherSample)
+	f.Add(frames(sdefine, srefer, sreferNew))
+	f.Add(frames(sreferNew, sdefine))
+	f.Add(frames(srefer, sreferNew))
+	f.Add(frames(sdefine, otherLog[4]))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var reframed []byte
 		store := fuzzStore(t)
@@ -929,6 +970,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	}
 	streams := shapeSnapshots(f)
+	for name, stream := range sampleSnapshots(f) {
+		streams["sample "+name] = stream
+	}
 	names := make([]string, 0, len(streams))
 	for name := range streams {
 		names = append(names, name)
@@ -984,7 +1028,7 @@ func shapeSnapshots(t testing.TB) map[string][]byte {
 	st := testState(t, 9)
 	var enc storage.Encoder
 	stream := func(st *storage.StoreState, payloads ...[]byte) []byte {
-		out := appendFrame(nil, 50, storage.AppendSnapshotHeader(nil, st))
+		out := appendFrame(nil, 50, enc.AppendSnapshotHeader(nil, st))
 		for _, p := range payloads {
 			out = appendFrame(out, 50, p)
 		}
@@ -993,7 +1037,13 @@ func shapeSnapshots(t testing.TB) map[string][]byte {
 	shapes, _ := enc.AppendShapeChunk(nil, st.Shapes, 1<<20)
 	first, _ := enc.AppendShapeChunk(nil, st.Shapes[:1], 1<<20)
 	rest, _ := enc.AppendShapeChunk(nil, st.Shapes[1:], 1<<20)
-	records, _ := enc.AppendRecordChunk(nil, st.Records, 1<<20)
+	// Each record chunk starts a snapshot of its own, defining its samples.
+	recordChunk := func(recs []*storage.QueryRecord) []byte {
+		var enc storage.Encoder
+		p, _ := enc.AppendRecordChunk(nil, recs, 1<<20)
+		return p
+	}
+	records := recordChunk(st.Records)
 	lacking := *st
 	lacking.Shapes = st.Shapes[1:]
 	other := storage.NewStore()
@@ -1004,7 +1054,7 @@ func shapeSnapshots(t testing.TB) map[string][]byte {
 	twice.Shapes = append([]*storage.QueryShape{otherShapes[0]}, st.Shapes...)
 	unused := *st
 	unused.Records = slices.DeleteFunc(slices.Clone(st.Records), func(rec *storage.QueryRecord) bool { return rec.QueryShape == st.Shapes[0] })
-	unusedRecords, _ := enc.AppendRecordChunk(nil, unused.Records, 1<<20)
+	unusedRecords := recordChunk(unused.Records)
 	return map[string][]byte{
 		"whole":                 stream(st, shapes, records),
 		"dangling reference":    stream(&lacking, rest, records),
@@ -1013,6 +1063,97 @@ func shapeSnapshots(t testing.TB) map[string][]byte {
 		"number defined twice":  stream(&twice, otherFirst, shapes, records),
 		"shape without records": stream(&unused, shapes, unusedRecords),
 	}
+}
+
+// sampleSnapshots are snapshot streams whose records break the sample
+// rules, next to a whole one: each sample is defined at its first record and
+// referred to after, so dropping the defining chunk leaves a dangling
+// reference, putting it last a reference before its definition, a second
+// snapshot's chunk defines number 1 again with other values, and a counter
+// cut to 1 leaves sample 1 at or past it.
+func sampleSnapshots(t testing.TB) map[string][]byte {
+	st := testState(t, 12) // two answers, each at two queries; query 1 has one
+	if st.Records[0].Sample == nil || sampleRecords(st, st.Records[0].Sample) != 2 || st.NextSample != 3 {
+		t.Fatal("the test state no longer repeats its two samples")
+	}
+	var enc storage.Encoder
+	shapes, _ := enc.AppendShapeChunk(nil, st.Shapes, 1<<20)
+	stream := func(st *storage.StoreState, records ...[]byte) []byte {
+		var enc storage.Encoder
+		out := appendFrame(nil, 50, enc.AppendSnapshotHeader(nil, st))
+		for _, p := range append([][]byte{shapes}, records...) {
+			out = appendFrame(out, 50, p)
+		}
+		return out
+	}
+	var defining storage.Encoder
+	head, _ := defining.AppendRecordChunk(nil, st.Records[:1], 1<<20)
+	tail, _ := defining.AppendRecordChunk(nil, st.Records[1:], 1<<20)
+	lacking := *st
+	lacking.Records = st.Records[1:]
+	other := storage.NewStore()
+	rec := walRecord(t, st.Records[0].Text, "user3")
+	rec.Sample = &storage.OutputSample{Columns: []string{"other"}}
+	mustPut(t, other, rec)
+	redefined := other.CaptureState(nil).Records[0].Clone()
+	redefined.QueryShape, redefined.ID = st.Records[0].QueryShape, 99
+	twice := *st
+	twice.Records = append(slices.Clone(st.Records), redefined)
+	var again storage.Encoder
+	redefining, _ := again.AppendRecordChunk(nil, twice.Records[len(st.Records):], 1<<20)
+	low := *st
+	low.NextSample = 1
+	return map[string][]byte{
+		"whole":                           stream(st, head, tail),
+		"dangling reference":              stream(&lacking, tail),
+		"reference before its definition": stream(st, tail, head),
+		"number reused with other values": stream(&twice, head, tail, redefining),
+		"number at the counter":           stream(&low, head, tail),
+	}
+}
+
+// TestSnapshotSamplesAreChecked: a snapshot's record refers only to a sample
+// a record before it defined, defines each number once, below the header's
+// counter. The reader refuses each stream that breaks one of these with
+// storage.ErrUnknownSample; the whole one restores with the sample numbers
+// it was written with.
+func TestSnapshotSamplesAreChecked(t *testing.T) {
+	for name, stream := range sampleSnapshots(t) {
+		snap, err := ReadSnapshot(bytes.NewReader(stream))
+		if (err == nil) != (name == "whole") || err != nil && !errors.Is(err, storage.ErrUnknownSample) {
+			t.Errorf("%s: read with error %v", name, err)
+		}
+		if err != nil {
+			continue
+		}
+		store := storage.NewStore()
+		if err := store.RestoreState(snap.State); err != nil {
+			t.Fatal(err)
+		}
+		want, got := testState(t, 12), store.CaptureState(nil)
+		if stateJSON(t, got) != stateJSON(t, want) || got.NextSample != want.NextSample || store.SampleCount() != 2 {
+			t.Fatalf("restored %d samples, counter %d; want 2, %d", store.SampleCount(), got.NextSample, want.NextSample)
+		}
+		for i, rec := range got.Records {
+			if w := want.Records[i]; (rec.Sample == nil) != (w.Sample == nil) || rec.Sample != nil && rec.Sample.Number() != w.Sample.Number() {
+				t.Errorf("query %d restored with another sample number", rec.ID)
+			}
+		}
+		if sampleRecords(got, got.Records[0].Sample) != 2 {
+			t.Error("the two records of one sample restored with two")
+		}
+	}
+}
+
+// sampleRecords counts the records of st pointing at sm.
+func sampleRecords(st *storage.StoreState, sm *storage.OutputSample) int {
+	n := 0
+	for _, rec := range st.Records {
+		if rec.Sample == sm {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSnapshotShapesAreChecked: a snapshot's records must refer to shapes its
