@@ -548,61 +548,40 @@ func (c *CQMS) StartBackground(ctx context.Context) {
 	if maintainEvery <= 0 {
 		maintainEvery = 5 * time.Minute
 	}
-	go func() {
-		ticker := time.NewTicker(mineEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				// One label set for the pass, so a served CPU profile
-				// isolates it with a single -tagfocus.
-				pprof.Do(ctx, pprof.Labels("route", "background", "stage", "mine"), func(context.Context) {
-					c.RunMiner()
-				})
-			}
-		}
-	}()
+	go every(ctx, mineEvery, "mine", func() { c.RunMiner() })
 	// Maintenance repairs by writing (MarkInvalid, ReplaceText, …); on a
 	// read-only replica those repairs replicate in from the primary instead.
 	if !c.store.ReadOnly() {
-		go func() {
-			ticker := time.NewTicker(maintainEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					pprof.Do(ctx, pprof.Labels("route", "background", "stage", "maintain"), func(context.Context) {
-						// A failed pass is retried on the next tick.
-						if _, err := c.RunMaintenance(); err != nil {
-							slog.Warn("maintenance pass failed", "err", err)
-						}
-					})
-				}
+		go every(ctx, maintainEvery, "maintain", func() {
+			// A failed pass is retried on the next tick.
+			if _, err := c.RunMaintenance(); err != nil {
+				slog.Warn("maintenance pass failed", "err", err)
 			}
-		}()
+		})
 	}
 	if c.wal != nil && c.cfg.Durability.SnapshotEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(c.cfg.Durability.SnapshotEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					pprof.Do(ctx, pprof.Labels("route", "background", "stage", "snapshot"), func(context.Context) {
-						// A failed snapshot is retried on the next tick; the
-						// WAL itself keeps every mutation in the meantime.
-						if err := c.wal.MaybeSnapshot(); err != nil {
-							slog.Warn("snapshot pass failed", "err", err)
-						}
-					})
-				}
+		go every(ctx, c.cfg.Durability.SnapshotEvery, "snapshot", func() {
+			// A failed snapshot is retried on the next tick; the WAL itself
+			// keeps every mutation in the meantime.
+			if err := c.wal.MaybeSnapshot(); err != nil {
+				slog.Warn("snapshot pass failed", "err", err)
 			}
-		}()
+		})
+	}
+}
+
+// every runs pass once per interval d until ctx is cancelled, under one
+// label set (route=background, stage), so a served CPU profile isolates
+// each pass with a single -tagfocus.
+func every(ctx context.Context, d time.Duration, stage string, pass func()) {
+	ticker := time.NewTicker(d)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			pprof.Do(ctx, pprof.Labels("route", "background", "stage", stage), func(context.Context) { pass() })
+		}
 	}
 }

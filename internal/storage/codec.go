@@ -688,7 +688,7 @@ func (d *decoder) shapedRecord(m *Mutation) {
 		}
 		m.shapeRef = num
 	} else {
-		rec.QueryShape = &QueryShape{seq: num}
+		rec.QueryShape = &QueryShape{numbered: numbered{seq: num}}
 		d.shape(rec.QueryShape)
 	}
 	d.instance(rec)

@@ -56,7 +56,7 @@ func sampleNumber(rec *QueryRecord) uint64 {
 func distinctSamples(s *Store) int {
 	var distinct []*OutputSample
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
-		if sm := rec.Sample; sm != nil && !slices.ContainsFunc(distinct, func(d *OutputSample) bool { return sameSample(d, sm) }) {
+		if sm := rec.Sample; sm != nil && !slices.ContainsFunc(distinct, func(d *OutputSample) bool { return d.same(sm) }) {
 			distinct = append(distinct, sm)
 		}
 		return true
@@ -64,51 +64,19 @@ func distinctSamples(s *Store) int {
 	return len(distinct)
 }
 
-// checkSampleDictionary is the sample dictionary's leak check: it holds
-// exactly the samples of the live records, each under its number (below the
-// counter), carrying its content hash and counting its records, with a live
-// sample filed under every live sample's hash — itself, unless distinct is
-// false (a log that overlaps its snapshot may define a sample under its own
-// number while an equal one is live).
-func checkSampleDictionary(t testing.TB, s *Store, distinct bool) {
+// checkSampleDictionary is the sample dictionary's check (checkDict, with
+// refs the records pointing at each sample) plus the content hash: each live
+// sample carries the hash its values have. Callers hold index.mu.
+func checkSampleDictionary(t testing.TB, d *dict[uint64, *OutputSample], refs map[*OutputSample]int, distinct bool) {
 	t.Helper()
-	refs := map[*OutputSample]int{}
-	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
-		if rec.Sample != nil {
-			refs[rec.Sample]++
-		}
-		return true
-	})
-	s.index.mu.RLock()
-	defer s.index.mu.RUnlock()
-	d := &s.index.samples
 	for num, sm := range d.byNum {
 		fresh := sm.values()
 		fresh.hash = 0
 		if fresh.prepare(); fresh.hash != sm.hash {
 			t.Errorf("sample %d carries hash %#x, its content hashes to %#x", num, sm.hash, fresh.hash)
 		}
-		if !sm.interned || num == 0 || sm.seq != num || num >= d.nextSeq {
-			t.Errorf("sample %d (counter %d) is numbered %d", num, d.nextSeq, sm.seq)
-		}
-		if sm.refs == 0 || int(sm.refs) != refs[sm] {
-			t.Errorf("sample %d counts %d records, %d point at it", num, sm.refs, refs[sm])
-		}
-		delete(refs, sm)
-		if have := d.byHash[sm.hash]; have == nil || d.byNum[have.seq] != have {
-			t.Errorf("no live sample is filed under the hash of sample %d", num)
-		} else if distinct && have != sm {
-			t.Errorf("samples %d and %d are live under one hash", have.seq, num)
-		}
 	}
-	for hash, sm := range d.byHash {
-		if sm.hash != hash || d.byNum[sm.seq] != sm {
-			t.Errorf("the hash index holds sample %d, which is not live under its hash", sm.seq)
-		}
-	}
-	for sm, k := range refs {
-		t.Errorf("%d records point at a sample numbered %d the dictionary does not hold", k, sm.seq)
-	}
+	checkDict(t, "sample", d, refs, func(sm *OutputSample) int { return int(sm.refs) }, distinct)
 }
 
 // sampledRecord is a record of text answering v.
@@ -220,8 +188,7 @@ func mustDecode(t testing.TB, p []byte) *Mutation {
 // TestUnresolvableSamplesAreRefused: a frame whose sample number the store
 // cannot resolve — a reference read before its definition, a reference to a
 // sample that left, a definition whose number a sample with other values
-// holds — is an error naming the number, from Apply and from RestoreState,
-// and changes nothing. A definition whose number holds an equal sample is
+// holds — is an error naming the number, from Apply, and changes nothing. A definition whose number holds an equal sample is
 // the same sample, as a replay that overlaps its snapshot needs, even when
 // it re-puts that sample's only record.
 func TestUnresolvableSamplesAreRefused(t *testing.T) {
@@ -272,18 +239,6 @@ func TestUnresolvableSamplesAreRefused(t *testing.T) {
 		t.Fatalf("a refused definition left %d records and %d samples", fresh.Count(), fresh.SampleCount())
 	}
 	checkShapes(t, fresh)
-
-	// RestoreState takes no state holding two samples under one number.
-	clash := &StoreState{Records: []*QueryRecord{sampledRecord(shapeTexts[0], "a"), sampledRecord(shapeTexts[0], "b")}}
-	for i, rec := range clash.Records {
-		rec.ID, rec.Sample.seq = QueryID(i+1), 4
-	}
-	if err := fresh.RestoreState(clash); !errors.Is(err, ErrUnknownSample) || !strings.Contains(err.Error(), "numbered 4") {
-		t.Errorf("two samples under one number: %v", err)
-	}
-	if fresh.Count() != 1 {
-		t.Fatalf("a refused restore left %d records", fresh.Count())
-	}
 }
 
 // TestRepeatedAnswersShareOneSample: records answering alike point at one
@@ -307,7 +262,7 @@ func TestRepeatedAnswersShareOneSample(t *testing.T) {
 	}
 	other := NewStore()
 	mustPut(t, other, c)
-	if rc, _ := other.loadRecord(1); rc.Sample == ra.Sample || !sameSample(rc.Sample, ra.Sample) {
+	if rc, _ := other.loadRecord(1); rc.Sample == ra.Sample || !rc.Sample.same(ra.Sample) {
 		t.Error("another store shares the sample this one holds")
 	}
 	checkShapes(t, s)

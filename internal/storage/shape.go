@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -41,23 +40,17 @@ type QueryShape struct {
 	// What the store derives once per shape: set before the shape is
 	// interned, and never changed after but for ids and derived, which
 	// index.mu guards. prepare lower-cases the keys of a new shape; interning
-	// gives it its seq.
+	// numbers it (dict.go). Trigram and table postings are kept in ascending
+	// number so that intersecting them is a merge.
 	text, canonical string   // lower-cased Text and Canonical: the search keys
 	tables          []string // lower-cased Tables: the byTable keys
-	// seq is the shape's number: its creation rank in the dictionary, from
-	// 1, and the key the log and snapshots write in its place once it is
-	// defined (see Number). Trigram and table postings are kept in ascending
-	// seq so that intersecting them is a merge. A shape no store has
-	// interned carries 0, or the number the log it was read from defined it
-	// under.
-	seq uint64
+	numbered
 	// ids holds the ascending IDs of the stored records pointing at the
 	// shape: a copy-on-write bucket (appended in place, rebuilt on removal)
 	// whose header index.mu guards. Its length is the reference count: the
 	// shape leaves the dictionary with its last record.
-	ids      []QueryID
-	interned bool // held by a store's dictionary, now or before
-	derived  bool // equal to what ShapeOf derives from Text in this process
+	ids     []QueryID
+	derived bool // equal to what ShapeOf derives from Text in this process
 
 	nested atomic.Int32 // nestedUnknown until Nested first parses Text
 }
@@ -129,16 +122,19 @@ func (sh *QueryShape) clone() *QueryShape {
 	return out
 }
 
-// sameShape reports whether two shapes hold equal values. A nil slice and an
+// same reports whether two shapes hold equal values. A nil slice and an
 // empty one differ, as they do on disk, so adopting a shape never changes a
 // record's value.
-func sameShape(a, b *QueryShape) bool {
-	return a == b || a.Text == b.Text && a.Canonical == b.Canonical && a.Template == b.Template &&
-		a.Fingerprint == b.Fingerprint && a.ExactHash == b.ExactHash &&
-		sameSlice(a.Tables, b.Tables) && sameSlice(a.Attributes, b.Attributes) &&
-		sameSlice(a.Predicates, b.Predicates) && sameSlice(a.Aggregates, b.Aggregates) &&
-		sameSlice(a.GroupBy, b.GroupBy) && sameSlice(a.Features, b.Features)
+func (sh *QueryShape) same(o *QueryShape) bool {
+	return sh == o || sh.Text == o.Text && sh.Canonical == o.Canonical && sh.Template == o.Template &&
+		sh.Fingerprint == o.Fingerprint && sh.ExactHash == o.ExactHash &&
+		sameSlice(sh.Tables, o.Tables) && sameSlice(sh.Attributes, o.Attributes) &&
+		sameSlice(sh.Predicates, o.Predicates) && sameSlice(sh.Aggregates, o.Aggregates) &&
+		sameSlice(sh.GroupBy, o.GroupBy) && sameSlice(sh.Features, o.Features)
 }
+
+// key is the shape's exact text.
+func (sh *QueryShape) key() string { return sh.Text }
 
 func sameSlice[E comparable](a, b []E) bool {
 	return (a == nil) == (b == nil) && slices.Equal(a, b)
@@ -226,7 +222,7 @@ func (sh *QueryShape) Analysis() *sql.Analysis {
 func (s *Store) ShapeOf(stmt sql.Statement, text string) *QueryShape {
 	ix := &s.index
 	ix.mu.RLock()
-	for _, sh := range ix.shapes[text] {
+	for _, sh := range ix.shapes.byKey[text] {
 		if sh.derived {
 			ix.mu.RUnlock()
 			return sh
@@ -239,18 +235,12 @@ func (s *Store) ShapeOf(stmt sql.Statement, text string) *QueryShape {
 	// that derived it another way) is the one later calls find.
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if have := ix.lookupLocked(sh); have != nil {
+	if have := ix.shapes.lookup(sh); have != nil {
 		have.derived = true
 		return have
 	}
 	return sh
 }
-
-// Number returns the shape's number in the store that holds it: its
-// creation rank, fixed by the log so that every store rebuilt from the log —
-// by replay, from a snapshot, or as a follower — numbers it alike. It is 0 for
-// a shape no store has numbered.
-func (sh *QueryShape) Number() uint64 { return sh.seq }
 
 // ShapeCount returns how many distinct shapes the store holds: one per
 // distinct text, unless records of one text carry different features (a log
@@ -258,7 +248,7 @@ func (sh *QueryShape) Number() uint64 { return sh.seq }
 func (s *Store) ShapeCount() int {
 	s.index.mu.RLock()
 	defer s.index.mu.RUnlock()
-	return s.index.nshapes
+	return len(s.index.shapes.byNum)
 }
 
 // share points a record about to be put at the store's shape equal to its
@@ -275,107 +265,11 @@ func (s *Store) share(rec *QueryRecord) {
 		return
 	}
 	s.index.mu.RLock()
-	have := s.index.lookupLocked(rec.QueryShape)
+	have := s.index.shapes.lookup(rec.QueryShape)
 	s.index.mu.RUnlock()
 	if have == nil {
 		rec.prepare()
 	} else {
 		rec.QueryShape = have
-	}
-}
-
-// lookupLocked returns the dictionary's shape equal to sh, or nil. Callers
-// must hold mu.
-func (ix *index) lookupLocked(sh *QueryShape) *QueryShape {
-	for _, have := range ix.shapes[sh.Text] {
-		if sameShape(have, sh) {
-			return have
-		}
-	}
-	return nil
-}
-
-// internLocked points a record about to be published at the dictionary's
-// shape for it and posts the record's ID on that shape. It reports whether the
-// record entered its shape, which the log then defines inline. A shape the
-// dictionary holds is adopted as it is; a definition read from the log enters
-// under the number the log gave it (resolveLocked checked that the number is
-// free); any other shape adopts the dictionary's equal one, or enters under
-// the next number. A record adopts a shape only when every value is equal, so
-// a replayed record whose features an older analyzer extracted keeps a shape
-// of its own. Callers must hold mu.
-func (ix *index) internLocked(rec *QueryRecord) (entered bool) {
-	sh := rec.QueryShape
-	switch {
-	case sh.interned && ix.byNum[sh.seq] == sh:
-	case !sh.interned && sh.seq != 0 && ix.byNum[sh.seq] == nil:
-		sh.prepare()
-		ix.enterLocked(sh, sh.seq)
-		entered = true
-	default:
-		if have := ix.lookupLocked(sh); have != nil {
-			have.derived = have.derived || sh.derived
-			sh = have
-			break
-		}
-		if sh.interned || sh.seq != 0 {
-			// Interned before, by another store or by this one before its
-			// last record went, and readers may hold it; or numbered by a
-			// log whose number is taken. The copy is what gets keyed.
-			sh = sh.values()
-		}
-		sh.prepare()
-		ix.enterLocked(sh, ix.nextSeq)
-		entered = true
-	}
-	sh.ids = insertSorted(sh.ids, rec.ID)
-	rec.QueryShape = sh
-	return entered
-}
-
-// resolveLocked points the record of a put or replace-text read from the log
-// at the live shape and sample its frame names: the one a reference names, or
-// the one already holding the number of an inline definition when both hold
-// equal values (a replay that overlaps its snapshot). A reference to a number
-// no live shape or sample has, and a definition whose number one with other
-// values holds, are errors naming the number; the store is not changed then.
-// Callers must hold the commit lock.
-func (ix *index) resolveLocked(m *Mutation) error {
-	if err := ix.samples.resolve(m); err != nil {
-		return err
-	}
-	if m.shapeRef != 0 {
-		sh := ix.byNum[m.shapeRef]
-		if sh == nil {
-			return fmt.Errorf("%w: the %s of query %d refers to shape %d, which no live query has", ErrUnknownShape, m.Op, m.targetID(), m.shapeRef)
-		}
-		m.Record.QueryShape, m.shapeRef = sh, 0
-		return nil
-	}
-	sh := m.Record.QueryShape
-	if sh == nil {
-		return fmt.Errorf("storage: apply %s: the record has no shape", m.Op)
-	}
-	if sh.interned || sh.seq == 0 {
-		return nil
-	}
-	have := ix.byNum[sh.seq]
-	switch {
-	case have == nil:
-	case sameShape(have, sh):
-		m.Record.QueryShape = have
-	default:
-		return fmt.Errorf("%w: the %s of query %d defines shape %d, which a live shape with other values holds", ErrUnknownShape, m.Op, m.targetID(), sh.seq)
-	}
-	return nil
-}
-
-// releaseLocked removes a record leaving its shape from the shape's IDs,
-// dropping the shape from the dictionary with its last record. Callers must
-// hold mu.
-func (ix *index) releaseLocked(rec *QueryRecord) {
-	sh := rec.QueryShape
-	if sh.ids = removeElem(sh.ids, rec.ID); len(sh.ids) == 0 {
-		ix.leaveLocked(sh)
 	}
 }

@@ -25,46 +25,34 @@ func checkShapes(t *testing.T, s *Store) {
 
 // checkDictionary is checkShapes with the check for two equal shapes left to
 // the caller: a log that overlaps its snapshot may define a shape under its
-// own number while an equal one is live under another. It also checks the
-// shape numbers: byNum holds exactly the dictionary's shapes, each under its
-// own number, all below the counter.
+// own number while an equal one is live under another. It checks both
+// dictionaries' numbers (checkDict) and the samples (checkSampleDictionary).
 func checkDictionary(t testing.TB, s *Store, distinct bool) {
 	t.Helper()
 	ids := map[*QueryShape][]QueryID{}
+	samples := map[*OutputSample]int{}
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
 		ids[rec.QueryShape] = append(ids[rec.QueryShape], rec.ID)
+		if rec.Sample != nil {
+			samples[rec.Sample]++
+		}
 		return true
 	})
 	s.index.mu.RLock()
 	defer s.index.mu.RUnlock()
-	n := 0
-	for text, list := range s.index.shapes {
-		for i, sh := range list {
-			n++
-			if sh.Text != text || !sh.interned || sh.text != strings.ToLower(sh.Text) || sh.canonical != strings.ToLower(sh.Canonical) {
-				t.Errorf("shape of %q filed under %q does not hold its lower-cased keys", sh.Text, text)
-			}
-			if len(sh.ids) == 0 || !slices.Equal(sh.ids, ids[sh]) {
-				t.Errorf("shape of %q holds IDs %v, %v point at it", text, sh.ids, ids[sh])
-			}
-			if s.index.byNum[sh.seq] != sh || sh.seq == 0 || sh.seq >= s.index.nextSeq {
-				t.Errorf("shape of %q is numbered %d, counter %d, and byNum does not hold it there", text, sh.seq, s.index.nextSeq)
-			}
-			delete(ids, sh)
-			for _, other := range list[:i] {
-				if distinct && sameShape(sh, other) {
-					t.Errorf("two equal shapes of %q", text)
-				}
-			}
+	refs := map[*QueryShape]int{}
+	for sh, recs := range ids {
+		if refs[sh] = len(recs); !slices.Equal(sh.ids, recs) {
+			t.Errorf("shape of %q holds IDs %v, %v point at it", sh.Text, sh.ids, recs)
 		}
 	}
-	for sh, recs := range ids {
-		t.Errorf("records %v point at a shape of %q the dictionary does not hold", recs, sh.Text)
+	for _, sh := range s.index.shapes.byNum {
+		if sh.text != strings.ToLower(sh.Text) || sh.canonical != strings.ToLower(sh.Canonical) {
+			t.Errorf("shape of %q does not hold its lower-cased keys", sh.Text)
+		}
 	}
-	if n != s.index.nshapes || n != len(s.index.byNum) {
-		t.Errorf("the dictionary counts %d shapes, holds %d and numbers %d", s.index.nshapes, n, len(s.index.byNum))
-	}
-	checkSampleDictionary(t, s, distinct)
+	checkDict(t, "shape", &s.index.shapes, refs, func(sh *QueryShape) int { return len(sh.ids) }, distinct)
+	checkSampleDictionary(t, &s.index.samples, samples, distinct)
 }
 
 // shapeTexts repeat heavily. Two of them lower-case to the same strings but
@@ -106,7 +94,7 @@ func sameRecord(a, b *QueryRecord) bool {
 	ra, rb := *a, *b
 	ra.QueryShape, rb.QueryShape, ra.Sample, rb.Sample = nil, nil, nil, nil
 	return reflect.DeepEqual(ra, rb) && reflect.DeepEqual(a.values(), b.values()) &&
-		(a.Sample == nil) == (b.Sample == nil) && (a.Sample == nil || sameSample(a.Sample, b.Sample))
+		(a.Sample == nil) == (b.Sample == nil) && (a.Sample == nil || a.Sample.same(b.Sample))
 }
 
 // TestInterningEqualsUninternedOracle drives a history of heavily repeated
@@ -301,7 +289,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 			if fresh := freshRecord(rec.Text); !altered[rec.ID] && !reflect.DeepEqual(rec.values(), fresh.values()) {
 				t.Errorf("%s: record %d's shape no longer equals its text's derivation", path.name, rec.ID)
 			}
-			if !slices.ContainsFunc(distinct, func(sh *QueryShape) bool { return sameShape(sh, rec.QueryShape) }) {
+			if !slices.ContainsFunc(distinct, func(sh *QueryShape) bool { return sh.same(rec.QueryShape) }) {
 				distinct = append(distinct, rec.QueryShape)
 			}
 			return true
@@ -323,7 +311,7 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 	}
-	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 0 || trigrams != 0 || len(s.index.shapes) != 0 || len(s.index.byTable) != 0 {
+	if shapes, trigrams := s.ShapeCount(), s.SearchIndexSize(); shapes != 0 || trigrams != 0 || len(s.index.shapes.byKey) != 0 || len(s.index.byTable) != 0 {
 		t.Errorf("emptied store holds %d shapes, %d trigrams and %d tables", shapes, trigrams, len(s.index.byTable))
 	}
 }
@@ -425,7 +413,7 @@ func TestSameTextDifferentFeaturesStayDistinct(t *testing.T) {
 		t.Errorf("ShapeCount after deleting a shape's records = %d, want 2", n)
 	}
 	derived := s.ShapeOf(stmt, text)
-	if derived == ra.QueryShape || derived == rb.QueryShape || derived == rc.QueryShape || !sameShape(derived, ra.QueryShape) {
+	if derived == ra.QueryShape || derived == rb.QueryShape || derived == rc.QueryShape || !derived.same(ra.QueryShape) {
 		t.Fatal("ShapeOf handed out a shape the front end did not derive")
 	}
 	e := mustPut(t, s, &QueryRecord{QueryShape: derived, Valid: true})
@@ -439,7 +427,7 @@ func TestSameTextDifferentFeaturesStayDistinct(t *testing.T) {
 	}
 	f := mustPut(t, s, &QueryRecord{QueryShape: ra.QueryShape, Valid: true})
 	rf, _ := s.Snapshot().Get(f, admin)
-	if rf.QueryShape == ra.QueryShape || !sameShape(rf.QueryShape, ra.QueryShape) {
+	if rf.QueryShape == ra.QueryShape || !rf.QueryShape.same(ra.QueryShape) {
 		t.Error("a dropped shape came back into the dictionary")
 	}
 	checkShapes(t, s)
@@ -544,7 +532,7 @@ func checkSameNumbers(t testing.TB, name string, got, want *Store) {
 		}
 		return true
 	})
-	if g, w := got.index.nextSeq, want.index.nextSeq; g != w {
+	if g, w := got.index.shapes.nextSeq, want.index.shapes.nextSeq; g != w {
 		t.Errorf("%s: the shape counter reads %d, the live store's %d", name, g, w)
 	}
 	if g, w := got.index.samples.nextSeq, want.index.samples.nextSeq; g != w {
@@ -634,8 +622,7 @@ func TestShapeNumbersInTheLog(t *testing.T) {
 // TestUnresolvableShapesAreRefused: a frame whose shape number the store
 // cannot resolve — a reference read before its definition, a reference to a
 // shape that left, a definition whose number a shape with other values holds
-// — is an error naming the number, from Apply and from RestoreState, and
-// changes nothing. A definition whose number holds an equal shape is taken as
+// — is an error naming the number, from Apply, and changes nothing. A definition whose number holds an equal shape is taken as
 // the same shape, as a replay that overlaps its snapshot needs.
 func TestUnresolvableShapesAreRefused(t *testing.T) {
 	s := NewStore()
@@ -670,7 +657,7 @@ func TestUnresolvableShapesAreRefused(t *testing.T) {
 	if err := apply(fresh, define); err != nil || fresh.ShapeCount() != 1 {
 		t.Fatalf("the same definition again: %v, %d shapes", err, fresh.ShapeCount())
 	}
-	if rec, _ := fresh.loadRecord(1); rec.Number() != 1 || fresh.index.byNum[1] != rec.QueryShape {
+	if rec, _ := fresh.loadRecord(1); rec.Number() != 1 || fresh.index.shapes.byNum[1] != rec.QueryShape {
 		t.Fatalf("the same definition again over the only record of shape 1 numbered it %d", rec.Number())
 	}
 	if err := fresh.Apply(&Mutation{Op: OpDelete, ID: 1}); err != nil {
@@ -706,18 +693,10 @@ func TestUnresolvableShapesAreRefused(t *testing.T) {
 	}
 	checkShapes(t, fresh)
 
-	// RestoreState holds a state's records to its shapes, and takes no
-	// shape a store holds. (The snapshot reader enforces the rest of the
-	// format: shapes in ascending number, each with a record.)
-	st := s.CaptureState(nil)
-	dangling := &StoreState{Records: []*QueryRecord{{ID: 1, QueryShape: &QueryShape{Text: "t", seq: 5}}}, NextShape: 6}
-	for name, bad := range map[string]*StoreState{"dangling": dangling, "captured": st} {
-		if err := fresh.RestoreState(bad); err == nil {
-			t.Errorf("%s: restored", name)
-		}
-	}
-	if err := fresh.RestoreState(dangling); !errors.Is(err, ErrUnknownShape) || !strings.Contains(err.Error(), "shape 5") {
-		t.Errorf("dangling: %v", err)
+	// RestoreState takes no shape a store holds. (The snapshot reader
+	// enforces the format's number rules.)
+	if err := fresh.RestoreState(s.CaptureState(nil)); err == nil {
+		t.Error("a captured state restored")
 	}
 	if fresh.Count() != 1 {
 		t.Fatalf("a refused restore left %d records", fresh.Count())

@@ -54,15 +54,15 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 	st := &StoreState{
 		NextID:     QueryID(s.nextID.Load()),
 		Records:    make([]*QueryRecord, 0, s.Count()),
-		Shapes:     make([]*QueryShape, 0, len(s.index.byNum)),
-		NextShape:  s.index.nextSeq,
+		Shapes:     make([]*QueryShape, 0, len(s.index.shapes.byNum)),
+		NextShape:  s.index.shapes.nextSeq,
 		NextSample: s.index.samples.nextSeq,
 	}
 	s.Snapshot().scanAll(func(rec *QueryRecord) bool {
 		st.Records = append(st.Records, rec)
 		return true
 	})
-	for _, sh := range s.index.byNum {
+	for _, sh := range s.index.shapes.byNum {
 		st.Shapes = append(st.Shapes, sh)
 	}
 	s.metrics.capture.Observe(time.Since(s.commitLockedAt))
@@ -81,12 +81,11 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 // invoked. Records of a state without shapes (an older build's snapshot)
 // number their shapes in ID order. It takes ownership of st, its records
 // and its shapes: recovery hands over a freshly decoded state, and cloning
-// ~100k records a second time would double restart cost. A state whose
-// shapes and records do not fit together (see check) is refused with an
-// error and the store is left as it was. A store whose mutations a log
-// records must be restored only from that log's snapshots: a state without
-// shape numbers renumbers the shapes, and the frames logged after would name
-// numbers the log never defined.
+// ~100k records a second time would double restart cost. A state check
+// refuses is refused with an error and the store is left as it was. A store
+// whose mutations a log records must be restored only from that log's
+// snapshots: a state without shape numbers renumbers the shapes, and the
+// frames logged after would name numbers the log never defined.
 func (s *Store) RestoreState(st *StoreState) error {
 	if err := st.check(); err != nil {
 		return err
@@ -94,7 +93,7 @@ func (s *Store) RestoreState(st *StoreState) error {
 	for _, sh := range st.Shapes {
 		sh.prepare()
 	}
-	st.samples = nil // checked; the records hold the samples
+	st.samples = nil // the reader's; the records hold the samples
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.restoreStateLocked(st)
@@ -104,39 +103,20 @@ func (s *Store) RestoreState(st *StoreState) error {
 	return nil
 }
 
-// check refuses a state the store cannot take on: a shape that is missing
-// or held by a store (a captured state), a record whose numbered shape is not
-// one of the state's shapes, which must ascend, and two samples under one
-// number. The snapshot reader enforces the format's rules, so a state it
-// decoded always passes.
+// check refuses a state the store cannot take on: a missing record or shape,
+// or a shape held by a store (a captured state). The number rules are the
+// snapshot reader's to enforce: a state it decoded always passes, and a
+// state built in memory whose numbers do not fit together is numbered anew
+// where they clash, as live puts are.
 func (st *StoreState) check() error {
 	for _, sh := range st.Shapes {
 		if sh == nil || sh.interned {
 			return errors.New("storage: restore: a shape that is missing or held by a store")
 		}
 	}
-	// The snapshot reader checked the sample numbers as it decoded them
-	// (st.samples); any other state is checked here.
-	var samples map[uint64]*OutputSample
-	if st.samples == nil {
-		samples = make(map[uint64]*OutputSample)
-	}
 	for _, rec := range st.Records {
 		if rec == nil || rec.QueryShape == nil {
 			return errors.New("storage: restore: a record without a shape")
-		}
-		if sm := rec.Sample; samples != nil && sm != nil && !sm.interned && sm.seq != 0 {
-			if have, ok := samples[sm.seq]; !ok {
-				samples[sm.seq] = sm
-			} else if have != sm {
-				return fmt.Errorf("%w: query %d holds a sample numbered %d, as another sample is", ErrUnknownSample, rec.ID, sm.seq)
-			}
-		}
-		if rec.interned || rec.seq == 0 {
-			continue
-		}
-		if i, ok := st.shapeIndex(rec.seq); !ok || st.Shapes[i] != rec.QueryShape {
-			return fmt.Errorf("%w: query %d refers to shape %d, which the snapshot does not hold", ErrUnknownShape, rec.ID, rec.seq)
 		}
 	}
 	return nil
@@ -161,7 +141,8 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 	s.index.reset()
 	s.index.samples.reset(st.sampleCap())
 	for _, sh := range st.Shapes {
-		s.index.enterLocked(sh, sh.seq)
+		s.index.shapes.enter(sh, sh.seq)
+		s.index.postShapeLocked(sh)
 	}
 	s.index.mu.Unlock()
 	if len(st.Shapes) == 0 {
@@ -173,7 +154,7 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 		s.insert(rec)
 	}
 	s.index.mu.Lock()
-	s.index.nextSeq = max(s.index.nextSeq, st.NextShape)
+	s.index.shapes.nextSeq = max(s.index.shapes.nextSeq, st.NextShape)
 	s.index.samples.nextSeq = max(s.index.samples.nextSeq, st.NextSample)
 	s.index.mu.Unlock()
 	if int64(st.NextID) > s.nextID.Load() {
@@ -439,7 +420,7 @@ func DecodeShapeChunk(p []byte, st *StoreState) error {
 	out := st.Shapes
 	err := eachElement(p, ChunkShapes, func(_ int, d *decoder) error {
 		num := d.shapeNumber()
-		sh := &QueryShape{seq: num}
+		sh := &QueryShape{numbered: numbered{seq: num}}
 		d.shape(sh)
 		if d.r.Err() != nil {
 			return nil

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -37,18 +38,11 @@ type trigram uint32
 // slice header under RLock and keep iterating it after releasing the lock.
 type index struct {
 	mu sync.RWMutex
-	// shapes holds, by exact text, the shapes of the stored records: almost
-	// always one per text. nshapes counts them all.
-	shapes  map[string][]*QueryShape
-	nshapes int
-	// byNum holds the same shapes by number (QueryShape.seq), the key the
-	// log and snapshots refer to a shape by. nextSeq is the number the next
-	// new shape takes: one more than the highest number ever entered, so a
-	// number is never reused while a log can still refer to it.
-	byNum   map[uint64]*QueryShape
-	nextSeq uint64
+	// shapes is the shape dictionary, keyed by exact text: almost always one
+	// shape per text.
+	shapes dict[string, *QueryShape]
 	// trigrams and byTable (keyed by lower-cased table name) hold shapes in
-	// ascending seq.
+	// ascending number.
 	trigrams map[trigram][]*QueryShape
 	byTable  map[string][]*QueryShape
 	// byUser holds the ascending IDs of each user's records: history.
@@ -57,20 +51,20 @@ type index struct {
 	// annotation. Annotation text is per record, not per shape, so searches
 	// verify these records one by one instead of through the dictionary.
 	annotated []QueryID
-	// samples is the output-sample dictionary (sample.go).
-	samples samples
+	// samples is the output-sample dictionary (sample.go), keyed by content
+	// hash.
+	samples dict[uint64, *OutputSample]
 }
 
 // reset empties the index. Callers must hold mu (or own the store).
 func (ix *index) reset() {
-	ix.shapes = make(map[string][]*QueryShape)
-	ix.nshapes = 0
-	ix.byNum = make(map[uint64]*QueryShape)
-	ix.nextSeq = 1
+	ix.shapes = dict[string, *QueryShape]{noun: "shape", unknown: ErrUnknownShape}
+	ix.shapes.reset(0)
 	ix.trigrams = make(map[trigram][]*QueryShape)
 	ix.byTable = make(map[string][]*QueryShape)
 	ix.byUser = make(map[string][]QueryID)
 	ix.annotated = nil
+	ix.samples = dict[uint64, *OutputSample]{noun: "sample", unknown: ErrUnknownSample}
 	ix.samples.reset(0)
 }
 
@@ -111,30 +105,74 @@ func postShape[K comparable](m map[K][]*QueryShape, key K, sh *QueryShape) {
 	}
 }
 
-// enterLocked adds a prepared shape to the dictionary under number num and
-// posts it under its trigrams and tables. Callers must hold mu.
-func (ix *index) enterLocked(sh *QueryShape, num uint64) {
-	sh.seq, sh.interned = num, true
-	ix.byNum[num] = sh
-	ix.nextSeq = max(ix.nextSeq, num+1)
-	ix.shapes[sh.Text] = append(ix.shapes[sh.Text], sh)
-	ix.nshapes++
+// postShapeLocked posts a shape entering the dictionary under its trigrams
+// and tables. Callers must hold mu.
+func (ix *index) postShapeLocked(sh *QueryShape) {
 	eachTrigram(func(tg trigram) { postShape(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
 	for _, t := range sh.tables {
 		postShape(ix.byTable, t, sh)
 	}
 }
 
-// leaveLocked drops a shape that lost its last record from the dictionary
-// and from every posting. Callers must hold mu.
-func (ix *index) leaveLocked(sh *QueryShape) {
-	removeFromBucket(ix.shapes, sh.Text, sh)
-	delete(ix.byNum, sh.seq)
-	ix.nshapes--
-	eachTrigram(func(tg trigram) { removeFromBucket(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
-	for _, t := range sh.tables {
-		removeFromBucket(ix.byTable, t, sh)
+// internLocked points a record about to be published at the dictionaries'
+// shape and sample for it, posts the record's ID on that shape and counts
+// the record on that sample, and reports which of them the record entered.
+// A record's sample may be nil. Callers must hold mu.
+func (ix *index) internLocked(rec *QueryRecord) (e entries) {
+	sh, entered := ix.shapes.intern(rec.QueryShape)
+	if e.shape = entered; entered {
+		ix.postShapeLocked(sh)
+	} else if sh != rec.QueryShape {
+		sh.derived = sh.derived || rec.derived
 	}
+	sh.ids = insertSorted(sh.ids, rec.ID)
+	rec.QueryShape = sh
+	if rec.Sample != nil {
+		rec.Sample, e.sample = ix.samples.intern(rec.Sample)
+		rec.Sample.refs++
+	}
+	return e
+}
+
+// releaseLocked drops a record leaving its shape from the shape's IDs, unless
+// keepShape says its next version keeps the shape, and its count from its
+// sample. Each leaves its dictionary with its last record, and a shape every
+// posting then. Callers must hold mu.
+func (ix *index) releaseLocked(rec *QueryRecord, keepShape bool) {
+	if sh := rec.QueryShape; !keepShape {
+		if sh.ids = removeElem(sh.ids, rec.ID); len(sh.ids) == 0 {
+			ix.shapes.leave(sh)
+			eachTrigram(func(tg trigram) { removeFromBucket(ix.trigrams, tg, sh) }, sh.text, sh.canonical)
+			for _, t := range sh.tables {
+				removeFromBucket(ix.byTable, t, sh)
+			}
+		}
+	}
+	if sm := rec.Sample; sm != nil {
+		if sm.refs--; sm.refs == 0 {
+			ix.samples.leave(sm)
+		}
+	}
+}
+
+// resolveLocked points the record of a put or replace-text read from the log
+// at the live shape and sample its frame names (dict.resolve). On error the
+// store is not changed. Callers must hold the commit lock.
+func (ix *index) resolveLocked(m *Mutation) error {
+	sm, err := ix.samples.resolve(m, m.sampleRef, m.Record.Sample)
+	if err != nil {
+		return err
+	}
+	m.Record.Sample, m.sampleRef = sm, 0
+	if m.shapeRef == 0 && m.Record.QueryShape == nil {
+		return fmt.Errorf("storage: apply %s: the record has no shape", m.Op)
+	}
+	sh, err := ix.shapes.resolve(m, m.shapeRef, m.Record.QueryShape)
+	if err != nil {
+		return err
+	}
+	m.Record.QueryShape, m.shapeRef = sh, 0
+	return nil
 }
 
 // entries says which of its record's definitions — shape, sample — a
@@ -148,15 +186,14 @@ type entries struct{ shape, sample bool }
 // interned shape and sample, and reports which of them the record entered
 // into their dictionaries. Callers must hold mu.
 func (ix *index) addLocked(rec *QueryRecord) entries {
-	e := entries{shape: ix.internLocked(rec), sample: ix.samples.intern(rec)}
+	e := ix.internLocked(rec)
 	ix.postLocked(rec)
 	return e
 }
 
 // removeLocked de-indexes a record being deleted. Callers must hold mu.
 func (ix *index) removeLocked(rec *QueryRecord) {
-	ix.releaseLocked(rec)
-	ix.samples.release(rec.Sample)
+	ix.releaseLocked(rec, false)
 	ix.unpostLocked(rec)
 }
 
@@ -189,18 +226,12 @@ func (ix *index) unpostLocked(rec *QueryRecord) {
 
 // moveLocked moves a record to the shape and sample of next, the version
 // about to be published — either may be the one it has — and reports what
-// next entered. Each is interned before the old one is released, so a
+// next entered. Both are interned before the old ones are released, so a
 // version that keeps the only record of a shape or sample keeps it, and its
 // number. Callers must hold mu.
-func (ix *index) moveLocked(old, next *QueryRecord) (e entries) {
-	e.shape = ix.internLocked(next)
-	if next.QueryShape != old.QueryShape {
-		ix.releaseLocked(old)
-	}
-	if next.Sample != old.Sample {
-		e.sample = ix.samples.intern(next)
-		ix.samples.release(old.Sample)
-	}
+func (ix *index) moveLocked(old, next *QueryRecord) entries {
+	e := ix.internLocked(next)
+	ix.releaseLocked(old, next.QueryShape == old.QueryShape)
 	return e
 }
 
@@ -276,9 +307,9 @@ func (s *Store) SelectTexts(needles []string, match func(text, canonical string)
 // mu.
 func (ix *index) candidatesLocked(tgs []trigram) []*QueryShape {
 	if len(tgs) == 0 {
-		all := make([]*QueryShape, 0, ix.nshapes)
-		for _, list := range ix.shapes {
-			all = append(all, list...)
+		all := make([]*QueryShape, 0, len(ix.shapes.byNum))
+		for _, sh := range ix.shapes.byNum {
+			all = append(all, sh)
 		}
 		return all
 	}

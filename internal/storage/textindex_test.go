@@ -33,19 +33,17 @@ func checkTextIndex(t *testing.T, s *Store) {
 	defer ix.mu.RUnlock()
 	wantTrigrams := map[trigram][]*QueryShape{}
 	wantTables := map[string][]*QueryShape{}
-	for _, list := range ix.shapes {
-		for _, sh := range list {
-			for _, tg := range distinctTrigrams(sh.text, sh.canonical) {
-				wantTrigrams[tg] = append(wantTrigrams[tg], sh)
-			}
-			tables := make([]string, len(sh.Tables))
-			for i, name := range sh.Tables {
-				tables[i] = strings.ToLower(name)
-			}
-			slices.Sort(tables)
-			for _, name := range slices.Compact(tables) {
-				wantTables[name] = append(wantTables[name], sh)
-			}
+	for _, sh := range ix.shapes.byNum {
+		for _, tg := range distinctTrigrams(sh.text, sh.canonical) {
+			wantTrigrams[tg] = append(wantTrigrams[tg], sh)
+		}
+		tables := make([]string, len(sh.Tables))
+		for i, name := range sh.Tables {
+			tables[i] = strings.ToLower(name)
+		}
+		slices.Sort(tables)
+		for _, name := range slices.Compact(tables) {
+			wantTables[name] = append(wantTables[name], sh)
 		}
 	}
 	bySeq := func(a, b *QueryShape) int { return cmp.Compare(a.seq, b.seq) }

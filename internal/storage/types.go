@@ -115,16 +115,12 @@ type OutputSample struct {
 
 	// What the store derives, set before the sample is interned and never
 	// changed after but for refs, which index.mu guards. hash is the content
-	// hash the dictionary keys it by (0 until computed); seq its number: its
-	// creation rank in the dictionary, the key the log writes in its place
-	// once it is defined (see Number), or the number the log it was read
-	// from defined it under. refs counts the stored records pointing at it:
-	// the sample leaves the dictionary with its last record. (The order
-	// keeps a sample in an 80-byte allocation.)
-	interned bool // held by a store's dictionary, now or before
-	refs     uint32
-	hash     uint64
-	seq      uint64
+	// hash the dictionary keys it by (0 until computed); refs counts the
+	// stored records pointing at it: the sample leaves the dictionary with
+	// its last record.
+	refs uint32
+	hash uint64
+	numbered
 }
 
 // Annotation is a user-supplied note on a query or on a fragment of it

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -467,5 +469,99 @@ func TestMaybeSnapshotSkipsIdleStore(t *testing.T) {
 	}
 	if second.SnapshotSeq != first.SnapshotSeq {
 		t.Fatalf("idle MaybeSnapshot moved snapshot seq %d -> %d", first.SnapshotSeq, second.SnapshotSeq)
+	}
+}
+
+// TestRecoveryIgnoresStrayFileNames: a file named like a segment or a
+// snapshot but for something after its 20 digits — a copy an operator left
+// behind — is not the log's. The log appends to and replays only its own
+// segment, compaction neither deletes a stray nor lets it stand for a
+// segment, and recovery restores the real snapshot, not an older copy filed
+// under the same sequence.
+func TestRecoveryIgnoresStrayFileNames(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*storage.Store, *Manager) {
+		store := storage.NewStore()
+		mgr, _, err := Open(store, testConfig(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, mgr
+	}
+	put := func(store *storage.Store, text string) {
+		rec, err := storage.NewRecordFromSQL(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustPut(t, store, rec)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	write := func(name string, b []byte) {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stray := func(name, suffix string) string { return strings.TrimSuffix(name, suffix) + "_old" + suffix }
+
+	store, mgr := open()
+	put(store, "SELECT a FROM t")
+	first, _, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := read(filepath.Base(first))
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	strayLog := stray(segmentName(1), segmentSuffix)
+	write(strayLog, read(segmentName(1)))
+
+	store, mgr = open()
+	put(store, "SELECT b FROM t")
+	var seqs []uint64
+	if err := mgr.log.Replay(0, func(seq uint64, _ []byte) error {
+		seqs = append(seqs, seq)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seqs, []uint64{1, 2}) {
+		t.Errorf("the log replays sequences %v, want [1 2]", seqs)
+	}
+	_, seq, _, err := mgr.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	straySnap := stray(snapshotName(seq), snapshotSuffix)
+	write(straySnap, older)
+	for _, name := range []string{segmentName(1), strayLog, straySnap} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("after compaction: %v", err)
+		}
+	}
+	snap, err := LatestSnapshot(dir)
+	if err != nil || snap == nil || snap.Info.Name != snapshotName(seq) || len(snap.State.Records) != 2 {
+		t.Fatalf("the latest snapshot is %+v (%v), want %s with 2 records", snap, err, snapshotName(seq))
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// With the strays gone, the log still holds every acknowledged query.
+	for _, name := range []string{strayLog, straySnap} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, mgr = open()
+	defer mgr.Close()
+	if store.Count() != 2 {
+		t.Fatalf("recovered %d queries, want 2", store.Count())
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	wal-00000000000000000001.seg   log segment, named by its first sequence
 //	wal-00000000000000004096.seg
-//	snapshot-00000000000003000.snap  full store state as of sequence 3000
+//	snapshot-00000000000000003000.snap  full store state as of sequence 3000
 //
 // Every log record is framed as
 //
@@ -45,6 +45,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -210,21 +211,21 @@ const (
 var errTorn = errors.New("wal: torn record")
 
 // seqFileName and parseSeqFileName implement the shared <prefix><seq 20
-// digits><suffix> naming of segments and snapshots.
+// digits><suffix> naming of segments and snapshots. A name whose middle is
+// anything but exactly 20 ASCII digits — a stray copy such as
+// wal-00000000000000000001_old.seg — is not the log's, and is ignored.
 func seqFileName(prefix string, seq uint64, suffix string) string {
 	return fmt.Sprintf("%s%020d%s", prefix, seq, suffix)
 }
 
 func parseSeqFileName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+	rest, hasPrefix := strings.CutPrefix(name, prefix)
+	digits, hasSuffix := strings.CutSuffix(rest, suffix)
+	if !hasPrefix || !hasSuffix || len(digits) != 20 {
 		return 0, false
 	}
-	var seq uint64
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	if _, err := fmt.Sscanf(digits, "%d", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	return seq, err == nil
 }
 
 func segmentName(firstSeq uint64) string {
