@@ -511,23 +511,32 @@ func (c *Client) LogCompact(ctx context.Context) (*server.LogSnapshotResponse, e
 	return &resp, nil
 }
 
-// Stats fetches server-wide counters.
-// ProxyStatus mirrors the cqms-proxy admin endpoint's GET /v1/proxy/status
-// response. It lives here (not in internal/pgwire) so the client stays free
-// of the proxy's dependencies; the JSON contract is the shared surface.
+// ProxyStatus is the cqms-proxy admin endpoint's GET /v1/proxy/status
+// document; the proxy (internal/pgwire) builds it and the client decodes it.
+// Role and UptimeSeconds mirror the server's shared status document (see
+// server.StatusDocDTO), so every status surface in the topology reads the
+// same way.
 type ProxyStatus struct {
-	Role               string  `json:"role"`
-	UptimeSeconds      float64 `json:"uptimeSeconds"`
-	Backend            string  `json:"backend"`
-	ActiveConnections  int64   `json:"activeConnections"`
-	TotalConnections   uint64  `json:"totalConnections"`
-	StatementsCaptured uint64  `json:"statementsCaptured"`
-	StatementsDropped  uint64  `json:"statementsDropped"`
-	SubmitErrors       uint64  `json:"submitErrors"`
-	BackendDialErrors  uint64  `json:"backendDialErrors"`
-	BytesFromClients   uint64  `json:"bytesFromClients"`
-	BytesFromBackend   uint64  `json:"bytesFromBackend"`
-	CaptureEnabled     bool    `json:"captureEnabled"`
+	// Role is this process's place in the topology; always "proxy" here.
+	Role string `json:"role"`
+	// UptimeSeconds since the proxy was created.
+	UptimeSeconds float64 `json:"uptimeSeconds"`
+	Backend       string  `json:"backend"`
+	// ActiveConnections is the number of currently proxied sessions.
+	ActiveConnections int64 `json:"activeConnections"`
+	// TotalConnections accepted since start.
+	TotalConnections uint64 `json:"totalConnections"`
+	// StatementsCaptured / StatementsDropped are the capture totals; dropped
+	// statements were observed while the capture queue was full.
+	StatementsCaptured uint64 `json:"statementsCaptured"`
+	StatementsDropped  uint64 `json:"statementsDropped"`
+	SubmitErrors       uint64 `json:"submitErrors"`
+	BackendDialErrors  uint64 `json:"backendDialErrors"`
+	// SpliceBytes relayed in each direction.
+	BytesFromClients uint64 `json:"bytesFromClients"`
+	BytesFromBackend uint64 `json:"bytesFromBackend"`
+	// CaptureEnabled is false when the proxy runs as a pure splice.
+	CaptureEnabled bool `json:"captureEnabled"`
 }
 
 // GetProxyStatus fetches a cqms-proxy's status snapshot. The client must be
@@ -541,6 +550,7 @@ func (c *Client) GetProxyStatus(ctx context.Context) (*ProxyStatus, error) {
 	return &resp, nil
 }
 
+// Stats fetches server-wide counters.
 func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
 	var resp server.StatsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, nil, &resp); err != nil {
@@ -553,26 +563,14 @@ func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
 // body is returned verbatim (it is not JSON); admin clients additionally see
 // the admin-only families.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
+	resp, err := c.getRaw(ctx, "/v1/metrics", nil)
 	if err != nil {
-		return "", fmt.Errorf("client: building request: %w", err)
-	}
-	c.setPrincipalHeaders(req)
-	resp, err := c.httpClient.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("client: GET /v1/metrics: %w", err)
+		return "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", fmt.Errorf("client: reading /v1/metrics response: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		var envelope server.ErrorResponse
-		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error.Code == "" {
-			envelope.Error = server.APIError{Code: server.CodeInternal, Message: "unparsable error response"}
-		}
-		return "", &Error{Status: resp.StatusCode, Path: "/v1/metrics", API: envelope.Error}
 	}
 	return string(body), nil
 }

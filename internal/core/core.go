@@ -199,17 +199,25 @@ func OpenWithEngine(eng *engine.Engine, cfg Config) (*CQMS, error) {
 	}
 	c.wal = mgr
 	c.recovery = recovery
-	// A durable primary can serve the /v1/replication stream; register the
-	// same instrument family a follower does so dashboards see one shape.
+	// A durable primary can serve the /v1/replication stream.
+	c.registerReplMetrics(
+		func() float64 { return float64(mgr.LastSeq()) },
+		func() float64 { return 0 }) // a primary is never behind itself
+	return c, nil
+}
+
+// registerReplMetrics registers the cqms_repl_* families. A durable primary
+// and a follower both register them, with the same help text, so dashboards
+// see one shape; appliedSeq and lag are the role's gauges.
+func (c *CQMS) registerReplMetrics(appliedSeq, lag func() float64) {
 	c.replStreamBytes = c.metrics.Counter("cqms_repl_stream_bytes_total",
 		"Replication stream bytes transferred (served by a primary, consumed by a follower).")
 	c.metrics.GaugeFunc("cqms_repl_applied_seq",
 		"Highest WAL sequence applied locally (followers: replicated; primary: appended).",
-		func() float64 { return float64(mgr.LastSeq()) })
+		appliedSeq)
 	c.metrics.GaugeFunc("cqms_repl_lag_seconds",
 		"Seconds since this follower last had everything the primary reported (0 when caught up).",
-		func() float64 { return 0 }) // a primary is never behind itself
-	return c, nil
+		lag)
 }
 
 // ReplStreamBytes is the replication stream byte counter: a primary's HTTP

@@ -80,14 +80,9 @@ func OpenFollower(eng *engine.Engine, cfg Config, src ReplicationSource) (*CQMS,
 	c.store.SetReadOnly(true)
 	f := &followerState{src: src, wait: followerPollWait}
 	c.follower = f
-	c.replStreamBytes = c.metrics.Counter("cqms_repl_stream_bytes_total",
-		"Replication stream bytes transferred (served by a primary, consumed by a follower).")
-	c.metrics.GaugeFunc("cqms_repl_applied_seq",
-		"Highest WAL sequence applied locally (followers: replicated; primary: appended).",
-		func() float64 { return float64(f.appliedSeq.Load()) })
-	c.metrics.GaugeFunc("cqms_repl_lag_seconds",
-		"Seconds since this follower last had everything the primary reported (0 when caught up).",
-		func() float64 { return f.lagSeconds() })
+	c.registerReplMetrics(
+		func() float64 { return float64(f.appliedSeq.Load()) },
+		f.lagSeconds)
 	return c, nil
 }
 

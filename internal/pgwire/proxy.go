@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/telemetry"
 )
 
@@ -261,35 +262,10 @@ func (p *Proxy) spliceFrontend(from io.Reader, to io.Writer, trk *tracker) {
 	}
 }
 
-// Status is the proxy's admin-endpoint snapshot. Role and UptimeSeconds
-// mirror the server's shared status document (see server.StatusDocDTO), so
-// every status surface in the topology reads the same way.
-type Status struct {
-	// Role is this process's place in the topology; always "proxy" here.
-	Role string `json:"role"`
-	// UptimeSeconds since the proxy was created.
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Backend       string  `json:"backend"`
-	// ActiveConnections is the number of currently proxied sessions.
-	ActiveConnections int64 `json:"activeConnections"`
-	// TotalConnections accepted since start.
-	TotalConnections uint64 `json:"totalConnections"`
-	// StatementsCaptured / StatementsDropped are the capture totals; dropped
-	// statements were observed while the capture queue was full.
-	StatementsCaptured uint64 `json:"statementsCaptured"`
-	StatementsDropped  uint64 `json:"statementsDropped"`
-	SubmitErrors       uint64 `json:"submitErrors"`
-	BackendDialErrors  uint64 `json:"backendDialErrors"`
-	// SpliceBytes relayed in each direction.
-	BytesFromClients uint64 `json:"bytesFromClients"`
-	BytesFromBackend uint64 `json:"bytesFromBackend"`
-	// CaptureEnabled is false when the proxy runs as a pure splice.
-	CaptureEnabled bool `json:"captureEnabled"`
-}
-
-// Status returns the current counters.
-func (p *Proxy) Status() Status {
-	return Status{
+// Status returns the current counters: the document the admin endpoint
+// serves.
+func (p *Proxy) Status() client.ProxyStatus {
+	return client.ProxyStatus{
 		Role:               "proxy",
 		UptimeSeconds:      time.Since(p.start).Seconds(),
 		Backend:            p.cfg.Backend,

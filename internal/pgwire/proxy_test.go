@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/storage"
 )
@@ -405,7 +406,7 @@ func TestProxyAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Status
+	var st client.ProxyStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decoding status: %v", err)
 	}

@@ -71,10 +71,12 @@ type RecoveryInfo struct {
 // Info describes the current durable state for the admin API and cqmsctl
 // (the HTTP layer maps it onto its own wire DTO).
 type Info struct {
-	Dir                  string
-	SyncPolicy           string
-	LastSeq              uint64
-	SnapshotSeq          uint64
+	Dir         string
+	SyncPolicy  string
+	LastSeq     uint64
+	SnapshotSeq uint64
+	// AppendsSinceSnapshot counts the logged mutations the newest snapshot
+	// does not cover: LastSeq - SnapshotSeq.
 	AppendsSinceSnapshot int64
 	Segments             []SegmentInfo
 	// PayloadFormat is the payload format version of everything in Dir.
@@ -101,8 +103,6 @@ type Manager struct {
 	// snapshots (under the store's read lock), so a snapshot's sequence is
 	// exactly consistent with its contents.
 	lastSeq atomic.Uint64
-	// appendsSinceSnapshot lets the scheduler skip snapshots of an idle store.
-	appendsSinceSnapshot atomic.Int64
 
 	// snapMu serialises snapshot/compaction runs.
 	snapMu      sync.Mutex
@@ -178,19 +178,6 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		info.SnapshotSeq, info.SnapshotRecords, info.SnapshotFrames = snap.Seq, snap.Info.Records, snap.Info.Frames
 		snapInfos[snap.Seq] = snap.Info
 	}
-	// Compaction deletes segments a snapshot covers, so the surviving log must
-	// begin no later than snapSeq+1. A gap means the snapshot that justified
-	// the deletion is unreadable or missing: recovering anyway would silently
-	// serve a store with a hole in it.
-	if segs, err := log.Segments(); err != nil {
-		log.Close()
-		return nil, nil, err
-	} else if len(segs) > 0 && segs[0].FirstSeq > snapSeq+1 {
-		log.Close()
-		return nil, nil, fmt.Errorf(
-			"wal: log begins at sequence %d but the newest readable snapshot covers only %d: snapshot missing or corrupt",
-			segs[0].FirstSeq, snapSeq)
-	}
 	err = log.Replay(snapSeq, func(seq uint64, payload []byte) error {
 		m, err := storage.DecodeMutation(payload)
 		if err != nil {
@@ -202,6 +189,13 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		info.Replayed++
 		return nil
 	})
+	if errors.Is(err, ErrCompacted) {
+		// Compaction deletes segments a snapshot covers, so the surviving log
+		// must begin no later than snapSeq+1. A gap means the snapshot that
+		// justified the deletion is unreadable or missing: recovering anyway
+		// would silently serve a store with a hole in it.
+		err = fmt.Errorf("wal: the newest readable snapshot covers only sequence %d: snapshot missing or corrupt: %w", snapSeq, err)
+	}
 	if err != nil {
 		log.Close()
 		return nil, nil, err
@@ -248,7 +242,6 @@ func (m *Manager) appendMutation(mut *storage.Mutation) error {
 		// cover it or the next recovery would re-apply it.
 		mut.SetWALSeq(seq)
 		m.lastSeq.Store(seq)
-		m.appendsSinceSnapshot.Add(1)
 	}
 	return m.recordErr(err)
 }
@@ -309,7 +302,6 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 		return "", 0, err
 	}
 	m.snapshotSeq.Store(seq)
-	m.appendsSinceSnapshot.Store(0)
 	m.snapInfoMu.Lock()
 	m.snapInfos[seq] = info
 	m.snapInfoMu.Unlock()
@@ -349,14 +341,23 @@ func (m *Manager) Compact() (string, uint64, int, error) {
 	return path, seq, removed, nil
 }
 
-// MaybeSnapshot snapshots and compacts only if mutations were appended since
-// the last snapshot; the background scheduler calls it periodically.
+// MaybeSnapshot snapshots and compacts only if the log holds mutations the
+// newest snapshot does not cover; the background scheduler calls it
+// periodically.
 func (m *Manager) MaybeSnapshot() error {
-	if m.appendsSinceSnapshot.Load() == 0 {
+	if m.pending() == 0 {
 		return nil
 	}
 	_, _, _, err := m.Compact()
 	return err
+}
+
+// pending counts the logged mutations the newest snapshot does not cover,
+// replayed ones included. The snapshot sequence is read first: it never
+// passes lastSeq, so the difference never underflows.
+func (m *Manager) pending() uint64 {
+	snap := m.snapshotSeq.Load()
+	return m.lastSeq.Load() - snap
 }
 
 // Sync flushes any buffered log records to stable storage.
@@ -372,12 +373,14 @@ func (m *Manager) Info() (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
+	snapSeq := m.snapshotSeq.Load() // first, as in pending
+	lastSeq := m.lastSeq.Load()
 	info := Info{
 		Dir:                  m.cfg.Dir,
 		SyncPolicy:           m.cfg.SyncPolicy,
-		LastSeq:              m.lastSeq.Load(),
-		SnapshotSeq:          m.snapshotSeq.Load(),
-		AppendsSinceSnapshot: m.appendsSinceSnapshot.Load(),
+		LastSeq:              lastSeq,
+		SnapshotSeq:          snapSeq,
+		AppendsSinceSnapshot: int64(lastSeq - snapSeq),
 		Segments:             segs,
 		PayloadFormat:        storage.PayloadFormat,
 		Snapshots:            snaps,
@@ -392,23 +395,22 @@ func (m *Manager) Info() (Info, error) {
 // this manager neither wrote nor loaded is walked once (VerifySnapshot) and
 // remembered; entries of files that are gone are dropped.
 func (m *Manager) snapshotInfos() ([]SnapshotInfo, error) {
-	names, err := listSnapshots(m.cfg.Dir)
+	snaps, err := listSnapshots(m.cfg.Dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	m.snapInfoMu.Lock()
 	defer m.snapInfoMu.Unlock()
-	known := make(map[uint64]SnapshotInfo, len(names))
-	out := make([]SnapshotInfo, 0, len(names))
-	for _, name := range names {
-		seq, _ := parseSnapshotName(name)
-		info, ok := m.snapInfos[seq]
+	known := make(map[uint64]SnapshotInfo, len(snaps))
+	out := make([]SnapshotInfo, 0, len(snaps))
+	for _, snap := range snaps {
+		info, ok := m.snapInfos[snap.FirstSeq]
 		if !ok {
-			if info, err = VerifySnapshot(filepath.Join(m.cfg.Dir, name)); err != nil {
-				info = SnapshotInfo{Name: name, Seq: seq, Error: err.Error()}
+			if info, err = VerifySnapshot(filepath.Join(m.cfg.Dir, snap.Name)); err != nil {
+				info = SnapshotInfo{Name: snap.Name, Seq: snap.FirstSeq, Error: err.Error()}
 			}
 		}
-		known[seq] = info
+		known[snap.FirstSeq] = info
 		out = append(out, info)
 	}
 	m.snapInfos = known

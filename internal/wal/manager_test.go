@@ -423,8 +423,8 @@ func TestOpenRejectsMissingLogPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range snaps {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+	for _, snap := range snaps {
+		if err := os.Remove(filepath.Join(dir, snap.Name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,6 +469,48 @@ func TestMaybeSnapshotSkipsIdleStore(t *testing.T) {
 	}
 	if second.SnapshotSeq != first.SnapshotSeq {
 		t.Fatalf("idle MaybeSnapshot moved snapshot seq %d -> %d", first.SnapshotSeq, second.SnapshotSeq)
+	}
+}
+
+// TestPendingCountsReplayedRecords: the mutations pending a snapshot are the
+// log's records past the newest snapshot, replayed ones included, so after a
+// restart Info counts the replayed tail and MaybeSnapshot compacts it.
+func TestPendingCountsReplayedRecords(t *testing.T) {
+	dir := t.TempDir()
+	store := storage.NewStore()
+	mgr, _, err := Open(store, testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildStore(t, store, 5)
+	if _, _, err := mgr.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	buildStore(t, store, 4)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, rinfo, err := Open(storage.NewStore(), testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	info, err := mgr.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rinfo.Replayed == 0 || info.AppendsSinceSnapshot != int64(rinfo.Replayed) {
+		t.Fatalf("after replaying %d records, %d mutations pending", rinfo.Replayed, info.AppendsSinceSnapshot)
+	}
+	if err := mgr.MaybeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = mgr.Info(); err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotSeq != info.LastSeq || info.AppendsSinceSnapshot != 0 {
+		t.Fatalf("MaybeSnapshot left snapshot %d of log %d, %d pending", info.SnapshotSeq, info.LastSeq, info.AppendsSinceSnapshot)
 	}
 }
 

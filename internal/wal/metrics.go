@@ -82,8 +82,8 @@ func (m *Manager) enableMetrics(reg *telemetry.Registry, info *RecoveryInfo, rec
 		"Sequence the newest snapshot covers.",
 		func() float64 { return float64(m.snapshotSeq.Load()) })
 	reg.GaugeFunc("cqms_wal_appends_since_snapshot",
-		"Mutations appended since the last snapshot.",
-		func() float64 { return float64(m.appendsSinceSnapshot.Load()) })
+		"Logged mutations the newest snapshot does not cover.",
+		func() float64 { return float64(m.pending()) })
 	reg.GaugeFunc("cqms_wal_segments",
 		"Number of on-disk WAL segments.",
 		func() float64 {

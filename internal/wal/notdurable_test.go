@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -210,5 +212,52 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 	defer mgr2.Close()
 	if reopened.Count() != 2 || rec.Replayed != 2 {
 		t.Fatalf("recovered %d records from %d frames; want the 2 acknowledged ones", reopened.Count(), rec.Replayed)
+	}
+}
+
+// TestNotDurableBackgroundFlushFailure: under the interval policy a write is
+// acknowledged before its fsync, so an fsync the background flusher asks for
+// may fail with no append after it. Log.Err and Manager.Err report it.
+func TestNotDurableBackgroundFlushFailure(t *testing.T) {
+	cfg := DefaultConfig(t.TempDir())
+	cfg.SyncInterval = 5 * time.Millisecond
+	store := storage.NewStore()
+	mgr, _, err := Open(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The committer blocks after writing the record, before any fsync, until
+	// the write is acknowledged; then the file breaks under it.
+	release := make(chan struct{})
+	var once sync.Once
+	mgr.log.seqMu.Lock()
+	mgr.log.beforeSync = func() {
+		once.Do(func() {
+			<-release
+			mgr.log.ioMu.Lock()
+			defer mgr.log.ioMu.Unlock()
+			if err := mgr.log.file.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	mgr.log.seqMu.Unlock()
+	mustPut(t, store, notDurableRecord(t, 1))
+	close(release)
+
+	// The committer stops at its first failure.
+	select {
+	case <-mgr.log.commitDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no background fsync failed")
+	}
+	if mgr.log.Err() == nil {
+		t.Fatal("Log.Err is nil after a failed background fsync")
+	}
+	if err := mgr.Err(); err != mgr.log.Err() {
+		t.Fatalf("Manager.Err = %v, want the log's %v", err, mgr.log.Err())
+	}
+	if err := mgr.Close(); err == nil {
+		t.Error("Close reported no error for a log whose flush failed")
 	}
 }

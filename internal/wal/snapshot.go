@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/storage"
 )
@@ -65,10 +64,6 @@ type Snapshot struct {
 
 func snapshotName(seq uint64) string {
 	return seqFileName(snapshotPrefix, seq, snapshotSuffix)
-}
-
-func parseSnapshotName(name string) (uint64, bool) {
-	return parseSeqFileName(name, snapshotPrefix, snapshotSuffix)
 }
 
 // WriteSnapshot durably writes a snapshot of st covering all log records
@@ -325,15 +320,15 @@ func verifySnapshot(r io.Reader, name string) (SnapshotInfo, error) {
 // error naming the file: no older snapshot or log tail next to it could be
 // read either.
 func LatestSnapshot(dir string) (*Snapshot, error) {
-	names, err := listSnapshots(dir)
+	snaps, err := listSnapshots(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		snap, err := readSnapshotFile(filepath.Join(dir, names[i]))
+	for i := len(snaps) - 1; i >= 0; i-- {
+		snap, err := readSnapshotFile(filepath.Join(dir, snaps[i].Name))
 		if err == nil {
 			return snap, nil
 		}
@@ -347,17 +342,16 @@ func LatestSnapshot(dir string) (*Snapshot, error) {
 // RemoveSnapshotsBefore deletes snapshots older than seq, returning how many
 // were removed.
 func RemoveSnapshotsBefore(dir string, seq uint64) (int, error) {
-	names, err := listSnapshots(dir)
+	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
-	for _, name := range names {
-		s, _ := parseSnapshotName(name)
-		if s >= seq {
-			continue
+	for _, snap := range snaps {
+		if snap.FirstSeq >= seq {
+			break
 		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := os.Remove(filepath.Join(dir, snap.Name)); err != nil {
 			return removed, fmt.Errorf("wal: pruning snapshots: %w", err)
 		}
 		removed++
@@ -365,25 +359,8 @@ func RemoveSnapshotsBefore(dir string, seq uint64) (int, error) {
 	return removed, nil
 }
 
-// listSnapshots returns snapshot file names sorted by ascending sequence.
-func listSnapshots(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if _, ok := parseSnapshotName(e.Name()); ok {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := parseSnapshotName(out[i])
-		b, _ := parseSnapshotName(out[j])
-		return a < b
-	})
-	return out, nil
+// listSnapshots lists the snapshot files in ascending sequence; an entry's
+// FirstSeq is the last log sequence the snapshot covers.
+func listSnapshots(dir string) ([]SegmentInfo, error) {
+	return listSeqFiles(dir, snapshotPrefix, snapshotSuffix)
 }

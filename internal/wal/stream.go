@@ -20,67 +20,37 @@ import (
 // compacted away; the caller must re-bootstrap from a newer snapshot.
 var ErrCompacted = errors.New("wal: records at cursor compacted away; bootstrap from a newer snapshot")
 
-// errTailFull ends a ReadTail segment walk once the byte budget is spent.
+// errTailFull ends a ReadTail walk once the byte budget is spent.
 var errTailFull = errors.New("wal: tail budget exhausted")
 
 // ReadTail writes every record with sequence > after, in order, to w as CRC
 // frames, stopping after the record that crosses maxBytes (so at least one
 // record is always sent when any is available; frames are never split). It
-// returns the last sequence written and the number of records. A torn tail
-// in the newest segment ends the read cleanly, like Replay. If the records
-// just past the cursor have been compacted away it returns ErrCompacted.
-// Like Replay, pending appends are drained first and the I/O lock is held
-// for the duration, so keep maxBytes bounded.
+// returns the last sequence written and the number of records. It is Replay
+// with a frame-writing callback, so it shares Replay's contract: a torn tail
+// in the newest segment ends the read cleanly, a compacted cursor returns an
+// error matching ErrCompacted, and the I/O lock is held for the duration, so
+// keep maxBytes bounded.
 func (l *Log) ReadTail(after uint64, maxBytes int64, w io.Writer) (last uint64, records int, err error) {
-	if err := l.waitWritten(); err != nil {
-		return 0, 0, err
-	}
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(segs) > 0 && segs[0].FirstSeq > after+1 {
-		return 0, 0, ErrCompacted
-	}
 	var (
 		sent int64
 		buf  []byte
 	)
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].FirstSeq-1 <= after {
-			continue // every record here is at or before the cursor
+	err = l.Replay(after, func(seq uint64, payload []byte) error {
+		buf = appendFrame(buf[:0], seq, payload)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
-		isNewest := i == len(segs)-1
-		err := readSegment(filepath.Join(l.dir, seg.Name), func(seq uint64, payload []byte) error {
-			if seq <= after {
-				return nil
-			}
-			buf = appendFrame(buf[:0], seq, payload)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			last, records = seq, records+1
-			if sent += int64(len(buf)); sent >= maxBytes {
-				return errTailFull
-			}
-			return nil
-		})
-		if errors.Is(err, errTailFull) {
-			return last, records, nil
+		last, records = seq, records+1
+		if sent += int64(len(buf)); sent >= maxBytes {
+			return errTailFull
 		}
-		if errors.Is(err, errTorn) {
-			if isNewest {
-				return last, records, nil
-			}
-			return last, records, fmt.Errorf("wal: segment %s: %w", seg.Name, err)
-		}
-		if err != nil {
-			return last, records, err
-		}
+		return nil
+	})
+	if errors.Is(err, errTailFull) {
+		err = nil
 	}
-	return last, records, nil
+	return last, records, err
 }
 
 // ReadFrames decodes a stream of CRC frames (a ReadTail response body) and
@@ -146,19 +116,19 @@ func (m *Manager) OpenLatestSnapshot() (io.ReadCloser, uint64, bool, error) {
 // the next older one; the returned handle stays readable even if compaction
 // unlinks the file mid-transfer.
 func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err error) {
-	names, err := listSnapshots(dir)
+	snaps, err := listSnapshots(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, 0, false, nil
 		}
 		return nil, 0, false, err
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		f, err := os.Open(filepath.Join(dir, names[i]))
+	for i := len(snaps) - 1; i >= 0; i-- {
+		f, err := os.Open(filepath.Join(dir, snaps[i].Name))
 		if err != nil {
 			continue // compacted away between listing and open
 		}
-		info, err := verifySnapshot(f, names[i])
+		info, err := verifySnapshot(f, snaps[i].Name)
 		if err == nil {
 			_, err = f.Seek(0, io.SeekStart)
 		}
@@ -166,6 +136,8 @@ func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err e
 			f.Close()
 			continue // corrupt snapshot: fall back to an older one
 		}
+		// The body's sequence, not the name's: it is what the follower
+		// checks the announced sequence against.
 		return f, info.Seq, true, nil
 	}
 	return nil, 0, false, nil

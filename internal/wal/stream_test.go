@@ -117,6 +117,30 @@ func TestReadTailCompacted(t *testing.T) {
 	}
 }
 
+// TestReplayCompactedCursor: Replay owns the compacted-cursor check that
+// recovery and ReadTail share. A cursor before the oldest retained segment
+// returns ErrCompacted before fn sees any record; at the boundary the rest of
+// the log replays.
+func TestReplayCompactedCursor(t *testing.T) {
+	l := streamTestLog(t, 60)
+	if _, err := l.RemoveSegmentsCoveredBy(40); err != nil {
+		t.Fatalf("RemoveSegmentsCoveredBy: %v", err)
+	}
+	segs, err := l.Segments()
+	if err != nil || len(segs) == 0 || segs[0].FirstSeq <= 1 {
+		t.Fatalf("Segments: %v (%+v); the test needs a compacted log", err, segs)
+	}
+	first := segs[0].FirstSeq
+	calls := 0
+	count := func(uint64, []byte) error { calls++; return nil }
+	if err := l.Replay(0, count); !errors.Is(err, ErrCompacted) || calls != 0 {
+		t.Fatalf("Replay(0) = %v after %d records, want ErrCompacted after none", err, calls)
+	}
+	if err := l.Replay(first-1, count); err != nil || calls != 60-int(first-1) {
+		t.Fatalf("Replay(%d) = %v after %d records, want %d", first-1, err, calls, 60-int(first-1))
+	}
+}
+
 // TestReadFramesStrict: a truncated network body is an error, never a clean
 // end — the follower must refetch, not partially apply.
 func TestReadFramesStrict(t *testing.T) {

@@ -21,6 +21,16 @@
 // numbers beyond it; compaction deletes segments and snapshots made obsolete
 // by a newer snapshot.
 //
+// # Reading the log
+//
+// The directory is read one way. listSeqFiles is the only listing, of
+// segments and snapshots alike. readSegment is the only walk over a
+// segment's frames: OpenLog cuts a torn tail at the length of the valid
+// frames it returns. Log.Replay is the only walk over the segments from a
+// cursor, and the one check that compaction has not removed the records
+// just past it: recovery replays the tail past its snapshot with it, and
+// ReadTail serves the replication stream with it.
+//
 // # Group commit
 //
 // The append path is split into sequence → write → durability stages.
@@ -165,13 +175,11 @@ type Log struct {
 	closed        bool
 	committerDone bool
 	ioErr         error // first committer write/fsync failure; appends refuse after it
-	bgErr         error // first background-flush failure
 	truncated     bool  // a torn tail was cut during open
 
 	// ioMu guards the active segment file.
 	ioMu        sync.Mutex
 	file        *os.File
-	segStart    uint64 // first sequence of the active segment
 	segBytes    int64
 	syncedBytes int64 // bytes of the active segment covered by an fsync
 	dirty       bool  // writes not yet fsynced
@@ -232,10 +240,6 @@ func segmentName(firstSeq uint64) string {
 	return seqFileName(segmentPrefix, firstSeq, segmentSuffix)
 }
 
-func parseSegmentName(name string) (uint64, bool) {
-	return parseSeqFileName(name, segmentPrefix, segmentSuffix)
-}
-
 // OpenLog opens (or creates) the segmented log in opts.Dir, truncating any
 // torn tail left in the newest segment by a crash, and starts the group
 // committer.
@@ -261,22 +265,24 @@ func OpenLog(opts Options) (*Log, error) {
 	} else {
 		last := segs[len(segs)-1]
 		path := filepath.Join(opts.Dir, last.Name)
-		validBytes, lastSeq, torn, err := scanSegment(path)
-		if err != nil {
-			return nil, err
-		}
-		if torn {
+		var lastSeq uint64
+		validBytes, err := readSegment(path, func(seq uint64, _ []byte) error {
+			lastSeq = seq
+			return nil
+		})
+		if errors.Is(err, errTorn) {
 			if err := os.Truncate(path, validBytes); err != nil {
 				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", last.Name, err)
 			}
 			l.truncated = true
+		} else if err != nil {
+			return nil, err
 		}
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: open: %w", err)
 		}
 		l.file = f
-		l.segStart = last.FirstSeq
 		l.segBytes = validBytes
 		l.syncedBytes = validBytes
 		if lastSeq > 0 {
@@ -308,7 +314,6 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	// segment file even though its records were fsynced.
 	syncDir(l.dir)
 	l.file = f
-	l.segStart = firstSeq
 	l.segBytes = 0
 	l.syncedBytes = 0
 	l.dirty = false
@@ -324,27 +329,19 @@ func (l *Log) flushLoop() {
 		case <-l.stopFlush:
 			return
 		case <-ticker.C:
-			if err := l.Sync(); err != nil {
-				l.seqMu.Lock()
-				if l.bgErr == nil {
-					l.bgErr = err
-				}
-				l.seqMu.Unlock()
-			}
+			_ = l.Sync() // a failure is the committer's ioErr, which Err reports
 		}
 	}
 }
 
-// Err returns the first committer or background-flush failure, if any.
-// Appends under the interval policy are acknowledged before they reach disk,
-// so a failing flusher must be surfaced out of band.
+// Err returns the first committer failure, if any: a failed write, or a
+// failed fsync whether an append, a Sync barrier or the background flusher
+// asked for it. Appends under the interval policy are acknowledged before
+// they reach disk, so a failing flusher must be surfaced out of band.
 func (l *Log) Err() error {
 	l.seqMu.Lock()
 	defer l.seqMu.Unlock()
-	if l.ioErr != nil {
-		return l.ioErr
-	}
-	return l.bgErr
+	return l.ioErr
 }
 
 // AppendAsync sequences one record: it assigns the next sequence number,
@@ -725,11 +722,16 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 }
 
 // Replay streams every record with sequence > after, in order, to fn; the
-// payload is valid only during the call. A torn tail in the newest segment
-// ends the replay cleanly; corruption anywhere else is an error, as is an
-// error returned by fn (reported with the segment's file name). Replay
-// drains pending appends first, then holds the I/O lock, so it observes
-// every acknowledged record and no concurrent write.
+// payload is valid only during the call. It is the one walk over the
+// segments from a cursor: recovery replays the tail past its snapshot with
+// it, and ReadTail serves the replication stream with it. If compaction has
+// removed the records just past the cursor (the log begins after after+1),
+// Replay returns an error matching ErrCompacted and calls fn for no record.
+// A torn tail in the newest segment ends the replay cleanly; corruption
+// anywhere else is an error, as is an error returned by fn (reported with
+// the segment's file name). Replay drains pending appends first, then holds
+// the I/O lock, so it observes every acknowledged record and no concurrent
+// write.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	if err := l.waitWritten(); err != nil {
 		return err
@@ -740,22 +742,21 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 	if err != nil {
 		return err
 	}
+	if len(segs) > 0 && segs[0].FirstSeq > after+1 {
+		return fmt.Errorf("%w: the log begins at sequence %d", ErrCompacted, segs[0].FirstSeq)
+	}
 	for i, seg := range segs {
 		if i+1 < len(segs) && segs[i+1].FirstSeq-1 <= after {
-			continue // every record here is covered by the snapshot
+			continue // every record here is at or before the cursor
 		}
-		isNewest := i == len(segs)-1
-		err := readSegment(filepath.Join(l.dir, seg.Name), func(seq uint64, payload []byte) error {
+		_, err := readSegment(filepath.Join(l.dir, seg.Name), func(seq uint64, payload []byte) error {
 			if seq <= after {
 				return nil
 			}
 			return fn(seq, payload)
 		})
-		if errors.Is(err, errTorn) {
-			if isNewest {
-				return nil
-			}
-			return fmt.Errorf("wal: segment %s: %w", seg.Name, err)
+		if errors.Is(err, errTorn) && i == len(segs)-1 {
+			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("wal: segment %s: %w", seg.Name, err)
@@ -865,56 +866,41 @@ func (fr *frameReader) next() (seq uint64, payload []byte, frameLen int64, err e
 }
 
 // readSegment streams every valid record of one segment file to fn and
-// returns errTorn if the segment ends in a partial or corrupt record. The
-// payload handed to fn is valid only during the call.
-func readSegment(path string, fn func(seq uint64, payload []byte) error) error {
+// returns the byte length of those records, the offset a torn tail is cut
+// at. It returns errTorn if the segment ends in a partial or corrupt record.
+// The payload handed to fn is valid only during the call.
+func readSegment(path string, fn func(seq uint64, payload []byte) error) (validBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("wal: reading segment: %w", err)
+		return 0, fmt.Errorf("wal: reading segment: %w", err)
 	}
 	defer f.Close()
 	fr := newFrameReader(f)
 	for {
-		seq, payload, _, err := fr.next()
+		seq, payload, frameLen, err := fr.next()
 		if err == io.EOF {
-			return nil
+			return validBytes, nil
 		}
 		if err != nil {
-			return err
+			return validBytes, err
 		}
 		if err := fn(seq, payload); err != nil {
-			return err
-		}
-	}
-}
-
-// scanSegment walks a segment validating records. It returns the byte offset
-// of the end of the last valid record, the highest valid sequence, and
-// whether the segment ends in a torn record.
-func scanSegment(path string) (validBytes int64, lastSeq uint64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: scanning segment: %w", err)
-	}
-	defer f.Close()
-	fr := newFrameReader(f)
-	for {
-		seq, _, frameLen, err := fr.next()
-		if err == io.EOF {
-			return validBytes, lastSeq, false, nil
-		}
-		if errors.Is(err, errTorn) {
-			return validBytes, lastSeq, true, nil
-		}
-		if err != nil {
-			return validBytes, lastSeq, false, err
+			return validBytes, err
 		}
 		validBytes += frameLen
-		lastSeq = seq
 	}
 }
 
+// listSegments lists the log's segments in sequence order.
 func listSegments(dir string) ([]SegmentInfo, error) {
+	return listSeqFiles(dir, segmentPrefix, segmentSuffix)
+}
+
+// listSeqFiles is the one directory listing of the package: it returns the
+// files of dir named <prefix><seq 20 digits><suffix>, in ascending sequence,
+// with FirstSeq set to the sequence in the name — a segment's first record,
+// or the last record a snapshot covers.
+func listSeqFiles(dir, prefix, suffix string) ([]SegmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
@@ -924,7 +910,7 @@ func listSegments(dir string) ([]SegmentInfo, error) {
 		if e.IsDir() {
 			continue
 		}
-		firstSeq, ok := parseSegmentName(e.Name())
+		seq, ok := parseSeqFileName(e.Name(), prefix, suffix)
 		if !ok {
 			continue
 		}
@@ -932,7 +918,7 @@ func listSegments(dir string) ([]SegmentInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
 		}
-		out = append(out, SegmentInfo{Name: e.Name(), FirstSeq: firstSeq, Bytes: info.Size()})
+		out = append(out, SegmentInfo{Name: e.Name(), FirstSeq: seq, Bytes: info.Size()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FirstSeq < out[j].FirstSeq })
 	return out, nil
