@@ -251,3 +251,47 @@ func TestConcurrentBoundedReads(t *testing.T) {
 	readers.Wait()
 	assertBoundedContract(t, tracker, store)
 }
+
+// TestConcurrentReadsSettleOwnerBuckets: after a rebuild, owner buckets wait
+// to be built until first used; readers of one owner race each other and the
+// writers to build it, under -race, and the contract holds once they stop.
+func TestConcurrentReadsSettleOwnerBuckets(t *testing.T) {
+	store := storage.NewStore()
+	tracker := stats.AttachWithCapacity(store, 4)
+	rng := rand.New(rand.NewSource(17))
+	mutateRandomly(t, rng, store, 200)
+	tracker.Rebuild(store)
+	if stats.PendingOwners(tracker) == 0 {
+		t.Fatal("the rebuild built every owner bucket; the test no longer races their first use")
+	}
+
+	var readers sync.WaitGroup
+	for r := 0; r < 6; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			p := storage.Principal{User: users[r%len(users)]}
+			for i := 0; i < 50; i++ {
+				tracker.UserActivity(p)
+				tracker.Bounds(p)
+				tracker.ColumnCounts(p, []string{"WaterTemp"})
+				tracker.QueryCount(p)
+			}
+		}(r)
+	}
+	var writers sync.WaitGroup
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		wrng := rand.New(rand.NewSource(3))
+		for i := 0; i < 100; i++ {
+			mustPut(t, store, genRecord(t, wrng))
+		}
+	}()
+	writers.Wait()
+	readers.Wait()
+	if n := stats.PendingOwners(tracker); n != 0 {
+		t.Errorf("%d owner buckets still pending after every owner read and wrote", n)
+	}
+	assertBoundedContract(t, tracker, store)
+}

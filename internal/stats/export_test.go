@@ -17,38 +17,28 @@ var (
 // its buckets on its own, as the live path applies it, then the summaries
 // reseeded from the final maps.
 func (t *Tracker) RebuildPerRecord(store *storage.Store) {
-	all, public := newBucket().reseed(t.capacity), newBucket().reseed(t.capacity)
-	owners := make(map[string]*bucket)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.all, t.public, t.owners = newBucket(), newBucket(), make(map[string]*bucket)
+	t.shapes = make(map[*storage.QueryShape]*countedShape)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
-		k := keysOf(rec.QueryShape)
-		all.apply(rec, &k, 1)
-		if rec.Visibility == storage.VisibilityPublic {
-			public.apply(rec, &k, 1)
-		} else {
-			b := owners[rec.User]
-			if b == nil {
-				b = newBucket().reseed(t.capacity)
-				owners[rec.User] = b
-			}
-			b.apply(rec, &k, 1)
-		}
+		t.addLocked(rec)
 		return true
 	})
-	all.reseed(t.capacity)
-	public.reseed(t.capacity)
-	for _, b := range owners {
+	t.all.reseed(t.capacity)
+	t.public.reseed(t.capacity)
+	for _, b := range t.owners {
 		b.reseed(t.capacity)
 	}
-	t.mu.Lock()
-	t.all, t.public, t.owners = all, public, owners
-	t.mu.Unlock()
 }
 
 // ExactCounts is a tracker's exact counter maps, every bucket's, without the
-// top-K summaries derived from them.
+// top-K summaries derived from them, and the record count of every shape in
+// its key cache.
 type ExactCounts struct {
 	All, Public Bucket
 	Owners      map[string]Bucket
+	Shapes      map[*storage.QueryShape]int
 }
 
 // Bucket is one bucket's exact counters.
@@ -70,11 +60,15 @@ type Table struct {
 	Joins map[string]string
 }
 
-// Counts returns the tracker's exact counters.
+// Counts returns the tracker's exact counters, settling every owner bucket
+// first.
 func Counts(t *Tracker) ExactCounts {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	items := func(m map[string]*itemCount) map[string]string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for user, b := range t.owners {
+		b.settle(user, t.capacity)
+	}
+	items := func(m map[string]itemCount) map[string]string {
 		out := make(map[string]string, len(m))
 		for k, ic := range m {
 			out[k] = fmt.Sprintf("%d/%s", ic.count, ic.rel)
@@ -82,9 +76,9 @@ func Counts(t *Tracker) ExactCounts {
 		return out
 	}
 	strip := func(b *bucket) Bucket {
-		out := Bucket{Queries: b.queries, Users: b.users.counts, Fingerprints: b.fingerprints.counts, Preds: b.preds.counts,
-			Tables: make(map[string]Table, len(b.tables))}
-		for key, ta := range b.tables {
+		out := Bucket{Queries: b.queries, Users: ints(b.users.counts), Fingerprints: ints(b.fingerprints.counts),
+			Preds: ints(b.preds.counts), Tables: make(map[string]Table, len(b.tables.counts))}
+		for key, ta := range b.tables.counts {
 			joins := make(map[string]string, len(ta.joins))
 			for k, jc := range ta.joins {
 				joins[k] = fmt.Sprintf("%d/%s/%s", jc.count, jc.left, jc.right)
@@ -93,9 +87,35 @@ func Counts(t *Tracker) ExactCounts {
 		}
 		return out
 	}
-	c := ExactCounts{All: strip(t.all), Public: strip(t.public), Owners: make(map[string]Bucket, len(t.owners))}
+	c := ExactCounts{All: strip(t.all), Public: strip(t.public), Owners: make(map[string]Bucket, len(t.owners)),
+		Shapes: make(map[*storage.QueryShape]int, len(t.shapes))}
 	for user, b := range t.owners {
 		c.Owners[user] = strip(b)
 	}
+	for sh, e := range t.shapes {
+		c.Shapes[sh] = e.records
+	}
 	return c
+}
+
+// ints copies a dimension's tallies as plain counts.
+func ints[K comparable](m map[K]tally) map[K]int {
+	out := make(map[K]int, len(m))
+	for k, n := range m {
+		out[k] = int(n)
+	}
+	return out
+}
+
+// PendingOwners counts the owner buckets a rebuild left pending.
+func PendingOwners(t *Tracker) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := 0
+	for _, b := range t.owners {
+		if b.pending != nil {
+			n++
+		}
+	}
+	return n
 }

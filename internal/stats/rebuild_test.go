@@ -41,9 +41,10 @@ func putRepeated(t *testing.T, rng *rand.Rand, s *storage.Store) {
 
 // TestRebuildMatchesPerRecordOracle: Rebuild, which counts each shape once
 // with its multiplicity, leaves every bucket's exact maps — and so every
-// summary seeded from them — as applying the records one by one does, over
-// histories of heavily repeated texts with visibility flips, deletes and text
-// replacements. Every shape in the store is shared by several records.
+// summary seeded from them — and the key cache's record count per shape as
+// applying the records one by one does, over histories of heavily repeated
+// texts with visibility flips, deletes and text replacements. Every shape in
+// the store is shared by several records.
 func TestRebuildMatchesPerRecordOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -91,6 +92,19 @@ func TestRebuildMatchesPerRecordOracle(t *testing.T) {
 			// The live tracker counted the same history mutation by mutation.
 			if got, want := stats.Counts(live), stats.Counts(oracle); !reflect.DeepEqual(got, want) {
 				t.Fatalf("live counters diverge from the per-record oracle\n got: %+v\nwant: %+v", got, want)
+			}
+			// The key cache holds an entry for exactly the shapes of the
+			// counted records, and none once every record is gone.
+			if got := len(stats.Counts(live).Shapes); got != len(shapes) {
+				t.Fatalf("key cache holds %d shapes, the records have %d", got, len(shapes))
+			}
+			for _, id := range liveIDs(store) {
+				if err := store.Delete(id, admin); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := stats.Counts(live).Shapes; len(got) != 0 {
+				t.Fatalf("key cache holds %d shapes after every record was deleted", len(got))
 			}
 		})
 	}

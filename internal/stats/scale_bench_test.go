@@ -13,8 +13,9 @@ import (
 
 // buildLoadedTracker feeds n synthetic public records with n distinct users
 // (plus proportionally large predicate and fingerprint vocabularies) straight
-// into a tracker's apply path, bypassing the store so the benchmark isolates
-// the stats layer. Records are public, so they land in the all + public
+// into a tracker's apply path, bypassing the store and the key cache (every
+// record has a shape of its own) so the benchmark isolates the buckets the
+// reads merge. Records are public, so they land in the all + public
 // buckets — the merge shape an admin read and a user read both see.
 func buildLoadedTracker(n int) *Tracker {
 	t := New()
@@ -33,7 +34,9 @@ func buildLoadedTracker(n int) *Tracker {
 			},
 			Visibility: storage.VisibilityPublic,
 		}
-		t.addLocked(rec)
+		k := keysOf(rec.QueryShape)
+		t.all.apply(rec, &k, 1, t.capacity)
+		t.specificFor(rec).apply(rec, &k, 1, t.capacity)
 	}
 	return t
 }

@@ -45,129 +45,230 @@ type joinCount struct {
 }
 
 // tableAgg aggregates everything about the queries referencing one table.
+// Items are held by value, so a key costs its map slot and nothing more.
 type tableAgg struct {
 	count int            // queries referencing the table
 	names map[string]int // live display casings
-	attrs map[string]*itemCount
-	preds map[string]*itemCount
-	joins map[string]*joinCount
+	attrs map[string]itemCount
+	preds map[string]itemCount
+	joins map[string]joinCount
 }
 
 func newTableAgg() *tableAgg {
 	return &tableAgg{
 		names: make(map[string]int),
-		attrs: make(map[string]*itemCount),
-		preds: make(map[string]*itemCount),
-		joins: make(map[string]*joinCount),
+		attrs: make(map[string]itemCount),
+		preds: make(map[string]itemCount),
+		joins: make(map[string]joinCount),
 	}
 }
 
-// counter is one listed dimension of a bucket: the exact count per key and
-// the top-K summary over them (see topk.go).
-type counter[K cmp.Ordered] struct {
-	counts map[K]int
+// value is the table's query count, 0 for a table the bucket does not hold.
+func (ta *tableAgg) value() int {
+	if ta == nil {
+		return 0
+	}
+	return ta.count
+}
+
+// tally is an exact count, what the users, predicates and fingerprints
+// dimensions hold per key.
+type tally int
+
+func (n tally) value() int { return int(n) }
+
+// counted is what a dimension's exact map holds per key: a tally, or the
+// aggregate of a table, which carries the table's query count.
+type counted interface{ value() int }
+
+// counter is one listed dimension of a bucket: the exact map from each key to
+// its count and, once the map has held more than capacity keys, the top-K
+// summary over those counts (see topk.go). Until then the map itself is the
+// listing, complete, with bound 0 — exactly what a summary would hold, since
+// a summary with room tracks every key — so a bucket pays for a summary only
+// in a dimension that outgrew one. The read methods below are the one way
+// listings, bounds and gauges see a dimension.
+type counter[K cmp.Ordered, V counted] struct {
+	counts map[K]V
 	top    *topkSummary[K]
 }
 
-// add adjusts key's count by d, deleting the key when it empties. With
-// track, the summary is re-offered the new count, as live apply requires;
-// Rebuild adds without and reseeds once at the end. It is the one place a
-// count and its summary are kept in step.
-func (c *counter[K]) add(key K, d int, track bool) {
-	n := bumpCount(c.counts, key, d)
-	if track {
+// follow keeps the summary in step with key's new exact count n, and is the
+// one place that does: an existing summary is re-offered the key, and the
+// first time the map holds more than capacity keys a summary is seeded from
+// it. Seeding then keeps the same keys and bound as re-offering
+// the key to a summary that had tracked every other one: both drop the
+// lowest-ranked of the capacity+1 keys. Capacity 0 leaves the summary alone:
+// Rebuild adds so and reseeds once at the end.
+func (c *counter[K, V]) follow(key K, n, capacity int) {
+	switch {
+	case capacity == 0:
+	case c.top != nil:
 		c.top.update(key, n)
+	case len(c.counts) > capacity:
+		c.top = seedTopK(capacity, c.counts)
 	}
 }
 
-// bucket is one visibility bucket of counters. Every listed dimension keeps
-// a bounded top-K summary next to its exact counts, so the listing reads —
-// top tables, top users, top predicates, fingerprint popularity — never have
-// to materialise or sort a full map.
+// reseed replaces the summary with one seeded from the exact map — the
+// tightest membership and bound possible — or with none while the map holds
+// at most capacity keys.
+func (c *counter[K, V]) reseed(capacity int) {
+	c.top = nil
+	if len(c.counts) > capacity {
+		c.top = seedTopK(capacity, c.counts)
+	}
+}
+
+// each calls fn with every key the dimension lists and its exact count.
+func (c *counter[K, V]) each(fn func(key K, n int)) {
+	if c.top != nil {
+		for _, e := range c.top.heap {
+			fn(e.key, e.count)
+		}
+		return
+	}
+	for key, v := range c.counts {
+		fn(key, v.value())
+	}
+}
+
+// size is how many keys the dimension lists.
+func (c *counter[K, V]) size() int {
+	if c.top != nil {
+		return c.top.len()
+	}
+	return len(c.counts)
+}
+
+// lists reports whether the dimension lists key.
+func (c *counter[K, V]) lists(key K) bool {
+	if c.top != nil {
+		return c.top.contains(key)
+	}
+	_, ok := c.counts[key]
+	return ok
+}
+
+// count is key's exact count.
+func (c *counter[K, V]) count(key K) int { return c.counts[key].value() }
+
+// bound is the count under which the listing may omit a key: every key it
+// does not list has an exact count at most this.
+func (c *counter[K, V]) bound() int {
+	if c.top == nil {
+		return 0
+	}
+	return c.top.missedBound
+}
+
+// addTally adjusts key's count by d, deleting the key when it empties, and
+// keeps the summary in step (see follow).
+func addTally[K cmp.Ordered](c *counter[K, tally], key K, d, capacity int) {
+	c.follow(key, int(bumpCount(c.counts, key, tally(d))), capacity)
+}
+
+// bucket is one visibility bucket of counters: four listed dimensions, each
+// with its exact counts and, past capacity, a bounded top-K summary, so the
+// listing reads — top tables, top users, top predicates, fingerprint
+// popularity — never have to materialise or sort a large map.
 type bucket struct {
 	queries      int
-	users        counter[string]
-	fingerprints counter[uint64]
+	users        counter[string, tally]
+	fingerprints counter[uint64, tally]
 	// preds counts concrete predicates once per occurrence in a record —
 	// unlike the per-table aggregates, which count once per referenced
 	// table — so log-wide "top predicates" listings are not inflated for
 	// multi-table queries.
-	preds     counter[string]
-	tables    map[string]*tableAgg // key: lower-cased table name
-	topTables *topkSummary[string] // over tables[key].count
+	preds  counter[string, tally]
+	tables counter[string, *tableAgg] // key: lower-cased table name
+	// pending is what a Rebuild counted in an owner bucket — the keys of
+	// each shape its records have, and how many have it — until the bucket
+	// is first read or written: settle builds the counters from it then, so
+	// a rebuild pays only for the owner buckets that are used.
+	pending []shapeCount
 }
 
-// newBucket returns a bucket with empty counts and no summaries yet: reseed
-// derives them.
+// shapeCount is a shape's keys with a count of records that have it.
+type shapeCount struct {
+	keys *shapeKeys
+	n    int
+}
+
+// newBucket returns a bucket with empty counts and no summaries.
 func newBucket() *bucket {
 	return &bucket{
-		users:        counter[string]{counts: make(map[string]int)},
-		fingerprints: counter[uint64]{counts: make(map[uint64]int)},
-		preds:        counter[string]{counts: make(map[string]int)},
-		tables:       make(map[string]*tableAgg),
+		users:        counter[string, tally]{counts: make(map[string]tally)},
+		fingerprints: counter[uint64, tally]{counts: make(map[uint64]tally)},
+		preds:        counter[string, tally]{counts: make(map[string]tally)},
+		tables:       counter[string, *tableAgg]{counts: make(map[string]*tableAgg)},
 	}
 }
 
-// reseed rebuilds every summary from the bucket's exact counts, giving each
-// the tightest membership and miss bound possible for them, and returns b.
-// Rebuild calls it after bulk construction, where the incremental admission
-// order could otherwise leave an inflated watermark.
-func (b *bucket) reseed(capacity int) *bucket {
-	tables := make(map[string]int, len(b.tables))
-	for key, ta := range b.tables {
-		tables[key] = ta.count
-	}
-	b.topTables = seedTopK(capacity, tables)
-	b.users.top = seedTopK(capacity, b.users.counts)
-	b.preds.top = seedTopK(capacity, b.preds.counts)
-	b.fingerprints.top = seedTopK(capacity, b.fingerprints.counts)
-	return b
+// reseed rebuilds every summary from the bucket's exact counts (see
+// counter.reseed). Rebuild calls it after bulk construction, where the
+// incremental admission order could otherwise leave an inflated watermark.
+func (b *bucket) reseed(capacity int) {
+	b.tables.reseed(capacity)
+	b.users.reseed(capacity)
+	b.preds.reseed(capacity)
+	b.fingerprints.reseed(capacity)
 }
 
-// empty reports whether the bucket holds no counted state at all — no
-// queries and no stale summary entries — so owner buckets of churning
-// users can be pruned without leaking heap or watermark state.
-func (b *bucket) empty() bool {
-	return b.queries == 0 &&
-		b.topTables.len() == 0 && b.users.top.len() == 0 &&
-		b.preds.top.len() == 0 && b.fingerprints.top.len() == 0
+// settle builds the counters of a user's owner bucket from what Rebuild left
+// pending, exactly as Rebuild builds the all and public buckets; a bucket
+// with nothing pending is left as it is.
+func (b *bucket) settle(user string, capacity int) {
+	if b.pending == nil {
+		return
+	}
+	built := newBucket()
+	built.queries = b.queries
+	addTally(&built.users, user, b.queries, 0)
+	for _, s := range b.pending {
+		built.add(s.keys, s.n, 0)
+	}
+	built.reseed(capacity)
+	*b = *built
 }
 
 // bumpItem adjusts one candidate counter, deleting the key when it empties
 // so removed queries do not leak zero-count entries.
-func bumpItem(m map[string]*itemCount, key, rel string, delta int) {
-	ic := m[key]
-	if ic == nil {
+func bumpItem(m map[string]itemCount, key, rel string, delta int) {
+	ic, ok := m[key]
+	if !ok {
 		if delta <= 0 {
 			return
 		}
-		ic = &itemCount{rel: rel}
-		m[key] = ic
+		ic.rel = rel
 	}
 	ic.count += delta
 	if ic.count <= 0 {
 		delete(m, key)
+		return
 	}
+	m[key] = ic
 }
 
-func bumpJoin(m map[string]*joinCount, key, left, right string, delta int) {
-	jc := m[key]
-	if jc == nil {
+func bumpJoin(m map[string]joinCount, key, left, right string, delta int) {
+	jc, ok := m[key]
+	if !ok {
 		if delta <= 0 {
 			return
 		}
-		jc = &joinCount{left: left, right: right}
-		m[key] = jc
+		jc.left, jc.right = left, right
 	}
 	jc.count += delta
 	if jc.count <= 0 {
 		delete(m, key)
+		return
 	}
+	m[key] = jc
 }
 
 // bumpCount adjusts a plain counter map, deleting emptied keys, and returns
 // the new count.
-func bumpCount[K comparable](m map[K]int, key K, delta int) int {
+func bumpCount[K comparable, V ~int](m map[K]V, key K, delta V) V {
 	n := m[key] + delta
 	if n > 0 {
 		m[key] = n
@@ -239,31 +340,31 @@ tables:
 }
 
 // apply adds (delta=+1) or retracts (delta=-1) one record's contributions,
-// k being the keys of its shape, keeping the top-K summaries current key by
-// key. It runs under the store's commit lock.
-func (b *bucket) apply(rec *storage.QueryRecord, k *shapeKeys, delta int) {
+// k being the keys of its shape, keeping the summaries current key by key.
+// It runs under the store's commit lock.
+func (b *bucket) apply(rec *storage.QueryRecord, k *shapeKeys, delta, capacity int) {
 	b.queries += delta
-	b.users.add(rec.User, delta, true)
-	b.add(k, delta, true)
+	addTally(&b.users, rec.User, delta, capacity)
+	b.add(k, delta, capacity)
 }
 
-// add counts n copies of a shape's keys (n < 0 retracts them), track as for
-// counter.add. A shape contributes to the table aggregates once per distinct
-// table it references, so a query referencing two context tables counts once
-// per table in the context reads.
-func (b *bucket) add(k *shapeKeys, n int, track bool) {
-	b.fingerprints.add(k.fingerprint, n, track)
+// add counts n copies of a shape's keys (n < 0 retracts them), capacity as
+// for counter.follow. A shape contributes to the table aggregates once per
+// distinct table it references, so a query referencing two context tables
+// counts once per table in the context reads.
+func (b *bucket) add(k *shapeKeys, n, capacity int) {
+	addTally(&b.fingerprints, k.fingerprint, n, capacity)
 	for _, p := range k.preds {
-		b.preds.add(p.text, n, track)
+		addTally(&b.preds, p.text, n, capacity)
 	}
 	for _, t := range k.tables {
-		ta := b.tables[t.key]
+		ta := b.tables.counts[t.key]
 		if ta == nil {
 			if n <= 0 {
 				continue
 			}
 			ta = newTableAgg()
-			b.tables[t.key] = ta
+			b.tables.counts[t.key] = ta
 		}
 		ta.count += n
 		bumpCount(ta.names, t.name, n)
@@ -277,11 +378,9 @@ func (b *bucket) add(k *shapeKeys, n int, track bool) {
 			bumpJoin(ta.joins, j.key, j.left, j.right, n)
 		}
 		if ta.count <= 0 {
-			delete(b.tables, t.key)
+			delete(b.tables.counts, t.key)
 		}
-		if track {
-			b.topTables.update(t.key, ta.count)
-		}
+		b.tables.follow(t.key, ta.count, capacity)
 	}
 }
 
@@ -327,6 +426,10 @@ type Tracker struct {
 	all      *bucket
 	public   *bucket
 	owners   map[string]*bucket // non-public records per owning user
+	// shapes holds the keys of every shape the counted records have,
+	// rendered once, with how many of those records have it: an entry is
+	// made with its shape's first record and dropped with its last.
+	shapes map[*storage.QueryShape]*countedShape
 
 	// readLatency, when EnableMetrics installed it, holds one histogram per
 	// listing read ("tables", "users", "predicates") timing the full merge —
@@ -347,9 +450,10 @@ func New() *Tracker {
 func newWithCapacity(capacity int) *Tracker {
 	return &Tracker{
 		capacity: capacity,
-		all:      newBucket().reseed(capacity),
-		public:   newBucket().reseed(capacity),
+		all:      newBucket(),
+		public:   newBucket(),
 		owners:   make(map[string]*bucket),
+		shapes:   make(map[*storage.QueryShape]*countedShape),
 	}
 }
 
@@ -370,10 +474,19 @@ func attachWithCapacity(store *storage.Store, capacity int) *Tracker {
 	return t
 }
 
+// countedShape is one entry of the tracker's key cache: a shape's keys and
+// how many counted records have the shape.
+type countedShape struct {
+	keys    shapeKeys
+	records int
+}
+
 // Rebuild replaces the tracker's counters with a from-scratch aggregation
 // over the store's current contents. Records share their interned shape, so
 // one scan counts them per user, shape and visibility; every shape's keys are
-// then rendered once and added to each bucket with their multiplicity. The
+// then rendered once, into the new key cache, and added to the all and
+// public buckets with their multiplicity. An owner bucket only records its
+// shapes and their counts, and is built on first use (bucket.settle). The
 // new counters are built off to the side and swapped in, so concurrent
 // readers never observe a half-built state.
 func (t *Tracker) Rebuild(store *storage.Store) {
@@ -387,52 +500,45 @@ func (t *Tracker) Rebuild(store *storage.Store) {
 		cells[cell{rec.User, rec.QueryShape, rec.Visibility == storage.VisibilityPublic}]++
 		return true
 	})
-	type counts struct {
-		keys        shapeKeys
-		all, public int
-	}
-	shapes := make(map[*storage.QueryShape]*counts)
+	shapes := make(map[*storage.QueryShape]*countedShape)
+	published := make(map[*storage.QueryShape]int) // public records per shape
 	all, public := newBucket(), newBucket()
 	owners := make(map[string]*bucket)
 	for c, n := range cells {
 		sh := shapes[c.shape]
 		if sh == nil {
-			sh = &counts{keys: keysOf(c.shape)}
+			sh = &countedShape{keys: keysOf(c.shape)}
 			shapes[c.shape] = sh
 		}
-		sh.all += n
-		all.users.add(c.user, n, false)
+		sh.records += n
+		addTally(&all.users, c.user, n, 0)
 		if c.public {
-			sh.public += n
-			public.users.add(c.user, n, false)
+			published[c.shape] += n
+			addTally(&public.users, c.user, n, 0)
 			continue
 		}
 		b := owners[c.user]
 		if b == nil {
-			b = newBucket()
+			b = &bucket{}
 			owners[c.user] = b
 		}
 		b.queries += n
-		b.users.add(c.user, n, false)
-		b.add(&sh.keys, n, false)
+		b.pending = append(b.pending, shapeCount{&sh.keys, n})
 	}
-	for _, sh := range shapes {
-		all.queries += sh.all
-		all.add(&sh.keys, sh.all, false)
-		if sh.public > 0 {
-			public.queries += sh.public
-			public.add(&sh.keys, sh.public, false)
+	for shape, sh := range shapes {
+		all.queries += sh.records
+		all.add(&sh.keys, sh.records, 0)
+		if n := published[shape]; n > 0 {
+			public.queries += n
+			public.add(&sh.keys, n, 0)
 		}
 	}
-	// Seed the summaries from the final maps: the exact top-capacity
-	// membership and the tightest bound.
+	// Seed the summaries of the dimensions past capacity from the final
+	// maps: the exact top-capacity membership and the tightest bound.
 	all.reseed(t.capacity)
 	public.reseed(t.capacity)
-	for _, b := range owners {
-		b.reseed(t.capacity)
-	}
 	t.mu.Lock()
-	t.all, t.public, t.owners = all, public, owners
+	t.all, t.public, t.owners, t.shapes = all, public, owners, shapes
 	t.mu.Unlock()
 }
 
@@ -469,11 +575,11 @@ func (t *Tracker) OnMutation(m *storage.Mutation) {
 		if prevPub == nextPub {
 			return // same bucket; counted contents unchanged
 		}
-		k := keysOf(next.QueryShape) // a visibility flip keeps the shape
 		t.mu.Lock()
-		t.specificFor(prev).apply(prev, &k, -1)
+		k := t.keysLocked(next.QueryShape, 0) // a visibility flip keeps the shape
+		t.specificFor(prev).apply(prev, k, -1, t.capacity)
 		t.pruneOwner(prev.User)
-		t.specificFor(next).apply(next, &k, 1)
+		t.specificFor(next).apply(next, k, 1, t.capacity)
 		t.mu.Unlock()
 	case storage.OpReplaceText:
 		prev, next := m.Prev(), m.Next()
@@ -488,16 +594,32 @@ func (t *Tracker) OnMutation(m *storage.Mutation) {
 }
 
 func (t *Tracker) addLocked(rec *storage.QueryRecord) {
-	k := keysOf(rec.QueryShape)
-	t.all.apply(rec, &k, 1)
-	t.specificFor(rec).apply(rec, &k, 1)
+	k := t.keysLocked(rec.QueryShape, 1)
+	t.all.apply(rec, k, 1, t.capacity)
+	t.specificFor(rec).apply(rec, k, 1, t.capacity)
 }
 
 func (t *Tracker) removeLocked(rec *storage.QueryRecord) {
-	k := keysOf(rec.QueryShape)
-	t.all.apply(rec, &k, -1)
-	t.specificFor(rec).apply(rec, &k, -1)
+	k := t.keysLocked(rec.QueryShape, -1)
+	t.all.apply(rec, k, -1, t.capacity)
+	t.specificFor(rec).apply(rec, k, -1, t.capacity)
 	t.pruneOwner(rec.User)
+}
+
+// keysLocked returns the keys of sh from the key cache, rendering them only
+// for a shape no counted record has, and moves the shape's record count by
+// d, dropping its entry when no counted record has it any more.
+func (t *Tracker) keysLocked(sh *storage.QueryShape, d int) *shapeKeys {
+	e := t.shapes[sh]
+	if e == nil {
+		e = &countedShape{keys: keysOf(sh)}
+		t.shapes[sh] = e
+	}
+	e.records += d
+	if e.records <= 0 {
+		delete(t.shapes, sh)
+	}
+	return &e.keys
 }
 
 // specificFor returns (creating if needed) the visibility bucket a record's
@@ -508,24 +630,45 @@ func (t *Tracker) specificFor(rec *storage.QueryRecord) *bucket {
 	}
 	b := t.owners[rec.User]
 	if b == nil {
-		b = newBucket().reseed(t.capacity)
+		b = newBucket()
 		t.owners[rec.User] = b
 	}
+	b.settle(rec.User, t.capacity)
 	return b
 }
 
-// pruneOwner drops a user's bucket once it holds nothing — no queries and no
-// summary entries — so churning users (deletes, visibility flips to public)
-// do not leak empty buckets or stale top-K heap/watermark state.
+// pruneOwner drops a user's bucket once it counts no query, so churning users
+// (deletes, visibility flips to public) do not leak empty buckets or stale
+// watermark state. A bucket with no query holds no key: exact counts are
+// deleted when they empty, and a summary tracks only keys they hold.
 func (t *Tracker) pruneOwner(user string) {
-	if b := t.owners[user]; b != nil && b.empty() {
+	if b := t.owners[user]; b != nil && b.queries == 0 {
 		delete(t.owners, user)
+	}
+}
+
+// rlockFor read-locks the tracker for a read by the principal, first
+// settling their owner bucket if a rebuild left it pending. The caller
+// releases the read lock.
+func (t *Tracker) rlockFor(p storage.Principal) {
+	t.mu.RLock()
+	if p.Admin {
+		return
+	}
+	for b := t.owners[p.User]; b != nil && b.pending != nil; b = t.owners[p.User] {
+		t.mu.RUnlock()
+		t.mu.Lock()
+		if b := t.owners[p.User]; b != nil {
+			b.settle(p.User, t.capacity)
+		}
+		t.mu.Unlock()
+		t.mu.RLock()
 	}
 }
 
 // bucketsFor returns the buckets visible to the principal: admins read the
 // whole log, everyone else the public bucket merged with their own
-// non-public queries. Callers must hold the read lock.
+// non-public queries. Callers must hold the read lock rlockFor takes.
 func (t *Tracker) bucketsFor(p storage.Principal) []*bucket {
 	if p.Admin {
 		return []*bucket{t.all}
@@ -543,7 +686,7 @@ func (t *Tracker) bucketsFor(p storage.Principal) []*bucket {
 
 // QueryCount returns how many logged queries the principal's counters cover.
 func (t *Tracker) QueryCount(p storage.Principal) int {
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	n := 0
 	for _, b := range t.bucketsFor(p) {
@@ -562,47 +705,46 @@ func (t *Tracker) histogramLocked(read string) *telemetry.Histogram {
 	return t.readLatency[read]
 }
 
-// eachMerged calls fn once for every key some visible bucket's summary of
-// one dimension tracks, with its count summed exactly over the buckets. A
-// summary entry already holds the key's count in its own bucket, so only the
-// other buckets are probed: a single-bucket (admin) read never touches the
-// full counter maps. A key an earlier bucket tracks was merged there and is
-// skipped. Callers must hold the read lock.
-func eachMerged[K cmp.Ordered](buckets []*bucket, top func(*bucket) *topkSummary[K], count func(*bucket, K) int, fn func(key K, n int)) {
+// eachMerged calls fn once for every key some visible bucket's dimension
+// lists, with its count summed exactly over the buckets. A listed key comes
+// with its count in its own bucket, so only the other buckets are probed: a
+// single-bucket (admin) read of a dimension with a summary never touches its
+// exact map. A key an earlier bucket lists was merged there and is skipped.
+// Callers must hold the read lock.
+func eachMerged[K cmp.Ordered, V counted](buckets []*bucket, dim func(*bucket) *counter[K, V], fn func(key K, n int)) {
 	for bi, b := range buckets {
-	entries:
-		for _, e := range top(b).heap {
-			n := e.count
+		dim(b).each(func(key K, n int) {
 			for bj, other := range buckets {
 				switch {
 				case bj == bi:
-				case bj < bi && top(other).contains(e.key):
-					continue entries
+				case bj < bi && dim(other).lists(key):
+					return
 				default:
-					n += count(other, e.key)
+					n += dim(other).count(key)
 				}
 			}
-			fn(e.key, n)
-		}
+			fn(key, n)
+		})
 	}
 }
 
-// listing serves one string-keyed listing read from the maintained top-K
-// summaries: under the read lock it merges the principal's visible summaries
-// of one dimension, naming each key with name, and outside it sorts the
-// result by descending count then item. The read costs O(capacity log
-// capacity) whatever the dimension's cardinality; it is timed end to end.
-func (t *Tracker) listing(p storage.Principal, read string, top func(*bucket) *topkSummary[string], count func(*bucket, string) int, name func(buckets []*bucket, key string) string) []ItemCount {
+// listing serves one string-keyed listing read: under the read lock it
+// merges one dimension of the principal's visible buckets, naming each key
+// with name, and outside it sorts the result by descending count then item.
+// A dimension lists at most capacity keys per bucket, so the read costs
+// O(capacity log capacity) whatever the dimension's cardinality; it is timed
+// end to end.
+func listing[V counted](t *Tracker, p storage.Principal, read string, dim func(*bucket) *counter[string, V], name func(buckets []*bucket, key string) string) []ItemCount {
 	start := time.Now()
-	t.mu.RLock()
+	t.rlockFor(p)
 	h := t.histogramLocked(read)
 	buckets := t.bucketsFor(p)
 	size := 0
 	for _, b := range buckets {
-		size += top(b).len()
+		size += dim(b).size()
 	}
 	out := make([]ItemCount, 0, size)
-	eachMerged(buckets, top, count, func(key string, n int) {
+	eachMerged(buckets, dim, func(key string, n int) {
 		if name != nil {
 			key = name(buckets, key)
 		}
@@ -618,19 +760,19 @@ func (t *Tracker) listing(p storage.Principal, read string, top func(*bucket) *t
 	return out
 }
 
+// The dimensions as the reads name them.
+func tablesOf(b *bucket) *counter[string, *tableAgg]   { return &b.tables }
+func usersOf(b *bucket) *counter[string, tally]        { return &b.users }
+func predsOf(b *bucket) *counter[string, tally]        { return &b.preds }
+func fingerprintsOf(b *bucket) *counter[uint64, tally] { return &b.fingerprints }
+
 // TableCounts returns per-table reference counts visible to the principal,
 // each under the casing the table is most often written in, sorted by
 // descending count then name — the same shape as storage.TableCounts.
-// Tables omitted by every visible summary have true count ≤
+// Tables omitted by every visible listing have true count ≤
 // ApproxBounds(p).Tables.
 func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {
-	items := t.listing(p, "tables", func(b *bucket) *topkSummary[string] { return b.topTables },
-		func(b *bucket, key string) int {
-			if ta := b.tables[key]; ta != nil {
-				return ta.count
-			}
-			return 0
-		}, displayName)
+	items := listing(t, p, "tables", tablesOf, displayName)
 	out := make([]storage.TableCount, len(items))
 	for i, it := range items {
 		out[i] = storage.TableCount{Table: it.Item, Count: it.Count}
@@ -642,11 +784,11 @@ func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {
 // in across the buckets.
 func displayName(buckets []*bucket, key string) string {
 	if len(buckets) == 1 {
-		return storage.PickDisplayName(buckets[0].tables[key].names, key)
+		return storage.PickDisplayName(buckets[0].tables.counts[key].names, key)
 	}
 	names := make(map[string]int)
 	for _, b := range buckets {
-		if ta := b.tables[key]; ta != nil {
+		if ta := b.tables.counts[key]; ta != nil {
 			for name, n := range ta.names {
 				names[name] += n
 			}
@@ -666,8 +808,7 @@ type UserCount struct {
 // sorted by descending count then user. Users omitted by every visible
 // summary have true count ≤ ApproxBounds(p).Users.
 func (t *Tracker) UserActivity(p storage.Principal) []UserCount {
-	items := t.listing(p, "users", func(b *bucket) *topkSummary[string] { return b.users.top },
-		func(b *bucket, key string) int { return b.users.counts[key] }, nil)
+	items := listing(t, p, "users", usersOf, nil)
 	out := make([]UserCount, len(items))
 	for i, it := range items {
 		out[i] = UserCount{User: it.Item, Queries: it.Count}
@@ -687,8 +828,7 @@ type ItemCount struct {
 // every tracked predicate. Predicates omitted by every visible summary have
 // true count ≤ ApproxBounds(p).Predicates.
 func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
-	out := t.listing(p, "predicates", func(b *bucket) *topkSummary[string] { return b.preds.top },
-		func(b *bucket, key string) int { return b.preds.counts[key] }, nil)
+	out := listing(t, p, "predicates", predsOf, nil)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
@@ -701,12 +841,10 @@ func (t *Tracker) TopPredicates(p storage.Principal, k int) []ItemCount {
 // true maximum only if every copy of the most popular template is untracked,
 // i.e. by at most ApproxBounds(p).Fingerprints.
 func (t *Tracker) MaxFingerprintCount(p storage.Principal) int {
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	most := 0
-	eachMerged(t.bucketsFor(p), func(b *bucket) *topkSummary[uint64] { return b.fingerprints.top },
-		func(b *bucket, fp uint64) int { return b.fingerprints.counts[fp] },
-		func(_ uint64, n int) { most = max(most, n) })
+	eachMerged(t.bucketsFor(p), fingerprintsOf, func(_ uint64, n int) { most = max(most, n) })
 	return most
 }
 
@@ -715,7 +853,7 @@ func (t *Tracker) MaxFingerprintCount(p storage.Principal) int {
 // O(len(fps)), independent of how many distinct templates the log holds.
 func (t *Tracker) FingerprintCountsFor(p storage.Principal, fps []uint64) map[uint64]int {
 	out := make(map[uint64]int, len(fps))
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	buckets := t.bucketsFor(p)
 	for _, fp := range fps {
@@ -724,7 +862,7 @@ func (t *Tracker) FingerprintCountsFor(p storage.Principal, fps []uint64) map[ui
 		}
 		n := 0
 		for _, b := range buckets {
-			n += b.fingerprints.counts[fp]
+			n += b.fingerprints.count(fp)
 		}
 		if n > 0 {
 			out[fp] = n
@@ -751,14 +889,14 @@ type ApproxBounds struct {
 // Bounds returns the principal's current approximation bounds (see
 // ApproxBounds).
 func (t *Tracker) Bounds(p storage.Principal) ApproxBounds {
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	b := ApproxBounds{Capacity: t.capacity}
 	for _, bk := range t.bucketsFor(p) {
-		b.Tables += bk.topTables.missedBound
-		b.Users += bk.users.top.missedBound
-		b.Predicates += bk.preds.top.missedBound
-		b.Fingerprints += bk.fingerprints.top.missedBound
+		b.Tables += bk.tables.bound()
+		b.Users += bk.users.bound()
+		b.Predicates += bk.preds.bound()
+		b.Fingerprints += bk.fingerprints.bound()
 	}
 	return b
 }
@@ -779,7 +917,7 @@ func LowerSet(tables []string) map[string]bool {
 // two context tables contributes twice, and attributes qualified with a
 // relation outside the context are skipped.
 func (t *Tracker) ColumnCounts(p storage.Principal, tables []string) map[string]int {
-	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]*itemCount { return ta.attrs })
+	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]itemCount { return ta.attrs })
 }
 
 // PredicateCounts returns concrete (non-join) predicate usage counts over
@@ -787,20 +925,20 @@ func (t *Tracker) ColumnCounts(p storage.Principal, tables []string) map[string]
 // principal, keyed by the ready-to-insert predicate text; counted and
 // filtered as ColumnCounts.
 func (t *Tracker) PredicateCounts(p storage.Principal, tables []string) map[string]int {
-	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]*itemCount { return ta.preds })
+	return t.itemCounts(p, tables, func(ta *tableAgg) map[string]itemCount { return ta.preds })
 }
 
 // itemCounts sums one kind of table-aggregate item over the context tables'
 // aggregates in the principal's visible buckets, once per context table
 // listed, skipping items qualified with a relation outside the context.
-func (t *Tracker) itemCounts(p storage.Principal, tables []string, items func(*tableAgg) map[string]*itemCount) map[string]int {
+func (t *Tracker) itemCounts(p storage.Principal, tables []string, items func(*tableAgg) map[string]itemCount) map[string]int {
 	ctx := LowerSet(tables)
 	out := make(map[string]int)
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	for _, b := range t.bucketsFor(p) {
 		for _, tbl := range tables {
-			ta := b.tables[strings.ToLower(tbl)]
+			ta := b.tables.counts[strings.ToLower(tbl)]
 			if ta == nil {
 				continue
 			}
@@ -822,11 +960,11 @@ func (t *Tracker) itemCounts(p storage.Principal, tables []string, items func(*t
 func (t *Tracker) JoinCounts(p storage.Principal, tables []string) map[string]int {
 	ctx := LowerSet(tables)
 	out := make(map[string]int)
-	t.mu.RLock()
+	t.rlockFor(p)
 	defer t.mu.RUnlock()
 	for _, b := range t.bucketsFor(p) {
 		for _, tbl := range tables {
-			ta := b.tables[strings.ToLower(tbl)]
+			ta := b.tables.counts[strings.ToLower(tbl)]
 			if ta == nil {
 				continue
 			}
@@ -852,7 +990,7 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 		func() float64 {
 			t.mu.RLock()
 			defer t.mu.RUnlock()
-			return float64(len(t.all.tables))
+			return float64(len(t.all.tables.counts))
 		})
 	reg.GaugeFunc("cqms_stats_tracked_users",
 		"Distinct users the incremental stats tracker counts.",
@@ -869,18 +1007,19 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 			return float64(len(t.owners))
 		})
 	// Top-K summary health on the admin (`all`) bucket: how many keys each
-	// dimension tracks and the miss watermark — the count under which a
-	// listing may omit items (0 = listings are complete and exact).
+	// dimension lists (all of them while it has no summary) and the miss
+	// watermark — the count under which a listing may omit items (0 =
+	// listings are complete and exact).
 	tracked := reg.GaugeFuncVec("cqms_stats_topk_tracked",
 		"Keys tracked by the all-bucket top-K summary, per dimension.", "dimension")
 	bound := reg.GaugeFuncVec("cqms_stats_topk_miss_bound",
 		"Count threshold under which the all-bucket listing may omit items, per dimension (0 = exact).",
 		"dimension")
 	summaries := map[string]func(b *bucket) (tracked, bound int){
-		"tables":       func(b *bucket) (int, int) { return b.topTables.len(), b.topTables.missedBound },
-		"users":        func(b *bucket) (int, int) { return b.users.top.len(), b.users.top.missedBound },
-		"predicates":   func(b *bucket) (int, int) { return b.preds.top.len(), b.preds.top.missedBound },
-		"fingerprints": func(b *bucket) (int, int) { return b.fingerprints.top.len(), b.fingerprints.top.missedBound },
+		"tables":       func(b *bucket) (int, int) { return b.tables.size(), b.tables.bound() },
+		"users":        func(b *bucket) (int, int) { return b.users.size(), b.users.bound() },
+		"predicates":   func(b *bucket) (int, int) { return b.preds.size(), b.preds.bound() },
+		"fingerprints": func(b *bucket) (int, int) { return b.fingerprints.size(), b.fingerprints.bound() },
 	}
 	for dim, read := range summaries {
 		read := read

@@ -1,7 +1,10 @@
 // Bounded heavy-hitter summaries for the stats tracker's hot reads.
 //
-// Every bucket keeps, next to its exact counter maps, one topkSummary per
-// listed dimension (tables, users, global predicates, fingerprints). The
+// A bucket's listed dimension (tables, users, global predicates,
+// fingerprints) keeps a topkSummary next to its exact counter map once that
+// map has held more than capacity keys; until then the map itself is the
+// listing, complete, with bound 0, and the bucket pays for no summary. Most
+// buckets — one per user with non-public queries — never get one. The
 // summary is a Space-Saving-style structure (Metwally et al., "Efficient
 // Computation of Frequent and Top-k Elements in Data Streams") adapted to
 // this tracker's situation: the exact per-key counts already exist in the
@@ -32,16 +35,14 @@
 // same updates track the same keys, whatever order they were seeded in.
 package stats
 
-import (
-	"cmp"
-	"slices"
-)
+import "cmp"
 
 // topKCapacity is how many keys each summary tracks per bucket per
 // dimension. It must comfortably exceed the API's listing caps (the server
 // returns 20) so merged listings stay exact until a dimension's cardinality
 // truly explodes, yet stay small enough that a read's merge-and-sort cost is
-// trivially flat. 256 tracked keys × 4 dimensions ≈ a few KB per bucket.
+// trivially flat. A summary of 256 keys is a few KB, paid only by a
+// dimension that has held more than 256 keys.
 const topKCapacity = 256
 
 // topkEntry is one tracked (key, exact count) pair.
@@ -66,7 +67,7 @@ func byRank[K cmp.Ordered](a, b topkEntry[K]) int {
 }
 
 // topkSummary tracks the (approximately) top-capacity keys of one dimension
-// by exact count. The zero value is not usable; use newTopK.
+// by exact count. The zero value is not usable; use seedTopK.
 type topkSummary[K cmp.Ordered] struct {
 	capacity int
 	heap     []topkEntry[K] // positional min-heap by rank (below)
@@ -78,13 +79,6 @@ type topkSummary[K cmp.Ordered] struct {
 	// (Rebuild), where it becomes the count of the largest key that did not
 	// fit.
 	missedBound int
-}
-
-func newTopK[K cmp.Ordered](capacity int) *topkSummary[K] {
-	// The index map grows on demand rather than being pre-sized to capacity:
-	// most summaries live in per-owner buckets tracking a handful of keys,
-	// and a million sparsely used buckets must not each pay for 256 slots.
-	return &topkSummary[K]{capacity: capacity, pos: make(map[K]int)}
 }
 
 // update re-synchronises one key with its new exact count after a mutation.
@@ -195,30 +189,20 @@ func (t *topkSummary[K]) contains(key K) bool {
 // len returns how many keys the summary currently tracks.
 func (t *topkSummary[K]) len() int { return len(t.heap) }
 
-// seed rebuilds the summary from a full exact counter map: the top-capacity
+// seedTopK builds a summary from a full exact counter map: the top-capacity
 // keys are tracked and the watermark becomes the largest count that did not
-// fit — the tightest bound any summary over that map can offer. Used by
-// Rebuild so rebuilt summaries start exact.
-func seedTopK[K cmp.Ordered](capacity int, counts map[K]int) *topkSummary[K] {
+// fit — the tightest bound any summary over that map can offer. Offering each
+// key once at its final count is a heap selection: a key is refused or
+// evicted only for capacity keys ranked above it, so the summary ends holding
+// exactly the top capacity, and the watermark, the highest count refused or
+// evicted, is the count of the first key ranked below them. A dimension is
+// seeded when its map first outgrows capacity, and again by Rebuild.
+func seedTopK[K cmp.Ordered, V counted](capacity int, counts map[K]V) *topkSummary[K] {
 	// The seeded size is known: size the heap and the index for it.
 	n := min(len(counts), capacity)
 	t := &topkSummary[K]{capacity: capacity, heap: make([]topkEntry[K], 0, n), pos: make(map[K]int, n)}
-	if len(counts) <= t.capacity {
-		for k, n := range counts {
-			t.update(k, n)
-		}
-		return t
+	for k, v := range counts {
+		t.update(k, v.value())
 	}
-	// More keys than capacity: take the top-capacity in rank order, so the
-	// seeded membership is exactly the true top set.
-	entries := make([]topkEntry[K], 0, len(counts))
-	for k, n := range counts {
-		entries = append(entries, topkEntry[K]{key: k, count: n})
-	}
-	slices.SortFunc(entries, byRank[K])
-	for _, e := range entries[:t.capacity] {
-		t.update(e.key, e.count)
-	}
-	t.missedBound = entries[t.capacity].count
 	return t
 }

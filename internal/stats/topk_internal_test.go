@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -39,6 +40,22 @@ func checkInvariants(t *testing.T, s *topkSummary[string], exact map[string]int)
 			t.Fatalf("untracked %q has count %d > missedBound %d", key, n, s.missedBound)
 		}
 	}
+}
+
+// newTopK returns an empty summary, for the tests that feed one update by
+// update.
+func newTopK[K cmp.Ordered](capacity int) *topkSummary[K] {
+	return &topkSummary[K]{capacity: capacity, pos: make(map[K]int)}
+}
+
+// tallies is counts as a dimension's exact map holds them, to seed a summary
+// from.
+func tallies(counts map[string]int) map[string]tally {
+	out := make(map[string]tally, len(counts))
+	for k, n := range counts {
+		out[k] = tally(n)
+	}
+	return out
 }
 
 func TestTopKAdmissionAndEviction(t *testing.T) {
@@ -86,7 +103,7 @@ func TestTopKRemoveOnZero(t *testing.T) {
 
 func TestTopKSeedOverflow(t *testing.T) {
 	counts := map[string]int{"a": 10, "b": 8, "c": 6, "d": 4, "e": 2}
-	s := seedTopK(3, counts)
+	s := seedTopK(3, tallies(counts))
 	for _, key := range []string{"a", "b", "c"} {
 		if !s.contains(key) {
 			t.Errorf("seeded summary should track %q", key)
@@ -100,7 +117,7 @@ func TestTopKSeedOverflow(t *testing.T) {
 	checkInvariants(t, s, counts)
 
 	// Under capacity: everything tracked, bound zero.
-	small := seedTopK(8, counts)
+	small := seedTopK(8, tallies(counts))
 	if small.len() != len(counts) || small.missedBound != 0 {
 		t.Errorf("under-capacity seed: len %d bound %d, want %d and 0",
 			small.len(), small.missedBound, len(counts))
@@ -145,7 +162,7 @@ func TestTopKTiesFollowOneOrder(t *testing.T) {
 	}
 	var want []string
 	for run := 0; run < 20; run++ {
-		s := seedTopK(6, counts)
+		s := seedTopK(6, tallies(counts))
 		exact := maps.Clone(counts)
 		for _, u := range updates {
 			key := fmt.Sprintf("k%02d", u[0])
