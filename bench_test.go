@@ -338,7 +338,10 @@ func BenchmarkE4BaselineExecute(b *testing.B) {
 
 // BenchmarkE4ProfilerSubmit measures the same query through the profiler
 // (execution + feature extraction + logging + sampling). The difference to
-// the baseline is the CQMS overhead that §2.1 requires to be small.
+// the baseline is the CQMS overhead that §2.1 requires to be small. Each
+// iteration first swaps a table the query does not read (an untimed INSERT
+// of no rows), so the profiler's memo misses and the query executes, as E4's
+// profiled rounds do.
 func BenchmarkE4ProfilerSubmit(b *testing.B) {
 	f := benchFixture(b)
 	store := storage.NewStore()
@@ -346,6 +349,11 @@ func BenchmarkE4ProfilerSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := f.eng.Catalog().Insert("Sensors", nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if _, err := prof.Submit(profiler.Submission{User: "bench", SQL: e4Query}); err != nil {
 			b.Fatal(err)
 		}

@@ -42,8 +42,16 @@ type Config = core.Config
 // Submission is one user query entering the system in Traditional mode.
 type Submission = profiler.Submission
 
-// Outcome is what Submit returns: result, logged query ID and hints.
+// Outcome is what Submit returns: the statement's Answer (Result), the
+// logged query ID and hints.
 type Outcome = profiler.Outcome
+
+// Answer is what a submitted statement answered: its columns, its first
+// profiler.MaxInlineRows rows rendered (read-only: they may be shared with
+// later answers), its cardinality and the engine time of the execution that
+// produced it. A SELECT repeated over unchanged data is answered from the
+// profiler's memo, with the first execution's time.
+type Answer = profiler.Answer
 
 // Principal identifies a user for access-control purposes.
 type Principal = storage.Principal

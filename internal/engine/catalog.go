@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -138,7 +139,9 @@ type Catalog struct {
 	tables  map[string]*Table // keyed by lower-cased name
 	changes []SchemaChange
 	version int64
-	now     func() time.Time
+	// epoch advances with every swap of a table (setTable), under mu.
+	epoch atomic.Uint64
+	now   func() time.Time
 }
 
 // NewCatalog returns an empty catalog.
@@ -161,6 +164,14 @@ func (c *Catalog) Version() int64 {
 	defer c.mu.RUnlock()
 	return c.version
 }
+
+// Epoch returns the catalog's data epoch. It advances at every change to a
+// table's rows or schema — INSERT, UPDATE and DELETE as well as DDL, where
+// Version counts schema changes only — so a value computed from the tables
+// holds for as long as the epoch read before computing it is current. The
+// epoch moves under the lock every read of a table takes, so the tables a
+// statement reads after an epoch are at least that new.
+func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // Changes returns a copy of the schema-change log, optionally filtered to
 // changes after the given version.
@@ -233,8 +244,20 @@ func (c *Catalog) lockWrite() (unlock func()) {
 // publish swaps in a table's next version. The caller holds writeMu.
 func (c *Catalog) publish(t *Table) {
 	c.mu.Lock()
-	c.tables[strings.ToLower(t.Schema.Table)] = t
+	c.setTable(strings.ToLower(t.Schema.Table), t)
 	c.mu.Unlock()
+}
+
+// setTable is the one write of the table map: it swaps in the table stored
+// under key, or drops it when t is nil, and advances the data epoch. The
+// caller holds mu.
+func (c *Catalog) setTable(key string, t *Table) {
+	if t == nil {
+		delete(c.tables, key)
+	} else {
+		c.tables[key] = t
+	}
+	c.epoch.Add(1)
 }
 
 func (c *Catalog) recordChange(ch SchemaChange) {
@@ -254,7 +277,7 @@ func (c *Catalog) CreateTable(schema *Schema, ifNotExists bool) error {
 		}
 		return fmt.Errorf("%w: %s", ErrTableExists, schema.Table)
 	}
-	c.tables[key] = &Table{Schema: schema.Clone()}
+	c.setTable(key, &Table{Schema: schema.Clone()})
 	c.recordChange(SchemaChange{Kind: ChangeCreateTable, Table: schema.Table})
 	return nil
 }
@@ -270,7 +293,7 @@ func (c *Catalog) DropTable(name string, ifExists bool) error {
 		}
 		return fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
-	delete(c.tables, key)
+	c.setTable(key, nil)
 	c.recordChange(SchemaChange{Kind: ChangeDropTable, Table: t.Schema.Table})
 	return nil
 }
@@ -292,10 +315,10 @@ func (c *Catalog) AddColumn(table string, col Column) error {
 	for i, row := range t.Rows {
 		rows[i] = append(row[:width:width], Null)
 	}
-	c.tables[key] = &Table{
+	c.setTable(key, &Table{
 		Schema: &Schema{Table: t.Schema.Table, Columns: append(t.Schema.Columns[:width:width], col)},
 		Rows:   rows,
-	}
+	})
 	c.recordChange(SchemaChange{Kind: ChangeAddColumn, Table: t.Schema.Table, Column: col.Name})
 	return nil
 }
@@ -316,10 +339,10 @@ func (c *Catalog) DropColumn(table, column string) error {
 	for i, row := range t.Rows {
 		rows[i] = append(row[:idx:idx], row[idx+1:]...)
 	}
-	c.tables[key] = &Table{
+	c.setTable(key, &Table{
 		Schema: &Schema{Table: t.Schema.Table, Columns: append(t.Schema.Columns[:idx:idx], t.Schema.Columns[idx+1:]...)},
 		Rows:   rows,
-	}
+	})
 	c.recordChange(SchemaChange{Kind: ChangeDropColumn, Table: t.Schema.Table, Column: column})
 	return nil
 }
@@ -338,7 +361,7 @@ func (c *Catalog) RenameColumn(table, oldName, newName string) error {
 	}
 	renamed := t.Schema.Clone()
 	renamed.Columns[idx].Name = newName
-	c.tables[key] = &Table{Schema: renamed, Rows: t.Rows}
+	c.setTable(key, &Table{Schema: renamed, Rows: t.Rows})
 	c.recordChange(SchemaChange{Kind: ChangeRenameColumn, Table: t.Schema.Table, Column: oldName, NewName: newName})
 	return nil
 }
@@ -354,8 +377,8 @@ func (c *Catalog) RenameTable(oldName, newName string) error {
 	if _, exists := c.tables[strings.ToLower(newName)]; exists {
 		return fmt.Errorf("%w: %s", ErrTableExists, newName)
 	}
-	delete(c.tables, key)
-	c.tables[strings.ToLower(newName)] = &Table{Schema: &Schema{Table: newName, Columns: t.Schema.Columns}, Rows: t.Rows}
+	c.setTable(key, nil)
+	c.setTable(strings.ToLower(newName), &Table{Schema: &Schema{Table: newName, Columns: t.Schema.Columns}, Rows: t.Rows})
 	c.recordChange(SchemaChange{Kind: ChangeRenameTable, Table: oldName, NewName: newName})
 	return nil
 }
@@ -392,7 +415,7 @@ func (c *Catalog) Insert(table string, columns []string, rows []Row) (int, error
 		}
 		stored = append(stored, full)
 	}
-	c.tables[key] = &Table{Schema: t.Schema, Rows: stored}
+	c.setTable(key, &Table{Schema: t.Schema, Rows: stored})
 	return len(stored) - len(t.Rows), err
 }
 

@@ -300,11 +300,64 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Strings renders every value of the row, used for output samples.
+// Strings renders every value of the row with String: the rendering
+// RenderRows gives rows in bulk.
 func (r Row) Strings() []string {
 	out := make([]string, len(r))
 	for i, v := range r {
 		out[i] = v.String()
+	}
+	return out
+}
+
+// RenderRows renders rows as Row.Strings does, in three allocations however
+// many rows there are (five past a few dozen values): the rendered numbers
+// and timestamps are slices of one string, and the other values' strings are
+// the ones String returns.
+func RenderRows(rows []Row) [][]string {
+	width := 0
+	for _, r := range rows {
+		width += len(r)
+	}
+	vals := make([]string, width)
+	// ends[k] is where value k's text ends in buf; a value String renders
+	// without formatting adds none. Both start on the stack.
+	var (
+		endsArr [64]int
+		bufArr  [512]byte
+	)
+	ends, buf := endsArr[:0], bufArr[:0]
+	if width > len(endsArr) {
+		ends, buf = make([]int, 0, width), make([]byte, 0, 16*width)
+	}
+	k := 0
+	for _, r := range rows {
+		for _, v := range r {
+			switch v.Type {
+			case TypeInt:
+				buf = strconv.AppendInt(buf, v.Int, 10)
+			case TypeFloat:
+				buf = strconv.AppendFloat(buf, v.Float, 'g', -1, 64)
+			case TypeTimestamp:
+				buf = v.Time.UTC().AppendFormat(buf, time.RFC3339)
+			default:
+				vals[k] = v.String()
+			}
+			ends = append(ends, len(buf))
+			k++
+		}
+	}
+	text, start := string(buf), 0
+	out := make([][]string, len(rows))
+	k = 0
+	for i, r := range rows {
+		for range r {
+			if end := ends[k]; end > start {
+				vals[k], start = text[start:end], end
+			}
+			k++
+		}
+		out[i] = vals[k-len(r) : k : k]
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,6 +153,30 @@ func TestRowCloneAndStrings(t *testing.T) {
 	s := r.Strings()
 	if s[0] != "1" || s[1] != "a" {
 		t.Errorf("Strings = %v", s)
+	}
+}
+
+// TestRenderRowsMatchesStrings: RenderRows renders every row as Row.Strings
+// does, for every kind of value, on either side of its stack scratch, and
+// returns an empty (not nil) result for no rows.
+func TestRenderRowsMatchesStrings(t *testing.T) {
+	ts := time.Date(2009, 1, 5, 12, 0, 0, 0, time.FixedZone("PST", -8*3600))
+	kinds := []Value{NewInt(-7), NewInt(1234567890123), NewFloat(3.5), NewFloat(1e-300), NewText("Lake Union"),
+		NewText(""), NewBool(true), Null, NewTimestamp(ts), NewInt(0)}
+	for _, n := range []int{0, 1, 6, 7, 40} {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{kinds[i%len(kinds)], kinds[(i+3)%len(kinds)], kinds[(i+7)%len(kinds)], NewFloat(float64(i) / 3)}
+		}
+		got := RenderRows(rows)
+		if got == nil || len(got) != n {
+			t.Fatalf("%d rows: RenderRows = %#v", n, got)
+		}
+		for i, row := range rows {
+			if want := row.Strings(); !reflect.DeepEqual(got[i], want) || cap(got[i]) != len(want) {
+				t.Fatalf("%d rows: row %d = %q (cap %d), want %q", n, i, got[i], cap(got[i]), want)
+			}
+		}
 	}
 }
 

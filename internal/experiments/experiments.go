@@ -404,7 +404,13 @@ func storageFingerprint(sqlText string) uint64 {
 // ---------------------------------------------------------------------------
 
 // E4ProfilerOverhead compares unprofiled execution against profiled
-// submission and reports meta-query latency on the full log.
+// submission and reports meta-query latency on the full log. The profiler
+// answers a repeated SELECT over unchanged data from its memo, so the
+// overhead is measured on the path that executes: before each profiled round
+// an INSERT of no rows swaps a table no query reads, which moves the
+// catalog's data epoch as any write does and changes no data. The same
+// statements submitted again with no write between are the memo's hits,
+// reported on their own.
 func E4ProfilerOverhead(env *Env) (Result, error) {
 	queries := []string{
 		"SELECT lake, AVG(temp) AS avg_temp FROM WaterTemp WHERE temp < 18 GROUP BY lake ORDER BY avg_temp DESC",
@@ -425,18 +431,38 @@ func E4ProfilerOverhead(env *Env) (Result, error) {
 	}
 	baseline := time.Since(start)
 
-	// Profiled: execution + logging into a throwaway store.
+	// Profiled: execution + logging into a throwaway store, each round after
+	// a write, so that every submission executes.
 	store := storage.NewStore()
 	prof := profiler.New(env.Eng, store, profiler.DefaultConfig())
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
+	submitAll := func() (time.Duration, error) {
+		start := time.Now()
 		for _, q := range queries {
 			if _, err := prof.Submit(profiler.Submission{User: "bench", SQL: q}); err != nil {
-				return Result{}, err
+				return 0, err
 			}
 		}
+		return time.Since(start), nil
 	}
-	profiled := time.Since(start)
+	var profiled, hits time.Duration
+	for i := 0; i < rounds; i++ {
+		if _, err := env.Eng.Catalog().Insert("Sensors", nil, nil); err != nil {
+			return Result{}, err
+		}
+		d, err := submitAll()
+		if err != nil {
+			return Result{}, err
+		}
+		profiled += d
+	}
+	// Memo hits: the same statements again, with no write between.
+	for i := 0; i < rounds; i++ {
+		d, err := submitAll()
+		if err != nil {
+			return Result{}, err
+		}
+		hits += d
+	}
 
 	overheadPct := 0.0
 	if baseline > 0 {
@@ -465,8 +491,9 @@ func E4ProfilerOverhead(env *Env) (Result, error) {
 		Metrics: []Metric{
 			{"queries executed per variant", float64(n), "queries"},
 			{"baseline execution (mean)", msPer(baseline, n), "ms/query"},
-			{"profiled execution (mean)", msPer(profiled, n), "ms/query"},
-			{"profiler overhead", overheadPct, "%"},
+			{"profiled execution, memo miss (mean)", msPer(profiled, n), "ms/query"},
+			{"profiler overhead (memo miss)", overheadPct, "%"},
+			{"profiled repeat, memo hit (mean)", msPer(hits, n), "ms/query"},
 			{"keyword meta-query latency", float64(keywordLatency.Microseconds()) / 1000, "ms"},
 			{"kNN meta-query latency", float64(knnLatency.Microseconds()) / 1000, "ms"},
 		},

@@ -91,10 +91,12 @@ type Submission struct {
 	IssuedAt time.Time
 }
 
-// Outcome is what the profiler returns to the client: the DBMS result, the
-// logged record's ID and whether the CQMS suggests annotating the query.
+// Outcome is what the profiler returns to the client: the statement's
+// Answer, the logged record's ID and whether the CQMS suggests annotating
+// the query.
 type Outcome struct {
-	Result            *engine.Result
+	// Result is nil when the statement did not run (ExecError is set).
+	Result            *Answer
 	QueryID           storage.QueryID
 	SuggestAnnotation bool
 	// ExecError holds the DBMS execution error, if any. The query is still
@@ -120,11 +122,13 @@ type Profiler struct {
 	// how many rows it returned. Nil (and inert) until EnableMetrics runs.
 	execSeconds *telemetry.Histogram
 	resultRows  *telemetry.Histogram
+
+	memo *memo
 }
 
 // New returns a profiler over the given engine and store.
 func New(eng *engine.Engine, store *storage.Store, cfg Config) *Profiler {
-	return &Profiler{eng: eng, store: store, cfg: cfg, clock: time.Now}
+	return &Profiler{eng: eng, store: store, cfg: cfg, clock: time.Now, memo: newMemo()}
 }
 
 // EnableMetrics registers the profiler's instruments on reg:
@@ -133,7 +137,10 @@ func New(eng *engine.Engine, store *storage.Store, cfg Config) *Profiler {
 // fallback logged them anyway; cqms_engine_execute_seconds and
 // cqms_engine_result_rows are the engine-execution stage of every statement
 // that ran — the stage the repository benchmark traces as engine.execute_us
-// and BenchmarkEngineExecute measures alone.
+// and BenchmarkEngineExecute measures alone; a SELECT the memo answered did
+// not run. cqms_profiler_memo_total{outcome="hit"|"miss"|"evict"} counts the
+// memo's lookups by outcome and the entries its bounds evicted, and
+// cqms_profiler_memo_bytes is what its entries hold.
 func (p *Profiler) EnableMetrics(reg *telemetry.Registry) {
 	p.execSeconds = reg.Histogram("cqms_engine_execute_seconds",
 		"Engine execution time of one submitted statement (parse and logging excluded).", nil)
@@ -145,6 +152,13 @@ func (p *Profiler) EnableMetrics(reg *telemetry.Registry) {
 		"outcome")
 	p.parseErrCaptured = vec.With("captured")
 	p.parseErrRejected = vec.With("rejected")
+	memoVec := reg.CounterVec("cqms_profiler_memo_total",
+		"SELECT answers looked up in the profiler's memo (hit: answered without executing; miss: executed) and entries its bounds evicted (evict).",
+		"outcome")
+	p.memo.hits, p.memo.misses, p.memo.evictions = memoVec.With("hit"), memoVec.With("miss"), memoVec.With("evict")
+	reg.GaugeFunc("cqms_profiler_memo_bytes",
+		"Bytes the profiler's memo holds: statement text, column names and rendered rows, string and row headers included.",
+		func() float64 { return float64(p.memo.size()) })
 }
 
 // countParseError records one parse failure.
@@ -170,16 +184,15 @@ func notLogged(err error) error { return fmt.Errorf("profiler: query not logged:
 // on the statement's shape — the store's, when it already holds the text, so
 // a repeated statement is not printed or analysed again — execute that same
 // statement, and fill in the runtime statistics, the output sample and the
-// annotation prompt. The caller commits the record — Submit with Put,
-// SubmitBatch with PutBatch — and sets the Outcome's QueryID. An unparsable
-// statement is an error unless CaptureParseErrors is on, in which case it
-// becomes a raw record that is never executed, with the parse error in the
-// Outcome.
-func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, error) {
-	var (
-		rec *storage.QueryRecord
-		out = &Outcome{}
-	)
+// annotation prompt. A SELECT the memo answered at the catalog's current data
+// epoch is not executed: its record logs the producing execution's statistics
+// and sample. The caller commits the record — Submit with Put, SubmitBatch
+// with PutBatch — sets the Outcome's QueryID, and hands fresh, the new answer
+// of a SELECT (or nil), to remember. An unparsable statement is an error
+// unless CaptureParseErrors is on, in which case it becomes a raw record that
+// is never executed, with the parse error in the Outcome.
+func (p *Profiler) prepare(sub Submission) (rec *storage.QueryRecord, out *Outcome, fresh *memoEntry, err error) {
+	out = &Outcome{}
 	stmt, err := sql.Parse(sub.SQL)
 	switch {
 	case err == nil:
@@ -190,7 +203,7 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 		out.ExecError = err
 	default:
 		p.countParseError(false)
-		return nil, nil, fmt.Errorf("profiler: parsing query: %w", err)
+		return nil, nil, nil, fmt.Errorf("profiler: parsing query: %w", err)
 	}
 	rec.User = sub.User
 	rec.Group = sub.Group
@@ -199,9 +212,30 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 	if rec.IssuedAt.IsZero() {
 		rec.IssuedAt = p.clock()
 	}
+	var (
+		ans    Answer
+		sample *storage.OutputSample
+	)
 	if rec.Valid {
-		out.Result, out.ExecError = p.eng.ExecuteStmt(stmt)
 		out.SuggestAnnotation = p.shouldSuggestAnnotation(stmt, rec)
+		_, isSelect := stmt.(*sql.SelectStmt)
+		epoch := p.eng.Catalog().Epoch()
+		var hit *memoEntry
+		if isSelect {
+			hit = p.memo.get(sub.SQL, epoch)
+		}
+		if hit != nil {
+			ans, sample = hit.answer, hit.sample
+		} else if res, execErr := p.eng.ExecuteStmt(stmt); execErr != nil {
+			out.ExecError = execErr
+		} else {
+			p.execSeconds.Observe(res.Elapsed)
+			p.resultRows.ObserveCount(res.Cardinality())
+			ans, sample = p.render(res)
+			if isSelect {
+				fresh = newMemoEntry(sub.SQL, epoch, ans, sample)
+			}
+		}
 	}
 	rec.Stats = storage.RuntimeStats{
 		SchemaVersion: p.eng.Catalog().Version(),
@@ -213,15 +247,24 @@ func (p *Profiler) prepare(sub Submission) (*storage.QueryRecord, *Outcome, erro
 	case out.ExecError != nil:
 		rec.Stats.Error = out.ExecError.Error()
 	default:
-		res := out.Result
-		p.execSeconds.Observe(res.Elapsed)
-		p.resultRows.ObserveCount(res.Cardinality())
-		rec.Stats.ExecTime = res.Elapsed
-		rec.Stats.ResultRows = res.Cardinality()
-		rec.Stats.ResultColumns = len(res.Columns)
-		rec.Sample = p.sampleOutput(res)
+		a := ans // the caller's own struct; its slices stay shared
+		out.Result = &a
+		rec.Stats.ExecTime = ans.Elapsed
+		rec.Stats.ResultRows = ans.RowCount
+		rec.Stats.ResultColumns = len(ans.Columns)
+		rec.Sample = sample
 	}
-	return rec, out, nil
+	return rec, out, fresh, nil
+}
+
+// remember stores a fresh SELECT answer whose record committed, with the
+// sample the store interned for it, so that a repeat passes the commit path's
+// pointer check instead of hashing and comparing it.
+func (p *Profiler) remember(fresh *memoEntry, rec *storage.QueryRecord) {
+	if fresh != nil {
+		fresh.sample = rec.Sample
+		p.memo.put(fresh)
+	}
 }
 
 // Submit executes the query and logs it. Parse errors are returned without
@@ -235,13 +278,14 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 	if p.store.ReadOnly() {
 		return nil, notLogged(storage.ErrReadOnly)
 	}
-	rec, out, err := p.prepare(sub)
+	rec, out, fresh, err := p.prepare(sub)
 	if err != nil {
 		return nil, err
 	}
 	if out.QueryID, err = p.store.Put(rec); err != nil {
 		return nil, notLogged(err)
 	}
+	p.remember(fresh, rec)
 	return out, nil
 }
 
@@ -263,11 +307,13 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 		return outs, errs
 	}
 	recs := make([]*storage.QueryRecord, 0, len(subs))
+	fresh := make([]*memoEntry, 0, len(subs))
 	logged := make([]int, 0, len(subs)) // recs[j] belongs to subs[logged[j]]
 	for i, sub := range subs {
-		rec, out, err := p.prepare(sub)
+		rec, out, f, err := p.prepare(sub)
 		if outs[i], errs[i] = out, err; err == nil {
 			recs = append(recs, rec)
+			fresh = append(fresh, f)
 			logged = append(logged, i)
 		}
 	}
@@ -278,6 +324,7 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 			continue
 		}
 		outs[i].QueryID = ids[j]
+		p.remember(fresh[j], recs[j])
 	}
 	return outs, errs
 }
@@ -286,30 +333,6 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 // logging. It is the baseline for the profiling-overhead experiment (E4).
 func (p *Profiler) ExecuteUnprofiled(query string) (*engine.Result, error) {
 	return p.eng.Execute(query)
-}
-
-// sampleOutput produces a bounded, stringified sample of the result per the
-// adaptive sampling policy.
-func (p *Profiler) sampleOutput(res *engine.Result) *storage.OutputSample {
-	if res == nil {
-		return nil
-	}
-	budget := p.cfg.Sample.Budget(res.Elapsed)
-	n := len(res.Rows)
-	take := n
-	if take > budget {
-		take = budget
-	}
-	sample := &storage.OutputSample{
-		Columns:   append([]string(nil), res.Columns...),
-		TotalRows: n,
-		Truncated: take < n,
-	}
-	sample.Rows = make([][]string, 0, take)
-	for i := 0; i < take; i++ {
-		sample.Rows = append(sample.Rows, res.Rows[i].Strings())
-	}
-	return sample
 }
 
 // shouldSuggestAnnotation applies §2.1's rule: prompt for documentation when

@@ -192,6 +192,29 @@ func TestV1MetricsContract(t *testing.T) {
 	if rows := mustMetric(t, text, "cqms_engine_result_rows_sum", nil); rows < 1 {
 		t.Errorf("engine result rows sum = %v, want the submitted query's cardinality", rows)
 	}
+
+	// The same statement again, over unchanged data: the profiler's memo
+	// answers it, and the engine does not run a second time.
+	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp", client.Group("limnology")); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if text, err = alice.Metrics(ctx); err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	for _, family := range []string{"# TYPE cqms_profiler_memo_total counter", "# TYPE cqms_profiler_memo_bytes gauge"} {
+		if !strings.Contains(text, family) {
+			t.Errorf("exposition is missing %q", family)
+		}
+	}
+	if n := mustMetric(t, text, "cqms_profiler_memo_total", map[string]string{"outcome": "hit"}); n < 1 {
+		t.Errorf("cqms_profiler_memo_total{outcome=hit} = %v after a repeat, want >= 1", n)
+	}
+	if n := mustMetric(t, text, "cqms_profiler_memo_bytes", nil); n <= 0 {
+		t.Errorf("cqms_profiler_memo_bytes = %v with an answer memoized, want > 0", n)
+	}
+	if n := mustMetric(t, text, "cqms_engine_execute_seconds_count", nil); n != 1 {
+		t.Errorf("engine execute count = %v after a memo hit, want 1", n)
+	}
 }
 
 // TestPartialPageCostsOnePage: a partial-query page streams the log from its

@@ -16,11 +16,6 @@ import (
 	"repro/internal/session"
 )
 
-// maxInlineRows bounds how many result rows a Traditional-mode response
-// carries back to the client; full results stay server-side as in the paper's
-// shared-data-center setting.
-const maxInlineRows = 100
-
 // Request-body caps: malformed or hostile payloads fail loudly instead of
 // half-applying. The batch endpoint gets a larger budget because it carries
 // many queries per round trip.
@@ -271,8 +266,8 @@ func (s *Server) matchesToDTO(matches []metaquery.Match) []MatchDTO {
 // Shared handler logic used by the v1 handlers.
 // ---------------------------------------------------------------------------
 
-// submitResponse converts a profiler outcome into the wire response,
-// truncating inline rows at maxInlineRows.
+// submitResponse converts a profiler outcome into the wire response; the
+// answer carries the rows it inlines (profiler.MaxInlineRows) rendered.
 func submitResponse(out *profiler.Outcome) SubmitResponse {
 	resp := SubmitResponse{
 		QueryID:           int64(out.QueryID),
@@ -280,17 +275,11 @@ func submitResponse(out *profiler.Outcome) SubmitResponse {
 	}
 	if out.ExecError != nil {
 		resp.ExecError = out.ExecError.Error()
-	} else if out.Result != nil {
-		resp.Columns = out.Result.Columns
-		resp.RowCount = out.Result.Cardinality()
-		resp.ExecMillis = float64(out.Result.Elapsed.Microseconds()) / 1000.0
-		limit := len(out.Result.Rows)
-		if limit > maxInlineRows {
-			limit = maxInlineRows
-		}
-		for i := 0; i < limit; i++ {
-			resp.Rows = append(resp.Rows, out.Result.Rows[i].Strings())
-		}
+	} else if ans := out.Result; ans != nil {
+		resp.Columns = ans.Columns
+		resp.Rows = ans.Rows
+		resp.RowCount = ans.RowCount
+		resp.ExecMillis = float64(ans.Elapsed.Microseconds()) / 1000.0
 	}
 	return resp
 }
