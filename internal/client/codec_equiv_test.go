@@ -27,19 +27,20 @@ import (
 // The binary codec's equivalence test. One seeded random history of every
 // mutation class the store has — Put, PutBatch, Annotate, SetVisibility,
 // Delete, MarkInvalid/Valid/StatsStale, UpdateStats, ReplaceText, repeats of
-// updates a record already holds and an older build's decoded set-quality,
-// both of which change nothing and are not logged — full of values a codec
+// updates a record already holds and an older build's set-quality, replayed
+// as the upgrade does, both of which change nothing and are not logged —
+// full of values a codec
 // gets wrong (nil against empty slices, omitted fields, non-UTC offsets, zero
 // times, multi-byte and 1 MiB texts, nil samples) is applied to a durable
 // primary, over a log an older build started: puts whose samples carry no
-// number and a set-sample (olderFrames). The history also moves shapes and
+// number and set-samples (olderFrames), which opening it upgrades. The history also moves shapes and
 // samples in and out of the store's dictionaries: a batch that enters a
 // shape and refers to it, texts repaired onto shapes the store holds and onto
 // new ones, a text whose last record goes and which is put again (under a new
 // shape number), answers repeated across puts and answers whose last record
 // a delete takes. More
 // stores are then derived from it, one per path bytes take: a replay of the
-// whole WAL, a recovery from snapshot plus tail after Compact (every
+// whole WAL after the upgrade's snapshot, a recovery from snapshot plus tail after Compact (every
 // subscriber rebuilt from the snapshot's records), a follower bootstrapped
 // over HTTP, and a replay that starts before the snapshot it is applied to.
 // All must hold the live primary's state with its shape numbers, and the
@@ -182,10 +183,8 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 				st.ExecutedAt = time.Unix(1700000000+int64(step), 0).In(time.FixedZone("", -3*3600))
 			}
 			must(step, store.UpdateStats(pick(), st))
-		case 12:
-			m, err := storage.DecodeMutation(parentSetQuality(pick(), rng.Float64()))
-			must(step, err)
-			must(step, store.Apply(m))
+		case 12: // what the upgrade replays of an older build's quality score
+			must(step, applyOlder(store, parentSetQuality(pick(), rng.Float64())))
 		case 13: // onto a shape the store holds, or one it does not yet
 			text := equivSQL[rng.Intn(len(equivSQL))]
 			if rng.Intn(2) == 0 {
@@ -220,8 +219,9 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 // olderFrames is the start of a log an older build wrote: three puts whose
 // samples carry no number — one answer twice and one once — then set-samples
 // that move the second record to the third's answer and the first to a new
-// one, which frees the first answer. Replay numbers the samples as it enters
-// them.
+// one, which frees the first answer. Opening it upgrades it: the replay
+// numbers the samples as it enters them, and a snapshot of the last of these
+// frames replaces them.
 func olderFrames(t *testing.T) [][]byte {
 	t.Helper()
 	answer := func(v string) *storage.OutputSample {
@@ -244,9 +244,28 @@ func olderFrames(t *testing.T) [][]byte {
 		rec.IssuedAt = time.Unix(1690000000+int64(i), 0).UTC()
 		add(&storage.Mutation{Op: storage.OpPut, Record: rec})
 	}
-	add(&storage.Mutation{Op: storage.OpSetSample, ID: 2, Sample: answer("b")})
-	add(&storage.Mutation{Op: storage.OpSetSample, ID: 1, Sample: answer("c")})
-	return out
+	return append(out, olderSetSample(2, answer("b")), olderSetSample(1, answer("c")))
+}
+
+// olderSetSample is the set-sample payload an older build logged to move a
+// record to another output sample: format 1, op code 11, a presence mask of
+// the ID and sample bits (0 and 9), the zigzag ID, then the sample's columns,
+// rows, total and truncation flag, every string a literal.
+func olderSetSample(id storage.QueryID, sm *storage.OutputSample) []byte {
+	p := binary.AppendUvarint([]byte{storage.PayloadFormat, 11}, 1|1<<9)
+	p = binary.AppendVarint(p, int64(id))
+	strs := func(ss []string) {
+		p = binary.AppendUvarint(p, uint64(len(ss))+1)
+		for _, s := range ss {
+			p = append(binary.AppendUvarint(p, uint64(len(s))<<1), s...)
+		}
+	}
+	strs(sm.Columns)
+	p = binary.AppendUvarint(p, uint64(len(sm.Rows))+1)
+	for _, row := range sm.Rows {
+		strs(row)
+	}
+	return append(binary.AppendVarint(p, int64(sm.TotalRows)), 0)
 }
 
 // seedLog writes payloads into a new log in dir.
@@ -264,6 +283,16 @@ func seedLog(t *testing.T, dir string, payloads [][]byte) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// applyOlder replays a payload only an older build wrote, as recovery at
+// open does, and checks that it is reported as one.
+func applyOlder(s *storage.Store, p []byte) error {
+	older, err := s.ApplyPayload(p)
+	if err == nil && !older {
+		return fmt.Errorf("a payload only an older build writes was not reported as one")
+	}
+	return err
 }
 
 // parentSetQuality is the set-quality payload an older build's maintenance
@@ -505,7 +534,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Its twin never compacts: reopening its directory replays the whole log.
+	// Its twin never compacts: reopening its directory replays the whole log
+	// after the snapshot its upgrade wrote.
 	twin := openEquivCore(t, twinDir)
 	runEquivHistory(t, twin.Store(), seed, steps, func() { beforeOverlap(twin.Store()) })
 	if err := twin.Close(); err != nil {
@@ -514,8 +544,8 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	overlapped := overlappingReplay(t, copyDataDir(t, primaryDir), copyDataDir(t, twinDir), overlapFrom)
 
 	replayed := openEquivCore(t, twinDir)
-	if rec := replayed.Recovery(); rec.SnapshotSeq != 0 || rec.Replayed != len(older)+mutations {
-		t.Fatalf("WAL replay: recovery %+v, want %d records replayed and no snapshot", rec, len(older)+mutations)
+	if rec := replayed.Recovery(); rec.SnapshotSeq != uint64(len(older)) || rec.Replayed != mutations {
+		t.Fatalf("WAL replay: recovery %+v, want %d records replayed after the upgrade's snapshot", rec, mutations)
 	}
 	recovered := openEquivCore(t, copyDataDir(t, primaryDir))
 	if rec := recovered.Recovery(); rec.SnapshotSeq == 0 || rec.Replayed == 0 {

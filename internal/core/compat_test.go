@@ -41,10 +41,10 @@ import (
 // and stripped before the comparison. The snapshot's stats, sessions and
 // miner-feed sections are read and skipped: this build rebuilds all three from
 // the records, so its session IDs are the lowest query ID each session holds
-// (see matchGolden).
+// (see matchGolden). Opening it upgrades it (assertUpgraded).
 func TestParentDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_datadir")
-	defer c.Close()
+	defer func() { c.Close() }()
 	rec := c.Recovery()
 	if rec.Queries != 57 || rec.SnapshotRecords != 40 || rec.SnapshotFrames != 6 || rec.Replayed != 46 {
 		t.Fatalf("recovery %+v, want 57 queries from a 40-record snapshot with an edge chunk and three sections, and 46 replayed records", *rec)
@@ -55,6 +55,8 @@ func TestParentDataDirOpens(t *testing.T) {
 		t.Fatalf("the bodies no longer cover every query and a paged listing:\n%.2000s", got)
 	}
 	matchGolden(t, got, "testdata/parent_datadir.golden")
+	c = assertUpgraded(t, c)
+	matchGolden(t, parentBodies(t, c), "testdata/parent_datadir.golden")
 }
 
 // TestParentQualityDataDirOpens holds this build to the data directories of
@@ -68,10 +70,11 @@ func TestParentDataDirOpens(t *testing.T) {
 // serve the bodies that commit served from it (testdata/parent_quality_datadir.golden,
 // not regenerated) with two intended differences: every query's quality is
 // the one computed from the record, not the score the last pass stored, and
-// sessions are named by their lowest query ID.
+// sessions are named by their lowest query ID. Opening it upgrades it
+// (assertUpgraded).
 func TestParentQualityDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_quality_datadir")
-	defer c.Close()
+	defer func() { c.Close() }()
 	rec := c.Recovery()
 	if rec.Queries != 35 || rec.SnapshotRecords != 24 || rec.SnapshotFrames != 5 || rec.Replayed != 90 {
 		t.Fatalf("recovery %+v, want 35 queries from a 24-record snapshot with three sections, and 90 replayed records", *rec)
@@ -82,6 +85,8 @@ func TestParentQualityDataDirOpens(t *testing.T) {
 		t.Fatalf("the bodies no longer cover every query:\n%.2000s", got)
 	}
 	matchGolden(t, got, "testdata/parent_quality_datadir.golden")
+	c = assertUpgraded(t, c)
+	matchGolden(t, parentBodies(t, c), "testdata/parent_quality_datadir.golden")
 }
 
 // TestParentShapeDataDirOpens holds this build to the data directories of the
@@ -95,8 +100,8 @@ func TestParentQualityDataDirOpens(t *testing.T) {
 // and serve the bodies that commit served from it
 // (testdata/parent_shape_datadir.golden, not regenerated). It then logs new
 // frames that refer to those shapes by number, and must serve the same
-// bodies after a restart, and again after a compaction writes the directory
-// in this build's format.
+// bodies after a restart, and again after a compaction. Opening it upgrades
+// it (assertUpgraded).
 func TestParentShapeDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_shape_datadir")
 	rec := c.Recovery()
@@ -104,6 +109,8 @@ func TestParentShapeDataDirOpens(t *testing.T) {
 		t.Fatalf("recovery %+v, want 33 queries from an 18-record snapshot and 25 replayed records", *rec)
 	}
 	assertRebuiltFromTheRecords(t, c)
+	matchGolden(t, parentBodies(t, c), "testdata/parent_shape_datadir.golden")
+	c = assertUpgraded(t, c)
 	matchGolden(t, parentBodies(t, c), "testdata/parent_shape_datadir.golden")
 
 	admin := storage.Principal{User: "root", Admin: true}
@@ -158,8 +165,8 @@ func TestParentShapeDataDirOpens(t *testing.T) {
 // commit served from it, by-data searches included
 // (testdata/parent_sample_datadir.golden, not regenerated). It then logs new
 // frames that refer to those samples by number, and must serve the same
-// bodies after a restart, and again after a compaction writes the directory
-// in this build's format.
+// bodies after a restart, and again after a compaction. Opening it upgrades
+// it (assertUpgraded).
 func TestParentSampleDataDirOpens(t *testing.T) {
 	c := openParentDataDir(t, "testdata/parent_sample_datadir")
 	rec := c.Recovery()
@@ -173,6 +180,10 @@ func TestParentSampleDataDirOpens(t *testing.T) {
 	}
 	if got := parentBodies(t, c) + sampleBodies(t, c); got != string(golden) {
 		t.Fatalf("bodies differ from the older build's %s", firstDiff(string(golden), got))
+	}
+	c = assertUpgraded(t, c)
+	if got := parentBodies(t, c) + sampleBodies(t, c); got != string(golden) {
+		t.Fatalf("after the upgrade the bodies differ from the older build's %s", firstDiff(string(golden), got))
 	}
 	admin := storage.Principal{User: "root", Admin: true}
 	sampled := 0
@@ -216,6 +227,51 @@ func TestParentSampleDataDirOpens(t *testing.T) {
 		t.Fatalf("recovery after the compaction %+v, want 33 records from the snapshot and no tail", *rec)
 	}
 	c.Close()
+}
+
+// assertUpgraded checks what opening an older build's directory left on
+// disk, closes the core and opens the directory again. Every file reads with
+// this build's readers: each snapshot passes wal.VerifySnapshot, and each
+// frame of each segment storage.DecodeMutation. The second open restores the
+// upgrade's snapshot, covering every frame the first one replayed, and
+// replays nothing: no older frame is left to replay.
+func assertUpgraded(t *testing.T, c *core.CQMS) *core.CQMS {
+	t.Helper()
+	dir, first := c.Durability().Config().Dir, c.Recovery()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		switch {
+		case strings.HasSuffix(e.Name(), ".snap"):
+			_, err = wal.VerifySnapshot(path)
+		case strings.HasSuffix(e.Name(), ".seg"):
+			var f *os.File
+			if f, err = os.Open(path); err == nil {
+				err = wal.ReadFrames(f, func(_ uint64, p []byte) error {
+					_, err := storage.DecodeMutation(p)
+					return err
+				})
+				f.Close()
+			}
+		default:
+			err = fmt.Errorf("not a file of the log")
+		}
+		if err != nil {
+			t.Errorf("after the upgrade, %s: %v", e.Name(), err)
+		}
+	}
+	seq := c.Durability().SnapshotSeq()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c = openDataDir(t, dir)
+	if rec := c.Recovery(); rec.Replayed != 0 || rec.SnapshotSeq != seq || rec.SnapshotRecords != first.Queries || rec.Queries != first.Queries {
+		t.Fatalf("the second open: recovery %+v, want the upgrade's snapshot at %d of %d queries and nothing replayed", *rec, seq, first.Queries)
+	}
+	return c
 }
 
 // sampleBodies renders what the queries' output samples answer: by-data

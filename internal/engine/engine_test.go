@@ -569,7 +569,7 @@ func TestResultMetadata(t *testing.T) {
 func TestStringOutput(t *testing.T) {
 	e := newLakesEngine(t)
 	res := query(t, e, "SELECT lake, temp FROM WaterTemp WHERE id = 1")
-	strs := res.Rows[0].Strings()
+	strs := rowStrings(res.Rows[0])
 	if strs[0] != "Lake Washington" || !strings.HasPrefix(strs[1], "14.5") {
 		t.Errorf("strings = %v", strs)
 	}

@@ -300,20 +300,10 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Strings renders every value of the row with String: the rendering
-// RenderRows gives rows in bulk.
-func (r Row) Strings() []string {
-	out := make([]string, len(r))
-	for i, v := range r {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// RenderRows renders rows as Row.Strings does, in three allocations however
-// many rows there are (five past a few dozen values): the rendered numbers
-// and timestamps are slices of one string, and the other values' strings are
-// the ones String returns.
+// RenderRows renders every value of rows with String, in three allocations
+// however many rows there are (five past a few dozen values): the rendered
+// numbers and timestamps are slices of one string, and the other values'
+// strings are the ones String returns.
 func RenderRows(rows []Row) [][]string {
 	width := 0
 	for _, r := range rows {

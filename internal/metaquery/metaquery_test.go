@@ -351,13 +351,17 @@ func TestByData(t *testing.T) {
 	}
 }
 
-// attachSample sets a record's output sample by applying the set-sample an
-// older build logged (samples are normally written by the profiler at
+// attachSample sets a record's output sample by replaying a put of the
+// record with it (samples are normally written by the profiler at
 // submission time).
 func attachSample(t testing.TB, s *storage.Store, id storage.QueryID, rows [][]string) {
 	t.Helper()
-	sample := &storage.OutputSample{Columns: []string{"lake"}, Rows: rows, TotalRows: len(rows)}
-	if err := s.Apply(&storage.Mutation{Op: storage.OpSetSample, ID: id, Sample: sample}); err != nil {
+	rec, err := s.Get(id, storage.Principal{Admin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Sample = &storage.OutputSample{Columns: []string{"lake"}, Rows: rows, TotalRows: len(rows)}
+	if err := s.Apply(&storage.Mutation{Op: storage.OpPut, Record: rec}); err != nil {
 		t.Fatal(err)
 	}
 }

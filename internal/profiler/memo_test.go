@@ -60,9 +60,14 @@ func (o *memoOracle) check(text string) (compared bool, err error) {
 	if execErr != nil {
 		return true, nil
 	}
+	// Each value rendered on its own with String: the oracle for the rows
+	// the memo hands out, which engine.RenderRows renders in bulk.
 	rendered := make([][]string, len(res.Rows))
 	for i, row := range res.Rows {
-		rendered[i] = row.Strings()
+		rendered[i] = make([]string, len(row))
+		for j, v := range row {
+			rendered[i][j] = v.String()
+		}
 	}
 	got, n := out.Result, len(res.Rows)
 	inline := rendered[:min(n, profiler.MaxInlineRows)]

@@ -311,9 +311,12 @@ type LogSegmentDTO struct {
 }
 
 // SnapshotDTO describes one snapshot file: the log sequence it covers, its
-// size, and how many records and frames (header, chunks and, in a file an
-// older build wrote, checkpoint section parts) it holds. Error replaces the counts for a file that does not
-// read back.
+// size, and how many records and frames (header and chunks) it holds. Error
+// replaces the counts for a file that does not read back. Every file is in
+// this build's format: a primary upgrades a directory an older build wrote
+// when it opens it, before it serves, and a follower of an older primary is
+// refused by name (storage.ErrOlderFormat), so the primary is upgraded
+// first and followers bootstrap from it again.
 type SnapshotDTO struct {
 	Name    string `json:"name"`
 	Seq     uint64 `json:"seq"`

@@ -14,8 +14,8 @@ import (
 // QueryRecord or Mutation leaves memory: WAL frames, snapshot chunks and the
 // replication stream (which ships those same frames). The byte layout of
 // every payload — primitives, string tables, shape numbers, the mutation and
-// record bodies, and what older builds wrote that is still read — is
-// specified in internal/wal/FORMAT.md; the comments here name the pieces.
+// record bodies — is specified in internal/wal/FORMAT.md; the comments here
+// name the pieces. What only older builds wrote is read by upgrade.go alone.
 //
 // A record travels as two bodies: its shape (shapeBody: the text and what the
 // text determines) and its own fields (instanceBody). A shape is written
@@ -24,41 +24,39 @@ import (
 // holds it; every other frame refers to it by number. The instance body's
 // output sample follows the same rule (OutputSample.Number): written inline
 // by the put that entered it and at its first record in a snapshot, by
-// number everywhere else. An older build wrote one body with shape and
-// instance interleaved (parentRecord), which is still read.
+// number everywhere else.
 
 // PayloadFormat is the format version every payload starts with.
 const PayloadFormat = 1
-
-// Payload kinds above the mutation op codes.
-const (
-	kindSnapshotHeader = 0x40
-	kindRecordChunk    = 0x41
-	kindEdgeChunk      = 0x42
-	kindCheckpoint     = 0x43
-)
 
 // ErrPreBinaryPayload reports a payload written by a build that stored JSON.
 // There is no reader for it: the data directory has to be recreated (or the
 // primary upgraded first, on a replication stream).
 var ErrPreBinaryPayload = errors.New("JSON payload from a pre-binary build; this build reads payload format 1 only")
 
+// ErrOlderFormat reports a payload only an older build wrote: an op, a field
+// or a snapshot payload kind this build no longer writes. wal.Open upgrades a
+// data directory that holds one, once; every other reader refuses it. A
+// follower refuses a primary that still serves one: upgrade the primary
+// first, then let followers bootstrap from it again.
+var ErrOlderFormat = errors.New("payload in an older build's format: opening its data directory upgrades it (upgrade a primary before its followers)")
+
 // maxInterned bounds the per-record string table. It fits the encoder's
 // 256-slot hash table at half load and keeps every back-reference within two
 // bytes.
 const maxInterned = 127
 
-// opByCode is the on-disk op code table: an op's code is its index. The
-// codes are the format — never renumber one.
-var opByCode = [...]MutationOp{
-	1: OpPut, 2: OpAnnotate, 3: OpSetVisibility, 4: OpDelete, 5: OpSessionAssignment,
-	6: OpSessionEdge, 7: OpMarkInvalid, 8: OpMarkValid, 9: OpMarkStale,
-	10: OpUpdateStats, 11: OpSetSample, 12: OpSetQuality, 13: OpReplaceText,
+// opByCode is the on-disk op code table: an op's code is its index, and a
+// byte that is no op's code holds "". The codes are the format — never
+// renumber one, nor reuse one only older builds wrote (upgrade.go).
+var opByCode = [256]MutationOp{
+	1: OpPut, 2: OpAnnotate, 3: OpSetVisibility, 4: OpDelete, 7: OpMarkInvalid,
+	8: OpMarkValid, 9: OpMarkStale, 10: OpUpdateStats, 13: OpReplaceText,
 }
 
 // opCodes inverts opByCode; an op it does not hold has no code.
 var opCodes = func() map[MutationOp]byte {
-	m := make(map[MutationOp]byte, len(opByCode))
+	m := make(map[MutationOp]byte)
 	for code, op := range opByCode {
 		if op != "" {
 			m[op] = byte(code)
@@ -67,21 +65,17 @@ var opCodes = func() map[MutationOp]byte {
 	return m
 }()
 
-// Presence-mask bits of a mutation body, in field order.
+// Presence-mask bits of a mutation body, in field order. The bits between
+// them are fields only older builds wrote (upgrade.go).
 const (
-	hasID = 1 << iota
-	hasRecord
-	hasAnnotation
-	hasVisibility
-	hasSessionID
-	hasSessionEdge
-	hasReason
-	hasStale
-	hasStats
-	hasSample
-	hasScore
-	hasShapedRecord
-	mutationMaskBits = iota
+	hasID            = 1 << 0
+	hasAnnotation    = 1 << 2
+	hasVisibility    = 1 << 3
+	hasReason        = 1 << 6
+	hasStale         = 1 << 7
+	hasStats         = 1 << 8
+	hasShapedRecord  = 1 << 11
+	mutationMaskBits = 12
 )
 
 // maxNumber bounds a shape or sample number read from a payload, so that the
@@ -209,18 +203,11 @@ func (e *Encoder) annotation(dst []byte, a *Annotation) []byte {
 // shapeBody appends a shape's values: the text and canonical forms, both
 // hashes, then the feature relations.
 func (e *Encoder) shapeBody(dst []byte, sh *QueryShape) []byte {
-	return e.shapeFeatures(e.shapeHead(dst, sh), sh)
-}
-
-func (e *Encoder) shapeHead(dst []byte, sh *QueryShape) []byte {
 	dst = e.str(dst, sh.Text)
 	dst = e.str(dst, sh.Canonical)
 	dst = e.str(dst, sh.Template)
 	dst = binary.LittleEndian.AppendUint64(dst, sh.Fingerprint)
-	return binary.LittleEndian.AppendUint64(dst, sh.ExactHash)
-}
-
-func (e *Encoder) shapeFeatures(dst []byte, sh *QueryShape) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, sh.ExactHash)
 	dst = e.strSliceTo(dst, sh.Tables)
 	if sh.Attributes == nil {
 		dst = append(dst, 0)
@@ -257,9 +244,31 @@ func (e *Encoder) shapeFeatures(dst []byte, sh *QueryShape) []byte {
 // sample opens with tag (see sampleTag).
 func (e *Encoder) instanceBody(dst []byte, rec *QueryRecord, tag uint64) []byte {
 	dst = binary.AppendVarint(dst, int64(rec.ID))
-	dst = e.instanceHead(dst, rec)
-	dst = e.instanceRuns(dst, rec, tag)
-	return e.instanceFlags(dst, rec)
+	dst = e.str(dst, rec.User)
+	dst = e.str(dst, rec.Group)
+	dst = binary.AppendVarint(dst, int64(rec.Visibility))
+	dst = appendTime(dst, rec.IssuedAt)
+	dst = e.stats(dst, &rec.Stats)
+	dst = binary.AppendUvarint(dst, tag)
+	if inlineTag(tag) {
+		dst = e.sample(dst, rec.Sample)
+	}
+	if rec.Annotations == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Annotations))+1)
+		for i := range rec.Annotations {
+			dst = e.annotation(dst, &rec.Annotations[i])
+		}
+	}
+	var flags byte
+	if rec.Valid {
+		flags |= flagValid
+	}
+	if rec.StatsStale {
+		flags |= flagStatsStale
+	}
+	return e.str(append(dst, flags), rec.InvalidReason)
 }
 
 // sampleTag is the uvarint that opens a record's sample: 0 for none, 1 for
@@ -281,41 +290,6 @@ func sampleTag(sm *OutputSample, ref bool) uint64 {
 
 // inlineTag reports whether a sample tag is followed by the sample's body.
 func inlineTag(tag uint64) bool { return tag == 1 || tag != 0 && tag&1 == 0 }
-
-func (e *Encoder) instanceHead(dst []byte, rec *QueryRecord) []byte {
-	dst = e.str(dst, rec.User)
-	dst = e.str(dst, rec.Group)
-	dst = binary.AppendVarint(dst, int64(rec.Visibility))
-	return appendTime(dst, rec.IssuedAt)
-}
-
-func (e *Encoder) instanceRuns(dst []byte, rec *QueryRecord, tag uint64) []byte {
-	dst = e.stats(dst, &rec.Stats)
-	dst = binary.AppendUvarint(dst, tag)
-	if inlineTag(tag) {
-		dst = e.sample(dst, rec.Sample)
-	}
-	if rec.Annotations == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Annotations))+1)
-	for i := range rec.Annotations {
-		dst = e.annotation(dst, &rec.Annotations[i])
-	}
-	return dst
-}
-
-func (e *Encoder) instanceFlags(dst []byte, rec *QueryRecord) []byte {
-	var flags byte
-	if rec.Valid {
-		flags |= flagValid
-	}
-	if rec.StatsStale {
-		flags |= flagStatsStale
-	}
-	dst = append(dst, flags)
-	return e.str(dst, rec.InvalidReason)
-}
 
 // shapedRecord appends the record of a put or replace-text: its shape's
 // number, shifted left one bit with the low bit set for a reference, then the
@@ -385,9 +359,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	if m.Stats != nil {
 		mask |= hasStats
 	}
-	if m.Sample != nil {
-		mask |= hasSample
-	}
 	start := len(dst)
 	dst = append(dst, PayloadFormat, code)
 	dst = binary.AppendUvarint(dst, mask)
@@ -411,9 +382,6 @@ func (e *Encoder) AppendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	}
 	if mask&hasStats != 0 {
 		dst = e.stats(dst, m.Stats)
-	}
-	if mask&hasSample != 0 {
-		dst = e.sample(dst, m.Sample)
 	}
 	return dst, nil
 }
@@ -695,34 +663,10 @@ func (d *decoder) shapedRecord(m *Mutation) {
 	m.Record = rec
 }
 
-// parentRecord reads a record body as builds before shape numbers wrote it:
-// shape and instance fields interleaved, with a session slot and a quality
-// slot this build drops.
-func (d *decoder) parentRecord() *QueryRecord {
-	sh := &QueryShape{}
-	rec := &QueryRecord{QueryShape: sh}
-	rec.ID = QueryID(d.r.Varint())
-	d.shapeHead(sh)
-	d.instanceHead(rec)
-	d.shapeFeatures(sh)
-	d.instanceRuns(rec)
-	d.r.Varint() // the session slot: an older build's session ID, dropped
-	d.instanceFlags(rec)
-	d.r.Uint64() // the quality slot: an older build's stored score, dropped
-	return rec
-}
-
-// skipEdge reads and drops one session edge as older builds wrote it, into
-// add-edge mutations and snapshot edge chunks.
-func skipEdge(r *wire.Reader) {
-	r.Varint() // from
-	r.Varint() // to
-	r.Int()    // type
-	r.Take(r.Uvarint())
-}
-
 // checkFormat validates a payload's two leading bytes and returns its kind.
-func checkFormat(p []byte) (kind byte, err error) {
+// A kind only older builds wrote fails with ErrOlderFormat unless older says
+// the caller is the upgrade's reader.
+func checkFormat(p []byte, older bool) (kind byte, err error) {
 	if len(p) > 0 && p[0] == '{' {
 		return 0, ErrPreBinaryPayload
 	}
@@ -732,37 +676,50 @@ func checkFormat(p []byte) (kind byte, err error) {
 	if p[0] != PayloadFormat {
 		return 0, fmt.Errorf("unknown payload format %d (this build reads format %d)", p[0], PayloadFormat)
 	}
+	if !older && olderKind(p[1]) {
+		return 0, fmt.Errorf("%w: payload kind %#x", ErrOlderFormat, p[1])
+	}
 	return p[1], nil
 }
 
-// DecodeMutation parses one binary payload back into a mutation. The result
-// shares no memory with p. Nothing half-decoded is ever returned: any error
-// yields a nil mutation.
+// DecodeMutation parses one payload this build writes back into a mutation.
+// The result shares no memory with p. Nothing half-decoded is ever returned:
+// any error yields a nil mutation. A payload with an op or a field only an
+// older build wrote fails with ErrOlderFormat.
 func DecodeMutation(p []byte) (*Mutation, error) {
-	kind, err := checkFormat(p)
+	return decodeMutation(p, nil)
+}
+
+// decodeMutation reads a mutation body's fields in order. older, when set,
+// reads what only an older build wrote, at its place in the body; without
+// it such a payload is refused.
+func decodeMutation(p []byte, older *olderMutation) (*Mutation, error) {
+	kind, err := checkFormat(p, older != nil)
 	if err != nil {
 		return nil, fmt.Errorf("storage: decoding mutation: %w", err)
 	}
-	if int(kind) >= len(opByCode) || opByCode[kind] == "" {
+	op := opByCode[kind]
+	if op == "" && (older == nil || !olderKind(kind) || kind >= kindParentSnapshotHeader) {
 		return nil, fmt.Errorf("storage: decoding mutation: unknown op code %d", kind)
 	}
 	d := decoder{r: wire.NewReader(p[2:])}
-	m := &Mutation{Op: opByCode[kind]}
+	m := &Mutation{Op: op}
 	mask := d.r.Uvarint()
 	if mask>>mutationMaskBits != 0 {
 		return nil, fmt.Errorf("storage: decoding mutation: unknown field bits %#x", mask)
 	}
+	if older == nil && mask&olderFields != 0 {
+		return nil, fmt.Errorf("storage: decoding %s mutation: field bits %#x: %w", m.Op, mask&olderFields, ErrOlderFormat)
+	} else if older != nil {
+		older.code, older.fields = kind, mask&olderFields
+	}
 	if mask&hasID != 0 {
 		m.ID = QueryID(d.r.Varint())
 	}
-	switch mask & (hasRecord | hasShapedRecord) {
-	case hasRecord:
-		m.Record = d.parentRecord()
-	case hasShapedRecord:
+	if mask&hasShapedRecord != 0 {
 		d.shapedRecord(m)
-	case hasRecord | hasShapedRecord:
-		return nil, fmt.Errorf("storage: decoding %s mutation: two records", m.Op)
 	}
+	older.read(&d, m, mask&hasRecord)
 	m.sampleRef = d.sampleRef
 	if mask&hasAnnotation != 0 {
 		m.Annotation = &Annotation{}
@@ -771,12 +728,7 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 	if mask&hasVisibility != 0 {
 		m.Visibility = Visibility(d.r.Int())
 	}
-	if mask&hasSessionID != 0 {
-		d.r.Varint() // dropped, like the op that carries it
-	}
-	if mask&hasSessionEdge != 0 {
-		skipEdge(&d.r)
-	}
+	older.read(&d, m, mask&(hasSessionID|hasSessionEdge))
 	if mask&hasReason != 0 {
 		m.Reason = d.str()
 	}
@@ -785,12 +737,7 @@ func DecodeMutation(p []byte) (*Mutation, error) {
 		m.Stats = &RuntimeStats{}
 		d.stats(m.Stats)
 	}
-	if mask&hasSample != 0 {
-		m.Sample = d.sample()
-	}
-	if mask&hasScore != 0 {
-		d.r.Uint64() // dropped, like the op that carries it
-	}
+	older.read(&d, m, mask&(hasSample|hasScore))
 	if err := d.r.Finish(); err != nil {
 		return nil, fmt.Errorf("storage: decoding %s mutation: %w", m.Op, err)
 	}

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // The JSON codec the binary one replaced, kept as the reference: a mutation
@@ -119,16 +121,11 @@ func codecCases(t testing.TB) map[string]*Mutation {
 		"visibility":       {Op: OpSetVisibility, ID: 4, Visibility: VisibilityPublic},
 		"visibility zero":  {Op: OpSetVisibility, ID: 4},
 		"delete":           {Op: OpDelete, ID: math.MaxInt64},
-		"assign-session":   {Op: OpSessionAssignment, ID: 5}, // an older build's ops: they decode to
-		"add-edge":         {Op: OpSessionEdge},              // their op, whatever they carried
 		"mark-invalid":     {Op: OpMarkInvalid, ID: 6, Reason: "column renamed"},
 		"mark-valid":       {Op: OpMarkValid, ID: 6},
 		"mark-stale":       {Op: OpMarkStale, ID: 6, Stale: true},
 		"mark-stale false": {Op: OpMarkStale, ID: 6},
 		"update-stats":     {Op: OpUpdateStats, ID: 7, Stats: &RuntimeStats{ExecTime: time.Second, ResultRows: 3, ExecutedAt: time.Unix(1, 2).UTC()}},
-		"set-sample":       {Op: OpSetSample, ID: 8, Sample: &OutputSample{Columns: []string{"a"}, Rows: [][]string{{"1"}, {"1"}}, TotalRows: 2}},
-		"set-sample nil":   {Op: OpSetSample, ID: 8},
-		"set-quality":      {Op: OpSetQuality, ID: 9}, // an older build's op, like the session ones
 		"replace-text":     {Op: OpReplaceText, ID: 10, Record: mustRecord(t, pointLookupSQL)},
 	}
 }
@@ -149,10 +146,103 @@ func TestMutationCodecMatchesReference(t *testing.T) {
 	}
 }
 
+// applyOlder replays a payload only an older build wrote, as recovery at
+// open does (ApplyPayload), and checks that it is reported as one.
+func applyOlder(s *Store, p []byte) error {
+	older, err := s.ApplyPayload(p)
+	if err == nil && !older {
+		return errors.New("a payload only an older build writes was not reported as one")
+	}
+	return err
+}
+
+// decodeOlder decodes a payload as the upgrade at open does, returning the op
+// code it carried and a set-sample's sample besides the mutation.
+func decodeOlder(p []byte) (*Mutation, olderMutation, error) {
+	var o olderMutation
+	m, err := decodeMutation(p, &o)
+	return m, o, err
+}
+
+// olderPayload reports whether p is a payload only an older build wrote: one
+// of its kinds, or a mutation of this build's ops with one of its fields.
+func olderPayload(p []byte) bool {
+	if len(p) < 2 || p[0] != PayloadFormat {
+		return false
+	}
+	if olderKind(p[1]) {
+		return true
+	}
+	mask, n := binary.Uvarint(p[2:])
+	return n > 0 && opByCode[p[1]] != "" && mask>>mutationMaskBits == 0 && mask&olderFields != 0
+}
+
+// olderSetSample is the set-sample an older build logged to move query id to
+// sample sm, or to clear its sample.
+func olderSetSample(id QueryID, sm *OutputSample) []byte {
+	var e Encoder
+	if sm == nil {
+		return binary.AppendVarint([]byte{PayloadFormat, codeSetSample, hasID}, int64(id))
+	}
+	p := binary.AppendVarint(binary.AppendUvarint([]byte{PayloadFormat, codeSetSample}, hasID|hasSample), int64(id))
+	return e.sample(p, sm)
+}
+
+// olderOp is a payload of one of an older build's session and quality ops
+// naming query id.
+func olderOp(code byte, id QueryID) []byte {
+	mask := map[byte]uint64{codeAssignSession: hasSessionID, codeAddEdge: hasSessionEdge, codeSetQuality: hasScore}[code]
+	p := binary.AppendVarint(binary.AppendUvarint([]byte{PayloadFormat, code}, hasID|mask), int64(id))
+	switch code {
+	case codeAssignSession:
+		return binary.AppendVarint(p, 4)
+	case codeAddEdge:
+		return append(p, 2, 4, 2, 2, '+', 'a')
+	}
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(0.375))
+}
+
+// olderCases are payloads of the ops only older builds logged, which this
+// build's encoder cannot write.
+func olderCases() map[string][]byte {
+	return map[string][]byte{
+		"assign-session": olderOp(codeAssignSession, 5),
+		"add-edge":       olderOp(codeAddEdge, 6),
+		"set-sample":     olderSetSample(8, &OutputSample{Columns: []string{"a"}, Rows: [][]string{{"1"}, {"1"}}, TotalRows: 2}),
+		"set-sample nil": olderSetSample(8, nil),
+		"set-quality":    olderOp(codeSetQuality, 9),
+	}
+}
+
+// TestOlderOpsAreReadOnlyByTheUpgrade: the payloads of the ops only older
+// builds logged are refused by DecodeMutation with ErrOlderFormat, and the
+// upgrade's decoder reads each to its op code, its query and, for a
+// set-sample, the sample it carries.
+func TestOlderOpsAreReadOnlyByTheUpgrade(t *testing.T) {
+	for name, p := range olderCases() {
+		t.Run(name, func(t *testing.T) {
+			if m, err := DecodeMutation(p); m != nil || !errors.Is(err, ErrOlderFormat) {
+				t.Errorf("DecodeMutation = %v, %v; want ErrOlderFormat", m, err)
+			}
+			m, o, err := decodeOlder(p)
+			if err != nil || o.code != p[1] || m.ID == 0 || m.Op != "" || m.Record != nil {
+				t.Fatalf("the upgrade's decoder read %+v, code %d, %v", m, o.code, err)
+			}
+			if want := name == "set-sample"; (o.sample != nil) != want || want && (o.sample.TotalRows != 2 || len(o.sample.Rows) != 2) {
+				t.Errorf("decoded sample %+v", o.sample)
+			}
+			if !olderPayload(p) {
+				t.Error("not classified as an older build's")
+			}
+		})
+	}
+}
+
 // TestMutationCodecFloats: an older build stored a quality score as float
 // bits, in the record's last word and in set-quality's score. Whatever bits it
-// wrote — NaN payloads, -0, -Inf — are read and dropped: the record decodes to
-// what this build writes, whose slot is zero, and the op to its op and ID.
+// wrote — NaN payloads, -0, -Inf — the upgrade's decoder reads and drops: the
+// record decodes to what this build writes, whose slot is zero, and the op to
+// its code and ID.
 func TestMutationCodecFloats(t *testing.T) {
 	rec := codecRecord(t, pointLookupSQL, 1)
 	payload := parentPut(rec)
@@ -163,7 +253,7 @@ func TestMutationCodecFloats(t *testing.T) {
 	want := asJSON(t, &Mutation{Op: OpPut, Record: rec})
 	for _, bits := range []uint64{math.Float64bits(0.75), math.Float64bits(math.NaN()), 0x7ff8000000000123, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(-1))} {
 		binary.LittleEndian.PutUint64(slot, bits)
-		out, err := DecodeMutation(payload)
+		out, _, err := decodeOlder(payload)
 		if err != nil {
 			t.Fatalf("slot %#x: %v", bits, err)
 		}
@@ -171,7 +261,7 @@ func TestMutationCodecFloats(t *testing.T) {
 			t.Errorf("slot %#x: decoded %.300s\nwant %.300s", bits, got, want)
 		}
 		op := append([]byte(parentSetQuality[:len(parentSetQuality)-8]), slot...)
-		if out, err = DecodeMutation(op); err != nil || asJSON(t, out) != asJSON(t, &Mutation{Op: OpSetQuality, ID: 9}) {
+		if out, o, err := decodeOlder(op); err != nil || o.code != codeSetQuality || asJSON(t, out) != asJSON(t, &Mutation{ID: 9}) {
 			t.Errorf("set-quality of %#x decoded to %+v, %v", bits, out, err)
 		}
 	}
@@ -182,14 +272,47 @@ func TestMutationCodecFloats(t *testing.T) {
 // and a quality slot.
 func parentPut(rec *QueryRecord) []byte {
 	var e Encoder
+	sh := rec.QueryShape
+	count := func(dst []byte, n int, isNil bool) []byte {
+		if isNil {
+			return append(dst, 0)
+		}
+		return binary.AppendUvarint(dst, uint64(n)+1)
+	}
 	dst := binary.AppendUvarint([]byte{PayloadFormat, 1}, hasRecord)
 	dst = binary.AppendVarint(dst, int64(rec.ID))
-	dst = e.shapeHead(dst, rec.QueryShape)
-	dst = e.instanceHead(dst, rec)
-	dst = e.shapeFeatures(dst, rec.QueryShape)
-	dst = e.instanceRuns(dst, rec, parentSampleTag(rec))
+	dst = e.str(e.str(e.str(dst, sh.Text), sh.Canonical), sh.Template)
+	dst = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, sh.Fingerprint), sh.ExactHash)
+	dst = e.str(e.str(dst, rec.User), rec.Group)
+	dst = appendTime(binary.AppendVarint(dst, int64(rec.Visibility)), rec.IssuedAt)
+	dst = e.strSliceTo(dst, sh.Tables)
+	dst = count(dst, len(sh.Attributes), sh.Attributes == nil)
+	for _, a := range sh.Attributes {
+		dst = e.str(e.str(e.str(dst, a.Attr), a.Rel), a.Clause)
+	}
+	dst = count(dst, len(sh.Predicates), sh.Predicates == nil)
+	for _, p := range sh.Predicates {
+		dst = e.str(e.str(e.str(e.str(dst, p.Attr), p.Rel), p.Op), p.Const)
+		dst = e.str(e.str(wire.AppendBool(dst, p.IsJoin), p.RightRel), p.RightAttr)
+	}
+	dst = e.strSliceTo(e.strSliceTo(e.strSliceTo(dst, sh.Aggregates), sh.GroupBy), sh.Features)
+	dst = binary.AppendUvarint(e.stats(dst, &rec.Stats), parentSampleTag(rec))
+	if rec.Sample != nil {
+		dst = e.sample(dst, rec.Sample)
+	}
+	dst = count(dst, len(rec.Annotations), rec.Annotations == nil)
+	for i := range rec.Annotations {
+		dst = e.annotation(dst, &rec.Annotations[i])
+	}
 	dst = append(dst, 0) // the session slot
-	dst = e.instanceFlags(dst, rec)
+	var flags byte
+	if rec.Valid {
+		flags |= flagValid
+	}
+	if rec.StatsStale {
+		flags |= flagStatsStale
+	}
+	dst = e.str(append(dst, flags), rec.InvalidReason)
 	return binary.LittleEndian.AppendUint64(dst, 0) // the quality slot
 }
 
@@ -202,12 +325,16 @@ func parentSampleTag(rec *QueryRecord) uint64 {
 	return 1
 }
 
-// TestParentPutDecodes: a put an older build logged decodes to the record it
-// carried, with a shape that has no number, and re-encodes in this build's
-// form, defining the shape inline.
+// TestParentPutDecodes: a put an older build logged is refused by
+// DecodeMutation by name; the upgrade's decoder reads it to the record it
+// carried, with a shape that has no number, and it re-encodes in this
+// build's form, defining the shape inline.
 func TestParentPutDecodes(t *testing.T) {
 	rec := codecRecord(t, joinHeavySQL, 3)
-	m, err := DecodeMutation(parentPut(rec))
+	if _, err := DecodeMutation(parentPut(rec)); !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("DecodeMutation: %v, want ErrOlderFormat", err)
+	}
+	m, _, err := decodeOlder(parentPut(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +412,8 @@ func TestDecodeMutationRejects(t *testing.T) {
 		"format 2":        {2, 1, 0},
 		"op 0":            {PayloadFormat, 0, 0},
 		"op 14":           {PayloadFormat, 14, 0},
+		"op 0x47":         {PayloadFormat, 0x47, 0},
+		"op 0x40":         {PayloadFormat, 0x40, 0},
 		"snapshot header": new(Encoder).AppendSnapshotHeader(nil, &StoreState{}),
 		"two records":     append(binary.AppendUvarint([]byte{PayloadFormat, 1}, hasRecord|hasShapedRecord), parentPut(codecRecord(t, pointLookupSQL, 1))[3:]...),
 		"ref to shape 0":  {PayloadFormat, 1, 0x80, 0x10, 1, 2},
@@ -293,6 +422,9 @@ func TestDecodeMutationRejects(t *testing.T) {
 	} {
 		if m, err := DecodeMutation(p); err == nil || m != nil {
 			t.Errorf("%s: accepted", name)
+		}
+		if m, _, err := decodeOlder(p); err == nil || m != nil {
+			t.Errorf("%s: the upgrade's decoder accepted it", name)
 		}
 	}
 	if _, err := (&Mutation{Op: "rename"}).Encode(); err == nil {
@@ -327,9 +459,33 @@ func TestSnapshotPayloads(t *testing.T) {
 	if len(st.Shapes) != 2 || st.NextShape != 3 || st.Records[2].QueryShape != st.Records[0].QueryShape {
 		t.Fatalf("captured %d shapes, counter %d", len(st.Shapes), st.NextShape)
 	}
-	want := SnapshotHeader{NextID: 3, Records: 3, Numbered: true, Shapes: 2, NextShape: 3, NextSample: 2}
+	want := SnapshotHeader{NextID: 3, Records: 3, Shapes: 2, NextShape: 3, NextSample: 2}
 	if got, err := DecodeSnapshotHeader(new(Encoder).AppendSnapshotHeader(nil, st)); err != nil || got != want {
 		t.Fatalf("header round trip = %+v, %v", got, err)
+	}
+	// An older build's headers: refused here by name, read by the upgrade.
+	for _, c := range []struct {
+		payload []byte
+		want    SnapshotHeader
+		parent  bool
+	}{
+		{[]byte{PayloadFormat, kindParentSnapshotHeader, 6, 3, 1, 2}, SnapshotHeader{NextID: 3, Records: 3}, true},
+		{[]byte{PayloadFormat, kindShapeSnapshotHeader, 6, 3, 2, 3}, SnapshotHeader{NextID: 3, Records: 3, Shapes: 2, NextShape: 3}, false},
+	} {
+		if _, err := DecodeSnapshotHeader(c.payload); !errors.Is(err, ErrOlderFormat) {
+			t.Errorf("older header %#x: %v, want ErrOlderFormat", c.payload[1], err)
+		}
+		if got, parent, err := DecodeOlderSnapshotHeader(c.payload); err != nil || got != c.want || parent != c.parent {
+			t.Errorf("older header %#x = %+v, %v, %v; want %+v", c.payload[1], got, parent, err, c.want)
+		}
+		for cut := 2; cut < len(c.payload); cut++ {
+			if _, _, err := DecodeOlderSnapshotHeader(c.payload[:cut]); err == nil {
+				t.Errorf("older header %#x cut to %d bytes was accepted", c.payload[1], cut)
+			}
+		}
+	}
+	if _, _, err := DecodeOlderSnapshotHeader(new(Encoder).AppendSnapshotHeader(nil, st)); err == nil {
+		t.Error("the upgrade's reader took this build's header as an older one")
 	}
 	if _, err := DecodeSnapshotHeader([]byte(`{"nextId":1}`)); !errors.Is(err, ErrPreBinaryPayload) {
 		t.Errorf("JSON snapshot: err = %v, want ErrPreBinaryPayload", err)
@@ -401,13 +557,23 @@ func TestSnapshotPayloads(t *testing.T) {
 		t.Error("a record chunk decoded as shapes")
 	}
 
-	// An older build's record chunk carries each record's shape.
+	// An older build's record chunk carries each record's shape. Only the
+	// upgrade reads it; this build's readers refuse it by name.
 	parent := parentRecordChunk(st.Records)
-	if kind, count, err := ChunkCount(parent); err != nil || kind != ChunkParentRecords || count != 3 {
-		t.Fatalf("ChunkCount(older record chunk) = %v, %d, %v", kind, count, err)
+	if _, _, err := ChunkCount(parent); !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("ChunkCount(older record chunk): %v, want ErrOlderFormat", err)
+	}
+	if err := DecodeRecordChunk(parent, &StoreState{}); !errors.Is(err, ErrOlderFormat) {
+		t.Fatalf("DecodeRecordChunk(older record chunk): %v, want ErrOlderFormat", err)
+	}
+	if kind, count, err := OlderChunkCount(parent); err != nil || kind != ChunkParentRecords || count != 3 {
+		t.Fatalf("OlderChunkCount(older record chunk) = %v, %d, %v", kind, count, err)
+	}
+	if err := DecodeOlderRecordChunk(records, &StoreState{}); err == nil {
+		t.Fatal("the upgrade's reader took this build's record chunk as an older one")
 	}
 	older := &StoreState{}
-	if err := DecodeRecordChunk(parent, older); err != nil {
+	if err := DecodeOlderRecordChunk(parent, older); err != nil {
 		t.Fatal(err)
 	}
 	for i, rec := range older.Records {
@@ -418,38 +584,24 @@ func TestSnapshotPayloads(t *testing.T) {
 		}
 	}
 
-	// An edge chunk is only ever an older build's; it is checked and dropped.
-	ep := []byte(parentEdgeChunk)
-	if kind, count, err := ChunkCount(ep); err != nil || kind != ChunkEdges || count != 1 {
-		t.Fatalf("ChunkCount(edge chunk) = %v, %d, %v", kind, count, err)
-	}
-	if err := SkipEdgeChunk(ep); err != nil {
-		t.Fatalf("SkipEdgeChunk: %v", err)
-	}
-	for cut := chunkHeaderBytes; cut < len(ep); cut++ {
-		if err := SkipEdgeChunk(ep[:cut]); err == nil {
-			t.Fatalf("edge chunk cut to %d of %d bytes accepted", cut, len(ep))
+	// An edge chunk and a checkpoint section part are only ever an older
+	// build's, and are never read: no reader takes them, and this build's
+	// refuse them by name.
+	for _, p := range []string{parentEdgeChunk, parentCheckpointPart} {
+		if _, _, err := ChunkCount([]byte(p)); !errors.Is(err, ErrOlderFormat) {
+			t.Errorf("ChunkCount of kind %#x: %v, want ErrOlderFormat", p[1], err)
 		}
-	}
-	if err := SkipEdgeChunk(append(ep[:len(ep):len(ep)], 0)); err == nil {
-		t.Error("an edge chunk with a trailing byte was accepted")
-	}
-	if err := SkipEdgeChunk(records); err == nil {
-		t.Error("a record chunk read as edges")
-	}
-	if err := DecodeRecordChunk(ep, &StoreState{}); err == nil {
-		t.Error("an edge chunk decoded as records")
-	}
-
-	// An older build's checkpoint section part: the stats section, version 2,
-	// four parts to follow, three bytes of its data.
-	part, err := DecodeCheckpointPart([]byte(parentCheckpointPart))
-	if want := (CheckpointPart{Name: "stats", Version: 2, Left: 4}); err != nil || part != want {
-		t.Fatalf("checkpoint part = %+v, %v; want %+v", part, err, want)
-	}
-	for cut := 2; cut < len(parentCheckpointPart)-3; cut++ {
-		if _, err := DecodeCheckpointPart([]byte(parentCheckpointPart)[:cut]); err == nil {
-			t.Errorf("a checkpoint part cut to %d bytes was accepted", cut)
+		if _, _, err := OlderChunkCount([]byte(p)); err == nil {
+			t.Errorf("OlderChunkCount took kind %#x", p[1])
+		}
+		if err := DecodeShapeChunk([]byte(p), &StoreState{}); !errors.Is(err, ErrOlderFormat) {
+			t.Errorf("kind %#x as shapes: %v, want ErrOlderFormat", p[1], err)
+		}
+		if err := DecodeRecordChunk([]byte(p), &StoreState{}); !errors.Is(err, ErrOlderFormat) {
+			t.Errorf("kind %#x as records: %v, want ErrOlderFormat", p[1], err)
+		}
+		if err := DecodeOlderRecordChunk([]byte(p), &StoreState{}); err == nil {
+			t.Errorf("kind %#x decoded as older records", p[1])
 		}
 	}
 }
@@ -478,28 +630,33 @@ const (
 )
 
 // TestParentSessionOpsDecodeToNothing: an older build's session and quality
-// ops decode to their op and nothing else — the session, the edge and the
-// score are read, checked and dropped — and cut short they are refused like
-// any other payload.
+// ops are refused by DecodeMutation by name. The upgrade's decoder reads each
+// to its op code and query and nothing else — the session, the edge and the
+// score are read, checked and dropped — and refuses each cut short like any
+// other payload.
 func TestParentSessionOpsDecodeToNothing(t *testing.T) {
 	for _, c := range []struct {
 		payload string
+		code    byte
 		want    Mutation
 	}{
-		{parentAssignSession, Mutation{Op: OpSessionAssignment, ID: 12}},
-		{parentAddEdge, Mutation{Op: OpSessionEdge}},
-		{parentSetQuality, Mutation{Op: OpSetQuality, ID: 9}},
+		{parentAssignSession, codeAssignSession, Mutation{ID: 12}},
+		{parentAddEdge, codeAddEdge, Mutation{}},
+		{parentSetQuality, codeSetQuality, Mutation{ID: 9}},
 	} {
-		m, err := DecodeMutation([]byte(c.payload))
-		if err != nil {
-			t.Fatalf("%s: %v", c.want.Op, err)
+		if _, err := DecodeMutation([]byte(c.payload)); !errors.Is(err, ErrOlderFormat) {
+			t.Errorf("op %d: DecodeMutation: %v, want ErrOlderFormat", c.code, err)
 		}
-		if got, want := asJSON(t, m), asJSON(t, &c.want); got != want {
-			t.Errorf("decoded %s, want %s", got, want)
+		m, o, err := decodeOlder([]byte(c.payload))
+		if err != nil {
+			t.Fatalf("op %d: %v", c.code, err)
+		}
+		if got, want := asJSON(t, m), asJSON(t, &c.want); got != want || o.code != c.code {
+			t.Errorf("decoded %s as op %d, want %s", got, o.code, want)
 		}
 		for cut := 2; cut < len(c.payload); cut++ {
-			if m, err := DecodeMutation([]byte(c.payload[:cut])); err == nil || m != nil {
-				t.Errorf("%s cut to %d of %d bytes decoded", c.want.Op, cut, len(c.payload))
+			if m, _, err := decodeOlder([]byte(c.payload[:cut])); err == nil || m != nil {
+				t.Errorf("op %d cut to %d of %d bytes decoded", c.code, cut, len(c.payload))
 			}
 		}
 	}
@@ -600,7 +757,9 @@ func shapeFrames(t testing.TB) map[string][]byte {
 // decodes to the same mutation and encodes to itself. What it accepts is then
 // applied to a store holding three shapes and three samples, so shape and
 // sample references are resolved too: the apply may fail, but never panics,
-// and leaves consistent dictionaries behind.
+// and leaves consistent dictionaries behind. A payload only an older build
+// wrote is refused by name, and the upgrade's ApplyPayload takes it to the
+// same store under the same rules.
 func FuzzDecodeMutation(f *testing.F) {
 	frames := shapeFrames(f)
 	maps.Copy(frames, sampleFrames(f))
@@ -625,8 +784,11 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(`{"op":"delete","id":3}`))
 	f.Add([]byte{PayloadFormat, 1, hasRecord})
 	f.Add(hostileCount(2, 512)) // a predicate count that its bytes could not hold
-	// What only an older build writes: the encoder above cannot reach the
-	// read-and-drop path of the session, edge and quality fields.
+	// What only an older build writes, which this build's encoder cannot.
+	older := olderCases()
+	for _, name := range []string{"add-edge", "assign-session", "set-quality", "set-sample", "set-sample nil"} {
+		f.Add(older[name])
+	}
 	f.Add([]byte(parentAssignSession))
 	f.Add([]byte(parentAddEdge))
 	f.Add([]byte(parentSetQuality))
@@ -635,6 +797,14 @@ func FuzzDecodeMutation(f *testing.F) {
 		if err != nil {
 			if m != nil {
 				t.Fatalf("error %v with a non-nil mutation", err)
+			}
+			if olderPayload(b) {
+				if !errors.Is(err, ErrOlderFormat) {
+					t.Fatalf("an older build's payload refused with %v, want ErrOlderFormat", err)
+				}
+				if store := fuzzStore(t); applyOlder(store, b) == nil {
+					checkDictionary(t, store, false)
+				}
 			}
 			return
 		}

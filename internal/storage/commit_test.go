@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -28,9 +29,9 @@ func (a storeTrace) equal(b storeTrace) bool {
 // TestCommitRefusalsLeaveNoTrace: every live mutating method, refused for
 // every reason it can be refused, returns the documented error and leaves
 // the store, the log and the bus exactly as they were. An older build's
-// session and quality ops, which only ever arrive by replay, are no-op rows:
-// applied in every one of those circumstances, they return nil and leave no
-// trace. So is the repeat of an update the record already holds — the same
+// session and quality ops, which only ever arrive by the upgrade's replay
+// (ApplyPayload), are no-op rows: applied in every one of those circumstances,
+// they return nil and leave no trace. So is the repeat of an update the record already holds — the same
 // invalid reason, validity, stale flag or visibility: it returns nil with no
 // emit, no WAL sequence and no new record version.
 func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
@@ -67,10 +68,13 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 		}, false, true, true},
 		{"delete", func(s *Store, id QueryID, p Principal, _ string) error { return s.Delete(id, p) }, false, true, false},
 		{"assign-session", func(s *Store, id QueryID, _ Principal, _ string) error {
-			return s.Apply(&Mutation{Op: OpSessionAssignment, ID: id})
+			return applyOlder(s, olderOp(codeAssignSession, id))
 		}, false, false, true},
 		{"add-edge", func(s *Store, id QueryID, _ Principal, text string) error {
-			return s.Apply(&Mutation{Op: OpSessionEdge, ID: id, Reason: text}) // whatever a decoded one carries
+			// From, to, type and whatever diff a decoded one carries.
+			p := binary.AppendVarint([]byte{PayloadFormat, codeAddEdge, hasID | hasSessionEdge}, int64(id))
+			p = append(p, 2, 4, 2)
+			return applyOlder(s, append(binary.AppendUvarint(p, uint64(len(text))), text...))
 		}, true, false, true},
 		{"mark-invalid", func(s *Store, id QueryID, _ Principal, text string) error { return s.MarkInvalid(id, text) }, true, false, true},
 		{"mark-valid", func(s *Store, id QueryID, _ Principal, _ string) error { return s.MarkValid(id) }, false, false, true},
@@ -79,7 +83,7 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 			return s.UpdateStats(id, RuntimeStats{Error: text})
 		}, true, false, false},
 		{"set-quality", func(s *Store, id QueryID, _ Principal, _ string) error {
-			return s.Apply(&Mutation{Op: OpSetQuality, ID: id})
+			return applyOlder(s, olderOp(codeSetQuality, id))
 		}, false, false, true},
 		{"replace-text", func(s *Store, id QueryID, _ Principal, text string) error { return s.ReplaceText(id, rec(text)) }, true, false, false},
 	}

@@ -34,23 +34,13 @@ type storeMetrics struct {
 	durabilityWait *telemetry.Histogram
 }
 
-// allMutationOps lists every op that can commit, for eager counter
-// registration, so a scrape shows zero-valued families before the first
-// mutation of each kind. An older build's session and quality ops never
-// commit.
-var allMutationOps = []MutationOp{
-	OpPut, OpAnnotate, OpSetVisibility, OpDelete,
-	OpMarkInvalid, OpMarkValid, OpMarkStale, OpUpdateStats, OpSetSample,
-	OpReplaceText,
-}
-
 // EnableMetrics registers the store's instruments on reg and starts
 // recording. Call it once, before attaching bus subscribers if their callback
 // durations should be recorded from the first mutation (subscribers attached
 // earlier are picked up too).
 func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	m := storeMetrics{
-		mutations: make(map[MutationOp]*telemetry.Counter, len(allMutationOps)),
+		mutations: make(map[MutationOp]*telemetry.Counter, len(opCodes)),
 		commitHold: reg.Histogram("cqms_store_commit_lock_hold_seconds",
 			"Time the commit lock was held per mutating store operation, including bus callbacks.", nil),
 		capture: reg.Histogram("cqms_store_state_capture_seconds",
@@ -66,7 +56,9 @@ func (s *Store) EnableMetrics(reg *telemetry.Registry) {
 	}
 	mutVec := reg.CounterVec("cqms_store_mutations_total",
 		"Committed store mutations by operation.", "op")
-	for _, op := range allMutationOps {
+	// Every op with a code can commit: each gets its counter up front, so a
+	// scrape shows zero-valued families before the first mutation of each.
+	for op := range opCodes {
 		m.mutations[op] = mutVec.With(string(op))
 	}
 	m.walCallback = m.busVec.With("wal")

@@ -15,30 +15,19 @@ type MutationOp string
 
 // Mutation operations. Every mutating Store method has a corresponding op so
 // that replaying a mutation stream rebuilds the store — records and all
-// inverted indexes — exactly as the live operations built it.
-//
-// OpSessionAssignment and OpSessionEdge are what older builds logged when a
-// mining pass copied the session detector's windows back into the store, and
-// OpSetQuality what they logged when a maintenance pass stored each record's
-// quality score (now computed on read: QueryRecord.Quality). No store method
-// emits them any more; they stay decodable so those logs replay, and applying
-// one changes nothing. OpSetSample is what they logged to replace a record's
-// output sample: no store method emits it either, and applying one moves the
-// record to the sample it carries.
+// inverted indexes — exactly as the live operations built it. The ops older
+// builds logged and this build does not are read only by the upgrade at open
+// (ApplyPayload).
 const (
-	OpPut               MutationOp = "put"
-	OpAnnotate          MutationOp = "annotate"
-	OpSetVisibility     MutationOp = "visibility"
-	OpDelete            MutationOp = "delete"
-	OpSessionAssignment MutationOp = "assign-session"
-	OpSessionEdge       MutationOp = "add-edge"
-	OpMarkInvalid       MutationOp = "mark-invalid"
-	OpMarkValid         MutationOp = "mark-valid"
-	OpMarkStale         MutationOp = "mark-stale"
-	OpUpdateStats       MutationOp = "update-stats"
-	OpSetSample         MutationOp = "set-sample"
-	OpSetQuality        MutationOp = "set-quality"
-	OpReplaceText       MutationOp = "replace-text"
+	OpPut           MutationOp = "put"
+	OpAnnotate      MutationOp = "annotate"
+	OpSetVisibility MutationOp = "visibility"
+	OpDelete        MutationOp = "delete"
+	OpMarkInvalid   MutationOp = "mark-invalid"
+	OpMarkValid     MutationOp = "mark-valid"
+	OpMarkStale     MutationOp = "mark-stale"
+	OpUpdateStats   MutationOp = "update-stats"
+	OpReplaceText   MutationOp = "replace-text"
 )
 
 // Mutation is one typed write-ahead-log entry: the complete description of a
@@ -58,7 +47,6 @@ type Mutation struct {
 	Reason     string        `json:"reason,omitempty"`
 	Stale      bool          `json:"stale,omitempty"`
 	Stats      *RuntimeStats `json:"stats,omitempty"`
-	Sample     *OutputSample `json:"sample,omitempty"`
 
 	// prev and next are the record versions before and after the mutation
 	// was applied, stashed by the apply path for event-bus subscribers that
@@ -266,9 +254,9 @@ func (s *Store) Apply(m *Mutation) error {
 // copy-on-write: the current record version stays untouched for concurrent
 // readers and an updated copy replaces it in its slot. It reports whether
 // the store changed and, when it did, leaves the prev/next record versions on
-// the mutation for bus subscribers. An older build's session and quality ops
-// never change it, and neither does an update that would leave the record's
-// fields as they are: such a mutation is not published, emitted or logged.
+// the mutation for bus subscribers. An update that would leave the record's
+// fields as they are does not change it: such a mutation is not published,
+// emitted or logged.
 // Callers must hold the commit lock.
 func (s *Store) apply(m *Mutation) (changed bool, err error) {
 	// update runs one copy-on-write field update of record m.ID, unless same
@@ -321,8 +309,6 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 		s.remove(rec)
 		m.prev = rec
 		return true, nil
-	case OpSessionAssignment, OpSessionEdge, OpSetQuality:
-		return false, nil
 	case OpMarkInvalid:
 		return update(func(rec *QueryRecord) bool { return !rec.Valid && rec.InvalidReason == m.Reason }, func(next, _ *QueryRecord) {
 			next.Valid = false
@@ -345,25 +331,19 @@ func (s *Store) apply(m *Mutation) (changed bool, err error) {
 			next.Stats = *m.Stats
 			next.StatsStale = false
 		})
-	case OpSetSample, OpReplaceText:
-		// A set-sample is what an older build logged to replace a record's
-		// sample; this build applies it and logs none.
-		if m.Op == OpReplaceText && m.Record == nil {
+	case OpReplaceText:
+		if m.Record == nil {
 			return missing("record")
 		}
 		rec, err := s.lookup(m.ID)
 		if err != nil {
 			return false, err
 		}
-		next := rec.shallowCopy()
-		if m.Op == OpSetSample {
-			next.Sample = m.Sample
-		} else {
-			if err := s.index.resolveLocked(m); err != nil {
-				return false, err
-			}
-			next.QueryShape = m.Record.QueryShape
+		if err := s.index.resolveLocked(m); err != nil {
+			return false, err
 		}
+		next := rec.shallowCopy()
+		next.QueryShape = m.Record.QueryShape
 		if m.entered, err = s.move(rec, next); err != nil {
 			return false, err
 		}

@@ -108,8 +108,9 @@ func frameSample(t testing.TB, p []byte) (inline, ref uint64) {
 // under its number and every later one refers to it, within a batch too; a
 // sample that left with its last record is entered again under a new number;
 // a replace-text logs no sample and leaves the record's as it was; an older
-// build's set-sample moves a record to the sample it carries, and one that
-// carries the value a record's only sample holds keeps its number. A replay
+// build's set-sample, replayed by the upgrade, moves a record to the sample
+// it carries, and one that carries the value a record's only sample holds
+// keeps its number. A replay
 // numbers every sample as the live store did, and a snapshot restore takes
 // the counter past a number that left.
 func TestSampleNumbersInTheLog(t *testing.T) {
@@ -155,7 +156,7 @@ func TestSampleNumbersInTheLog(t *testing.T) {
 	// The set-sample an older build logged: query c moves to the sample
 	// equal to the one it carries ("b", number 2) and its own leaves.
 	for _, to := range []*Store{s, replica} {
-		if err := to.Apply(&Mutation{Op: OpSetSample, ID: c, Sample: &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"b"}}, TotalRows: 1}}); err != nil {
+		if err := applyOlder(to, olderSetSample(c, &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"b"}}, TotalRows: 1})); err != nil {
 			t.Fatal(err)
 		}
 		if rec, _ := to.loadRecord(c); sampleNumber(rec) != 2 || to.SampleCount() != 1 {
@@ -164,7 +165,7 @@ func TestSampleNumbersInTheLog(t *testing.T) {
 		checkShapes(t, to)
 	}
 	d := mustPut(t, s, sampledRecord(x, "d"))
-	if err := s.Apply(&Mutation{Op: OpSetSample, ID: d, Sample: &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"d"}}, TotalRows: 1}}); err != nil {
+	if err := applyOlder(s, olderSetSample(d, &OutputSample{Columns: []string{"v"}, Rows: [][]string{{"d"}}, TotalRows: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if rec, _ := s.loadRecord(d); sampleNumber(rec) != 4 {

@@ -244,11 +244,14 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 			}
 			delete(oracle, ids[i])
 			ids = append(ids[:i], ids[i+1:]...)
-		case 9: // an older build's set-sample, replayed into every store
+		case 9: // an older build's set-sample, replayed by the upgrade into every store
 			id, sm := pick(), answer(rng)
 			for _, to := range []*Store{s, replica, follower} {
-				if to != nil {
-					apply(to, &Mutation{Op: OpSetSample, ID: id, Sample: sm})
+				if to == nil {
+					continue
+				}
+				if err := applyOlder(to, olderSetSample(id, sm)); err != nil {
+					t.Fatalf("replaying a set-sample: %v", err)
 				}
 			}
 			oracle[id].Sample = cloneSample(sm)

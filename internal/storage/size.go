@@ -85,8 +85,8 @@ func recordBound(rec *QueryRecord) int64 {
 
 // mutationBound bounds the mutation's whole payload.
 func mutationBound(m *Mutation) int64 {
-	// Format, kind, mask, ID, visibility and score.
-	n := int64(2 + 4*varintBound)
+	// Format, kind, mask, ID and visibility.
+	n := int64(2 + 3*varintBound)
 	if m.Record != nil {
 		n += recordBound(m.Record)
 	}
@@ -96,9 +96,6 @@ func mutationBound(m *Mutation) int64 {
 	n += stringBound(m.Reason)
 	if m.Stats != nil {
 		n += statsBound(m.Stats)
-	}
-	if m.Sample != nil {
-		n += sampleBound(m.Sample)
 	}
 	return n
 }

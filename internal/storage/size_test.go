@@ -78,7 +78,7 @@ func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 		"an annotation over the limit by itself":   store.Annotate(2, alice, Annotation{Text: huge}),
 		"an invalid reason":                        store.MarkInvalid(2, huge),
 		"a stats error":                            store.UpdateStats(2, RuntimeStats{Error: huge}),
-		"an older build's set-sample":              store.Apply(&Mutation{Op: OpSetSample, ID: 2, Sample: &OutputSample{Rows: [][]string{{huge}}}}),
+		"an older build's set-sample":              applyOlder(store, olderSetSample(2, &OutputSample{Rows: [][]string{{huge}}})),
 		"a replacement text":                       store.ReplaceText(2, newRec(huge)),
 	} {
 		if !errors.Is(err, ErrTooLarge) {
@@ -97,13 +97,12 @@ func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 
 // hostileCount returns a put payload that is well-formed up to one slice
 // count and then claims n elements with only n bytes behind it. skip is how
-// many nil slices come between the record's Tables and the slice under test:
+// many nil slices come between the shape's Tables and the slice under test:
 // 1 reaches Attributes, 2 Predicates.
 func hostileCount(skip, n int) []byte {
-	p := []byte{PayloadFormat, opCodes[OpPut], hasRecord}
-	p = append(p, 0, 0, 0, 0)            // ID, Text, Canonical, Template
+	p := binary.AppendUvarint([]byte{PayloadFormat, opCodes[OpPut]}, hasShapedRecord)
+	p = append(p, 0, 0, 0, 0)            // shape number 0 inline, Text, Canonical, Template
 	p = append(p, make([]byte, 16)...)   // Fingerprint, ExactHash
-	p = append(p, 0, 0, 0, 0, 0, 0)      // User, Group, Visibility, IssuedAt
 	p = append(p, make([]byte, skip)...) // nil slices
 	p = binary.AppendUvarint(p, uint64(n)+1)
 	return append(p, make([]byte, n)...)

@@ -21,15 +21,16 @@ type StoreState struct {
 	NextID  QueryID        `json:"nextId"`
 	Records []*QueryRecord `json:"records"`
 	// Shapes are the shapes the records point at, in ascending number, and
-	// NextShape the number the next new shape takes. A state read from an
-	// older build's snapshot has neither: its records carry shapes of their
-	// own, and a restore numbers them in ID order.
+	// NextShape the number the next new shape takes. A state the upgrade
+	// read from an older build's snapshot may have neither: its records
+	// carry shapes of their own, and a restore numbers them in record order.
 	Shapes    []*QueryShape `json:"-"`
 	NextShape uint64        `json:"-"`
 	// NextSample is the number the next new sample takes. The samples are
 	// the records': records of one sample share it, and it carries its
-	// number. A state read from an older build's snapshot has no sample
-	// numbers, and a restore numbers its samples in ID order.
+	// number, unless no store numbered it (as in a state the upgrade read
+	// from an older build's snapshot): a restore numbers those in record
+	// order.
 	NextSample uint64 `json:"-"`
 
 	// samples holds, by number, the samples the record chunks decoded so
@@ -78,8 +79,9 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 // under its number), sets the shape and sample counters, then runs
 // every bus subscriber's Rebuild hook over the restored records: a snapshot
 // load has no per-record mutation stream to fan out, and the WAL slot is not
-// invoked. Records of a state without shapes (an older build's snapshot)
-// number their shapes in ID order. It takes ownership of st, its records
+// invoked. Records of a state without shapes (one the upgrade read from an
+// older build's snapshot) number their shapes in the order the state holds
+// them. It takes ownership of st, its records
 // and its shapes: recovery hands over a freshly decoded state, and cloning
 // ~100k records a second time would double restart cost. A state check
 // refuses is refused with an error and the store is left as it was. A store
@@ -145,11 +147,6 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 		s.index.postShapeLocked(sh)
 	}
 	s.index.mu.Unlock()
-	if len(st.Shapes) == 0 {
-		// The records number their own shapes as they go in: in ID order,
-		// whatever order an older build wrote them in.
-		slices.SortStableFunc(st.Records, func(a, b *QueryRecord) int { return cmp.Compare(a.ID, b.ID) })
-	}
 	for _, rec := range st.Records {
 		s.insert(rec)
 	}
@@ -173,65 +170,40 @@ func (s *Store) restoreStateLocked(st *StoreState) {
 // ascending number; a record chunk holds records, each written as its
 // shape's number and its own fields. A record's sample is defined inline,
 // under its number, at the sample's first record in ID order, and named by
-// number at every later one.
-//
-// The header before the sample counter (kindShapeSnapshotHeader) is still
-// read: its records carry their samples inline without numbers.
-//
-// Older builds wrote another header (kindSnapshotHeader) and record chunks
-// whose records carried their shapes inline (kindRecordChunk), then session
-// edge chunks and the checkpoint sections of derived-state subscribers. Those
-// are still read: the edge chunks are checked and dropped (SkipEdgeChunk), and
-// the sections are checked part by part (DecodeCheckpointPart) and skipped:
-// every subscriber rebuilds from the records.
+// number at every later one. The payloads of older builds' snapshots are
+// read by upgrade.go alone.
 //
 // Every element of a chunk carries its own string table (see codec.go), so a
 // chunk is only a container: elements decode one by one.
 
 // Payload kinds of this build's snapshots.
 const (
-	kindShapeSnapshotHeader  = 0x44
-	kindShapeChunk           = 0x45
-	kindShapedRecordChunk    = 0x46
-	kindSampleSnapshotHeader = 0x47
+	kindShapeChunk        = 0x45
+	kindShapedRecordChunk = 0x46
+	kindSnapshotHeader    = 0x47
 )
 
-// SnapshotHeader opens a snapshot stream and says how much follows it.
+// SnapshotHeader opens a snapshot stream and says how much follows it:
+// Shapes shapes, numbered below the shape counter NextShape, then Records
+// records, whose samples are numbered below the sample counter NextSample.
 type SnapshotHeader struct {
-	NextID  QueryID
-	Records int
-	// Numbered is set for a snapshot that writes its shapes before its
-	// records, Shapes of them, with the shape counter NextShape.
-	Numbered  bool
-	Shapes    int
-	NextShape uint64
-	// NextSample is the sample counter: every sample number the records
-	// define is below it. It is 0 in an older snapshot, whose samples have
-	// no numbers.
+	NextID     QueryID
+	Records    int
+	Shapes     int
+	NextShape  uint64
 	NextSample uint64
-	// Edges and Checkpoints are what an older build's snapshot announced
-	// after its records: session edges and checkpoint sections, read and
-	// skipped. They are 0 in a Numbered snapshot.
-	Edges       int
-	Checkpoints int
 }
 
 // ChunkKind says what a snapshot chunk holds.
 type ChunkKind int
 
-// Chunk kinds: this build writes shape and record chunks; an older build's
-// snapshot holds record chunks with the shapes inline, and edge chunks.
+// Chunk kinds: shapes and records.
 const (
 	ChunkShapes ChunkKind = iota + 1
 	ChunkRecords
-	ChunkParentRecords
-	ChunkEdges
 )
 
-var chunkKinds = map[byte]ChunkKind{
-	kindShapeChunk: ChunkShapes, kindShapedRecordChunk: ChunkRecords,
-	kindRecordChunk: ChunkParentRecords, kindEdgeChunk: ChunkEdges,
-}
+var chunkKinds = map[byte]ChunkKind{kindShapeChunk: ChunkShapes, kindShapedRecordChunk: ChunkRecords, kindRecordChunk: ChunkParentRecords}
 
 // chunkHeaderBytes is a chunk's format byte, kind byte and uint32 count.
 const chunkHeaderBytes = 6
@@ -241,7 +213,7 @@ const chunkHeaderBytes = 6
 // its first record.
 func (e *Encoder) AppendSnapshotHeader(dst []byte, st *StoreState) []byte {
 	e.defined = make(map[uint64]uint64, st.sampleCap()/64+1)
-	dst = append(dst, PayloadFormat, kindSampleSnapshotHeader)
+	dst = append(dst, PayloadFormat, kindSnapshotHeader)
 	dst = binary.AppendVarint(dst, int64(st.NextID))
 	dst = binary.AppendUvarint(dst, uint64(len(st.Records)))
 	dst = binary.AppendUvarint(dst, uint64(len(st.Shapes)))
@@ -249,63 +221,48 @@ func (e *Encoder) AppendSnapshotHeader(dst []byte, st *StoreState) []byte {
 	return binary.AppendUvarint(dst, st.NextSample)
 }
 
-// DecodeSnapshotHeader parses a header payload, this build's or an older
-// one's. A JSON-era snapshot's first payload fails with ErrPreBinaryPayload,
-// and a high-water mark outside [0, MaxQueryID] fails too, as does a shape
-// counter that could not number the shapes announced.
+// DecodeSnapshotHeader parses a header payload. A JSON-era snapshot's first
+// payload fails with ErrPreBinaryPayload and an older build's header with
+// ErrOlderFormat; a high-water mark outside [0, MaxQueryID] fails too, as
+// does a shape counter that could not number the shapes announced.
 func DecodeSnapshotHeader(p []byte) (SnapshotHeader, error) {
-	kind, err := checkFormat(p)
-	if err == nil && kind != kindSnapshotHeader && kind != kindShapeSnapshotHeader && kind != kindSampleSnapshotHeader {
+	kind, err := checkFormat(p, false)
+	if err == nil && kind != kindSnapshotHeader {
 		err = fmt.Errorf("payload kind %#x is not a snapshot header", kind)
 	}
 	if err != nil {
 		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	r := wire.NewReader(p[2:])
-	count := func() int {
-		v := r.Uvarint()
-		if v > math.MaxInt32 {
-			r.Fail(fmt.Errorf("count %d out of range", v))
-		}
-		return int(v)
+	h := SnapshotHeader{NextID: QueryID(r.Varint()), Records: headerCount(&r), Shapes: headerCount(&r)}
+	h.NextShape, h.NextSample = r.Uvarint(), r.Uvarint()
+	return h, h.check(&r)
+}
+
+// headerCount reads one of a header's counts.
+func headerCount(r *wire.Reader) int {
+	v := r.Uvarint()
+	if v > math.MaxInt32 {
+		r.Fail(fmt.Errorf("count %d out of range", v))
 	}
-	h := SnapshotHeader{NextID: QueryID(r.Varint()), Records: count()}
-	switch kind {
-	case kindSampleSnapshotHeader:
-		h.Numbered, h.Shapes, h.NextShape, h.NextSample = true, count(), r.Uvarint(), r.Uvarint()
-	case kindShapeSnapshotHeader:
-		h.Numbered, h.Shapes, h.NextShape = true, count(), r.Uvarint()
-	default:
-		h.Edges, h.Checkpoints = count(), count()
-	}
+	return int(v)
+}
+
+// check ends the reading of a header's payload r and checks what it read.
+func (h SnapshotHeader) check(r *wire.Reader) error {
 	if err := r.Finish(); err != nil {
-		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: %w", err)
+		return fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	if h.NextID < 0 || h.NextID > MaxQueryID {
-		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: high-water mark %d is outside [0, %d]", h.NextID, MaxQueryID)
+		return fmt.Errorf("storage: snapshot header: high-water mark %d is outside [0, %d]", h.NextID, MaxQueryID)
 	}
 	if h.NextShape > maxNumber || h.Shapes > 0 && uint64(h.Shapes) >= h.NextShape {
-		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: shape counter %d cannot number %d shapes", h.NextShape, h.Shapes)
+		return fmt.Errorf("storage: snapshot header: shape counter %d cannot number %d shapes", h.NextShape, h.Shapes)
 	}
 	if h.NextSample > maxNumber {
-		return SnapshotHeader{}, fmt.Errorf("storage: snapshot header: sample counter %d out of range", h.NextSample)
-	}
-	return h, nil
-}
-
-func expectKind(p []byte, want byte) error {
-	kind, err := checkFormat(p)
-	if err != nil {
-		return err
-	}
-	if kind != want {
-		return fmt.Errorf("payload kind %#x, want %#x", kind, want)
+		return fmt.Errorf("storage: snapshot header: sample counter %d out of range", h.NextSample)
 	}
 	return nil
-}
-
-func beginChunk(dst []byte, kind byte) []byte {
-	return append(dst, PayloadFormat, kind, 0, 0, 0, 0)
 }
 
 // appendChunk appends one chunk payload of the given kind holding a prefix
@@ -358,9 +315,14 @@ func (e *Encoder) AppendRecordChunk(dst []byte, recs []*QueryRecord, limit int) 
 }
 
 // ChunkCount reports what a chunk payload holds without decoding it: its
-// kind and its element count.
-func ChunkCount(p []byte) (ChunkKind, int, error) {
-	kind, err := checkFormat(p)
+// kind and its element count. An older build's chunk fails with
+// ErrOlderFormat.
+func ChunkCount(p []byte) (ChunkKind, int, error) { return chunkCount(p, false) }
+
+// chunkCount is ChunkCount, of an older build's record chunk too when older
+// is set.
+func chunkCount(p []byte, older bool) (ChunkKind, int, error) {
+	kind, err := checkFormat(p, older)
 	if err != nil {
 		return 0, 0, fmt.Errorf("storage: snapshot chunk: %w", err)
 	}
@@ -381,9 +343,10 @@ func ChunkCount(p []byte) (ChunkKind, int, error) {
 // eachElement walks the length-prefixed elements of a chunk of the wanted
 // kind, handing each to fn with a decoder over its bytes and an empty string
 // table (one decoder serves the chunk); fn's decoder must end at the
-// element's last byte.
+// element's last byte. An older build's chunk is read only where one is
+// wanted.
 func eachElement(p []byte, want ChunkKind, fn func(i int, d *decoder) error) error {
-	kind, n, err := ChunkCount(p)
+	kind, n, err := chunkCount(p, want == ChunkParentRecords)
 	if err != nil {
 		return err
 	}
@@ -438,46 +401,44 @@ func DecodeShapeChunk(p []byte, st *StoreState) error {
 	return nil
 }
 
-// DecodeRecordChunk decodes a record chunk into st.Records: this build's,
-// whose records refer to st's shapes by number, or an older build's, whose
-// records carry their shapes. A reference to a shape st does not hold fails
-// the chunk, naming the number, as does a record whose ID is outside
-// [1, MaxQueryID]. So does a sample reference to a number no earlier record
-// defined, and a sample definition whose number one already has or that is
-// not below st.NextSample. The records share no memory with p. On error st
-// is left unchanged.
+// DecodeRecordChunk decodes a record chunk into st.Records, each record
+// referring to one of st's shapes by number. A reference to a shape st does
+// not hold fails the chunk, naming the number, as does a record whose ID is
+// outside [1, MaxQueryID]. So does a sample reference to a number no earlier
+// record defined, and a sample definition whose number one already has or
+// that is not below st.NextSample. An older build's record chunk fails with
+// ErrOlderFormat. The records share no memory with p. On error st is left
+// unchanged.
 func DecodeRecordChunk(p []byte, st *StoreState) error {
-	kind, _, err := ChunkCount(p)
-	if err != nil {
-		return err
-	}
-	if kind != ChunkParentRecords {
-		kind = ChunkRecords
-	}
+	return decodeRecords(p, st, ChunkRecords, func(d *decoder) (*QueryRecord, error) {
+		num := d.shapeNumber()
+		if d.r.Err() != nil {
+			return nil, nil
+		}
+		i, ok := st.shapeIndex(num)
+		if !ok {
+			return nil, fmt.Errorf("%w: a record refers to shape %d, which the snapshot does not hold", ErrUnknownShape, num)
+		}
+		rec := &QueryRecord{QueryShape: st.Shapes[i]}
+		d.instance(rec)
+		return rec, nil
+	})
+}
+
+// decodeRecords decodes a record chunk of the given kind into st.Records,
+// each record read by record (nil when the reader failed), with the checks
+// DecodeRecordChunk makes of every record.
+func decodeRecords(p []byte, st *StoreState, kind ChunkKind, record func(d *decoder) (*QueryRecord, error)) error {
 	if st.samples == nil {
 		// A header can claim any counter; let a false one cost nothing.
 		st.samples = make(map[uint64]*OutputSample, min(st.NextSample, 1<<16))
 	}
 	var defined []uint64 // by this chunk, dropped again if it fails
 	out := st.Records
-	err = eachElement(p, kind, func(_ int, d *decoder) error {
-		var rec *QueryRecord
-		if kind == ChunkParentRecords {
-			rec = d.parentRecord()
-		} else {
-			num := d.shapeNumber()
-			if d.r.Err() != nil {
-				return nil
-			}
-			i, ok := st.shapeIndex(num)
-			if !ok {
-				return fmt.Errorf("%w: a record refers to shape %d, which the snapshot does not hold", ErrUnknownShape, num)
-			}
-			rec = &QueryRecord{QueryShape: st.Shapes[i]}
-			d.instance(rec)
-		}
-		if d.r.Err() != nil {
-			return nil
+	err := eachElement(p, kind, func(_ int, d *decoder) error {
+		rec, err := record(d)
+		if err != nil || rec == nil || d.r.Err() != nil {
+			return err
 		}
 		if !validID(rec.ID) {
 			return fmt.Errorf("query ID %d is outside [1, %d]", rec.ID, MaxQueryID)
@@ -524,59 +485,4 @@ func (st *StoreState) CheckShapesUsed() error {
 	}
 	i := slices.Index(used, false)
 	return fmt.Errorf("storage: snapshot: shape %d has no record", st.Shapes[i].seq)
-}
-
-// SkipEdgeChunk checks an older snapshot's edge chunk — every edge well
-// formed, nothing after the last — and drops its edges.
-func SkipEdgeChunk(p []byte) error {
-	kind, n, err := ChunkCount(p)
-	if err != nil {
-		return err
-	}
-	if kind != ChunkEdges {
-		return errors.New("storage: snapshot chunk: not an edge chunk")
-	}
-	r := wire.NewReader(p[chunkHeaderBytes:])
-	for i := 0; i < n; i++ {
-		skipEdge(&r)
-	}
-	if err := r.Finish(); err != nil {
-		return fmt.Errorf("storage: snapshot edge chunk: %w", err)
-	}
-	return nil
-}
-
-// CheckpointPart is the header of one frame's worth of an older snapshot's
-// checkpoint section: the subscriber it belonged to, its format version and
-// how many more parts of the section follow (0 on the last, or only, part).
-// The section's data, the rest of the payload, is never read.
-type CheckpointPart struct {
-	Name    string
-	Version int
-	Left    int
-}
-
-// DecodeCheckpointPart parses the header of one part of an older snapshot's
-// checkpoint section.
-func DecodeCheckpointPart(p []byte) (CheckpointPart, error) {
-	if err := expectKind(p, kindCheckpoint); err != nil {
-		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section: %w", err)
-	}
-	rest := p[2:]
-	nameLen, w := binary.Uvarint(rest)
-	if w <= 0 || nameLen > uint64(len(rest)-w) {
-		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section: bad name length")
-	}
-	name := string(rest[w : w+int(nameLen)])
-	rest = rest[w+int(nameLen):]
-	version, w := binary.Uvarint(rest)
-	if w <= 0 || version > math.MaxInt32 {
-		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section %q: bad version", name)
-	}
-	rest = rest[w:]
-	more, w := binary.Uvarint(rest)
-	if w <= 0 || more > math.MaxInt32 {
-		return CheckpointPart{}, fmt.Errorf("storage: checkpoint section %q: bad part count", name)
-	}
-	return CheckpointPart{Name: name, Version: int(version), Left: int(more)}, nil
 }

@@ -262,26 +262,18 @@ func TestDelete(t *testing.T) {
 // TestSessionsAndEdges: sessions and their edges live in the session
 // detector, not the store, and quality is computed from the record on read.
 // An older build's session assignment, edge or stored quality score, replayed
-// from its log, changes nothing and reaches no subscriber, whether or not the
-// queries it names exist.
+// from its log by the upgrade, changes nothing and reaches no subscriber,
+// whether or not the queries it names exist.
 func TestSessionsAndEdges(t *testing.T) {
 	s, ids := newTestStore(t)
 	seen := 0
 	s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
 	before := s.State()
-	var replayed []*Mutation
-	for _, payload := range []string{parentAssignSession, parentAddEdge, parentSetQuality} {
-		m, err := DecodeMutation([]byte(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed = append(replayed, m)
-	}
-	replayed = append(replayed, &Mutation{Op: OpSessionAssignment, ID: ids[0]}, &Mutation{Op: OpSessionEdge, ID: ids[1]},
-		&Mutation{Op: OpSetQuality, ID: ids[2]})
-	for _, m := range replayed {
-		if err := s.Apply(m); err != nil {
-			t.Errorf("replaying %s %d: %v", m.Op, m.ID, err)
+	replayed := [][]byte{[]byte(parentAssignSession), []byte(parentAddEdge), []byte(parentSetQuality),
+		olderOp(codeAssignSession, ids[0]), olderOp(codeAddEdge, ids[1]), olderOp(codeSetQuality, ids[2])}
+	for _, p := range replayed {
+		if err := applyOlder(s, p); err != nil {
+			t.Errorf("replaying op %d: %v", p[1], err)
 		}
 	}
 	if seen != 0 {

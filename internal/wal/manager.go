@@ -141,8 +141,10 @@ type Manager struct {
 // observed is durably recoverable; replayed mutations bypass the slot (the
 // log must not be re-appended to itself) while derived-state subscribers do
 // observe them and rebuild incrementally during this call. The store must be
-// empty of queries: recovery replaces its contents.
-func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
+// empty of queries: recovery replaces its contents. A directory an older
+// build wrote is recovered as it stands, then upgraded to this build's
+// format before Open returns (upgrade.go).
+func Open(store *storage.Store, cfg Config) (_ *Manager, _ *RecoveryInfo, err error) {
 	recoveryStart := time.Now()
 	policy, err := ParseSyncPolicy(cfg.SyncPolicy)
 	if err != nil {
@@ -158,20 +160,24 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			log.Close()
+		}
+	}()
 	info := &RecoveryInfo{TornTail: log.Truncated(), PayloadFormat: storage.PayloadFormat}
 
-	snap, err := LatestSnapshot(cfg.Dir)
+	snap, err := recoverSnapshot(cfg.Dir)
 	if err != nil {
-		log.Close()
 		return nil, nil, err
 	}
 	var snapSeq uint64
+	older := snap != nil && snap.older
 	snapInfos := make(map[uint64]SnapshotInfo)
 	if snap != nil {
 		// Only now, with the stream read and checked to its last chunk, does
 		// anything reach the store.
 		if err := store.RestoreState(snap.State); err != nil {
-			log.Close()
 			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snap.Info.Name, err)
 		}
 		snapSeq = snap.Seq
@@ -179,13 +185,11 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		snapInfos[snap.Seq] = snap.Info
 	}
 	err = log.Replay(snapSeq, func(seq uint64, payload []byte) error {
-		m, err := storage.DecodeMutation(payload)
+		wasOlder, err := store.ApplyPayload(payload)
 		if err != nil {
-			return fmt.Errorf("record %d: %w", seq, err)
+			return fmt.Errorf("replaying record %d: %w", seq, err)
 		}
-		if err := store.Apply(m); err != nil {
-			return fmt.Errorf("replaying record %d (%s): %w", seq, m.Op, err)
-		}
+		older = older || wasOlder
 		info.Replayed++
 		return nil
 	})
@@ -197,7 +201,6 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		err = fmt.Errorf("wal: the newest readable snapshot covers only sequence %d: snapshot missing or corrupt: %w", snapSeq, err)
 	}
 	if err != nil {
-		log.Close()
 		return nil, nil, err
 	}
 	info.Queries = store.Count()
@@ -208,6 +211,9 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	m := &Manager{store: store, log: log, cfg: cfg, snapInfos: snapInfos}
 	m.lastSeq.Store(log.LastSeq())
 	m.snapshotSeq.Store(snapSeq)
+	if err := m.upgrade(older); err != nil {
+		return nil, nil, err
+	}
 	info.Duration = time.Since(recoveryStart)
 	m.enableMetrics(cfg.Metrics, info, info.Duration)
 	store.SetMutationHook(m.appendMutation)

@@ -21,21 +21,15 @@ import (
 //	              number and defining its sample at the sample's first
 //	              record, until the header's record count is reached
 //
-// An older build's snapshot has another header, record chunks whose records
-// carry their shapes, then session edge chunks and checkpoint sections, each
-// section cut into one or more parts. Its edge chunks are checked and
-// dropped, and its sections are checked part by part and skipped; every
-// derived-state subscriber rebuilds from the records. FORMAT.md specifies
-// the bytes.
+// and nothing after. FORMAT.md specifies the bytes; an older build's snapshot
+// is read only by the upgrade at open (upgrade.go).
 //
 // The payloads are storage's (storage/snapshot.go); this file frames them.
 // Writing and reading both go chunk by chunk, so neither ever holds an
 // encoded copy of the store. Snapshots are written to a temporary file and
 // renamed into place, so a crash mid-snapshot leaves the previous one intact.
-// Because every frame is CRC-checked on its own, damage in an older file's
-// section tail costs nothing recovery needs, while damage anywhere before it
-// makes the snapshot unreadable and recovery falls back to the next older
-// one.
+// Every frame is CRC-checked on its own: damage anywhere makes the snapshot
+// unreadable, and recovery falls back to the next older one.
 
 // snapshotChunkBytes is the payload size at which the writer closes a chunk.
 // A chunk overshoots it by at most one record.
@@ -47,8 +41,8 @@ type SnapshotInfo struct {
 	Seq     uint64
 	Bytes   int64
 	Records int
-	// Frames counts every frame in the file: header, chunks and, in an older
-	// snapshot, section parts.
+	// Frames counts every frame in the file: header and chunks (and, in an
+	// older build's snapshot, edge chunks and section parts).
 	Frames int
 	// Error is set instead of the counts when the file does not read back.
 	Error string
@@ -60,6 +54,8 @@ type Snapshot struct {
 	Seq   uint64
 	State *storage.StoreState
 	Info  SnapshotInfo
+	// older is set on a snapshot an older build wrote (upgrade.go).
+	older bool
 }
 
 func snapshotName(seq uint64) string {
@@ -150,142 +146,127 @@ func syncDir(dir string) {
 	}
 }
 
-// readSnapshotStream walks one snapshot stream to its last frame. With
-// decode it stages the records; without, it only checks frame
-// lengths, CRCs, sequences and the chunk counts against the header. An older
-// snapshot's checkpoint sections are checked and skipped either way. strict
-// is for a stream that must be whole (a network transfer, or a file about to
-// justify deleting log segments): every announced section must be there and
-// nothing may follow. Without strict a damaged section tail is dropped
-// instead — see the file comment.
-func readSnapshotStream(r io.Reader, decode, strict bool) (*Snapshot, error) {
+// snapshotStream reads the frames of one snapshot stream: the header's, then
+// the rest, each of which must carry the header's sequence.
+type snapshotStream struct {
+	fr   *frameReader
+	snap *Snapshot
+}
+
+// openSnapshotStream reads the header frame and returns its payload.
+func openSnapshotStream(r io.Reader) (*snapshotStream, []byte, error) {
 	fr := newFrameReader(r)
 	seq, p, frameLen, err := fr.next()
 	if err != nil {
-		return nil, fmt.Errorf("header frame: %w", err)
+		return nil, nil, fmt.Errorf("header frame: %w", err)
 	}
-	h, err := storage.DecodeSnapshotHeader(p)
+	return &snapshotStream{fr: fr, snap: &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Frames: 1, Bytes: frameLen}}}, p, nil
+}
+
+// next reads the next frame's payload; it returns io.EOF at a clean end.
+func (s *snapshotStream) next() ([]byte, error) {
+	seq, p, frameLen, err := s.fr.next()
 	if err != nil {
-		if errors.Is(err, storage.ErrPreBinaryPayload) {
-			err = fmt.Errorf("sequence %d: %w", seq, err)
-		}
 		return nil, err
 	}
-	snap := &Snapshot{Seq: seq, Info: SnapshotInfo{Seq: seq, Records: h.Records, Frames: 1, Bytes: frameLen}}
+	if seq != s.snap.Seq {
+		return nil, fmt.Errorf("frame %d carries sequence %d, the snapshot's is %d", s.snap.Info.Frames, seq, s.snap.Seq)
+	}
+	s.snap.Info.Frames++
+	s.snap.Info.Bytes += frameLen
+	return p, nil
+}
+
+// stage returns the state the header h announces, to be filled by its
+// chunks: the snapshot's State when decode is set.
+func (s *snapshotStream) stage(h storage.SnapshotHeader, decode bool) *storage.StoreState {
+	s.snap.Info.Records = h.Records
 	st := &storage.StoreState{NextID: h.NextID, NextShape: h.NextShape, NextSample: h.NextSample}
 	if decode {
 		// A header can claim any count; let a false one cost nothing up front.
 		st.Records = make([]*storage.QueryRecord, 0, min(h.Records, 1<<16))
 		st.Shapes = make([]*storage.QueryShape, 0, min(h.Shapes, 1<<16))
-		snap.State = st
+		s.snap.State = st
 	}
-	next := func() ([]byte, error) {
-		fseq, p, frameLen, err := fr.next()
+	return st
+}
+
+// chunks reads the shape chunks, then the record chunks of the given kind,
+// that h announces, each chunk's kind and count read with count: each kind
+// may not run past its count, and no record chunk may come before the last
+// shape chunk. With decode it stages them in st, the record chunks decoded
+// by decode; without, it only checks frame lengths, CRCs, sequences and the
+// chunk counts.
+func (s *snapshotStream) chunks(h storage.SnapshotHeader, st *storage.StoreState, count func([]byte) (storage.ChunkKind, int, error), records storage.ChunkKind, decode func([]byte, *storage.StoreState) error) error {
+	for shapes, recs := 0, 0; shapes < h.Shapes || recs < h.Records; {
+		p, err := s.next()
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("after %d of %d shapes and %d of %d records: %w", shapes, h.Shapes, recs, h.Records, err)
 		}
-		if fseq != seq {
-			return nil, fmt.Errorf("frame %d carries sequence %d, the snapshot's is %d", snap.Info.Frames, fseq, seq)
-		}
-		snap.Info.Frames++
-		snap.Info.Bytes += frameLen
-		return p, nil
-	}
-	// The chunks come in the order of the header's counts: shapes, records,
-	// then (in an older build's snapshot) edges. Each kind must be the one
-	// the header's format has, and may not run past its count or start
-	// before the kind ahead of it is complete.
-	records := storage.ChunkRecords
-	if !h.Numbered {
-		records = storage.ChunkParentRecords
-	}
-	for shapes, recs, edges := 0, 0, 0; shapes < h.Shapes || recs < h.Records || edges < h.Edges; {
-		p, err := next()
+		kind, n, err := count(p)
 		if err != nil {
-			return nil, fmt.Errorf("after %d of %d shapes, %d of %d records and %d of %d edges: %w", shapes, h.Shapes, recs, h.Records, edges, h.Edges, err)
-		}
-		kind, n, err := storage.ChunkCount(p)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case n == 0:
-			return nil, errors.New("empty chunk")
-		case kind == storage.ChunkShapes && h.Numbered && shapes+n <= h.Shapes:
+			return errors.New("empty chunk")
+		case kind == storage.ChunkShapes && shapes+n <= h.Shapes:
 			shapes += n
-			if decode {
+			if decode != nil {
 				err = storage.DecodeShapeChunk(p, st)
 			}
 		case kind == records && shapes == h.Shapes && recs+n <= h.Records:
 			recs += n
-			if decode {
-				err = storage.DecodeRecordChunk(p, st)
-			}
-		case kind == storage.ChunkEdges && recs == h.Records && edges+n <= h.Edges:
-			edges += n
-			if decode {
-				err = storage.SkipEdgeChunk(p)
+			if decode != nil {
+				err = decode(p, st)
 			}
 		default:
-			return nil, fmt.Errorf("a chunk of kind %d holding %d after %d of %d shapes, %d of %d records and %d of %d edges", kind, n, shapes, h.Shapes, recs, h.Records, edges, h.Edges)
+			return fmt.Errorf("a chunk of kind %d holding %d after %d of %d shapes and %d of %d records", kind, n, shapes, h.Shapes, recs, h.Records)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if decode {
-		if err := st.CheckShapesUsed(); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < h.Checkpoints; i++ {
-		if err := skipSection(next); err != nil {
-			if strict {
-				return nil, fmt.Errorf("checkpoint section %d of %d: %w", i, h.Checkpoints, err)
-			}
-			return snap, nil
-		}
-	}
-	if strict {
-		if _, _, _, err := fr.next(); err != io.EOF {
-			return nil, errors.New("frames after the last announced section")
-		}
-	}
-	return snap, nil
+	return st.CheckShapesUsed() // nothing to check unless decoded
 }
 
-// skipSection reads the parts of one of an older snapshot's checkpoint
-// sections and drops them. Every part must name the same subscriber and
-// version and count down to zero, so a part of another section — or a
-// missing one — fails the section instead of being spliced into it.
-func skipSection(next func() ([]byte, error)) error {
-	part := func() (storage.CheckpointPart, error) {
-		p, err := next()
-		if err != nil {
-			return storage.CheckpointPart{}, err
-		}
-		return storage.DecodeCheckpointPart(p)
+// readSnapshotStream walks one snapshot stream to its last frame, refusing
+// anything after it. With decode (storage.DecodeRecordChunk) it stages the
+// records; without, it only checks the frames and the chunk counts against
+// the header. An older build's snapshot fails with storage.ErrOlderFormat.
+func readSnapshotStream(r io.Reader, decode func([]byte, *storage.StoreState) error) (*Snapshot, error) {
+	s, p, err := openSnapshotStream(r)
+	if err != nil {
+		return nil, err
 	}
-	first, err := part()
-	for left := first.Left; err == nil && left > 0; left-- {
-		var p storage.CheckpointPart
-		if p, err = part(); err == nil && (p.Name != first.Name || p.Version != first.Version || p.Left != left-1) {
-			err = fmt.Errorf("part of %q v%d with %d left inside %q v%d with %d left",
-				p.Name, p.Version, p.Left, first.Name, first.Version, left-1)
-		}
+	h, err := storage.DecodeSnapshotHeader(p)
+	if err != nil {
+		return nil, fmt.Errorf("sequence %d: %w", s.snap.Seq, err)
 	}
-	return err
+	if err := s.chunks(h, s.stage(h, decode != nil), storage.ChunkCount, storage.ChunkRecords, decode); err != nil {
+		return nil, err
+	}
+	if _, err := s.next(); err != io.EOF {
+		return nil, errors.New("frames after the last chunk")
+	}
+	return s.snap, nil
 }
 
-// readSnapshotFile reads one snapshot file the way recovery does: decoded,
-// tolerant of a damaged section tail.
-func readSnapshotFile(path string) (*Snapshot, error) {
+func decodeSnapshot(r io.Reader) (*Snapshot, error) {
+	return readSnapshotStream(r, storage.DecodeRecordChunk)
+}
+
+func walkSnapshot(r io.Reader) (*Snapshot, error) { return readSnapshotStream(r, nil) }
+
+// readSnapshotFile reads one snapshot file with read, naming the file in an
+// error.
+func readSnapshotFile(path string, read func(io.Reader) (*Snapshot, error)) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	snap, err := readSnapshotStream(f, true, false)
+	snap, err := read(f)
 	if err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
@@ -294,32 +275,27 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 }
 
 // VerifySnapshot walks a snapshot file without decoding it — frame lengths,
-// CRCs, sequences, chunk counts against the header, every section an older
-// build announced present, nothing after — and reports what it holds.
+// CRCs, sequences, chunk counts against the header, nothing after — and
+// reports what it holds.
 func VerifySnapshot(path string) (SnapshotInfo, error) {
-	f, err := os.Open(path)
+	snap, err := readSnapshotFile(path, walkSnapshot)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	defer f.Close()
-	return verifySnapshot(f, filepath.Base(path))
-}
-
-func verifySnapshot(r io.Reader, name string) (SnapshotInfo, error) {
-	snap, err := readSnapshotStream(r, false, true)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("wal: snapshot %s: %w", name, err)
-	}
-	snap.Info.Name = name
 	return snap.Info, nil
 }
 
 // LatestSnapshot loads the newest readable snapshot in dir; it returns nil
 // when there is none. A snapshot that does not read back is skipped in
-// favour of the next older one, except a JSON-era snapshot, which is an
-// error naming the file: no older snapshot or log tail next to it could be
-// read either.
+// favour of the next older one, except a JSON-era snapshot and an older
+// build's, each an error naming the file (Open upgrades a directory that
+// holds an older build's snapshot).
 func LatestSnapshot(dir string) (*Snapshot, error) {
+	return latestSnapshot(dir, func(path string) (*Snapshot, error) { return readSnapshotFile(path, decodeSnapshot) })
+}
+
+// latestSnapshot is LatestSnapshot, each file read with read.
+func latestSnapshot(dir string, read func(path string) (*Snapshot, error)) (*Snapshot, error) {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -328,11 +304,11 @@ func LatestSnapshot(dir string) (*Snapshot, error) {
 		return nil, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		snap, err := readSnapshotFile(filepath.Join(dir, snaps[i].Name))
+		snap, err := read(filepath.Join(dir, snaps[i].Name))
 		if err == nil {
 			return snap, nil
 		}
-		if errors.Is(err, storage.ErrPreBinaryPayload) {
+		if errors.Is(err, storage.ErrPreBinaryPayload) || errors.Is(err, storage.ErrOlderFormat) {
 			return nil, err
 		}
 	}

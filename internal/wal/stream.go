@@ -59,30 +59,23 @@ func (l *Log) ReadTail(after uint64, maxBytes int64, w io.Writer) (last uint64, 
 // over the network there is no torn-tail tolerance, a damaged stream must be
 // refetched.
 func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
-	fr := newFrameReader(r)
-	for {
-		seq, payload, _, err := fr.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("wal: replication stream: %w", err)
-		}
-		if err := fn(seq, payload); err != nil {
-			return err
-		}
+	_, err := readFrames(r, fn)
+	if errors.Is(err, errTorn) {
+		return fmt.Errorf("wal: replication stream: %w", err)
 	}
+	return err
 }
 
 // ReadSnapshot reads a streamed snapshot (the bytes of a snapshot file) chunk
-// by chunk and returns it staged. Unlike the on-disk reader it is strict: a
-// torn or foreign frame anywhere, a count that disagrees with the header or a
-// missing section is an error, because a network transfer that
-// tears mid-body must be retried, not partially applied — and since nothing
-// is installed until the caller acts on the result, a failed transfer leaves
-// the follower's store untouched.
+// by chunk and returns it staged. A torn or foreign frame anywhere or a count
+// that disagrees with the header is an error, because a network transfer
+// that tears mid-body must be retried, not partially applied — and since
+// nothing is installed until the caller acts on the result, a failed
+// transfer leaves the follower's store untouched. An older build's snapshot
+// fails with storage.ErrOlderFormat: its primary upgrades its directory when
+// it opens it, and the follower bootstraps again from that primary.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	snap, err := readSnapshotStream(r, true, true)
+	snap, err := decodeSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("wal: replication snapshot: %w", err)
 	}
@@ -113,32 +106,27 @@ func (m *Manager) OpenLatestSnapshot() (io.ReadCloser, uint64, bool, error) {
 // caller can announce the sequence before sending the body. ok is false when
 // no snapshot exists yet (the follower then replays the whole log from
 // sequence 0). A snapshot that fails verification is skipped in favour of
-// the next older one; the returned handle stays readable even if compaction
-// unlinks the file mid-transfer.
-func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, false, nil
+// the next older one, except as LatestSnapshot refuses one; the returned
+// handle stays readable even if compaction unlinks the file mid-transfer.
+func OpenLatestSnapshot(dir string) (io.ReadCloser, uint64, bool, error) {
+	var f *os.File
+	snap, err := latestSnapshot(dir, func(path string) (snap *Snapshot, err error) {
+		if f, err = os.Open(path); err != nil {
+			return nil, err // compacted away between listing and open
 		}
-		return nil, 0, false, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		f, err := os.Open(filepath.Join(dir, snaps[i].Name))
-		if err != nil {
-			continue // compacted away between listing and open
-		}
-		info, err := verifySnapshot(f, snaps[i].Name)
-		if err == nil {
+		if snap, err = walkSnapshot(f); err == nil {
 			_, err = f.Seek(0, io.SeekStart)
 		}
 		if err != nil {
 			f.Close()
-			continue // corrupt snapshot: fall back to an older one
+			return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 		}
-		// The body's sequence, not the name's: it is what the follower
-		// checks the announced sequence against.
-		return f, info.Seq, true, nil
+		return snap, nil
+	})
+	if snap == nil {
+		return nil, 0, false, err
 	}
-	return nil, 0, false, nil
+	// The body's sequence, not the name's: it is what the follower checks
+	// the announced sequence against.
+	return f, snap.Seq, true, nil
 }

@@ -24,12 +24,13 @@
 // # Reading the log
 //
 // The directory is read one way. listSeqFiles is the only listing, of
-// segments and snapshots alike. readSegment is the only walk over a
-// segment's frames: OpenLog cuts a torn tail at the length of the valid
-// frames it returns. Log.Replay is the only walk over the segments from a
-// cursor, and the one check that compaction has not removed the records
-// just past it: recovery replays the tail past its snapshot with it, and
-// ReadTail serves the replication stream with it.
+// segments and snapshots alike. readFrames is the only walk over a log's
+// frames, a segment's (readSegment: OpenLog cuts a torn tail at the length
+// of the valid frames it returns) and a replication stream's (ReadFrames).
+// Log.Replay is the only walk over the segments from a cursor, and the one
+// check that compaction has not removed the records just past it: recovery
+// replays the tail past its snapshot with it, and ReadTail serves the
+// replication stream with it.
 //
 // # Group commit
 //
@@ -707,9 +708,6 @@ func (l *Log) Truncated() bool {
 	return l.truncated
 }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Segments lists the on-disk segments in sequence order, after flushing any
 // pending appends so the listing covers every acknowledged record.
 func (l *Log) Segments() ([]SegmentInfo, error) {
@@ -816,10 +814,6 @@ func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
 	return dst
 }
 
-func encodeFrame(seq uint64, payload []byte) []byte {
-	return appendFrame(make([]byte, 0, headerBytes+len(payload)), seq, payload)
-}
-
 // frameReader reads CRC frames from a stream into one reused payload buffer.
 type frameReader struct {
 	r      *bufio.Reader
@@ -875,7 +869,13 @@ func readSegment(path string, fn func(seq uint64, payload []byte) error) (validB
 		return 0, fmt.Errorf("wal: reading segment: %w", err)
 	}
 	defer f.Close()
-	fr := newFrameReader(f)
+	return readFrames(f, fn)
+}
+
+// readFrames is the one frame walk: it hands every valid frame of r to fn
+// and returns their byte length, with errTorn at a partial or corrupt frame.
+func readFrames(r io.Reader, fn func(seq uint64, payload []byte) error) (validBytes int64, err error) {
+	fr := newFrameReader(r)
 	for {
 		seq, payload, frameLen, err := fr.next()
 		if err == io.EOF {

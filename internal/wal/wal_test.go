@@ -329,3 +329,8 @@ func TestSyncPolicies(t *testing.T) {
 		l2.Close()
 	}
 }
+
+// encodeFrame frames one payload on its own.
+func encodeFrame(seq uint64, payload []byte) []byte {
+	return appendFrame(make([]byte, 0, headerBytes+len(payload)), seq, payload)
+}
