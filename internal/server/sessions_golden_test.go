@@ -23,11 +23,10 @@ import (
 	"repro/internal/workload"
 )
 
-// sessionBodies serves a fixed in-order history — every record at or behind
+// fixtureLog submits a fixed in-order history — every record at or behind
 // nothing but its own user's tail, which is all the predecessor's fast path
-// handled without reissuing IDs — and returns the raw bodies of the session
-// listing, page by page, for three principals, and of every session graph.
-func sessionBodies(t *testing.T) string {
+// handled without reissuing IDs — and runs one mining pass over it.
+func fixtureLog(t *testing.T) *core.CQMS {
 	t.Helper()
 	eng := engine.New()
 	if err := workload.Populate(eng, 200, 1); err != nil {
@@ -60,6 +59,14 @@ func sessionBodies(t *testing.T) string {
 		}
 	}
 	cqms.RunMiner()
+	return cqms
+}
+
+// sessionBodies serves fixtureLog and returns the raw bodies of the session
+// listing, page by page, for three principals, and of every session graph.
+func sessionBodies(t *testing.T) string {
+	t.Helper()
+	cqms := fixtureLog(t)
 	ts := httptest.NewServer(server.New(cqms).Handler())
 	defer ts.Close()
 
