@@ -74,7 +74,8 @@ func equivRecord(t *testing.T, rng *rand.Rand, step int) *storage.QueryRecord {
 	rec.Group = []string{"limnology", "", "hydrology"}[rng.Intn(3)]
 	rec.Visibility = storage.Visibility(rng.Intn(3))
 	switch rng.Intn(4) {
-	case 0: // zero: the store stamps its clock
+	case 0:
+		rec.IssuedAt = equivClock(step)
 	case 1:
 		rec.IssuedAt = time.Unix(1700000000+int64(step)*90, int64(rng.Intn(1e9))).In(time.FixedZone("", 5*3600+1800))
 	case 2:
@@ -124,16 +125,17 @@ func mustPutBatch(t testing.TB, s *storage.Store, recs []*storage.QueryRecord) [
 	return ids
 }
 
+// equivClock is the time a history step stamps on what it writes when its
+// draw picks no other.
+func equivClock(step int) time.Time {
+	return time.Unix(1700000000, 0).UTC().Add(time.Duration(step) * 61 * time.Second)
+}
+
 // runEquivHistory applies the seeded history to a store. midpoint runs once,
 // halfway through.
 func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, midpoint func()) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tick := 0
-	store.SetClock(func() time.Time {
-		tick++
-		return time.Unix(1700000000, 0).UTC().Add(time.Duration(tick) * 61 * time.Second)
-	})
 	admin := storage.Principal{Admin: true}
 	var ids []storage.QueryID
 	pick := func() storage.QueryID { return ids[rng.Intn(len(ids))] }
@@ -160,7 +162,7 @@ func runEquivHistory(t *testing.T, store *storage.Store, seed int64, steps int, 
 			}
 			ids = append(ids, mustPutBatch(t, store, batch)...)
 		case 5:
-			ann := storage.Annotation{Text: fmt.Sprintf("note %d — ünï", step), Fragment: []string{"", "temp"}[rng.Intn(2)]}
+			ann := storage.Annotation{Text: fmt.Sprintf("note %d — ünï", step), Fragment: []string{"", "temp"}[rng.Intn(2)], At: equivClock(step)}
 			if rng.Intn(2) == 0 {
 				ann.Author, ann.At = "carol", time.Unix(int64(step), 7).In(time.FixedZone("", 3600))
 			}

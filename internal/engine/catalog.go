@@ -141,20 +141,11 @@ type Catalog struct {
 	version int64
 	// epoch advances with every swap of a table (setTable), under mu.
 	epoch atomic.Uint64
-	now   func() time.Time
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table), now: time.Now}
-}
-
-// SetClock overrides the catalog's time source, used by tests and the
-// workload generator to produce deterministic schema-change timestamps.
-func (c *Catalog) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
+	return &Catalog{tables: make(map[string]*Table)}
 }
 
 // Version returns the current schema version. The version increments on
@@ -263,7 +254,7 @@ func (c *Catalog) setTable(key string, t *Table) {
 func (c *Catalog) recordChange(ch SchemaChange) {
 	c.version++
 	ch.Version = c.version
-	ch.Timestamp = c.now()
+	ch.Timestamp = time.Now()
 	c.changes = append(c.changes, ch)
 }
 

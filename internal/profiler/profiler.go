@@ -110,7 +110,6 @@ type Profiler struct {
 	eng   *engine.Engine
 	store *storage.Store
 	cfg   Config
-	clock func() time.Time
 
 	// parseErrors counts parse failures by outcome ("captured": logged as a
 	// raw record under CaptureParseErrors; "rejected": returned as an
@@ -128,7 +127,7 @@ type Profiler struct {
 
 // New returns a profiler over the given engine and store.
 func New(eng *engine.Engine, store *storage.Store, cfg Config) *Profiler {
-	return &Profiler{eng: eng, store: store, cfg: cfg, clock: time.Now, memo: newMemo()}
+	return &Profiler{eng: eng, store: store, cfg: cfg, memo: newMemo()}
 }
 
 // EnableMetrics registers the profiler's instruments on reg:
@@ -173,9 +172,6 @@ func (p *Profiler) countParseError(captured bool) {
 	}
 }
 
-// SetClock overrides the profiler's time source.
-func (p *Profiler) SetClock(now func() time.Time) { p.clock = now }
-
 // notLogged wraps the store's reason for not logging (or not durably
 // logging) a submission's record.
 func notLogged(err error) error { return fmt.Errorf("profiler: query not logged: %w", err) }
@@ -210,7 +206,7 @@ func (p *Profiler) prepare(sub Submission) (rec *storage.QueryRecord, out *Outco
 	rec.Visibility = sub.Visibility
 	rec.IssuedAt = sub.IssuedAt
 	if rec.IssuedAt.IsZero() {
-		rec.IssuedAt = p.clock()
+		rec.IssuedAt = time.Now()
 	}
 	var (
 		ans    Answer

@@ -293,12 +293,10 @@ func TestSubmitAndBatchAgree(t *testing.T) {
 			cfg.CaptureParseErrors = tc.capture
 			single := New(newTestEngine(t), storage.NewStore(), cfg)
 			batch := New(newTestEngine(t), storage.NewStore(), cfg)
-			single.SetClock(func() time.Time { return at })
-			batch.SetClock(func() time.Time { return at })
 
 			subs := make([]Submission, len(tc.sqls))
 			for i, s := range tc.sqls {
-				subs[i] = Submission{User: "alice", Group: "limnology", Visibility: storage.VisibilityGroup, SQL: s}
+				subs[i] = Submission{User: "alice", Group: "limnology", Visibility: storage.VisibilityGroup, SQL: s, IssuedAt: at}
 			}
 			outs, errs := batch.SubmitBatch(subs)
 			for i, sub := range subs {

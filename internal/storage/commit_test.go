@@ -192,8 +192,9 @@ func TestPutBatchEqualsPuts(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec.User = fmt.Sprintf("user%d", rng.Intn(5))
+			rec.IssuedAt = at
 			if rng.Intn(3) == 0 {
-				rec.IssuedAt = at.Add(time.Duration(i) * time.Second) // the rest take the store's clock
+				rec.IssuedAt = at.Add(time.Duration(i) * time.Second)
 			}
 			if i == oversized {
 				rec.Text = huge
@@ -213,7 +214,6 @@ func TestPutBatchEqualsPuts(t *testing.T) {
 	run := func(chunk int) outcome {
 		var out outcome
 		s := NewStore()
-		s.SetClock(func() time.Time { return at })
 		s.SetMutationHook(func(m *Mutation) error {
 			payload, err := m.Encode()
 			out.payloads = append(out.payloads, payload)

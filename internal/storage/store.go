@@ -69,7 +69,6 @@ type Store struct {
 	hook      func(*Mutation) error
 	subs      []busSubscriber
 	nextSubID int
-	now       func() time.Time // guarded by commitMu
 
 	// durable is the bus's durability-wait slot (SetDurabilityWaiter):
 	// mutating methods call it with walSeq after releasing commitMu, so one
@@ -114,7 +113,7 @@ type Store struct {
 
 // NewStore returns an empty query store.
 func NewStore() *Store {
-	s := &Store{now: time.Now}
+	s := &Store{}
 	s.records.Store(new([]*leaf))
 	s.index.reset()
 	return s
@@ -156,14 +155,6 @@ func (s *Store) storeRecord(rec *QueryRecord) {
 // commit lock.
 func (s *Store) deleteRecord(id QueryID) {
 	slot(*s.records.Load(), id).Store(nil)
-}
-
-// SetClock overrides the store's time source (used by tests and the workload
-// generator).
-func (s *Store) SetClock(now func() time.Time) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.now = now
 }
 
 // SetReadOnly toggles read-only (replica) mode. While set, live mutating
@@ -245,7 +236,7 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 		}
 		rec.ID = QueryID(s.nextID.Load() + 1)
 		if rec.IssuedAt.IsZero() {
-			rec.IssuedAt = s.now()
+			rec.IssuedAt = time.Now()
 		}
 		// New records start valid unless the producer already marked them
 		// invalid (raw-captured parse failures carry their reason in).
@@ -410,7 +401,7 @@ func (s *Store) Annotate(id QueryID, p Principal, ann Annotation) error {
 			return fmt.Errorf("%w: query %d", ErrAccessDenied, id)
 		}
 		if ann.At.IsZero() {
-			ann.At = s.now()
+			ann.At = time.Now()
 		}
 		return nil
 	})
