@@ -385,14 +385,14 @@ func RewriteColumnName(queryText, table, oldCol, newCol string) (string, error) 
 	if !ok {
 		return "", fmt.Errorf("maintenance: only SELECT queries can be repaired")
 	}
-	analysis := sql.Analyze(sel)
+	tables, aliases := sql.TablesOf(sel)
 	aliasesOfTable := map[string]bool{strings.ToLower(table): true}
-	for alias, base := range analysis.Aliases {
+	for alias, base := range aliases {
 		if strings.EqualFold(base, table) {
 			aliasesOfTable[strings.ToLower(alias)] = true
 		}
 	}
-	singleTable := len(analysis.Tables) == 1 && strings.EqualFold(analysis.Tables[0], table)
+	singleTable := len(tables) == 1 && strings.EqualFold(tables[0], table)
 
 	// One walk reaches every expression: the select list, every ON of a join
 	// chain, WHERE, GROUP BY, HAVING, ORDER BY and all of a sub-query's.

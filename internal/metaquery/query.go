@@ -76,7 +76,7 @@ func Partial(partialSQL string) (Query, error) {
 			}
 		}
 		for _, a := range attrs {
-			if !slices.ContainsFunc(rec.Attributes, func(row storage.AttributeRow) bool { return row.Attr == a }) {
+			if !slices.ContainsFunc(rec.Attributes, func(row sql.AttributeRow) bool { return row.Attr == a }) {
 				return "", false
 			}
 		}

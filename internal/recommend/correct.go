@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/sql"
-	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -131,23 +130,20 @@ func (r *Recommender) EmptyResultSuggestions(ctx context.Context, p storage.Prin
 		if pred.IsJoin {
 			continue
 		}
-		original := pred.Column + " " + pred.Op + " " + pred.Value
-		if pred.Table != "" {
-			original = pred.Table + "." + original
-		}
+		original := pred.Text()
 		counts := make(map[string]int)
 		collect := func(rec *storage.QueryRecord) bool {
 			if rec.Stats.ResultRows == 0 {
 				return true
 			}
 			for _, pr := range rec.Predicates {
-				if pr.IsJoin || !strings.EqualFold(pr.Attr, pred.Column) {
+				if pr.IsJoin || !strings.EqualFold(pr.Attr, pred.Attr) {
 					continue
 				}
-				if pred.Table != "" && pr.Rel != "" && !strings.EqualFold(pr.Rel, pred.Table) {
+				if pred.Rel != "" && pr.Rel != "" && !strings.EqualFold(pr.Rel, pred.Rel) {
 					continue
 				}
-				text := stats.PredicateText(pr)
+				text := pr.Text()
 				if text == original {
 					continue
 				}
@@ -155,8 +151,8 @@ func (r *Recommender) EmptyResultSuggestions(ctx context.Context, p storage.Prin
 			}
 			return true
 		}
-		if pred.Table != "" {
-			view.ScanByTable(pred.Table, p, storage.ScanWithContext(ctx, collect))
+		if pred.Rel != "" {
+			view.ScanByTable(pred.Rel, p, storage.ScanWithContext(ctx, collect))
 		} else {
 			view.Scan(p, storage.ScanWithContext(ctx, collect))
 		}

@@ -165,30 +165,22 @@ func contextOf(partialSQL string) queryContext {
 	if sel, err := sql.ParseSelect(partialSQL); err == nil {
 		a := sql.Analyze(sel)
 		qc.tables = a.Tables
-		for _, c := range a.Columns {
-			name := c.Column
-			if c.Table != "" {
-				name = c.Table + "." + c.Column
-			}
-			qc.columns = append(qc.columns, name)
+		for _, c := range a.Attributes {
+			qc.columns = append(qc.columns, c.Name())
 		}
 		qc.features = a.FeatureSet()
 		qc.predicates = make(map[string]bool, len(a.Predicates))
 		for _, pr := range a.Predicates {
-			col := pr.Column
-			if pr.Table != "" {
-				col = pr.Table + "." + pr.Column
-			}
-			qc.predicates[col+" "+pr.Op+" "+pr.Value] = true
+			qc.predicates[pr.Text()] = true
 		}
 		return qc
 	}
 	qc.tables, qc.columns = sql.PartialNames(partialSQL)
 	for _, t := range qc.tables {
-		qc.features = append(qc.features, "table:"+t)
+		qc.features = append(qc.features, sql.TableFeature(t))
 	}
 	for _, a := range qc.columns {
-		qc.features = append(qc.features, "col:"+a)
+		qc.features = append(qc.features, sql.ColumnFeature(a))
 	}
 	return qc
 }
@@ -224,12 +216,13 @@ func (r *Recommender) suggestTables(p storage.Principal, qc queryContext, k int)
 
 	if r.cfg.ContextAware && len(qc.features) > 0 {
 		for _, rule := range miner.TopRulesFor(r.rules(), qc.features, 0) {
-			if !strings.HasPrefix(rule.Consequent, "table:") {
+			table, ok := sql.FeatureTable(rule.Consequent)
+			if !ok {
 				continue
 			}
 			// Context-aware scores occupy (1, 2] so they always outrank the
 			// popularity fallback below.
-			add(strings.TrimPrefix(rule.Consequent, "table:"), 1+rule.Confidence,
+			add(table, 1+rule.Confidence,
 				fmt.Sprintf("co-occurs with current tables (confidence %.0f%%)", rule.Confidence*100))
 		}
 	}
@@ -328,8 +321,8 @@ func (r *Recommender) suggestPredicates(p storage.Principal, qc queryContext, k 
 
 // SuggestJoins suggests join conditions connecting the tables referenced by
 // the partial query, taken from the join predicates of logged queries
-// (stats.CanonicalJoin orders the sides of an equi-join so A.x = B.x and
-// B.x = A.x aggregate).
+// (sql.PredicateRow.CanonicalJoin orders the sides of an equi-join so A.x =
+// B.x and B.x = A.x aggregate).
 func (r *Recommender) SuggestJoins(p storage.Principal, partialSQL string, k int) []Completion {
 	return r.suggestJoins(p, contextOf(partialSQL), k)
 }

@@ -515,7 +515,7 @@ func scanPredicateCounts(store *storage.Store, p storage.Principal, tables []str
 				if pr.Rel != "" && !set[strings.ToLower(pr.Rel)] {
 					continue
 				}
-				counts[stats.PredicateText(pr)]++
+				counts[pr.Text()]++
 			}
 			return true
 		})
@@ -538,7 +538,8 @@ func scanJoinCounts(store *storage.Store, p storage.Principal, tables []string) 
 				if !set[strings.ToLower(pr.Rel)] || !set[strings.ToLower(pr.RightRel)] {
 					continue
 				}
-				counts[stats.CanonicalJoin(pr)]++
+				key, _, _ := pr.CanonicalJoin()
+				counts[key]++
 			}
 			return true
 		})

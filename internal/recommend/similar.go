@@ -33,7 +33,6 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 		return nil, err
 	}
 	neighbours := page.Matches
-	probeAnalysis := probe.Analysis()
 
 	// Popularity prior: per-fingerprint occurrence counts visible to the
 	// principal. Only the neighbours' own fingerprints are probed —
@@ -57,7 +56,7 @@ func (r *Recommender) SimilarQueries(ctx context.Context, p storage.Principal, q
 		score += popularityWeight * float64(popByFingerprint[rec.Fingerprint]) / float64(maxPop)
 		score += runtimeWeight * runtimeScore(rec.Stats.ExecTime)
 		score += cardinalityWeight * cardinalityScore(rec.Stats.ResultRows)
-		diff := sql.ComputeDiff(probeAnalysis, rec.Analysis())
+		diff := sql.ComputeDiff(&probe.Analysis, &rec.Analysis)
 		var anns []string
 		for _, a := range rec.Annotations {
 			anns = append(anns, a.Text)

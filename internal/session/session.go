@@ -194,7 +194,7 @@ func labelEdges(queries []*storage.QueryRecord) []Edge {
 // edgeBetween builds the session edge between two consecutive queries,
 // classifying it and labelling it with the structural diff.
 func edgeBetween(prev, next *storage.QueryRecord) Edge {
-	diff := sql.ComputeDiff(prev.Analysis(), next.Analysis())
+	diff := sql.ComputeDiff(&prev.Analysis, &next.Analysis)
 	etype := EdgeModification
 	if diff.Empty() {
 		etype = EdgeTemporal

@@ -18,11 +18,12 @@ func TestAnalyzePaperExample(t *testing.T) {
 	if !reflect.DeepEqual(a.Tables, wantTables) {
 		t.Errorf("tables = %v, want %v", a.Tables, wantTables)
 	}
-	if a.Aliases["S"] != "WaterSalinity" || a.Aliases["T"] != "WaterTemp" {
-		t.Errorf("aliases = %v", a.Aliases)
+	stmt, err := ParseSelect(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !a.SelectStar {
-		t.Errorf("expected SelectStar")
+	if _, aliases := TablesOf(stmt); aliases["S"] != "WaterSalinity" || aliases["T"] != "WaterTemp" {
+		t.Errorf("aliases = %v", aliases)
 	}
 	// One selection predicate and two join predicates.
 	var sel, join int
@@ -36,13 +37,10 @@ func TestAnalyzePaperExample(t *testing.T) {
 	if sel != 1 || join != 2 {
 		t.Errorf("selection preds = %d join preds = %d, want 1 and 2", sel, join)
 	}
-	if len(a.Joins) != 2 {
-		t.Errorf("joins = %d, want 2", len(a.Joins))
-	}
 	// The selection predicate should be resolved to WaterTemp.temp.
 	found := false
 	for _, p := range a.Predicates {
-		if !p.IsJoin && p.Table == "WaterTemp" && p.Column == "temp" && p.Op == "<" && p.Value == "18" {
+		if !p.IsJoin && p.Rel == "WaterTemp" && p.Attr == "temp" && p.Op == "<" && p.Const == "18" {
 			found = true
 		}
 	}
@@ -57,9 +55,9 @@ func TestAnalyzeResolvesAliases(t *testing.T) {
 		t.Fatalf("AnalyzeQuery: %v", err)
 	}
 	var selCols []string
-	for _, c := range a.Columns {
+	for _, c := range a.Attributes {
 		if c.Clause == "SELECT" {
-			selCols = append(selCols, c.Table+"."+c.Column)
+			selCols = append(selCols, c.Rel+"."+c.Attr)
 		}
 	}
 	if len(selCols) != 1 || selCols[0] != "WaterSalinity.salinity" {
@@ -75,8 +73,8 @@ func TestAnalyzeUnqualifiedSingleTable(t *testing.T) {
 	if len(a.Predicates) != 1 {
 		t.Fatalf("predicates = %d, want 1", len(a.Predicates))
 	}
-	if a.Predicates[0].Table != "WaterTemp" {
-		t.Errorf("predicate table = %q, want WaterTemp (resolved from single FROM table)", a.Predicates[0].Table)
+	if a.Predicates[0].Rel != "WaterTemp" {
+		t.Errorf("predicate table = %q, want WaterTemp (resolved from single FROM table)", a.Predicates[0].Rel)
 	}
 }
 
@@ -89,11 +87,11 @@ func TestAnalyzeAggregatesAndGroupBy(t *testing.T) {
 	if !reflect.DeepEqual(a.Aggregates, wantAggs) {
 		t.Errorf("aggregates = %v, want %v", a.Aggregates, wantAggs)
 	}
-	if len(a.GroupByColumns) != 1 || a.GroupByColumns[0] != "WaterTemp.lake" {
-		t.Errorf("group by = %v", a.GroupByColumns)
+	if len(a.GroupBy) != 1 || a.GroupBy[0] != "WaterTemp.lake" {
+		t.Errorf("group by = %v", a.GroupBy)
 	}
-	if len(a.OrderByColumns) != 1 {
-		t.Errorf("order by = %v", a.OrderByColumns)
+	if order := attributesIn(a, "ORDERBY"); len(order) != 1 || order[0] != "WaterTemp.lake" {
+		t.Errorf("order by = %v", order)
 	}
 }
 
@@ -106,7 +104,7 @@ func TestAnalyzeNormalizesFlippedComparison(t *testing.T) {
 		t.Fatalf("predicates = %d, want 1", len(a.Predicates))
 	}
 	p := a.Predicates[0]
-	if p.Column != "temp" || p.Op != "<" || p.Value != "18" {
+	if p.Attr != "temp" || p.Op != "<" || p.Const != "18" {
 		t.Errorf("predicate = %#v, want temp < 18", p)
 	}
 }
@@ -118,8 +116,8 @@ func TestAnalyzeSubqueriesCountedAndTablesCollected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeQuery: %v", err)
 	}
-	if a.SubqueryCount != 2 {
-		t.Errorf("SubqueryCount = %d, want 2", a.SubqueryCount)
+	if sel, _ := ParseSelect(q); len(Subqueries(sel)) != 2 {
+		t.Errorf("sub-queries = %d, want 2", len(Subqueries(sel)))
 	}
 	wantTables := []string{"Cities", "CityLocations", "Lakes"}
 	if !reflect.DeepEqual(a.Tables, wantTables) {
@@ -149,11 +147,16 @@ func TestAnalyzeJoinOnPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeQuery: %v", err)
 	}
-	if len(a.Joins) != 1 {
-		t.Fatalf("joins = %d, want 1", len(a.Joins))
+	var joins []PredicateRow
+	for _, p := range a.Predicates {
+		if p.IsJoin {
+			joins = append(joins, p)
+		}
 	}
-	j := a.Joins[0]
-	pair := []string{j.LeftTable, j.RightTable}
+	if len(joins) != 1 {
+		t.Fatalf("joins = %d, want 1", len(joins))
+	}
+	pair := []string{joins[0].Rel, joins[0].RightRel}
 	sort.Strings(pair)
 	if pair[0] != "WaterSalinity" || pair[1] != "WaterTemp" {
 		t.Errorf("join tables = %v", pair)
@@ -168,21 +171,21 @@ func TestAnalyzeOutputAliasNotTreatedAsColumn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeQuery: %v", err)
 	}
-	for _, c := range a.Columns {
-		if c.Column == "avg_temp" {
+	for _, c := range a.Attributes {
+		if c.Attr == "avg_temp" {
 			t.Errorf("alias avg_temp reported as column use: %+v", c)
 		}
 	}
-	if len(a.OrderByColumns) != 0 {
-		t.Errorf("OrderByColumns = %v, want empty (alias only)", a.OrderByColumns)
+	if order := attributesIn(a, "ORDERBY"); len(order) != 0 {
+		t.Errorf("ORDER BY attributes = %v, want none (alias only)", order)
 	}
 	// A real column in ORDER BY is still reported.
 	a, err = AnalyzeQuery("SELECT lake FROM WaterTemp ORDER BY temp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.OrderByColumns) != 1 {
-		t.Errorf("OrderByColumns = %v, want temp", a.OrderByColumns)
+	if order := attributesIn(a, "ORDERBY"); len(order) != 1 || order[0] != "WaterTemp.temp" {
+		t.Errorf("ORDER BY attributes = %v, want WaterTemp.temp", order)
 	}
 }
 
@@ -239,19 +242,53 @@ func TestFeatureSet(t *testing.T) {
 }
 
 func TestPredicateKeys(t *testing.T) {
-	p := PredicateFeature{Table: "WaterTemp", Column: "temp", Op: "<", Value: "18"}
-	if p.Key() != "pred:WaterTemp.temp < 18" {
-		t.Errorf("Key = %q", p.Key())
+	p := PredicateRow{Rel: "WaterTemp", Attr: "temp", Op: "<", Const: "18"}
+	if p.Text() != "WaterTemp.temp < 18" {
+		t.Errorf("Text = %q", p.Text())
 	}
-	if p.TemplateKey() != "pred:WaterTemp.temp < ?" {
-		t.Errorf("TemplateKey = %q", p.TemplateKey())
+	if p.Feature() != "pred:WaterTemp.temp < ?" {
+		t.Errorf("Feature = %q", p.Feature())
 	}
-	j := PredicateFeature{Table: "B", Column: "x", Op: "=", IsJoin: true, RightTab: "A", RightCol: "y"}
-	// Join keys are order-normalised.
-	j2 := PredicateFeature{Table: "A", Column: "y", Op: "=", IsJoin: true, RightTab: "B", RightCol: "x"}
-	if j.Key() != j2.Key() {
-		t.Errorf("join keys differ: %q vs %q", j.Key(), j2.Key())
+	// An unknown relation leaves the text and the attribute name unqualified,
+	// but not the feature string.
+	u := PredicateRow{Attr: "temp", Op: "<", Const: "18"}
+	if u.Text() != "temp < 18" || u.Feature() != "pred:.temp < ?" {
+		t.Errorf("unqualified: Text = %q, Feature = %q", u.Text(), u.Feature())
 	}
+	if n := (AttributeRow{Attr: "temp"}).Name(); n != "temp" {
+		t.Errorf("Name = %q", n)
+	}
+	j := PredicateRow{Rel: "B", Attr: "x", Op: "=", IsJoin: true, RightRel: "A", RightAttr: "y"}
+	// Join keys are order-normalised; the text keeps the written order.
+	j2 := PredicateRow{Rel: "A", Attr: "y", Op: "=", IsJoin: true, RightRel: "B", RightAttr: "x"}
+	if j.Feature() != j2.Feature() || j.Feature() != "join:A.y=B.x" {
+		t.Errorf("join features: %q vs %q", j.Feature(), j2.Feature())
+	}
+	k, left, right := j.CanonicalJoin()
+	k2, _, _ := j2.CanonicalJoin()
+	if k != k2 || k != "A.y = B.x" || left != "A" || right != "B" {
+		t.Errorf("canonical joins: %q (%s, %s) vs %q", k, left, right, k2)
+	}
+	if j.Text() != "B.x = A.y" {
+		t.Errorf("join Text = %q", j.Text())
+	}
+	// A non-equi join keeps its written order in the canonical key; its
+	// feature string orders the sides whatever the operator.
+	lt := PredicateRow{Rel: "B", Attr: "x", Op: "<", IsJoin: true, RightRel: "A", RightAttr: "y"}
+	if k, _, _ := lt.CanonicalJoin(); k != "B.x < A.y" || lt.Feature() != "join:A.y=B.x" {
+		t.Errorf("non-equi join: key %q, feature %q", k, lt.Feature())
+	}
+}
+
+// attributesIn returns the names of the analysis's attributes used in clause.
+func attributesIn(a *Analysis, clause string) []string {
+	var out []string
+	for _, c := range a.Attributes {
+		if c.Clause == clause {
+			out = append(out, c.Name())
+		}
+	}
+	return out
 }
 
 func TestAnalyzeNilSelect(t *testing.T) {

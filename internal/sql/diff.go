@@ -139,8 +139,8 @@ func (d *Diff) Summary() string {
 
 // ComputeDiff computes the structural difference from query a to query b
 // (what must be added to / removed from a to obtain b). Both arguments are
-// analyses so that callers who already extracted features do not pay for a
-// second parse.
+// analyses — a logged query's are the ones its shape stores — so a diff never
+// parses.
 func ComputeDiff(a, b *Analysis) *Diff {
 	d := &Diff{}
 	if a == nil {
@@ -198,7 +198,7 @@ func ComputeDiff(a, b *Analysis) *Diff {
 	})
 
 	// Group-by columns.
-	addRemove(setOf(a.GroupByColumns), setOf(b.GroupByColumns), func(name string, added bool) {
+	addRemove(setOf(a.GroupBy), setOf(b.GroupBy), func(name string, added bool) {
 		if added {
 			d.Entries = append(d.Entries, DiffEntry{Kind: DiffAddGroupBy, Detail: name})
 		} else {
@@ -218,34 +218,20 @@ func setOf(items []string) map[string]bool {
 
 func selectColumnSet(a *Analysis) map[string]bool {
 	m := make(map[string]bool)
-	for _, c := range a.Columns {
-		if c.Clause != "SELECT" {
-			continue
+	for _, c := range a.Attributes {
+		if c.Clause == "SELECT" {
+			m[c.Name()] = true
 		}
-		name := c.Column
-		if c.Table != "" {
-			name = c.Table + "." + c.Column
-		}
-		m[name] = true
 	}
 	return m
 }
 
-// predicateMaps maps predicate template -> rendered predicate text.
+// predicateMaps maps each predicate's feature string (its template) to its
+// rendered text.
 func predicateMaps(a *Analysis) map[string]string {
 	m := make(map[string]string)
 	for _, p := range a.Predicates {
-		col := p.Column
-		if p.Table != "" {
-			col = p.Table + "." + p.Column
-		}
-		var rendered string
-		if p.IsJoin {
-			rendered = col + " " + p.Op + " " + p.RightTab + "." + p.RightCol
-		} else {
-			rendered = col + " " + p.Op + " " + p.Value
-		}
-		m[p.TemplateKey()] = rendered
+		m[p.Feature()] = p.Text()
 	}
 	return m
 }

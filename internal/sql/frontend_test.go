@@ -46,18 +46,7 @@ func oracleRecord(text string) *storage.QueryRecord {
 		return rec
 	}
 	a, _ := sql.AnalyzeQuery(text)
-	rec.Tables = append([]string(nil), a.Tables...)
-	for _, c := range a.Columns {
-		rec.Attributes = append(rec.Attributes, storage.AttributeRow{Attr: c.Column, Rel: c.Table, Clause: c.Clause})
-	}
-	for _, p := range a.Predicates {
-		rec.Predicates = append(rec.Predicates, storage.PredicateRow{
-			Attr: p.Column, Rel: p.Table, Op: p.Op, Const: p.Value,
-			IsJoin: p.IsJoin, RightRel: p.RightTab, RightAttr: p.RightCol,
-		})
-	}
-	rec.Aggregates = append([]string(nil), a.Aggregates...)
-	rec.GroupBy = append([]string(nil), a.GroupByColumns...)
+	rec.Analysis = *a
 	rec.Features = a.FeatureSet()
 	return rec
 }

@@ -78,7 +78,7 @@ func AnalyzeQuery(text string) (*Analysis, error) {
 	if sel, ok := stmt.(*SelectStmt); ok {
 		return Analyze(sel), nil
 	}
-	return &Analysis{Aliases: map[string]string{}}, nil
+	return &Analysis{}, nil
 }
 
 // DiffQueries parses both query strings and computes their diff.

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -27,9 +28,11 @@ func buildLoadedTracker(n int) *Tracker {
 			User: fmt.Sprintf("user%07d", i),
 			QueryShape: &storage.QueryShape{
 				Fingerprint: uint64(i%(n/10+1)) + 1,
-				Tables:      []string{tables[i%len(tables)]},
-				Predicates: []storage.PredicateRow{
-					{Attr: "temp", Op: "<", Const: strconv.Itoa(i % (n/5 + 1))},
+				Analysis: sql.Analysis{
+					Tables: []string{tables[i%len(tables)]},
+					Predicates: []sql.PredicateRow{
+						{Attr: "temp", Op: "<", Const: strconv.Itoa(i % (n/5 + 1))},
+					},
 				},
 			},
 			Visibility: storage.VisibilityPublic,

@@ -312,19 +312,15 @@ type tableName struct {
 func keysOf(sh *storage.QueryShape) shapeKeys {
 	k := shapeKeys{fingerprint: sh.Fingerprint, attrs: make([]relItem, 0, len(sh.Attributes))}
 	for _, a := range sh.Attributes {
-		name := a.Attr
-		if a.Rel != "" {
-			name = a.Rel + "." + a.Attr
-		}
-		k.attrs = append(k.attrs, relItem{text: name, rel: strings.ToLower(a.Rel)})
+		k.attrs = append(k.attrs, relItem{text: a.Name(), rel: strings.ToLower(a.Rel)})
 	}
 	for _, p := range sh.Predicates {
 		if p.IsJoin {
-			key, left, right := canonicalJoin(p)
+			key, left, right := p.CanonicalJoin()
 			k.joins = append(k.joins, joinItem{key: key, left: strings.ToLower(left), right: strings.ToLower(right)})
 			continue
 		}
-		k.preds = append(k.preds, relItem{text: PredicateText(p), rel: strings.ToLower(p.Rel)})
+		k.preds = append(k.preds, relItem{text: p.Text(), rel: strings.ToLower(p.Rel)})
 	}
 tables:
 	for _, t := range sh.Tables {
@@ -382,39 +378,6 @@ func (b *bucket) add(k *shapeKeys, n, capacity int) {
 		}
 		b.tables.follow(t.key, ta.count, capacity)
 	}
-}
-
-// CanonicalJoin renders a join predicate with the two sides of an equi-join
-// ordered deterministically, so "A.x = B.x" and "B.x = A.x" aggregate under
-// one key. It is exactly the suggestion text the recommender emits.
-func CanonicalJoin(pr storage.PredicateRow) string {
-	key, _, _ := canonicalJoin(pr)
-	return key
-}
-
-// canonicalJoin is CanonicalJoin plus the relations of its left and right
-// side as the key orders them.
-func canonicalJoin(pr storage.PredicateRow) (key, leftRel, rightRel string) {
-	left := pr.Rel + "." + pr.Attr
-	right := pr.RightRel + "." + pr.RightAttr
-	leftRel, rightRel = pr.Rel, pr.RightRel
-	if pr.Op == "=" && left > right {
-		left, right = right, left
-		leftRel, rightRel = rightRel, leftRel
-	}
-	return left + " " + pr.Op + " " + right, leftRel, rightRel
-}
-
-// PredicateText renders a concrete (non-join) predicate exactly as the
-// recommender suggests and de-duplicates it. Counter keys and correction
-// candidates share this one format — keep them byte-identical through this
-// helper.
-func PredicateText(pr storage.PredicateRow) string {
-	col := pr.Attr
-	if pr.Rel != "" {
-		col = pr.Rel + "." + pr.Attr
-	}
-	return col + " " + pr.Op + " " + pr.Const
 }
 
 // Tracker holds the incrementally maintained aggregates. It is safe for

@@ -67,7 +67,7 @@ func exactCounts(store *storage.Store, p storage.Principal) (fps map[uint64]int,
 		fps[rec.Fingerprint]++
 		for _, pr := range rec.Predicates {
 			if !pr.IsJoin {
-				preds[stats.PredicateText(pr)]++
+				preds[pr.Text()]++
 			}
 		}
 	}

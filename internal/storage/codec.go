@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sql"
 	"repro/internal/wire"
 )
 
@@ -564,14 +565,14 @@ func (d *decoder) shapeHead(sh *QueryShape) {
 func (d *decoder) shapeFeatures(sh *QueryShape) {
 	sh.Tables = d.strSlice()
 	if n, ok := d.count(minAttributeBytes); ok {
-		sh.Attributes = make([]AttributeRow, n)
+		sh.Attributes = make([]sql.AttributeRow, n)
 		for i := range sh.Attributes {
 			a := &sh.Attributes[i]
 			a.Attr, a.Rel, a.Clause = d.str(), d.str(), d.str()
 		}
 	}
 	if n, ok := d.count(minPredicateBytes); ok {
-		sh.Predicates = make([]PredicateRow, n)
+		sh.Predicates = make([]sql.PredicateRow, n)
 		for i := range sh.Predicates {
 			p := &sh.Predicates[i]
 			p.Attr, p.Rel, p.Op, p.Const = d.str(), d.str(), d.str(), d.str()

@@ -29,13 +29,11 @@ type QueryShape struct {
 	Fingerprint uint64
 	ExactHash   uint64
 
-	// Syntactic features (Figure 1 relations).
-	Tables     []string
-	Attributes []AttributeRow
-	Predicates []PredicateRow
-	Aggregates []string
-	GroupBy    []string
-	Features   []string // flat feature set used by the miner
+	// The syntactic features of a SELECT (Figure 1 relations), as
+	// sql.Analyze derives them: Tables, Attributes, Predicates, Aggregates
+	// and GroupBy. Zero for any other statement.
+	sql.Analysis
+	Features []string // flat feature set used by the miner
 
 	// What the store derives once per shape: set before the shape is
 	// interned, and never changed after but for ids and derived, which
@@ -73,20 +71,8 @@ func newShape(stmt sql.Statement, text string) *QueryShape {
 	if !ok {
 		return sh
 	}
-	a := sql.Analyze(sel)
-	sh.Tables = a.Tables
-	for _, c := range a.Columns {
-		sh.Attributes = append(sh.Attributes, AttributeRow{Attr: c.Column, Rel: c.Table, Clause: c.Clause})
-	}
-	for _, p := range a.Predicates {
-		sh.Predicates = append(sh.Predicates, PredicateRow{
-			Attr: p.Column, Rel: p.Table, Op: p.Op, Const: p.Value,
-			IsJoin: p.IsJoin, RightRel: p.RightTab, RightAttr: p.RightCol,
-		})
-	}
-	sh.Aggregates = a.Aggregates
-	sh.GroupBy = a.GroupByColumns
-	sh.Features = a.FeatureSet()
+	sh.Analysis = *sql.Analyze(sel)
+	sh.Features = sh.FeatureSet()
 	return sh
 }
 
@@ -105,8 +91,7 @@ func (sh *QueryShape) values() *QueryShape {
 	return &QueryShape{
 		Text: sh.Text, Canonical: sh.Canonical, Template: sh.Template,
 		Fingerprint: sh.Fingerprint, ExactHash: sh.ExactHash,
-		Tables: sh.Tables, Attributes: sh.Attributes, Predicates: sh.Predicates,
-		Aggregates: sh.Aggregates, GroupBy: sh.GroupBy, Features: sh.Features,
+		Analysis: sh.Analysis, Features: sh.Features,
 	}
 }
 
@@ -114,8 +99,8 @@ func (sh *QueryShape) values() *QueryShape {
 func (sh *QueryShape) clone() *QueryShape {
 	out := sh.values()
 	out.Tables = append([]string(nil), sh.Tables...)
-	out.Attributes = append([]AttributeRow(nil), sh.Attributes...)
-	out.Predicates = append([]PredicateRow(nil), sh.Predicates...)
+	out.Attributes = append([]sql.AttributeRow(nil), sh.Attributes...)
+	out.Predicates = append([]sql.PredicateRow(nil), sh.Predicates...)
 	out.Aggregates = append([]string(nil), sh.Aggregates...)
 	out.GroupBy = append([]string(nil), sh.GroupBy...)
 	out.Features = append([]string(nil), sh.Features...)
@@ -187,26 +172,6 @@ func (sh *QueryShape) Nested() bool {
 		sh.nested.Store(n) // two first readers store the same answer
 	}
 	return n == nestedYes
-}
-
-// Analysis reconstructs a sql.Analysis from the stored feature rows, so that
-// components which operate on analyses (diffing, similarity) do not need to
-// re-parse the query text.
-func (sh *QueryShape) Analysis() *sql.Analysis {
-	a := &sql.Analysis{Aliases: map[string]string{}}
-	a.Tables = append([]string(nil), sh.Tables...)
-	for _, attr := range sh.Attributes {
-		a.Columns = append(a.Columns, sql.ColumnUse{Table: attr.Rel, Column: attr.Attr, Clause: attr.Clause})
-	}
-	for _, p := range sh.Predicates {
-		a.Predicates = append(a.Predicates, sql.PredicateFeature{
-			Table: p.Rel, Column: p.Attr, Op: p.Op, Value: p.Const,
-			IsJoin: p.IsJoin, RightTab: p.RightRel, RightCol: p.RightAttr,
-		})
-	}
-	a.Aggregates = append([]string(nil), sh.Aggregates...)
-	a.GroupByColumns = append([]string(nil), sh.GroupBy...)
-	return a
 }
 
 // ---------------------------------------------------------------------------

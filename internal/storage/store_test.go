@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/sql"
 )
 
 var (
@@ -324,13 +326,13 @@ func TestMaintenanceState(t *testing.T) {
 // in [0, 1], and follows the record's maintenance state as it changes.
 func TestQualityScore(t *testing.T) {
 	good := &QueryRecord{
-		QueryShape:  &QueryShape{Tables: []string{"WaterTemp"}},
+		QueryShape:  &QueryShape{Analysis: sql.Analysis{Tables: []string{"WaterTemp"}}},
 		Valid:       true,
 		Annotations: []Annotation{{Text: "documented"}},
 		Stats:       RuntimeStats{ExecTime: time.Millisecond, ResultRows: 5},
 	}
 	bad := &QueryRecord{
-		QueryShape: &QueryShape{Tables: []string{"A", "B", "C", "D"}},
+		QueryShape: &QueryShape{Analysis: sql.Analysis{Tables: []string{"A", "B", "C", "D"}}},
 		Valid:      false,
 		Stats:      RuntimeStats{ExecTime: 10 * time.Second, Error: "boom"},
 	}
@@ -467,17 +469,17 @@ func TestRecordAnalysisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRecordFromSQL: %v", err)
 	}
-	a := rec.Analysis()
+	a := &rec.Analysis
 	if len(a.Tables) != 1 || a.Tables[0] != "WaterTemp" {
 		t.Errorf("analysis tables = %v", a.Tables)
 	}
-	if len(a.Predicates) != 1 || a.Predicates[0].Column != "temp" {
+	if len(a.Predicates) != 1 || a.Predicates[0].Attr != "temp" {
 		t.Errorf("analysis predicates = %+v", a.Predicates)
 	}
 	if len(a.Aggregates) != 1 || a.Aggregates[0] != "AVG" {
 		t.Errorf("analysis aggregates = %v", a.Aggregates)
 	}
-	if len(a.GroupByColumns) != 1 {
-		t.Errorf("analysis group by = %v", a.GroupByColumns)
+	if len(a.GroupBy) != 1 {
+		t.Errorf("analysis group by = %v", a.GroupBy)
 	}
 }

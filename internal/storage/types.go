@@ -65,27 +65,6 @@ func (p Principal) MemberOf(group string) bool {
 	return false
 }
 
-// AttributeRow is one row of the Attributes feature relation of Figure 1:
-// (qid, attrName, relName) extended with the clause the attribute appears in.
-type AttributeRow struct {
-	Attr   string
-	Rel    string
-	Clause string // SELECT, WHERE, GROUPBY, HAVING, ORDERBY, JOIN
-}
-
-// PredicateRow is one row of the Predicates feature relation of Figure 1:
-// (qid, attrName, relName, op, const).
-type PredicateRow struct {
-	Attr   string
-	Rel    string
-	Op     string
-	Const  string
-	IsJoin bool
-	// For join predicates the right-hand side.
-	RightRel  string
-	RightAttr string
-}
-
 // RuntimeStats are the runtime query features captured by the profiler
 // (§4.1): execution time, result cardinality and the schema version the
 // query ran against.
