@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -63,13 +64,12 @@ func materializeFeatureRelations(ctx context.Context, view *storage.View, p stor
 		for _, t := range rec.Tables {
 			sourcesRows = append(sourcesRows, engine.Row{qid, engine.NewText(t)})
 		}
-		seen := make(map[string]bool)
+		seen := make(map[sql.AttributeRow]bool)
 		for _, a := range rec.Attributes {
-			key := a.Rel + "." + a.Attr + "/" + a.Clause
-			if seen[key] {
+			if seen[a] {
 				continue
 			}
-			seen[key] = true
+			seen[a] = true
 			attrsRows = append(attrsRows, engine.Row{
 				qid, engine.NewText(a.Attr), engine.NewText(a.Rel), engine.NewText(a.Clause),
 			})

@@ -172,3 +172,48 @@ func BenchmarkLiveSummaries(b *testing.B) {
 		})
 	}
 }
+
+// graphTexts are a session's worth of edits: projections narrowed and
+// widened, constants changed, predicates added and dropped, a join in, an
+// aggregate with grouping, a non-equi join.
+var graphTexts = []string{
+	"SELECT * FROM WaterTemp WHERE temp < 22",
+	"SELECT lake, temp FROM WaterTemp WHERE temp < 18",
+	"SELECT lake FROM WaterTemp WHERE temp < 18 AND lake = 'Lake Union'",
+	"SELECT WaterTemp.lake, WaterSalinity.salinity FROM WaterTemp, WaterSalinity WHERE WaterTemp.lake = WaterSalinity.lake AND WaterTemp.temp < 12",
+	"SELECT T.lake, S.salinity FROM WaterSalinity S JOIN WaterTemp T ON T.loc_x = S.loc_x WHERE S.salinity > 2",
+	"SELECT lake, AVG(temp) FROM WaterTemp WHERE temp BETWEEN 3 AND 12 GROUP BY lake",
+	"SELECT * FROM WaterTemp T, WaterSalinity S WHERE T.temp > S.salinity",
+	"SELECT WaterTemp.lake FROM WaterTemp WHERE WaterTemp.temp < 15 AND WaterTemp.lake IN ('Lake Union', 'Green Lake')",
+}
+
+// BenchmarkSessionGraph is GET /v1/sessions/{id}/graph for one session of 50
+// queries cycling through graphTexts: the copy of the window, one diff of
+// each consecutive pair's feature rows (sql.ComputeDiff) to label its edge,
+// and the Figure 2 rendering.
+func BenchmarkSessionGraph(b *testing.B) {
+	const queries = 50
+	store := storage.NewStore()
+	live := AttachLive(store)
+	base := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
+	var id storage.QueryID
+	for i := 0; i < queries; i++ {
+		rec, err := storage.NewRecordFromSQL(graphTexts[i%len(graphTexts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec.User, rec.Visibility, rec.IssuedAt = "app", storage.VisibilityPublic, base.Add(time.Duration(i)*20*time.Second)
+		if id, err = store.Put(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	admin := storage.Principal{Admin: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, ok, _ := live.Get(admin, int64(id)-queries+1)
+		if !ok || len(sess.Edges) != queries-1 || len(Render(&sess)) == 0 {
+			b.Fatalf("session of %d queries, %d edges", len(sess.Queries), len(sess.Edges))
+		}
+	}
+}

@@ -30,7 +30,7 @@ func Analyze(s *SelectStmt) *Analysis {
 	a.Tables, a.aliases = TablesOf(s)
 	for _, g := range s.GroupBy {
 		if c, ok := g.(*ColumnRef); ok && !a.isOutputAlias(c) {
-			a.GroupBy = append(a.GroupBy, a.resolveColumn(c))
+			a.GroupBy = append(a.GroupBy, qualify(a.resolveTable(c.Table), c.Name))
 		}
 	}
 	a.collectColumns(s)
@@ -86,14 +86,6 @@ func (a *analyzer) resolveTable(qualifier string) string {
 		return base
 	}
 	return qualifier
-}
-
-func (a *analyzer) resolveColumn(c *ColumnRef) string {
-	t := a.resolveTable(c.Table)
-	if t == "" {
-		return c.Name
-	}
-	return t + "." + c.Name
 }
 
 func (a *analyzer) addColumnUse(c *ColumnRef, clause string) {

@@ -16,6 +16,12 @@
 // counted for a group member — the tracker trades that sliver of visibility
 // for O(1) bucket merges; endpoints that return actual records still enforce
 // visibility exactly.
+//
+// The counter keys are a query's Figure 1 rows as internal/sql spells them:
+// an attribute by sql.AttributeRow.Name, a concrete predicate by
+// sql.PredicateRow.Text and a join by sql.PredicateRow.CanonicalJoin. The
+// recommender suggests and compares those same strings, so a count and the
+// suggestion it ranks agree byte for byte.
 package stats
 
 import (
@@ -294,8 +300,8 @@ type joinItem struct {
 // shapeKeys is every counter key one query shape contributes to a bucket,
 // rendered once: the template fingerprint, the attribute, concrete-predicate
 // and join keys, and the distinct lower-cased tables with the casing each
-// first appears in. It is the one definition of the key format, for live
-// apply and for Rebuild alike.
+// first appears in. Live apply and Rebuild both render a shape's keys here,
+// in the format internal/sql spells.
 type shapeKeys struct {
 	fingerprint uint64
 	attrs       []relItem
@@ -731,7 +737,7 @@ func fingerprintsOf(b *bucket) *counter[uint64, tally] { return &b.fingerprints 
 
 // TableCounts returns per-table reference counts visible to the principal,
 // each under the casing the table is most often written in, sorted by
-// descending count then name — the same shape as storage.TableCounts.
+// descending count then name.
 // Tables omitted by every visible listing have true count ≤
 // ApproxBounds(p).Tables.
 func (t *Tracker) TableCounts(p storage.Principal) []storage.TableCount {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sql"
 	"repro/internal/telemetry"
 )
 
@@ -132,4 +133,40 @@ func BenchmarkPutRepeatedText(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 		})
 	}
+}
+
+// BenchmarkShapeOf prices the front end's shape of a statement the profiler
+// has just parsed (Store.ShapeOf). miss derives a new shape: the canonical
+// form and template printed, both fingerprints hashed, and the Figure 1 rows
+// and feature set analysed from the tree, for text no stored record has. hit
+// is a repeated text, answered from the shape dictionary.
+func BenchmarkShapeOf(b *testing.B) {
+	const text = "SELECT T.lake, S.salinity, AVG(T.temp) FROM WaterSalinity S JOIN WaterTemp T ON T.loc_x = S.loc_x " +
+		"WHERE S.salinity > 2 AND T.temp BETWEEN 3 AND 12 AND T.lake IN ('Lake Union', 'Green Lake') GROUP BY T.lake, S.salinity"
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("miss", func(b *testing.B) {
+		s := NewStore()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sh := s.ShapeOf(stmt, text); len(sh.Predicates) != 4 {
+				b.Fatalf("%d predicates", len(sh.Predicates))
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		s := NewStore()
+		if _, err := s.Put(&QueryRecord{QueryShape: s.ShapeOf(stmt, text), Valid: true}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sh := s.ShapeOf(stmt, text); len(sh.Predicates) != 4 {
+				b.Fatalf("%d predicates", len(sh.Predicates))
+			}
+		}
+	})
 }
