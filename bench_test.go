@@ -744,6 +744,14 @@ func walBenchRecords(b *testing.B) []*storage.QueryRecord {
 	return recs
 }
 
+// openInstrumented opens the log of store as core does: the store and the
+// log register their instruments on one registry.
+func openInstrumented(store *storage.Store, cfg wal.Config) (*wal.Manager, *wal.RecoveryInfo, error) {
+	reg := telemetry.NewRegistry()
+	store.EnableMetrics(reg)
+	return wal.Open(store, cfg, reg)
+}
+
 // BenchmarkWALAppend measures the per-mutation cost of durable logging — the
 // overhead a durable deployment adds to Store.Put — under each fsync policy,
 // and reports the log's size per record (B/record). The records cycle through
@@ -755,7 +763,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			store := storage.NewStore()
 			cfg := wal.DefaultConfig(b.TempDir())
 			cfg.SyncPolicy = policy
-			mgr, _, err := wal.Open(store, cfg)
+			mgr, _, err := openInstrumented(store, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -798,7 +806,7 @@ func BenchmarkOpenLoopIngest(b *testing.B) {
 			store := storage.NewStore()
 			cfg := wal.DefaultConfig(b.TempDir())
 			cfg.SyncPolicy = "always"
-			mgr, _, err := wal.Open(store, cfg)
+			mgr, _, err := openInstrumented(store, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -851,7 +859,7 @@ func walRecoverySetup(b *testing.B) (walDir, snapDir string) {
 			store := storage.NewStore()
 			cfg := wal.DefaultConfig(dir)
 			cfg.SyncPolicy = "off"
-			mgr, _, err := wal.Open(store, cfg)
+			mgr, _, err := wal.Open(store, cfg, nil)
 			if err != nil {
 				return err
 			}
@@ -897,7 +905,7 @@ func benchWALRecovery(b *testing.B, dir string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := storage.NewStore()
-		mgr, info, err := wal.Open(store, cfg)
+		mgr, info, err := wal.Open(store, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -982,7 +990,7 @@ func recoverySetup(b *testing.B) string {
 		store := storage.NewStore()
 		cfg := wal.DefaultConfig(recoveryDir)
 		cfg.SyncPolicy = "off"
-		mgr, _, err := wal.Open(store, cfg)
+		mgr, _, err := wal.Open(store, cfg, nil)
 		if err != nil {
 			recoveryErr = err
 			return
@@ -1025,7 +1033,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		store := storage.NewStore()
 		attachSubscribers(store)
-		mgr, info, err := wal.Open(store, cfg)
+		mgr, info, err := openInstrumented(store, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1063,7 +1071,7 @@ func replicaTailSetup(b *testing.B) []byte {
 		store := storage.NewStore()
 		cfg := wal.DefaultConfig(dir)
 		cfg.SyncPolicy = "off"
-		mgr, _, err := wal.Open(store, cfg)
+		mgr, _, err := wal.Open(store, cfg, nil)
 		if err != nil {
 			replicaTailErr = err
 			return

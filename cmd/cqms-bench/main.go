@@ -26,22 +26,17 @@ import (
 )
 
 func main() {
+	opts := experiments.DefaultOptions()
+	flag.IntVar(&opts.RowsPerTable, "rows", opts.RowsPerTable, "rows per measurement table")
+	flag.IntVar(&opts.Users, "users", opts.Users, "synthetic users")
+	flag.IntVar(&opts.SessionsPerUser, "sessions", opts.SessionsPerUser, "sessions per user")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
 	var (
-		rows     = flag.Int("rows", 1000, "rows per measurement table")
-		users    = flag.Int("users", 20, "synthetic users")
-		sessions = flag.Int("sessions", 10, "sessions per user")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		only     = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-		asJSON   = flag.Bool("json", false, "emit one JSON object per experiment instead of text")
+		only   = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
+		asJSON = flag.Bool("json", false, "emit one JSON object per experiment instead of text")
 	)
 	flag.Parse()
 
-	opts := experiments.Options{
-		RowsPerTable:    *rows,
-		Users:           *users,
-		SessionsPerUser: *sessions,
-		Seed:            *seed,
-	}
 	if !*asJSON {
 		fmt.Printf("CQMS experiment harness — rows/table=%d users=%d sessions/user=%d seed=%d\n",
 			opts.RowsPerTable, opts.Users, opts.SessionsPerUser, opts.Seed)

@@ -273,12 +273,16 @@ func olderSetSample(id storage.QueryID, sm *storage.OutputSample) []byte {
 // seedLog writes payloads into a new log in dir.
 func seedLog(t *testing.T, dir string, payloads [][]byte) {
 	t.Helper()
-	log, err := wal.OpenLog(wal.Options{Dir: dir})
+	log, err := wal.OpenLog(wal.Config{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range payloads {
-		if _, err := log.Append(p); err != nil {
+		seq, err := log.AppendAsync(p)
+		if err == nil {
+			err = log.WaitDurable(seq)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -613,16 +617,29 @@ func TestCodecEquivalenceAcrossRecoveryPaths(t *testing.T) {
 	}
 }
 
+// readLatestSnapshot reads the newest snapshot in dir the way a follower
+// bootstraps from one.
+func readLatestSnapshot(t *testing.T, dir string) *wal.Snapshot {
+	t.Helper()
+	f, _, ok, err := wal.OpenLatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("OpenLatestSnapshot: ok %v, %v", ok, err)
+	}
+	defer f.Close()
+	snap, err := wal.ReadSnapshot(f)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	return snap
+}
+
 // overlappingReplay restores the snapshot in snapDir and replays on top of it
 // the whole log of logDir from sequence from+1 on, including the frames the
 // snapshot already covers: puts of records it holds, defining shapes it
 // holds under the same numbers. They must apply as the same changes again.
 func overlappingReplay(t *testing.T, snapDir, logDir string, from uint64) *storage.Store {
 	t.Helper()
-	snap, err := wal.LatestSnapshot(snapDir)
-	if err != nil || snap == nil {
-		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
-	}
+	snap := readLatestSnapshot(t, snapDir)
 	if snap.Seq <= from {
 		t.Fatalf("the snapshot covers %d, no frame after %d", snap.Seq, from)
 	}
@@ -630,7 +647,7 @@ func overlappingReplay(t *testing.T, snapDir, logDir string, from uint64) *stora
 	if err := store.RestoreState(snap.State); err != nil {
 		t.Fatal(err)
 	}
-	log, err := wal.OpenLog(wal.Options{Dir: logDir})
+	log, err := wal.OpenLog(wal.Config{Dir: logDir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,8 @@ var configSurface = []string{
 	"Recommender.ContextAware",
 	"Durability.Dir",
 	"Durability.SyncPolicy",
-	"Durability.SyncInterval",
 	"Durability.SegmentBytes",
 	"Durability.SnapshotEvery",
-	"Durability.Metrics",
 	"MiningInterval",
 	"MaintenanceInterval",
 	"Metrics",

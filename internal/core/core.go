@@ -192,8 +192,7 @@ func OpenWithEngine(eng *engine.Engine, cfg Config) (*CQMS, error) {
 	}
 	// The WAL registers its instruments (append/fsync latency, segment and
 	// recovery gauges) on the same registry as everything else.
-	cfg.Durability.Metrics = c.metrics
-	mgr, recovery, err := wal.Open(c.store, cfg.Durability)
+	mgr, recovery, err := wal.Open(c.store, cfg.Durability, c.metrics)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening durable query log: %w", err)
 	}

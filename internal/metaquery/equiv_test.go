@@ -641,9 +641,14 @@ func TestIndexedSearchEqualsScanOracle(t *testing.T) {
 	if _, _, err := wal.WriteSnapshot(snapDir, 1, c.Store().CaptureState(nil)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := wal.LatestSnapshot(snapDir)
-	if err != nil || snap == nil {
-		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
+	f, _, ok, err := wal.OpenLatestSnapshot(snapDir)
+	if err != nil || !ok {
+		t.Fatalf("OpenLatestSnapshot: ok %v, %v", ok, err)
+	}
+	snap, err := wal.ReadSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	if err := c.Store().RestoreState(snap.State); err != nil {
 		t.Fatal(err)

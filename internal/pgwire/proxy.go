@@ -30,9 +30,6 @@ type Config struct {
 	// Metrics receives the cqms_proxy_* families; nil creates a private
 	// registry so instrumentation is always on.
 	Metrics *telemetry.Registry
-
-	// now overrides the capture timestamp source in tests.
-	now func() time.Time
 }
 
 // Proxy is a PostgreSQL wire-protocol man-in-the-middle: it accepts frontend
@@ -60,9 +57,6 @@ func NewProxy(sink Sink, cfg Config) *Proxy {
 	}
 	if cfg.Map == nil {
 		cfg.Map = DefaultPrincipalMapper
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -180,7 +174,7 @@ func (p *Proxy) handleConn(ctx context.Context, client net.Conn) {
 	// loop is a plain byte relay.
 	var trk *tracker
 	if p.capture != nil {
-		trk = newTracker(startup.User(), startup.Database(), p.cfg.now)
+		trk = newTracker(startup.User(), startup.Database(), time.Now)
 	}
 
 	// Cancellation breaks both reads; otherwise teardown is driven by TCP

@@ -30,10 +30,28 @@ func (r *Recommender) Corrections(ctx context.Context, p storage.Principal, quer
 			knownTables[strings.ToLower(tc.Table)] = tc.Table
 		}
 	}
+	// A column several tables share is qualified by a table the query
+	// names, else by the first table by name.
+	named := make(map[string]bool, len(qc.tables))
+	for _, t := range qc.tables {
+		named[strings.ToLower(t)] = true
+	}
+	tables := make([]string, 0, len(schemas))
+	for t := range schemas {
+		tables = append(tables, t)
+	}
+	sort.Slice(tables, func(i, j int) bool {
+		if ni, nj := named[strings.ToLower(tables[i])], named[strings.ToLower(tables[j])]; ni != nj {
+			return ni
+		}
+		return tables[i] < tables[j]
+	})
 	knownColumns := make(map[string]string)
-	for t, schema := range schemas {
-		for _, c := range schema.Columns {
-			knownColumns[strings.ToLower(c.Name)] = t + "." + c.Name
+	for _, t := range tables {
+		for _, c := range schemas[t].Columns {
+			if _, ok := knownColumns[strings.ToLower(c.Name)]; !ok {
+				knownColumns[strings.ToLower(c.Name)] = t + "." + c.Name
+			}
 		}
 	}
 	// The most used spelling of a bare column name wins, ties by name.

@@ -252,6 +252,25 @@ func TestCorrectionsMisspelledNames(t *testing.T) {
 	}
 }
 
+// TestCorrectionsOfASharedColumnAreDeterministic: lake is a column of
+// WaterTemp and of WaterSalinity. A misspelling of it is qualified by the
+// table the query names, and without one by the first table by name, on
+// every call.
+func TestCorrectionsOfASharedColumnAreDeterministic(t *testing.T) {
+	r, _ := fixture(t)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT lak FROM WaterTemp", "WaterTemp.lake"},
+		{"SELECT lak", "WaterSalinity.lake"},
+	} {
+		for i := 0; i < 50; i++ {
+			got := r.Corrections(context.Background(), admin, c.sql)
+			if len(got) != 1 || got[0].Kind != "column" || got[0].Suggestion != c.want {
+				t.Fatalf("%q, call %d: %+v; want lak corrected to %s", c.sql, i, got, c.want)
+			}
+		}
+	}
+}
+
 func TestCorrectionsDeduplicated(t *testing.T) {
 	r, _ := fixture(t)
 	// The same typo appears in SELECT and WHERE; only one correction should

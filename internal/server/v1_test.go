@@ -612,11 +612,17 @@ func TestV1StoreRefusalsKeepTheirCodes(t *testing.T) {
 	if _, err := c.Submit(profiler.Submission{User: "alice", SQL: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
-	c.Store().SetMutationHook(func(*storage.Mutation) error { return errors.New("disk gone") })
+	c.Store().SetLog(failingLog{})
 	check("failing log", server.CodeUnavailable, http.StatusServiceUnavailable)
 	c.Store().SetReadOnly(true)
 	check("read-only store", server.CodeReadOnly, http.StatusForbidden)
 }
+
+// failingLog is a storage.Log whose disk is gone.
+type failingLog struct{}
+
+func (failingLog) Append(*storage.Mutation) (uint64, error) { return 0, errors.New("disk gone") }
+func (failingLog) WaitDurable(uint64) error                 { return errors.New("disk gone") }
 
 // TestV1HostileStatementIsRefusedNotFatal: the largest statement the submit
 // endpoint's body limit admits, made of nothing but parentheses. At the parent

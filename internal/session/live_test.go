@@ -604,7 +604,7 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 			live1 := AttachLive(store1)
 			wcfg := wal.DefaultConfig(dir)
 			wcfg.SyncPolicy = "off"
-			mgr1, _, err := wal.Open(store1, wcfg)
+			mgr1, _, err := wal.Open(store1, wcfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -621,7 +621,7 @@ func TestLiveEquivalenceAfterWALRecovery(t *testing.T) {
 
 			store2 := storage.NewStore()
 			live2 := AttachLive(store2)
-			mgr2, info, err := wal.Open(store2, wcfg)
+			mgr2, info, err := wal.Open(store2, wcfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,7 +136,7 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 	tracker1 := stats.AttachWithCapacity(store1, 4)
 	cfg := wal.DefaultConfig(dir)
 	cfg.SyncPolicy = "off"
-	mgr1, _, err := wal.Open(store1, cfg)
+	mgr1, _, err := wal.Open(store1, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBoundedContractAfterWALRecovery(t *testing.T) {
 
 	store2 := storage.NewStore()
 	tracker2 := stats.AttachWithCapacity(store2, 4)
-	mgr2, _, err := wal.Open(store2, cfg)
+	mgr2, _, err := wal.Open(store2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

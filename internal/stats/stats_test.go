@@ -258,7 +258,7 @@ func TestEquivalenceAfterWALRecovery(t *testing.T) {
 	tracker1 := stats.Attach(store1)
 	cfg := wal.DefaultConfig(dir)
 	cfg.SyncPolicy = "off"
-	mgr1, _, err := wal.Open(store1, cfg)
+	mgr1, _, err := wal.Open(store1, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestEquivalenceAfterWALRecovery(t *testing.T) {
 
 	store2 := storage.NewStore()
 	tracker2 := stats.Attach(store2)
-	mgr2, info, err := wal.Open(store2, cfg)
+	mgr2, info, err := wal.Open(store2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
 			store := storage.NewStore()
 			store.EnableMetrics(primaryReg)
 			primary := stats.AttachWithCapacity(store, capacity)
-			mgr, _, err := wal.Open(store, cfg)
+			mgr, _, err := wal.Open(store, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestTiedListingsMatchPrimaryAfterRecovery(t *testing.T) {
 			replicaStore := storage.NewStore()
 			replicaStore.EnableMetrics(reg)
 			replica := stats.AttachWithCapacity(replicaStore, capacity)
-			mgr2, info, err := wal.Open(replicaStore, cfg)
+			mgr2, info, err := wal.Open(replicaStore, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkCommit prices the live write path of a store set up the way a
-// serving process sets it up — instrumented, something in the WAL slot and
+// serving process sets it up — instrumented, something in the log slot and
 // one subscriber, both only counting — for the one insert body (put, and
 // putbatch/N) and the one mutation body (annotate). An op is one record in
 // every sub-benchmark, so ns/op is ns per record whatever the batch size.
@@ -28,7 +28,7 @@ func BenchmarkCommit(b *testing.B) {
 		s := NewStore()
 		s.EnableMetrics(telemetry.NewRegistry())
 		logged, seen := 0, 0
-		s.SetMutationHook(func(*Mutation) error { logged++; return nil })
+		s.SetLog(&fakeLog{append: func(*Mutation) error { logged++; return nil }})
 		s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
 		return s
 	}

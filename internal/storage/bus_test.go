@@ -4,6 +4,30 @@ import (
 	"testing"
 )
 
+// fakeLog stands in for the WAL in the store's log slot. It numbers every
+// append; append, when set, sees each appended mutation and wait each
+// durability wait, and either may fail.
+type fakeLog struct {
+	seq    uint64
+	append func(*Mutation) error
+	wait   func(seq uint64) error
+}
+
+func (l *fakeLog) Append(m *Mutation) (uint64, error) {
+	l.seq++
+	if l.append != nil {
+		return l.seq, l.append(m)
+	}
+	return l.seq, nil
+}
+
+func (l *fakeLog) WaitDurable(seq uint64) error {
+	if l.wait != nil {
+		return l.wait(seq)
+	}
+	return nil
+}
+
 func busRecord(t *testing.T, text, user string) *QueryRecord {
 	t.Helper()
 	rec, err := NewRecordFromSQL(text)
@@ -14,13 +38,13 @@ func busRecord(t *testing.T, text, user string) *QueryRecord {
 	return rec
 }
 
-// TestBusFanOutOrder verifies the event bus contract: the WAL slot is
+// TestBusFanOutOrder verifies the event bus contract: the log slot is
 // notified first, then every subscriber in subscription order, for each
 // mutation in commit order.
 func TestBusFanOutOrder(t *testing.T) {
 	s := NewStore()
 	var order []string
-	s.SetMutationHook(func(m *Mutation) error { order = append(order, "wal:"+string(m.Op)); return nil })
+	s.SetLog(&fakeLog{append: func(m *Mutation) error { order = append(order, "wal:"+string(m.Op)); return nil }})
 	s.Subscribe("a", func(m *Mutation) { order = append(order, "a:"+string(m.Op)) }, SubscribeOptions{})
 	s.Subscribe("b", func(m *Mutation) { order = append(order, "b:"+string(m.Op)) }, SubscribeOptions{})
 
@@ -80,12 +104,12 @@ func TestBusPrevNext(t *testing.T) {
 }
 
 // TestBusReplayReachesSubscribersNotWAL verifies that Apply (the recovery
-// path) fans replayed mutations out to subscribers but never to the WAL
+// path) fans replayed mutations out to subscribers but never to the log
 // slot — replay must not re-append the log to itself.
 func TestBusReplayReachesSubscribersNotWAL(t *testing.T) {
 	s := NewStore()
 	walCalls, subCalls := 0, 0
-	s.SetMutationHook(func(*Mutation) error { walCalls++; return nil })
+	s.SetLog(&fakeLog{append: func(*Mutation) error { walCalls++; return nil }})
 	s.Subscribe("derived", func(*Mutation) { subCalls++ }, SubscribeOptions{})
 
 	rec := busRecord(t, "SELECT temp FROM WaterTemp", "alice")
@@ -95,7 +119,7 @@ func TestBusReplayReachesSubscribersNotWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if walCalls != 0 {
-		t.Errorf("WAL slot saw %d replayed mutations, want 0", walCalls)
+		t.Errorf("log slot saw %d replayed mutations, want 0", walCalls)
 	}
 	if subCalls != 1 {
 		t.Errorf("subscriber saw %d replayed mutations, want 1", subCalls)

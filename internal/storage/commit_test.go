@@ -120,7 +120,7 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 				mustPut(t, s, rec("SELECT 1"))
 				mustPut(t, s, rec("SELECT 2"))
 				logged, seen := 0, 0
-				s.SetMutationHook(func(*Mutation) error { logged++; return nil })
+				s.SetLog(&fakeLog{append: func(*Mutation) error { logged++; return nil }})
 				s.Subscribe("count", func(*Mutation) { seen++ }, SubscribeOptions{})
 				if c.name == "no-op repeat" {
 					if err := op.call(s, c.id, c.p, c.text); err != nil {
@@ -152,11 +152,10 @@ func TestCommitRefusalsLeaveNoTrace(t *testing.T) {
 func TestNoOpAnswersForTheLog(t *testing.T) {
 	s := NewStore()
 	mustPut(t, s, &QueryRecord{QueryShape: &QueryShape{Text: "SELECT 1", Canonical: "c"}, User: "alice"})
-	var seq uint64
-	s.SetMutationHook(func(m *Mutation) error { seq++; m.SetWALSeq(seq); return nil })
 	var waited []uint64
 	var logErr error
-	s.SetDurabilityWaiter(func(seq uint64) error { waited = append(waited, seq); return logErr })
+	log := &fakeLog{wait: func(seq uint64) error { waited = append(waited, seq); return logErr }}
+	s.SetLog(log)
 
 	if err := s.SetVisibility(1, alice, VisibilityPublic); err != nil {
 		t.Fatal(err)
@@ -168,8 +167,8 @@ func TestNoOpAnswersForTheLog(t *testing.T) {
 	if err := s.SetVisibility(1, alice, VisibilityPublic); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("a no-op over a failed log: %v, want ErrNotDurable", err)
 	}
-	if seq != 1 || !slices.Equal(waited, []uint64{1, 1, 1}) {
-		t.Fatalf("%d logged, waits on %v; want 1 logged and every call waiting on seq 1", seq, waited)
+	if log.seq != 1 || !slices.Equal(waited, []uint64{1, 1, 1}) {
+		t.Fatalf("%d logged, waits on %v; want 1 logged and every call waiting on seq 1", log.seq, waited)
 	}
 }
 
@@ -214,11 +213,11 @@ func TestPutBatchEqualsPuts(t *testing.T) {
 	run := func(chunk int) outcome {
 		var out outcome
 		s := NewStore()
-		s.SetMutationHook(func(m *Mutation) error {
+		s.SetLog(&fakeLog{append: func(m *Mutation) error {
 			payload, err := m.Encode()
 			out.payloads = append(out.payloads, payload)
 			return err
-		})
+		}})
 		s.Subscribe("order", func(m *Mutation) {
 			out.bus = append(out.bus, fmt.Sprintf("%s %d prev=%v", m.Op, m.Next().ID, m.Prev() != nil))
 		}, SubscribeOptions{})

@@ -171,12 +171,12 @@ func TestPutBatchAssignsConsecutiveIDs(t *testing.T) {
 	// Batch mutations reach the hook in order, like individual Puts.
 	s2 := NewStore()
 	var hookIDs []QueryID
-	s2.SetMutationHook(func(m *Mutation) error {
+	s2.SetLog(&fakeLog{append: func(m *Mutation) error {
 		if m.Op == OpPut {
 			hookIDs = append(hookIDs, m.Record.ID)
 		}
 		return nil
-	})
+	}})
 	var recs2 []*QueryRecord
 	for range [3]int{} {
 		rec, err := NewRecordFromSQL("SELECT salinity FROM WaterSalinity")

@@ -23,7 +23,7 @@ type storeMetrics struct {
 	// capture is the time a snapshot capture holds the commit lock: one
 	// pointer copy per record (the snapshot write-stall).
 	capture *telemetry.Histogram
-	// busVec times each bus callback by subscriber name; the WAL slot
+	// busVec times each bus callback by subscriber name; the log slot
 	// reports as subscriber="wal". rebuildVec times each subscriber's Init
 	// and Reset rebuilds.
 	busVec, rebuildVec *telemetry.HistogramVec
@@ -99,17 +99,17 @@ func (s *Store) unlockCommit() {
 }
 
 // commitAndWait ends a live mutating operation: it releases the commit lock
-// and then, when a durability waiter is installed, blocks until the WAL batch
-// covering seq is durable. Waiting after the unlock is what turns concurrent
-// writers into one group commit: the next writer sequences (and joins the
-// in-flight fsync batch) while this one waits. logErr is what the WAL slot
-// returned under the lock; it or a failed wait comes back as ErrNotDurable.
+// and then, when a log is installed, blocks until the log counts seq as
+// durable. Waiting after the unlock is what turns concurrent writers into one
+// group commit: the next writer sequences (and joins the in-flight fsync
+// batch) while this one waits. logErr is what the log's Append returned under
+// the lock; it or a failed wait comes back as ErrNotDurable.
 func (s *Store) commitAndWait(seq uint64, logErr error) error {
-	wait, waited := s.durable, s.metrics.durabilityWait
+	log, waited := s.log, s.metrics.durabilityWait
 	s.unlockCommit()
-	if logErr == nil && wait != nil {
+	if logErr == nil && log != nil {
 		start := time.Now()
-		logErr = wait(seq)
+		logErr = log.WaitDurable(seq)
 		waited.Observe(time.Since(start))
 	}
 	if logErr != nil {

@@ -65,21 +65,7 @@ type Mutation struct {
 	// entered says which of the record's shape and sample applying the
 	// mutation entered into the store's dictionaries.
 	entered entries
-
-	// walSeq is the WAL sequence the durability slot assigned this mutation
-	// (0 when the store runs without a WAL). It is not encoded (the frame
-	// carries the sequence); write paths use it to wait for group-commit
-	// durability after releasing the commit lock.
-	walSeq uint64
 }
-
-// SetWALSeq records the WAL sequence assigned to this mutation. The WAL slot
-// calls it from inside the mutation hook, under the commit lock.
-func (m *Mutation) SetWALSeq(seq uint64) { m.walSeq = seq }
-
-// WALSeq returns the WAL sequence the durability slot assigned (0 when the
-// mutation was not logged).
-func (m *Mutation) WALSeq() uint64 { return m.walSeq }
 
 // ErrUnknownShape reports a put or replace-text read from the log whose
 // shape number names no live shape, or a shape with other values: the log
@@ -109,14 +95,26 @@ func (m *Mutation) Next() *QueryRecord { return m.next }
 // commit lock so subscribers see mutations in exactly their apply order.
 type MutationHook func(*Mutation)
 
+// Log is the store's durable log, installed in the bus's one log slot with
+// SetLog. Append runs under the commit lock, first on the bus, for live
+// mutations only: it sequences the mutation and returns the sequence it was
+// assigned (0 when the mutation did not reach the log). WaitDurable runs
+// after the commit lock is released, with the highest sequence a write
+// depends on, and blocks until the log's policy counts that sequence as
+// durable. An error from either comes back from the mutating method wrapped
+// in ErrNotDurable: the mutation is applied, but a crash may lose it.
+type Log interface {
+	Append(*Mutation) (seq uint64, err error)
+	WaitDurable(seq uint64) error
+}
+
 // The mutation event bus. Every committed mutation fans out, in commit
-// order, to one durability slot plus any number of derived-state
-// subscribers:
+// order, to the log slot plus any number of derived-state subscribers:
 //
-//   - The WAL slot (SetMutationHook) is always notified first, so the log's
-//     total order matches apply order and everything a derived subscriber
-//     saw is recoverable. It receives only live mutations — replaying the
-//     log must not re-append it.
+//   - The log slot (SetLog) is always notified first, so the log's total
+//     order matches apply order and everything a derived subscriber saw is
+//     recoverable. It receives only live mutations — replaying the log must
+//     not re-append it.
 //   - Subscribers (Subscribe) receive live AND replayed mutations, enriched
 //     with the Prev/Next record versions, so incrementally maintained state
 //     (stats counters, the miner feed) stays correct through crash recovery
@@ -162,7 +160,7 @@ func (sub *busSubscriber) runRebuild() {
 
 // Subscribe registers a derived-state subscriber on the mutation event bus
 // and returns a function that removes it. Subscribers are notified in
-// subscription order, always after the WAL slot.
+// subscription order, always after the log slot.
 func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (cancel func()) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -186,41 +184,28 @@ func (s *Store) Subscribe(name string, fn MutationHook, opts SubscribeOptions) (
 	}
 }
 
-// SetMutationHook installs the durability observer in the bus's WAL slot
-// (nil disables it). The WAL manager uses it to append the encoded mutation
-// to the log; it is always notified first and never sees replayed mutations.
-// An error it returns — the mutation is applied but did not reach the log —
-// comes back from the mutating method wrapped in ErrNotDurable.
-func (s *Store) SetMutationHook(h func(*Mutation) error) {
+// SetLog installs l in the bus's log slot (nil detaches it). The store
+// appends every live mutation to it and waits on it as Log describes. A new
+// log numbers its own sequences, so the last one the store saw is forgotten.
+func (s *Store) SetLog(l Log) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	s.hook, s.walSeq = h, 0 // a new log numbers its own sequences
+	s.log, s.walSeq = l, 0
 }
 
-// SetDurabilityWaiter installs the bus's durability-wait slot (nil disables
-// it). Mutating methods call it with the last WAL sequence assigned (an
-// earlier write's, for one that changed nothing) after releasing the commit
-// lock, so the fsync wait of one batch never blocks the next batch from
-// sequencing, and return its error wrapped in ErrNotDurable. The WAL manager points it at the log's
-// group-commit WaitDurable.
-func (s *Store) SetDurabilityWaiter(wait func(seq uint64) error) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.durable = wait
-}
-
-// emit is the bus's one fan-out: the WAL slot first (skipped for a replayed
+// emit is the bus's one fan-out: the log slot first (skipped for a replayed
 // mutation, or recovery would re-append the log to itself), then every
-// subscriber in subscription order, each callback timed. It returns the WAL
+// subscriber in subscription order, each callback timed. It returns the log
 // slot's error; subscribers see the mutation either way, because the store
 // already holds it. Callers must hold the commit lock.
 func (s *Store) emit(m *Mutation, replay bool) (logErr error) {
 	s.metrics.mutations[m.Op].Inc()
-	if s.hook != nil && !replay {
+	if s.log != nil && !replay {
 		start := time.Now()
-		logErr = s.hook(m)
+		var seq uint64
+		seq, logErr = s.log.Append(m)
 		s.metrics.walCallback.Observe(time.Since(start))
-		s.walSeq = max(s.walSeq, m.walSeq) // 0 when the append failed
+		s.walSeq = max(s.walSeq, seq) // 0 when the append failed
 	}
 	for i := range s.subs {
 		sub := &s.subs[i]
@@ -232,7 +217,7 @@ func (s *Store) emit(m *Mutation, replay bool) (logErr error) {
 }
 
 // Apply replays one mutation against the store without emitting it to the
-// WAL slot. It is the recovery path: live operations and Apply share the
+// log slot. It is the recovery path: live operations and Apply share the
 // same internal state transitions, so a store rebuilt by replaying a
 // mutation stream is identical — contents and inverted indexes — to the
 // store that emitted the stream. Derived-state subscribers on the event bus

@@ -129,13 +129,13 @@ func runInterningHistory(t *testing.T, rng *rand.Rand) {
 			t.Fatalf("replaying %s: %v", m.Op, err)
 		}
 	}
-	s.SetMutationHook(func(m *Mutation) error {
+	s.SetLog(&fakeLog{append: func(m *Mutation) error {
 		apply(replica, m)
 		if follower != nil {
 			apply(follower, m)
 		}
 		return nil
-	})
+	}})
 
 	oracle := map[QueryID]*QueryRecord{}
 	// altered marks records whose shape differs from what the front end
@@ -547,14 +547,14 @@ func checkSameNumbers(t testing.TB, name string, got, want *Store) {
 // right after it applied.
 func logRecorder(t testing.TB, s *Store) *[][]byte {
 	var payloads [][]byte
-	s.SetMutationHook(func(m *Mutation) error {
+	s.SetLog(&fakeLog{append: func(m *Mutation) error {
 		p, err := m.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		payloads = append(payloads, p)
 		return nil
-	})
+	}})
 	return &payloads
 }
 

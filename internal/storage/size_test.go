@@ -44,7 +44,7 @@ func TestSizeBoundsCoverTheEncoding(t *testing.T) {
 func TestOversizedWritesAreRefusedBeforeTheyApply(t *testing.T) {
 	store := NewStore()
 	emitted := 0
-	store.SetMutationHook(func(*Mutation) error { emitted++; return nil })
+	store.SetLog(&fakeLog{append: func(*Mutation) error { emitted++; return nil }})
 	huge := strings.Repeat("x", MaxRecordBytes)
 	alice := Principal{User: "alice"}
 	newRec := func(text string) *QueryRecord {

@@ -40,7 +40,7 @@ type StoreState struct {
 
 // CaptureState is the snapshot writer's view of the store. Under the commit
 // lock it invokes capture (the WAL manager records the last appended log
-// sequence there: the mutation hook runs under the same lock, so no mutation
+// sequence there: the log slot appends under the same lock, so no mutation
 // can slip between that sequence and the captured contents) and collects the
 // current version of every record and every live shape — pointers, not
 // copies: stored records and shapes are immutable, so the writer can encode
@@ -78,7 +78,7 @@ func (s *Store) CaptureState(capture func()) *StoreState {
 // path used by live operations and replay (which enters each numbered sample
 // under its number), sets the shape and sample counters, then runs
 // every bus subscriber's Rebuild hook over the restored records: a snapshot
-// load has no per-record mutation stream to fan out, and the WAL slot is not
+// load has no per-record mutation stream to fan out, and the log slot is not
 // invoked. Records of a state without shapes (one the upgrade read from an
 // older build's snapshot) number their shapes in the order the state holds
 // them. It takes ownership of st, its records

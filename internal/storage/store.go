@@ -62,21 +62,16 @@ type Store struct {
 	// lets a snapshot capture see a state no mutation can slip into. Readers
 	// never take it.
 	commitMu sync.Mutex
-	// hook is the bus's WAL slot (SetMutationHook): notified first, live
-	// mutations only. subs are the derived-state subscribers (Subscribe):
-	// notified after it, for live and replayed mutations alike. All guarded
-	// by commitMu.
-	hook      func(*Mutation) error
+	// log is the bus's log slot (SetLog): appended to first, live mutations
+	// only, and waited on after commitMu is released, so one batch's fsync
+	// wait never blocks the next batch from sequencing. walSeq is the last
+	// sequence it assigned: a write that changed nothing waits on it too.
+	// subs are the derived-state subscribers (Subscribe): notified after the
+	// log, for live and replayed mutations alike. All guarded by commitMu.
+	log       Log
+	walSeq    uint64
 	subs      []busSubscriber
 	nextSubID int
-
-	// durable is the bus's durability-wait slot (SetDurabilityWaiter):
-	// mutating methods call it with walSeq after releasing commitMu, so one
-	// batch's fsync wait never blocks the next batch from sequencing. walSeq
-	// is the last WAL sequence the WAL slot stamped on a mutation: a write
-	// that changed nothing waits on it too. Both guarded by commitMu.
-	durable func(seq uint64) error
-	walSeq  uint64
 
 	// metrics holds the store's instruments: all nil, and so inert, until
 	// EnableMetrics registers them. commitLockedAt is the commit-lock

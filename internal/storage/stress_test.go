@@ -7,26 +7,23 @@ import (
 )
 
 // TestConcurrentMutationStress drives the storage commit path the way the
-// durable stack does — a hook stamping every mutation with the next WAL
-// sequence, subscribers fanning out under the commit lock — from concurrent
-// Put/PutBatch/Delete callers. The subscriber checks strict +1 sequence
-// order without any locking of its own: under -race this test fails if the
-// split commit path (prepare outside the lock, the durability wait after
-// unlock) ever lets two emissions overlap.
+// durable stack does — a log numbering every mutation, subscribers fanning
+// out under the commit lock — from concurrent Put/PutBatch/Delete callers.
+// The subscriber checks, without any locking of its own, that it sees each
+// mutation right after the log appended it and in strict +1 sequence order:
+// under -race this test fails if the split commit path (prepare outside the
+// lock, the durability wait after unlock) ever lets two emissions overlap.
 func TestConcurrentMutationStress(t *testing.T) {
 	s := NewStore()
-	var seq uint64
-	s.SetMutationHook(func(m *Mutation) error {
-		seq++
-		m.SetWALSeq(seq)
-		return nil
-	})
+	var appended *Mutation
+	log := &fakeLog{append: func(m *Mutation) error { appended = m; return nil }}
+	s.SetLog(log)
 	var last uint64
 	s.Subscribe("order", func(m *Mutation) {
-		if m.WALSeq() != last+1 {
-			t.Errorf("subscriber saw seq %d after %d; want strict +1 order", m.WALSeq(), last)
+		if m != appended || log.seq != last+1 {
+			t.Errorf("subscriber saw seq %d after %d (the appended mutation: %v); want the appended one in strict +1 order", log.seq, last, m == appended)
 		}
-		last = m.WALSeq()
+		last = log.seq
 	}, SubscribeOptions{})
 
 	newRec := func(g, i int) *QueryRecord {

@@ -142,7 +142,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 	admin := Principal{Admin: true}
 	s := NewStore()
 	replica := NewStore() // advances only through Apply, like recovery and a follower
-	s.SetMutationHook(func(m *Mutation) error {
+	s.SetLog(&fakeLog{append: func(m *Mutation) error {
 		payload, err := m.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestTextIndexFollowsRandomHistory(t *testing.T) {
 			t.Fatalf("replaying %s: %v", m.Op, err)
 		}
 		return nil
-	})
+	}})
 	newRecord := func() *QueryRecord {
 		n := rng.Intn(12)
 		rec := textRecord(fmt.Sprintf("SELECT c%d FROM T%d", n, n%3), fmt.Sprintf("select c%d from t%d", n, n%3))

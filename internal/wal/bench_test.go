@@ -14,10 +14,10 @@ import (
 // sequence assignment plus encoding into the pending buffer, with the
 // committer draining in the background. Under SyncOff nothing waits on
 // durability, so allocs/op here is the per-record allocation cost of
-// Log.Append itself — the group-commit refactor keeps it at zero (the
-// pending buffer and the frame header are reused across appends).
+// AppendAsync plus WaitDurable — the group-commit refactor keeps it at zero
+// (the pending buffer and the frame header are reused across appends).
 func BenchmarkLogAppend(b *testing.B) {
-	l, err := OpenLog(testOptions(b.TempDir()))
+	l, err := OpenLog(testConfig(b.TempDir()), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func BenchmarkLogAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(payload); err != nil {
+		if _, err := appendDurable(l, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,9 +148,9 @@ func BenchmarkSnapshotWriteRestore(b *testing.B) {
 				var restored *storage.Store
 				runtime.GC()
 				peak := peakHeapDuring(func() {
-					snap, err := LatestSnapshot(dir)
+					snap, err := latestDecoded(dir)
 					if err != nil || snap == nil {
-						b.Fatalf("LatestSnapshot = %v, %v", snap, err)
+						b.Fatalf("latestDecoded = %v, %v", snap, err)
 					}
 					restored = storage.NewStore()
 					if err := restored.RestoreState(snap.State); err != nil {

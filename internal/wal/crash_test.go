@@ -48,9 +48,9 @@ func crashCopy(t *testing.T, dir, activeSeg string, keepBytes int64) string {
 // record that was acknowledged before the crash and never a corrupt one.
 func TestGroupCommitCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(dir)
-	opts.Sync = SyncAlways
-	l, err := OpenLog(opts)
+	cfg := testConfig(dir)
+	cfg.SyncPolicy = SyncAlways.String()
+	l, err := OpenLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 	// after its covering fsync, so all of these must survive any crash.
 	const acked = 20
 	for i := 1; i <= acked; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("acked-%d", i))); err != nil {
+		if _, err := appendDurable(l, []byte(fmt.Sprintf("acked-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := l.Append([]byte(fmt.Sprintf("unacked-%d", i))); err != nil {
+			if _, err := appendDurable(l, []byte(fmt.Sprintf("unacked-%d", i))); err != nil {
 				t.Errorf("unacked append: %v", err)
 			}
 		}(i)
@@ -119,7 +119,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 		if snapDir == "" {
 			continue // crashCopy already reported the failure
 		}
-		l2, err := OpenLog(testOptions(snapDir))
+		l2, err := OpenLog(testConfig(snapDir), nil)
 		if err != nil {
 			t.Fatalf("snap %d: reopening crashed log: %v", i, err)
 		}
@@ -165,9 +165,9 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 func TestAckSemanticsPerPolicy(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncInterval, SyncOff} {
 		t.Run(fmt.Sprintf("policy=%d", policy), func(t *testing.T) {
-			opts := testOptions(t.TempDir())
-			opts.Sync = policy
-			l, err := OpenLog(opts)
+			cfg := testConfig(t.TempDir())
+			cfg.SyncPolicy = policy.String()
+			l, err := OpenLog(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestAckSemanticsPerPolicy(t *testing.T) {
 			l.seqMu.Unlock()
 			done := make(chan error, 1)
 			go func() {
-				_, err := l.Append([]byte("sequenced"))
+				_, err := appendDurable(l, []byte("sequenced"))
 				done <- err
 			}()
 			select {
@@ -202,9 +202,9 @@ func TestAckSemanticsPerPolicy(t *testing.T) {
 
 	// Under SyncAlways the same stall must delay the ack until the fsync
 	// completes.
-	opts := testOptions(t.TempDir())
-	opts.Sync = SyncAlways
-	l, err := OpenLog(opts)
+	cfg := testConfig(t.TempDir())
+	cfg.SyncPolicy = SyncAlways.String()
+	l, err := OpenLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAckSemanticsPerPolicy(t *testing.T) {
 	l.seqMu.Unlock()
 	done := make(chan error, 1)
 	go func() {
-		_, err := l.Append([]byte("durable"))
+		_, err := appendDurable(l, []byte("durable"))
 		done <- err
 	}()
 	select {

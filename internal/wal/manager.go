@@ -13,39 +13,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config is the durability section of the CQMS configuration.
-type Config struct {
-	// Dir is the data directory; empty disables durability.
-	Dir string
-	// SyncPolicy is "always", "interval" or "off".
-	SyncPolicy string
-	// SyncInterval is the flush period under the interval policy.
-	SyncInterval time.Duration
-	// SegmentBytes is the segment rotation threshold.
-	SegmentBytes int64
-	// SnapshotEvery is how often the background scheduler snapshots the
-	// store and compacts the log (0 disables scheduled snapshots).
-	SnapshotEvery time.Duration
-	// Metrics, when set, receives the WAL's instruments: append/fsync/
-	// snapshot/compaction latency, segment gauges and recovery outcome.
-	Metrics *telemetry.Registry
-}
-
-// DefaultConfig returns the default durability configuration for a data
-// directory (interval fsync, 8 MiB segments, snapshot every 5 minutes).
-func DefaultConfig(dir string) Config {
-	return Config{
-		Dir:           dir,
-		SyncPolicy:    SyncInterval.String(),
-		SyncInterval:  DefaultSyncInterval,
-		SegmentBytes:  DefaultSegmentBytes,
-		SnapshotEvery: 5 * time.Minute,
-	}
-}
-
-// Enabled reports whether the configuration turns durability on.
-func (c Config) Enabled() bool { return c.Dir != "" }
-
 // RecoveryInfo summarises what Open reconstructed from disk.
 type RecoveryInfo struct {
 	// SnapshotSeq is the log sequence the loaded snapshot covered (0 when no
@@ -91,18 +58,15 @@ type Info struct {
 }
 
 // Manager binds a storage.Store to a segmented log: it recovers the store
-// from disk on Open, appends every subsequent mutation to the log through the
-// store's mutation hook, and writes snapshots that bound recovery time.
+// from disk on Open, is the store's storage.Log from then on — every
+// subsequent mutation is appended to the log — and writes snapshots that
+// bound recovery time. The log's last sequence is the manager's: every
+// append runs under the store's commit lock, so a snapshot that reads it
+// under that lock covers exactly the mutations it captured.
 type Manager struct {
 	store *storage.Store
 	log   *Log
 	cfg   Config
-
-	// lastSeq is the sequence of the last appended mutation. It is written
-	// from the mutation hook (under the store's write lock) and read during
-	// snapshots (under the store's read lock), so a snapshot's sequence is
-	// exactly consistent with its contents.
-	lastSeq atomic.Uint64
 
 	// snapMu serialises snapshot/compaction runs.
 	snapMu      sync.Mutex
@@ -114,7 +78,7 @@ type Manager struct {
 	snapInfoMu sync.Mutex
 	snapInfos  map[uint64]SnapshotInfo
 
-	// enc encodes mutations for the log. appendMutation runs under the
+	// enc encodes mutations for the log. Append runs under the
 	// store's commit lock, so one encoder and one buffer serve every append
 	// without allocating.
 	enc    storage.Encoder
@@ -129,34 +93,26 @@ type Manager struct {
 	appendErr error
 	failed    atomic.Bool
 
-	// met holds the manager's instruments; nil when cfg.Metrics was nil.
-	// Set once in Open before the mutation hook is installed.
-	met *managerMetrics
+	// met holds the manager's instruments: all nil, and so inert, unless
+	// Open was given a registry. Set once in Open, before the manager is
+	// installed in the store's log slot.
+	met managerMetrics
 }
 
 // Open recovers the store from cfg.Dir (newest snapshot + replay of the log
-// tail) and installs itself in the WAL slot of the store's mutation event
-// bus so every future mutation is logged. The WAL slot is always notified
+// tail) and installs itself in the log slot of the store's mutation event
+// bus so every future mutation is logged. The log slot is always notified
 // first, before any derived-state subscriber, so everything a subscriber
 // observed is durably recoverable; replayed mutations bypass the slot (the
 // log must not be re-appended to itself) while derived-state subscribers do
 // observe them and rebuild incrementally during this call. The store must be
 // empty of queries: recovery replaces its contents. A directory an older
 // build wrote is recovered as it stands, then upgraded to this build's
-// format before Open returns (upgrade.go).
-func Open(store *storage.Store, cfg Config) (_ *Manager, _ *RecoveryInfo, err error) {
+// format before Open returns (upgrade.go). The log and the manager register
+// their instruments on reg, unless it is nil.
+func Open(store *storage.Store, cfg Config, reg *telemetry.Registry) (_ *Manager, _ *RecoveryInfo, err error) {
 	recoveryStart := time.Now()
-	policy, err := ParseSyncPolicy(cfg.SyncPolicy)
-	if err != nil {
-		return nil, nil, err
-	}
-	log, err := OpenLog(Options{
-		Dir:          cfg.Dir,
-		Sync:         policy,
-		SyncInterval: cfg.SyncInterval,
-		SegmentBytes: cfg.SegmentBytes,
-		Metrics:      cfg.Metrics,
-	})
+	log, err := OpenLog(cfg, reg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,56 +165,43 @@ func Open(store *storage.Store, cfg Config) (_ *Manager, _ *RecoveryInfo, err er
 	// appends must not reuse the snapshot-covered sequences.
 	log.EnsureSeqAtLeast(snapSeq)
 	m := &Manager{store: store, log: log, cfg: cfg, snapInfos: snapInfos}
-	m.lastSeq.Store(log.LastSeq())
 	m.snapshotSeq.Store(snapSeq)
 	if err := m.upgrade(older); err != nil {
 		return nil, nil, err
 	}
 	info.Duration = time.Since(recoveryStart)
-	m.enableMetrics(cfg.Metrics, info, info.Duration)
-	store.SetMutationHook(m.appendMutation)
-	store.SetDurabilityWaiter(m.waitDurable)
+	m.enableMetrics(reg, info, info.Duration)
+	store.SetLog(m)
 	return m, info, nil
 }
 
-// appendMutation is the bus's WAL-slot callback. It runs under the store's
+// Append is the store's log slot (storage.Log). It runs under the store's
 // commit lock, which keeps log order identical to apply order. It only
-// sequences the mutation — encode plus a buffer append — and stamps the
-// assigned WAL sequence on the mutation; the durability wait happens in
-// waitDurable, after the store releases the commit lock, so the next writer
-// can sequence (and share an fsync with) this one. A mutation that did not
-// reach the log is an error the store hands to the caller.
-func (m *Manager) appendMutation(mut *storage.Mutation) error {
-	var start time.Time
-	if m.met != nil {
-		start = time.Now()
-	}
+// sequences the mutation — encode plus a buffer append — and returns the
+// sequence the log assigned; the durability wait happens in WaitDurable,
+// after the store releases the commit lock, so the next writer can sequence
+// (and share an fsync with) this one. A mutation that did not reach the log
+// is an error the store hands to the caller.
+func (m *Manager) Append(mut *storage.Mutation) (uint64, error) {
+	start := time.Now()
 	m.enc.Inline = m.failed.Load()
 	payload, err := m.enc.AppendMutation(m.encBuf[:0], mut)
 	if err != nil {
-		return m.recordErr(fmt.Errorf("wal: %w", err))
+		return 0, m.recordErr(fmt.Errorf("wal: %w", err))
 	}
 	m.encBuf = payload
 	seq, err := m.log.AppendAsync(payload) // copies the payload into its batch buffer
-	if m.met != nil {
-		m.met.append.Observe(time.Since(start))
-	}
-	if seq != 0 {
-		// Even on a failed fsync the record is in the log; snapshots must
-		// cover it or the next recovery would re-apply it.
-		mut.SetWALSeq(seq)
-		m.lastSeq.Store(seq)
-	}
-	return m.recordErr(err)
+	m.met.append.Observe(time.Since(start))
+	return seq, m.recordErr(err)
 }
 
-// waitDurable is the store's durability-wait slot: mutating operations call
-// it with their highest WAL sequence after releasing the commit lock. Under
-// the always policy it blocks until the group-commit fsync covering seq
-// completes; under interval/off it returns immediately (those policies
-// acknowledge before durability by design) with the committer's failure, if
-// it has recorded one.
-func (m *Manager) waitDurable(seq uint64) error {
+// WaitDurable is the store's durability wait (storage.Log): mutating
+// operations call it with their highest log sequence after releasing the
+// commit lock. Under the always policy it blocks until the group-commit fsync
+// covering seq completes; under interval/off it returns immediately (those
+// policies acknowledge before durability by design) with the committer's
+// failure, if it has recorded one.
+func (m *Manager) WaitDurable(seq uint64) error {
 	return m.recordErr(m.log.WaitDurable(seq))
 }
 
@@ -302,7 +245,7 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	var seq uint64
 	// The commit lock is held only to collect the record pointers; encoding
 	// and writing happen after it is released, chunk by chunk.
-	st := m.store.CaptureState(func() { seq = m.lastSeq.Load() })
+	st := m.store.CaptureState(func() { seq = m.log.LastSeq() })
 	path, info, err := WriteSnapshot(m.cfg.Dir, seq, st)
 	if err != nil {
 		return "", 0, err
@@ -311,9 +254,7 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	m.snapInfoMu.Lock()
 	m.snapInfos[seq] = info
 	m.snapInfoMu.Unlock()
-	if m.met != nil {
-		m.met.snapshot.Observe(time.Since(start))
-	}
+	m.met.snapshot.Observe(time.Since(start))
 	return path, seq, nil
 }
 
@@ -341,9 +282,7 @@ func (m *Manager) Compact() (string, uint64, int, error) {
 	if _, err := RemoveSnapshotsBefore(m.cfg.Dir, seq); err != nil {
 		return path, seq, removed, err
 	}
-	if m.met != nil {
-		m.met.compaction.Observe(time.Since(start))
-	}
+	m.met.compaction.Observe(time.Since(start))
 	return path, seq, removed, nil
 }
 
@@ -360,10 +299,10 @@ func (m *Manager) MaybeSnapshot() error {
 
 // pending counts the logged mutations the newest snapshot does not cover,
 // replayed ones included. The snapshot sequence is read first: it never
-// passes lastSeq, so the difference never underflows.
+// passes the log's last sequence, so the difference never underflows.
 func (m *Manager) pending() uint64 {
 	snap := m.snapshotSeq.Load()
-	return m.lastSeq.Load() - snap
+	return m.log.LastSeq() - snap
 }
 
 // Sync flushes any buffered log records to stable storage.
@@ -380,7 +319,7 @@ func (m *Manager) Info() (Info, error) {
 		return Info{}, err
 	}
 	snapSeq := m.snapshotSeq.Load() // first, as in pending
-	lastSeq := m.lastSeq.Load()
+	lastSeq := m.log.LastSeq()
 	info := Info{
 		Dir:                  m.cfg.Dir,
 		SyncPolicy:           m.cfg.SyncPolicy,
@@ -426,12 +365,11 @@ func (m *Manager) snapshotInfos() ([]SnapshotInfo, error) {
 // Config returns the durability configuration the manager was opened with.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Close detaches the hook and durability waiter, flushes the log and closes
-// it. It returns the first append error encountered during the manager's
-// lifetime, if any.
+// Close detaches the manager from the store's log slot, flushes the log and
+// closes it. It returns the first append error encountered during the
+// manager's lifetime, if any.
 func (m *Manager) Close() error {
-	m.store.SetMutationHook(nil)
-	m.store.SetDurabilityWaiter(nil)
+	m.store.SetLog(nil)
 	err := m.log.Close()
 	if aerr := m.Err(); err == nil {
 		err = aerr

@@ -194,7 +194,7 @@ func testConfig(dir string) Config {
 func TestCrashRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	store := storage.NewStore()
-	mgr, info, err := Open(store, testConfig(dir))
+	mgr, info, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 	}
 
 	recovered := storage.NewStore()
-	mgr2, info2, err := Open(recovered, testConfig(dir))
+	mgr2, info2, err := Open(recovered, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = 4 << 10 // force several segments
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	}
 
 	recovered := storage.NewStore()
-	mgr2, info, err := Open(recovered, cfg)
+	mgr2, info, err := Open(recovered, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 	dir := t.TempDir()
 	store := storage.NewStore()
-	mgr, _, err := Open(store, testConfig(dir))
+	mgr, _, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 	}
 
 	recovered := storage.NewStore()
-	mgr2, rinfo, err := Open(recovered, testConfig(dir))
+	mgr2, rinfo, err := Open(recovered, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestTornWriteRecoversToLastValidRecord(t *testing.T) {
 func TestSnapshotBeyondTornTailDoesNotReuseSequences(t *testing.T) {
 	dir := t.TempDir()
 	store := storage.NewStore()
-	mgr, _, err := Open(store, testConfig(dir))
+	mgr, _, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestSnapshotBeyondTornTailDoesNotReuseSequences(t *testing.T) {
 	}
 
 	recovered := storage.NewStore()
-	mgr2, rinfo, err := Open(recovered, testConfig(dir))
+	mgr2, rinfo, err := Open(recovered, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestSnapshotBeyondTornTailDoesNotReuseSequences(t *testing.T) {
 	}
 
 	again := storage.NewStore()
-	mgr3, rinfo3, err := Open(again, testConfig(dir))
+	mgr3, rinfo3, err := Open(again, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestOpenRejectsMissingLogPrefix(t *testing.T) {
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = 2 << 10 // several segments, so compaction removes some
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestOpenRejectsMissingLogPrefix(t *testing.T) {
 	if segs[0].FirstSeq == 1 {
 		t.Fatal("compaction removed no segments; test needs a truncated log")
 	}
-	if _, _, err := Open(storage.NewStore(), cfg); err == nil {
+	if _, _, err := Open(storage.NewStore(), cfg, nil); err == nil {
 		t.Fatal("Open succeeded over a log with a missing prefix")
 	}
 }
@@ -443,7 +443,7 @@ func TestOpenRejectsMissingLogPrefix(t *testing.T) {
 func TestMaybeSnapshotSkipsIdleStore(t *testing.T) {
 	dir := t.TempDir()
 	store := storage.NewStore()
-	mgr, _, err := Open(store, testConfig(dir))
+	mgr, _, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestMaybeSnapshotSkipsIdleStore(t *testing.T) {
 func TestPendingCountsReplayedRecords(t *testing.T) {
 	dir := t.TempDir()
 	store := storage.NewStore()
-	mgr, _, err := Open(store, testConfig(dir))
+	mgr, _, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestPendingCountsReplayedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mgr, rinfo, err := Open(storage.NewStore(), testConfig(dir))
+	mgr, rinfo, err := Open(storage.NewStore(), testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestRecoveryIgnoresStrayFileNames(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*storage.Store, *Manager) {
 		store := storage.NewStore()
-		mgr, _, err := Open(store, testConfig(dir))
+		mgr, _, err := Open(store, testConfig(dir), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,7 +587,7 @@ func TestRecoveryIgnoresStrayFileNames(t *testing.T) {
 			t.Errorf("after compaction: %v", err)
 		}
 	}
-	snap, err := LatestSnapshot(dir)
+	snap, err := latestDecoded(dir)
 	if err != nil || snap == nil || snap.Info.Name != snapshotName(seq) || len(snap.State.Records) != 2 {
 		t.Fatalf("the latest snapshot is %+v (%v), want %s with 2 records", snap, err, snapshotName(seq))
 	}

@@ -6,8 +6,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// logMetrics instruments the log's fsync path. Fields are read-only after
-// OpenLog; a nil *logMetrics (uninstrumented log) costs one branch per sync.
+// logMetrics instruments the log's fsync path. Its zero value is the
+// uninstrumented log: every instrument is nil, and so inert. Fields are
+// read-only after OpenLog.
 type logMetrics struct {
 	fsync *telemetry.Histogram
 	// fsyncs is pre-labeled with this log's sync policy, so the counter can
@@ -23,11 +24,11 @@ type logMetrics struct {
 	fsyncsSaved *telemetry.Counter
 }
 
-func newLogMetrics(reg *telemetry.Registry, policy SyncPolicy) *logMetrics {
+func newLogMetrics(reg *telemetry.Registry, policy SyncPolicy) logMetrics {
 	if reg == nil {
-		return nil
+		return logMetrics{}
 	}
-	return &logMetrics{
+	return logMetrics{
 		fsync: reg.Histogram("cqms_wal_fsync_seconds",
 			"Duration of WAL fsync calls.", nil),
 		fsyncs: reg.CounterVec("cqms_wal_fsyncs_total",
@@ -42,6 +43,7 @@ func newLogMetrics(reg *telemetry.Registry, policy SyncPolicy) *logMetrics {
 }
 
 // managerMetrics instruments the manager's append/snapshot/compaction paths.
+// Its zero value, like logMetrics', is the uninstrumented manager.
 type managerMetrics struct {
 	append     *telemetry.Histogram
 	snapshot   *telemetry.Histogram
@@ -51,13 +53,13 @@ type managerMetrics struct {
 // enableMetrics registers the WAL families on reg: operation histograms,
 // durable-state gauges computed at scrape time, and the outcome of the
 // recovery that just ran. Called by Open once recovery has finished, before
-// the mutation hook is installed, so the append histogram never races its
-// own installation.
+// the manager is installed in the store's log slot, so the append histogram
+// never races its own installation. A nil reg registers nothing.
 func (m *Manager) enableMetrics(reg *telemetry.Registry, info *RecoveryInfo, recovery time.Duration) {
 	if reg == nil {
 		return
 	}
-	m.met = &managerMetrics{
+	m.met = managerMetrics{
 		append: reg.Histogram("cqms_wal_append_seconds",
 			"Time to encode and sequence one mutation into the WAL (inside the commit lock; excludes the group-commit durability wait).", nil),
 		snapshot: reg.Histogram("cqms_wal_snapshot_seconds",
@@ -68,11 +70,11 @@ func (m *Manager) enableMetrics(reg *telemetry.Registry, info *RecoveryInfo, rec
 
 	reg.GaugeFunc("cqms_wal_last_seq",
 		"Sequence number of the most recently appended WAL record.",
-		func() float64 { return float64(m.lastSeq.Load()) })
+		func() float64 { return float64(m.log.LastSeq()) })
 	reg.GaugeFunc("cqms_wal_sequence_durable_lag",
 		"Mutations sequenced in the WAL but not yet covered by a completed fsync (group-commit pipeline depth).",
 		func() float64 {
-			lag := float64(m.lastSeq.Load()) - float64(m.log.DurableSeq())
+			lag := float64(m.log.LastSeq()) - float64(m.log.DurableSeq())
 			if lag < 0 {
 				return 0
 			}

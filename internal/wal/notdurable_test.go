@@ -38,7 +38,7 @@ func TestNotDurableUnderSyncAlways(t *testing.T) {
 	cfg := DefaultConfig(t.TempDir())
 	cfg.SyncPolicy = "always"
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestNotDurableUnderSyncAlways(t *testing.T) {
 	}
 
 	reopened := storage.NewStore()
-	mgr2, rec, err := Open(reopened, cfg)
+	mgr2, rec, err := Open(reopened, cfg, nil)
 	if err != nil {
 		t.Fatalf("reopening: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestNotDurableUnderSyncAlways(t *testing.T) {
 func TestNotDurableUnderSyncInterval(t *testing.T) {
 	cfg := DefaultConfig(t.TempDir())
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 	cfg := DefaultConfig(t.TempDir())
 	cfg.SyncPolicy = "always"
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 	mgr.Close()
 
 	reopened := storage.NewStore()
-	mgr2, rec, err := Open(reopened, cfg)
+	mgr2, rec, err := Open(reopened, cfg, nil)
 	if err != nil {
 		t.Fatalf("recovering the directory a failed write left: %v", err)
 	}
@@ -220,9 +220,8 @@ func TestFramesDefineTheirShapesAfterAFailedWrite(t *testing.T) {
 // may fail with no append after it. Log.Err and Manager.Err report it.
 func TestNotDurableBackgroundFlushFailure(t *testing.T) {
 	cfg := DefaultConfig(t.TempDir())
-	cfg.SyncInterval = 5 * time.Millisecond
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

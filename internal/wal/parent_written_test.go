@@ -20,7 +20,7 @@ import (
 func writeFixedHistory(t *testing.T, dir string) {
 	t.Helper()
 	store := storage.NewStore()
-	mgr, _, err := Open(store, testConfig(dir))
+	mgr, _, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

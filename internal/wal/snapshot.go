@@ -285,16 +285,11 @@ func VerifySnapshot(path string) (SnapshotInfo, error) {
 	return snap.Info, nil
 }
 
-// LatestSnapshot loads the newest readable snapshot in dir; it returns nil
-// when there is none. A snapshot that does not read back is skipped in
-// favour of the next older one, except a JSON-era snapshot and an older
-// build's, each an error naming the file (Open upgrades a directory that
-// holds an older build's snapshot).
-func LatestSnapshot(dir string) (*Snapshot, error) {
-	return latestSnapshot(dir, func(path string) (*Snapshot, error) { return readSnapshotFile(path, decodeSnapshot) })
-}
-
-// latestSnapshot is LatestSnapshot, each file read with read.
+// latestSnapshot reads the newest readable snapshot in dir with read; it
+// returns nil when there is none. A snapshot that does not read back is
+// skipped in favour of the next older one, except a JSON-era snapshot and an
+// older build's, each an error naming the file (Open upgrades a directory
+// that holds an older build's snapshot).
 func latestSnapshot(dir string, read func(path string) (*Snapshot, error)) (*Snapshot, error) {
 	snaps, err := listSnapshots(dir)
 	if err != nil {

@@ -214,6 +214,12 @@ func testState(t testing.TB, n int) *storage.StoreState {
 	return store.CaptureState(nil)
 }
 
+// latestDecoded reads the newest readable snapshot in dir, decoded, as
+// recovery does for this build's snapshots.
+func latestDecoded(dir string) (*Snapshot, error) {
+	return latestSnapshot(dir, func(path string) (*Snapshot, error) { return readSnapshotFile(path, decodeSnapshot) })
+}
+
 func stateJSON(t testing.TB, st *storage.StoreState) string {
 	t.Helper()
 	b, err := json.Marshal(st)
@@ -239,8 +245,8 @@ func frameEnds(t testing.TB, raw []byte) []int {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if snap, err := LatestSnapshot(dir); err != nil || snap != nil {
-		t.Fatalf("LatestSnapshot on an empty dir = %v, %v", snap, err)
+	if snap, err := latestDecoded(dir); err != nil || snap != nil {
+		t.Fatalf("latestDecoded on an empty dir = %v, %v", snap, err)
 	}
 	st := testState(t, 24)
 	path, info, err := WriteSnapshot(dir, 99, st)
@@ -251,9 +257,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if info.Records != len(st.Records) || info.Frames != 3 {
 		t.Fatalf("written info = %+v", info)
 	}
-	snap, err := LatestSnapshot(dir)
+	snap, err := latestDecoded(dir)
 	if err != nil || snap == nil {
-		t.Fatalf("LatestSnapshot = %v, %v", snap, err)
+		t.Fatalf("latestDecoded = %v, %v", snap, err)
 	}
 	if snap.Seq != 99 || stateJSON(t, snap.State) != stateJSON(t, st) {
 		t.Fatalf("state changed in the snapshot (seq %d)", snap.Seq)
@@ -280,7 +286,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, _, err := WriteSnapshot(dir, 100, &storage.StoreState{NextID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := LatestSnapshot(dir); err != nil || snap.Seq != 100 || snap.State.NextID != 7 || len(snap.State.Records) != 0 || snap.Info.Frames != 1 {
+	if snap, err := latestDecoded(dir); err != nil || snap.Seq != 100 || snap.State.NextID != 7 || len(snap.State.Records) != 0 || snap.Info.Frames != 1 {
 		t.Fatalf("empty snapshot = %+v, %v", snap, err)
 	}
 	if removed, err := RemoveSnapshotsBefore(dir, 100); err != nil || removed != 1 {
@@ -314,7 +320,7 @@ func TestSnapshotTornAtEveryByte(t *testing.T) {
 		}
 		_, rerr := ReadSnapshot(bytes.NewReader(whole[:cut]))
 		_, verr := walkSnapshot(bytes.NewReader(whole[:cut]))
-		snap, lerr := LatestSnapshot(dir)
+		snap, lerr := latestDecoded(dir)
 		if ok := cut == len(whole); (rerr == nil) != ok || (verr == nil) != ok || lerr != nil || (snap != nil) != ok {
 			t.Fatalf("cut=%d of %d: read %v, verified %v, recovered %v, %v", cut, len(whole), rerr, verr, snap != nil, lerr)
 		}
@@ -389,7 +395,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	if _, err := VerifySnapshot(current); err == nil {
 		t.Fatal("the verifier accepted a flipped byte")
 	}
-	if snap, err := LatestSnapshot(dir); err != nil || snap == nil || snap.Seq != 10 || stateJSON(t, snap.State) != stateJSON(t, older) {
+	if snap, err := latestDecoded(dir); err != nil || snap == nil || snap.Seq != 10 || stateJSON(t, snap.State) != stateJSON(t, older) {
 		t.Fatalf("after chunk damage: %+v, %v; want the snapshot before it (of %d frames)", snap, err, info.Frames)
 	}
 	f, seq, ok, err := OpenLatestSnapshot(dir)
@@ -532,7 +538,7 @@ func TestSnapshotChunksStayUnderTheFrameBound(t *testing.T) {
 	cfg.SyncPolicy = "off"
 	cfg.SegmentBytes = 4 << 20
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +588,7 @@ func TestSnapshotChunksStayUnderTheFrameBound(t *testing.T) {
 	}
 
 	store2 := storage.NewStore()
-	mgr2, rec, err := Open(store2, cfg)
+	mgr2, rec, err := Open(store2, cfg, nil)
 	if err != nil {
 		t.Fatalf("reopening after compaction: %v", err)
 	}
@@ -607,7 +613,7 @@ func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
 	cfg := DefaultConfig(dir)
 	cfg.SyncPolicy = "off"
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +664,7 @@ func TestOversizedRecordNeverReachesTheLog(t *testing.T) {
 	}
 
 	store2 := storage.NewStore()
-	mgr2, rec, err := Open(store2, cfg)
+	mgr2, rec, err := Open(store2, cfg, nil)
 	if err != nil {
 		t.Fatalf("reopening: %v", err)
 	}
@@ -749,7 +755,7 @@ func TestOlderSnapshotSectionsAreSkipped(t *testing.T) {
 		})
 	}
 	clear(rebuilds) // the rebuilds at registration, over an empty store
-	mgr, info, err := Open(store, testConfig(dir))
+	mgr, info, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +801,7 @@ func TestPreBinaryDirectoryIsRefusedByName(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), encodeFrame(5400, []byte(`{"nextId":5401,"records":[]}`)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"})
+		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"}, nil)
 		if !errors.Is(err, storage.ErrPreBinaryPayload) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "sequence 5400") {
 			t.Fatalf("err = %v", err)
 		}
@@ -806,24 +812,32 @@ func TestPreBinaryDirectoryIsRefusedByName(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), encodeFrame(1, []byte(`{"op":"delete","id":3}`)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"})
+		_, _, err := Open(storage.NewStore(), Config{Dir: dir, SyncPolicy: "off"}, nil)
 		if !errors.Is(err, storage.ErrPreBinaryPayload) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "record 1") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 }
 
+// payloadLog is a storage.Log that keeps the encoding of every mutation
+// appended to it.
+type payloadLog [][]byte
+
+func (l *payloadLog) Append(m *storage.Mutation) (uint64, error) {
+	p, err := m.Encode()
+	*l = append(*l, p)
+	return uint64(len(*l)), err
+}
+
+func (*payloadLog) WaitDurable(uint64) error { return nil }
+
 // shapeLog is what a store holding three shapes (fuzzStore) logs next: a
 // put defining shape 4 inline, a put referring to shape 1, and a replace-text
 // referring to shape 4.
 func shapeLog(t testing.TB) (define, refer, retext []byte) {
 	store := fuzzStore(t)
-	var payloads [][]byte
-	store.SetMutationHook(func(m *storage.Mutation) error {
-		p, err := m.Encode()
-		payloads = append(payloads, p)
-		return err
-	})
+	var payloads payloadLog
+	store.SetLog(&payloads)
 	recs := fuzzRecords(t)
 	mustPut(t, store, walRecord(t, "SELECT Observations.id FROM Observations", "user0"))
 	mustPut(t, store, recs[0].Clone())
@@ -855,12 +869,8 @@ func walSample(v string) *storage.OutputSample {
 // referring to sample 4.
 func sampleLog(t testing.TB) (define, refer, referNew []byte) {
 	store := fuzzStore(t)
-	var payloads [][]byte
-	store.SetMutationHook(func(m *storage.Mutation) error {
-		p, err := m.Encode()
-		payloads = append(payloads, p)
-		return err
-	})
+	var payloads payloadLog
+	store.SetLog(&payloads)
 	for _, v := range []string{"new", "0", "new"} {
 		rec := walRecord(t, "SELECT a FROM t", "user0")
 		rec.Sample = walSample(v)
@@ -928,12 +938,8 @@ func FuzzReadFrames(f *testing.F) {
 		return out
 	}
 	other := storage.NewStore()
-	otherLog := [][]byte{}
-	other.SetMutationHook(func(m *storage.Mutation) error {
-		p, err := m.Encode()
-		otherLog = append(otherLog, p)
-		return err
-	})
+	var otherLog payloadLog
+	other.SetLog(&otherLog)
 	for _, rec := range append(fuzzRecords(f), walRecord(f, "SELECT Stations.name FROM Stations", "user3")) {
 		mustPut(f, other, rec)
 	}

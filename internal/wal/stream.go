@@ -83,7 +83,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 // LastSeq returns the highest WAL sequence assigned to an appended mutation.
-func (m *Manager) LastSeq() uint64 { return m.lastSeq.Load() }
+func (m *Manager) LastSeq() uint64 { return m.log.LastSeq() }
 
 // SnapshotSeq returns the log sequence covered by the newest snapshot taken
 // by this manager (0 before the first snapshot).
@@ -106,8 +106,9 @@ func (m *Manager) OpenLatestSnapshot() (io.ReadCloser, uint64, bool, error) {
 // caller can announce the sequence before sending the body. ok is false when
 // no snapshot exists yet (the follower then replays the whole log from
 // sequence 0). A snapshot that fails verification is skipped in favour of
-// the next older one, except as LatestSnapshot refuses one; the returned
-// handle stays readable even if compaction unlinks the file mid-transfer.
+// the next older one, except a JSON-era snapshot and an older build's, each
+// an error naming the file; the returned handle stays readable even if
+// compaction unlinks the file mid-transfer.
 func OpenLatestSnapshot(dir string) (io.ReadCloser, uint64, bool, error) {
 	var f *os.File
 	snap, err := latestSnapshot(dir, func(path string) (snap *Snapshot, err error) {

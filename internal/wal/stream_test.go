@@ -11,13 +11,13 @@ import (
 // streamTestLog opens a log in a temp dir and appends n small payloads.
 func streamTestLog(t *testing.T, n int) *Log {
 	t.Helper()
-	l, err := OpenLog(Options{Dir: t.TempDir(), Sync: SyncOff, SegmentBytes: 256})
+	l, err := OpenLog(Config{Dir: t.TempDir(), SyncPolicy: SyncOff.String(), SegmentBytes: 256}, nil)
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
 	t.Cleanup(func() { l.Close() })
 	for i := 1; i <= n; i++ {
-		if _, err := l.Append(fmt.Appendf(nil, "record-%04d", i)); err != nil {
+		if _, err := appendDurable(l, fmt.Appendf(nil, "record-%04d", i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}

@@ -19,7 +19,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 	store := storage.NewStore()
 	cfg := DefaultConfig(t.TempDir())
 	cfg.SyncPolicy = "always"
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 	var last uint64
 	var total int
 	store.Subscribe("order", func(m *storage.Mutation) {
-		seq := m.WALSeq()
+		seq := mgr.LastSeq() // the log appended m just before the bus fanned it out
 		if seq != last+1 {
 			t.Errorf("subscriber saw WAL seq %d after %d; want strict +1 order", seq, last)
 		}
@@ -110,7 +110,7 @@ func TestConcurrentCommitOrder(t *testing.T) {
 
 	// Replay must reproduce the same total order the subscriber saw.
 	store2 := storage.NewStore()
-	mgr2, rec, err := Open(store2, DefaultConfig(cfg.Dir))
+	mgr2, rec, err := Open(store2, DefaultConfig(cfg.Dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

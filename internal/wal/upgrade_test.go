@@ -219,7 +219,7 @@ func upgradeDoc(t testing.TB, s *storage.Store) string {
 func openDoc(t testing.TB, dir string) (string, *RecoveryInfo) {
 	t.Helper()
 	store := storage.NewStore()
-	mgr, info, err := Open(store, testConfig(dir))
+	mgr, info, err := Open(store, testConfig(dir), nil)
 	if err != nil {
 		t.Fatalf("opening %s: %v", dir, err)
 	}
@@ -241,7 +241,7 @@ func assertCurrentFormat(t testing.TB, dir string) {
 		switch {
 		case strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, snapshotSuffix):
 			if _, err = VerifySnapshot(path); err == nil {
-				_, err = LatestSnapshot(dir)
+				_, err = latestDecoded(dir)
 			}
 		case strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix):
 			_, err = readSegment(path, func(seq uint64, p []byte) error {
@@ -332,7 +332,7 @@ func TestCurrentDirectoryIsNotUpgraded(t *testing.T) {
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = 4 << 10
 	store := storage.NewStore()
-	mgr, _, err := Open(store, cfg)
+	mgr, _, err := Open(store, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestCurrentDirectoryIsNotUpgraded(t *testing.T) {
 		before := readFiles(t, dir)
 		store = storage.NewStore()
 		var info *RecoveryInfo
-		if mgr, info, err = Open(store, cfg); err != nil || info.Replayed == 0 || info.SnapshotSeq == 0 {
+		if mgr, info, err = Open(store, cfg, nil); err != nil || info.Replayed == 0 || info.SnapshotSeq == 0 {
 			t.Fatalf("recovery %+v, %v; want a snapshot and a tail", info, err)
 		}
 		if after := readFiles(t, dir); !maps.EqualFunc(before, after, bytes.Equal) || !compact && len(before) < 4 {
@@ -373,7 +373,7 @@ func TestCurrentDirectoryIsNotUpgraded(t *testing.T) {
 
 // TestOlderFormatIsRefusedByEveryOtherReader: the log decoder (WAL replay
 // outside Open, and a follower's tail), the snapshot stream (a follower's
-// bootstrap), the verifier and LatestSnapshot refuse each older payload by
+// bootstrap), the verifier and latestSnapshot refuse each older payload by
 // name, storage.ErrOlderFormat, and Store.Apply has no op for one.
 func TestOlderFormatIsRefusedByEveryOtherReader(t *testing.T) {
 	rec := fuzzRecords(t)[0]
@@ -424,8 +424,8 @@ func TestOlderFormatIsRefusedByEveryOtherReader(t *testing.T) {
 		if _, err := VerifySnapshot(path); !errors.Is(err, storage.ErrOlderFormat) || !strings.Contains(err.Error(), snaps[0].Name) {
 			t.Errorf("%s: VerifySnapshot: %v", src, err)
 		}
-		if _, err := LatestSnapshot(dir); !errors.Is(err, storage.ErrOlderFormat) || !strings.Contains(err.Error(), snaps[0].Name) {
-			t.Errorf("%s: LatestSnapshot: %v", src, err)
+		if _, err := latestDecoded(dir); !errors.Is(err, storage.ErrOlderFormat) || !strings.Contains(err.Error(), snaps[0].Name) {
+			t.Errorf("%s: latestDecoded: %v", src, err)
 		}
 		if _, _, ok, err := OpenLatestSnapshot(dir); ok || !errors.Is(err, storage.ErrOlderFormat) {
 			t.Errorf("%s: OpenLatestSnapshot = ok %v, %v", src, ok, err)
@@ -527,7 +527,7 @@ func FuzzUpgrade(f *testing.F) {
 		}
 		dir := writeFiles(t, files)
 		store := storage.NewStore()
-		mgr, _, err := Open(store, testConfig(dir))
+		mgr, _, err := Open(store, testConfig(dir), nil)
 		if err != nil {
 			return
 		}

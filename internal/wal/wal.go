@@ -70,8 +70,8 @@ type SyncPolicy int
 
 // Sync policies.
 const (
-	// SyncInterval fsyncs from a background flusher every Options.SyncInterval.
-	// A crash can lose at most the last interval of appends.
+	// SyncInterval fsyncs from a background flusher every 200 ms. A crash
+	// can lose at most the last interval of appends.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs before acknowledging an append. No acknowledged
 	// record is ever lost; concurrent appends share one group-commit fsync.
@@ -106,37 +106,42 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// Defaults for Options.
+// Config is the durability section of the CQMS configuration, and what
+// OpenLog opens a log with.
+type Config struct {
+	// Dir is the data directory; empty disables durability.
+	Dir string
+	// SyncPolicy is "always", "interval" or "off" (ParseSyncPolicy).
+	SyncPolicy string
+	// SegmentBytes is the segment rotation threshold (DefaultSegmentBytes
+	// when not positive).
+	SegmentBytes int64
+	// SnapshotEvery is how often the background scheduler snapshots the
+	// store and compacts the log (0 disables scheduled snapshots).
+	SnapshotEvery time.Duration
+}
+
 const (
-	DefaultSegmentBytes = 8 << 20 // rotate segments at 8 MiB
-	DefaultSyncInterval = 200 * time.Millisecond
+	// DefaultSegmentBytes is the segment rotation threshold DefaultConfig
+	// sets, and what OpenLog takes for a SegmentBytes that is not positive.
+	DefaultSegmentBytes = 8 << 20
+	// flushInterval is the background flush period under SyncInterval.
+	flushInterval = 200 * time.Millisecond
 )
 
-// Options configures a Log.
-type Options struct {
-	// Dir is the data directory holding segments and snapshots.
-	Dir string
-	// Sync is the fsync policy for appends.
-	Sync SyncPolicy
-	// SyncInterval is the background flush period under SyncInterval.
-	SyncInterval time.Duration
-	// SegmentBytes is the size threshold at which the active segment is
-	// rotated.
-	SegmentBytes int64
-	// Metrics, when set, receives the log's fsync instruments.
-	Metrics *telemetry.Registry
+// DefaultConfig returns the default durability configuration for a data
+// directory (interval fsync, 8 MiB segments, snapshot every 5 minutes).
+func DefaultConfig(dir string) Config {
+	return Config{
+		Dir:           dir,
+		SyncPolicy:    SyncInterval.String(),
+		SegmentBytes:  DefaultSegmentBytes,
+		SnapshotEvery: 5 * time.Minute,
+	}
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.SegmentBytes <= 0 {
-		out.SegmentBytes = DefaultSegmentBytes
-	}
-	if out.SyncInterval <= 0 {
-		out.SyncInterval = DefaultSyncInterval
-	}
-	return out
-}
+// Enabled reports whether the configuration turns durability on.
+func (c Config) Enabled() bool { return c.Dir != "" }
 
 // SegmentInfo describes one on-disk log segment.
 type SegmentInfo struct {
@@ -152,9 +157,10 @@ type SegmentInfo struct {
 // across writes and fsyncs, almost always by the committer goroutine alone).
 // Neither is ever taken while holding the other.
 type Log struct {
-	dir  string
-	opts Options
-	met  *logMetrics
+	dir          string
+	policy       SyncPolicy
+	segmentBytes int64
+	met          logMetrics
 
 	// seqMu guards the sequencing state below. wake signals the committer
 	// that there is work; progress is broadcast to WaitDurable/Sync waiters
@@ -241,21 +247,27 @@ func segmentName(firstSeq uint64) string {
 	return seqFileName(segmentPrefix, firstSeq, segmentSuffix)
 }
 
-// OpenLog opens (or creates) the segmented log in opts.Dir, truncating any
+// OpenLog opens (or creates) the segmented log in cfg.Dir, truncating any
 // torn tail left in the newest segment by a crash, and starts the group
-// committer.
-func OpenLog(opts Options) (*Log, error) {
-	opts = opts.withDefaults()
-	if opts.Dir == "" {
+// committer. It registers the log's instruments on reg, unless reg is nil.
+func OpenLog(cfg Config, reg *telemetry.Registry) (*Log, error) {
+	policy, err := ParseSyncPolicy(cfg.SyncPolicy)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Dir == "" {
 		return nil, errors.New("wal: open: empty directory")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{dir: opts.Dir, opts: opts, met: newLogMetrics(opts.Metrics, opts.Sync)}
+	l := &Log{dir: cfg.Dir, policy: policy, segmentBytes: cfg.SegmentBytes, met: newLogMetrics(reg, policy)}
+	if l.segmentBytes <= 0 {
+		l.segmentBytes = DefaultSegmentBytes
+	}
 	l.wake.L = &l.seqMu
 	l.progress.L = &l.seqMu
-	segs, err := listSegments(opts.Dir)
+	segs, err := listSegments(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +277,7 @@ func OpenLog(opts Options) (*Log, error) {
 		}
 	} else {
 		last := segs[len(segs)-1]
-		path := filepath.Join(opts.Dir, last.Name)
+		path := filepath.Join(cfg.Dir, last.Name)
 		var lastSeq uint64
 		validBytes, err := readSegment(path, func(seq uint64, _ []byte) error {
 			lastSeq = seq
@@ -298,7 +310,7 @@ func OpenLog(opts Options) (*Log, error) {
 	l.durableSeq = l.lastSeq
 	l.commitDone = make(chan struct{})
 	go l.commitLoop()
-	if opts.Sync == SyncInterval {
+	if policy == SyncInterval {
 		l.stopFlush = make(chan struct{})
 		l.flushDone = make(chan struct{})
 		go l.flushLoop()
@@ -323,7 +335,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 
 func (l *Log) flushLoop() {
 	defer close(l.flushDone)
-	ticker := time.NewTicker(l.opts.SyncInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -347,9 +359,9 @@ func (l *Log) Err() error {
 
 // AppendAsync sequences one record: it assigns the next sequence number,
 // encodes the frame into the pending batch and returns without waiting for
-// the write or fsync. Pair it with WaitDurable(seq) — or use Append — to get
-// the policy's durability guarantee. The payload is copied; the caller may
-// reuse it immediately.
+// the write or fsync. Pair it with WaitDurable(seq) to get the policy's
+// durability guarantee. The payload is copied; the caller may reuse it
+// immediately.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 	if len(payload) > maxPayloadBytes {
 		// Readers would take the frame for corruption and cut the log there.
@@ -388,35 +400,18 @@ func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 func (l *Log) WaitDurable(seq uint64) error {
 	l.seqMu.Lock()
 	defer l.seqMu.Unlock()
-	if l.opts.Sync == SyncAlways {
+	if l.policy == SyncAlways {
 		for l.durableSeq < seq && l.ioErr == nil && !l.committerDone {
 			l.progress.Wait()
 		}
 	}
-	if l.durableSeq >= seq || l.opts.Sync != SyncAlways {
+	if l.durableSeq >= seq || l.policy != SyncAlways {
 		return l.ioErr
 	}
 	if l.ioErr != nil {
 		return l.ioErr
 	}
 	return errors.New("wal: log closed before record became durable")
-}
-
-// Append sequences one record and waits for its durability guarantee. Under
-// SyncAlways the record is on stable storage when Append returns.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	seq, err := l.AppendAsync(payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.WaitDurable(seq); err != nil {
-		// The record is sequenced and (likely) in the log — it survives if
-		// the OS flushed before a crash — just not provably durable: report
-		// the sequence with the error so bookkeeping, snapshot sequences
-		// above all, never undercounts applied state.
-		return seq, err
-	}
-	return seq, nil
 }
 
 // commitLoop is the group committer: it drains the pending batch, writes it
@@ -433,7 +428,7 @@ func (l *Log) commitLoop() {
 		if l.pendingN == 0 && l.syncTarget <= l.durableSeq && l.closed {
 			break
 		}
-		if l.opts.Sync == SyncAlways && l.pendingN > 0 && !l.closed {
+		if l.policy == SyncAlways && l.pendingN > 0 && !l.closed {
 			// An fsync is about to be paid for this batch. Appenders released
 			// by the previous fsync are typically re-sequencing right now;
 			// yield to the scheduler while the batch keeps growing (bounded)
@@ -456,7 +451,7 @@ func (l *Log) commitLoop() {
 		last := first + uint64(n) - 1
 		l.pending = l.spare[:0:cap(l.spare)]
 		l.pendingN = 0
-		needSync := l.opts.Sync == SyncAlways || l.syncTarget > l.durableSeq
+		needSync := l.policy == SyncAlways || l.syncTarget > l.durableSeq
 		hook := l.beforeSync
 		l.seqMu.Unlock()
 
@@ -482,11 +477,9 @@ func (l *Log) commitLoop() {
 		} else {
 			if n > 0 {
 				l.writtenSeq = last
-				if l.met != nil {
-					l.met.batchRecords.ObserveCount(n)
-					if synced && n > 1 && l.opts.Sync == SyncAlways {
-						l.met.fsyncsSaved.Add(uint64(n - 1))
-					}
+				l.met.batchRecords.ObserveCount(n)
+				if synced && n > 1 && l.policy == SyncAlways {
+					l.met.fsyncsSaved.Add(uint64(n - 1))
 				}
 			}
 			if synced {
@@ -517,7 +510,7 @@ func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
 		runBytes := int64(0)
 		for off < len(batch) {
 			frameLen := int64(headerBytes) + int64(binary.LittleEndian.Uint32(batch[off:]))
-			if l.segBytes+runBytes > 0 && l.segBytes+runBytes+frameLen > l.opts.SegmentBytes {
+			if l.segBytes+runBytes > 0 && l.segBytes+runBytes+frameLen > l.segmentBytes {
 				break // this frame starts the next segment
 			}
 			runBytes += frameLen
@@ -608,17 +601,12 @@ func (l *Log) syncLocked() error {
 	if !l.dirty {
 		return nil
 	}
-	var start time.Time
-	if l.met != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if err := l.file.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	if l.met != nil {
-		l.met.fsync.Observe(time.Since(start))
-		l.met.fsyncs.Inc()
-	}
+	l.met.fsync.Observe(time.Since(start))
+	l.met.fsyncs.Inc()
 	l.syncedBytes = l.segBytes
 	l.dirty = false
 	return nil

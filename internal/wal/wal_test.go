@@ -6,16 +6,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-func testOptions(dir string) Options {
-	return Options{Dir: dir, Sync: SyncOff, SegmentBytes: DefaultSegmentBytes}
+// appendDurable sequences one record and waits for the durability its policy
+// promises, as the manager does for a write. A failed wait comes with the
+// record's sequence: it is in the log, only not provably durable.
+func appendDurable(l *Log, payload []byte) (uint64, error) {
+	seq, err := l.AppendAsync(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.WaitDurable(seq)
 }
 
 func mustAppend(t *testing.T, l *Log, payload string) uint64 {
 	t.Helper()
-	seq, err := l.Append([]byte(payload))
+	seq, err := appendDurable(l, []byte(payload))
 	if err != nil {
 		t.Fatalf("Append(%q): %v", payload, err)
 	}
@@ -37,7 +43,7 @@ func collect(t *testing.T, l *Log, after uint64) map[uint64]string {
 
 func TestAppendAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(testOptions(dir))
+	l, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestAppendAndReplay(t *testing.T) {
 
 func TestReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(testOptions(dir))
+	l, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(testOptions(dir))
+	l2, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +103,16 @@ func TestReopenContinuesSequence(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(dir)
-	opts.SegmentBytes = 256
-	l, err := OpenLog(opts)
+	cfg := testConfig(dir)
+	cfg.SegmentBytes = 256
+	l, err := OpenLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	payload := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 20; i++ {
-		if _, err := l.Append(payload); err != nil {
+		if _, err := appendDurable(l, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +135,7 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(testOptions(dir))
+	l, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(testOptions(dir))
+	l2, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestCorruptRecordTruncatesFromThere(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(testOptions(dir))
+	l, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestCorruptRecordTruncatesFromThere(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(testOptions(dir))
+	l2, err := OpenLog(testConfig(dir), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +227,9 @@ func TestCorruptRecordTruncatesFromThere(t *testing.T) {
 
 func TestReplayErrorsOnCorruptOlderSegment(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(dir)
-	opts.SegmentBytes = 64
-	l, err := OpenLog(opts)
+	cfg := testConfig(dir)
+	cfg.SegmentBytes = 64
+	l, err := OpenLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +260,9 @@ func TestReplayErrorsOnCorruptOlderSegment(t *testing.T) {
 
 func TestRemoveSegmentsCoveredBy(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(dir)
-	opts.SegmentBytes = 64
-	l, err := OpenLog(opts)
+	cfg := testConfig(dir)
+	cfg.SegmentBytes = 64
+	l, err := OpenLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +316,8 @@ func TestSyncPolicies(t *testing.T) {
 	// Appends reach disk under every policy.
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
 		dir := t.TempDir()
-		opts := Options{Dir: dir, Sync: policy, SyncInterval: 10 * time.Millisecond}
-		l, err := OpenLog(opts)
+		cfg := Config{Dir: dir, SyncPolicy: policy.String()}
+		l, err := OpenLog(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +325,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, err := OpenLog(opts)
+		l2, err := OpenLog(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
