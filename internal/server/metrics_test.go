@@ -139,6 +139,8 @@ func TestV1MetricsContract(t *testing.T) {
 		"# TYPE cqms_miner_feed_transactions gauge",
 		"# TYPE cqms_miner_feed_sets gauge",
 		"# TYPE cqms_search_examined_records histogram",
+		"# TYPE cqms_stats_owner_buckets gauge",
+		"# TYPE cqms_stats_owner_buckets_built gauge",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("exposition is missing %q", family)

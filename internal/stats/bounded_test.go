@@ -252,17 +252,21 @@ func TestConcurrentBoundedReads(t *testing.T) {
 	assertBoundedContract(t, tracker, store)
 }
 
-// TestConcurrentReadsSettleOwnerBuckets: after a rebuild, owner buckets wait
-// to be built until first used; readers of one owner race each other and the
-// writers to build it, under -race, and the contract holds once they stop.
+// TestConcurrentReadsSettleOwnerBuckets: owner buckets, whether writes or a
+// rebuild made them, are lists until their owner first reads; readers of one
+// owner race each other and the writers to build it, under -race, and the
+// contract holds once they stop.
 func TestConcurrentReadsSettleOwnerBuckets(t *testing.T) {
 	store := storage.NewStore()
 	tracker := stats.AttachWithCapacity(store, 4)
 	rng := rand.New(rand.NewSource(17))
 	mutateRandomly(t, rng, store, 200)
+	if built, listed := stats.BuiltOwners(tracker); built != 0 || listed == 0 {
+		t.Fatalf("after writes alone, %d owner buckets are built and %d listed; want none built", built, listed)
+	}
 	tracker.Rebuild(store)
-	if stats.PendingOwners(tracker) == 0 {
-		t.Fatal("the rebuild built every owner bucket; the test no longer races their first use")
+	if built, listed := stats.BuiltOwners(tracker); built != 0 || listed == 0 {
+		t.Fatalf("after a rebuild, %d owner buckets are built and %d listed; want none built", built, listed)
 	}
 
 	var readers sync.WaitGroup
@@ -290,8 +294,13 @@ func TestConcurrentReadsSettleOwnerBuckets(t *testing.T) {
 	}()
 	writers.Wait()
 	readers.Wait()
-	if n := stats.PendingOwners(tracker); n != 0 {
-		t.Errorf("%d owner buckets still pending after every owner read and wrote", n)
+	// A write after an owner's last read can leave a new bucket as a list;
+	// one more read by every owner builds them all, and they stay built.
+	for _, u := range users {
+		tracker.QueryCount(storage.Principal{User: u})
+	}
+	if built, listed := stats.BuiltOwners(tracker); built == 0 || listed != 0 {
+		t.Errorf("%d owner buckets still listed (%d built) after every owner read", listed, built)
 	}
 	assertBoundedContract(t, tracker, store)
 }

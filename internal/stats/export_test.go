@@ -13,15 +13,17 @@ var (
 	AttachWithCapacity = attachWithCapacity
 )
 
-// RebuildPerRecord is the oracle Rebuild is held to: every record applied to
-// its buckets on its own, as the live path applies it, then the summaries
-// reseeded from the final maps.
+// RebuildPerRecord is the oracle Rebuild and the owner buckets' shape lists
+// are held to: every record applied to its buckets' counters on its own, an
+// owner bucket built from its first record on, then the summaries reseeded
+// from the final maps.
 func (t *Tracker) RebuildPerRecord(store *storage.Store) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.all, t.public, t.owners = newBucket(), newBucket(), make(map[string]*bucket)
 	t.shapes = make(map[*storage.QueryShape]*countedShape)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(rec *storage.QueryRecord) bool {
+		t.specificFor(rec).settle(rec.User, t.capacity)
 		t.addLocked(rec)
 		return true
 	})
@@ -107,15 +109,20 @@ func ints[K comparable](m map[K]tally) map[K]int {
 	return out
 }
 
-// PendingOwners counts the owner buckets a rebuild left pending.
-func PendingOwners(t *Tracker) int {
+// BuiltOwners counts the owner buckets whose counters are built and the ones
+// that are still a shape list.
+func BuiltOwners(t *Tracker) (built, listed int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
 	for _, b := range t.owners {
-		if b.pending != nil {
-			n++
+		if b.built() {
+			built++
+		} else {
+			listed++
 		}
 	}
-	return n
+	return built, listed
 }
+
+// ListedShapes is the bound on an unbuilt owner bucket's shape list.
+const ListedShapes = maxListedShapes

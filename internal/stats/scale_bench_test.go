@@ -132,28 +132,67 @@ func BenchmarkStatsRebuild(b *testing.B) {
 }
 
 // BenchmarkStatsApply prices the live apply path under the trace's
-// bus.stats_us: one op adds and then retracts a group-visible record whose
-// shape the tracker already counts, on a tracker holding 10^4 records from
-// ~5,000 Zipf users. With owner=existing the record's user keeps other
-// records, so their bucket stays; with owner=new the user has none, so every
-// op creates their bucket and prunes it again.
+// bus.stats_us on a tracker holding 10^4 records from ~5,000 Zipf users. With
+// owner=existing and owner=new one op adds and then retracts a group-visible
+// record whose shape the tracker already counts: with existing the record's
+// user keeps other records, so their bucket stays; with new the user has
+// none, so every op creates their bucket and prunes it again. With
+// owner=spread one op adds a group-visible record for the next of 5,000
+// users in turn, none of whom reads, as capture ingest does, and B/owner is
+// the heap the owner buckets retain.
 func BenchmarkStatsApply(b *testing.B) {
 	store := rebuildBenchStore(b, 10_000, 5_000)
 	var rec *storage.QueryRecord
+	var shapes []*storage.QueryShape
+	seen := make(map[*storage.QueryShape]bool)
 	store.Snapshot().Scan(storage.Principal{Admin: true}, func(r *storage.QueryRecord) bool {
 		if r.Visibility == storage.VisibilityGroup {
-			rec = r.Clone()
+			if rec == nil {
+				rec = r
+			}
+			if !seen[r.QueryShape] {
+				seen[r.QueryShape] = true
+				shapes = append(shapes, r.QueryShape)
+			}
 		}
-		return rec == nil
+		return true
+	})
+	b.Run("owner=spread", func(b *testing.B) {
+		t := New()
+		t.Rebuild(store)
+		// One record per owner, given the op's shape before it is applied:
+		// the tracker reads only its user, shape and visibility.
+		owners := make([]*storage.QueryRecord, 5_000)
+		for i := range owners {
+			owners[i] = withUser(rec, fmt.Sprintf("writer%04d", i))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := owners[i%len(owners)]
+			r.QueryShape = shapes[(i+i/len(owners))%len(shapes)]
+			t.addLocked(r)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		written := min(b.N, len(owners))
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(written), "B/owner")
+		runtime.KeepAlive(t)
+		runtime.KeepAlive(owners)
 	})
 	for _, owner := range []string{"existing", "new"} {
 		b.Run("owner="+owner, func(b *testing.B) {
 			t := New()
 			t.Rebuild(store)
-			rec := rec.Clone()
+			user := rec.User
 			if owner == "new" {
-				rec.User = "newcomer"
+				user = "newcomer"
 			}
+			rec := withUser(rec, user)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -162,4 +201,12 @@ func BenchmarkStatsApply(b *testing.B) {
 			}
 		})
 	}
+}
+
+// withUser is a copy of rec for user that shares its shape, the interned one
+// the key cache counts (Clone would copy it).
+func withUser(rec *storage.QueryRecord, user string) *storage.QueryRecord {
+	out := *rec
+	out.User = user
+	return &out
 }

@@ -17,6 +17,14 @@
 // for O(1) bucket merges; endpoints that return actual records still enforce
 // visibility exactly.
 //
+// An owner bucket's counters are computed for its owner's reads only, so a
+// write does not build them: until the owner first reads, the bucket is its
+// query count and a list of (shape keys, record count) entries that writes
+// net into. The first read builds the counters from the list, as Rebuild
+// builds the all and public buckets, and they stay built; so does a write
+// that would scan more than maxListedShapes entries. The all and public
+// buckets are always built.
+//
 // The counter keys are a query's Figure 1 rows as internal/sql spells them:
 // an attribute by sql.AttributeRow.Name, a concrete predicate by
 // sql.PredicateRow.Text and a join by sql.PredicateRow.CanonicalJoin. The
@@ -177,7 +185,8 @@ func addTally[K cmp.Ordered](c *counter[K, tally], key K, d, capacity int) {
 // bucket is one visibility bucket of counters: four listed dimensions, each
 // with its exact counts and, past capacity, a bounded top-K summary, so the
 // listing reads — top tables, top users, top predicates, fingerprint
-// popularity — never have to materialise or sort a large map.
+// popularity — never have to materialise or sort a large map. An owner
+// bucket is only its query count and a shape list until its owner reads.
 type bucket struct {
 	queries      int
 	users        counter[string, tally]
@@ -188,12 +197,20 @@ type bucket struct {
 	// multi-table queries.
 	preds  counter[string, tally]
 	tables counter[string, *tableAgg] // key: lower-cased table name
-	// pending is what a Rebuild counted in an owner bucket — the keys of
-	// each shape its records have, and how many have it — until the bucket
-	// is first read or written: settle builds the counters from it then, so
-	// a rebuild pays only for the owner buckets that are used.
-	pending []shapeCount
+	// byShape is, with queries, all an owner bucket holds until its owner
+	// first reads it: the keys of each shape its records have, from the key
+	// cache, and how many have it. Writes net into it and build nothing;
+	// settle builds the counters from it. A built bucket has the dimensions'
+	// maps and no list.
+	byShape []shapeCount
 }
+
+// maxListedShapes bounds the entries a write scans in an unbuilt owner
+// bucket's list: a write that would list one shape more, or that meets a
+// longer list a Rebuild left, settles the bucket first. An owner that writes
+// many shapes and never reads, such as a capture proxy's account, pays for
+// its counters once.
+const maxListedShapes = 64
 
 // shapeCount is a shape's keys with a count of records that have it.
 type shapeCount struct {
@@ -221,21 +238,56 @@ func (b *bucket) reseed(capacity int) {
 	b.fingerprints.reseed(capacity)
 }
 
-// settle builds the counters of a user's owner bucket from what Rebuild left
-// pending, exactly as Rebuild builds the all and public buckets; a bucket
-// with nothing pending is left as it is.
+// built reports whether the bucket has its counters: the all and public
+// buckets always do, an owner bucket once settle has built them.
+func (b *bucket) built() bool { return b.users.counts != nil }
+
+// settle builds the counters of a user's owner bucket from its shape list,
+// exactly as Rebuild builds the all and public buckets, and drops the list;
+// a built bucket is left as it is. The owner's first read settles their
+// bucket, and so does a write that would list more than maxListedShapes.
 func (b *bucket) settle(user string, capacity int) {
-	if b.pending == nil {
+	if b.built() {
 		return
 	}
 	built := newBucket()
 	built.queries = b.queries
 	addTally(&built.users, user, b.queries, 0)
-	for _, s := range b.pending {
+	for _, s := range b.byShape {
 		built.add(s.keys, s.n, 0)
 	}
 	built.reseed(capacity)
 	*b = *built
+}
+
+// list nets delta records of the shape whose keys are k into an unbuilt
+// bucket's list, dropping the entry whose count reaches 0. It reports false,
+// changing nothing, when k would be a new entry of a full list; a Rebuild
+// can leave a list longer than the bound, and such a list is not scanned.
+func (b *bucket) list(k *shapeKeys, delta int) bool {
+	if len(b.byShape) > maxListedShapes {
+		return false
+	}
+	for i := range b.byShape {
+		s := &b.byShape[i]
+		if s.keys != k {
+			continue
+		}
+		if s.n += delta; s.n <= 0 {
+			last := len(b.byShape) - 1
+			b.byShape[i] = b.byShape[last]
+			b.byShape = b.byShape[:last]
+		}
+		return true
+	}
+	switch {
+	case delta <= 0: // nothing counted to retract, as in bumpCount
+	case len(b.byShape) == maxListedShapes:
+		return false
+	default:
+		b.byShape = append(b.byShape, shapeCount{k, delta})
+	}
+	return true
 }
 
 // bumpItem adjusts one candidate counter, deleting the key when it empties
@@ -342,9 +394,17 @@ tables:
 }
 
 // apply adds (delta=+1) or retracts (delta=-1) one record's contributions,
-// k being the keys of its shape, keeping the summaries current key by key.
-// It runs under the store's commit lock.
+// k being the keys of its shape from the key cache: into the list of an
+// unbuilt owner bucket, or into the counters, keeping the summaries current
+// key by key. It runs under the store's commit lock.
 func (b *bucket) apply(rec *storage.QueryRecord, k *shapeKeys, delta, capacity int) {
+	if !b.built() {
+		if b.list(k, delta) {
+			b.queries += delta
+			return
+		}
+		b.settle(rec.User, capacity)
+	}
 	b.queries += delta
 	addTally(&b.users, rec.User, delta, capacity)
 	b.add(k, delta, capacity)
@@ -454,10 +514,10 @@ type countedShape struct {
 // over the store's current contents. Records share their interned shape, so
 // one scan counts them per user, shape and visibility; every shape's keys are
 // then rendered once, into the new key cache, and added to the all and
-// public buckets with their multiplicity. An owner bucket only records its
-// shapes and their counts, and is built on first use (bucket.settle). The
-// new counters are built off to the side and swapped in, so concurrent
-// readers never observe a half-built state.
+// public buckets with their multiplicity. An owner bucket only lists its
+// shapes and their counts, as writes leave it, and is built on its owner's
+// first read (bucket.settle). The new counters are built off to the side and
+// swapped in, so concurrent readers never observe a half-built state.
 func (t *Tracker) Rebuild(store *storage.Store) {
 	type cell struct {
 		user   string
@@ -492,7 +552,7 @@ func (t *Tracker) Rebuild(store *storage.Store) {
 			owners[c.user] = b
 		}
 		b.queries += n
-		b.pending = append(b.pending, shapeCount{&sh.keys, n})
+		b.byShape = append(b.byShape, shapeCount{&sh.keys, n})
 	}
 	for shape, sh := range shapes {
 		all.queries += sh.records
@@ -591,18 +651,17 @@ func (t *Tracker) keysLocked(sh *storage.QueryShape, d int) *shapeKeys {
 	return &e.keys
 }
 
-// specificFor returns (creating if needed) the visibility bucket a record's
-// contributions belong to besides `all`.
+// specificFor returns the visibility bucket a record's contributions belong
+// to besides `all`, creating a new owner's bucket as an empty list.
 func (t *Tracker) specificFor(rec *storage.QueryRecord) *bucket {
 	if rec.Visibility == storage.VisibilityPublic {
 		return t.public
 	}
 	b := t.owners[rec.User]
 	if b == nil {
-		b = newBucket()
+		b = &bucket{}
 		t.owners[rec.User] = b
 	}
-	b.settle(rec.User, t.capacity)
 	return b
 }
 
@@ -617,14 +676,14 @@ func (t *Tracker) pruneOwner(user string) {
 }
 
 // rlockFor read-locks the tracker for a read by the principal, first
-// settling their owner bucket if a rebuild left it pending. The caller
+// building their owner bucket's counters if it is still a list. The caller
 // releases the read lock.
 func (t *Tracker) rlockFor(p storage.Principal) {
 	t.mu.RLock()
 	if p.Admin {
 		return
 	}
-	for b := t.owners[p.User]; b != nil && b.pending != nil; b = t.owners[p.User] {
+	for b := t.owners[p.User]; b != nil && !b.built(); b = t.owners[p.User] {
 		t.mu.RUnlock()
 		t.mu.Lock()
 		if b := t.owners[p.User]; b != nil {
@@ -974,6 +1033,19 @@ func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
 			t.mu.RLock()
 			defer t.mu.RUnlock()
 			return float64(len(t.owners))
+		})
+	reg.GaugeFunc("cqms_stats_owner_buckets_built",
+		"Per-owner visibility buckets whose counters are built, by their owner's first read or a write past the listed-shape bound; the rest hold only a (shape, count) list.",
+		func() float64 {
+			t.mu.RLock()
+			defer t.mu.RUnlock()
+			n := 0
+			for _, b := range t.owners {
+				if b.built() {
+					n++
+				}
+			}
+			return float64(n)
 		})
 	// Top-K summary health on the admin (`all`) bucket: how many keys each
 	// dimension lists (all of them while it has no summary) and the miss

@@ -252,12 +252,12 @@ func (s *Store) SearchIndexSize() (trigrams int) {
 
 // streamsOf returns one whole posting stream per shape. Callers must hold
 // index.mu.
-func streamsOf(shapes []*QueryShape) postingHeap {
-	h := make(postingHeap, len(shapes))
+func streamsOf(shapes []*QueryShape) []postingStream {
+	streams := make([]postingStream, len(shapes))
 	for i, sh := range shapes {
-		h[i] = postingStream{rest: sh.ids, shape: sh}
+		streams[i] = postingStream{ids: sh.ids, shape: sh}
 	}
-	return h
+	return streams
 }
 
 // ---------------------------------------------------------------------------
@@ -271,8 +271,8 @@ func streamsOf(shapes []*QueryShape) postingHeap {
 type TextSelection struct {
 	store *Store
 	// streams holds one posting stream per selected shape, whole and in no
-	// order until Scan narrows them and turns them into its merge heap.
-	streams   postingHeap
+	// order until Scan narrows them and merges them.
+	streams   []postingStream
 	annotated []QueryID
 	loaded    int
 }
@@ -400,11 +400,10 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 		}
 		return true
 	}
-	h := sel.streams
+	m := mergeOf(sel.streams, after, high)
 	sel.streams = nil
-	h.init(after, high)
-	for len(h) > 0 {
-		id, sh := h.pop()
+	for m.more() {
+		id, sh := m.pop()
 		if !extraBelow(id) {
 			return
 		}
@@ -423,24 +422,36 @@ func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Prin
 	extraBelow(math.MaxInt64)
 }
 
-// postingStream is one shape's IDs inside the merge: the next ID inline, so
-// heap comparisons stay inside the heap's own memory, and the rest.
+// postingStream is one shape's IDs inside the merge: mergeOf narrows ids to
+// the merged range, and next is the index of the ID after the stream's head.
 type postingStream struct {
-	head  QueryID
-	rest  []QueryID
+	ids   []QueryID
+	next  int
 	shape *QueryShape
 }
 
-// postingHeap is a binary min-heap of posting streams keyed by head. An ID
-// appears in at most one stream: a record has one shape.
-type postingHeap []postingStream
+// postingHead is one heap entry: a stream's next ID and the stream's index.
+// It holds no pointer, so sifting it costs no write barrier.
+type postingHead struct {
+	head   QueryID
+	stream int32
+}
 
-// init turns whole, unordered streams (everything in rest) into the heap over
-// their IDs in after < ID <= high.
-func (h *postingHeap) init(after, high QueryID) {
-	kept := (*h)[:0]
-	for _, st := range *h {
-		ids := st.rest
+// postingMerge yields the IDs of its streams in ascending order from a
+// binary min-heap of their heads; the streams stay in their side array. An
+// ID appears in at most one stream: a record has one shape.
+type postingMerge struct {
+	streams []postingStream
+	heap    []postingHead
+}
+
+// mergeOf narrows whole, unordered streams to their IDs in after < ID <=
+// high and merges them. It takes over the streams.
+func mergeOf(streams []postingStream, after, high QueryID) postingMerge {
+	heap := make([]postingHead, 0, len(streams))
+	for i := range streams {
+		st := &streams[i]
+		ids := st.ids
 		// A first page and a pin at the current high-water mark are the
 		// common case: one probe at each end settles them.
 		if ids[0] <= after {
@@ -450,43 +461,51 @@ func (h *postingHeap) init(after, high QueryID) {
 			ids = ids[:sort.Search(n, func(i int) bool { return ids[i] > high })]
 		}
 		if len(ids) > 0 {
-			kept = append(kept, postingStream{head: ids[0], rest: ids[1:], shape: st.shape})
+			st.ids, st.next = ids, 1
+			heap = append(heap, postingHead{head: ids[0], stream: int32(i)})
 		}
 	}
-	*h = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.down(i)
+	m := postingMerge{streams: streams, heap: heap}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
+	return m
 }
+
+// more reports whether an ID is left to pop.
+func (m *postingMerge) more() bool { return len(m.heap) > 0 }
 
 // pop removes and returns the smallest ID with the shape it belongs to.
-func (h *postingHeap) pop() (QueryID, *QueryShape) {
-	top := &(*h)[0]
-	id, sh := top.head, top.shape
-	if len(top.rest) > 0 {
-		top.head, top.rest = top.rest[0], top.rest[1:]
+func (m *postingMerge) pop() (QueryID, *QueryShape) {
+	top := &m.heap[0]
+	st := &m.streams[top.stream]
+	id := top.head
+	if st.next < len(st.ids) {
+		top.head = st.ids[st.next]
+		st.next++
 	} else {
-		n := len(*h) - 1
-		(*h)[0] = (*h)[n]
-		*h = (*h)[:n]
+		n := len(m.heap) - 1
+		m.heap[0] = m.heap[n]
+		m.heap = m.heap[:n]
 	}
-	h.down(0)
-	return id, sh
+	m.down(0)
+	return id, st.shape
 }
 
-func (h postingHeap) down(i int) {
+func (m *postingMerge) down(i int) {
+	h := m.heap
 	for {
-		m := 2*i + 1
-		if m >= len(h) {
+		c := 2*i + 1
+		if c >= len(h) {
 			return
 		}
-		if r := m + 1; r < len(h) && h[r].head < h[m].head {
-			m = r
+		if r := c + 1; r < len(h) && h[r].head < h[c].head {
+			c = r
 		}
-		if h[i].head <= h[m].head {
+		if h[i].head <= h[c].head {
 			return
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }

@@ -187,11 +187,11 @@ func (v *View) Records(p Principal) []*QueryRecord {
 func (v *View) ScanByTable(table string, p Principal, fn func(*QueryRecord) bool) {
 	ix := &v.store.index
 	ix.mu.RLock()
-	h := streamsOf(ix.byTable[strings.ToLower(table)])
+	streams := streamsOf(ix.byTable[strings.ToLower(table)])
 	ix.mu.RUnlock()
-	h.init(0, v.limit)
-	for len(h) > 0 {
-		id, sh := h.pop()
+	m := mergeOf(streams, 0, v.limit)
+	for m.more() {
+		id, sh := m.pop()
 		rec, ok := v.store.loadRecord(id)
 		if !ok || rec.QueryShape != sh || !rec.VisibleTo(p) {
 			continue

@@ -322,7 +322,7 @@ func (m *Manager) Info() (Info, error) {
 	lastSeq := m.log.LastSeq()
 	info := Info{
 		Dir:                  m.cfg.Dir,
-		SyncPolicy:           m.cfg.SyncPolicy,
+		SyncPolicy:           m.log.policy.String(),
 		LastSeq:              lastSeq,
 		SnapshotSeq:          snapSeq,
 		AppendsSinceSnapshot: int64(lastSeq - snapSeq),

@@ -472,6 +472,29 @@ func TestMaybeSnapshotSkipsIdleStore(t *testing.T) {
 	}
 }
 
+// TestInfoReportsTheSyncPolicyTheLogRuns: Info names the policy the
+// configured spelling parses to, not the spelling itself.
+func TestInfoReportsTheSyncPolicyTheLogRuns(t *testing.T) {
+	for spelling, want := range map[string]string{"NEVER": "off", "": "interval", " Always ": "always"} {
+		cfg := testConfig(t.TempDir())
+		cfg.SyncPolicy = spelling
+		mgr, _, err := Open(storage.NewStore(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := mgr.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.SyncPolicy != want {
+			t.Errorf("SyncPolicy %q: Info reports %q, want %q", spelling, info.SyncPolicy, want)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPendingCountsReplayedRecords: the mutations pending a snapshot are the
 // log's records past the newest snapshot, replayed ones included, so after a
 // restart Info counts the replayed tail and MaybeSnapshot compacts it.
