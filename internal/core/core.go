@@ -378,10 +378,10 @@ func (c *CQMS) HistoryPage(ctx context.Context, p storage.Principal, user string
 		view = c.store.SnapshotAt(cur.At)
 	}
 	var out []*storage.QueryRecord
-	view.ScanByUserAfter(user, cur.After, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
+	view.ScanByUserAfter(ctx, user, cur.After, p, func(rec *storage.QueryRecord) bool {
 		out = append(out, rec)
 		return limit <= 0 || len(out) < limit
-	}))
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, cur, err
 	}

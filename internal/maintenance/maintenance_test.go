@@ -1,6 +1,7 @@
 package maintenance
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -293,7 +294,7 @@ func TestScanRepairsRenamedTable(t *testing.T) {
 	}
 	// The store index follows the rename.
 	got := 0
-	store.Snapshot().ScanByTable("LakeSalinity", admin, func(*storage.QueryRecord) bool { got++; return true })
+	store.Snapshot().ScanByTable(context.Background(), "LakeSalinity", admin, func(*storage.QueryRecord) bool { got++; return true })
 	if got != 1 {
 		t.Errorf("ScanByTable(LakeSalinity) = %d, want 1", got)
 	}

@@ -131,7 +131,7 @@ func scanByData(store *storage.Store, p storage.Principal, include, exclude []st
 // scanMetaQuery runs a meta-query over the visible feature relations and
 // resolves its qid column.
 func scanMetaQuery(t *testing.T, store *storage.Store, sessionOf func(*storage.QueryRecord) int64, p storage.Principal, metaSQL, why string) []metaquery.Match {
-	eng, err := metaquery.MaterializeFeatureRelations(context.Background(), store.Snapshot(), p, sessionOf)
+	eng, _, err := metaquery.MaterializeFeatureRelations(context.Background(), store.Snapshot(), p, sessionOf)
 	if err != nil {
 		t.Fatal(err)
 	}

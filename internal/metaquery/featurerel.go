@@ -35,9 +35,10 @@ const (
 // sessionId is what sessionOf answers for the record: the session detector
 // is its one home, so the relation is current as of the last commit. A user's
 // SQL meta-query (such as the one in Figure 1) runs against the returned
-// engine; nothing else builds the relations. The scan stops soon after ctx is
-// done, and the context's error is returned.
-func materializeFeatureRelations(ctx context.Context, view *storage.View, p storage.Principal, sessionOf func(*storage.QueryRecord) int64) (*engine.Engine, error) {
+// engine; nothing else builds the relations. It also returns how many records
+// its scan examined. The scan stops soon after ctx is done, and the context's
+// error is returned.
+func materializeFeatureRelations(ctx context.Context, view *storage.View, p storage.Principal, sessionOf func(*storage.QueryRecord) int64) (*engine.Engine, int, error) {
 	eng := engine.New()
 	ddl := []string{
 		fmt.Sprintf("CREATE TABLE %s (qid INT PRIMARY KEY, qText TEXT, quser TEXT, qgroup TEXT, sessionId INT, valid BOOL)", RelQueries),
@@ -49,13 +50,13 @@ func materializeFeatureRelations(ctx context.Context, view *storage.View, p stor
 	}
 	for _, stmt := range ddl {
 		if _, err := eng.Execute(stmt); err != nil {
-			return nil, fmt.Errorf("metaquery: creating feature relation: %w", err)
+			return nil, 0, fmt.Errorf("metaquery: creating feature relation: %w", err)
 		}
 	}
 
 	cat := eng.Catalog()
 	var queriesRows, sourcesRows, attrsRows, predsRows, statsRows, annRows []engine.Row
-	view.Scan(p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
+	examined := view.ScanAfter(ctx, 0, p, func(rec *storage.QueryRecord) bool {
 		qid := engine.NewInt(int64(rec.ID))
 		queriesRows = append(queriesRows, engine.Row{
 			qid, engine.NewText(rec.Text), engine.NewText(rec.User), engine.NewText(rec.Group),
@@ -90,9 +91,9 @@ func materializeFeatureRelations(ctx context.Context, view *storage.View, p stor
 			annRows = append(annRows, engine.Row{qid, engine.NewText(ann.Author), engine.NewText(ann.Text)})
 		}
 		return true
-	}))
+	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, examined, err
 	}
 	inserts := []struct {
 		table string
@@ -110,8 +111,8 @@ func materializeFeatureRelations(ctx context.Context, view *storage.View, p stor
 			continue
 		}
 		if _, err := cat.Insert(ins.table, nil, ins.rows); err != nil {
-			return nil, fmt.Errorf("metaquery: populating %s: %w", ins.table, err)
+			return nil, examined, fmt.Errorf("metaquery: populating %s: %w", ins.table, err)
 		}
 	}
-	return eng, nil
+	return eng, examined, nil
 }

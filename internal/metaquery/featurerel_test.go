@@ -28,7 +28,7 @@ func TestMaterializeFigure1MetaQuery(t *testing.T) {
 	put(t, s, "SELECT city FROM CityLocations", "bob", storage.VisibilityPublic)
 	put(t, s, "SELECT salinity FROM WaterSalinity WHERE depth > 10", "carol", storage.VisibilityPublic)
 
-	eng, err := materializeFeatureRelations(context.Background(), s.Snapshot(), admin, tenthSession)
+	eng, _, err := materializeFeatureRelations(context.Background(), s.Snapshot(), admin, tenthSession)
 	if err != nil {
 		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestMaterializeIncludesStatsAndAnnotations(t *testing.T) {
 	if err := s.Annotate(id, alice, storage.Annotation{Text: "Seattle lakes survey"}); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	eng, err := materializeFeatureRelations(context.Background(), s.Snapshot(), admin, tenthSession)
+	eng, _, err := materializeFeatureRelations(context.Background(), s.Snapshot(), admin, tenthSession)
 	if err != nil {
 		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestMaterializeRespectsAccessControl(t *testing.T) {
 	put(t, s, "SELECT temp FROM WaterTemp", "alice", storage.VisibilityPrivate)
 	put(t, s, "SELECT salinity FROM WaterSalinity", "bob", storage.VisibilityPublic)
 
-	eng, err := materializeFeatureRelations(context.Background(), s.Snapshot(), carol, tenthSession)
+	eng, _, err := materializeFeatureRelations(context.Background(), s.Snapshot(), carol, tenthSession)
 	if err != nil {
 		t.Fatalf("materializeFeatureRelations: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestMaterializeRespectsAccessControl(t *testing.T) {
 }
 
 func TestMaterializeEmptyStore(t *testing.T) {
-	eng, err := materializeFeatureRelations(context.Background(), storage.NewStore().Snapshot(), admin, tenthSession)
+	eng, _, err := materializeFeatureRelations(context.Background(), storage.NewStore().Snapshot(), admin, tenthSession)
 	if err != nil {
 		t.Fatalf("materializeFeatureRelations: %v", err)
 	}

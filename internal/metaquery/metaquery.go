@@ -71,13 +71,12 @@ func (x *Executor) SQLMetaQuery(ctx context.Context, p storage.Principal, metaSQ
 
 // metaQuery runs a meta-query over the feature relations of the records of
 // view visible to p and resolves its qid column in the same view. It also
-// reports how many records it materialised.
+// reports how many records its scan examined.
 func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *storage.View, metaSQL string) (*engine.Result, []Match, int, error) {
-	eng, err := materializeFeatureRelations(ctx, view, p, x.sessionOf)
+	eng, examined, err := materializeFeatureRelations(ctx, view, p, x.sessionOf)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, examined, err
 	}
-	examined, _ := eng.Catalog().RowCount(RelQueries) // created above: cannot fail
 	res, err := eng.Execute(metaSQL)
 	if err != nil {
 		return nil, nil, examined, fmt.Errorf("metaquery: executing meta-query: %w", err)

@@ -447,10 +447,10 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 	// boundary, long before the log is exhausted.
 	ctx := &cancelAfterCtx{Context: context.Background()}
 	visited := 0
-	store.Snapshot().Scan(admin, storage.ScanWithContext(ctx, func(*storage.QueryRecord) bool {
+	store.Snapshot().ScanAfter(ctx, 0, admin, func(*storage.QueryRecord) bool {
 		visited++
 		return true
-	}))
+	})
 	if visited >= total {
 		t.Fatalf("scan visited all %d records despite cancellation", visited)
 	}
@@ -511,6 +511,62 @@ func TestFeaturePagesReadOnePinnedView(t *testing.T) {
 	}
 }
 
+// TestEveryKindCountsTheRecordsItExamined: a page's Examined is the number
+// of records its scans loaded, those the principal may not see included, for
+// every kind alike. Over a log of alice's private queries, bob's page of each
+// kind matches nothing and examines all of them.
+func TestEveryKindCountsTheRecordsItExamined(t *testing.T) {
+	s := storage.NewStore()
+	const total = 10 * storage.ScanCheckEvery
+	for i := 0; i < total; i++ {
+		put(t, s, "SELECT lake, temp FROM WaterTemp WHERE temp < 12", "alice", storage.VisibilityPrivate)
+	}
+	byKind := map[string]Query{
+		"keyword":   query(t)(Keywords("watertemp")),
+		"substring": query(t)(Substring("watertemp")),
+		"metaquery": Feature("SELECT qid FROM Queries"),
+		"partial":   query(t)(Partial("SELECT lake FROM WaterTemp")),
+		"bydata":    query(t)(ByData([]string{"x"}, nil)),
+		"structure": Structure(StructuralCondition{MinTables: 1}),
+		"similar":   Similar(probe(t, "SELECT lake FROM WaterTemp"), 3),
+	}
+	x := New(s, session.AttachLive(s).SessionOf)
+	bob := storage.Principal{User: "bob"}
+	for _, kind := range Kinds {
+		q, ok := byKind[kind]
+		if !ok {
+			t.Errorf("kind %s: no query to read", kind)
+			continue
+		}
+		page, err := x.Page(testCtx, bob, q, Cursor{}, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(page.Matches) != 0 || page.Examined != total {
+			t.Errorf("%s: bob's page has %d matches and examined %d records, want 0 and %d", kind, len(page.Matches), page.Examined, total)
+		}
+	}
+
+	// An annotated record that matches at the base score is examined once:
+	// the text kinds' annotated scan loads it, and the selection's scan
+	// hands that version back without loading it again.
+	one := storage.NewStore()
+	id := put(t, one, "SELECT lake FROM WaterTemp", "alice", storage.VisibilityPublic)
+	if err := one.Annotate(id, storage.Principal{User: "alice"}, storage.Annotation{Text: "lake survey"}); err != nil {
+		t.Fatal(err)
+	}
+	x = New(one, session.AttachLive(one).SessionOf)
+	for _, kind := range []string{"keyword", "substring"} {
+		page, err := x.Page(testCtx, bob, byKind[kind], Cursor{}, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(page.Matches) != 1 || page.Examined != 1 {
+			t.Errorf("%s over one annotated record: %d matches, examined %d records, want 1 and 1", kind, len(page.Matches), page.Examined)
+		}
+	}
+}
+
 // TestFeatureMaterialisationHonoursContext: a cancelled context stops the
 // materialisation of the feature relations within one check interval.
 func TestFeatureMaterialisationHonoursContext(t *testing.T) {
@@ -522,7 +578,7 @@ func TestFeatureMaterialisationHonoursContext(t *testing.T) {
 	visited := 0
 	counted := func(*storage.QueryRecord) int64 { visited++; return 0 }
 	ctx := &cancelAfterCtx{Context: context.Background()}
-	if _, err := materializeFeatureRelations(ctx, s.Snapshot(), admin, counted); !errors.Is(err, context.Canceled) {
+	if _, _, err := materializeFeatureRelations(ctx, s.Snapshot(), admin, counted); !errors.Is(err, context.Canceled) {
 		t.Fatalf("materializeFeatureRelations on a cancelled context: err = %v", err)
 	}
 	if visited > storage.ScanCheckEvery {

@@ -36,7 +36,7 @@ type Query struct {
 	text   textQuery
 	filter func(rec *storage.QueryRecord) (why string, ok bool)
 	// rank returns every match among the records of view, in no order, and
-	// how many records it loaded.
+	// how many records it examined.
 	rank func(ctx context.Context, x *Executor, p storage.Principal, view *storage.View) ([]Match, int, error)
 	// k > 0 caps the whole listing, across pages, at k matches.
 	k int
@@ -126,14 +126,12 @@ func Similar(probe *storage.QueryRecord, k int) Query {
 	w := miner.DefaultWeights()
 	return Query{kind: "similar", k: max(k, 0), rank: func(ctx context.Context, _ *Executor, p storage.Principal, view *storage.View) ([]Match, int, error) {
 		var out []Match
-		examined := 0
-		view.Scan(p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
-			examined++
+		examined := view.ScanAfter(ctx, 0, p, func(rec *storage.QueryRecord) bool {
 			if score := miner.CompositeSimilarity(w, probe, rec); score > 0 {
 				out = append(out, Match{Record: rec, Score: score, Why: "similar query"})
 			}
 			return true
-		}))
+		})
 		return out, examined, nil
 	}}
 }
@@ -186,7 +184,8 @@ func sortMatches(matches []Match) {
 
 // Page is one page of a listing: the matches in listing order, the membership
 // pin every later page of the same listing must carry in its Cursor, and how
-// many records were loaded to produce it.
+// many records its scans examined to produce it, those the principal could
+// not see included.
 type Page struct {
 	Matches  []Match
 	High     storage.QueryID
@@ -234,14 +233,12 @@ func (x *Executor) filterPage(ctx context.Context, p storage.Principal, match fu
 		return nil, 0
 	}
 	var out []Match
-	examined := 0
-	x.store.SnapshotAt(cur.High).ScanAfter(after, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
-		examined++
+	examined := x.store.SnapshotAt(cur.High).ScanAfter(ctx, after, p, func(rec *storage.QueryRecord) bool {
 		if why, ok := match(rec); ok {
 			out = append(out, Match{Record: rec, Score: 1, Why: why})
 		}
 		return limit <= 0 || len(out) < limit
-	}))
+	})
 	return out, examined
 }
 

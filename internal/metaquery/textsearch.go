@@ -30,7 +30,7 @@ type textQuery struct {
 }
 
 // textPage is Page's body for the text kinds: the listing's matches after
-// cur, at most limit of them (limit <= 0: all), and the records it loaded.
+// cur, at most limit of them (limit <= 0: all), and the records it examined.
 func (x *Executor) textPage(ctx context.Context, p storage.Principal, q textQuery, cur Cursor, limit int) ([]Match, int) {
 	sel := x.store.SelectTexts(q.needles, q.matchText)
 
@@ -39,7 +39,7 @@ func (x *Executor) textPage(ctx context.Context, p storage.Principal, q textQuer
 	// with the text-only matches by ID.
 	var boosted []Match
 	var level []*storage.QueryRecord
-	sel.ScanAnnotated(cur.High, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
+	examined := sel.ScanAnnotated(ctx, cur.High, p, func(rec *storage.QueryRecord) bool {
 		switch score, ok := q.scoreAnnotated(rec); {
 		case !ok:
 		case score > q.base:
@@ -48,7 +48,7 @@ func (x *Executor) textPage(ctx context.Context, p storage.Principal, q textQuer
 			level = append(level, rec)
 		}
 		return true
-	}))
+	})
 	sortMatches(boosted)
 
 	out := make([]Match, 0, max(limit, 0))
@@ -63,12 +63,12 @@ func (x *Executor) textPage(ctx context.Context, p storage.Principal, q textQuer
 	}
 	// Everything left scores base, in ID order.
 	if after, done := cur.resume(q.base); !full() && !done {
-		sel.Scan(after, cur.High, level, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
+		examined += sel.Scan(ctx, after, cur.High, level, p, func(rec *storage.QueryRecord) bool {
 			out = append(out, Match{Record: rec, Score: q.base, Why: q.why})
 			return !full()
-		}))
+		})
 	}
-	return out, sel.Loaded()
+	return out, examined
 }
 
 // keywordBase is the score of a keyword match no annotation contributed to.

@@ -170,9 +170,9 @@ func (r *Recommender) EmptyResultSuggestions(ctx context.Context, p storage.Prin
 			return true
 		}
 		if pred.Rel != "" {
-			view.ScanByTable(pred.Rel, p, storage.ScanWithContext(ctx, collect))
+			view.ScanByTable(ctx, pred.Rel, p, collect)
 		} else {
-			view.Scan(p, storage.ScanWithContext(ctx, collect))
+			view.ScanAfter(ctx, 0, p, collect)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -502,7 +502,7 @@ func scanColumnCounts(store *storage.Store, p storage.Principal, tables []string
 	counts := make(map[string]int)
 	view := store.Snapshot()
 	for _, t := range tables {
-		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+		view.ScanByTable(context.Background(), t, p, func(rec *storage.QueryRecord) bool {
 			for _, attr := range rec.Attributes {
 				if attr.Rel != "" && !set[strings.ToLower(attr.Rel)] {
 					continue
@@ -526,7 +526,7 @@ func scanPredicateCounts(store *storage.Store, p storage.Principal, tables []str
 	counts := make(map[string]int)
 	view := store.Snapshot()
 	for _, t := range tables {
-		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+		view.ScanByTable(context.Background(), t, p, func(rec *storage.QueryRecord) bool {
 			for _, pr := range rec.Predicates {
 				if pr.IsJoin {
 					continue
@@ -549,7 +549,7 @@ func scanJoinCounts(store *storage.Store, p storage.Principal, tables []string) 
 	counts := make(map[string]int)
 	view := store.Snapshot()
 	for _, t := range tables {
-		view.ScanByTable(t, p, func(rec *storage.QueryRecord) bool {
+		view.ScanByTable(context.Background(), t, p, func(rec *storage.QueryRecord) bool {
 			for _, pr := range rec.Predicates {
 				if !pr.IsJoin {
 					continue

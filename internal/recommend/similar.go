@@ -134,10 +134,10 @@ func (r *Recommender) Tutorial(ctx context.Context, p storage.Principal, queries
 		}
 		table := tc.Table
 		var records []*storage.QueryRecord
-		view.ScanByTable(table, p, storage.ScanWithContext(ctx, func(rec *storage.QueryRecord) bool {
+		view.ScanByTable(ctx, table, p, func(rec *storage.QueryRecord) bool {
 			records = append(records, rec)
 			return true
-		}))
+		})
 		if len(records) == 0 {
 			continue
 		}

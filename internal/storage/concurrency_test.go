@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -145,14 +146,14 @@ func TestConcurrentMutationsWithScans(t *testing.T) {
 					report("snapshot scan saw an empty store")
 					return
 				}
-				view.ScanByTable("WaterTemp", member, func(rec *QueryRecord) bool {
+				view.ScanByTable(context.Background(), "WaterTemp", member, func(rec *QueryRecord) bool {
 					if !rec.VisibleTo(member) {
 						report("indexed scan leaked an invisible record (q%d)", rec.ID)
 						return false
 					}
 					return check(rec)
 				})
-				view.ScanByUserAfter("user1", 0, member, check)
+				view.ScanByUserAfter(context.Background(), "user1", 0, member, check)
 			}
 		}(r)
 	}
@@ -202,7 +203,7 @@ func TestSnapshotMembershipIsStable(t *testing.T) {
 		t.Errorf("scan visited %d queries, want 3 (4 captured - 1 deleted, insert excluded)", n)
 	}
 	indexed := 0
-	view.ScanByTable("WaterTemp", admin, func(rec *QueryRecord) bool {
+	view.ScanByTable(context.Background(), "WaterTemp", admin, func(rec *QueryRecord) bool {
 		indexed++
 		return true
 	})

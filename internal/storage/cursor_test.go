@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,7 +17,7 @@ func TestScanAfterResumesMidList(t *testing.T) {
 	}
 	v := s.Snapshot()
 	var got []QueryID
-	v.ScanAfter(ids[4], admin, func(rec *QueryRecord) bool {
+	v.ScanAfter(context.Background(), ids[4], admin, func(rec *QueryRecord) bool {
 		got = append(got, rec.ID)
 		return true
 	})
@@ -24,7 +25,7 @@ func TestScanAfterResumesMidList(t *testing.T) {
 		t.Fatalf("ScanAfter(%d) = %v, want %v", ids[4], got, ids[5:])
 	}
 	// A cursor past the end yields nothing.
-	v.ScanAfter(ids[9], admin, func(*QueryRecord) bool {
+	v.ScanAfter(context.Background(), ids[9], admin, func(*QueryRecord) bool {
 		t.Fatal("scan past the high-water mark visited a record")
 		return false
 	})
@@ -111,7 +112,7 @@ func TestPaginationUnderConcurrentWrites(t *testing.T) {
 	after := QueryID(0)
 	for {
 		var page []QueryID
-		s.SnapshotAt(mark).ScanByUserAfter("alice", after, admin, func(rec *QueryRecord) bool {
+		s.SnapshotAt(mark).ScanByUserAfter(context.Background(), "alice", after, admin, func(rec *QueryRecord) bool {
 			page = append(page, rec.ID)
 			return len(page) < pageSize
 		})
@@ -217,7 +218,7 @@ func TestReplaceTextKeepsBucketOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []QueryID
-	s.Snapshot().ScanByUserAfter("alice", 0, admin, func(rec *QueryRecord) bool {
+	s.Snapshot().ScanByUserAfter(context.Background(), "alice", 0, admin, func(rec *QueryRecord) bool {
 		order = append(order, rec.ID)
 		return true
 	})
@@ -226,7 +227,7 @@ func TestReplaceTextKeepsBucketOrder(t *testing.T) {
 	}
 	// Cursor resume after the repaired record must not duplicate anything.
 	var tail []QueryID
-	s.Snapshot().ScanByUserAfter("alice", ids[1], admin, func(rec *QueryRecord) bool {
+	s.Snapshot().ScanByUserAfter(context.Background(), "alice", ids[1], admin, func(rec *QueryRecord) bool {
 		tail = append(tail, rec.ID)
 		return true
 	})

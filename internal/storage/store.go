@@ -263,12 +263,11 @@ func (s *Store) put(recs []*QueryRecord, ids []QueryID) (errs []error) {
 }
 
 // insertSorted adds an ID to a copy-on-write bucket, preserving the
-// ascending-ID invariant that the cursor scans (ScanAfter, ScanByUserAfter)
-// and the search merge binary-search on. Fresh inserts always carry the
-// highest ID so the in-place append fast path applies; re-indexing an
-// existing record (the ReplaceText repair path) rebuilds the bucket sorted,
-// building a fresh slice like removal does so concurrent readers holding the
-// old header stay consistent.
+// ascending-ID invariant the scans' posting merge binary-searches on. Fresh
+// inserts always carry the highest ID so the in-place append fast path
+// applies; re-indexing an existing record (the ReplaceText repair path)
+// rebuilds the bucket sorted, building a fresh slice like removal does so
+// concurrent readers holding the old header stay consistent.
 func insertSorted(old []QueryID, id QueryID) []QueryID {
 	if n := len(old); n == 0 || old[n-1] < id {
 		return append(old, id)
@@ -287,12 +286,9 @@ func insertSorted(old []QueryID, id QueryID) []QueryID {
 // Get returns a copy of the record with the given ID, enforcing visibility
 // for the principal. Use View.Get for the zero-clone variant.
 func (s *Store) Get(id QueryID, p Principal) (*QueryRecord, error) {
-	rec, ok := s.loadRecord(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	if !rec.VisibleTo(p) {
-		return nil, fmt.Errorf("%w: query %d", ErrAccessDenied, id)
+	rec, err := s.Snapshot().Get(id, p)
+	if err != nil {
+		return nil, err
 	}
 	return rec.Clone(), nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -174,7 +175,7 @@ func visited(scan func(fn func(*QueryRecord) bool)) int {
 }
 
 func byTable(s *Store, table string, p Principal) int {
-	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanByTable(table, p, fn) })
+	return visited(func(fn func(*QueryRecord) bool) { s.Snapshot().ScanByTable(context.Background(), table, p, fn) })
 }
 
 func TestIndexes(t *testing.T) {
@@ -186,10 +187,10 @@ func TestIndexes(t *testing.T) {
 	if got := byTable(s, "watertemp", admin); got != 2 {
 		t.Errorf("ScanByTable should be case-insensitive")
 	}
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter("alice", 0, admin, fn) }); got != 2 {
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter(context.Background(), "alice", 0, admin, fn) }); got != 2 {
 		t.Errorf("ScanByUserAfter(alice) = %d, want 2", got)
 	}
-	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter("alice", 0, carol, fn) }); got != 0 {
+	if got := visited(func(fn func(*QueryRecord) bool) { view.ScanByUserAfter(context.Background(), "alice", 0, carol, fn) }); got != 0 {
 		t.Errorf("carol should not see alice's queries via ScanByUserAfter")
 	}
 }
@@ -378,7 +379,7 @@ func TestScanByTableSkipsRecordsRetextedOffTheTable(t *testing.T) {
 	first := mustPut(t, s, mustRecord(t, "SELECT a FROM T1"))
 	second := mustPut(t, s, mustRecord(t, "SELECT b FROM T1 WHERE b > 1"))
 	var got []QueryID
-	s.Snapshot().ScanByTable("t1", admin, func(rec *QueryRecord) bool {
+	s.Snapshot().ScanByTable(context.Background(), "t1", admin, func(rec *QueryRecord) bool {
 		got = append(got, rec.ID)
 		if rec.ID == first {
 			if err := s.ReplaceText(second, mustRecord(t, "SELECT b FROM T2 WHERE b > 1")); err != nil {

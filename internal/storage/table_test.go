@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -37,10 +38,10 @@ func TestReplayedPutKeepsIDOrder(t *testing.T) {
 	if got, want := scanIDsOf(func(fn func(*QueryRecord) bool) { v.Scan(admin, fn) }), []QueryID{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
 		t.Fatalf("Scan = %v, want %v", got, want)
 	}
-	if got, want := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(1, admin, fn) }), []QueryID{2, 3, 4, 5}; !slices.Equal(got, want) {
+	if got, want := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(context.Background(), 1, admin, fn) }), []QueryID{2, 3, 4, 5}; !slices.Equal(got, want) {
 		t.Fatalf("ScanAfter(1) = %v, want %v", got, want)
 	}
-	if got, want := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(3, admin, fn) }), []QueryID{4, 5}; !slices.Equal(got, want) {
+	if got, want := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(context.Background(), 3, admin, fn) }), []QueryID{4, 5}; !slices.Equal(got, want) {
 		t.Fatalf("ScanAfter(3) = %v, want %v", got, want)
 	}
 	var order []QueryID
@@ -109,7 +110,7 @@ func TestOutOfRangeIDsAreRefused(t *testing.T) {
 	}
 	// A cursor is a client's number: any value resumes a scan, none panics.
 	for cursor, want := range map[QueryID][]QueryID{math.MinInt64: {1, 2, MaxQueryID}, -7: {1, 2, MaxQueryID}, 2: {MaxQueryID}, MaxQueryID: nil, math.MaxInt64: nil} {
-		if got := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(cursor, admin, fn) }); !slices.Equal(got, want) {
+		if got := scanIDsOf(func(fn func(*QueryRecord) bool) { v.ScanAfter(context.Background(), cursor, admin, fn) }); !slices.Equal(got, want) {
 			t.Errorf("ScanAfter(%d) = %v, want %v", cursor, got, want)
 		}
 	}
@@ -255,11 +256,11 @@ func TestRecordTableMatchesMapOracle(t *testing.T) {
 			fail("Scan at mark %d:\n got %v\nwant %v", limit, got, want)
 		}
 		cursor := QueryID(rng.Int63n(int64(limit) + 2))
-		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanAfter(cursor, p, fn) }), o.scan(cursor, limit, p, all); !slices.Equal(got, want) {
+		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanAfter(context.Background(), cursor, p, fn) }), o.scan(cursor, limit, p, all); !slices.Equal(got, want) {
 			fail("ScanAfter(%d) at mark %d:\n got %v\nwant %v", cursor, limit, got, want)
 		}
 		user := users[rng.Intn(len(users))]
-		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanByUserAfter(user, cursor, p, fn) }),
+		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanByUserAfter(context.Background(), user, cursor, p, fn) }),
 			o.scan(cursor, limit, p, func(rec *QueryRecord) bool { return rec.User == user }); !slices.Equal(got, want) {
 			fail("ScanByUserAfter(%s, %d) at mark %d:\n got %v\nwant %v", user, cursor, limit, got, want)
 		}
@@ -267,7 +268,7 @@ func TestRecordTableMatchesMapOracle(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			table = strings.ToUpper(table)
 		}
-		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanByTable(table, p, fn) }),
+		if got, want := digests(func(fn func(*QueryRecord) bool) { v.ScanByTable(context.Background(), table, p, fn) }),
 			o.scan(0, limit, p, func(rec *QueryRecord) bool {
 				return slices.ContainsFunc(rec.Tables, func(t string) bool { return strings.EqualFold(t, table) })
 			}); !slices.Equal(got, want) {

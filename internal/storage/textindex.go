@@ -1,8 +1,8 @@
 package storage
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -274,7 +274,6 @@ type TextSelection struct {
 	// order until Scan narrows them and merges them.
 	streams   []postingStream
 	annotated []QueryID
-	loaded    int
 }
 
 // SelectTexts returns the shapes for which match(text, canonical) holds,
@@ -357,69 +356,32 @@ func intersectInto(dst, a, b []*QueryShape) []*QueryShape {
 	return dst
 }
 
-// Loaded returns how many records the selection's scans have loaded so far.
-func (sel *TextSelection) Loaded() int { return sel.loaded }
-
 // ScanAnnotated visits, in ascending ID order, the current version of every
-// annotated record with ID <= high that is visible to the principal.
-func (sel *TextSelection) ScanAnnotated(high QueryID, p Principal, fn func(*QueryRecord) bool) {
-	for _, id := range sel.annotated {
-		if id > high {
-			return
-		}
-		rec, ok := sel.store.loadRecord(id)
-		sel.loaded++
-		if !ok || !rec.VisibleTo(p) {
-			continue
-		}
-		if !fn(rec) {
-			return
-		}
-	}
+// annotated record with ID <= high that is visible to the principal, and
+// returns how many records it examined.
+func (sel *TextSelection) ScanAnnotated(ctx context.Context, high QueryID, p Principal, fn func(*QueryRecord) bool) int {
+	src := sel.store.bucket(sel.annotated, 0, high)
+	return src.visit(ctx, p, fn)
 }
 
 // Scan visits, in ascending ID order, the records with after < ID <= high
 // that are visible to the principal and are either a record of a selected
 // shape that was not annotated when the selection was made, or one of extra —
-// records the caller resolved itself (the annotated ones it verified), in
-// ascending ID order. Records are resolved at read time like every other
-// scan: one deleted since the selection is skipped, and so is one whose text
-// was replaced since, so every visited record still has the shape it was
-// selected for. Return false from fn to stop early; the cost is
-// O(selected shapes + records visited), whatever the size of the log. Scan
-// consumes the selection: it serves one call.
-func (sel *TextSelection) Scan(after, high QueryID, extra []*QueryRecord, p Principal, fn func(*QueryRecord) bool) {
-	// extraBelow visits the extra records below bound; false means stop.
-	extraBelow := func(bound QueryID) bool {
-		for len(extra) > 0 && extra[0].ID < bound {
-			rec := extra[0]
-			extra = extra[1:]
-			if rec.ID > after && rec.ID <= high && !fn(rec) {
-				return false
-			}
-		}
-		return true
-	}
-	m := mergeOf(sel.streams, after, high)
+// records the caller verified itself (the annotated ones), in ascending ID
+// order, which are handed to fn as they are. Records are resolved at read
+// time like every other scan: one deleted since the selection is skipped, and
+// so is one whose text was replaced since, so every visited record still has
+// the shape it was selected for. Return false from fn to stop early; the cost
+// is O(selected shapes + records examined), whatever the size of the log. It
+// returns how many records it examined, extra not included: the caller's
+// scan examined those. Scan consumes the selection: it serves one call.
+func (sel *TextSelection) Scan(ctx context.Context, after, high QueryID, extra []*QueryRecord, p Principal, fn func(*QueryRecord) bool) int {
+	src := sel.store.merged(sel.streams, after, high)
 	sel.streams = nil
-	for m.more() {
-		id, sh := m.pop()
-		if !extraBelow(id) {
-			return
-		}
-		if _, annotated := slices.BinarySearch(sel.annotated, id); annotated {
-			continue // the caller's to verify
-		}
-		rec, ok := sel.store.loadRecord(id)
-		sel.loaded++
-		if !ok || rec.QueryShape != sh || !rec.VisibleTo(p) {
-			continue
-		}
-		if !fn(rec) {
-			return
-		}
-	}
-	extraBelow(math.MaxInt64)
+	lo := sort.Search(len(extra), func(i int) bool { return extra[i].ID > after })
+	hi := sort.Search(len(extra), func(i int) bool { return extra[i].ID > high })
+	src.skip, src.verified = sel.annotated, extra[lo:hi]
+	return src.visit(ctx, p, fn)
 }
 
 // postingStream is one shape's IDs inside the merge: mergeOf narrows ids to
@@ -451,16 +413,7 @@ func mergeOf(streams []postingStream, after, high QueryID) postingMerge {
 	heap := make([]postingHead, 0, len(streams))
 	for i := range streams {
 		st := &streams[i]
-		ids := st.ids
-		// A first page and a pin at the current high-water mark are the
-		// common case: one probe at each end settles them.
-		if ids[0] <= after {
-			ids = ids[sort.Search(len(ids), func(i int) bool { return ids[i] > after }):]
-		}
-		if n := len(ids); n > 0 && ids[n-1] > high {
-			ids = ids[:sort.Search(n, func(i int) bool { return ids[i] > high })]
-		}
-		if len(ids) > 0 {
+		if ids := narrow(st.ids, after, high); len(ids) > 0 {
 			st.ids, st.next = ids, 1
 			heap = append(heap, postingHead{head: ids[0], stream: int32(i)})
 		}
@@ -470,6 +423,19 @@ func mergeOf(streams []postingStream, after, high QueryID) postingMerge {
 		m.down(i)
 	}
 	return m
+}
+
+// narrow returns the IDs of an ascending list in after < ID <= high. A first
+// page and a pin at the current high-water mark are the common case: one
+// probe at each end settles them.
+func narrow(ids []QueryID, after, high QueryID) []QueryID {
+	if len(ids) > 0 && ids[0] <= after {
+		ids = ids[sort.Search(len(ids), func(i int) bool { return ids[i] > after }):]
+	}
+	if n := len(ids); n > 0 && ids[n-1] > high {
+		ids = ids[:sort.Search(n, func(i int) bool { return ids[i] > high })]
+	}
+	return ids
 }
 
 // more reports whether an ID is left to pop.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -254,14 +255,14 @@ func TestTextSelectionUnderConcurrentWrites(t *testing.T) {
 				}
 				sel := s.SelectTexts([]string{"alpha"}, func(text, _ string) bool { return strings.Contains(text, "alpha") })
 				var annotated []*QueryRecord
-				sel.ScanAnnotated(s.HighWater(), admin, func(rec *QueryRecord) bool {
+				sel.ScanAnnotated(context.Background(), s.HighWater(), admin, func(rec *QueryRecord) bool {
 					if strings.Contains(rec.LowerText(), "alpha") {
 						annotated = append(annotated, rec)
 					}
 					return true
 				})
 				var last QueryID
-				sel.Scan(0, s.HighWater(), annotated, admin, func(rec *QueryRecord) bool {
+				sel.Scan(context.Background(), 0, s.HighWater(), annotated, admin, func(rec *QueryRecord) bool {
 					if !strings.Contains(rec.LowerText(), "alpha") {
 						t.Errorf("scan visited q%d with text %q", rec.ID, rec.Text)
 					}

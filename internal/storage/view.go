@@ -3,8 +3,9 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // View is a zero-clone read view over the store, created by Store.Snapshot.
@@ -14,20 +15,26 @@ import (
 //   - Record-level atomicity: records are immutable; a scan observes each
 //     record either entirely before or entirely after any mutation, never a
 //     half-applied one.
-//   - Membership: Scan visits the queries whose IDs are at most the
+//   - Membership: a scan visits queries whose IDs are at most the
 //     high-water mark the snapshot was taken at, in ID (temporal) order —
 //     queries inserted afterwards carry higher IDs and are not visited,
 //     queries deleted afterwards are skipped.
 //   - Freshness: record contents are resolved at read time, so a long-lived
 //     view observes the latest committed version of each record (not the
 //     version that was current at snapshot time).
-//   - The indexed variants (ScanByTable, ...) resolve the index postings
-//     when they are called, restricted to the snapshot's membership; a
-//     by-table scan skips a record re-texted off the table since.
+//   - Every scan is one iterator (source.visit) over a source of IDs: the
+//     record table (Scan, ScanAfter), a user's bucket (ScanByUserAfter), a
+//     table's shapes (ScanByTable), the annotated list and a search
+//     selection's shapes (TextSelection). Index postings are read when the
+//     scan is called, restricted to the snapshot's membership; a record
+//     whose shape changed since is skipped, so a by-table scan never visits
+//     one re-texted off the table.
+//   - Every scan decides visibility, counts the records it examined (those
+//     the principal could not see included) and checks its context every
+//     ScanCheckEvery of them in that one loop, and returns the count.
 //
 // Records handed to scan callbacks are shared and MUST NOT be mutated; use
-// QueryRecord.Clone for an owned copy. All scans enforce the storage layer's
-// access-control rules for the given principal.
+// QueryRecord.Clone for an owned copy.
 type View struct {
 	store *Store
 	// limit is the ID high-water mark at snapshot time: scans skip IDs above
@@ -64,25 +71,10 @@ func (s *Store) HighWater() QueryID { return QueryID(s.nextID.Load()) }
 // Pass it to SnapshotAt to build later views pinned at the same membership.
 func (v *View) Limit() QueryID { return v.limit }
 
-// ScanCheckEvery is how many records a context-aware scan visits between
-// context checks: a power of two so the check compiles to a mask, small
-// enough that a cancelled request stops a scan within microseconds.
+// ScanCheckEvery is how many records a scan examines between context
+// checks: a power of two so the check compiles to a mask, small enough that
+// a cancelled request stops a scan within microseconds.
 const ScanCheckEvery = 64
-
-// ScanWithContext wraps a scan callback with a periodic context check so
-// that a long scan over the query log aborts soon after the caller goes away
-// (client disconnect, request timeout). Callers must inspect ctx.Err()
-// afterwards to distinguish an aborted scan from an exhausted one; partial
-// results from an aborted scan are discarded by the serving layers.
-func ScanWithContext(ctx context.Context, fn func(*QueryRecord) bool) func(*QueryRecord) bool {
-	n := 0
-	return func(rec *QueryRecord) bool {
-		if n++; n&(ScanCheckEvery-1) == 0 && ctx.Err() != nil {
-			return false
-		}
-		return fn(rec)
-	}
-}
 
 // Len returns the number of queries stored when the snapshot was taken
 // (including any deleted since, which scans skip).
@@ -102,71 +94,152 @@ func (v *View) Get(id QueryID, p Principal) (*QueryRecord, error) {
 	return rec, nil
 }
 
-// scanIDs drives a scan over an ascending index bucket, skipping IDs past the
-// snapshot, deleted records and records invisible to the principal. The
-// callback returns false to stop.
-func (v *View) scanIDs(ids []QueryID, p Principal, fn func(*QueryRecord) bool) {
-	for _, id := range ids {
-		if id > v.limit {
-			continue
+// source yields the slots of one scan's record IDs in ascending order, a run
+// at a time: when walk is set, the record table's slots in [id, last] a leaf
+// a run, a leaf no record ever had an ID in costing one check; otherwise one
+// ID a run, from a bucket's ids — a user's, or the annotated list — or from a
+// merge of posting streams — a table's shapes, or a selection's.
+type source struct {
+	postingMerge
+	ids []QueryID
+	// skip holds the IDs the merge must not yield: a selection's annotated
+	// records, which its caller verifies itself. The ones it keeps come back
+	// in verified, ascending, and are handed to fn in ID order as they are,
+	// neither loaded nor counted a second time.
+	skip     []QueryID
+	verified []*QueryRecord
+	dir      []*leaf
+	walk     bool
+	id, last QueryID
+}
+
+// bucket is the source of the IDs of one ascending bucket in (after, high].
+func (s *Store) bucket(ids []QueryID, after, high QueryID) source {
+	return source{ids: narrow(ids, after, high), dir: *s.records.Load()}
+}
+
+// merged is the source of the IDs of streams in (after, high].
+func (s *Store) merged(streams []postingStream, after, high QueryID) source {
+	return source{postingMerge: mergeOf(streams, after, high), dir: *s.records.Load()}
+}
+
+// slots returns the table slots of IDs lo through hi, which one leaf covers,
+// or nil when no leaf does.
+func slots(dir []*leaf, lo, hi QueryID) []atomic.Pointer[QueryRecord] {
+	if i := uint64(lo) >> leafBits; i < uint64(len(dir)) && dir[i] != nil {
+		return dir[i][lo&(leafSize-1) : hi&(leafSize-1)+1]
+	}
+	return nil
+}
+
+// next returns the source's next run of slots and the shape their records
+// must still have (nil: any), or the next verified record, or neither once
+// the source is exhausted.
+func (src *source) next() ([]atomic.Pointer[QueryRecord], *QueryShape, *QueryRecord) {
+	for src.walk && src.id <= src.last {
+		lo, hi := src.id, min(src.last, src.id|(leafSize-1))
+		src.id = hi + 1
+		if run := slots(src.dir, lo, hi); run != nil {
+			return run, nil, nil
 		}
-		rec, ok := v.store.loadRecord(id)
-		if !ok || !rec.VisibleTo(p) {
-			continue
+	}
+	for len(src.ids) > 0 {
+		id := src.ids[0]
+		src.ids = src.ids[1:]
+		if run := slots(src.dir, id, id); run != nil {
+			return run, nil, nil
 		}
-		if !fn(rec) {
-			return
+	}
+	for {
+		if v := src.verified; len(v) > 0 && (!src.more() || v[0].ID < src.heap[0].head) {
+			src.verified = v[1:]
+			return nil, nil, v[0]
+		}
+		if !src.more() {
+			return nil, nil, nil
+		}
+		id, sh := src.pop()
+		if len(src.skip) > 0 {
+			if _, skipped := slices.BinarySearch(src.skip, id); skipped {
+				continue
+			}
+		}
+		if run := slots(src.dir, id, id); run != nil {
+			return run, sh, nil
 		}
 	}
 }
 
-// Scan visits every visible record in ID (temporal) order. Return false from
-// fn to stop early.
-func (v *View) Scan(p Principal, fn func(*QueryRecord) bool) {
-	v.ScanAfter(0, p, fn)
-}
-
-// after narrows an ascending index bucket to the suffix strictly greater than
-// the cursor ID. IDs are assigned monotonically under the commit lock and the
-// buckets are kept sorted, so a binary search finds the resume point: a page
-// costs O(log n + page) instead of rescanning the prefix.
-func after(ids []QueryID, cursor QueryID) []QueryID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] > cursor })
-	return ids[i:]
-}
-
-// ScanAfter is Scan resuming strictly after the given query ID: a walk of the
-// record table over the IDs in (cursor, limit] that skips empty slots, a leaf
-// no record ever had an ID in costing one check. With a view pinned by
-// SnapshotAt, repeated ScanAfter calls paginate the snapshot's membership
-// without duplicates or gaps under concurrent inserts.
-func (v *View) ScanAfter(cursor QueryID, p Principal, fn func(*QueryRecord) bool) {
-	dir := *v.store.records.Load()
-	last := min(v.limit, QueryID(len(dir))<<leafBits-1)
-	for id := min(max(cursor, 0), last) + 1; id <= last; {
-		l := dir[id>>leafBits]
-		if l == nil {
-			id = (id>>leafBits + 1) << leafBits
+// visit is the one loop under every scan. For each ID the source yields it
+// loads the record, skips one deleted since or whose shape changed since its
+// shapes were captured, counts the rest as examined whether the principal may
+// see them or not, stops soon after ctx is done, and hands the visible ones
+// to fn until fn returns false; a verified record goes to fn as it is. It
+// returns how many records it examined; callers inspect ctx.Err() to tell an
+// aborted scan from an exhausted one.
+func (src *source) visit(ctx context.Context, p Principal, fn func(*QueryRecord) bool) (examined int) {
+	for {
+		run, sh, verified := src.next()
+		if verified != nil {
+			if !fn(verified) {
+				return examined
+			}
 			continue
 		}
-		for end := min(last, id|(leafSize-1)); id <= end; id++ {
-			if rec := l[id&(leafSize-1)].Load(); rec != nil && rec.VisibleTo(p) && !fn(rec) {
-				return
+		if run == nil {
+			return examined
+		}
+		for i := range run {
+			rec := run[i].Load()
+			if rec == nil || sh != nil && rec.QueryShape != sh {
+				continue
+			}
+			if examined++; examined&(ScanCheckEvery-1) == 0 && ctx.Err() != nil {
+				return examined
+			}
+			// p.Admin first spares an admin's walk — every rebuild and
+			// snapshot — the copy of p the inlined VisibleTo makes per record.
+			if (p.Admin || rec.VisibleTo(p)) && !fn(rec) {
+				return examined
 			}
 		}
 	}
 }
 
+// Scan visits every visible record in ID (temporal) order: ScanAfter from
+// the start, with no context to stop it. Return false from fn to stop early.
+func (v *View) Scan(p Principal, fn func(*QueryRecord) bool) int {
+	return v.ScanAfter(context.TODO(), 0, p, fn)
+}
+
+// ScanAfter visits the visible records with IDs in (cursor, limit], in ID
+// order, walking the record table. With a view pinned by SnapshotAt,
+// repeated ScanAfter calls paginate the snapshot's membership without
+// duplicates or gaps under concurrent inserts. It returns how many records it
+// examined.
+func (v *View) ScanAfter(ctx context.Context, cursor QueryID, p Principal, fn func(*QueryRecord) bool) int {
+	dir := *v.store.records.Load()
+	last := min(v.limit, QueryID(len(dir))<<leafBits-1)
+	src := source{dir: dir, walk: true, id: min(max(cursor, 0), last) + 1, last: last}
+	return src.visit(ctx, p, fn)
+}
+
 // ScanByUserAfter visits the visible queries submitted by the given user, in
-// temporal order, resuming strictly after the given query ID.
-func (v *View) ScanByUserAfter(user string, cursor QueryID, p Principal, fn func(*QueryRecord) bool) {
-	v.scanIDs(after(v.store.indexUser(user), cursor), p, fn)
+// temporal order, resuming strictly after the given query ID: a walk of the
+// user's bucket. It returns how many records it examined.
+func (v *View) ScanByUserAfter(ctx context.Context, user string, cursor QueryID, p Principal, fn func(*QueryRecord) bool) int {
+	ix := &v.store.index
+	ix.mu.RLock()
+	ids := ix.byUser[user]
+	ix.mu.RUnlock()
+	src := v.store.bucket(ids, cursor, v.limit)
+	return src.visit(ctx, p, fn)
 }
 
 // scanAll visits every record in the snapshot regardless of visibility; it
 // backs store-internal maintenance helpers (admin-equivalent scans).
 func (v *View) scanAll(fn func(*QueryRecord) bool) {
-	v.ScanAfter(0, Principal{Admin: true}, fn)
+	v.Scan(Principal{Admin: true}, fn)
 }
 
 // Records collects the visible records in ID order, without cloning. The
@@ -184,28 +257,12 @@ func (v *View) Records(p Principal) []*QueryRecord {
 // references the table (case-insensitive): a merge of the IDs of the shapes
 // that reference it. A record whose text was replaced since the shapes were
 // captured is skipped, so every visited record still references the table.
-func (v *View) ScanByTable(table string, p Principal, fn func(*QueryRecord) bool) {
+// It returns how many records it examined.
+func (v *View) ScanByTable(ctx context.Context, table string, p Principal, fn func(*QueryRecord) bool) int {
 	ix := &v.store.index
 	ix.mu.RLock()
 	streams := streamsOf(ix.byTable[strings.ToLower(table)])
 	ix.mu.RUnlock()
-	m := mergeOf(streams, 0, v.limit)
-	for m.more() {
-		id, sh := m.pop()
-		rec, ok := v.store.loadRecord(id)
-		if !ok || rec.QueryShape != sh || !rec.VisibleTo(p) {
-			continue
-		}
-		if !fn(rec) {
-			return
-		}
-	}
-}
-
-// indexUser returns the ascending IDs of a user's records, a copy-on-write
-// bucket the caller may iterate lock-free.
-func (s *Store) indexUser(user string) []QueryID {
-	s.index.mu.RLock()
-	defer s.index.mu.RUnlock()
-	return s.index.byUser[user]
+	src := v.store.merged(streams, 0, v.limit)
+	return src.visit(ctx, p, fn)
 }

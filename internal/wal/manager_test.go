@@ -133,13 +133,13 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 	group := storage.Principal{User: "user1", Groups: []string{"limnology"}}
 	for _, p := range []storage.Principal{admin, group} {
 		for _, table := range []string{"WaterTemp", "WaterSalinity", "Observations"} {
-			byTable := func(v *storage.View, fn scanFn) { v.ScanByTable(table, p, fn) }
+			byTable := func(v *storage.View, fn scanFn) { v.ScanByTable(context.Background(), table, p, fn) }
 			if w, g := ids(want, byTable), ids(got, byTable); !reflect.DeepEqual(w, g) {
 				t.Fatalf("ScanByTable(%s) as %q: want %v, got %v", table, p.User, w, g)
 			}
 		}
 		for _, user := range []string{"user0", "user1", "user2"} {
-			byUser := func(v *storage.View, fn scanFn) { v.ScanByUserAfter(user, 0, p, fn) }
+			byUser := func(v *storage.View, fn scanFn) { v.ScanByUserAfter(context.Background(), user, 0, p, fn) }
 			if w, g := ids(want, byUser), ids(got, byUser); !reflect.DeepEqual(w, g) {
 				t.Fatalf("ScanByUserAfter(%s) as %q: want %v, got %v", user, p.User, w, g)
 			}
