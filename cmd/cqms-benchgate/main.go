@@ -1,30 +1,27 @@
-// Command cqms-benchgate is the CI perf-regression gate: it parses `go test
-// -bench` output into a machine-readable BENCH_<sha>.json and fails when any
-// benchmark regressed beyond a ratio against a committed baseline — on time
-// (ns/op), when the run used -benchmem on allocation count (allocs/op), and,
-// for a benchmark that reports it, on bytes written per record (B/record).
+// Command cqms-benchgate is the CI perf-regression gate. It compares two
+// `go test -bench` outputs of one benchmark list run on one machine: base
+// (the merge-base) and head (the change). bench-pairs.sh, next to this file,
+// writes them, alternating the two sides, so the k-th result of a benchmark
+// on one side ran next to its k-th result on the other; the gate pairs them
+// by that occurrence:
 //
-// Usage:
+//	cmd/cqms-benchgate/bench-pairs.sh base-tree head-tree 10 out
+//	cqms-benchgate -base out/base.out -head out/head.out
 //
-//	go test -run '^$' -bench '...' -benchmem -count 3 . | tee bench.out
-//	cqms-benchgate -in bench.out -out BENCH_$(git rev-parse --short HEAD).json \
-//	    -baseline BENCH_BASELINE.json -max-ratio 2.0 -max-alloc-ratio 2.0
-//
-// With -count > 1 the best (minimum) value per benchmark and metric is kept,
-// which filters scheduler noise on shared CI runners; the 2x default ratios
-// leave headroom for machine-class differences between the baseline host and
-// the runner. Allocation counts are far more stable than wall time, but the
-// shared ratio keeps one mental model for both gates. Bytes per record are
-// deterministic — only a change to what is written moves them — so their
-// gate is a fixed 1.05x (maxBytesRatio), with no flag. Regenerate the baseline
-// (-in ... -out BENCH_BASELINE.json, no -baseline) whenever a PR
-// intentionally changes the performance envelope.
+// A benchmark fails on time when the head was slower in at least
+// slowerShare of its pairs and the head's median ns/op exceeds the base's by
+// more than timeBound. Allocation counts (allocs/op) and bytes written per
+// record (B/record) do not depend on the host, so they are compared with the
+// base directly: the head's median may not exceed the most the base showed,
+// and a zero-alloc base fails on any allocation. A benchmark on one side only
+// (added, removed, or renamed because its body changed) is listed with no
+// verdict. A benchmark that ran a different number of times on the two sides
+// is refused: its pairs cannot be formed.
 //
 // With -slo it instead gates an open-loop load-harness report (the JSON
 // written by `cqms-workload -openloop -json`) against absolute service-level
 // floors — minimum achieved throughput and maximum p99 latency — so CI can
-// assert "the server sustains N req/s at p99 ≤ M ms", not just relative
-// microbenchmark ratios:
+// assert "the server sustains N req/s at p99 ≤ M ms":
 //
 //	cqms-benchgate -slo report.json -slo-min-qps 150 -slo-max-p99-ms 250
 package main
@@ -38,7 +35,6 @@ import (
 	"math"
 	"os"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,58 +42,45 @@ import (
 	"repro/internal/workload/openloop"
 )
 
-// Result is one benchmark's best observed cost. AllocsPerOp is a pointer so
-// that a measured zero (an allocation-free path, worth gating) is distinct
-// from a run without -benchmem (nothing to gate).
-type Result struct {
-	NsPerOp     float64  `json:"nsPerOp"`
-	AllocsPerOp *float64 `json:"allocsPerOp,omitempty"`
-	// BytesPerRecord is a benchmark's B/record metric: the encoded size
-	// per record of what it wrote (a log, a snapshot).
-	BytesPerRecord *float64 `json:"bytesPerRecord,omitempty"`
-	Runs           int      `json:"runs"`
-}
+const (
+	// slowerShare is the share of pairs in which the head must be slower
+	// than the base before its time is judged: 5 of 6 pairs, 9 of the 10
+	// the CI job runs. Alone it fails an unchanged benchmark in 1 run of 9
+	// at 6 pairs and 1 of 93 at 10.
+	slowerShare = 5.0 / 6
+	// timeBound is how far the head's median ns/op may then exceed the
+	// base's. It comes from unchanged pairs, one commit built as both
+	// sides, on a shared 2-vCPU host. Over the whole list, one run of 6
+	// pairs and one of 10 each left benchmarks slower in at least five
+	// sixths of their pairs, with medians up to 23.5 % and 48.8 % past the
+	// base's (the
+	// heap-heavy SearchAtSize and LiveApply, whose runs spread most); 50 %
+	// is the round bound both runs pass.
+	timeBound = 0.50
+)
 
-// maxBytesRatio is the B/record gate: byte counts repeat exactly, so any
-// growth past rounding is a format change.
-const maxBytesRatio = 1.05
+// Units the gate reads from a result line; every other metric is ignored.
+const (
+	nsPerOp        = "ns/op"
+	allocsPerOp    = "allocs/op"
+	bytesPerRecord = "B/record"
+)
 
-// Report is the BENCH_<sha>.json artifact.
-type Report struct {
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
+// series holds one benchmark's values per unit, in the order its result
+// lines appeared.
+type series map[string][]float64
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkHTTPSubmitBatch-8   	     100	    123456 ns/op	  2048 B/op	  12 allocs/op
 //
 // Sub-benchmark names (slashes, key=value) pass through; the trailing
-// -GOMAXPROCS suffix is stripped so runs from differently sized machines
-// aggregate under one name.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+// -GOMAXPROCS suffix is stripped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+ ns/op.*)$`)
 
-var (
-	allocsField = regexp.MustCompile(`([0-9.]+) allocs/op`)
-	bytesField  = regexp.MustCompile(`([0-9.]+) B/record`)
-)
-
-// keepMin parses the first submatch of re in fields and keeps it in *v when
-// it is the lowest seen.
-func keepMin(v **float64, re *regexp.Regexp, fields string) {
-	m := re.FindStringSubmatch(fields)
-	if m == nil {
-		return
-	}
-	if x, err := strconv.ParseFloat(m[1], 64); err == nil && (*v == nil || x < **v) {
-		*v = &x
-	}
-}
-
-// parseBench aggregates benchmark lines, keeping the minimum ns/op per name.
-func parseBench(r io.Reader) (map[string]Result, error) {
-	out := make(map[string]Result)
+// parseBench reads every result line into its benchmark's series.
+func parseBench(r io.Reader) (map[string]series, error) {
+	out := make(map[string]series)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -106,94 +89,132 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 			continue
 		}
 		name := strings.TrimPrefix(m[1], "Benchmark")
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
+		s := out[name]
+		if s == nil {
+			s = series{}
+			out[name] = s
 		}
-		res := out[name]
-		res.Runs++
-		if res.Runs == 1 || ns < res.NsPerOp {
-			res.NsPerOp = ns
+		f := strings.Fields(m[2])
+		for i := 0; i+1 < len(f); i += 2 {
+			unit := f[i+1]
+			if unit != nsPerOp && unit != allocsPerOp && unit != bytesPerRecord {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
+			}
+			s[unit] = append(s[unit], v)
 		}
-		// Each metric keeps its own minimum: the fastest run is not always
-		// the leanest one, and the gate wants the best observed cost per axis.
-		keepMin(&res.AllocsPerOp, allocsField, m[3])
-		keepMin(&res.BytesPerRecord, bytesField, m[3])
-		out[name] = res
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	return out, sc.Err()
+}
+
+// median returns the middle of vs (the mean of the two middle values of an
+// even count).
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+func maxOf(vs []float64) float64 {
+	m := vs[0]
+	for _, v := range vs[1:] {
+		m = max(m, v)
+	}
+	return m
+}
+
+// verdict is the gate's reading of one benchmark name.
+type verdict struct {
+	name       string
+	base, head series // nil on the side that did not run it
+	slower     int    // pairs in which the head took longer
+	failures   []string
+}
+
+// gate pairs the two sides' runs by occurrence and judges every name that
+// ran on both. It refuses a name whose run counts differ.
+func gate(base, head map[string]series) ([]verdict, error) {
+	names := make([]string, 0, len(base)+len(head))
+	for name := range base {
+		names = append(names, name)
+	}
+	for name := range head {
+		if base[name] == nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	out := make([]verdict, 0, len(names))
+	for _, name := range names {
+		v := verdict{name: name, base: base[name], head: head[name]}
+		if v.base == nil || v.head == nil {
+			out = append(out, v)
+			continue
+		}
+		b, h := v.base[nsPerOp], v.head[nsPerOp]
+		if len(b) != len(h) {
+			return nil, fmt.Errorf("%s ran %d times on the base and %d on the head", name, len(b), len(h))
+		}
+		for k := range b {
+			if h[k] > b[k] {
+				v.slower++
+			}
+		}
+		if mb, mh := median(b), median(h); float64(v.slower) >= slowerShare*float64(len(b)) && mh > (1+timeBound)*mb {
+			v.failures = append(v.failures, fmt.Sprintf("slower in %d of %d pairs, median %+.1f%% (bound %.0f%%)",
+				v.slower, len(b), 100*(mh/mb-1), 100*timeBound))
+		}
+		for _, unit := range []string{allocsPerOp, bytesPerRecord} {
+			bv, hv := v.base[unit], v.head[unit]
+			switch {
+			case len(bv) == 0:
+			case len(hv) == 0:
+				v.failures = append(v.failures, "no longer reports "+unit)
+			case median(hv) > maxOf(bv):
+				v.failures = append(v.failures, fmt.Sprintf("%s %g -> %g", unit, maxOf(bv), median(hv)))
+			}
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-// regression is one gate violation on one metric (ns/op, allocs/op or
-// B/record).
-type regression struct {
-	name              string
-	metric            string
-	baseline, current float64
-	ratio             float64
-}
+// rowFormat lays out a line of the gate's table.
+const rowFormat = "%-55s %14s %14s %8s %6s %10s %10s %10s %10s  %s"
 
-// gate compares current results against the baseline on both time and
-// allocation budgets. A benchmark present in the baseline but absent from the
-// run fails the gate too — silently dropping a benchmark from CI must not
-// pass as a perf win; the same applies to dropping -benchmem when the
-// baseline carries an allocation budget. A zero-alloc baseline is a hard
-// budget: any allocation at all fails it, since no ratio can express
-// "regressed from nothing". A B/record baseline fails the run past
-// maxBytesRatio of it, or when the run no longer reports it.
-func gate(current, baseline map[string]Result, maxRatio, maxAllocRatio float64) (regressions []regression, missing []string) {
-	names := make([]string, 0, len(baseline))
-	for name := range baseline {
-		names = append(names, name)
+// row formats one verdict as a line of the gate's table.
+func (v verdict) row() string {
+	cell := func(s series, unit string) string {
+		if len(s[unit]) == 0 {
+			return "-"
+		}
+		return strconv.FormatFloat(math.Round(10*median(s[unit]))/10, 'f', -1, 64)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		base := baseline[name]
-		cur, ok := current[name]
-		if !ok {
-			missing = append(missing, name)
-			continue
-		}
-		if base.NsPerOp > 0 && cur.NsPerOp > maxRatio*base.NsPerOp {
-			regressions = append(regressions, regression{
-				name: name, metric: "ns/op", baseline: base.NsPerOp, current: cur.NsPerOp,
-				ratio: cur.NsPerOp / base.NsPerOp,
-			})
-		}
-		if base.BytesPerRecord != nil {
-			switch b := *base.BytesPerRecord; {
-			case cur.BytesPerRecord == nil:
-				missing = append(missing, name+" B/record (baseline has a size budget)")
-			case *cur.BytesPerRecord > maxBytesRatio*b:
-				regressions = append(regressions, regression{
-					name: name, metric: "B/record", baseline: b, current: *cur.BytesPerRecord,
-					ratio: *cur.BytesPerRecord / b,
-				})
-			}
-		}
-		if base.AllocsPerOp == nil {
-			continue
-		}
-		b := *base.AllocsPerOp
-		switch {
-		case cur.AllocsPerOp == nil:
-			missing = append(missing, name+" allocs/op (baseline has an alloc budget; run with -benchmem)")
-		case b == 0 && *cur.AllocsPerOp > 0:
-			regressions = append(regressions, regression{
-				name: name, metric: "allocs/op", baseline: 0, current: *cur.AllocsPerOp,
-				ratio: math.Inf(1),
-			})
-		case b > 0 && *cur.AllocsPerOp > maxAllocRatio*b:
-			regressions = append(regressions, regression{
-				name: name, metric: "allocs/op", baseline: b, current: *cur.AllocsPerOp,
-				ratio: *cur.AllocsPerOp / b,
-			})
-		}
+	status := "ok"
+	switch {
+	case v.base == nil:
+		status = "head only"
+	case v.head == nil:
+		status = "base only"
+	case len(v.failures) > 0:
+		status = "FAIL: " + strings.Join(v.failures, "; ")
 	}
-	return regressions, missing
+	delta, slower := "", ""
+	if v.base != nil && v.head != nil {
+		delta = fmt.Sprintf("%+.1f%%", 100*(median(v.head[nsPerOp])/median(v.base[nsPerOp])-1))
+		slower = fmt.Sprintf("%d/%d", v.slower, len(v.base[nsPerOp]))
+	}
+	return fmt.Sprintf(rowFormat, v.name,
+		cell(v.base, nsPerOp), cell(v.head, nsPerOp), delta, slower,
+		cell(v.base, allocsPerOp), cell(v.head, allocsPerOp),
+		cell(v.base, bytesPerRecord), cell(v.head, bytesPerRecord), status)
 }
 
 // gateSLO applies absolute floors to an open-loop harness report. The report
@@ -225,15 +246,25 @@ func gateSLO(path string, slo openloop.SLO) error {
 	return nil
 }
 
+func parseFile(path string) (map[string]series, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	results, err := parseBench(f)
+	if err == nil && len(results) == 0 {
+		err = fmt.Errorf("no benchmark results found in %s", path)
+	}
+	return results, err
+}
+
 func run() error {
 	var (
-		in            = flag.String("in", "-", "benchmark output to parse (file, or - for stdin)")
-		out           = flag.String("out", "", "write the parsed results as JSON to this file")
-		baseline      = flag.String("baseline", "", "baseline JSON to gate against (omit to only record)")
-		maxRatio      = flag.Float64("max-ratio", 2.0, "fail when ns/op exceeds ratio × baseline")
-		maxAllocRatio = flag.Float64("max-alloc-ratio", 2.0, "fail when allocs/op exceeds ratio × baseline (a 0-alloc baseline fails on any allocation)")
+		basePath = flag.String("base", "", "benchmark output of the merge-base")
+		headPath = flag.String("head", "", "benchmark output of the change, run alternately with -base on the same machine")
 
-		sloIn       = flag.String("slo", "", "open-loop harness report JSON to gate against absolute SLO floors (disables the benchmark gate)")
+		sloIn       = flag.String("slo", "", "open-loop harness report JSON to gate against absolute SLO floors (instead of -base and -head)")
 		sloMinQPS   = flag.Float64("slo-min-qps", 0, "fail when achieved throughput is below this floor")
 		sloMaxP99   = flag.Float64("slo-max-p99-ms", 0, "fail when overall p99 latency exceeds this bound in ms")
 		sloMaxFails = flag.Float64("slo-max-failure-rate", 0.01, "fail when the request failure rate exceeds this fraction")
@@ -247,82 +278,37 @@ func run() error {
 			MaxFailureRate: *sloMaxFails,
 		})
 	}
-
-	var src io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		src = f
+	if *basePath == "" || *headPath == "" {
+		return fmt.Errorf("-base and -head are both required (or -slo)")
 	}
-	results, err := parseBench(src)
+	base, err := parseFile(*basePath)
 	if err != nil {
 		return err
 	}
-	if len(results) == 0 {
-		return fmt.Errorf("no benchmark results found in %s", *in)
-	}
-	report := Report{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Benchmarks: results}
-	if *out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d benchmark results to %s\n", len(results), *out)
-	}
-	if *baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(*baseline)
+	head, err := parseFile(*headPath)
 	if err != nil {
 		return err
 	}
-	var baseReport Report
-	if err := json.Unmarshal(baseData, &baseReport); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", *baseline, err)
+	verdicts, err := gate(base, head)
+	if err != nil {
+		return err
 	}
-	regressions, missing := gate(results, baseReport.Benchmarks, *maxRatio, *maxAllocRatio)
-	for name, res := range results {
-		allocs := ""
-		if res.AllocsPerOp != nil {
-			allocs = fmt.Sprintf("  %6.0f allocs/op", *res.AllocsPerOp)
+	fmt.Printf(rowFormat+"\n", "benchmark (medians)",
+		"base ns/op", "head ns/op", "delta", "slower", "base alloc", "head alloc", "base B/rec", "head B/rec", "verdict")
+	failed := 0
+	for _, v := range verdicts {
+		fmt.Println(v.row())
+		for _, f := range v.failures {
+			fmt.Fprintf(os.Stderr, "GATE: %s: %s\n", v.name, f)
 		}
-		if res.BytesPerRecord != nil {
-			allocs += fmt.Sprintf("  %6.0f B/record", *res.BytesPerRecord)
-		}
-		if base, ok := baseReport.Benchmarks[name]; ok && base.NsPerOp > 0 {
-			fmt.Printf("%-50s %14.0f ns/op  baseline %14.0f  ratio %.2fx%s\n",
-				name, res.NsPerOp, base.NsPerOp, res.NsPerOp/base.NsPerOp, allocs)
-		} else {
-			fmt.Printf("%-50s %14.0f ns/op  (no baseline — add on next regen)%s\n", name, res.NsPerOp, allocs)
+		if len(v.failures) > 0 {
+			failed++
 		}
 	}
-	failed := false
-	for _, m := range missing {
-		fmt.Fprintf(os.Stderr, "GATE: benchmark %s is in the baseline but was not run\n", m)
-		failed = true
+	if failed > 0 {
+		return fmt.Errorf("perf gate failed: %d of %d benchmarks regressed", failed, len(verdicts))
 	}
-	for _, r := range regressions {
-		limit := *maxRatio
-		switch r.metric {
-		case "allocs/op":
-			limit = *maxAllocRatio
-		case "B/record":
-			limit = maxBytesRatio
-		}
-		fmt.Fprintf(os.Stderr, "GATE: %s regressed %.2fx (%.0f -> %.0f %s, limit %.2fx)\n",
-			r.name, r.ratio, r.baseline, r.current, r.metric, limit)
-		failed = true
-	}
-	if failed {
-		return fmt.Errorf("perf gate failed: %d regression(s), %d missing benchmark(s)", len(regressions), len(missing))
-	}
-	fmt.Printf("perf gate passed: %d benchmarks within %.1fx of baseline\n", len(results), *maxRatio)
+	fmt.Printf("perf gate passed: %d benchmarks\n", len(verdicts))
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,7 +15,7 @@ BenchmarkE3CompletionIncremental-8   	   20000	     55000 ns/op	 12000 B/op	 150
 BenchmarkE3CompletionIncremental-8   	   21000	     52000 ns/op	 12000 B/op	 149 allocs/op
 BenchmarkConcurrentMetaQuery/readers=4-8 	    5000	    230000 ns/op
 BenchmarkHTTPSubmitBatch 	     300	   4100000 ns/op	 90000 B/op	 800 allocs/op
-BenchmarkRecoveryWithCheckpoint 	       2	1021374038 ns/op	201628820 B/op	 2122579 allocs/op
+BenchmarkWALAppend/sync=off-8 	  300000	      3300 ns/op	       263.0 B/record	    1400 B/op	       7 allocs/op
 PASS
 ok  	repro	17.497s
 `
@@ -26,163 +28,188 @@ func TestParseBench(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("parsed %d benchmarks, want 4: %+v", len(results), results)
 	}
-	// -count aggregation keeps the minimum and counts the runs.
+	// Every run is kept, in the order its line appeared.
 	inc := results["E3CompletionIncremental"]
-	if inc.NsPerOp != 52000 || inc.Runs != 2 {
-		t.Errorf("E3CompletionIncremental = %+v, want min 52000 over 2 runs", inc)
+	if fmt.Sprint(inc[nsPerOp], inc[allocsPerOp]) != "[55000 52000] [150 149]" {
+		t.Errorf("E3CompletionIncremental = %v, want both runs in order", inc)
 	}
-	if inc.AllocsPerOp == nil || *inc.AllocsPerOp != 149 {
-		t.Errorf("AllocsPerOp = %v, want 149", inc.AllocsPerOp)
+	// No -benchmem fields: no allocation series, not a measured zero. The
+	// sub-benchmark name survives and the -GOMAXPROCS suffix is stripped.
+	if cmq, ok := results["ConcurrentMetaQuery/readers=4"]; !ok || cmq[allocsPerOp] != nil {
+		t.Errorf("ConcurrentMetaQuery/readers=4 = %v (found %v), want ns/op only", cmq, ok)
 	}
-	// No -benchmem fields → no alloc budget, not a measured zero.
-	if cmq := results["ConcurrentMetaQuery/readers=4"]; cmq.AllocsPerOp != nil {
-		t.Errorf("AllocsPerOp = %v, want nil for a run without -benchmem", *cmq.AllocsPerOp)
+	// Lines without a -procs suffix parse too; B/op is not read.
+	if s := results["HTTPSubmitBatch"]; fmt.Sprint(s) != "map[allocs/op:[800] ns/op:[4.1e+06]]" {
+		t.Errorf("HTTPSubmitBatch = %v", s)
 	}
-	// Sub-benchmark names survive; the -GOMAXPROCS suffix is stripped.
-	if _, ok := results["ConcurrentMetaQuery/readers=4"]; !ok {
-		t.Errorf("sub-benchmark name mangled: %+v", results)
-	}
-	// Lines without a -procs suffix parse too.
-	if results["HTTPSubmitBatch"].NsPerOp != 4100000 {
-		t.Errorf("HTTPSubmitBatch = %+v", results["HTTPSubmitBatch"])
+	if s := results["WALAppend/sync=off"]; fmt.Sprint(s[bytesPerRecord]) != "[263]" {
+		t.Errorf("WALAppend/sync=off B/record = %v, want [263]", s[bytesPerRecord])
 	}
 }
 
+// runs writes one result line per ns/op value (and allocs/op, when given).
+func runs(name string, ns []float64, allocs ...float64) string {
+	var b strings.Builder
+	for i, v := range ns {
+		fmt.Fprintf(&b, "Benchmark%s-2 \t 1000\t %s ns/op", name, strconv.FormatFloat(v, 'f', -1, 64))
+		if len(allocs) > 0 {
+			fmt.Fprintf(&b, "\t 64 B/op\t %g allocs/op", allocs[i])
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+func mustGate(t *testing.T, base, head string) map[string]verdict {
+	t.Helper()
+	b, err := parseBench(strings.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseBench(strings.NewReader(head))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := gate(b, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]verdict{}
+	for _, v := range vs {
+		out[v.name] = v
+	}
+	return out
+}
+
+// TestGatePairsByOccurrence: the k-th head run is compared with the k-th
+// base run, whatever the other runs read. A host that slows down for a
+// while slows both runs of a pair; an unpaired comparison would see a
+// head slower than most base runs.
+func TestGatePairsByOccurrence(t *testing.T) {
+	base := []float64{100, 100, 200, 200, 200, 200}
+	head := []float64{99, 99, 199, 199, 199, 250}
+	v := mustGate(t, runs("Drift", base), runs("Drift", head))["Drift"]
+	if v.slower != 1 || len(v.failures) != 0 {
+		t.Fatalf("slower = %d, failures = %v; want 1 slower pair and a pass", v.slower, v.failures)
+	}
+}
+
+// TestGate is the time rule: slower in at least 5 of 6 pairs and a median
+// beyond timeBound fails; either alone passes.
 func TestGate(t *testing.T) {
-	baseline := map[string]Result{
-		"Fast":    {NsPerOp: 1000},
-		"Slow":    {NsPerOp: 1_000_000},
-		"Dropped": {NsPerOp: 500},
+	over := 1 + timeBound + 0.05
+	within := 1 + timeBound - 0.05
+	base := []float64{1000, 1010, 990, 1005, 995, 1000}
+	scaled := func(f float64, slowPairs int) []float64 {
+		h := make([]float64, len(base))
+		for k, b := range base {
+			h[k] = b * f
+			if k >= slowPairs {
+				h[k] = b * 0.99
+			}
+		}
+		return h
 	}
-	current := map[string]Result{
-		"Fast": {NsPerOp: 1900},      // 1.9x: within the 2x gate
-		"Slow": {NsPerOp: 2_100_000}, // 2.1x: regression
-		"New":  {NsPerOp: 42},        // not gated
-	}
-	regressions, missing := gate(current, baseline, 2.0, 2.0)
-	if len(regressions) != 1 || regressions[0].name != "Slow" {
-		t.Fatalf("regressions = %+v, want only Slow", regressions)
-	}
-	if regressions[0].ratio < 2.09 || regressions[0].ratio > 2.11 {
-		t.Errorf("ratio = %v, want ~2.1", regressions[0].ratio)
-	}
-	if len(missing) != 1 || missing[0] != "Dropped" {
-		t.Fatalf("missing = %v, want [Dropped]", missing)
-	}
-	if r, m := gate(current, baseline, 3.0, 3.0); len(r) != 0 || len(m) != 1 {
-		t.Errorf("3x gate: regressions=%v missing=%v", r, m)
+	for _, c := range []struct {
+		name string
+		head []float64
+		fail bool
+	}{
+		{"SlowerInSixWithinBound", scaled(within, 6), false},
+		{"SlowerInFiveBeyondBound", scaled(over, 5), true},
+		{"SlowerInSixBeyondBound", scaled(over, 6), true},
+		{"SlowerInFourBeyondBound", scaled(over, 4), false},
+		{"Faster", scaled(0.5, 0), false},
+	} {
+		v := mustGate(t, runs(c.name, base), runs(c.name, c.head))[c.name]
+		if got := len(v.failures) > 0; got != c.fail {
+			t.Errorf("%s: failures = %v, want failing %v", c.name, v.failures, c.fail)
+		}
 	}
 }
 
-func allocs(n float64) *float64 { return &n }
-
-// TestGateAllocs drives the allocation budget through synthetic benchmark
-// output end to end: parse the baseline run, parse the current run, gate.
+// TestGateAllocs: allocs/op compares the head's median with the most the
+// base showed; a zero-alloc base fails on any allocation.
 func TestGateAllocs(t *testing.T) {
-	baseRun := `
-BenchmarkLogAppend-8      	 1000000	      1300 ns/op	     475 B/op	       0 allocs/op
-BenchmarkWALAppend/sync=always-8 	    9000	    160000 ns/op	    1600 B/op	      18 allocs/op
-BenchmarkIngest-8         	   30000	     36000 ns/op	    1650 B/op	      18 allocs/op
-BenchmarkUntracked-8      	    5000	    230000 ns/op
-PASS
-`
-	curRun := `
-BenchmarkLogAppend-8      	 1000000	      1250 ns/op	     480 B/op	       1 allocs/op
-BenchmarkWALAppend/sync=always-8 	    9000	    158000 ns/op	    5000 B/op	      40 allocs/op
-BenchmarkIngest-8         	   30000	     35000 ns/op	    1700 B/op	      20 allocs/op
-BenchmarkUntracked-8      	    5000	    231000 ns/op
-PASS
-`
-	baseline, err := parseBench(strings.NewReader(baseRun))
-	if err != nil {
-		t.Fatal(err)
-	}
-	current, err := parseBench(strings.NewReader(curRun))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regressions, missing := gate(current, baseline, 2.0, 2.0)
-	if len(missing) != 0 {
-		t.Fatalf("missing = %v, want none", missing)
-	}
-	// Every ns/op is within 2x; the failures must all be allocation budgets:
-	// 0 → 1 breaks a zero-alloc budget outright, 18 → 40 exceeds 2x, and
-	// 18 → 20 is within budget.
-	want := map[string]bool{"LogAppend": true, "WALAppend/sync=always": true}
-	for _, r := range regressions {
-		if r.metric != "allocs/op" {
-			t.Errorf("unexpected %s regression: %+v", r.metric, r)
-			continue
+	ns := []float64{100, 100, 100, 100, 100, 100}
+	vs := mustGate(t,
+		runs("ZeroAlloc", ns, 0, 0, 0, 0, 0, 0)+
+			runs("StillZero", ns, 0, 0, 0, 0, 0, 0)+
+			runs("Exact", ns, 18, 18, 18, 18, 18, 18)+
+			runs("Noisy", ns, 800, 801, 803, 800, 802, 801)+
+			runs("Grown", ns, 18, 18, 18, 18, 18, 18),
+		runs("ZeroAlloc", ns, 1, 1, 1, 1, 1, 1)+
+			runs("StillZero", ns, 0, 0, 0, 0, 0, 0)+
+			runs("Exact", ns, 18, 18, 18, 18, 18, 18)+
+			runs("Noisy", ns, 803, 800, 801, 802, 803, 800)+
+			runs("Grown", ns, 19, 19, 19, 19, 19, 19))
+	for name, fail := range map[string]bool{"ZeroAlloc": true, "StillZero": false, "Exact": false, "Noisy": false, "Grown": true} {
+		if got := len(vs[name].failures) > 0; got != fail {
+			t.Errorf("%s: failures = %v, want failing %v", name, vs[name].failures, fail)
 		}
-		if !want[r.name] {
-			t.Errorf("unexpected alloc regression: %+v", r)
-		}
-		delete(want, r.name)
-	}
-	for name := range want {
-		t.Errorf("alloc regression for %s not reported", name)
-	}
-
-	// Dropping -benchmem from the run while the baseline has a budget is a
-	// gate failure, not a silent pass.
-	noMem, err := parseBench(strings.NewReader(`
-BenchmarkLogAppend-8      	 1000000	      1250 ns/op
-BenchmarkWALAppend/sync=always-8 	    9000	    158000 ns/op
-BenchmarkIngest-8         	   30000	     35000 ns/op
-BenchmarkUntracked-8      	    5000	    231000 ns/op
-PASS
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, missing := gate(noMem, baseline, 2.0, 2.0); len(missing) != 3 {
-		t.Errorf("missing = %v, want the 3 benchmarks with alloc budgets", missing)
-	}
-
-	// A measured zero in the current run against a zero baseline passes.
-	if r, _ := gate(baseline, baseline, 2.0, 2.0); len(r) != 0 {
-		t.Errorf("self-gate regressions = %+v, want none", r)
 	}
 }
 
+// TestGateAllocUnits: allocation counts are judged on their own, whatever
+// the time rule says: a faster head with more allocations fails, a slower
+// one with fewer passes on allocs.
 func TestGateAllocUnits(t *testing.T) {
-	baseline := map[string]Result{"B": {NsPerOp: 100, AllocsPerOp: allocs(10)}}
-	current := map[string]Result{"B": {NsPerOp: 100, AllocsPerOp: allocs(21)}}
-	r, _ := gate(current, baseline, 2.0, 2.0)
-	if len(r) != 1 || r[0].metric != "allocs/op" || r[0].ratio != 2.1 {
-		t.Fatalf("regressions = %+v, want one allocs/op at 2.1x", r)
+	base := []float64{100, 100, 100, 100, 100, 100}
+	fast := []float64{50, 50, 50, 50, 50, 50}
+	vs := mustGate(t,
+		runs("FasterMoreAllocs", base, 10, 10, 10, 10, 10, 10)+runs("FewerAllocs", base, 10, 10, 10, 10, 10, 10),
+		runs("FasterMoreAllocs", fast, 11, 11, 11, 11, 11, 11)+runs("FewerAllocs", base, 2, 2, 2, 2, 2, 2))
+	if f := vs["FasterMoreAllocs"].failures; len(f) != 1 || !strings.HasPrefix(f[0], allocsPerOp) {
+		t.Errorf("FasterMoreAllocs failures = %v, want one allocs/op failure", f)
 	}
-	// Raising only the alloc ratio clears it.
-	if r, _ := gate(current, baseline, 2.0, 2.5); len(r) != 0 {
-		t.Fatalf("regressions = %+v, want none at 2.5x alloc ratio", r)
+	if f := vs["FewerAllocs"].failures; len(f) != 0 {
+		t.Errorf("FewerAllocs failures = %v, want none", f)
 	}
 }
 
-// TestGateBytesPerRecord: a benchmark's B/record keeps its minimum across
-// runs and fails the gate past 1.05x of the baseline, whatever the time
-// ratios allow, or when the run stops reporting it.
+// TestGateBytesPerRecord: B/record compares like allocs/op, and a head that
+// stops reporting it fails.
 func TestGateBytesPerRecord(t *testing.T) {
-	baseline, err := parseBench(strings.NewReader(`
-BenchmarkWALAppend/sync=off-8 	  300000	      3300 ns/op	       263.0 B/record	    1400 B/op	       7 allocs/op
-BenchmarkWALAppend/sync=off-8 	  300000	      3100 ns/op	       250.0 B/record	    1400 B/op	       7 allocs/op
-BenchmarkSnapshotWriteRestore/write/10000-8 	       3	  15000000 ns/op	       540.0 B/record
-`))
-	if err != nil {
-		t.Fatal(err)
+	line := func(name string, perRecord float64) string {
+		return fmt.Sprintf("Benchmark%s-2 \t 3\t 15000000 ns/op\t %.1f B/record\n", name, perRecord)
 	}
-	if b := baseline["WALAppend/sync=off"].BytesPerRecord; b == nil || *b != 250 {
-		t.Fatalf("B/record = %v, want the minimum 250", b)
+	vs := mustGate(t,
+		line("Same", 540)+line("Same", 540)+line("Wider", 540)+line("Wider", 540)+line("Dropped", 540)+line("Dropped", 540),
+		line("Same", 540)+line("Same", 540)+line("Wider", 541)+line("Wider", 541)+
+			"BenchmarkDropped-2 \t 3\t 15000000 ns/op\nBenchmarkDropped-2 \t 3\t 15000000 ns/op\n")
+	if f := vs["Same"].failures; len(f) != 0 {
+		t.Errorf("Same failures = %v, want none", f)
 	}
-	current := map[string]Result{
-		"WALAppend/sync=off":               {NsPerOp: 3000, AllocsPerOp: allocs(7), BytesPerRecord: allocs(262)},
-		"SnapshotWriteRestore/write/10000": {NsPerOp: 15000000, BytesPerRecord: allocs(570)},
+	if f := vs["Wider"].failures; len(f) != 1 || f[0] != "B/record 540 -> 541" {
+		t.Errorf("Wider failures = %v, want B/record 540 -> 541", f)
 	}
-	r, m := gate(current, baseline, 2.0, 2.0)
-	if len(m) != 0 || len(r) != 1 || r[0].name != "SnapshotWriteRestore/write/10000" || r[0].metric != "B/record" {
-		t.Fatalf("regressions = %+v, missing = %v; want only the snapshot's B/record (570 > 1.05 x 540)", r, m)
+	if f := vs["Dropped"].failures; len(f) != 1 || f[0] != "no longer reports B/record" {
+		t.Errorf("Dropped failures = %v, want the dropped B/record", f)
 	}
-	current["SnapshotWriteRestore/write/10000"] = Result{NsPerOp: 15000000}
-	if _, m := gate(current, baseline, 2.0, 2.0); len(m) != 1 {
-		t.Fatalf("missing = %v, want the snapshot's dropped B/record", m)
+}
+
+// TestGateOneSidedNames: a benchmark on one side only is listed and gets no
+// verdict, however its numbers read.
+func TestGateOneSidedNames(t *testing.T) {
+	ns := []float64{100, 100, 100, 100, 100, 100}
+	vs := mustGate(t, runs("Kept", ns)+runs("Removed", ns, 0, 0, 0, 0, 0, 0),
+		runs("Kept", ns)+runs("Added", []float64{1e9, 1e9}, 99, 99))
+	if len(vs) != 3 {
+		t.Fatalf("verdicts = %v, want Added, Kept and Removed", vs)
+	}
+	for name, status := range map[string]string{"Added": "head only", "Removed": "base only", "Kept": "ok"} {
+		if v := vs[name]; len(v.failures) != 0 || !strings.HasSuffix(v.row(), status) {
+			t.Errorf("%s: row %q, failures %v; want %q and no failure", name, v.row(), v.failures, status)
+		}
+	}
+}
+
+// TestGateRefusesUnequalRuns: a name that ran a different number of times
+// on each side cannot be paired, and the gate says so instead of judging.
+func TestGateRefusesUnequalRuns(t *testing.T) {
+	b, _ := parseBench(strings.NewReader(runs("Short", []float64{1, 2, 3, 4, 5, 6})))
+	h, _ := parseBench(strings.NewReader(runs("Short", []float64{1, 2, 3, 4, 5})))
+	if _, err := gate(b, h); err == nil || !strings.Contains(err.Error(), "Short ran 6 times on the base and 5 on the head") {
+		t.Fatalf("gate error = %v, want the refusal naming Short", err)
 	}
 }

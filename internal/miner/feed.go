@@ -215,12 +215,8 @@ func (f *Feed) NumSets() int {
 	return len(f.sets)
 }
 
-// EnableMetrics registers scrape-time gauges over the feed's state. A nil
-// registry is a no-op.
+// EnableMetrics registers scrape-time gauges over the feed's state.
 func (f *Feed) EnableMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("cqms_miner_feed_transactions",
 		"Records with a non-empty feature set the association-rule feed counts.",
 		func() float64 { return float64(f.NumTransactions()) })

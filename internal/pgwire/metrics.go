@@ -35,11 +35,7 @@ type Metrics struct {
 }
 
 // NewMetrics registers (or re-resolves) the cqms_proxy_* families on reg.
-// A nil registry gets a private one, so instrumentation is always on.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	m := &Metrics{
 		ConnectionsActive: reg.Gauge("cqms_proxy_connections_active",
 			"Currently proxied frontend connections."),
@@ -52,7 +48,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		StatementsCaptured: reg.Counter("cqms_proxy_statements_captured_total",
 			"Statements observed and enqueued for CQMS submission."),
 		StatementsDropped: reg.Counter("cqms_proxy_statements_dropped_total",
-			"Statements observed but dropped because the capture queue was full."),
+			"Statements observed but dropped: the capture queue was full, or the statement alone was too large for a batch request to a remote server."),
 		SubmitErrors: reg.Counter("cqms_proxy_submit_errors_total",
 			"Capture batches the sink failed to submit (statements in them are lost)."),
 		SubmitLatency: reg.Histogram("cqms_proxy_submit_seconds",

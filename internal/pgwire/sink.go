@@ -2,6 +2,7 @@ package pgwire
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/server"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 // Identity is the CQMS principal a captured statement is logged under.
@@ -94,13 +96,16 @@ type ClientSink struct {
 	// Map defaults to DefaultPrincipalMapper.
 	Map PrincipalMapper
 
+	dropped *telemetry.Counter
 	mu      sync.Mutex
 	derived map[Identity]*client.Client
 }
 
-// NewClientSink returns a remote sink over the given base client.
-func NewClientSink(base *client.Client, mapper PrincipalMapper) *ClientSink {
-	return &ClientSink{Base: base, Map: mapper, derived: map[Identity]*client.Client{}}
+// NewClientSink returns a remote sink over the given base client. A
+// statement too large for a request of its own is counted in the metrics'
+// StatementsDropped.
+func NewClientSink(base *client.Client, mapper PrincipalMapper, metrics *Metrics) *ClientSink {
+	return &ClientSink{Base: base, Map: mapper, dropped: metrics.StatementsDropped, derived: map[Identity]*client.Client{}}
 }
 
 // clientFor returns (creating on first use) the derived client acting as id.
@@ -115,46 +120,68 @@ func (s *ClientSink) clientFor(id Identity) *client.Client {
 	return c
 }
 
-// SubmitBatch implements Sink.
+// SubmitBatch implements Sink. Each identity's statements go out in
+// requests the server accepts whole (requests); the first failed request's
+// error is returned after the rest were sent.
 func (s *ClientSink) SubmitBatch(ctx context.Context, stmts []Captured) error {
 	mapper := s.Map
 	if mapper == nil {
 		mapper = DefaultPrincipalMapper
 	}
 	// Group by identity, preserving capture order within each identity.
-	type bucket struct {
-		id      Identity
-		queries []server.SubmitParams
-	}
 	var order []Identity
-	buckets := map[Identity]*bucket{}
+	buckets := map[Identity][]server.SubmitParams{}
 	for _, st := range stmts {
 		id := mapper(st.User, st.Database)
-		b, ok := buckets[id]
-		if !ok {
-			b = &bucket{id: id}
-			buckets[id] = b
+		if _, ok := buckets[id]; !ok {
 			order = append(order, id)
 		}
-		b.queries = append(b.queries, server.SubmitParams{
+		buckets[id] = append(buckets[id], server.SubmitParams{
 			SQL: st.SQL, Group: id.Group, Visibility: id.Visibility.String(),
 		})
 	}
 	var firstErr error
 	for _, id := range order {
-		b := buckets[id]
 		c := s.clientFor(id)
-		for start := 0; start < len(b.queries); start += server.MaxBatchQueries {
-			end := start + server.MaxBatchQueries
-			if end > len(b.queries) {
-				end = len(b.queries)
-			}
-			if _, err := c.SubmitBatch(ctx, b.queries[start:end]); err != nil && firstErr == nil {
+		for _, req := range s.requests(buckets[id]) {
+			if _, err := c.SubmitBatch(ctx, req); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("pgwire: remote submit as %s: %w", id.User, err)
 			}
 		}
 	}
 	return firstErr
+}
+
+// requests splits queries, in order, into batch requests of at most
+// server.MaxBatchQueries queries and server.MaxBatchBodyBytes of encoded
+// body, the client's encoding measured query by query. A query that does
+// not fit in a request of its own is dropped and counted; the queries
+// around it are still sent.
+func (s *ClientSink) requests(queries []server.SubmitParams) [][]server.SubmitParams {
+	const envelope = len(`{"queries":[]}`)
+	var out [][]server.SubmitParams
+	var cur []server.SubmitParams
+	size := envelope
+	for _, q := range queries {
+		b, err := json.Marshal(q)
+		if err != nil || envelope+len(b) > server.MaxBatchBodyBytes {
+			s.dropped.Inc()
+			continue
+		}
+		if len(cur) > 0 && (len(cur) == server.MaxBatchQueries || size+1+len(b) > server.MaxBatchBodyBytes) {
+			out = append(out, cur)
+			cur, size = nil, envelope
+		}
+		if len(cur) > 0 {
+			size++ // the comma before it
+		}
+		cur = append(cur, q)
+		size += len(b)
+	}
+	if len(cur) > 0 {
+		out = append(out, cur)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -208,9 +235,6 @@ type AsyncCapture struct {
 // NewAsyncCapture starts the capture pipeline over the given sink. The
 // metrics argument must not be nil (Proxy always passes its own).
 func NewAsyncCapture(sink Sink, cfg CaptureConfig, metrics *Metrics) *AsyncCapture {
-	if metrics == nil {
-		metrics = NewMetrics(nil)
-	}
 	a := &AsyncCapture{
 		cfg:     cfg.withDefaults(),
 		sink:    sink,

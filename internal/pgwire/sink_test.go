@@ -2,9 +2,18 @@ package pgwire
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // collectSink records everything submitted to it.
@@ -32,7 +41,7 @@ func (s *collectSink) total() int {
 
 func TestAsyncCaptureDeliversAndBatches(t *testing.T) {
 	sink := &collectSink{}
-	ac := NewAsyncCapture(sink, CaptureConfig{Queue: 64, Batch: 8, FlushEvery: 10 * time.Millisecond}, nil)
+	ac := NewAsyncCapture(sink, CaptureConfig{Queue: 64, Batch: 8, FlushEvery: 10 * time.Millisecond}, NewMetrics(telemetry.NewRegistry()))
 	for i := 0; i < 20; i++ {
 		if !ac.Enqueue(Captured{SQL: "SELECT 1", User: "u"}) {
 			t.Fatalf("Enqueue %d dropped with an empty queue", i)
@@ -59,7 +68,7 @@ func TestAsyncCaptureDropsWhenFullWithoutBlocking(t *testing.T) {
 		<-release // stall the sink: the queue can only drain once released
 		return nil
 	})
-	metrics := NewMetrics(nil)
+	metrics := NewMetrics(telemetry.NewRegistry())
 	ac := NewAsyncCapture(blocked, CaptureConfig{Queue: 2, Batch: 1, FlushEvery: time.Hour}, metrics)
 	defer func() {
 		close(release)
@@ -91,7 +100,7 @@ func TestAsyncCaptureDropsWhenFullWithoutBlocking(t *testing.T) {
 }
 
 func TestAsyncCaptureEnqueueAfterClose(t *testing.T) {
-	ac := NewAsyncCapture(&collectSink{}, CaptureConfig{}, nil)
+	ac := NewAsyncCapture(&collectSink{}, CaptureConfig{}, NewMetrics(telemetry.NewRegistry()))
 	ac.Close()
 	if ac.Enqueue(Captured{SQL: "SELECT 1"}) {
 		t.Error("Enqueue after Close returned true")
@@ -103,5 +112,82 @@ func TestCoreSinkMapsPrincipal(t *testing.T) {
 	id := DefaultPrincipalMapper("alice", "limnology")
 	if id.User != "alice" || id.Group != "limnology" {
 		t.Errorf("DefaultPrincipalMapper = %+v", id)
+	}
+}
+
+// remoteSink returns a ClientSink over a real server in front of an
+// in-memory CQMS, and that CQMS.
+func remoteSink(t *testing.T) (*ClientSink, *Metrics, *core.CQMS) {
+	t.Helper()
+	cqms := openTestCQMS(t)
+	ts := httptest.NewServer(server.New(cqms).Handler())
+	t.Cleanup(ts.Close)
+	metrics := NewMetrics(telemetry.NewRegistry())
+	return NewClientSink(client.New(ts.URL), nil, metrics), metrics, cqms
+}
+
+// captured returns n statements of about size bytes each, all distinct.
+func captured(n, size int) []Captured {
+	out := make([]Captured, n)
+	for i := range out {
+		sql := fmt.Sprintf("SELECT lake FROM WaterTemp WHERE lake = '%d", i)
+		out[i] = Captured{User: "alice", Database: "limnology", SQL: sql + strings.Repeat("x", size-len(sql)-1) + "'"}
+	}
+	return out
+}
+
+// TestClientSinkSplitsByBodySize: a sink batch whose statements together
+// exceed the server's batch body cap is sent in requests the server
+// accepts, so every statement is logged.
+func TestClientSinkSplitsByBodySize(t *testing.T) {
+	sink, metrics, cqms := remoteSink(t)
+	stmts := captured(300, 30<<10)
+	if err := sink.SubmitBatch(context.Background(), stmts); err != nil {
+		t.Errorf("SubmitBatch: %v", err)
+	}
+	if got := cqms.Store().Count(); got != len(stmts) {
+		t.Errorf("logged %d of %d statements", got, len(stmts))
+	}
+	if got := metrics.StatementsDropped.Value(); got != 0 {
+		t.Errorf("dropped %d statements, want 0", got)
+	}
+}
+
+// TestClientSinkDropsAStatementTooLargeAlone: a statement whose request
+// alone would exceed the cap is dropped and counted; the statements batched
+// with it are logged.
+func TestClientSinkDropsAStatementTooLargeAlone(t *testing.T) {
+	sink, metrics, cqms := remoteSink(t)
+	stmts := captured(10, 100)
+	huge := captured(1, server.MaxBatchBodyBytes)[0]
+	stmts = append(stmts[:5:5], append([]Captured{huge}, stmts[5:]...)...)
+	if err := sink.SubmitBatch(context.Background(), stmts); err != nil {
+		t.Errorf("SubmitBatch: %v", err)
+	}
+	if got := cqms.Store().Count(); got != 10 {
+		t.Errorf("logged %d statements, want the 10 around the dropped one", got)
+	}
+	if got := metrics.StatementsDropped.Value(); got != 1 {
+		t.Errorf("dropped %d statements, want 1", got)
+	}
+}
+
+// TestClientSinkRequestsFillTheCap: the split is exact. A request that holds
+// exactly MaxBatchBodyBytes of body goes out whole, and one byte more starts
+// a second request.
+func TestClientSinkRequestsFillTheCap(t *testing.T) {
+	sink := NewClientSink(nil, nil, NewMetrics(telemetry.NewRegistry()))
+	query := func(n int) server.SubmitParams { return server.SubmitParams{SQL: strings.Repeat("s", n)} }
+	one, _ := json.Marshal(server.BatchSubmitRequest{Queries: []server.SubmitParams{query(0), query(0)}})
+	// Two queries whose body is exactly the cap.
+	fill := (server.MaxBatchBodyBytes - len(one)) / 2
+	for _, c := range []struct {
+		extra, want int
+	}{{0, 1}, {1, 2}} {
+		qs := []server.SubmitParams{query(fill), query(fill + server.MaxBatchBodyBytes - len(one) - 2*fill + c.extra)}
+		body, _ := json.Marshal(server.BatchSubmitRequest{Queries: qs})
+		if got := len(sink.requests(qs)); got != c.want {
+			t.Errorf("a %d-byte body (cap %d) went out in %d requests, want %d", len(body), server.MaxBatchBodyBytes, got, c.want)
+		}
 	}
 }

@@ -16,18 +16,18 @@ import (
 	"repro/internal/session"
 )
 
-// Request-body caps: malformed or hostile payloads fail loudly instead of
-// half-applying. The batch endpoint gets a larger budget because it carries
-// many queries per round trip.
-const (
-	maxBodyBytes      = 1 << 20 // 1 MiB
-	maxBatchBodyBytes = 8 << 20 // 8 MiB
-)
+// maxBodyBytes caps a request body: malformed or hostile payloads fail
+// loudly instead of half-applying.
+const maxBodyBytes = 1 << 20 // 1 MiB
 
-// MaxBatchQueries is the most queries one POST /v1/queries:batch may carry;
-// larger batches are rejected whole with invalid_argument. Exported so
-// clients can clamp before sending.
-const MaxBatchQueries = 500
+// One POST /v1/queries:batch may carry at most MaxBatchQueries queries
+// (more are rejected whole with invalid_argument) and MaxBatchBodyBytes of
+// body (more is rejected whole with payload_too_large). Exported so clients
+// can split before sending.
+const (
+	MaxBatchQueries   = 500
+	MaxBatchBodyBytes = 8 << 20 // 8 MiB
+)
 
 // Server is the CQMS HTTP server: the versioned /v1/ API. The legacy
 // unversioned /api/ shims are gone; requests there receive a 404 envelope

@@ -69,7 +69,7 @@ func submission(p storage.Principal, q SubmitParams) profiler.Submission {
 
 func (s *Server) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	if err := decodeCapped(w, r, &req, maxBatchBodyBytes); err != nil {
+	if err := decodeCapped(w, r, &req, MaxBatchBodyBytes); err != nil {
 		writeError(w, err)
 		return
 	}

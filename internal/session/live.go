@@ -620,12 +620,8 @@ func (l *Live) labelAll(queries []*storage.QueryRecord) []Edge {
 }
 
 // EnableMetrics registers the live detector's instruments: the session count
-// gauge, the local edits by kind, and the edge labels computed. A nil
-// registry is a no-op.
+// gauge, the local edits by kind, and the edge labels computed.
 func (l *Live) EnableMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("cqms_sessions_live",
 		"Sessions the live detector currently tracks.",
 		func() float64 { return float64(l.Count()) })

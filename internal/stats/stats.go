@@ -1008,11 +1008,8 @@ func (t *Tracker) JoinCounts(p storage.Principal, tables []string) map[string]in
 }
 
 // EnableMetrics registers scrape-time gauges over the tracker's aggregate
-// sizes. A nil registry is a no-op.
+// sizes.
 func (t *Tracker) EnableMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("cqms_stats_tracked_tables",
 		"Distinct tables the incremental stats tracker counts.",
 		func() float64 {
