@@ -3,26 +3,29 @@
 # module on one machine, alternating them, and writes base.out and head.out
 # for `cqms-benchgate -base base.out -head head.out`.
 #
-# Usage: bench-pairs.sh BASE_TREE HEAD_TREE PAIRS OUT_DIR [PACKAGE...]
+# Usage: bench-pairs.sh BASE_TREE HEAD_TREE OUT_DIR
 #
 # Each side's test binaries are built once (go test -c -trimpath, so two
 # trees holding the same code build the same binaries). Every entry of the
-# list then runs PAIRS times per side, base then head, the order flipped
-# every pair, so the k-th result of a benchmark on one side and the k-th on
-# the other ran next to each other. PACKAGE arguments (as listed below, e.g.
-# ./internal/storage) restrict the run to those packages. A package the base
-# tree does not have runs on the head side alone. A benchmark that fails or
-# panics on either side stops the script with the test binary's exit status.
+# list then runs 10 times per side, base then head, the order flipped every
+# pair, so the k-th result of a benchmark on one side and the k-th on the
+# other ran next to each other; cqms-benchgate's rule is set for these 10
+# pairs. A package one tree does not have runs on the other side alone.
+#
+# A benchmark that fails or panics on the head side stops the script with
+# the test binary's exit status. One that fails on the base side (or a base
+# package that does not build) does not: a warning is printed, that entry's
+# base output goes to base.failed.out instead of base.out, and its results
+# are head only, so a change that mends a benchmark broken at the
+# merge-base can pass.
 set -euo pipefail
 
-[ $# -ge 4 ] || { sed -n '2,15p' "$0"; exit 2; }
+[ $# -eq 3 ] || { sed -n '2,20p' "$0"; exit 2; }
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
-pairs=$3
-mkdir -p "$4"
-out=$(cd "$4" && pwd)
-shift 4
-only=" $* "
+mkdir -p "$3"
+out=$(cd "$3" && pwd)
+pairs=10
 
 # package, benchmark regexp, flags beyond -test.benchmem. Benchmarks that
 # build a large fixture per iteration, or whose store grows with b.N, run a
@@ -49,37 +52,55 @@ list=(
 	"./internal/miner ^(BenchmarkFeedRefresh|BenchmarkFeedAdd)$"
 )
 
-selected() { [ "$only" = "  " ] || [[ $only == *" $1 "* ]]; }
 binary() {
 	local name=${2#./}
 	[ "$name" != . ] || name=root
 	echo "$out/bin/$1/${name//\//_}.test"
 }
+build() { (cd "${!1}" && go test -c -trimpath -o "$(binary "$1" "$2")" "$2"); }
+# shellcheck disable=SC2086 # $4 (flags) is a word list
+run() { (cd "${!1}/$2" && "$(binary "$1" "$2")" -test.run '^$' -test.bench "$3" -test.benchmem -test.timeout=30m $4); }
+warn() { echo "bench-pairs: WARNING: $*" >&2; }
+
+rm -rf "$out/bin"
 
 for pkg in $(printf '%s\n' "${list[@]}" | cut -d' ' -f1 | sort -u); do
-	selected "$pkg" || continue
 	for side in base head; do
 		tree=${!side}
-		[ -d "$tree/$pkg" ] || { echo "bench-pairs: $pkg is not in the $side tree" >&2; continue; }
-		(cd "$tree" && go test -c -trimpath -o "$(binary "$side" "$pkg")" "$pkg")
+		if [ ! -d "$tree/$pkg" ]; then
+			echo "bench-pairs: $pkg is not in the $side tree" >&2
+		elif [ "$side" = head ]; then
+			build head "$pkg"
+		elif ! build base "$pkg"; then
+			warn "$pkg does not build on the base side; its results are head only"
+		fi
 	done
 done
 
 : >"$out/base.out"
 : >"$out/head.out"
+: >"$out/base.failed.out"
 for entry in "${list[@]}"; do
 	read -r pkg bench flags <<<"$entry"
-	selected "$pkg" || continue
+	onbase=yes
+	[ -x "$(binary base "$pkg")" ] || onbase=no
+	: >"$out/entry.base"
 	for i in $(seq 1 "$pairs"); do
 		order="base head"
 		[ $((i % 2)) -eq 1 ] || order="head base"
 		for side in $order; do
-			tree=${!side}
-			bin=$(binary "$side" "$pkg")
-			[ -x "$bin" ] || continue
-			# shellcheck disable=SC2086 # flags is a word list
-			(cd "$tree/$pkg" && "$bin" -test.run '^$' -test.bench "$bench" -test.benchmem -test.timeout=30m $flags) >>"$out/$side.out"
+			if [ "$side" = head ]; then
+				[ ! -x "$(binary head "$pkg")" ] || run head "$pkg" "$bench" "$flags" >>"$out/head.out"
+			elif [ $onbase = yes ] && ! run base "$pkg" "$bench" "$flags" >>"$out/entry.base" 2>&1; then
+				warn "$pkg $bench failed on the base side; its results are head only (see base.failed.out)"
+				onbase=failed
+			fi
 		done
 	done
+	case $onbase in
+	yes) cat "$out/entry.base" >>"$out/base.out" ;;
+	failed) cat "$out/entry.base" >>"$out/base.failed.out" ;;
+	esac
 	echo "bench-pairs: $pkg $bench done at ${SECONDS}s" >&2
 done
+rm -f "$out/entry.base"

@@ -5,18 +5,20 @@
 // on one side ran next to its k-th result on the other; the gate pairs them
 // by that occurrence:
 //
-//	cmd/cqms-benchgate/bench-pairs.sh base-tree head-tree 10 out
+//	cmd/cqms-benchgate/bench-pairs.sh base-tree head-tree out
 //	cqms-benchgate -base out/base.out -head out/head.out
 //
-// A benchmark fails on time when the head was slower in at least
-// slowerShare of its pairs and the head's median ns/op exceeds the base's by
-// more than timeBound. Allocation counts (allocs/op) and bytes written per
+// A benchmark fails on time when the head was slower in at least minSlower
+// of its pairs and the head's median ns/op exceeds the base's by more than
+// timeBound. Allocation counts (allocs/op) and bytes written per
 // record (B/record) do not depend on the host, so they are compared with the
 // base directly: the head's median may not exceed the most the base showed,
 // and a zero-alloc base fails on any allocation. A benchmark on one side only
-// (added, removed, or renamed because its body changed) is listed with no
-// verdict. A benchmark that ran a different number of times on the two sides
-// is refused: its pairs cannot be formed.
+// (added, removed, renamed because its body changed, or failing on the base)
+// is listed with no time verdict; one on the base only is also warned of on
+// stderr, since a deleted, skipped or misnamed benchmark escapes the gate
+// that way. A benchmark that did not run exactly pairs times on both sides
+// is refused.
 //
 // With -slo it instead gates an open-loop load-harness report (the JSON
 // written by `cqms-workload -openloop -json`) against absolute service-level
@@ -43,19 +45,19 @@ import (
 )
 
 const (
-	// slowerShare is the share of pairs in which the head must be slower
-	// than the base before its time is judged: 5 of 6 pairs, 9 of the 10
-	// the CI job runs. Alone it fails an unchanged benchmark in 1 run of 9
-	// at 6 pairs and 1 of 93 at 10.
-	slowerShare = 5.0 / 6
+	// pairs is how many times bench-pairs.sh runs every benchmark per side,
+	// and minSlower how many of those pairs the head must lose before its
+	// time is judged. Were an unchanged benchmark's pairs coin flips, 9 of
+	// 10 alone would fail it in 1 run of 93.
+	pairs     = 10
+	minSlower = 9
 	// timeBound is how far the head's median ns/op may then exceed the
 	// base's. It comes from unchanged pairs, one commit built as both
 	// sides, on a shared 2-vCPU host. Over the whole list, one run of 6
 	// pairs and one of 10 each left benchmarks slower in at least five
 	// sixths of their pairs, with medians up to 23.5 % and 48.8 % past the
-	// base's (the
-	// heap-heavy SearchAtSize and LiveApply, whose runs spread most); 50 %
-	// is the round bound both runs pass.
+	// base's (the heap-heavy SearchAtSize and LiveApply, whose runs spread
+	// most); 50 % is the round bound both runs pass.
 	timeBound = 0.50
 )
 
@@ -139,7 +141,7 @@ type verdict struct {
 }
 
 // gate pairs the two sides' runs by occurrence and judges every name that
-// ran on both. It refuses a name whose run counts differ.
+// ran on both. It refuses a name that did not run pairs times on each side.
 func gate(base, head map[string]series) ([]verdict, error) {
 	names := make([]string, 0, len(base)+len(head))
 	for name := range base {
@@ -159,15 +161,15 @@ func gate(base, head map[string]series) ([]verdict, error) {
 			continue
 		}
 		b, h := v.base[nsPerOp], v.head[nsPerOp]
-		if len(b) != len(h) {
-			return nil, fmt.Errorf("%s ran %d times on the base and %d on the head", name, len(b), len(h))
+		if len(b) != pairs || len(h) != pairs {
+			return nil, fmt.Errorf("%s ran %d times on the base and %d on the head; the gate needs %d pairs", name, len(b), len(h), pairs)
 		}
 		for k := range b {
 			if h[k] > b[k] {
 				v.slower++
 			}
 		}
-		if mb, mh := median(b), median(h); float64(v.slower) >= slowerShare*float64(len(b)) && mh > (1+timeBound)*mb {
+		if mb, mh := median(b), median(h); v.slower >= minSlower && mh > (1+timeBound)*mb {
 			v.failures = append(v.failures, fmt.Sprintf("slower in %d of %d pairs, median %+.1f%% (bound %.0f%%)",
 				v.slower, len(b), 100*(mh/mb-1), 100*timeBound))
 		}
@@ -298,6 +300,9 @@ func run() error {
 	failed := 0
 	for _, v := range verdicts {
 		fmt.Println(v.row())
+		if v.head == nil {
+			fmt.Fprintf(os.Stderr, "GATE: warning: %s ran on the base only (deleted, skipped or renamed on the head): not gated\n", v.name)
+		}
 		for _, f := range v.failures {
 			fmt.Fprintf(os.Stderr, "GATE: %s: %s\n", v.name, f)
 		}

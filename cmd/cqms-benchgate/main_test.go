@@ -81,25 +81,34 @@ func mustGate(t *testing.T, base, head string) map[string]verdict {
 	return out
 }
 
+// rep returns pairs copies of v, one value per run.
+func rep(v float64) []float64 {
+	vs := make([]float64, pairs)
+	for k := range vs {
+		vs[k] = v
+	}
+	return vs
+}
+
 // TestGatePairsByOccurrence: the k-th head run is compared with the k-th
 // base run, whatever the other runs read. A host that slows down for a
 // while slows both runs of a pair; an unpaired comparison would see a
 // head slower than most base runs.
 func TestGatePairsByOccurrence(t *testing.T) {
-	base := []float64{100, 100, 200, 200, 200, 200}
-	head := []float64{99, 99, 199, 199, 199, 250}
+	base := []float64{100, 100, 100, 100, 100, 200, 200, 200, 200, 200}
+	head := []float64{99, 99, 99, 99, 99, 199, 199, 199, 199, 250}
 	v := mustGate(t, runs("Drift", base), runs("Drift", head))["Drift"]
 	if v.slower != 1 || len(v.failures) != 0 {
 		t.Fatalf("slower = %d, failures = %v; want 1 slower pair and a pass", v.slower, v.failures)
 	}
 }
 
-// TestGate is the time rule: slower in at least 5 of 6 pairs and a median
+// TestGate is the time rule: slower in at least 9 of 10 pairs and a median
 // beyond timeBound fails; either alone passes.
 func TestGate(t *testing.T) {
 	over := 1 + timeBound + 0.05
 	within := 1 + timeBound - 0.05
-	base := []float64{1000, 1010, 990, 1005, 995, 1000}
+	base := []float64{1000, 1010, 990, 1005, 995, 1000, 1020, 980, 1000, 1000}
 	scaled := func(f float64, slowPairs int) []float64 {
 		h := make([]float64, len(base))
 		for k, b := range base {
@@ -115,10 +124,10 @@ func TestGate(t *testing.T) {
 		head []float64
 		fail bool
 	}{
-		{"SlowerInSixWithinBound", scaled(within, 6), false},
-		{"SlowerInFiveBeyondBound", scaled(over, 5), true},
-		{"SlowerInSixBeyondBound", scaled(over, 6), true},
-		{"SlowerInFourBeyondBound", scaled(over, 4), false},
+		{"SlowerInTenWithinBound", scaled(within, 10), false},
+		{"SlowerInNineBeyondBound", scaled(over, 9), true},
+		{"SlowerInTenBeyondBound", scaled(over, 10), true},
+		{"SlowerInEightBeyondBound", scaled(over, 8), false},
 		{"Faster", scaled(0.5, 0), false},
 	} {
 		v := mustGate(t, runs(c.name, base), runs(c.name, c.head))[c.name]
@@ -131,18 +140,20 @@ func TestGate(t *testing.T) {
 // TestGateAllocs: allocs/op compares the head's median with the most the
 // base showed; a zero-alloc base fails on any allocation.
 func TestGateAllocs(t *testing.T) {
-	ns := []float64{100, 100, 100, 100, 100, 100}
+	ns := rep(100)
+	noisyBase := []float64{800, 801, 803, 800, 802, 801, 800, 800, 802, 801}
+	noisyHead := []float64{803, 800, 801, 802, 803, 800, 801, 801, 800, 802}
 	vs := mustGate(t,
-		runs("ZeroAlloc", ns, 0, 0, 0, 0, 0, 0)+
-			runs("StillZero", ns, 0, 0, 0, 0, 0, 0)+
-			runs("Exact", ns, 18, 18, 18, 18, 18, 18)+
-			runs("Noisy", ns, 800, 801, 803, 800, 802, 801)+
-			runs("Grown", ns, 18, 18, 18, 18, 18, 18),
-		runs("ZeroAlloc", ns, 1, 1, 1, 1, 1, 1)+
-			runs("StillZero", ns, 0, 0, 0, 0, 0, 0)+
-			runs("Exact", ns, 18, 18, 18, 18, 18, 18)+
-			runs("Noisy", ns, 803, 800, 801, 802, 803, 800)+
-			runs("Grown", ns, 19, 19, 19, 19, 19, 19))
+		runs("ZeroAlloc", ns, rep(0)...)+
+			runs("StillZero", ns, rep(0)...)+
+			runs("Exact", ns, rep(18)...)+
+			runs("Noisy", ns, noisyBase...)+
+			runs("Grown", ns, rep(18)...),
+		runs("ZeroAlloc", ns, rep(1)...)+
+			runs("StillZero", ns, rep(0)...)+
+			runs("Exact", ns, rep(18)...)+
+			runs("Noisy", ns, noisyHead...)+
+			runs("Grown", ns, rep(19)...))
 	for name, fail := range map[string]bool{"ZeroAlloc": true, "StillZero": false, "Exact": false, "Noisy": false, "Grown": true} {
 		if got := len(vs[name].failures) > 0; got != fail {
 			t.Errorf("%s: failures = %v, want failing %v", name, vs[name].failures, fail)
@@ -154,11 +165,10 @@ func TestGateAllocs(t *testing.T) {
 // the time rule says: a faster head with more allocations fails, a slower
 // one with fewer passes on allocs.
 func TestGateAllocUnits(t *testing.T) {
-	base := []float64{100, 100, 100, 100, 100, 100}
-	fast := []float64{50, 50, 50, 50, 50, 50}
+	base, fast := rep(100), rep(50)
 	vs := mustGate(t,
-		runs("FasterMoreAllocs", base, 10, 10, 10, 10, 10, 10)+runs("FewerAllocs", base, 10, 10, 10, 10, 10, 10),
-		runs("FasterMoreAllocs", fast, 11, 11, 11, 11, 11, 11)+runs("FewerAllocs", base, 2, 2, 2, 2, 2, 2))
+		runs("FasterMoreAllocs", base, rep(10)...)+runs("FewerAllocs", base, rep(10)...),
+		runs("FasterMoreAllocs", fast, rep(11)...)+runs("FewerAllocs", base, rep(2)...))
 	if f := vs["FasterMoreAllocs"].failures; len(f) != 1 || !strings.HasPrefix(f[0], allocsPerOp) {
 		t.Errorf("FasterMoreAllocs failures = %v, want one allocs/op failure", f)
 	}
@@ -170,13 +180,20 @@ func TestGateAllocUnits(t *testing.T) {
 // TestGateBytesPerRecord: B/record compares like allocs/op, and a head that
 // stops reporting it fails.
 func TestGateBytesPerRecord(t *testing.T) {
-	line := func(name string, perRecord float64) string {
-		return fmt.Sprintf("Benchmark%s-2 \t 3\t 15000000 ns/op\t %.1f B/record\n", name, perRecord)
+	lines := func(name string, perRecord float64) string {
+		var b strings.Builder
+		for range pairs {
+			if perRecord > 0 {
+				fmt.Fprintf(&b, "Benchmark%s-2 \t 3\t 15000000 ns/op\t %.1f B/record\n", name, perRecord)
+			} else {
+				fmt.Fprintf(&b, "Benchmark%s-2 \t 3\t 15000000 ns/op\n", name)
+			}
+		}
+		return b.String()
 	}
 	vs := mustGate(t,
-		line("Same", 540)+line("Same", 540)+line("Wider", 540)+line("Wider", 540)+line("Dropped", 540)+line("Dropped", 540),
-		line("Same", 540)+line("Same", 540)+line("Wider", 541)+line("Wider", 541)+
-			"BenchmarkDropped-2 \t 3\t 15000000 ns/op\nBenchmarkDropped-2 \t 3\t 15000000 ns/op\n")
+		lines("Same", 540)+lines("Wider", 540)+lines("Dropped", 540),
+		lines("Same", 540)+lines("Wider", 541)+lines("Dropped", 0))
 	if f := vs["Same"].failures; len(f) != 0 {
 		t.Errorf("Same failures = %v, want none", f)
 	}
@@ -191,8 +208,8 @@ func TestGateBytesPerRecord(t *testing.T) {
 // TestGateOneSidedNames: a benchmark on one side only is listed and gets no
 // verdict, however its numbers read.
 func TestGateOneSidedNames(t *testing.T) {
-	ns := []float64{100, 100, 100, 100, 100, 100}
-	vs := mustGate(t, runs("Kept", ns)+runs("Removed", ns, 0, 0, 0, 0, 0, 0),
+	ns := rep(100)
+	vs := mustGate(t, runs("Kept", ns)+runs("Removed", ns, rep(0)...),
 		runs("Kept", ns)+runs("Added", []float64{1e9, 1e9}, 99, 99))
 	if len(vs) != 3 {
 		t.Fatalf("verdicts = %v, want Added, Kept and Removed", vs)
@@ -204,12 +221,19 @@ func TestGateOneSidedNames(t *testing.T) {
 	}
 }
 
-// TestGateRefusesUnequalRuns: a name that ran a different number of times
-// on each side cannot be paired, and the gate says so instead of judging.
+// TestGateRefusesUnequalRuns: a name that did not run pairs times on each
+// side cannot be paired by the rule, and the gate says so instead of
+// judging.
 func TestGateRefusesUnequalRuns(t *testing.T) {
-	b, _ := parseBench(strings.NewReader(runs("Short", []float64{1, 2, 3, 4, 5, 6})))
-	h, _ := parseBench(strings.NewReader(runs("Short", []float64{1, 2, 3, 4, 5})))
-	if _, err := gate(b, h); err == nil || !strings.Contains(err.Error(), "Short ran 6 times on the base and 5 on the head") {
-		t.Fatalf("gate error = %v, want the refusal naming Short", err)
+	for _, c := range []struct{ base, head []float64 }{
+		{rep(1), rep(1)[1:]},
+		{rep(1)[1:], rep(1)[1:]},
+	} {
+		b, _ := parseBench(strings.NewReader(runs("Short", c.base)))
+		h, _ := parseBench(strings.NewReader(runs("Short", c.head)))
+		want := fmt.Sprintf("Short ran %d times on the base and %d on the head", len(c.base), len(c.head))
+		if _, err := gate(b, h); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("gate error = %v, want %q", err, want)
+		}
 	}
 }

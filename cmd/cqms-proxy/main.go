@@ -100,7 +100,7 @@ func main() {
 	var embedded *core.CQMS
 	if *serverURL != "" {
 		base := client.New(*serverURL)
-		sink = pgwire.NewClientSink(base, mapper, pgwire.NewMetrics(reg))
+		sink = pgwire.NewClientSink(base, mapper)
 		log.Printf("capturing to remote cqms-server at %s", *serverURL)
 	} else {
 		cfg := core.DefaultConfig()

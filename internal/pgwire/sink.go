@@ -96,16 +96,17 @@ type ClientSink struct {
 	// Map defaults to DefaultPrincipalMapper.
 	Map PrincipalMapper
 
+	// dropped counts statements too large for a request of their own; the
+	// AsyncCapture draining into the sink sets it to its
+	// cqms_proxy_statements_dropped_total.
 	dropped *telemetry.Counter
 	mu      sync.Mutex
 	derived map[Identity]*client.Client
 }
 
-// NewClientSink returns a remote sink over the given base client. A
-// statement too large for a request of its own is counted in the metrics'
-// StatementsDropped.
-func NewClientSink(base *client.Client, mapper PrincipalMapper, metrics *Metrics) *ClientSink {
-	return &ClientSink{Base: base, Map: mapper, dropped: metrics.StatementsDropped, derived: map[Identity]*client.Client{}}
+// NewClientSink returns a remote sink over the given base client.
+func NewClientSink(base *client.Client, mapper PrincipalMapper) *ClientSink {
+	return &ClientSink{Base: base, Map: mapper, derived: map[Identity]*client.Client{}}
 }
 
 // clientFor returns (creating on first use) the derived client acting as id.
@@ -233,8 +234,13 @@ type AsyncCapture struct {
 }
 
 // NewAsyncCapture starts the capture pipeline over the given sink. The
-// metrics argument must not be nil (Proxy always passes its own).
+// metrics argument must not be nil (Proxy always passes its own). A
+// ClientSink's statements too large for a request are counted in its
+// StatementsDropped, with those the full queue drops.
 func NewAsyncCapture(sink Sink, cfg CaptureConfig, metrics *Metrics) *AsyncCapture {
+	if cs, ok := sink.(*ClientSink); ok {
+		cs.dropped = metrics.StatementsDropped
+	}
 	a := &AsyncCapture{
 		cfg:     cfg.withDefaults(),
 		sink:    sink,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -115,15 +114,26 @@ func TestCoreSinkMapsPrincipal(t *testing.T) {
 	}
 }
 
-// remoteSink returns a ClientSink over a real server in front of an
-// in-memory CQMS, and that CQMS.
-func remoteSink(t *testing.T) (*ClientSink, *Metrics, *core.CQMS) {
+// captureRemote drains stmts, as one sink batch, through an AsyncCapture
+// over a ClientSink in front of a real server and an in-memory CQMS. It
+// returns how many statements that CQMS logged and the capture's metrics.
+func captureRemote(t *testing.T, stmts []Captured) (int, *Metrics) {
 	t.Helper()
 	cqms := openTestCQMS(t)
 	ts := httptest.NewServer(server.New(cqms).Handler())
 	t.Cleanup(ts.Close)
 	metrics := NewMetrics(telemetry.NewRegistry())
-	return NewClientSink(client.New(ts.URL), nil, metrics), metrics, cqms
+	ac := NewAsyncCapture(NewClientSink(client.New(ts.URL), nil), CaptureConfig{Queue: len(stmts), Batch: len(stmts), FlushEvery: time.Hour}, metrics)
+	for _, st := range stmts {
+		if !ac.Enqueue(st) {
+			t.Fatal("Enqueue refused a statement")
+		}
+	}
+	ac.Close()
+	if got := metrics.SubmitErrors.Value(); got != 0 {
+		t.Errorf("cqms_proxy_submit_errors_total = %d, want 0", got)
+	}
+	return cqms.Store().Count(), metrics
 }
 
 // captured returns n statements of about size bytes each, all distinct.
@@ -140,13 +150,10 @@ func captured(n, size int) []Captured {
 // exceed the server's batch body cap is sent in requests the server
 // accepts, so every statement is logged.
 func TestClientSinkSplitsByBodySize(t *testing.T) {
-	sink, metrics, cqms := remoteSink(t)
 	stmts := captured(300, 30<<10)
-	if err := sink.SubmitBatch(context.Background(), stmts); err != nil {
-		t.Errorf("SubmitBatch: %v", err)
-	}
-	if got := cqms.Store().Count(); got != len(stmts) {
-		t.Errorf("logged %d of %d statements", got, len(stmts))
+	logged, metrics := captureRemote(t, stmts)
+	if logged != len(stmts) {
+		t.Errorf("logged %d of %d statements", logged, len(stmts))
 	}
 	if got := metrics.StatementsDropped.Value(); got != 0 {
 		t.Errorf("dropped %d statements, want 0", got)
@@ -154,18 +161,16 @@ func TestClientSinkSplitsByBodySize(t *testing.T) {
 }
 
 // TestClientSinkDropsAStatementTooLargeAlone: a statement whose request
-// alone would exceed the cap is dropped and counted; the statements batched
-// with it are logged.
+// alone would exceed the cap is dropped and counted in the capture's
+// cqms_proxy_statements_dropped_total; the statements batched with it are
+// logged.
 func TestClientSinkDropsAStatementTooLargeAlone(t *testing.T) {
-	sink, metrics, cqms := remoteSink(t)
 	stmts := captured(10, 100)
 	huge := captured(1, server.MaxBatchBodyBytes)[0]
 	stmts = append(stmts[:5:5], append([]Captured{huge}, stmts[5:]...)...)
-	if err := sink.SubmitBatch(context.Background(), stmts); err != nil {
-		t.Errorf("SubmitBatch: %v", err)
-	}
-	if got := cqms.Store().Count(); got != 10 {
-		t.Errorf("logged %d statements, want the 10 around the dropped one", got)
+	logged, metrics := captureRemote(t, stmts)
+	if logged != 10 {
+		t.Errorf("logged %d statements, want the 10 around the dropped one", logged)
 	}
 	if got := metrics.StatementsDropped.Value(); got != 1 {
 		t.Errorf("dropped %d statements, want 1", got)
@@ -176,7 +181,7 @@ func TestClientSinkDropsAStatementTooLargeAlone(t *testing.T) {
 // exactly MaxBatchBodyBytes of body goes out whole, and one byte more starts
 // a second request.
 func TestClientSinkRequestsFillTheCap(t *testing.T) {
-	sink := NewClientSink(nil, nil, NewMetrics(telemetry.NewRegistry()))
+	sink := NewClientSink(nil, nil)
 	query := func(n int) server.SubmitParams { return server.SubmitParams{SQL: strings.Repeat("s", n)} }
 	one, _ := json.Marshal(server.BatchSubmitRequest{Queries: []server.SubmitParams{query(0), query(0)}})
 	// Two queries whose body is exactly the cap.
