@@ -20,17 +20,12 @@
 // that way. A benchmark that did not run exactly pairs times on both sides
 // is refused.
 //
-// With -slo it instead gates an open-loop load-harness report (the JSON
-// written by `cqms-workload -openloop -json`) against absolute service-level
-// floors — minimum achieved throughput and maximum p99 latency — so CI can
-// assert "the server sustains N req/s at p99 ≤ M ms":
-//
-//	cqms-benchgate -slo report.json -slo-min-qps 150 -slo-max-p99-ms 250
+// The open-loop load harness is not gated here: `cqms-workload -openloop`
+// judges its own runs and exits non-zero when no rate was sustainable.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,8 +35,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/workload/openloop"
 )
 
 const (
@@ -219,35 +212,6 @@ func (v verdict) row() string {
 		cell(v.base, bytesPerRecord), cell(v.head, bytesPerRecord), status)
 }
 
-// gateSLO applies absolute floors to an open-loop harness report. The report
-// may be a single object or an array (a rate sweep); a sweep passes when its
-// LAST entry meets the SLO, matching a sweep ordered from low to high rates.
-func gateSLO(path string, slo openloop.SLO) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep openloop.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		var reps []openloop.Report
-		if err2 := json.Unmarshal(data, &reps); err2 != nil || len(reps) == 0 {
-			return fmt.Errorf("parsing SLO report %s: %w", path, err)
-		}
-		rep = reps[len(reps)-1]
-	}
-	fmt.Print(rep.Format())
-	violations := rep.CheckSLO(slo)
-	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "GATE: %s\n", v)
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("SLO gate failed: %d violation(s)", len(violations))
-	}
-	fmt.Printf("SLO gate passed: %.1f qps at p99 %.1fms (floors: ≥%.1f qps, ≤%.1fms)\n",
-		rep.AchievedQPS, rep.Overall.P99Ms, slo.MinQPS, slo.MaxP99Ms)
-	return nil
-}
-
 func parseFile(path string) (map[string]series, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -265,23 +229,11 @@ func run() error {
 	var (
 		basePath = flag.String("base", "", "benchmark output of the merge-base")
 		headPath = flag.String("head", "", "benchmark output of the change, run alternately with -base on the same machine")
-
-		sloIn       = flag.String("slo", "", "open-loop harness report JSON to gate against absolute SLO floors (instead of -base and -head)")
-		sloMinQPS   = flag.Float64("slo-min-qps", 0, "fail when achieved throughput is below this floor")
-		sloMaxP99   = flag.Float64("slo-max-p99-ms", 0, "fail when overall p99 latency exceeds this bound in ms")
-		sloMaxFails = flag.Float64("slo-max-failure-rate", 0.01, "fail when the request failure rate exceeds this fraction")
 	)
 	flag.Parse()
 
-	if *sloIn != "" {
-		return gateSLO(*sloIn, openloop.SLO{
-			MinQPS:         *sloMinQPS,
-			MaxP99Ms:       *sloMaxP99,
-			MaxFailureRate: *sloMaxFails,
-		})
-	}
 	if *basePath == "" || *headPath == "" {
-		return fmt.Errorf("-base and -head are both required (or -slo)")
+		return fmt.Errorf("-base and -head are both required")
 	}
 	base, err := parseFile(*basePath)
 	if err != nil {

@@ -9,8 +9,10 @@
 // With -openloop it instead runs the open-loop Poisson load harness
 // (internal/workload/openloop) against the server: mixed
 // submit/search/complete/stats traffic from a configurable user population,
-// reporting p50/p90/p99 latency and achieved throughput. -rates sweeps a
-// list of arrival rates and reports the highest sustainable one.
+// reporting p50/p90/p99 latency and achieved throughput. It runs once per
+// arrival rate in -rates, judges each run (no shed arrivals, at most 1 %
+// failed, p99 within -slo-p99 when set), names the highest sustainable rate
+// and exits 1 when no rate was sustainable, so one run is also its own gate.
 //
 // Usage:
 //
@@ -18,7 +20,7 @@
 //	cqms-workload -users 5 -sessions 2 -dump
 //	cqms-workload -users 5 -sessions 2 -server http://localhost:8080 -batch 100
 //	cqms-workload -users 5 -sessions 2 -proxy localhost:6432
-//	cqms-workload -openloop -server http://localhost:8080 -population 100000 -rate 500 -duration 30s -json report.json
+//	cqms-workload -openloop -server http://localhost:8080 -population 100000 -rates 500 -duration 30s -json report.json
 //	cqms-workload -openloop -server http://localhost:8080 -rates 250,500,1000,2000 -slo-p99 100
 package main
 
@@ -33,7 +35,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/pgwire"
@@ -43,6 +44,7 @@ import (
 )
 
 func main() {
+	ol := openloop.DefaultConfig()
 	var (
 		users     = flag.Int("users", 20, "number of synthetic users")
 		sessions  = flag.Int("sessions", 10, "sessions per user")
@@ -54,16 +56,15 @@ func main() {
 		proxyAddr = flag.String("proxy", "", "replay the trace through this cqms-proxy as Postgres wire-protocol sessions")
 
 		openLoop   = flag.Bool("openloop", false, "run the open-loop Poisson load harness against -server instead of replaying a trace")
-		population = flag.Int("population", 1000, "openloop: number of distinct users issuing traffic")
-		rate       = flag.Float64("rate", 200, "openloop: target arrival rate in requests/second")
-		rates      = flag.String("rates", "", "openloop: comma-separated rate sweep; overrides -rate and reports the highest sustainable rate")
-		duration   = flag.Duration("duration", 10*time.Second, "openloop: dispatching window per run")
+		population = flag.Int("population", ol.Population, "openloop: number of distinct users issuing traffic")
+		rates      = flag.String("rates", fmt.Sprint(ol.Rate), "openloop: comma-separated target arrival rates in requests/second, one run each; exits 1 when none is sustainable")
+		duration   = flag.Duration("duration", ol.Duration, "openloop: dispatching window per run")
 		skew       = flag.Float64("skew", 0, "openloop: Zipf exponent for user popularity (>1 enables skew; 0 = uniform)")
-		inflight   = flag.Int("inflight", 512, "openloop: maximum concurrent in-flight requests")
-		timeout    = flag.Duration("timeout", 5*time.Second, "openloop: per-request timeout")
+		inflight   = flag.Int("inflight", ol.MaxInFlight, "openloop: maximum concurrent in-flight requests")
+		timeout    = flag.Duration("timeout", ol.Timeout, "openloop: per-request timeout")
 		mixSpec    = flag.String("mix", "", "openloop: operation mix as submit=60,search=15,complete=15,stats=10")
-		jsonOut    = flag.String("json", "", "openloop: write the report (or sweep reports) as JSON to this file, - for stdout")
-		sloP99     = flag.Float64("slo-p99", 0, "openloop: p99 bound in ms used to judge sweep sustainability (0 = shed/failures only)")
+		jsonOut    = flag.String("json", "", "openloop: write the array of reports, one per rate, as JSON to this file, - for stdout")
+		sloP99     = flag.Float64("slo-p99", 0, "openloop: p99 bound in ms a sustainable run must meet (0 = shed/failures only)")
 	)
 	flag.Parse()
 
@@ -71,22 +72,20 @@ func main() {
 		if *serverURL == "" {
 			log.Fatal("cqms-workload: -openloop requires -server")
 		}
-		cfg := openloop.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Population = *population
-		cfg.Rate = *rate
-		cfg.Duration = *duration
-		cfg.Skew = *skew
-		cfg.MaxInFlight = *inflight
-		cfg.Timeout = *timeout
+		ol.Seed = *seed
+		ol.Population = *population
+		ol.Duration = *duration
+		ol.Skew = *skew
+		ol.MaxInFlight = *inflight
+		ol.Timeout = *timeout
 		if *mixSpec != "" {
 			mix, err := parseMix(*mixSpec)
 			if err != nil {
 				log.Fatalf("cqms-workload: %v", err)
 			}
-			cfg.Mix = mix
+			ol.Mix = mix
 		}
-		if err := runOpenLoop(cfg, *serverURL, *rates, *jsonOut, *sloP99); err != nil {
+		if err := runOpenLoop(ol, *serverURL, *rates, *jsonOut, *sloP99); err != nil {
 			log.Fatalf("cqms-workload: %v", err)
 		}
 		return
@@ -209,74 +208,60 @@ func replayOverProxy(trace *workload.Trace, proxyAddr string) error {
 	return nil
 }
 
-// runOpenLoop executes the open-loop harness: a single run at cfg.Rate, or a
-// sweep over ratesSpec reporting the highest sustainable rate (no shed
-// arrivals, failure rate within bound, p99 under -slo-p99 when set).
+// runOpenLoop runs the open-loop harness once per rate in ratesSpec, prints
+// each report and its verdict, and names the highest sustainable rate. It
+// writes the reports as a JSON array to jsonOut (when set), and fails when
+// no rate was sustainable.
 func runOpenLoop(cfg openloop.Config, serverURL, ratesSpec, jsonOut string, sloP99 float64) error {
+	sweep, err := parseRates(ratesSpec)
+	if err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	slo := openloop.SLO{MaxP99Ms: sloP99, MaxFailureRate: 0.01}
-
 	var reports []*openloop.Report
-	if ratesSpec == "" {
+	best := -1.0
+	for _, r := range sweep {
+		if ctx.Err() != nil {
+			break
+		}
+		cfg.Rate = r
 		rep, err := openloop.Run(ctx, serverURL, cfg)
 		if err != nil {
 			return err
 		}
 		reports = append(reports, rep)
 		fmt.Print(rep.Format())
-	} else {
-		sweep, err := parseRates(ratesSpec)
-		if err != nil {
-			return err
-		}
-		best := -1.0
-		for _, r := range sweep {
-			if ctx.Err() != nil {
-				break
-			}
-			cfg.Rate = r
-			rep, err := openloop.Run(ctx, serverURL, cfg)
-			if err != nil {
-				return err
-			}
-			reports = append(reports, rep)
-			fmt.Print(rep.Format())
-			if violations := rep.CheckSLO(slo); len(violations) == 0 {
-				best = r
-				fmt.Println("  sustainable: yes")
-			} else {
-				for _, v := range violations {
-					fmt.Printf("  sustainable: no (%s)\n", v)
-				}
-			}
-		}
-		if best >= 0 {
-			fmt.Printf("max sustainable rate: %.0f req/s\n", best)
+		if violations := rep.CheckSLO(sloP99); len(violations) == 0 {
+			best = r
+			fmt.Println("  sustainable: yes")
 		} else {
-			fmt.Println("max sustainable rate: none of the swept rates met the SLO")
+			for _, v := range violations {
+				fmt.Printf("  sustainable: no (%s)\n", v)
+			}
 		}
 	}
 
 	if jsonOut != "" {
-		var data []byte
-		var err error
-		if len(reports) == 1 {
-			data, err = json.MarshalIndent(reports[0], "", "  ")
-		} else {
-			data, err = json.MarshalIndent(reports, "", "  ")
-		}
+		data, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {
 			return err
 		}
 		data = append(data, '\n')
 		if jsonOut == "-" {
 			_, err = os.Stdout.Write(data)
+		} else {
+			err = os.WriteFile(jsonOut, data, 0o644)
+		}
+		if err != nil {
 			return err
 		}
-		return os.WriteFile(jsonOut, data, 0o644)
 	}
+	if best < 0 {
+		return fmt.Errorf("none of the rates %s was sustainable", ratesSpec)
+	}
+	fmt.Printf("max sustainable rate: %.0f req/s\n", best)
 	return nil
 }
 

@@ -1,10 +1,17 @@
 package openloop
 
 import (
+	"context"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 // TestBucketIndexRoundTrip pins the geometric histogram's defining property:
@@ -60,27 +67,22 @@ func TestCheckSLOVerdicts(t *testing.T) {
 		AchievedQPS: 200,
 		Overall:     LatencySummary{P99Ms: 40},
 	}
-	if v := base.CheckSLO(SLO{MinQPS: 150, MaxP99Ms: 100, MaxFailureRate: 0.01}); len(v) != 0 {
+	if v := base.CheckSLO(100); len(v) != 0 {
 		t.Fatalf("healthy report should pass, got %v", v)
 	}
 	shed := base
 	shed.Shed = 3
-	if v := shed.CheckSLO(SLO{}); len(v) != 1 || !strings.Contains(v[0], "shed") {
+	if v := shed.CheckSLO(0); len(v) != 1 || !strings.Contains(v[0], "shed") {
 		t.Fatalf("shed arrivals must always fail the gate, got %v", v)
 	}
 	slow := base
 	slow.Overall.P99Ms = 300
-	if v := slow.CheckSLO(SLO{MaxP99Ms: 100}); len(v) != 1 || !strings.Contains(v[0], "p99") {
+	if v := slow.CheckSLO(100); len(v) != 1 || !strings.Contains(v[0], "p99") {
 		t.Fatalf("p99 breach should fail, got %v", v)
-	}
-	starved := base
-	starved.AchievedQPS = 10
-	if v := starved.CheckSLO(SLO{MinQPS: 150}); len(v) != 1 || !strings.Contains(v[0], "qps") {
-		t.Fatalf("qps floor breach should fail, got %v", v)
 	}
 	flaky := base
 	flaky.Failed = 100
-	if v := flaky.CheckSLO(SLO{MaxFailureRate: 0.01}); len(v) != 1 || !strings.Contains(v[0], "failure rate") {
+	if v := flaky.CheckSLO(0); len(v) != 1 || !strings.Contains(v[0], "failure rate") {
 		t.Fatalf("failure-rate breach should fail, got %v", v)
 	}
 }
@@ -97,5 +99,65 @@ func TestPickOpRespectsMix(t *testing.T) {
 	}
 	if counts[OpSubmit] < 4500 || counts[OpSearch] < 4500 {
 		t.Fatalf("50/50 mix badly skewed: %v", counts)
+	}
+}
+
+// TestRunAgainstServer drives one short, low-rate run through the v1 API of
+// an in-process server and judges it as cqms-workload does.
+func TestRunAgainstServer(t *testing.T) {
+	eng := engine.New()
+	if err := workload.Populate(eng, 100, 1); err != nil {
+		t.Fatalf("Populate: %v", err)
+	}
+	cqms, err := core.OpenWithEngine(eng, core.DefaultConfig())
+	if err != nil {
+		t.Fatalf("OpenWithEngine: %v", err)
+	}
+	ts := httptest.NewServer(server.New(cqms).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := cqms.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	ctx := context.Background()
+
+	cfg := DefaultConfig()
+	cfg.Population = 30
+	cfg.Rate = 40
+	cfg.Duration = time.Second
+	rep, err := Run(ctx, ts.URL, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Completed == 0 || rep.Shed != 0 {
+		t.Fatalf("completed %d, shed %d; want some completed and none shed", rep.Completed, rep.Shed)
+	}
+	if rep.Completed+rep.Failed != rep.Offered {
+		t.Fatalf("offered %d, but completed %d + failed %d", rep.Offered, rep.Completed, rep.Failed)
+	}
+	for op := range rep.PerOp {
+		switch op {
+		case OpSubmit, OpSearch, OpComplete, OpStats:
+		default:
+			t.Errorf("per-op key %q is not an operation of the mix", op)
+		}
+	}
+	if v := rep.CheckSLO(0); len(v) != 0 {
+		t.Errorf("a low-rate run against an idle server should be sustainable, got %v", v)
+	}
+	if v := rep.CheckSLO(1e-6); len(v) != 1 || !strings.Contains(v[0], "p99") {
+		t.Errorf("an unattainable p99 bound should fail the verdict, got %v", v)
+	}
+
+	for name, edit := range map[string]func(*Config){
+		"in-flight cap": func(c *Config) { c.MaxInFlight = 0 },
+		"timeout":       func(c *Config) { c.Timeout = -time.Second },
+	} {
+		bad := cfg
+		edit(&bad)
+		if rep, err := Run(ctx, ts.URL, bad); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Run with a non-positive %s = %v, %v; want it refused", name, rep, err)
+		}
 	}
 }

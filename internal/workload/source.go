@@ -13,7 +13,8 @@ import (
 
 // GroupOf returns the group of the idx-th synthetic user under the standard
 // population split: the first two thirds are limnologists, the rest
-// astronomers. It matches the rule Generate applies to trace users.
+// astronomers. Generate, the open-loop harness and the repository benchmark
+// all split their users by it.
 func GroupOf(idx, population int) string {
 	if population > 0 && idx >= population*2/3 {
 		return "astro"

@@ -222,13 +222,9 @@ func Generate(cfg Config) *Trace {
 	sessionID := 0
 	for u := 0; u < cfg.Users; u++ {
 		user := fmt.Sprintf("user%02d", u)
-		// Users 0..2/3 of the population are limnologists; the rest are
-		// astronomers. Group membership drives both topic choice and the
-		// access-control structure of the trace.
-		group := "limnology"
-		if u >= cfg.Users*2/3 {
-			group = "astro"
-		}
+		// Group membership drives both topic choice and the access-control
+		// structure of the trace.
+		group := GroupOf(u, cfg.Users)
 		trace.Users = append(trace.Users, user)
 		now := cfg.Start.Add(time.Duration(u) * 7 * time.Minute)
 		for s := 0; s < cfg.SessionsPerUser; s++ {
