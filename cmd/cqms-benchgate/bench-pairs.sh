@@ -52,6 +52,7 @@ list=(
 	"./internal/session ^(BenchmarkLiveApply|BenchmarkLiveSummaries)$ -test.benchtime=50000x"
 	"./internal/session ^BenchmarkSessionGraph$"
 	"./internal/miner ^(BenchmarkFeedRefresh|BenchmarkFeedAdd)$"
+	"./internal/server ^BenchmarkResponseCodec$"
 )
 
 binary() {

@@ -18,9 +18,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/server"
@@ -170,17 +172,70 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
+	bp := bodyPool.Get().(*[]byte)
+	data, err := readBody(resp, (*bp)[:0])
+	if err == nil || resp.StatusCode >= 400 {
+		err = decodeResponse(resp.StatusCode, path, data, out)
+	} else {
+		err = fmt.Errorf("client: reading %s response: %w", path, err)
+	}
+	if cap(data) <= maxPooledBody {
+		*bp = data
+		bodyPool.Put(bp)
+	}
+	return err
+}
+
+// maxPooledBody caps the response buffers kept for reuse: one that a rare
+// large body grew past it is left to the collector.
+const maxPooledBody = 256 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody appends the whole response body to b, sized up front from the
+// Content-Length the server sends. Reading to the end lets the transport
+// reuse the connection.
+func readBody(resp *http.Response, b []byte) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n < maxPooledBody {
+		b = slices.Grow(b, int(n)+1) // +1: the read that sees EOF needs room
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// decodeResponse decodes a read body into out: an error status's envelope
+// into *Error, and a success with the body type's own one-pass codec where it
+// has one (server.SearchResponse, SubmitResponse and BatchSubmitResponse),
+// with encoding/json otherwise. Nothing decoded refers to body.
+func decodeResponse(status int, path string, body []byte, out interface{}) error {
+	if status >= 400 {
 		var envelope server.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Code == "" {
+		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error.Code == "" {
 			envelope.Error = server.APIError{Code: server.CodeInternal, Message: "unparsable error response"}
 		}
-		return &Error{Status: resp.StatusCode, Path: path, API: envelope.Error}
+		return &Error{Status: status, Path: path, API: envelope.Error}
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	var err error
+	if dec, ok := out.(interface{ DecodeJSON([]byte) error }); ok {
+		err = dec.DecodeJSON(body)
+	} else {
+		err = json.Unmarshal(body, out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil

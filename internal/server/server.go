@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -205,10 +207,45 @@ func (s *Server) jsonFallback(mux *http.ServeMux) http.Handler {
 // Helpers
 // ---------------------------------------------------------------------------
 
+// maxPooledBody caps the response buffers kept for reuse: one that a rare
+// large body grew past it is left to the collector, so a big listing does
+// not stay resident.
+const maxPooledBody = 256 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON sends v with the given status. The whole body is built before
+// anything is sent — by v's own AppendJSON (codec.go) if it has one, by
+// encoding/json otherwise — so a value that does not encode (a NaN float) is
+// answered with the 500 internal envelope, not a 200 and a cut body, and the
+// response carries its Content-Length and goes out in one write.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	bp := bodyPool.Get().(*[]byte)
+	body, err := appendBody((*bp)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = appendBody(body[:0], ErrorResponse{Error: APIError{
+			Code: CodeInternal, Message: "encoding response: " + err.Error()}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is a client gone; there is no one to tell
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
+}
+
+// appendBody appends the JSON body of v, trailing newline included.
+func appendBody(b []byte, v interface{}) ([]byte, error) {
+	if a, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) }); ok {
+		return a.AppendJSON(b)
+	}
+	buf := bytes.NewBuffer(b)
+	err := json.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
 }
 
 // decode parses a JSON request body. Unknown fields and oversized bodies are
