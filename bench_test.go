@@ -170,11 +170,10 @@ func BenchmarkE1AutoMetaQuery(b *testing.B) {
 
 func BenchmarkE2SessionDetection(b *testing.B) {
 	f := benchFixture(b)
-	det := session.NewDetector()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sessions := det.Detect(f.records)
+		sessions := session.Detect(f.records)
 		if len(sessions) == 0 {
 			b.Fatal("no sessions detected")
 		}
@@ -183,8 +182,7 @@ func BenchmarkE2SessionDetection(b *testing.B) {
 
 func BenchmarkE2SessionRender(b *testing.B) {
 	f := benchFixture(b)
-	det := session.NewDetector()
-	sessions := det.Detect(f.records)
+	sessions := session.Detect(f.records)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -262,13 +260,14 @@ func completionBenchStore(b *testing.B, n int) (*storage.Store, *stats.Tracker) 
 }
 
 // BenchmarkE3CompletionIncremental measures steady-state per-keystroke
-// completion cost (columns + predicates + joins) against the incremental
-// stats counters at 1k vs 50k-record logs. The per-suggestion cost must stay
-// flat (within noise) as the log grows — that is the point of taking the
-// full-log scans out of the recommendation hot path.
+// completion cost (tables + columns + predicates + joins: one Complete)
+// against the incremental stats counters at 1k vs 50k-record logs. The
+// per-suggestion cost must stay flat (within noise) as the log grows — that
+// is the point of taking the full-log scans out of the recommendation hot
+// path.
 func BenchmarkE3CompletionIncremental(b *testing.B) {
 	for _, n := range []int{1_000, 50_000} {
-		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("complete/log=%d", n), func(b *testing.B) {
 			store, tracker := completionBenchStore(b, n)
 			noRules := func() []miner.Rule { return nil }
 			rec := recommend.New(store, metaquery.New(store, session.AttachLive(store).SessionOf), tracker, noRules, engine.NewCatalog(), recommend.DefaultConfig())
@@ -276,10 +275,11 @@ func BenchmarkE3CompletionIncremental(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cols := rec.SuggestColumns(Admin, partial, 5)
-				preds := rec.SuggestPredicates(Admin, partial, 5)
-				joins := rec.SuggestJoins(Admin, partial, 5)
-				if len(cols) == 0 || len(preds) == 0 || len(joins) == 0 {
+				var kinds [recommend.CompleteJoin + 1]bool
+				for _, c := range rec.Complete(Admin, partial, 5) {
+					kinds[c.Kind] = true
+				}
+				if !kinds[recommend.CompleteColumn] || !kinds[recommend.CompletePredicate] || !kinds[recommend.CompleteJoin] {
 					b.Fatal("missing suggestions")
 				}
 			}
@@ -775,9 +775,6 @@ func BenchmarkWALAppend(b *testing.B) {
 				mustPut(b, store, recs[i%len(recs)].Clone())
 			}
 			b.StopTimer()
-			if err := mgr.Sync(); err != nil {
-				b.Fatal(err)
-			}
 			if err := mgr.Err(); err != nil {
 				b.Fatal(err)
 			}
@@ -1178,7 +1175,7 @@ func BenchmarkHTTPSearchKeyword(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matches, err := c.SearchKeyword(ctx, "salinity").All()
+		matches, err := drain(c.SearchKeyword(ctx, "salinity"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1280,4 +1277,13 @@ func BenchmarkHTTPSubmitBatchInstrumented(b *testing.B) {
 			}
 		}
 	}
+}
+
+// drain reads every remaining item of it, as a client's listing loop does.
+func drain[T any](it *client.Iter[T]) ([]T, error) {
+	var out []T
+	for it.Next() {
+		out = append(out, it.Item())
+	}
+	return out, it.Err()
 }

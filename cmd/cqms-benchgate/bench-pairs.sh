@@ -7,10 +7,17 @@
 #
 # Each side's test binaries are built once (go test -c -trimpath, so two
 # trees holding the same code build the same binaries). Every entry of the
-# list then runs 10 times per side, base then head, the order flipped every
-# pair, so the k-th result of a benchmark on one side and the k-th on the
-# other ran next to each other; cqms-benchgate's rule is set for these 10
-# pairs. A package one tree does not have runs on the other side alone.
+# list then runs 10 times per side in pairs, so the k-th result of a
+# benchmark on one side and the k-th on the other ran next to each other;
+# cqms-benchgate's rule is set for these 10 pairs. Pairs 2j-1 and 2j run in
+# opposite orders, so each side runs first in 5 pairs of every entry; which
+# of the two runs base first is bit j of the entry's checksum (cksum). The
+# order is the same on every run of the script and differs from entry to
+# entry, so no side runs first in the same pairs through the whole list.
+# (One bit of a checksum of the entry and the pair number together would not
+# do: a CRC is linear, so that bit splits the entries into two classes with
+# opposite orders.) A package one tree does not have runs on the other side
+# alone.
 #
 # A benchmark that fails or panics on the head side stops the script with
 # the test binary's exit status. One that fails on the base side (or a base
@@ -20,7 +27,7 @@
 # merge-base can pass.
 set -euo pipefail
 
-[ $# -eq 3 ] || { sed -n '2,20p' "$0"; exit 2; }
+[ $# -eq 3 ] || { sed -n '2,27p' "$0"; exit 2; }
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 mkdir -p "$3"
@@ -88,9 +95,10 @@ for entry in "${list[@]}"; do
 	onbase=yes
 	[ -x "$(binary base "$pkg")" ] || onbase=no
 	: >"$out/entry.base"
+	sum=$(printf '%s' "$entry" | cksum | cut -d' ' -f1)
 	for i in $(seq 1 "$pairs"); do
 		order="base head"
-		[ $((i % 2)) -eq 1 ] || order="head base"
+		[ $((((sum >> ((i + 1) / 2)) ^ (i + 1)) & 1)) -eq 0 ] || order="head base"
 		for side in $order; do
 			if [ "$side" = head ]; then
 				[ ! -x "$(binary head "$pkg")" ] || run head "$pkg" "$bench" "$flags" >>"$out/head.out"

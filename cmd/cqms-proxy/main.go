@@ -127,7 +127,6 @@ func main() {
 	proxy := pgwire.NewProxy(sink, pgwire.Config{
 		Backend:     *backendAddr,
 		DialTimeout: *dialTimeout,
-		Map:         mapper,
 		Capture: pgwire.CaptureConfig{
 			Queue: *queueLen, Batch: *batchSize, FlushEvery: *flushEvery,
 		},

@@ -31,7 +31,7 @@
 //	log backup                        force a point-in-time snapshot of the query log
 //	log compact                       snapshot and prune covered WAL segments
 //	stats                             server statistics
-//	metrics                           Prometheus metrics exposition (-admin shows admin-only series)
+//	metrics                           Prometheus metrics exposition
 //	proxy status                      capture totals of a cqms-proxy (-server points at its admin address)
 //	replication status                replication role, sequences and lag of a primary or follower
 //

@@ -78,9 +78,6 @@ const (
 // Match is one meta-query / search result.
 type Match = metaquery.Match
 
-// StructuralCondition expresses query-by-parse-tree search conditions.
-type StructuralCondition = metaquery.StructuralCondition
-
 // Completion is one assisted-interaction completion suggestion.
 type Completion = recommend.Completion
 

@@ -50,7 +50,7 @@ func main() {
 	}
 	// Edit patterns are mined from the labelled edges of the log's sessions.
 	var edges []session.Edge
-	for _, s := range session.NewDetector().Detect(sys.Store().Snapshot().Records(admin)) {
+	for _, s := range session.Detect(sys.Store().Snapshot().Records(admin)) {
 		edges = append(edges, s.Edges...)
 	}
 	fmt.Println("most common query edits (mined from session edges):")

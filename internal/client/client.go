@@ -81,9 +81,6 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// User returns the user the client acts as.
-func (c *Client) User() string { return c.user }
-
 // As returns a client acting as a different principal while sharing this
 // client's *http.Client (and therefore its transport's connection pool).
 // Callers that submit on behalf of many users — the workload replayer, the
@@ -129,15 +126,6 @@ func (e *Error) Error() string {
 	b.WriteString("]")
 	return b.String()
 }
-
-// Code returns the machine-readable error code, the field clients should
-// branch on.
-func (e *Error) Code() server.ErrorCode { return e.API.Code }
-
-// Details returns the envelope's details map (nil when the server sent none):
-// machine-readable context such as the offending field, or the primary URL on
-// a read_only refusal.
-func (e *Error) Details() map[string]string { return e.API.Details }
 
 // Detail returns one envelope detail ("" when absent).
 func (e *Error) Detail(key string) string { return e.API.Details[key] }
@@ -302,15 +290,6 @@ func (it *Iter[T]) Item() T { return it.buf[it.pos-1] }
 
 // Err returns the error that stopped iteration, if any.
 func (it *Iter[T]) Err() error { return it.err }
-
-// All drains the iterator and returns every remaining item.
-func (it *Iter[T]) All() ([]T, error) {
-	var out []T
-	for it.Next() {
-		out = append(out, it.Item())
-	}
-	return out, it.Err()
-}
 
 // ---------------------------------------------------------------------------
 // Traditional mode
@@ -504,17 +483,6 @@ func (c *Client) SimilarQueries(ctx context.Context, queryText string, k int) ([
 	return resp.Similar, err
 }
 
-// Tutorial fetches the generated data-set tutorial.
-func (c *Client) Tutorial(ctx context.Context, perTable int) ([]server.TutorialStepDTO, error) {
-	query := url.Values{}
-	if perTable > 0 {
-		query.Set("per_table", strconv.Itoa(perTable))
-	}
-	var resp []server.TutorialStepDTO
-	err := c.do(ctx, http.MethodGet, "/v1/assist/tutorial", query, nil, &resp)
-	return resp, err
-}
-
 // ---------------------------------------------------------------------------
 // Administrative mode
 // ---------------------------------------------------------------------------
@@ -615,8 +583,7 @@ func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
 }
 
 // Metrics fetches the Prometheus text exposition from GET /v1/metrics. The
-// body is returned verbatim (it is not JSON); admin clients additionally see
-// the admin-only families.
+// body is returned verbatim (it is not JSON).
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	resp, err := c.getRaw(ctx, "/v1/metrics", nil)
 	if err != nil {

@@ -59,7 +59,7 @@ func TestClientSubmitSearchAnnotateRoundTrip(t *testing.T) {
 		t.Fatalf("Annotate: %v", err)
 	}
 
-	matches, err := alice.SearchKeyword(ctx, "watertemp").All()
+	matches, err := drain(alice.SearchKeyword(ctx, "watertemp"))
 	if err != nil {
 		t.Fatalf("SearchKeyword: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestClientSubmitSearchAnnotateRoundTrip(t *testing.T) {
 		t.Fatalf("annotations on match = %v", got.Annotations)
 	}
 
-	history, err := alice.History(ctx, "").All()
+	history, err := drain(alice.History(ctx, ""))
 	if err != nil {
 		t.Fatalf("History: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestClientVisibilityEnforcedAcrossUsers(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	// A stranger cannot see or annotate the private query.
-	if matches, err := mallory.SearchKeyword(ctx, "watersalinity").All(); err != nil || len(matches) != 0 {
+	if matches, err := drain(mallory.SearchKeyword(ctx, "watersalinity")); err != nil || len(matches) != 0 {
 		t.Fatalf("stranger saw %d private matches (err %v)", len(matches), err)
 	}
 	if err := mallory.Annotate(ctx, resp.QueryID, "sneaky"); err == nil {
@@ -114,8 +114,8 @@ func TestClientVisibilityEnforcedAcrossUsers(t *testing.T) {
 	}
 	// The stranger's failures carry machine-readable codes.
 	if cerr, ok := asClientError(mallory.SetVisibility(ctx, resp.QueryID, "public")); ok {
-		if cerr.Code() != server.CodePermissionDenied {
-			t.Fatalf("stranger visibility change code = %s, want %s", cerr.Code(), server.CodePermissionDenied)
+		if cerr.API.Code != server.CodePermissionDenied {
+			t.Fatalf("stranger visibility change code = %s, want %s", cerr.API.Code, server.CodePermissionDenied)
 		}
 	} else {
 		t.Fatal("expected a *client.Error from the denied visibility change")
@@ -124,7 +124,7 @@ func TestClientVisibilityEnforcedAcrossUsers(t *testing.T) {
 	if err := alice.SetVisibility(ctx, resp.QueryID, "public"); err != nil {
 		t.Fatalf("owner SetVisibility: %v", err)
 	}
-	if matches, err := mallory.SearchKeyword(ctx, "watersalinity").All(); err != nil || len(matches) != 1 {
+	if matches, err := drain(mallory.SearchKeyword(ctx, "watersalinity")); err != nil || len(matches) != 1 {
 		t.Fatalf("stranger found %d public matches (err %v)", len(matches), err)
 	}
 
@@ -265,4 +265,13 @@ func TestStatusAndSnapshotSurface(t *testing.T) {
 	if snaps := info.Snapshots; len(snaps) != 1 || snaps[0].Records != 1 || snaps[0].Frames != 3 {
 		t.Errorf("snapshots %+v, want one of one record in a header, a shape chunk and a record chunk", snaps)
 	}
+}
+
+// drain reads every remaining item of it, as a client's listing loop does.
+func drain[T any](it *Iter[T]) ([]T, error) {
+	var out []T
+	for it.Next() {
+		out = append(out, it.Item())
+	}
+	return out, it.Err()
 }

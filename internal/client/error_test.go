@@ -29,13 +29,13 @@ func TestErrorDetailsRoundTrip(t *testing.T) {
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *client.Error", err)
 	}
-	if apiErr.Code() != server.CodeReadOnly || apiErr.Status != http.StatusForbidden {
-		t.Fatalf("code %q status %d", apiErr.Code(), apiErr.Status)
+	if apiErr.API.Code != server.CodeReadOnly || apiErr.Status != http.StatusForbidden {
+		t.Fatalf("code %q status %d", apiErr.API.Code, apiErr.Status)
 	}
 	if got := apiErr.Detail("primary"); got != "http://primary:8080" {
 		t.Fatalf("Detail(primary) = %q", got)
 	}
-	if got := apiErr.Details(); len(got) != 2 || got["role"] != "follower" {
+	if got := apiErr.API.Details; len(got) != 2 || got["role"] != "follower" {
 		t.Fatalf("Details() = %v", got)
 	}
 	// The rendered message names the primary (details in stable key order).
@@ -57,8 +57,8 @@ func TestErrorDetailsRoundTrip(t *testing.T) {
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *client.Error", err)
 	}
-	if apiErr.Details() != nil || apiErr.Detail("anything") != "" {
-		t.Fatalf("empty details not nil-safe: %v", apiErr.Details())
+	if apiErr.API.Details != nil || apiErr.Detail("anything") != "" {
+		t.Fatalf("empty details not nil-safe: %v", apiErr.API.Details)
 	}
 	if strings.Contains(apiErr.Error(), "[") {
 		t.Fatalf("Error() = %q; unexpected details suffix", apiErr.Error())

@@ -243,11 +243,11 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 	if p, f := primary.SessionCount(), follower.SessionCount(); p != f {
 		t.Errorf("session count diverged: primary %d, follower %d", p, f)
 	}
-	pSessions, err := New(tsPrimary.URL, WithAdmin()).Sessions(ctx).All()
+	pSessions, err := drain(New(tsPrimary.URL, WithAdmin()).Sessions(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fSessions, err := New(tsFollower.URL, WithAdmin()).Sessions(ctx).All()
+	fSessions, err := drain(New(tsFollower.URL, WithAdmin()).Sessions(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}

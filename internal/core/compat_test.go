@@ -132,7 +132,7 @@ func TestParentShapeDataDirOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := parentBodies(t, c)
-	dir := c.Durability().Config().Dir
+	dir := dataDir(t, c)
 	for _, compact := range []bool{false, true} {
 		if compact {
 			if _, _, _, err := c.Durability().Compact(); err != nil {
@@ -208,7 +208,7 @@ func TestParentSampleDataDirOpens(t *testing.T) {
 		}
 	}
 	want := parentBodies(t, c) + sampleBodies(t, c)
-	dir := c.Durability().Config().Dir
+	dir := dataDir(t, c)
 	for _, compact := range []bool{false, true} {
 		if compact {
 			if _, _, _, err := c.Durability().Compact(); err != nil {
@@ -237,7 +237,7 @@ func TestParentSampleDataDirOpens(t *testing.T) {
 // replays nothing: no older frame is left to replay.
 func assertUpgraded(t *testing.T, c *core.CQMS) *core.CQMS {
 	t.Helper()
-	dir, first := c.Durability().Config().Dir, c.Recovery()
+	dir, first := dataDir(t, c), c.Recovery()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +336,7 @@ func assertRebuiltFromTheRecords(t *testing.T, c *core.CQMS) {
 		}
 	}
 	admin := storage.Principal{Admin: true}
-	rebuilt := stats.New()
-	rebuilt.Rebuild(c.Store())
+	rebuilt := stats.Attach(c.Store())
 	if got, want := c.StatsTracker().TableCounts(admin), rebuilt.TableCounts(admin); !reflect.DeepEqual(got, want) {
 		t.Errorf("table counts %+v, a rebuild counts %+v", got, want)
 	}
@@ -579,4 +578,14 @@ func parentBodies(t *testing.T, c *core.CQMS) string {
 		}
 	}
 	return doc.String()
+}
+
+// dataDir is the directory c's log lives in, as `cqmsctl log info` reports it.
+func dataDir(t *testing.T, c *core.CQMS) string {
+	t.Helper()
+	info, err := c.Durability().Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Dir
 }

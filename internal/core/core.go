@@ -344,14 +344,6 @@ func (c *CQMS) GetQuery(ctx context.Context, p storage.Principal, id storage.Que
 	return c.store.Snapshot().Get(id, p)
 }
 
-// History returns the visible queries of one user in temporal order. The
-// records are the store's shared immutable versions and must be treated as
-// read-only.
-func (c *CQMS) History(ctx context.Context, p storage.Principal, user string) ([]*storage.QueryRecord, error) {
-	recs, _, err := c.HistoryPage(ctx, p, user, HistoryCursor{}, 0)
-	return recs, err
-}
-
 // HistoryCursor pins one logical history listing: At is the membership
 // high-water mark shared by every page, After the last query ID already
 // returned. The zero value starts a new listing at the current high-water

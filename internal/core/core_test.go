@@ -93,10 +93,6 @@ func TestSearchAndBrowseMode(t *testing.T) {
 	if len(matches) == 0 {
 		t.Errorf("meta-query found nothing")
 	}
-	// Structure search.
-	if got, err := c.SearchPage(ctx, admin, metaquery.Structure(metaquery.StructuralCondition{MinTables: 3}), metaquery.Cursor{}, 0); err != nil || len(got.Matches) != 1 {
-		t.Errorf("structural matches = %d, want 1", len(got.Matches))
-	}
 	// Partial-query search.
 	partial, err := metaquery.Partial("SELECT FROM WaterTemp, WaterSalinity")
 	if err != nil {
@@ -110,7 +106,7 @@ func TestSearchAndBrowseMode(t *testing.T) {
 		t.Errorf("partial matches = %d, want 4", len(got.Matches))
 	}
 	// History.
-	if h, err := c.History(ctx, admin, "alice"); err != nil || len(h) != 5 {
+	if h, _, err := c.HistoryPage(ctx, admin, "alice", HistoryCursor{}, 0); err != nil || len(h) != 5 {
 		t.Errorf("history = %d, want 5", len(h))
 	}
 	// kNN.
@@ -338,9 +334,6 @@ func TestCancelledContextPropagates(t *testing.T) {
 	if _, _, err := c.MetaQuery(cancelled, admin, "SELECT qid FROM Queries"); !errors.Is(err, context.Canceled) {
 		t.Errorf("MetaQuery: err = %v", err)
 	}
-	if _, err := c.History(cancelled, admin, "alice"); !errors.Is(err, context.Canceled) {
-		t.Errorf("History: err = %v", err)
-	}
 	if _, _, err := c.HistoryPage(cancelled, admin, "alice", HistoryCursor{}, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("HistoryPage: err = %v", err)
 	}
@@ -353,7 +346,7 @@ func TestCancelledContextPropagates(t *testing.T) {
 	if _, err := c.Complete(cancelled, admin, "SELECT * FROM WaterTemp", 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("Complete: err = %v", err)
 	}
-	if _, err := c.SearchPage(cancelled, admin, metaquery.Structure(metaquery.StructuralCondition{MinTables: 1}), metaquery.Cursor{}, 3); !errors.Is(err, context.Canceled) {
+	if _, err := c.SearchPage(cancelled, admin, metaquery.Feature("SELECT qid FROM Queries"), metaquery.Cursor{}, 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchPage: err = %v", err)
 	}
 	if _, err := c.Tutorial(cancelled, admin, 2); !errors.Is(err, context.Canceled) {

@@ -183,7 +183,7 @@ func TestConcurrentSubmittersOneUser(t *testing.T) {
 	if got := c.Store().Count(); got != records {
 		t.Fatalf("store holds %d records, want %d", got, records)
 	}
-	if got := c.sessions.BoundaryEvaluations(); got > 2*records {
+	if got := c.Metrics().Counter("cqms_sessions_boundary_evaluations_total", "").Value(); got > 2*records {
 		t.Errorf("%d boundary evaluations for %d puts, want at most two each", got, records)
 	}
 	if got := edgeLabels(c); got != 0 {
@@ -211,8 +211,13 @@ func TestConcurrentSubmittersOneUser(t *testing.T) {
 		}
 		return out
 	}
-	batch := session.NewDetector().Detect(c.Store().Snapshot().Records(admin))
-	if got, want := reduce(c.sessions.Export()), reduce(batch); !reflect.DeepEqual(got, want) {
+	var live []session.Session
+	for _, s := range c.sessions.Summaries(admin, 0, 0) {
+		sess, _, _ := c.sessions.Get(admin, s.ID)
+		live = append(live, sess)
+	}
+	batch := session.Detect(c.Store().Snapshot().Records(admin))
+	if got, want := reduce(live), reduce(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live sessions diverge from batch detection: %d live, %d batch", len(got), len(want))
 	}
 }

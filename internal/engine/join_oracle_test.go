@@ -33,7 +33,7 @@ func oracleHashJoinRows(left, right []Row, li, ri int) []Row {
 			if r[ri].IsNull() {
 				continue
 			}
-			k := r[ri].Key()
+			k := keyString(r[ri])
 			index[k] = append(index[k], r)
 		}
 		var out []Row
@@ -41,7 +41,7 @@ func oracleHashJoinRows(left, right []Row, li, ri int) []Row {
 			if l[li].IsNull() {
 				continue
 			}
-			for _, r := range index[l[li].Key()] {
+			for _, r := range index[keyString(l[li])] {
 				out = append(out, append(append(Row{}, l...), r...))
 			}
 		}
@@ -52,7 +52,7 @@ func oracleHashJoinRows(left, right []Row, li, ri int) []Row {
 		if l[li].IsNull() {
 			continue
 		}
-		k := l[li].Key()
+		k := keyString(l[li])
 		index[k] = append(index[k], l)
 	}
 	var out []Row
@@ -60,7 +60,7 @@ func oracleHashJoinRows(left, right []Row, li, ri int) []Row {
 		if r[ri].IsNull() {
 			continue
 		}
-		for _, l := range index[r[ri].Key()] {
+		for _, l := range index[keyString(r[ri])] {
 			out = append(out, append(append(Row{}, l...), r...))
 		}
 	}
@@ -90,11 +90,11 @@ func TestKeyStructMatchesKeyString(t *testing.T) {
 	for i := range keyPool {
 		for j := range keyPool {
 			a, b := keyPool[i], keyPool[j]
-			if byString, byStruct := a.Key() == b.Key(), keyOf(&a) == keyOf(&b); byString != byStruct {
+			if byString, byStruct := keyString(a) == keyString(b), keyOf(&a) == keyOf(&b); byString != byStruct {
 				t.Errorf("%#v vs %#v: Key strings equal = %v, valueKeys equal = %v", a, b, byString, byStruct)
 			}
 			row := []Value{a, b}
-			if want, got := a.Key()+"\x1f"+b.Key(), string(appendRowKey(nil, row)); got != want {
+			if want, got := keyString(a)+"\x1f"+keyString(b), string(appendRowKey(nil, row)); got != want {
 				t.Errorf("row key of %v = %q, want %q", row, got, want)
 			}
 		}
@@ -110,7 +110,7 @@ func TestKeyStructMatchesKeyString(t *testing.T) {
 			parts := make([]string, width)
 			for i := range key {
 				key[i] = keyPool[r.Intn(len(keyPool))]
-				parts[i] = key[i].Key()
+				parts[i] = keyString(key[i])
 			}
 			want, seen := byString[strings.Join(parts, "\x1f")]
 			if !seen {

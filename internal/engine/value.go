@@ -217,14 +217,6 @@ func (v Value) Equal(other Value) bool {
 	return err == nil && c == 0
 }
 
-// Key returns a string usable as a map key for grouping and hash joins.
-// Numeric values of equal magnitude map to the same key regardless of
-// int/float representation.
-func (v Value) Key() string {
-	var buf [32]byte
-	return string(v.appendKey(buf[:0]))
-}
-
 // Coerce converts the value to the target column type where a lossless or
 // conventional conversion exists (int↔float, text→timestamp in RFC3339 or
 // "2006-01-02" form, numeric text→number).

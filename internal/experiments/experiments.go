@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -208,7 +207,7 @@ func E1QueryByFeature(env *Env) (Result, error) {
 func E2SessionDetection(env *Env) (Result, error) {
 	records := env.Sys.Store().Snapshot().Records(admin)
 	start := time.Now()
-	detected := session.NewDetector().Detect(records)
+	detected := session.Detect(records)
 	latency := time.Since(start)
 
 	// Ground truth lookup by (user, text, time).
@@ -784,9 +783,4 @@ func msPer(d time.Duration, n int) float64 {
 		return 0
 	}
 	return float64(d.Microseconds()) / 1000 / float64(n)
-}
-
-// SortMetrics orders metrics by name (used by tests for stable comparison).
-func SortMetrics(ms []Metric) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 }

@@ -126,14 +126,6 @@ func TestResultFormat(t *testing.T) {
 	}
 }
 
-func TestSortMetrics(t *testing.T) {
-	ms := []Metric{{Name: "b"}, {Name: "a"}, {Name: "c"}}
-	SortMetrics(ms)
-	if ms[0].Name != "a" || ms[2].Name != "c" {
-		t.Errorf("SortMetrics = %+v", ms)
-	}
-}
-
 func TestRatioHelper(t *testing.T) {
 	if ratio(1, 0) != 0 {
 		t.Errorf("ratio with zero denominator should be 0")

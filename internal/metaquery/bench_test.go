@@ -84,7 +84,7 @@ func logForeign(tb testing.TB, s *storage.Store, n int) {
 }
 
 // BenchmarkSearchAtSize measures one page of 25 (the handler asks for 26) of
-// keyword and substring search and of the structure filter (queries over
+// keyword and substring search and of the partial filter (queries over
 // WaterTemp, a twenty-fifth of what the principal sees), the first page and
 // the fifth, and a needle that matches nothing, against logs of 10^4, 10^5
 // and 10^6 records. The principal sees a fifth of the log, so a page also
@@ -101,11 +101,9 @@ func BenchmarkSearchAtSize(b *testing.B) {
 	member := storage.Principal{User: "user00", Groups: []string{"group0"}}
 	// A page builds its query, as a request does.
 	queries := map[string]func() (Query, error){
-		"keyword":   func() (Query, error) { return Keywords("watertemp") },
-		"substring": func() (Query, error) { return Substring("magnit") },
-		"structure": func() (Query, error) {
-			return Structure(StructuralCondition{RequireTables: []string{"WaterTemp"}}), nil
-		},
+		"keyword":         func() (Query, error) { return Keywords("watertemp") },
+		"substring":       func() (Query, error) { return Substring("magnit") },
+		"partial":         func() (Query, error) { return Partial("FROM WaterTemp") },
 		"zero-match":      func() (Query, error) { return Keywords("nosuchterm") },
 		"keyword-foreign": func() (Query, error) { return Keywords("lysimeters") },
 	}
@@ -134,7 +132,7 @@ func BenchmarkSearchAtSize(b *testing.B) {
 				}
 			})
 		}
-		for _, kind := range []string{"keyword", "substring", "structure"} {
+		for _, kind := range []string{"keyword", "substring", "partial"} {
 			kind := kind
 			// The cursor the handler would mint after four pages of 25.
 			var fifth Cursor

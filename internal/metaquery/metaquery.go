@@ -1,5 +1,5 @@
 // Package metaquery implements the CQMS Meta-query Executor (Figure 4): the
-// online component that answers queries about queries. It supports the four
+// online component that answers queries about queries. It supports these
 // meta-querying paradigms of §2.2 and §4.2:
 //
 //   - keyword and substring search over query text and annotations,
@@ -7,7 +7,6 @@
 //     relations, materialised for that query alone (featurerel.go), and
 //     partial-query search, which keeps the logged queries referencing every
 //     table and attribute a partially written query names,
-//   - query-by-parse-tree: conditions on the structure of logged queries,
 //   - query-by-data: conditions on query outputs (positive/negative example
 //     tuples), and
 //   - kNN similarity queries used by the Assisted Interaction Mode.
@@ -110,139 +109,6 @@ func (x *Executor) metaQuery(ctx context.Context, p storage.Principal, view *sto
 		matches = append(matches, Match{Record: rec, Score: 1, Why: "feature meta-query"})
 	}
 	return res, matches, examined, nil
-}
-
-// ---------------------------------------------------------------------------
-// Query-by-parse-tree: structural conditions
-// ---------------------------------------------------------------------------
-
-// StructuralCondition expresses conditions on the structure of logged
-// queries (query-by-parse-tree, §2.2). Zero values mean "no condition".
-type StructuralCondition struct {
-	// RequireTables: every listed table must appear in the query's FROM.
-	RequireTables []string
-	// RequireJoinBetween: the query must join the two listed relations.
-	RequireJoinBetween [2]string
-	// RequirePredicateOn: the query must have a selection predicate on
-	// rel.attr (any operator/constant).
-	RequirePredicateOn [2]string
-	// RequireAggregate: the query must use the given aggregate function.
-	RequireAggregate string
-	// RequireGroupBy: the query must group by the given column.
-	RequireGroupBy string
-	// RequireNested: the query must contain a nested sub-query.
-	RequireNested bool
-	// MinTables is the minimum number of distinct relations referenced.
-	MinTables int
-	// MaxResultRows, when > 0, requires the logged result cardinality to be
-	// at most this value ("small result set", §1).
-	MaxResultRows int
-	// MaxExecTimeMillis, when > 0, requires the logged execution time to be
-	// at most this many milliseconds ("fast execution time", §1).
-	MaxExecTimeMillis int
-}
-
-func matchStructure(rec *storage.QueryRecord, cond StructuralCondition) (string, bool) {
-	var reasons []string
-	hasTable := func(name string) bool {
-		for _, t := range rec.Tables {
-			if strings.EqualFold(t, name) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, t := range cond.RequireTables {
-		if !hasTable(t) {
-			return "", false
-		}
-	}
-	if len(cond.RequireTables) > 0 {
-		reasons = append(reasons, "tables "+strings.Join(cond.RequireTables, ","))
-	}
-	if cond.RequireJoinBetween[0] != "" && cond.RequireJoinBetween[1] != "" {
-		found := false
-		for _, pr := range rec.Predicates {
-			if !pr.IsJoin {
-				continue
-			}
-			a, b := pr.Rel, pr.RightRel
-			if (strings.EqualFold(a, cond.RequireJoinBetween[0]) && strings.EqualFold(b, cond.RequireJoinBetween[1])) ||
-				(strings.EqualFold(a, cond.RequireJoinBetween[1]) && strings.EqualFold(b, cond.RequireJoinBetween[0])) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", false
-		}
-		reasons = append(reasons, "join "+cond.RequireJoinBetween[0]+"-"+cond.RequireJoinBetween[1])
-	}
-	if cond.RequirePredicateOn[1] != "" {
-		found := false
-		for _, pr := range rec.Predicates {
-			if pr.IsJoin {
-				continue
-			}
-			if strings.EqualFold(pr.Attr, cond.RequirePredicateOn[1]) &&
-				(cond.RequirePredicateOn[0] == "" || strings.EqualFold(pr.Rel, cond.RequirePredicateOn[0])) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", false
-		}
-		reasons = append(reasons, "predicate on "+cond.RequirePredicateOn[0]+"."+cond.RequirePredicateOn[1])
-	}
-	if cond.RequireAggregate != "" {
-		found := false
-		for _, a := range rec.Aggregates {
-			if strings.EqualFold(a, cond.RequireAggregate) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", false
-		}
-		reasons = append(reasons, "aggregate "+cond.RequireAggregate)
-	}
-	if cond.RequireGroupBy != "" {
-		found := false
-		for _, g := range rec.GroupBy {
-			if strings.EqualFold(g, cond.RequireGroupBy) || strings.HasSuffix(strings.ToLower(g), "."+strings.ToLower(cond.RequireGroupBy)) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "", false
-		}
-		reasons = append(reasons, "group by "+cond.RequireGroupBy)
-	}
-	if cond.RequireNested {
-		if !rec.Nested() {
-			return "", false
-		}
-		reasons = append(reasons, "nested")
-	}
-	if cond.MinTables > 0 && len(rec.Tables) < cond.MinTables {
-		return "", false
-	}
-	if cond.MaxResultRows > 0 {
-		if rec.Stats.ResultRows > cond.MaxResultRows {
-			return "", false
-		}
-		reasons = append(reasons, fmt.Sprintf("result rows <= %d", cond.MaxResultRows))
-	}
-	if cond.MaxExecTimeMillis > 0 {
-		if rec.Stats.ExecTime.Milliseconds() > int64(cond.MaxExecTimeMillis) {
-			return "", false
-		}
-		reasons = append(reasons, fmt.Sprintf("exec time <= %dms", cond.MaxExecTimeMillis))
-	}
-	return strings.Join(reasons, "; "), true
 }
 
 // ---------------------------------------------------------------------------

@@ -261,70 +261,6 @@ func TestByPartialQueryEndToEnd(t *testing.T) {
 	}
 }
 
-func TestByStructure(t *testing.T) {
-	x, _, ids := newFixture(t)
-
-	// Queries joining WaterSalinity and WaterTemp.
-	matches := drain(t, x, admin, Structure(StructuralCondition{RequireJoinBetween: [2]string{"WaterSalinity", "WaterTemp"}}))
-	got := matchIDs(matches)
-	if len(got) != 2 || !got[ids["correlate"]] || !got[ids["correlate2"]] {
-		t.Errorf("join condition = %v", got)
-	}
-
-	// Queries with a selection predicate on temp.
-	matches = drain(t, x, admin, Structure(StructuralCondition{RequirePredicateOn: [2]string{"WaterTemp", "temp"}}))
-	got = matchIDs(matches)
-	if !got[ids["correlate"]] || !got[ids["tempOnly"]] {
-		t.Errorf("predicate condition = %v", got)
-	}
-
-	// Aggregate + group-by condition.
-	matches = drain(t, x, admin, Structure(StructuralCondition{RequireAggregate: "AVG", RequireGroupBy: "lake"}))
-	got = matchIDs(matches)
-	if len(got) != 1 || !got[ids["agg"]] {
-		t.Errorf("aggregate condition = %v", got)
-	}
-
-	// Nested queries.
-	matches = drain(t, x, admin, Structure(StructuralCondition{RequireNested: true}))
-	got = matchIDs(matches)
-	if len(got) != 1 || !got[ids["nested"]] {
-		t.Errorf("nested condition = %v", got)
-	}
-
-	// Minimum table count.
-	matches = drain(t, x, admin, Structure(StructuralCondition{MinTables: 2}))
-	got = matchIDs(matches)
-	if !got[ids["correlate"]] || got[ids["tempOnly"]] {
-		t.Errorf("min-tables condition = %v", got)
-	}
-
-	// Required tables.
-	matches = drain(t, x, admin, Structure(StructuralCondition{RequireTables: []string{"CityLocations"}}))
-	got = matchIDs(matches)
-	if len(got) != 1 || !got[ids["cities"]] {
-		t.Errorf("require-tables condition = %v", got)
-	}
-}
-
-func TestByStructureRuntimeConditions(t *testing.T) {
-	x, s, ids := newFixture(t)
-	if err := s.UpdateStats(ids["tempOnly"], storage.RuntimeStats{ExecTime: 2 * time.Millisecond, ResultRows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UpdateStats(ids["cities"], storage.RuntimeStats{ExecTime: 900 * time.Millisecond, ResultRows: 100000}); err != nil {
-		t.Fatal(err)
-	}
-	matches := drain(t, x, admin, Structure(StructuralCondition{MaxResultRows: 10, MaxExecTimeMillis: 10}))
-	got := matchIDs(matches)
-	if !got[ids["tempOnly"]] {
-		t.Errorf("fast small query should match: %v", got)
-	}
-	if got[ids["cities"]] {
-		t.Errorf("slow large query should not match")
-	}
-}
-
 func TestByData(t *testing.T) {
 	x, s, ids := newFixture(t)
 	// Attach output samples: the paper's example distinguishes Lake
@@ -469,7 +405,6 @@ func TestCancelledContextAbortsInFlightScan(t *testing.T) {
 		Feature("SELECT qid FROM Queries"),
 		query(t)(Partial("SELECT FROM WaterTemp")),
 		query(t)(ByData([]string{"x"}, nil)),
-		Structure(StructuralCondition{MinTables: 1}),
 		Similar(probe(t, "SELECT lake FROM WaterTemp"), 3),
 	} {
 		if _, err := x.Page(cancelled, admin, q, Cursor{}, 0); !errors.Is(err, context.Canceled) {
@@ -527,7 +462,6 @@ func TestEveryKindCountsTheRecordsItExamined(t *testing.T) {
 		"metaquery": Feature("SELECT qid FROM Queries"),
 		"partial":   query(t)(Partial("SELECT lake FROM WaterTemp")),
 		"bydata":    query(t)(ByData([]string{"x"}, nil)),
-		"structure": Structure(StructuralCondition{MinTables: 1}),
 		"similar":   Similar(probe(t, "SELECT lake FROM WaterTemp"), 3),
 	}
 	x := New(s, session.AttachLive(s).SessionOf)

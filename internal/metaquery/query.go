@@ -17,12 +17,12 @@ import (
 // nor an excluded value — each of which would list the whole visible log.
 var ErrEmptyQuery = errors.New("metaquery: empty query")
 
-// Kinds names every kind of Query, as Query.Kind reports it. All but
-// structure are also the names of the HTTP search routes.
-var Kinds = []string{"keyword", "substring", "metaquery", "partial", "bydata", "structure", "similar"}
+// Kinds names every kind of Query, as Query.Kind reports it. They are also
+// the names of the HTTP search routes.
+var Kinds = []string{"keyword", "substring", "metaquery", "partial", "bydata", "similar"}
 
 // Query is one search of the query log. Build it with the constructor of its
-// kind — Keywords, Substring, Feature, Partial, ByData, Structure, Similar —
+// kind — Keywords, Substring, Feature, Partial, ByData, Similar —
 // which holds the kind's input rule, and read it with Executor.Page. Which of
 // text, filter and rank is set selects the body that reads it:
 //
@@ -110,13 +110,6 @@ func ByData(include, exclude []string) (Query, error) {
 		}
 		return why, true
 	}}, nil
-}
-
-// Structure is query-by-parse-tree: the queries satisfying every condition.
-func Structure(cond StructuralCondition) Query {
-	return Query{kind: "structure", filter: func(rec *storage.QueryRecord) (string, bool) {
-		return matchStructure(rec, cond)
-	}}
 }
 
 // Similar is the kNN search of the Assisted Interaction Mode: the logged

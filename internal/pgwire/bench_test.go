@@ -61,7 +61,7 @@ func BenchmarkProxySplice(b *testing.B) {
 // no-op sink behind the default async queue): the delta against
 // BenchmarkProxySplice is what statement capture costs a proxied session.
 func BenchmarkProxyCaptureOverhead(b *testing.B) {
-	discard := SinkFunc(func(context.Context, []Captured) error { return nil })
+	discard := sinkFunc(func(context.Context, []Captured) error { return nil })
 	fe := benchProxy(b, discard)
 	b.ReportAllocs()
 	b.ResetTimer()

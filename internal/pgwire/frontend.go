@@ -90,48 +90,6 @@ func (f *FrontendConn) SimpleQuery(sql string) error {
 	return f.waitReady()
 }
 
-// PrepareExec runs one extended-protocol round trip: Parse (under the given
-// statement name), Bind to the unnamed portal, Execute, Sync — then consumes
-// through ReadyForQuery. An empty name uses the unnamed statement. Passing
-// parse=false skips the Parse message, re-executing a statement prepared
-// earlier (how drivers reuse named statements).
-func (f *FrontendConn) PrepareExec(name, sql string, parse bool) error {
-	if parse {
-		var p []byte
-		p = append(p, name...)
-		p = append(p, 0)
-		p = append(p, sql...)
-		p = append(p, 0)
-		p = binary.BigEndian.AppendUint16(p, 0) // no parameter type OIDs
-		if _, err := (Message{Type: typeParse, Payload: p}).WriteTo(f.w); err != nil {
-			return err
-		}
-	}
-	var b []byte
-	b = append(b, 0) // unnamed portal
-	b = append(b, name...)
-	b = append(b, 0)
-	b = binary.BigEndian.AppendUint16(b, 0) // no format codes
-	b = binary.BigEndian.AppendUint16(b, 0) // no parameters
-	b = binary.BigEndian.AppendUint16(b, 0) // no result format codes
-	if _, err := (Message{Type: typeBind, Payload: b}).WriteTo(f.w); err != nil {
-		return err
-	}
-	var e []byte
-	e = append(e, 0)                        // unnamed portal
-	e = binary.BigEndian.AppendUint32(e, 0) // no row limit
-	if _, err := (Message{Type: typeExecute, Payload: e}).WriteTo(f.w); err != nil {
-		return err
-	}
-	if _, err := (Message{Type: typeSync, Payload: nil}).WriteTo(f.w); err != nil {
-		return err
-	}
-	if err := f.w.Flush(); err != nil {
-		return err
-	}
-	return f.waitReady()
-}
-
 // Close sends Terminate and closes the socket.
 func (f *FrontendConn) Close() error {
 	_, _ = (Message{Type: typeTerminate, Payload: nil}).WriteTo(f.w)

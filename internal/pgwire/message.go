@@ -72,20 +72,17 @@ const (
 
 // Backend message type bytes used by the fake backend and the error writer.
 const (
-	typeAuth             = 'R'
-	typeParameterStatus  = 'S'
-	typeBackendKeyData   = 'K'
-	typeReadyForQuery    = 'Z'
-	typeRowDescription   = 'T'
-	typeDataRow          = 'D'
-	typeCommandComplete  = 'C'
-	typeEmptyQuery       = 'I'
-	typeErrorResponse    = 'E'
-	typeParseComplete    = '1'
-	typeBindComplete     = '2'
-	typeCloseComplete    = '3'
-	typeNoData           = 'n'
-	typeParamDescription = 't'
+	typeAuth            = 'R'
+	typeParameterStatus = 'S'
+	typeBackendKeyData  = 'K'
+	typeReadyForQuery   = 'Z'
+	typeCommandComplete = 'C'
+	typeEmptyQuery      = 'I'
+	typeErrorResponse   = 'E'
+	typeParseComplete   = '1'
+	typeBindComplete    = '2'
+	typeCloseComplete   = '3'
+	typeNoData          = 'n'
 )
 
 // StartupMessage is the first packet of a connection: no type byte, an int32

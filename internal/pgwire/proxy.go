@@ -21,10 +21,6 @@ type Config struct {
 	Backend string
 	// DialTimeout bounds the backend dial. Default 5s.
 	DialTimeout time.Duration
-	// Map converts a session's startup user/database into the CQMS identity
-	// its statements are logged under. Default DefaultPrincipalMapper. The
-	// mapper is carried into every Captured statement's sink submission.
-	Map PrincipalMapper
 	// Capture tunes the async capture queue.
 	Capture CaptureConfig
 	// Metrics receives the cqms_proxy_* families; nil creates a private
@@ -55,9 +51,6 @@ func NewProxy(sink Sink, cfg Config) *Proxy {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	if cfg.Map == nil {
-		cfg.Map = DefaultPrincipalMapper
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -73,12 +66,6 @@ func NewProxy(sink Sink, cfg Config) *Proxy {
 	}
 	return p
 }
-
-// ProxyMetrics exposes the proxy's instrument bundle (for tests and Status).
-func (p *Proxy) ProxyMetrics() *Metrics { return p.metrics }
-
-// Registry returns the telemetry registry the proxy's families live on.
-func (p *Proxy) Registry() *telemetry.Registry { return p.reg }
 
 // Serve accepts connections from ln until the context is cancelled or the
 // listener fails. It blocks; cancel the context (or close the listener) to

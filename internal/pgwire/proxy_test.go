@@ -17,6 +17,53 @@ import (
 	"repro/internal/storage"
 )
 
+// sinkFunc adapts a function to the Sink interface.
+type sinkFunc func(ctx context.Context, stmts []Captured) error
+
+func (f sinkFunc) SubmitBatch(ctx context.Context, stmts []Captured) error { return f(ctx, stmts) }
+
+// prepareExec runs one extended-protocol round trip on f: Parse (under the
+// given statement name), Bind to the unnamed portal, Execute, Sync — then
+// consumes through ReadyForQuery. An empty name uses the unnamed statement. Passing
+// parse=false skips the Parse message, re-executing a statement prepared
+// earlier (how drivers reuse named statements).
+func prepareExec(f *FrontendConn, name, sql string, parse bool) error {
+	if parse {
+		var p []byte
+		p = append(p, name...)
+		p = append(p, 0)
+		p = append(p, sql...)
+		p = append(p, 0)
+		p = binary.BigEndian.AppendUint16(p, 0) // no parameter type OIDs
+		if _, err := (Message{Type: typeParse, Payload: p}).WriteTo(f.w); err != nil {
+			return err
+		}
+	}
+	var b []byte
+	b = append(b, 0) // unnamed portal
+	b = append(b, name...)
+	b = append(b, 0)
+	b = binary.BigEndian.AppendUint16(b, 0) // no format codes
+	b = binary.BigEndian.AppendUint16(b, 0) // no parameters
+	b = binary.BigEndian.AppendUint16(b, 0) // no result format codes
+	if _, err := (Message{Type: typeBind, Payload: b}).WriteTo(f.w); err != nil {
+		return err
+	}
+	var e []byte
+	e = append(e, 0)                        // unnamed portal
+	e = binary.BigEndian.AppendUint32(e, 0) // no row limit
+	if _, err := (Message{Type: typeExecute, Payload: e}).WriteTo(f.w); err != nil {
+		return err
+	}
+	if _, err := (Message{Type: typeSync, Payload: nil}).WriteTo(f.w); err != nil {
+		return err
+	}
+	if err := f.w.Flush(); err != nil {
+		return err
+	}
+	return f.waitReady()
+}
+
 // startProxy runs a proxy over an ephemeral listener; cleanup stops the
 // accept loop and drains the capture pipeline.
 func startProxy(t *testing.T, sink Sink, cfg Config) (addr string, p *Proxy) {
@@ -98,10 +145,10 @@ func TestProxyEndToEndCapture(t *testing.T) {
 		t.Fatalf("multi-statement query: %v", err)
 	}
 	// Extended protocol: named statement prepared once, executed twice.
-	if err := fe.PrepareExec("bydepth", "SELECT temp FROM WaterTemp WHERE depth = 10", true); err != nil {
+	if err := prepareExec(fe, "bydepth", "SELECT temp FROM WaterTemp WHERE depth = 10", true); err != nil {
 		t.Fatalf("prepare/exec: %v", err)
 	}
-	if err := fe.PrepareExec("bydepth", "", false); err != nil {
+	if err := prepareExec(fe, "bydepth", "", false); err != nil {
 		t.Fatalf("re-exec of named statement: %v", err)
 	}
 	// Unparsable by the internal SQL subset: raw capture, not silence.
@@ -180,10 +227,10 @@ func TestProxyEndToEndCapture(t *testing.T) {
 		t.Errorf("named statement captured %d times, want 2 (one per Execute)", execs)
 	}
 
-	if got := proxy.ProxyMetrics().StatementsCaptured.Value(); got != want {
+	if got := proxy.Status().StatementsCaptured; got != want {
 		t.Errorf("cqms_proxy_statements_captured_total = %d, want %d", got, want)
 	}
-	if got := proxy.ProxyMetrics().StatementsDropped.Value(); got != 0 {
+	if got := proxy.Status().StatementsDropped; got != 0 {
 		t.Errorf("cqms_proxy_statements_dropped_total = %d, want 0", got)
 	}
 	if backend.Statements.Load() == 0 {
@@ -307,7 +354,7 @@ func TestProxyStalledSinkNeverDelaysSession(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release) // unwedge before cleanup so Close can drain
-	stalled := SinkFunc(func(context.Context, []Captured) error {
+	stalled := sinkFunc(func(context.Context, []Captured) error {
 		<-release
 		return nil
 	})
@@ -336,16 +383,16 @@ func TestProxyStalledSinkNeverDelaysSession(t *testing.T) {
 		t.Errorf("%d queries took %v — capture backpressure leaked into the session", queries, elapsed)
 	}
 
-	m := proxy.ProxyMetrics()
 	// The proxy forwards a statement before it counts its capture, so the
 	// client can read the last response before the counter moves.
-	for deadline := time.Now().Add(5 * time.Second); m.StatementsCaptured.Value()+m.StatementsDropped.Value() < queries && time.Now().Before(deadline); {
+	st := proxy.Status()
+	for deadline := time.Now().Add(5 * time.Second); st.StatementsCaptured+st.StatementsDropped < queries && time.Now().Before(deadline); st = proxy.Status() {
 		time.Sleep(time.Millisecond)
 	}
-	if dropped := m.StatementsDropped.Value(); dropped == 0 {
+	if st.StatementsDropped == 0 {
 		t.Error("cqms_proxy_statements_dropped_total = 0, want > 0 with a stalled sink")
 	}
-	if got := m.StatementsCaptured.Value() + m.StatementsDropped.Value(); got != queries {
+	if got := st.StatementsCaptured + st.StatementsDropped; got != queries {
 		t.Errorf("captured+dropped = %d, want %d (every statement accounted for)", got, queries)
 	}
 }
@@ -369,7 +416,7 @@ func TestProxyBackendDown(t *testing.T) {
 	if !strings.Contains(err.Error(), "cannot reach backend") {
 		t.Errorf("error = %v, want the proxy's FATAL 08001 message", err)
 	}
-	if got := proxy.ProxyMetrics().DialErrors.Value(); got != 1 {
+	if got := proxy.Status().BackendDialErrors; got != 1 {
 		t.Errorf("cqms_proxy_backend_dial_errors_total = %d, want 1", got)
 	}
 }
@@ -395,7 +442,7 @@ func TestProxyAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "capture counter", func() bool {
-		return proxy.ProxyMetrics().StatementsCaptured.Value() >= 1
+		return proxy.Status().StatementsCaptured >= 1
 	})
 
 	srv := httptest.NewServer(proxy.AdminHandler())

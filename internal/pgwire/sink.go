@@ -42,12 +42,6 @@ type Sink interface {
 	SubmitBatch(ctx context.Context, stmts []Captured) error
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(ctx context.Context, stmts []Captured) error
-
-// SubmitBatch implements Sink.
-func (f SinkFunc) SubmitBatch(ctx context.Context, stmts []Captured) error { return f(ctx, stmts) }
-
 // ---------------------------------------------------------------------------
 // Embedded sink: capture straight into a core.CQMS
 // ---------------------------------------------------------------------------

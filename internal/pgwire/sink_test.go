@@ -62,7 +62,7 @@ func TestAsyncCaptureDeliversAndBatches(t *testing.T) {
 func TestAsyncCaptureDropsWhenFullWithoutBlocking(t *testing.T) {
 	release := make(chan struct{})
 	delivered := make(chan struct{}, 128)
-	blocked := SinkFunc(func(context.Context, []Captured) error {
+	blocked := sinkFunc(func(context.Context, []Captured) error {
 		delivered <- struct{}{}
 		<-release // stall the sink: the queue can only drain once released
 		return nil

@@ -10,8 +10,7 @@ import (
 //	GET /v1/proxy/status — the Status JSON (uptime, connections, capture totals)
 //	GET /v1/metrics      — Prometheus exposition of the proxy's registry
 //
-// The handler is intended for a loopback/ops listener, so the metrics
-// exposition includes admin-only families.
+// The handler is intended for a loopback/ops listener.
 func (p *Proxy) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/proxy/status", func(w http.ResponseWriter, r *http.Request) {
@@ -20,7 +19,7 @@ func (p *Proxy) AdminHandler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = p.reg.WritePrometheus(w, true)
+		_ = p.reg.WritePrometheus(w, false)
 	})
 	return mux
 }

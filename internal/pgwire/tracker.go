@@ -17,10 +17,6 @@ type Captured struct {
 	// Kind is "simple" for Query messages and "extended" for Execute
 	// messages resolved through a prepared statement.
 	Kind string
-	// Statement is the prepared-statement name an extended-protocol
-	// execution resolved through ("" for the unnamed statement and for
-	// simple queries).
-	Statement string
 	// At is when the proxy observed the statement.
 	At time.Time
 }

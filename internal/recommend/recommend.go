@@ -240,13 +240,9 @@ func (r *Recommender) suggestTables(p storage.Principal, qc queryContext, k int)
 	return r.top(out, k)
 }
 
-// SuggestColumns suggests columns for the tables already referenced by the
+// suggestColumns suggests columns for the tables already referenced by the
 // partial query, ranked by how often they are used in logged queries over
 // those tables.
-func (r *Recommender) SuggestColumns(p storage.Principal, partialSQL string, k int) []Completion {
-	return r.suggestColumns(p, contextOf(partialSQL), k)
-}
-
 func (r *Recommender) suggestColumns(p storage.Principal, qc queryContext, k int) []Completion {
 	have := make(map[string]bool)
 	for _, c := range qc.columns {
@@ -294,14 +290,10 @@ func (r *Recommender) suggestColumns(p storage.Principal, qc queryContext, k int
 	return r.top(out, k)
 }
 
-// SuggestPredicates suggests WHERE predicates for the partial query from the
+// suggestPredicates suggests WHERE predicates for the partial query from the
 // predicate templates most frequently applied to the referenced tables:
 // concrete (non-join) predicates, with their constants, so a suggestion is
 // immediately usable as in Figure 3's drop-down.
-func (r *Recommender) SuggestPredicates(p storage.Principal, partialSQL string, k int) []Completion {
-	return r.suggestPredicates(p, contextOf(partialSQL), k)
-}
-
 func (r *Recommender) suggestPredicates(p storage.Principal, qc queryContext, k int) []Completion {
 	counts := r.stats.PredicateCounts(p, qc.tables)
 	maxCount := maxOf(counts)
@@ -319,14 +311,10 @@ func (r *Recommender) suggestPredicates(p storage.Principal, qc queryContext, k 
 	return r.top(out, k)
 }
 
-// SuggestJoins suggests join conditions connecting the tables referenced by
+// suggestJoins suggests join conditions connecting the tables referenced by
 // the partial query, taken from the join predicates of logged queries
 // (sql.PredicateRow.CanonicalJoin orders the sides of an equi-join so A.x =
 // B.x and B.x = A.x aggregate).
-func (r *Recommender) SuggestJoins(p storage.Principal, partialSQL string, k int) []Completion {
-	return r.suggestJoins(p, contextOf(partialSQL), k)
-}
-
 func (r *Recommender) suggestJoins(p storage.Principal, qc queryContext, k int) []Completion {
 	if len(qc.tables) < 2 {
 		return nil

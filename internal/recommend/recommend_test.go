@@ -151,9 +151,20 @@ func TestSuggestTablesContextAwareDisabled(t *testing.T) {
 	}
 }
 
+// completions is the part of Complete's answer of one kind.
+func completions(r *Recommender, kind CompletionKind, partial string, k int) []Completion {
+	var out []Completion
+	for _, c := range r.Complete(admin, partial, k) {
+		if c.Kind == kind {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestSuggestColumns(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestColumns(admin, "SELECT FROM WaterTemp", 5)
+	got := completions(r, CompleteColumn, "SELECT FROM WaterTemp", 5)
 	if len(got) == 0 {
 		t.Fatal("no column suggestions")
 	}
@@ -167,7 +178,7 @@ func TestSuggestColumns(t *testing.T) {
 		t.Errorf("temp should be suggested for WaterTemp: %+v", got)
 	}
 	// Already-referenced columns are not suggested.
-	got = r.SuggestColumns(admin, "SELECT temp FROM WaterTemp", 5)
+	got = completions(r, CompleteColumn, "SELECT temp FROM WaterTemp", 5)
 	for _, c := range got {
 		if c.Text == "WaterTemp.temp" || c.Text == "temp" {
 			t.Errorf("already-present column suggested: %+v", c)
@@ -177,7 +188,7 @@ func TestSuggestColumns(t *testing.T) {
 
 func TestSuggestPredicates(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestPredicates(admin, "SELECT temp FROM WaterTemp WHERE ", 5)
+	got := completions(r, CompletePredicate, "SELECT temp FROM WaterTemp WHERE ", 5)
 	if len(got) == 0 {
 		t.Fatal("no predicate suggestions")
 	}
@@ -187,7 +198,7 @@ func TestSuggestPredicates(t *testing.T) {
 		t.Errorf("top predicate = %q, want temp < 18", got[0].Text)
 	}
 	// An existing predicate is not re-suggested.
-	got = r.SuggestPredicates(admin, "SELECT temp FROM WaterTemp WHERE WaterTemp.temp < 18", 5)
+	got = completions(r, CompletePredicate, "SELECT temp FROM WaterTemp WHERE WaterTemp.temp < 18", 5)
 	for _, c := range got {
 		if strings.Contains(c.Text, "temp < 18") {
 			t.Errorf("existing predicate suggested again: %+v", c)
@@ -197,7 +208,7 @@ func TestSuggestPredicates(t *testing.T) {
 
 func TestSuggestJoins(t *testing.T) {
 	r, _ := fixture(t)
-	got := r.SuggestJoins(admin, "SELECT * FROM WaterSalinity, WaterTemp", 5)
+	got := completions(r, CompleteJoin, "SELECT * FROM WaterSalinity, WaterTemp", 5)
 	if len(got) == 0 {
 		t.Fatal("no join suggestions")
 	}
@@ -205,7 +216,7 @@ func TestSuggestJoins(t *testing.T) {
 		t.Errorf("top join = %q, want the loc_x equi-join", got[0].Text)
 	}
 	// A single-table query yields no join suggestions.
-	if got := r.SuggestJoins(admin, "SELECT * FROM WaterTemp", 5); got != nil {
+	if got := completions(r, CompleteJoin, "SELECT * FROM WaterTemp", 5); got != nil {
 		t.Errorf("join suggestions for single table = %+v, want none", got)
 	}
 }
@@ -436,10 +447,6 @@ func TestTutorial(t *testing.T) {
 			t.Errorf("step %s has no columns", s.Table)
 		}
 	}
-	text := RenderTutorial(steps)
-	if !strings.Contains(text, "Relation CityLocations") || !strings.Contains(text, "example:") {
-		t.Errorf("tutorial rendering missing content:\n%s", text)
-	}
 }
 
 func TestRenderAssistPane(t *testing.T) {
@@ -614,8 +621,8 @@ func TestCounterPathMatchesScanPath(t *testing.T) {
 }
 
 // TestCompleteIsTheFourSuggestersConcatenated: Complete extracts the
-// partial's context once and hands it to the four suggesters; the exported
-// Suggest* entry points each extract it again. Both must say the same, on a
+// partial's context once and hands it to the four suggesters; SuggestTables,
+// and here each of the others, extract it again. Both must say the same, on a
 // partial that parses, one that only tokenizes, and a statement that parses
 // but is no SELECT.
 func TestCompleteIsTheFourSuggestersConcatenated(t *testing.T) {
@@ -634,9 +641,9 @@ func TestCompleteIsTheFourSuggestersConcatenated(t *testing.T) {
 			for _, k := range []int{0, 2, 50} {
 				var want []Completion
 				want = append(want, r.SuggestTables(p, partial, k)...)
-				want = append(want, r.SuggestColumns(p, partial, k)...)
-				want = append(want, r.SuggestPredicates(p, partial, k)...)
-				want = append(want, r.SuggestJoins(p, partial, k)...)
+				want = append(want, r.suggestColumns(p, contextOf(partial), k)...)
+				want = append(want, r.suggestPredicates(p, contextOf(partial), k)...)
+				want = append(want, r.suggestJoins(p, contextOf(partial), k)...)
 				got := r.Complete(p, partial, k)
 				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 					t.Errorf("Complete(%+v, %q, %d)\n got: %+v\nwant: %+v", p, partial, k, got, want)

@@ -221,22 +221,3 @@ func RenderAssistPane(completions []Completion, similar []SimilarQuery) string {
 	}
 	return sb.String()
 }
-
-// RenderTutorial renders the generated tutorial as readable text.
-func RenderTutorial(steps []TutorialStep) string {
-	var sb strings.Builder
-	sb.WriteString("Data set tutorial (generated from the query log)\n")
-	for i, step := range steps {
-		fmt.Fprintf(&sb, "\n%d. Relation %s\n", i+1, step.Table)
-		if len(step.Columns) > 0 {
-			fmt.Fprintf(&sb, "   columns: %s\n", strings.Join(step.Columns, ", "))
-		}
-		for _, q := range step.PopularQueries {
-			fmt.Fprintf(&sb, "   example: %s\n", q.Canonical)
-		}
-		for _, a := range step.Annotations {
-			fmt.Fprintf(&sb, "   note:    %s\n", a)
-		}
-	}
-	return sb.String()
-}

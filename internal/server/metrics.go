@@ -101,11 +101,10 @@ func Instrument(m *httpMetrics) Middleware {
 }
 
 // handleV1Metrics serves the Prometheus text exposition. Any principal may
-// scrape; families marked admin-only (telemetry.Registry.AdminOnly) appear
-// only for admin principals.
+// scrape, and every principal reads every family.
 func (s *Server) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.cqms.Metrics().WritePrometheus(w, PrincipalFrom(r.Context()).Admin)
+	_ = s.cqms.Metrics().WritePrometheus(w, false)
 }
 
 // handleV1Pprof gates net/http/pprof behind the admin flag and dispatches on

@@ -81,7 +81,7 @@ func TestV1MetricsContract(t *testing.T) {
 	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp", client.Group("limnology")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := alice.Similar(ctx, "SELECT lake FROM WaterTemp", 3).All(); err != nil {
+	if _, err := drain(alice.Similar(ctx, "SELECT lake FROM WaterTemp", 3)); err != nil {
 		t.Fatalf("Similar: %v", err)
 	}
 	text, err := alice.Metrics(ctx)

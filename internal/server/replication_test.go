@@ -201,7 +201,7 @@ func TestReplicationAccessAndAvailability(t *testing.T) {
 func errCode(err error) server.ErrorCode {
 	var apiErr *client.Error
 	if errors.As(err, &apiErr) {
-		return apiErr.Code()
+		return apiErr.API.Code
 	}
 	return ""
 }
@@ -240,7 +240,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	checkReadOnly := func(what string, err error) {
 		t.Helper()
 		var apiErr *client.Error
-		if !errors.As(err, &apiErr) || apiErr.Code() != server.CodeReadOnly {
+		if !errors.As(err, &apiErr) || apiErr.API.Code != server.CodeReadOnly {
 			t.Fatalf("%s err = %v, want code read_only", what, err)
 		}
 		if apiErr.Status != 403 {
@@ -269,7 +269,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 
 	// Reads serve normally and the status surfaces report the follower role.
 	// A mining pass writes nothing, so a follower runs it too.
-	if _, err := alice.SearchKeyword(ctx, "salinity").All(); err != nil {
+	if _, err := drain(alice.SearchKeyword(ctx, "salinity")); err != nil {
 		t.Fatalf("follower search: %v", err)
 	}
 	if _, err := admin.Mine(ctx); err != nil {

@@ -48,7 +48,7 @@ func TestSubmitAndHistoryOverHTTP(t *testing.T) {
 	if resp.ExecError != "" {
 		t.Errorf("unexpected exec error %q", resp.ExecError)
 	}
-	hist, err := alice.History(ctx, "").All()
+	hist, err := drain(alice.History(ctx, ""))
 	if err != nil {
 		t.Fatalf("History: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestAnnotateAndKeywordSearchOverHTTP(t *testing.T) {
 	if err := alice.Annotate(ctx, resp.QueryID, "Seattle lakes correlation"); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
-	matches, err := alice.SearchKeyword(ctx, "Seattle", "salinity").All()
+	matches, err := drain(alice.SearchKeyword(ctx, "Seattle", "salinity"))
 	if err != nil {
 		t.Fatalf("SearchKeyword: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestMetaQueryOverHTTP(t *testing.T) {
 		client.Group("limnology"), client.Visibility("public")); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := admin.MetaQuery(ctx, `SELECT Q.qid FROM Queries Q, DataSources D1, DataSources D2
-		WHERE Q.qid = D1.qid AND Q.qid = D2.qid AND D1.relName = 'WaterSalinity' AND D2.relName = 'WaterTemp'`).All()
+	matches, err := drain(admin.MetaQuery(ctx, `SELECT Q.qid FROM Queries Q, DataSources D1, DataSources D2
+		WHERE Q.qid = D1.qid AND Q.qid = D2.qid AND D1.relName = 'WaterSalinity' AND D2.relName = 'WaterTemp'`))
 	if err != nil {
 		t.Fatalf("MetaQuery: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestMetaQueryOverHTTP(t *testing.T) {
 		t.Errorf("meta-query matches = %d, want 1", len(matches))
 	}
 	// Invalid meta-SQL is a client error.
-	if _, err := admin.MetaQuery(ctx, "SELEKT").All(); err == nil {
+	if _, err := drain(admin.MetaQuery(ctx, "SELEKT")); err == nil {
 		t.Error("expected error for invalid meta-query")
 	}
 }
@@ -129,7 +129,7 @@ func TestAccessControlOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Carol (different group) cannot see alice's query via keyword search.
-	matches, err := carol.SearchKeyword(ctx, "WaterTemp").All()
+	matches, err := drain(carol.SearchKeyword(ctx, "WaterTemp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAccessControlOverHTTP(t *testing.T) {
 	if err := alice.SetVisibility(ctx, resp.QueryID, "public"); err != nil {
 		t.Errorf("owner SetVisibility: %v", err)
 	}
-	matches, err = carol.SearchKeyword(ctx, "WaterTemp").All()
+	matches, err = drain(carol.SearchKeyword(ctx, "WaterTemp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSessionsAndGraphOverHTTP(t *testing.T) {
 	if _, err := admin.Mine(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sessions, err := alice.Sessions(ctx).All()
+	sessions, err := drain(alice.Sessions(ctx))
 	if err != nil {
 		t.Fatalf("Sessions: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestSessionIDsAreCurrentWithoutMining(t *testing.T) {
 
 	agree := func(what string, ids []int64) {
 		t.Helper()
-		sessions, err := admin.Sessions(ctx).All()
+		sessions, err := drain(admin.Sessions(ctx))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestSessionIDsAreCurrentWithoutMining(t *testing.T) {
 			if len(members[s.ID]) != s.QueryCount {
 				t.Fatalf("%s: session %d lists %d queries, %v name it", what, s.ID, s.QueryCount, members[s.ID])
 			}
-			matches, err := admin.MetaQuery(ctx, fmt.Sprintf("SELECT qid FROM Queries WHERE sessionId = %d", s.ID)).All()
+			matches, err := drain(admin.MetaQuery(ctx, fmt.Sprintf("SELECT qid FROM Queries WHERE sessionId = %d", s.ID)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,4 +357,13 @@ func TestMethodNotAllowed(t *testing.T) {
 	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, "GET") {
 		t.Errorf("Allow header = %q, want GET listed", allow)
 	}
+}
+
+// drain reads every remaining item of it, as a client's listing loop does.
+func drain[T any](it *client.Iter[T]) ([]T, error) {
+	var out []T
+	for it.Next() {
+		out = append(out, it.Item())
+	}
+	return out, it.Err()
 }

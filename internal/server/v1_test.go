@@ -577,7 +577,7 @@ func TestV1OversizedRecordIsInvalidArgument(t *testing.T) {
 	if e := out.Results[1].Error; e == nil || e.Code != server.CodeInvalidArgument || !strings.Contains(e.Message, "too large") {
 		t.Fatalf("the giant query: %+v", out.Results[1])
 	}
-	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 1 {
+	if hist, err := drain(alice.History(ctx, "")); err != nil || len(hist) != 1 {
 		t.Fatalf("history after the batch: %d queries, %v", len(hist), err)
 	}
 }
@@ -672,7 +672,7 @@ func TestV1HostileStatementIsRefusedNotFatal(t *testing.T) {
 	if _, err := alice.Submit(ctx, "SELECT lake FROM WaterTemp WHERE temp < 18"); err != nil {
 		t.Fatalf("the next request: %v", err)
 	}
-	if hist, err := alice.History(ctx, "").All(); err != nil || len(hist) != 2 {
+	if hist, err := drain(alice.History(ctx, "")); err != nil || len(hist) != 2 {
 		t.Fatalf("history: %d queries, %v", len(hist), err)
 	}
 }

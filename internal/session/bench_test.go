@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 // The live detector's layer benches. Both claim the same thing: the cost of
@@ -89,27 +90,31 @@ func newApplyStream(b *testing.B, n int) *applyStream {
 // out-of-order insert per op, so the stream keeps its size), picking at
 // random among the stream's latest 900: the same working set at both sizes,
 // found through searches a hundred times wider.
-// boundary/op is the number of boundary evaluations per op: a count, and the
-// same at both sizes.
+// The detector's instruments are on, as a server runs it. boundary/op is the
+// number of boundary evaluations per op (cqms_sessions_boundary_evaluations_total):
+// a count, and the same at both sizes.
 func BenchmarkLiveApply(b *testing.B) {
 	for _, size := range benchSizes {
 		n := size.n
 		run := func(name string, behind int, op func(s *applyStream, i int)) {
-			b.Run(name+"/"+size.name, func(b *testing.B) {
+			b.Run(name+"/"+size.name+"/instrumented", func(b *testing.B) {
 				s := newApplyStream(b, n)
+				reg := telemetry.NewRegistry()
+				s.live.EnableMetrics(reg)
+				evaluations := reg.Counter("cqms_sessions_boundary_evaluations_total", "")
 				// The records every op lands behind: four minutes on, inside
 				// the soft gap of everything the benchmark writes.
 				for i := 0; i < behind; i++ {
 					s.put(s.record(s.open.Add(4*time.Minute + time.Duration(i)*time.Microsecond)))
 				}
-				cuts := s.live.BoundaryEvaluations()
+				cuts := evaluations.Value()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					op(s, i)
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(s.live.BoundaryEvaluations()-cuts)/float64(b.N), "boundary/op")
+				b.ReportMetric(float64(evaluations.Value()-cuts)/float64(b.N), "boundary/op")
 				if got := s.live.Count(); got != (n+49)/50 {
 					b.Fatalf("%d sessions after the run, want %d", got, (n+49)/50)
 				}

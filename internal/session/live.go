@@ -22,7 +22,7 @@ import (
 // it and the one behind it are re-evaluated — at most two boundary
 // evaluations per mutation, whatever the stream's length and wherever the
 // record lands. The write side computes no edge label: Figure 2's diffs are
-// computed when a graph is read (Get, Export), outside the detector's lock
+// computed when a graph is read (Get), outside the detector's lock
 // and the store's commit lock.
 //
 // A session's ID is the lowest query ID it holds, as a Git object is named
@@ -48,11 +48,11 @@ type Live struct {
 	users map[string][]*window
 	byID  []*window
 
-	// cuts counts boundary evaluations made by local edits; edits counts the
-	// edits by kind (nil children when uninstrumented). Guarded by mu like
-	// the state they describe. labels counts edge labels computed; it is
-	// bumped outside mu, hence atomic.
-	cuts   uint64
+	// cuts counts the boundary evaluations local edits make and edits the
+	// edits by kind, both nil until EnableMetrics; guarded by mu like the
+	// state they describe. labels counts edge labels computed; it is bumped
+	// outside mu, hence atomic.
+	cuts   *telemetry.Counter
 	edits  [len(editKinds)]*telemetry.Counter
 	labels atomic.Pointer[telemetry.Counter]
 }
@@ -292,7 +292,7 @@ func (l *Live) onMutation(m *storage.Mutation) {
 
 // cutLocked evaluates the boundary between two neighbours, counted.
 func (l *Live) cutLocked(prev, rec *storage.QueryRecord) bool {
-	l.cuts++
+	l.cuts.Inc()
 	return boundary(prev, rec)
 }
 
@@ -529,16 +529,6 @@ func (l *Live) Count() int {
 	return len(l.byID)
 }
 
-// BoundaryEvaluations returns how many adjacent-pair boundary decisions the
-// local edits have made since the detector was attached: the write side's
-// unit of work, at most two per mutation (three for a replayed put that
-// moves a record) whatever the length of the stream.
-func (l *Live) BoundaryEvaluations() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.cuts
-}
-
 // Summaries returns at most limit summaries (limit <= 0 means unbounded) of
 // the sessions fully visible to the principal with ID strictly greater than
 // after, in ascending ID order. It costs a binary search for the cursor plus
@@ -599,28 +589,14 @@ func (l *Live) SessionOf(rec *storage.QueryRecord) int64 {
 	return 0
 }
 
-// Export returns caller-owned copies of every tracked session in ascending
-// ID order, every edge labelled after the detector's lock is released.
-func (l *Live) Export() []Session {
-	l.mu.RLock()
-	out := make([]Session, len(l.byID))
-	for i, w := range l.byID {
-		out[i] = w.session()
-	}
-	l.mu.RUnlock()
-	for i := range out {
-		out[i].Edges = l.labelAll(out[i].Queries)
-	}
-	return out
-}
-
 func (l *Live) labelAll(queries []*storage.QueryRecord) []Edge {
 	l.labels.Load().Add(uint64(max(len(queries)-1, 0)))
 	return labelEdges(queries)
 }
 
 // EnableMetrics registers the live detector's instruments: the session count
-// gauge, the local edits by kind, and the edge labels computed.
+// gauge, the local edits by kind, the boundary evaluations they made, and the
+// edge labels computed.
 func (l *Live) EnableMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("cqms_sessions_live",
 		"Sessions the live detector currently tracks.",
@@ -630,9 +606,12 @@ func (l *Live) EnableMetrics(reg *telemetry.Registry) {
 		"kind")
 	l.labels.Store(reg.Counter("cqms_sessions_edge_labels_total",
 		"Session edge labels (structural diffs) computed: on graph reads only, never while a mutation commits."))
+	cuts := reg.Counter("cqms_sessions_boundary_evaluations_total",
+		"Adjacent-pair session boundary decisions the local edits made: the write side's unit of work, at most two per mutation (three for a replayed put that moves a record) whatever the length of the stream.")
 	l.mu.Lock()
 	for kind, name := range editKinds {
 		l.edits[kind] = edits.With(name)
 	}
+	l.cuts = cuts
 	l.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -51,30 +52,50 @@ var listingPrincipals = []storage.Principal{
 	{User: "bob", Groups: []string{"hydrology", "limnology"}},
 }
 
+// everySession is every session live tracks, read as a client reads them:
+// the admin's listing, then each listed session's graph.
+func everySession(t *testing.T, live *Live) []Session {
+	t.Helper()
+	var out []Session
+	for _, s := range live.Summaries(admin, 0, 0) {
+		sess, ok, visible := live.Get(admin, s.ID)
+		if !ok || !visible {
+			t.Fatalf("Get(%d) = ok %v, visible %v", s.ID, ok, visible)
+		}
+		out = append(out, sess)
+	}
+	return out
+}
+
+// summarize is the listing entry of a batch-detected session, recounted from
+// its queries: the oracle of what Live.Summaries keeps incrementally.
+func summarize(s *Session) Summary {
+	tables := make(map[string]bool)
+	for _, q := range s.Queries {
+		for _, t := range q.Tables {
+			tables[t] = true
+		}
+	}
+	names := make([]string, 0, len(tables))
+	for t := range tables {
+		names = append(names, t)
+	}
+	sort.Strings(names)
+	return Summary{ID: s.ID, User: s.User, QueryCount: len(s.Queries), Start: s.Start, End: s.End, Tables: names}
+}
+
 // assertMatchesBatch asserts the live detector agrees with the batch
 // segmenter re-run over the store's current contents: the partition, the
-// session IDs, the window bounds and the labels as Export and Get return
+// session IDs, the window bounds and the labels as the listing and Get return
 // them, and the listing — tables, counts and visibility, which the live side
 // keeps incrementally — for several principals. It also checks the
 // structural invariants the local edits rely on.
 func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store) {
 	t.Helper()
-	batch := NewDetector().Detect(store.Snapshot().Records(admin))
-	exported := live.Export()
+	batch := Detect(store.Snapshot().Records(admin))
 	want := canonicalize(batch)
-	if got := canonicalize(exported); !reflect.DeepEqual(got, want) {
+	if got := canonicalize(everySession(t, live)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live sessions diverge from batch\n got: %+v\nwant: %+v", got, want)
-	}
-	var got []Session
-	for _, s := range exported {
-		sess, ok, visible := live.Get(admin, s.ID)
-		if !ok || !visible {
-			t.Fatalf("Get(%d) = ok %v, visible %v", s.ID, ok, visible)
-		}
-		got = append(got, sess)
-	}
-	if !reflect.DeepEqual(canonicalize(got), want) {
-		t.Fatalf("Get disagrees with Export\n got: %+v\nwant: %+v", got, exported)
 	}
 	for _, p := range listingPrincipals {
 		var want []Summary
@@ -84,7 +105,7 @@ func assertMatchesBatch(t *testing.T, live *Live, store *storage.Store) {
 				visible = visible && q.VisibleTo(p)
 			}
 			if visible {
-				want = append(want, Summarize(&batch[i]))
+				want = append(want, summarize(&batch[i]))
 			}
 		}
 		if got := live.Summaries(p, 0, 0); !reflect.DeepEqual(got, want) {
@@ -238,16 +259,17 @@ func TestLiveRandomizedEquivalence(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			live.EnableMetrics(reg)
 			labels := reg.Counter("cqms_sessions_edge_labels_total", "")
+			evaluations := reg.Counter("cqms_sessions_boundary_evaluations_total", "")
 			var cuts, labelled uint64
 			mutateSessionStream(t, rng, store, 240, func() {
-				if got := live.BoundaryEvaluations(); got > cuts+2 {
+				if got := evaluations.Value(); got > cuts+2 {
 					t.Fatalf("one mutation cost %d boundary evaluations", got-cuts)
 				}
 				if got := labels.Value(); got != labelled {
 					t.Fatalf("the mutation computed %d edge labels", got-labelled)
 				}
 				assertMatchesBatch(t, live, store)
-				cuts, labelled = live.BoundaryEvaluations(), labels.Value()
+				cuts, labelled = evaluations.Value(), labels.Value()
 			})
 		})
 	}
@@ -364,6 +386,7 @@ func TestLocalEditTable(t *testing.T) {
 			live := AttachLive(store)
 			reg := telemetry.NewRegistry()
 			live.EnableMetrics(reg)
+			evaluations := reg.Counter("cqms_sessions_boundary_evaluations_total", "")
 			for _, s := range tc.stream {
 				makeRecord(t, store, "alice", texts[s.kind], base.Add(time.Duration(s.minute)*time.Minute))
 			}
@@ -377,7 +400,7 @@ func TestLocalEditTable(t *testing.T) {
 				}
 				return m
 			}
-			editsBefore, cuts := counted(), live.BoundaryEvaluations()
+			editsBefore, cuts := counted(), evaluations.Value()
 			switch {
 			case tc.put != nil:
 				makeRecord(t, store, "alice", texts[tc.put.kind], base.Add(time.Duration(tc.put.minute)*time.Minute))
@@ -407,7 +430,7 @@ func TestLocalEditTable(t *testing.T) {
 			if got := layout(live, "alice"); got != tc.after {
 				t.Errorf("layout after the edit = %q, want %q", got, tc.after)
 			}
-			if got := live.BoundaryEvaluations() - cuts; got > 2 {
+			if got := evaluations.Value() - cuts; got > 2 {
 				t.Errorf("the edit cost %d boundary evaluations, want at most 2", got)
 			}
 			var kinds []string
@@ -442,7 +465,7 @@ func TestSessionIDsSurviveEdits(t *testing.T) {
 		mutateSessionStream(t, rng, store, 400, func() {
 			put := store.Count() > count
 			now := map[int64]bool{}
-			for _, s := range live.Export() {
+			for _, s := range everySession(t, live) {
 				now[s.ID] = true
 			}
 			for id := range tracked {
@@ -584,7 +607,7 @@ func TestLiveSummariesCursor(t *testing.T) {
 // assertSameSessions compares two detectors session by session, IDs included.
 func assertSameSessions(t *testing.T, name string, got, want *Live) {
 	t.Helper()
-	g, w := canonicalize(got.Export()), canonicalize(want.Export())
+	g, w := canonicalize(everySession(t, got)), canonicalize(everySession(t, want))
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: sessions (with IDs) diverge\n got: %+v\nwant: %+v", name, g, w)
 	}

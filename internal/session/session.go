@@ -42,20 +42,6 @@ const (
 	EdgeInvestigation
 )
 
-// String returns a readable label.
-func (e EdgeType) String() string {
-	switch e {
-	case EdgeTemporal:
-		return "temporal"
-	case EdgeModification:
-		return "modification"
-	case EdgeInvestigation:
-		return "investigation"
-	default:
-		return "unknown"
-	}
-}
-
 // Edge links two consecutive queries of a session: a pair of query
 // identifiers, an edge type and the diff summary used as the edge label in
 // the Figure 2 visualisation. Edges are computed when a graph is read; the
@@ -77,25 +63,14 @@ type Session struct {
 	End     time.Time
 }
 
-// Len returns the number of queries in the session.
-func (s *Session) Len() int { return len(s.Queries) }
-
 // Duration returns the wall-clock span of the session.
 func (s *Session) Duration() time.Duration { return s.End.Sub(s.Start) }
-
-// Detector segments query streams into sessions.
-type Detector struct{}
-
-// NewDetector returns a detector.
-func NewDetector() *Detector {
-	return &Detector{}
-}
 
 // Detect segments the given records (any order, any mix of users) into
 // sessions, in ascending ID order. Queries of different users never share a
 // session. A session's ID is the lowest query ID it holds, as the live
 // detector names it.
-func (d *Detector) Detect(records []*storage.QueryRecord) []Session {
+func Detect(records []*storage.QueryRecord) []Session {
 	var sessions []Session
 	for user, recs := range streamsOf(records) {
 		for _, part := range segment(recs) {
@@ -284,23 +259,4 @@ type Summary struct {
 	Start      time.Time
 	End        time.Time
 	Tables     []string
-}
-
-// Summarize builds a Summary for the session.
-func Summarize(s *Session) Summary {
-	tables := make(map[string]bool)
-	for _, q := range s.Queries {
-		for _, t := range q.Tables {
-			tables[t] = true
-		}
-	}
-	names := make([]string, 0, len(tables))
-	for t := range tables {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	return Summary{
-		ID: s.ID, User: s.User, QueryCount: len(s.Queries),
-		Start: s.Start, End: s.End, Tables: names,
-	}
 }

@@ -61,14 +61,13 @@ func TestDetectSingleSession(t *testing.T) {
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
 
-	d := NewDetector()
-	sessions := d.Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
 	s := sessions[0]
-	if s.Len() != 6 {
-		t.Errorf("session length = %d, want 6", s.Len())
+	if len(s.Queries) != 6 {
+		t.Errorf("session length = %d, want 6", len(s.Queries))
 	}
 	if len(s.Edges) != 5 {
 		t.Errorf("edges = %d, want 5", len(s.Edges))
@@ -87,12 +86,12 @@ func TestDetectSplitsOnLongGap(t *testing.T) {
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE state = 'WA'", base.Add(2*time.Hour))
 	makeRecord(t, store, "alice", "SELECT city FROM CityLocations WHERE pop > 10000", base.Add(2*time.Hour+time.Minute))
 
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
-	if sessions[0].Len() != 2 || sessions[1].Len() != 2 {
-		t.Errorf("session sizes = %d and %d, want 2 and 2", sessions[0].Len(), sessions[1].Len())
+	if len(sessions[0].Queries) != 2 || len(sessions[1].Queries) != 2 {
+		t.Errorf("session sizes = %d and %d, want 2 and 2", len(sessions[0].Queries), len(sessions[1].Queries))
 	}
 }
 
@@ -104,7 +103,7 @@ func TestDetectSplitsOnTopicChangeAfterSoftGap(t *testing.T) {
 	// different topic: new session.
 	makeRecord(t, store, "alice", "SELECT ra, dec FROM Stars WHERE magnitude < 6", base.Add(10*time.Minute))
 
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -117,7 +116,7 @@ func TestDetectKeepsSimilarQueryAcrossSoftGap(t *testing.T) {
 	// 10 minutes later but clearly the same exploration: stays in session.
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(10*time.Minute))
 
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -130,7 +129,7 @@ func TestDetectSeparatesUsers(t *testing.T) {
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp WHERE temp < 17", base.Add(time.Minute))
 	makeRecord(t, store, "alice", "SELECT * FROM WaterTemp WHERE temp < 16", base.Add(2*time.Minute))
 
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2 (one per user)", len(sessions))
 	}
@@ -147,7 +146,7 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -182,7 +181,7 @@ func TestRenderFigure2(t *testing.T) {
 	store := storage.NewStore()
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
+	sessions := Detect(store.Snapshot().Records(admin))
 	out := Render(&sessions[0])
 	for _, want := range []string{
 		"Session 1", "nodira", "6 queries",
@@ -206,18 +205,23 @@ func TestRenderEmptySession(t *testing.T) {
 	}
 }
 
+// TestSummarize: a session's listing entry counts its queries and names the
+// tables they reference, sorted.
 func TestSummarize(t *testing.T) {
 	store := storage.NewStore()
+	live := AttachLive(store)
 	base := time.Date(2009, 1, 5, 14, 30, 0, 0, time.UTC)
 	figure2Trace(t, store, "nodira", base)
-	sessions := NewDetector().Detect(store.Snapshot().Records(admin))
-	sum := Summarize(&sessions[0])
-	if sum.QueryCount != 6 || sum.User != "nodira" {
+	sums := live.Summaries(admin, 0, 0)
+	if len(sums) != 1 {
+		t.Fatalf("summaries = %+v, want one session", sums)
+	}
+	if sum := sums[0]; sum.QueryCount != 6 || sum.User != "nodira" {
 		t.Errorf("summary = %+v", sum)
 	}
 	want := []string{"CityLocations", "WaterSalinity", "WaterTemp"}
-	if strings.Join(sum.Tables, ",") != strings.Join(want, ",") {
-		t.Errorf("summary tables = %v, want %v", sum.Tables, want)
+	if strings.Join(sums[0].Tables, ",") != strings.Join(want, ",") {
+		t.Errorf("summary tables = %v, want %v", sums[0].Tables, want)
 	}
 }
 
@@ -254,7 +258,7 @@ func TestDetectNamesSessionsByLowestQueryID(t *testing.T) {
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base.Add(59*time.Minute)) // 3, late: in front of 2
 	makeRecord(t, store, "bob", "SELECT * FROM WaterTemp", base)                     // 4, an hour before 3
 	var got []string
-	for _, s := range NewDetector().Detect(store.Snapshot().Records(admin)) {
+	for _, s := range Detect(store.Snapshot().Records(admin)) {
 		var ids []string
 		for _, q := range s.Queries {
 			ids = append(ids, fmt.Sprint(q.ID))
@@ -263,12 +267,5 @@ func TestDetectNamesSessionsByLowestQueryID(t *testing.T) {
 	}
 	if want := "1:zoe[1] 2:bob[3 2] 4:bob[4]"; strings.Join(got, " ") != want {
 		t.Errorf("sessions = %q, want %q", strings.Join(got, " "), want)
-	}
-}
-
-func TestEdgeTypeString(t *testing.T) {
-	if EdgeTemporal.String() != "temporal" || EdgeModification.String() != "modification" ||
-		EdgeInvestigation.String() != "investigation" || EdgeType(99).String() != "unknown" {
-		t.Error("EdgeType.String labels wrong")
 	}
 }

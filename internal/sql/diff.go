@@ -75,9 +75,6 @@ type Diff struct {
 // Empty reports whether the two queries are structurally identical.
 func (d *Diff) Empty() bool { return len(d.Entries) == 0 }
 
-// Size returns the number of differences.
-func (d *Diff) Size() int { return len(d.Entries) }
-
 // String renders the diff as a comma-separated summary ("+table WaterSalinity, ~const temp").
 // An empty diff renders as "none", matching Figure 3.
 func (d *Diff) String() string {

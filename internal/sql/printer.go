@@ -69,13 +69,6 @@ func (s *SubqueryExpr) SQL() string { return printExpr(s) }
 func (c *CaseExpr) SQL() string     { return printExpr(c) }
 func (p *ParamExpr) SQL() string    { return p.Text }
 
-// SQL renders a SELECT-list item.
-func (s SelectItem) SQL() string {
-	var p printer
-	p.selectItem(s)
-	return p.String()
-}
-
 // ---------------------------------------------------------------------------
 // Identifiers
 // ---------------------------------------------------------------------------

@@ -107,8 +107,9 @@ func TestSelectItemSQL(t *testing.T) {
 		{SelectItem{Expr: &ColumnRef{Name: "a"}, Alias: "x"}, "a AS x"},
 	}
 	for _, c := range cases {
-		if got := c.item.SQL(); got != c.want {
-			t.Errorf("SQL() = %q, want %q", got, c.want)
+		stmt := &SelectStmt{Columns: []SelectItem{c.item}}
+		if got, want := stmt.SQL(), "SELECT "+c.want; got != want {
+			t.Errorf("SQL() = %q, want %q", got, want)
 		}
 	}
 }

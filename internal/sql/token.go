@@ -71,14 +71,6 @@ type Token struct {
 	Col  int
 }
 
-// String renders the token for diagnostics.
-func (t Token) String() string {
-	if t.Kind == TokenEOF {
-		return "EOF"
-	}
-	return fmt.Sprintf("%s %q", t.Kind, t.Text)
-}
-
 // keywords is the set of reserved words recognised by the lexer. The value
 // is always true; membership is what matters.
 var keywords = map[string]bool{

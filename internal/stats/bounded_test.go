@@ -31,8 +31,7 @@ func principalsOf() []storage.Principal {
 //   - a zero bound means the listing is the complete exact listing.
 func assertBoundedContract(t *testing.T, live *stats.Tracker, store *storage.Store) {
 	t.Helper()
-	exact := stats.New()
-	exact.Rebuild(store)
+	exact := stats.Attach(store)
 	for _, p := range principalsOf() {
 		bounds := live.Bounds(p)
 

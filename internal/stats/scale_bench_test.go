@@ -19,7 +19,7 @@ import (
 // reads merge. Records are public, so they land in the all + public
 // buckets — the merge shape an admin read and a user read both see.
 func buildLoadedTracker(n int) *Tracker {
-	t := New()
+	t := newWithCapacity(topKCapacity)
 	tables := []string{"WaterTemp", "WaterSalinity", "CityLocations", "Sensors",
 		"Stars", "Observations", "Lakes", "Surveys"}
 	for i := 0; i < n; i++ {
@@ -122,7 +122,7 @@ func BenchmarkStatsRebuild(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		store := rebuildBenchStore(b, n, n/10)
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			t := New()
+			t := newWithCapacity(topKCapacity)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				t.Rebuild(store)
@@ -158,7 +158,7 @@ func BenchmarkStatsApply(b *testing.B) {
 		return true
 	})
 	b.Run("owner=spread", func(b *testing.B) {
-		t := New()
+		t := newWithCapacity(topKCapacity)
 		t.Rebuild(store)
 		// One record per owner, given the op's shape before it is applied:
 		// the tracker reads only its user, shape and visibility.
@@ -186,7 +186,7 @@ func BenchmarkStatsApply(b *testing.B) {
 	})
 	for _, owner := range []string{"existing", "new"} {
 		b.Run("owner="+owner, func(b *testing.B) {
-			t := New()
+			t := newWithCapacity(topKCapacity)
 			t.Rebuild(store)
 			user := rec.User
 			if owner == "new" {

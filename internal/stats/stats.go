@@ -467,12 +467,6 @@ type Tracker struct {
 	readLatency map[string]*telemetry.Histogram
 }
 
-// New returns an empty tracker. Use Attach to keep it synchronised with a
-// store, or Rebuild to fill it from one once.
-func New() *Tracker {
-	return newWithCapacity(topKCapacity)
-}
-
 // newWithCapacity returns an empty tracker whose per-bucket top-K summaries
 // track up to capacity keys per dimension. Tests pass small capacities to
 // force evictions and non-zero miss bounds early.

@@ -202,8 +202,7 @@ func observe(t *stats.Tracker, p storage.Principal, tables []string) observation
 // user and a stranger, over every table context.
 func assertMatchesRebuild(t *testing.T, live *stats.Tracker, store *storage.Store) {
 	t.Helper()
-	rebuilt := stats.New()
-	rebuilt.Rebuild(store)
+	rebuilt := stats.Attach(store)
 	var allTables []string
 	for _, tc := range rebuilt.TableCounts(admin) {
 		allTables = append(allTables, tc.Table)

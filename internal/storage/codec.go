@@ -443,17 +443,14 @@ func (d *decoder) str() string {
 // string or a nil row is one byte, a time is three varints. count checks a
 // length against them before anything is sized from it, so no slice the
 // decoder makes holds more elements than the bytes left could encode — a
-// payload can cost at most maxDecodeAmplification times its own size in
-// memory, whatever its counts claim.
+// payload can cost at most a bounded multiple of its own size in memory,
+// whatever its counts claim (TestDecodeCountsCannotAmplify).
 const (
 	minStringBytes     = 1
 	minRowBytes        = 1
 	minAttributeBytes  = 3 * minStringBytes
 	minPredicateBytes  = 6*minStringBytes + 1
 	minAnnotationBytes = 3*minStringBytes + 3
-	// maxDecodeAmplification is the largest in-memory to encoded size ratio
-	// among those elements: a 24-byte slice header for a one-byte nil row.
-	maxDecodeAmplification = 24
 )
 
 // count reads a nil-aware slice length for elements of at least elemBytes

@@ -3,7 +3,6 @@ package storage
 import (
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/sql"
 )
@@ -49,16 +48,7 @@ type QueryShape struct {
 	// shape leaves the dictionary with its last record.
 	ids     []QueryID
 	derived bool // equal to what ShapeOf derives from Text in this process
-
-	nested atomic.Int32 // nestedUnknown until Nested first parses Text
 }
-
-// Values of QueryShape.nested.
-const (
-	nestedUnknown = iota
-	nestedNo
-	nestedYes
-)
 
 // newShape derives the shape of a parsed statement: canonical form and
 // template are printed once each, both fingerprints are hashed from those two
@@ -156,22 +146,6 @@ func (sh *QueryShape) LowerCanonical() string {
 		return strings.ToLower(sh.Canonical)
 	}
 	return sh.canonical
-}
-
-// Nested reports whether the query is a SELECT with a sub-query. The text is
-// parsed the first time a shape is asked, and never on restore; text that
-// does not parse is not nested.
-func (sh *QueryShape) Nested() bool {
-	n := sh.nested.Load()
-	if n == nestedUnknown {
-		stmt, err := sql.Parse(sh.Text)
-		sel, ok := stmt.(*sql.SelectStmt)
-		if n = nestedNo; err == nil && ok && len(sql.Subqueries(sel)) > 0 {
-			n = nestedYes
-		}
-		sh.nested.Store(n) // two first readers store the same answer
-	}
-	return n == nestedYes
 }
 
 // ---------------------------------------------------------------------------

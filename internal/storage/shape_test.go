@@ -437,28 +437,6 @@ func TestSameTextDifferentFeaturesStayDistinct(t *testing.T) {
 	checkTextIndex(t, s)
 }
 
-// TestNestedIsComputedOncePerShape: the nested flag parses the text on first
-// use and is shared by every record of the shape.
-func TestNestedIsComputedOncePerShape(t *testing.T) {
-	s := NewStore()
-	nested := "SELECT city FROM CityLocations WHERE city IN (SELECT city FROM Cities)"
-	a := mustPut(t, s, freshRecord(nested))
-	b := mustPut(t, s, freshRecord(nested))
-	flat := mustPut(t, s, freshRecord("SELECT city FROM CityLocations"))
-	raw := mustPut(t, s, freshRecord("SELECT * FROM WaterTemp WHERE"))
-	v := s.Snapshot()
-	ra, _ := v.Get(a, admin)
-	rb, _ := v.Get(b, admin)
-	rflat, _ := v.Get(flat, admin)
-	rraw, _ := v.Get(raw, admin)
-	if !ra.Nested() || rflat.Nested() || rraw.Nested() {
-		t.Errorf("Nested = %v, %v, %v; want true, false, false", ra.Nested(), rflat.Nested(), rraw.Nested())
-	}
-	if ra.QueryShape != rb.QueryShape || !rb.Nested() {
-		t.Error("records of one text do not share the nested flag")
-	}
-}
-
 // TestSharedShapesUnderConcurrentWrites races the front end's path — ShapeOf,
 // then Put — against deletes, re-texts and readers of the shared shapes; run
 // it under -race. The dictionary ends holding exactly the live shapes.
@@ -507,7 +485,7 @@ func TestSharedShapesUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				s.Snapshot().Scan(admin, func(rec *QueryRecord) bool {
-					_ = rec.Nested() && rec.LowerText() != "" && len(rec.Tables) >= 0
+					_ = rec.LowerText() != "" && len(rec.Tables) >= 0
 					return true
 				})
 				s.ShapeCount()

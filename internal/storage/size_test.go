@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestSizeBoundsCoverTheEncoding: the admission bounds are only worth
@@ -107,6 +109,34 @@ func hostileCount(skip, n int) []byte {
 	p = binary.AppendUvarint(p, uint64(n)+1)
 	return append(p, make([]byte, n)...)
 }
+
+// TestCountCannotOutrunThePayload: a count is refused unless the bytes left
+// could hold that many elements of the stated minimum size, so it can size an
+// allocation. A count is written plus one; zero is a nil slice.
+func TestCountCannotOutrunThePayload(t *testing.T) {
+	for _, c := range []struct {
+		in        []byte
+		elemBytes int
+		want      int
+		fail      bool
+	}{
+		{[]byte{0}, 1, 0, false},
+		{[]byte{4, 'a', 'b', 'c'}, 1, 3, false},
+		{[]byte{4, 'a', 'b', 'c', 'd', 'e', 'f'}, 2, 3, false},
+		{[]byte{4, 'a', 'b', 'c', 'd', 'e'}, 2, 0, true},
+		{append(binary.AppendUvarint(nil, 1<<40+1), 'a', 'b'), 1, 0, true},
+	} {
+		d := decoder{r: wire.NewReader(c.in)}
+		if got, _ := d.count(c.elemBytes); got != c.want || (d.r.Err() != nil) != c.fail {
+			t.Errorf("count(%d) over % x = %d, %v; want %d, failing %v", c.elemBytes, c.in, got, d.r.Err(), c.want, c.fail)
+		}
+	}
+}
+
+// maxDecodeAmplification is the largest in-memory to encoded size ratio among
+// the elements the decoder's counts are checked against (codec.go): a 24-byte
+// slice header for a one-byte nil row.
+const maxDecodeAmplification = 24
 
 // TestDecodeCountsCannotAmplify: a count is checked against the fewest bytes
 // its elements could take before anything is sized from it, so a CRC-valid

@@ -93,13 +93,6 @@ func (g *Gauge) Add(delta int64) {
 	}
 }
 
-// Set replaces the value. Safe on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Value returns the current value; 0 on a nil receiver.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -207,7 +200,6 @@ type family struct {
 	kind    kind
 	labels  []string
 	buckets []time.Duration
-	admin   bool
 
 	mu       sync.RWMutex
 	children map[string]*child
@@ -393,23 +385,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values).hist
 }
 
-// AdminOnly marks the named families as admin-scoped: WritePrometheus omits
-// them unless includeAdmin is set. Unknown names are ignored (the family may
-// simply not be registered in this process).
-func (r *Registry) AdminOnly(names ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range names {
-		if f, ok := r.families[name]; ok {
-			f.admin = true
-		}
-	}
-}
-
 // WritePrometheus renders every family in Prometheus text exposition format
 // (version 0.0.4), families sorted by name and children by label values.
-// Families marked AdminOnly are omitted unless includeAdmin is true.
-// Durations are exposed in seconds, per Prometheus convention.
+// Durations are exposed in seconds, per Prometheus convention. includeAdmin
+// is ignored: every family is served to every scraper.
 func (r *Registry) WritePrometheus(w io.Writer, includeAdmin bool) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
@@ -421,9 +400,6 @@ func (r *Registry) WritePrometheus(w io.Writer, includeAdmin bool) error {
 
 	var b strings.Builder
 	for _, f := range fams {
-		if f.admin && !includeAdmin {
-			continue
-		}
 		b.Reset()
 		f.render(&b)
 		if _, err := io.WriteString(w, b.String()); err != nil {

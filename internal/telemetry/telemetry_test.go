@@ -29,10 +29,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 11 {
 		t.Errorf("gauge = %d, want 11", got)
 	}
-	g.Set(-3)
-	if got := g.Value(); got != -3 {
-		t.Errorf("gauge after Set = %d, want -3", got)
-	}
 }
 
 func TestNilReceiversAreSafe(t *testing.T) {
@@ -43,7 +39,7 @@ func TestNilReceiversAreSafe(t *testing.T) {
 	c.Add(7)
 	g.Inc()
 	g.Dec()
-	g.Set(5)
+	g.Add(5)
 	h.Observe(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments should read as zero")
@@ -61,7 +57,7 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	h.Observe(500 * time.Millisecond) // +Inf
 	h.Observe(-time.Second)           // clamps to 0 -> first bucket
 
-	out := scrape(t, r, false)
+	out := scrape(t, r)
 	for _, want := range []string{
 		`test_latency_seconds_bucket{le="0.001"} 3`,
 		`test_latency_seconds_bucket{le="0.01"} 4`,
@@ -135,10 +131,10 @@ func TestConcurrentWriters(t *testing.T) {
 // name{label="value",...} value
 var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(,[a-zA-Z_+][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})? -?[0-9+.eEInf-]+$`)
 
-func scrape(t *testing.T, r *Registry, admin bool) string {
+func scrape(t *testing.T, r *Registry) string {
 	t.Helper()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b, admin); err != nil {
+	if err := r.WritePrometheus(&b, false); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	return b.String()
@@ -155,7 +151,7 @@ func TestExpositionFormat(t *testing.T) {
 	gv.With(func() float64 { return 7 }, "3")
 	r.Histogram("h_seconds", "hist", []time.Duration{time.Millisecond}).Observe(time.Microsecond)
 
-	out := scrape(t, r, false)
+	out := scrape(t, r)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	for _, line := range lines {
 		if strings.HasPrefix(line, "#") {
@@ -189,25 +185,6 @@ func TestExpositionFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
-	}
-}
-
-func TestAdminOnlyFamiliesGated(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("public_total", "public").Inc()
-	r.Counter("secret_total", "admin only").Inc()
-	r.AdminOnly("secret_total", "never_registered_total")
-
-	plain := scrape(t, r, false)
-	if strings.Contains(plain, "secret_total") {
-		t.Errorf("admin family leaked into non-admin scrape:\n%s", plain)
-	}
-	if !strings.Contains(plain, "public_total") {
-		t.Errorf("public family missing:\n%s", plain)
-	}
-	admin := scrape(t, r, true)
-	if !strings.Contains(admin, "secret_total") {
-		t.Errorf("admin scrape missing admin family:\n%s", admin)
 	}
 }
 

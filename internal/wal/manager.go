@@ -305,9 +305,6 @@ func (m *Manager) pending() uint64 {
 	return m.log.LastSeq() - snap
 }
 
-// Sync flushes any buffered log records to stable storage.
-func (m *Manager) Sync() error { return m.log.Sync() }
-
 // Info reports the durable state.
 func (m *Manager) Info() (Info, error) {
 	segs, err := m.log.Segments()
@@ -361,9 +358,6 @@ func (m *Manager) snapshotInfos() ([]SnapshotInfo, error) {
 	m.snapInfos = known
 	return out, nil
 }
-
-// Config returns the durability configuration the manager was opened with.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Close detaches the manager from the store's log slot, flushes the log and
 // closes it. It returns the first append error encountered during the

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/storage"
-	"repro/internal/wire"
 )
 
 // section is one derived-state checkpoint section as older builds wrote it
@@ -39,7 +38,8 @@ func testSections() []section {
 // left says how many more parts of the section follow.
 func appendSectionPart(dst []byte, name string, version, left int, data []byte) []byte {
 	dst = append(dst, storage.PayloadFormat, 0x43)
-	dst = wire.AppendString(dst, name)
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
 	dst = binary.AppendUvarint(dst, uint64(version))
 	dst = binary.AppendUvarint(dst, uint64(left))
 	return append(dst, data...)

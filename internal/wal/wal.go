@@ -228,9 +228,13 @@ var errTorn = errors.New("wal: torn record")
 // seqFileName and parseSeqFileName implement the shared <prefix><seq 20
 // digits><suffix> naming of segments and snapshots. A name whose middle is
 // anything but exactly 20 ASCII digits — a stray copy such as
-// wal-00000000000000000001_old.seg — is not the log's, and is ignored.
+// wal-00000000000000000001_old.seg — is not the log's, and is ignored. The
+// name is built without fmt, whose pooled printers make a snapshot write's
+// allocation count depend on which P its goroutine resumes on after fsync.
 func seqFileName(prefix string, seq uint64, suffix string) string {
-	return fmt.Sprintf("%s%020d%s", prefix, seq, suffix)
+	const zeros = "00000000000000000000" // a uint64 has at most 20 digits
+	digits := strconv.FormatUint(seq, 10)
+	return prefix + zeros[len(digits):] + digits + suffix
 }
 
 func parseSeqFileName(name, prefix, suffix string) (uint64, bool) {

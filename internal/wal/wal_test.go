@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +40,30 @@ func collect(t *testing.T, l *Log, after uint64) map[uint64]string {
 		t.Fatalf("Replay(%d): %v", after, err)
 	}
 	return out
+}
+
+// TestSeqFileNamesMatchSprintf: segment and snapshot names are the prefix,
+// the sequence zero-padded to 20 digits as fmt's %020d prints it, and the
+// suffix, and they parse back.
+func TestSeqFileNamesMatchSprintf(t *testing.T) {
+	seqs := []uint64{0, 1, 9, 10, 12345, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	for p := uint64(1); p < math.MaxUint64/10; p *= 10 {
+		seqs = append(seqs, p-1, p, p+1)
+	}
+	for _, seq := range seqs {
+		for _, name := range []string{segmentName(seq), snapshotName(seq)} {
+			prefix, suffix := segmentPrefix, segmentSuffix
+			if name == snapshotName(seq) {
+				prefix, suffix = snapshotPrefix, snapshotSuffix
+			}
+			if want := fmt.Sprintf("%s%020d%s", prefix, seq, suffix); name != want {
+				t.Errorf("name of %d = %q, want %q", seq, name, want)
+			}
+			if got, ok := parseSeqFileName(name, prefix, suffix); !ok || got != seq {
+				t.Errorf("parseSeqFileName(%q) = %d, %v", name, got, ok)
+			}
+		}
+	}
 }
 
 func TestAppendAndReplay(t *testing.T) {

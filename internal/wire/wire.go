@@ -1,9 +1,9 @@
 // Package wire holds the primitives of CQMS's hand-written binary format, the
 // WAL/snapshot record codec in internal/storage. Integers are varints (zigzag for
-// signed), strings are a uvarint length followed by the bytes, floats and
-// hashes are fixed 8 bytes little-endian.
+// signed), floats and hashes are fixed 8 bytes little-endian, and a string is
+// the bytes after a length the codec has written.
 //
-// Encoding is append-style: the Append functions here and encoding/binary's
+// Encoding is append-style: AppendBool here and encoding/binary's
 // AppendUvarint, AppendVarint and LittleEndian.AppendUint64 grow a
 // caller-supplied buffer and return it. Decoding goes through Reader, which reads from one
 // immutable string so that every string it hands out is a substring of that
@@ -13,19 +13,12 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
 // ErrTruncated reports a payload that ends inside a field.
 var ErrTruncated = errors.New("wire: truncated payload")
-
-// AppendString appends a uvarint length and the string's bytes.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
 
 // AppendBool appends one byte, 0 or 1.
 func AppendBool(dst []byte, b bool) []byte {
@@ -153,24 +146,6 @@ func (r *Reader) Take(n uint64) string {
 	s := r.s[r.off : r.off+int(n)]
 	r.off += int(n)
 	return s
-}
-
-// String reads a uvarint length and that many bytes.
-func (r *Reader) String() string { return r.Take(r.Uvarint()) }
-
-// Count reads an element count for a sequence whose elements each occupy at
-// least elemBytes (>= 1) bytes of payload. A count the rest of the payload
-// cannot hold is an error, so a slice sized from the result is never larger
-// than (bytes left / elemBytes) elements: what a hostile count can make a
-// decoder allocate is bounded by the payload's own size times the ratio of
-// an element's in-memory size to its smallest encoding.
-func (r *Reader) Count(elemBytes int) int {
-	n := r.Uvarint()
-	if left := uint64(len(r.s) - r.off); n > left/uint64(elemBytes) {
-		r.Fail(fmt.Errorf("wire: count %d of %d-byte elements exceeds the %d bytes left", n, elemBytes, left))
-		return 0
-	}
-	return int(n)
 }
 
 // Finish returns the reader's error, or an error if bytes remain unread: a

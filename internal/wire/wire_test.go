@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// appendString appends a uvarint length and the string's bytes.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
 func TestRoundTrip(t *testing.T) {
 	var b []byte
 	b = binary.AppendUvarint(b, 0)
@@ -15,8 +20,8 @@ func TestRoundTrip(t *testing.T) {
 	b = binary.AppendVarint(b, math.MinInt64)
 	b = binary.AppendVarint(b, -1)
 	b = binary.LittleEndian.AppendUint64(b, 0x0102030405060708)
-	b = AppendString(b, "")
-	b = AppendString(b, "naïve — 日本語")
+	b = appendString(b, "")
+	b = appendString(b, "naïve — 日本語")
 	b = AppendBool(b, true)
 	b = AppendBool(b, false)
 	b = append(b, 0x7f)
@@ -37,10 +42,10 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Uint64(); got != 0x0102030405060708 {
 		t.Errorf("Uint64 = %#x", got)
 	}
-	if got := r.String(); got != "" {
+	if got := r.Take(r.Uvarint()); got != "" {
 		t.Errorf("String = %q", got)
 	}
-	if got := r.String(); got != "naïve — 日本語" {
+	if got := r.Take(r.Uvarint()); got != "naïve — 日本語" {
 		t.Errorf("String = %q", got)
 	}
 	if !r.Bool() || r.Bool() {
@@ -82,11 +87,11 @@ func TestUvarintMatchesEncodingBinary(t *testing.T) {
 
 func TestErrorsStick(t *testing.T) {
 	r := NewReader([]byte{5, 'a', 'b'})
-	if got := r.String(); got != "" || !errors.Is(r.Err(), ErrTruncated) {
+	if got := r.Take(r.Uvarint()); got != "" || !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("String past the end = %q, %v", got, r.Err())
 	}
 	// Every later read is a no-op returning zero; the first error is kept.
-	if r.Byte() != 0 || r.Uvarint() != 0 || r.Uint64() != 0 || r.String() != "" || r.Bool() || r.Count(1) != 0 || r.Len() != 0 {
+	if r.Byte() != 0 || r.Uvarint() != 0 || r.Uint64() != 0 || r.Take(r.Uvarint()) != "" || r.Bool() || r.Len() != 0 {
 		t.Error("a read after the error returned a value")
 	}
 	r.Fail(errors.New("later"))
@@ -102,33 +107,11 @@ func TestErrorsStick(t *testing.T) {
 	}
 }
 
-// TestCountCannotOutrunThePayload: a count is refused unless the bytes left
-// could hold that many elements of the stated minimum size, so it can size an
-// allocation.
-func TestCountCannotOutrunThePayload(t *testing.T) {
-	r := NewReader([]byte{3, 'a', 'b', 'c'})
-	if got := r.Count(1); got != 3 || r.Err() != nil {
-		t.Fatalf("Count(1) = %d, %v", got, r.Err())
-	}
-	r = NewReader([]byte{3, 'a', 'b', 'c', 'd', 'e', 'f'})
-	if got := r.Count(2); got != 3 || r.Err() != nil {
-		t.Fatalf("Count(2) = %d, %v", got, r.Err())
-	}
-	r = NewReader([]byte{3, 'a', 'b', 'c', 'd', 'e'})
-	if got := r.Count(2); got != 0 || r.Err() == nil {
-		t.Fatalf("Count(2) over five bytes = %d, %v; want an error", got, r.Err())
-	}
-	r = NewReader(append(binary.AppendUvarint(nil, 1<<40), 'a', 'b'))
-	if got := r.Count(1); got != 0 || r.Err() == nil {
-		t.Fatalf("Count = %d, %v; want an error", got, r.Err())
-	}
-}
-
 // TestStringsDoNotAliasTheInput: frame readers reuse their buffers.
 func TestStringsDoNotAliasTheInput(t *testing.T) {
-	in := AppendString(nil, "stable")
+	in := appendString(nil, "stable")
 	r := NewReader(in)
-	s := r.String()
+	s := r.Take(r.Uvarint())
 	for i := range in {
 		in[i] = 'x'
 	}

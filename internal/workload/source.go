@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // This file adapts the session-structured topic templates for open-loop load
@@ -22,10 +22,19 @@ func GroupOf(idx, population int) string {
 	return "limnology"
 }
 
-// UserName returns the canonical name of the idx-th synthetic user. The width
-// accommodates populations up to 10^7 while sorting lexicographically.
+// UserName returns the canonical name of the idx-th synthetic user: "user"
+// and idx zero-padded to seven places, sign included, as fmt's "user%07d"
+// prints it. The width accommodates populations up to 10^7 while sorting
+// lexicographically. The repository benchmark names a user per operation, so
+// it formats without fmt.
 func UserName(idx int) string {
-	return fmt.Sprintf("user%07d", idx)
+	const zeros = "0000000"
+	digits := strconv.Itoa(idx)
+	sign := ""
+	if idx < 0 {
+		sign, digits = "-", digits[1:]
+	}
+	return "user" + sign + zeros[:max(0, len(zeros)-len(sign)-len(digits))] + digits
 }
 
 // QuerySource generates standalone exploratory queries from the topic

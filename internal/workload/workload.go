@@ -36,19 +36,6 @@ func SchemaDDL() []string {
 	}
 }
 
-// Columns returns the schema as a table -> column-names map, used to seed the
-// recommender's schema catalog.
-func Columns() map[string][]string {
-	return map[string][]string{
-		"WaterTemp":     {"id", "lake", "loc_x", "loc_y", "temp", "measured_day"},
-		"WaterSalinity": {"id", "lake", "loc_x", "loc_y", "salinity", "depth"},
-		"CityLocations": {"city", "state", "loc_x", "loc_y", "pop"},
-		"Sensors":       {"sensor_id", "lake", "kind", "installed_day", "battery"},
-		"Stars":         {"star_id", "name", "ra", "dec", "magnitude"},
-		"Observations":  {"obs_id", "star_id", "observed_day", "flux", "band"},
-	}
-}
-
 var lakeNames = []string{
 	"Lake Washington", "Lake Union", "Lake Sammamish", "Lake Chelan",
 	"Lake Crescent", "Lake Tahoe", "Lake Michigan", "Lake Superior",

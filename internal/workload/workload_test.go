@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,13 +23,24 @@ func TestPopulateCreatesSchemaAndData(t *testing.T) {
 	if len(tables) != 6 {
 		t.Fatalf("tables = %v, want 6", tables)
 	}
-	for table, wantCols := range Columns() {
+	for table, wantCols := range map[string][]string{
+		"WaterTemp":     {"id", "lake", "loc_x", "loc_y", "temp", "measured_day"},
+		"WaterSalinity": {"id", "lake", "loc_x", "loc_y", "salinity", "depth"},
+		"CityLocations": {"city", "state", "loc_x", "loc_y", "pop"},
+		"Sensors":       {"sensor_id", "lake", "kind", "installed_day", "battery"},
+		"Stars":         {"star_id", "name", "ra", "dec", "magnitude"},
+		"Observations":  {"obs_id", "star_id", "observed_day", "flux", "band"},
+	} {
 		schema, err := eng.Catalog().SchemaOf(table)
 		if err != nil {
 			t.Fatalf("SchemaOf(%s): %v", table, err)
 		}
-		if len(schema.Columns) != len(wantCols) {
-			t.Errorf("%s columns = %d, want %d", table, len(schema.Columns), len(wantCols))
+		var got []string
+		for _, c := range schema.Columns {
+			got = append(got, c.Name)
+		}
+		if !slices.Equal(got, wantCols) {
+			t.Errorf("%s columns = %v, want %v", table, got, wantCols)
 		}
 	}
 	n, err := eng.Catalog().RowCount("WaterTemp")
@@ -182,7 +195,7 @@ func TestSessionDetectionRecoversGroundTruth(t *testing.T) {
 	if _, err := Replay(trace, prof); err != nil {
 		t.Fatal(err)
 	}
-	detected := session.NewDetector().Detect(store.Snapshot().Records(storage.Principal{Admin: true}))
+	detected := session.Detect(store.Snapshot().Records(storage.Principal{Admin: true}))
 	// The detector may split a ground-truth session when consecutive template
 	// steps look dissimilar, but it must be close: within 25% of the truth,
 	// and never fewer sessions than the truth (gaps are unambiguous).
@@ -209,6 +222,19 @@ func TestSessionDetectionRecoversGroundTruth(t *testing.T) {
 		}
 		if len(seen) > 1 {
 			t.Errorf("detected session %d mixes %d ground-truth sessions", s.ID, len(seen))
+		}
+	}
+}
+
+// TestUserNameMatchesSprintf: UserName prints what fmt's "user%07d" prints.
+func TestUserNameMatchesSprintf(t *testing.T) {
+	idxs := []int{9_999_999, 10_000_000, 123_456_789, -1, -123_456_789}
+	for i := 0; i <= 100_000; i += 97 {
+		idxs = append(idxs, i)
+	}
+	for _, i := range idxs {
+		if got, want := UserName(i), fmt.Sprintf("user%07d", i); got != want {
+			t.Errorf("UserName(%d) = %q, want %q", i, got, want)
 		}
 	}
 }
