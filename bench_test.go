@@ -1017,13 +1017,16 @@ func recoverySetup(b *testing.B) string {
 	return recoveryDir
 }
 
-// BenchmarkRecovery restarts a durable 50k-query CQMS store from its
-// snapshot: the records are restored, and every derived-state subscriber
+// BenchmarkRecoveryCompacted restarts a durable 50k-query CQMS store from
+// its snapshot: the records are restored, and every derived-state subscriber
 // rebuilds from them — the stats counters shape by shape, the miner feed by
 // feature set, the session detector with its re-sort and boundary pass over
-// every user's stream (it labels no edge).
-func BenchmarkRecovery(b *testing.B) {
-	cfg := wal.DefaultConfig(recoverySetup(b))
+// every user's stream (it labels no edge). It reports the data directory's
+// bytes per record (B/record): compaction left the snapshot and no frame it
+// covers.
+func BenchmarkRecoveryCompacted(b *testing.B) {
+	dir := recoverySetup(b)
+	cfg := wal.DefaultConfig(dir)
 	cfg.SyncPolicy = "off"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1041,6 +1044,20 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dirBytes int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		dirBytes += info.Size()
+	}
+	b.ReportMetric(float64(dirBytes)/recoveryRecords, "B/record")
 }
 
 // ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ list=(
 	"./internal/storage ^BenchmarkDeleteAt$ -test.benchtime=20000x"
 	"./internal/wal ^BenchmarkSnapshotWriteRestore$ -test.benchtime=3x"
 	"./internal/pgwire ^(BenchmarkProxySplice|BenchmarkProxyCaptureOverhead)$"
-	". ^(BenchmarkRecovery|BenchmarkReplicaCatchUp)$ -test.benchtime=2x"
+	". ^(BenchmarkRecoveryCompacted|BenchmarkReplicaCatchUp)$ -test.benchtime=2x"
 	"./internal/stats ^BenchmarkStatsReadAt1MUsers$ -test.benchtime=1000x"
 	"./internal/stats ^BenchmarkStatsRebuild$ -test.benchtime=5x"
 	"./internal/stats ^BenchmarkStatsApply$ -test.benchtime=200000x"

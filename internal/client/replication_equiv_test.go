@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,11 +26,16 @@ var _ core.ReplicationSource = (*Client)(nil)
 // replicating from the primary behind primaryURL, and serves it over HTTP.
 func newFollower(t *testing.T, primaryURL string) (*core.CQMS, *httptest.Server, context.CancelFunc) {
 	t.Helper()
+	return newFollowerOf(t, New(primaryURL, WithAdmin()))
+}
+
+// newFollowerOf is newFollower replicating through src.
+func newFollowerOf(t *testing.T, src core.ReplicationSource) (*core.CQMS, *httptest.Server, context.CancelFunc) {
+	t.Helper()
 	eng := engine.New()
 	if err := workload.Populate(eng, 200, 1); err != nil {
 		t.Fatalf("Populate: %v", err)
 	}
-	src := New(primaryURL, WithAdmin())
 	cqms, err := core.OpenFollower(eng, core.DefaultConfig(), src)
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
@@ -267,5 +274,82 @@ func TestFollowerEquivalenceUnderRandomHistory(t *testing.T) {
 		if err != nil || pg != fg {
 			t.Errorf("graph of session %d diverged (follower error %v):\nprimary:  %s\nfollower: %s", s.ID, err, pg, fg)
 		}
+	}
+}
+
+// gatedSource is the client as a follower's source, with a gate in front of
+// the log tail: while the test holds gate, the follower's next FetchWAL
+// waits there (waiting reports it), and its cursor stays where it is.
+type gatedSource struct {
+	*Client
+	gate    sync.Mutex
+	waiting atomic.Bool
+}
+
+func (s *gatedSource) FetchWAL(ctx context.Context, after uint64, wait time.Duration, fn func(uint64, []byte) error) (uint64, int64, error) {
+	s.waiting.Store(true)
+	s.gate.Lock()
+	s.waiting.Store(false)
+	s.gate.Unlock()
+	return s.Client.FetchWAL(ctx, after, wait, fn)
+}
+
+// TestFollowerRebootstrapsWhenCompactionPassesItsCursor: a live follower
+// lags while the primary writes and compacts past its cursor. A compaction
+// removes every segment its snapshot covers, so the follower's next tail
+// read is refused as compacted; it re-bootstraps from that snapshot, tails
+// what followed it, and converges: its records and its admin stats document
+// equal the primary's.
+func TestFollowerRebootstrapsWhenCompactionPassesItsCursor(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Durability = wal.DefaultConfig(t.TempDir())
+	cfg.Durability.SyncPolicy = "off"
+	tsPrimary, primary := newServer(t, cfg)
+	alice := New(tsPrimary.URL, WithUser("alice", "limnology"))
+	admin := New(tsPrimary.URL, WithAdmin())
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			sql := fmt.Sprintf("SELECT WaterTemp.lake FROM WaterTemp WHERE WaterTemp.temp > %d", i%7)
+			if _, err := alice.Submit(ctx, sql, Group("limnology")); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+	}
+
+	submit(10)
+	src := &gatedSource{Client: New(tsPrimary.URL, WithAdmin())}
+	follower, tsFollower, _ := newFollowerOf(t, src)
+	waitCaughtUp(t, follower, primary)
+
+	// Hold the follower at its cursor: one write ends its long poll, and its
+	// next tail read waits at the gate.
+	src.gate.Lock()
+	submit(1)
+	for deadline := time.Now().Add(15 * time.Second); !src.waiting.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			src.gate.Unlock()
+			t.Fatal("the follower never came back for the tail")
+		}
+	}
+	cursor := follower.ReplicationStatus().AppliedSeq
+	submit(10)
+	compacted, err := admin.LogCompact(ctx)
+	if err != nil || compacted.Seq <= cursor || compacted.RemovedSegments == 0 {
+		src.gate.Unlock()
+		t.Fatalf("LogCompact = %+v, %v; want a compaction past the follower's cursor %d", compacted, err, cursor)
+	}
+	submit(5)
+	src.gate.Unlock()
+
+	waitCaughtUp(t, follower, primary)
+	if st := follower.ReplicationStatus(); st.SnapshotSeq != compacted.Seq {
+		t.Fatalf("the follower did not re-bootstrap from the compaction's snapshot at %d: %+v", compacted.Seq, st)
+	}
+	if p, f := stateDocument(t, primary.Store()), stateDocument(t, follower.Store()); p != f {
+		t.Errorf("store state diverged: %s", firstDifference(p, f))
+	}
+	if p, f := statsForDiff(t, tsPrimary.URL), statsForDiff(t, tsFollower.URL); string(p) != string(f) {
+		t.Errorf("stats diverged:\nprimary:  %s\nfollower: %s", p, f)
 	}
 }

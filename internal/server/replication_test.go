@@ -16,9 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// newDurableServer starts an httptest server over a durable CQMS with small
-// segments, so a handful of submissions spans several WAL segments and
-// compaction actually removes some.
+// newDurableServer starts an httptest server over a durable CQMS. A
+// compaction removes every segment its snapshot covers, so a handful of
+// submissions is enough to see one removed.
 func newDurableServer(t *testing.T) (*httptest.Server, *client.Client, *client.Client) {
 	t.Helper()
 	eng := engine.New()
@@ -28,7 +28,6 @@ func newDurableServer(t *testing.T) (*httptest.Server, *client.Client, *client.C
 	cfg := core.DefaultConfig()
 	cfg.Durability = wal.DefaultConfig(t.TempDir())
 	cfg.Durability.SyncPolicy = "off"
-	cfg.Durability.SegmentBytes = 256
 	cqms, err := core.OpenWithEngine(eng, cfg)
 	if err != nil {
 		t.Fatalf("OpenWithEngine: %v", err)
@@ -93,8 +92,8 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LogCompact: %v", err)
 	}
-	if compacted.RemovedSegments == 0 {
-		t.Fatal("compaction removed no segments; segment size too large for this test")
+	if compacted.RemovedSegments != 1 {
+		t.Fatalf("compaction removed %d segments, want the one that held every record", compacted.RemovedSegments)
 	}
 	seq, state, ok, err := admin.FetchSnapshot(ctx)
 	if err != nil || !ok {

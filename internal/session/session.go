@@ -31,25 +31,13 @@ const (
 	minSimilarity = 0.2
 )
 
-// EdgeType classifies the relationship between two queries in a session
-// (§4.1: temporal, modification or investigation edges).
-type EdgeType int
-
-// Edge types.
-const (
-	EdgeTemporal EdgeType = iota
-	EdgeModification
-	EdgeInvestigation
-)
-
 // Edge links two consecutive queries of a session: a pair of query
-// identifiers, an edge type and the diff summary used as the edge label in
-// the Figure 2 visualisation. Edges are computed when a graph is read; the
-// store keeps none.
+// identifiers and the diff summary used as the edge label in the Figure 2
+// visualisation. Edges are computed when a graph is read; the store keeps
+// none.
 type Edge struct {
 	From storage.QueryID
 	To   storage.QueryID
-	Type EdgeType
 	Diff string
 }
 
@@ -167,34 +155,9 @@ func labelEdges(queries []*storage.QueryRecord) []Edge {
 }
 
 // edgeBetween builds the session edge between two consecutive queries,
-// classifying it and labelling it with the structural diff.
+// labelled with the structural diff.
 func edgeBetween(prev, next *storage.QueryRecord) Edge {
-	diff := sql.ComputeDiff(&prev.Analysis, &next.Analysis)
-	etype := EdgeModification
-	if diff.Empty() {
-		etype = EdgeTemporal
-	} else if isInvestigation(diff) {
-		etype = EdgeInvestigation
-	}
-	return Edge{From: prev.ID, To: next.ID, Type: etype, Diff: diff.String()}
-}
-
-// isInvestigation reports whether the diff looks like the user drilling into
-// why certain tuples appear: predicates only added, projection narrowed, no
-// new tables.
-func isInvestigation(d *sql.Diff) bool {
-	addedPred, removedCol := false, false
-	for _, e := range d.Entries {
-		switch e.Kind {
-		case sql.DiffAddTable, sql.DiffRemoveTable, sql.DiffAddColumn:
-			return false
-		case sql.DiffAddPredicate:
-			addedPred = true
-		case sql.DiffRemoveColumn:
-			removedCol = true
-		}
-	}
-	return addedPred && removedCol
+	return Edge{From: prev.ID, To: next.ID, Diff: sql.ComputeDiff(&prev.Analysis, &next.Analysis).String()}
 }
 
 // FeatureSimilarity is the Jaccard similarity of two queries' feature sets:

@@ -169,10 +169,10 @@ func TestEdgeLabelsMatchFigure2(t *testing.T) {
 	if !strings.Contains(edges[4].Diff, "loc_y") {
 		t.Errorf("edge 4 diff = %q, want loc_y predicate", edges[4].Diff)
 	}
-	// All modification edges.
+	// Every consecutive pair differs: no edge has an empty diff.
 	for i, e := range edges {
-		if e.Type != EdgeModification {
-			t.Errorf("edge %d type = %v, want modification", i, e.Type)
+		if e.Diff == "" {
+			t.Errorf("edge %d has an empty diff", i)
 		}
 	}
 }

@@ -243,9 +243,10 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	// Snapshots are rare; an unconditional clock read is fine here.
 	start := time.Now()
 	var seq uint64
-	// The commit lock is held only to collect the record pointers; encoding
-	// and writing happen after it is released, chunk by chunk.
-	st := m.store.CaptureState(func() { seq = m.log.LastSeq() })
+	// The commit lock is held only to collect the record pointers and seal
+	// the log at their sequence; encoding and writing happen after it is
+	// released, chunk by chunk.
+	st := m.store.CaptureState(func() { seq = m.log.seal() })
 	path, info, err := WriteSnapshot(m.cfg.Dir, seq, st)
 	if err != nil {
 		return "", 0, err
@@ -260,9 +261,11 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 
 // Compact snapshots the store, deletes the log segments the snapshot covers
 // and prunes older snapshots. It returns the snapshot path and the number of
-// removed segments. Nothing is deleted on the strength of a snapshot that
-// does not read back: the file just written is walked to its last frame
-// first (VerifySnapshot), and a failure leaves every segment and every older
+// removed segments, the one being written at the capture included: the
+// snapshot's sequence ends it, so the log left holds only frames past the
+// snapshot. Nothing is deleted on the strength of a snapshot that does not
+// read back: the file just written is walked to its last frame first
+// (VerifySnapshot), and a failure leaves every segment and every older
 // snapshot in place.
 func (m *Manager) Compact() (string, uint64, int, error) {
 	m.snapMu.Lock()

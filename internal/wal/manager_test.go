@@ -540,8 +540,9 @@ func TestPendingCountsReplayedRecords(t *testing.T) {
 // TestRecoveryIgnoresStrayFileNames: a file named like a segment or a
 // snapshot but for something after its 20 digits — a copy an operator left
 // behind — is not the log's. The log appends to and replays only its own
-// segment, compaction neither deletes a stray nor lets it stand for a
-// segment, and recovery restores the real snapshot, not an older copy filed
+// segments, compaction neither deletes a stray nor lets it stand for a
+// segment (it removes every segment its snapshot covers and leaves only the
+// one past it), and recovery restores the real snapshot, not an older copy filed
 // under the same sequence.
 func TestRecoveryIgnoresStrayFileNames(t *testing.T) {
 	dir := t.TempDir()
@@ -605,10 +606,13 @@ func TestRecoveryIgnoresStrayFileNames(t *testing.T) {
 	}
 	straySnap := stray(snapshotName(seq), snapshotSuffix)
 	write(straySnap, older)
-	for _, name := range []string{segmentName(1), strayLog, straySnap} {
+	for _, name := range []string{strayLog, straySnap} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("after compaction: %v", err)
 		}
+	}
+	if segs, err := listSegments(dir); err != nil || len(segs) != 1 || segs[0].Name != segmentName(seq+1) {
+		t.Errorf("after compaction the log is %+v (%v), want only %s", segs, err, segmentName(seq+1))
 	}
 	snap, err := latestDecoded(dir)
 	if err != nil || snap == nil || snap.Info.Name != snapshotName(seq) || len(snap.State.Records) != 2 {

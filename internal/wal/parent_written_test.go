@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 	"time"
 
@@ -76,43 +75,48 @@ func writeFixedHistory(t *testing.T, dir string) {
 	check(mgr.Close())
 }
 
-// TestWriterMatchesParentBytes: for one fixed history, the segment and the
-// snapshot this build writes are byte for byte the ones the build before the
-// shared dictionary wrote (testdata/parent_written, never regenerated).
+// TestWriterMatchesParentBytes: for one fixed history, the snapshot this
+// build writes is byte for byte the one the build before the shared
+// dictionary wrote (testdata/parent_written, never regenerated), and so are
+// the log's frames. The parent kept them in one segment; this build ends a
+// segment at the snapshot's sequence, so the same bytes lie in two files, cut
+// where the frames past the snapshot begin.
 func TestWriterMatchesParentBytes(t *testing.T) {
 	const golden = "testdata/parent_written"
 	dir := t.TempDir()
 	writeFixedHistory(t, dir)
-	names := func(dir string) []string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, e := range entries {
-			out = append(out, e.Name())
-		}
-		return out
+	const snap, seq = "snapshot-00000000000000000009.snap", 9
+	files := map[string][2][]string{ // name: this build's files, the parent's
+		snap:      {{snap}, {snap}},
+		"the log": {{segmentName(1), segmentName(seq + 1)}, {segmentName(1)}},
 	}
-	want := names(golden)
-	if got := names(dir); !slices.Equal(got, want) {
-		t.Fatalf("the history left files %v, the parent %v", got, want)
-	}
-	for _, name := range want {
-		g, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
+	for name, f := range files {
+		var got, want []byte
+		for _, file := range f[0] {
+			got = append(got, readFile(t, filepath.Join(dir, file))...)
 		}
-		w, err := os.ReadFile(filepath.Join(golden, name))
-		if err != nil {
-			t.Fatal(err)
+		for _, file := range f[1] {
+			want = append(want, readFile(t, filepath.Join(golden, file))...)
 		}
-		if !bytes.Equal(g, w) {
+		if !bytes.Equal(got, want) {
 			i := 0
-			for i < min(len(g), len(w)) && g[i] == w[i] {
+			for i < min(len(got), len(want)) && got[i] == want[i] {
 				i++
 			}
-			t.Errorf("%s: %d bytes differ from the parent's %d from byte %d on", name, len(g), len(w), i)
+			t.Errorf("%s: %d bytes differ from the parent's %d from byte %d on", name, len(got), len(want), i)
 		}
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("the history left %d files (%v), want %s and two segments", len(entries), err, snap)
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -557,7 +557,7 @@ func TestSnapshotChunksStayUnderTheFrameBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed == 0 || removed != len(segsBefore)-1 {
+	if removed == 0 || removed != len(segsBefore) {
 		t.Fatalf("compaction removed %d of %d segments", removed, len(segsBefore))
 	}
 	raw, err := os.ReadFile(path)

@@ -70,10 +70,12 @@ func readOlderSnapshot(r io.Reader) (*Snapshot, error) {
 
 // upgrade rewrites a directory Open recovered from an older build's files
 // in this build's format: a fresh segment, then a compaction (see the file
-// comment). Without older files it ends an upgrade a crash stopped after its
-// snapshot was in place: it removes the segments and snapshots that
-// snapshot covers. Only an upgrade leaves the newest segment empty and named
-// one past its snapshot's sequence with covered files behind it; any other
+// comment). Without older files it is the one rule that finishes a
+// compaction or an upgrade a crash stopped after its snapshot was in place:
+// when the newest segment is empty and named one past the snapshot's
+// sequence, it removes the segments and snapshots that snapshot covers. Both
+// start that segment before they remove anything (RemoveSegmentsCoveredBy),
+// and so does the committer's first write past a snapshot; any other
 // directory is left as it is.
 func (m *Manager) upgrade(older bool) error {
 	seq, start := m.snapshotSeq.Load(), time.Now()

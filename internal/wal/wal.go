@@ -21,6 +21,14 @@
 // numbers beyond it; compaction deletes segments and snapshots made obsolete
 // by a newer snapshot.
 //
+// A snapshot's sequence ends a segment. Its capture seals the log there (a
+// field under seqMu, no I/O); the committer starts a new segment before it
+// writes the first frame past the seal into a segment that holds frames at
+// or before it, and compaction starts one for an idle log. Compaction then
+// removes every segment the snapshot covers, the one that was active too, so
+// recovery, OpenLog and a follower's tail read only the frames the newest
+// snapshot leaves uncovered.
+//
 // # Reading the log
 //
 // The directory is read one way. listSeqFiles is the only listing, of
@@ -183,10 +191,17 @@ type Log struct {
 	committerDone bool
 	ioErr         error // first committer write/fsync failure; appends refuse after it
 	truncated     bool  // a torn tail was cut during open
+	// sealSeq is the newest snapshot's sequence: the committer starts a new
+	// segment before the first frame past it (seal, writeBatch).
+	sealSeq uint64
 
-	// ioMu guards the active segment file.
+	// ioMu guards the active segment file. segFirst is the sequence it is
+	// named for, segLast the last frame written to it (segFirst-1 while it
+	// holds none).
 	ioMu        sync.Mutex
 	file        *os.File
+	segFirst    uint64
+	segLast     uint64
 	segBytes    int64
 	syncedBytes int64 // bytes of the active segment covered by an fsync
 	dirty       bool  // writes not yet fsynced
@@ -302,13 +317,12 @@ func OpenLog(cfg Config, reg *telemetry.Registry) (*Log, error) {
 		l.file = f
 		l.segBytes = validBytes
 		l.syncedBytes = validBytes
-		if lastSeq > 0 {
-			l.lastSeq = lastSeq
-		} else {
+		if lastSeq == 0 {
 			// The newest segment holds no valid records: the log ends just
 			// before the sequence the segment was named for.
-			l.lastSeq = last.FirstSeq - 1
+			lastSeq = last.FirstSeq - 1
 		}
+		l.lastSeq, l.segFirst, l.segLast = lastSeq, last.FirstSeq, lastSeq
 	}
 	l.writtenSeq = l.lastSeq
 	l.durableSeq = l.lastSeq
@@ -331,6 +345,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	// segment file even though its records were fsynced.
 	syncDir(l.dir)
 	l.file = f
+	l.segFirst, l.segLast = firstSeq, firstSeq-1
 	l.segBytes = 0
 	l.syncedBytes = 0
 	l.dirty = false
@@ -456,12 +471,12 @@ func (l *Log) commitLoop() {
 		l.pending = l.spare[:0:cap(l.spare)]
 		l.pendingN = 0
 		needSync := l.policy == SyncAlways || l.syncTarget > l.durableSeq
-		hook := l.beforeSync
+		hook, seal := l.beforeSync, l.sealSeq
 		l.seqMu.Unlock()
 
 		var err error
 		if n > 0 {
-			err = l.writeBatch(batch, first)
+			err = l.writeBatch(batch, first, seal)
 		}
 		if hook != nil {
 			hook()
@@ -502,8 +517,9 @@ func (l *Log) commitLoop() {
 
 // writeBatch appends a buffer of pre-encoded frames to the active segment,
 // rotating at frame boundaries when a frame would push the segment past
-// SegmentBytes. Frames between rotations go to the OS in a single write.
-func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
+// SegmentBytes or is the first frame past seal. Frames between rotations go
+// to the OS in a single write.
+func (l *Log) writeBatch(batch []byte, firstSeq, seal uint64) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	off := 0
@@ -514,7 +530,7 @@ func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
 		runBytes := int64(0)
 		for off < len(batch) {
 			frameLen := int64(headerBytes) + int64(binary.LittleEndian.Uint32(batch[off:]))
-			if l.segBytes+runBytes > 0 && l.segBytes+runBytes+frameLen > l.segmentBytes {
+			if held := l.segBytes + runBytes; held > 0 && (held+frameLen > l.segmentBytes || nextSeq == seal+1) {
 				break // this frame starts the next segment
 			}
 			runBytes += frameLen
@@ -523,8 +539,8 @@ func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
 		}
 		if off == runStart {
 			// The next frame needs a fresh segment: fsync and close the full
-			// one (older segments never hold torn tails) and start the new
-			// segment at that frame's sequence.
+			// or sealed one (older segments never hold torn tails) and start
+			// the new segment at that frame's sequence.
 			if err := l.rotateLocked(runSeq); err != nil {
 				return err
 			}
@@ -533,6 +549,7 @@ func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
 		if err := l.writeRun(batch[runStart:off]); err != nil {
 			return err
 		}
+		l.segLast = nextSeq - 1
 	}
 	return nil
 }
@@ -755,15 +772,37 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 	return nil
 }
 
+// seal makes the last sequenced record the end of a segment and returns its
+// sequence: the committer starts a new segment before it writes the next
+// frame into one that holds frames. A snapshot's capture seals under the
+// store's commit lock, before any frame past it is sequenced; it does no
+// I/O.
+func (l *Log) seal() uint64 {
+	l.seqMu.Lock()
+	defer l.seqMu.Unlock()
+	l.sealSeq = l.lastSeq
+	return l.lastSeq
+}
+
 // RemoveSegmentsCoveredBy deletes every segment whose records all have
-// sequence <= seq; the active (newest) segment is always kept. It returns the
-// number of segments removed.
+// sequence <= seq and returns how many it deleted. The active segment is
+// among them when its last frame is at or before seq: a fresh one named
+// seq+1 is started first and takes the next frame. For a snapshot's
+// sequence, which ends a segment (seal), no segment is left that holds a
+// frame <= seq.
 func (l *Log) RemoveSegmentsCoveredBy(seq uint64) (int, error) {
 	if err := l.waitWritten(); err != nil {
 		return 0, err
 	}
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if l.segFirst <= seq && l.segLast <= seq {
+		// Every frame up to seq was written (waitWritten) and none past it
+		// was: seq+1 is the next frame the committer writes.
+		if err := l.rotateLocked(seq + 1); err != nil {
+			return 0, err
+		}
+	}
 	segs, err := listSegments(l.dir)
 	if err != nil {
 		return 0, err

@@ -314,13 +314,20 @@ func TestRemoveSegmentsCoveredBy(t *testing.T) {
 			t.Fatalf("replay returned covered seq %d", seq)
 		}
 	}
-	// The active segment survives even when fully covered.
-	if _, err := l.RemoveSegmentsCoveredBy(l.LastSeq()); err != nil {
-		t.Fatal(err)
+	// An idle active segment the sequence covers goes too: a fresh, empty
+	// one named past it takes the next append.
+	last := l.LastSeq()
+	removed, err = l.RemoveSegmentsCoveredBy(last)
+	if err != nil || removed != len(before)-2 {
+		t.Fatalf("removed %d segments (%v), want %d", removed, err, len(before)-2)
 	}
 	after, _ := l.Segments()
-	if len(after) != 1 {
-		t.Fatalf("%d segments left, want only the active one", len(after))
+	if len(after) != 1 || after[0].FirstSeq != last+1 || after[0].Bytes != 0 {
+		t.Fatalf("segments left: %+v, want only an empty one named %d", after, last+1)
+	}
+	mustAppend(t, l, "after-compaction")
+	if got := collect(t, l, last); len(got) != 1 || got[last+1] != "after-compaction" {
+		t.Fatalf("replay past the compaction = %v", got)
 	}
 }
 
